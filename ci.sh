@@ -14,6 +14,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+echo "== benchmark package: builds, lints, tests, exact counters repeat =="
+# perf/ is a workspace of its own, so the steps above never compile it:
+# check.sh keeps it building (fmt, clippy -D warnings, its tests)
+# against the crates' current API, and a short --counts pass runs every
+# workload twice and fails if any exact counter (tokens, streams, tasks,
+# work units, virtual times) differs between the two.
+perf/check.sh
+perf/run.sh --counts --seconds 2
+
 echo "== incremental cache: warm/cold equivalence =="
 cargo test -q --test incremental
 cargo test -q --test properties warm_cache_compiles_are_invisible

@@ -382,15 +382,16 @@ impl<'a> Emitter<'a> {
                 ty
             }
             ExprKind::Deref { base } => {
-                let ty = self.designator_addr(base);
-                match self.sema.types.get(self.sema.types.strip_subrange(ty)) {
-                    Type::Pointer { to } => {
+                let ty = self.sema.types.strip_subrange(self.designator_addr(base));
+                match self.sema.pointee(ty) {
+                    Some(to) => {
                         self.emit(Instr::AddrDeref);
                         to
                     }
-                    Type::Error => TypeId::ERROR,
-                    _ => {
-                        self.error(base.span, "dereferencing a non-pointer");
+                    None => {
+                        if self.sema.types.get(ty) != Type::Error {
+                            self.error(base.span, "dereferencing a non-pointer");
+                        }
                         TypeId::ERROR
                     }
                 }
@@ -1019,18 +1020,17 @@ impl<'a> Emitter<'a> {
                 };
                 let pt = self.designator_addr(arg);
                 let ps = self.sema.types.strip_subrange(pt);
-                match self.sema.types.get(ps) {
-                    Type::Pointer { to } => {
-                        if b == New {
-                            let shape = shape_of(&self.sema.types, to);
-                            let ix = self.unit.add_shape(shape);
-                            self.emit(Instr::NewCell { shape: ix });
-                        } else {
-                            self.emit(Instr::DisposeCell);
-                        }
+                match self.sema.pointee(ps) {
+                    Some(to) if b == New => {
+                        let shape = shape_of(&self.sema.types, to);
+                        let ix = self.unit.add_shape(shape);
+                        self.emit(Instr::NewCell { shape: ix });
                     }
-                    Type::Error => {}
-                    _ => self.error(span, "NEW/DISPOSE need a pointer variable"),
+                    Some(_) => {
+                        self.emit(Instr::DisposeCell);
+                    }
+                    None if self.sema.types.get(ps) == Type::Error => {}
+                    None => self.error(span, "NEW/DISPOSE need a pointer variable"),
                 }
                 TypeId::ERROR
             }

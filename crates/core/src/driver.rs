@@ -47,14 +47,14 @@ use ccm2_support::diag::{Diagnostic, DiagnosticSink, Severity};
 use ccm2_support::hash::Fp128;
 use ccm2_support::ids::{EventId, ScopeId, StreamId};
 use ccm2_support::intern::{Interner, Symbol};
-use ccm2_support::source::{FileId, SourceMap, Span};
+use ccm2_support::source::{FileId, SourceFile, SourceMap, Span};
 use ccm2_support::work::Work;
 use ccm2_syntax::ast::{stmt_count, Decl, Import, Stmt};
 use ccm2_syntax::lexer::Lexer;
 use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
 
 use crate::importer::{run_importer, ImportSink};
-use crate::queue::{StreamCursor, TokenQueue};
+use crate::queue::{StreamCursor, TokenQueue, TokenWriter};
 use crate::splitter::{run_splitter, StreamFactory};
 
 /// Which executor carries the compilation.
@@ -550,27 +550,8 @@ impl Driver {
             incr.env_fp.set(env_fp).expect("start runs once");
         }
         let file = self.sources.add("Main.mod", source);
-        let lex_q = TokenQueue::named(Arc::clone(&self.env), "lex(Main)");
         // Lexor(main): never blocks (§2.3.3).
-        {
-            let this = Arc::clone(self);
-            let q = Arc::clone(&lex_q);
-            let file = Arc::clone(&file);
-            let mut t = TaskDesc::new(
-                "lex(Main)",
-                TaskKind::Lexor,
-                Box::new(move || {
-                    let sema = this.sema();
-                    for tok in Lexer::new(&file, &sema.interner, &sema.sink) {
-                        this.env.charge(Work::Lex, 1);
-                        q.push(tok);
-                    }
-                    q.close();
-                }),
-            );
-            t.signals_barriers = true;
-            self.spawn_task(t);
-        }
+        let lex_q = self.spawn_lexor("lex(Main)".to_string(), file);
         // Importer(main): anticipates interfaces (§3).
         {
             let this = Arc::clone(self);
@@ -595,10 +576,9 @@ impl Driver {
         // (procedures are discovered while parsing, as in pre-paper
         // designs) and the main scope is created by the parser itself.
         let parse_q = if self.early_split {
-            let parse_q = TokenQueue::named(Arc::clone(&self.env), "parse(Main)");
+            let (out, parse_q) = TokenQueue::channel(Arc::clone(&self.env), "parse(Main)");
             let this = Arc::clone(self);
             let q = Arc::clone(&lex_q);
-            let out = Arc::clone(&parse_q);
             let mut t = TaskDesc::new(
                 "split(Main)",
                 TaskKind::Splitter,
@@ -672,25 +652,7 @@ impl Driver {
             (scope, file)
         };
         // Spawn the stream's tasks: Lexor → {Importer, Parser/DeclAnalyzer}.
-        let q = TokenQueue::named(Arc::clone(&self.env), format!("lex({name_str}.def)"));
-        {
-            let this = Arc::clone(self);
-            let q = Arc::clone(&q);
-            let mut t = TaskDesc::new(
-                format!("lex({name_str}.def)"),
-                TaskKind::Lexor,
-                Box::new(move || {
-                    let sema = this.sema();
-                    for tok in Lexer::new(&file, &sema.interner, &sema.sink) {
-                        this.env.charge(Work::Lex, 1);
-                        q.push(tok);
-                    }
-                    q.close();
-                }),
-            );
-            t.signals_barriers = true;
-            self.spawn_task(t);
-        }
+        let q = self.spawn_lexor(format!("lex({name_str}.def)"), file);
         {
             let this = Arc::clone(self);
             let q = Arc::clone(&q);
@@ -726,6 +688,26 @@ impl Driver {
             self.spawn_task(t);
         }
         Some(scope)
+    }
+
+    /// Spawns the Lexor task of one source file and returns the queue it
+    /// fills; [`Work::Lex`] is charged per published block.
+    fn spawn_lexor(self: &Arc<Self>, name: String, file: Arc<SourceFile>) -> Arc<TokenQueue> {
+        let (writer, q) = TokenQueue::channel(Arc::clone(&self.env), name.clone());
+        let mut writer = writer.charging(Work::Lex);
+        let this = Arc::clone(self);
+        let mut t = TaskDesc::new(
+            name,
+            TaskKind::Lexor,
+            Box::new(move || {
+                let sema = this.sema();
+                writer.extend(Lexer::new(&file, &sema.interner, &sema.sink));
+                writer.close();
+            }),
+        );
+        t.signals_barriers = true;
+        self.spawn_task(t);
+        q
     }
 
     /// Spawns one per-unit `Analyze` task (§2.3.4 priority: after
@@ -1741,12 +1723,7 @@ impl StreamFactory for DriverHandle {
         scope
     }
 
-    fn proc_stream(
-        &self,
-        name: Symbol,
-        file: FileId,
-        parent: ScopeId,
-    ) -> (StreamId, Arc<TokenQueue>) {
+    fn proc_stream(&self, name: Symbol, file: FileId, parent: ScopeId) -> (StreamId, TokenWriter) {
         let this = &self.0;
         let scope = this
             .tables()
@@ -1758,7 +1735,7 @@ impl StreamFactory for DriverHandle {
         let heading_ev = this
             .env
             .new_event_named(EventClass::Avoided, &format!("heading({name_str})"));
-        let q = TokenQueue::named(Arc::clone(&this.env), format!("proc({name_str})"));
+        let (writer, q) = TokenQueue::channel(Arc::clone(&this.env), format!("proc({name_str})"));
         let id = {
             let mut st = this.st.lock();
             let id = StreamId(st.next_stream);
@@ -1778,12 +1755,12 @@ impl StreamFactory for DriverHandle {
                 scope,
                 parent,
                 name,
-                queue: Arc::clone(&q),
+                queue: q,
             });
         } else {
-            this.spawn_proc_parse(id, scope, parent, name, Arc::clone(&q));
+            this.spawn_proc_parse(id, scope, parent, name, q);
         }
-        (id, q)
+        (id, writer)
     }
 
     fn scope_for(&self, stream: StreamId) -> Option<ScopeId> {

@@ -10,9 +10,8 @@
 //! processed exactly once per compilation.
 
 use ccm2_support::intern::Symbol;
+use ccm2_syntax::parser::TokenSource;
 use ccm2_syntax::token::TokenKind;
-
-use crate::splitter::SplitInput;
 
 /// Receives discovered imports (the driver's once-only table).
 pub trait ImportSink: Send + Sync {
@@ -25,7 +24,7 @@ pub trait ImportSink: Send + Sync {
 /// imported module to `sink`. Stops at the first token that ends the
 /// import section (any declaration keyword, `BEGIN`, or `END`). Returns
 /// the number of tokens inspected.
-pub fn run_importer(input: &dyn SplitInput, depth: usize, sink: &dyn ImportSink) -> usize {
+pub fn run_importer(input: &dyn TokenSource, depth: usize, sink: &dyn ImportSink) -> usize {
     let mut pos = 0usize;
     let mut inspected = 0usize;
     while let Some(t) = input.get(pos) {

@@ -39,5 +39,5 @@ pub mod splitter;
 
 pub use ccm2_analysis::LockStats;
 pub use driver::{compile_concurrent, CompileError, ConcurrentOutput, Executor, Options};
-pub use queue::{StreamCursor, TokenQueue, BLOCK_SIZE};
+pub use queue::{StreamCursor, TokenQueue, TokenWriter, BLOCK_SIZE};
 pub use splitter::{run_splitter, SplitReport, StreamFactory};

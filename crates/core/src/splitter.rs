@@ -18,27 +18,22 @@
 //! resolves `PROCEDURE` used as a *type* (`TYPE F = PROCEDURE(…)`):
 //! a procedure declaration is recognized only when an identifier follows.
 
-use std::sync::Arc;
-
 use ccm2_support::ids::{ScopeId, StreamId};
 use ccm2_support::intern::Symbol;
 use ccm2_support::source::{FileId, Span};
+use ccm2_syntax::parser::TokenSource;
 use ccm2_syntax::token::{Token, TokenKind};
 
-use crate::queue::TokenQueue;
+use crate::queue::TokenWriter;
 
 /// Driver-side factory the splitter calls when it discovers structure.
 pub trait StreamFactory: Send + Sync {
     /// The splitter read the module header: create the main module scope.
     fn main_module_started(&self, name: Symbol, file: FileId) -> ScopeId;
     /// The splitter found `PROCEDURE name` nested in `parent` scope:
-    /// create the procedure's stream (scope, queue, tasks).
-    fn proc_stream(
-        &self,
-        name: Symbol,
-        file: FileId,
-        parent: ScopeId,
-    ) -> (StreamId, Arc<TokenQueue>);
+    /// create the procedure's stream (scope, queue, tasks) and hand back
+    /// the producer end of its queue.
+    fn proc_stream(&self, name: Symbol, file: FileId, parent: ScopeId) -> (StreamId, TokenWriter);
     /// The scope created for `stream` (needed to parent nested
     /// procedures).
     fn scope_for(&self, stream: StreamId) -> Option<ScopeId>;
@@ -54,33 +49,13 @@ pub trait StreamFactory: Send + Sync {
     fn split_eof(&self) {}
 }
 
-/// A token source the splitter reads from (blocking).
-pub trait SplitInput {
-    /// The `i`-th token, blocking until produced; `None` at end of stream.
-    fn get(&self, i: usize) -> Option<Token>;
-}
-
-impl SplitInput for crate::queue::StreamCursor {
-    fn get(&self, i: usize) -> Option<Token> {
-        ccm2_syntax::parser::TokenSource::get(self, i)
-    }
-}
-
-impl SplitInput for Vec<Token> {
-    fn get(&self, i: usize) -> Option<Token> {
-        self.as_slice().get(i).copied()
-    }
-}
-
 struct Frame {
-    sink: Arc<TokenQueue>,
+    sink: TokenWriter,
     scope: Option<ScopeId>,
     /// Unclosed END-consuming openers inside this frame.
     depth: i64,
-    /// Frames above the bottom one are procedure streams (closed when
-    /// their END arrives).
-    is_proc: bool,
-    /// The stream this frame feeds (`None` for the main frame).
+    /// The stream this frame feeds (`None` for the main frame; the
+    /// others are procedure streams, closed when their END arrives).
     stream: Option<StreamId>,
     /// Source range of `PROCEDURE … ;` for proc frames.
     heading: Span,
@@ -108,12 +83,13 @@ pub struct SplitReport {
     pub tokens: usize,
 }
 
-/// Runs the splitter: consumes `input`, routes tokens to `main_out` and
-/// to procedure streams created through `factory`. Closes every stream it
-/// opened (and `main_out`) before returning.
+/// Runs the splitter: consumes `input` (blocking on a live stream),
+/// routes tokens to `main_out` and to procedure streams created through
+/// `factory`. Closes every stream it opened (and `main_out`) before
+/// returning.
 pub fn run_splitter(
-    input: &dyn SplitInput,
-    main_out: Arc<TokenQueue>,
+    input: &dyn TokenSource,
+    main_out: TokenWriter,
     factory: &dyn StreamFactory,
 ) -> SplitReport {
     let mut report = SplitReport::default();
@@ -121,22 +97,17 @@ pub fn run_splitter(
         sink: main_out,
         scope: None,
         depth: 0,
-        is_proc: false,
         stream: None,
         heading: Span::default(),
         hi: 0,
     }];
+    let mut heading: Vec<Token> = Vec::new();
     let mut pos = 0usize;
-    let next = |pos: &mut usize| -> Option<Token> {
-        let t = input.get(*pos);
-        if t.is_some() {
-            *pos += 1;
-        }
-        t
-    };
 
-    while let Some(t) = next(&mut pos) {
+    while let Some(t) = input.get(pos) {
+        pos += 1;
         report.tokens += 1;
+        let is_main = stack.len() == 1;
         let top = stack.last_mut().expect("bottom frame always present");
         top.hi = top.hi.max(t.span.hi);
         match t.kind {
@@ -144,15 +115,13 @@ pub fn run_splitter(
                 top.depth += 1;
                 top.sink.push(t);
                 // The module name follows (possibly after nothing at all
-                // in malformed input).
+                // in malformed input). Create the scope BEFORE forwarding
+                // the name token, so downstream tasks always find it.
                 if let Some(name_tok) = input.get(pos) {
-                    if let TokenKind::Ident(name) = name_tok.kind {
-                        if top.scope.is_none() && stack.len() == 1 {
-                            // Create the scope BEFORE forwarding the name
-                            // token, so downstream tasks always find it.
-                            let scope = factory.main_module_started(name, name_tok.file);
-                            stack.last_mut().expect("frame").scope = Some(scope);
-                        }
+                    if let (TokenKind::Ident(name), true) = (name_tok.kind, is_main) {
+                        top.scope = top
+                            .scope
+                            .or_else(|| Some(factory.main_module_started(name, name_tok.file)));
                     }
                 }
             }
@@ -162,46 +131,40 @@ pub fn run_splitter(
             }
             TokenKind::End => {
                 top.depth -= 1;
-                if top.is_proc && top.depth < 0 {
+                top.sink.push(t);
+                if !is_main && top.depth < 0 {
                     // This END closes the current procedure stream:
                     // `END Name ;` goes to the procedure stream, which is
                     // then complete.
-                    top.sink.push(t);
-                    let (copied, tail_hi) = copy_end_name(input, &mut pos, &top.sink);
+                    let (copied, tail_hi) = copy_end_name(input, &mut pos, &mut top.sink);
                     report.tokens += copied;
                     let mut frame = stack.pop().expect("proc frame");
                     frame.hi = frame.hi.max(tail_hi);
                     frame.carve_and_close(factory);
-                } else {
-                    top.sink.push(t);
                 }
             }
             TokenKind::Procedure => {
-                // Lookahead: declaration only if an identifier follows.
-                let Some(next_tok) = input.get(pos) else {
+                // Lookahead: a declaration only if an identifier follows
+                // (else a procedure *type*) and the module header has been
+                // seen (else malformed; let the parser report it).
+                let (Some(name_tok), Some(parent_scope)) = (input.get(pos), top.scope) else {
                     top.sink.push(t);
                     continue;
                 };
-                let TokenKind::Ident(name) = next_tok.kind else {
-                    // Procedure *type* — plain pass-through.
-                    top.sink.push(t);
-                    continue;
-                };
-                let Some(parent_scope) = top.scope else {
-                    // PROCEDURE before the module header: malformed; let
-                    // the parser report it.
+                let TokenKind::Ident(name) = name_tok.kind else {
                     top.sink.push(t);
                     continue;
                 };
                 report.procedures += 1;
-                let (stream, proc_q) = factory.proc_stream(name, next_tok.file, parent_scope);
+                let (stream, mut proc_q) = factory.proc_stream(name, name_tok.file, parent_scope);
                 // Heading: `PROCEDURE Name … ;` (first `;` at paren depth
                 // 0) — copied to both the enclosing stream and the new
                 // one.
-                let mut heading = vec![t];
+                heading.clear();
+                heading.push(t);
                 let mut paren_depth = 0i64;
-                while let Some(ht) = next(&mut pos) {
-                    report.tokens += 1;
+                while let Some(ht) = input.get(pos) {
+                    pos += 1;
                     heading.push(ht);
                     match ht.kind {
                         TokenKind::LParen => paren_depth += 1,
@@ -210,33 +173,25 @@ pub fn run_splitter(
                         _ => {}
                     }
                 }
-                let top = stack.last_mut().expect("frame");
-                for &ht in &heading {
-                    top.sink.push(ht);
-                }
-                // Stub replaces the body in the enclosing stream (§3:
-                // "stripped of all embedded streams").
-                let stub_span = heading.last().map(|h| h.span).unwrap_or_default();
-                let stub_file = heading.last().map(|h| h.file).unwrap_or(FileId(0));
+                report.tokens += heading.len() - 1;
+                let last = *heading.last().expect("heading starts with PROCEDURE");
+                // The enclosing stream gets the heading and, in place of
+                // the body, a stub (§3: "stripped of all embedded
+                // streams"); the new stream the heading then its body.
+                top.sink.extend(heading.iter().copied());
                 top.sink.push(Token::new(
                     TokenKind::ProcStub(stream),
-                    stub_span,
-                    stub_file,
+                    last.span,
+                    last.file,
                 ));
                 top.sink
-                    .push(Token::new(TokenKind::Semi, stub_span, stub_file));
-                // The new stream gets the heading then its body tokens.
+                    .push(Token::new(TokenKind::Semi, last.span, last.file));
                 proc_q.extend(heading.iter().copied());
-                let child_scope = factory.scope_for(stream);
-                let heading_span = Span::new(
-                    t.span.lo,
-                    heading.last().map(|h| h.span.hi).unwrap_or(t.span.hi),
-                );
+                let heading_span = Span::new(t.span.lo, last.span.hi);
                 stack.push(Frame {
                     sink: proc_q,
-                    scope: child_scope,
+                    scope: factory.scope_for(stream),
                     depth: 0,
-                    is_proc: true,
                     stream: Some(stream),
                     heading: heading_span,
                     hi: heading_span.hi,
@@ -251,8 +206,7 @@ pub fn run_splitter(
     // stream last so hit/miss decisions exist before the module parser
     // can finish.
     while stack.len() > 1 {
-        let frame = stack.pop().expect("proc frame");
-        frame.carve_and_close(factory);
+        stack.pop().expect("proc frame").carve_and_close(factory);
     }
     factory.split_eof();
     if let Some(main) = stack.pop() {
@@ -262,40 +216,38 @@ pub fn run_splitter(
 }
 
 /// After the procedure's END: copy the closing name and semicolon to the
-/// procedure stream. Returns tokens consumed and the highest byte offset
-/// copied (so the carve extends through `END Name ;`).
-fn copy_end_name(input: &dyn SplitInput, pos: &mut usize, sink: &Arc<TokenQueue>) -> (usize, u32) {
-    let mut copied = 0;
-    let mut hi = 0;
-    // `END` was already pushed; expect Ident then Semi (copy whatever is
-    // there so the stream parser can report precise errors).
-    for _ in 0..2 {
-        let Some(t) = input.get(*pos) else { break };
-        let stop = !matches!(t.kind, TokenKind::Ident(_) | TokenKind::Semi);
-        if stop {
-            break;
-        }
-        *pos += 1;
-        copied += 1;
-        hi = hi.max(t.span.hi);
-        let is_semi = t.kind == TokenKind::Semi;
-        sink.push(t);
-        if is_semi {
-            break;
+/// procedure stream (whatever of `Ident` `;` is there, so the stream
+/// parser can report precise errors). Returns tokens consumed and the
+/// highest byte offset copied (so the carve extends through `END Name ;`).
+fn copy_end_name(input: &dyn TokenSource, pos: &mut usize, sink: &mut TokenWriter) -> (usize, u32) {
+    let (start, mut hi) = (*pos, 0);
+    while *pos < start + 2 {
+        match input.get(*pos) {
+            Some(t) if matches!(t.kind, TokenKind::Ident(_) | TokenKind::Semi) => {
+                *pos += 1;
+                hi = hi.max(t.span.hi);
+                sink.push(t);
+                if t.kind == TokenKind::Semi {
+                    break;
+                }
+            }
+            _ => break,
         }
     }
-    (copied, hi)
+    (*pos - start, hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::{StreamCursor, TokenQueue};
     use ccm2_sched::{run_threaded, ExecEnv};
     use ccm2_support::intern::Interner;
     use ccm2_support::source::SourceMap;
     use ccm2_support::DiagnosticSink;
     use ccm2_syntax::lexer::lex_file;
     use parking_lot::Mutex;
+    use std::sync::Arc;
 
     type StreamRecord = (StreamId, Symbol, ScopeId, Arc<TokenQueue>);
 
@@ -317,7 +269,7 @@ mod tests {
             name: Symbol,
             file: FileId,
             parent: ScopeId,
-        ) -> (StreamId, Arc<TokenQueue>) {
+        ) -> (StreamId, TokenWriter) {
             let id = StreamId(self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
             let scope = self.tables.new_scope(
                 ccm2_sema::symtab::ScopeKind::Procedure,
@@ -325,10 +277,10 @@ mod tests {
                 Some(parent),
                 file,
             );
-            let q = TokenQueue::new(Arc::clone(&self.env));
-            self.streams.lock().push((id, name, scope, Arc::clone(&q)));
+            let (writer, q) = TokenQueue::channel(Arc::clone(&self.env), "proc");
+            self.streams.lock().push((id, name, scope, q));
             self.scopes.lock().insert(id, scope);
-            (id, q)
+            (id, writer)
         }
         fn scope_for(&self, stream: StreamId) -> Option<ScopeId> {
             self.scopes.lock().get(&stream).copied()
@@ -336,6 +288,12 @@ mod tests {
     }
 
     type SplitResult = (Vec<TokenKind>, Vec<(String, Vec<TokenKind>)>);
+
+    /// Every token kind of a stream, read (blocking) to its end.
+    fn drain(q: &Arc<TokenQueue>) -> Vec<TokenKind> {
+        let cursor = StreamCursor::new(Arc::clone(q), ccm2_support::work::Work::Parse);
+        (0..).map_while(|i| cursor.get(i)).map(|t| t.kind).collect()
+    }
 
     fn split_source(src: &str) -> SplitResult {
         let interner = Arc::new(Interner::new());
@@ -357,40 +315,29 @@ mod tests {
                 scopes: Mutex::new(Default::default()),
                 next: std::sync::atomic::AtomicU32::new(0),
             });
-            let main_q = TokenQueue::new(Arc::clone(&env));
+            let (main_w, main_q) = TokenQueue::channel(Arc::clone(&env), "main");
             let fac2 = Arc::clone(&factory);
-            let mq2 = Arc::clone(&main_q);
             sup.spawn(ccm2_sched::task::TaskDesc::new(
                 "split",
                 ccm2_sched::TaskKind::Splitter,
                 Box::new(move || {
-                    run_splitter(&tokens, mq2, fac2.as_ref());
+                    run_splitter(&tokens, main_w, fac2.as_ref());
                 }),
             ));
             let out3 = Arc::clone(&out2);
             let fac3 = Arc::clone(&factory);
-            let mq3 = Arc::clone(&main_q);
             let interner3 = Arc::clone(&interner2);
             let mut collect = ccm2_sched::task::TaskDesc::new(
                 "collect",
                 ccm2_sched::TaskKind::Merge,
                 Box::new(move || {
-                    let mut main = Vec::new();
-                    let mut i = 0;
-                    while let Some(t) = mq3.get_blocking(i) {
-                        main.push(t.kind);
-                        i += 1;
-                    }
-                    let mut procs = Vec::new();
-                    for (_, name, _, q) in fac3.streams.lock().iter() {
-                        let mut toks = Vec::new();
-                        let mut i = 0;
-                        while let Some(t) = q.get_blocking(i) {
-                            toks.push(t.kind);
-                            i += 1;
-                        }
-                        procs.push((interner3.resolve(*name), toks));
-                    }
+                    let main = drain(&main_q);
+                    let procs = fac3
+                        .streams
+                        .lock()
+                        .iter()
+                        .map(|(_, name, _, q)| (interner3.resolve(*name), drain(q)))
+                        .collect();
                     *out3.lock() = (main, procs);
                 }),
             );

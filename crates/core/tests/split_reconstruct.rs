@@ -16,15 +16,17 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ccm2::queue::TokenQueue;
+use ccm2::queue::{StreamCursor, TokenQueue, TokenWriter};
 use ccm2::splitter::{run_splitter, StreamFactory};
 use ccm2_sched::{run_threaded, ExecEnv, TaskDesc, TaskKind, WaitSet};
 use ccm2_sema::symtab::{ScopeKind, SymbolTables};
 use ccm2_support::ids::{ScopeId, StreamId};
 use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceMap};
+use ccm2_support::work::Work;
 use ccm2_support::DiagnosticSink;
 use ccm2_syntax::lexer::lex_file;
+use ccm2_syntax::parser::TokenSource;
 use ccm2_syntax::token::TokenKind;
 use ccm2_workload::{generate, GenParams};
 
@@ -41,34 +43,24 @@ impl StreamFactory for CollectFactory {
         self.tables
             .new_scope(ScopeKind::MainModule, name, None, file)
     }
-    fn proc_stream(
-        &self,
-        name: Symbol,
-        file: FileId,
-        parent: ScopeId,
-    ) -> (StreamId, Arc<TokenQueue>) {
+    fn proc_stream(&self, name: Symbol, file: FileId, parent: ScopeId) -> (StreamId, TokenWriter) {
         let id = StreamId(self.next.fetch_add(1, Ordering::Relaxed));
         let scope = self
             .tables
             .new_scope(ScopeKind::Procedure, name, Some(parent), file);
-        let q = TokenQueue::new(Arc::clone(&self.env));
-        self.queues.lock().insert(id, Arc::clone(&q));
+        let (writer, q) = TokenQueue::channel(Arc::clone(&self.env), "proc");
+        self.queues.lock().insert(id, q);
         self.scopes.lock().insert(id, scope);
-        (id, q)
+        (id, writer)
     }
     fn scope_for(&self, stream: StreamId) -> Option<ScopeId> {
         self.scopes.lock().get(&stream).copied()
     }
 }
 
-fn drain(q: &TokenQueue) -> Vec<TokenKind> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while let Some(t) = q.get_blocking(i) {
-        out.push(t.kind);
-        i += 1;
-    }
-    out
+fn drain(q: &Arc<TokenQueue>) -> Vec<TokenKind> {
+    let cursor = StreamCursor::new(Arc::clone(q), Work::Parse);
+    (0..).map_while(|i| cursor.get(i)).map(|t| t.kind).collect()
 }
 
 type SplitStreams = (
@@ -98,19 +90,17 @@ fn split(src: &str) -> SplitStreams {
             scopes: Mutex::new(HashMap::new()),
             next: AtomicU32::new(0),
         });
-        let main_q = TokenQueue::new(Arc::clone(&env));
+        let (main_w, mq) = TokenQueue::channel(Arc::clone(&env), "main");
         let fac = Arc::clone(&factory);
-        let mq = Arc::clone(&main_q);
         sup.spawn(TaskDesc::new(
             "split",
             TaskKind::Splitter,
             Box::new(move || {
-                run_splitter(&tokens, mq, fac.as_ref());
+                run_splitter(&tokens, main_w, fac.as_ref());
             }),
         ));
         let r3 = Arc::clone(&r2);
         let fac = Arc::clone(&factory);
-        let mq = Arc::clone(&main_q);
         let mut collect = TaskDesc::new(
             "collect",
             TaskKind::Merge,

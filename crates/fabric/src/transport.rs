@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -393,6 +393,7 @@ impl Transport for TcpTransport {
 pub struct TcpShardServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    held: Arc<AtomicUsize>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -403,17 +404,26 @@ impl TcpShardServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
+        let held = Arc::new(AtomicUsize::new(0));
+        let held_now = Arc::clone(&held);
         let accept_thread = std::thread::spawn(move || {
             let mut workers: Vec<JoinHandle<()>> = Vec::new();
             for stream in listener.incoming() {
                 if stop_flag.load(Ordering::SeqCst) {
                     break;
                 }
+                // Reap as we go: an unjoined thread keeps its stack
+                // mapped, and a long-lived server would run the process
+                // into `vm.max_map_count`.
+                for done in workers.extract_if(.., |w| w.is_finished()) {
+                    let _ = done.join();
+                }
                 let Ok(stream) = stream else { continue };
                 let handler = Arc::clone(&handler);
                 workers.push(std::thread::spawn(move || {
                     serve_connection(stream, &*handler);
                 }));
+                held_now.store(workers.len(), Ordering::Relaxed);
             }
             for w in workers {
                 let _ = w.join();
@@ -422,6 +432,7 @@ impl TcpShardServer {
         Ok(TcpShardServer {
             addr,
             stop,
+            held,
             accept_thread: Some(accept_thread),
         })
     }
@@ -429,6 +440,13 @@ impl TcpShardServer {
     /// The bound address, for [`TcpTransport::register`].
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Connection threads the accept loop held unjoined after its last
+    /// accept: the running ones, plus any that finished since. Bounded by
+    /// the connections in flight, not by the requests served.
+    pub fn held_threads(&self) -> usize {
+        self.held.load(Ordering::Relaxed)
     }
 
     /// Stops accepting and joins the accept loop (a self-connection
@@ -548,6 +566,23 @@ mod tests {
         server.stop(); // idempotent
         assert!(t.kill(3));
         assert!(t.call(3, &frame).is_err(), "dead peer refuses");
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_while_serving() {
+        let server = TcpShardServer::serve(Arc::new(AckHandler)).unwrap();
+        let t = TcpTransport::new();
+        t.register(3, server.addr());
+        let frame = encode_frame(&Message::Sync);
+        let mut most = 0;
+        for _ in 0..3000 {
+            let resp = t.call(3, &frame).unwrap();
+            assert_eq!(decode_frame(&resp), Some(Message::Ack));
+            most = most.max(server.held_threads());
+        }
+        // One closed-loop client: a handful of threads may be between
+        // answering and exiting, never one per request served.
+        assert!(most <= 64, "accept loop held {most} connection threads");
     }
 
     #[test]

@@ -344,20 +344,21 @@ impl ThreadedSupervisor {
         self.cv.notify_all();
     }
 
+    /// Marks `event` signaled and releases, in place, the pending tasks
+    /// it was the last unsatisfied prereq of. Only a task that lists
+    /// `event` can become ready here: every other one was checked when
+    /// its own last prereq was signaled.
     fn signal_locked(st: &mut SupState, event: EventId) {
         st.events[event.index()].signaled = true;
-        let mut moved = Vec::new();
-        let mut keep = Vec::new();
-        for p in std::mem::take(&mut st.pending) {
-            if p.prereqs.iter().all(|e| st.events[e.index()].signaled) {
-                moved.push(p);
+        let mut i = 0;
+        while i < st.pending.len() {
+            let prereqs = &st.pending[i].prereqs;
+            if prereqs.contains(&event) && prereqs.iter().all(|e| st.events[e.index()].signaled) {
+                let p = st.pending.swap_remove(i);
+                st.ready.insert(p.key, p.task);
             } else {
-                keep.push(p);
+                i += 1;
             }
-        }
-        st.pending = keep;
-        for p in moved {
-            st.ready.insert(p.key, p.task);
         }
     }
 

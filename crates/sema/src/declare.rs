@@ -249,9 +249,7 @@ pub fn elaborate_type(
             // pointee is deferred: the pointer is created pending and
             // patched when the declaration part finishes.
             if let TypeExprKind::Named { module: None, name } = &to.kind {
-                let ptr = sema.types.add(Type::Pointer {
-                    to: TypeId::PENDING,
-                });
+                let ptr = sema.types.add_forward_pointer(scope);
                 forward.add_patch(*name, ptr);
                 return ptr;
             }

@@ -64,7 +64,7 @@ use ccm2_support::work::WorkMeter;
 use builtins::BuiltinTable;
 use stats::LookupStats;
 use symtab::{DkyStrategy, DkyWaiter, Resolver, SymbolTables};
-use types::TypeStore;
+use types::{Type, TypeId, TypeStore};
 
 /// The shared semantic-analysis context for one compilation.
 ///
@@ -126,6 +126,26 @@ impl Sema {
             sink,
             meter,
         }
+    }
+
+    /// The pointee of pointer type `ptr` (`None` for any other type). A
+    /// `POINTER TO Name` stays pending until the declaration part that
+    /// wrote it ends, while procedure-body streams may already compile
+    /// against it: meeting a pending pointee is a DKY blockage — wait for
+    /// the declaring scope to complete, then re-read.
+    pub fn pointee(&self, ptr: TypeId) -> Option<TypeId> {
+        let read = || match self.types.get(ptr) {
+            Type::Pointer { to } => Some(to),
+            _ => None,
+        };
+        let to = read()?;
+        if to != TypeId::PENDING {
+            return Some(to);
+        }
+        if let Some(owner) = self.types.pending_owner(ptr) {
+            self.resolver.wait_complete(owner);
+        }
+        read()
     }
 
     /// The lookup statistics gathered so far (Table 2).

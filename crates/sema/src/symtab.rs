@@ -501,6 +501,16 @@ impl Resolver {
         self.strategy
     }
 
+    /// Blocks until `scope`'s table is complete, counting a DKY blockage
+    /// if it is not yet: for information a declaration part publishes
+    /// only when it ends, whatever the strategy.
+    pub fn wait_complete(&self, scope: ScopeId) {
+        if !self.tables.scope(scope).is_complete() {
+            self.stats.record_dky_blockage();
+            self.waiter.wait_scope_complete(scope);
+        }
+    }
+
     /// Searches one table applying the DKY strategy. `may_block` is false
     /// for the searching task's own scope (the owner never waits on
     /// itself — that would deadlock).

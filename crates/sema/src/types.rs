@@ -10,7 +10,9 @@
 //! expression gets a fresh `TypeId`, and compatibility is decided by the
 //! rules in [`TypeStore::assignable`] / [`TypeStore::same_type`].
 
+use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
+use std::collections::HashMap;
 use std::sync::RwLock;
 
 /// Identifies a type in a [`TypeStore`].
@@ -142,6 +144,9 @@ pub enum Type {
 #[derive(Debug)]
 pub struct TypeStore {
     types: RwLock<Vec<Type>>,
+    /// Forward pointers not patched yet, with the scope whose declaration
+    /// part will patch them.
+    pending: RwLock<HashMap<TypeId, ScopeId>>,
 }
 
 impl TypeStore {
@@ -168,6 +173,7 @@ impl TypeStore {
         debug_assert_eq!(types.len() as u32, TypeId::FIRST_DYNAMIC);
         TypeStore {
             types: RwLock::new(types),
+            pending: RwLock::default(),
         }
     }
 
@@ -188,17 +194,42 @@ impl TypeStore {
         self.types.read().expect("type store poisoned")[id.0 as usize].clone()
     }
 
+    /// Adds a pointer whose pointee is named but may be declared later in
+    /// `owner`'s declaration part: it points to [`TypeId::PENDING`] until
+    /// that part ends and [`TypeStore::patch_pointer`] fills it in.
+    pub fn add_forward_pointer(&self, owner: ScopeId) -> TypeId {
+        let ptr = self.add(Type::Pointer {
+            to: TypeId::PENDING,
+        });
+        let mut pending = self.pending.write().expect("type store poisoned");
+        pending.insert(ptr, owner);
+        ptr
+    }
+
     /// Patches the pointee of a forward-declared pointer type.
     ///
     /// # Panics
     ///
     /// Panics if `ptr` is not a pointer type.
     pub fn patch_pointer(&self, ptr: TypeId, target: TypeId) {
-        let mut v = self.types.write().expect("type store poisoned");
-        match &mut v[ptr.0 as usize] {
-            Type::Pointer { to } => *to = target,
-            other => panic!("patch_pointer on non-pointer {other:?}"),
+        {
+            let mut v = self.types.write().expect("type store poisoned");
+            match &mut v[ptr.0 as usize] {
+                Type::Pointer { to } => *to = target,
+                other => panic!("patch_pointer on non-pointer {other:?}"),
+            }
         }
+        // After the pointee: a reader that finds no owner re-reads a
+        // patched pointer.
+        let mut pending = self.pending.write().expect("type store poisoned");
+        pending.remove(&ptr);
+    }
+
+    /// The scope that will patch forward pointer `ptr`, while it is still
+    /// unpatched.
+    pub fn pending_owner(&self, ptr: TypeId) -> Option<ScopeId> {
+        let pending = self.pending.read().expect("type store poisoned");
+        pending.get(&ptr).copied()
     }
 
     /// Number of types in the store (builtin + dynamic).

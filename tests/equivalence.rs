@@ -318,3 +318,71 @@ fn no_early_split_ablation_is_still_equivalent() {
         );
     }
 }
+
+/// A linked list over `POINTER TO <type declared later>`: the pointer is
+/// created pending and patched when the module's declaration part ends,
+/// while the procedure bodies that dereference it already compile on
+/// other workers.
+fn forward_list_module() -> String {
+    let mut src = String::from(
+        "MODULE FwdList;\n\
+         TYPE List = POINTER TO Node;\n\
+         \x20    Node = RECORD next : List; val : INTEGER END;\n\
+         VAR head : List;\n",
+    );
+    for k in 0..12 {
+        src.push_str(&format!(
+            "PROCEDURE Push{k}(v : INTEGER);\n\
+             \x20 VAR n : List;\n\
+             BEGIN\n\
+             \x20 NEW(n); n^.val := v + {k}; n^.next := head; head := n\n\
+             END Push{k};\n\
+             PROCEDURE Sum{k}() : INTEGER;\n\
+             \x20 VAR p : List; s : INTEGER;\n\
+             BEGIN\n\
+             \x20 s := {k}; p := head;\n\
+             \x20 WHILE p # NIL DO s := s + p^.val; p := p^.next END;\n\
+             \x20 RETURN s\n\
+             END Sum{k};\n"
+        ));
+    }
+    src.push_str("BEGIN\n  Push0(1); Push3(2); WriteInt(Sum5(), 0); WriteLn\nEND FwdList.\n");
+    src
+}
+
+#[test]
+fn forward_pointer_deref_waits_for_the_declaring_scope() {
+    let src = forward_list_module();
+    let defs = DefLibrary::new();
+    let interner = Arc::new(Interner::new());
+    let seq = ccm2_seq::compile_with(
+        &src,
+        &defs,
+        Arc::clone(&interner),
+        Arc::new(NullMeter),
+        HeadingMode::CopyToChild,
+    );
+    assert!(seq.diagnostics.is_empty(), "{:?}", seq.diagnostics);
+    let want = seq.image.expect("sequential image");
+    let check = |options: Options, what: &str| {
+        let out = compile_concurrent(&src, Arc::new(defs.clone()), Arc::clone(&interner), options);
+        assert!(out.diagnostics.is_empty(), "{what}: {:?}", out.diagnostics);
+        assert_eq!(out.image.as_ref(), Some(&want), "{what}: image differs");
+    };
+    for workers in [2usize, 4] {
+        for round in 0..2000 {
+            check(
+                Options::threads(workers),
+                &format!("w{workers} round {round}"),
+            );
+        }
+    }
+    for strategy in DkyStrategy::ALL {
+        let options = Options {
+            strategy,
+            executor: Executor::Sim(SimConfig::firefly(8)),
+            ..Options::default()
+        };
+        check(options, &format!("sim8 {}", strategy.name()));
+    }
+}

@@ -279,3 +279,20 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     assert!(clean.errors.is_empty(), "{:?}", clean.errors);
     assert!(clean.image.is_some());
 }
+
+/// A producer that dies takes its queue's writer with it, and a dropped
+/// writer closes the stream: the consumers of a dead Lexor read an empty
+/// stream and the compile ends with errors, where it used to leave them
+/// parked on a block that would never come.
+#[test]
+fn a_dead_lexor_ends_its_stream_instead_of_hanging() {
+    let m = module();
+    for sim in [true, false] {
+        for site in ["task:lex(Main)", "task:split(Main)"] {
+            let plan = Arc::new(FaultPlan::single(site, FaultKind::Panic));
+            let out = compile(&m, DkyStrategy::Skeptical, sim, Some(Arc::clone(&plan)));
+            assert!(plan.any_fired(), "{site} [sim={sim}]: never fired");
+            assert!(!out.errors.is_empty(), "{site} [sim={sim}]: no error");
+        }
+    }
+}
