@@ -14,6 +14,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test (workspace) =="
 cargo test --workspace -q
 
+echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
+# The arena's readers-vs-writer test, lookups racing a table's
+# completion, the 10 000-round signal/wait ping-pong and the
+# spin-then-park barrier wait all pass in a debug build, which is too
+# slow to open the windows they probe; an optimized build opens them.
+cargo test -q --release -p ccm2-support arena
+cargo test -q --release -p ccm2-sema get_racing_mark_complete
+cargo test -q --release -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
+cargo test -q --release --test threaded_suite work_charges_equal
+
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:
 # check.sh keeps it building (fmt, clippy -D warnings, its tests)

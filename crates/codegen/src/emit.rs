@@ -11,8 +11,6 @@
 //! The same code serves the sequential compiler — symbol tables are simply
 //! always complete there.
 
-use std::sync::Arc;
-
 use ccm2_support::diag::Diagnostic;
 use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
@@ -41,7 +39,7 @@ pub fn gen_procedure(
 ) -> CodeUnit {
     let table = sema.tables.scope(scope);
     let mut e = Emitter::new(sema, scope, code_name, table.level(), sig.ret);
-    e.init_frame_from_scope(&table);
+    e.init_frame_from_scope(table);
     e.unit.param_count = sig.params.len() as u32;
     e.stmts(body);
     // Fall-off-the-end: functions return a default value, proper
@@ -157,7 +155,7 @@ impl<'a> Emitter<'a> {
 
     /// Builds the frame layout from the scope's variable entries
     /// (parameters and locals, in slot order).
-    fn init_frame_from_scope(&mut self, table: &Arc<ScopeTable>) {
+    fn init_frame_from_scope(&mut self, table: &ScopeTable) {
         let mut slots: Vec<(u32, Shape)> = table
             .entries_sorted()
             .into_iter()
@@ -1583,6 +1581,7 @@ mod tests {
     use ccm2_support::work::NullMeter;
     use ccm2_syntax::lexer::lex_file;
     use ccm2_syntax::parser::parse_implementation;
+    use std::sync::Arc;
 
     /// Compiles a module's body + procedures through declare + emit and
     /// returns (units incl. module body, sema, sink).

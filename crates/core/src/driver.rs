@@ -476,15 +476,18 @@ impl Driver {
             }),
         });
         let meter = Arc::new(EnvMeter(Arc::clone(&env)));
+        let link = Arc::new(DriverLink {
+            driver: Arc::downgrade(&driver),
+            per_symbol_events: options.strategy == DkyStrategy::Optimistic,
+        });
         let sema = Arc::new(Sema::new(
             interner,
             sink,
             options.strategy,
-            Arc::clone(&driver) as Arc<dyn DkyWaiter>,
+            Arc::clone(&link) as Arc<dyn DkyWaiter>,
             meter,
         ));
-        sema.tables
-            .set_notifier(Arc::clone(&driver) as Arc<dyn TableNotifier>);
+        sema.tables.set_notifier(link);
         assert!(driver.sema.set(sema).is_ok(), "sema set once");
         driver
     }
@@ -1786,6 +1789,48 @@ impl StreamFactory for DriverHandle {
 
     fn split_eof(&self) {
         self.0.incr_split_eof();
+    }
+}
+
+/// The driver as its own `Sema`'s waiter and table notifier. Weak: the
+/// driver owns the `Sema`, and a strong reference back would keep both
+/// — and the executor, and everything the compile built — alive after
+/// the compile for as long as the process runs.
+struct DriverLink {
+    driver: std::sync::Weak<Driver>,
+    /// Only the Optimistic strategy waits on (and so creates) per-symbol
+    /// events; under the others an insertion has nobody to tell.
+    per_symbol_events: bool,
+}
+
+impl TableNotifier for DriverLink {
+    fn scope_completed(&self, scope: ScopeId) {
+        if let Some(driver) = self.driver.upgrade() {
+            driver.scope_completed(scope);
+        }
+    }
+
+    fn symbol_inserted(&self, scope: ScopeId, name: Symbol) {
+        if !self.per_symbol_events {
+            return;
+        }
+        if let Some(driver) = self.driver.upgrade() {
+            driver.symbol_inserted(scope, name);
+        }
+    }
+}
+
+impl DkyWaiter for DriverLink {
+    fn wait_scope_complete(&self, scope: ScopeId) {
+        if let Some(driver) = self.driver.upgrade() {
+            driver.wait_scope_complete(scope);
+        }
+    }
+
+    fn wait_symbol(&self, scope: ScopeId, name: Symbol) {
+        if let Some(driver) = self.driver.upgrade() {
+            driver.wait_symbol(scope, name);
+        }
     }
 }
 

@@ -14,18 +14,27 @@
 //! * **Barrier events** (token-block queues): the worker simply parks —
 //!   safe because token consumers only start after their producer Lexor
 //!   began, and Lexor tasks never block.
+//!   Parking costs two context switches and a token block is usually a
+//!   few microseconds away, so the worker first watches the event's flag
+//!   for [`BARRIER_SPIN`].
 //! * The ready "queue" is a single ordered structure searched in the
 //!   §2.3.4 kind order, with long code-generation tasks before short ones.
+//!
+//! What tasks do all the time costs no shared write: an event's flag is
+//! an atomic in an append-only arena (reading it takes no lock), work
+//! charges add to the worker's own array, and the condition variable is
+//! notified only when the state lock shows a sleeper.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use ccm2_faults::FaultKind;
+use ccm2_support::arena::AppendArena;
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 
@@ -56,10 +65,18 @@ struct PendingTask {
     task: ReadyTask,
 }
 
-struct EventState {
+/// How long a worker watches a barrier event's flag before it parks: a
+/// few block-publication times, well under the two context switches
+/// parking costs.
+const BARRIER_SPIN: Duration = Duration::from_micros(20);
+
+struct EventFlag {
     class: EventClass,
-    signaled: bool,
     name: String,
+    /// Stored (Release) with the state lock held, so a waiter that reads
+    /// it unset under that lock is counted as a sleeper before the signal
+    /// looks for sleepers; loaded (Acquire) anywhere, lock or no lock.
+    signaled: AtomicBool,
 }
 
 /// One task suspended inside `wait()`: what it awaits (plus the
@@ -75,10 +92,12 @@ struct WaitFrame {
 struct SupState {
     ready: BTreeMap<PrioKey, ReadyTask>,
     pending: Vec<PendingTask>,
-    events: Vec<EventState>,
     seq: u64,
     outstanding: usize,
     parked: usize,
+    /// Threads inside `cv.wait` right now (workers or not): nobody is
+    /// notified while this is zero.
+    sleepers: usize,
     done: bool,
     deadlocked: bool,
     /// worker index -> awaited event for workers currently parked inside
@@ -104,9 +123,12 @@ struct SupState {
 pub struct ThreadedSupervisor {
     state: Mutex<SupState>,
     cv: Condvar,
+    events: AppendArena<EventFlag>,
     workers: usize,
     start: Instant,
     trace: Mutex<Trace>,
+    /// Charges made outside the workers, plus each worker's own once it
+    /// has ended.
     charges: [AtomicU64; Work::COUNT],
     tasks_run: AtomicU64,
     robustness: Robustness,
@@ -119,7 +141,12 @@ thread_local! {
 }
 
 struct WorkerCtx {
+    /// The supervisor this thread works for (compared, never read).
+    sup: *const ThreadedSupervisor,
     index: u32,
+    /// This worker's work charges, added to the supervisor's when the
+    /// worker ends.
+    charges: [u64; Work::COUNT],
     /// (name, signals, signals_def_scope, signals_barriers) of every task
     /// on this worker's stack (bottom to top, including the currently
     /// running one).
@@ -132,10 +159,10 @@ impl ThreadedSupervisor {
             state: Mutex::new(SupState {
                 ready: BTreeMap::new(),
                 pending: Vec::new(),
-                events: Vec::new(),
                 seq: 0,
                 outstanding: 0,
                 parked: 0,
+                sleepers: 0,
                 done: false,
                 deadlocked: false,
                 blocked: std::collections::HashMap::new(),
@@ -147,6 +174,7 @@ impl ThreadedSupervisor {
                 running: std::collections::HashMap::new(),
             }),
             cv: Condvar::new(),
+            events: AppendArena::new(),
             workers,
             start: Instant::now(),
             trace: Mutex::new(Trace::default()),
@@ -160,13 +188,66 @@ impl ThreadedSupervisor {
         self.start.elapsed().as_micros() as u64
     }
 
-    fn worker_loop(self: &Arc<Self>, index: u32) {
+    fn event(&self, event: EventId) -> &EventFlag {
+        self.events
+            .get(event.index())
+            .expect("event from another supervisor")
+    }
+
+    fn signaled(&self, event: EventId) -> bool {
+        self.event(event).signaled.load(Ordering::Acquire)
+    }
+
+    /// Waits on the condition variable (at most `timeout`, if given),
+    /// counted as a sleeper meanwhile.
+    fn sleep(&self, st: &mut MutexGuard<'_, SupState>, timeout: Option<Duration>) {
+        st.sleepers += 1;
+        match timeout {
+            Some(t) => {
+                self.cv.wait_for(st, t);
+            }
+            None => self.cv.wait(st),
+        }
+        st.sleepers -= 1;
+    }
+
+    /// Notifies the sleepers after a state change, if there are any. A
+    /// thread that is not counted yet takes the lock after the change and
+    /// sees it.
+    fn wake_locked(&self, st: &SupState) {
+        if st.sleepers > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// [`Self::wake_locked`], notifying with the lock already released.
+    fn wake(&self, st: MutexGuard<'_, SupState>) {
+        let sleepers = st.sleepers;
+        drop(st);
+        if sleepers > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    fn worker_loop(&self, index: u32) {
         WORKER.with(|w| {
             *w.borrow_mut() = Some(WorkerCtx {
+                sup: self,
                 index,
+                charges: [0; Work::COUNT],
                 stack: Vec::new(),
             })
         });
+        self.run_ready_tasks();
+        let ctx = WORKER
+            .with(|w| w.borrow_mut().take())
+            .expect("installed above");
+        for (total, units) in self.charges.iter().zip(ctx.charges) {
+            total.fetch_add(units, Ordering::Relaxed);
+        }
+    }
+
+    fn run_ready_tasks(&self) {
         loop {
             let task = {
                 let mut st = self.state.lock();
@@ -179,7 +260,7 @@ impl ThreadedSupervisor {
                     }
                     if st.outstanding == 0 && st.pending.is_empty() {
                         st.done = true;
-                        self.cv.notify_all();
+                        self.wake(st);
                         return;
                     }
                     st.parked += 1;
@@ -189,14 +270,13 @@ impl ThreadedSupervisor {
                     if let Some(report) = self.check_deadlock_locked(&st) {
                         if self.robustness.recover && self.release_wedge_locked(&mut st, &report) {
                             st.parked -= 1;
-                            self.cv.notify_all();
+                            self.wake_locked(&st);
                             continue;
                         }
                         st.deadlocked = true;
                         st.parked -= 1;
                         let outstanding = st.outstanding;
-                        drop(st);
-                        self.cv.notify_all();
+                        self.wake(st);
                         panic!(
                             "supervisor deadlock: all workers blocked (this \
                              worker idle); {outstanding} tasks outstanding; \
@@ -211,7 +291,7 @@ impl ThreadedSupervisor {
         }
     }
 
-    fn run_task(self: &Arc<Self>, task: ReadyTask) {
+    fn run_task(&self, task: ReadyTask) {
         let (name, kind) = (task.name.clone(), task.kind);
         let signals = task.signals.clone();
         let sds = task.signals_def_scope;
@@ -254,8 +334,7 @@ impl ThreadedSupervisor {
                 task.retry_budget.unwrap_or(self.robustness.max_retries),
             );
             st.ready.insert(key, task);
-            drop(st);
-            self.cv.notify_all();
+            self.wake(st);
             return;
         }
         let attempt = task.attempt;
@@ -332,28 +411,27 @@ impl ThreadedSupervisor {
             st.recoveries.push((name.clone(), attempt));
         }
         for e in &signals {
-            if !st.events[e.index()].signaled && !self.is_lost(&st, *e) {
-                Self::signal_locked(&mut st, *e);
+            if !self.signaled(*e) && !self.is_lost(*e) {
+                self.signal_locked(&mut st, *e);
             }
         }
         st.outstanding -= 1;
         if st.outstanding == 0 && st.ready.is_empty() && st.pending.is_empty() {
             st.done = true;
         }
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     /// Marks `event` signaled and releases, in place, the pending tasks
     /// it was the last unsatisfied prereq of. Only a task that lists
     /// `event` can become ready here: every other one was checked when
     /// its own last prereq was signaled.
-    fn signal_locked(st: &mut SupState, event: EventId) {
-        st.events[event.index()].signaled = true;
+    fn signal_locked(&self, st: &mut SupState, event: EventId) {
+        self.event(event).signaled.store(true, Ordering::Release);
         let mut i = 0;
         while i < st.pending.len() {
             let prereqs = &st.pending[i].prereqs;
-            if prereqs.contains(&event) && prereqs.iter().all(|e| st.events[e.index()].signaled) {
+            if prereqs.contains(&event) && prereqs.iter().all(|e| self.signaled(*e)) {
                 let p = st.pending.swap_remove(i);
                 st.ready.insert(p.key, p.task);
             } else {
@@ -364,10 +442,10 @@ impl ThreadedSupervisor {
 
     /// Whether the fault plan drops every signal of this event
     /// (`signal:{name}` site with [`FaultKind::LoseSignal`]).
-    fn is_lost(&self, st: &SupState, event: EventId) -> bool {
+    fn is_lost(&self, event: EventId) -> bool {
         match &self.robustness.plan {
             Some(plan) => {
-                let name = &st.events[event.index()].name;
+                let name = &self.event(event).name;
                 plan.at(&format!("signal:{name}")) == Some(FaultKind::LoseSignal)
             }
             None => false,
@@ -398,7 +476,7 @@ impl ThreadedSupervisor {
         }
         events.sort_by_key(|e| e.index());
         events.dedup();
-        events.retain(|e| !st.events[e.index()].signaled);
+        events.retain(|e| !self.signaled(*e));
         if events.is_empty() {
             return false;
         }
@@ -410,7 +488,7 @@ impl ThreadedSupervisor {
         // Each release signals at least one previously-unsignaled event
         // and events are finite, so recovery rounds terminate.
         for e in events {
-            Self::signal_locked(st, e);
+            self.signal_locked(st, e);
         }
         true
     }
@@ -419,11 +497,11 @@ impl ThreadedSupervisor {
     /// timed so the watchdog can diagnose tasks that stall while
     /// *running* (a stalled task occupies its worker, so the wedge
     /// detector never sees all workers parked).
-    fn park_watched(&self, st: &mut parking_lot::MutexGuard<'_, SupState>) {
+    fn park_watched(&self, st: &mut MutexGuard<'_, SupState>) {
         match self.robustness.deadline {
             Some(deadline) if self.robustness.recover => {
-                let timeout = std::time::Duration::from_micros((deadline / 2).max(5_000));
-                let _ = self.cv.wait_for(st, timeout);
+                let timeout = Duration::from_micros((deadline / 2).max(5_000));
+                self.sleep(st, Some(timeout));
                 let overdue: Vec<(String, u64)> = st
                     .running
                     .iter()
@@ -443,7 +521,7 @@ impl ThreadedSupervisor {
                     );
                 }
             }
-            _ => self.cv.wait(st),
+            _ => self.sleep(st, None),
         }
     }
 
@@ -457,13 +535,13 @@ impl ThreadedSupervisor {
         let stuck = st.parked == self.workers
             && st.ready.is_empty()
             && st.outstanding > 0
-            && st.blocked.values().all(|e| !st.events[e.index()].signaled);
+            && st.blocked.values().all(|e| !self.signaled(*e));
         if !stuck {
             return None;
         }
         let mut g = crate::wfg::WaitForGraph::new();
-        for (ix, ev) in st.events.iter().enumerate() {
-            g.name_event(EventId(ix as u32), &ev.name);
+        for ix in 0..self.events.len() as u32 {
+            g.name_event(EventId(ix), &self.event(EventId(ix)).name);
         }
         let mut workers: Vec<&u32> = st.wait_frames.keys().collect();
         workers.sort();
@@ -559,52 +637,56 @@ impl ExecEnv for ThreadedSupervisor {
     }
 
     fn new_event_named(&self, class: EventClass, name: &str) -> EventId {
-        let mut st = self.state.lock();
-        let id = EventId(st.events.len() as u32);
-        st.events.push(EventState {
+        EventId(self.events.push(EventFlag {
             class,
-            signaled: false,
             name: name.to_string(),
-        });
-        id
+            signaled: AtomicBool::new(false),
+        }) as u32)
     }
 
     fn signal(&self, event: EventId) {
-        let mut st = self.state.lock();
-        if self.is_lost(&st, event) {
-            // Injected lost signal: drop it on the floor. The backstop
-            // drops it too; the watchdog eventually force-releases any
-            // waiter it wedges.
+        // An injected lost signal is dropped on the floor (the backstop
+        // drops it too; the watchdog eventually force-releases any waiter
+        // it wedges). Whoever signaled an event first has woken its
+        // waiters.
+        if self.is_lost(event) || self.signaled(event) {
             return;
         }
-        if !st.events[event.index()].signaled {
-            Self::signal_locked(&mut st, event);
+        let mut st = self.state.lock();
+        if !self.signaled(event) {
+            self.signal_locked(&mut st, event);
         }
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     fn is_signaled(&self, event: EventId) -> bool {
-        self.state.lock().events[event.index()].signaled
+        self.signaled(event)
     }
 
     fn wait_hinted(&self, event: EventId, signaler_hint: Option<EventId>) {
         // Fast path.
-        {
-            let st = self.state.lock();
-            if st.events[event.index()].signaled {
-                return;
-            }
+        if self.signaled(event) {
+            return;
         }
         let sup = WORKER.with(|w| w.borrow().is_some());
         if !sup {
             // Called from outside a worker (e.g. the initialization
             // thread, §2.3.2): plain blocking wait.
             let mut st = self.state.lock();
-            while !st.events[event.index()].signaled && !st.deadlocked {
-                self.cv.wait(&mut st);
+            while !self.signaled(event) && !st.deadlocked {
+                self.sleep(&mut st, None);
             }
             return;
+        }
+        let class = self.event(event).class;
+        if class == EventClass::Barrier {
+            let arrived = Instant::now();
+            while arrived.elapsed() < BARRIER_SPIN {
+                if self.signaled(event) {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
         }
         // Record this wait in the worker's frame stack (wait-for-graph
         // input): the current task is the top of the worker's task stack.
@@ -630,13 +712,12 @@ impl ExecEnv for ThreadedSupervisor {
             });
         loop {
             let mut st = self.state.lock();
-            if st.events[event.index()].signaled || st.deadlocked {
+            if self.signaled(event) || st.deadlocked {
                 if let Some(frames) = st.wait_frames.get_mut(&wix) {
                     frames.pop();
                 }
                 return;
             }
-            let class = st.events[event.index()].class;
             let nested = if class == EventClass::Barrier {
                 // §2.3.3: barrier waits never reschedule the worker.
                 None
@@ -647,10 +728,7 @@ impl ExecEnv for ThreadedSupervisor {
                 Some(task) => {
                     drop(st);
                     // Recursion bounded by the eligibility rule + depth cap.
-                    let this = ARC_SELF
-                        .with(|a| a.borrow().clone())
-                        .expect("wait() with nesting requires a worker thread");
-                    this.run_task(task);
+                    self.run_task(task);
                 }
                 None => {
                     st.blocked.insert(wix, event);
@@ -659,7 +737,7 @@ impl ExecEnv for ThreadedSupervisor {
                         if self.robustness.recover && self.release_wedge_locked(&mut st, &report) {
                             st.parked -= 1;
                             st.blocked.remove(&wix);
-                            self.cv.notify_all();
+                            self.wake_locked(&st);
                             continue;
                         }
                         // Every worker is parked with nothing runnable:
@@ -667,9 +745,8 @@ impl ExecEnv for ThreadedSupervisor {
                         st.deadlocked = true;
                         st.parked -= 1;
                         let outstanding = st.outstanding;
-                        let awaited = format!("{event:?} ({})", st.events[event.index()].name);
-                        drop(st);
-                        self.cv.notify_all();
+                        let awaited = format!("{event:?} ({})", self.event(event).name);
+                        self.wake(st);
                         panic!(
                             "supervisor deadlock: all workers blocked \
                              (this worker on {awaited}); {outstanding} tasks \
@@ -705,7 +782,7 @@ impl ExecEnv for ThreadedSupervisor {
             .prereqs
             .iter()
             .copied()
-            .filter(|e| !st.events[e.index()].signaled)
+            .filter(|e| !self.signaled(*e))
             .collect();
         if unsatisfied.is_empty() {
             st.ready.insert(key, ready);
@@ -716,21 +793,25 @@ impl ExecEnv for ThreadedSupervisor {
                 task: ready,
             });
         }
-        drop(st);
-        self.cv.notify_all();
+        self.wake(st);
     }
 
     fn charge(&self, work: Work, units: u64) {
-        self.charges[work as usize].fetch_add(units, Ordering::Relaxed);
+        let on_own_worker = WORKER.with(|w| match w.borrow_mut().as_mut() {
+            Some(ctx) if std::ptr::eq(ctx.sup, self) => {
+                ctx.charges[work as usize] += units;
+                true
+            }
+            _ => false,
+        });
+        if !on_own_worker {
+            self.charges[work as usize].fetch_add(units, Ordering::Relaxed);
+        }
     }
 
     fn virtual_now(&self) -> u64 {
         self.now()
     }
-}
-
-thread_local! {
-    static ARC_SELF: RefCell<Option<Arc<ThreadedSupervisor>>> = const { RefCell::new(None) };
 }
 
 /// Runs a task graph on `workers` OS threads. `setup` creates events and
@@ -771,11 +852,7 @@ pub fn run_threaded_with(
             std::thread::Builder::new()
                 .name(format!("ccm2-worker-{ix}"))
                 .stack_size(16 * 1024 * 1024)
-                .spawn(move || {
-                    ARC_SELF.with(|a| *a.borrow_mut() = Some(Arc::clone(&sup)));
-                    sup.worker_loop(ix as u32);
-                    ARC_SELF.with(|a| *a.borrow_mut() = None);
-                })
+                .spawn(move || sup.worker_loop(ix as u32))
                 .expect("spawn worker"),
         );
     }
@@ -1026,6 +1103,46 @@ mod tests {
         assert_eq!(*order.lock(), vec!["large", "medium", "small"]);
     }
 
+    /// Charges land in the worker's own array, or — from the setup
+    /// thread, or from a worker of another supervisor — in the shared
+    /// one; the report has every unit exactly once.
+    #[test]
+    fn charges_from_workers_and_outsiders_add_up() {
+        let mut inner_report = None;
+        let outer = run_threaded(4, |sup| {
+            sup.charge(Work::Merge, 5);
+            for i in 0..64u64 {
+                let sup2 = Arc::clone(sup);
+                sup.spawn(TaskDesc::new(
+                    format!("t{i}"),
+                    TaskKind::ShortCodeGen,
+                    Box::new(move || {
+                        for _ in 0..100 {
+                            sup2.charge(Work::Parse, i);
+                            sup2.charge(Work::Lookup, 1);
+                        }
+                    }),
+                ));
+            }
+            // A task of `inner` charging the outer supervisor is not on
+            // one of the outer supervisor's workers.
+            let outer = Arc::clone(sup);
+            inner_report = Some(run_threaded(1, move |inner| {
+                inner.spawn(TaskDesc::new(
+                    "foreign",
+                    TaskKind::ShortCodeGen,
+                    Box::new(move || outer.charge(Work::Merge, 7)),
+                ));
+            }));
+        });
+        let mut want = [0u64; Work::COUNT];
+        want[Work::Parse as usize] = 100 * (0..64).sum::<u64>();
+        want[Work::Lookup as usize] = 64 * 100;
+        want[Work::Merge as usize] = 12;
+        assert_eq!(outer.charges, want);
+        assert_eq!(inner_report.expect("ran").total_work(), 0);
+    }
+
     #[test]
     fn many_tasks_many_workers_stress() {
         let counter = Arc::new(AtomicUsize::new(0));
@@ -1202,6 +1319,112 @@ mod hint_tests {
             t.prereqs = vec![gate];
             sup.spawn(t);
         });
+    }
+
+    /// Two tasks hand a baton back and forth through fresh events, each
+    /// parking while the other runs: one notification withheld from a
+    /// sleeper (the gate in `wake` reading zero sleepers too early) and
+    /// the round never ends. Idle workers (the 4-worker runs) sleep on
+    /// the same condition variable throughout.
+    fn ping_pong(workers: usize, class: EventClass, rounds: usize) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let report = run_threaded(workers, |sup| {
+                let ping: Vec<EventId> = (0..rounds).map(|_| sup.new_event(class)).collect();
+                let pong: Vec<EventId> = (0..rounds).map(|_| sup.new_event(class)).collect();
+                let sides = [
+                    ("ping", ping.clone(), pong.clone(), true),
+                    ("pong", pong, ping, false),
+                ];
+                // Both on a worker of their own before either waits: a
+                // worker blocked on a handled event would otherwise nest
+                // the other side on its own stack.
+                let both_running = Arc::new(std::sync::Barrier::new(2));
+                for (name, mine, theirs, serves) in sides {
+                    let sup2 = Arc::clone(sup);
+                    let both_running = Arc::clone(&both_running);
+                    let mut t = TaskDesc::new(
+                        name,
+                        TaskKind::ProcParse,
+                        Box::new(move || {
+                            both_running.wait();
+                            for (&m, &t) in mine.iter().zip(&theirs) {
+                                if serves {
+                                    sup2.signal(m);
+                                    sup2.wait(t);
+                                } else {
+                                    sup2.wait(t);
+                                    sup2.signal(m);
+                                }
+                            }
+                        }),
+                    );
+                    t.signals_barriers = class == EventClass::Barrier;
+                    t.may_wait.any_barrier = class == EventClass::Barrier;
+                    sup.spawn(t);
+                }
+            });
+            done_tx.send(report.tasks_run).expect("test thread listens");
+        });
+        let tasks_run = done_rx
+            .recv_timeout(Duration::from_secs(300))
+            .expect("ping-pong hung: a sleeper missed its wake-up");
+        run.join().expect("run thread");
+        assert_eq!(tasks_run, 2);
+    }
+
+    #[test]
+    fn gated_notify_loses_no_wakeup_in_10_000_rounds() {
+        for workers in [2, 4] {
+            ping_pong(workers, EventClass::Handled, 10_000);
+            // Barrier waits spin before they park, and never nest.
+            ping_pong(workers, EventClass::Barrier, 10_000);
+        }
+    }
+
+    /// The two ways out of a barrier wait. A producer that publishes as
+    /// soon as the consumer has arrived finds it watching the flag (or
+    /// not yet waiting); one that publishes only after the state lock
+    /// has shown it a sleeper — the consumer spun its 20 us out and
+    /// parked — must still wake it.
+    #[test]
+    fn barrier_wait_spins_then_parks_and_wakes_either_way() {
+        for wait_for_sleeper in [false, true] {
+            let consumed = Arc::new(AtomicUsize::new(0));
+            let out = Arc::clone(&consumed);
+            run_threaded(2, move |sup| {
+                let block = sup.new_event_named(EventClass::Barrier, "block");
+                let (arrived_tx, arrived_rx) = std::sync::mpsc::channel::<()>();
+                let sup1 = Arc::clone(sup);
+                let mut producer = TaskDesc::new(
+                    "producer",
+                    TaskKind::Lexor,
+                    Box::new(move || {
+                        arrived_rx.recv().expect("consumer arrives");
+                        while wait_for_sleeper && sup1.state.lock().sleepers == 0 {
+                            std::thread::yield_now();
+                        }
+                        sup1.signal(block);
+                    }),
+                );
+                producer.signals_barriers = true;
+                sup.spawn(producer);
+                let sup2 = Arc::clone(sup);
+                let mut consumer = TaskDesc::new(
+                    "consumer",
+                    TaskKind::ModuleParse,
+                    Box::new(move || {
+                        arrived_tx.send(()).expect("producer listens");
+                        sup2.wait(block);
+                        assert!(sup2.is_signaled(block));
+                        out.fetch_add(1, AtomicOrdering::Relaxed);
+                    }),
+                );
+                consumer.may_wait.any_barrier = true;
+                sup.spawn(consumer);
+            });
+            assert_eq!(consumed.load(AtomicOrdering::Relaxed), 1);
+        }
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //! no-op in the sequential one), keeping this crate scheduler-agnostic.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
+use ccm2_support::arena::AppendArena;
 use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
 use ccm2_support::source::{FileId, Span};
@@ -184,11 +185,15 @@ pub struct SymbolEntry {
     pub span: Span,
 }
 
+type Entries = HashMap<Symbol, SymbolEntry>;
+
 /// One scope's symbol table.
 ///
-/// Insertion is atomic w.r.t. search (a single mutex guards the map), and
-/// completion is a monotonic flag: once `complete` is observed true, the
-/// table will never change again.
+/// While the table is under construction, insertion is atomic w.r.t.
+/// search (a single mutex guards the map). Completion *freezes* it: the
+/// map moves out of the mutex into a write-once snapshot, and from then
+/// on — the table will never change again — every search reads the
+/// snapshot without a lock.
 #[derive(Debug)]
 pub struct ScopeTable {
     id: ScopeId,
@@ -197,8 +202,11 @@ pub struct ScopeTable {
     name: Symbol,
     level: u32,
     file: FileId,
-    entries: Mutex<HashMap<Symbol, SymbolEntry>>,
-    complete: AtomicBool,
+    /// The map while the table is incomplete; empty afterwards.
+    building: Mutex<Entries>,
+    /// The map once the table is complete. Set under `building`'s lock,
+    /// so whoever holds that lock sees the entries in exactly one place.
+    frozen: OnceLock<Entries>,
     next_slot: AtomicU32,
 }
 
@@ -235,22 +243,34 @@ impl ScopeTable {
 
     /// Whether the table has been marked complete.
     pub fn is_complete(&self) -> bool {
-        self.complete.load(Ordering::Acquire)
+        self.frozen.get().is_some()
+    }
+
+    /// Reads the entries: the frozen snapshot without a lock if there is
+    /// one, else the map under construction under its lock — looking for
+    /// the snapshot again there, since the table may have completed
+    /// between the two steps and left the mutex's map empty.
+    fn read<R>(&self, f: impl FnOnce(&Entries) -> R) -> R {
+        if let Some(frozen) = self.frozen.get() {
+            return f(frozen);
+        }
+        let building = self.building.lock();
+        f(self.frozen.get().unwrap_or(&building))
     }
 
     /// Atomically searches for `name`.
     pub fn get(&self, name: Symbol) -> Option<SymbolEntry> {
-        self.entries.lock().get(&name).cloned()
+        self.read(|map| map.get(&name).cloned())
     }
 
     /// Number of entries currently in the table.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.read(Entries::len)
     }
 
     /// Whether the table currently has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.read(Entries::is_empty)
     }
 
     /// Allocates the next variable slot in this scope.
@@ -266,8 +286,7 @@ impl ScopeTable {
     /// All entries, sorted by name index (deterministic; used by the
     /// §2.4-alternative-1 heading copy and by tests).
     pub fn entries_sorted(&self) -> Vec<SymbolEntry> {
-        let map = self.entries.lock();
-        let mut v: Vec<SymbolEntry> = map.values().cloned().collect();
+        let mut v: Vec<SymbolEntry> = self.read(|map| map.values().cloned().collect());
         v.sort_by_key(|e| e.name.index());
         v
     }
@@ -318,13 +337,13 @@ impl DkyWaiter for NullWaiter {
 /// The registry of all scope tables in one compilation.
 #[derive(Default)]
 pub struct SymbolTables {
-    scopes: RwLock<Vec<Arc<ScopeTable>>>,
-    notifier: RwLock<Option<Arc<dyn TableNotifier>>>,
+    scopes: AppendArena<ScopeTable>,
+    notifier: OnceLock<Arc<dyn TableNotifier>>,
 }
 
 impl std::fmt::Debug for SymbolTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SymbolTables({} scopes)", self.scopes.read().len())
+        write!(f, "SymbolTables({} scopes)", self.scopes.len())
     }
 }
 
@@ -336,8 +355,14 @@ impl SymbolTables {
 
     /// Installs the notifier (done once by the driver before compilation
     /// starts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a notifier was installed already.
     pub fn set_notifier(&self, notifier: Arc<dyn TableNotifier>) {
-        *self.notifier.write() = Some(notifier);
+        if self.notifier.set(notifier).is_err() {
+            panic!("table notifier installed twice");
+        }
     }
 
     /// Creates a new scope table and returns its id.
@@ -352,70 +377,81 @@ impl SymbolTables {
             Some(p) if kind == ScopeKind::Procedure => self.scope(p).level() + 1,
             _ => 0,
         };
-        let mut scopes = self.scopes.write();
-        let id = ScopeId(scopes.len() as u32);
-        scopes.push(Arc::new(ScopeTable {
-            id,
+        let index = self.scopes.push_with(|index| ScopeTable {
+            id: ScopeId(index as u32),
             parent,
             kind,
             name,
             level,
             file,
-            entries: Mutex::new(HashMap::new()),
-            complete: AtomicBool::new(false),
+            building: Mutex::default(),
+            frozen: OnceLock::new(),
             next_slot: AtomicU32::new(0),
-        }));
-        id
+        });
+        ScopeId(index as u32)
     }
 
-    /// Fetches a scope table.
+    /// Fetches a scope table (no lock, no reference count: tables live
+    /// as long as the registry and never move).
     ///
     /// # Panics
     ///
     /// Panics if `id` was not created by this registry.
-    pub fn scope(&self, id: ScopeId) -> Arc<ScopeTable> {
-        self.scopes.read()[id.index()].clone()
+    pub fn scope(&self, id: ScopeId) -> &ScopeTable {
+        self.scopes
+            .get(id.index())
+            .expect("scope id from another registry")
     }
 
     /// Number of scopes created.
     pub fn len(&self) -> usize {
-        self.scopes.read().len()
+        self.scopes.len()
     }
 
     /// Whether no scopes exist yet.
     pub fn is_empty(&self) -> bool {
-        self.scopes.read().is_empty()
+        self.scopes.is_empty()
     }
 
     /// Inserts an entry; returns the previous entry if the name was
     /// already declared in the scope (a redeclaration error the caller
     /// reports).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is complete: searches read its frozen snapshot
+    /// and would never see the entry.
     pub fn insert(&self, scope: ScopeId, entry: SymbolEntry) -> Result<(), SymbolEntry> {
         let table = self.scope(scope);
-        debug_assert!(
-            !table.is_complete(),
-            "insert into completed table {scope:?}"
-        );
         let name = entry.name;
         {
-            let mut map = table.entries.lock();
+            let mut map = table.building.lock();
+            assert!(
+                !table.is_complete(),
+                "insert into completed table {scope:?}"
+            );
             if let Some(prev) = map.get(&name) {
                 return Err(prev.clone());
             }
             map.insert(name, entry);
         }
-        if let Some(n) = self.notifier.read().as_ref() {
+        if let Some(n) = self.notifier.get() {
             n.symbol_inserted(scope, name);
         }
         Ok(())
     }
 
-    /// Marks a scope's table complete and notifies the scheduler. This is
-    /// the moment the corresponding DKY event is signaled (paper §2.3.3).
+    /// Marks a scope's table complete — freezing its entries — and
+    /// notifies the scheduler. This is the moment the corresponding DKY
+    /// event is signaled (paper §2.3.3).
     pub fn mark_complete(&self, scope: ScopeId) {
         let table = self.scope(scope);
-        table.complete.store(true, Ordering::Release);
-        if let Some(n) = self.notifier.read().as_ref() {
+        {
+            let mut map = table.building.lock();
+            // Completing twice keeps the first snapshot.
+            let _ = table.frozen.set(std::mem::take(&mut *map));
+        }
+        if let Some(n) = self.notifier.get() {
             n.scope_completed(scope);
         }
     }
@@ -778,6 +814,82 @@ mod tests {
         let x = i.intern("x");
         tables.insert(m, const_entry(x, 1)).expect("fresh");
         assert!(tables.insert(m, const_entry(x, 2)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "insert into completed table")]
+    fn insert_into_completed_table_panics_in_every_build() {
+        let (i, tables, _) = fixture();
+        let m = tables.new_scope(ScopeKind::MainModule, i.intern("M"), None, FileId(0));
+        tables.mark_complete(m);
+        let _ = tables.insert(m, const_entry(i.intern("late"), 1));
+    }
+
+    #[test]
+    fn completion_freezes_the_entries_and_is_idempotent() {
+        let (i, tables, _) = fixture();
+        let m = tables.new_scope(ScopeKind::MainModule, i.intern("M"), None, FileId(0));
+        let (x, y) = (i.intern("x"), i.intern("y"));
+        tables.insert(m, const_entry(x, 1)).expect("fresh");
+        tables.insert(m, const_entry(y, 2)).expect("fresh");
+        let table = tables.scope(m);
+        let before = table.entries_sorted();
+        assert!(!table.is_complete());
+        tables.mark_complete(m);
+        tables.mark_complete(m);
+        assert!(table.is_complete());
+        assert_eq!(table.entries_sorted(), before);
+        assert_eq!((table.len(), table.is_empty()), (2, false));
+        assert_eq!(table.get(y), Some(const_entry(y, 2)));
+        assert_eq!(table.get(i.intern("z")), None);
+    }
+
+    /// A reader racing completion finds every entry at every moment: in
+    /// the map under construction, or — once the map has moved — in the
+    /// frozen snapshot, never in neither.
+    #[test]
+    fn get_racing_mark_complete_never_misses_an_entry() {
+        const ROUNDS: usize = 2000;
+        let (i, tables, _) = fixture();
+        let names: Vec<Symbol> = (0..8).map(|k| i.intern(&format!("n{k}"))).collect();
+        let scopes: Vec<ScopeId> = (0..ROUNDS)
+            .map(|_| {
+                let m = tables.new_scope(ScopeKind::MainModule, names[0], None, FileId(0));
+                for (k, &n) in names.iter().enumerate() {
+                    tables.insert(m, const_entry(n, k as i64)).expect("fresh");
+                }
+                m
+            })
+            .collect();
+        // Misses are counted, not asserted, inside the threads: a reader
+        // that panicked would leave the completer at the barrier forever.
+        let start = std::sync::Barrier::new(2);
+        let misses = std::thread::scope(|s| {
+            s.spawn(|| {
+                for &m in &scopes {
+                    start.wait();
+                    tables.mark_complete(m);
+                }
+            });
+            let reader = s.spawn(|| {
+                let mut misses = 0;
+                for &m in &scopes {
+                    let table = tables.scope(m);
+                    start.wait();
+                    let mut frozen_passes = 0;
+                    while frozen_passes < 2 {
+                        frozen_passes += usize::from(table.is_complete());
+                        for (k, &n) in names.iter().enumerate() {
+                            misses += usize::from(table.get(n) != Some(const_entry(n, k as i64)));
+                        }
+                        misses += usize::from(table.len() != names.len());
+                    }
+                }
+                misses
+            });
+            reader.join().expect("reader")
+        });
+        assert_eq!(misses, 0, "lookups that missed an entry during completion");
     }
 
     #[test]

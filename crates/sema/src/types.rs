@@ -2,7 +2,8 @@
 //!
 //! Types live in a process-wide append-only [`TypeStore`] so that
 //! concurrently running declaration-analysis tasks can create types without
-//! coordination beyond an internal lock. Types are referred to by
+//! coordination beyond an internal writer lock, and read them with none.
+//! Types are referred to by
 //! [`TypeId`]; the well-known builtin types have fixed ids so every task
 //! agrees on them without synchronization.
 //!
@@ -12,8 +13,9 @@
 
 use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
+use ccm2_support::AppendArena;
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::RwLock;
 
 /// Identifies a type in a [`TypeStore`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -130,7 +132,22 @@ pub enum Type {
     },
 }
 
+/// What the store knows of a forward pointer beyond its arena slot (which
+/// keeps reading [`TypeId::PENDING`]).
+#[derive(Clone, Copy, Debug)]
+enum Forward {
+    /// Not patched yet; the scope whose declaration part will patch it.
+    Owner(ScopeId),
+    /// Patched to this pointee.
+    Patched(TypeId),
+}
+
 /// Append-only, thread-safe arena of [`Type`]s.
+///
+/// A stored type is never written again, so reading one takes no lock.
+/// The one mutation the language needs — filling in a forward pointer's
+/// pointee — is kept in a side table that only a `Pointer` still reading
+/// `PENDING` consults.
 ///
 /// # Examples
 ///
@@ -143,17 +160,21 @@ pub enum Type {
 /// ```
 #[derive(Debug)]
 pub struct TypeStore {
-    types: RwLock<Vec<Type>>,
-    /// Forward pointers not patched yet, with the scope whose declaration
-    /// part will patch them.
-    pending: RwLock<HashMap<TypeId, ScopeId>>,
+    types: AppendArena<Type>,
+    /// One map for owner and patch, so that a reader sees a forward
+    /// pointer as either still owned or patched, never as neither.
+    forward: Mutex<HashMap<TypeId, Forward>>,
 }
 
 impl TypeStore {
     /// Creates a store pre-populated with the builtin types at their fixed
     /// ids.
     pub fn new() -> TypeStore {
-        let types = vec![
+        let store = TypeStore {
+            types: AppendArena::new(),
+            forward: Mutex::default(),
+        };
+        for ty in [
             Type::Error,
             Type::Integer,
             Type::Cardinal,
@@ -169,20 +190,25 @@ impl TypeStore {
             },
             Type::Pending,
             Type::Address,
-        ];
-        debug_assert_eq!(types.len() as u32, TypeId::FIRST_DYNAMIC);
-        TypeStore {
-            types: RwLock::new(types),
-            pending: RwLock::default(),
+        ] {
+            store.add(ty);
         }
+        debug_assert_eq!(store.len() as u32, TypeId::FIRST_DYNAMIC);
+        store
     }
 
     /// Adds a type, returning its id.
     pub fn add(&self, ty: Type) -> TypeId {
-        let mut v = self.types.write().expect("type store poisoned");
-        let id = TypeId(v.len() as u32);
-        v.push(ty);
-        id
+        TypeId(self.types.push(ty) as u32)
+    }
+
+    /// The type as stored: a forward pointer reads `PENDING` here even
+    /// after it was patched, so this serves only callers that do not look
+    /// at a pointee.
+    fn stored(&self, id: TypeId) -> &Type {
+        self.types
+            .get(id.0 as usize)
+            .expect("type id from another store")
     }
 
     /// Returns a clone of the type under `id`.
@@ -191,7 +217,13 @@ impl TypeStore {
     ///
     /// Panics if `id` did not come from this store.
     pub fn get(&self, id: TypeId) -> Type {
-        self.types.read().expect("type store poisoned")[id.0 as usize].clone()
+        let ty = self.stored(id);
+        if matches!(ty, Type::Pointer { to } if *to == TypeId::PENDING) {
+            if let Some(&Forward::Patched(to)) = self.forward.lock().get(&id) {
+                return Type::Pointer { to };
+            }
+        }
+        ty.clone()
     }
 
     /// Adds a pointer whose pointee is named but may be declared later in
@@ -201,8 +233,7 @@ impl TypeStore {
         let ptr = self.add(Type::Pointer {
             to: TypeId::PENDING,
         });
-        let mut pending = self.pending.write().expect("type store poisoned");
-        pending.insert(ptr, owner);
+        self.forward.lock().insert(ptr, Forward::Owner(owner));
         ptr
     }
 
@@ -210,31 +241,29 @@ impl TypeStore {
     ///
     /// # Panics
     ///
-    /// Panics if `ptr` is not a pointer type.
+    /// Panics if `ptr` is not a pointer type still pending.
     pub fn patch_pointer(&self, ptr: TypeId, target: TypeId) {
-        {
-            let mut v = self.types.write().expect("type store poisoned");
-            match &mut v[ptr.0 as usize] {
-                Type::Pointer { to } => *to = target,
-                other => panic!("patch_pointer on non-pointer {other:?}"),
-            }
+        match self.stored(ptr) {
+            Type::Pointer {
+                to: TypeId::PENDING,
+            } => {}
+            other => panic!("patch_pointer on {other:?}, not a pending pointer"),
         }
-        // After the pointee: a reader that finds no owner re-reads a
-        // patched pointer.
-        let mut pending = self.pending.write().expect("type store poisoned");
-        pending.remove(&ptr);
+        self.forward.lock().insert(ptr, Forward::Patched(target));
     }
 
     /// The scope that will patch forward pointer `ptr`, while it is still
     /// unpatched.
     pub fn pending_owner(&self, ptr: TypeId) -> Option<ScopeId> {
-        let pending = self.pending.read().expect("type store poisoned");
-        pending.get(&ptr).copied()
+        match self.forward.lock().get(&ptr) {
+            Some(&Forward::Owner(scope)) => Some(scope),
+            _ => None,
+        }
     }
 
     /// Number of types in the store (builtin + dynamic).
     pub fn len(&self) -> usize {
-        self.types.read().expect("type store poisoned").len()
+        self.types.len()
     }
 
     /// Always false: the store is born with the builtin types.
@@ -244,8 +273,8 @@ impl TypeStore {
 
     /// Strips subranges down to their base type.
     pub fn strip_subrange(&self, id: TypeId) -> TypeId {
-        match self.get(id) {
-            Type::Subrange { base, .. } => self.strip_subrange(base),
+        match self.stored(id) {
+            Type::Subrange { base, .. } => self.strip_subrange(*base),
             _ => id,
         }
     }
@@ -254,7 +283,7 @@ impl TypeStore {
     /// CASE scrutinees, FOR control variables).
     pub fn is_ordinal(&self, id: TypeId) -> bool {
         matches!(
-            self.get(self.strip_subrange(id)),
+            self.stored(self.strip_subrange(id)),
             Type::Integer | Type::Cardinal | Type::Boolean | Type::Char | Type::Enumeration { .. }
         ) || id == TypeId::ERROR
     }
@@ -262,15 +291,15 @@ impl TypeStore {
     /// Returns `true` if the type is numeric (INTEGER/CARDINAL/subranges).
     pub fn is_integerlike(&self, id: TypeId) -> bool {
         matches!(
-            self.get(self.strip_subrange(id)),
+            self.stored(self.strip_subrange(id)),
             Type::Integer | Type::Cardinal
         ) || id == TypeId::ERROR
     }
 
     /// The inclusive ordinal bounds of an ordinal type, if known.
     pub fn ordinal_bounds(&self, id: TypeId) -> Option<(i64, i64)> {
-        match self.get(id) {
-            Type::Subrange { lo, hi, .. } => Some((lo, hi)),
+        match self.stored(id) {
+            Type::Subrange { lo, hi, .. } => Some((*lo, *hi)),
             Type::Boolean => Some((0, 1)),
             Type::Char => Some((0, 255)),
             Type::Enumeration { members } => Some((0, members.len() as i64 - 1)),
@@ -304,9 +333,9 @@ impl TypeStore {
         if self.same_type(dst, src) {
             return true;
         }
-        let d = self.get(self.strip_subrange(dst));
-        let s = self.get(self.strip_subrange(src));
-        match (&d, &s) {
+        let d = self.stored(self.strip_subrange(dst));
+        let s = self.stored(self.strip_subrange(src));
+        match (d, s) {
             (Type::Pointer { .. }, Type::Nil) | (Type::Proc { .. }, Type::Nil) => true,
             (Type::Address, Type::Pointer { .. }) | (Type::Address, Type::Nil) => true,
             (Type::Char, Type::StringLit) => true,
@@ -478,6 +507,31 @@ mod tests {
         let r = s.add(Type::Record { fields: vec![] });
         s.patch_pointer(p, r);
         assert_eq!(s.get(p), Type::Pointer { to: r });
+    }
+
+    #[test]
+    fn forward_pointer_is_owned_until_patched() {
+        let s = TypeStore::new();
+        let p = s.add_forward_pointer(ScopeId(3));
+        assert_eq!(s.pending_owner(p), Some(ScopeId(3)));
+        assert_eq!(
+            s.get(p),
+            Type::Pointer {
+                to: TypeId::PENDING
+            }
+        );
+        s.patch_pointer(p, TypeId::REAL);
+        assert_eq!(s.pending_owner(p), None);
+        assert_eq!(s.get(p), Type::Pointer { to: TypeId::REAL });
+        assert!(s.assignable(p, TypeId::NILTYPE));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a pending pointer")]
+    fn patching_a_resolved_pointer_panics() {
+        let s = TypeStore::new();
+        let p = s.add(Type::Pointer { to: TypeId::REAL });
+        s.patch_pointer(p, TypeId::INTEGER);
     }
 
     #[test]

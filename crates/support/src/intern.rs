@@ -3,11 +3,15 @@
 //! The concurrent compiler lexes many streams in parallel; identifiers are
 //! interned once and compared by handle everywhere else (symbol-table
 //! search, qualified-name resolution, builtin lookup). The interner uses a
-//! sharded read-write-locked map so concurrent lexer tasks rarely contend.
+//! sharded read-write-locked map so concurrent lexer tasks rarely contend,
+//! and keeps the strings in an [`AppendArena`] so resolving a symbol takes
+//! no lock at all.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::RwLock;
+
+use crate::arena::AppendArena;
 
 /// A handle to an interned string.
 ///
@@ -52,11 +56,11 @@ struct Shard {
 
 /// A thread-safe string interner.
 ///
-/// Interning is lock-sharded by string hash; resolution goes through a
-/// global append-only vector guarded by a read-write lock.
+/// Interning is lock-sharded by string hash; resolution reads a global
+/// append-only arena without locking.
 pub struct Interner {
     shards: Vec<RwLock<Shard>>,
-    strings: RwLock<Vec<String>>,
+    strings: AppendArena<String>,
 }
 
 impl fmt::Debug for Interner {
@@ -76,7 +80,7 @@ impl Interner {
                     })
                 })
                 .collect(),
-            strings: RwLock::new(Vec::new()),
+            strings: AppendArena::new(),
         }
     }
 
@@ -107,9 +111,7 @@ impl Interner {
         if let Some(&id) = shard.map.get(s) {
             return Symbol(id);
         }
-        let mut strings = self.strings.write().expect("interner poisoned");
-        let id = strings.len() as u32;
-        strings.push(s.to_owned());
+        let id = self.strings.push(s.to_owned()) as u32;
         shard.map.insert(s.to_owned(), id);
         Symbol(id)
     }
@@ -120,13 +122,15 @@ impl Interner {
     ///
     /// Panics if `sym` did not come from this interner.
     pub fn resolve(&self, sym: Symbol) -> String {
-        let strings = self.strings.read().expect("interner poisoned");
-        strings[sym.index()].clone()
+        self.strings
+            .get(sym.index())
+            .expect("symbol from another interner")
+            .clone()
     }
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.strings.read().expect("interner poisoned").len()
+        self.strings.len()
     }
 
     /// Returns `true` if nothing has been interned yet.

@@ -2,6 +2,9 @@
 //!
 //! This crate is deliberately dependency-free. It provides:
 //!
+//! * [`arena`] — an append-only arena whose reads take no lock, the
+//!   storage of every registry that only grows during a compilation
+//!   (interned strings, types, scope tables, scheduler events);
 //! * [`intern`] — a thread-safe string interner producing copyable
 //!   [`intern::Symbol`] handles, used for every identifier the compiler
 //!   touches (concurrent symbol-table search compares interned handles,
@@ -26,6 +29,7 @@
 //! assert_eq!(interner.resolve(a), "WriteInt");
 //! ```
 
+pub mod arena;
 pub mod defs;
 pub mod diag;
 pub mod hash;
@@ -34,6 +38,7 @@ pub mod intern;
 pub mod source;
 pub mod work;
 
+pub use arena::AppendArena;
 pub use defs::{DefLibrary, DefProvider};
 pub use diag::{Diagnostic, DiagnosticSink, Severity};
 pub use hash::{Fp128, StableHasher};

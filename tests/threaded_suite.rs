@@ -130,3 +130,71 @@ fn eight_workers_on_one_cpu_is_safe() {
     );
     assert_eq!(seq.image, conc.image);
 }
+
+/// Work charges are counted per worker and added up when the workers
+/// end: nothing may be lost or counted twice on the way, so one worker,
+/// four workers and the simulator must report the same units for every
+/// kind of work. Under the default Skeptical strategy a lookup that
+/// blocked is charged for its second search, which depends on the
+/// interleaving; Pessimistic never searches twice, so there every kind
+/// must agree.
+#[test]
+fn work_charges_equal_on_one_worker_four_workers_and_the_simulator() {
+    use ccm2_support::work::Work;
+    let m = generate(&suite_params(18));
+    let charges = |strategy, executor: Options| {
+        let out = compile_concurrent(
+            &m.source,
+            Arc::new(m.defs.clone()),
+            Arc::new(Interner::new()),
+            Options {
+                strategy,
+                ..executor
+            },
+        );
+        assert!(out.is_ok());
+        out.report.charges
+    };
+    let want = charges(DkyStrategy::Pessimistic, Options::threads(1));
+    assert!(want[Work::Lex as usize] > 0 && want[Work::Lookup as usize] > 0);
+    for _ in 0..10 {
+        assert_eq!(charges(DkyStrategy::Pessimistic, Options::threads(4)), want);
+    }
+    assert_eq!(charges(DkyStrategy::Pessimistic, Options::sim(4)), want);
+
+    let mut want = charges(DkyStrategy::Skeptical, Options::threads(1));
+    want[Work::Lookup as usize] = 0;
+    for executor in [Options::threads(4), Options::sim(4)] {
+        let mut got = charges(DkyStrategy::Skeptical, executor);
+        got[Work::Lookup as usize] = 0;
+        assert_eq!(got, want);
+    }
+}
+
+/// The driver owns the `Sema` and the `Sema` calls the driver back
+/// (DKY waits, table notifications): held strongly both ways, every
+/// compile stayed in memory for the life of the process — a quarter of
+/// a megabyte per suite module. The output's statistics handle is
+/// shared with the `Sema`'s resolver, so its count tells whether the
+/// `Sema` is gone.
+#[test]
+fn a_finished_compile_frees_what_it_built() {
+    let m = generate(&suite_params(6));
+    for executor in [Options::threads(2), Options::sim(2)] {
+        for strategy in [DkyStrategy::Skeptical, DkyStrategy::Optimistic] {
+            let interner = Arc::new(Interner::new());
+            let out = compile_concurrent(
+                &m.source,
+                Arc::new(m.defs.clone()),
+                Arc::clone(&interner),
+                Options {
+                    strategy,
+                    ..executor.clone()
+                },
+            );
+            assert!(out.is_ok());
+            assert_eq!(Arc::strong_count(&out.stats), 1, "Sema outlived the run");
+            assert_eq!(Arc::strong_count(&interner), 2, "ours and the output's");
+        }
+    }
+}
