@@ -19,9 +19,15 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # completion, the 10 000-round signal/wait ping-pong and the
 # spin-then-park barrier wait all pass in a debug build, which is too
 # slow to open the windows they probe; an optimized build opens them.
+# So it is with the worker crew (a thread back on the idle stack before
+# its run's caller hears of it) and the kept-alive shard connections
+# (callers sharing streams, a stream the server closed meanwhile, one
+# origin's delta batches overtaking each other on the way to a peer).
 cargo test -q --release -p ccm2-support arena
 cargo test -q --release -p ccm2-sema get_racing_mark_complete
 cargo test -q --release -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
+cargo test -q --release -p ccm2-sched --test crew
+cargo test -q --release -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin
 cargo test -q --release --test threaded_suite work_charges_equal
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="

@@ -1207,11 +1207,8 @@ impl Driver {
                 std::mem::take(&mut st.carves),
             )
         };
-        let source_text = self
-            .sources
-            .get(FileId(0))
-            .map(|f| f.text().to_string())
-            .unwrap_or_default();
+        let main = self.sources.get(FileId(0));
+        let source_text = main.as_ref().map_or("", |f| f.text());
         // Missing carves would make the context digests unsound (they
         // describe which child bodies to exclude); degrade the whole
         // compile to cold rather than risk a wrong splice.
@@ -1233,7 +1230,7 @@ impl Driver {
             })
             .collect();
         let env_fp = *incr.env_fp.get().expect("set in start");
-        let fps = fingerprint_streams(&source_text, &nodes, env_fp);
+        let fps = fingerprint_streams(source_text, &nodes, env_fp);
         let mut stats = IncrStats {
             units: pending.len() + 1,
             ..IncrStats::default()

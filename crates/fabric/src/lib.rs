@@ -15,7 +15,8 @@
 //!   join/leave.
 //! * [`transport`] — the byte conduit: a deterministic, seedable
 //!   in-process loopback (drills, proptests) and a real TCP transport
-//!   (one frame per connection), interchangeable behind one trait.
+//!   (kept-alive connections, frame after frame), interchangeable behind
+//!   one trait.
 //! * [`shard`] — a service wrapped as a passive frame handler, plus
 //!   the replica logs it keeps for its peers' `CCM2DELT` streams.
 //! * [`router`] — routing, router-level single-flight, failover

@@ -380,6 +380,11 @@ pub struct FabricRouter {
     stats: Mutex<FabricStats>,
     faults: Option<Arc<FaultPlan>>,
     dispatch_seq: AtomicU64,
+    /// One lock per origin shard, held for a whole replication epoch:
+    /// the batches a shard cuts must reach each peer in the order it
+    /// cut them, or the peer's replica log reads the later one as a
+    /// sequence gap and is discarded at failover.
+    replication: Mutex<HashMap<u32, Arc<Mutex<()>>>>,
     heartbeat: HeartbeatConfig,
     health: Mutex<HashMap<u32, Health>>,
     probe_seq: AtomicU64,
@@ -409,6 +414,7 @@ impl FabricRouter {
             stats: Mutex::new(FabricStats::default()),
             faults: None,
             dispatch_seq: AtomicU64::new(0),
+            replication: Mutex::new(HashMap::new()),
             heartbeat: HeartbeatConfig::default(),
             health: Mutex::new(HashMap::new()),
             probe_seq: AtomicU64::new(0),
@@ -1061,6 +1067,10 @@ impl FabricRouter {
     /// router on the spot (replication is how a partitioned dueling
     /// leader usually learns it lost).
     fn replication_epoch(&self, shard: u32, extra_peer: Option<u32>) {
+        // Requests served side by side end here side by side; epochs of
+        // one origin take turns, sync to last ship (see `replication`).
+        let turn = Arc::clone(self.replication.lock().entry(shard).or_default());
+        let _turn = turn.lock();
         let sync = encode_frame(&Message::Sync);
         let Ok(bytes) = self.transport.call(shard, &sync) else {
             return;

@@ -632,6 +632,62 @@ mod tests {
         decode_frame(&node.handle(frame)).expect("shard replies validly")
     }
 
+    /// Requests served side by side each end in a sync of their shard
+    /// and a fan-out of the batch to its peers; two batches of one
+    /// origin must reach a peer in the order the origin cut them, or
+    /// the peer's log reads the later one as a gap and is lost to
+    /// failover.
+    #[test]
+    fn batches_of_one_origin_reach_its_peers_in_order() {
+        use crate::{FabricRouter, FrameHandler, TcpShardServer, TcpTransport, Transport};
+        use ccm2_serve::CompileRequest;
+        use std::sync::Arc;
+        let config = ServeConfig {
+            workers: 2,
+            queue_capacity: 64,
+            store_budget: 1 << 20,
+            ..ServeConfig::default()
+        };
+        let nodes: Vec<Arc<ShardNode>> = (0..3)
+            .map(|id| Arc::new(ShardNode::start(id, config)))
+            .collect();
+        let transport = Arc::new(TcpTransport::new());
+        let mut servers = Vec::new();
+        for node in &nodes {
+            let server = TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>).unwrap();
+            transport.register(node.id(), server.addr());
+            servers.push(server);
+        }
+        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
+        for round in 0..40 {
+            let batch: Vec<CompileRequest> = (0..8)
+                .map(|m| {
+                    let name = format!("Order{round}x{m}");
+                    let source =
+                        format!("MODULE {name}; VAR x: INTEGER; BEGIN x := {m}; END {name}.");
+                    let mut req = CompileRequest::new(m, name, source, Arc::default());
+                    req.exec = ccm2_serve::ExecChoice::Sim(2);
+                    req
+                })
+                .collect();
+            for response in router.serve_batch(&batch) {
+                assert!(response.outcome().expect("an idle fleet sheds nothing").ok);
+            }
+        }
+        for node in &nodes {
+            let state = node.state.lock();
+            assert_eq!(
+                state.replicas.len(),
+                2,
+                "both peers replicated to shard {}",
+                node.id
+            );
+            for (origin, log) in &state.replicas {
+                assert_eq!(log.gaps, 0, "shard {}'s log of origin {origin}", node.id);
+            }
+        }
+    }
+
     #[test]
     fn ping_answers_pong_with_id_nonce_and_lease_view() {
         let node = ShardNode::start(4, tiny_config());

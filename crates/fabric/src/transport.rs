@@ -26,7 +26,16 @@
 //!   (`link:2#c17`) is a transient hiccup; a glob (`link:2#c*`) is a
 //!   standing partition of that link.
 //! * [`TcpTransport`] / [`TcpShardServer`] — real sockets on
-//!   `127.0.0.1` with ephemeral ports, one frame per connection. The
+//!   `127.0.0.1` with ephemeral ports. Connections are kept alive: the
+//!   transport holds idle streams per shard and a call reuses one, the
+//!   server answers frame after frame on a connection until its client
+//!   closes it, so neither a socket nor a thread is made per call. A
+//!   call that fails on a reused stream is retried once on a fresh
+//!   connection — the shard may have closed the idle stream — which can
+//!   deliver a frame twice, as the router's own resend after an error
+//!   already can: delivery is at-least-once either way.
+//!   [`TcpShardServer::stop`] half-closes the connections it holds, so
+//!   idle ones end at once and a frame in hand is still answered. The
 //!   integration test runs the same router code over TCP to show the
 //!   loopback results are not an artifact of skipping serialization.
 //!
@@ -37,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -300,16 +309,37 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Vec<u8>> 
     Ok(frame)
 }
 
-/// Socket transport: shard id → `127.0.0.1` address, one frame per
-/// connection. Drill hooks mirror the loopback's link faults at the
-/// granularity sockets allow: a **full partition** fails the call
-/// before connecting (the shard sees nothing), a **one-way partition**
-/// delivers the frame but abandons the response.
+/// Socket transport: shard id → `127.0.0.1` address, over connections
+/// that are kept: a call takes an idle stream to the shard (or connects),
+/// writes its frame, reads the answer and puts the stream back, so calls
+/// that follow one another open no socket and as many streams exist as
+/// calls overlapped at the peak. A stream goes back only after a whole
+/// answer was read from it — any error, and every one-way-partition
+/// call, drops it, so no later call can read an earlier call's answer.
+///
+/// An idle stream may have been closed by the shard meanwhile, which the
+/// caller only learns by using it: a call that fails on a *reused*
+/// stream is sent once more on a fresh connection. The shard may then
+/// see the frame twice — which the router's own resend after an `Err`
+/// ("maybe delivered") already allows, so delivery stays at-least-once.
+/// A failure on a fresh connection is the shard's and is returned.
+///
+/// Drill hooks mirror the loopback's link faults at the granularity
+/// sockets allow: a **full partition** fails the call before touching a
+/// socket (the shard sees nothing), a **one-way partition** delivers the
+/// frame but abandons the connection and with it the response.
 #[derive(Default)]
 pub struct TcpTransport {
-    peers: Mutex<HashMap<u32, SocketAddr>>,
+    peers: Mutex<HashMap<u32, Peer>>,
     partitioned: Mutex<std::collections::HashSet<u32>>,
     one_way: Mutex<std::collections::HashSet<u32>>,
+}
+
+/// Where a shard listens, and the idle streams connected there (most
+/// recently used on top).
+struct Peer {
+    addr: SocketAddr,
+    idle: Vec<TcpStream>,
 }
 
 impl TcpTransport {
@@ -319,8 +349,13 @@ impl TcpTransport {
     }
 
     /// Registers shard `id` at `addr` (a [`TcpShardServer::addr`]).
+    /// Streams kept to an earlier registration of `id` are closed.
     pub fn register(&self, shard: u32, addr: SocketAddr) {
-        self.peers.lock().insert(shard, addr);
+        let fresh = Peer {
+            addr,
+            idle: Vec::new(),
+        };
+        self.peers.lock().insert(shard, fresh);
     }
 
     /// Opens (`true`) or heals (`false`) a full partition of the link
@@ -345,6 +380,43 @@ impl TcpTransport {
             p.remove(&shard);
         }
     }
+
+    /// One frame out and — unless `one_way` — one frame back, on `kept`
+    /// or on a fresh connection to `addr`. The stream is put back when
+    /// the answer is complete and `shard` is still registered at `addr`.
+    fn exchange(
+        &self,
+        shard: u32,
+        addr: SocketAddr,
+        kept: Option<TcpStream>,
+        frame: &[u8],
+        one_way: bool,
+    ) -> io::Result<Vec<u8>> {
+        let mut stream = match kept {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(addr)?;
+                // A frame is one write and the next thing this side does
+                // is wait for the answer: nothing to coalesce it with.
+                stream.set_nodelay(true)?;
+                stream
+            }
+        };
+        stream.write_all(frame)?;
+        if one_way {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("response from shard {shard} lost"),
+            ));
+        }
+        let answer = read_frame(&mut stream, MAX_PAYLOAD)?;
+        if let Some(peer) = self.peers.lock().get_mut(&shard) {
+            if peer.addr == addr {
+                peer.idle.push(stream);
+            }
+        }
+        Ok(answer)
+    }
 }
 
 impl Transport for TcpTransport {
@@ -355,22 +427,24 @@ impl Transport for TcpTransport {
                 format!("link to shard {shard} partitioned"),
             ));
         }
-        let addr = self.peers.lock().get(&shard).copied().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("shard {shard} is down"),
-            )
-        })?;
-        let mut stream = TcpStream::connect(addr)?;
-        stream.write_all(frame)?;
-        stream.flush()?;
-        if self.one_way.lock().contains(&shard) {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("response from shard {shard} lost"),
-            ));
+        // A one-way call must get its frame to the shard and read nothing
+        // back: it goes on a connection of its own, which it abandons.
+        let one_way = self.one_way.lock().contains(&shard);
+        let (addr, kept) = match self.peers.lock().get_mut(&shard) {
+            Some(peer) if one_way => (peer.addr, None),
+            Some(peer) => (peer.addr, peer.idle.pop()),
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionRefused,
+                    format!("shard {shard} is down"),
+                ))
+            }
+        };
+        let reused = kept.is_some();
+        match self.exchange(shard, addr, kept, frame, one_way) {
+            Err(_) if reused => self.exchange(shard, addr, None, frame, one_way),
+            result => result,
         }
-        read_frame(&mut stream, MAX_PAYLOAD)
     }
 
     fn shards(&self) -> Vec<u32> {
@@ -379,17 +453,19 @@ impl Transport for TcpTransport {
         ids
     }
 
-    /// Forgets the peer (later calls fail). The server process itself
-    /// is stopped by whoever owns it — see [`TcpShardServer::stop`].
+    /// Forgets the peer and closes the streams kept to it (later calls
+    /// fail). The server process itself is stopped by whoever owns it —
+    /// see [`TcpShardServer::stop`].
     fn kill(&self, shard: u32) -> bool {
         self.peers.lock().remove(&shard).is_some()
     }
 }
 
 /// An accept loop serving one [`FrameHandler`] on an ephemeral
-/// `127.0.0.1` port; each connection is one frame in, one frame out,
-/// handled on its own thread so slow compiles do not serialize the
-/// fleet.
+/// `127.0.0.1` port. A connection carries frame after frame — one in,
+/// one out — until its client closes it, and has a thread of its own so
+/// slow compiles do not serialize the fleet: threads number the
+/// connections open, not the frames served.
 pub struct TcpShardServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -407,7 +483,9 @@ impl TcpShardServer {
         let held = Arc::new(AtomicUsize::new(0));
         let held_now = Arc::clone(&held);
         let accept_thread = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
+            // Each connection's thread, and a handle on its socket to
+            // end it with.
+            let mut connections: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
             for stream in listener.incoming() {
                 if stop_flag.load(Ordering::SeqCst) {
                     break;
@@ -415,18 +493,26 @@ impl TcpShardServer {
                 // Reap as we go: an unjoined thread keeps its stack
                 // mapped, and a long-lived server would run the process
                 // into `vm.max_map_count`.
-                for done in workers.extract_if(.., |w| w.is_finished()) {
+                for (_, done) in connections.extract_if(.., |(_, w)| w.is_finished()) {
                     let _ = done.join();
                 }
                 let Ok(stream) = stream else { continue };
+                let Ok(ours) = stream.try_clone() else {
+                    continue;
+                };
                 let handler = Arc::clone(&handler);
-                workers.push(std::thread::spawn(move || {
-                    serve_connection(stream, &*handler);
-                }));
-                held_now.store(workers.len(), Ordering::Relaxed);
+                let worker = std::thread::spawn(move || serve_connection(stream, &*handler));
+                connections.push((ours, worker));
+                held_now.store(connections.len(), Ordering::Relaxed);
             }
-            for w in workers {
-                let _ = w.join();
+            // Stopping: a connection waiting for its next frame reads
+            // end-of-stream at once; one whose frame is being handled
+            // still writes the answer, then reads end-of-stream.
+            for (ours, _) in &connections {
+                let _ = ours.shutdown(Shutdown::Read);
+            }
+            for (_, worker) in connections {
+                let _ = worker.join();
             }
         });
         Ok(TcpShardServer {
@@ -444,13 +530,15 @@ impl TcpShardServer {
 
     /// Connection threads the accept loop held unjoined after its last
     /// accept: the running ones, plus any that finished since. Bounded by
-    /// the connections in flight, not by the requests served.
+    /// the connections open, not by the requests served.
     pub fn held_threads(&self) -> usize {
         self.held.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting and joins the accept loop (a self-connection
-    /// unblocks the blocking `accept`). In-flight connections finish.
+    /// Stops accepting, ends the connections and joins their threads (a
+    /// self-connection unblocks the blocking `accept`). Connections are
+    /// half-closed on the reading side only: idle ones end at once, and
+    /// a frame already being handled is still answered.
     pub fn stop(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -468,13 +556,17 @@ impl Drop for TcpShardServer {
     }
 }
 
+/// Frame in, frame out, until the client closes the connection (or
+/// [`TcpShardServer::stop`] half-closes it) or sends what is no frame.
 fn serve_connection(mut stream: TcpStream, handler: &dyn FrameHandler) {
-    let Ok(frame) = read_frame(&mut stream, MAX_PAYLOAD) else {
-        return;
-    };
-    let response = handler.handle(&frame);
-    let _ = stream.write_all(&response);
-    let _ = stream.flush();
+    // Answers are one write each, with nothing to coalesce them with.
+    let _ = stream.set_nodelay(true);
+    while let Ok(frame) = read_frame(&mut stream, MAX_PAYLOAD) {
+        let response = handler.handle(&frame);
+        if stream.write_all(&response).is_err() {
+            return;
+        }
+    }
 }
 
 /// Frame overhead re-exported for size accounting in the drills.
@@ -571,18 +663,214 @@ mod tests {
     #[test]
     fn finished_connection_threads_are_reaped_while_serving() {
         let server = TcpShardServer::serve(Arc::new(AckHandler)).unwrap();
-        let t = TcpTransport::new();
-        t.register(3, server.addr());
         let frame = encode_frame(&Message::Sync);
         let mut most = 0;
+        // A client that comes, calls and goes, 3000 times over: each
+        // leaves a connection thread behind that has ended.
         for _ in 0..3000 {
+            let t = TcpTransport::new();
+            t.register(3, server.addr());
             let resp = t.call(3, &frame).unwrap();
             assert_eq!(decode_frame(&resp), Some(Message::Ack));
             most = most.max(server.held_threads());
         }
-        // One closed-loop client: a handful of threads may be between
-        // answering and exiting, never one per request served.
+        // A handful of threads may be between end-of-stream and exiting,
+        // never one per client served.
         assert!(most <= 64, "accept loop held {most} connection threads");
+    }
+
+    /// Answers every frame with itself, and notes the frames' nonces in
+    /// arrival order and the threads that handled them — a connection
+    /// has one thread, so the threads count the connections.
+    #[derive(Default)]
+    struct EchoHandler {
+        nonces: Mutex<Vec<u64>>,
+        arrived: parking_lot::Condvar,
+        threads: Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl FrameHandler for EchoHandler {
+        fn handle(&self, frame: &[u8]) -> Vec<u8> {
+            if let Some(Message::Ping { nonce }) = decode_frame(frame) {
+                self.nonces.lock().push(nonce);
+                self.arrived.notify_all();
+            }
+            self.threads.lock().insert(std::thread::current().id());
+            frame.to_vec()
+        }
+    }
+
+    fn ping(nonce: u64) -> Vec<u8> {
+        encode_frame(&Message::Ping { nonce })
+    }
+
+    /// Calls on a thread of its own, so that a call that hangs fails the
+    /// test instead of hanging it.
+    fn call_or_time_out(t: &Arc<TcpTransport>, shard: u32, frame: Vec<u8>) -> io::Result<Vec<u8>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let t = Arc::clone(t);
+        let caller = std::thread::spawn(move || {
+            let _ = tx.send(t.call(shard, &frame));
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("call hung");
+        caller.join().expect("caller thread");
+        result
+    }
+
+    #[test]
+    fn overlapping_callers_share_few_streams_and_each_reads_its_own_answer() {
+        const CALLERS: u64 = 4;
+        let handler = Arc::new(EchoHandler::default());
+        let server = TcpShardServer::serve(Arc::clone(&handler) as Arc<dyn FrameHandler>).unwrap();
+        let t = TcpTransport::new();
+        t.register(3, server.addr());
+        std::thread::scope(|scope| {
+            for caller in 0..CALLERS {
+                let t = &t;
+                scope.spawn(move || {
+                    for i in 0..750 {
+                        let frame = ping(caller << 32 | i);
+                        assert_eq!(t.call(3, &frame).unwrap(), frame, "another call's answer");
+                    }
+                });
+            }
+        });
+        // 3000 calls, and no more connections than callers at once.
+        let connections = handler.threads.lock().len();
+        assert!(connections <= CALLERS as usize, "{connections} connections");
+        assert!(server.held_threads() <= connections);
+        assert_eq!(handler.nonces.lock().len(), 3000);
+    }
+
+    #[test]
+    fn re_registering_at_a_new_address_closes_the_streams_to_the_old_one() {
+        let mut old = TcpShardServer::serve(Arc::new(AckHandler)).unwrap();
+        let t = TcpTransport::new();
+        t.register(3, old.addr());
+        let frame = ping(1);
+        assert_eq!(
+            decode_frame(&t.call(3, &frame).unwrap()),
+            Some(Message::Ack)
+        );
+        assert_eq!(t.peers.lock()[&3].idle.len(), 1);
+        // Bound while the old one still is: another port for certain.
+        let new = TcpShardServer::serve(Arc::new(EchoHandler::default())).unwrap();
+        old.stop();
+        t.register(3, new.addr());
+        assert!(t.peers.lock()[&3].idle.is_empty(), "stale stream kept");
+        assert_eq!(
+            t.call(3, &frame).unwrap(),
+            frame,
+            "answered by the new server"
+        );
+        let peers = t.peers.lock();
+        let kept: Vec<SocketAddr> = peers[&3]
+            .idle
+            .iter()
+            .map(|s| s.peer_addr().unwrap())
+            .collect();
+        assert_eq!(kept, vec![new.addr()]);
+    }
+
+    #[test]
+    fn stop_ends_idle_connections_at_once_and_later_calls_are_refused() {
+        let mut server = TcpShardServer::serve(Arc::new(EchoHandler::default())).unwrap();
+        let t = Arc::new(TcpTransport::new());
+        t.register(3, server.addr());
+        assert_eq!(t.call(3, &ping(1)).unwrap(), ping(1));
+        assert_eq!(t.peers.lock()[&3].idle.len(), 1);
+
+        let stopping = std::time::Instant::now();
+        server.stop();
+        let took = stopping.elapsed();
+        assert!(
+            took.as_secs() < 1,
+            "stop() waited {took:?} on an idle stream"
+        );
+        // The kept stream is dead and nobody listens any more: an error,
+        // not a wait for an answer that cannot come.
+        let err = call_or_time_out(&t, 3, ping(2)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn a_one_way_calls_answer_is_never_read_by_a_later_call() {
+        let handler = Arc::new(EchoHandler::default());
+        let server = TcpShardServer::serve(Arc::clone(&handler) as Arc<dyn FrameHandler>).unwrap();
+        let t = TcpTransport::new();
+        t.register(3, server.addr());
+        assert_eq!(t.call(3, &ping(1)).unwrap(), ping(1));
+
+        t.set_one_way(3, true);
+        let err = t.call(3, &ping(2)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        t.set_one_way(3, false);
+
+        assert_eq!(
+            t.call(3, &ping(3)).unwrap(),
+            ping(3),
+            "the abandoned answer"
+        );
+        // The one-way frame is delivered all the same — on a connection
+        // of its own that nobody waited on, so possibly after frame 3.
+        let mut seen = handler.nonces.lock();
+        while seen.len() < 3 {
+            let late = std::time::Duration::from_secs(30);
+            assert!(
+                !handler.arrived.wait_for(&mut seen, late),
+                "never delivered"
+            );
+        }
+        seen.sort_unstable();
+        assert_eq!(*seen, vec![1, 2, 3]);
+    }
+
+    /// Accepts `connections` connections, one after the other; answers
+    /// one frame on each (with itself) if `answer`, and closes it. The
+    /// thread returns who connected, in order.
+    fn closing_server(
+        connections: usize,
+        answer: bool,
+    ) -> (SocketAddr, JoinHandle<Vec<SocketAddr>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut clients = Vec::new();
+            for stream in listener.incoming().take(connections) {
+                let mut stream = stream.unwrap();
+                clients.push(stream.peer_addr().unwrap());
+                if answer {
+                    let frame = read_frame(&mut stream, MAX_PAYLOAD).unwrap();
+                    stream.write_all(&frame).unwrap();
+                }
+            }
+            clients
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn a_stream_the_shard_closed_costs_one_reconnect_and_a_fresh_failure_none() {
+        let t = TcpTransport::new();
+        // Every kept stream is dead by the next call, and the shard
+        // takes three connections in all: each call after the first
+        // fails on the kept stream and succeeds on exactly one new one.
+        let (addr, server) = closing_server(3, true);
+        t.register(3, addr);
+        for nonce in 1..=3 {
+            assert_eq!(t.call(3, &ping(nonce)).unwrap(), ping(nonce));
+        }
+        assert_eq!(server.join().unwrap().len(), 3);
+
+        // A shard that hangs up on a fresh connection has failed the
+        // call: the next to connect is this test, not a second attempt.
+        let (addr, server) = closing_server(2, false);
+        t.register(4, addr);
+        assert!(t.call(4, &ping(1)).is_err());
+        let next = TcpStream::connect(addr).unwrap();
+        assert_eq!(server.join().unwrap()[1], next.local_addr().unwrap());
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub const MISSING_DEF_SOURCE: &str = "\u{1}<missing definition module>\u{1}";
 /// comment can only *add* a module to the set — over-inclusion merely
 /// widens invalidation, while missing a real import could let a stale
 /// interface go unnoticed.
-pub fn import_names(source: &str) -> Vec<String> {
+pub fn import_names(source: &str) -> Vec<&str> {
     let mut names = Vec::new();
     let mut words = Vec::new(); // (word, byte offset just past it)
     let bytes = source.as_bytes();
@@ -111,7 +111,7 @@ pub fn import_names(source: &str) -> Vec<String> {
         match words[w].0 {
             "FROM" => {
                 if let Some(&(name, _)) = words.get(w + 1) {
-                    names.push(name.to_string());
+                    names.push(name);
                 }
                 w += 2;
                 // Skip the `IMPORT x, y;` symbol list — those are
@@ -136,7 +136,7 @@ pub fn import_names(source: &str) -> Vec<String> {
                     .unwrap_or(source.len());
                 w += 1;
                 while w < words.len() && words[w].1 <= list_end {
-                    names.push(words[w].0.to_string());
+                    names.push(words[w].0);
                     w += 1;
                 }
             }
@@ -148,31 +148,35 @@ pub fn import_names(source: &str) -> Vec<String> {
     names
 }
 
-/// The transitive import closure of `main_source` over `library`,
-/// returned as sorted `(name, source)` pairs ready for
-/// [`environment_fp`]. Interfaces the library lacks appear with
-/// [`MISSING_DEF_SOURCE`] so their absence is part of the digest. This is
-/// what makes the environment digest *per-import precise*: a definition
-/// module no compiled unit can reach does not contribute, so editing it
-/// leaves every cached unit of this module valid.
-pub fn import_closure(main_source: &str, library: &[(String, String)]) -> Vec<(String, String)> {
+/// The transitive import closure of `main_source` over `library`, as
+/// `(name, source)` pairs sorted by name, ready for [`environment_fp`];
+/// the pairs borrow from the two arguments. Interfaces the library lacks
+/// appear with [`MISSING_DEF_SOURCE`] so their absence is part of the
+/// digest. This is what makes the environment digest *per-import
+/// precise*: a definition module no compiled unit can reach does not
+/// contribute, so editing it leaves every cached unit of this module
+/// valid.
+pub fn import_closure<'a>(
+    main_source: &'a str,
+    library: &'a [(String, String)],
+) -> Vec<(&'a str, &'a str)> {
     let by_name: std::collections::HashMap<&str, &str> = library
         .iter()
         .map(|(n, s)| (n.as_str(), s.as_str()))
         .collect();
-    let mut seen = std::collections::BTreeMap::<String, String>::new();
+    let mut seen = std::collections::BTreeMap::<&str, &str>::new();
     let mut frontier = import_names(main_source);
     while let Some(name) = frontier.pop() {
-        if seen.contains_key(&name) {
+        if seen.contains_key(name) {
             continue;
         }
-        match by_name.get(name.as_str()) {
+        match by_name.get(name) {
             Some(&src) => {
                 frontier.extend(import_names(src));
-                seen.insert(name, src.to_string());
+                seen.insert(name, src);
             }
             None => {
-                seen.insert(name, MISSING_DEF_SOURCE.to_string());
+                seen.insert(name, MISSING_DEF_SOURCE);
             }
         }
     }
@@ -187,7 +191,7 @@ pub fn environment_fp(
     format_version: u32,
     analyze: bool,
     heading_mode_tag: u8,
-    defs: &[(String, String)],
+    defs: &[(&str, &str)],
 ) -> Fp128 {
     let mut h = StableHasher::new();
     h.write_u32(format_version);
@@ -394,7 +398,7 @@ mod tests {
              IMPORT D;\n\
              PROCEDURE P(); BEGIN x := A.f; END P;\nBEGIN END M.";
         assert_eq!(import_names(src), vec!["A", "B", "C", "D"]);
-        assert_eq!(import_names("MODULE N; BEGIN END N."), Vec::<String>::new());
+        assert_eq!(import_names("MODULE N; BEGIN END N."), Vec::<&str>::new());
     }
 
     #[test]
@@ -411,10 +415,9 @@ mod tests {
             ),
         ];
         let closure = import_closure("MODULE M; IMPORT A, Ghost; BEGIN END M.", &lib);
-        let names: Vec<&str> = closure.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = closure.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, vec!["A", "B", "Ghost"], "transitive, no Unrelated");
-        let ghost = closure.iter().find(|(n, _)| n == "Ghost").expect("ghost");
-        assert_eq!(ghost.1, MISSING_DEF_SOURCE);
+        assert_eq!(closure[2].1, MISSING_DEF_SOURCE);
         // Editing the unreachable interface does not change the digest;
         // editing a reachable one does.
         let mut edited = lib.clone();
@@ -435,18 +438,12 @@ mod tests {
 
     #[test]
     fn environment_fp_covers_defs_and_config() {
-        let defs = vec![(
-            "IO".to_string(),
-            "DEFINITION MODULE IO; END IO.".to_string(),
-        )];
+        let defs = [("IO", "DEFINITION MODULE IO; END IO.")];
         let base = environment_fp(1, false, 0, &defs);
         assert_ne!(base, environment_fp(2, false, 0, &defs), "version");
         assert_ne!(base, environment_fp(1, true, 0, &defs), "analyze flag");
         assert_ne!(base, environment_fp(1, false, 1, &defs), "heading mode");
-        let edited = vec![(
-            "IO".to_string(),
-            "DEFINITION MODULE IO; CONST N = 1; END IO.".to_string(),
-        )];
+        let edited = [("IO", "DEFINITION MODULE IO; CONST N = 1; END IO.")];
         assert_ne!(base, environment_fp(1, false, 0, &edited), "interface edit");
     }
 }

@@ -20,6 +20,10 @@
 //! * The ready "queue" is a single ordered structure searched in the
 //!   §2.3.4 kind order, with long code-generation tasks before short ones.
 //!
+//! The worker threads themselves belong to no run: they are borrowed from
+//! a process-wide crew (`lend`) and go back to it, so a run that follows
+//! another creates no thread.
+//!
 //! What tasks do all the time costs no shared write: an event's flag is
 //! an atomic in an append-only arena (reading it takes no lock), work
 //! charges add to the worker's own array, and the condition variable is
@@ -28,6 +32,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -230,6 +235,20 @@ impl ThreadedSupervisor {
     }
 
     fn worker_loop(&self, index: u32) {
+        /// Empties the thread's `WORKER` slot and adds its charges to the
+        /// supervisor's — on return and on unwind alike: the thread goes
+        /// back to the crew either way.
+        struct Leave<'a>(&'a ThreadedSupervisor);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                let Some(ctx) = WORKER.with(|w| w.borrow_mut().take()) else {
+                    return;
+                };
+                for (total, units) in self.0.charges.iter().zip(ctx.charges) {
+                    total.fetch_add(units, Ordering::Relaxed);
+                }
+            }
+        }
         WORKER.with(|w| {
             *w.borrow_mut() = Some(WorkerCtx {
                 sup: self,
@@ -238,13 +257,8 @@ impl ThreadedSupervisor {
                 stack: Vec::new(),
             })
         });
+        let _leave = Leave(self);
         self.run_ready_tasks();
-        let ctx = WORKER
-            .with(|w| w.borrow_mut().take())
-            .expect("installed above");
-        for (total, units) in self.charges.iter().zip(ctx.charges) {
-            total.fetch_add(units, Ordering::Relaxed);
-        }
     }
 
     fn run_ready_tasks(&self) {
@@ -814,9 +828,60 @@ impl ExecEnv for ThreadedSupervisor {
     }
 }
 
+type Payload = Box<dyn std::any::Any + Send>;
+
+/// One borrowing of a crew thread: what it runs, and where it reports
+/// the panic payload (if any) once it is free again.
+struct Loan {
+    work: Box<dyn FnOnce() + Send>,
+    done: Sender<Option<Payload>>,
+}
+
+/// The process-wide worker crew: the parked threads, most recently used
+/// on top. A thread is either out on a loan or on this stack; none ever
+/// exits, so the crew is as large as the demand for workers at its peak.
+static IDLE_CREW: Mutex<Vec<Sender<Loan>>> = Mutex::new(Vec::new());
+
+/// Hands `loan` to an idle crew thread, or to a new one. Never waits for
+/// a thread to come free: a run started from inside a task (whose thread
+/// is out on a loan itself) must not wait for its own caller.
+fn lend(loan: Loan) {
+    let idle = IDLE_CREW.lock().pop();
+    if let Some(thread) = idle {
+        thread.send(loan).expect("a crew thread never exits");
+        return;
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Detached on purpose: the thread outlives every run and ends with
+    // the process.
+    std::thread::Builder::new()
+        .name("ccm2-worker".to_string())
+        .stack_size(16 * 1024 * 1024)
+        .spawn(move || {
+            let mut loan = loan;
+            loop {
+                let Loan { work, done } = loan;
+                // The call consumes `work`, so whatever it captured (the
+                // run's supervisor) is dropped before anyone hears of it.
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
+                // Idle before reporting: a caller that starts its next
+                // run at once finds this thread rather than spawning.
+                IDLE_CREW.lock().push(tx.clone());
+                // A caller that has gone away wants no report.
+                let _ = done.send(outcome.err());
+                loan = rx.recv().expect("this thread keeps a sender of its own");
+            }
+        })
+        .expect("spawn worker");
+}
+
 /// Runs a task graph on `workers` OS threads. `setup` creates events and
 /// spawns the initial tasks (the paper's compiler-initialization thread,
 /// which then blocks while the workers perform the compilation).
+///
+/// The threads are borrowed from a crew that outlives the run (the
+/// paper's WorkCrews exist before the work arrives): after the first
+/// runs have grown it, a run creates no thread.
 ///
 /// Returns when every task has completed.
 ///
@@ -845,26 +910,20 @@ pub fn run_threaded_with(
     assert!(workers >= 1, "need at least one worker");
     let sup = Arc::new(ThreadedSupervisor::new(workers, robustness));
     setup(&sup);
-    let mut handles = Vec::new();
+    let (done, reports) = std::sync::mpsc::channel();
     for ix in 0..workers {
         let sup = Arc::clone(&sup);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("ccm2-worker-{ix}"))
-                .stack_size(16 * 1024 * 1024)
-                .spawn(move || sup.worker_loop(ix as u32))
-                .expect("spawn worker"),
-        );
+        lend(Loan {
+            work: Box::new(move || sup.worker_loop(ix as u32)),
+            done: done.clone(),
+        });
     }
-    // Join every worker before re-raising anything: no thread may be
-    // leaked, and every panic payload must be accounted for (not just
-    // the first joiner's).
-    let mut payloads = Vec::new();
-    for h in handles {
-        if let Err(payload) = h.join() {
-            payloads.push(payload);
-        }
-    }
+    // Hear from every worker before re-raising anything: the supervisor
+    // must be this thread's alone again, and every panic payload must be
+    // accounted for (not just the first reporter's).
+    let mut payloads: Vec<Payload> = (0..workers)
+        .filter_map(|_| reports.recv().expect("every loan reports"))
+        .collect();
     match payloads.len() {
         0 => {}
         1 => {
@@ -1713,6 +1772,30 @@ mod fault_tests {
             msg.contains("2 workers panicked") || msg.contains("organic panic"),
             "unexpected payload: {msg}"
         );
+    }
+
+    /// A worker whose task panics leaves by unwinding; its thread goes
+    /// back to the crew, so it must leave as a returning worker does.
+    #[test]
+    fn an_unwinding_worker_empties_its_slot_and_hands_in_its_charges() {
+        let sup = Arc::new(ThreadedSupervisor::new(1, Robustness::default()));
+        let sup2 = Arc::clone(&sup);
+        sup.spawn(TaskDesc::new(
+            "boom",
+            TaskKind::ProcParse,
+            Box::new(move || {
+                sup2.charge(Work::Parse, 7);
+                panic!("organic panic");
+            }),
+        ));
+        let worker = std::thread::spawn(move || {
+            let unwound =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sup.worker_loop(0)));
+            let slot_empty = WORKER.with(|w| w.borrow().is_none());
+            let handed_in = sup.charges[Work::Parse as usize].load(Ordering::Relaxed);
+            (unwound.is_err(), slot_empty, handed_in)
+        });
+        assert_eq!(worker.join().expect("caught above"), (true, true, 7));
     }
 
     #[test]

@@ -6,8 +6,12 @@
 use std::sync::Arc;
 
 use ccm2::{compile_concurrent, ConcurrentOutput, Options};
-use ccm2_incr::{ArtifactStore, DiskStore, IncrStats, MemStore};
+use ccm2_incr::{
+    environment_fp, import_closure, ArtifactStore, DiskStore, IncrStats, MemStore, FORMAT_VERSION,
+};
+use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
+use ccm2_support::hash::{Fp128, StableHasher};
 use ccm2_support::Interner;
 use ccm2_workload::{
     apply_edits, body_edits, generate, suite_params, GenParams, GeneratedModule, SUITE_SIZE,
@@ -348,5 +352,69 @@ fn warm_splice_tasks_run_before_any_codegen_in_both_executors() {
             "{executor:?}: splice at segment {last_splice} ran after \
              codegen/procparse at {first_codegen}"
         );
+    }
+}
+
+/// An [`ArtifactStore`] that holds nothing and notes every fingerprint
+/// it is asked for: on a compile with complete carves, the module's and
+/// one per stream, as `fingerprint_streams` computed them.
+#[derive(Debug, Default)]
+struct AskedFor(std::sync::Mutex<Vec<Fp128>>);
+
+impl ArtifactStore for AskedFor {
+    fn load(&self, fp: Fp128) -> Option<Vec<u8>> {
+        self.0.lock().unwrap().push(fp);
+        None
+    }
+
+    fn store(&self, _: Fp128, _: &[u8]) {}
+}
+
+/// The fingerprints are what an on-disk store and a shipped delta are
+/// keyed by: code that computes them another way must compute the same
+/// bits. The values are those of `FORMAT_VERSION` 2 (which is hashed into
+/// every one of them); a change that bumps the version re-pins them.
+#[test]
+fn fingerprints_of_three_suite_modules_are_pinned() {
+    let pinned = [
+        (
+            0,
+            "bde4500d2af378062b37adc8141eb2c1",
+            "729b272fcc3229d08d80cfccc0bfc28c",
+        ),
+        (
+            17,
+            "729c59ef37367c77893dbe997ace64c5",
+            "4ddbd75469e0e4649acba507b9df07eb",
+        ),
+        (
+            36,
+            "266038422c17ae2476986b0c367629d6",
+            "61b84a98f81ed8ecee0f1ca661b6557b",
+        ),
+    ];
+    for (ix, want_env, want_streams) in pinned {
+        let m = generate(&suite_params(ix));
+        let library = m.defs.all_definitions().expect("a DefLibrary enumerates");
+        let env = environment_fp(
+            FORMAT_VERSION,
+            true,
+            Options::default().heading_mode.cache_tag(),
+            &import_closure(&m.source, &library),
+        );
+        assert_eq!(env.to_hex(), want_env, "environment of suite module {ix}");
+
+        let asked = Arc::new(AskedFor::default());
+        let out = compile(&m, Some(asked.clone()), true, 2);
+        assert!(out.is_ok());
+        let mut fps = asked.0.lock().unwrap().clone();
+        assert_eq!(fps.len(), out.procedures + 1, "module body + streams");
+        fps.sort();
+        let mut all = StableHasher::new();
+        for fp in fps {
+            all.write_fp(fp);
+        }
+        let all = all.finish().to_hex();
+        assert_eq!(all, want_streams, "fingerprints of suite module {ix}");
     }
 }
