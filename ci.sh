@@ -116,38 +116,6 @@ cargo test -q --test watch
 cargo test -q --test watch error_unit_is_byte_identical_across_seq_dky_and_executors
 cargo run -q --release -p ccm2-bench --bin reproduce -- watch
 
-echo "== wire protocol: format-version bump guard =="
-# Bumping WIRE_FORMAT_VERSION requires a matching cross-version
-# rejection test (skewed frames must be refused, not misdecoded).
-wver=$(grep -o 'WIRE_FORMAT_VERSION: u32 = [0-9]*' crates/fabric/src/wire.rs | grep -o '[0-9]*$')
-if ! grep -q "wire_version_${wver}_mismatch_rejected" crates/fabric/src/wire.rs; then
-  echo "WIRE_FORMAT_VERSION is ${wver} but crates/fabric/src/wire.rs has no" >&2
-  echo "wire_version_${wver}_mismatch_rejected test — add one for the new version." >&2
-  exit 1
-fi
-
-echo "== replica logs: format-version bump guard =="
-# Same rule for the persisted CCM2RLOG replica-log images: bumping
-# RLOG_FORMAT_VERSION requires a matching quarantine test (foreign
-# versions must be quarantined and fall back, never misdecoded).
-rver=$(grep -o 'RLOG_FORMAT_VERSION: u32 = [0-9]*' crates/fabric/src/durable.rs | grep -o '[0-9]*$')
-if ! grep -q "rlog_version_${rver}_mismatch_quarantined" crates/fabric/src/durable.rs; then
-  echo "RLOG_FORMAT_VERSION is ${rver} but crates/fabric/src/durable.rs has no" >&2
-  echo "rlog_version_${rver}_mismatch_quarantined test — add one for the new version." >&2
-  exit 1
-fi
-
-echo "== membership images: format-version bump guard =="
-# And for the persisted CCM2MBRS membership images that routers use to
-# mirror the ring and fail over: bumping MBRS_FORMAT_VERSION requires a
-# matching quarantine test.
-mver=$(grep -o 'MBRS_FORMAT_VERSION: u32 = [0-9]*' crates/fabric/src/durable.rs | grep -o '[0-9]*$')
-if ! grep -q "mbrs_version_${mver}_mismatch_quarantined" crates/fabric/src/durable.rs; then
-  echo "MBRS_FORMAT_VERSION is ${mver} but crates/fabric/src/durable.rs has no" >&2
-  echo "mbrs_version_${mver}_mismatch_quarantined test — add one for the new version." >&2
-  exit 1
-fi
-
 echo "== interprocedural lock-order analysis: static deadlock prediction =="
 # Cross-procedure re-LOCK and lock-order-cycle predictions must be
 # byte-identical to the sequential reference under every DKY strategy and
@@ -157,26 +125,11 @@ echo "== interprocedural lock-order analysis: static deadlock prediction =="
 cargo test -q --test lockorder
 cargo run -q --release -p ccm2-bench --bin reproduce -- locks
 
-echo "== incremental cache: format-version bump guard =="
-# Any change to the on-disk entry encoding must bump FORMAT_VERSION, and
-# every bump must come with a mismatch-invalidation test for the new
-# version (old entries must degrade to misses, not decode wrongly).
-ver=$(grep -o 'FORMAT_VERSION: u32 = [0-9]*' crates/incr/src/entry.rs | grep -o '[0-9]*$')
-if ! grep -q "version_${ver}_mismatch_invalidates" crates/incr/src/entry.rs; then
-  echo "FORMAT_VERSION is ${ver} but crates/incr/src/entry.rs has no" >&2
-  echo "version_${ver}_mismatch_invalidates test — add one for the new version." >&2
-  exit 1
-fi
-
-echo "== lock summaries: format-version bump guard =="
-# Same rule for the interprocedural lock-summary wire format: bumping
-# SUMMARY_FORMAT_VERSION requires a matching mismatch-invalidation test
-# (forged future-version blobs must read as cache misses).
-sver=$(grep -o 'SUMMARY_FORMAT_VERSION: u32 = [0-9]*' crates/analysis/src/summary.rs | grep -o '[0-9]*$')
-if ! grep -q "summary_version_${sver}_mismatch_invalidates" crates/analysis/src/summary.rs; then
-  echo "SUMMARY_FORMAT_VERSION is ${sver} but crates/analysis/src/summary.rs has no" >&2
-  echo "summary_version_${sver}_mismatch_invalidates test — add one for the new version." >&2
-  exit 1
-fi
+echo "== envelopes: every format is a row of tests/envelopes.rs =="
+# A format outside the table has no golden digest (which is what catches
+# an encoding change without a version bump) and no damage or forgery rows.
+formats=$(grep -rh '^pub const [A-Z_]*: Format = Format {' crates/*/src | wc -l)
+rows=$(grep -c '^    Row {' tests/envelopes.rs)
+[ "$formats" -eq "$rows" ] || { echo "${formats} formats under crates/*/src, ${rows} rows" >&2; exit 1; }
 
 echo "CI OK"

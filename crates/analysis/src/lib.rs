@@ -66,7 +66,7 @@ pub mod summary;
 
 pub use callgraph::{CallSite, LockAcquire, UnitSummary};
 pub use lockorder::{lock_order_pass, LockStats};
-pub use summary::{decode_summary, encode_summary, SummaryDecodeError, SUMMARY_FORMAT_VERSION};
+pub use summary::{decode_summary, encode_summary, SUMMARY_FORMAT, SUMMARY_FORMAT_VERSION};
 
 /// What kind of compilation unit a lint pass covers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

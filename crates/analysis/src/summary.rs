@@ -1,13 +1,9 @@
-//! Versioned, checksummed wire encoding for [`UnitSummary`] — the
-//! per-procedure digest cached through `ccm2-incr`.
+//! Encoding of [`UnitSummary`] (`CCM2LOCK`) — the per-procedure digest
+//! cached through `ccm2-incr`.
 //!
 //! The bytes ride inside an incremental cache entry as an *opaque*
-//! field, so this format guards itself exactly like the outer entry
-//! does:
-//!
-//! ```text
-//! magic "CCM2LOCK" · version u32 · payload · checksum Fp128
-//! ```
+//! field, so they are sealed in a [`ccm2_support::envelope`] of their
+//! own and guard themselves exactly like the outer entry does.
 //!
 //! Spans are encoded **relative to a caller-supplied base** (the
 //! stream's carve start), mirroring how cached diagnostics store
@@ -17,219 +13,81 @@
 //!
 //! Bumping [`SUMMARY_FORMAT_VERSION`] invalidates every cached summary:
 //! the driver treats an undecodable summary as a cache miss for the
-//! whole entry and recompiles that stream. `ci.sh` greps this constant
-//! and requires the matching `summary_version_N_mismatch_invalidates`
-//! test below, so the constant cannot change without the test renaming
-//! to prove the invalidation path.
+//! whole entry and recompiles that stream (`tests/envelopes.rs` pins
+//! the encoding of a sample and fails until the version moves with it).
 
-use ccm2_support::hash::Fp128;
+use ccm2_support::envelope::{Format, OpenError, Reader, Writer};
 use ccm2_support::source::Span;
 
 use crate::callgraph::{CallSite, LockAcquire, UnitSummary};
 
-/// Bump on ANY change to the summary encoding below, and rename the
-/// `summary_version_N_mismatch_invalidates` test to match.
+/// Bump on ANY change to the summary encoding below.
 pub const SUMMARY_FORMAT_VERSION: u32 = 1;
 
-const MAGIC: &[u8; 8] = b"CCM2LOCK";
+/// The lock-summary envelope.
+pub const SUMMARY_FORMAT: Format = Format {
+    magic: *b"CCM2LOCK",
+    version: SUMMARY_FORMAT_VERSION,
+};
 
-/// Why a summary blob was rejected. Every variant is a cache *miss*,
-/// never a panic: the driver recompiles the stream and reports a Note.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SummaryDecodeError {
-    /// Shorter than magic + version + checksum.
-    TooShort,
-    /// Leading magic bytes are not `CCM2LOCK`.
-    BadMagic,
-    /// Encoded by a different summary format version.
-    Version {
-        /// The version found in the blob.
-        found: u32,
-    },
-    /// Trailing checksum does not match the body.
-    Checksum,
-    /// Structurally invalid payload.
-    Malformed(&'static str),
+/// `held` set, then a name, then a span: the shape acquires and calls
+/// share.
+fn put_site(w: &mut Writer, held: &[String], name: &str, span: Span, base: u32) {
+    w.seq(held, |w, s| w.str(s));
+    w.str(name);
+    w.u32(span.lo.saturating_sub(base));
+    w.u32(span.hi.saturating_sub(base));
 }
 
-impl std::fmt::Display for SummaryDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SummaryDecodeError::TooShort => write!(f, "summary truncated"),
-            SummaryDecodeError::BadMagic => write!(f, "bad summary magic"),
-            SummaryDecodeError::Version { found } => {
-                write!(
-                    f,
-                    "summary format version {found} (expected {SUMMARY_FORMAT_VERSION})"
-                )
-            }
-            SummaryDecodeError::Checksum => write!(f, "summary checksum mismatch"),
-            SummaryDecodeError::Malformed(what) => write!(f, "malformed summary: {what}"),
-        }
-    }
+fn get_string(r: &mut Reader<'_>) -> Result<String, OpenError> {
+    Ok(r.str()?.to_owned())
 }
 
-struct Writer {
-    buf: Vec<u8>,
+fn get_span(r: &mut Reader<'_>, base: u32) -> Result<Span, OpenError> {
+    let rebase = |rel: u32| base.checked_add(rel).ok_or(OpenError::Malformed("span"));
+    let (lo, hi) = (rebase(r.u32()?)?, rebase(r.u32()?)?);
+    if hi < lo {
+        return Err(OpenError::Malformed("span"));
+    }
+    Ok(Span::new(lo, hi))
 }
 
-impl Writer {
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn strs(&mut self, v: &[String]) {
-        self.u32(v.len() as u32);
-        for s in v {
-            self.str(s);
-        }
-    }
-
-    fn span(&mut self, span: Span, base: u32) {
-        self.u32(span.lo.saturating_sub(base));
-        self.u32(span.hi.saturating_sub(base));
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-type DecodeResult<T> = Result<T, SummaryDecodeError>;
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(SummaryDecodeError::Malformed("out of bounds"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> DecodeResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn str(&mut self) -> DecodeResult<String> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| SummaryDecodeError::Malformed("non-utf8 string"))
-    }
-
-    fn strs(&mut self) -> DecodeResult<Vec<String>> {
-        let n = self.u32()? as usize;
-        let mut v = Vec::new();
-        for _ in 0..n {
-            v.push(self.str()?);
-        }
-        Ok(v)
-    }
-
-    fn span(&mut self, base: u32) -> DecodeResult<Span> {
-        let lo = self.u32()?;
-        let hi = self.u32()?;
-        Ok(Span::new(base + lo, base + hi))
-    }
-
-    fn done(&self) -> DecodeResult<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(SummaryDecodeError::Malformed("trailing bytes"))
-        }
-    }
+fn get_site(r: &mut Reader<'_>, base: u32) -> Result<(Vec<String>, String, Span), OpenError> {
+    Ok((r.seq(4, get_string)?, get_string(r)?, get_span(r, base)?))
 }
 
 /// Serializes one unit summary with spans stored relative to `base`
 /// (the stream's carve start; pass 0 for absolute spans).
 pub fn encode_summary(s: &UnitSummary, base: u32) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(64),
-    };
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(SUMMARY_FORMAT_VERSION);
-    w.str(&s.unit);
-    w.u32(s.acquires.len() as u32);
-    for a in &s.acquires {
-        w.strs(&a.held);
-        w.str(&a.lock);
-        w.span(a.span, base);
-    }
-    w.u32(s.calls.len() as u32);
-    for c in &s.calls {
-        w.strs(&c.held);
-        w.str(&c.callee);
-        w.span(c.span, base);
-    }
-    let checksum = Fp128::of(&w.buf);
-    w.buf.extend_from_slice(&checksum.hi.to_le_bytes());
-    w.buf.extend_from_slice(&checksum.lo.to_le_bytes());
-    w.buf
+    SUMMARY_FORMAT.seal(|w| {
+        w.str(&s.unit);
+        w.seq(&s.acquires, |w, a| {
+            put_site(w, &a.held, &a.lock, a.span, base)
+        });
+        w.seq(&s.calls, |w, c| {
+            put_site(w, &c.held, &c.callee, c.span, base)
+        });
+    })
 }
 
 /// Deserializes a summary, validating magic, checksum and version, and
 /// rebasing every span onto `base`. Never panics on malformed input.
-pub fn decode_summary(bytes: &[u8], base: u32) -> DecodeResult<UnitSummary> {
-    if bytes.len() < MAGIC.len() + 4 + 16 {
-        return Err(SummaryDecodeError::TooShort);
-    }
-    let (body, checksum_bytes) = bytes.split_at(bytes.len() - 16);
-    let mut hi = [0u8; 8];
-    let mut lo = [0u8; 8];
-    hi.copy_from_slice(&checksum_bytes[..8]);
-    lo.copy_from_slice(&checksum_bytes[8..]);
-    let stored = Fp128 {
-        hi: u64::from_le_bytes(hi),
-        lo: u64::from_le_bytes(lo),
-    };
-    if &body[..MAGIC.len()] != MAGIC {
-        return Err(SummaryDecodeError::BadMagic);
-    }
-    if Fp128::of(body) != stored {
-        return Err(SummaryDecodeError::Checksum);
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: MAGIC.len(),
-    };
-    let version = r.u32()?;
-    if version != SUMMARY_FORMAT_VERSION {
-        return Err(SummaryDecodeError::Version { found: version });
-    }
-    let unit = r.str()?;
-    let n_acquires = r.u32()? as usize;
-    let mut acquires = Vec::new();
-    for _ in 0..n_acquires {
-        let held = r.strs()?;
-        let lock = r.str()?;
-        let span = r.span(base)?;
-        acquires.push(LockAcquire { held, lock, span });
-    }
-    let n_calls = r.u32()? as usize;
-    let mut calls = Vec::new();
-    for _ in 0..n_calls {
-        let held = r.strs()?;
-        let callee = r.str()?;
-        let span = r.span(base)?;
-        calls.push(CallSite { held, callee, span });
-    }
-    r.done()?;
-    Ok(UnitSummary {
-        unit,
-        acquires,
-        calls,
+pub fn decode_summary(bytes: &[u8], base: u32) -> Result<UnitSummary, OpenError> {
+    let mut r = SUMMARY_FORMAT.open(bytes)?;
+    let summary = UnitSummary {
+        unit: get_string(&mut r)?,
+        acquires: r.seq(16, |r| {
+            let (held, lock, span) = get_site(r, base)?;
+            Ok(LockAcquire { held, lock, span })
+        })?,
+        calls: r.seq(16, |r| {
+            let (held, callee, span) = get_site(r, base)?;
+            Ok(CallSite { held, callee, span })
+        })?,
         from_cache: false,
-    })
+    };
+    r.done()?;
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -269,49 +127,6 @@ mod tests {
         let back = decode_summary(&bytes, 250).expect("roundtrip");
         assert_eq!(back.acquires[0].span, Span::new(260, 290));
         assert_eq!(back.calls[0].span, Span::new(270, 271));
-    }
-
-    #[test]
-    fn summary_version_1_mismatch_invalidates() {
-        // Guard: SUMMARY_FORMAT_VERSION must change in lockstep with the
-        // encoding, and a version mismatch must read as a cache miss.
-        // When bumping the constant, rename this test to the new version
-        // after confirming old-format blobs are rejected.
-        assert_eq!(SUMMARY_FORMAT_VERSION, 1);
-        let bytes = encode_summary(&sample(), 0);
-        // Forge a blob claiming the next version, checksum recomputed so
-        // only the version check can reject it.
-        let mut forged = bytes[..bytes.len() - 16].to_vec();
-        let at = MAGIC.len();
-        forged[at..at + 4].copy_from_slice(&(SUMMARY_FORMAT_VERSION + 1).to_le_bytes());
-        let checksum = Fp128::of(&forged);
-        forged.extend_from_slice(&checksum.hi.to_le_bytes());
-        forged.extend_from_slice(&checksum.lo.to_le_bytes());
-        assert_eq!(
-            decode_summary(&forged, 0),
-            Err(SummaryDecodeError::Version {
-                found: SUMMARY_FORMAT_VERSION + 1
-            })
-        );
-    }
-
-    #[test]
-    fn every_corruption_is_detected() {
-        let bytes = encode_summary(&sample(), 0);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                decode_summary(&bad, 0).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
-        for len in 0..bytes.len() {
-            assert!(
-                decode_summary(&bytes[..len], 0).is_err(),
-                "truncation to {len} went undetected"
-            );
-        }
     }
 
     #[test]

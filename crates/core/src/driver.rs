@@ -1255,7 +1255,7 @@ impl Driver {
                                 file: FileId(0),
                                 span: Span { lo: 0, hi: 0 },
                                 message: format!(
-                                    "incremental cache entry for `{what}` ignored: {e}"
+                                    "incremental cache entry for `{what}` ignored: summary {e}"
                                 ),
                             });
                             return None;

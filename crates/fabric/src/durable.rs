@@ -1,253 +1,132 @@
-//! `CCM2RLOG` — durable replica logs: the router-crash half of the
-//! fabric's recovery plane.
+//! Durable replica logs (`CCM2RLOG`) and ring membership (`CCM2MBRS`):
+//! the router-crash half of the fabric's recovery plane.
 //!
 //! A shard's per-origin [`ReplicaLog`](crate::ReplicaLog)s are pure
 //! potential energy: they only matter at failover, which is exactly
 //! when the process holding them may itself have just restarted. This
-//! module persists the full replica map with the same checksummed
-//! temp-file + atomic-rename discipline as the `CCM2SNAP` store
-//! snapshots, so a shard (or the whole fleet) can come back up holding
-//! every delta op it had parked for its peers — a router kill between
-//! ship and absorb loses zero ops.
+//! module persists the full replica map, so a shard (or the whole
+//! fleet) can come back up holding every delta op it had parked for
+//! its peers — a router kill between ship and absorb loses zero ops —
+//! and the ring membership a standby router mirrors and a freshly
+//! promoted leader restores.
 //!
-//! # Image format (version 1)
+//! Both are whole-state images rewritten on every mutation, sealed in
+//! the shared [`ccm2_support::envelope`] and kept in a
+//! [`ccm2_support::imagedir::ImageDir`] (`rlog-{seq:08}.img`,
+//! `mbrs-{seq:08}.img`; atomic write, newest valid image wins, damaged
+//! ones are quarantined, the newest and one fallback are retained).
+//!
+//! # Payloads
 //!
 //! ```text
-//! magic      8 bytes   b"CCM2RLOG"
-//! version    u32 LE    1
-//! count      u32 LE    number of per-origin logs
-//! log*                 (count times)
-//!   origin     u32 LE    shard the ops came from
-//!   last_seq   u64 LE    origin sequence after the last op
-//!   gaps       u64 LE    tolerated sequence gaps observed
-//!   gapped     u8        log has lost ops; absorb must not replay it
-//!   batch      u32 LE length + bytes   `ccm2_incr::encode_delta(0, ops)`
-//! checksum   hi u64 LE, lo u64 LE   Fp128 of everything above
+//! CCM2RLOG   count u32, then per origin, ascending:
+//!              origin u32 · last_seq u64 · gaps u64 · gapped bool ·
+//!              bytes `ccm2_incr::encode_delta(0, ops)`
+//! CCM2MBRS   epoch u64 · leader u32 · count u32 · member u32*, ascending
 //! ```
-//!
-//! Images are named `rlog-{seq:08}.img`; loading walks them
-//! newest-first and quarantines (into `quarantine/`) any that fail
-//! validation, falling back to the next older image — identical to the
-//! snapshot protocol. After a successful save, images older than the
-//! previous one are pruned: the logs are rewritten whole on every
-//! mutation, so only the newest image (plus one fallback) carries
-//! information.
 
 use std::collections::HashMap;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use ccm2_incr::{decode_delta, encode_delta};
-use ccm2_support::hash::{Fp128, StableHasher};
+use ccm2_support::envelope::{Format, OpenError};
+use ccm2_support::imagedir::{ImageDir, Loaded};
 
 use crate::shard::ReplicaLog;
 
-const MAGIC: &[u8; 8] = b"CCM2RLOG";
-/// Bump on any change to the persisted replica-log encoding; ci.sh
-/// greps for a matching `rlog_version_{N}_mismatch_quarantined` test.
-pub const RLOG_FORMAT_VERSION: u32 = 1;
+/// The replica-log image envelope.
+pub const RLOG_FORMAT: Format = Format {
+    magic: *b"CCM2RLOG",
+    version: 2,
+};
+
+/// The membership image envelope.
+pub const MBRS_FORMAT: Format = Format {
+    magic: *b"CCM2MBRS",
+    version: 2,
+};
 
 /// A directory of replica-log images plus their quarantine.
 #[derive(Debug)]
 pub struct ReplicaLogStore {
-    dir: PathBuf,
-}
-
-/// What [`ReplicaLogStore::load_latest`] found.
-#[derive(Debug, Default)]
-pub struct LoadedReplicaLogs {
-    /// The newest valid image's per-origin logs; `None` when no valid
-    /// image exists (fresh directory, or every image damaged).
-    pub logs: Option<HashMap<u32, ReplicaLog>>,
-    /// Images that failed validation and were quarantined by this call.
-    pub quarantined: Vec<PathBuf>,
+    images: ImageDir,
 }
 
 impl ReplicaLogStore {
     /// Opens (creating if needed) a replica-log directory.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<ReplicaLogStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(ReplicaLogStore { dir })
+        Ok(ReplicaLogStore {
+            images: ImageDir::new(dir, "rlog")?,
+        })
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// `(sequence, path)` of every `rlog-*.img` present, ascending.
-    fn images(&self) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut v = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("rlog-")
-                .and_then(|r| r.strip_suffix(".img"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                v.push((seq, entry.path()));
-            }
-        }
-        v.sort();
-        Ok(v)
-    }
-
-    /// Writes a new image of `logs` (crash-atomic: temp file, flush,
-    /// rename) and prunes images older than the previous one.
+    /// Writes a new image of `logs`.
     pub fn save(&self, logs: &HashMap<u32, ReplicaLog>) -> io::Result<PathBuf> {
-        let existing = self.images()?;
-        let seq = existing.last().map_or(1, |(s, _)| s + 1);
-        let bytes = encode(logs);
-        let path = self.dir.join(format!("rlog-{seq:08}.img"));
-        let tmp = self
-            .dir
-            .join(format!(".rlog-{seq:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        // Keep the new image plus one fallback; everything older is a
-        // strict subset of information already superseded twice.
-        for (_, old) in existing.iter().rev().skip(1) {
-            let _ = fs::remove_file(old);
-        }
-        Ok(path)
+        self.images.save(&encode_replica_logs(logs))
     }
 
     /// Loads the newest valid image, quarantining any torn/corrupt ones
     /// encountered on the way down.
-    pub fn load_latest(&self) -> io::Result<LoadedReplicaLogs> {
-        let mut loaded = LoadedReplicaLogs::default();
-        for (_, path) in self.images()?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if let Some(logs) = decode(&bytes) {
-                loaded.logs = Some(logs);
-                return Ok(loaded);
-            }
-            let qdir = self.dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            let dest = qdir.join(path.file_name().expect("image file name"));
-            fs::rename(&path, &dest)?;
-            loaded.quarantined.push(dest);
-        }
-        Ok(loaded)
+    pub fn load_latest(&self) -> io::Result<Loaded<HashMap<u32, ReplicaLog>>> {
+        self.images.load_latest(decode_replica_logs)
     }
 
     /// Number of quarantined images currently on disk.
     pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
+        self.images.quarantined_count()
     }
 }
 
-fn encode(logs: &HashMap<u32, ReplicaLog>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&RLOG_FORMAT_VERSION.to_le_bytes());
-    // Deterministic image bytes: origins in ascending order.
+/// Encodes a replica map; origins in ascending order, so equal maps
+/// give equal bytes.
+pub fn encode_replica_logs(logs: &HashMap<u32, ReplicaLog>) -> Vec<u8> {
     let mut origins: Vec<u32> = logs.keys().copied().collect();
     origins.sort_unstable();
-    buf.extend_from_slice(&(origins.len() as u32).to_le_bytes());
-    for origin in origins {
-        let log = &logs[&origin];
-        buf.extend_from_slice(&origin.to_le_bytes());
-        buf.extend_from_slice(&log.last_seq.to_le_bytes());
-        buf.extend_from_slice(&log.gaps.to_le_bytes());
-        buf.push(u8::from(log.gapped));
-        let batch = encode_delta(0, &log.ops);
-        buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&batch);
-    }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
+    RLOG_FORMAT.seal(|w| {
+        w.seq(&origins, |w, origin| {
+            let log = &logs[origin];
+            w.u32(*origin);
+            w.u64(log.last_seq);
+            w.u64(log.gaps);
+            w.bool(log.gapped);
+            w.bytes(&encode_delta(0, &log.ops));
+        })
+    })
 }
 
-/// Strict validation: magic, version, exact length accounting, the
-/// trailer checksum, and every embedded `CCM2DELT` batch must all
-/// hold; anything else is `None` and the caller quarantines the image.
-fn decode(buf: &[u8]) -> Option<HashMap<u32, ReplicaLog>> {
-    if buf.len() < MAGIC.len() + 4 + 4 + 16 || &buf[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != RLOG_FORMAT_VERSION {
-        return None;
-    }
-    let count = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let mut logs = HashMap::with_capacity(count.min(1024));
-    for _ in 0..count {
-        if body.len() < pos + 4 + 8 + 8 + 1 + 4 {
-            return None;
-        }
-        let origin = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-        pos += 4;
-        let last_seq = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-        pos += 8;
-        let gaps = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-        pos += 8;
-        let gapped = match body[pos] {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        pos += 1;
-        let len = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?) as usize;
-        pos += 4;
-        let batch = body.get(pos..pos + len)?;
-        pos += len;
-        let (_, ops) = decode_delta(batch)?;
-        if logs
-            .insert(
-                origin,
-                ReplicaLog {
-                    last_seq,
-                    ops,
-                    gaps,
-                    gapped,
-                },
-            )
-            .is_some()
-        {
-            return None; // duplicate origin: framing bug or tampering
-        }
-    }
-    (pos == body.len()).then_some(logs)
+/// Decodes a replica map. The envelope, the payload grammar, origin
+/// order and every embedded `CCM2DELT` batch must all hold; anything
+/// else is `None` and the store quarantines the image.
+pub fn decode_replica_logs(buf: &[u8]) -> Option<HashMap<u32, ReplicaLog>> {
+    let mut r = RLOG_FORMAT.open(buf).ok()?;
+    let logs = r
+        .seq(4 + 8 + 8 + 1 + 4, |r| {
+            let origin = r.u32()?;
+            let (last_seq, gaps, gapped) = (r.u64()?, r.u64()?, r.bool()?);
+            // Batches are written with base 0; another base is not ours.
+            let Some((0, ops)) = decode_delta(r.bytes()?) else {
+                return Err(OpenError::Malformed("embedded delta batch"));
+            };
+            let log = ReplicaLog {
+                last_seq,
+                ops,
+                gaps,
+                gapped,
+            };
+            Ok((origin, log))
+        })
+        .ok()?;
+    r.done().ok()?;
+    // Unsorted or duplicated origins: a framing bug or tampering.
+    let ascending = logs.windows(2).all(|w| w[0].0 < w[1].0);
+    ascending.then(|| logs.into_iter().collect())
 }
-
-fn checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-rlog/v1");
-    h.write(bytes);
-    h.finish()
-}
-
-// ---- CCM2MBRS: durable membership images ------------------------------
-
-const MBRS_MAGIC: &[u8; 8] = b"CCM2MBRS";
-/// Bump on any change to the persisted membership encoding; ci.sh greps
-/// for a matching `mbrs_version_{N}_mismatch_quarantined` test.
-pub const MBRS_FORMAT_VERSION: u32 = 1;
 
 /// One durable membership record: the lease epoch it was written under,
 /// the router that wrote it, and the ring membership at that moment.
 /// This is the state a standby router mirrors and a freshly promoted
-/// leader restores — the durable half of router failover, sharing the
-/// `CCM2RLOG` directory discipline (crash-atomic temp+rename, Fp128
-/// trailer, quarantine + newest-fallback, prune to newest+1).
+/// leader restores — the durable half of router failover.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MembershipImage {
     /// Lease epoch the writer held.
@@ -261,176 +140,72 @@ pub struct MembershipImage {
 /// A directory of membership images plus their quarantine.
 #[derive(Debug)]
 pub struct MembershipStore {
-    dir: PathBuf,
-}
-
-/// What [`MembershipStore::load_latest`] found.
-#[derive(Debug, Default)]
-pub struct LoadedMembership {
-    /// The newest valid image; `None` when no valid image exists.
-    pub image: Option<MembershipImage>,
-    /// Images that failed validation and were quarantined by this call.
-    pub quarantined: Vec<PathBuf>,
+    images: ImageDir,
 }
 
 impl MembershipStore {
     /// Opens (creating if needed) a membership directory.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<MembershipStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(MembershipStore { dir })
+        Ok(MembershipStore {
+            images: ImageDir::new(dir, "mbrs")?,
+        })
     }
 
-    /// The image directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// `(sequence, path)` of every `mbrs-*.img` present, ascending.
-    fn images(&self) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut v = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("mbrs-")
-                .and_then(|r| r.strip_suffix(".img"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                v.push((seq, entry.path()));
-            }
-        }
-        v.sort();
-        Ok(v)
-    }
-
-    /// Writes a new membership image (crash-atomic) and prunes images
-    /// older than the previous one.
+    /// Writes a new membership image.
     pub fn save(&self, image: &MembershipImage) -> io::Result<PathBuf> {
-        let existing = self.images()?;
-        let seq = existing.last().map_or(1, |(s, _)| s + 1);
-        let bytes = encode_membership(image);
-        let path = self.dir.join(format!("mbrs-{seq:08}.img"));
-        let tmp = self
-            .dir
-            .join(format!(".mbrs-{seq:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        for (_, old) in existing.iter().rev().skip(1) {
-            let _ = fs::remove_file(old);
-        }
-        Ok(path)
+        self.images.save(&encode_membership(image))
     }
 
     /// Loads the newest valid image, quarantining torn/corrupt/skewed
     /// ones encountered on the way down.
-    pub fn load_latest(&self) -> io::Result<LoadedMembership> {
-        let mut loaded = LoadedMembership::default();
-        for (_, path) in self.images()?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if let Some(image) = decode_membership(&bytes) {
-                loaded.image = Some(image);
-                return Ok(loaded);
-            }
-            let qdir = self.dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            let dest = qdir.join(path.file_name().expect("image file name"));
-            fs::rename(&path, &dest)?;
-            loaded.quarantined.push(dest);
-        }
-        Ok(loaded)
+    pub fn load_latest(&self) -> io::Result<Loaded<MembershipImage>> {
+        self.images.load_latest(decode_membership)
     }
 
     /// Number of quarantined images currently on disk.
     pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
+        self.images.quarantined_count()
     }
 }
 
-fn encode_membership(image: &MembershipImage) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MBRS_MAGIC);
-    buf.extend_from_slice(&MBRS_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&image.epoch.to_le_bytes());
-    buf.extend_from_slice(&image.leader.to_le_bytes());
-    // Deterministic image bytes: members in ascending order.
+/// Encodes a membership image; members in ascending order.
+pub fn encode_membership(image: &MembershipImage) -> Vec<u8> {
     let mut members = image.members.clone();
     members.sort_unstable();
-    buf.extend_from_slice(&(members.len() as u32).to_le_bytes());
-    for m in members {
-        buf.extend_from_slice(&m.to_le_bytes());
-    }
-    let sum = membership_checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
-}
-
-/// Strict validation, mirroring the replica-log decoder: magic,
-/// version, exact length accounting and the trailer checksum.
-fn decode_membership(buf: &[u8]) -> Option<MembershipImage> {
-    if buf.len() < MBRS_MAGIC.len() + 4 + 8 + 4 + 4 + 16 || &buf[..MBRS_MAGIC.len()] != MBRS_MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = membership_checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = MBRS_MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != MBRS_FORMAT_VERSION {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-    pos += 8;
-    let leader = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?);
-    pos += 4;
-    let count = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let mut members = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        members.push(u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?));
-        pos += 4;
-    }
-    if members.windows(2).any(|w| w[0] >= w[1]) {
-        return None; // unsorted or duplicated members: tampering
-    }
-    (pos == body.len()).then_some(MembershipImage {
-        epoch,
-        leader,
-        members,
+    MBRS_FORMAT.seal(|w| {
+        w.u64(image.epoch);
+        w.u32(image.leader);
+        w.seq(&members, |w, m| w.u32(*m));
     })
 }
 
-fn membership_checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-mbrs/v1");
-    h.write(bytes);
-    h.finish()
+/// Decodes a membership image; `None` for anything the envelope or the
+/// payload grammar refuses, unsorted or duplicated members included.
+pub fn decode_membership(buf: &[u8]) -> Option<MembershipImage> {
+    let mut r = MBRS_FORMAT.open(buf).ok()?;
+    let image = MembershipImage {
+        epoch: r.u64().ok()?,
+        leader: r.u32().ok()?,
+        members: r.seq(4, |r| r.u32()).ok()?,
+    };
+    r.done().ok()?;
+    let ascending = image.members.windows(2).all(|w| w[0] < w[1]);
+    ascending.then_some(image)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccm2_incr::DeltaOp;
+    use ccm2_support::hash::Fp128;
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ccm2-rlog-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = std::env::temp_dir().join(format!("ccm2-rlog-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
@@ -466,179 +241,73 @@ mod tests {
         logs
     }
 
-    fn assert_same(a: &HashMap<u32, ReplicaLog>, b: &HashMap<u32, ReplicaLog>) {
-        assert_eq!(a.len(), b.len());
-        for (origin, log) in a {
-            let other = b.get(origin).expect("origin survives");
-            assert_eq!(log.last_seq, other.last_seq);
-            assert_eq!(log.ops, other.ops);
-            assert_eq!(log.gaps, other.gaps);
-            assert_eq!(log.gapped, other.gapped);
-        }
-    }
-
+    // The directory protocol (fallback, quarantine, retention) is
+    // `ImageDir`'s and tested there; these are the typed fronts.
     #[test]
-    fn round_trip_preserves_every_log_field() {
+    fn replica_logs_save_and_load_every_field_and_quarantine_a_foreign_image() {
         let dir = tmp_dir("rt");
         let store = ReplicaLogStore::new(&dir).unwrap();
+        assert!(store.load_latest().unwrap().image.is_none(), "cold start");
         let logs = sample_logs();
         let path = store.save(&logs).unwrap();
         assert!(path.ends_with("rlog-00000001.img"));
-        let loaded = store.load_latest().unwrap();
-        assert!(loaded.quarantined.is_empty());
-        assert_same(&logs, &loaded.logs.expect("image loads"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_image_quarantined_and_fallback_wins() {
-        let dir = tmp_dir("torn");
-        let store = ReplicaLogStore::new(&dir).unwrap();
-        let logs = sample_logs();
-        store.save(&logs).unwrap();
-        let good = encode(&logs);
-        fs::write(dir.join("rlog-00000002.img"), &good[..good.len() / 2]).unwrap();
+        // A membership image under a replica-log name is not a replica log.
+        let foreign = encode_membership(&MembershipImage::default());
+        std::fs::write(dir.join("rlog-00000002.img"), foreign).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.quarantined.len(), 1);
         assert_eq!(store.quarantined_count(), 1);
-        assert_same(&logs, &loaded.logs.expect("fallback image loads"));
-        assert!(store.load_latest().unwrap().quarantined.is_empty());
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(loaded.image, Some(logs));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn saves_prune_to_newest_plus_one_fallback() {
-        let dir = tmp_dir("prune");
-        let store = ReplicaLogStore::new(&dir).unwrap();
-        for _ in 0..5 {
-            store.save(&sample_logs()).unwrap();
-        }
-        let left = store.images().unwrap();
-        assert_eq!(
-            left.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![4, 5],
-            "older images pruned"
+    fn replica_logs_refuse_unsorted_origins_and_rebased_batches() {
+        let image = |origins: [u32; 2], base: u64| {
+            RLOG_FORMAT.seal(|w| {
+                w.u32(2);
+                for origin in origins {
+                    w.u32(origin);
+                    w.u64(0);
+                    w.u64(0);
+                    w.bool(false);
+                    w.bytes(&encode_delta(base, &[]));
+                }
+            })
+        };
+        assert!(decode_replica_logs(&image([1, 2], 0)).is_some());
+        assert!(decode_replica_logs(&image([2, 1], 0)).is_none(), "unsorted");
+        assert!(
+            decode_replica_logs(&image([1, 1], 0)).is_none(),
+            "duplicate"
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    // CI greps for an `rlog_version_{N}_mismatch_quarantined` test
-    // matching the current RLOG_FORMAT_VERSION: bumping the constant
-    // without a fresh cross-version test fails the gate (ci.sh).
-    #[test]
-    fn rlog_version_1_mismatch_quarantined() {
-        assert_eq!(RLOG_FORMAT_VERSION, 1);
-        let dir = tmp_dir("vskew");
-        let store = ReplicaLogStore::new(&dir).unwrap();
-        // A well-formed image claiming a future version, with a valid
-        // checksum — the version guard (not the integrity check) must
-        // reject it.
-        let mut img = encode(&sample_logs());
-        img.truncate(img.len() - 16);
-        img[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        let sum = checksum(&img);
-        img.extend_from_slice(&sum.hi.to_le_bytes());
-        img.extend_from_slice(&sum.lo.to_le_bytes());
-        assert!(decode(&img).is_none(), "future version rejected");
-        fs::write(dir.join("rlog-00000001.img"), &img).unwrap();
-        let loaded = store.load_latest().unwrap();
-        assert!(loaded.logs.is_none());
-        assert_eq!(loaded.quarantined.len(), 1, "skewed image quarantined");
-        let _ = fs::remove_dir_all(&dir);
+        assert!(decode_replica_logs(&image([1, 2], 7)).is_none(), "base 7");
     }
 
     #[test]
-    fn bit_flips_and_bad_embedded_batches_fail_validation() {
-        let logs = sample_logs();
-        let good = encode(&logs);
-        assert!(decode(&good).is_some());
-        for i in (0..good.len()).step_by(7) {
-            let mut bad = good.clone();
-            bad[i] ^= 0x10;
-            assert!(decode(&bad).is_none(), "flip at byte {i} undetected");
-        }
-        assert!(decode(&good[..good.len() - 1]).is_none(), "torn");
-        assert!(decode(b"").is_none());
-    }
-
-    #[test]
-    fn empty_dir_loads_cold() {
-        let dir = tmp_dir("cold");
-        let store = ReplicaLogStore::new(&dir).unwrap();
-        let loaded = store.load_latest().unwrap();
-        assert!(loaded.logs.is_none());
-        assert!(loaded.quarantined.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    fn sample_membership() -> MembershipImage {
-        MembershipImage {
-            epoch: 7,
-            leader: 2,
-            members: vec![0, 1, 4],
-        }
-    }
-
-    #[test]
-    fn membership_round_trips_and_prunes() {
+    fn membership_saves_and_loads_and_refuses_unsorted_members() {
         let dir = tmp_dir("mbrs-rt");
         let store = MembershipStore::new(&dir).unwrap();
         assert!(store.load_latest().unwrap().image.is_none(), "cold start");
-        for _ in 0..4 {
-            store.save(&sample_membership()).unwrap();
-        }
-        let loaded = store.load_latest().unwrap();
-        assert!(loaded.quarantined.is_empty());
-        assert_eq!(loaded.image, Some(sample_membership()));
-        assert_eq!(
-            store.images().unwrap().len(),
-            2,
-            "pruned to newest + fallback"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_membership_quarantined_and_fallback_wins() {
-        let dir = tmp_dir("mbrs-torn");
-        let store = MembershipStore::new(&dir).unwrap();
-        store.save(&sample_membership()).unwrap();
-        let good = encode_membership(&sample_membership());
-        fs::write(dir.join("mbrs-00000002.img"), &good[..good.len() / 2]).unwrap();
-        let loaded = store.load_latest().unwrap();
-        assert_eq!(loaded.quarantined.len(), 1);
-        assert_eq!(store.quarantined_count(), 1);
-        assert_eq!(loaded.image, Some(sample_membership()));
-        for i in (0..good.len()).step_by(5) {
-            let mut bad = good.clone();
-            bad[i] ^= 0x20;
-            assert!(
-                decode_membership(&bad).is_none(),
-                "flip at byte {i} undetected"
-            );
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    // CI greps for an `mbrs_version_{N}_mismatch_quarantined` test
-    // matching the current MBRS_FORMAT_VERSION: bumping the constant
-    // without a fresh cross-version test fails the gate (ci.sh).
-    #[test]
-    fn mbrs_version_1_mismatch_quarantined() {
-        assert_eq!(MBRS_FORMAT_VERSION, 1);
-        let dir = tmp_dir("mbrs-vskew");
-        let store = MembershipStore::new(&dir).unwrap();
-        let mut img = encode_membership(&sample_membership());
-        img.truncate(img.len() - 16);
-        img[MBRS_MAGIC.len()..MBRS_MAGIC.len() + 4].copy_from_slice(&2u32.to_le_bytes());
-        let sum = membership_checksum(&img);
-        img.extend_from_slice(&sum.hi.to_le_bytes());
-        img.extend_from_slice(&sum.lo.to_le_bytes());
-        assert!(decode_membership(&img).is_none(), "future version rejected");
-        fs::write(dir.join("mbrs-00000001.img"), &img).unwrap();
-        let loaded = store.load_latest().unwrap();
-        assert!(loaded.image.is_none());
-        assert_eq!(loaded.quarantined.len(), 1, "skewed image quarantined");
-        let _ = fs::remove_dir_all(&dir);
+        let image = MembershipImage {
+            epoch: 7,
+            leader: 2,
+            members: vec![4, 0, 1],
+        };
+        store.save(&image).unwrap();
+        let sorted = MembershipImage {
+            members: vec![0, 1, 4],
+            ..image
+        };
+        assert_eq!(store.load_latest().unwrap().image, Some(sorted));
+        let unsorted = MBRS_FORMAT.seal(|w| {
+            w.u64(7);
+            w.u32(2);
+            w.u32(2);
+            w.u32(4);
+            w.u32(0);
+        });
+        assert!(decode_membership(&unsorted).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

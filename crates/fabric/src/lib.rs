@@ -67,8 +67,8 @@ use ccm2_serve::ServeConfig;
 
 pub use client::{ClientRetryStats, FabricClient, CLIENT_MAX_ATTEMPTS, CLIENT_MAX_SLEEP_MS};
 pub use durable::{
-    LoadedMembership, LoadedReplicaLogs, MembershipImage, MembershipStore, ReplicaLogStore,
-    MBRS_FORMAT_VERSION, RLOG_FORMAT_VERSION,
+    decode_membership, decode_replica_logs, encode_membership, encode_replica_logs,
+    MembershipImage, MembershipStore, ReplicaLogStore, MBRS_FORMAT, RLOG_FORMAT,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
@@ -83,7 +83,7 @@ pub use transport::{
 };
 pub use wire::{
     decode_frame, encode_frame, frame_len, Message, WireOutcome, WireRequest, FRAME_OVERHEAD,
-    NO_ROUTER, WIRE_FORMAT_VERSION, WIRE_MAGIC,
+    NO_ROUTER, WIRE_FORMAT,
 };
 
 /// A whole loopback fleet in one value: N shards, the transport, and

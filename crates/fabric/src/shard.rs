@@ -74,7 +74,7 @@ use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, NO_ROUTER};
 pub const REPLICA_LOG_CAP: usize = 8192;
 
 /// Deltas replicated from one peer, in arrival order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplicaLog {
     /// Sequence number after the last op (origin numbering).
     pub last_seq: u64,
@@ -211,8 +211,7 @@ impl ShardNode {
     /// peers), and every subsequent replica mutation is persisted
     /// through the crash-atomic `CCM2RLOG` path.
     pub fn with_durable_log(mut self, rlogs: ReplicaLogStore) -> std::io::Result<ShardNode> {
-        let loaded = rlogs.load_latest()?;
-        if let Some(logs) = loaded.logs {
+        if let Some(logs) = rlogs.load_latest()?.image {
             self.state.get_mut().replicas = logs;
         }
         self.durable = Some(rlogs);
@@ -905,9 +904,16 @@ mod tests {
     #[test]
     fn future_version_ping_yields_clean_reject() {
         let node = ShardNode::start(1, tiny_config());
-        let mut payload = vec![8u8]; // Ping tag
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        let future = crate::wire::versioned_frame(crate::wire::WIRE_FORMAT_VERSION + 1, &payload);
+        let next = ccm2_support::envelope::Format {
+            version: crate::wire::WIRE_FORMAT.version + 1,
+            ..crate::wire::WIRE_FORMAT
+        };
+        let future = next.seal(|w| {
+            w.len_prefixed(|w| {
+                w.u8(8); // Ping tag
+                w.u64(7);
+            })
+        });
         let reply = reply(&node, &future);
         assert_eq!(reply, bad_frame_reject());
         assert_eq!(node.stats().bad_frames, 1);

@@ -13,29 +13,28 @@
 //! * tests, which forge torn/bit-flipped batches to prove validation
 //!   degrades to a miss instead of misdecoding.
 //!
-//! # Batch format (version 1)
+//! # Payload (`CCM2DELT`, sealed in [`ccm2_support::envelope`])
 //!
 //! ```text
-//! magic      8 bytes   b"CCM2DELT"
-//! version    u32 LE    1
-//! base_seq   u64 LE    sequence number *before* the first op
-//! count      u32 LE    number of ops
-//! op*        tag u8 (1=insert, 2=evict), fp hi u64 LE, fp lo u64 LE,
-//!            [insert only: len u32 LE, bytes]
-//! checksum   hi u64 LE, lo u64 LE   Fp128 of everything above
+//! base_seq   u64       sequence number *before* the first op
+//! count      u32       number of ops
+//! op*        tag u8 (1=insert, 2=evict), fp,
+//!            [insert only: bytes]
 //! ```
 //!
 //! Ops are consecutive: the op at index `i` has sequence number
 //! `base_seq + i + 1`, so a reader can verify chain contiguity across
 //! batches without per-op sequence fields.
 
-use ccm2_support::hash::{Fp128, StableHasher};
+use ccm2_support::envelope::{Format, OpenError, OVERHEAD};
+use ccm2_support::hash::Fp128;
 
-/// Magic prefix of an encoded delta batch.
-pub const DELTA_MAGIC: &[u8; 8] = b"CCM2DELT";
-/// Bump on any change to the encoding; readers treat other versions as
-/// invalid (quarantine / miss), never as data.
-pub const DELTA_FORMAT_VERSION: u32 = 1;
+/// The delta-batch envelope. Readers treat other versions as invalid
+/// (quarantine / miss), never as data.
+pub const DELTA_FORMAT: Format = Format {
+    magic: *b"CCM2DELT",
+    version: 2,
+};
 
 /// One store mutation, in replay order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,97 +73,46 @@ impl DeltaOp {
 /// Encodes `ops` as one checksummed batch whose first op has sequence
 /// number `base_seq + 1`.
 pub fn encode_delta(base_seq: u64, ops: &[DeltaOp]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        DELTA_MAGIC.len() + 4 + 8 + 4 + ops.iter().map(DeltaOp::encoded_len).sum::<usize>() + 16,
-    );
-    buf.extend_from_slice(DELTA_MAGIC);
-    buf.extend_from_slice(&DELTA_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&base_seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        match op {
+    DELTA_FORMAT.seal(|w| {
+        w.reserve(8 + 4 + ops.iter().map(DeltaOp::encoded_len).sum::<usize>() + OVERHEAD);
+        w.u64(base_seq);
+        w.seq(ops, |w, op| match op {
             DeltaOp::Insert { fp, bytes } => {
-                buf.push(1);
-                buf.extend_from_slice(&fp.hi.to_le_bytes());
-                buf.extend_from_slice(&fp.lo.to_le_bytes());
-                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                buf.extend_from_slice(bytes);
+                w.u8(1);
+                w.fp(*fp);
+                w.bytes(bytes);
             }
             DeltaOp::Evict { fp } => {
-                buf.push(2);
-                buf.extend_from_slice(&fp.hi.to_le_bytes());
-                buf.extend_from_slice(&fp.lo.to_le_bytes());
+                w.u8(2);
+                w.fp(*fp);
             }
-        }
-    }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
+        });
+    })
 }
 
-/// Decodes a batch, returning `(base_seq, ops)`. Strict validation —
-/// magic, version, exact length accounting and the trailer checksum must
-/// all hold; anything else (torn tail, bit flip, future version) is
-/// `None` and the caller degrades to a miss / quarantines the segment.
+/// Decodes a batch, returning `(base_seq, ops)`. Anything the envelope
+/// or the payload grammar refuses (torn tail, bit flip, other version,
+/// trailing bytes) is `None` and the caller degrades to a miss /
+/// quarantines the segment.
 pub fn decode_delta(buf: &[u8]) -> Option<(u64, Vec<DeltaOp>)> {
-    if buf.len() < DELTA_MAGIC.len() + 4 + 8 + 4 + 16 || &buf[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = DELTA_MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != DELTA_FORMAT_VERSION {
-        return None;
-    }
-    let base_seq = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-    pos += 8;
-    let count = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?) as usize;
-    pos += 4;
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        if body.len() < pos + 17 {
-            return None;
-        }
-        let tag = body[pos];
-        let hi = u64::from_le_bytes(body[pos + 1..pos + 9].try_into().ok()?);
-        let lo = u64::from_le_bytes(body[pos + 9..pos + 17].try_into().ok()?);
-        pos += 17;
-        let fp = Fp128 { hi, lo };
-        match tag {
-            1 => {
-                if body.len() < pos + 4 {
-                    return None;
-                }
-                let len = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?) as usize;
-                pos += 4;
-                if body.len() < pos + len {
-                    return None;
-                }
-                ops.push(DeltaOp::Insert {
+    let mut r = DELTA_FORMAT.open(buf).ok()?;
+    let base_seq = r.u64().ok()?;
+    let ops = r
+        .seq(17, |r| {
+            let tag = r.u8()?;
+            let fp = r.fp()?;
+            match tag {
+                1 => Ok(DeltaOp::Insert {
                     fp,
-                    bytes: body[pos..pos + len].to_vec(),
-                });
-                pos += len;
+                    bytes: r.bytes()?.to_vec(),
+                }),
+                2 => Ok(DeltaOp::Evict { fp }),
+                _ => Err(OpenError::Malformed("delta op tag")),
             }
-            2 => ops.push(DeltaOp::Evict { fp }),
-            _ => return None,
-        }
-    }
-    (pos == body.len()).then_some((base_seq, ops))
-}
-
-fn checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-delta/v1");
-    h.write(bytes);
-    h.finish()
+        })
+        .ok()?;
+    r.done().ok()?;
+    Some((base_seq, ops))
 }
 
 #[cfg(test)]
@@ -203,27 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn corruption_and_version_skew_fail_validation() {
-        let good = encode_delta(7, &sample());
-        assert!(decode_delta(&good).is_some());
-        for i in 0..good.len() {
-            let mut bad = good.clone();
-            bad[i] ^= 0x01;
-            assert!(decode_delta(&bad).is_none(), "flip at byte {i} undetected");
-        }
-        assert!(decode_delta(&good[..good.len() - 1]).is_none(), "torn tail");
-        assert!(decode_delta(&good[..10]).is_none(), "truncation");
-        assert!(decode_delta(b"").is_none());
-        let mut vskew = good.clone();
-        vskew[DELTA_MAGIC.len()] = 99;
-        assert!(decode_delta(&vskew).is_none(), "future version rejected");
-    }
-
-    #[test]
     fn encoded_len_matches_actual_encoding() {
         let ops = sample();
         let buf = encode_delta(0, &ops);
-        let overhead = DELTA_MAGIC.len() + 4 + 8 + 4 + 16;
+        let overhead = OVERHEAD + 8 + 4;
         assert_eq!(
             buf.len(),
             overhead + ops.iter().map(DeltaOp::encoded_len).sum::<usize>()

@@ -1,33 +1,31 @@
-//! Versioned, checksummed, interner-independent cache-entry encoding.
+//! Interner-independent cache-entry encoding (`CCM2INCR`), sealed in
+//! the shared [`ccm2_support::envelope`].
 //!
 //! [`ccm2_support::Symbol`]s are run-local indices, so an on-disk entry
 //! must never contain one: every symbol is written as its resolved string
 //! and re-interned into the *current* run's interner at decode time.
-//! Layout (all integers little-endian, strings length-prefixed UTF-8):
 //!
-//! ```text
-//! magic "CCM2INCR" · version u32 · payload · checksum Fp128
-//! ```
-//!
-//! The trailing checksum covers everything before it, so a truncated or
-//! bit-flipped file fails [`decode_entry`] before any field is trusted;
-//! the driver degrades such entries to cache misses. Bump
-//! [`FORMAT_VERSION`] whenever the payload layout changes — old entries
-//! then fail with [`DecodeError::Version`] instead of misdecoding, and
-//! `ci.sh` insists on a `version_<N>_…` invalidation test matching the
-//! constant.
+//! A truncated, damaged or differently-versioned entry fails
+//! [`decode_entry`] before any field is trusted; the driver degrades
+//! such entries to cache misses. Bump [`FORMAT_VERSION`] whenever the
+//! payload layout changes (`tests/envelopes.rs` pins the encoding of a
+//! sample and fails until the version moves with it).
 
 use ccm2_codegen::ir::{CodeUnit, Instr, Shape};
 use ccm2_codegen::merge::ModuleImage;
 use ccm2_sema::builtins::Builtin;
-use ccm2_support::hash::Fp128;
+use ccm2_support::envelope::{Format, OpenError, Reader, Writer};
 use ccm2_support::{Interner, Severity, Symbol};
 
 /// On-disk format version. See the module docs before touching this.
 /// v2: added the opaque interprocedural lock-summary blob (`summary`).
 pub const FORMAT_VERSION: u32 = 2;
 
-const MAGIC: &[u8; 8] = b"CCM2INCR";
+/// The cache-entry envelope.
+pub const ENTRY_FORMAT: Format = Format {
+    magic: *b"CCM2INCR",
+    version: FORMAT_VERSION,
+};
 
 /// A diagnostic recorded for replay, with spans relative to the stream's
 /// carve start (offsets shift between edits; content does not).
@@ -64,106 +62,12 @@ pub struct CacheEntryData {
     pub summary: Vec<u8>,
 }
 
-/// Why an entry failed to decode. All variants are handled identically by
-/// the driver (degrade to a miss + note); they are distinguished for
-/// tests and the corruption diagnostic's message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Shorter than magic + version + checksum.
-    TooShort,
-    /// Magic bytes absent — not a cache entry at all.
-    BadMagic,
-    /// Written by a different format version.
-    Version {
-        /// The version found in the entry.
-        found: u32,
-    },
-    /// Checksum mismatch: truncated or bit-flipped payload.
-    Checksum,
-    /// Structurally invalid payload (should be unreachable once the
-    /// checksum passes, but decoding stays total anyway).
-    Malformed(&'static str),
+fn put_sym(w: &mut Writer, s: Symbol, interner: &Interner) {
+    w.str(&interner.resolve(s));
 }
 
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::TooShort => write!(f, "entry too short"),
-            DecodeError::BadMagic => write!(f, "bad magic"),
-            DecodeError::Version { found } => {
-                write!(f, "format version {found} (expected {FORMAT_VERSION})")
-            }
-            DecodeError::Checksum => write!(f, "checksum mismatch"),
-            DecodeError::Malformed(what) => write!(f, "malformed {what}"),
-        }
-    }
-}
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn sym(&mut self, s: Symbol, interner: &Interner) {
-        self.str(&interner.resolve(s));
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(DecodeError::Malformed("length"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed("utf-8 string"))
-    }
-    fn sym(&mut self, interner: &Interner) -> Result<Symbol, DecodeError> {
-        Ok(interner.intern(&self.str()?))
-    }
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+fn get_sym(r: &mut Reader<'_>, interner: &Interner) -> Result<Symbol, OpenError> {
+    Ok(interner.intern(r.str()?))
 }
 
 fn write_shape(w: &mut Writer, shape: &Shape) {
@@ -184,17 +88,14 @@ fn write_shape(w: &mut Writer, shape: &Shape) {
         }
         Shape::Record(fields) => {
             w.u8(10);
-            w.u32(fields.len() as u32);
-            for f in fields {
-                write_shape(w, f);
-            }
+            w.seq(fields, write_shape);
         }
     }
 }
 
-fn read_shape(r: &mut Reader<'_>, depth: u32) -> Result<Shape, DecodeError> {
+fn read_shape(r: &mut Reader<'_>, depth: u32) -> Result<Shape, OpenError> {
     if depth > 64 {
-        return Err(DecodeError::Malformed("shape nesting"));
+        return Err(OpenError::Malformed("shape nesting"));
     }
     Ok(match r.u8()? {
         0 => Shape::Int,
@@ -210,15 +111,8 @@ fn read_shape(r: &mut Reader<'_>, depth: u32) -> Result<Shape, DecodeError> {
             let elem = read_shape(r, depth + 1)?;
             Shape::Array(Box::new(elem), r.u32()?)
         }
-        10 => {
-            let n = r.u32()?;
-            let mut fields = Vec::new();
-            for _ in 0..n {
-                fields.push(read_shape(r, depth + 1)?);
-            }
-            Shape::Record(fields)
-        }
-        _ => return Err(DecodeError::Malformed("shape tag")),
+        10 => Shape::Record(r.seq(1, |r| read_shape(r, depth + 1))?),
+        _ => return Err(OpenError::Malformed("shape tag")),
     })
 }
 
@@ -249,7 +143,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushBool(v) => {
             w.u8(2);
-            w.u8(u8::from(*v));
+            w.bool(*v);
         }
         Instr::PushChar(c) => {
             w.u8(3);
@@ -257,7 +151,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushStr(s) => {
             w.u8(4);
-            w.sym(*s, interner);
+            put_sym(w, *s, interner);
         }
         Instr::PushNil => w.u8(5),
         Instr::PushSet(bits) => {
@@ -266,7 +160,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushProc(s) => {
             w.u8(7);
-            w.sym(*s, interner);
+            put_sym(w, *s, interner);
         }
         Instr::PushAddr { level_up, slot } => {
             w.u8(8);
@@ -275,7 +169,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
         }
         Instr::PushGlobalAddr { module, slot } => {
             w.u8(9);
-            w.sym(*module, interner);
+            put_sym(w, *module, interner);
             w.u32(*slot);
         }
         Instr::AddrField(ix) => {
@@ -327,7 +221,7 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
             link_up,
         } => {
             w.u8(37);
-            w.sym(*target, interner);
+            put_sym(w, *target, interner);
             w.u32(*argc);
             w.u32(*link_up);
         }
@@ -352,22 +246,22 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
     }
 }
 
-fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, DecodeError> {
+fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, OpenError> {
     Ok(match r.u8()? {
         0 => Instr::PushInt(r.i64()?),
         1 => Instr::PushReal(r.u64()?),
-        2 => Instr::PushBool(r.u8()? != 0),
+        2 => Instr::PushBool(r.bool()?),
         3 => Instr::PushChar(r.u8()?),
-        4 => Instr::PushStr(r.sym(interner)?),
+        4 => Instr::PushStr(get_sym(r, interner)?),
         5 => Instr::PushNil,
         6 => Instr::PushSet(r.u64()?),
-        7 => Instr::PushProc(r.sym(interner)?),
+        7 => Instr::PushProc(get_sym(r, interner)?),
         8 => Instr::PushAddr {
             level_up: r.u32()?,
             slot: r.u32()?,
         },
         9 => Instr::PushGlobalAddr {
-            module: r.sym(interner)?,
+            module: get_sym(r, interner)?,
             slot: r.u32()?,
         },
         10 => Instr::AddrField(r.u32()?),
@@ -401,14 +295,13 @@ fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, DecodeEr
         35 => Instr::JumpIfFalse(r.u32()?),
         36 => Instr::JumpIfTrue(r.u32()?),
         37 => Instr::Call {
-            target: r.sym(interner)?,
+            target: get_sym(r, interner)?,
             argc: r.u32()?,
             link_up: r.u32()?,
         },
         38 => Instr::CallIndirect { argc: r.u32()? },
         39 => {
-            let name = r.str()?;
-            let builtin = builtin_by_name(&name).ok_or(DecodeError::Malformed("builtin name"))?;
+            let builtin = builtin_by_name(r.str()?).ok_or(OpenError::Malformed("builtin name"))?;
             Instr::CallBuiltin {
                 builtin,
                 argc: r.u32()?,
@@ -420,147 +313,79 @@ fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, DecodeEr
         43 => Instr::NewCell { shape: r.u32()? },
         44 => Instr::DisposeCell,
         45 => Instr::Nop,
-        _ => return Err(DecodeError::Malformed("instruction tag")),
+        _ => return Err(OpenError::Malformed("instruction tag")),
     })
 }
 
 fn write_unit(w: &mut Writer, unit: &CodeUnit, interner: &Interner) {
-    w.sym(unit.name, interner);
+    put_sym(w, unit.name, interner);
     w.u32(unit.level);
     w.u32(unit.param_count);
-    w.u32(unit.frame.len() as u32);
-    for s in &unit.frame {
-        write_shape(w, s);
-    }
-    w.u32(unit.shapes.len() as u32);
-    for s in &unit.shapes {
-        write_shape(w, s);
-    }
-    w.u32(unit.code.len() as u32);
-    for i in &unit.code {
-        write_instr(w, i, interner);
-    }
+    w.seq(&unit.frame, write_shape);
+    w.seq(&unit.shapes, write_shape);
+    w.seq(&unit.code, |w, i| write_instr(w, i, interner));
 }
 
-fn read_unit(r: &mut Reader<'_>, interner: &Interner) -> Result<CodeUnit, DecodeError> {
-    let name = r.sym(interner)?;
+fn read_unit(r: &mut Reader<'_>, interner: &Interner) -> Result<CodeUnit, OpenError> {
+    let name = get_sym(r, interner)?;
     let level = r.u32()?;
     let param_count = r.u32()?;
-    let read_shapes = |r: &mut Reader<'_>| -> Result<Vec<Shape>, DecodeError> {
-        let n = r.u32()?;
-        let mut v = Vec::new();
-        for _ in 0..n {
-            v.push(read_shape(r, 0)?);
-        }
-        Ok(v)
-    };
-    let frame = read_shapes(r)?;
-    let shapes = read_shapes(r)?;
-    let n = r.u32()?;
-    let mut code = Vec::new();
-    for _ in 0..n {
-        code.push(read_instr(r, interner)?);
-    }
     Ok(CodeUnit {
         name,
         level,
         param_count,
-        frame,
-        shapes,
-        code,
+        frame: r.seq(1, |r| read_shape(r, 0))?,
+        shapes: r.seq(1, |r| read_shape(r, 0))?,
+        code: r.seq(1, |r| read_instr(r, interner))?,
     })
 }
 
-/// Serializes a cache entry (see the module docs for the layout).
+/// Serializes a cache entry.
 pub fn encode_entry(entry: &CacheEntryData, interner: &Interner) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
-    write_unit(&mut w, &entry.unit, interner);
-    w.u32(entry.diags.len() as u32);
-    for d in &entry.diags {
-        w.u8(match d.severity {
-            Severity::Note => 0,
-            Severity::Warning => 1,
-            Severity::Error => 2,
+    ENTRY_FORMAT.seal(|w| {
+        write_unit(w, &entry.unit, interner);
+        w.seq(&entry.diags, |w, d| {
+            w.u8(match d.severity {
+                Severity::Note => 0,
+                Severity::Warning => 1,
+                Severity::Error => 2,
+            });
+            w.u32(d.rel_lo);
+            w.u32(d.rel_hi);
+            w.str(&d.message);
         });
-        w.u32(d.rel_lo);
-        w.u32(d.rel_hi);
-        w.str(&d.message);
-    }
-    w.u32(entry.used.len() as u32);
-    for name in &entry.used {
-        w.str(name);
-    }
-    w.u32(entry.findings);
-    w.u32(entry.summary.len() as u32);
-    w.buf.extend_from_slice(&entry.summary);
-    let checksum = Fp128::of(&w.buf);
-    w.u64(checksum.hi);
-    w.u64(checksum.lo);
-    w.buf
+        w.seq(&entry.used, |w, name| w.str(name));
+        w.u32(entry.findings);
+        w.bytes(&entry.summary);
+    })
 }
 
 /// Deserializes a cache entry, validating magic, version and checksum
 /// before trusting any field. Symbols are interned into `interner`.
-pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData, DecodeError> {
-    if bytes.len() < MAGIC.len() + 4 + 16 {
-        return Err(DecodeError::TooShort);
-    }
-    let (body, checksum_bytes) = bytes.split_at(bytes.len() - 16);
-    let stored = Fp128 {
-        hi: u64::from_le_bytes(checksum_bytes[..8].try_into().unwrap()),
-        lo: u64::from_le_bytes(checksum_bytes[8..].try_into().unwrap()),
+pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData, OpenError> {
+    let mut r = ENTRY_FORMAT.open(bytes)?;
+    let entry = CacheEntryData {
+        unit: read_unit(&mut r, interner)?,
+        diags: r.seq(13, |r| {
+            let severity = match r.u8()? {
+                0 => Severity::Note,
+                1 => Severity::Warning,
+                2 => Severity::Error,
+                _ => return Err(OpenError::Malformed("severity")),
+            };
+            Ok(CachedDiag {
+                severity,
+                rel_lo: r.u32()?,
+                rel_hi: r.u32()?,
+                message: r.str()?.to_owned(),
+            })
+        })?,
+        used: r.seq(4, |r| Ok(r.str()?.to_owned()))?,
+        findings: r.u32()?,
+        summary: r.bytes()?.to_vec(),
     };
-    if &body[..MAGIC.len()] != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    if Fp128::of(body) != stored {
-        return Err(DecodeError::Checksum);
-    }
-    let mut r = Reader {
-        buf: body,
-        pos: MAGIC.len(),
-    };
-    let found = r.u32()?;
-    if found != FORMAT_VERSION {
-        return Err(DecodeError::Version { found });
-    }
-    let unit = read_unit(&mut r, interner)?;
-    let n = r.u32()?;
-    let mut diags = Vec::new();
-    for _ in 0..n {
-        let severity = match r.u8()? {
-            0 => Severity::Note,
-            1 => Severity::Warning,
-            2 => Severity::Error,
-            _ => return Err(DecodeError::Malformed("severity")),
-        };
-        diags.push(CachedDiag {
-            severity,
-            rel_lo: r.u32()?,
-            rel_hi: r.u32()?,
-            message: r.str()?,
-        });
-    }
-    let n = r.u32()?;
-    let mut used = Vec::new();
-    for _ in 0..n {
-        used.push(r.str()?);
-    }
-    let findings = r.u32()?;
-    let n = r.u32()? as usize;
-    let summary = r.take(n)?.to_vec();
-    if !r.done() {
-        return Err(DecodeError::Malformed("trailing bytes"));
-    }
-    Ok(CacheEntryData {
-        unit,
-        diags,
-        used,
-        findings,
-        summary,
-    })
+    r.done()?;
+    Ok(entry)
 }
 
 /// Encodes a whole [`ModuleImage`] with the same interner-independent
@@ -569,22 +394,15 @@ pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData,
 /// symbol-registration order) produced them — the basis of the
 /// warm-vs-cold byte-identity tests.
 pub fn encode_image(image: &ModuleImage, interner: &Interner) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
-    w.sym(image.name, interner);
-    w.sym(image.entry, interner);
-    w.u32(image.units.len() as u32);
-    for unit in &image.units {
-        write_unit(&mut w, unit, interner);
-    }
-    w.u32(image.globals.len() as u32);
-    for g in &image.globals {
-        w.sym(g.module, interner);
-        w.u32(g.slots.len() as u32);
-        for s in &g.slots {
-            write_shape(&mut w, s);
-        }
-    }
-    w.buf
+    let mut w = Writer::default();
+    put_sym(&mut w, image.name, interner);
+    put_sym(&mut w, image.entry, interner);
+    w.seq(&image.units, |w, unit| write_unit(w, unit, interner));
+    w.seq(&image.globals, |w, g| {
+        put_sym(w, g.module, interner);
+        w.seq(&g.slots, write_shape);
+    });
+    w.into_bytes()
 }
 
 #[cfg(test)]
@@ -668,52 +486,6 @@ mod tests {
             }
             other => panic!("expected Call, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn every_corruption_is_detected() {
-        let interner = Interner::new();
-        let bytes = encode_entry(&sample_entry(&interner), &interner);
-        assert!(decode_entry(&bytes, &interner).is_ok());
-
-        // Flip every single byte in turn: nothing may decode successfully,
-        // and (more importantly) nothing may panic.
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert!(
-                decode_entry(&bad, &interner).is_err(),
-                "byte {i} flip went undetected"
-            );
-        }
-        // Truncations at every length.
-        for n in 0..bytes.len() {
-            assert!(decode_entry(&bytes[..n], &interner).is_err());
-        }
-        assert_eq!(decode_entry(b"", &interner), Err(DecodeError::TooShort));
-    }
-
-    #[test]
-    fn version_2_mismatch_invalidates_entry() {
-        // Forge an otherwise-valid entry claiming a future format version:
-        // the checksum is recomputed so only the version check can reject
-        // it. This test's name is pinned to FORMAT_VERSION by ci.sh —
-        // bumping the constant without writing the new version's
-        // invalidation/migration test fails CI.
-        assert_eq!(FORMAT_VERSION, 2, "rename this test when bumping");
-        let interner = Interner::new();
-        let bytes = encode_entry(&sample_entry(&interner), &interner);
-        let mut forged = bytes[..bytes.len() - 16].to_vec();
-        forged[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        let checksum = Fp128::of(&forged);
-        forged.extend_from_slice(&checksum.hi.to_le_bytes());
-        forged.extend_from_slice(&checksum.lo.to_le_bytes());
-        assert_eq!(
-            decode_entry(&forged, &interner),
-            Err(DecodeError::Version {
-                found: FORMAT_VERSION + 1
-            })
-        );
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub mod store;
 
 use ccm2_support::{Diagnostic, Interner, SourceMap};
 
-pub use delta::{decode_delta, encode_delta, DeltaOp, DELTA_FORMAT_VERSION, DELTA_MAGIC};
+pub use delta::{decode_delta, encode_delta, DeltaOp, DELTA_FORMAT};
 pub use entry::{
-    decode_entry, encode_entry, encode_image, CacheEntryData, CachedDiag, DecodeError,
+    decode_entry, encode_entry, encode_image, CacheEntryData, CachedDiag, ENTRY_FORMAT,
     FORMAT_VERSION,
 };
 pub use fingerprint::{

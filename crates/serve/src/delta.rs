@@ -4,8 +4,8 @@
 //! [`SnapshotStore`](crate::SnapshotStore) persists *full* images of the
 //! shared store; a [`DeltaJournal`] persists the **mutation log**
 //! between images — checksummed [`ccm2_incr::delta`] batches, one
-//! segment file per ship, written with the same temp-file +
-//! atomic-rename discipline. A restart then costs one (old) snapshot
+//! segment file per ship, written and quarantined through
+//! [`ccm2_support::imagedir`]. A restart then costs one (old) snapshot
 //! plus a replay of the ops journaled since its cut, which is usually a
 //! small fraction of a fresh full image's bytes. The very same encoded
 //! batches are what `ccm2-fabric` shards ship to their peers as the
@@ -23,6 +23,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use ccm2_incr::{decode_delta, encode_delta, DeltaOp};
+use ccm2_support::imagedir;
 
 /// A directory of journaled delta segments plus their quarantine.
 #[derive(Debug)]
@@ -107,14 +108,8 @@ impl DeltaJournal {
         }
         let first = base_seq + 1;
         let last = base_seq + ops.len() as u64;
-        let bytes = encode_delta(base_seq, ops);
-        let path = self.dir.join(format!("delta-{first:08}-{last:08}.log"));
-        let tmp = self
-            .dir
-            .join(format!(".delta-{first:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        Ok(Some(path))
+        let name = format!("delta-{first:08}-{last:08}.log");
+        imagedir::write_atomic(&self.dir, &name, &encode_delta(base_seq, ops)).map(Some)
     }
 
     /// Replays the journal from just after `seq`: decodes segments in
@@ -137,11 +132,7 @@ impl DeltaJournal {
                 (base + 1 == first && base + ops.len() as u64 == last).then_some(ops)
             });
             let Some(ops) = valid else {
-                let qdir = self.dir.join("quarantine");
-                fs::create_dir_all(&qdir)?;
-                let dest = qdir.join(path.file_name().expect("segment file name"));
-                fs::rename(&path, &dest)?;
-                replay.quarantined.push(dest);
+                replay.quarantined.push(imagedir::quarantine(&path)?);
                 replay.gap = true;
                 continue;
             };
@@ -161,9 +152,7 @@ impl DeltaJournal {
 
     /// Number of quarantined segments currently on disk.
     pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
+        imagedir::quarantined_count(&self.dir)
     }
 }
 
@@ -202,11 +191,11 @@ impl crate::service::CompileService {
         journal: &DeltaJournal,
     ) -> io::Result<crate::service::CompileService> {
         let store = crate::SharedStore::new(config.store_budget);
-        let loaded = snaps.load_latest()?;
-        if let Some(entries) = loaded.entries {
-            store.import(&entries);
+        let image = snaps.load_latest()?.image;
+        if let Some(image) = &image {
+            store.import(&image.entries);
         }
-        let replay = journal.load_after(loaded.delta_seq)?;
+        let replay = journal.load_after(image.map_or(0, |i| i.delta_seq))?;
         store.apply_delta(&replay.ops);
         store.resume_delta_seq(replay.last_seq);
         Ok(crate::service::CompileService::start_with_store(
@@ -300,7 +289,8 @@ mod tests {
         let j = DeltaJournal::new(&dir).unwrap();
         let path = j.append(0, &[ins(1, "a")]).unwrap().unwrap();
         // Rename claims a different range than the payload encodes.
-        fs::rename(&path, dir.join("delta-00000005-00000005.log")).unwrap();
+        fs::copy(&path, dir.join("delta-00000005-00000005.log")).unwrap();
+        fs::remove_file(&path).unwrap();
         let replay = j.load_after(0).unwrap();
         assert!(replay.ops.is_empty());
         assert_eq!(replay.quarantined.len(), 1);

@@ -66,5 +66,7 @@ pub use service::{
     ClientStats, CompileService, RequestRetryReport, ServeConfig, ServeReport, ServiceStats,
     Submission, Ticket,
 };
-pub use snapshot::{LoadedSnapshot, SnapshotStore};
+pub use snapshot::{
+    decode_snapshot, encode_snapshot, SnapshotImage, SnapshotStore, SNAPSHOT_FORMAT,
+};
 pub use store::{SharedStore, StoreStats};

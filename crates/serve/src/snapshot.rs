@@ -1,228 +1,109 @@
-//! Crash-safe [`SharedStore`] snapshots: the service-restart half of
-//! the self-healing recovery plane.
+//! Crash-safe [`SharedStore`] snapshots (`CCM2SNAP`): the
+//! service-restart half of the self-healing recovery plane.
 //!
-//! A snapshot is a single checksummed, versioned image of the shared
-//! artifact store, written with the same temp-file + atomic-rename
-//! journal discipline as [`ccm2_incr`]'s `DiskStore`: the bytes are
-//! fully written and flushed to a hidden temp file, then `rename`d into
-//! place, so a crash at any point leaves either the previous image set
-//! or the complete new one — never a half-written current image.
+//! A snapshot is one image of the whole shared artifact store, sealed
+//! in the shared [`ccm2_support::envelope`] and kept in a
+//! [`ccm2_support::imagedir::ImageDir`] (`snap-{seq:08}.img`; atomic
+//! write, newest valid image wins, damaged ones are quarantined, the
+//! newest and one fallback are retained).
 //!
-//! # Image format (version 2)
+//! # Payload
 //!
 //! ```text
-//! magic      8 bytes   b"CCM2SNAP"
-//! version    u32 LE    2
-//! delta_seq  u64 LE    store delta sequence number at the cut
-//! count      u32 LE    number of entries
-//! entry*     hi u64 LE, lo u64 LE, len u32 LE, bytes   (count times)
-//! checksum   hi u64 LE, lo u64 LE   Fp128 of everything above
+//! delta_seq  u64       store delta sequence number at the cut
+//! count      u32       number of entries
+//! entry*     fp, bytes   (count times)
 //! ```
 //!
-//! Version 1 images (no `delta_seq` field) still decode, with a delta
-//! sequence of 0. The sequence number is the seam between full images
-//! and the incremental [`DeltaJournal`](crate::DeltaJournal): a restart
-//! loads the newest valid image and replays only the journaled delta
-//! ops with higher sequence numbers — usually far fewer bytes than a
-//! fresh full image.
+//! The sequence number is the seam between full images and the
+//! incremental [`DeltaJournal`](crate::DeltaJournal): a restart loads
+//! the newest valid image and replays only the journaled delta ops with
+//! higher sequence numbers — usually far fewer bytes than a fresh full
+//! image.
 //!
 //! Entries are stored **in LRU recency order, least recently used
 //! first** ([`SharedStore::export`]), so replaying them in file order
 //! on restore rebuilds the same eviction order — LRU behavior survives
 //! the restart.
-//!
-//! Images are named `snap-{seq:08}.img` with a monotonically increasing
-//! sequence. [`SnapshotStore::load_latest`] walks them newest-first:
-//! an image that fails validation (truncated, bit-flipped, wrong
-//! version — anything that breaks the trailer checksum) is moved into
-//! a `quarantine/` subdirectory for post-mortem and recovery falls
-//! back to the next older image, exactly like the per-entry quarantine
-//! protocol of the incremental cache.
 
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use ccm2_support::hash::{Fp128, StableHasher};
+use ccm2_support::envelope::Format;
+use ccm2_support::hash::Fp128;
+use ccm2_support::imagedir::{ImageDir, Loaded};
 
 use crate::store::SharedStore;
 
-const MAGIC: &[u8; 8] = b"CCM2SNAP";
-const VERSION: u32 = 2;
+/// The snapshot-image envelope.
+pub const SNAPSHOT_FORMAT: Format = Format {
+    magic: *b"CCM2SNAP",
+    version: 3,
+};
+
+/// One decoded snapshot image.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SnapshotImage {
+    /// Store delta sequence number recorded at the image's cut. Delta
+    /// replay resumes after this sequence number.
+    pub delta_seq: u64,
+    /// The store's entries, oldest-recency first.
+    pub entries: Vec<(Fp128, Vec<u8>)>,
+}
 
 /// A directory of store snapshot images plus their quarantine.
 #[derive(Debug)]
 pub struct SnapshotStore {
-    dir: PathBuf,
-}
-
-/// What [`SnapshotStore::load_latest`] found.
-#[derive(Debug, Default)]
-pub struct LoadedSnapshot {
-    /// Entries of the newest valid image, oldest-recency first; `None`
-    /// when no valid image exists.
-    pub entries: Option<Vec<(Fp128, Vec<u8>)>>,
-    /// Store delta sequence number recorded at the image's cut (0 for
-    /// version-1 images and when no image exists). Delta replay resumes
-    /// after this sequence number.
-    pub delta_seq: u64,
-    /// Images that failed validation and were quarantined by this call.
-    pub quarantined: Vec<PathBuf>,
+    images: ImageDir,
 }
 
 impl SnapshotStore {
     /// Opens (creating if needed) a snapshot directory.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<SnapshotStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        SnapshotStore::from_existing(dir)
+        Ok(SnapshotStore {
+            images: ImageDir::new(dir, "snap")?,
+        })
     }
 
-    fn from_existing(dir: PathBuf) -> io::Result<SnapshotStore> {
-        Ok(SnapshotStore { dir })
-    }
-
-    /// The snapshot directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// `(sequence, path)` of every `snap-*.img` present, ascending.
-    fn images(&self) -> io::Result<Vec<(u64, PathBuf)>> {
-        let mut v = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(seq) = name
-                .strip_prefix("snap-")
-                .and_then(|r| r.strip_suffix(".img"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                v.push((seq, entry.path()));
-            }
-        }
-        v.sort();
-        Ok(v)
-    }
-
-    /// Writes a new image of `store` and returns its path. The write is
-    /// crash-atomic: temp file in the same directory, flush, rename.
+    /// Writes a new image of `store` and returns its path.
     pub fn save(&self, store: &SharedStore) -> io::Result<PathBuf> {
-        let seq = self.images()?.last().map_or(1, |(s, _)| s + 1);
-        let bytes = encode(&store.export(), store.delta_seq());
-        let path = self.dir.join(format!("snap-{seq:08}.img"));
-        let tmp = self
-            .dir
-            .join(format!(".snap-{seq:08}.{}.tmp", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, &path)?;
-        Ok(path)
+        self.images
+            .save(&encode_snapshot(store.delta_seq(), &store.export()))
     }
 
     /// Loads the newest valid image, quarantining any torn/corrupt ones
-    /// encountered on the way down. `entries` is `None` when no image
-    /// validates (fresh directory, or every image damaged).
-    pub fn load_latest(&self) -> io::Result<LoadedSnapshot> {
-        let mut loaded = LoadedSnapshot::default();
-        for (_, path) in self.images()?.into_iter().rev() {
-            let bytes = fs::read(&path)?;
-            if let Some((entries, delta_seq)) = decode(&bytes) {
-                loaded.entries = Some(entries);
-                loaded.delta_seq = delta_seq;
-                return Ok(loaded);
-            }
-            let qdir = self.dir.join("quarantine");
-            fs::create_dir_all(&qdir)?;
-            let dest = qdir.join(path.file_name().expect("image file name"));
-            fs::rename(&path, &dest)?;
-            loaded.quarantined.push(dest);
-        }
-        Ok(loaded)
+    /// encountered on the way down.
+    pub fn load_latest(&self) -> io::Result<Loaded<SnapshotImage>> {
+        self.images.load_latest(decode_snapshot)
     }
 
     /// Number of quarantined images currently on disk.
     pub fn quarantined_count(&self) -> usize {
-        fs::read_dir(self.dir.join("quarantine"))
-            .map(|rd| rd.count())
-            .unwrap_or(0)
+        self.images.quarantined_count()
     }
 }
 
-fn encode(entries: &[(Fp128, Vec<u8>)], delta_seq: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&delta_seq.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (fp, bytes) in entries {
-        buf.extend_from_slice(&fp.hi.to_le_bytes());
-        buf.extend_from_slice(&fp.lo.to_le_bytes());
-        buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(bytes);
-    }
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.hi.to_le_bytes());
-    buf.extend_from_slice(&sum.lo.to_le_bytes());
-    buf
+/// Encodes one snapshot image.
+pub fn encode_snapshot(delta_seq: u64, entries: &[(Fp128, Vec<u8>)]) -> Vec<u8> {
+    SNAPSHOT_FORMAT.seal(|w| {
+        w.u64(delta_seq);
+        w.seq(entries, |w, (fp, bytes)| {
+            w.fp(*fp);
+            w.bytes(bytes);
+        });
+    })
 }
 
-/// Decoded image body: entries in LRU order plus the recorded delta
-/// sequence number (0 for version-1 images).
-type DecodedImage = (Vec<(Fp128, Vec<u8>)>, u64);
-
-/// Strict validation: magic, version, exact length accounting and the
-/// trailer checksum must all hold. Anything else — a torn tail, a
-/// flipped byte, a future version — is `None` and the image is
-/// quarantined by the caller.
-fn decode(buf: &[u8]) -> Option<DecodedImage> {
-    if buf.len() < MAGIC.len() + 4 + 4 + 16 || &buf[..MAGIC.len()] != MAGIC {
-        return None;
-    }
-    let body = &buf[..buf.len() - 16];
-    let trailer = &buf[buf.len() - 16..];
-    let sum = checksum(body);
-    if trailer[..8] != sum.hi.to_le_bytes() || trailer[8..] != sum.lo.to_le_bytes() {
-        return None;
-    }
-    let mut pos = MAGIC.len();
-    let version = u32::from_le_bytes(body[pos..pos + 4].try_into().ok()?);
-    pos += 4;
-    if version != 1 && version != VERSION {
-        return None;
-    }
-    let delta_seq = if version >= 2 {
-        let seq = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        seq
-    } else {
-        0
+/// Decodes one snapshot image; anything the envelope or the payload
+/// grammar refuses is `None` and the image is quarantined by the store.
+pub fn decode_snapshot(buf: &[u8]) -> Option<SnapshotImage> {
+    let mut r = SNAPSHOT_FORMAT.open(buf).ok()?;
+    let image = SnapshotImage {
+        delta_seq: r.u64().ok()?,
+        entries: r.seq(20, |r| Ok((r.fp()?, r.bytes()?.to_vec()))).ok()?,
     };
-    let count = u32::from_le_bytes(body.get(pos..pos + 4)?.try_into().ok()?) as usize;
-    pos += 4;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        if body.len() < pos + 20 {
-            return None;
-        }
-        let hi = u64::from_le_bytes(body[pos..pos + 8].try_into().ok()?);
-        let lo = u64::from_le_bytes(body[pos + 8..pos + 16].try_into().ok()?);
-        let len = u32::from_le_bytes(body[pos + 16..pos + 20].try_into().ok()?) as usize;
-        pos += 20;
-        if body.len() < pos + len {
-            return None;
-        }
-        entries.push((Fp128 { hi, lo }, body[pos..pos + len].to_vec()));
-        pos += len;
-    }
-    (pos == body.len()).then_some((entries, delta_seq))
-}
-
-fn checksum(bytes: &[u8]) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_str("ccm2-snapshot/v1");
-    h.write(bytes);
-    h.finish()
+    r.done().ok()?;
+    Some(image)
 }
 
 impl crate::service::CompileService {
@@ -242,10 +123,9 @@ impl crate::service::CompileService {
         snaps: &SnapshotStore,
     ) -> io::Result<crate::service::CompileService> {
         let store = SharedStore::new(config.store_budget);
-        let loaded = snaps.load_latest()?;
-        if let Some(entries) = loaded.entries {
-            store.import(&entries);
-            store.resume_delta_seq(loaded.delta_seq);
+        if let Some(image) = snaps.load_latest()?.image {
+            store.import(&image.entries);
+            store.resume_delta_seq(image.delta_seq);
         }
         Ok(crate::service::CompileService::start_with_store(
             config,
@@ -257,119 +137,44 @@ impl crate::service::CompileService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccm2_incr::ArtifactStore as _;
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ccm2-snap-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
+    // The directory protocol (fallback, quarantine, retention) is
+    // `ImageDir`'s and tested there; this is the typed front.
     #[test]
-    fn round_trip_preserves_entries_and_order() {
-        let dir = tmp_dir("rt");
+    fn save_and_load_preserve_entries_recency_order_and_delta_seq() {
+        let dir = std::env::temp_dir().join(format!("ccm2-snap-rt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let snaps = SnapshotStore::new(&dir).unwrap();
+        assert!(snaps.load_latest().unwrap().image.is_none(), "cold start");
         let store = SharedStore::new(1024);
-        use ccm2_incr::ArtifactStore as _;
         store.store(fp(1), b"one");
         store.store(fp(2), b"two");
         store.load(fp(1)); // recency order now 2, 1
         let path = snaps.save(&store).unwrap();
         assert!(path.ends_with("snap-00000001.img"));
-        let loaded = snaps.load_latest().unwrap();
-        assert!(loaded.quarantined.is_empty());
-        assert_eq!(
-            loaded.entries.unwrap(),
-            vec![(fp(2), b"two".to_vec()), (fp(1), b"one".to_vec())]
-        );
-        assert_eq!(loaded.delta_seq, 2, "two logged insertions at the cut");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_image_is_quarantined_and_older_good_image_wins() {
-        let dir = tmp_dir("torn");
-        let snaps = SnapshotStore::new(&dir).unwrap();
-        let store = SharedStore::new(1024);
-        use ccm2_incr::ArtifactStore as _;
-        store.store(fp(7), b"good");
-        snaps.save(&store).unwrap();
-        // A newer image, torn mid-write (no atomic rename would ever
-        // produce this; simulate external damage / partial disk).
-        let good = encode(&store.export(), store.delta_seq());
-        fs::write(dir.join("snap-00000002.img"), &good[..good.len() / 2]).unwrap();
+        // A newer image of another format is refused and quarantined.
+        std::fs::write(dir.join("snap-00000002.img"), b"CCM2SNAP, but not really").unwrap();
         let loaded = snaps.load_latest().unwrap();
         assert_eq!(loaded.quarantined.len(), 1);
         assert_eq!(snaps.quarantined_count(), 1);
-        assert_eq!(loaded.entries.unwrap(), vec![(fp(7), b"good".to_vec())]);
-        // The torn image is gone from the active set: a second load
-        // does not re-quarantine.
-        assert!(snaps.load_latest().unwrap().quarantined.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bit_flip_and_version_skew_fail_validation() {
-        let store = SharedStore::new(1024);
-        use ccm2_incr::ArtifactStore as _;
-        store.store(fp(3), b"payload");
-        let good = encode(&store.export(), store.delta_seq());
-        assert!(decode(&good).is_some());
-        let mut flipped = good.clone();
-        flipped[MAGIC.len() + 9] ^= 0x01;
-        assert!(decode(&flipped).is_none(), "bit flip detected");
-        let mut vskew = good.clone();
-        vskew[MAGIC.len()] = 99; // version byte
-        assert!(decode(&vskew).is_none(), "future version rejected");
-        assert!(decode(&good[..10]).is_none(), "truncation detected");
-        assert!(decode(b"").is_none());
-        let _ = &good;
-    }
-
-    #[test]
-    fn version_1_images_still_decode_with_zero_delta_seq() {
-        // Hand-build a v1 image (no delta_seq field) with the v1 layout.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes()); // count
-        buf.extend_from_slice(&fp(5).hi.to_le_bytes());
-        buf.extend_from_slice(&fp(5).lo.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(b"old");
-        let sum = checksum(&buf);
-        buf.extend_from_slice(&sum.hi.to_le_bytes());
-        buf.extend_from_slice(&sum.lo.to_le_bytes());
-        let (entries, delta_seq) = decode(&buf).expect("v1 accepted");
-        assert_eq!(entries, vec![(fp(5), b"old".to_vec())]);
-        assert_eq!(delta_seq, 0, "v1 predates the delta journal");
-    }
-
-    #[test]
-    fn delta_seq_survives_the_snapshot_round_trip() {
-        let store = SharedStore::new(1024);
-        use ccm2_incr::ArtifactStore as _;
-        store.store(fp(1), b"a");
-        store.store(fp(2), b"b");
-        let img = encode(&store.export(), store.delta_seq());
-        let (_, seq) = decode(&img).unwrap();
-        assert_eq!(seq, store.delta_seq());
-    }
-
-    #[test]
-    fn empty_dir_restores_cold() {
-        let dir = tmp_dir("cold");
-        let snaps = SnapshotStore::new(&dir).unwrap();
-        let loaded = snaps.load_latest().unwrap();
-        assert!(loaded.entries.is_none());
-        assert!(loaded.quarantined.is_empty());
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            loaded.image,
+            Some(SnapshotImage {
+                delta_seq: 2, // two logged insertions at the cut
+                entries: vec![(fp(2), b"two".to_vec()), (fp(1), b"one".to_vec())],
+            })
+        );
+        // Every snapshot is a full store image: `save` must prune.
+        for _ in 0..10 {
+            snaps.save(&store).unwrap();
+        }
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(left, 3, "newest, one fallback, and quarantine/");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,6 +5,11 @@
 //! * [`arena`] — an append-only arena whose reads take no lock, the
 //!   storage of every registry that only grows during a compilation
 //!   (interned strings, types, scope tables, scheduler events);
+//! * [`envelope`] — the one checksummed `magic · version · payload ·
+//!   Fp128` envelope and bounds-checked cursor pair behind every
+//!   `CCM2*` on-disk and wire format;
+//! * [`imagedir`] — directories of whole-state images: atomic write,
+//!   newest-valid-wins load, quarantine, newest-plus-one retention;
 //! * [`intern`] — a thread-safe string interner producing copyable
 //!   [`intern::Symbol`] handles, used for every identifier the compiler
 //!   touches (concurrent symbol-table search compares interned handles,
@@ -32,8 +37,10 @@
 pub mod arena;
 pub mod defs;
 pub mod diag;
+pub mod envelope;
 pub mod hash;
 pub mod ids;
+pub mod imagedir;
 pub mod intern;
 pub mod source;
 pub mod work;

@@ -1,0 +1,463 @@
+//! One table for every `CCM2*` format: each row names a [`Format`],
+//! sample images and the format's decoder; every check below runs over
+//! every row. Adding a format = one `Format` const + one `Row` here
+//! (`ci.sh` counts both).
+//!
+//! A decoder is exercised as `recode` — decode, then encode what came
+//! out. `None` means refused; a decoder that accepts an image must hand
+//! back a value whose encoding is exactly that image, or it has read
+//! something other than what was written.
+
+use std::sync::Arc;
+
+use ccm2_analysis::{
+    decode_summary, encode_summary, CallSite, LockAcquire, UnitSummary, SUMMARY_FORMAT,
+};
+use ccm2_codegen::ir::{CodeUnit, Instr, Shape};
+use ccm2_fabric::{
+    decode_frame, decode_membership, decode_replica_logs, encode_frame, encode_membership,
+    encode_replica_logs, LoopbackTransport, MembershipImage, Message, ReplicaLog, ShardNode,
+    Transport, WireOutcome, WireRequest, MBRS_FORMAT, NO_ROUTER, RLOG_FORMAT, WIRE_FORMAT,
+};
+use ccm2_incr::{
+    decode_delta, decode_entry, encode_delta, encode_entry, CacheEntryData, CachedDiag, DeltaOp,
+    DELTA_FORMAT, ENTRY_FORMAT,
+};
+use ccm2_sema::builtins::Builtin;
+use ccm2_sema::symtab::DkyStrategy;
+use ccm2_serve::{decode_snapshot, encode_snapshot, ExecChoice, ServeConfig, SNAPSHOT_FORMAT};
+use ccm2_support::envelope::{Format, OpenError};
+use ccm2_support::hash::Fp128;
+use ccm2_support::source::Span;
+use ccm2_support::{Interner, Severity};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+struct Row {
+    format: Format,
+    /// Sealed sample images; the first is the golden sample.
+    samples: fn() -> Vec<Vec<u8>>,
+    /// Decode, then encode again; `None` when the decoder refuses.
+    recode: fn(&[u8]) -> Option<Vec<u8>>,
+    /// `Fp128::of(samples()[0])` under `format.version`. CCM2INCR's and
+    /// CCM2LOCK's were taken at the commit before the shared envelope
+    /// existed.
+    golden: Fp128,
+}
+
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    Row { format: ENTRY_FORMAT, samples: entry_samples, recode: recode_entry, golden: Fp128 { hi: 10777657332433298116, lo: 9821820985886594869 } },
+    Row { format: SUMMARY_FORMAT, samples: summary_samples, recode: recode_summary, golden: Fp128 { hi: 5252129452001316174, lo: 8448326769721822742 } },
+    Row { format: DELTA_FORMAT, samples: delta_samples, recode: recode_delta, golden: Fp128 { hi: 16986647524978971491, lo: 3414477119848871437 } },
+    Row { format: SNAPSHOT_FORMAT, samples: snapshot_samples, recode: recode_snapshot, golden: Fp128 { hi: 1566589782619992634, lo: 11463258408665851908 } },
+    Row { format: RLOG_FORMAT, samples: rlog_samples, recode: recode_rlog, golden: Fp128 { hi: 4136731496422806886, lo: 3955571710160143157 } },
+    Row { format: MBRS_FORMAT, samples: mbrs_samples, recode: recode_mbrs, golden: Fp128 { hi: 17029936234089811493, lo: 13997396492873622399 } },
+    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 7505433063250938071, lo: 15529812309452523716 } },
+];
+
+fn fp(n: u64) -> Fp128 {
+    Fp128 { hi: n, lo: !n }
+}
+
+fn entry_samples() -> Vec<Vec<u8>> {
+    let interner = Interner::new();
+    let unit = CodeUnit {
+        name: interner.intern("M.P"),
+        level: 1,
+        param_count: 2,
+        frame: vec![
+            Shape::Int,
+            Shape::Addr,
+            Shape::Array(Box::new(Shape::Record(vec![Shape::Int, Shape::Real])), 4),
+        ],
+        shapes: vec![Shape::Record(vec![Shape::Ptr])],
+        code: vec![
+            Instr::PushInt(-7),
+            Instr::PushBool(true),
+            Instr::PushStr(interner.intern("hello")),
+            Instr::PushGlobalAddr {
+                module: interner.intern("Lib0"),
+                slot: 3,
+            },
+            Instr::Call {
+                target: interner.intern("M.Q"),
+                argc: 2,
+                link_up: u32::MAX,
+            },
+            Instr::CallBuiltin {
+                builtin: Builtin::Abs,
+                argc: 1,
+            },
+            Instr::NewCell { shape: 0 },
+            Instr::ReturnValue,
+        ],
+    };
+    let entry = CacheEntryData {
+        unit,
+        diags: vec![CachedDiag {
+            severity: Severity::Warning,
+            rel_lo: 10,
+            rel_hi: 14,
+            message: "local variable `l9` is never used".into(),
+        }],
+        used: vec!["Lib0".into(), "Q".into()],
+        findings: 1,
+        summary: summary_samples().remove(0),
+    };
+    vec![encode_entry(&entry, &interner)]
+}
+
+fn recode_entry(bytes: &[u8]) -> Option<Vec<u8>> {
+    let interner = Interner::new();
+    let entry = decode_entry(bytes, &interner).ok()?;
+    Some(encode_entry(&entry, &interner))
+}
+
+fn summary_samples() -> Vec<Vec<u8>> {
+    let summary = UnitSummary {
+        unit: "M.P".into(),
+        acquires: vec![LockAcquire {
+            held: vec!["muA".into()],
+            lock: "muB".into(),
+            span: Span::new(110, 140),
+        }],
+        calls: vec![CallSite {
+            held: vec!["muA".into(), "muB".into()],
+            callee: "Q".into(),
+            span: Span::new(120, 121),
+        }],
+        from_cache: false,
+    };
+    vec![
+        encode_summary(&summary, 0),
+        encode_summary(&UnitSummary::new("M"), 0),
+    ]
+}
+
+fn recode_summary(bytes: &[u8]) -> Option<Vec<u8>> {
+    Some(encode_summary(&decode_summary(bytes, 0).ok()?, 0))
+}
+
+fn delta_ops() -> Vec<DeltaOp> {
+    vec![
+        DeltaOp::Insert {
+            fp: fp(1),
+            bytes: b"one".to_vec(),
+        },
+        DeltaOp::Evict { fp: fp(9) },
+        DeltaOp::Insert {
+            fp: fp(3),
+            bytes: Vec::new(),
+        },
+    ]
+}
+
+fn delta_samples() -> Vec<Vec<u8>> {
+    vec![encode_delta(7, &delta_ops()), encode_delta(0, &[])]
+}
+
+fn recode_delta(bytes: &[u8]) -> Option<Vec<u8>> {
+    let (base, ops) = decode_delta(bytes)?;
+    Some(encode_delta(base, &ops))
+}
+
+fn snapshot_samples() -> Vec<Vec<u8>> {
+    let entries = [(fp(2), b"two".to_vec()), (fp(1), b"one".to_vec())];
+    vec![encode_snapshot(2, &entries), encode_snapshot(0, &[])]
+}
+
+fn recode_snapshot(bytes: &[u8]) -> Option<Vec<u8>> {
+    let image = decode_snapshot(bytes)?;
+    Some(encode_snapshot(image.delta_seq, &image.entries))
+}
+
+fn rlog_samples() -> Vec<Vec<u8>> {
+    let log = |last_seq, ops, gaps| ReplicaLog {
+        last_seq,
+        ops,
+        gaps,
+        gapped: gaps > 0,
+    };
+    let logs = [(2, log(11, delta_ops(), 0)), (5, log(40, Vec::new(), 2))];
+    vec![encode_replica_logs(&logs.into_iter().collect())]
+}
+
+fn recode_rlog(bytes: &[u8]) -> Option<Vec<u8>> {
+    Some(encode_replica_logs(&decode_replica_logs(bytes)?))
+}
+
+fn mbrs_samples() -> Vec<Vec<u8>> {
+    vec![encode_membership(&MembershipImage {
+        epoch: 7,
+        leader: 2,
+        members: vec![0, 1, 4],
+    })]
+}
+
+fn recode_mbrs(bytes: &[u8]) -> Option<Vec<u8>> {
+    Some(encode_membership(&decode_membership(bytes)?))
+}
+
+fn compile_message(module: &str) -> Message {
+    Message::Compile(WireRequest {
+        client: 7,
+        module: module.into(),
+        source: format!("MODULE {module}; BEGIN END {module}."),
+        defs: vec![("IO".into(), "DEFINITION MODULE IO; END IO.".into())],
+        strategy: DkyStrategy::Optimistic,
+        exec: ExecChoice::Sim(2),
+        analyze: true,
+        task_deadline: Some(1 << 20),
+        max_stream_retries: 3,
+    })
+}
+
+fn wire_samples() -> Vec<Vec<u8>> {
+    let messages = [
+        compile_message("Main"),
+        Message::Outcome(WireOutcome {
+            request_fp: fp(1),
+            ok: true,
+            object: Some(b"image".to_vec()),
+            diagnostics: vec!["warning: x".into()],
+            wall_micros: 1234,
+            streams: 5,
+            degraded: false,
+            stalled: true,
+        }),
+        Message::DeltaShip {
+            from_shard: 2,
+            batch: encode_delta(9, &delta_ops()),
+            router: 0,
+            epoch: 4,
+        },
+        Message::Image {
+            delta_seq: 42,
+            entries: vec![(fp(5), b"cold".to_vec()), (fp(7), b"warm".to_vec())],
+            router: NO_ROUTER,
+            epoch: 3,
+        },
+        Message::LeaseGrant {
+            router: 2,
+            epoch: 11,
+        },
+        Message::Sync,
+    ];
+    messages.iter().map(encode_frame).collect()
+}
+
+fn recode_wire(bytes: &[u8]) -> Option<Vec<u8>> {
+    Some(encode_frame(&decode_frame(bytes)?))
+}
+
+/// What `seal` wrapped: the bytes between the version and the trailer.
+fn payload(sealed: &[u8]) -> &[u8] {
+    &sealed[12..sealed.len() - 16]
+}
+
+/// `payload` under `format`, with a valid checksum.
+fn reseal(format: Format, payload: &[u8]) -> Vec<u8> {
+    format.seal(|w| payload.iter().for_each(|&b| w.u8(b)))
+}
+
+fn name(row: &Row) -> String {
+    String::from_utf8_lossy(&row.format.magic).into_owned()
+}
+
+/// An accepted image must re-encode to itself.
+fn assert_refused_or_canonical(row: &Row, image: &[u8], what: &str) {
+    if let Some(again) = (row.recode)(image) {
+        assert!(again == image, "{}: {what} misdecoded", name(row));
+    }
+}
+
+#[test]
+fn samples_round_trip_and_match_their_golden_digests() {
+    let mut changed = Vec::new();
+    for row in ROWS {
+        let samples = (row.samples)();
+        for sample in &samples {
+            assert_eq!(&sample[..8], row.format.magic, "{}", name(row));
+            assert_eq!(sample[8..12], row.format.version.to_le_bytes());
+            assert_eq!((row.recode)(sample).as_ref(), Some(sample), "{}", name(row));
+        }
+        let digest = Fp128::of(&samples[0]);
+        if digest != row.golden {
+            changed.push(format!(
+                "{} v{} is now {digest:?}",
+                name(row),
+                row.format.version
+            ));
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "encoding changed: bump the version and re-pin — {changed:#?}"
+    );
+}
+
+#[test]
+fn every_truncation_and_every_single_bit_flip_is_refused() {
+    for row in ROWS {
+        for sample in (row.samples)() {
+            for len in 0..sample.len() {
+                assert!(
+                    (row.recode)(&sample[..len]).is_none(),
+                    "{}: truncation to {len} decoded",
+                    name(row)
+                );
+            }
+            for bit in 0..sample.len() * 8 {
+                let mut bad = sample.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    (row.recode)(&bad).is_none(),
+                    "{}: flip of bit {bit} decoded",
+                    name(row)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn foreign_magic_version_skew_and_trailing_bytes_are_refused_under_a_valid_checksum() {
+    for row in ROWS {
+        let Format { magic, version } = row.format;
+        for sample in (row.samples)() {
+            let body = payload(&sample);
+            let foreign = Format {
+                magic: *b"CCM2NOPE",
+                ..row.format
+            };
+            assert_eq!(
+                row.format.open(&reseal(foreign, body)).err(),
+                Some(OpenError::BadMagic)
+            );
+            for found in [version - 1, version + 1] {
+                let skewed = reseal(
+                    Format {
+                        magic,
+                        version: found,
+                    },
+                    body,
+                );
+                assert_eq!(
+                    row.format.open(&skewed).err(),
+                    Some(OpenError::Version { found }),
+                    "{}",
+                    name(row)
+                );
+                assert!((row.recode)(&skewed).is_none(), "{} v{found}", name(row));
+            }
+            let mut longer = body.to_vec();
+            longer.push(0);
+            assert!(
+                (row.recode)(&reseal(row.format, &longer)).is_none(),
+                "{}: trailing byte accepted",
+                name(row)
+            );
+        }
+    }
+}
+
+// A decoder that sizes a `Vec` from the count it read aborts the
+// process on a 40-byte batch announcing `u32::MAX` ops (a 171 GB
+// allocation). The sweep overwrites every payload position, so it hits
+// every count and length field of every format without knowing where
+// they are.
+#[test]
+fn forged_counts_are_refused_without_allocating_for_them() {
+    for row in ROWS {
+        for sample in (row.samples)() {
+            let body = payload(&sample);
+            for at in 0..body.len().saturating_sub(3) {
+                let mut forged = body.to_vec();
+                forged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                let image = reseal(row.format, &forged);
+                assert_refused_or_canonical(row, &image, &format!("u32::MAX at {at}"));
+            }
+        }
+    }
+    let announced = DELTA_FORMAT.seal(|w| {
+        w.u64(0);
+        w.u32(u32::MAX);
+    });
+    assert_eq!(announced.len(), 40);
+    assert_eq!(decode_delta(&announced), None);
+}
+
+// The flips above only ever meet the checksum. These reach the payload
+// grammars: every mutant carries a valid trailer.
+#[test]
+fn resealed_payload_mutations_never_panic_and_never_misdecode() {
+    const EDGES: [u32; 6] = [0, 1, 2, 0x7fff_ffff, 0x8000_0000, u32::MAX];
+    for row in ROWS {
+        let samples = (row.samples)();
+        let mut rng = SmallRng::seed_from_u64(0xE7E1_09E5);
+        for case in 0..2000 {
+            let mut body = payload(&samples[case % samples.len()]).to_vec();
+            for _ in 0..rng.gen_range(1..=3) {
+                if body.is_empty() {
+                    break;
+                }
+                let at = rng.gen_range(0..body.len());
+                match rng.gen_range(0..5) {
+                    0 => body[at] = rng.gen_range(0..=255),
+                    1 => body[at] ^= 1 << rng.gen_range(0..8),
+                    2 => {
+                        let edge = EDGES[rng.gen_range(0..EDGES.len())].to_le_bytes();
+                        let n = edge.len().min(body.len() - at);
+                        body[at..at + n].copy_from_slice(&edge[..n]);
+                    }
+                    3 => {
+                        let end = rng.gen_range(at..=body.len().min(at + 24));
+                        body.drain(at..end);
+                    }
+                    _ => {
+                        let end = rng.gen_range(at..=body.len().min(at + 24));
+                        let dup = body[at..end].to_vec();
+                        body.splice(at..at, dup);
+                    }
+                }
+            }
+            let image = reseal(row.format, &body);
+            assert_refused_or_canonical(row, &image, &format!("mutant {case}"));
+        }
+    }
+}
+
+// The forged batch as it arrives in production: inside a `DeltaShip`
+// frame, off a transport. The shard must answer `Reject` — and still be
+// there for the next request.
+#[test]
+fn a_shard_handed_a_forged_delta_ship_rejects_it_and_keeps_serving() {
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let transport = LoopbackTransport::new();
+    transport.register(0, Arc::new(ShardNode::start(0, config)));
+    let call = |msg: &Message| {
+        let answer = transport.call(0, &encode_frame(msg)).expect("reachable");
+        decode_frame(&answer).expect("shard replies validly")
+    };
+    let forged = Message::DeltaShip {
+        from_shard: 1,
+        batch: DELTA_FORMAT.seal(|w| {
+            w.u64(0);
+            w.u32(u32::MAX);
+        }),
+        router: NO_ROUTER,
+        epoch: 0,
+    };
+    let Message::Reject { reason, .. } = call(&forged) else {
+        panic!("forged batch must be rejected");
+    };
+    assert_eq!(reason, "bad delta batch");
+    let Message::Outcome(outcome) = call(&compile_message("After")) else {
+        panic!("the shard must still compile");
+    };
+    assert!(outcome.ok, "{:?}", outcome.diagnostics);
+}
