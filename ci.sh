@@ -20,15 +20,34 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # spin-then-park barrier wait all pass in a debug build, which is too
 # slow to open the windows they probe; an optimized build opens them.
 # So it is with the worker crew (a thread back on the idle stack before
-# its run's caller hears of it) and the kept-alive shard connections
-# (callers sharing streams, a stream the server closed meanwhile, one
-# origin's delta batches overtaking each other on the way to a peer).
-cargo test -q --release -p ccm2-support arena
-cargo test -q --release -p ccm2-sema get_racing_mark_complete
-cargo test -q --release -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
-cargo test -q --release -p ccm2-sched --test crew
-cargo test -q --release -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin
-cargo test -q --release --test threaded_suite work_charges_equal
+# its run's caller hears of it), the executor table and its seeded
+# differential (one policy under two drivers: a worker that unwinds, a
+# retry requeued under a blocked worker, threads {1, 2, 4} against the
+# simulator) and the kept-alive shard connections (callers sharing
+# streams, a stream the server closed meanwhile, one origin's delta
+# batches overtaking each other on the way to a peer).
+#
+# These tests are picked by name, and a name that matches nothing
+# passes silently: each filter runs on its own and must run a test.
+race() { # race <cargo test args> [-- <name filter>...]
+  local args=() filter log
+  while [ $# -gt 0 ] && [ "$1" != "--" ]; do args+=("$1"); shift; done
+  [ $# -gt 1 ] && shift || set -- ""
+  for filter; do
+    log=$(cargo test -q --release "${args[@]}" -- $filter 2>&1) || { printf '%s\n' "$log"; return 1; }
+    printf '%s\n' "$log" | awk -v what="${args[*]} $filter" '
+      /^test result:/ { ran += $4 }
+      END { print what ": " ran + 0 " tests"; exit ran == 0 }' \
+      || { echo "no test ran: cargo test --release ${args[*]} -- $filter" >&2; return 1; }
+  done
+}
+race -p ccm2-support -- arena
+race -p ccm2-sema -- get_racing_mark_complete
+race -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
+race -p ccm2-sched --test crew
+race -p ccm2-sched --test executors
+race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin
+race --test threaded_suite -- work_charges_equal
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:

@@ -278,9 +278,6 @@ mod tests {
     }
 
     impl ExecEnv for CountingEnv {
-        fn new_event(&self, class: EventClass) -> EventId {
-            self.new_event_named(class, "")
-        }
         fn new_event_named(&self, class: EventClass, name: &str) -> EventId {
             self.events.fetch_add(1, Ordering::Relaxed);
             self.inner.new_event_named(class, name)

@@ -1,14 +1,23 @@
-//! The Supervisors task scheduler (paper §2.3) with two interchangeable
-//! executors.
+//! The Supervisors task scheduler (paper §2.3): one scheduling policy,
+//! two drivers that run it.
 //!
-//! * [`threaded`] — real OS-thread workers, one per assumed processor:
-//!   the paper's deployment model.
-//! * [`sim`] — a deterministic virtual-time executor that runs the same
-//!   task bodies on P *simulated* processors, used to reproduce the
-//!   1–8-processor speedup experiments on a single-CPU host (see
-//!   DESIGN.md's substitution table).
+//! * `policy` — the scheduling decisions, as plain data with no lock,
+//!   clock or thread: which task is ready, what an event releases, what
+//!   a blocked worker may nest, whether a faulted dispatch is retried,
+//!   what a finished task leaves behind, and what to do when nobody can
+//!   run.
+//! * [`threaded`] — drives the policy with real OS-thread workers, one
+//!   per assumed processor: the paper's deployment model.
+//! * [`sim`] — drives it in deterministic virtual time on P *simulated*
+//!   processors, used to reproduce the 1–8-processor speedup
+//!   experiments on a single-CPU host (see DESIGN.md's substitution
+//!   table).
 //!
-//! Both implement [`ExecEnv`], so the compiler driver is written once.
+//! Both drivers implement [`ExecEnv`], so the compiler driver is written
+//! once, and both keep their events in one `EventTable`. A driver
+//! supplies what the policy cannot know: whether an event has occurred
+//! yet, the time a ready entry is stamped with, and how many of its
+//! native time units one stall unit is (DESIGN.md §3).
 //! Events come in the three classes of §2.3.3 ([`EventClass`]); tasks
 //! carry the §2.3.4 priority classes and the declared signal/wait sets
 //! that drive blocked-worker rescheduling and its anti-deadlock
@@ -33,12 +42,17 @@
 //! assert_eq!(hits.load(Ordering::Relaxed), 1);
 //! ```
 
+mod policy;
 pub mod sim;
 pub mod task;
 pub mod threaded;
 pub mod trace;
 pub mod wfg;
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use ccm2_faults::FaultKind;
+use ccm2_support::arena::AppendArena;
 use ccm2_support::ids::EventId;
 use ccm2_support::work::{Work, WorkMeter};
 
@@ -125,19 +139,18 @@ impl Robustness {
             ..Robustness::degrading(plan, deadline)
         }
     }
-}
 
-/// The fault-plan site a task dispatch queries: bare `task:{name}` for
-/// the first attempt, `task:{name}#r{attempt}` for retries — so plans
-/// can distinguish transient faults (exact match, attempt 0 only) from
-/// persistent ones (`task:{name}*` glob).
-pub(crate) fn dispatch_site(name: &str, attempt: u32) -> String {
-    if attempt == 0 {
-        format!("task:{name}")
-    } else {
-        format!("task:{name}#r{attempt}")
+    /// Whether the fault plan drops every signal of the event labeled
+    /// `event_name` (`signal:{name}` site with [`FaultKind::LoseSignal`]).
+    pub(crate) fn loses_signal(&self, event_name: &str) -> bool {
+        self.plan
+            .as_ref()
+            .is_some_and(|p| p.at(&format!("signal:{event_name}")) == Some(FaultKind::LoseSignal))
     }
 }
+
+/// What `catch_unwind` hands back from a panicked task or worker.
+pub(crate) type Payload = Box<dyn std::any::Any + Send>;
 
 /// Renders a caught panic payload for reports.
 pub(crate) fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -164,17 +177,60 @@ pub enum EventClass {
     Barrier,
 }
 
+/// One event of a run: class and label fixed at creation, the flag set
+/// once.
+pub(crate) struct EventFlag {
+    pub(crate) class: EventClass,
+    /// Display name for diagnostics (empty → `event#N`) and the
+    /// `signal:{name}` fault site.
+    pub(crate) name: String,
+    signaled: AtomicBool,
+}
+
+/// The events of one run, under both executors: append-only, and read
+/// without a lock.
+#[derive(Default)]
+pub(crate) struct EventTable(AppendArena<EventFlag>);
+
+impl EventTable {
+    pub(crate) fn create(&self, class: EventClass, name: &str) -> EventId {
+        EventId(self.0.push(EventFlag {
+            class,
+            name: name.to_string(),
+            signaled: AtomicBool::new(false),
+        }) as u32)
+    }
+
+    pub(crate) fn get(&self, event: EventId) -> &EventFlag {
+        self.0.get(event.index()).expect("event of another run")
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Acquire load, pairing with [`EventTable::set`]: what the signaler
+    /// wrote before signaling is visible to whoever reads the flag set.
+    pub(crate) fn is_set(&self, event: EventId) -> bool {
+        self.get(event).signaled.load(Ordering::Acquire)
+    }
+
+    /// Release store (idempotent).
+    pub(crate) fn set(&self, event: EventId) {
+        self.get(event).signaled.store(true, Ordering::Release);
+    }
+}
+
 /// The execution environment seen by compiler tasks: events, task
 /// spawning, blocking, and work charging. Implemented by both executors.
 pub trait ExecEnv: Send + Sync {
     /// Creates an event of the given class.
-    fn new_event(&self, class: EventClass) -> EventId;
-    /// Creates a labeled event (labels appear in scheduler diagnostics;
-    /// the default discards them).
-    fn new_event_named(&self, class: EventClass, name: &str) -> EventId {
-        let _ = name;
-        self.new_event(class)
+    fn new_event(&self, class: EventClass) -> EventId {
+        self.new_event_named(class, "")
     }
+    /// Creates a labeled event (labels appear in scheduler diagnostics
+    /// and name the event's `signal:` fault site).
+    fn new_event_named(&self, class: EventClass, name: &str) -> EventId;
     /// Signals an event (idempotent).
     fn signal(&self, event: EventId);
     /// Whether an event has been signaled.

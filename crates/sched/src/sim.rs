@@ -4,9 +4,13 @@
 //! reproduction's host has one CPU, so speedup cannot be observed on the
 //! wall clock. This executor runs the *actual* compiler task bodies —
 //! real lexing, real symbol tables, real code generation — but schedules
-//! them on `P` *virtual processors* under exactly the Supervisors rules
-//! of the threaded executor, advancing a virtual clock from the work each
-//! task charges ([`ccm2_support::work::WorkMeter`] units).
+//! them on `P` *virtual processors* under the same Supervisors policy
+//! (`crate::policy`) the threaded executor drives, advancing a virtual
+//! clock from the work each task charges
+//! ([`ccm2_support::work::WorkMeter`] units). What this driver supplies
+//! to the policy: an event has *occurred* once the controller has
+//! published it at a virtual time, ready entries are stamped with the
+//! virtual time they became ready, and a stall unit is one virtual unit.
 //!
 //! Mechanically, every task runs on its own parked OS thread; a
 //! single-threaded controller resumes exactly one task at a time and
@@ -18,19 +22,18 @@
 //! processors.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 
-use crate::task::{priority_key, TaskDesc, TaskKind, WaitSet};
+use crate::policy::{Dispatch, Policy, Ready, Task};
+use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
-use crate::{payload_message, EventClass, ExecEnv, Robustness, RunReport};
+use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
 
 /// Configuration for a simulated run.
 #[derive(Clone, Debug)]
@@ -103,9 +106,8 @@ enum Action {
     /// Wait on an event, with an optional co-signaler hint (see
     /// [`crate::ExecEnv::wait_hinted`]).
     Wait(EventId, Option<EventId>),
-    /// Task body finished; carries the caught panic message when the
-    /// body panicked under recover mode.
-    Finish(Option<String>),
+    /// Task body finished; carries the payload if it panicked.
+    Finish(Option<Payload>),
 }
 
 struct YieldMsg {
@@ -114,63 +116,40 @@ struct YieldMsg {
     action: Action,
 }
 
-struct TaskChannels {
+/// A dispatched task, running on its own thread whenever the controller
+/// resumes it.
+struct Started {
+    task: Task,
     resume_tx: SyncSender<()>,
     yield_rx: Receiver<YieldMsg>,
+    /// Virtual busy time accumulated so far (deadline watchdog).
+    busy: u64,
 }
 
-enum TaskState {
-    NotStarted(crate::task::TaskBody),
-    Running(TaskChannels),
-    Done,
+/// What a processor is about to step: a task taken from the ready queue
+/// and not dispatched yet, or one already started.
+enum Slot {
+    Fresh(Ready),
+    Started(Started),
 }
 
-struct SimTask {
-    name: String,
-    kind: TaskKind,
+/// Setup-phase spawns and signals, ingested by the controller at time 0.
+#[derive(Default)]
+struct Prestart {
+    spawns: Vec<TaskDesc>,
     signals: Vec<EventId>,
-    signals_def_scope: bool,
-    signals_barriers: bool,
-    may_wait: WaitSet,
-    weight: u64,
-    /// Per-task retry cap overriding the global `max_retries`.
-    retry_budget: Option<u32>,
-    state: TaskState,
-}
-
-struct EvState {
-    class: EventClass,
-    signaled: bool,
-    /// Display name for deadlock diagnostics (empty → `event#N`).
-    name: String,
-}
-
-/// State shared between the controller and task threads (only one of
-/// which executes at any instant).
-struct SharedState {
-    events: Vec<EvState>,
-    prestart_spawns: Vec<TaskDesc>,
-    prestart_signals: Vec<EventId>,
 }
 
 /// The simulated execution environment handed to compiler tasks.
 pub struct SimEnv {
-    shared: Mutex<SharedState>,
-    /// Fault plan queried at `signal:` sites (lost-signal injection).
-    faults: Option<Arc<FaultPlan>>,
-}
-
-impl SimEnv {
-    /// Whether the fault plan drops every signal of this event.
-    fn is_lost(&self, event: EventId) -> bool {
-        match &self.faults {
-            Some(plan) => {
-                let name = self.shared.lock().events[event.index()].name.clone();
-                plan.at(&format!("signal:{name}")) == Some(FaultKind::LoseSignal)
-            }
-            None => false,
-        }
-    }
+    /// An event's flag is set as soon as a task signals it (tasks run
+    /// one at a time, in virtual-time order); waiters are released when
+    /// the controller publishes the signal at the slice-end clock.
+    events: EventTable,
+    prestart: Mutex<Prestart>,
+    /// Queried by tasks at `signal:` sites (lost-signal injection), and
+    /// by the controller for the deadline and recover mode.
+    robustness: Robustness,
 }
 
 thread_local! {
@@ -209,29 +188,18 @@ impl SimTaskCtx {
 }
 
 impl ExecEnv for SimEnv {
-    fn new_event(&self, class: EventClass) -> EventId {
-        self.new_event_named(class, "")
-    }
-
     fn new_event_named(&self, class: EventClass, name: &str) -> EventId {
-        let mut sh = self.shared.lock();
-        let id = EventId(sh.events.len() as u32);
-        sh.events.push(EvState {
-            class,
-            signaled: false,
-            name: name.to_string(),
-        });
-        id
+        self.events.create(class, name)
     }
 
     fn signal(&self, event: EventId) {
-        if self.is_lost(event) {
+        if self.robustness.loses_signal(&self.events.get(event).name) {
             // Injected lost signal: never marked signaled, never
             // published to the controller. The watchdog force-releases
             // any waiter it wedges.
             return;
         }
-        self.shared.lock().events[event.index()].signaled = true;
+        self.events.set(event);
         let in_task = SIM_TASK.with(|t| {
             let mut b = t.borrow_mut();
             if let Some(ctx) = b.as_mut() {
@@ -242,12 +210,12 @@ impl ExecEnv for SimEnv {
             }
         });
         if !in_task {
-            self.shared.lock().prestart_signals.push(event);
+            self.prestart.lock().signals.push(event);
         }
     }
 
     fn is_signaled(&self, event: EventId) -> bool {
-        self.shared.lock().events[event.index()].signaled
+        self.events.is_set(event)
     }
 
     fn wait_hinted(&self, event: EventId, signaler_hint: Option<EventId>) {
@@ -280,7 +248,7 @@ impl ExecEnv for SimEnv {
         });
         if let Some(task) = leftover {
             // Setup-thread spawn (before the controller starts).
-            self.shared.lock().prestart_spawns.push(task);
+            self.prestart.lock().spawns.push(task);
         }
     }
 
@@ -308,18 +276,10 @@ impl ExecEnv for SimEnv {
 
 struct Proc {
     clock: u64,
-    current: Option<usize>,
+    current: Option<Slot>,
     /// Suspended tasks (bottom→top) with the event each awaits and the
     /// co-signaler hint, if any.
-    stack: Vec<(usize, EventId, Option<EventId>)>,
-}
-
-type PrioKey = (usize, std::cmp::Reverse<u64>, u64);
-
-struct PendingEntry {
-    prereqs: Vec<EventId>,
-    key: PrioKey,
-    task_ix: usize,
+    stack: Vec<(Started, EventId, Option<EventId>)>,
 }
 
 /// Runs a task graph on `config.procs` virtual processors. `setup`
@@ -347,54 +307,43 @@ pub fn run_sim_with(
 ) -> RunReport {
     assert!(config.procs >= 1, "need at least one processor");
     let env = Arc::new(SimEnv {
-        shared: Mutex::new(SharedState {
-            events: Vec::new(),
-            prestart_spawns: Vec::new(),
-            prestart_signals: Vec::new(),
-        }),
-        faults: robustness.plan.clone(),
+        events: EventTable::default(),
+        prestart: Mutex::default(),
+        robustness,
     });
     setup(&env);
-    Controller::new(Arc::clone(&env), config, robustness).run()
-}
-
-/// Spawns a task from outside the simulation (setup phase).
-pub fn spawn_prestart(env: &Arc<SimEnv>, task: TaskDesc) {
-    env.shared.lock().prestart_spawns.push(task);
+    Controller::new(env, config).run()
 }
 
 struct Controller {
     env: Arc<SimEnv>,
     config: SimConfig,
-    tasks: Vec<SimTask>,
-    ready: BTreeMap<PrioKey, (usize, u64)>, // key -> (task index, ready_time)
-    pending: Vec<PendingEntry>,
-    /// wake time of each signaled event (indexed by event id; None =
-    /// unsignaled so far as the controller has processed).
-    wake_time: Vec<Option<u64>>,
-    /// tasks blocked on an event: event -> (proc, task) entries.
+    policy: Policy,
+    wake_time: WakeTimes,
     procs: Vec<Proc>,
-    seq: u64,
-    outstanding: usize,
     trace: Trace,
     charges: [u64; Work::COUNT],
-    tasks_run: usize,
     handles: Vec<std::thread::JoinHandle<()>>,
-    robustness: Robustness,
-    /// Virtual busy time accumulated per task (deadline watchdog).
-    busy: Vec<u64>,
-    /// Faulted dispatches retried per task under supervised recovery.
-    attempts: Vec<u32>,
-    /// Whether the task's final (executed) dispatch was fault-free.
-    clean_final: Vec<bool>,
-    panics: Vec<(String, String)>,
-    stalls: Vec<String>,
-    stall_keys: std::collections::HashSet<String>,
-    recoveries: Vec<(String, u32)>,
+}
+
+/// The virtual time at which each event occurred, by event index:
+/// `None`, or past the end, while the controller has not published it.
+#[derive(Default)]
+struct WakeTimes(Vec<Option<u64>>);
+
+impl WakeTimes {
+    fn of(&self, event: EventId) -> Option<u64> {
+        self.0.get(event.index()).copied().flatten()
+    }
+
+    /// The policy's "has this event occurred".
+    fn occurred(&self) -> impl Fn(EventId) -> bool + '_ {
+        |e| self.of(e).is_some()
+    }
 }
 
 impl Controller {
-    fn new(env: Arc<SimEnv>, config: SimConfig, robustness: Robustness) -> Controller {
+    fn new(env: Arc<SimEnv>, config: SimConfig) -> Controller {
         let procs = (0..config.procs)
             .map(|_| Proc {
                 clock: 0,
@@ -403,47 +352,26 @@ impl Controller {
             })
             .collect();
         Controller {
+            policy: Policy::new(env.robustness.clone(), 1),
             env,
             config,
-            tasks: Vec::new(),
-            ready: BTreeMap::new(),
-            pending: Vec::new(),
-            wake_time: Vec::new(),
+            wake_time: WakeTimes::default(),
             procs,
-            seq: 0,
-            outstanding: 0,
             trace: Trace::default(),
             charges: [0; Work::COUNT],
-            tasks_run: 0,
             handles: Vec::new(),
-            robustness,
-            busy: Vec::new(),
-            attempts: Vec::new(),
-            clean_final: Vec::new(),
-            panics: Vec::new(),
-            stalls: Vec::new(),
-            stall_keys: std::collections::HashSet::new(),
-            recoveries: Vec::new(),
-        }
-    }
-
-    /// Records a watchdog diagnosis once per dedup key.
-    fn record_stall(&mut self, key: String, msg: String) {
-        if self.stall_keys.insert(key) {
-            self.stalls.push(msg);
         }
     }
 
     /// Diagnoses the task if its accumulated virtual busy time exceeds
     /// the configured deadline.
-    fn check_deadline(&mut self, task_ix: usize) {
-        let Some(deadline) = self.robustness.deadline else {
+    fn check_deadline(&mut self, task: &Started) {
+        let Some(deadline) = self.env.robustness.deadline else {
             return;
         };
-        let busy = self.busy[task_ix];
+        let (name, busy) = (&task.task.name, task.busy);
         if busy > deadline {
-            let name = self.tasks[task_ix].name.clone();
-            self.record_stall(
+            self.policy.record_stall(
                 format!("deadline:{name}"),
                 format!(
                     "task `{name}` exceeded the {deadline}-unit virtual \
@@ -453,268 +381,118 @@ impl Controller {
         }
     }
 
-    /// Whether the fault plan drops every signal of this event.
-    fn lost_event(&self, event: EventId) -> bool {
-        let Some(plan) = &self.robustness.plan else {
-            return false;
-        };
-        let name = self.env.shared.lock().events[event.index()].name.clone();
-        plan.at(&format!("signal:{name}")) == Some(FaultKind::LoseSignal)
-    }
-
-    /// Recover-mode wedge release: records the wait-for diagnosis and
-    /// force-signals every unsignaled event the wedge is waiting on so
-    /// the run drains instead of aborting. Returns false when there is
-    /// nothing to release (the caller then panics as before).
-    fn release_wedge(&mut self) -> bool {
-        self.ensure_wake_len();
-        let mut events: Vec<EventId> = Vec::new();
-        for proc in &self.procs {
-            for &(_, e, _) in &proc.stack {
-                events.push(e);
+    /// Nobody can run and tasks remain. Under recover mode the wedge
+    /// is released ([`Policy::release_wedge`]) at the latest clock;
+    /// otherwise, or with nothing to release, the run ends here.
+    fn wedged(&mut self) {
+        fn waits(procs: &[Proc]) -> impl Iterator<Item = &(Started, EventId, Option<EventId>)> {
+            procs.iter().flat_map(|p| p.stack.iter())
+        }
+        let suspended = waits(&self.procs).map(|(s, e, hint)| (&s.task, *e, *hint));
+        let report = format!(
+            "{} tasks outstanding, none runnable; {}",
+            self.policy.outstanding(),
+            self.policy
+                .wait_for_report(suspended, &self.env.events, self.wake_time.occurred())
+        );
+        if self.env.robustness.recover {
+            let awaited = waits(&self.procs).map(|&(_, e, _)| e);
+            let events = self
+                .policy
+                .release_wedge(awaited, self.wake_time.occurred(), &report);
+            let at = self.procs.iter().map(|p| p.clock).max().unwrap_or(0);
+            for &e in &events {
+                self.env.events.set(e);
+                self.publish_signal(e, at);
+            }
+            if !events.is_empty() {
+                return;
             }
         }
-        for p in &self.pending {
-            events.extend_from_slice(&p.prereqs);
-        }
-        events.sort_by_key(|e| e.index());
-        events.dedup();
-        events.retain(|e| self.wake_time[e.index()].is_none());
-        if events.is_empty() {
-            return false;
-        }
-        let report = self.deadlock_report();
-        self.record_stall(report.clone(), format!("watchdog released wedge: {report}"));
-        // Each release wakes at least one previously-unsignaled event
-        // and events are finite, so recovery rounds terminate.
-        let at = self.procs.iter().map(|p| p.clock).max().unwrap_or(0);
-        for e in events {
-            self.env.shared.lock().events[e.index()].signaled = true;
-            self.process_signal(e, at);
-        }
-        true
-    }
-
-    fn ensure_wake_len(&mut self) {
-        let n = self.env.shared.lock().events.len();
-        if self.wake_time.len() < n {
-            self.wake_time.resize(n, None);
-        }
+        panic!("virtual-time deadlock: {report}");
     }
 
     fn admit(&mut self, desc: TaskDesc, now: u64) {
-        self.ensure_wake_len();
-        self.seq += 1;
-        let key = priority_key(desc.kind, desc.weight, self.seq);
-        let ix = self.tasks.len();
-        self.tasks.push(SimTask {
-            name: desc.name,
-            kind: desc.kind,
-            signals: desc.signals,
-            signals_def_scope: desc.signals_def_scope,
-            signals_barriers: desc.signals_barriers,
-            may_wait: desc.may_wait,
-            weight: desc.weight,
-            retry_budget: desc.retry_budget,
-            state: TaskState::NotStarted(desc.body),
-        });
-        self.busy.push(0);
-        self.attempts.push(0);
-        self.clean_final.push(true);
-        self.outstanding += 1;
-        let unsatisfied: Vec<EventId> = desc
-            .prereqs
-            .iter()
-            .copied()
-            .filter(|e| self.wake_time[e.index()].is_none())
-            .collect();
-        if unsatisfied.is_empty() {
-            let ready_at = desc
-                .prereqs
-                .iter()
-                .filter_map(|e| self.wake_time[e.index()])
-                .fold(now, u64::max);
-            self.ready.insert(key, (ix, ready_at));
-        } else {
-            self.pending.push(PendingEntry {
-                prereqs: unsatisfied,
-                key,
-                task_ix: ix,
-            });
-        }
+        let woken = desc.prereqs.iter().filter_map(|e| self.wake_time.of(*e));
+        let ready_at = woken.fold(now, u64::max);
+        self.policy.admit(desc, ready_at, self.wake_time.occurred());
     }
 
-    fn process_signal(&mut self, event: EventId, at: u64) {
-        self.ensure_wake_len();
-        if self.wake_time[event.index()].is_some() {
+    /// The signal of `event` reaches the waiters: it occurred at `at`,
+    /// unless it had occurred before.
+    fn publish_signal(&mut self, event: EventId, at: u64) {
+        if self.wake_time.of(event).is_some() {
             return;
         }
-        self.wake_time[event.index()] = Some(at);
-        // Release avoided-prereq tasks.
-        let mut still = Vec::new();
-        let mut freed = Vec::new();
-        for mut p in std::mem::take(&mut self.pending) {
-            p.prereqs.retain(|e| self.wake_time[e.index()].is_none());
-            if p.prereqs.is_empty() {
-                freed.push(p);
-            } else {
-                still.push(p);
-            }
+        let times = &mut self.wake_time.0;
+        if times.len() <= event.index() {
+            times.resize(event.index() + 1, None);
         }
-        self.pending = still;
-        for p in freed {
-            self.ready.insert(p.key, (p.task_ix, at));
-        }
+        times[event.index()] = Some(at);
+        self.policy.release(event, at, self.wake_time.occurred());
     }
 
-    /// Starts or resumes the given task on proc `p`, returning the
-    /// yield. `inject` is the fault (already looked up by the run loop,
-    /// which may instead have retried the dispatch) to apply when the
-    /// task is launched; resumes ignore it.
-    fn step_task(&mut self, p: usize, task_ix: usize, inject: Option<FaultKind>) -> YieldMsg {
-        // Transition NotStarted → Running by launching its thread.
-        if matches!(self.tasks[task_ix].state, TaskState::NotStarted(_)) {
-            let body = match std::mem::replace(&mut self.tasks[task_ix].state, TaskState::Done) {
-                TaskState::NotStarted(b) => b,
-                _ => unreachable!(),
-            };
-            let name = self.tasks[task_ix].name.clone();
-            let inject_panic = matches!(inject, Some(FaultKind::Panic));
-            let recover = self.robustness.recover;
-            let (resume_tx, resume_rx) = std::sync::mpsc::sync_channel::<()>(0);
-            let (yield_tx, yield_rx) = std::sync::mpsc::sync_channel::<YieldMsg>(0);
-            let task_name = name.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-{name}"))
-                .stack_size(8 * 1024 * 1024)
-                .spawn(move || {
-                    // Wait for the first resume before touching anything.
-                    if resume_rx.recv().is_err() {
-                        return;
-                    }
-                    SIM_TASK.with(|t| {
-                        *t.borrow_mut() = Some(SimTaskCtx {
-                            yield_tx: yield_tx.clone(),
-                            resume_rx,
-                            pending_signals: Vec::new(),
-                            pending_spawns: Vec::new(),
-                            pending_charge: [0; Work::COUNT],
-                            pending_total: 0,
-                        })
-                    });
-                    let caught: Option<String> = if recover {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                            if inject_panic {
-                                panic!("injected fault: task `{task_name}` panicked");
-                            }
-                            body();
-                        }))
-                        .err()
-                        .map(|p| payload_message(p.as_ref()))
-                    } else {
-                        body();
-                        None
+    /// Starts a dispatched task's thread, parked until its first resume.
+    fn launch(&mut self, task: Task, body: TaskBody) -> Started {
+        let (resume_tx, resume_rx) = std::sync::mpsc::sync_channel::<()>(0);
+        let (yield_tx, yield_rx) = std::sync::mpsc::sync_channel::<YieldMsg>(0);
+        let handle = std::thread::Builder::new()
+            .name(format!("sim-{}", task.name))
+            .stack_size(8 * 1024 * 1024)
+            .spawn(move || {
+                // Wait for the first resume before touching anything.
+                if resume_rx.recv().is_err() {
+                    return;
+                }
+                SIM_TASK.with(|t| {
+                    *t.borrow_mut() = Some(SimTaskCtx {
+                        yield_tx,
+                        resume_rx,
+                        pending_signals: Vec::new(),
+                        pending_spawns: Vec::new(),
+                        pending_charge: [0; Work::COUNT],
+                        pending_total: 0,
+                    })
+                });
+                // The controller decides what a panic means: it owns the
+                // run's `Robustness`.
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).err();
+                // Final yields: flush buffered work, then Finish.
+                SIM_TASK.with(|t| {
+                    let mut b = t.borrow_mut();
+                    let ctx = b.as_mut().expect("sim ctx");
+                    ctx.flush_charge();
+                    let msg = YieldMsg {
+                        signals: std::mem::take(&mut ctx.pending_signals),
+                        spawns: std::mem::take(&mut ctx.pending_spawns),
+                        action: Action::Finish(caught),
                     };
-                    // Final yields: flush buffered work, then Finish.
-                    SIM_TASK.with(|t| {
-                        let mut b = t.borrow_mut();
-                        let ctx = b.as_mut().expect("sim ctx");
-                        ctx.flush_charge();
-                        let msg = YieldMsg {
-                            signals: std::mem::take(&mut ctx.pending_signals),
-                            spawns: std::mem::take(&mut ctx.pending_spawns),
-                            action: Action::Finish(caught),
-                        };
-                        ctx.yield_tx.send(msg).ok();
-                        *b = None;
-                    });
-                })
-                .expect("spawn sim task thread");
-            self.handles.push(handle);
-            self.tasks[task_ix].state = TaskState::Running(TaskChannels {
-                resume_tx,
-                yield_rx,
-            });
-            // Dispatch overhead, plus any injected stall (virtual time).
-            self.procs[p].clock += self.config.dispatch_cost;
-            if let Some(FaultKind::Stall { units }) = inject {
-                self.procs[p].clock += units;
-                self.busy[task_ix] += units;
-                self.check_deadline(task_ix);
-            }
+                    ctx.yield_tx.send(msg).ok();
+                    *b = None;
+                });
+            })
+            .expect("spawn sim task thread");
+        self.handles.push(handle);
+        Started {
+            task,
+            resume_tx,
+            yield_rx,
+            busy: 0,
         }
-        let TaskState::Running(ch) = &self.tasks[task_ix].state else {
-            panic!("stepping non-running task");
-        };
-        ch.resume_tx.send(()).expect("task thread alive");
-        ch.yield_rx.recv().expect("task thread alive")
     }
 
+    /// `1 + contention_alpha × (busy − 1)`, with the processor being
+    /// stepped (whose slot is taken meanwhile) among the busy ones.
     fn contention_factor(&self) -> f64 {
-        let busy = self
-            .procs
-            .iter()
-            .filter(|p| p.current.is_some())
-            .count()
-            .max(1);
-        1.0 + self.config.contention_alpha * (busy as f64 - 1.0)
-    }
-
-    /// Picks an eligible ready task for proc `p` blocked (or idle) with
-    /// the given awaited event, honoring the stack rule.
-    fn pick_nested(
-        &mut self,
-        p: usize,
-        awaited: Option<(EventId, Option<EventId>)>,
-    ) -> Option<(usize, u64)> {
-        let mut stack_sigs: Vec<EventId> = Vec::new();
-        let mut stack_def = false;
-        let mut stack_bar = false;
-        for &(t, ..) in &self.procs[p].stack {
-            stack_sigs.extend_from_slice(&self.tasks[t].signals);
-            stack_def |= self.tasks[t].signals_def_scope;
-            stack_bar |= self.tasks[t].signals_barriers;
-        }
-        if self.procs[p].stack.len() >= 32 {
-            return None;
-        }
-        let mut chosen: Option<PrioKey> = None;
-        if let Some((e, hint)) = awaited {
-            for (key, (tix, _)) in self.ready.iter() {
-                if self.tasks[*tix].signals.contains(&e)
-                    || hint.is_some_and(|h| self.tasks[*tix].signals.contains(&h))
-                {
-                    chosen = Some(*key);
-                    break;
-                }
-            }
-        }
-        if chosen.is_none() {
-            for (key, (tix, _)) in self.ready.iter() {
-                if !self.tasks[*tix]
-                    .may_wait
-                    .intersects(&stack_sigs, stack_def, stack_bar)
-                {
-                    chosen = Some(*key);
-                    break;
-                }
-            }
-        }
-        chosen.map(|key| self.ready.remove(&key).expect("chosen"))
+        let others = self.procs.iter().filter(|p| p.current.is_some()).count();
+        1.0 + self.config.contention_alpha * others as f64
     }
 
     fn run(mut self) -> RunReport {
         // Ingest setup-phase spawns and signals at time 0.
-        let (spawns, signals) = {
-            let mut sh = self.env.shared.lock();
-            (
-                std::mem::take(&mut sh.prestart_spawns),
-                std::mem::take(&mut sh.prestart_signals),
-            )
-        };
-        self.ensure_wake_len();
+        let Prestart { spawns, signals } = std::mem::take(&mut *self.env.prestart.lock());
         for e in signals {
-            self.process_signal(e, 0);
+            self.publish_signal(e, 0);
         }
         for t in spawns {
             self.admit(t, 0);
@@ -726,32 +504,30 @@ impl Controller {
                 if self.procs[p].current.is_some() {
                     continue;
                 }
-                // Resume a suspended task whose event has occurred.
-                if let Some(&(t, e, hint)) = self.procs[p].stack.last() {
-                    if let Some(wake) = self.wake_time.get(e.index()).copied().flatten() {
-                        self.procs[p].stack.pop();
-                        self.procs[p].clock = self.procs[p].clock.max(wake);
-                        self.procs[p].current = Some(t);
-                        continue;
-                    }
-                    // §2.3.3: barrier waits never reschedule the worker;
-                    // under the WorkCrews ablation, no wait does.
-                    let is_barrier =
-                        self.env.shared.lock().events[e.index()].class == EventClass::Barrier;
-                    if !is_barrier && self.config.reschedule_blocked {
-                        // Try to nest work under the blocked stack.
-                        if let Some((t2, ready_at)) = self.pick_nested(p, Some((e, hint))) {
-                            self.procs[p].clock = self.procs[p].clock.max(ready_at);
-                            self.procs[p].current = Some(t2);
+                let next = match self.procs[p].stack.last() {
+                    Some(&(_, e, hint)) => {
+                        // Resume a suspended task whose event has occurred.
+                        if let Some(wake) = self.wake_time.of(e) {
+                            let (t, ..) = self.procs[p].stack.pop().expect("just seen");
+                            self.procs[p].clock = self.procs[p].clock.max(wake);
+                            self.procs[p].current = Some(Slot::Started(t));
+                            continue;
                         }
+                        // Under the WorkCrews ablation no wait reschedules
+                        // the worker; otherwise try to nest work under the
+                        // blocked stack.
+                        if !self.config.reschedule_blocked {
+                            continue;
+                        }
+                        let class = self.env.events.get(e).class;
+                        let stack = self.procs[p].stack.iter().map(|(s, ..)| &s.task);
+                        self.policy.next_for_blocked((e, class), hint, stack)
                     }
-                    continue;
-                }
-                // Empty stack: take the best ready task.
-                if let Some((&key, _)) = self.ready.iter().next() {
-                    let (t, ready_at) = self.ready.remove(&key).expect("key");
-                    self.procs[p].clock = self.procs[p].clock.max(ready_at);
-                    self.procs[p].current = Some(t);
+                    None => self.policy.next_idle(),
+                };
+                if let Some(ready) = next {
+                    self.procs[p].clock = self.procs[p].clock.max(ready.stamp);
+                    self.procs[p].current = Some(Slot::Fresh(ready));
                 }
             }
 
@@ -764,77 +540,38 @@ impl Controller {
                 .min_by_key(|(ix, p)| (p.clock, *ix))
                 .map(|(ix, _)| ix);
             let Some(p) = next else {
-                if self.outstanding == 0 {
+                if self.policy.outstanding() == 0 {
                     break;
                 }
-                if self.robustness.recover && self.release_wedge() {
-                    continue;
-                }
-                panic!("virtual-time deadlock: {}", self.deadlock_report());
+                self.wedged();
+                continue;
             };
 
-            // 3. Step it — but first, if the dispatch is about to hit a
-            // fatal injected fault and the task is a supervised stream
-            // task with retries left, abandon this dispatch (it has run
-            // nothing and signaled nothing yet) and re-enqueue a fresh
-            // attempt under the `#r{attempt}` fault site.
-            let task_ix = self.procs[p].current.expect("runnable");
-            let mut inject: Option<FaultKind> = None;
-            if matches!(self.tasks[task_ix].state, TaskState::NotStarted(_)) {
-                let site = crate::dispatch_site(&self.tasks[task_ix].name, self.attempts[task_ix]);
-                inject = self
-                    .robustness
-                    .plan
-                    .as_ref()
-                    .and_then(|plan| plan.at(&site));
-                let fatal = match inject {
-                    Some(FaultKind::Panic) => true,
-                    Some(FaultKind::Stall { units }) => {
-                        self.robustness.deadline.is_some_and(|d| units > d)
-                    }
-                    _ => false,
-                };
-                if fatal
-                    && self.robustness.recover
-                    && self.tasks[task_ix].kind.stream_retryable()
-                    && self.attempts[task_ix]
-                        < self.tasks[task_ix]
-                            .retry_budget
-                            .unwrap_or(self.robustness.max_retries)
-                {
-                    // Charge the wasted dispatch (a fatal stall is cut
-                    // off at the deadline by the watchdog) and requeue.
-                    let penalty = match inject {
-                        Some(FaultKind::Stall { units }) => {
-                            self.robustness.deadline.map_or(units, |d| d.min(units))
-                        }
-                        _ => 0,
-                    };
-                    self.procs[p].clock += self.config.dispatch_cost + penalty;
-                    self.attempts[task_ix] += 1;
-                    self.seq += 1;
-                    // Budget-aware requeue: the closer the task is to
-                    // exhausting its retry budget, the higher it jumps,
-                    // so near-budget retries aren't starved behind
-                    // fresh same-class work.
-                    let key = crate::task::retry_priority_key(
-                        self.tasks[task_ix].kind,
-                        self.tasks[task_ix].weight,
-                        self.seq,
-                        self.attempts[task_ix],
-                        self.tasks[task_ix]
-                            .retry_budget
-                            .unwrap_or(self.robustness.max_retries),
-                    );
-                    let at = self.procs[p].clock;
-                    self.ready.insert(key, (task_ix, at));
-                    self.procs[p].current = None;
-                    continue;
-                }
-                self.clean_final[task_ix] = !fatal;
-            }
+            // 3. Step it, dispatching it first if it is fresh from the
+            // ready queue: the policy may abandon the dispatch instead
+            // (supervised retry), and the wasted time is charged.
             let slice_start = self.procs[p].clock;
-            let msg = self.step_task(p, task_ix, inject);
+            let mut task = match self.procs[p].current.take().expect("runnable") {
+                Slot::Started(task) => task,
+                Slot::Fresh(ready) => {
+                    let now = slice_start + self.config.dispatch_cost;
+                    match self.policy.dispatch(ready, now) {
+                        Dispatch::Retried { wasted } => {
+                            self.procs[p].clock = now + wasted;
+                            continue;
+                        }
+                        Dispatch::Run { task, body, stall } => {
+                            let mut task = self.launch(task, body);
+                            self.procs[p].clock = now + stall;
+                            task.busy = stall;
+                            self.check_deadline(&task);
+                            task
+                        }
+                    }
+                }
+            };
+            task.resume_tx.send(()).expect("task thread alive");
+            let msg = task.yield_rx.recv().expect("task thread alive");
 
             // 4. Apply the action.
             match msg.action {
@@ -849,53 +586,39 @@ impl Controller {
                     }
                     let advance = (scaled * factor).ceil() as u64;
                     self.procs[p].clock += advance.max(1);
-                    self.busy[task_ix] += advance.max(1);
-                    self.check_deadline(task_ix);
-                    self.record_segment(p, task_ix, slice_start);
+                    task.busy += advance.max(1);
+                    self.check_deadline(&task);
+                    self.record_segment(p, &task.task, slice_start);
+                    self.procs[p].current = Some(Slot::Started(task));
                 }
                 Action::Wait(e, hint) => {
-                    self.ensure_wake_len();
-                    self.record_segment(p, task_ix, slice_start);
-                    if let Some(wake) = self.wake_time.get(e.index()).copied().flatten() {
+                    self.record_segment(p, &task.task, slice_start);
+                    if let Some(wake) = self.wake_time.of(e) {
                         // Already occurred: just advance past the wake.
+                        // The task stays current; it is blocked in wait()
+                        // until resumed, which happens on its next step.
                         self.procs[p].clock = self.procs[p].clock.max(wake);
-                        // Task stays current; it is blocked in wait() until
-                        // resumed, which happens on its next step.
+                        self.procs[p].current = Some(Slot::Started(task));
                     } else {
                         // Genuine block: suspend onto the stack.
-                        self.procs[p].stack.push((task_ix, e, hint));
-                        self.procs[p].current = None;
+                        self.procs[p].stack.push((task, e, hint));
                     }
                 }
                 Action::Finish(caught) => {
-                    self.record_segment(p, task_ix, slice_start);
-                    self.tasks[task_ix].state = TaskState::Done;
-                    self.tasks_run += 1;
-                    self.outstanding -= 1;
-                    if let Some(msg) = caught {
-                        let name = self.tasks[task_ix].name.clone();
-                        self.panics.push((name, msg));
-                    } else if self.attempts[task_ix] > 0 && self.clean_final[task_ix] {
-                        let name = self.tasks[task_ix].name.clone();
-                        self.recoveries.push((name, self.attempts[task_ix]));
-                    }
-                    // Backstop-signal the task's declared signals (also
-                    // for caught-panicked tasks — that is what keeps
-                    // their dependents and the merge runnable); injected
-                    // lost signals are dropped here too.
+                    self.record_segment(p, &task.task, slice_start);
+                    let caught = match caught {
+                        // Unwind with the task's own payload, as the
+                        // threaded executor does.
+                        Some(payload) if !self.env.robustness.recover => {
+                            std::panic::resume_unwind(payload)
+                        }
+                        caught => caught.map(|p| payload_message(p.as_ref())),
+                    };
                     let at = self.procs[p].clock;
-                    let sigs = self.tasks[task_ix].signals.clone();
-                    for e in sigs {
-                        if self.lost_event(e) {
-                            continue;
-                        }
-                        let already = self.env.shared.lock().events[e.index()].signaled;
-                        if !already {
-                            self.env.shared.lock().events[e.index()].signaled = true;
-                        }
-                        self.process_signal(e, at);
+                    for e in self.policy.finish(&mut task.task, caught, &self.env.events) {
+                        self.env.events.set(e);
+                        self.publish_signal(e, at);
                     }
-                    self.procs[p].current = None;
                 }
             }
 
@@ -903,7 +626,7 @@ impl Controller {
             //    clock.
             let at = self.procs[p].clock;
             for e in msg.signals {
-                self.process_signal(e, at);
+                self.publish_signal(e, at);
             }
             for t in msg.spawns {
                 self.admit(t, at);
@@ -918,66 +641,19 @@ impl Controller {
             virtual_time: Some(makespan),
             wall_micros: 0,
             trace: self.trace,
-            tasks_run: self.tasks_run,
+            tasks_run: self.policy.finished,
             charges: self.charges,
-            task_panics: self.panics,
-            stalls: self.stalls,
-            recoveries: self.recoveries,
+            task_panics: self.policy.panics,
+            stalls: self.policy.stalls,
+            recoveries: self.policy.recoveries,
         }
     }
 
-    /// Renders the wait-for graph of the wedged state: suspended tasks
-    /// (with their awaited event and co-signaler hint), gated pending
-    /// tasks, and every unfinished task's declared signals. Names the
-    /// cycle when one exists; otherwise lists the blocked tasks (a
-    /// scheduling wedge — e.g. runnable resolvers that no processor is
-    /// eligible to take).
-    fn deadlock_report(&self) -> String {
-        let mut g = crate::wfg::WaitForGraph::new();
-        {
-            let sh = self.env.shared.lock();
-            for (ix, ev) in sh.events.iter().enumerate() {
-                g.name_event(EventId(ix as u32), &ev.name);
-            }
-        }
-        for proc in &self.procs {
-            for &(t, e, hint) in &proc.stack {
-                let mut awaits = vec![e];
-                if let Some(h) = hint {
-                    awaits.push(h);
-                }
-                g.add_waiter(self.tasks[t].name.clone(), awaits);
-            }
-        }
-        for pend in &self.pending {
-            g.add_waiter(self.tasks[pend.task_ix].name.clone(), pend.prereqs.clone());
-        }
-        for task in &self.tasks {
-            if !matches!(task.state, TaskState::Done) {
-                for &e in &task.signals {
-                    g.add_signaler(e, task.name.clone());
-                }
-            }
-        }
-        match g.find_cycle() {
-            Some(cycle) => format!(
-                "{} tasks outstanding, none runnable; wait-for cycle: {cycle}",
-                self.outstanding
-            ),
-            None => format!(
-                "{} tasks outstanding, none runnable; no wait-for cycle (scheduling wedge); blocked: {}",
-                self.outstanding,
-                g.describe_waiters()
-            ),
-        }
-    }
-
-    fn record_segment(&mut self, p: usize, task_ix: usize, start: u64) {
+    fn record_segment(&mut self, p: usize, t: &Task, start: u64) {
         let end = self.procs[p].clock;
         if end <= start {
             return;
         }
-        let t = &self.tasks[task_ix];
         // Merge with a contiguous previous segment of the same task.
         if let Some(last) = self.trace.segments.last_mut() {
             if last.proc == p as u32 && last.end == start && last.name == t.name {
@@ -998,6 +674,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::{TaskKind, WaitSet};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn charge_task(
@@ -1023,16 +700,13 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let report = run_sim(SimConfig::new(1), |env| {
             for i in 0..4 {
-                spawn_prestart(
+                env.spawn(charge_task(
                     env,
-                    charge_task(
-                        env,
-                        &format!("t{i}"),
-                        TaskKind::ShortCodeGen,
-                        100,
-                        Arc::clone(&counter),
-                    ),
-                );
+                    &format!("t{i}"),
+                    TaskKind::ShortCodeGen,
+                    100,
+                    Arc::clone(&counter),
+                ));
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 4);
@@ -1044,16 +718,13 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let report = run_sim(SimConfig::new(2), |env| {
             for i in 0..4 {
-                spawn_prestart(
+                env.spawn(charge_task(
                     env,
-                    charge_task(
-                        env,
-                        &format!("t{i}"),
-                        TaskKind::ShortCodeGen,
-                        100,
-                        Arc::clone(&counter),
-                    ),
-                );
+                    &format!("t{i}"),
+                    TaskKind::ShortCodeGen,
+                    100,
+                    Arc::clone(&counter),
+                ));
             }
         });
         assert_eq!(report.virtual_time, Some(200));
@@ -1067,14 +738,11 @@ mod tests {
             run_sim(cfg, |env| {
                 for i in 0..2 {
                     let env2 = Arc::clone(env);
-                    spawn_prestart(
-                        env,
-                        TaskDesc::new(
-                            format!("t{i}"),
-                            TaskKind::ShortCodeGen,
-                            Box::new(move || env2.charge(Work::CodeGen, 100)),
-                        ),
-                    );
+                    env.spawn(TaskDesc::new(
+                        format!("t{i}"),
+                        TaskKind::ShortCodeGen,
+                        Box::new(move || env2.charge(Work::CodeGen, 100)),
+                    ));
                 }
             })
             .virtual_time
@@ -1084,112 +752,6 @@ mod tests {
         let contended = mk(0.5);
         assert_eq!(free, 100);
         assert!(contended > free, "{contended} vs {free}");
-    }
-
-    #[test]
-    fn wait_blocks_until_virtual_signal() {
-        // waiter (10 units, then wait) + signaler (500 units, then signal):
-        // waiter finishes right after the signal at t=500.
-        let report = run_sim(SimConfig::new(2), |env| {
-            let e = {
-                let env: &Arc<SimEnv> = env;
-                env.new_event(EventClass::Handled)
-            };
-            let env1 = Arc::clone(env);
-            let mut w = TaskDesc::new(
-                "waiter",
-                TaskKind::Lexor,
-                Box::new(move || {
-                    env1.charge(Work::Parse, 10);
-                    env1.wait(e);
-                    env1.charge(Work::Parse, 10);
-                }),
-            );
-            w.may_wait = WaitSet {
-                events: vec![e],
-                all_def_scopes: false,
-                any_barrier: false,
-            };
-            spawn_prestart(env, w);
-            let env2 = Arc::clone(env);
-            let mut s = TaskDesc::new(
-                "signaler",
-                TaskKind::ShortCodeGen,
-                Box::new(move || {
-                    env2.charge(Work::CodeGen, 500);
-                    env2.signal(e);
-                }),
-            );
-            s.signals = vec![e];
-            spawn_prestart(env, s);
-        });
-        assert_eq!(report.virtual_time, Some(510));
-    }
-
-    #[test]
-    fn single_proc_nests_signaler_under_waiter() {
-        // With one processor the waiter blocks and the worker must nest
-        // the signaler (Supervisors behavior), not deadlock.
-        let report = run_sim(SimConfig::new(1), |env| {
-            let e = env.new_event(EventClass::Handled);
-            let env1 = Arc::clone(env);
-            let mut w = TaskDesc::new(
-                "waiter",
-                TaskKind::Lexor,
-                Box::new(move || {
-                    env1.charge(Work::Parse, 10);
-                    env1.wait(e);
-                    env1.charge(Work::Parse, 10);
-                }),
-            );
-            w.may_wait = WaitSet {
-                events: vec![e],
-                all_def_scopes: false,
-                any_barrier: false,
-            };
-            spawn_prestart(env, w);
-            let env2 = Arc::clone(env);
-            let mut s = TaskDesc::new(
-                "signaler",
-                TaskKind::ShortCodeGen,
-                Box::new(move || {
-                    env2.charge(Work::CodeGen, 100);
-                    env2.signal(e);
-                }),
-            );
-            s.signals = vec![e];
-            spawn_prestart(env, s);
-        });
-        assert_eq!(report.virtual_time, Some(120));
-        assert_eq!(report.tasks_run, 2);
-    }
-
-    #[test]
-    fn avoided_prereq_delays_start() {
-        let report = run_sim(SimConfig::new(2), |env| {
-            let gate = env.new_event(EventClass::Avoided);
-            let env1 = Arc::clone(env);
-            let mut gated = TaskDesc::new(
-                "gated",
-                TaskKind::Lexor,
-                Box::new(move || env1.charge(Work::Lex, 10)),
-            );
-            gated.prereqs = vec![gate];
-            spawn_prestart(env, gated);
-            let env2 = Arc::clone(env);
-            let mut opener = TaskDesc::new(
-                "opener",
-                TaskKind::ShortCodeGen,
-                Box::new(move || {
-                    env2.charge(Work::CodeGen, 300);
-                    env2.signal(gate);
-                }),
-            );
-            opener.signals = vec![gate];
-            spawn_prestart(env, opener);
-        });
-        // gated starts at 300 on the other processor, ends 310.
-        assert_eq!(report.virtual_time, Some(310));
     }
 
     #[test]
@@ -1226,7 +788,7 @@ mod tests {
                             any_barrier: false,
                         };
                     }
-                    spawn_prestart(env, t);
+                    env.spawn(t);
                 }
             })
         };
@@ -1242,28 +804,25 @@ mod tests {
         let report = run_sim(SimConfig::new(3), |env| {
             let env2 = Arc::clone(env);
             let c = Arc::clone(&counter);
-            spawn_prestart(
-                env,
-                TaskDesc::new(
-                    "root",
-                    TaskKind::Lexor,
-                    Box::new(move || {
-                        env2.charge(Work::Lex, 10);
-                        for i in 0..5 {
-                            let c2 = Arc::clone(&c);
-                            let env3 = Arc::clone(&env2);
-                            env2.spawn(TaskDesc::new(
-                                format!("child{i}"),
-                                TaskKind::ShortCodeGen,
-                                Box::new(move || {
-                                    env3.charge(Work::CodeGen, 100);
-                                    c2.fetch_add(1, Ordering::Relaxed);
-                                }),
-                            ));
-                        }
-                    }),
-                ),
-            );
+            env.spawn(TaskDesc::new(
+                "root",
+                TaskKind::Lexor,
+                Box::new(move || {
+                    env2.charge(Work::Lex, 10);
+                    for i in 0..5 {
+                        let c2 = Arc::clone(&c);
+                        let env3 = Arc::clone(&env2);
+                        env2.spawn(TaskDesc::new(
+                            format!("child{i}"),
+                            TaskKind::ShortCodeGen,
+                            Box::new(move || {
+                                env3.charge(Work::CodeGen, 100);
+                                c2.fetch_add(1, Ordering::Relaxed);
+                            }),
+                        ));
+                    }
+                }),
+            ));
         });
         assert_eq!(counter.load(Ordering::Relaxed), 5);
         // 10 units of root, then 5×100 across 3 procs: 2+2+1 → 210.
@@ -1274,7 +833,7 @@ mod tests {
 #[cfg(test)]
 mod ablation_tests {
     use super::*;
-    use crate::task::{TaskDesc, TaskKind, WaitSet};
+    use crate::task::{TaskKind, WaitSet};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// With rescheduling on (Supervisors), a single processor nests the
@@ -1301,7 +860,7 @@ mod ablation_tests {
                 all_def_scopes: false,
                 any_barrier: false,
             };
-            spawn_prestart(env, w);
+            env.spawn(w);
             let env2 = Arc::clone(env);
             let mut s = TaskDesc::new(
                 "signaler",
@@ -1309,7 +868,7 @@ mod ablation_tests {
                 Box::new(move || env2.signal(e)),
             );
             s.signals = vec![e];
-            spawn_prestart(env, s);
+            env.spawn(s);
         });
     }
 
@@ -1339,7 +898,7 @@ mod ablation_tests {
                 all_def_scopes: false,
                 any_barrier: false,
             };
-            spawn_prestart(env, w);
+            env.spawn(w);
             let env2 = Arc::clone(env);
             let d2 = Arc::clone(&d);
             let mut s = TaskDesc::new(
@@ -1352,7 +911,7 @@ mod ablation_tests {
                 }),
             );
             s.signals = vec![e];
-            spawn_prestart(env, s);
+            env.spawn(s);
         });
         assert_eq!(done.load(Ordering::Relaxed), 2);
         assert_eq!(report.tasks_run, 2);
@@ -1382,7 +941,7 @@ mod ablation_tests {
                 all_def_scopes: false,
                 any_barrier: true,
             };
-            spawn_prestart(env, consumer);
+            env.spawn(consumer);
             let env2 = Arc::clone(env);
             let o2 = Arc::clone(&o);
             let mut producer = TaskDesc::new(
@@ -1396,405 +955,11 @@ mod ablation_tests {
             );
             producer.signals = vec![barrier];
             producer.signals_barriers = true;
-            spawn_prestart(env, producer);
+            env.spawn(producer);
         });
         assert_eq!(
             *order.lock(),
             vec!["producer-signals", "consumer-after-barrier"]
         );
-    }
-
-    /// An injected event cycle is reported as a *named* wait-for cycle:
-    /// the simulator is deterministic, so the whole rendering is exact.
-    #[test]
-    #[should_panic(expected = "wait-for cycle: A -[needs-B]-> B -[needs-A]-> A")]
-    fn injected_event_cycle_is_named_in_the_panic() {
-        run_sim(SimConfig::new(2), |env| {
-            let ea = env.new_event_named(EventClass::Handled, "needs-A");
-            let eb = env.new_event_named(EventClass::Handled, "needs-B");
-            for (name, my, other) in [("A", ea, eb), ("B", eb, ea)] {
-                let env2 = Arc::clone(env);
-                let mut t = TaskDesc::new(
-                    name,
-                    TaskKind::ProcParse,
-                    Box::new(move || {
-                        env2.wait(other);
-                        env2.signal(my);
-                    }),
-                );
-                t.signals = vec![my];
-                t.may_wait = WaitSet {
-                    events: vec![other],
-                    all_def_scopes: false,
-                    any_barrier: false,
-                };
-                spawn_prestart(env, t);
-            }
-        });
-    }
-
-    /// A gated task whose avoided prereq nobody signals: no cycle, but
-    /// the wedge report names the blocked task and the event it awaits.
-    #[test]
-    #[should_panic(expected = "gated awaits [never-signaled]")]
-    fn unsignaled_gate_names_the_blocked_task() {
-        run_sim(SimConfig::new(1), |env| {
-            let gate = env.new_event_named(EventClass::Avoided, "never-signaled");
-            let mut t = TaskDesc::new("gated", TaskKind::Lexor, Box::new(|| {}));
-            t.prereqs = vec![gate];
-            spawn_prestart(env, t);
-        });
-    }
-
-    /// Recover mode: an injected task panic is caught, its declared
-    /// signals still fire, and the run completes with the panic in the
-    /// report.
-    #[test]
-    fn sim_recovered_panic_completes_run() {
-        let plan = Arc::new(FaultPlan::single("task:victim", FaultKind::Panic));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let report = run_sim_with(
-            SimConfig::new(2),
-            Robustness::degrading(Some(plan), None),
-            |env| {
-                let done = env.new_event_named(EventClass::Avoided, "victim-done");
-                let mut victim = TaskDesc::new(
-                    "victim",
-                    TaskKind::ProcParse,
-                    Box::new(|| unreachable!("injection fires before the body")),
-                );
-                victim.signals = vec![done];
-                spawn_prestart(env, victim);
-                let r = Arc::clone(&ran);
-                let mut dep = TaskDesc::new(
-                    "dependent",
-                    TaskKind::ShortCodeGen,
-                    Box::new(move || {
-                        r.fetch_add(1, Ordering::Relaxed);
-                    }),
-                );
-                dep.prereqs = vec![done];
-                spawn_prestart(env, dep);
-            },
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "dependent ran");
-        assert_eq!(report.task_panics.len(), 1);
-        assert_eq!(report.task_panics[0].0, "victim");
-        assert!(report.task_panics[0].1.contains("injected fault"));
-    }
-
-    /// Recover mode: a lost signal wedges the waiter; the watchdog
-    /// force-releases it and records the diagnosis instead of panicking.
-    #[test]
-    fn sim_lost_signal_is_force_released() {
-        let plan = Arc::new(FaultPlan::single("signal:gate", FaultKind::LoseSignal));
-        let post = Arc::new(AtomicUsize::new(0));
-        let report = run_sim_with(
-            SimConfig::new(2),
-            Robustness::degrading(Some(plan), None),
-            |env| {
-                let gate = env.new_event_named(EventClass::Handled, "gate");
-                let env1 = Arc::clone(env);
-                let p = Arc::clone(&post);
-                let mut waiter = TaskDesc::new(
-                    "waiter",
-                    TaskKind::ProcParse,
-                    Box::new(move || {
-                        env1.wait(gate);
-                        p.fetch_add(1, Ordering::Relaxed);
-                    }),
-                );
-                waiter.may_wait = WaitSet {
-                    events: vec![gate],
-                    all_def_scopes: false,
-                    any_barrier: false,
-                };
-                spawn_prestart(env, waiter);
-                let env2 = Arc::clone(env);
-                let mut signaler = TaskDesc::new(
-                    "signaler",
-                    TaskKind::ShortCodeGen,
-                    Box::new(move || env2.signal(gate)),
-                );
-                signaler.signals = vec![gate];
-                spawn_prestart(env, signaler);
-            },
-        );
-        assert_eq!(post.load(Ordering::Relaxed), 1, "waiter released");
-        assert!(
-            report.stalls.iter().any(|s| s.contains("released wedge")),
-            "wedge release must be diagnosed; got: {:?}",
-            report.stalls
-        );
-    }
-
-    /// An injected stall advances virtual time and trips the virtual
-    /// deadline watchdog deterministically.
-    #[test]
-    fn sim_injected_stall_trips_virtual_deadline() {
-        let plan = Arc::new(FaultPlan::single(
-            "task:stalling",
-            FaultKind::Stall { units: 5_000 },
-        ));
-        let report = run_sim_with(
-            SimConfig::new(1),
-            Robustness::degrading(Some(plan), Some(1_000)),
-            |env| {
-                let env1 = Arc::clone(env);
-                spawn_prestart(
-                    env,
-                    TaskDesc::new(
-                        "stalling",
-                        TaskKind::ProcParse,
-                        Box::new(move || env1.charge(Work::Parse, 10)),
-                    ),
-                );
-            },
-        );
-        assert_eq!(report.tasks_run, 1);
-        assert_eq!(report.virtual_time, Some(5_010));
-        assert!(
-            report
-                .stalls
-                .iter()
-                .any(|s| s.contains("stalling") && s.contains("deadline")),
-            "stall diagnosis expected; got: {:?}",
-            report.stalls
-        );
-    }
-
-    /// Supervised recovery: a transient fault (exact-match site, so it
-    /// fires on attempt 0 only) is retried; the retried attempt runs
-    /// the body, signals dependents, and leaves no degradation record.
-    #[test]
-    fn sim_transient_fault_is_retried_and_recovers() {
-        let run = || {
-            let plan = Arc::new(FaultPlan::single("task:victim", FaultKind::Panic));
-            let ran = Arc::new(AtomicUsize::new(0));
-            let dep_ran = Arc::new(AtomicUsize::new(0));
-            let report = run_sim_with(
-                SimConfig::new(2),
-                Robustness::supervised(Some(Arc::clone(&plan)), None, 2),
-                |env| {
-                    let done = env.new_event_named(EventClass::Avoided, "victim-done");
-                    let r = Arc::clone(&ran);
-                    let env1 = Arc::clone(env);
-                    let mut victim = TaskDesc::new(
-                        "victim",
-                        TaskKind::ProcParse,
-                        Box::new(move || {
-                            env1.charge(Work::Parse, 10);
-                            r.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    );
-                    victim.signals = vec![done];
-                    spawn_prestart(env, victim);
-                    let d = Arc::clone(&dep_ran);
-                    let mut dep = TaskDesc::new(
-                        "dependent",
-                        TaskKind::ShortCodeGen,
-                        Box::new(move || {
-                            d.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    );
-                    dep.prereqs = vec![done];
-                    spawn_prestart(env, dep);
-                },
-            );
-            assert_eq!(ran.load(Ordering::Relaxed), 1, "body ran exactly once");
-            assert_eq!(dep_ran.load(Ordering::Relaxed), 1, "dependent ran");
-            assert!(report.task_panics.is_empty(), "{:?}", report.task_panics);
-            assert!(report.stalls.is_empty(), "{:?}", report.stalls);
-            assert_eq!(report.recoveries, vec![("victim".to_string(), 1)]);
-            assert!(plan.fired().iter().any(|f| f.contains("task:victim")));
-            report.virtual_time
-        };
-        assert_eq!(run(), run(), "recovery is virtual-time deterministic");
-    }
-
-    /// A persistent fault (trailing glob matches every `#r{k}` retry
-    /// site) exhausts the retry budget and then degrades exactly as an
-    /// unsupervised fault would.
-    #[test]
-    fn sim_persistent_fault_exhausts_retries_and_degrades() {
-        let plan = Arc::new(FaultPlan::single("task:victim*", FaultKind::Panic));
-        let report = run_sim_with(
-            SimConfig::new(1),
-            Robustness::supervised(Some(Arc::clone(&plan)), None, 2),
-            |env| {
-                spawn_prestart(
-                    env,
-                    TaskDesc::new(
-                        "victim",
-                        TaskKind::ProcParse,
-                        Box::new(|| unreachable!("every attempt faults")),
-                    ),
-                );
-            },
-        );
-        assert_eq!(report.task_panics.len(), 1);
-        assert_eq!(report.task_panics[0].0, "victim");
-        assert!(report.recoveries.is_empty());
-        let fired = plan.fired();
-        assert!(
-            fired.iter().any(|f| f.contains("task:victim#r2")),
-            "all retry attempts were dispatched: {fired:?}"
-        );
-    }
-
-    /// A stall long enough to blow the virtual deadline is fatal and
-    /// retried; the wasted dispatch is charged (cut off at the
-    /// deadline) and no stall is diagnosed.
-    #[test]
-    fn sim_fatal_stall_is_retried_and_charged_up_to_deadline() {
-        let plan = Arc::new(FaultPlan::single(
-            "task:victim",
-            FaultKind::Stall { units: 5_000 },
-        ));
-        let report = run_sim_with(
-            SimConfig::new(1),
-            Robustness::supervised(Some(plan), Some(1_000), 1),
-            |env| {
-                let env1 = Arc::clone(env);
-                spawn_prestart(
-                    env,
-                    TaskDesc::new(
-                        "victim",
-                        TaskKind::ProcParse,
-                        Box::new(move || env1.charge(Work::Parse, 10)),
-                    ),
-                );
-            },
-        );
-        assert_eq!(report.recoveries, vec![("victim".to_string(), 1)]);
-        assert!(report.stalls.is_empty(), "{:?}", report.stalls);
-        assert_eq!(
-            report.virtual_time,
-            Some(1_010),
-            "deadline-truncated stall penalty + clean attempt's work"
-        );
-    }
-
-    /// Structural tasks (not stream-retryable) degrade immediately even
-    /// with a retry budget: re-running them would replay spawns already
-    /// observed by the rest of the run.
-    #[test]
-    fn sim_structural_tasks_are_not_retried() {
-        let plan = Arc::new(FaultPlan::single("task:lexor", FaultKind::Panic));
-        let report = run_sim_with(
-            SimConfig::new(1),
-            Robustness::supervised(Some(plan), None, 3),
-            |env| {
-                spawn_prestart(
-                    env,
-                    TaskDesc::new("lexor", TaskKind::Lexor, Box::new(|| {})),
-                );
-            },
-        );
-        assert_eq!(report.task_panics.len(), 1);
-        assert!(report.recoveries.is_empty());
-    }
-
-    /// Budget-aware retry scheduling: a retried stream requeues with a
-    /// rank boost, so a near-budget retry runs ahead of fresh same-class
-    /// work instead of going to the back of its class. The trace pins
-    /// the order: the victim's (successful) retry attempt runs before
-    /// every competitor spawned after it — with the original-priority
-    /// requeue it would run last.
-    #[test]
-    fn sim_near_budget_retry_jumps_ahead_of_fresh_same_class_work() {
-        let plan = Arc::new(FaultPlan::single("task:victim", FaultKind::Panic));
-        let report = run_sim_with(
-            SimConfig::new(1),
-            Robustness::supervised(Some(plan), None, 1),
-            |env| {
-                let env1 = Arc::clone(env);
-                spawn_prestart(
-                    env,
-                    TaskDesc::new(
-                        "victim",
-                        TaskKind::ShortCodeGen,
-                        Box::new(move || env1.charge(Work::CodeGen, 10)),
-                    ),
-                );
-                for i in 0..3 {
-                    let envc = Arc::clone(env);
-                    spawn_prestart(
-                        env,
-                        TaskDesc::new(
-                            format!("comp{i}"),
-                            TaskKind::ShortCodeGen,
-                            Box::new(move || envc.charge(Work::CodeGen, 10)),
-                        ),
-                    );
-                }
-            },
-        );
-        assert_eq!(report.recoveries, vec![("victim".to_string(), 1)]);
-        let seg = |name: &str| {
-            report
-                .trace
-                .segments
-                .iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("no segment for {name}"))
-        };
-        let victim = seg("victim");
-        for i in 0..3 {
-            let comp = seg(&format!("comp{i}"));
-            assert!(
-                victim.start < comp.start,
-                "boosted retry must run before comp{i} \
-                 (victim at {}, comp{i} at {})",
-                victim.start,
-                comp.start
-            );
-        }
-    }
-
-    /// The hint mechanism works in the simulator too.
-    #[test]
-    fn sim_hint_finds_undeclared_signaler() {
-        let mut cfg = SimConfig::new(1);
-        cfg.reschedule_blocked = true;
-        let report = run_sim(cfg, |env| {
-            let dynamic_ev = env.new_event(EventClass::Handled);
-            let scope_ev = env.new_event(EventClass::Handled);
-            let env1 = Arc::clone(env);
-            let mut w = TaskDesc::new(
-                "waiter",
-                TaskKind::DefModParse,
-                Box::new(move || {
-                    env1.charge(Work::DeclAnalyze, 10);
-                    env1.wait_hinted(dynamic_ev, Some(scope_ev));
-                }),
-            );
-            w.signals_def_scope = true;
-            w.may_wait = WaitSet {
-                events: vec![],
-                all_def_scopes: true,
-                any_barrier: false,
-            };
-            spawn_prestart(env, w);
-            let env2 = Arc::clone(env);
-            let mut resolver = TaskDesc::new(
-                "resolver",
-                TaskKind::DefModParse,
-                Box::new(move || {
-                    env2.charge(Work::DeclAnalyze, 20);
-                    env2.signal(dynamic_ev);
-                    env2.signal(scope_ev);
-                }),
-            );
-            resolver.signals = vec![scope_ev];
-            resolver.signals_def_scope = true;
-            resolver.may_wait = WaitSet {
-                events: vec![],
-                all_def_scopes: true,
-                any_barrier: false,
-            };
-            spawn_prestart(env, resolver);
-        });
-        assert_eq!(report.tasks_run, 2);
     }
 }

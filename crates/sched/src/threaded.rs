@@ -1,8 +1,13 @@
 //! The threaded Supervisors executor (paper §2.3.2–§2.3.4).
 //!
 //! One OS-thread *worker* per (assumed) processor; a shared *supervisor*
-//! structure holds the priority queues and event states. The defining
-//! behaviors of the paper are all here:
+//! structure holds the scheduling policy (`crate::policy`: the priority
+//! queues and every decision about them) behind one state lock, and the
+//! event flags beside it. What this driver supplies to the policy: an
+//! event has *occurred* once its flag is set, ready entries need no
+//! stamp (0), and a stall unit is a millisecond (1000 of the native
+//! microseconds). The defining behaviors of the paper, as they look on
+//! real threads:
 //!
 //! * **Avoided events** keep a task off the ready queues until they have
 //!   occurred (it is never assigned just to block immediately).
@@ -30,161 +35,103 @@
 //! notified only when the state lock shows a sleeper.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use ccm2_faults::FaultKind;
-use ccm2_support::arena::AppendArena;
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 
-use crate::task::{priority_key, TaskDesc, TaskKind, WaitSet};
+use crate::policy::{Dispatch, Policy, Task};
+use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
-use crate::{payload_message, EventClass, ExecEnv, Robustness, RunReport};
-
-type PrioKey = (usize, std::cmp::Reverse<u64>, u64);
-
-struct ReadyTask {
-    name: String,
-    kind: TaskKind,
-    signals: Vec<EventId>,
-    signals_def_scope: bool,
-    signals_barriers: bool,
-    may_wait: WaitSet,
-    weight: u64,
-    /// Dispatch attempt under supervised recovery (0 = first).
-    attempt: u32,
-    /// Per-task retry cap overriding the global `max_retries`.
-    retry_budget: Option<u32>,
-    body: crate::task::TaskBody,
-}
-
-struct PendingTask {
-    prereqs: Vec<EventId>,
-    key: PrioKey,
-    task: ReadyTask,
-}
+use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
 
 /// How long a worker watches a barrier event's flag before it parks: a
 /// few block-publication times, well under the two context switches
 /// parking costs.
 const BARRIER_SPIN: Duration = Duration::from_micros(20);
 
-struct EventFlag {
-    class: EventClass,
-    name: String,
-    /// Stored (Release) with the state lock held, so a waiter that reads
-    /// it unset under that lock is counted as a sleeper before the signal
-    /// looks for sleepers; loaded (Acquire) anywhere, lock or no lock.
-    signaled: AtomicBool,
-}
-
-/// One task suspended inside `wait()`: what it awaits (plus the
-/// co-signaler hint, if any) and what it declared it would signal.
-/// Feeds the wait-for-graph deadlock diagnosis.
-struct WaitFrame {
-    task: String,
-    awaited: EventId,
-    hint: Option<EventId>,
-    signals: Vec<EventId>,
+/// One dispatched, unfinished task of a worker.
+struct Frame {
+    task: Task,
+    /// While the task is inside `wait()`: what it awaits, and the
+    /// co-signaler hint. Feeds nesting eligibility, the mid-wakeup guard
+    /// and the wait-for-graph diagnosis.
+    waiting: Option<(EventId, Option<EventId>)>,
+    /// Dispatch time (only taken when a deadline is configured).
+    started: Option<Instant>,
 }
 
 struct SupState {
-    ready: BTreeMap<PrioKey, ReadyTask>,
-    pending: Vec<PendingTask>,
-    seq: u64,
-    outstanding: usize,
+    policy: Policy,
+    /// Per worker index, the tasks it has dispatched and not finished,
+    /// bottom to top: all but the top one are suspended inside `wait()`
+    /// with a nested task above them.
+    stacks: Vec<Vec<Frame>>,
     parked: usize,
     /// Threads inside `cv.wait` right now (workers or not): nobody is
     /// notified while this is zero.
     sleepers: usize,
     done: bool,
-    deadlocked: bool,
-    /// worker index -> awaited event for workers currently parked inside
-    /// wait() (the mid-wakeup guard of the deadlock check).
-    blocked: std::collections::HashMap<u32, EventId>,
-    /// worker index -> every wait() the worker currently has open
-    /// (bottom to top: nested tasks stack further frames).
-    wait_frames: std::collections::HashMap<u32, Vec<WaitFrame>>,
-    /// Task bodies caught panicking under recover mode.
-    panics: Vec<(String, String)>,
-    /// Watchdog diagnoses (wedge releases and deadline overruns).
-    stalls: Vec<String>,
-    /// Dedup keys for `stalls` (task names / wedge reports).
-    stall_reported: std::collections::HashSet<String>,
-    /// Supervised recoveries: `(task, faulted attempts retried)`.
-    recoveries: Vec<(String, u32)>,
-    /// Start times of tasks currently executing, for the deadline
-    /// watchdog (only populated when a deadline is configured).
-    running: std::collections::HashMap<String, Instant>,
+    /// A worker is unwinding — with the deadlock diagnosis, or out of a
+    /// panicked task outside recover mode — and takes the run with it:
+    /// every other worker leaves, every `wait()` returns.
+    aborted: bool,
 }
 
 /// The threaded Supervisors executor.
 pub struct ThreadedSupervisor {
     state: Mutex<SupState>,
     cv: Condvar,
-    events: AppendArena<EventFlag>,
+    /// A flag is stored with the state lock held, so a waiter that reads
+    /// it unset under that lock is counted as a sleeper before the
+    /// signal looks for sleepers; it is loaded anywhere, lock or no lock.
+    events: EventTable,
     workers: usize,
     start: Instant,
     trace: Mutex<Trace>,
     /// Charges made outside the workers, plus each worker's own once it
     /// has ended.
     charges: [AtomicU64; Work::COUNT],
-    tasks_run: AtomicU64,
     robustness: Robustness,
 }
 
 thread_local! {
-    /// Per-worker context: index and the stack of suspended tasks'
-    /// signal sets (for the eligibility rule).
     static WORKER: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
 }
 
 struct WorkerCtx {
     /// The supervisor this thread works for (compared, never read).
     sup: *const ThreadedSupervisor,
-    index: u32,
+    index: usize,
     /// This worker's work charges, added to the supervisor's when the
     /// worker ends.
     charges: [u64; Work::COUNT],
-    /// (name, signals, signals_def_scope, signals_barriers) of every task
-    /// on this worker's stack (bottom to top, including the currently
-    /// running one).
-    stack: Vec<(String, Vec<EventId>, bool, bool)>,
 }
 
 impl ThreadedSupervisor {
     fn new(workers: usize, robustness: Robustness) -> ThreadedSupervisor {
         ThreadedSupervisor {
             state: Mutex::new(SupState {
-                ready: BTreeMap::new(),
-                pending: Vec::new(),
-                seq: 0,
-                outstanding: 0,
+                policy: Policy::new(robustness.clone(), 1000),
+                // Room for the usual nesting depth, so that a dispatch
+                // does not allocate inside the lock section.
+                stacks: (0..workers).map(|_| Vec::with_capacity(4)).collect(),
                 parked: 0,
                 sleepers: 0,
                 done: false,
-                deadlocked: false,
-                blocked: std::collections::HashMap::new(),
-                wait_frames: std::collections::HashMap::new(),
-                panics: Vec::new(),
-                stalls: Vec::new(),
-                stall_reported: std::collections::HashSet::new(),
-                recoveries: Vec::new(),
-                running: std::collections::HashMap::new(),
+                aborted: false,
             }),
             cv: Condvar::new(),
-            events: AppendArena::new(),
+            events: EventTable::default(),
             workers,
             start: Instant::now(),
             trace: Mutex::new(Trace::default()),
             charges: Default::default(),
-            tasks_run: AtomicU64::new(0),
             robustness,
         }
     }
@@ -193,14 +140,17 @@ impl ThreadedSupervisor {
         self.start.elapsed().as_micros() as u64
     }
 
-    fn event(&self, event: EventId) -> &EventFlag {
-        self.events
-            .get(event.index())
-            .expect("event from another supervisor")
+    fn signaled(&self, event: EventId) -> bool {
+        self.events.is_set(event)
     }
 
-    fn signaled(&self, event: EventId) -> bool {
-        self.event(event).signaled.load(Ordering::Acquire)
+    /// The calling thread's index, if it is one of this supervisor's
+    /// workers.
+    fn own_worker(&self) -> Option<usize> {
+        WORKER.with(|w| match w.borrow().as_ref() {
+            Some(ctx) if std::ptr::eq(ctx.sup, self) => Some(ctx.index),
+            _ => None,
+        })
     }
 
     /// Waits on the condition variable (at most `timeout`, if given),
@@ -234,7 +184,7 @@ impl ThreadedSupervisor {
         }
     }
 
-    fn worker_loop(&self, index: u32) {
+    fn worker_loop(&self, index: usize) {
         /// Empties the thread's `WORKER` slot and adds its charges to the
         /// supervisor's — on return and on unwind alike: the thread goes
         /// back to the crew either way.
@@ -254,260 +204,130 @@ impl ThreadedSupervisor {
                 sup: self,
                 index,
                 charges: [0; Work::COUNT],
-                stack: Vec::new(),
             })
         });
         let _leave = Leave(self);
-        self.run_ready_tasks();
-    }
-
-    fn run_ready_tasks(&self) {
         loop {
-            let task = {
+            let (body, stall) = {
                 let mut st = self.state.lock();
                 loop {
-                    if st.done || st.deadlocked {
+                    if st.done || st.aborted {
                         return;
                     }
-                    if let Some((&key, _)) = st.ready.iter().next() {
-                        break st.ready.remove(&key).expect("just seen");
+                    if let Some(run) = self.take(&mut st, index, None) {
+                        break run;
                     }
-                    if st.outstanding == 0 && st.pending.is_empty() {
+                    if st.policy.outstanding() == 0 {
                         st.done = true;
                         self.wake(st);
                         return;
                     }
-                    st.parked += 1;
-                    // Tasks remain but there is nothing to run: if every
-                    // other worker is parked too, this would previously
-                    // hang silently (only the wait() park path checked).
-                    if let Some(report) = self.check_deadlock_locked(&st) {
-                        if self.robustness.recover && self.release_wedge_locked(&mut st, &report) {
-                            st.parked -= 1;
-                            self.wake_locked(&st);
-                            continue;
-                        }
-                        st.deadlocked = true;
-                        st.parked -= 1;
-                        let outstanding = st.outstanding;
-                        self.wake(st);
-                        panic!(
-                            "supervisor deadlock: all workers blocked (this \
-                             worker idle); {outstanding} tasks outstanding; \
-                             {report}"
-                        );
-                    }
-                    self.park_watched(&mut st);
-                    st.parked -= 1;
+                    self.park(&mut st, None);
                 }
             };
-            self.run_task(task);
+            self.run_task(index, body, stall);
         }
     }
 
-    fn run_task(&self, task: ReadyTask) {
-        let (name, kind) = (task.name.clone(), task.kind);
-        let signals = task.signals.clone();
-        let sds = task.signals_def_scope;
-        let sbar = task.signals_barriers;
-        let inject = self
-            .robustness
-            .plan
-            .as_ref()
-            .and_then(|p| p.at(&crate::dispatch_site(&name, task.attempt)));
-        // Supervised retry: a dispatch about to hit a fatal fault (panic,
-        // or a stall that would blow the wall-clock deadline — stall
-        // units are ms, deadlines us) on a per-stream task is abandoned
-        // before anything runs and re-enqueued under the next attempt's
-        // fault site. The task stays `outstanding` throughout.
-        let fatal = match inject {
-            Some(FaultKind::Panic) => true,
-            Some(FaultKind::Stall { units }) => self
-                .robustness
-                .deadline
-                .is_some_and(|d| units.saturating_mul(1000) > d),
-            _ => false,
-        };
-        if fatal
-            && self.robustness.recover
-            && kind.stream_retryable()
-            && task.attempt < task.retry_budget.unwrap_or(self.robustness.max_retries)
-        {
-            let mut task = task;
-            task.attempt += 1;
-            let mut st = self.state.lock();
-            st.seq += 1;
-            // Budget-aware requeue: consumed attempts lift the task's
-            // rank so a near-budget retry isn't starved behind fresh
-            // same-class work (see `retry_priority_key`).
-            let key = crate::task::retry_priority_key(
-                task.kind,
-                task.weight,
-                st.seq,
-                task.attempt,
-                task.retry_budget.unwrap_or(self.robustness.max_retries),
-            );
-            st.ready.insert(key, task);
-            self.wake(st);
-            return;
-        }
-        let attempt = task.attempt;
-        WORKER.with(|w| {
-            if let Some(ctx) = w.borrow_mut().as_mut() {
-                ctx.stack.push((name.clone(), signals.clone(), sds, sbar));
+    /// Takes the next task for `worker` — idle, or blocked on `blocked`
+    /// (an event and the co-signaler hint) — through the policy's
+    /// dispatch decision and onto the worker's stack, all in the lock
+    /// section the caller is in. Returns the body and the injected
+    /// stall (microseconds) to serve before it.
+    fn take(
+        &self,
+        st: &mut SupState,
+        worker: usize,
+        blocked: Option<(EventId, Option<EventId>)>,
+    ) -> Option<(TaskBody, u64)> {
+        loop {
+            let ready = match blocked {
+                None => st.policy.next_idle(),
+                Some((e, hint)) => {
+                    let stack = st.stacks[worker].iter().map(|f| &f.task);
+                    let class = self.events.get(e).class;
+                    st.policy.next_for_blocked((e, class), hint, stack)
+                }
+            }?;
+            match st.policy.dispatch(ready, 0) {
+                Dispatch::Run { task, body, stall } => {
+                    st.stacks[worker].push(Frame {
+                        task,
+                        waiting: None,
+                        started: self.robustness.deadline.map(|_| Instant::now()),
+                    });
+                    return Some((body, stall));
+                }
+                // Ready again under its next attempt's site: for this
+                // worker's next look, or a sleeper's. The abandoned
+                // dispatch served none of its stall.
+                Dispatch::Retried { .. } => self.wake_locked(st),
             }
-        });
-        let started = Instant::now();
-        if self.robustness.deadline.is_some() {
-            self.state.lock().running.insert(name.clone(), started);
         }
-        if let Some(FaultKind::Stall { units }) = inject {
-            std::thread::sleep(std::time::Duration::from_millis(units));
+    }
+
+    /// Runs the task `take` just put on top of `worker`'s stack.
+    fn run_task(&self, worker: usize, body: TaskBody, stall: u64) {
+        if stall > 0 {
+            std::thread::sleep(Duration::from_micros(stall));
         }
         let seg_start = self.now();
-        let caught: Option<String> = if self.robustness.recover {
-            let body = task.body;
-            let task_name = name.clone();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                if matches!(inject, Some(FaultKind::Panic)) {
-                    panic!("injected fault: task `{task_name}` panicked");
-                }
-                body();
-            }))
-            .err()
-            .map(|p| payload_message(p.as_ref()))
-        } else {
-            if matches!(inject, Some(FaultKind::Panic)) {
-                panic!("injected fault: task `{name}` panicked");
-            }
-            (task.body)();
-            None
-        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).err();
         let seg_end = self.now();
-        let proc = WORKER.with(|w| {
-            let mut b = w.borrow_mut();
-            let ctx = b.as_mut().expect("worker ctx");
-            ctx.stack.pop();
-            ctx.index
-        });
-        self.trace.lock().segments.push(Segment {
-            proc,
-            kind,
-            name: name.clone(),
-            start: seg_start,
-            end: seg_end,
-        });
-        self.tasks_run.fetch_add(1, Ordering::Relaxed);
-        // Backstop: auto-signal the task's declared signals so a forgotten
-        // explicit signal cannot deadlock the run. Panicked tasks reach
-        // this too — that is what keeps their dependents and the merge
-        // runnable in degraded mode.
         let mut st = self.state.lock();
-        if self.robustness.deadline.is_some() {
-            st.running.remove(&name);
-            if let Some(deadline) = self.robustness.deadline {
-                let elapsed = started.elapsed().as_micros() as u64;
-                if elapsed > deadline {
-                    Self::record_stall(
-                        &mut st,
-                        format!("deadline:{name}"),
-                        format!(
-                            "task `{name}` exceeded the {deadline}us deadline \
-                             ({elapsed}us elapsed)"
-                        ),
-                    );
-                }
+        let mut frame = st.stacks[worker].pop().expect("the task just run");
+        let caught = match caught {
+            Some(payload) if !self.robustness.recover => {
+                // Unwinding takes this worker out of the run, and the
+                // others would wait for its task forever.
+                st.aborted = true;
+                self.wake(st);
+                std::panic::resume_unwind(payload);
+            }
+            caught => caught.map(|p| payload_message(p.as_ref())),
+        };
+        self.check_deadline(&mut st.policy, &frame);
+        for e in st.policy.finish(&mut frame.task, caught, &self.events) {
+            if !self.signaled(e) {
+                self.signal_locked(&mut st, e);
             }
         }
-        if let Some(msg) = caught {
-            st.panics.push((name.clone(), msg));
-        } else if attempt > 0 && !fatal {
-            st.recoveries.push((name.clone(), attempt));
-        }
-        for e in &signals {
-            if !self.signaled(*e) && !self.is_lost(*e) {
-                self.signal_locked(&mut st, *e);
-            }
-        }
-        st.outstanding -= 1;
-        if st.outstanding == 0 && st.ready.is_empty() && st.pending.is_empty() {
+        if st.policy.outstanding() == 0 {
             st.done = true;
         }
         self.wake(st);
+        self.trace.lock().segments.push(Segment {
+            proc: worker as u32,
+            kind: frame.task.kind,
+            name: frame.task.name,
+            start: seg_start,
+            end: seg_end,
+        });
     }
 
-    /// Marks `event` signaled and releases, in place, the pending tasks
-    /// it was the last unsatisfied prereq of. Only a task that lists
-    /// `event` can become ready here: every other one was checked when
-    /// its own last prereq was signaled.
+    /// Marks `event` signaled and lets the policy release what it gated.
     fn signal_locked(&self, st: &mut SupState, event: EventId) {
-        self.event(event).signaled.store(true, Ordering::Release);
-        let mut i = 0;
-        while i < st.pending.len() {
-            let prereqs = &st.pending[i].prereqs;
-            if prereqs.contains(&event) && prereqs.iter().all(|e| self.signaled(*e)) {
-                let p = st.pending.swap_remove(i);
-                st.ready.insert(p.key, p.task);
-            } else {
-                i += 1;
-            }
+        self.events.set(event);
+        st.policy.release(event, 0, |e| self.signaled(e));
+    }
+
+    /// Diagnoses the task if it was dispatched longer ago than the
+    /// configured deadline.
+    fn check_deadline(&self, policy: &mut Policy, frame: &Frame) {
+        let (Some(deadline), Some(started)) = (self.robustness.deadline, frame.started) else {
+            return;
+        };
+        let elapsed = started.elapsed().as_micros() as u64;
+        if elapsed > deadline {
+            let name = &frame.task.name;
+            policy.record_stall(
+                format!("deadline:{name}"),
+                format!("task `{name}` exceeded the {deadline}us deadline ({elapsed}us elapsed)"),
+            );
         }
     }
 
-    /// Whether the fault plan drops every signal of this event
-    /// (`signal:{name}` site with [`FaultKind::LoseSignal`]).
-    fn is_lost(&self, event: EventId) -> bool {
-        match &self.robustness.plan {
-            Some(plan) => {
-                let name = &self.event(event).name;
-                plan.at(&format!("signal:{name}")) == Some(FaultKind::LoseSignal)
-            }
-            None => false,
-        }
-    }
-
-    /// Records a watchdog diagnosis once per dedup key.
-    fn record_stall(st: &mut SupState, key: String, msg: String) {
-        if st.stall_reported.insert(key) {
-            st.stalls.push(msg);
-        }
-    }
-
-    /// Recover-mode wedge release: records the wait-for diagnosis and
-    /// force-signals every unsignaled event the wedge is waiting on so
-    /// the run drains (with degraded streams) instead of aborting.
-    /// Returns false when there is nothing to release — the caller then
-    /// falls through to the historical deadlock panic.
-    fn release_wedge_locked(&self, st: &mut SupState, report: &str) -> bool {
-        let mut events: Vec<EventId> = st.blocked.values().copied().collect();
-        for frames in st.wait_frames.values() {
-            for f in frames {
-                events.push(f.awaited);
-            }
-        }
-        for p in &st.pending {
-            events.extend_from_slice(&p.prereqs);
-        }
-        events.sort_by_key(|e| e.index());
-        events.dedup();
-        events.retain(|e| !self.signaled(*e));
-        if events.is_empty() {
-            return false;
-        }
-        Self::record_stall(
-            st,
-            report.to_string(),
-            format!("watchdog released wedge: {report}"),
-        );
-        // Each release signals at least one previously-unsignaled event
-        // and events are finite, so recovery rounds terminate.
-        for e in events {
-            self.signal_locked(st, e);
-        }
-        true
-    }
-
-    /// Parks on the condvar; with a deadline configured the park is
+    /// Sleeps on the condvar; with a deadline configured the sleep is
     /// timed so the watchdog can diagnose tasks that stall while
     /// *running* (a stalled task occupies its worker, so the wedge
     /// detector never sees all workers parked).
@@ -516,146 +336,76 @@ impl ThreadedSupervisor {
             Some(deadline) if self.robustness.recover => {
                 let timeout = Duration::from_micros((deadline / 2).max(5_000));
                 self.sleep(st, Some(timeout));
-                let overdue: Vec<(String, u64)> = st
-                    .running
-                    .iter()
-                    .filter_map(|(name, started)| {
-                        let elapsed = started.elapsed().as_micros() as u64;
-                        (elapsed > deadline).then(|| (name.clone(), elapsed))
-                    })
-                    .collect();
-                for (name, elapsed) in overdue {
-                    Self::record_stall(
-                        st,
-                        format!("deadline:{name}"),
-                        format!(
-                            "task `{name}` exceeded the {deadline}us deadline \
-                             ({elapsed}us elapsed)"
-                        ),
-                    );
+                let st = &mut **st;
+                for frame in st.stacks.iter().flatten() {
+                    self.check_deadline(&mut st.policy, frame);
                 }
             }
             _ => self.sleep(st, None),
         }
     }
 
-    /// Decides — with the caller already counted in `st.parked` — whether
-    /// the run is wedged: every worker parked, nothing runnable, and no
-    /// parked worker's awaited event signaled (a signaled one is merely
-    /// mid-wakeup: notified but not yet re-holding the lock). Returns the
-    /// wait-for-graph diagnosis when it is. Assumes the paper's model
-    /// that only tasks signal events once the run has started.
-    fn check_deadlock_locked(&self, st: &SupState) -> Option<String> {
-        let stuck = st.parked == self.workers
-            && st.ready.is_empty()
-            && st.outstanding > 0
-            && st.blocked.values().all(|e| !self.signaled(*e));
-        if !stuck {
-            return None;
-        }
-        let mut g = crate::wfg::WaitForGraph::new();
-        for ix in 0..self.events.len() as u32 {
-            g.name_event(EventId(ix), &self.event(EventId(ix)).name);
-        }
-        let mut workers: Vec<&u32> = st.wait_frames.keys().collect();
-        workers.sort();
-        for wix in workers {
-            for f in &st.wait_frames[wix] {
-                let mut awaits = vec![f.awaited];
-                if let Some(h) = f.hint {
-                    awaits.push(h);
-                }
-                g.add_waiter(f.task.clone(), awaits);
-                for &e in &f.signals {
-                    g.add_signaler(e, f.task.clone());
-                }
+    /// Parks the calling worker — idle, or inside a `wait()` on `on` —
+    /// until something may have changed. If that leaves the run wedged
+    /// (every worker parked, nothing runnable, tasks outstanding), it
+    /// does not sleep: under recover mode the policy's wedge release is
+    /// applied and the caller looks again; otherwise the run is aborted
+    /// with the wait-for diagnosis. Assumes the paper's model that only
+    /// tasks signal events once the run has started.
+    fn park(&self, guard: &mut MutexGuard<'_, SupState>, on: Option<EventId>) {
+        guard.parked += 1;
+        let st = &mut **guard;
+        // A parked worker whose awaited event is signaled is merely
+        // mid-wakeup: notified, but not yet re-holding the lock.
+        let wedged = st.parked == self.workers
+            && !st.policy.has_ready()
+            && st.policy.outstanding() > 0
+            && (st.stacks.iter())
+                .filter_map(|s| s.last()?.waiting)
+                .all(|(e, _)| !self.signaled(e));
+        if wedged {
+            let waits = || {
+                let frames = st.stacks.iter().flatten();
+                frames.filter_map(|f| f.waiting.map(|(e, hint)| (&f.task, e, hint)))
+            };
+            let report = st
+                .policy
+                .wait_for_report(waits(), &self.events, |e| self.signaled(e));
+            let release = if self.robustness.recover {
+                let awaited = waits().map(|(_, e, _)| e);
+                st.policy
+                    .release_wedge(awaited, |e| self.signaled(e), &report)
+            } else {
+                Vec::new()
+            };
+            st.parked -= 1;
+            if release.is_empty() {
+                st.aborted = true;
+                let outstanding = st.policy.outstanding();
+                let this = match on {
+                    None => "idle".to_string(),
+                    Some(e) => format!("on {e:?} ({})", self.events.get(e).name),
+                };
+                self.wake_locked(st);
+                panic!(
+                    "supervisor deadlock: all workers blocked (this worker \
+                     {this}); {outstanding} tasks outstanding; {report}"
+                );
             }
-        }
-        for p in &st.pending {
-            g.add_waiter(p.task.name.clone(), p.prereqs.clone());
-            for &e in &p.task.signals {
-                g.add_signaler(e, p.task.name.clone());
+            for e in release {
+                self.signal_locked(st, e);
             }
+            self.wake_locked(st);
+            return;
         }
-        for t in st.ready.values() {
-            for &e in &t.signals {
-                g.add_signaler(e, t.name.clone());
-            }
-        }
-        Some(match g.find_cycle() {
-            Some(cycle) => format!("wait-for cycle: {cycle}"),
-            None => format!(
-                "no wait-for cycle (scheduling wedge); blocked: {}",
-                g.describe_waiters()
-            ),
-        })
-    }
-
-    /// Pops the best ready task this worker may nest while blocked on
-    /// `awaited` (prefers the task that signals `awaited` or the hint).
-    fn pop_eligible(
-        &self,
-        st: &mut SupState,
-        awaited: EventId,
-        hint: Option<EventId>,
-    ) -> Option<ReadyTask> {
-        let stack_signals: (Vec<EventId>, bool, bool) = WORKER.with(|w| {
-            let b = w.borrow();
-            let ctx = b.as_ref().expect("worker ctx");
-            if ctx.stack.len() >= 32 {
-                // Nesting cap: fall back to parking rather than risking
-                // stack exhaustion.
-                return (vec![EventId(u32::MAX)], true, true);
-            }
-            let mut evs = Vec::new();
-            let mut def = false;
-            let mut bar = false;
-            for (_, sigs, d, b2) in &ctx.stack {
-                evs.extend_from_slice(sigs);
-                def |= d;
-                bar |= b2;
-            }
-            (evs, def, bar)
-        });
-        if stack_signals.0.first() == Some(&EventId(u32::MAX)) {
-            return None;
-        }
-        // Preference 1: the signaler of the awaited event (or of the
-        // hinted co-resolving event).
-        let mut chosen: Option<PrioKey> = None;
-        for (key, t) in st.ready.iter() {
-            if t.signals.contains(&awaited) || hint.is_some_and(|h| t.signals.contains(&h)) {
-                chosen = Some(*key);
-                break;
-            }
-        }
-        // Preference 2: any task whose wait-set cannot reach our stack.
-        if chosen.is_none() {
-            for (key, t) in st.ready.iter() {
-                if !t
-                    .may_wait
-                    .intersects(&stack_signals.0, stack_signals.1, stack_signals.2)
-                {
-                    chosen = Some(*key);
-                    break;
-                }
-            }
-        }
-        chosen.map(|key| st.ready.remove(&key).expect("chosen key"))
+        self.park_watched(guard);
+        guard.parked -= 1;
     }
 }
 
 impl ExecEnv for ThreadedSupervisor {
-    fn new_event(&self, class: EventClass) -> EventId {
-        self.new_event_named(class, "")
-    }
-
     fn new_event_named(&self, class: EventClass, name: &str) -> EventId {
-        EventId(self.events.push(EventFlag {
-            class,
-            name: name.to_string(),
-            signaled: AtomicBool::new(false),
-        }) as u32)
+        self.events.create(class, name)
     }
 
     fn signal(&self, event: EventId) {
@@ -663,7 +413,7 @@ impl ExecEnv for ThreadedSupervisor {
         // drops it too; the watchdog eventually force-releases any waiter
         // it wedges). Whoever signaled an event first has woken its
         // waiters.
-        if self.is_lost(event) || self.signaled(event) {
+        if self.robustness.loses_signal(&self.events.get(event).name) || self.signaled(event) {
             return;
         }
         let mut st = self.state.lock();
@@ -682,18 +432,16 @@ impl ExecEnv for ThreadedSupervisor {
         if self.signaled(event) {
             return;
         }
-        let sup = WORKER.with(|w| w.borrow().is_some());
-        if !sup {
-            // Called from outside a worker (e.g. the initialization
-            // thread, §2.3.2): plain blocking wait.
+        let Some(worker) = self.own_worker() else {
+            // Called from outside this supervisor's workers (e.g. the
+            // initialization thread, §2.3.2): plain blocking wait.
             let mut st = self.state.lock();
-            while !self.signaled(event) && !st.deadlocked {
+            while !self.signaled(event) && !st.aborted {
                 self.sleep(&mut st, None);
             }
             return;
-        }
-        let class = self.event(event).class;
-        if class == EventClass::Barrier {
+        };
+        if self.events.get(event).class == EventClass::Barrier {
             let arrived = Instant::now();
             while arrived.elapsed() < BARRIER_SPIN {
                 if self.signaled(event) {
@@ -702,111 +450,31 @@ impl ExecEnv for ThreadedSupervisor {
                 std::hint::spin_loop();
             }
         }
-        // Record this wait in the worker's frame stack (wait-for-graph
-        // input): the current task is the top of the worker's task stack.
-        let (wix, task_name, task_signals) = WORKER.with(|w| {
-            let b = w.borrow();
-            let ctx = b.as_ref().expect("worker ctx");
-            let (name, sigs) = match ctx.stack.last() {
-                Some((n, s, ..)) => (n.clone(), s.clone()),
-                None => ("<worker>".to_string(), Vec::new()),
-            };
-            (ctx.index, name, sigs)
-        });
-        self.state
-            .lock()
-            .wait_frames
-            .entry(wix)
-            .or_default()
-            .push(WaitFrame {
-                task: task_name,
-                awaited: event,
-                hint: signaler_hint,
-                signals: task_signals,
-            });
+        let mut st = self.state.lock();
         loop {
-            let mut st = self.state.lock();
-            if self.signaled(event) || st.deadlocked {
-                if let Some(frames) = st.wait_frames.get_mut(&wix) {
-                    frames.pop();
-                }
+            let over = self.signaled(event) || st.aborted;
+            let top = st.stacks[worker].last_mut();
+            let frame = top.expect("a worker waits from inside a task");
+            if over {
+                frame.waiting = None;
                 return;
             }
-            let nested = if class == EventClass::Barrier {
-                // §2.3.3: barrier waits never reschedule the worker.
-                None
-            } else {
-                self.pop_eligible(&mut st, event, signaler_hint)
-            };
-            match nested {
-                Some(task) => {
+            frame.waiting = Some((event, signaler_hint));
+            match self.take(&mut st, worker, Some((event, signaler_hint))) {
+                Some((body, stall)) => {
                     drop(st);
                     // Recursion bounded by the eligibility rule + depth cap.
-                    self.run_task(task);
+                    self.run_task(worker, body, stall);
+                    st = self.state.lock();
                 }
-                None => {
-                    st.blocked.insert(wix, event);
-                    st.parked += 1;
-                    if let Some(report) = self.check_deadlock_locked(&st) {
-                        if self.robustness.recover && self.release_wedge_locked(&mut st, &report) {
-                            st.parked -= 1;
-                            st.blocked.remove(&wix);
-                            self.wake_locked(&st);
-                            continue;
-                        }
-                        // Every worker is parked with nothing runnable:
-                        // a genuine scheduling deadlock. Surface loudly.
-                        st.deadlocked = true;
-                        st.parked -= 1;
-                        let outstanding = st.outstanding;
-                        let awaited = format!("{event:?} ({})", self.event(event).name);
-                        self.wake(st);
-                        panic!(
-                            "supervisor deadlock: all workers blocked \
-                             (this worker on {awaited}); {outstanding} tasks \
-                             outstanding; {report}"
-                        );
-                    }
-                    self.park_watched(&mut st);
-                    st.parked -= 1;
-                    st.blocked.remove(&wix);
-                }
+                None => self.park(&mut st, Some(event)),
             }
         }
     }
 
     fn spawn(&self, task: TaskDesc) {
         let mut st = self.state.lock();
-        st.seq += 1;
-        st.outstanding += 1;
-        let key = priority_key(task.kind, task.weight, st.seq);
-        let ready = ReadyTask {
-            name: task.name,
-            kind: task.kind,
-            signals: task.signals,
-            signals_def_scope: task.signals_def_scope,
-            signals_barriers: task.signals_barriers,
-            may_wait: task.may_wait,
-            weight: task.weight,
-            attempt: 0,
-            retry_budget: task.retry_budget,
-            body: task.body,
-        };
-        let unsatisfied: Vec<EventId> = task
-            .prereqs
-            .iter()
-            .copied()
-            .filter(|e| !self.signaled(*e))
-            .collect();
-        if unsatisfied.is_empty() {
-            st.ready.insert(key, ready);
-        } else {
-            st.pending.push(PendingTask {
-                prereqs: unsatisfied,
-                key,
-                task: ready,
-            });
-        }
+        st.policy.admit(task, 0, |e| self.signaled(e));
         self.wake(st);
     }
 
@@ -827,8 +495,6 @@ impl ExecEnv for ThreadedSupervisor {
         self.now()
     }
 }
-
-type Payload = Box<dyn std::any::Any + Send>;
 
 /// One borrowing of a crew thread: what it runs, and where it reports
 /// the panic payload (if any) once it is free again.
@@ -914,7 +580,7 @@ pub fn run_threaded_with(
     for ix in 0..workers {
         let sup = Arc::clone(&sup);
         lend(Loan {
-            work: Box::new(move || sup.worker_loop(ix as u32)),
+            work: Box::new(move || sup.worker_loop(ix)),
             done: done.clone(),
         });
     }
@@ -944,29 +610,23 @@ pub fn run_threaded_with(
     for (ix, c) in sup.charges.iter().enumerate() {
         charges[ix] = c.load(Ordering::Relaxed);
     }
-    let (task_panics, stalls, recoveries) = {
-        let mut st = sup.state.lock();
-        (
-            std::mem::take(&mut st.panics),
-            std::mem::take(&mut st.stalls),
-            std::mem::take(&mut st.recoveries),
-        )
-    };
+    let policy = &mut sup.state.lock().policy;
     RunReport {
         virtual_time: None,
         wall_micros: sup.now(),
         trace,
-        tasks_run: sup.tasks_run.load(Ordering::Relaxed) as usize,
+        tasks_run: policy.finished,
         charges,
-        task_panics,
-        stalls,
-        recoveries,
+        task_panics: std::mem::take(&mut policy.panics),
+        stalls: std::mem::take(&mut policy.stalls),
+        recoveries: std::mem::take(&mut policy.recoveries),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskKind;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -987,123 +647,6 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 10);
         assert_eq!(report.tasks_run, 10);
         assert_eq!(report.trace.segments.len(), 10);
-    }
-
-    #[test]
-    fn avoided_events_gate_tasks() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        run_threaded(1, |sup| {
-            let gate = sup.new_event(EventClass::Avoided);
-            let o1 = Arc::clone(&order);
-            let mut gated = TaskDesc::new(
-                "gated",
-                TaskKind::Lexor, // highest priority, but gated
-                Box::new(move || o1.lock().push("gated")),
-            );
-            gated.prereqs = vec![gate];
-            sup.spawn(gated);
-            let o2 = Arc::clone(&order);
-            let sup2 = Arc::clone(sup);
-            let mut opener = TaskDesc::new(
-                "opener",
-                TaskKind::ShortCodeGen, // lowest priority, but runnable
-                Box::new(move || {
-                    o2.lock().push("opener");
-                    sup2.signal(gate);
-                }),
-            );
-            opener.signals = vec![gate];
-            sup.spawn(opener);
-        });
-        assert_eq!(*order.lock(), vec!["opener", "gated"]);
-    }
-
-    #[test]
-    fn blocked_worker_runs_the_signaler() {
-        // One worker: task A waits on e; the signaler task must be nested
-        // on A's stack (otherwise: deadlock panic).
-        let order = Arc::new(Mutex::new(Vec::new()));
-        run_threaded(1, |sup| {
-            let e = sup.new_event(EventClass::Handled);
-            let o1 = Arc::clone(&order);
-            let sup1 = Arc::clone(sup);
-            sup.spawn(TaskDesc::new(
-                "waiter",
-                TaskKind::Lexor,
-                Box::new(move || {
-                    o1.lock().push("waiter-pre");
-                    sup1.wait(e);
-                    o1.lock().push("waiter-post");
-                }),
-            ));
-            let o2 = Arc::clone(&order);
-            let sup2 = Arc::clone(sup);
-            let mut signaler = TaskDesc::new(
-                "signaler",
-                TaskKind::ShortCodeGen,
-                Box::new(move || {
-                    o2.lock().push("signaler");
-                    sup2.signal(e);
-                }),
-            );
-            signaler.signals = vec![e];
-            sup.spawn(signaler);
-        });
-        assert_eq!(*order.lock(), vec!["waiter-pre", "signaler", "waiter-post"]);
-    }
-
-    #[test]
-    fn eligibility_rule_blocks_unsafe_nesting() {
-        // Worker runs A (signals e1, waits on e2). Candidate B may wait on
-        // e1 → ineligible; candidate C (signals e2) is the signaler →
-        // nested. Run with 1 worker so nesting is forced.
-        let order = Arc::new(Mutex::new(Vec::new()));
-        run_threaded(1, |sup| {
-            let e1 = sup.new_event(EventClass::Handled);
-            let e2 = sup.new_event(EventClass::Handled);
-            let o = Arc::clone(&order);
-            let supa = Arc::clone(sup);
-            let mut a = TaskDesc::new(
-                "A",
-                TaskKind::Lexor,
-                Box::new(move || {
-                    o.lock().push("A-pre");
-                    supa.wait(e2);
-                    o.lock().push("A-post");
-                    supa.signal(e1);
-                }),
-            );
-            a.signals = vec![e1];
-            sup.spawn(a);
-            let o = Arc::clone(&order);
-            let mut b = TaskDesc::new(
-                "B",
-                TaskKind::Splitter, // better priority than C
-                Box::new(move || o.lock().push("B")),
-            );
-            b.may_wait = WaitSet {
-                events: vec![e1],
-                all_def_scopes: false,
-                any_barrier: false,
-            };
-            sup.spawn(b);
-            let o = Arc::clone(&order);
-            let supc = Arc::clone(sup);
-            let mut c = TaskDesc::new(
-                "C",
-                TaskKind::ShortCodeGen,
-                Box::new(move || {
-                    o.lock().push("C");
-                    supc.signal(e2);
-                }),
-            );
-            c.signals = vec![e2];
-            sup.spawn(c);
-        });
-        let got = order.lock().clone();
-        assert_eq!(got[0], "A-pre");
-        assert_eq!(got[1], "C", "signaler nested, not the unsafe B");
-        assert_eq!(got[2], "A-post");
     }
 
     #[test]
@@ -1239,66 +782,10 @@ mod tests {
 }
 
 #[cfg(test)]
-mod hint_tests {
+mod wakeup_tests {
     use super::*;
-    use crate::task::{TaskDesc, TaskKind, WaitSet};
+    use crate::task::{TaskKind, WaitSet};
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-
-    /// Regression: a worker blocked on a *dynamically created* event (one
-    /// appearing in no task's declared signals — the Optimistic DKY
-    /// per-symbol events) must still find its resolver through the
-    /// signaler hint; without the hint, conservative eligibility would
-    /// wedge a single worker forever.
-    #[test]
-    fn hint_breaks_conservative_eligibility_stall() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        run_threaded(1, |sup| {
-            let scope_done = sup.new_event_named(EventClass::Handled, "scope");
-            let symbol_ev = sup.new_event_named(EventClass::Handled, "symbol");
-            // Waiter: blocks on symbol_ev with hint scope_done.
-            let o = Arc::clone(&order);
-            let sup1 = Arc::clone(sup);
-            let mut waiter = TaskDesc::new(
-                "waiter",
-                TaskKind::DefModParse,
-                Box::new(move || {
-                    o.lock().push("waiter-pre");
-                    sup1.wait_hinted(symbol_ev, Some(scope_done));
-                    o.lock().push("waiter-post");
-                }),
-            );
-            waiter.signals_def_scope = true;
-            waiter.may_wait = WaitSet {
-                events: vec![],
-                all_def_scopes: true,
-                any_barrier: false,
-            };
-            sup.spawn(waiter);
-            // Resolver: a def-parse-like task (all_def_scopes wait set →
-            // ineligible under the plain rule vs the suspended waiter,
-            // which signals_def_scope) that signals both events.
-            let o = Arc::clone(&order);
-            let sup2 = Arc::clone(sup);
-            let mut resolver = TaskDesc::new(
-                "resolver",
-                TaskKind::DefModParse,
-                Box::new(move || {
-                    o.lock().push("resolver");
-                    sup2.signal(symbol_ev);
-                    sup2.signal(scope_done);
-                }),
-            );
-            resolver.signals = vec![scope_done];
-            resolver.signals_def_scope = true;
-            resolver.may_wait = WaitSet {
-                events: vec![],
-                all_def_scopes: true,
-                any_barrier: false,
-            };
-            sup.spawn(resolver);
-        });
-        assert_eq!(*order.lock(), vec!["waiter-pre", "resolver", "waiter-post"]);
-    }
 
     /// Regression: the deadlock detector must not fire while another
     /// parked worker's awaited event has already been signaled (it is
@@ -1334,50 +821,6 @@ mod hint_tests {
             });
             assert_eq!(done.load(AtomicOrdering::Relaxed), 2);
         }
-    }
-
-    /// Injected event cycle — A awaits what only B signals and vice
-    /// versa: diagnosed with a named wait-for cycle instead of hanging,
-    /// and the diagnosis propagates to the `run_threaded` caller.
-    #[test]
-    #[should_panic(expected = "wait-for cycle")]
-    fn injected_event_cycle_is_diagnosed_not_hung() {
-        run_threaded(2, |sup| {
-            let ea = sup.new_event_named(EventClass::Handled, "needs-A");
-            let eb = sup.new_event_named(EventClass::Handled, "needs-B");
-            for (name, my, other) in [("A", ea, eb), ("B", eb, ea)] {
-                let sup2 = Arc::clone(sup);
-                let mut t = TaskDesc::new(
-                    name,
-                    TaskKind::ProcParse,
-                    Box::new(move || {
-                        sup2.wait(other);
-                        sup2.signal(my);
-                    }),
-                );
-                t.signals = vec![my];
-                t.may_wait = WaitSet {
-                    events: vec![other],
-                    all_def_scopes: false,
-                    any_barrier: false,
-                };
-                sup.spawn(t);
-            }
-        });
-    }
-
-    /// A task gated on an avoided event that no live task signals used
-    /// to park every worker silently — the idle-park path had no
-    /// detector at all.
-    #[test]
-    #[should_panic(expected = "supervisor deadlock")]
-    fn unsignaled_gate_is_diagnosed_not_hung() {
-        run_threaded(2, |sup| {
-            let gate = sup.new_event_named(EventClass::Avoided, "never-signaled");
-            let mut t = TaskDesc::new("gated", TaskKind::Lexor, Box::new(|| {}));
-            t.prereqs = vec![gate];
-            sup.spawn(t);
-        });
     }
 
     /// Two tasks hand a baton back and forth through fresh events, each
@@ -1500,256 +943,7 @@ mod hint_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use ccm2_faults::FaultPlan;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn recovered_panic_completes_run_and_signals_dependents() {
-        let plan = Arc::new(FaultPlan::single("task:victim", FaultKind::Panic));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let report = run_threaded_with(
-            2,
-            Robustness::degrading(Some(Arc::clone(&plan)), None),
-            |sup| {
-                let done = sup.new_event_named(EventClass::Avoided, "victim-done");
-                let mut victim = TaskDesc::new(
-                    "victim",
-                    TaskKind::ProcParse,
-                    Box::new(|| unreachable!("injection fires before the body")),
-                );
-                victim.signals = vec![done];
-                sup.spawn(victim);
-                let r = Arc::clone(&ran);
-                let mut dep = TaskDesc::new(
-                    "dependent",
-                    TaskKind::ShortCodeGen,
-                    Box::new(move || {
-                        r.fetch_add(1, Ordering::Relaxed);
-                    }),
-                );
-                dep.prereqs = vec![done];
-                sup.spawn(dep);
-                for i in 0..4 {
-                    let r = Arc::clone(&ran);
-                    sup.spawn(TaskDesc::new(
-                        format!("ok{i}"),
-                        TaskKind::ShortCodeGen,
-                        Box::new(move || {
-                            r.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    ));
-                }
-            },
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 5, "dependent + 4 ok tasks ran");
-        assert_eq!(report.task_panics.len(), 1);
-        assert_eq!(report.task_panics[0].0, "victim");
-        assert!(report.task_panics[0].1.contains("injected fault"));
-        assert!(plan.any_fired());
-    }
-
-    #[test]
-    fn lost_signal_is_force_released_by_watchdog() {
-        let plan = Arc::new(FaultPlan::single("signal:gate", FaultKind::LoseSignal));
-        let post = Arc::new(AtomicUsize::new(0));
-        let report = run_threaded_with(2, Robustness::degrading(Some(plan), None), |sup| {
-            let gate = sup.new_event_named(EventClass::Handled, "gate");
-            let p = Arc::clone(&post);
-            let sup1 = Arc::clone(sup);
-            let mut waiter = TaskDesc::new(
-                "waiter",
-                TaskKind::ProcParse,
-                Box::new(move || {
-                    sup1.wait(gate);
-                    p.fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-            waiter.may_wait = WaitSet {
-                events: vec![gate],
-                all_def_scopes: false,
-                any_barrier: false,
-            };
-            sup.spawn(waiter);
-            let sup2 = Arc::clone(sup);
-            let mut signaler = TaskDesc::new(
-                "signaler",
-                TaskKind::ShortCodeGen,
-                Box::new(move || sup2.signal(gate)),
-            );
-            signaler.signals = vec![gate];
-            sup.spawn(signaler);
-        });
-        assert_eq!(post.load(Ordering::Relaxed), 1, "waiter released");
-        assert!(
-            !report.stalls.is_empty(),
-            "wedge release must be diagnosed; got: {:?}",
-            report.stalls
-        );
-    }
-
-    #[test]
-    fn injected_stall_is_diagnosed_within_deadline() {
-        let plan = Arc::new(FaultPlan::single(
-            "task:stalling",
-            FaultKind::Stall { units: 60 },
-        ));
-        // Deadline 10ms, stall 60ms: the parked second worker's timed
-        // wait must diagnose the overrun while the task is still asleep.
-        let report = run_threaded_with(2, Robustness::degrading(Some(plan), Some(10_000)), |sup| {
-            sup.spawn(TaskDesc::new(
-                "stalling",
-                TaskKind::ProcParse,
-                Box::new(|| {}),
-            ));
-        });
-        assert_eq!(report.tasks_run, 1);
-        assert!(
-            report
-                .stalls
-                .iter()
-                .any(|s| s.contains("stalling") && s.contains("deadline")),
-            "stall diagnosis expected; got: {:?}",
-            report.stalls
-        );
-    }
-
-    /// Supervised recovery: a transient fault (exact-match site) is
-    /// retried on a fresh dispatch; the body runs, dependents run, and
-    /// nothing degrades.
-    #[test]
-    fn transient_fault_is_retried_and_recovers() {
-        let plan = Arc::new(FaultPlan::single("task:victim", FaultKind::Panic));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let report = run_threaded_with(
-            2,
-            Robustness::supervised(Some(Arc::clone(&plan)), None, 2),
-            |sup| {
-                let done = sup.new_event_named(EventClass::Avoided, "victim-done");
-                let r = Arc::clone(&ran);
-                let mut victim = TaskDesc::new(
-                    "victim",
-                    TaskKind::ProcParse,
-                    Box::new(move || {
-                        r.fetch_add(1, Ordering::Relaxed);
-                    }),
-                );
-                victim.signals = vec![done];
-                sup.spawn(victim);
-                let r = Arc::clone(&ran);
-                let mut dep = TaskDesc::new(
-                    "dependent",
-                    TaskKind::ShortCodeGen,
-                    Box::new(move || {
-                        r.fetch_add(1, Ordering::Relaxed);
-                    }),
-                );
-                dep.prereqs = vec![done];
-                sup.spawn(dep);
-            },
-        );
-        assert_eq!(ran.load(Ordering::Relaxed), 2, "victim + dependent ran");
-        assert!(report.task_panics.is_empty(), "{:?}", report.task_panics);
-        assert!(report.stalls.is_empty(), "{:?}", report.stalls);
-        assert_eq!(report.recoveries, vec![("victim".to_string(), 1)]);
-    }
-
-    /// A persistent fault (`task:{name}*` glob) exhausts retries and
-    /// then degrades; a fatal stall never sleeps on retried attempts.
-    #[test]
-    fn persistent_fault_exhausts_retries_and_degrades() {
-        let plan = Arc::new(FaultPlan::single("task:victim*", FaultKind::Panic));
-        let report = run_threaded_with(
-            1,
-            Robustness::supervised(Some(Arc::clone(&plan)), None, 2),
-            |sup| {
-                sup.spawn(TaskDesc::new(
-                    "victim",
-                    TaskKind::ProcParse,
-                    Box::new(|| unreachable!("every attempt faults")),
-                ));
-            },
-        );
-        assert_eq!(report.task_panics.len(), 1);
-        assert_eq!(report.task_panics[0].0, "victim");
-        assert!(report.recoveries.is_empty());
-        assert!(
-            plan.fired().iter().any(|f| f.contains("task:victim#r2")),
-            "all retry attempts were dispatched: {:?}",
-            plan.fired()
-        );
-    }
-
-    /// A stall that would blow the wall-clock deadline (units are ms,
-    /// deadline us) is fatal: the retried dispatch skips the sleep
-    /// entirely and no stall is diagnosed.
-    #[test]
-    fn fatal_stall_is_retried_without_sleeping() {
-        let plan = Arc::new(FaultPlan::single(
-            "task:victim",
-            FaultKind::Stall { units: 60_000 },
-        ));
-        let started = std::time::Instant::now();
-        let report = run_threaded_with(
-            2,
-            Robustness::supervised(Some(plan), Some(10_000), 1),
-            |sup| {
-                sup.spawn(TaskDesc::new(
-                    "victim",
-                    TaskKind::ProcParse,
-                    Box::new(|| {}),
-                ));
-            },
-        );
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(30),
-            "retried stall must not serve the 60s sleep"
-        );
-        assert_eq!(report.recoveries, vec![("victim".to_string(), 1)]);
-        assert!(report.stalls.is_empty(), "{:?}", report.stalls);
-    }
-
-    /// Budget-aware retry scheduling on real threads: with one worker
-    /// the dispatch order is the queue order, so the trace shows whether
-    /// the retried victim ran before or after the competitors spawned
-    /// after it. The boosted requeue must put its (successful) retry
-    /// ahead of every fresh same-class task; the original-priority
-    /// requeue would run it last.
-    #[test]
-    fn near_budget_retry_jumps_ahead_of_fresh_same_class_work() {
-        let plan = Arc::new(FaultPlan::single("task:victim", FaultKind::Panic));
-        let report = run_threaded_with(1, Robustness::supervised(Some(plan), None, 1), |sup| {
-            sup.spawn(TaskDesc::new(
-                "victim",
-                TaskKind::ShortCodeGen,
-                Box::new(|| {}),
-            ));
-            for i in 0..3 {
-                sup.spawn(TaskDesc::new(
-                    format!("comp{i}"),
-                    TaskKind::ShortCodeGen,
-                    Box::new(|| {}),
-                ));
-            }
-        });
-        assert_eq!(report.recoveries, vec![("victim".to_string(), 1)]);
-        let pos = |name: &str| {
-            report
-                .trace
-                .segments
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| panic!("no segment for {name}"))
-        };
-        let victim = pos("victim");
-        for i in 0..3 {
-            let comp = pos(&format!("comp{i}"));
-            assert!(
-                victim < comp,
-                "boosted retry must run before comp{i} \
-                 (victim segment #{victim}, comp segment #{comp})"
-            );
-        }
-    }
+    use crate::task::TaskKind;
 
     #[test]
     fn multiple_worker_panics_are_aggregated() {
