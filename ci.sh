@@ -74,11 +74,10 @@ cargo test -q -p ccm2-serve --test stress
 
 echo "== fault injection: survival matrix smoke =="
 # Every injected fault must degrade exactly one stream: the property
-# tests sample the site x strategy x executor matrix, and the reproduce
-# driver runs the full 56-cell matrix (zero hangs, zero aborts,
-# non-faulted streams byte-identical to the fault-free run).
+# tests sample the site x strategy x executor matrix, and the golden
+# step's `faults` section runs the full 56-cell matrix (zero hangs,
+# zero aborts, non-faulted streams byte-identical to the fault-free run).
 cargo test -q --test faults
-cargo run -q --release -p ccm2-bench --bin reproduce -- faults
 
 echo "== self-healing recovery: retry, watchdog edges, kill/restart =="
 # Supervised stream retry must converge transient faults to the
@@ -89,17 +88,16 @@ echo "== self-healing recovery: retry, watchdog edges, kill/restart =="
 cargo test -q --test recover
 cargo test -q --test watchdog
 cargo test -q -p ccm2-serve --test restart
-cargo run -q --release -p ccm2-bench --bin reproduce -- recover
 
 echo "== compile fabric: fleet equivalence, failover, delta restart =="
 # The sharded fleet must be observationally identical to one standalone
 # service (byte-identical objects, same diagnostics) across every shard
-# width AND across a seeded mid-stream shard kill; the reproduce driver
-# additionally pins the failover drill (zero lost admitted requests)
-# and the delta restart economics (journal tail < full CCM2SNAP image).
+# width AND across a seeded mid-stream shard kill; the golden step's
+# `fabric` section additionally pins the failover drill (zero lost
+# admitted requests) and the delta restart economics (journal tail <
+# full CCM2SNAP image).
 cargo test -q -p ccm2-fabric
 cargo test -q --test fabric
-cargo run -q --release -p ccm2-bench --bin reproduce -- fabric
 
 echo "== chaosnet: seeded network-fault drill matrix =="
 # The hardened control plane must survive the full chaos lifecycle on
@@ -111,16 +109,10 @@ echo "== chaosnet: seeded network-fault drill matrix =="
 # The split-brain drills add router-loss cells on the same seed x
 # transport grid: router kill, router partition, and dueling routers.
 # No epoch may ever see two live leaders and the fleet's durable
-# membership must converge to one image.
+# membership must converge to one image. The tests run the phases one
+# at a time; the golden step's `chaosnet` section runs the matrix, and
+# each of those invariants is an assertion inside it.
 cargo test -q --test chaosnet
-cargo run -q --release -p ccm2-bench --bin reproduce -- chaosnet
-grep -q '"schema":"ccm2-bench/chaosnet/v2"' BENCH_chaosnet.json
-grep -q '"lost":0' BENCH_chaosnet.json
-grep -q '"mismatched":0' BENCH_chaosnet.json
-grep -q '"hangs":0' BENCH_chaosnet.json
-grep -q '"split_brain"' BENCH_chaosnet.json
-grep -q '"two_leader_epochs":0' BENCH_chaosnet.json
-grep -q '"divergent_membership":0' BENCH_chaosnet.json
 
 echo "== editor sessions: convergence, coalescing, error-unit determinism =="
 # The watch loop must converge every seeded edit session — broken
@@ -128,21 +120,37 @@ echo "== editor sessions: convergence, coalescing, error-unit determinism =="
 # compile of the final sources, and a syntax error must degrade exactly
 # the edited stream. The determinism guard pins the degraded output
 # across the sequential compiler, all four DKY strategies, and both
-# executors; the reproduce driver gates the seeded 100-edit session
-# (warm-hit ratio >= 90%, aggregate check time below aggregate cold).
+# executors; the golden step's `watch` section gates the seeded
+# 100-edit session (warm-hit ratio >= 90%, aggregate check time below
+# aggregate cold).
 cargo test -q -p ccm2-watch
 cargo test -q --test watch
 cargo test -q --test watch error_unit_is_byte_identical_across_seq_dky_and_executors
-cargo run -q --release -p ccm2-bench --bin reproduce -- watch
 
 echo "== interprocedural lock-order analysis: static deadlock prediction =="
 # Cross-procedure re-LOCK and lock-order-cycle predictions must be
 # byte-identical to the sequential reference under every DKY strategy and
 # both executors, survive warm re-analysis from the summary cache, and
-# the reproduce driver must show zero static false negatives against the
-# runtime wait-for-graph drills.
+# the golden step's `locks` section must show zero static false
+# negatives against the runtime wait-for-graph drills.
 cargo test -q --test lockorder
-cargo run -q --release -p ccm2-bench --bin reproduce -- locks
+
+echo "== golden: every reproduce section but dky, byte for byte =="
+# What `reproduce` prints is a pure function of the tree: virtual times,
+# counts and drill verdicts, no clock reading. One invocation runs the
+# twelve paper sections, the four extension reports and the seven
+# drills — each drill asserting its own invariants (0 lost, 0 hangs,
+# byte-identity, never two leaders) — and the diff pins every byte of
+# the reports, so a figure that moves or a drill that says something
+# else fails here. `dky` is left out: its Avoidance line differs from
+# itself between two runs of one binary. A section name that is no
+# section exits 2, so a typo here cannot pass. To accept an intended
+# change, regenerate the file with the same command.
+cargo run -q --release -p ccm2-bench --bin reproduce -- \
+  table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 \
+  overhead headings workcrews earlysplit analyze locks incr \
+  serve fabric chaosnet watch faults recover sites \
+  | diff -u reproduce_output.txt -
 
 echo "== envelopes: every format is a row of tests/envelopes.rs =="
 # A format outside the table has no golden digest (which is what catches

@@ -1,4 +1,8 @@
-//! `reproduce` — regenerates the paper's tables and figures.
+//! `reproduce` — regenerates the paper's tables and figures and runs the
+//! drills. Sections are the names in [`ccm2_bench::SECTIONS`]; `all`, or
+//! no argument, runs every one in table order, and a name that is not a
+//! section is an error (exit status 2), so a mistyped gate cannot pass
+//! by printing nothing.
 //!
 //! ```text
 //! cargo run --release -p ccm2-bench --bin reproduce -- all
@@ -6,121 +10,44 @@
 //! cargo run --release -p ccm2-bench --bin reproduce -- table3 fig1 fig2 fig3
 //! cargo run --release -p ccm2-bench --bin reproduce -- fig4 fig5 fig7
 //! cargo run --release -p ccm2-bench --bin reproduce -- overhead dky headings workcrews
-//! cargo run --release -p ccm2-bench --bin reproduce -- analyze
-//! cargo run --release -p ccm2-bench --bin reproduce -- locks
-//! cargo run --release -p ccm2-bench --bin reproduce -- incr
-//! cargo run --release -p ccm2-bench --bin reproduce -- serve
-//! cargo run --release -p ccm2-bench --bin reproduce -- fabric
-//! cargo run --release -p ccm2-bench --bin reproduce -- chaosnet
-//! cargo run --release -p ccm2-bench --bin reproduce -- chaosnet --heartbeat-ms=10
-//! cargo run --release -p ccm2-bench --bin reproduce -- watch
-//! cargo run --release -p ccm2-bench --bin reproduce -- faults
-//! cargo run --release -p ccm2-bench --bin reproduce -- faults --list-sites
-//! cargo run --release -p ccm2-bench --bin reproduce -- recover
-//! cargo run --release -p ccm2-bench --bin reproduce -- sites
+//! cargo run --release -p ccm2-bench --bin reproduce -- earlysplit analyze locks incr
+//! cargo run --release -p ccm2-bench --bin reproduce -- serve fabric chaosnet watch
+//! cargo run --release -p ccm2-bench --bin reproduce -- faults recover sites
 //! ```
+//!
+//! Stdout carries no clock reading: on one commit it repeats byte for
+//! byte (`dky` excepted, see EXPERIMENTS.md), and `reproduce_output.txt`
+//! at the repository root is the recording `ci.sh` diffs against.
 
-use ccm2_bench as bench;
+use ccm2_bench::{Report, SECTIONS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let args: Vec<&str> = if args.is_empty() {
-        vec!["all"]
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    let all = args.contains(&"all");
-    let want = |name: &str| all || args.contains(&name);
-
-    if want("table1") {
-        println!("{}\n", bench::table1());
-    }
-    if want("table2") {
-        println!("{}\n", bench::table2());
-    }
-    // Table 3 and Figures 1-3 share one expensive measurement.
-    let needs_speedups = want("table3") || want("fig1") || want("fig2") || want("fig3");
-    if needs_speedups {
-        eprintln!("measuring suite speedups (37 modules x 8 processor counts)...");
-        let summary = bench::measure_all();
-        if want("table3") {
-            println!("{}\n", bench::table3(&summary));
-        }
-        if want("fig1") {
-            println!("{}\n", bench::fig1(&summary));
-        }
-        if want("fig2") {
-            println!("{}\n", bench::fig2(&summary));
-        }
-        if want("fig3") {
-            println!("{}\n", bench::fig3(&summary));
-        }
-    }
-    if want("fig4") {
-        println!("{}\n", bench::fig4());
-    }
-    if want("fig5") {
-        println!("{}\n", bench::fig5());
-    }
-    if want("fig7") {
-        println!("{}\n", bench::fig7());
-    }
-    if want("overhead") {
-        println!("{}\n", bench::overhead());
-    }
-    if want("dky") {
-        println!("{}\n", bench::dky_strategies());
-    }
-    if want("headings") {
-        println!("{}\n", bench::heading_alternatives());
-    }
-    if want("workcrews") {
-        println!("{}\n", bench::workcrews());
-    }
-    if want("earlysplit") {
-        println!("{}\n", bench::early_split());
-    }
-    if want("analyze") {
-        println!("{}\n", bench::analyze());
-    }
-    if want("locks") {
-        println!("{}\n", bench::locks());
-    }
-    if want("incr") {
-        println!("{}\n", bench::incr());
-    }
-    if want("serve") {
-        println!("{}\n", bench::serve());
-    }
-    if want("fabric") {
-        println!("{}\n", bench::fabric());
-    }
-    if want("chaosnet") {
-        // --heartbeat-ms=N tunes the wall-clock detector leg's period.
-        let heartbeat_ms = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--heartbeat-ms="))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(25);
-        println!(
-            "{}\n",
-            bench::chaosnet_with(
-                &[0xC4A0, 0xC4A1, 0xC4A2],
-                heartbeat_ms,
-                Some(std::path::Path::new("BENCH_chaosnet.json")),
-            )
+    let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| *a != "all" && !names.contains(&a.as_str()))
+    {
+        eprintln!(
+            "reproduce: no section `{unknown}`; sections: {} all",
+            names.join(" ")
         );
+        std::process::exit(2);
     }
-    if want("watch") {
-        println!("{}\n", bench::watch());
-    }
-    if want("faults") && !args.contains(&"--list-sites") {
-        println!("{}\n", bench::faults());
-    }
-    if want("recover") {
-        println!("{}\n", bench::recover());
-    }
-    if want("sites") || args.contains(&"--list-sites") {
-        println!("{}\n", bench::fault_sites());
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    // Table 3 and Figures 1-3 share one expensive measurement.
+    let mut speedups = None;
+    for (name, report) in SECTIONS {
+        if !all && !args.iter().any(|a| a == name) {
+            continue;
+        }
+        let text = match report {
+            Report::Alone(run) => run(),
+            Report::Speedups(format) => format(speedups.get_or_insert_with(|| {
+                eprintln!("measuring suite speedups (37 modules x 8 processor counts)...");
+                ccm2_bench::paper::measure_all()
+            })),
+        };
+        println!("{text}\n");
     }
 }

@@ -126,13 +126,6 @@ pub struct Options {
     /// `task:{name}*` glob models a persistent one (degrades after
     /// retries exhaust). 0 (the default) disables retries.
     pub max_stream_retries: u32,
-    /// Per-*task* retry budgets: `(task name, budget)` pairs matched
-    /// exactly against stream-task names (`procparse(M.P)`,
-    /// `codegen(M.P)`, `analyze(M.P)` …). A matching task's budget
-    /// overrides [`Options::max_stream_retries`] — including budget 0,
-    /// which pins the task to a single attempt while the rest of the
-    /// compile keeps the global budget.
-    pub task_retry_budgets: Vec<(String, u32)>,
 }
 
 impl Default for Options {
@@ -148,7 +141,6 @@ impl Default for Options {
             faults: None,
             task_deadline: None,
             max_stream_retries: 0,
-            task_retry_budgets: Vec::new(),
         }
     }
 }
@@ -271,8 +263,7 @@ pub fn compile_concurrent(
     let robustness = Robustness {
         recover: options.faults.is_some()
             || options.task_deadline.is_some()
-            || options.max_stream_retries > 0
-            || !options.task_retry_budgets.is_empty(),
+            || options.max_stream_retries > 0,
         plan: options.faults.clone(),
         deadline: options.task_deadline,
         max_retries: options.max_stream_retries,
@@ -401,7 +392,6 @@ struct Driver {
     long_threshold: usize,
     early_split: bool,
     analyze: bool,
-    task_retry_budgets: Vec<(String, u32)>,
     hub: ccm2_analysis::AnalysisHub,
     main_scope_event: EventId,
     incr: Option<IncrInner>,
@@ -450,7 +440,6 @@ impl Driver {
             long_threshold: options.long_proc_threshold,
             early_split: options.early_split,
             analyze: options.analyze,
-            task_retry_budgets: options.task_retry_budgets.clone(),
             hub: ccm2_analysis::AnalysisHub::new(),
             main_scope_event,
             incr,
@@ -494,19 +483,6 @@ impl Driver {
 
     fn sema(&self) -> &Arc<Sema> {
         self.sema.get().expect("sema initialized")
-    }
-
-    /// Spawns a task, first applying any per-task retry budget whose
-    /// configured name matches the task's exactly. Budgets only take
-    /// effect on stream-retryable kinds (the executors ignore them
-    /// elsewhere).
-    fn spawn_task(&self, mut t: TaskDesc) {
-        if !self.task_retry_budgets.is_empty() {
-            if let Some((_, b)) = self.task_retry_budgets.iter().find(|(n, _)| *n == t.name) {
-                t.retry_budget = Some(*b);
-            }
-        }
-        self.env.spawn(t);
     }
 
     fn tables(&self) -> &Arc<SymbolTables> {
@@ -572,7 +548,7 @@ impl Driver {
                 all_def_scopes: false,
                 any_barrier: true,
             };
-            self.spawn_task(t);
+            self.env.spawn(t);
         }
         // Splitter + main module parser. Under the no-early-split
         // ablation the parser reads the raw token stream directly
@@ -596,7 +572,7 @@ impl Driver {
                 all_def_scopes: false,
                 any_barrier: true,
             };
-            self.spawn_task(t);
+            self.env.spawn(t);
             parse_q
         } else {
             Arc::clone(&lex_q)
@@ -621,7 +597,7 @@ impl Driver {
                 all_def_scopes: true,
                 any_barrier: true,
             };
-            self.spawn_task(t);
+            self.env.spawn(t);
         }
     }
 
@@ -672,7 +648,7 @@ impl Driver {
                 all_def_scopes: false,
                 any_barrier: true,
             };
-            self.spawn_task(t);
+            self.env.spawn(t);
         }
         {
             let this = Arc::clone(self);
@@ -688,7 +664,7 @@ impl Driver {
                 all_def_scopes: true,
                 any_barrier: true,
             };
-            self.spawn_task(t);
+            self.env.spawn(t);
         }
         Some(scope)
     }
@@ -709,7 +685,7 @@ impl Driver {
             }),
         );
         t.signals_barriers = true;
-        self.spawn_task(t);
+        self.env.spawn(t);
         q
     }
 
@@ -760,7 +736,7 @@ impl Driver {
             }),
         );
         t.weight = weight;
-        self.spawn_task(t);
+        self.env.spawn(t);
     }
 
     // ---- task bodies ------------------------------------------------------
@@ -927,7 +903,7 @@ impl Driver {
                 }),
             );
             t.weight = weight;
-            self.spawn_task(t);
+            self.env.spawn(t);
             return;
         }
         let kind = if weight as usize >= self.long_threshold {
@@ -954,7 +930,7 @@ impl Driver {
             all_def_scopes: true,
             any_barrier: false,
         };
-        self.spawn_task(t);
+        self.env.spawn(t);
     }
 
     /// Recursively declares Local-bodied procedures (no-early-split
@@ -1045,7 +1021,7 @@ impl Driver {
                 all_def_scopes: true,
                 any_barrier: false,
             };
-            self.spawn_task(t);
+            self.env.spawn(t);
         }
     }
 
@@ -1140,7 +1116,7 @@ impl Driver {
             all_def_scopes: true,
             any_barrier: false,
         };
-        self.spawn_task(t);
+        self.env.spawn(t);
         let _ = stream;
     }
 
@@ -1190,7 +1166,7 @@ impl Driver {
             all_def_scopes: true,
             any_barrier: true,
         };
-        self.spawn_task(t);
+        self.env.spawn(t);
     }
 
     /// The splitter carved every stream: fingerprint them, decide hit or
@@ -1378,7 +1354,7 @@ impl Driver {
         t.weight = weight;
         t.prereqs = heading_ev.into_iter().collect();
         t.signals = scope_ev.into_iter().chain(child_evs).collect();
-        self.spawn_task(t);
+        self.env.spawn(t);
     }
 
     /// Task body of a procedure-stream splice: completes the (empty)

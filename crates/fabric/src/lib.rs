@@ -72,8 +72,8 @@ pub use durable::{
 };
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
-    start_heartbeats, AdaptiveCadence, FabricResponse, FabricRouter, FabricStats, FleetRetryBurn,
-    HealthState, HeartbeatConfig, HeartbeatHandle, LeaseConfig, RouterRole, ShardRetryBurn,
+    start_heartbeats, FabricResponse, FabricRouter, FabricStats, FleetRetryBurn, HealthState,
+    HeartbeatConfig, HeartbeatHandle, LeaseConfig, RouterRole, ShardRetryBurn,
     DEFAULT_RETRY_AFTER_MS,
 };
 pub use shard::{LeaseView, ReplicaLog, ShardNode, ShardStats, REPLICA_LOG_CAP};
@@ -86,38 +86,119 @@ pub use wire::{
     NO_ROUTER, WIRE_FORMAT,
 };
 
-/// A whole loopback fleet in one value: N shards, the transport, and
-/// the router. The unit the drills and equivalence tests spin up.
+/// One byte path from a router to the fleet's shards, on either
+/// transport, with a partition switch per link. A fleet's conduits are
+/// independent: cutting one leaves the others delivering, which is what
+/// lets two routers over the same shards lose their networks apart.
+pub struct Conduit {
+    net: Net,
+    cut: parking_lot::Mutex<std::collections::BTreeSet<u32>>,
+}
+
+enum Net {
+    Loopback(Arc<LoopbackTransport>),
+    Tcp(Arc<TcpTransport>),
+}
+
+impl Conduit {
+    fn new(net: Net) -> Arc<Conduit> {
+        Arc::new(Conduit {
+            net,
+            cut: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
+        })
+    }
+
+    /// The transport a router is built on.
+    pub fn transport(&self) -> Arc<dyn Transport> {
+        match &self.net {
+            Net::Loopback(t) => Arc::clone(t) as Arc<dyn Transport>,
+            Net::Tcp(t) => Arc::clone(t) as Arc<dyn Transport>,
+        }
+    }
+
+    /// Opens (`true`) or heals (`false`) a standing partition of the
+    /// link to `shard`: every call on it fails and the shard sees
+    /// nothing. On the loopback the cut links become one
+    /// `link:{shard}#c*` fault plan, which replaces any plan installed
+    /// through [`LoopbackTransport::set_link_faults`]; on sockets it is
+    /// [`TcpTransport::set_partitioned`].
+    pub fn partition(&self, shard: u32, on: bool) {
+        match &self.net {
+            Net::Loopback(t) => {
+                let mut cut = self.cut.lock();
+                if on {
+                    cut.insert(shard);
+                } else {
+                    cut.remove(&shard);
+                }
+                let plan = cut.iter().fold(ccm2_faults::FaultPlan::new(), |plan, s| {
+                    plan.with_fault(format!("link:{s}#c*"), ccm2_faults::FaultKind::Panic)
+                });
+                t.set_link_faults((!cut.is_empty()).then(|| Arc::new(plan)));
+            }
+            Net::Tcp(t) => t.set_partitioned(shard, on),
+        }
+    }
+}
+
+/// A whole fleet in one value, on the deterministic loopback or on real
+/// TCP sockets: the shards, the conduits that reach them, one router on
+/// the first conduit, and — over TCP — the shard servers, which stop
+/// when the fleet is dropped. The unit the drills and equivalence tests
+/// spin up; the same script runs on either transport.
 pub struct Fabric {
-    transport: Arc<LoopbackTransport>,
     router: FabricRouter,
+    conduits: Vec<Arc<Conduit>>,
     nodes: Vec<Arc<ShardNode>>,
+    /// One per node, in node order; empty on the loopback.
+    servers: Vec<TcpShardServer>,
 }
 
 impl Fabric {
     /// Starts `shards` fresh shards (ids `0..shards`) with identical
     /// configs on a clean loopback transport.
     pub fn start(shards: usize, config: ServeConfig) -> Fabric {
-        Fabric::start_on(
-            Arc::new(LoopbackTransport::new()),
-            (0..shards as u32)
-                .map(|id| Arc::new(ShardNode::start(id, config)))
-                .collect(),
-        )
+        let nodes = (0..shards as u32).map(|id| Arc::new(ShardNode::start(id, config)));
+        Fabric::start_over(false, nodes.collect())
     }
 
-    /// Assembles a fleet from pre-built nodes on a caller-provided
-    /// loopback (seeded corruption, restored shards, odd ids — the
-    /// drills' entry point).
+    /// Assembles a fleet from pre-built nodes (restored shards, durable
+    /// logs, odd ids) over TCP sockets on `127.0.0.1` when `tcp`, on a
+    /// clean loopback otherwise.
+    pub fn start_over(tcp: bool, nodes: Vec<Arc<ShardNode>>) -> Fabric {
+        if !tcp {
+            return Fabric::start_on(Arc::new(LoopbackTransport::new()), nodes);
+        }
+        let servers: Vec<TcpShardServer> = nodes
+            .iter()
+            .map(|node| {
+                TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>)
+                    .expect("bind a loopback port for the shard server")
+            })
+            .collect();
+        let transport = Arc::new(TcpTransport::new());
+        for (node, server) in nodes.iter().zip(&servers) {
+            transport.register(node.id(), server.addr());
+        }
+        Fabric::assemble(Net::Tcp(transport), nodes, servers)
+    }
+
+    /// Assembles a loopback fleet on a caller-provided transport
+    /// (seeded corruption).
     pub fn start_on(transport: Arc<LoopbackTransport>, nodes: Vec<Arc<ShardNode>>) -> Fabric {
         for node in &nodes {
             transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
         }
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
+        Fabric::assemble(Net::Loopback(transport), nodes, Vec::new())
+    }
+
+    fn assemble(net: Net, nodes: Vec<Arc<ShardNode>>, servers: Vec<TcpShardServer>) -> Fabric {
+        let conduit = Conduit::new(net);
         Fabric {
-            transport,
-            router,
+            router: FabricRouter::new(conduit.transport()),
+            conduits: vec![conduit],
             nodes,
+            servers,
         }
     }
 
@@ -138,20 +219,66 @@ impl Fabric {
         self
     }
 
-    /// Lets the router's failure detector scale its miss budget with
-    /// observed RTT percentiles (see [`FabricRouter::with_adaptive_heartbeat`]).
-    pub fn with_adaptive_heartbeat(mut self, cadence: AdaptiveCadence) -> Fabric {
-        self.router = self.router.with_adaptive_heartbeat(cadence);
-        self
+    /// The conduit the fleet's own router runs on.
+    pub fn conduit(&self) -> &Conduit {
+        &self.conduits[0]
     }
 
-    /// The loopback transport (corruption counters, manual kills).
-    pub fn transport(&self) -> &Arc<LoopbackTransport> {
-        &self.transport
+    /// [`Conduit::partition`] on the router's conduit.
+    pub fn partition(&self, shard: u32, on: bool) {
+        self.conduit().partition(shard, on);
     }
 
-    /// The shard nodes, in id order (drill assertions; node `i` may be
-    /// dead — check [`FabricRouter::live_shards`]).
+    /// A further, independent conduit to the same shards, for a second
+    /// router: its partitions and the first conduit's do not touch.
+    pub fn open_conduit(&mut self) -> Arc<Conduit> {
+        let conduit = Conduit::new(match &self.conduit().net {
+            Net::Loopback(_) => Net::Loopback(Arc::new(LoopbackTransport::new())),
+            Net::Tcp(_) => Net::Tcp(Arc::new(TcpTransport::new())),
+        });
+        for at in 0..self.nodes.len() {
+            self.connect(&conduit, at);
+        }
+        self.conduits.push(Arc::clone(&conduit));
+        conduit
+    }
+
+    /// Makes a late joiner reachable on every conduit (starting its
+    /// server over TCP). The ring does not own it until a router's
+    /// [`FabricRouter::admit_shard`] has warmed it.
+    pub fn join(&mut self, node: Arc<ShardNode>) {
+        if matches!(self.conduit().net, Net::Tcp(_)) {
+            let server = TcpShardServer::serve(Arc::clone(&node) as Arc<dyn FrameHandler>)
+                .expect("bind a loopback port for the shard server");
+            self.servers.push(server);
+        }
+        self.nodes.push(node);
+        for conduit in &self.conduits {
+            self.connect(conduit, self.nodes.len() - 1);
+        }
+    }
+
+    /// Registers node `at` on `conduit`.
+    fn connect(&self, conduit: &Conduit, at: usize) {
+        let node = &self.nodes[at];
+        match &conduit.net {
+            Net::Loopback(t) => t.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>),
+            Net::Tcp(t) => t.register(node.id(), self.servers[at].addr()),
+        }
+    }
+
+    /// The router's loopback transport (corruption counters, link-fault
+    /// plans); `None` for a fleet on sockets.
+    pub fn loopback(&self) -> Option<&Arc<LoopbackTransport>> {
+        match &self.conduit().net {
+            Net::Loopback(t) => Some(t),
+            Net::Tcp(_) => None,
+        }
+    }
+
+    /// The shard nodes in start order, late joiners last (drill
+    /// assertions; node `i` may be dead — check
+    /// [`FabricRouter::live_shards`]).
     pub fn nodes(&self) -> &[Arc<ShardNode>] {
         &self.nodes
     }
@@ -288,7 +415,7 @@ mod tests {
             }
         }
         assert!(
-            fabric.transport().corrupted() > 0,
+            fabric.loopback().expect("loopback fleet").corrupted() > 0,
             "corruption never fired — the test is vacuous"
         );
         assert!(
@@ -311,12 +438,11 @@ mod tests {
         });
         // Standing partition of the link to shard 1: every delivery on
         // it is dropped. Shards 0 and 2 keep answering.
-        fabric
-            .transport()
-            .set_link_faults(Some(Arc::new(ccm2_faults::FaultPlan::single(
-                "link:1#c*",
-                ccm2_faults::FaultKind::Panic,
-            ))));
+        let loopback = Arc::clone(fabric.loopback().expect("loopback fleet"));
+        loopback.set_link_faults(Some(Arc::new(ccm2_faults::FaultPlan::single(
+            "link:1#c*",
+            ccm2_faults::FaultKind::Panic,
+        ))));
 
         assert!(fabric.router().heartbeat_tick().is_empty());
         assert_eq!(fabric.router().health(1), HealthState::Suspect);
@@ -337,11 +463,11 @@ mod tests {
         assert_eq!(stats.suspects, 1, "one transition into suspicion");
         assert_eq!(stats.pings, 3 + 3 + 3);
         assert_eq!(stats.pongs, 2 + 2 + 2, "shards 0 and 2 kept answering");
-        assert!(fabric.transport().link_faults_fired() >= 3);
+        assert!(loopback.link_faults_fired() >= 3);
 
         // Healing the partition does not resurrect the shard — only an
         // explicit re-admission does, through the warm-up path.
-        fabric.transport().set_link_faults(None);
+        loopback.set_link_faults(None);
         assert!(fabric.router().heartbeat_tick().is_empty());
         assert_eq!(fabric.router().health(1), HealthState::Evicted);
         fabric.router().admit_shard(1);
@@ -351,7 +477,7 @@ mod tests {
 
     #[test]
     fn admit_shard_warms_the_joiner_before_ring_ownership() {
-        let fabric = Fabric::start(2, small_config());
+        let mut fabric = Fabric::start(2, small_config());
         let reqs: Vec<CompileRequest> = (0..4).map(|m| request(3, &format!("Warm{m}"))).collect();
         for resp in fabric.router().serve_batch(&reqs) {
             assert!(resp.outcome().expect("served").ok);
@@ -361,9 +487,7 @@ mod tests {
         assert!(fleet_entries > 0, "serving warmed nobody");
 
         let joiner = Arc::new(ShardNode::start(7, small_config()));
-        fabric
-            .transport()
-            .register(7, Arc::clone(&joiner) as Arc<dyn FrameHandler>);
+        fabric.join(Arc::clone(&joiner));
         fabric.router().admit_shard(7);
         assert_eq!(fabric.router().live_shards(), vec![0, 1, 7]);
         let stats = fabric.router().stats();
@@ -545,48 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_cadence_stretches_the_miss_budget_with_rtt_spread() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
-            .with_adaptive_heartbeat(AdaptiveCadence::default());
-        let fixed = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
-
-        // Below min_samples the static config rules.
-        for _ in 0..8 {
-            router.record_rtt(100);
-        }
-        assert_eq!(router.effective_heartbeat(), HeartbeatConfig::default());
-
-        // A tight distribution keeps the tight budget.
-        for _ in 0..24 {
-            router.record_rtt(100);
-        }
-        assert_eq!(router.effective_heartbeat(), HeartbeatConfig::default());
-
-        // A long tail (p95 ≫ p50) stretches suspicion, clamped by caps.
-        for _ in 0..24 {
-            router.record_rtt(100);
-            router.record_rtt(2_000);
-        }
-        let adapted = router.effective_heartbeat();
-        assert!(
-            adapted.suspect_misses > HeartbeatConfig::default().suspect_misses,
-            "long tail should earn a longer rope: {adapted:?}"
-        );
-        assert!(adapted.suspect_misses <= AdaptiveCadence::default().max_suspect);
-        assert!(adapted.evict_misses > adapted.suspect_misses);
-        assert!(adapted.evict_misses <= AdaptiveCadence::default().max_evict);
-
-        // Fixed cadence (the default) never adapts — the deterministic
-        // opt-out the drills rely on.
-        for _ in 0..64 {
-            fixed.record_rtt(100);
-            fixed.record_rtt(9_000);
-        }
-        assert_eq!(fixed.effective_heartbeat(), HeartbeatConfig::default());
-    }
-
-    #[test]
     fn retry_burn_aggregates_shard_reports() {
         let fabric = Fabric::start(2, small_config());
         let reqs: Vec<CompileRequest> = (0..4).map(|m| request(9, &format!("Burn{m}"))).collect();
@@ -607,27 +689,92 @@ mod tests {
         assert_eq!(burn.attempts_used(), 0, "healthy fleet burns no retries");
     }
 
+    /// The fleet contract, row by row, on the loopback and on sockets:
+    /// what the drills script against a [`Fabric`] behaves the same on
+    /// either transport.
     #[test]
-    fn fleet_over_tcp_matches_the_loopback_contract() {
-        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        let mut servers: Vec<TcpShardServer> = Vec::new();
-        let transport = Arc::new(TcpTransport::new());
-        for node in &nodes {
-            let server = TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>).unwrap();
-            transport.register(node.id(), server.addr());
-            servers.push(server);
-        }
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
-        let reqs: Vec<CompileRequest> = (0..6).map(|m| request(5, &format!("Tcp{m}"))).collect();
-        let responses = router.serve_batch(&reqs);
-        for resp in &responses {
-            assert!(resp.outcome().expect("served over sockets").ok);
-        }
-        assert!(router.stats().ships > 0, "replication runs over TCP too");
-        for server in &mut servers {
-            server.stop();
+    fn fabric_contract_holds_on_both_transports() {
+        let heartbeat = HeartbeatConfig {
+            suspect_misses: 1,
+            evict_misses: 2,
+        };
+        for tcp in [false, true] {
+            let nodes: Vec<Arc<ShardNode>> = (0..3u32)
+                .map(|id| Arc::new(ShardNode::start(id, small_config())))
+                .collect();
+            let kept = Arc::clone(&nodes[0]);
+            let mut fabric = Fabric::start_over(tcp, nodes).with_heartbeat(heartbeat);
+            assert_eq!(fabric.loopback().is_none(), tcp);
+
+            // Serves, and replicates, over the conduit.
+            let reqs: Vec<CompileRequest> =
+                (0..6).map(|m| request(5, &format!("Row{m}"))).collect();
+            for resp in &fabric.router().serve_batch(&reqs) {
+                assert!(resp.outcome().expect("served over the conduit").ok);
+            }
+            assert!(
+                fabric.router().stats().ships > 0,
+                "tcp={tcp}: replication runs over this transport too"
+            );
+
+            // partition -> evicted in exactly `evict_misses` ticks.
+            fabric.partition(1, true);
+            assert!(fabric.router().heartbeat_tick().is_empty(), "tcp={tcp}");
+            assert_eq!(fabric.router().health(1), HealthState::Suspect);
+            assert_eq!(fabric.router().heartbeat_tick(), vec![1], "tcp={tcp}");
+            assert_eq!(fabric.router().health(1), HealthState::Evicted);
+            assert_eq!(fabric.router().live_shards(), vec![0, 2]);
+
+            // heal -> admit_shard -> Alive.
+            fabric.partition(1, false);
+            assert!(fabric.router().admit_shard(1), "tcp={tcp}");
+            assert_eq!(fabric.router().health(1), HealthState::Alive);
+            assert_eq!(fabric.router().live_shards(), vec![0, 1, 2]);
+
+            // A late joiner serves the keys the ring hands it.
+            let joiner = Arc::new(ShardNode::start(7, small_config()));
+            fabric.join(Arc::clone(&joiner));
+            assert!(fabric.router().admit_shard(7), "tcp={tcp}");
+            let ring = HashRing::new(&[0, 1, 2, 7], DEFAULT_VNODES);
+            let for_joiner = (0..200)
+                .map(|i| request(6, &format!("Late{i}")))
+                .find(|r| ring.route(r.fingerprint()) == Some(7))
+                .expect("some module routes to the joiner");
+            assert!(fabric.router().serve(&for_joiner).outcome().is_some());
+            assert_eq!(
+                joiner.stats().compiles,
+                1,
+                "tcp={tcp}: the joiner compiled it"
+            );
+
+            // Cutting conduit A leaves conduit B answering.
+            let b = fabric.open_conduit();
+            let router_b = FabricRouter::new(b.transport());
+            for shard in [0, 1, 2, 7] {
+                fabric.partition(shard, true);
+            }
+            let probe = request(8, "AcrossB");
+            assert!(
+                fabric.router().serve(&probe).outcome().is_none(),
+                "tcp={tcp}: conduit A is cut from every shard"
+            );
+            assert!(
+                router_b.serve(&probe).outcome().expect("served over B").ok,
+                "tcp={tcp}"
+            );
+
+            // Dropping the fleet stops its servers: no port listens and
+            // no connection thread still holds a shard.
+            let addrs: Vec<_> = fabric.servers.iter().map(TcpShardServer::addr).collect();
+            assert_eq!(addrs.len(), if tcp { 4 } else { 0 });
+            drop((fabric, router_b, b));
+            for addr in addrs {
+                assert!(
+                    std::net::TcpStream::connect(addr).is_err(),
+                    "a shard server outlived its fleet"
+                );
+            }
+            assert_eq!(Arc::strong_count(&kept), 1, "tcp={tcp}: a shard leaked");
         }
     }
 }

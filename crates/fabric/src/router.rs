@@ -51,14 +51,6 @@
 //! later [`FabricRouter::admit_shard`] moves it through
 //! [`HealthState::Rejoining`] (warm-up) back to [`HealthState::Alive`].
 //!
-//! The thresholds can also *adapt*: arm
-//! [`FabricRouter::with_adaptive_heartbeat`] and the detector derives
-//! the miss budget from observed Ping/Pong round-trip percentiles — a
-//! fleet whose p95 RTT is far above its median gets a proportionally
-//! longer rope before suspicion, because slow-but-alive is the expected
-//! failure mode there. The static [`HeartbeatConfig`] stays the floor
-//! (and the default: fixed cadence is the deterministic-test opt-out).
-//!
 //! Ticks are driven two ways: drills call `heartbeat_tick()` directly
 //! (virtual time — deterministic), while a TCP deployment runs
 //! [`start_heartbeats`] for a wall-clock cadence.
@@ -226,34 +218,6 @@ impl Default for HeartbeatConfig {
     }
 }
 
-/// Adaptive-cadence tuning (see [`FabricRouter::with_adaptive_heartbeat`]).
-/// The derived thresholds scale the static [`HeartbeatConfig`] floor by
-/// the observed p95/p50 Ping/Pong RTT ratio, clamped to the caps here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveCadence {
-    /// RTT samples required before the detector adapts at all; below
-    /// this it runs the static config verbatim.
-    pub min_samples: usize,
-    /// Upper clamp for the derived `suspect_misses`.
-    pub max_suspect: u32,
-    /// Upper clamp for the derived `evict_misses`.
-    pub max_evict: u32,
-}
-
-impl Default for AdaptiveCadence {
-    fn default() -> AdaptiveCadence {
-        AdaptiveCadence {
-            min_samples: 16,
-            max_suspect: 4,
-            max_evict: 8,
-        }
-    }
-}
-
-/// How many Ping/Pong RTT samples the adaptive detector retains
-/// (oldest evicted first).
-const RTT_WINDOW: usize = 256;
-
 /// Which side of the lease a router is on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RouterRole {
@@ -395,8 +359,6 @@ pub struct FabricRouter {
     leadership_epochs: Mutex<Vec<u64>>,
     lease: LeaseConfig,
     membership: Option<Arc<MembershipStore>>,
-    adaptive: Option<AdaptiveCadence>,
-    rtt_samples: Mutex<Vec<u64>>,
     down: AtomicBool,
 }
 
@@ -425,8 +387,6 @@ impl FabricRouter {
             leadership_epochs: Mutex::new(Vec::new()),
             lease: LeaseConfig::default(),
             membership: None,
-            adaptive: None,
-            rtt_samples: Mutex::new(Vec::new()),
             down: AtomicBool::new(false),
         }
     }
@@ -444,16 +404,6 @@ impl FabricRouter {
             suspect_misses: config.suspect_misses,
             evict_misses: config.evict_misses.max(config.suspect_misses),
         };
-        self
-    }
-
-    /// Lets the detector scale its miss budget with observed Ping/Pong
-    /// RTT percentiles (see the module docs). The static config from
-    /// [`with_heartbeat`](FabricRouter::with_heartbeat) stays the
-    /// floor; fixed cadence (the default) is the opt-out deterministic
-    /// tests rely on.
-    pub fn with_adaptive_heartbeat(mut self, cadence: AdaptiveCadence) -> FabricRouter {
-        self.adaptive = Some(cadence);
         self
     }
 
@@ -542,45 +492,6 @@ impl FabricRouter {
             .copied()
             .unwrap_or_default()
             .state
-    }
-
-    /// Records one observed Ping/Pong round trip (microseconds) for
-    /// the adaptive detector. Public so transports and drills can feed
-    /// synthetic RTT distributions.
-    pub fn record_rtt(&self, micros: u64) {
-        let mut samples = self.rtt_samples.lock();
-        if samples.len() >= RTT_WINDOW {
-            samples.remove(0);
-        }
-        samples.push(micros);
-    }
-
-    /// The thresholds the detector will use this tick: the static
-    /// config unless adaptive cadence is armed *and* warmed up, in
-    /// which case the miss budget stretches by the p95/p50 RTT ratio
-    /// (clamped to the [`AdaptiveCadence`] caps).
-    pub fn effective_heartbeat(&self) -> HeartbeatConfig {
-        let Some(cadence) = self.adaptive else {
-            return self.heartbeat;
-        };
-        let mut samples = self.rtt_samples.lock().clone();
-        if samples.len() < cadence.min_samples.max(2) {
-            return self.heartbeat;
-        }
-        samples.sort_unstable();
-        let p50 = samples[samples.len() / 2].max(1);
-        let p95 = samples[(samples.len() * 95) / 100].max(1);
-        let ratio = p95.div_ceil(p50).min(u64::from(cadence.max_suspect)) as u32;
-        let suspect = ratio
-            .max(self.heartbeat.suspect_misses)
-            .min(cadence.max_suspect.max(self.heartbeat.suspect_misses));
-        let evict = (suspect + 1)
-            .max(self.heartbeat.evict_misses)
-            .min(cadence.max_evict.max(self.heartbeat.evict_misses));
-        HeartbeatConfig {
-            suspect_misses: suspect,
-            evict_misses: evict,
-        }
     }
 
     fn note_epoch(&self, seen: u64) {
@@ -740,7 +651,6 @@ impl FabricRouter {
             self.resync_membership();
         }
         let members = self.ring.lock().shards();
-        let cadence = self.effective_heartbeat();
         let mut evicted = Vec::new();
         let mut answered = Vec::new();
         let mut to_evict = Vec::new();
@@ -748,7 +658,6 @@ impl FabricRouter {
             let nonce = self.probe_seq.fetch_add(1, Ordering::Relaxed);
             self.stats.lock().pings += 1;
             let ping = encode_frame(&Message::Ping { nonce });
-            let sent = std::time::Instant::now();
             let pong = match self.transport.call(shard, &ping) {
                 Ok(bytes) => match decode_frame(&bytes) {
                     Some(Message::Pong {
@@ -763,7 +672,6 @@ impl FabricRouter {
                 Err(_) => None,
             };
             if let Some((lease_epoch, lease_router)) = pong {
-                self.record_rtt(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
                 self.stats.lock().pongs += 1;
                 self.note_epoch(lease_epoch);
                 if lease_epoch > self.epoch.load(Ordering::Relaxed)
@@ -785,8 +693,9 @@ impl FabricRouter {
                 let mut health = self.health.lock();
                 let h = health.entry(shard).or_default();
                 h.misses += 1;
-                let evict = h.misses >= cadence.evict_misses;
-                let suspect = h.misses >= cadence.suspect_misses && h.state == HealthState::Alive;
+                let evict = h.misses >= self.heartbeat.evict_misses;
+                let suspect =
+                    h.misses >= self.heartbeat.suspect_misses && h.state == HealthState::Alive;
                 if suspect {
                     h.state = HealthState::Suspect;
                 }
@@ -838,7 +747,6 @@ impl FabricRouter {
             let nonce = self.probe_seq.fetch_add(1, Ordering::Relaxed);
             self.stats.lock().pings += 1;
             let ping = encode_frame(&Message::Ping { nonce });
-            let sent = std::time::Instant::now();
             if let Ok(bytes) = self.transport.call(shard, &ping) {
                 if let Some(Message::Pong {
                     shard: s,
@@ -849,7 +757,6 @@ impl FabricRouter {
                 }) = decode_frame(&bytes)
                 {
                     if s == shard && n == nonce {
-                        self.record_rtt(sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
                         self.stats.lock().pongs += 1;
                         self.note_epoch(lease_epoch);
                         answered += 1;

@@ -43,8 +43,6 @@ pub(crate) struct Task {
     signals_barriers: bool,
     may_wait: WaitSet,
     weight: u64,
-    /// Per-task retry cap overriding [`Robustness::max_retries`].
-    retry_budget: Option<u32>,
     /// Faulted dispatches abandoned and requeued so far.
     attempt: u32,
     /// Whether the dispatch that ran met no fatal fault.
@@ -150,7 +148,6 @@ impl Policy {
             signals_barriers: desc.signals_barriers,
             may_wait: desc.may_wait,
             weight: desc.weight,
-            retry_budget: desc.retry_budget,
             attempt: 0,
             clean: true,
         };
@@ -253,7 +250,7 @@ impl Policy {
             _ => 0,
         };
         let fatal = inject == Some(FaultKind::Panic) || rb.deadline.is_some_and(|d| stall > d);
-        let budget = task.retry_budget.unwrap_or(rb.max_retries);
+        let budget = rb.max_retries;
         if fatal && rb.recover && task.kind.stream_retryable() && task.attempt < budget {
             let wasted = rb.deadline.map_or(stall, |d| d.min(stall));
             task.attempt += 1;
@@ -572,7 +569,6 @@ mod tests {
     #[test]
     fn retries_stop_at_the_budget_and_rank_above_fresh_work() {
         let plan = FaultPlan::single("task:victim*", FaultKind::Panic)
-            .with_fault("task:pinned", FaultKind::Panic)
             .with_fault("task:lexor", FaultKind::Panic);
         let plan = Arc::new(plan);
         let events = EventTable::default();
@@ -599,17 +595,13 @@ mod tests {
         assert_eq!(p.panics, [("victim".to_string(), msg)]);
         assert!(p.recoveries.is_empty());
 
-        // A per-task budget of 0 pins the task to one attempt, and a
-        // structural task is never retried.
-        let mut pinned = desc("pinned", TaskKind::ShortCodeGen);
-        pinned.retry_budget = Some(0);
-        p.admit(pinned, 0, NEVER);
+        // A structural task is never retried.
         p.admit(desc("lexor", TaskKind::Lexor), 0, NEVER);
-        for want in ["lexor", "fresh", "pinned"] {
+        for want in ["lexor", "fresh"] {
             let (retried, task, ..) = dispatch_until_run(&mut p);
             assert_eq!((retried, task.name.as_str()), (0, want));
         }
-        assert_eq!((p.outstanding(), p.finished), (3, 1));
+        assert_eq!((p.outstanding(), p.finished), (2, 1));
     }
 
     #[test]

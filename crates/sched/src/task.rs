@@ -165,11 +165,6 @@ pub struct TaskDesc {
     /// Size estimate — long code-generation tasks are scheduled before
     /// short ones to avoid the sequential tail (§2.3.4).
     pub weight: u64,
-    /// Per-task retry budget: when set, this task may be re-dispatched
-    /// after a fatal fault at most this many times, overriding the
-    /// executor-wide `max_stream_retries` (0 pins the task to a single
-    /// attempt even when the global budget allows retries).
-    pub retry_budget: Option<u32>,
     /// The body. Runs exactly once on some worker.
     pub body: TaskBody,
 }
@@ -198,7 +193,6 @@ impl TaskDesc {
             signals_barriers: false,
             may_wait: WaitSet::none(),
             weight: 0,
-            retry_budget: None,
             body,
         }
     }

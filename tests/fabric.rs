@@ -12,28 +12,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ccm2_fabric::{
-    Fabric, FabricRouter, FrameHandler, LeaseConfig, LoopbackTransport, MembershipStore,
-    RouterRole, ShardNode, Transport,
-};
-use ccm2_sema::symtab::DkyStrategy;
-use ccm2_serve::{CompileRequest, CompileService, ExecChoice, Response, ServeConfig};
-use ccm2_workload::{serve_load, shard_kill_schedule, ServeEvent, ServeLoadParams};
-
-fn request(e: &ServeEvent) -> CompileRequest {
-    CompileRequest {
-        client: e.client,
-        module: e.module.name.clone(),
-        source: e.module.source.clone(),
-        defs: Arc::new(e.module.defs.clone()),
-        strategy: DkyStrategy::Skeptical,
-        exec: ExecChoice::Sim(2),
-        analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
-    }
-}
+use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
+use ccm2_fabric::{Fabric, FabricRouter, LeaseConfig, MembershipStore, RouterRole, ShardNode};
+use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
+use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
 fn config() -> ServeConfig {
     ServeConfig {
@@ -44,65 +26,28 @@ fn config() -> ServeConfig {
     }
 }
 
-/// What a client can observe of one served event.
-type Observed = (bool, Option<Vec<u8>>, Vec<String>);
-
-/// Serves every event on one standalone service (the reference),
+/// Serves every request on one standalone service (the reference),
 /// driving the documented back-off protocol until all are done.
-fn serve_standalone(events: &[ServeEvent]) -> Vec<Observed> {
-    let svc = CompileService::start(config());
-    let mut out: Vec<Option<Observed>> = vec![None; events.len()];
-    let mut pending: Vec<usize> = (0..events.len()).collect();
-    let mut waves = 0;
-    while !pending.is_empty() {
-        waves += 1;
-        assert!(waves <= 100, "standalone retry protocol failed to drain");
-        let batch: Vec<CompileRequest> = pending.iter().map(|&i| request(&events[i])).collect();
-        let indexes = std::mem::take(&mut pending);
-        for (i, resp) in indexes.into_iter().zip(svc.serve_batch(batch)) {
-            match resp {
-                Response::Done(o) => {
-                    out[i] = Some((o.ok, o.object.clone(), o.diagnostics.clone()));
-                }
-                Response::Retry => pending.push(i),
-            }
-        }
-    }
-    out.into_iter().map(|o| o.expect("served")).collect()
+fn serve_standalone(reqs: &[CompileRequest], oracle: &Oracle) -> Vec<Observed> {
+    drive(&CompileService::start(config()), reqs, oracle).1
 }
 
-/// Serves every event on an N-shard loopback fabric, optionally
-/// killing one shard after `at` events have been served.
-fn serve_fabric(events: &[ServeEvent], shards: usize, kill: Option<(usize, u32)>) -> Vec<Observed> {
+/// Serves every request on an N-shard loopback fabric, optionally
+/// killing one shard after `at` requests have been served.
+fn serve_fabric(
+    reqs: &[CompileRequest],
+    oracle: &Oracle,
+    shards: usize,
+    kill: Option<(usize, u32)>,
+) -> Vec<Observed> {
     let fabric = Fabric::start(shards, config());
-    let mut out: Vec<Option<Observed>> = vec![None; events.len()];
-    let phases: Vec<(usize, usize)> = match kill {
-        Some((at, _)) if at < events.len() => vec![(0, at), (at, events.len())],
-        _ => vec![(0, events.len())],
-    };
-    for (phase_idx, &(lo, hi)) in phases.iter().enumerate() {
-        if phase_idx == 1 {
-            let (_, victim) = kill.expect("second phase implies a kill");
+    let at = kill.map_or(reqs.len(), |(at, _)| at.min(reqs.len()));
+    let mut out = drive(fabric.router(), &reqs[..at], oracle).1;
+    if let Some((_, victim)) = kill {
+        if at < reqs.len() {
             fabric.router().kill_shard(victim);
         }
-        let mut pending: Vec<usize> = (lo..hi).collect();
-        let mut waves = 0;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(waves <= 100, "fabric retry protocol failed to drain");
-            let batch: Vec<CompileRequest> = pending.iter().map(|&i| request(&events[i])).collect();
-            let indexes = std::mem::take(&mut pending);
-            for (i, resp) in indexes.into_iter().zip(fabric.router().serve_batch(&batch)) {
-                match resp {
-                    ccm2_fabric::FabricResponse::Done(o) => {
-                        out[i] = Some((o.ok, o.object.clone(), o.diagnostics.clone()));
-                    }
-                    ccm2_fabric::FabricResponse::Retry { .. } => pending.push(i),
-                }
-            }
-        }
-    }
-    if let Some((_, victim)) = kill {
+        out.extend(drive(fabric.router(), &reqs[at..], oracle).1);
         let live = fabric.router().live_shards();
         assert!(
             !live.contains(&victim),
@@ -110,7 +55,7 @@ fn serve_fabric(events: &[ServeEvent], shards: usize, kill: Option<(usize, u32)>
         );
         assert_eq!(live.len(), shards - 1, "exactly one shard died");
     }
-    out.into_iter().map(|o| o.expect("served")).collect()
+    out
 }
 
 /// After the eviction lease moves to a new epoch, every
@@ -121,20 +66,13 @@ fn serve_fabric(events: &[ServeEvent], shards: usize, kill: Option<(usize, u32)>
 /// epoch.
 #[test]
 fn stale_router_control_refused_after_lease_moves() {
-    let transport = Arc::new(LoopbackTransport::new());
-    let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-        .map(|id| Arc::new(ShardNode::start(id, config())))
-        .collect();
-    for node in &nodes {
-        transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-    }
-    let dir = std::env::temp_dir().join(format!("ccm2-stale-router-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Arc::new(MembershipStore::new(&dir).expect("membership store opens"));
-    let a = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+    let mut fleet = Fabric::start(3, config());
+    let dir = Scratch::new("stale-router");
+    let store = Arc::new(MembershipStore::new(dir.join("mbrs")).expect("membership store opens"));
+    let a = FabricRouter::new(fleet.conduit().transport())
         .with_identity(1)
         .with_membership_store(Arc::clone(&store));
-    let b = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+    let b = FabricRouter::new(fleet.conduit().transport())
         .with_identity(2)
         .as_standby()
         .with_lease(LeaseConfig { expiry_ticks: 2 })
@@ -152,8 +90,7 @@ fn stale_router_control_refused_after_lease_moves() {
     // The deposed leader tries a membership change: a warm join of a
     // brand-new shard. Its epoch-1 stamp draws EpochReject on the
     // lease barrier, the join is refused, and A stands down.
-    let joiner = Arc::new(ShardNode::start(3, config()));
-    transport.register(joiner.id(), Arc::clone(&joiner) as Arc<dyn FrameHandler>);
+    fleet.join(Arc::new(ShardNode::start(3, config())));
     assert!(!a.admit_shard(3), "stale-epoch admit must be refused");
     assert_eq!(
         a.role(),
@@ -172,12 +109,11 @@ fn stale_router_control_refused_after_lease_moves() {
 
     // Shard-side ledger: epochs granted strictly increase, one holder
     // per epoch, and every original shard agrees on the live lease.
-    for node in &nodes {
+    for node in &fleet.nodes()[..3] {
         assert_eq!(node.lease_grants(), vec![(1, 1), (2, 2)]);
         let lease = node.lease();
         assert_eq!((lease.epoch, lease.holder), (2, 2));
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -202,9 +138,10 @@ proptest! {
             edit_every,
             interface_every: 2,
         };
-        let load = serve_load(&params);
-        let reference = serve_standalone(&load);
-        let fleet = serve_fabric(&load, shards, None);
+        let load = requests(&serve_load(&params), ExecChoice::Sim(2));
+        let oracle = Oracle::of(&load);
+        let reference = serve_standalone(&load, &oracle);
+        let fleet = serve_fabric(&load, &oracle, shards, None);
         for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
             prop_assert!(r.0 && f.0, "event {i} failed somewhere");
             prop_assert_eq!(&r.1, &f.1, "object bytes diverge at event {}", i);
@@ -228,12 +165,13 @@ proptest! {
             edit_every: 4,
             interface_every: 3,
         };
-        let load = serve_load(&params);
+        let load = requests(&serve_load(&params), ExecChoice::Sim(2));
+        let oracle = Oracle::of(&load);
         let schedule = shard_kill_schedule(&params, shards as u32, 1);
         prop_assert_eq!(schedule.len(), 1);
         let (at, victim) = schedule[0];
-        let reference = serve_standalone(&load);
-        let fleet = serve_fabric(&load, shards, Some((at, victim)));
+        let reference = serve_standalone(&load, &oracle);
+        let fleet = serve_fabric(&load, &oracle, shards, Some((at, victim)));
         for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
             prop_assert!(r.0 && f.0, "event {i} failed somewhere");
             prop_assert_eq!(&r.1, &f.1, "object bytes diverge at event {} (kill at {})", i, at);

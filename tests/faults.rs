@@ -18,52 +18,14 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ccm2::{compile_concurrent, CompileError, Executor, Options};
-use ccm2_codegen::ir::{CodeUnit, Instr};
+use ccm2::CompileError;
+use ccm2_bench::kit::{compile, fault_module, unit_map};
 use ccm2_faults::{FaultKind, FaultPlan};
-use ccm2_sched::SimConfig;
 use ccm2_sema::symtab::DkyStrategy;
-use ccm2_support::Interner;
-use ccm2_workload::{generate, GenParams, GeneratedModule};
+use ccm2_workload::GeneratedModule;
 
 fn module() -> GeneratedModule {
-    generate(&GenParams {
-        fault_seeds: true,
-        ..GenParams::small("Px", 0xF0)
-    })
-}
-
-/// Interner-independent rendering of one unit, comparable across
-/// compiles with different interners.
-fn render_unit(u: &CodeUnit, interner: &Interner) -> String {
-    let mut s = format!(
-        "{} level={} params={} frame={:?} shapes={:?}\n",
-        interner.resolve(u.name),
-        u.level,
-        u.param_count,
-        u.frame,
-        u.shapes
-    );
-    for ins in &u.code {
-        match ins {
-            Instr::PushStr(sym) => s.push_str(&format!("PushStr({})\n", interner.resolve(*sym))),
-            Instr::PushProc(sym) => s.push_str(&format!("PushProc({})\n", interner.resolve(*sym))),
-            Instr::PushGlobalAddr { module, slot } => s.push_str(&format!(
-                "PushGlobalAddr({}, {slot})\n",
-                interner.resolve(*module)
-            )),
-            Instr::Call {
-                target,
-                argc,
-                link_up,
-            } => s.push_str(&format!(
-                "Call({}, {argc}, {link_up})\n",
-                interner.resolve(*target)
-            )),
-            other => s.push_str(&format!("{other:?}\n")),
-        }
-    }
-    s
+    fault_module("Px", 0xF0)
 }
 
 /// (site pattern, fault kind, streams the fault may legitimately touch).
@@ -94,42 +56,6 @@ fn site(index: usize) -> (&'static str, FaultKind, &'static [&'static str]) {
     }
 }
 
-fn compile(
-    m: &GeneratedModule,
-    strategy: DkyStrategy,
-    sim: bool,
-    faults: Option<Arc<FaultPlan>>,
-) -> ccm2::ConcurrentOutput {
-    let executor = if sim {
-        Executor::Sim(SimConfig::firefly(4))
-    } else {
-        Executor::Threads(2)
-    };
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            strategy,
-            executor,
-            analyze: true,
-            faults,
-            task_deadline: None,
-            ..Options::default()
-        },
-    )
-}
-
-fn unit_map(out: &ccm2::ConcurrentOutput) -> std::collections::HashMap<String, String> {
-    out.image
-        .as_ref()
-        .expect("image")
-        .units
-        .iter()
-        .map(|u| (out.interner.resolve(u.name), render_unit(u, &out.interner)))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 16,
@@ -147,13 +73,13 @@ proptest! {
         let strategy = DkyStrategy::ALL[strategy_ix];
         let m = module();
 
-        let baseline = compile(&m, strategy, sim, None);
+        let baseline = compile(&m, None, None, strategy, sim, 0);
         prop_assert!(baseline.errors.is_empty(), "baseline not clean: {:?}", baseline.errors);
         let base_units = unit_map(&baseline);
 
         let plan = Arc::new(FaultPlan::single(pattern, kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compile(&m, strategy, sim, Some(Arc::clone(&plan)))
+            compile(&m, Some(Arc::clone(&plan)), None, strategy, sim, 0)
         }));
         let run = match run {
             Ok(out) => out,
@@ -208,12 +134,14 @@ fn degraded_runs_are_deterministic_on_the_simulator() {
     let run = |_: u32| {
         compile(
             &m,
-            DkyStrategy::Skeptical,
-            true,
             Some(Arc::new(FaultPlan::single(
                 "task:codegen(*FaultLong)",
                 FaultKind::Panic,
             ))),
+            None,
+            DkyStrategy::Skeptical,
+            true,
+            0,
         )
     };
     let a = run(0);
@@ -241,18 +169,20 @@ fn os_thread_count() -> usize {
 fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     let m = module();
     // Warm-up so lazily spawned runtime threads don't skew the count.
-    let warm = compile(&m, DkyStrategy::Skeptical, false, None);
+    let warm = compile(&m, None, None, DkyStrategy::Skeptical, false, 0);
     assert!(warm.errors.is_empty());
     let before = os_thread_count();
 
     let degraded = compile(
         &m,
-        DkyStrategy::Skeptical,
-        false,
         Some(Arc::new(FaultPlan::single(
             "task:procparse(FaultShort)",
             FaultKind::Panic,
         ))),
+        None,
+        DkyStrategy::Skeptical,
+        false,
+        0,
     );
     assert!(!degraded.errors.is_empty());
     assert!(degraded.errors.iter().any(
@@ -275,7 +205,7 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     );
 
     // And the process is not poisoned: a clean compile still succeeds.
-    let clean = compile(&m, DkyStrategy::Skeptical, false, None);
+    let clean = compile(&m, None, None, DkyStrategy::Skeptical, false, 0);
     assert!(clean.errors.is_empty(), "{:?}", clean.errors);
     assert!(clean.image.is_some());
 }
@@ -290,7 +220,14 @@ fn a_dead_lexor_ends_its_stream_instead_of_hanging() {
     for sim in [true, false] {
         for site in ["task:lex(Main)", "task:split(Main)"] {
             let plan = Arc::new(FaultPlan::single(site, FaultKind::Panic));
-            let out = compile(&m, DkyStrategy::Skeptical, sim, Some(Arc::clone(&plan)));
+            let out = compile(
+                &m,
+                Some(Arc::clone(&plan)),
+                None,
+                DkyStrategy::Skeptical,
+                sim,
+                0,
+            );
             assert!(plan.any_fired(), "{site} [sim={sim}]: never fired");
             assert!(!out.errors.is_empty(), "{site} [sim={sim}]: no error");
         }

@@ -10,88 +10,15 @@
 
 use std::sync::Arc;
 
-use ccm2::{compile_concurrent, CompileError, Executor, Options};
-use ccm2_codegen::ir::{CodeUnit, Instr};
+use ccm2::CompileError;
+use ccm2_bench::kit::{compile, fault_module, unit_map};
 use ccm2_faults::{FaultKind, FaultPlan};
-use ccm2_sched::SimConfig;
 use ccm2_sema::symtab::DkyStrategy;
 use ccm2_support::diag::Severity;
-use ccm2_support::Interner;
-use ccm2_workload::{generate, GenParams, GeneratedModule};
+use ccm2_workload::GeneratedModule;
 
 fn module() -> GeneratedModule {
-    generate(&GenParams {
-        fault_seeds: true,
-        ..GenParams::small("Rx", 0xF1)
-    })
-}
-
-fn render_unit(u: &CodeUnit, interner: &Interner) -> String {
-    let mut s = format!(
-        "{} level={} params={} frame={:?} shapes={:?}\n",
-        interner.resolve(u.name),
-        u.level,
-        u.param_count,
-        u.frame,
-        u.shapes
-    );
-    for ins in &u.code {
-        match ins {
-            Instr::PushStr(sym) => s.push_str(&format!("PushStr({})\n", interner.resolve(*sym))),
-            Instr::PushProc(sym) => s.push_str(&format!("PushProc({})\n", interner.resolve(*sym))),
-            Instr::PushGlobalAddr { module, slot } => s.push_str(&format!(
-                "PushGlobalAddr({}, {slot})\n",
-                interner.resolve(*module)
-            )),
-            Instr::Call {
-                target,
-                argc,
-                link_up,
-            } => s.push_str(&format!(
-                "Call({}, {argc}, {link_up})\n",
-                interner.resolve(*target)
-            )),
-            other => s.push_str(&format!("{other:?}\n")),
-        }
-    }
-    s
-}
-
-fn compile(
-    m: &GeneratedModule,
-    strategy: DkyStrategy,
-    sim: bool,
-    faults: Option<Arc<FaultPlan>>,
-    retries: u32,
-) -> ccm2::ConcurrentOutput {
-    let executor = if sim {
-        Executor::Sim(SimConfig::firefly(4))
-    } else {
-        Executor::Threads(2)
-    };
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            strategy,
-            executor,
-            analyze: true,
-            faults,
-            max_stream_retries: retries,
-            ..Options::default()
-        },
-    )
-}
-
-fn unit_map(out: &ccm2::ConcurrentOutput) -> std::collections::HashMap<String, String> {
-    out.image
-        .as_ref()
-        .expect("image")
-        .units
-        .iter()
-        .map(|u| (out.interner.resolve(u.name), render_unit(u, &out.interner)))
-        .collect()
+    fault_module("Rx", 0xF1)
 }
 
 /// Transient faults × DKY strategies × both executors: with a retry
@@ -108,12 +35,12 @@ fn transient_faults_recover_byte_identical_across_strategies_and_executors() {
     ];
     for strategy in [DkyStrategy::Skeptical, DkyStrategy::Optimistic] {
         for sim in [true, false] {
-            let baseline = compile(&m, strategy, sim, None, 0);
+            let baseline = compile(&m, None, None, strategy, sim, 0);
             assert!(baseline.errors.is_empty(), "{:?}", baseline.errors);
             let base_units = unit_map(&baseline);
             for site in sites {
                 let plan = Arc::new(FaultPlan::single(site, FaultKind::Panic));
-                let run = compile(&m, strategy, sim, Some(Arc::clone(&plan)), 2);
+                let run = compile(&m, Some(Arc::clone(&plan)), None, strategy, sim, 2);
                 assert!(plan.any_fired(), "{site}: fault never fired");
                 assert!(
                     !run.errors.is_empty()
@@ -148,7 +75,7 @@ fn recovery_is_reported_as_a_note_naming_task_and_attempts() {
         "task:procparse(FaultShort)",
         FaultKind::Panic,
     ));
-    let run = compile(&m, DkyStrategy::Skeptical, true, Some(plan), 3);
+    let run = compile(&m, Some(plan), None, DkyStrategy::Skeptical, true, 3);
     let note = run
         .diagnostics
         .iter()
@@ -174,13 +101,20 @@ fn recovery_is_reported_as_a_note_naming_task_and_attempts() {
 fn persistent_faults_exhaust_retries_and_degrade() {
     let m = module();
     for sim in [true, false] {
-        let baseline = compile(&m, DkyStrategy::Skeptical, sim, None, 0);
+        let baseline = compile(&m, None, None, DkyStrategy::Skeptical, sim, 0);
         let base_units = unit_map(&baseline);
         let plan = Arc::new(FaultPlan::single(
             "task:procparse(FaultShort)*",
             FaultKind::Panic,
         ));
-        let run = compile(&m, DkyStrategy::Skeptical, sim, Some(Arc::clone(&plan)), 2);
+        let run = compile(
+            &m,
+            Some(Arc::clone(&plan)),
+            None,
+            DkyStrategy::Skeptical,
+            sim,
+            2,
+        );
         assert!(
             run.errors.iter().any(|e| matches!(
                 e,
@@ -218,7 +152,14 @@ fn zero_retries_preserves_historical_degradation() {
             FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic)
                 .with_probe_recording(),
         );
-        let run = compile(&m, DkyStrategy::Skeptical, sim, Some(Arc::clone(&plan)), 0);
+        let run = compile(
+            &m,
+            Some(Arc::clone(&plan)),
+            None,
+            DkyStrategy::Skeptical,
+            sim,
+            0,
+        );
         assert!(run
             .errors
             .iter()
@@ -244,12 +185,13 @@ fn recovered_runs_are_deterministic_on_the_simulator() {
     let run = |_: u32| {
         compile(
             &m,
-            DkyStrategy::Skeptical,
-            true,
             Some(Arc::new(FaultPlan::single(
                 "task:codegen(*FaultLong)",
                 FaultKind::Panic,
             ))),
+            None,
+            DkyStrategy::Skeptical,
+            true,
             2,
         )
     };
@@ -262,131 +204,4 @@ fn recovered_runs_are_deterministic_on_the_simulator() {
     );
     assert_eq!(unit_map(&a), unit_map(&b));
     assert_eq!(a.report.virtual_time, b.report.virtual_time);
-}
-
-/// Builds options like [`compile`] but with per-task retry budgets.
-fn compile_budgeted(
-    m: &GeneratedModule,
-    sim: bool,
-    faults: Option<Arc<FaultPlan>>,
-    retries: u32,
-    budgets: &[(&str, u32)],
-) -> ccm2::ConcurrentOutput {
-    let executor = if sim {
-        Executor::Sim(SimConfig::firefly(4))
-    } else {
-        Executor::Threads(2)
-    };
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            strategy: DkyStrategy::Skeptical,
-            executor,
-            analyze: true,
-            faults,
-            max_stream_retries: retries,
-            task_retry_budgets: budgets.iter().map(|(n, b)| (n.to_string(), *b)).collect(),
-            ..Options::default()
-        },
-    )
-}
-
-/// A per-task budget of 0 pins that task to a single attempt even when
-/// the global budget would retry it: the stream degrades immediately,
-/// no retry site is queried, and no recovery is reported — while the
-/// rest of the compile still runs under the global budget.
-#[test]
-fn per_task_budget_zero_overrides_global_retries() {
-    let m = module();
-    for sim in [true, false] {
-        let plan = Arc::new(
-            FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic)
-                .with_probe_recording(),
-        );
-        let run = compile_budgeted(
-            &m,
-            sim,
-            Some(Arc::clone(&plan)),
-            2,
-            &[("procparse(FaultShort)", 0)],
-        );
-        assert!(
-            run.errors
-                .iter()
-                .any(|e| matches!(e, CompileError::StreamFault { .. })),
-            "sim={sim}: pinned task must degrade on first fault"
-        );
-        assert!(
-            !run.errors
-                .iter()
-                .any(|e| matches!(e, CompileError::Recovered { .. })),
-            "sim={sim}: a zero budget must not recover"
-        );
-        assert!(
-            plan.probed().iter().all(|s| !s.contains("#r")),
-            "sim={sim}: no retry site may be queried for the pinned task"
-        );
-    }
-}
-
-/// A per-task budget grants retries to one task with the global budget
-/// at zero: the named task recovers to the byte-identical fault-free
-/// output, and a budget naming a nonexistent task changes nothing.
-#[test]
-fn per_task_budget_enables_retries_with_global_zero() {
-    let m = module();
-    for sim in [true, false] {
-        let baseline = compile(&m, DkyStrategy::Skeptical, sim, None, 0);
-        let base_units = unit_map(&baseline);
-
-        let plan = Arc::new(FaultPlan::single(
-            "task:procparse(FaultShort)",
-            FaultKind::Panic,
-        ));
-        let run = compile_budgeted(
-            &m,
-            sim,
-            Some(Arc::clone(&plan)),
-            0,
-            &[("procparse(FaultShort)", 2)],
-        );
-        assert!(plan.any_fired(), "sim={sim}: fault never fired");
-        assert!(
-            !run.errors.is_empty()
-                && run
-                    .errors
-                    .iter()
-                    .all(|e| matches!(e, CompileError::Recovered { .. })),
-            "sim={sim}: expected only Recovered, got {:?}",
-            run.errors
-        );
-        assert!(run.is_ok(), "sim={sim}: recovery must not fail the compile");
-        assert_eq!(
-            unit_map(&run),
-            base_units,
-            "sim={sim}: recovered output must match the fault-free compile"
-        );
-
-        // A budget naming a task that never exists must not leak retries
-        // to anything else: the faulted stream still degrades.
-        let plan = Arc::new(FaultPlan::single(
-            "task:procparse(FaultShort)",
-            FaultKind::Panic,
-        ));
-        let run = compile_budgeted(
-            &m,
-            sim,
-            Some(Arc::clone(&plan)),
-            0,
-            &[("procparse(NoSuchProc)", 2)],
-        );
-        assert!(
-            run.errors
-                .iter()
-                .any(|e| matches!(e, CompileError::StreamFault { .. })),
-            "sim={sim}: unrelated budget must not grant retries"
-        );
-    }
 }
