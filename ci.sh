@@ -12,6 +12,39 @@ echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (workspace) =="
+# The root package is a workspace member, so this one step runs every
+# suite once — the crates' unit tests and the root `tests/`. What the
+# subsystem suites among them guard:
+#   incremental, properties   a warm compile is invisible: same bytes as
+#                             cold, only the touched stream recompiles
+#   ccm2-serve soak, stress,  every request answered under a tight queue
+#   restart                   and store budget (shed ones by retry), dedup
+#                             above its floor, eviction-pressure bytes
+#                             equal to direct compiles, kill/restart from
+#                             the snapshot journal with torn images
+#                             quarantined
+#   faults, recover, watchdog an injected fault degrades exactly one
+#                             stream; supervised retry converges transient
+#                             faults and degrades persistent ones; deadline
+#                             and wedge-release edges on both executors
+#   ccm2-fabric, fabric,      the lease table row by row; a fleet is
+#   chaosnet                  byte-identical to one service across shard
+#                             widths, a seeded shard kill and a seeded
+#                             partition cycle on both transports; a stale
+#                             answer stands the leader down wherever it is
+#                             heard; durable replica logs survive a fleet
+#                             restart
+#   ccm2-watch, watch         edit sessions converge to the cold compile of
+#                             the final sources; a syntax error degrades
+#                             only the edited stream, identically across
+#                             the sequential compiler, every DKY strategy
+#                             and both executors
+#   lockorder                 re-LOCK and lock-order-cycle predictions
+#                             equal the sequential reference everywhere,
+#                             and survive warm re-analysis
+# The golden step below runs the full matrices of the same subsystems
+# (56 fault cells, the chaosnet and split-brain grids, the 100-edit
+# session) with their invariants asserted inside.
 cargo test --workspace -q
 
 echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
@@ -57,83 +90,6 @@ echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # work units, virtual times) differs between the two.
 perf/check.sh
 perf/run.sh --counts --seconds 2
-
-echo "== incremental cache: warm/cold equivalence =="
-cargo test -q --test incremental
-cargo test -q --test properties warm_cache_compiles_are_invisible
-
-echo "== compile service: bounded soak (seeded, zero lost, dedup floor) =="
-# The soak drives the seeded many-client load through ccm2-serve with a
-# deliberately tight queue and store budget: every request must get a
-# response (shed ones via the retry protocol), identical in-flight
-# requests must dedupe above a floor, and the shared store must never
-# exceed its byte budget. The stress test adds eviction-pressure
-# byte-equivalence against direct compiles.
-cargo test -q -p ccm2-serve --test soak
-cargo test -q -p ccm2-serve --test stress
-
-echo "== fault injection: survival matrix smoke =="
-# Every injected fault must degrade exactly one stream: the property
-# tests sample the site x strategy x executor matrix, and the golden
-# step's `faults` section runs the full 56-cell matrix (zero hangs,
-# zero aborts, non-faulted streams byte-identical to the fault-free run).
-cargo test -q --test faults
-
-echo "== self-healing recovery: retry, watchdog edges, kill/restart =="
-# Supervised stream retry must converge transient faults to the
-# fault-free bytes and degrade persistent ones; watchdog edges (exact
-# deadline, wedge-release vs late-signal race) must hold on both
-# executors; the service must survive kill/restart with its snapshot
-# journal (no lost requests, LRU order intact, torn images quarantined).
-cargo test -q --test recover
-cargo test -q --test watchdog
-cargo test -q -p ccm2-serve --test restart
-
-echo "== compile fabric: fleet equivalence, failover, delta restart =="
-# The sharded fleet must be observationally identical to one standalone
-# service (byte-identical objects, same diagnostics) across every shard
-# width AND across a seeded mid-stream shard kill; the golden step's
-# `fabric` section additionally pins the failover drill (zero lost
-# admitted requests) and the delta restart economics (journal tail <
-# full CCM2SNAP image).
-cargo test -q -p ccm2-fabric
-cargo test -q --test fabric
-
-echo "== chaosnet: seeded network-fault drill matrix =="
-# The hardened control plane must survive the full chaos lifecycle on
-# three seeds x both transports: partition -> heartbeat eviction ->
-# serve through the hole -> heal -> warm rejoin -> cold join (>= 50%
-# warm hits on the first post-join batch) -> crash-restart from durable
-# CCM2RLOG replica logs -> failover absorb of the restored parked ops.
-# Zero lost admitted requests, zero hangs, byte-identity to standalone.
-# The split-brain drills add router-loss cells on the same seed x
-# transport grid: router kill, router partition, and dueling routers.
-# No epoch may ever see two live leaders and the fleet's durable
-# membership must converge to one image. The tests run the phases one
-# at a time; the golden step's `chaosnet` section runs the matrix, and
-# each of those invariants is an assertion inside it.
-cargo test -q --test chaosnet
-
-echo "== editor sessions: convergence, coalescing, error-unit determinism =="
-# The watch loop must converge every seeded edit session — broken
-# intermediates included — to the byte-identical output of a cold
-# compile of the final sources, and a syntax error must degrade exactly
-# the edited stream. The determinism guard pins the degraded output
-# across the sequential compiler, all four DKY strategies, and both
-# executors; the golden step's `watch` section gates the seeded
-# 100-edit session (warm-hit ratio >= 90%, aggregate check time below
-# aggregate cold).
-cargo test -q -p ccm2-watch
-cargo test -q --test watch
-cargo test -q --test watch error_unit_is_byte_identical_across_seq_dky_and_executors
-
-echo "== interprocedural lock-order analysis: static deadlock prediction =="
-# Cross-procedure re-LOCK and lock-order-cycle predictions must be
-# byte-identical to the sequential reference under every DKY strategy and
-# both executors, survive warm re-analysis from the summary cache, and
-# the golden step's `locks` section must show zero static false
-# negatives against the runtime wait-for-graph drills.
-cargo test -q --test lockorder
 
 echo "== golden: every reproduce section but dky, byte for byte =="
 # What `reproduce` prints is a pure function of the tree: virtual times,

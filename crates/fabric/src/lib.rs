@@ -17,12 +17,16 @@
 //!   in-process loopback (drills, proptests) and a real TCP transport
 //!   (kept-alive connections, frame after frame), interchangeable behind
 //!   one trait.
+//! * [`lease`] — the epoch-numbered eviction lease that keeps
+//!   membership authority exclusive when several routers run at once,
+//!   and the failure detector's clock: one transition table as plain
+//!   data, the shard's half ([`Lease`]) and the router's
+//!   ([`Authority`]).
 //! * [`shard`] — a service wrapped as a passive frame handler, plus
 //!   the replica logs it keeps for its peers' `CCM2DELT` streams.
 //! * [`router`] — routing, router-level single-flight, failover
 //!   (ring removal + replica absorption), replication epochs, and the
-//!   epoch-numbered eviction lease that keeps membership authority
-//!   exclusive when several routers run at once.
+//!   control plane's I/O: ticks, grant rounds, renewals, warm joins.
 //! * [`client`] — the fleet's client side: sticky router preference,
 //!   router-failover retry, and honored `Retry-After` back-off hints.
 //! * [`durable`] — crash-atomic persistence: `CCM2RLOG` replica-log
@@ -55,6 +59,7 @@
 
 pub mod client;
 pub mod durable;
+pub mod lease;
 pub mod ring;
 pub mod router;
 pub mod shard;
@@ -70,13 +75,15 @@ pub use durable::{
     decode_membership, decode_replica_logs, encode_membership, encode_replica_logs,
     MembershipImage, MembershipStore, ReplicaLogStore, MBRS_FORMAT, RLOG_FORMAT,
 };
+pub use lease::{
+    Authority, HealthState, HeartbeatConfig, Lease, LeaseConfig, LeaseView, RouterRole,
+};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
-    start_heartbeats, FabricResponse, FabricRouter, FabricStats, FleetRetryBurn, HealthState,
-    HeartbeatConfig, HeartbeatHandle, LeaseConfig, RouterRole, ShardRetryBurn,
+    start_heartbeats, FabricResponse, FabricRouter, FabricStats, HeartbeatHandle,
     DEFAULT_RETRY_AFTER_MS,
 };
-pub use shard::{LeaseView, ReplicaLog, ShardNode, ShardStats, REPLICA_LOG_CAP};
+pub use shard::{ReplicaLog, ShardNode, ShardStats, REPLICA_LOG_CAP};
 pub use transport::{
     read_frame, FrameHandler, LoopbackTransport, TcpShardServer, TcpTransport, Transport,
     MAX_PAYLOAD,
@@ -666,27 +673,6 @@ mod tests {
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.exhausted, 1);
         assert_eq!(stats.served, 0);
-    }
-
-    #[test]
-    fn retry_burn_aggregates_shard_reports() {
-        let fabric = Fabric::start(2, small_config());
-        let reqs: Vec<CompileRequest> = (0..4).map(|m| request(9, &format!("Burn{m}"))).collect();
-        for resp in fabric.router().serve_batch(&reqs) {
-            assert!(resp.outcome().expect("served").ok);
-        }
-        let burn = fabric.router().retry_burn();
-        assert_eq!(burn.shards.len(), 2, "every live shard reports");
-        assert_eq!(
-            burn.shards.iter().map(|s| s.compiles).sum::<u64>(),
-            fabric.total_compiles()
-        );
-        for shard in &burn.shards {
-            assert_eq!(shard.retry_budget, small_config().retry_attempts);
-            assert_eq!(shard.queue_len, 0, "drained fleet reports empty queues");
-            assert_eq!(shard.budget_remaining(), shard.retry_budget);
-        }
-        assert_eq!(burn.attempts_used(), 0, "healthy fleet burns no retries");
     }
 
     /// The fleet contract, row by row, on the loopback and on sockets:

@@ -1,6 +1,6 @@
 //! The fleet's front door: consistent-hash routing, router-level
-//! single-flight, failover, and (since wire v3) the epoch lease that
-//! makes eviction authority exclusive.
+//! single-flight, failover, and the I/O of the control plane — whose
+//! rules are [`crate::lease`]'s.
 //!
 //! [`FabricRouter::serve`] takes an ordinary [`CompileRequest`] and
 //! returns a [`FabricResponse`]:
@@ -60,31 +60,18 @@
 //! With one router, eviction authority is implicit. With standbys (this
 //! is what makes router loss survivable) it must be *exclusive*, or a
 //! partitioned ex-leader can resurrect an evicted shard or double-
-//! absorb a replica log — split-brain. Authority is an **epoch lease**:
-//!
-//! - [`FabricRouter::acquire_lease`] fans [`Message::LeaseGrant`] at
-//!   `max(known epoch) + 1` to every member. A shard grants each epoch
-//!   at most once; the router leads only with a **majority** of grants.
-//!   Two leaders in one epoch would need two disjoint majorities —
-//!   impossible — so every epoch has at most one leader.
-//! - A leading router renews per heartbeat tick ([`Message::LeaseRenew`]);
-//!   shards age the lease in *probe rounds answered* (deterministic
-//!   virtual time, no wall clock). Control frames (`Absorb`,
-//!   `DeltaShip` fan-out, pushed `Image`) carry the `(router, epoch)`
-//!   stamp and shards refuse stale stamps with
-//!   [`Message::EpochReject`] — the moment a partitioned ex-leader
-//!   hears one it [demotes](RouterRole::Standby) and resyncs.
-//! - A **standby** mirrors state instead of driving it: each tick it
-//!   reloads the durable membership image (see
-//!   `crate::durable::MembershipStore`), pings members (which also
-//!   mirrors the lease view carried on [`Message::Pong`]) and promotes
-//!   itself — one `acquire_lease` round — once a majority of answering
-//!   shards report the lease older than [`LeaseConfig::expiry_ticks`].
-//!
-//! A single router with the default identity (`router 0`, epoch 0)
-//! needs none of this machinery: shards start with a vacant lease and
-//! adopt the first claimant, so the legacy standalone fabric works
-//! unchanged.
+//! absorb a replica log — split-brain. Authority is an **epoch lease**
+//! granted by the shards, and every decision about it is answered by
+//! the one [`Authority`] this router keeps under one lock (the table is
+//! [`crate::lease`]'s module doc). What is here is the I/O around those
+//! answers: the grant round ([`FabricRouter::acquire_lease`]), a
+//! leader's tick (probe, renew on the members that answered, evict), a
+//! standby's (reload the durable membership image — see
+//! `crate::durable::MembershipStore` — probe, claim once the lease has
+//! expired), and `control`, through which every frame but a compile
+//! goes out and the only place an [`Message::EpochReject`] is heard:
+//! the leader stands down and resyncs on the spot, and the operation
+//! that sent the frame stops before its next membership effect.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -96,6 +83,9 @@ use ccm2_support::hash::Fp128;
 use parking_lot::{Condvar, Mutex};
 
 use crate::durable::{MembershipImage, MembershipStore};
+use crate::lease::{
+    Asked, Authority, HealthState, HeartbeatConfig, LeaseConfig, LeaseView, RouterRole, Stale,
+};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::transport::Transport;
 use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, WireRequest, NO_ROUTER};
@@ -198,142 +188,6 @@ pub struct FabricStats {
     pub membership_resyncs: u64,
 }
 
-/// Failure-detector tuning: consecutive heartbeat misses before a shard
-/// is suspected, and before it is evicted from the ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Misses at which the shard turns [`HealthState::Suspect`].
-    pub suspect_misses: u32,
-    /// Misses at which the shard is evicted (ring removal + absorb).
-    /// Clamped to at least `suspect_misses`.
-    pub evict_misses: u32,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> HeartbeatConfig {
-        HeartbeatConfig {
-            suspect_misses: 1,
-            evict_misses: 3,
-        }
-    }
-}
-
-/// Which side of the lease a router is on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RouterRole {
-    /// Holds (or, for the legacy single-router fabric, assumes) the
-    /// eviction lease: runs the failure detector, evicts, admits,
-    /// absorbs, fans out replication.
-    #[default]
-    Leader,
-    /// Mirrors membership and the lease view; promotes itself when the
-    /// lease expires. Serves client traffic (routing and dispatch need
-    /// no authority) but never changes membership.
-    Standby,
-}
-
-/// Lease tuning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaseConfig {
-    /// Probe rounds a shard may answer without seeing a renewal before
-    /// a standby counts its lease as expired. Expiry is measured in
-    /// the *shard's* virtual clock (its `lease_age` as mirrored on
-    /// [`Message::Pong`]), so drills in virtual time and TCP
-    /// deployments on the wall clock expire identically.
-    pub expiry_ticks: u32,
-}
-
-impl Default for LeaseConfig {
-    fn default() -> LeaseConfig {
-        LeaseConfig { expiry_ticks: 3 }
-    }
-}
-
-/// A shard's position in the failure-detector state machine
-/// (alive → suspect → evicted → rejoining → alive).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum HealthState {
-    /// Answering probes (or not yet probed).
-    #[default]
-    Alive,
-    /// Missed probes, but below the eviction threshold; still on the
-    /// ring and still serving whatever reaches it.
-    Suspect,
-    /// Evicted from the ring (by the detector, a transport error, or a
-    /// drill kill). Not probed again until re-admitted.
-    Evicted,
-    /// Inside [`FabricRouter::admit_shard`]'s warm-up: reachable and
-    /// catching up, but not yet owning keys.
-    Rejoining,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Health {
-    state: HealthState,
-    misses: u32,
-}
-
-/// One shard's retry burn, as reported over [`Message::FetchStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardRetryBurn {
-    /// Reporting shard.
-    pub shard: u32,
-    /// Compiles it has served.
-    pub compiles: u64,
-    /// Requests shed at admission (queue full).
-    pub shed: u64,
-    /// Requests shed by the fairness quota.
-    pub quota_shed: u64,
-    /// Admission-retry attempts its serve loop has burned.
-    pub retry_attempts_used: u64,
-    /// Requests that recovered within the budget.
-    pub retry_recovered: u64,
-    /// Requests that exhausted the budget.
-    pub retry_exhausted: u64,
-    /// The configured per-request retry budget.
-    pub retry_budget: u32,
-    /// Queue depth at report time.
-    pub queue_len: u32,
-}
-
-impl ShardRetryBurn {
-    /// Budget left for the *average* in-flight request: the configured
-    /// per-request budget minus the mean attempts burned per request
-    /// that needed any. Saturates at zero.
-    pub fn budget_remaining(&self) -> u32 {
-        let strained = self.retry_recovered + self.retry_exhausted;
-        if strained == 0 {
-            return self.retry_budget;
-        }
-        let mean = (self.retry_attempts_used / strained).min(u64::from(u32::MAX)) as u32;
-        self.retry_budget.saturating_sub(mean)
-    }
-}
-
-/// Fleet-level retry-burn view (see [`FabricRouter::retry_burn`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FleetRetryBurn {
-    /// Per-shard reports, ascending by shard id.
-    pub shards: Vec<ShardRetryBurn>,
-}
-
-impl FleetRetryBurn {
-    /// Total admission-retry attempts burned across the fleet.
-    pub fn attempts_used(&self) -> u64 {
-        self.shards.iter().map(|s| s.retry_attempts_used).sum()
-    }
-
-    /// Total requests that recovered within their budget.
-    pub fn recovered(&self) -> u64 {
-        self.shards.iter().map(|s| s.retry_recovered).sum()
-    }
-
-    /// Total requests that exhausted their budget.
-    pub fn exhausted(&self) -> u64 {
-        self.shards.iter().map(|s| s.retry_exhausted).sum()
-    }
-}
-
 type Flight = Arc<(Mutex<Option<FabricResponse>>, Condvar)>;
 
 /// See the module docs.
@@ -349,15 +203,10 @@ pub struct FabricRouter {
     /// cut them, or the peer's replica log reads the later one as a
     /// sequence gap and is discarded at failover.
     replication: Mutex<HashMap<u32, Arc<Mutex<()>>>>,
-    heartbeat: HeartbeatConfig,
-    health: Mutex<HashMap<u32, Health>>,
-    probe_seq: AtomicU64,
-    router_id: u32,
-    role: Mutex<RouterRole>,
-    epoch: AtomicU64,
-    known_epoch: AtomicU64,
-    leadership_epochs: Mutex<Vec<u64>>,
-    lease: LeaseConfig,
+    /// Identity, role, epochs, member health and their tuning: the whole
+    /// control-plane state, behind one lock that is never held across a
+    /// call on the transport or together with another lock.
+    authority: Mutex<Authority>,
     membership: Option<Arc<MembershipStore>>,
     down: AtomicBool,
 }
@@ -365,8 +214,7 @@ pub struct FabricRouter {
 impl FabricRouter {
     /// A router over every shard `transport` can currently reach, with
     /// the default vnode count. Identity defaults to router 0, leading
-    /// at epoch 0 — the legacy single-router configuration, which
-    /// shards accept without any lease ceremony.
+    /// at epoch 0, which vacant leases adopt without any grant round.
     pub fn new(transport: Arc<dyn Transport>) -> FabricRouter {
         let ring = HashRing::new(&transport.shards(), DEFAULT_VNODES);
         FabricRouter {
@@ -377,15 +225,7 @@ impl FabricRouter {
             faults: None,
             dispatch_seq: AtomicU64::new(0),
             replication: Mutex::new(HashMap::new()),
-            heartbeat: HeartbeatConfig::default(),
-            health: Mutex::new(HashMap::new()),
-            probe_seq: AtomicU64::new(0),
-            router_id: 0,
-            role: Mutex::new(RouterRole::Leader),
-            epoch: AtomicU64::new(0),
-            known_epoch: AtomicU64::new(0),
-            leadership_epochs: Mutex::new(Vec::new()),
-            lease: LeaseConfig::default(),
+            authority: Mutex::new(Authority::default()),
             membership: None,
             down: AtomicBool::new(false),
         }
@@ -400,10 +240,7 @@ impl FabricRouter {
 
     /// Overrides the failure-detector thresholds.
     pub fn with_heartbeat(mut self, config: HeartbeatConfig) -> FabricRouter {
-        self.heartbeat = HeartbeatConfig {
-            suspect_misses: config.suspect_misses,
-            evict_misses: config.evict_misses.max(config.suspect_misses),
-        };
+        self.authority.get_mut().heartbeat = config;
         self
     }
 
@@ -412,23 +249,21 @@ impl FabricRouter {
     /// distinct ids.
     pub fn with_identity(mut self, router_id: u32) -> FabricRouter {
         assert!(router_id != NO_ROUTER, "NO_ROUTER is reserved");
-        self.router_id = router_id;
+        self.authority.get_mut().id = router_id;
         self
     }
 
     /// Starts this router as a standby: it mirrors membership and the
     /// lease, serves traffic, and promotes itself only when the lease
     /// expires.
-    pub fn as_standby(self) -> FabricRouter {
-        *self.role.lock() = RouterRole::Standby;
+    pub fn as_standby(mut self) -> FabricRouter {
+        self.authority.get_mut().stand_by();
         self
     }
 
     /// Overrides the lease tuning.
     pub fn with_lease(mut self, lease: LeaseConfig) -> FabricRouter {
-        self.lease = LeaseConfig {
-            expiry_ticks: lease.expiry_ticks.max(1),
-        };
+        self.authority.get_mut().lease = lease;
         self
     }
 
@@ -452,24 +287,24 @@ impl FabricRouter {
 
     /// This router's control-plane identity.
     pub fn router_id(&self) -> u32 {
-        self.router_id
+        self.authority.lock().id
     }
 
     /// Current role.
     pub fn role(&self) -> RouterRole {
-        *self.role.lock()
+        self.authority.lock().role()
     }
 
     /// The epoch this router last led under.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.authority.lock().stamp().1
     }
 
     /// Every epoch this router has ever acquired leadership for, in
     /// acquisition order. Drills assert these sets are disjoint across
     /// routers — the no-two-leaders-per-epoch invariant.
     pub fn leadership_epochs(&self) -> Vec<u64> {
-        self.leadership_epochs.lock().clone()
+        self.authority.lock().led().to_vec()
     }
 
     /// Models router death for drills: a shut-down router answers every
@@ -486,16 +321,34 @@ impl FabricRouter {
 
     /// The failure detector's current verdict on `shard`.
     pub fn health(&self, shard: u32) -> HealthState {
-        self.health
-            .lock()
-            .get(&shard)
-            .copied()
-            .unwrap_or_default()
-            .state
+        self.authority.lock().health(shard)
     }
 
-    fn note_epoch(&self, seen: u64) {
-        self.known_epoch.fetch_max(seen, Ordering::Relaxed);
+    /// One frame to `shard` and its decoded answer (`None`: unreachable,
+    /// or an answer that is no frame). Every frame but a compile goes
+    /// out through here, because here is where a stale answer is heard:
+    /// the [`Authority`] notes the refusing epoch and decides whether
+    /// this router stands down, and the caller gets [`Stale`] to stop on.
+    fn control(&self, shard: u32, asked: Asked, frame: &[u8]) -> Result<Option<Message>, Stale> {
+        let reply = self.transport.call(shard, frame).ok();
+        let reply = reply.and_then(|bytes| decode_frame(&bytes));
+        let Some(Message::EpochReject { epoch, .. }) = reply else {
+            return Ok(reply);
+        };
+        let stood_down = self.authority.lock().refused(asked, epoch);
+        self.stats.lock().epoch_rejects += 1;
+        if stood_down {
+            self.stood_down();
+        }
+        Err(Stale)
+    }
+
+    /// The [`Authority`] has just demoted this router: count it, and
+    /// resync membership from the durable store — the ex-leader's local
+    /// ring may carry evictions that were never its to make.
+    fn stood_down(&self) {
+        self.stats.lock().demotions += 1;
+        self.resync_membership();
     }
 
     /// Claims leadership: fans [`Message::LeaseGrant`] at one past the
@@ -512,49 +365,23 @@ impl FabricRouter {
         if members.is_empty() {
             return false;
         }
-        let epoch = self
-            .known_epoch
-            .load(Ordering::Relaxed)
-            .max(self.epoch.load(Ordering::Relaxed))
-            + 1;
-        let grant = encode_frame(&Message::LeaseGrant {
-            router: self.router_id,
-            epoch,
-        });
+        let (router, epoch) = self.authority.lock().claim();
+        let grant = encode_frame(&Message::LeaseGrant { router, epoch });
         let mut granted = 0usize;
         for &shard in &members {
-            match self.transport.call(shard, &grant).map(|b| decode_frame(&b)) {
-                Ok(Some(Message::Ack)) => {
-                    granted += 1;
-                    self.stats.lock().lease_grants += 1;
-                }
-                Ok(Some(Message::EpochReject { epoch: seen, .. })) => {
-                    self.note_epoch(seen);
-                    self.stats.lock().epoch_rejects += 1;
-                }
-                _ => {}
+            // A refusal teaches the epoch to claim above next time; the
+            // round still asks everyone.
+            if let Ok(Some(Message::Ack)) = self.control(shard, Asked::Claim, &grant) {
+                granted += 1;
+                self.stats.lock().lease_grants += 1;
             }
         }
-        self.note_epoch(epoch);
-        if granted * 2 > members.len() {
-            self.epoch.store(epoch, Ordering::Relaxed);
-            *self.role.lock() = RouterRole::Leader;
-            self.leadership_epochs.lock().push(epoch);
+        let leads = self.authority.lock().claimed(epoch, granted, members.len());
+        if leads {
             self.stats.lock().promotions += 1;
             self.persist_membership();
-            true
-        } else {
-            false
         }
-    }
-
-    /// Demotes to standby (after an `EpochReject` or an observed newer
-    /// epoch) and resyncs membership from the durable store — the
-    /// ex-leader's local ring may carry unauthorized evictions.
-    fn demote(&self) {
-        *self.role.lock() = RouterRole::Standby;
-        self.stats.lock().demotions += 1;
-        self.resync_membership();
+        leads
     }
 
     /// Reloads ring membership from the shared durable store, if one is
@@ -570,56 +397,68 @@ impl FabricRouter {
         let Some(image) = loaded.image else {
             return;
         };
-        self.note_epoch(image.epoch);
         *self.ring.lock() = HashRing::new(&image.members, DEFAULT_VNODES);
-        let mut health = self.health.lock();
-        for &m in &image.members {
-            let h = health.entry(m).or_default();
-            if h.state == HealthState::Evicted {
-                h.state = HealthState::Alive;
-                h.misses = 0;
-            }
-        }
+        self.authority.lock().mirrored(image.epoch, &image.members);
         self.stats.lock().membership_resyncs += 1;
     }
 
-    /// Persists the current membership under this router's epoch.
+    /// Persists the current membership under this router's stamp.
     fn persist_membership(&self) {
         let Some(store) = &self.membership else {
             return;
         };
+        let (leader, epoch) = self.authority.lock().stamp();
         let image = MembershipImage {
-            epoch: self.epoch.load(Ordering::Relaxed),
-            leader: self.router_id,
+            epoch,
+            leader,
             members: self.ring.lock().shards(),
         };
         let _ = store.save(&image);
     }
 
-    /// Renew-barrier: confirms this router still holds the lease by
-    /// renewing against every member *before* a membership change. Any
-    /// `EpochReject` demotes and returns `false` — closing the window
-    /// where a partitioned ex-leader with no pending traffic would
-    /// otherwise admit or evict on stale authority.
-    fn confirm_lease(&self) -> bool {
-        let members = self.ring.lock().shards();
-        let renew = encode_frame(&Message::LeaseRenew {
-            router: self.router_id,
-            epoch: self.epoch.load(Ordering::Relaxed),
-        });
-        for &shard in &members {
-            match self.transport.call(shard, &renew).map(|b| decode_frame(&b)) {
-                Ok(Some(Message::Ack)) => self.stats.lock().lease_renews += 1,
-                Ok(Some(Message::EpochReject { epoch: seen, .. })) => {
-                    self.note_epoch(seen);
-                    self.stats.lock().epoch_rejects += 1;
-                    self.demote();
-                    return false;
-                }
-                _ => {}
+    /// Renews the lease on each of `members`: the leader's round, and
+    /// the barrier that confirms the lease is still held *before* a
+    /// membership change — closing the window where a partitioned
+    /// ex-leader with no pending traffic would otherwise admit or evict
+    /// on stale authority.
+    fn renew(&self, members: &[u32]) -> Result<(), Stale> {
+        let (router, epoch) = self.authority.lock().stamp();
+        let renew = encode_frame(&Message::LeaseRenew { router, epoch });
+        for &shard in members {
+            if let Some(Message::Ack) = self.control(shard, Asked::Control, &renew)? {
+                self.stats.lock().lease_renews += 1;
             }
         }
-        true
+        Ok(())
+    }
+
+    /// One nonce'd probe of `shard`: the lease age it reports, or `None`
+    /// for a miss — no answer, or one that does not echo this probe.
+    /// [`Stale`] when the answer deposes this router.
+    fn probe(&self, shard: u32) -> Result<Option<u32>, Stale> {
+        let nonce = self.authority.lock().nonce();
+        self.stats.lock().pings += 1;
+        let ping = encode_frame(&Message::Ping { nonce });
+        let Some(Message::Pong {
+            shard: s,
+            nonce: n,
+            lease_epoch: epoch,
+            lease_router: holder,
+            lease_age: age,
+        }) = self.control(shard, Asked::Control, &ping)?
+        else {
+            return Ok(None);
+        };
+        if s != shard || n != nonce {
+            return Ok(None);
+        }
+        self.stats.lock().pongs += 1;
+        let view = LeaseView { epoch, holder, age };
+        let heard = self.authority.lock().pong(shard, view);
+        if heard.is_err() {
+            self.stood_down();
+        }
+        heard.map(|()| Some(age))
     }
 
     /// One failure-detector round, dispatched by role. Leaders probe,
@@ -642,8 +481,9 @@ impl FabricRouter {
     }
 
     /// The leading router's round: nonce'd pings advance the suspicion
-    /// clock, renewals keep the lease fresh, and any `EpochReject`
-    /// demotes *before* an eviction can run on stale authority.
+    /// clock, renewals keep the lease fresh, and hearing of a newer
+    /// leader — on a pong or on a refused renewal — ends the round
+    /// *before* an eviction can run on stale authority.
     fn leader_tick(&self) -> Vec<u32> {
         if self.ring.lock().is_empty() {
             // A partitioned ex-leader can evict its whole view; the
@@ -651,123 +491,52 @@ impl FabricRouter {
             self.resync_membership();
         }
         let members = self.ring.lock().shards();
-        let mut evicted = Vec::new();
         let mut answered = Vec::new();
         let mut to_evict = Vec::new();
         for shard in members {
-            let nonce = self.probe_seq.fetch_add(1, Ordering::Relaxed);
-            self.stats.lock().pings += 1;
-            let ping = encode_frame(&Message::Ping { nonce });
-            let pong = match self.transport.call(shard, &ping) {
-                Ok(bytes) => match decode_frame(&bytes) {
-                    Some(Message::Pong {
-                        shard: s,
-                        nonce: n,
-                        lease_epoch,
-                        lease_router,
-                        lease_age: _,
-                    }) if s == shard && n == nonce => Some((lease_epoch, lease_router)),
-                    _ => None,
-                },
-                Err(_) => None,
-            };
-            if let Some((lease_epoch, lease_router)) = pong {
-                self.stats.lock().pongs += 1;
-                self.note_epoch(lease_epoch);
-                if lease_epoch > self.epoch.load(Ordering::Relaxed)
-                    && lease_router != self.router_id
-                {
-                    // Someone newer leads; stand down before touching
-                    // membership.
-                    self.demote();
-                    return Vec::new();
+            match self.probe(shard) {
+                Err(Stale) => return Vec::new(),
+                Ok(Some(_age)) => answered.push(shard),
+                Ok(None) => {
+                    let miss = self.authority.lock().miss(shard);
+                    if miss.suspected {
+                        self.stats.lock().suspects += 1;
+                    }
+                    if miss.evict {
+                        to_evict.push(shard);
+                    }
                 }
-                let mut health = self.health.lock();
-                let h = health.entry(shard).or_default();
-                h.misses = 0;
-                h.state = HealthState::Alive;
-                answered.push(shard);
-                continue;
-            }
-            let (suspect_transition, evict) = {
-                let mut health = self.health.lock();
-                let h = health.entry(shard).or_default();
-                h.misses += 1;
-                let evict = h.misses >= self.heartbeat.evict_misses;
-                let suspect =
-                    h.misses >= self.heartbeat.suspect_misses && h.state == HealthState::Alive;
-                if suspect {
-                    h.state = HealthState::Suspect;
-                }
-                (suspect, evict)
-            };
-            if suspect_transition {
-                self.stats.lock().suspects += 1;
-            }
-            if evict {
-                to_evict.push(shard);
             }
         }
-        // Renew on every member that answered; a single EpochReject
-        // means the lease moved on and the pending evictions are not
-        // ours to run.
-        let renew = encode_frame(&Message::LeaseRenew {
-            router: self.router_id,
-            epoch: self.epoch.load(Ordering::Relaxed),
-        });
-        for &shard in &answered {
-            match self.transport.call(shard, &renew).map(|b| decode_frame(&b)) {
-                Ok(Some(Message::Ack)) => self.stats.lock().lease_renews += 1,
-                Ok(Some(Message::EpochReject { epoch: seen, .. })) => {
-                    self.note_epoch(seen);
-                    self.stats.lock().epoch_rejects += 1;
-                    self.demote();
-                    return Vec::new();
-                }
-                _ => {}
-            }
+        // Renew on every member that answered; a single refusal means
+        // the lease moved on and the pending evictions are not ours to
+        // run.
+        if self.renew(&answered).is_err() {
+            return Vec::new();
         }
+        let mut evicted = Vec::new();
         for shard in to_evict {
             self.stats.lock().heartbeat_evictions += 1;
-            self.fail_over(shard);
+            let refused = self.fail_over(shard).is_err();
             evicted.push(shard);
+            if refused {
+                break;
+            }
         }
         evicted
     }
 
     /// A standby's round: mirror the durable membership, ping members
     /// to mirror the lease view, and promote once a majority of the
-    /// answering shards report the lease expired.
+    /// membership reports the lease expired.
     fn standby_tick(&self) {
         self.resync_membership();
         let members = self.ring.lock().shards();
-        let mut answered = 0usize;
-        let mut expired = 0usize;
-        for &shard in &members {
-            let nonce = self.probe_seq.fetch_add(1, Ordering::Relaxed);
-            self.stats.lock().pings += 1;
-            let ping = encode_frame(&Message::Ping { nonce });
-            if let Ok(bytes) = self.transport.call(shard, &ping) {
-                if let Some(Message::Pong {
-                    shard: s,
-                    nonce: n,
-                    lease_epoch,
-                    lease_router: _,
-                    lease_age,
-                }) = decode_frame(&bytes)
-                {
-                    if s == shard && n == nonce {
-                        self.stats.lock().pongs += 1;
-                        self.note_epoch(lease_epoch);
-                        answered += 1;
-                        if lease_age >= self.lease.expiry_ticks {
-                            expired += 1;
-                        }
-                    }
-                }
-            }
-        }
-        if answered > 0 && expired * 2 > members.len() {
+        let ages: Vec<u32> = members
+            .iter()
+            .filter_map(|&shard| self.probe(shard).ok().flatten())
+            .collect();
+        if self.authority.lock().expired(&ages, members.len()) {
             self.acquire_lease();
         }
     }
@@ -790,6 +559,10 @@ impl FabricRouter {
     ///    reach it too (parked in its replica logs, per origin).
     /// 4. Only then does the ring take the joiner — keys move to a
     ///    shard that can already serve them warm.
+    ///
+    /// The lease can move after the barrier as well: a refusal of any
+    /// stamped frame of steps 2 and 3 aborts the same way, with the
+    /// joiner off the ring and nothing persisted.
     pub fn admit_shard(&self, shard: u32) -> bool {
         if self.is_shutdown() {
             return false;
@@ -801,38 +574,43 @@ impl FabricRouter {
             }
             ring.shards()
         };
-        if !self.confirm_lease() {
+        let was = self.health(shard);
+        if self.warm_up(shard, &sources).is_err() {
+            // Refused: the joiner is where it was, off the ring.
+            self.authority.lock().mark(shard, was);
             return false;
         }
-        if !sources.is_empty() {
-            self.health.lock().entry(shard).or_default().state = HealthState::Rejoining;
-            let mut shipped = None;
-            for &src in &sources {
-                if let Some((delta_seq, entries)) = self.fetch_image(src) {
-                    let n = entries.len() as u64;
-                    if self.push_image(shard, delta_seq, entries) {
-                        shipped = Some(shipped.unwrap_or(0) + n);
-                    }
-                }
-            }
-            for &src in &sources {
-                self.replication_epoch(src, Some(shard));
-            }
-            if let Some(n) = shipped {
-                let mut stats = self.stats.lock();
-                stats.warm_joins += 1;
-                stats.warmup_entries += n;
-            }
-        }
         self.ring.lock().add(shard);
-        {
-            let mut health = self.health.lock();
-            let h = health.entry(shard).or_default();
-            h.state = HealthState::Alive;
-            h.misses = 0;
-        }
+        self.authority.lock().mark(shard, HealthState::Alive);
         self.persist_membership();
         true
+    }
+
+    /// Steps 1–3 of [`admit_shard`](FabricRouter::admit_shard).
+    fn warm_up(&self, shard: u32, sources: &[u32]) -> Result<(), Stale> {
+        self.renew(sources)?;
+        if sources.is_empty() {
+            return Ok(());
+        }
+        self.authority.lock().mark(shard, HealthState::Rejoining);
+        let mut shipped = None;
+        for &src in sources {
+            if let Some((delta_seq, entries)) = self.fetch_image(src)? {
+                let n = entries.len() as u64;
+                if self.push_image(shard, delta_seq, entries)? {
+                    shipped = Some(shipped.unwrap_or(0) + n);
+                }
+            }
+        }
+        for &src in sources {
+            self.replication_epoch(src, Some(shard))?;
+        }
+        if let Some(n) = shipped {
+            let mut stats = self.stats.lock();
+            stats.warm_joins += 1;
+            stats.warmup_entries += n;
+        }
+        Ok(())
     }
 
     /// Drill hook: kill `shard` now — drop its transport endpoint,
@@ -840,7 +618,7 @@ impl FabricRouter {
     /// replica logs. Idempotent.
     pub fn kill_shard(&self, shard: u32) {
         self.transport.kill(shard);
-        self.fail_over(shard);
+        let _ = self.fail_over(shard);
     }
 
     /// Serves one request through the fleet. Blocks until served, shed,
@@ -911,7 +689,7 @@ impl FabricRouter {
                     Some(FaultKind::Panic)
                 ) {
                     self.transport.kill(shard);
-                    self.fail_over(shard);
+                    let _ = self.fail_over(shard);
                     continue;
                 }
             }
@@ -919,13 +697,13 @@ impl FabricRouter {
             let bytes = match self.transport.call(shard, &frame) {
                 Ok(bytes) => bytes,
                 Err(_) => {
-                    self.fail_over(shard);
+                    let _ = self.fail_over(shard);
                     continue;
                 }
             };
             match decode_frame(&bytes) {
                 Some(Message::Outcome(out)) => {
-                    self.replicate_from(shard);
+                    let _ = self.replication_epoch(shard, None);
                     return FabricResponse::Done(out);
                 }
                 Some(Message::Reject { reason, .. }) if reason.starts_with("bad") => {
@@ -962,37 +740,30 @@ impl FabricRouter {
     /// One replication epoch: sync `shard` for its pending deltas and
     /// fan the batch to every surviving peer. Best-effort — replication
     /// is warmth (see `crate::shard`), so errors are swallowed and cost
-    /// at most a recompile after a later failover.
-    fn replicate_from(&self, shard: u32) {
-        self.replication_epoch(shard, None);
-    }
-
-    /// The epoch body: `extra_peer` (a joiner mid-warm-up, not yet on
-    /// the ring) receives the fan-out alongside the ring peers. The
-    /// fan-out carries this router's `(router, epoch)` stamp — a peer
-    /// holding a newer lease answers `EpochReject`, which demotes this
-    /// router on the spot (replication is how a partitioned dueling
-    /// leader usually learns it lost).
-    fn replication_epoch(&self, shard: u32, extra_peer: Option<u32>) {
+    /// at most a recompile after a later failover. `extra_peer` (a
+    /// joiner mid-warm-up, not yet on the ring) receives the fan-out
+    /// alongside the ring peers. The fan-out carries this router's
+    /// `(router, epoch)` stamp — a peer holding a newer lease refuses
+    /// it, which stands this router down on the spot (replication is
+    /// how a partitioned dueling leader usually learns it lost) and ends
+    /// the fan-out.
+    fn replication_epoch(&self, shard: u32, extra_peer: Option<u32>) -> Result<(), Stale> {
         // Requests served side by side end here side by side; epochs of
         // one origin take turns, sync to last ship (see `replication`).
         let turn = Arc::clone(self.replication.lock().entry(shard).or_default());
         let _turn = turn.lock();
         let sync = encode_frame(&Message::Sync);
-        let Ok(bytes) = self.transport.call(shard, &sync) else {
-            return;
-        };
         let Some(Message::DeltaShip {
             from_shard, batch, ..
-        }) = decode_frame(&bytes)
+        }) = self.control(shard, Asked::Control, &sync)?
         else {
-            return;
+            return Ok(());
         };
         let Some((_base, ops)) = ccm2_incr::decode_delta(&batch) else {
-            return;
+            return Ok(());
         };
         if ops.is_empty() {
-            return;
+            return Ok(());
         }
         let mut peers: Vec<u32> = self
             .ring
@@ -1006,96 +777,50 @@ impl FabricRouter {
                 peers.push(extra);
             }
         }
+        let (router, epoch) = self.authority.lock().stamp();
         let ship = encode_frame(&Message::DeltaShip {
             from_shard,
             batch,
-            router: self.router_id,
-            epoch: self.epoch.load(Ordering::Relaxed),
+            router,
+            epoch,
         });
         for peer in peers {
-            if let Ok(bytes) = self.transport.call(peer, &ship) {
-                if let Some(Message::EpochReject { epoch: seen, .. }) = decode_frame(&bytes) {
-                    self.note_epoch(seen);
-                    self.stats.lock().epoch_rejects += 1;
-                    self.demote();
-                    return;
-                }
-            }
+            self.control(peer, Asked::Control, &ship)?;
         }
         let mut stats = self.stats.lock();
         stats.ships += 1;
         stats.shipped_ops += ops.len() as u64;
+        Ok(())
     }
 
     /// Pulls a full store image from `shard`.
-    fn fetch_image(&self, shard: u32) -> Option<StoreImage> {
+    fn fetch_image(&self, shard: u32) -> Result<Option<StoreImage>, Stale> {
         let fetch = encode_frame(&Message::FetchImage);
-        let bytes = self.transport.call(shard, &fetch).ok()?;
-        match decode_frame(&bytes) {
+        Ok(match self.control(shard, Asked::Control, &fetch)? {
             Some(Message::Image {
                 delta_seq, entries, ..
             }) => Some((delta_seq, entries)),
             _ => None,
-        }
+        })
     }
 
     /// Pushes a full store image to `shard` under this router's stamp;
     /// `true` on its `Ack`.
-    fn push_image(&self, shard: u32, delta_seq: u64, entries: Vec<(Fp128, Vec<u8>)>) -> bool {
+    fn push_image(
+        &self,
+        shard: u32,
+        delta_seq: u64,
+        entries: Vec<(Fp128, Vec<u8>)>,
+    ) -> Result<bool, Stale> {
+        let (router, epoch) = self.authority.lock().stamp();
         let image = encode_frame(&Message::Image {
             delta_seq,
             entries,
-            router: self.router_id,
-            epoch: self.epoch.load(Ordering::Relaxed),
+            router,
+            epoch,
         });
-        match self.transport.call(shard, &image).map(|b| decode_frame(&b)) {
-            Ok(Some(Message::Ack)) => true,
-            Ok(Some(Message::EpochReject { epoch: seen, .. })) => {
-                self.note_epoch(seen);
-                self.stats.lock().epoch_rejects += 1;
-                false
-            }
-            _ => false,
-        }
-    }
-
-    /// Aggregates the fleet's retry burn: every ring member answers
-    /// [`Message::FetchStats`] with its serve-loop retry counters and
-    /// queue depth. Shards that fail to answer are simply absent.
-    pub fn retry_burn(&self) -> FleetRetryBurn {
-        let fetch = encode_frame(&Message::FetchStats);
-        let mut shards = Vec::new();
-        for shard in self.ring.lock().shards() {
-            let Ok(bytes) = self.transport.call(shard, &fetch) else {
-                continue;
-            };
-            if let Some(Message::StatsReport {
-                shard: s,
-                compiles,
-                shed,
-                quota_shed,
-                retry_attempts_used,
-                retry_recovered,
-                retry_exhausted,
-                retry_budget,
-                queue_len,
-            }) = decode_frame(&bytes)
-            {
-                shards.push(ShardRetryBurn {
-                    shard: s,
-                    compiles,
-                    shed,
-                    quota_shed,
-                    retry_attempts_used,
-                    retry_recovered,
-                    retry_exhausted,
-                    retry_budget,
-                    queue_len,
-                });
-            }
-        }
-        shards.sort_by_key(|s| s.shard);
-        FleetRetryBurn { shards }
+        let reply = self.control(shard, Asked::Control, &image)?;
+        Ok(matches!(reply, Some(Message::Ack)))
     }
 
     /// Declares `shard` dead: off the ring, survivors absorb their
@@ -1107,56 +832,43 @@ impl FabricRouter {
     /// fan-out.
     ///
     /// Lease rules: the absorb fan-out is a membership change, so it
-    /// carries this router's stamp and any `EpochReject` demotes and
-    /// aborts. A **standby** never fans out at all — it only routes
-    /// around the unreachable shard locally (its next tick resyncs the
-    /// membership the leader vouches for).
-    fn fail_over(&self, shard: u32) {
+    /// carries this router's stamp, and a refusal aborts it with nothing
+    /// persisted — the eviction was never this router's to run. A
+    /// **standby** never fans out at all — it only routes around the
+    /// unreachable shard locally (its next tick resyncs the membership
+    /// the leader vouches for).
+    fn fail_over(&self, shard: u32) -> Result<(), Stale> {
         let survivors = {
             let mut ring = self.ring.lock();
             if !ring.remove(shard) {
-                return;
+                return Ok(());
             }
             ring.shards()
         };
         self.stats.lock().failovers += 1;
-        self.health.lock().entry(shard).or_default().state = HealthState::Evicted;
-        if self.role() == RouterRole::Standby {
-            return;
+        let (role, (router, epoch)) = {
+            let mut authority = self.authority.lock();
+            authority.mark(shard, HealthState::Evicted);
+            (authority.role(), authority.stamp())
+        };
+        if role == RouterRole::Standby {
+            return Ok(());
         }
         let absorb = encode_frame(&Message::Absorb {
             dead_shard: shard,
-            router: self.router_id,
-            epoch: self.epoch.load(Ordering::Relaxed),
+            router,
+            epoch,
         });
         let mut gapped_survivors = Vec::new();
-        let mut witnessed = 0usize;
+        let mut witnessed = false;
         for &s in &survivors {
-            if let Ok(bytes) = self.transport.call(s, &absorb) {
-                match decode_frame(&bytes) {
-                    Some(Message::AbsorbDone { gapped, .. }) => {
-                        self.stats.lock().absorbs += 1;
-                        witnessed += 1;
-                        if gapped {
-                            gapped_survivors.push(s);
-                        }
-                    }
-                    // Pre-v2 shards answered a bare Ack; still a
-                    // completed absorb.
-                    Some(Message::Ack) => {
-                        self.stats.lock().absorbs += 1;
-                        witnessed += 1;
-                    }
-                    Some(Message::EpochReject { epoch: seen, .. }) => {
-                        // Our authority is stale: this eviction was
-                        // never ours to run. Stand down and converge
-                        // on the durable membership.
-                        self.note_epoch(seen);
-                        self.stats.lock().epoch_rejects += 1;
-                        self.demote();
-                        return;
-                    }
-                    _ => {}
+            if let Some(Message::AbsorbDone { gapped, .. }) =
+                self.control(s, Asked::Control, &absorb)?
+            {
+                self.stats.lock().absorbs += 1;
+                witnessed = true;
+                if gapped {
+                    gapped_survivors.push(s);
                 }
             }
         }
@@ -1165,26 +877,30 @@ impl FabricRouter {
         // whole (unreachable) view gets zero acknowledgements and must
         // not clobber the shared membership image the standby and the
         // next leader converge on.
-        if witnessed > 0 {
+        if witnessed {
             self.persist_membership();
         }
         if gapped_survivors.is_empty() {
-            return;
+            return Ok(());
         }
         // Full-image reconciliation: a healthy survivor's store covers
         // everything the gapped logs lost (and more).
-        let image = survivors
-            .iter()
-            .filter(|s| !gapped_survivors.contains(s))
-            .find_map(|&s| self.fetch_image(s));
+        let mut image = None;
+        for &s in survivors.iter().filter(|s| !gapped_survivors.contains(s)) {
+            image = self.fetch_image(s)?;
+            if image.is_some() {
+                break;
+            }
+        }
         let Some((delta_seq, entries)) = image else {
-            return; // every survivor gapped: nothing authoritative left
+            return Ok(()); // every survivor gapped: nothing authoritative left
         };
         for g in gapped_survivors {
-            if self.push_image(g, delta_seq, entries.clone()) {
+            if self.push_image(g, delta_seq, entries.clone())? {
                 self.stats.lock().gapped_reconciliations += 1;
             }
         }
+        Ok(())
     }
 }
 

@@ -29,35 +29,20 @@
 //! `CCM2RLOG` image path, so a crash between ship and absorb loses
 //! zero parked ops.
 //!
-//! # The eviction lease (wire version 3)
+//! # The eviction lease
 //!
-//! A shard tracks exactly one lease: the highest epoch it has ever
-//! granted, the router holding it, and an **age** — probe rounds
-//! answered since the holder last renewed. The rules are few and
-//! strict:
+//! A shard honors one lease, and the rules for it are [`crate::lease`]'s
+//! (the table is there): [`Message::LeaseGrant`] is [`Lease::grant`],
+//! [`Message::LeaseRenew`] and the `(router, epoch)` stamp on every
+//! membership-changing frame (`Absorb`, a pushed `Image`, a `DeltaShip`
+//! fan-out) are [`Lease::admit`], [`Message::Ping`] is
+//! [`Lease::probed`]. A refused frame takes no effect and is answered
+//! [`Message::EpochReject`]. What is left here is framing and counters.
 //!
-//! * [`Message::LeaseGrant`] is honored only for a *strictly higher*
-//!   epoch than any granted before. Each epoch number is therefore
-//!   granted at most once per shard — with routers requiring a
-//!   majority of grants to lead, two leaders for one epoch would need
-//!   two disjoint majorities, which cannot exist.
-//! * [`Message::LeaseRenew`] from the current holder (or for a newer
-//!   epoch — the catch-up path for a shard partitioned during the
-//!   grant round) resets the age to zero. Anyone else draws
-//!   [`Message::EpochReject`].
-//! * Every membership-changing frame — `Absorb`, a pushed `Image`, a
-//!   `DeltaShip` fan-out — carries a `(router, epoch)` stamp and is
-//!   validated the same way before it takes effect. A partitioned
-//!   ex-leader's absorb or resurrect attempt bounces off the fleet
-//!   with `EpochReject` instead of corrupting membership.
-//! * [`Message::Sync`] stays unleased: it only *exports* deltas, and
-//!   replication is warmth, not truth — a stale router syncing costs
-//!   at most one batch of warmth (its fan-out of that batch is then
-//!   epoch-rejected anyway, which is how it learns to demote).
-//!
-//! The age advances on answered [`Message::Ping`]s, not on wall time,
-//! so lease expiry is deterministic under the drills' virtual-clock
-//! ticks and still works under wall-clock heartbeat drivers.
+//! [`Message::Sync`] stays unleased: it only *exports* deltas, and
+//! replication is warmth, not truth — a stale router syncing costs at
+//! most one batch of warmth (its fan-out of that batch is then
+//! epoch-rejected anyway, which is how it learns to demote).
 
 use std::collections::HashMap;
 
@@ -66,6 +51,7 @@ use ccm2_serve::{CompileService, ServeConfig};
 use parking_lot::Mutex;
 
 use crate::durable::ReplicaLogStore;
+use crate::lease::{Lease, LeaseView};
 use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, NO_ROUTER};
 
 /// Per-origin replica logs keep at most this many ops; beyond it the
@@ -126,30 +112,6 @@ pub struct ShardStats {
     /// Stale-stamped frames refused with [`Message::EpochReject`]
     /// (grants, renews, and membership-changing control frames).
     pub epoch_rejects: u64,
-    /// `FetchStats` frames answered with a [`Message::StatsReport`].
-    pub stats_served: u64,
-}
-
-/// A shard's lease view: highest granted epoch, its holder, and the
-/// probe-round age since the holder's last renewal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaseView {
-    /// Highest epoch this shard has granted (or adopted).
-    pub epoch: u64,
-    /// The router holding it ([`NO_ROUTER`] = none yet).
-    pub holder: u32,
-    /// Probe rounds answered since the last renewal.
-    pub age: u32,
-}
-
-impl Default for LeaseView {
-    fn default() -> LeaseView {
-        LeaseView {
-            epoch: 0,
-            holder: NO_ROUTER,
-            age: 0,
-        }
-    }
 }
 
 struct ShardState {
@@ -157,11 +119,8 @@ struct ShardState {
     ship_cursor: u64,
     replicas: HashMap<u32, ReplicaLog>,
     stats: ShardStats,
-    /// The eviction lease this shard honors (see the module docs).
-    lease: LeaseView,
-    /// Every `(epoch, router)` pair actually *granted* (not adopted) —
-    /// the drills assert no epoch appears twice.
-    grants: Vec<(u64, u32)>,
+    /// The eviction lease this shard honors, with its grant ledger.
+    lease: Lease,
 }
 
 /// One fleet member: a shard id, its compile service, and the
@@ -197,8 +156,7 @@ impl ShardNode {
                 ship_cursor,
                 replicas: HashMap::new(),
                 stats: ShardStats::default(),
-                lease: LeaseView::default(),
-                grants: Vec::new(),
+                lease: Lease::default(),
             }),
             durable: None,
             persist_gate: Mutex::new(()),
@@ -268,38 +226,42 @@ impl ShardNode {
 
     /// This shard's current lease view.
     pub fn lease(&self) -> LeaseView {
-        self.state.lock().lease
+        self.state.lock().lease.view()
     }
 
     /// Every `(epoch, router)` lease actually granted, in grant order.
     /// The split-brain drills assert no epoch appears twice.
     pub fn lease_grants(&self) -> Vec<(u64, u32)> {
-        self.state.lock().grants.clone()
+        self.state.lock().lease.grants().to_vec()
     }
 
-    /// Validates a membership-changing frame's `(router, epoch)` stamp
-    /// against the lease. Acceptance *adopts*: a newer epoch (or the
-    /// first claimant of the current one) becomes the recorded holder
-    /// and the age resets — accepted control traffic is proof the
-    /// leader is alive. Returns the `EpochReject` to answer with when
-    /// the stamp is stale.
-    fn lease_check(&self, router: u32, epoch: u64) -> Option<Message> {
+    /// One lease transition under the shard lock, counted either way:
+    /// `honored` on acceptance, and on refusal the `Err` is the
+    /// [`Message::EpochReject`] to answer with.
+    fn lease_step(
+        &self,
+        step: impl FnOnce(&mut Lease) -> Result<(), LeaseView>,
+        honored: impl FnOnce(&mut ShardStats),
+    ) -> Result<(), Message> {
         let mut state = self.state.lock();
-        let l = state.lease;
-        if epoch > l.epoch || (epoch == l.epoch && (l.holder == router || l.holder == NO_ROUTER)) {
-            state.lease = LeaseView {
-                epoch,
-                holder: router,
-                age: 0,
-            };
-            None
-        } else {
-            state.stats.epoch_rejects += 1;
-            Some(Message::EpochReject {
-                epoch: l.epoch,
-                router: l.holder,
-            })
+        match step(&mut state.lease) {
+            Ok(()) => {
+                honored(&mut state.stats);
+                Ok(())
+            }
+            Err(held) => {
+                state.stats.epoch_rejects += 1;
+                Err(Message::EpochReject {
+                    epoch: held.epoch,
+                    router: held.holder,
+                })
+            }
         }
+    }
+
+    /// Checks a membership-changing frame's stamp before it takes effect.
+    fn admit(&self, router: u32, epoch: u64) -> Result<(), Message> {
+        self.lease_step(|lease| lease.admit(router, epoch), |_| {})
     }
 
     /// Handles one frame and returns the response frame. Never panics
@@ -313,7 +275,13 @@ impl ShardNode {
                 retry_after_ms: 0,
             });
         };
-        let reply = match msg {
+        encode_frame(&self.answer(msg).unwrap_or_else(|reject| reject))
+    }
+
+    /// The reply to `msg`; `Err` is the refusal of a stale stamp, sent
+    /// in the reply's place.
+    fn answer(&self, msg: Message) -> Result<Message, Message> {
+        Ok(match msg {
             Message::Compile(wire_req) => self.compile(wire_req),
             Message::Sync => self.sync(),
             Message::DeltaShip {
@@ -321,70 +289,37 @@ impl ShardNode {
                 batch,
                 router,
                 epoch,
-            } => match self.lease_check(router, epoch) {
-                Some(reject) => reject,
-                None => self.receive_ship(from_shard, &batch),
-            },
+            } => {
+                self.admit(router, epoch)?;
+                self.receive_ship(from_shard, &batch)
+            }
             Message::Absorb {
                 dead_shard,
                 router,
                 epoch,
-            } => match self.lease_check(router, epoch) {
-                Some(reject) => reject,
-                None => self.absorb(dead_shard),
-            },
+            } => {
+                self.admit(router, epoch)?;
+                self.absorb(dead_shard)
+            }
             Message::Ping { nonce } => {
                 let mut state = self.state.lock();
                 state.stats.pings += 1;
-                // The expiry clock: probe rounds since the last renewal.
-                state.lease.age = state.lease.age.saturating_add(1);
+                let lease = state.lease.probed();
                 Message::Pong {
                     shard: self.id,
                     nonce,
-                    lease_epoch: state.lease.epoch,
-                    lease_router: state.lease.holder,
-                    lease_age: state.lease.age,
+                    lease_epoch: lease.epoch,
+                    lease_router: lease.holder,
+                    lease_age: lease.age,
                 }
             }
             Message::LeaseGrant { router, epoch } => {
-                let mut state = self.state.lock();
-                if epoch > state.lease.epoch {
-                    state.lease = LeaseView {
-                        epoch,
-                        holder: router,
-                        age: 0,
-                    };
-                    state.grants.push((epoch, router));
-                    state.stats.lease_grants += 1;
-                    Message::Ack
-                } else {
-                    state.stats.epoch_rejects += 1;
-                    Message::EpochReject {
-                        epoch: state.lease.epoch,
-                        router: state.lease.holder,
-                    }
-                }
+                self.lease_step(|l| l.grant(router, epoch), |s| s.lease_grants += 1)?;
+                Message::Ack
             }
             Message::LeaseRenew { router, epoch } => {
-                let mut state = self.state.lock();
-                let l = state.lease;
-                if epoch > l.epoch
-                    || (epoch == l.epoch && (l.holder == router || l.holder == NO_ROUTER))
-                {
-                    state.lease = LeaseView {
-                        epoch,
-                        holder: router,
-                        age: 0,
-                    };
-                    state.stats.lease_renews += 1;
-                    Message::Ack
-                } else {
-                    state.stats.epoch_rejects += 1;
-                    Message::EpochReject {
-                        epoch: l.epoch,
-                        router: l.holder,
-                    }
-                }
+                self.lease_step(|l| l.admit(router, epoch), |s| s.lease_renews += 1)?;
+                Message::Ack
             }
             Message::FetchImage => self.serve_image(),
             Message::Image {
@@ -392,30 +327,26 @@ impl ShardNode {
                 router,
                 epoch,
                 ..
-            } => match self.lease_check(router, epoch) {
-                Some(reject) => reject,
-                None => self.import_image(&entries),
-            },
-            Message::FetchStats => self.serve_stats(),
+            } => {
+                self.admit(router, epoch)?;
+                self.import_image(&entries)
+            }
             Message::Outcome(_)
             | Message::Reject { .. }
             | Message::Ack
             | Message::Pong { .. }
             | Message::AbsorbDone { .. }
-            | Message::EpochReject { .. }
-            | Message::StatsReport { .. } => Message::Reject {
+            | Message::EpochReject { .. } => Message::Reject {
                 reason: "unexpected message kind".into(),
                 retry_after_ms: 0,
             },
-        };
-        encode_frame(&reply)
+        })
     }
 
     fn compile(&self, wire_req: crate::wire::WireRequest) -> Message {
         let req = wire_req.to_request();
         // Through the report path (not bare submit): shard-side
-        // admission retries draw from the configured budget and feed
-        // the retry-burn counters the router aggregates via FetchStats.
+        // admission retries draw from the configured budget.
         let report = self.svc.serve_batch_report(vec![req]);
         let answer = report
             .requests
@@ -434,24 +365,6 @@ impl ShardNode {
                     retry_after_ms: self.svc.shed_hint_ms(),
                 }
             }
-        }
-    }
-
-    fn serve_stats(&self) -> Message {
-        let svc_stats = self.svc.stats();
-        let mut state = self.state.lock();
-        state.stats.stats_served += 1;
-        drop(state);
-        Message::StatsReport {
-            shard: self.id,
-            compiles: svc_stats.compiled,
-            shed: svc_stats.shed,
-            quota_shed: svc_stats.quota_shed,
-            retry_attempts_used: svc_stats.retry_attempts_used,
-            retry_recovered: svc_stats.retry_recovered,
-            retry_exhausted: svc_stats.retry_exhausted,
-            retry_budget: self.svc.config().retry_attempts,
-            queue_len: self.svc.queue_len().min(u32::MAX as usize) as u32,
         }
     }
 
@@ -878,24 +791,6 @@ mod tests {
                 gapped: false
             }
         );
-    }
-
-    #[test]
-    fn fetch_stats_reports_retry_burn_counters() {
-        let node = ShardNode::start(3, tiny_config());
-        let Message::StatsReport {
-            shard,
-            retry_budget,
-            queue_len,
-            ..
-        } = reply(&node, &encode_frame(&Message::FetchStats))
-        else {
-            panic!("FetchStats must answer StatsReport");
-        };
-        assert_eq!(shard, 3);
-        assert_eq!(retry_budget, ServeConfig::default().retry_attempts);
-        assert_eq!(queue_len, 0);
-        assert_eq!(node.stats().stats_served, 1);
     }
 
     // Satellite of the version-skew suite: a *well-formed* frame from a

@@ -314,8 +314,8 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Vec<u8>> 
 /// writes its frame, reads the answer and puts the stream back, so calls
 /// that follow one another open no socket and as many streams exist as
 /// calls overlapped at the peak. A stream goes back only after a whole
-/// answer was read from it — any error, and every one-way-partition
-/// call, drops it, so no later call can read an earlier call's answer.
+/// answer was read from it — any error drops it, so no later call can
+/// read an earlier call's answer.
 ///
 /// An idle stream may have been closed by the shard meanwhile, which the
 /// caller only learns by using it: a call that fails on a *reused*
@@ -324,15 +324,13 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Vec<u8>> 
 /// ("maybe delivered") already allows, so delivery stays at-least-once.
 /// A failure on a fresh connection is the shard's and is returned.
 ///
-/// Drill hooks mirror the loopback's link faults at the granularity
-/// sockets allow: a **full partition** fails the call before touching a
-/// socket (the shard sees nothing), a **one-way partition** delivers the
-/// frame but abandons the connection and with it the response.
+/// The drill hook is the **full partition**: the call fails before
+/// touching a socket and the shard sees nothing. The loopback's finer
+/// link faults (one-way, delay, duplicate) have no socket counterpart.
 #[derive(Default)]
 pub struct TcpTransport {
     peers: Mutex<HashMap<u32, Peer>>,
     partitioned: Mutex<std::collections::HashSet<u32>>,
-    one_way: Mutex<std::collections::HashSet<u32>>,
 }
 
 /// Where a shard listens, and the idle streams connected there (most
@@ -369,28 +367,15 @@ impl TcpTransport {
         }
     }
 
-    /// Opens (`true`) or heals (`false`) a one-way partition: the
-    /// frame is written and the shard handles it, but the caller
-    /// abandons the connection instead of reading the answer.
-    pub fn set_one_way(&self, shard: u32, cut: bool) {
-        let mut p = self.one_way.lock();
-        if cut {
-            p.insert(shard);
-        } else {
-            p.remove(&shard);
-        }
-    }
-
-    /// One frame out and — unless `one_way` — one frame back, on `kept`
-    /// or on a fresh connection to `addr`. The stream is put back when
-    /// the answer is complete and `shard` is still registered at `addr`.
+    /// One frame out and one frame back, on `kept` or on a fresh
+    /// connection to `addr`. The stream is put back when the answer is
+    /// complete and `shard` is still registered at `addr`.
     fn exchange(
         &self,
         shard: u32,
         addr: SocketAddr,
         kept: Option<TcpStream>,
         frame: &[u8],
-        one_way: bool,
     ) -> io::Result<Vec<u8>> {
         let mut stream = match kept {
             Some(stream) => stream,
@@ -403,12 +388,6 @@ impl TcpTransport {
             }
         };
         stream.write_all(frame)?;
-        if one_way {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("response from shard {shard} lost"),
-            ));
-        }
         let answer = read_frame(&mut stream, MAX_PAYLOAD)?;
         if let Some(peer) = self.peers.lock().get_mut(&shard) {
             if peer.addr == addr {
@@ -427,11 +406,7 @@ impl Transport for TcpTransport {
                 format!("link to shard {shard} partitioned"),
             ));
         }
-        // A one-way call must get its frame to the shard and read nothing
-        // back: it goes on a connection of its own, which it abandons.
-        let one_way = self.one_way.lock().contains(&shard);
         let (addr, kept) = match self.peers.lock().get_mut(&shard) {
-            Some(peer) if one_way => (peer.addr, None),
             Some(peer) => (peer.addr, peer.idle.pop()),
             None => {
                 return Err(io::Error::new(
@@ -441,8 +416,8 @@ impl Transport for TcpTransport {
             }
         };
         let reused = kept.is_some();
-        match self.exchange(shard, addr, kept, frame, one_way) {
-            Err(_) if reused => self.exchange(shard, addr, None, frame, one_way),
+        match self.exchange(shard, addr, kept, frame) {
+            Err(_) if reused => self.exchange(shard, addr, None, frame),
             result => result,
         }
     }
@@ -685,7 +660,6 @@ mod tests {
     #[derive(Default)]
     struct EchoHandler {
         nonces: Mutex<Vec<u64>>,
-        arrived: parking_lot::Condvar,
         threads: Mutex<std::collections::HashSet<std::thread::ThreadId>>,
     }
 
@@ -693,7 +667,6 @@ mod tests {
         fn handle(&self, frame: &[u8]) -> Vec<u8> {
             if let Some(Message::Ping { nonce }) = decode_frame(frame) {
                 self.nonces.lock().push(nonce);
-                self.arrived.notify_all();
             }
             self.threads.lock().insert(std::thread::current().id());
             frame.to_vec()
@@ -793,38 +766,6 @@ mod tests {
         // not a wait for an answer that cannot come.
         let err = call_or_time_out(&t, 3, ping(2)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
-    }
-
-    #[test]
-    fn a_one_way_calls_answer_is_never_read_by_a_later_call() {
-        let handler = Arc::new(EchoHandler::default());
-        let server = TcpShardServer::serve(Arc::clone(&handler) as Arc<dyn FrameHandler>).unwrap();
-        let t = TcpTransport::new();
-        t.register(3, server.addr());
-        assert_eq!(t.call(3, &ping(1)).unwrap(), ping(1));
-
-        t.set_one_way(3, true);
-        let err = t.call(3, &ping(2)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        t.set_one_way(3, false);
-
-        assert_eq!(
-            t.call(3, &ping(3)).unwrap(),
-            ping(3),
-            "the abandoned answer"
-        );
-        // The one-way frame is delivered all the same — on a connection
-        // of its own that nobody waited on, so possibly after frame 3.
-        let mut seen = handler.nonces.lock();
-        while seen.len() < 3 {
-            let late = std::time::Duration::from_secs(30);
-            assert!(
-                !handler.arrived.wait_for(&mut seen, late),
-                "never delivered"
-            );
-        }
-        seen.sort_unstable();
-        assert_eq!(*seen, vec![1, 2, 3]);
     }
 
     /// Accepts `connections` connections, one after the other; answers

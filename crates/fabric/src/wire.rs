@@ -22,8 +22,8 @@
 //! The payload kinds mirror the fabric's planes:
 //!
 //! * compile plane — [`Message::Compile`] / [`Message::Outcome`] /
-//!   [`Message::Reject`] (v3: carries a `Retry-After`-style backoff
-//!   hint in milliseconds, derived from the shard's queue pressure);
+//!   [`Message::Reject`] (carries a `Retry-After`-style backoff hint
+//!   in milliseconds, derived from the shard's queue pressure);
 //! * replication plane — [`Message::Sync`] (router asks the owning
 //!   shard for its pending deltas), [`Message::DeltaShip`] (an encoded
 //!   `CCM2DELT` batch on its way to a peer), [`Message::Absorb`]
@@ -40,10 +40,8 @@
 //!   router's id and lease epoch, and a shard that has granted a newer
 //!   epoch answers [`Message::EpochReject`] naming the current holder
 //!   instead of obeying — a partitioned ex-leader cannot resurrect an
-//!   evicted shard or double-absorb a replica log;
-//! * stats plane — [`Message::FetchStats`] /
-//!   [`Message::StatsReport`] surface per-shard retry-burn counters to
-//!   the router's fleet view;
+//!   evicted shard or double-absorb a replica log (the rule itself
+//!   is [`crate::lease`]'s);
 //! * plain [`Message::Ack`].
 //!
 //! Fault plans are deliberately **not** wire-encodable: a
@@ -67,7 +65,7 @@ use ccm2_sema::symtab::DkyStrategy;
 /// retry elsewhere), never misdecode.
 pub const WIRE_FORMAT: Format = Format {
     magic: *b"CCM2WIRE",
-    version: 4,
+    version: 5,
 };
 /// The "no router" sentinel for lease-holder fields: a shard that has
 /// not yet granted any lease reports this as the holder.
@@ -241,10 +239,10 @@ pub enum Message {
         /// Echo-me token chosen by the router per probe round.
         nonce: u64,
     },
-    /// Shard → router: heartbeat answer, echoing the probe nonce. In
-    /// version 3 the pong also reports the shard's lease view, which is
-    /// how standby routers observe leadership and its expiry without a
-    /// dedicated polling plane.
+    /// Shard → router: heartbeat answer, echoing the probe nonce. The
+    /// pong also reports the shard's lease view, which is how standby
+    /// routers observe leadership and its expiry without a dedicated
+    /// polling plane.
     Pong {
         /// The responding shard's id (guards cross-wired transports).
         shard: u32,
@@ -280,11 +278,11 @@ pub enum Message {
         /// a membership action.
         epoch: u64,
     },
-    /// Shard → router: the answer to [`Message::Absorb`] (version 2;
-    /// replaces the bare [`Message::Ack`] so the router can see whether
-    /// the replica log replayed cleanly or had been *gapped* by cap
-    /// overflow and discarded — the trigger for a full-image
-    /// reconciliation instead of a silent hole).
+    /// Shard → router: the answer to [`Message::Absorb`]. More than an
+    /// [`Message::Ack`] so the router can see whether the replica log
+    /// replayed cleanly or had been *gapped* by cap overflow and
+    /// discarded — the trigger for a full-image reconciliation instead
+    /// of a silent hole.
     AbsorbDone {
         /// Delta ops actually replayed into the survivor's store.
         applied_ops: u64,
@@ -292,11 +290,9 @@ pub enum Message {
         /// discarded without replay.
         gapped: bool,
     },
-    /// Router → shard (version 3): claim the eviction lease at `epoch`.
-    /// The shard grants each epoch number at most once (strictly
-    /// increasing), answering [`Message::Ack`]; a router that gathers
-    /// grants from a *majority* of the membership is the unique leader
-    /// for that epoch — two routers can never both win one.
+    /// Router → shard: claim the eviction lease at `epoch`
+    /// ([`Lease::grant`](crate::lease::Lease::grant)); granted with
+    /// [`Message::Ack`].
     LeaseGrant {
         /// The claiming router's id.
         router: u32,
@@ -304,50 +300,23 @@ pub enum Message {
         /// has granted).
         epoch: u64,
     },
-    /// Router → shard (version 3): the current holder refreshing its
-    /// lease; resets the shard's expiry clock ([`Message::Pong`]'s
-    /// `lease_age`). From anyone else: [`Message::EpochReject`].
+    /// Router → shard: the current holder refreshing its lease
+    /// ([`Lease::admit`](crate::lease::Lease::admit)); resets the
+    /// shard's expiry clock ([`Message::Pong`]'s `lease_age`).
     LeaseRenew {
         /// The renewing router's id.
         router: u32,
         /// The epoch being renewed.
         epoch: u64,
     },
-    /// Shard → router (version 3): the message's lease stamp was stale.
-    /// Carries the shard's current lease view so the rejected router
-    /// can catch up (demote, resync membership) instead of retrying
-    /// blind.
+    /// Shard → router: the message's lease stamp was stale. Carries the
+    /// shard's current lease view so the rejected router can catch up
+    /// (demote, resync membership) instead of retrying blind.
     EpochReject {
         /// The highest epoch this shard has granted.
         epoch: u64,
         /// The holder of that epoch ([`NO_ROUTER`] = none).
         router: u32,
-    },
-    /// Router → shard (version 3): report your retry-burn counters
-    /// (answered by [`Message::StatsReport`]).
-    FetchStats,
-    /// Shard → router: the admission/retry counters behind the fleet's
-    /// retry-burn view ([`ccm2_serve::ServiceStats`] extract plus live
-    /// queue pressure).
-    StatsReport {
-        /// The reporting shard's id.
-        shard: u32,
-        /// Compile frames answered with an outcome.
-        compiles: u64,
-        /// Queue-full sheds at admission.
-        shed: u64,
-        /// Per-client quota sheds at admission.
-        quota_shed: u64,
-        /// Backoff retry attempts burned by shard-side admission.
-        retry_attempts_used: u64,
-        /// Requests admitted on a retry attempt.
-        retry_recovered: u64,
-        /// Requests still shed after the full retry budget.
-        retry_exhausted: u64,
-        /// The shard's configured per-request retry budget.
-        retry_budget: u32,
-        /// Requests waiting in the admission queue right now.
-        queue_len: u32,
     },
 }
 
@@ -521,29 +490,6 @@ fn encode_message(w: &mut Writer, msg: &Message) {
             w.u64(*epoch);
             w.u32(*router);
         }
-        Message::FetchStats => w.u8(16),
-        Message::StatsReport {
-            shard,
-            compiles,
-            shed,
-            quota_shed,
-            retry_attempts_used,
-            retry_recovered,
-            retry_exhausted,
-            retry_budget,
-            queue_len,
-        } => {
-            w.u8(17);
-            w.u32(*shard);
-            w.u64(*compiles);
-            w.u64(*shed);
-            w.u64(*quota_shed);
-            w.u64(*retry_attempts_used);
-            w.u64(*retry_recovered);
-            w.u64(*retry_exhausted);
-            w.u32(*retry_budget);
-            w.u32(*queue_len);
-        }
     }
 }
 
@@ -633,18 +579,6 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
         15 => Message::EpochReject {
             epoch: r.u64()?,
             router: r.u32()?,
-        },
-        16 => Message::FetchStats,
-        17 => Message::StatsReport {
-            shard: r.u32()?,
-            compiles: r.u64()?,
-            shed: r.u64()?,
-            quota_shed: r.u64()?,
-            retry_attempts_used: r.u64()?,
-            retry_recovered: r.u64()?,
-            retry_exhausted: r.u64()?,
-            retry_budget: r.u32()?,
-            queue_len: r.u32()?,
         },
         _ => return Err(OpenError::Malformed("message kind")),
     })
@@ -761,18 +695,6 @@ mod tests {
             Message::EpochReject {
                 epoch: 11,
                 router: 2,
-            },
-            Message::FetchStats,
-            Message::StatsReport {
-                shard: 4,
-                compiles: 100,
-                shed: 3,
-                quota_shed: 1,
-                retry_attempts_used: 9,
-                retry_recovered: 2,
-                retry_exhausted: 1,
-                retry_budget: 3,
-                queue_len: 5,
             },
         ]
     }

@@ -53,7 +53,7 @@ const ROWS: &[Row] = &[
     Row { format: SNAPSHOT_FORMAT, samples: snapshot_samples, recode: recode_snapshot, golden: Fp128 { hi: 1566589782619992634, lo: 11463258408665851908 } },
     Row { format: RLOG_FORMAT, samples: rlog_samples, recode: recode_rlog, golden: Fp128 { hi: 4136731496422806886, lo: 3955571710160143157 } },
     Row { format: MBRS_FORMAT, samples: mbrs_samples, recode: recode_mbrs, golden: Fp128 { hi: 17029936234089811493, lo: 13997396492873622399 } },
-    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 7505433063250938071, lo: 15529812309452523716 } },
+    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 8480225207132352859, lo: 18075193179523615146 } },
 ];
 
 fn fp(n: u64) -> Fp128 {

@@ -7,13 +7,20 @@
 //! failover (`ccm2_workload::shard_kill_schedule`) must change
 //! *nothing* a client can observe — zero admitted requests lost, same
 //! bytes, same diagnostics.
+//!
+//! The control plane's rows sit beside them: what a router does when a
+//! shard refuses its stamp, wherever in an operation the refusal lands.
 
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
-use ccm2_fabric::{Fabric, FabricRouter, LeaseConfig, MembershipStore, RouterRole, ShardNode};
+use ccm2_fabric::{
+    decode_frame, encode_frame, Fabric, FabricRouter, HashRing, LeaseConfig, MembershipStore,
+    Message, RouterRole, ShardNode, Transport, DEFAULT_VNODES,
+};
 use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
 use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
@@ -114,6 +121,281 @@ fn stale_router_control_refused_after_lease_moves() {
         let lease = node.lease();
         assert_eq!((lease.epoch, lease.holder), (2, 2));
     }
+}
+
+/// A conduit that forwards every frame, except that — while armed — a
+/// request frame the script picks never reaches its shard and is
+/// answered `EpochReject{epoch: 9, router: 2}`: the lease has moved to
+/// router 2 since this router last looked. Each refusal notes the newest
+/// membership image on disk at that moment.
+struct Scripted {
+    inner: Arc<dyn Transport>,
+    refuse: Mutex<Option<Refuse>>,
+    mbrs: PathBuf,
+    newest_at_refusal: Mutex<Vec<Option<String>>>,
+}
+
+/// Picks the frames to refuse, by target shard and content.
+type Refuse = fn(u32, &Message) -> bool;
+
+impl Transport for Scripted {
+    fn call(&self, shard: u32, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+        let refuse = *self.refuse.lock().unwrap();
+        let refused =
+            refuse.is_some_and(|refuse| decode_frame(frame).is_some_and(|msg| refuse(shard, &msg)));
+        if refused {
+            let newest = newest_image(&self.mbrs);
+            self.newest_at_refusal.lock().unwrap().push(newest);
+            return Ok(encode_frame(&Message::EpochReject {
+                epoch: 9,
+                router: 2,
+            }));
+        }
+        self.inner.call(shard, frame)
+    }
+
+    fn shards(&self) -> Vec<u32> {
+        self.inner.shards()
+    }
+
+    fn kill(&self, shard: u32) -> bool {
+        self.inner.kill(shard)
+    }
+}
+
+/// The newest `mbrs-{seq}.img` in `dir`: every save makes a new one.
+fn newest_image(dir: &Path) -> Option<String> {
+    let names = std::fs::read_dir(dir).expect("membership directory");
+    names
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("mbrs-") && name.ends_with(".img"))
+        .max()
+}
+
+fn module(name: &str) -> CompileRequest {
+    let source = format!("MODULE {name}; VAR x: INTEGER; BEGIN x := 3; END {name}.");
+    let mut req = CompileRequest::new(1, name, source, Arc::default());
+    req.exec = ExecChoice::Sim(2);
+    req
+}
+
+/// The first generated module the three-shard ring routes to `shard`.
+fn module_for(shard: u32) -> CompileRequest {
+    let ring = HashRing::new(&[0, 1, 2], DEFAULT_VNODES);
+    (0..64)
+        .map(|i| module(&format!("Pick{i}")))
+        .find(|req| ring.route(req.fingerprint()) == Some(shard))
+        .expect("some module routes to the shard")
+}
+
+/// Shards 0, 1 and 2 on the loopback; router 1, leading at epoch 1 over
+/// a [`Scripted`] conduit, with a membership store of its own.
+struct Drill {
+    fleet: Fabric,
+    wire: Arc<Scripted>,
+    router: FabricRouter,
+    store: Arc<MembershipStore>,
+    _dir: Scratch,
+}
+
+const JOINER: u32 = 7;
+
+impl Drill {
+    fn start() -> Drill {
+        let fleet = Fabric::start(3, config());
+        let dir = Scratch::new("stale-answer");
+        let mbrs = dir.join("mbrs");
+        let store = Arc::new(MembershipStore::new(&mbrs).expect("membership store opens"));
+        let wire = Arc::new(Scripted {
+            inner: fleet.conduit().transport(),
+            refuse: Mutex::new(None),
+            mbrs,
+            newest_at_refusal: Mutex::new(Vec::new()),
+        });
+        let router = FabricRouter::new(Arc::clone(&wire) as Arc<dyn Transport>)
+            .with_identity(1)
+            .with_membership_store(Arc::clone(&store));
+        assert!(router.acquire_lease(), "uncontested first grant");
+        Drill {
+            fleet,
+            wire,
+            router,
+            store,
+            _dir: dir,
+        }
+    }
+
+    fn serve(&self, req: &CompileRequest) {
+        assert!(self.router.serve(req).outcome().expect("served").ok);
+    }
+
+    fn join(&mut self) {
+        self.fleet
+            .join(Arc::new(ShardNode::start(JOINER, config())));
+    }
+
+    fn members(&self) -> Vec<u32> {
+        let loaded = self.store.load_latest().expect("membership readable");
+        loaded.image.expect("membership persisted").members
+    }
+}
+
+/// Where in an operation a leader can hear that its lease has moved.
+#[derive(Clone, Copy, Debug)]
+enum Hears {
+    RenewInTheTick,
+    RenewAtTheAdmitBarrier,
+    ShipAfterAServedCompile,
+    AbsorbAtFailover,
+    ImageAtAdmit,
+    ShipToTheJoinerAtAdmit,
+    ImageAtGappedReconciliation,
+}
+
+/// One outcome wherever the refusal lands: the epoch is noted, the
+/// refusal counted once — the operation sends nothing more on refused
+/// authority — and the leader stands down, resyncs its ring from the
+/// durable image and persists nothing from then on.
+fn a_leader_stands_down_on(hears: Hears) {
+    let mut drill = Drill::start();
+    // What the fleet must hold for the frame to be sent at all.
+    let refuse: Refuse = match hears {
+        Hears::RenewInTheTick => |_, msg| matches!(msg, Message::LeaseRenew { .. }),
+        Hears::RenewAtTheAdmitBarrier => {
+            drill.join();
+            |_, msg| matches!(msg, Message::LeaseRenew { .. })
+        }
+        Hears::ShipAfterAServedCompile => |_, msg| matches!(msg, Message::DeltaShip { .. }),
+        Hears::AbsorbAtFailover => |_, msg| matches!(msg, Message::Absorb { .. }),
+        Hears::ImageAtAdmit => {
+            // So that the members have an image worth shipping.
+            drill.serve(&module("Warm"));
+            drill.join();
+            |_, msg| matches!(msg, Message::Image { .. })
+        }
+        Hears::ShipToTheJoinerAtAdmit => {
+            // Deltas the router has not synced: submitted to shard 0's
+            // service behind its back, they wait for the catch-up epoch.
+            let direct = drill.fleet.nodes()[0].service();
+            direct.serve_batch(vec![module("Behind")]);
+            drill.join();
+            |shard, msg| shard == JOINER && matches!(msg, Message::DeltaShip { .. })
+        }
+        Hears::ImageAtGappedReconciliation => {
+            // Shard 2's log of origin 1 gets a hole, so that the absorb
+            // discards it and the router reconciles with an image.
+            drill.serve(&module_for(1));
+            let evict = ccm2_incr::DeltaOp::Evict {
+                fp: module("Hole").fingerprint(),
+            };
+            let hole = encode_frame(&Message::DeltaShip {
+                from_shard: 1,
+                batch: ccm2_incr::encode_delta(10_000, &[evict]),
+                router: 1,
+                epoch: 1,
+            });
+            let parked = drill.fleet.nodes()[2].handle(&hole);
+            assert_eq!(decode_frame(&parked), Some(Message::Ack));
+            |_, msg| matches!(msg, Message::Image { .. })
+        }
+    };
+    let before = drill.router.stats();
+
+    *drill.wire.refuse.lock().unwrap() = Some(refuse);
+    match hears {
+        Hears::RenewInTheTick => assert!(drill.router.heartbeat_tick().is_empty()),
+        Hears::ShipAfterAServedCompile => drill.serve(&module("Served")),
+        Hears::AbsorbAtFailover | Hears::ImageAtGappedReconciliation => drill.router.kill_shard(1),
+        Hears::RenewAtTheAdmitBarrier | Hears::ImageAtAdmit | Hears::ShipToTheJoinerAtAdmit => {
+            assert!(
+                !drill.router.admit_shard(JOINER),
+                "{hears:?}: admitted on refused authority"
+            );
+        }
+    }
+    *drill.wire.refuse.lock().unwrap() = None;
+
+    let after = drill.router.stats();
+    let at_refusal = drill.wire.newest_at_refusal.lock().unwrap().clone();
+    assert_eq!(at_refusal.len(), 1, "{hears:?}: sent on after the refusal");
+    assert_eq!(after.epoch_rejects, before.epoch_rejects + 1, "{hears:?}");
+    assert_eq!(after.demotions, before.demotions + 1, "{hears:?}");
+    assert_eq!(drill.router.role(), RouterRole::Standby, "{hears:?}");
+    assert!(
+        after.membership_resyncs > before.membership_resyncs,
+        "{hears:?}: no resync"
+    );
+    let members = drill.members();
+    assert_eq!(drill.router.live_shards(), members, "{hears:?}");
+    assert!(!members.contains(&JOINER), "{hears:?}: joiner persisted");
+    assert_eq!(
+        newest_image(&drill.wire.mbrs),
+        at_refusal[0],
+        "{hears:?}: persisted after the refusal"
+    );
+    // Epoch 9 was noted: the next claim goes one past it.
+    assert!(drill.router.acquire_lease(), "{hears:?}");
+    assert_eq!(drill.router.epoch(), 10, "{hears:?}");
+}
+
+#[test]
+fn stale_renew_in_the_tick_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::RenewInTheTick);
+}
+
+#[test]
+fn stale_renew_at_the_admit_barrier_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::RenewAtTheAdmitBarrier);
+}
+
+#[test]
+fn stale_ship_after_a_served_compile_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::ShipAfterAServedCompile);
+}
+
+#[test]
+fn stale_absorb_at_failover_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::AbsorbAtFailover);
+}
+
+#[test]
+fn stale_image_at_admit_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::ImageAtAdmit);
+}
+
+#[test]
+fn stale_ship_to_the_joiner_at_admit_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::ShipToTheJoinerAtAdmit);
+}
+
+#[test]
+fn stale_image_at_gapped_reconciliation_stands_the_leader_down() {
+    a_leader_stands_down_on(Hears::ImageAtGappedReconciliation);
+}
+
+/// A claimant holds nothing to stand down from: a refused `LeaseGrant`
+/// teaches it the epoch to claim above, and that is all.
+#[test]
+fn a_refused_claim_only_teaches_the_epoch() {
+    let drill = Drill::start();
+    let before = drill.router.stats();
+    let newest = newest_image(&drill.wire.mbrs);
+    *drill.wire.refuse.lock().unwrap() = Some(|_, msg| matches!(msg, Message::LeaseGrant { .. }));
+    assert!(!drill.router.acquire_lease(), "no grant, no majority");
+    *drill.wire.refuse.lock().unwrap() = None;
+
+    let after = drill.router.stats();
+    assert_eq!(after.epoch_rejects, before.epoch_rejects + 3, "all asked");
+    assert_eq!(after.demotions, before.demotions);
+    assert_eq!(after.promotions, before.promotions);
+    assert_eq!(drill.router.role(), RouterRole::Leader);
+    assert_eq!(drill.router.epoch(), 1, "still leading under its own epoch");
+    assert_eq!(drill.router.leadership_epochs(), vec![1]);
+    assert_eq!(newest_image(&drill.wire.mbrs), newest, "nothing persisted");
+    // The refused claim was for epoch 2; the next goes past both it and
+    // the epoch 9 the refusals named.
+    assert!(drill.router.acquire_lease());
+    assert_eq!(drill.router.epoch(), 10);
 }
 
 proptest! {
