@@ -58,7 +58,10 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # retry requeued under a blocked worker, threads {1, 2, 4} against the
 # simulator) and the kept-alive shard connections (callers sharing
 # streams, a stream the server closed meanwhile, one origin's delta
-# batches overtaking each other on the way to a peer).
+# batches overtaking each other on the way to a peer) and the service's
+# flights table (eight threads resubmitting one request across 2 000
+# landings: a duplicate that found the flight neither flying nor landed
+# would start a second compile).
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -80,6 +83,7 @@ race -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
 race -p ccm2-sched --test crew
 race -p ccm2-sched --test executors
 race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin
+race -p ccm2-serve --test stress -- duplicates_racing_a_landing
 race --test threaded_suite -- work_charges_equal
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="

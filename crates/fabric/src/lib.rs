@@ -290,7 +290,8 @@ impl Fabric {
         &self.nodes
     }
 
-    /// Total compiles executed across all shards (dedup denominator).
+    /// Compile frames answered with an outcome across all shards — each
+    /// by a compile, by joining one in flight, or by a landed answer.
     pub fn total_compiles(&self) -> u64 {
         self.nodes.iter().map(|n| n.stats().compiles).sum()
     }
@@ -335,8 +336,9 @@ mod tests {
         // 12 requests, 3 distinct modules: single-flight at the router
         // and on the shards keeps actual compiles at the distinct
         // count (identical fingerprints route to one shard, so no
-        // duplicate can slip through on a second shard; stragglers
-        // arriving after completion re-compile warm at worst).
+        // duplicate can slip through on a second shard; a straggler
+        // arriving after completion finds the flight landed there and
+        // is answered by lookup).
         let stats = fabric.router().stats();
         assert_eq!(stats.dispatched, 12);
         assert_eq!(stats.failovers, 0);

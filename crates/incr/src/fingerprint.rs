@@ -91,61 +91,95 @@ pub const MISSING_DEF_SOURCE: &str = "\u{1}<missing definition module>\u{1}";
 /// interface go unnoticed.
 pub fn import_names(source: &str) -> Vec<&str> {
     let mut names = Vec::new();
-    let mut words = Vec::new(); // (word, byte offset just past it)
-    let bytes = source.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_alphabetic() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_alphanumeric() {
-                i += 1;
+    let mut words = Words { source, at: 0 };
+    while let Some(keyword) = words.seek_keyword() {
+        let plain = keyword == "IMPORT";
+        if !plain {
+            names.extend(words.next());
+            // Skip the `IMPORT x, y;` symbol list — those are
+            // identifiers inside the named module, not modules.
+            let mut ahead = words;
+            if ahead.next() != Some("IMPORT") {
+                continue;
             }
-            words.push((&source[start..i], i));
-        } else {
-            i += 1;
+            words = ahead;
         }
-    }
-    let mut w = 0;
-    while w < words.len() {
-        match words[w].0 {
-            "FROM" => {
-                if let Some(&(name, _)) = words.get(w + 1) {
-                    names.push(name);
-                }
-                w += 2;
-                // Skip the `IMPORT x, y;` symbol list — those are
-                // identifiers inside the named module, not modules.
-                if let Some(&("IMPORT", after)) = words.get(w) {
-                    let list_end = source[after..]
-                        .find(';')
-                        .map(|at| after + at)
-                        .unwrap_or(source.len());
-                    w += 1;
-                    while w < words.len() && words[w].1 <= list_end {
-                        w += 1;
-                    }
-                }
-            }
-            "IMPORT" => {
-                // A plain import: every identifier up to the `;` is a
-                // module name.
-                let list_end = source[words[w].1..]
-                    .find(';')
-                    .map(|at| words[w].1 + at)
-                    .unwrap_or(source.len());
-                w += 1;
-                while w < words.len() && words[w].1 <= list_end {
-                    names.push(words[w].0);
-                    w += 1;
-                }
-            }
-            _ => w += 1,
+        let list_end = source[words.at..]
+            .find(';')
+            .map_or(source.len(), |at| words.at + at);
+        if plain {
+            // A plain import: every identifier up to the `;` is a
+            // module name.
+            names.extend(Words {
+                source: &source[..list_end],
+                at: words.at,
+            });
         }
+        words.at = list_end;
     }
     names.sort();
     names.dedup();
     names
+}
+
+/// The words of a text from byte `at` on — an ASCII letter, then letters
+/// and digits — one at a time; `at` is just past the last one produced.
+/// A compile asks for the imports of the main module and of every
+/// interface it reaches, and only the words after two keywords matter,
+/// so the scan keeps no list and walks no word it can jump over.
+#[derive(Clone, Copy)]
+struct Words<'a> {
+    source: &'a str,
+    at: usize,
+}
+
+impl<'a> Iterator for Words<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.source.as_bytes();
+        let start = self.at + bytes[self.at..].iter().position(u8::is_ascii_alphabetic)?;
+        let len = bytes[start..]
+            .iter()
+            .position(|b| !b.is_ascii_alphanumeric())
+            .unwrap_or(bytes.len() - start);
+        self.at = start + len;
+        Some(&self.source[start..self.at])
+    }
+}
+
+impl Words<'_> {
+    /// Moves past the next word that is `FROM` or `IMPORT` and says
+    /// which. Both contain an `M` and little else in a program does, so
+    /// this looks at the `M`s (`find` on a one-byte `char` is `memchr`)
+    /// where [`Iterator::next`] would look at every byte.
+    fn seek_keyword(&mut self) -> Option<&'static str> {
+        let bytes = self.source.as_bytes();
+        let mut from = self.at;
+        loop {
+            let m = from + self.source[from..].find('M')?;
+            for (keyword, before_m) in [("FROM", 3), ("IMPORT", 1)] {
+                let Some(start) = m.checked_sub(before_m) else {
+                    continue;
+                };
+                let end = start + keyword.len();
+                // A word starts at the first letter of a run of letters
+                // and digits: nothing but digits may precede it there.
+                let mut run_before = bytes[..start]
+                    .iter()
+                    .rev()
+                    .take_while(|b| b.is_ascii_alphanumeric());
+                if bytes.get(start..end) == Some(keyword.as_bytes())
+                    && !bytes.get(end).is_some_and(u8::is_ascii_alphanumeric)
+                    && !run_before.any(u8::is_ascii_alphabetic)
+                {
+                    self.at = end;
+                    return Some(keyword);
+                }
+            }
+            from = m + 1;
+        }
+    }
 }
 
 /// The transitive import closure of `main_source` over `library`, as

@@ -23,8 +23,11 @@
 //!   diagnostics, cache counters, virtual/wall cost).
 //! * [`CompileService`] — the worker pool: bounded queue with
 //!   load-shedding ([`Submission::Shed`] / [`Response::Retry`]),
-//!   single-flight deduplication (identical in-flight requests compile
-//!   once and fan out), a batch API, and pause/resume hooks for
+//!   single-flight deduplication that holds over time (identical
+//!   requests compile once: those in flight together fan out from one
+//!   compile, and one that arrives after the flight has landed is
+//!   answered by lookup on its own thread while the answer is inside
+//!   the landed budget), a batch API, and pause/resume hooks for
 //!   deterministic tests.
 //! * [`SnapshotStore`] — crash-safe restart: checksummed, versioned
 //!   images of the shared store written with temp-file + atomic-rename,
@@ -46,12 +49,17 @@
 //!     "MODULE Hello; BEGIN WriteLn END Hello.",
 //!     Arc::new(DefLibrary::new()),
 //! );
-//! let responses = svc.serve_batch(vec![req.clone(), req]);
+//! let responses = svc.serve_batch(vec![req.clone(), req.clone()]);
 //! let first = responses[0].outcome().expect("served");
 //! assert!(first.ok);
 //! // Both clients got the same outcome from a single compile.
 //! assert_eq!(svc.stats().compiled, 1);
 //! assert_eq!(svc.stats().joined, 1);
+//! // So does a client that asks after the answer was delivered.
+//! let later = svc.serve_batch(vec![req]);
+//! assert!(std::sync::Arc::ptr_eq(first, later[0].outcome().expect("served")));
+//! assert_eq!(svc.stats().compiled, 1);
+//! assert_eq!(svc.stats().replayed, 1);
 //! ```
 
 pub mod delta;

@@ -23,7 +23,7 @@ use ccm2::{Executor, Options};
 use ccm2_incr::IncrStats;
 use ccm2_sched::sim::SimConfig;
 use ccm2_sema::symtab::DkyStrategy;
-use ccm2_support::defs::{DefLibrary, DefProvider as _};
+use ccm2_support::defs::DefLibrary;
 use ccm2_support::hash::{Fp128, StableHasher};
 
 /// Which executor a request asks for, in a form that can be hashed and
@@ -131,9 +131,10 @@ impl CompileRequest {
         let mut h = StableHasher::new();
         h.write_str("ccm2-serve/request/v1");
         h.write_str(&self.source);
-        let all = self.defs.all_definitions().unwrap_or_default();
-        h.write_u64(all.len() as u64);
-        for (name, text) in &all {
+        // The library's sorted view, borrowed: this runs on every
+        // submission, so the interface texts are hashed where they lie.
+        h.write_u64(self.defs.len() as u64);
+        for (name, text) in self.defs.iter() {
             h.write_str(name);
             h.write_str(text);
         }
@@ -211,8 +212,8 @@ pub struct CompileOutcome {
 /// The service's answer to one submitted request.
 #[derive(Clone, Debug)]
 pub enum Response {
-    /// The compilation ran (or was joined onto an identical in-flight
-    /// one) and finished.
+    /// The compilation ran — for this request, or for an identical one
+    /// whose flight this one joined, in the air or landed — and finished.
     Done(Arc<CompileOutcome>),
     /// The request was shed at admission: the queue was full. The
     /// client should back off and resubmit.
@@ -270,6 +271,28 @@ mod tests {
         l.insert("IO", "DEFINITION MODULE IO; PROCEDURE Q; END IO.");
         defs.defs = Arc::new(l);
         assert_ne!(fp, defs.fingerprint());
+    }
+
+    /// The digest is the ring-routing key (`HashRing::route`) and the
+    /// oracle key of every drill, so how it is *computed* may change and
+    /// what it *is* may not: a moved digest re-routes the fleet and moves
+    /// the golden.
+    #[test]
+    fn fingerprint_of_one_request_is_pinned() {
+        let mut l = DefLibrary::new();
+        l.insert("Zed", "DEFINITION MODULE Zed; CONST N = 1; END Zed.");
+        l.insert("IO", "DEFINITION MODULE IO; PROCEDURE P; END IO.");
+        l.insert("Alpha", "DEFINITION MODULE Alpha; IMPORT IO; END Alpha.");
+        let req = CompileRequest::new(
+            1,
+            "M",
+            "MODULE M; IMPORT IO, Zed; BEGIN IO.P END M.",
+            Arc::new(l),
+        );
+        assert_eq!(
+            req.fingerprint().to_hex(),
+            "016eabf1e3dfd3c7c1237a50a897e3b9"
+        );
     }
 
     #[test]

@@ -3,26 +3,54 @@
 //!
 //! Life of a request:
 //!
-//! 1. [`submit`](CompileService::submit) computes the request
-//!    fingerprint and checks the in-flight table. An identical request
-//!    already queued or compiling? The new one *joins* it — no queue
-//!    slot, no second compile; both callers get the same
-//!    [`CompileOutcome`] when it lands (single-flight).
+//! 0. [`submit`](CompileService::submit) computes the request
+//!    fingerprint and looks it up in the *flights table*, the one map
+//!    of everything the service has admitted and not yet forgotten. The
+//!    flight has *landed* — the service answered this very request
+//!    before and the answer is still inside the landed budget? The
+//!    caller gets a ticket born fulfilled, holding that answer: no
+//!    queue slot, no worker, no wake-up, no quota charge, on the
+//!    submitter's own thread, and it works while the service is paused.
+//!    The object image is a pure function of the request (the late
+//!    merge, paper §2.1/§3 — the byte-identity contract every gate
+//!    enforces), so an answer, once made, is *the* answer.
+//! 1. The flight is still *flying* — an identical request is queued or
+//!    compiling? The new one *joins* it — no queue slot, no second
+//!    compile; both callers get the same [`CompileOutcome`] when it
+//!    lands (single-flight). Steps 0 and 1 are one lookup under one lock
+//!    hold and both return [`Submission::Joined`].
 //! 2. Otherwise the bounded queue admits it, or — when full — the
 //!    service *sheds* it with [`Submission::Shed`] so load never grows
 //!    an unbounded backlog. Shedding is the client's signal to back off
 //!    and resubmit.
-//! 3. A worker pops the request (still listed in-flight, so latecomers
+//! 3. A worker pops the request (still listed flying, so latecomers
 //!    keep joining during the compile), runs
 //!    [`ccm2::compile_concurrent`] against the shared artifact store,
-//!    then removes the in-flight entry and fans the outcome out to
-//!    every joined ticket.
+//!    then *lands* the flight — the row changes phase under the lock
+//!    hold that takes its tickets, so there is no instant at which a
+//!    duplicate finds neither phase — and fans the outcome out to every
+//!    joined ticket.
 //!
-//! Two identical requests submitted *after* the first one completed do
-//! compile again — but against a warm [`SharedStore`], so the second
-//! run is all `CacheSplice` tasks. Single-flight removes duplicate
-//! work in the window where the cache cannot (the first compile has not
-//! stored its units yet).
+//! # What stays landed
+//!
+//! Landed answers are a second pool beside the [`SharedStore`], bounded
+//! by the same number ([`ServeConfig::store_budget`]) and accounted by
+//! the same strict-admission index ([`ccm2_incr::ByteBudgetLru`]): an
+//! answer costs its object bytes, its diagnostics and the struct; the
+//! least recently *answered* goes first; an answer larger than the
+//! whole budget is never kept. A flight is kept only if its request
+//! carried no fault plan and its outcome is not panicked, degraded or
+//! stalled — those describe one run, not the request. Compile *errors*
+//! are deterministic and are kept. A request that misses the table —
+//! evicted, or first seen after a restart or on another shard: landed
+//! flights are neither persisted nor replicated, they are warmth, not
+//! truth — compiles against the warm store (all `CacheSplice` tasks if
+//! nothing changed) and lands again.
+//!
+//! The pools are separate because they churn differently: answers are
+//! whole images that one edit in eight replaces, units are the small
+//! pieces that edit splices from, and in one budget the first evict the
+//! second (measured: EXPERIMENTS.md, *Compile service*).
 //!
 //! [`pause`](CompileService::pause)/[`resume`](CompileService::resume)
 //! freeze the workers between requests; tests use this to build
@@ -35,7 +63,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ccm2::compile_concurrent;
-use ccm2_incr::{comparable_output, ArtifactStore};
+use ccm2_incr::{comparable_output, ArtifactStore, ByteBudgetLru};
 use ccm2_support::hash::Fp128;
 use ccm2_support::Interner;
 use parking_lot::{Condvar, Mutex};
@@ -50,9 +78,12 @@ pub struct ServeConfig {
     /// multi-worker executor, so total parallelism is the product.
     pub workers: usize,
     /// Maximum *queued* (admitted, not yet started) requests. Joining
-    /// an in-flight request never consumes a slot.
+    /// a flight, in the air or landed, never consumes a slot.
     pub queue_capacity: usize,
-    /// Byte budget for the shared artifact store.
+    /// Byte budget. It bounds each of the service's two caches on its
+    /// own: the shared artifact store ([`SharedStore`], compiled units)
+    /// and the landed flights (whole answers, see the module docs) may
+    /// hold this many bytes apiece.
     pub store_budget: u64,
     /// Start with the workers paused (deterministic tests).
     pub paused: bool,
@@ -78,10 +109,10 @@ pub struct ServeConfig {
     /// requests (queued or compiling) any one client may hold. A client
     /// at its quota has further distinct requests shed with
     /// [`Submission::OverQuota`] until one of its compiles lands —
-    /// back-pressure, not denial. Joining an in-flight compile is exempt
-    /// (a join consumes no queue slot and no worker), so under-quota
-    /// clients are never displaced by a flooding one. `None` disables
-    /// the quota.
+    /// back-pressure, not denial. Joining a flight, in the air or landed,
+    /// is exempt (a join consumes no queue slot and no worker), so
+    /// under-quota clients are never displaced by a flooding one. `None`
+    /// disables the quota.
     pub per_client_quota: Option<u32>,
 }
 
@@ -108,8 +139,13 @@ pub struct ServiceStats {
     pub submitted: u64,
     /// Requests admitted to the queue.
     pub accepted: u64,
-    /// Requests that joined an identical in-flight request.
+    /// Requests answered by another request's compile, in either phase
+    /// of its flight: they joined it while it was queued or compiling,
+    /// or found it landed.
     pub joined: u64,
+    /// The [`joined`](ServiceStats::joined) requests that found the
+    /// flight landed: answered by lookup on the submitter's thread.
+    pub replayed: u64,
     /// Requests shed because the queue was full.
     pub shed: u64,
     /// Requests shed because the client was at its admission quota.
@@ -119,7 +155,7 @@ pub struct ServiceStats {
     pub deadline_shed: u64,
     /// Compiles actually run (the single-flight invariant:
     /// `compiled == accepted` once the queue drains, regardless of how
-    /// many requests joined).
+    /// many requests joined or were replayed).
     pub compiled: u64,
     /// Compiles that panicked (outcome degraded to an error report).
     pub panicked: u64,
@@ -196,7 +232,8 @@ pub struct ClientStats {
     pub submitted: u64,
     /// Requests admitted to the queue for this client.
     pub admitted: u64,
-    /// Requests that joined an identical in-flight compile.
+    /// Requests answered by an identical request's compile, in flight
+    /// or landed (see [`ServiceStats::joined`]).
     pub joined: u64,
     /// Requests shed at admission (queue full).
     pub shed: u64,
@@ -220,9 +257,13 @@ struct TicketShared {
 
 impl Ticket {
     fn new() -> Ticket {
+        Ticket::holding(None)
+    }
+
+    fn holding(outcome: Option<Arc<CompileOutcome>>) -> Ticket {
         Ticket {
             shared: Arc::new(TicketShared {
-                slot: Mutex::new(None),
+                slot: Mutex::new(outcome),
                 done: Condvar::new(),
             }),
         }
@@ -266,7 +307,9 @@ impl Ticket {
 pub enum Submission {
     /// Admitted to the queue; a worker will compile it.
     Queued(Ticket),
-    /// Joined an identical in-flight request (single-flight).
+    /// Joined an identical request's flight (single-flight): still in
+    /// flight, and the ticket fills when it lands; or already landed,
+    /// and the ticket was born fulfilled.
     Joined(Ticket),
     /// Shed: the queue was full. Back off and resubmit.
     Shed,
@@ -292,16 +335,35 @@ impl Submission {
     }
 }
 
-struct InFlight {
-    req: CompileRequest,
-    /// The admitting client — the one whose quota this compile holds.
-    leader: u64,
-    tickets: Vec<Arc<TicketShared>>,
+/// One row of the flights table, in one of its two phases.
+enum Flight {
+    /// Queued or compiling: a duplicate adds a ticket.
+    Flying {
+        /// Shared with the worker that compiles it, so nobody copies
+        /// the source text under the state lock.
+        req: Arc<CompileRequest>,
+        /// The admitting client — the one whose quota this compile holds.
+        leader: u64,
+        tickets: Vec<Arc<TicketShared>>,
+    },
+    /// Answered and inside the landed budget: a duplicate gets the answer.
+    Landed(Arc<CompileOutcome>),
+}
+
+/// What a landed flight is charged against the budget: what it keeps
+/// alive beyond the table row.
+fn landed_bytes(outcome: &CompileOutcome) -> u64 {
+    let diagnostics: usize = outcome.diagnostics.iter().map(String::len).sum();
+    (std::mem::size_of::<CompileOutcome>()
+        + outcome.object.as_ref().map_or(0, Vec::len)
+        + diagnostics) as u64
 }
 
 struct State {
     queue: VecDeque<Fp128>,
-    inflight: HashMap<Fp128, InFlight>,
+    flights: HashMap<Fp128, Flight>,
+    /// Bytes and recency of exactly the [`Flight::Landed`] rows.
+    landed: ByteBudgetLru,
     paused: bool,
     shutdown: bool,
     stats: ServiceStats,
@@ -337,7 +399,8 @@ impl CompileService {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                inflight: HashMap::new(),
+                flights: HashMap::new(),
+                landed: ByteBudgetLru::new(config.store_budget),
                 paused: config.paused,
                 shutdown: false,
                 stats: ServiceStats::default(),
@@ -413,46 +476,52 @@ impl CompileService {
     pub fn submit(&self, req: CompileRequest) -> Submission {
         let fp = req.fingerprint();
         let client = req.client;
-        let mut state = self.shared.state.lock();
+        let mut guard = self.shared.state.lock();
+        let state = &mut *guard;
         state.stats.submitted += 1;
         let cs = state.client_stats.entry(client).or_default();
         cs.submitted += 1;
-        if let Some(fl) = state.inflight.get_mut(&fp) {
-            let ticket = Ticket::new();
-            fl.tickets.push(Arc::clone(&ticket.shared));
+        if let Some(flight) = state.flights.get_mut(&fp) {
             state.stats.joined += 1;
-            state.client_stats.entry(client).or_default().joined += 1;
-            return Submission::Joined(ticket);
+            cs.joined += 1;
+            let outcome = match flight {
+                Flight::Flying { tickets, .. } => {
+                    let ticket = Ticket::new();
+                    tickets.push(Arc::clone(&ticket.shared));
+                    return Submission::Joined(ticket);
+                }
+                Flight::Landed(outcome) => Arc::clone(outcome),
+            };
+            state.landed.touch(fp);
+            state.stats.replayed += 1;
+            drop(guard);
+            return Submission::Joined(Ticket::holding(Some(outcome)));
         }
-        if let Some(quota) = self.shared.config.per_client_quota {
-            if state.client_stats.entry(client).or_default().outstanding >= quota {
-                state.stats.quota_shed += 1;
-                state.client_stats.entry(client).or_default().quota_shed += 1;
-                return Submission::OverQuota;
-            }
+        let quota = self.shared.config.per_client_quota;
+        if quota.is_some_and(|quota| cs.outstanding >= quota) {
+            state.stats.quota_shed += 1;
+            cs.quota_shed += 1;
+            return Submission::OverQuota;
         }
         if state.queue.len() >= self.shared.queue_capacity {
             state.stats.shed += 1;
-            state.client_stats.entry(client).or_default().shed += 1;
+            cs.shed += 1;
             return Submission::Shed;
         }
-        {
-            let cs = state.client_stats.entry(client).or_default();
-            cs.admitted += 1;
-            cs.outstanding += 1;
-        }
+        cs.admitted += 1;
+        cs.outstanding += 1;
         let ticket = Ticket::new();
-        state.inflight.insert(
+        state.flights.insert(
             fp,
-            InFlight {
-                req,
+            Flight::Flying {
+                req: Arc::new(req),
                 leader: client,
                 tickets: vec![Arc::clone(&ticket.shared)],
             },
         );
         state.queue.push_back(fp);
         state.stats.accepted += 1;
-        drop(state);
+        drop(guard);
         self.shared.work.notify_one();
         Submission::Queued(ticket)
     }
@@ -609,13 +678,10 @@ fn worker_loop(shared: &Shared) {
                 }
                 shared.work.wait(&mut state);
             };
-            let req = state
-                .inflight
-                .get(&fp)
-                .expect("queued fp is in-flight until fulfilled")
-                .req
-                .clone();
-            (fp, req)
+            match state.flights.get(&fp) {
+                Some(Flight::Flying { req, .. }) => (fp, Arc::clone(req)),
+                _ => unreachable!("a queued flight is flying until its worker lands it"),
+            }
         };
 
         let store: Arc<dyn ArtifactStore> = Arc::clone(&shared.store) as Arc<dyn ArtifactStore>;
@@ -625,9 +691,18 @@ fn worker_loop(shared: &Shared) {
             Err(payload) => (panic_outcome(fp, &payload), true),
         };
         let outcome = Arc::new(outcome);
+        // An answer is the request's, and kept, unless it describes this
+        // one run: an injected fault, a caught one, a watchdog diagnosis.
+        let keep = req.faults.is_none() && !panicked && !outcome.degraded && !outcome.stalled;
+        let bytes = landed_bytes(&outcome);
 
+        // Rows this landing pushes out of the budget (an object image
+        // each): unlinked under the lock, freed when the waiters have
+        // been woken.
+        let mut evicted = Vec::new();
         let tickets = {
-            let mut state = shared.state.lock();
+            let mut guard = shared.state.lock();
+            let state = &mut *guard;
             state.stats.compiled += 1;
             if panicked {
                 state.stats.panicked += 1;
@@ -638,10 +713,35 @@ fn worker_loop(shared: &Shared) {
             if outcome.stalled {
                 state.stats.stalled += 1;
             }
-            let fl = state.inflight.remove(&fp).expect("fulfilled exactly once");
-            let cs = state.client_stats.entry(fl.leader).or_default();
+            // Land the flight: the row changes phase (or leaves) in this
+            // one lock hold, so a duplicate finds it flying or landed,
+            // never neither.
+            let landed = keep && {
+                let admission = state.landed.admit(fp, bytes);
+                evicted.extend(
+                    admission
+                        .evict
+                        .iter()
+                        .filter_map(|victim| state.flights.remove(victim)),
+                );
+                admission.accepted
+            };
+            let flown = if landed {
+                state
+                    .flights
+                    .insert(fp, Flight::Landed(Arc::clone(&outcome)))
+            } else {
+                state.flights.remove(&fp)
+            };
+            let Some(Flight::Flying {
+                leader, tickets, ..
+            }) = flown
+            else {
+                unreachable!("a flight is landed exactly once, by the worker that flew it");
+            };
+            let cs = state.client_stats.entry(leader).or_default();
             cs.outstanding = cs.outstanding.saturating_sub(1);
-            fl.tickets
+            tickets
         };
         for ticket in tickets {
             *ticket.slot.lock() = Some(Arc::clone(&outcome));
@@ -726,6 +826,7 @@ fn panic_outcome(fp: Fp128, payload: &(dyn std::any::Any + Send)) -> CompileOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ExecChoice;
     use ccm2_support::defs::DefLibrary;
 
     fn req(client: u64, name: &str, body: &str) -> CompileRequest {
@@ -1061,19 +1162,365 @@ mod tests {
         svc.resume();
     }
 
+    const WARM: &str = "PROCEDURE P; BEGIN END P; PROCEDURE Q; BEGIN END Q; BEGIN P; Q;";
+
     #[test]
-    fn second_wave_hits_the_warm_store() {
+    fn an_identical_later_request_is_answered_by_lookup() {
         let svc = CompileService::start(ServeConfig::default());
-        let r = req(
-            1,
-            "Warm",
-            "PROCEDURE P; BEGIN END P; PROCEDURE Q; BEGIN END Q; BEGIN P; Q;",
-        );
+        let r = req(1, "Warm", WARM);
         let cold = svc.submit(r.clone()).ticket().expect("kept").wait();
-        let warm = svc.submit(r).ticket().expect("kept").wait();
+        let store = svc.store().stats();
+        let again = svc.submit(r);
+        assert!(matches!(again, Submission::Joined(_)));
+        let warm = again.ticket().expect("kept").try_get().expect("fulfilled");
+        assert!(Arc::ptr_eq(&cold, &warm), "the answer, not a copy of it");
+        assert_eq!(svc.stats().compiled, 1);
+        assert_eq!(svc.store().stats(), store, "no lookup, no insertion");
+    }
+
+    #[test]
+    fn another_strategy_compiles_again_and_splices_every_unit() {
+        // Request-level sharing must not happen (the report would be for
+        // a configuration the client did not ask for); artifact-level
+        // sharing must (stream fingerprints ignore the strategy).
+        let svc = CompileService::start(ServeConfig::default());
+        let r = req(1, "Warm", WARM);
+        let mut other = r.clone();
+        other.strategy = ccm2_sema::symtab::DkyStrategy::Optimistic;
+        let cold = svc.submit(r).ticket().expect("kept").wait();
+        let sub = svc.submit(other);
+        assert!(matches!(sub, Submission::Queued(_)));
+        let warm = sub.ticket().expect("kept").wait();
         assert_eq!(cold.object, warm.object, "byte-identical");
         let warm_incr = warm.incr.expect("incremental active");
         assert_eq!(warm_incr.spliced, warm_incr.units, "all units spliced");
         assert!(svc.store().stats().hits > 0);
+        assert_eq!(svc.stats().compiled, 2);
+    }
+
+    /// What a [`Step::Send`] must come back as.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Sub {
+        /// Admitted: this submission compiles.
+        Queued,
+        /// Joined a flight that has not landed.
+        Flying,
+        /// Found the flight landed: born fulfilled, the very allocation
+        /// this request was last answered with.
+        Landed,
+        OverQuota,
+    }
+
+    enum Step {
+        /// `(client, index into Row::requests, expected submission)`.
+        Send(u64, usize, Sub),
+        /// Waits for every ticket handed out so far.
+        Land,
+        Pause,
+        Resume,
+    }
+
+    struct Row {
+        name: &'static str,
+        config: ServeConfig,
+        requests: Vec<CompileRequest>,
+        script: Vec<Step>,
+        /// `(compiled, replayed)` once the script has run.
+        counters: (u64, u64),
+        /// What request 0's first answer must look like, so a row cannot
+        /// pass without producing the kind of outcome it is named after.
+        /// (Its later ones may differ: a faulted task that the warm
+        /// store splices around never runs.)
+        answer: fn(&CompileOutcome) -> bool,
+    }
+
+    /// A standalone compile of `r`: what the service must answer.
+    fn standalone(r: &CompileRequest) -> (Option<Vec<u8>>, Vec<String>) {
+        let out = compile_concurrent(
+            &r.source,
+            Arc::clone(&r.defs) as Arc<dyn ccm2_support::defs::DefProvider>,
+            Arc::new(Interner::new()),
+            ccm2::Options {
+                incremental: None,
+                ..r.options(Arc::new(ccm2_incr::MemStore::new()))
+            },
+        );
+        comparable_output(
+            out.image.as_ref(),
+            &out.diagnostics,
+            &out.sources,
+            &out.interner,
+        )
+    }
+
+    /// Whether `r`'s answer is a function of `r` alone (no fault plan, no
+    /// watchdog, an executor that runs).
+    fn repeatable(r: &CompileRequest) -> bool {
+        r.faults.is_none() && r.task_deadline.is_none() && r.exec != ExecChoice::Threads(0)
+    }
+
+    fn run_row(row: &Row) {
+        let name = row.name;
+        let svc = CompileService::start(row.config);
+        let budget = row.config.store_budget;
+        let mut paused = row.config.paused;
+        let mut tickets: Vec<(usize, Ticket)> = Vec::new();
+        let mut last: HashMap<usize, Arc<CompileOutcome>> = HashMap::new();
+        let mut first = None;
+        for (at, step) in row.script.iter().enumerate() {
+            match step {
+                Step::Send(client, which, want) => {
+                    let mut r = row.requests[*which].clone();
+                    r.client = *client;
+                    let sub = svc.submit(r);
+                    let got = match &sub {
+                        Submission::Queued(_) => Sub::Queued,
+                        Submission::Joined(t) if t.try_get().is_some() => Sub::Landed,
+                        Submission::Joined(_) => Sub::Flying,
+                        Submission::OverQuota => Sub::OverQuota,
+                        Submission::Shed => panic!("{name}: step {at} shed"),
+                    };
+                    assert_eq!(got, *want, "{name}: step {at}");
+                    let Some(ticket) = sub.ticket() else { continue };
+                    match got {
+                        Sub::Landed => assert!(
+                            Arc::ptr_eq(&ticket.wait(), &last[which]),
+                            "{name}: step {at} replayed another answer"
+                        ),
+                        // Nothing lands while the workers are frozen.
+                        _ if paused => assert!(ticket.try_get().is_none(), "{name}: step {at}"),
+                        _ => {}
+                    }
+                    tickets.push((*which, ticket.clone()));
+                }
+                Step::Land => {
+                    for (which, ticket) in tickets.drain(..) {
+                        last.insert(which, ticket.wait());
+                    }
+                    first.get_or_insert_with(|| Arc::clone(&last[&0]));
+                }
+                Step::Pause => {
+                    svc.pause();
+                    paused = true;
+                }
+                Step::Resume => {
+                    svc.resume();
+                    paused = false;
+                }
+            }
+            let held = svc.shared.state.lock().landed.total();
+            assert!(held <= budget, "{name}: step {at} holds {held} of {budget}");
+        }
+        assert!(tickets.is_empty(), "{name}: script ends with a Land");
+        let stats = svc.stats();
+        assert_eq!((stats.compiled, stats.replayed), row.counters, "{name}");
+        assert_eq!(stats.joined - stats.replayed, {
+            let flying = |s: &Step| matches!(s, Step::Send(_, _, Sub::Flying));
+            row.script.iter().filter(|s| flying(s)).count() as u64
+        });
+        let first = first.expect("a script lands request 0 first");
+        assert!((row.answer)(&first), "{name}: {first:?}");
+        for (which, out) in &last {
+            let r = &row.requests[*which];
+            if repeatable(r) {
+                let got = (out.object.clone(), out.diagnostics.clone());
+                assert_eq!(got, standalone(r), "{name}: request {which}");
+            }
+        }
+    }
+
+    /// Exactly-once over time: a request the service has answered is not
+    /// compiled again while its answer is inside the landed budget — and
+    /// an answer that describes one run rather than the request is never
+    /// kept, so never served to anyone.
+    #[test]
+    fn exactly_once_over_time() {
+        use Step::{Land, Pause, Resume, Send};
+        use Sub::{Flying, Landed, OverQuota, Queued};
+
+        let clean = || req(1, "Tab", WARM);
+        let shaped = |shape: fn(&mut CompileRequest)| {
+            let mut r = clean();
+            shape(&mut r);
+            r
+        };
+        // A request whose answer is not kept compiles on every
+        // submission, and its clean twin compiles too (then is kept).
+        let ok: fn(&CompileOutcome) -> bool = |o| o.ok && !o.degraded && !o.stalled;
+        let never_kept = |name, shape, answer| Row {
+            name,
+            answer,
+            config: ServeConfig::default(),
+            requests: vec![shaped(shape), clean()],
+            script: vec![
+                Send(1, 0, Queued),
+                Land,
+                Send(1, 0, Queued),
+                Land,
+                Send(2, 1, Queued),
+                Land,
+                Send(2, 1, Landed),
+                Send(1, 0, Queued),
+                Land,
+            ],
+            counters: (4, 1),
+        };
+        let mut rows = vec![
+            Row {
+                name: "sequential repeats",
+                answer: ok,
+                config: ServeConfig::default(),
+                requests: vec![clean()],
+                script: vec![
+                    Send(1, 0, Queued),
+                    Land,
+                    Send(1, 0, Landed),
+                    Send(2, 0, Landed),
+                    Send(3, 0, Landed),
+                    Send(1, 0, Landed),
+                    Land,
+                ],
+                counters: (1, 4),
+            },
+            Row {
+                name: "a compile error is the request's answer",
+                answer: |o| !o.ok && !o.diagnostics.is_empty() && !o.degraded && !o.stalled,
+                config: ServeConfig::default(),
+                requests: vec![req(1, "Tab", "BEGIN undeclared := 1;")],
+                script: vec![Send(1, 0, Queued), Land, Send(2, 0, Landed), Land],
+                counters: (1, 1),
+            },
+            never_kept(
+                "fault plan that fires nothing",
+                |r| {
+                    r.faults = Some(Arc::new(ccm2_faults::FaultPlan::single(
+                        "task:no-such-task",
+                        ccm2_faults::FaultKind::Panic,
+                    )));
+                },
+                ok,
+            ),
+            never_kept(
+                "degraded",
+                |r| {
+                    r.faults = Some(Arc::new(ccm2_faults::FaultPlan::single(
+                        "task:codegen(Tab.P)",
+                        ccm2_faults::FaultKind::Panic,
+                    )));
+                },
+                |o| o.degraded,
+            ),
+            never_kept(
+                "stalled",
+                |r| {
+                    r.exec = ExecChoice::Sim(2);
+                    r.task_deadline = Some(1);
+                },
+                |o| o.stalled,
+            ),
+            never_kept(
+                "panicked",
+                |r| r.exec = ExecChoice::Threads(0),
+                |o| o.diagnostics[0].contains("compile panicked"),
+            ),
+            Row {
+                name: "paused: a landed flight answers, a flying one waits",
+                answer: ok,
+                config: ServeConfig::default(),
+                requests: vec![clean(), req(1, "Other", WARM)],
+                script: vec![
+                    Send(1, 0, Queued),
+                    Land,
+                    Pause,
+                    Send(2, 0, Landed),
+                    Send(1, 1, Queued),
+                    Send(2, 1, Flying),
+                    Resume,
+                    Land,
+                ],
+                counters: (2, 1),
+            },
+            Row {
+                name: "a landed request is not over quota",
+                answer: ok,
+                config: ServeConfig {
+                    per_client_quota: Some(1),
+                    ..ServeConfig::default()
+                },
+                requests: vec![clean(), req(1, "Other", WARM), req(1, "Third", WARM)],
+                script: vec![
+                    Send(1, 0, Queued),
+                    Land,
+                    Pause,
+                    Send(1, 1, Queued),
+                    Send(1, 2, OverQuota),
+                    Send(1, 0, Landed),
+                    Resume,
+                    Land,
+                ],
+                counters: (2, 1),
+            },
+        ];
+
+        // Budget pressure, on answers of known size: room for two of
+        // three equal ones, and none for a big one.
+        let small = ["Aaa", "Bbb", "Ccc"].map(|name| req(1, name, WARM));
+        let big = req(
+            1,
+            "Big",
+            &(0..12)
+                .map(|i| format!("PROCEDURE P{i}; VAR x: INTEGER; BEGIN x := {i}; END P{i};"))
+                .chain(["BEGIN P0;".to_string()])
+                .collect::<String>(),
+        );
+        let cost = |r: &CompileRequest| {
+            let svc = CompileService::start(ServeConfig::default());
+            landed_bytes(&svc.submit(r.clone()).ticket().expect("kept").wait())
+        };
+        let each = cost(&small[0]);
+        assert!(small.iter().all(|r| cost(r) == each), "equal answers");
+        let budget = 2 * each + each / 2;
+        assert!(cost(&big) > budget, "the big answer fits no budget here");
+        let [a, b, c] = [0, 1, 2];
+        rows.push(Row {
+            name: "budget pressure",
+            answer: ok,
+            config: ServeConfig {
+                store_budget: budget,
+                ..ServeConfig::default()
+            },
+            requests: small.into_iter().chain([big]).collect(),
+            script: vec![
+                Send(1, a, Queued),
+                Land,
+                Send(1, b, Queued),
+                Land,
+                // `a` is now the more recently *answered* of the two…
+                Send(1, a, Landed),
+                Send(1, c, Queued),
+                Land,
+                // …so `c` pushed `b` out, and `b` compiles again.
+                Send(1, a, Landed),
+                Send(1, b, Queued),
+                Land,
+                Send(1, b, Landed),
+                Send(1, c, Queued),
+                Land,
+                // An answer over the whole budget is never kept, and
+                // keeping it out evicts nobody.
+                Send(1, 3, Queued),
+                Land,
+                Send(1, 3, Queued),
+                Land,
+                Send(1, c, Landed),
+                Send(1, b, Landed),
+                Land,
+            ],
+            counters: (7, 5),
+        });
+
+        for row in &rows {
+            run_row(row);
+        }
     }
 }

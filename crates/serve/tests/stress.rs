@@ -8,14 +8,17 @@
 //!   stale entries, no cross-request contamination);
 //! * the store's occupancy never exceeds its byte budget, even at peak;
 //! * identical requests piled up while the service is paused compile
-//!   exactly once (single-flight counter).
+//!   exactly once (single-flight counter);
+//! * so do identical requests that arrive while their flight is landing
+//!   and after it has landed: there is no instant between the two
+//!   phases at which a duplicate starts a second compile.
 
 use std::sync::Arc;
 
 use ccm2::{compile_concurrent, Options};
 use ccm2_incr::comparable_output;
 use ccm2_sema::symtab::DkyStrategy;
-use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
+use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig, Ticket};
 use ccm2_support::defs::DefProvider;
 use ccm2_support::Interner;
 use ccm2_workload::{generate, GenParams, GeneratedModule};
@@ -160,4 +163,89 @@ fn piled_up_identical_requests_compile_exactly_once() {
     assert_eq!(stats.compiled, 1, "single-flight: exactly one compile");
     assert_eq!(stats.joined, 5);
     assert_eq!(stats.accepted, 1);
+}
+
+/// Fails the test, instead of hanging it, if `run` is not done in time.
+fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    run: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(run());
+    });
+    let out = rx.recv_timeout(limit).expect("run hung");
+    runner.join().expect("runner thread");
+    out
+}
+
+#[test]
+fn duplicates_racing_a_landing_never_compile_twice_in_2_000_rounds() {
+    const ROUNDS: u64 = 2_000;
+    const THREADS: u64 = 8;
+    // Room for a handful of these answers, so landings also evict
+    // while the duplicates of the newest flight are being answered.
+    let svc = Arc::new(CompileService::start(ServeConfig {
+        workers: 2,
+        store_budget: 2 * 1024,
+        ..ServeConfig::default()
+    }));
+    let barrier = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let (stats, submitted) = within(std::time::Duration::from_secs(120), move || {
+        let submitters: Vec<_> = (0..THREADS)
+            .map(|client| {
+                let (svc, barrier) = (Arc::clone(&svc), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let mut submitted = 0;
+                    for round in 0..ROUNDS {
+                        // One request per round, new to the service.
+                        let req = CompileRequest::new(
+                            client,
+                            "Race",
+                            format!("MODULE Race; VAR x: INTEGER; BEGIN x := {round}; END Race."),
+                            Arc::new(ccm2_support::defs::DefLibrary::new()),
+                        );
+                        barrier.wait();
+                        // Every thread asks again and again until a
+                        // ticket comes back fulfilled: the submissions
+                        // straddle the landing, so one that found the
+                        // flight in neither phase would start a second
+                        // compile.
+                        let mut tickets = Vec::new();
+                        while tickets
+                            .last()
+                            .is_none_or(|t: &Ticket| t.try_get().is_none())
+                        {
+                            let sub = svc.submit(req.clone());
+                            tickets.push(
+                                sub.ticket()
+                                    .expect("one flight a round: never shed")
+                                    .clone(),
+                            );
+                            std::thread::yield_now();
+                        }
+                        let first = tickets[0].wait();
+                        assert!(first.ok, "{:?}", first.diagnostics);
+                        for ticket in &tickets {
+                            assert!(
+                                Arc::ptr_eq(&first, &ticket.wait()),
+                                "round {round}: a second answer"
+                            );
+                        }
+                        submitted += tickets.len() as u64;
+                    }
+                    submitted
+                })
+            })
+            .collect();
+        let submitted: u64 = submitters
+            .into_iter()
+            .map(|s| s.join().expect("submitter panicked"))
+            .sum();
+        (svc.stats(), submitted)
+    });
+    assert_eq!(stats.submitted, submitted);
+    assert_eq!(stats.compiled, ROUNDS, "one compile per distinct request");
+    assert_eq!(stats.accepted + stats.joined, stats.submitted, "none shed");
+    assert!(stats.replayed > 0 && stats.replayed < stats.joined);
 }

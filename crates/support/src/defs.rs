@@ -5,7 +5,7 @@
 //! paper's environment this was the file system; in this reproduction the
 //! benchmark workloads are generated in memory, so the lookup is a trait.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Provides definition-module sources by module name.
 pub trait DefProvider: Send + Sync {
@@ -36,7 +36,7 @@ pub trait DefProvider: Send + Sync {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct DefLibrary {
-    defs: HashMap<String, String>,
+    defs: BTreeMap<String, String>,
 }
 
 impl DefLibrary {
@@ -50,7 +50,9 @@ impl DefLibrary {
         self.defs.insert(name.into(), source.into());
     }
 
-    /// Iterates over `(name, source)` pairs (arbitrary order).
+    /// Iterates over `(name, source)` pairs sorted by name: the order and
+    /// content of [`DefProvider::all_definitions`], borrowed — what a
+    /// digest over the whole library reads without copying the texts.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.defs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
@@ -72,13 +74,11 @@ impl DefProvider for DefLibrary {
     }
 
     fn all_definitions(&self) -> Option<Vec<(String, String)>> {
-        let mut all: Vec<(String, String)> = self
-            .defs
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        all.sort();
-        Some(all)
+        Some(
+            self.iter()
+                .map(|(k, v)| (k.to_owned(), v.to_owned()))
+                .collect(),
+        )
     }
 }
 
@@ -114,6 +114,8 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].0, "Alpha");
         assert_eq!(all[1].0, "Zed");
+        let names: Vec<&str> = lib.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["Alpha", "Zed"], "iter is the same view, borrowed");
 
         struct Opaque;
         impl DefProvider for Opaque {

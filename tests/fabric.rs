@@ -398,6 +398,29 @@ fn a_refused_claim_only_teaches_the_epoch() {
     assert_eq!(drill.router.epoch(), 10);
 }
 
+/// A request the fleet has already answered costs the fleet a lookup:
+/// the shard that owns it finds the flight landed. The router's own
+/// single-flight plays no part — nothing was in flight — and no shard
+/// compiles.
+#[test]
+fn the_owning_shard_answers_a_repeat_without_compiling() {
+    for tcp in [false, true] {
+        let nodes = (0..3).map(|id| Arc::new(ShardNode::start(id, config())));
+        let fleet = Fabric::start_over(tcp, nodes.collect());
+        let req = module_for(1);
+        let want = Oracle::reference(&req);
+        for _ in 0..2 {
+            let answer = fleet.router().serve(&req);
+            let out = answer.outcome().expect("served");
+            assert_eq!((out.object.clone(), out.diagnostics.clone()), want);
+        }
+        let shards = fleet.nodes().iter().map(|node| node.service().stats());
+        let counted: Vec<(u64, u64)> = shards.map(|s| (s.compiled, s.replayed)).collect();
+        assert_eq!(counted, [(0, 0), (1, 1), (0, 0)], "tcp: {tcp}");
+        assert_eq!(fleet.router().stats().joined, 0, "tcp: {tcp}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6,

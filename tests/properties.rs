@@ -566,3 +566,148 @@ proptest! {
         }
     }
 }
+
+/// `ccm2_incr::import_names` as it was before it became one pass that
+/// seeks the two keywords and reads words lazily after them: every word
+/// of the source collected into a list, then the list walked for the
+/// keywords. Kept as the oracle.
+fn import_names_by_word_list(source: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    let mut words = Vec::new(); // (word, byte offset just past it)
+    let bytes = source.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        let c = bytes[i] as char;
+        if c.is_ascii_alphabetic() {
+            let start = i;
+            while i < bytes.len() && (bytes[i] as char).is_ascii_alphanumeric() {
+                i += 1;
+            }
+            words.push((&source[start..i], i));
+        } else {
+            i += 1;
+        }
+    }
+    let mut w = 0;
+    while w < words.len() {
+        match words[w].0 {
+            "FROM" => {
+                if let Some(&(name, _)) = words.get(w + 1) {
+                    names.push(name);
+                }
+                w += 2;
+                if let Some(&("IMPORT", after)) = words.get(w) {
+                    let list_end = source[after..]
+                        .find(';')
+                        .map(|at| after + at)
+                        .unwrap_or(source.len());
+                    w += 1;
+                    while w < words.len() && words[w].1 <= list_end {
+                        w += 1;
+                    }
+                }
+            }
+            "IMPORT" => {
+                let list_end = source[words[w].1..]
+                    .find(';')
+                    .map(|at| words[w].1 + at)
+                    .unwrap_or(source.len());
+                w += 1;
+                while w < words.len() && words[w].1 <= list_end {
+                    names.push(words[w].0);
+                    w += 1;
+                }
+            }
+            _ => w += 1,
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
+}
+
+/// What an import scan can trip over: the two keywords next to each
+/// other, at the end of the text, without their `;`, inside comments and
+/// strings (which the scan deliberately does not skip), glued to letters,
+/// digits and underscores, cut short, and around bytes that are not
+/// ASCII.
+const IMPORT_SCRAPS: [&str; 30] = [
+    "FROM", "IMPORT", "A", "B7", "c", "IMPORTS", "xFROM", ";", ",", " ", "\n", "(*", "*)", "\"",
+    "'", "9z", "_", "é", "→", ".", "FROM;", "IMPORT;", "END", "MODULE", "M", "9", "FRO", "MPORT",
+    "IM", "IMPORT9",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 256,
+        ..ProptestConfig::default()
+    })]
+
+    #[test]
+    fn import_names_equals_its_word_list_oracle_on_scraps(
+        picks in proptest::collection::vec(0usize..IMPORT_SCRAPS.len(), 0..40),
+    ) {
+        let source: String = picks.iter().map(|&i| IMPORT_SCRAPS[i]).collect();
+        prop_assert_eq!(
+            ccm2_incr::import_names(&source),
+            import_names_by_word_list(&source),
+            "{:?}",
+            source
+        );
+    }
+
+    #[test]
+    fn import_names_equals_its_word_list_oracle_on_generated_modules(seed in 0u64..1_000_000) {
+        let m = generate(&GenParams::small("Imp", seed));
+        let texts = std::iter::once(m.source.as_str()).chain(m.defs.iter().map(|(_, text)| text));
+        for text in texts {
+            prop_assert_eq!(ccm2_incr::import_names(text), import_names_by_word_list(text));
+        }
+    }
+}
+
+#[test]
+fn import_names_equals_its_word_list_oracle_on_the_suite_and_on_edge_cases() {
+    let same = |source: &str| {
+        assert_eq!(
+            ccm2_incr::import_names(source),
+            import_names_by_word_list(source),
+            "{source:?}"
+        );
+    };
+    for ix in 0..37 {
+        let m = generate(&ccm2_workload::suite_params(ix));
+        same(&m.source);
+        assert!(
+            !ccm2_incr::import_names(&m.source).is_empty(),
+            "suite[{ix}]"
+        );
+        for (_, interface) in m.defs.iter() {
+            same(interface);
+        }
+    }
+    for source in [
+        "",
+        "FROM",
+        "FROM A",
+        "FROM A IMPORT",
+        "FROM A IMPORT x, y",
+        "IMPORT",
+        "IMPORT A, B",
+        "IMPORT A; IMPORT A;",
+        "FROM FROM IMPORT IMPORT; IMPORT B;",
+        "FROM IMPORT IMPORT x; IMPORT C;",
+        "FROM A FROM B IMPORT x; IMPORT C;",
+        "IMPORT FROM, IMPORT; FROM D IMPORT e;",
+        "(* IMPORT C; *) MODULE M; IMPORT D; END M.",
+        "MODULE M; VAR s: ARRAY OF CHAR; BEGIN s := \"IMPORT E;\"; s := 'FROM F IMPORT g;' END M.",
+        "IMPORT A;IMPORT B;FROM C IMPORT d;IMPORT E",
+        "IMPORTA; 9IMPORT B; IMPORT_C; FROM_D IMPORT e;",
+        "a9IMPORT B; 99FROM C IMPORT d; 9a9FROM E; M; IM; FROMM F; MFROM G; IMPORT",
+        "M",
+        "ROM IMPORT H; MPORT I;",
+        "IMPORT Ünï, Code; FROM → IMPORT x;",
+    ] {
+        same(source);
+    }
+}
