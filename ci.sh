@@ -58,7 +58,10 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # retry requeued under a blocked worker, threads {1, 2, 4} against the
 # simulator) and the kept-alive shard connections (callers sharing
 # streams, a stream the server closed meanwhile, one origin's delta
-# batches overtaking each other on the way to a peer) and the service's
+# batches overtaking each other on the way to a peer, and 2 000 rounds
+# per transport of concurrent compiles each followed by a flush: a
+# second shipper shows as a gap, a lost dirty mark as a log short of its
+# origin's edge) and the service's
 # flights table (eight threads resubmitting one request across 2 000
 # landings: a duplicate that found the flight neither flying nor landed
 # would start a second compile).
@@ -82,7 +85,7 @@ race -p ccm2-sema -- get_racing_mark_complete
 race -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
 race -p ccm2-sched --test crew
 race -p ccm2-sched --test executors
-race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin
+race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin every_delta_reaches_every_peer
 race -p ccm2-serve --test stress -- duplicates_racing_a_landing
 race --test threaded_suite -- work_charges_equal
 
@@ -95,20 +98,19 @@ echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 perf/check.sh
 perf/run.sh --counts --seconds 2
 
-echo "== golden: every reproduce section but dky, byte for byte =="
+echo "== golden: every reproduce section, byte for byte =="
 # What `reproduce` prints is a pure function of the tree: virtual times,
 # counts and drill verdicts, no clock reading. One invocation runs the
-# twelve paper sections, the four extension reports and the seven
+# thirteen paper sections, the four extension reports and the seven
 # drills — each drill asserting its own invariants (0 lost, 0 hangs,
 # byte-identity, never two leaders) — and the diff pins every byte of
 # the reports, so a figure that moves or a drill that says something
-# else fails here. `dky` is left out: its Avoidance line differs from
-# itself between two runs of one binary. A section name that is no
-# section exits 2, so a typo here cannot pass. To accept an intended
-# change, regenerate the file with the same command.
+# else fails here. A section name that is no section exits 2, so a typo
+# here cannot pass. To accept an intended change, regenerate the file
+# with the same command.
 cargo run -q --release -p ccm2-bench --bin reproduce -- \
   table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 \
-  overhead headings workcrews earlysplit analyze locks incr \
+  overhead dky headings workcrews earlysplit analyze locks incr \
   serve fabric chaosnet watch faults recover sites \
   | diff -u reproduce_output.txt -
 

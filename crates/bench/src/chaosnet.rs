@@ -165,6 +165,9 @@ pub fn crash_restart_absorb(
     rebuild: impl Fn(u32) -> Arc<ShardNode>,
 ) -> Fabric {
     let origins: Vec<u32> = fleet.nodes().iter().map(|n| n.id()).collect();
+    // What is parked when the fleet goes down is what the answers so far
+    // reported, not how far the shipper happened to be.
+    fleet.router().flush();
     let parked = |nodes: &[Arc<ShardNode>]| -> Vec<Vec<usize>> {
         nodes
             .iter()
@@ -351,6 +354,13 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
     // Phase 4 — cold join.
     let (warm_hits, warm_lookups) =
         cold_join(&mut fleet, mk_node(JOINER), &reqs[join_at..], &oracle);
+    // Whoever stayed, or came new, holds logs without a hole. (The
+    // victim's have one per origin that compiled while it was away, and
+    // say so: `gapped`, so a failover reconciles it with an image.)
+    fleet.router().flush();
+    for node in fleet.nodes().iter().filter(|n| n.id() != window.shard) {
+        assert_eq!(node.stats().replica_gaps, 0, "shard {}", node.id());
+    }
     // Phase 5 — crash-restart from the durable logs, failover absorb.
     let fleet = crash_restart_absorb(fleet, tcp, mk_node);
     // The restarted, post-failover fleet still serves standalone bytes.
@@ -515,6 +525,8 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
     // Phase 1 — healthy fleet: A leads, renews, serves the head.
     drive(&client, &reqs[..third], &oracle);
     assert!(a.heartbeat_tick().is_empty(), "healthy fleet, no evictions");
+    // The disturbance finds the head shipped, on every run.
+    a.flush();
     transcript.push(format!("head served={third} {}", roles(&a, &b)));
 
     // Phase 2 — the disturbance hits router A.
@@ -550,15 +562,21 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
     }
     let promoted_epoch = b.epoch();
     assert!(promoted_epoch >= 2, "promotion claims a fresh epoch");
+    // A promotion pulls every member once; the middle starts after it.
+    b.flush();
     transcript.push(format!(
         "promoted after {promote_ticks} standby ticks {}",
         roles(&a, &b)
     ));
 
     // Phase 4 — serve the middle through the client: it rotates away
-    // from the dead/cut router; in the duel, A still serves and its
-    // stale replication stamp draws the EpochReject that demotes it.
+    // from the dead/cut router; in the duel, A still serves, and the
+    // first batch its shipper fans out under the stale stamp draws the
+    // EpochReject that demotes it — after which, a standby, it pulls no
+    // more.
     drive(&client, &reqs[third..2 * third], &oracle);
+    a.flush();
+    b.flush();
     assert!(b.heartbeat_tick().is_empty(), "leader B sees a live fleet");
     transcript.push(format!(
         "mid served={third} rotations={} {}",
@@ -586,7 +604,13 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
 
     // Phase 6 — tail through the converged fleet.
     drive(&client, &reqs[2 * third..], &oracle);
+    a.flush();
+    b.flush();
     transcript.push(format!("tail served={}", reqs.len() - 2 * third));
+    // No peer's log was handed a batch past a hole, whoever shipped.
+    for node in fleet.nodes() {
+        assert_eq!(node.stats().replica_gaps, 0, "shard {}", node.id());
+    }
 
     // Invariants. Leadership epochs are disjoint across routers — no
     // epoch ever had two leaders…

@@ -739,6 +739,19 @@ impl Driver {
         self.env.spawn(t);
     }
 
+    /// The interface scope of each import that has one, in source order
+    /// — the order [`ensure_def_stream`](Self::ensure_def_stream) starts
+    /// the streams in, and the order Avoidance waits for them in: which
+    /// import a task blocks on first decides whom the Supervisor nests,
+    /// so it must not be a hash map's iteration order.
+    fn import_scopes(self: &Arc<Self>, imports: &[Import], depth: usize) -> Vec<(Symbol, ScopeId)> {
+        let scopes = imports.iter().filter_map(|imp| {
+            let m = imp.module().name;
+            self.ensure_def_stream(m, depth).map(|s| (m, s))
+        });
+        scopes.collect()
+    }
+
     // ---- task bodies ------------------------------------------------------
 
     fn def_parse(self: &Arc<Self>, name: Symbol, scope: ScopeId, q: Arc<TokenQueue>, depth: usize) {
@@ -762,20 +775,13 @@ impl Driver {
                 ),
             ));
         }
-        let mapping: HashMap<Symbol, ScopeId> = def
-            .imports
-            .iter()
-            .filter_map(|imp| {
-                let m = imp.module().name;
-                self.ensure_def_stream(m, depth + 1).map(|s| (m, s))
-            })
-            .collect();
-        bind_imports(&sema, scope, &def.imports, &|n| mapping.get(&n).copied());
+        let mapping = self.import_scopes(&def.imports, depth + 1);
+        bind_imports(&sema, scope, &def.imports, &|n| scope_of(&mapping, n));
         if self.strategy == DkyStrategy::Avoidance {
             // §2.2: delay semantic analysis until the tables it may search
             // are complete.
-            for s in mapping.values() {
-                self.wait_scope_complete(*s);
+            for &(_, s) in &mapping {
+                self.wait_scope_complete(s);
             }
         }
         let hooks = DriverHooks { driver: self };
@@ -820,17 +826,11 @@ impl Driver {
             }
         };
         let imports = streaming.imports().to_vec();
-        let mapping: HashMap<Symbol, ScopeId> = imports
-            .iter()
-            .filter_map(|imp| {
-                let m = imp.module().name;
-                self.ensure_def_stream(m, 1).map(|s| (m, s))
-            })
-            .collect();
-        bind_imports(&sema, scope, &imports, &|n| mapping.get(&n).copied());
+        let mapping = self.import_scopes(&imports, 1);
+        bind_imports(&sema, scope, &imports, &|n| scope_of(&mapping, n));
         if self.strategy == DkyStrategy::Avoidance {
-            for s in mapping.values() {
-                self.wait_scope_complete(*s);
+            for &(_, s) in &mapping {
+                self.wait_scope_complete(s);
             }
         }
         // Declarations are analyzed as they are parsed, so each procedure
@@ -1862,6 +1862,12 @@ impl DkyWaiter for Driver {
         // dynamically created per-symbol events too.
         self.env.wait_hinted(ev, Some(self.scope_event(scope)));
     }
+}
+
+/// The scope [`Driver::import_scopes`] found for module `name`.
+fn scope_of(mapping: &[(Symbol, ScopeId)], name: Symbol) -> Option<ScopeId> {
+    let found = mapping.iter().find(|(module, _)| *module == name);
+    found.map(|&(_, scope)| scope)
 }
 
 struct DriverHooks<'a> {

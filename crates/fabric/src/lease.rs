@@ -183,7 +183,8 @@ pub enum RouterRole {
     Leader,
     /// Mirrors membership and the lease view; promotes itself when the
     /// lease expires. Serves client traffic (routing and dispatch need
-    /// no authority) but never changes membership.
+    /// no authority) but never changes membership and never pulls a
+    /// shard's deltas: its stamp could not deliver them.
     Standby,
 }
 

@@ -22,10 +22,12 @@
 //!   and the failure detector's clock: one transition table as plain
 //!   data, the shard's half ([`Lease`]) and the router's
 //!   ([`Authority`]).
-//! * [`shard`] — a service wrapped as a passive frame handler, plus
-//!   the replica logs it keeps for its peers' `CCM2DELT` streams.
+//! * [`shard`] — a service wrapped as a passive frame handler that says
+//!   in each answer how many store deltas it has yet to ship, plus the
+//!   replica logs it keeps for its peers' `CCM2DELT` streams.
 //! * [`router`] — routing, router-level single-flight, failover
-//!   (ring removal + replica absorption), replication epochs, and the
+//!   (ring removal + replica absorption), the one shipper thread that
+//!   pulls those deltas and fans them out off the request path, and the
 //!   control plane's I/O: ticks, grant rounds, renewals, warm joins.
 //! * [`client`] — the fleet's client side: sticky router preference,
 //!   router-failover retry, and honored `Retry-After` back-off hints.
@@ -231,8 +233,11 @@ impl Fabric {
         &self.conduits[0]
     }
 
-    /// [`Conduit::partition`] on the router's conduit.
+    /// [`Conduit::partition`] on the router's conduit, after the
+    /// router's [`FabricRouter::flush`]: what the cut finds shipped is
+    /// what the answers before it reported, on every run.
     pub fn partition(&self, shard: u32, on: bool) {
+        self.router.flush();
         self.conduit().partition(shard, on);
     }
 
@@ -350,8 +355,10 @@ mod tests {
             stats.joined + stats.routed_calls >= 12,
             "every request either joined or crossed the wire"
         );
-        // Replication ran: every served compile triggers an epoch, and
-        // fresh stores definitely had insertions to ship.
+        // Replication ran: fresh stores definitely had insertions to
+        // ship, and their shards said so.
+        fabric.router().flush();
+        let stats = fabric.router().stats();
         assert!(stats.ships > 0, "no delta batch ever shipped: {stats:?}");
     }
 
@@ -366,6 +373,7 @@ mod tests {
         assert!(fabric.router().serve(&victim_req).outcome().is_some());
 
         // The compile's artifacts were replicated to the peers' logs.
+        fabric.router().flush();
         let parked: usize = fabric.nodes()[0].replica_len(1) + fabric.nodes()[2].replica_len(1);
         assert!(parked > 0, "peers hold no replicas for shard 1");
 
@@ -525,6 +533,7 @@ mod tests {
             .find(|r| HashRing::new(&[0, 1, 2], DEFAULT_VNODES).route(r.fingerprint()) == Some(1))
             .expect("some module routes to shard 1");
         assert!(fabric.router().serve(&victim_req).outcome().is_some());
+        fabric.router().flush();
 
         // Poison shard 2's log for origin 1 with a far-future batch:
         // sequence gap ⇒ gapped ⇒ absorb must discard it.
@@ -700,6 +709,7 @@ mod tests {
             for resp in &fabric.router().serve_batch(&reqs) {
                 assert!(resp.outcome().expect("served over the conduit").ok);
             }
+            fabric.router().flush();
             assert!(
                 fabric.router().stats().ships > 0,
                 "tcp={tcp}: replication runs over this transport too"

@@ -26,15 +26,41 @@
 //!    dead / shed at admission) surfaces as [`FabricResponse::Retry`]
 //!    with a back-off hint, the same contract as
 //!    [`ccm2_serve::Response::Retry`].
-//! 5. **Replicate** — after a served compile the router syncs the
-//!    owning shard and fans the returned `CCM2DELT` batch to the
-//!    surviving peers (see `crate::shard`).
+//! 5. **Replicate, off the request's path** — the answer says how many
+//!    store deltas its shard has not shipped. Zero, and the request
+//!    sends no replication frame at all; otherwise the shard is marked
+//!    dirty and the answer goes back at once. See *The shipper* below.
 //!
 //! Shard deaths can also be *injected* deterministically: give the
 //! router a [`FaultPlan`] and it queries site `shard:{id}#d{n}` before
 //! dispatch `n` to shard `id`; a [`FaultKind::Panic`] there kills the
 //! shard at exactly that dispatch — the chaos-drill analog of the
 //! `task:`/`store:` sites inside a single compile.
+//!
+//! # The shipper
+//!
+//! One thread per router, started by [`FabricRouter::new`] and joined by
+//! [`FabricRouter::shutdown`] or drop, is the only code that sends
+//! [`Message::Sync`] and [`Message::DeltaShip`]. It takes a dirty shard,
+//! clears the mark, *then* pulls — so a compile that lands mid-pull
+//! marks the shard again and is shipped by the next one, and one batch
+//! carries whatever accumulated while the shipper was busy — and fans
+//! the batch to the peers under this router's stamp, through the same
+//! `control` that hears a stale answer. One writer per router makes the
+//! order of an origin's batches structural. Only the lease holder pulls:
+//! a standby that pulled would move the shard's cursor past a batch its
+//! stamp cannot deliver, so its marks are dropped, and a promotion marks
+//! every member once — what a standby's requests left behind goes out
+//! with the leader's next pull.
+//!
+//! The durability contract: *a request acknowledged before its delta
+//! shipped may be recompiled after a failover, never lost and never
+//! mismatched*. [`FabricRouter::flush`] is the barrier — it returns when
+//! nothing is dirty and the shipper is idle. The hooks that inject a
+//! fault at a scripted instant ([`FabricRouter::kill_shard`],
+//! `Fabric::partition`) and [`FabricRouter::admit_shard`]'s catch-up
+//! call it, so a script means the same thing on every run; a death that
+//! `dispatch` or the heartbeat *finds* does not.
 //!
 //! # The failure detector
 //!
@@ -73,9 +99,10 @@
 //! the leader stands down and resyncs on the spot, and the operation
 //! that sent the frame stops before its next membership effect.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_serve::CompileRequest;
@@ -190,25 +217,44 @@ pub struct FabricStats {
 
 type Flight = Arc<(Mutex<Option<FabricResponse>>, Condvar)>;
 
-/// See the module docs.
-pub struct FabricRouter {
+/// What the shipper has been asked to pull.
+#[derive(Default)]
+struct Dirty {
+    /// Shards whose answers said deltas lie past their ship cursor, each
+    /// with the peers off the ring (a joiner mid-warm-up) that its next
+    /// batch must reach as well.
+    shards: BTreeMap<u32, Vec<u32>>,
+    /// The shipper has taken a shard and is not back yet.
+    pulling: bool,
+    /// The router is shut down or dropped: the shipper exits.
+    stop: bool,
+}
+
+/// What the request threads and the shipper share: the conduit, the
+/// ring, and the control plane.
+struct Core {
     transport: Arc<dyn Transport>,
     ring: Mutex<HashRing>,
-    inflight: Mutex<HashMap<Fp128, Flight>>,
     stats: Mutex<FabricStats>,
-    faults: Option<Arc<FaultPlan>>,
-    dispatch_seq: AtomicU64,
-    /// One lock per origin shard, held for a whole replication epoch:
-    /// the batches a shard cuts must reach each peer in the order it
-    /// cut them, or the peer's replica log reads the later one as a
-    /// sequence gap and is discarded at failover.
-    replication: Mutex<HashMap<u32, Arc<Mutex<()>>>>,
     /// Identity, role, epochs, member health and their tuning: the whole
     /// control-plane state, behind one lock that is never held across a
     /// call on the transport or together with another lock.
     authority: Mutex<Authority>,
-    membership: Option<Arc<MembershipStore>>,
+    membership: OnceLock<Arc<MembershipStore>>,
+    dirty: Mutex<Dirty>,
+    /// Signalled on every change of `dirty`: wakes the shipper on a
+    /// mark, and [`FabricRouter::flush`] when the shipper goes idle.
+    dirty_changed: Condvar,
+}
+
+/// See the module docs.
+pub struct FabricRouter {
+    core: Arc<Core>,
+    inflight: Mutex<HashMap<Fp128, Flight>>,
+    faults: Option<Arc<FaultPlan>>,
+    dispatch_seq: AtomicU64,
     down: AtomicBool,
+    shipper: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl FabricRouter {
@@ -217,17 +263,29 @@ impl FabricRouter {
     /// at epoch 0, which vacant leases adopt without any grant round.
     pub fn new(transport: Arc<dyn Transport>) -> FabricRouter {
         let ring = HashRing::new(&transport.shards(), DEFAULT_VNODES);
-        FabricRouter {
+        let core = Arc::new(Core {
             transport,
             ring: Mutex::new(ring),
-            inflight: Mutex::new(HashMap::new()),
             stats: Mutex::new(FabricStats::default()),
+            authority: Mutex::new(Authority::default()),
+            membership: OnceLock::new(),
+            dirty: Mutex::new(Dirty::default()),
+            dirty_changed: Condvar::new(),
+        });
+        let shipper = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("ccm2-shipper".into())
+                .spawn(move || core.run_shipper())
+                .expect("spawn the shipper thread")
+        };
+        FabricRouter {
+            core,
+            inflight: Mutex::new(HashMap::new()),
             faults: None,
             dispatch_seq: AtomicU64::new(0),
-            replication: Mutex::new(HashMap::new()),
-            authority: Mutex::new(Authority::default()),
-            membership: None,
             down: AtomicBool::new(false),
+            shipper: Mutex::new(Some(shipper)),
         }
     }
 
@@ -239,79 +297,98 @@ impl FabricRouter {
     }
 
     /// Overrides the failure-detector thresholds.
-    pub fn with_heartbeat(mut self, config: HeartbeatConfig) -> FabricRouter {
-        self.authority.get_mut().heartbeat = config;
+    pub fn with_heartbeat(self, config: HeartbeatConfig) -> FabricRouter {
+        self.core.authority.lock().heartbeat = config;
         self
     }
 
     /// Names this router on the control plane. Stamps travel on every
     /// membership-changing frame, so two routers in one fleet must use
     /// distinct ids.
-    pub fn with_identity(mut self, router_id: u32) -> FabricRouter {
+    pub fn with_identity(self, router_id: u32) -> FabricRouter {
         assert!(router_id != NO_ROUTER, "NO_ROUTER is reserved");
-        self.authority.get_mut().id = router_id;
+        self.core.authority.lock().id = router_id;
         self
     }
 
     /// Starts this router as a standby: it mirrors membership and the
     /// lease, serves traffic, and promotes itself only when the lease
     /// expires.
-    pub fn as_standby(mut self) -> FabricRouter {
-        self.authority.get_mut().stand_by();
+    pub fn as_standby(self) -> FabricRouter {
+        self.core.authority.lock().stand_by();
         self
     }
 
     /// Overrides the lease tuning.
-    pub fn with_lease(mut self, lease: LeaseConfig) -> FabricRouter {
-        self.authority.get_mut().lease = lease;
+    pub fn with_lease(self, lease: LeaseConfig) -> FabricRouter {
+        self.core.authority.lock().lease = lease;
         self
     }
 
     /// Attaches the durable membership store every router of a fleet
     /// shares: leaders persist membership changes into it, standbys
     /// mirror from it each tick and promoted leaders restore from it.
-    pub fn with_membership_store(mut self, store: Arc<MembershipStore>) -> FabricRouter {
-        self.membership = Some(store);
+    pub fn with_membership_store(self, store: Arc<MembershipStore>) -> FabricRouter {
+        let attached = self.core.membership.set(store);
+        assert!(attached.is_ok(), "a router mirrors one membership store");
         self
     }
 
     /// Router counters.
     pub fn stats(&self) -> FabricStats {
-        *self.stats.lock()
+        *self.core.stats.lock()
     }
 
     /// Live shards on the ring, ascending.
     pub fn live_shards(&self) -> Vec<u32> {
-        self.ring.lock().shards()
+        self.core.ring.lock().shards()
     }
 
     /// This router's control-plane identity.
     pub fn router_id(&self) -> u32 {
-        self.authority.lock().id
+        self.core.authority.lock().id
     }
 
     /// Current role.
     pub fn role(&self) -> RouterRole {
-        self.authority.lock().role()
+        self.core.authority.lock().role()
     }
 
     /// The epoch this router last led under.
     pub fn epoch(&self) -> u64 {
-        self.authority.lock().stamp().1
+        self.core.authority.lock().stamp().1
     }
 
     /// Every epoch this router has ever acquired leadership for, in
     /// acquisition order. Drills assert these sets are disjoint across
     /// routers — the no-two-leaders-per-epoch invariant.
     pub fn leadership_epochs(&self) -> Vec<u64> {
-        self.authority.lock().led().to_vec()
+        self.core.authority.lock().led().to_vec()
     }
 
     /// Models router death for drills: a shut-down router answers every
     /// `serve` with an immediate [`FabricResponse::Retry`] (clients
-    /// fail over to another router) and its ticks are no-ops.
+    /// fail over to another router), its ticks are no-ops and its
+    /// shipper is stopped and joined — what it had not shipped yet dies
+    /// with it.
     pub fn shutdown(&self) {
         self.down.store(true, Ordering::Relaxed);
+        self.core.dirty.lock().stop = true;
+        self.core.dirty_changed.notify_all();
+        if let Some(shipper) = self.shipper.lock().take() {
+            let _ = shipper.join();
+        }
+    }
+
+    /// The replication barrier: returns when no shard is marked dirty
+    /// and the shipper is idle (or stopped) — every delta that an answer
+    /// returned before this call reported has been pulled and offered to
+    /// the peers. See the module docs for who calls it and who does not.
+    pub fn flush(&self) {
+        let mut dirty = self.core.dirty.lock();
+        while !dirty.stop && (dirty.pulling || !dirty.shards.is_empty()) {
+            self.core.dirty_changed.wait(&mut dirty);
+        }
     }
 
     /// Whether [`shutdown`](FabricRouter::shutdown) was called.
@@ -321,34 +398,7 @@ impl FabricRouter {
 
     /// The failure detector's current verdict on `shard`.
     pub fn health(&self, shard: u32) -> HealthState {
-        self.authority.lock().health(shard)
-    }
-
-    /// One frame to `shard` and its decoded answer (`None`: unreachable,
-    /// or an answer that is no frame). Every frame but a compile goes
-    /// out through here, because here is where a stale answer is heard:
-    /// the [`Authority`] notes the refusing epoch and decides whether
-    /// this router stands down, and the caller gets [`Stale`] to stop on.
-    fn control(&self, shard: u32, asked: Asked, frame: &[u8]) -> Result<Option<Message>, Stale> {
-        let reply = self.transport.call(shard, frame).ok();
-        let reply = reply.and_then(|bytes| decode_frame(&bytes));
-        let Some(Message::EpochReject { epoch, .. }) = reply else {
-            return Ok(reply);
-        };
-        let stood_down = self.authority.lock().refused(asked, epoch);
-        self.stats.lock().epoch_rejects += 1;
-        if stood_down {
-            self.stood_down();
-        }
-        Err(Stale)
-    }
-
-    /// The [`Authority`] has just demoted this router: count it, and
-    /// resync membership from the durable store — the ex-leader's local
-    /// ring may carry evictions that were never its to make.
-    fn stood_down(&self) {
-        self.stats.lock().demotions += 1;
-        self.resync_membership();
+        self.core.authority.lock().health(shard)
     }
 
     /// Claims leadership: fans [`Message::LeaseGrant`] at one past the
@@ -361,25 +411,34 @@ impl FabricRouter {
             return false;
         }
         self.resync_membership();
-        let members = self.ring.lock().shards();
+        let members = self.core.ring.lock().shards();
         if members.is_empty() {
             return false;
         }
-        let (router, epoch) = self.authority.lock().claim();
+        let (router, epoch) = self.core.authority.lock().claim();
         let grant = encode_frame(&Message::LeaseGrant { router, epoch });
         let mut granted = 0usize;
         for &shard in &members {
             // A refusal teaches the epoch to claim above next time; the
             // round still asks everyone.
-            if let Ok(Some(Message::Ack)) = self.control(shard, Asked::Claim, &grant) {
+            if let Ok(Some(Message::Ack)) = self.core.control(shard, Asked::Claim, &grant) {
                 granted += 1;
-                self.stats.lock().lease_grants += 1;
+                self.core.stats.lock().lease_grants += 1;
             }
         }
-        let leads = self.authority.lock().claimed(epoch, granted, members.len());
+        let leads = self
+            .core
+            .authority
+            .lock()
+            .claimed(epoch, granted, members.len());
         if leads {
-            self.stats.lock().promotions += 1;
+            self.core.stats.lock().promotions += 1;
             self.persist_membership();
+            // What requests served while nobody here held the lease left
+            // past the shards' cursors is this router's to ship now.
+            for &shard in &members {
+                self.core.mark_dirty(shard, None);
+            }
         }
         leads
     }
@@ -388,30 +447,19 @@ impl FabricRouter {
     /// attached and holds a valid image. Public so drills can force a
     /// healed router to converge without waiting for its next tick.
     pub fn resync_membership(&self) {
-        let Some(store) = &self.membership else {
-            return;
-        };
-        let Ok(loaded) = store.load_latest() else {
-            return;
-        };
-        let Some(image) = loaded.image else {
-            return;
-        };
-        *self.ring.lock() = HashRing::new(&image.members, DEFAULT_VNODES);
-        self.authority.lock().mirrored(image.epoch, &image.members);
-        self.stats.lock().membership_resyncs += 1;
+        self.core.resync_membership();
     }
 
     /// Persists the current membership under this router's stamp.
     fn persist_membership(&self) {
-        let Some(store) = &self.membership else {
+        let Some(store) = self.core.membership.get() else {
             return;
         };
-        let (leader, epoch) = self.authority.lock().stamp();
+        let (leader, epoch) = self.core.authority.lock().stamp();
         let image = MembershipImage {
             epoch,
             leader,
-            members: self.ring.lock().shards(),
+            members: self.core.ring.lock().shards(),
         };
         let _ = store.save(&image);
     }
@@ -422,11 +470,11 @@ impl FabricRouter {
     /// ex-leader with no pending traffic would otherwise admit or evict
     /// on stale authority.
     fn renew(&self, members: &[u32]) -> Result<(), Stale> {
-        let (router, epoch) = self.authority.lock().stamp();
+        let (router, epoch) = self.core.authority.lock().stamp();
         let renew = encode_frame(&Message::LeaseRenew { router, epoch });
         for &shard in members {
-            if let Some(Message::Ack) = self.control(shard, Asked::Control, &renew)? {
-                self.stats.lock().lease_renews += 1;
+            if let Some(Message::Ack) = self.core.control(shard, Asked::Control, &renew)? {
+                self.core.stats.lock().lease_renews += 1;
             }
         }
         Ok(())
@@ -436,8 +484,8 @@ impl FabricRouter {
     /// for a miss — no answer, or one that does not echo this probe.
     /// [`Stale`] when the answer deposes this router.
     fn probe(&self, shard: u32) -> Result<Option<u32>, Stale> {
-        let nonce = self.authority.lock().nonce();
-        self.stats.lock().pings += 1;
+        let nonce = self.core.authority.lock().nonce();
+        self.core.stats.lock().pings += 1;
         let ping = encode_frame(&Message::Ping { nonce });
         let Some(Message::Pong {
             shard: s,
@@ -445,18 +493,18 @@ impl FabricRouter {
             lease_epoch: epoch,
             lease_router: holder,
             lease_age: age,
-        }) = self.control(shard, Asked::Control, &ping)?
+        }) = self.core.control(shard, Asked::Control, &ping)?
         else {
             return Ok(None);
         };
         if s != shard || n != nonce {
             return Ok(None);
         }
-        self.stats.lock().pongs += 1;
+        self.core.stats.lock().pongs += 1;
         let view = LeaseView { epoch, holder, age };
-        let heard = self.authority.lock().pong(shard, view);
+        let heard = self.core.authority.lock().pong(shard, view);
         if heard.is_err() {
-            self.stood_down();
+            self.core.stood_down();
         }
         heard.map(|()| Some(age))
     }
@@ -485,12 +533,12 @@ impl FabricRouter {
     /// leader — on a pong or on a refused renewal — ends the round
     /// *before* an eviction can run on stale authority.
     fn leader_tick(&self) -> Vec<u32> {
-        if self.ring.lock().is_empty() {
+        if self.core.ring.lock().is_empty() {
             // A partitioned ex-leader can evict its whole view; the
             // durable image is the way back.
             self.resync_membership();
         }
-        let members = self.ring.lock().shards();
+        let members = self.core.ring.lock().shards();
         let mut answered = Vec::new();
         let mut to_evict = Vec::new();
         for shard in members {
@@ -498,9 +546,9 @@ impl FabricRouter {
                 Err(Stale) => return Vec::new(),
                 Ok(Some(_age)) => answered.push(shard),
                 Ok(None) => {
-                    let miss = self.authority.lock().miss(shard);
+                    let miss = self.core.authority.lock().miss(shard);
                     if miss.suspected {
-                        self.stats.lock().suspects += 1;
+                        self.core.stats.lock().suspects += 1;
                     }
                     if miss.evict {
                         to_evict.push(shard);
@@ -516,7 +564,7 @@ impl FabricRouter {
         }
         let mut evicted = Vec::new();
         for shard in to_evict {
-            self.stats.lock().heartbeat_evictions += 1;
+            self.core.stats.lock().heartbeat_evictions += 1;
             let refused = self.fail_over(shard).is_err();
             evicted.push(shard);
             if refused {
@@ -531,12 +579,12 @@ impl FabricRouter {
     /// membership reports the lease expired.
     fn standby_tick(&self) {
         self.resync_membership();
-        let members = self.ring.lock().shards();
+        let members = self.core.ring.lock().shards();
         let ages: Vec<u32> = members
             .iter()
             .filter_map(|&shard| self.probe(shard).ok().flatten())
             .collect();
-        if self.authority.lock().expired(&ages, members.len()) {
+        if self.core.authority.lock().expired(&ages, members.len()) {
             self.acquire_lease();
         }
     }
@@ -553,10 +601,10 @@ impl FabricRouter {
     ///    to the joiner (`SharedStore::import` merges, preserving LRU
     ///    order). The ring hands the joiner keys from all members, so
     ///    a single member's image would leave most of them cold.
-    /// 3. **Catch-up** — every ring member is synced; the resulting
-    ///    `CCM2DELT` batches fan out to the ordinary peers *and* the
-    ///    joiner, so deltas pending since the last replication epoch
-    ///    reach it too (parked in its replica logs, per origin).
+    /// 3. **Catch-up** — the shipper is asked to pull every ring member
+    ///    with the joiner as an extra peer, and [`flush`](FabricRouter::flush)
+    ///    waits for it: deltas cut after the images reach the joiner too
+    ///    (parked in its replica logs, per origin).
     /// 4. Only then does the ring take the joiner — keys move to a
     ///    shard that can already serve them warm.
     ///
@@ -568,7 +616,7 @@ impl FabricRouter {
             return false;
         }
         let sources: Vec<u32> = {
-            let ring = self.ring.lock();
+            let ring = self.core.ring.lock();
             if ring.contains(shard) {
                 return true;
             }
@@ -577,11 +625,11 @@ impl FabricRouter {
         let was = self.health(shard);
         if self.warm_up(shard, &sources).is_err() {
             // Refused: the joiner is where it was, off the ring.
-            self.authority.lock().mark(shard, was);
+            self.core.authority.lock().mark(shard, was);
             return false;
         }
-        self.ring.lock().add(shard);
-        self.authority.lock().mark(shard, HealthState::Alive);
+        self.core.ring.lock().add(shard);
+        self.core.authority.lock().mark(shard, HealthState::Alive);
         self.persist_membership();
         true
     }
@@ -592,7 +640,10 @@ impl FabricRouter {
         if sources.is_empty() {
             return Ok(());
         }
-        self.authority.lock().mark(shard, HealthState::Rejoining);
+        self.core
+            .authority
+            .lock()
+            .mark(shard, HealthState::Rejoining);
         let mut shipped = None;
         for &src in sources {
             if let Some((delta_seq, entries)) = self.fetch_image(src)? {
@@ -603,28 +654,36 @@ impl FabricRouter {
             }
         }
         for &src in sources {
-            self.replication_epoch(src, Some(shard))?;
+            self.core.mark_dirty(src, Some(shard));
+        }
+        self.flush();
+        // A refusal of the catch-up is heard on the shipper's thread.
+        if self.role() != RouterRole::Leader {
+            return Err(Stale);
         }
         if let Some(n) = shipped {
-            let mut stats = self.stats.lock();
+            let mut stats = self.core.stats.lock();
             stats.warm_joins += 1;
             stats.warmup_entries += n;
         }
         Ok(())
     }
 
-    /// Drill hook: kill `shard` now — drop its transport endpoint,
-    /// remove it from the ring, and have the survivors absorb its
-    /// replica logs. Idempotent.
+    /// Drill hook: kill `shard` now — [`flush`](FabricRouter::flush),
+    /// so that what it leaves behind does not depend on how far the
+    /// shipper had got, then drop its transport endpoint, remove it from
+    /// the ring, and have the survivors absorb its replica logs.
+    /// Idempotent.
     pub fn kill_shard(&self, shard: u32) {
-        self.transport.kill(shard);
+        self.flush();
+        self.core.transport.kill(shard);
         let _ = self.fail_over(shard);
     }
 
     /// Serves one request through the fleet. Blocks until served, shed,
     /// or joined onto an identical in-flight request.
     pub fn serve(&self, req: &CompileRequest) -> FabricResponse {
-        self.stats.lock().dispatched += 1;
+        self.core.stats.lock().dispatched += 1;
         if self.is_shutdown() {
             return FabricResponse::Retry {
                 after_ms: DEFAULT_RETRY_AFTER_MS,
@@ -636,7 +695,7 @@ impl FabricRouter {
             if let Some(existing) = map.get(&fp) {
                 let flight = Arc::clone(existing);
                 drop(map);
-                self.stats.lock().joined += 1;
+                self.core.stats.lock().joined += 1;
                 let mut slot = flight.0.lock();
                 while slot.is_none() {
                     flight.1.wait(&mut slot);
@@ -677,7 +736,7 @@ impl FabricRouter {
         let frame = encode_frame(&Message::Compile(WireRequest::from_request(req)));
         let mut checksum_retries = 0u32;
         loop {
-            let Some(shard) = self.ring.lock().route(fp) else {
+            let Some(shard) = self.core.ring.lock().route(fp) else {
                 return FabricResponse::Retry {
                     after_ms: DEFAULT_RETRY_AFTER_MS,
                 }; // fleet-wide death
@@ -688,13 +747,13 @@ impl FabricRouter {
                     plan.at(&format!("shard:{shard}#d{n}")),
                     Some(FaultKind::Panic)
                 ) {
-                    self.transport.kill(shard);
+                    self.core.transport.kill(shard);
                     let _ = self.fail_over(shard);
                     continue;
                 }
             }
-            self.stats.lock().routed_calls += 1;
-            let bytes = match self.transport.call(shard, &frame) {
+            self.core.stats.lock().routed_calls += 1;
+            let bytes = match self.core.transport.call(shard, &frame) {
                 Ok(bytes) => bytes,
                 Err(_) => {
                     let _ = self.fail_over(shard);
@@ -702,14 +761,16 @@ impl FabricRouter {
                 }
             };
             match decode_frame(&bytes) {
-                Some(Message::Outcome(out)) => {
-                    let _ = self.replication_epoch(shard, None);
-                    return FabricResponse::Done(out);
+                Some(Message::Outcome { outcome, unshipped }) => {
+                    if unshipped > 0 {
+                        self.core.mark_dirty(shard, None);
+                    }
+                    return FabricResponse::Done(outcome);
                 }
                 Some(Message::Reject { reason, .. }) if reason.starts_with("bad") => {
                     // The shard saw a damaged request frame; transit
                     // damage, not shard damage — same shard, try again.
-                    self.stats.lock().checksum_rejects += 1;
+                    self.core.stats.lock().checksum_rejects += 1;
                     checksum_retries += 1;
                     if checksum_retries > MAX_CHECKSUM_RETRIES {
                         return FabricResponse::Retry {
@@ -718,14 +779,14 @@ impl FabricRouter {
                     }
                 }
                 Some(Message::Reject { retry_after_ms, .. }) => {
-                    self.stats.lock().rejected += 1;
+                    self.core.stats.lock().rejected += 1;
                     return FabricResponse::Retry {
                         after_ms: retry_after_ms.max(1),
                     };
                 }
                 Some(_) | None => {
                     // Damaged or nonsensical response frame.
-                    self.stats.lock().checksum_rejects += 1;
+                    self.core.stats.lock().checksum_rejects += 1;
                     checksum_retries += 1;
                     if checksum_retries > MAX_CHECKSUM_RETRIES {
                         return FabricResponse::Retry {
@@ -737,66 +798,10 @@ impl FabricRouter {
         }
     }
 
-    /// One replication epoch: sync `shard` for its pending deltas and
-    /// fan the batch to every surviving peer. Best-effort — replication
-    /// is warmth (see `crate::shard`), so errors are swallowed and cost
-    /// at most a recompile after a later failover. `extra_peer` (a
-    /// joiner mid-warm-up, not yet on the ring) receives the fan-out
-    /// alongside the ring peers. The fan-out carries this router's
-    /// `(router, epoch)` stamp — a peer holding a newer lease refuses
-    /// it, which stands this router down on the spot (replication is
-    /// how a partitioned dueling leader usually learns it lost) and ends
-    /// the fan-out.
-    fn replication_epoch(&self, shard: u32, extra_peer: Option<u32>) -> Result<(), Stale> {
-        // Requests served side by side end here side by side; epochs of
-        // one origin take turns, sync to last ship (see `replication`).
-        let turn = Arc::clone(self.replication.lock().entry(shard).or_default());
-        let _turn = turn.lock();
-        let sync = encode_frame(&Message::Sync);
-        let Some(Message::DeltaShip {
-            from_shard, batch, ..
-        }) = self.control(shard, Asked::Control, &sync)?
-        else {
-            return Ok(());
-        };
-        let Some((_base, ops)) = ccm2_incr::decode_delta(&batch) else {
-            return Ok(());
-        };
-        if ops.is_empty() {
-            return Ok(());
-        }
-        let mut peers: Vec<u32> = self
-            .ring
-            .lock()
-            .shards()
-            .into_iter()
-            .filter(|&s| s != shard)
-            .collect();
-        if let Some(extra) = extra_peer {
-            if extra != shard && !peers.contains(&extra) {
-                peers.push(extra);
-            }
-        }
-        let (router, epoch) = self.authority.lock().stamp();
-        let ship = encode_frame(&Message::DeltaShip {
-            from_shard,
-            batch,
-            router,
-            epoch,
-        });
-        for peer in peers {
-            self.control(peer, Asked::Control, &ship)?;
-        }
-        let mut stats = self.stats.lock();
-        stats.ships += 1;
-        stats.shipped_ops += ops.len() as u64;
-        Ok(())
-    }
-
     /// Pulls a full store image from `shard`.
     fn fetch_image(&self, shard: u32) -> Result<Option<StoreImage>, Stale> {
         let fetch = encode_frame(&Message::FetchImage);
-        Ok(match self.control(shard, Asked::Control, &fetch)? {
+        Ok(match self.core.control(shard, Asked::Control, &fetch)? {
             Some(Message::Image {
                 delta_seq, entries, ..
             }) => Some((delta_seq, entries)),
@@ -812,14 +817,14 @@ impl FabricRouter {
         delta_seq: u64,
         entries: Vec<(Fp128, Vec<u8>)>,
     ) -> Result<bool, Stale> {
-        let (router, epoch) = self.authority.lock().stamp();
+        let (router, epoch) = self.core.authority.lock().stamp();
         let image = encode_frame(&Message::Image {
             delta_seq,
             entries,
             router,
             epoch,
         });
-        let reply = self.control(shard, Asked::Control, &image)?;
+        let reply = self.core.control(shard, Asked::Control, &image)?;
         Ok(matches!(reply, Some(Message::Ack)))
     }
 
@@ -839,15 +844,15 @@ impl FabricRouter {
     /// the leader vouches for).
     fn fail_over(&self, shard: u32) -> Result<(), Stale> {
         let survivors = {
-            let mut ring = self.ring.lock();
+            let mut ring = self.core.ring.lock();
             if !ring.remove(shard) {
                 return Ok(());
             }
             ring.shards()
         };
-        self.stats.lock().failovers += 1;
+        self.core.stats.lock().failovers += 1;
         let (role, (router, epoch)) = {
-            let mut authority = self.authority.lock();
+            let mut authority = self.core.authority.lock();
             authority.mark(shard, HealthState::Evicted);
             (authority.role(), authority.stamp())
         };
@@ -863,9 +868,9 @@ impl FabricRouter {
         let mut witnessed = false;
         for &s in &survivors {
             if let Some(Message::AbsorbDone { gapped, .. }) =
-                self.control(s, Asked::Control, &absorb)?
+                self.core.control(s, Asked::Control, &absorb)?
             {
-                self.stats.lock().absorbs += 1;
+                self.core.stats.lock().absorbs += 1;
                 witnessed = true;
                 if gapped {
                     gapped_survivors.push(s);
@@ -897,10 +902,139 @@ impl FabricRouter {
         };
         for g in gapped_survivors {
             if self.push_image(g, delta_seq, entries.clone())? {
-                self.stats.lock().gapped_reconciliations += 1;
+                self.core.stats.lock().gapped_reconciliations += 1;
             }
         }
         Ok(())
+    }
+}
+
+impl Core {
+    /// One frame to `shard` and its decoded answer (`None`: unreachable,
+    /// or an answer that is no frame). Every frame but a compile goes
+    /// out through here, because here is where a stale answer is heard:
+    /// the [`Authority`] notes the refusing epoch and decides whether
+    /// this router stands down, and the caller gets [`Stale`] to stop on.
+    fn control(&self, shard: u32, asked: Asked, frame: &[u8]) -> Result<Option<Message>, Stale> {
+        let reply = self.transport.call(shard, frame).ok();
+        let reply = reply.and_then(|bytes| decode_frame(&bytes));
+        let Some(Message::EpochReject { epoch, .. }) = reply else {
+            return Ok(reply);
+        };
+        let stood_down = self.authority.lock().refused(asked, epoch);
+        self.stats.lock().epoch_rejects += 1;
+        if stood_down {
+            self.stood_down();
+        }
+        Err(Stale)
+    }
+
+    /// The [`Authority`] has just demoted this router: count it, and
+    /// resync membership from the durable store — the ex-leader's local
+    /// ring may carry evictions that were never its to make.
+    fn stood_down(&self) {
+        self.stats.lock().demotions += 1;
+        self.resync_membership();
+    }
+
+    /// Reloads ring membership from the durable store, if one is
+    /// attached and holds a valid image.
+    fn resync_membership(&self) {
+        let Some(store) = self.membership.get() else {
+            return;
+        };
+        let Ok(loaded) = store.load_latest() else {
+            return;
+        };
+        let Some(image) = loaded.image else {
+            return;
+        };
+        *self.ring.lock() = HashRing::new(&image.members, DEFAULT_VNODES);
+        self.authority.lock().mirrored(image.epoch, &image.members);
+        self.stats.lock().membership_resyncs += 1;
+    }
+
+    /// Asks the shipper to pull `shard`, and to offer that batch to
+    /// `extra_peer` (a joiner mid-warm-up, not yet on the ring) besides
+    /// the ring peers.
+    fn mark_dirty(&self, shard: u32, extra_peer: Option<u32>) {
+        let mut dirty = self.dirty.lock();
+        let extras = dirty.shards.entry(shard).or_default();
+        extras.extend(extra_peer.filter(|peer| !extras.contains(peer)));
+        self.dirty_changed.notify_all();
+    }
+
+    /// The shipper thread: pull whatever is dirty, sleep when nothing is.
+    fn run_shipper(&self) {
+        let mut dirty = self.dirty.lock();
+        while !dirty.stop {
+            // The mark goes before the pull: a compile that lands while
+            // the pull is under way marks the shard again.
+            let Some((shard, extra_peers)) = dirty.shards.pop_first() else {
+                dirty.pulling = false;
+                self.dirty_changed.notify_all();
+                self.dirty_changed.wait(&mut dirty);
+                continue;
+            };
+            dirty.pulling = true;
+            drop(dirty);
+            // Best-effort: replication is warmth (see `crate::shard`),
+            // and a refusal has already stood this router down.
+            let _ = self.ship(shard, &extra_peers);
+            dirty = self.dirty.lock();
+        }
+    }
+
+    /// One pull: sync `shard` for the deltas past its cursor and fan the
+    /// batch to every surviving peer and to `extra_peers`, under this
+    /// router's `(router, epoch)` stamp. A peer holding a newer lease
+    /// refuses it, which stands this router down on the spot
+    /// (replication is how a partitioned dueling leader usually learns
+    /// it lost) and ends the fan-out.
+    fn ship(&self, shard: u32, extra_peers: &[u32]) -> Result<(), Stale> {
+        // Only the lease holder pulls: a sync moves the shard's cursor,
+        // and a standby's stamp could not deliver what it took.
+        if self.authority.lock().role() != RouterRole::Leader {
+            return Ok(());
+        }
+        let sync = encode_frame(&Message::Sync);
+        let Some(Message::DeltaShip {
+            from_shard, batch, ..
+        }) = self.control(shard, Asked::Control, &sync)?
+        else {
+            return Ok(());
+        };
+        let Some((_base, ops)) = ccm2_incr::decode_delta(&batch) else {
+            return Ok(());
+        };
+        if ops.is_empty() {
+            return Ok(());
+        }
+        let mut peers = self.ring.lock().shards();
+        peers.extend_from_slice(extra_peers);
+        peers.sort_unstable();
+        peers.dedup();
+        peers.retain(|&peer| peer != shard);
+        let (router, epoch) = self.authority.lock().stamp();
+        let ship = encode_frame(&Message::DeltaShip {
+            from_shard,
+            batch,
+            router,
+            epoch,
+        });
+        for peer in peers {
+            self.control(peer, Asked::Control, &ship)?;
+        }
+        let mut stats = self.stats.lock();
+        stats.ships += 1;
+        stats.shipped_ops += ops.len() as u64;
+        Ok(())
+    }
+}
+
+impl Drop for FabricRouter {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

@@ -2,14 +2,16 @@
 //! plus the replica logs it holds for its peers.
 //!
 //! A shard is deliberately passive — it answers frames and never
-//! initiates traffic. The router drives both planes: it forwards
-//! compile requests, and after each served compile it [`Message::Sync`]s
-//! the owning shard (which hands back the store deltas accumulated
-//! since the previous sync as one `CCM2DELT` batch) and fans that batch
-//! out to the surviving peers as [`Message::DeltaShip`] frames. Each
-//! peer parks the ops in a per-origin [`ReplicaLog`]; the log is pure
-//! potential energy until the origin dies, at which point
-//! [`Message::Absorb`] replays it into the survivor's own store
+//! initiates traffic — but it says when it has something to ship: every
+//! [`Message::Outcome`] carries `unshipped`, the number of store deltas
+//! past this shard's ship cursor. The leading router's shipper (see
+//! `crate::router`) answers a non-zero count with a [`Message::Sync`],
+//! which hands back everything accumulated since the previous sync as
+//! one `CCM2DELT` batch and moves the cursor, and fans that batch out to
+//! the surviving peers as [`Message::DeltaShip`] frames. Each peer parks
+//! the ops in a per-origin [`ReplicaLog`]; the log is pure potential
+//! energy until the origin dies, at which point [`Message::Absorb`]
+//! replays it into the survivor's own store
 //! ([`SharedStore::apply_delta`](ccm2_serve::SharedStore)) so re-routed
 //! requests warm-hit instead of recompiling.
 //!
@@ -23,6 +25,17 @@
 //! it — the shard answers `AbsorbDone { gapped: true }` and the router
 //! reconciles with a full-image ship ([`Message::FetchImage`] /
 //! [`Message::Image`]) from a healthy peer instead.
+//!
+//! One start is not a hole: **an empty log whose first batch begins past
+//! sequence 0 belongs to a peer that met this origin late** — a joiner
+//! warmed from the origin's store image (§9.7: the image covers what
+//! came before its cut), or a survivor that has already absorbed the
+//! origin's earlier log. What it parks from there on is contiguous, so
+//! `receive_ship` counts a gap only against a log that already holds
+//! ops. The rule leans on the origin's batches reaching a peer in the
+//! order they were cut — one shipper per router, and only the lease
+//! holder pulls — because a batch that overtook the log's first would be
+//! taken for that late start.
 //!
 //! With a [`ReplicaLogStore`] attached ([`ShardNode::with_durable_log`])
 //! every replica-map mutation is persisted through the checksummed
@@ -40,9 +53,10 @@
 //! [`Message::EpochReject`]. What is left here is framing and counters.
 //!
 //! [`Message::Sync`] stays unleased: it only *exports* deltas, and
-//! replication is warmth, not truth — a stale router syncing costs at
-//! most one batch of warmth (its fan-out of that batch is then
-//! epoch-rejected anyway, which is how it learns to demote).
+//! replication is warmth, not truth. Only a router that believes it
+//! holds the lease sends one; if it is wrong, that costs one batch of
+//! warmth (its fan-out of the batch is epoch-rejected, which is how it
+//! learns to demote).
 
 use std::collections::HashMap;
 
@@ -92,6 +106,8 @@ pub struct ShardStats {
     pub sync_resets: u64,
     /// Ops currently parked across all replica logs.
     pub replica_ops: u64,
+    /// Batches, across all replica logs, that arrived past a hole.
+    pub replica_gaps: u64,
     /// Ops replayed into the local store by `Absorb` frames.
     pub absorbed_ops: u64,
     /// Gapped replica logs discarded (not replayed) at absorb.
@@ -212,6 +228,7 @@ impl ShardNode {
         let state = self.state.lock();
         let mut stats = state.stats;
         stats.replica_ops = state.replicas.values().map(|l| l.ops.len() as u64).sum();
+        stats.replica_gaps = state.replicas.values().map(|l| l.gaps).sum();
         stats
     }
 
@@ -331,7 +348,7 @@ impl ShardNode {
                 self.admit(router, epoch)?;
                 self.import_image(&entries)
             }
-            Message::Outcome(_)
+            Message::Outcome { .. }
             | Message::Reject { .. }
             | Message::Ack
             | Message::Pong { .. }
@@ -355,8 +372,16 @@ impl ShardNode {
             .expect("one-request batch reports one response");
         match answer.response {
             ccm2_serve::Response::Done(out) => {
-                self.state.lock().stats.compiles += 1;
-                Message::Outcome(WireOutcome::from_outcome(&out))
+                // Read after the compile's inserts and under the lock a
+                // sync moves the cursor under: a delta this answer does
+                // not count was shipped, or a later answer counts it.
+                let mut state = self.state.lock();
+                state.stats.compiles += 1;
+                let edge = self.svc.store().delta_seq();
+                Message::Outcome {
+                    outcome: WireOutcome::from_outcome(&out),
+                    unshipped: edge.saturating_sub(state.ship_cursor),
+                }
             }
             ccm2_serve::Response::Retry => {
                 self.state.lock().stats.rejects += 1;
@@ -492,7 +517,9 @@ impl ShardNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccm2_serve::CompileRequest;
     use ccm2_support::hash::Fp128;
+    use std::sync::Arc;
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
@@ -544,60 +571,146 @@ mod tests {
         decode_frame(&node.handle(frame)).expect("shard replies validly")
     }
 
-    /// Requests served side by side each end in a sync of their shard
-    /// and a fan-out of the batch to its peers; two batches of one
-    /// origin must reach a peer in the order the origin cut them, or
-    /// the peer's log reads the later one as a gap and is lost to
-    /// failover.
-    #[test]
-    fn batches_of_one_origin_reach_its_peers_in_order() {
-        use crate::{FabricRouter, FrameHandler, TcpShardServer, TcpTransport, Transport};
-        use ccm2_serve::CompileRequest;
-        use std::sync::Arc;
-        let config = ServeConfig {
+    fn fleet_config() -> ServeConfig {
+        ServeConfig {
             workers: 2,
             queue_capacity: 64,
             store_budget: 1 << 20,
             ..ServeConfig::default()
-        };
-        let nodes: Vec<Arc<ShardNode>> = (0..3)
-            .map(|id| Arc::new(ShardNode::start(id, config)))
+        }
+    }
+
+    fn fleet(tcp: bool, shards: u32) -> crate::Fabric {
+        let nodes = (0..shards).map(|id| Arc::new(ShardNode::start(id, fleet_config())));
+        crate::Fabric::start_over(tcp, nodes.collect())
+    }
+
+    fn module(client: u64, name: &str) -> CompileRequest {
+        let source = format!("MODULE {name}; VAR x: INTEGER; BEGIN x := {client}; END {name}.");
+        let mut req = CompileRequest::new(client, name, source, Arc::default());
+        req.exec = ccm2_serve::ExecChoice::Sim(2);
+        req
+    }
+
+    /// Eight distinct modules, served side by side.
+    fn serve_eight(router: &crate::FabricRouter, round: usize) {
+        let batch: Vec<CompileRequest> = (0..8)
+            .map(|m| module(m, &format!("Order{round}x{m}")))
             .collect();
-        let transport = Arc::new(TcpTransport::new());
-        let mut servers = Vec::new();
-        for node in &nodes {
-            let server = TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>).unwrap();
-            transport.register(node.id(), server.addr());
-            servers.push(server);
+        for response in router.serve_batch(&batch) {
+            assert!(response.outcome().expect("an idle fleet sheds nothing").ok);
         }
-        let router = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>);
+    }
+
+    /// Every peer's log of every origin holds every op the origin's
+    /// store has logged since the fleet started — as many as the store's
+    /// edge says, ending there — and never saw a hole. Returns the sum of
+    /// those edges.
+    fn assert_replicated_to_the_edge(nodes: &[Arc<ShardNode>], when: &str) -> u64 {
+        let mut edges = 0;
+        for origin in nodes {
+            let edge = origin.service().store().delta_seq();
+            edges += edge;
+            for peer in nodes.iter().filter(|peer| peer.id != origin.id) {
+                let state = peer.state.lock();
+                let seen = state
+                    .replicas
+                    .get(&origin.id)
+                    .map_or((0, 0, 0, false), |log| {
+                        (log.last_seq, log.ops.len() as u64, log.gaps, log.gapped)
+                    });
+                let (peer, origin) = (peer.id, origin.id);
+                assert_eq!(
+                    seen,
+                    (edge, edge, 0, false),
+                    "{when}: shard {peer}'s log of origin {origin}"
+                );
+            }
+        }
+        edges
+    }
+
+    /// Requests served side by side mark their shards dirty side by
+    /// side; two batches of one origin must reach a peer in the order
+    /// the origin cut them, or the peer's log reads the later one as a
+    /// gap and is lost to failover.
+    #[test]
+    fn batches_of_one_origin_reach_its_peers_in_order() {
+        let fabric = fleet(true, 3);
         for round in 0..40 {
-            let batch: Vec<CompileRequest> = (0..8)
-                .map(|m| {
-                    let name = format!("Order{round}x{m}");
-                    let source =
-                        format!("MODULE {name}; VAR x: INTEGER; BEGIN x := {m}; END {name}.");
-                    let mut req = CompileRequest::new(m, name, source, Arc::default());
-                    req.exec = ccm2_serve::ExecChoice::Sim(2);
-                    req
-                })
-                .collect();
-            for response in router.serve_batch(&batch) {
-                assert!(response.outcome().expect("an idle fleet sheds nothing").ok);
+            serve_eight(fabric.router(), round);
+        }
+        fabric.router().flush();
+        assert_replicated_to_the_edge(fabric.nodes(), "tcp");
+    }
+
+    /// Order and completeness, searched: after every round of eight
+    /// concurrent compiles and a `flush`, every delta of every origin is
+    /// in every peer's log, once and in order, and the router shipped
+    /// exactly what the stores logged. Two shippers would reorder an
+    /// origin's batches; a dirty mark cleared after its pull instead of
+    /// before would lose the compile that landed mid-pull, and `flush`
+    /// would return with that delta still behind the cursor.
+    #[test]
+    fn every_delta_reaches_every_peer_once_and_in_order() {
+        // A fresh fleet every so often keeps the logs under their cap.
+        const ROUNDS_PER_FLEET: usize = 100;
+        let fleets = if cfg!(debug_assertions) { 1 } else { 20 };
+        for tcp in [false, true] {
+            for _ in 0..fleets {
+                let fabric = fleet(tcp, 3);
+                let mut edges = 0;
+                for round in 0..ROUNDS_PER_FLEET {
+                    serve_eight(fabric.router(), round);
+                    fabric.router().flush();
+                    let when = format!("tcp={tcp}, round {round}");
+                    edges = assert_replicated_to_the_edge(fabric.nodes(), &when);
+                }
+                assert_eq!(fabric.router().stats().shipped_ops, edges, "tcp={tcp}");
             }
         }
-        for node in &nodes {
-            let state = node.state.lock();
-            assert_eq!(
-                state.replicas.len(),
-                2,
-                "both peers replicated to shard {}",
-                node.id
-            );
-            for (origin, log) in &state.replicas {
-                assert_eq!(log.gaps, 0, "shard {}'s log of origin {origin}", node.id);
+    }
+
+    /// A standby serves traffic — it is what a client falls back to when
+    /// its router dies before the standby has promoted — but it must not
+    /// pull: its stamp cannot deliver the batch, and the cursor it moved
+    /// would leave a hole in every peer's log under the leader's next
+    /// batch. What its requests leave behind goes out with that batch.
+    #[test]
+    fn a_standby_that_serves_traffic_leaves_its_deltas_to_the_leader() {
+        let fabric = fleet(false, 2);
+        let leader = crate::FabricRouter::new(fabric.conduit().transport()).with_identity(1);
+        let standby = crate::FabricRouter::new(fabric.conduit().transport())
+            .with_identity(2)
+            .as_standby();
+        assert!(leader.acquire_lease());
+        // Two modules for each shard in every phase, so that both origins
+        // have deltas past their cursors when the leader serves again.
+        let ring = crate::HashRing::new(&[0, 1], crate::DEFAULT_VNODES);
+        let phase = |tag: &str| -> Vec<CompileRequest> {
+            let modules = (0..64).map(|i| module(1, &format!("{tag}{i}")));
+            let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+            for req in modules {
+                match ring.route(req.fingerprint()) {
+                    Some(0) if mine.len() < 2 => mine.push(req),
+                    Some(1) if theirs.len() < 2 => theirs.push(req),
+                    _ => {}
+                }
+            }
+            assert_eq!((mine.len(), theirs.len()), (2, 2));
+            mine.into_iter().chain(theirs).collect()
+        };
+        for (router, tag) in [(&leader, "Lead"), (&standby, "Stand"), (&leader, "Again")] {
+            for req in phase(tag) {
+                assert!(router.serve(&req).outcome().expect("served").ok);
+                router.flush();
             }
         }
+        let stood = standby.stats();
+        assert_eq!(standby.role(), crate::RouterRole::Standby);
+        assert_eq!((stood.ships, stood.epoch_rejects), (0, 0), "it pulled");
+        let edges = assert_replicated_to_the_edge(fabric.nodes(), "after the leader's last pull");
+        assert_eq!(leader.stats().shipped_ops, edges);
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! * compile plane — [`Message::Compile`] / [`Message::Outcome`] /
 //!   [`Message::Reject`] (carries a `Retry-After`-style backoff hint
 //!   in milliseconds, derived from the shard's queue pressure);
-//! * replication plane — [`Message::Sync`] (router asks the owning
-//!   shard for its pending deltas), [`Message::DeltaShip`] (an encoded
-//!   `CCM2DELT` batch on its way to a peer), [`Message::Absorb`]
-//!   (failover: apply the replica log of a dead shard, answered by
-//!   [`Message::AbsorbDone`]);
+//! * replication plane — an [`Message::Outcome`] says how many store
+//!   deltas its shard has not shipped yet; [`Message::Sync`] (the
+//!   router's shipper asks a shard that has some for them),
+//!   [`Message::DeltaShip`] (an encoded `CCM2DELT` batch on its way to
+//!   a peer), [`Message::Absorb`] (failover: apply the replica log of a
+//!   dead shard, answered by [`Message::AbsorbDone`]);
 //! * control plane — [`Message::Ping`] /
 //!   [`Message::Pong`] heartbeats for the router's failure detector,
 //!   and [`Message::FetchImage`] / [`Message::Image`] full-store
@@ -65,7 +66,7 @@ use ccm2_sema::symtab::DkyStrategy;
 /// retry elsewhere), never misdecode.
 pub const WIRE_FORMAT: Format = Format {
     magic: *b"CCM2WIRE",
-    version: 5,
+    version: 6,
 };
 /// The "no router" sentinel for lease-holder fields: a shard that has
 /// not yet granted any lease reports this as the holder.
@@ -186,7 +187,15 @@ pub enum Message {
     /// Router → shard: compile this.
     Compile(WireRequest),
     /// Shard → router: the answer to a [`Message::Compile`].
-    Outcome(WireOutcome),
+    Outcome {
+        /// What the client gets.
+        outcome: WireOutcome,
+        /// Store deltas past the shard's ship cursor as it answered:
+        /// non-zero tells the router this shard has something to
+        /// [`Message::Sync`]. For the router only — routing must not
+        /// change a client-visible answer.
+        unshipped: u64,
+    },
     /// Shard → router: the request was not admitted (queue full /
     /// over quota). The router backs off and resubmits — same protocol
     /// as [`ccm2_serve::Response::Retry`], with the reason attached for
@@ -387,7 +396,10 @@ fn encode_message(w: &mut Writer, msg: &Message) {
             w.u64(req.task_deadline.map_or(0, |d| d + 1));
             w.u32(req.max_stream_retries);
         }
-        Message::Outcome(out) => {
+        Message::Outcome {
+            outcome: out,
+            unshipped,
+        } => {
             w.u8(2);
             w.fp(out.request_fp);
             w.bool(out.ok);
@@ -400,6 +412,7 @@ fn encode_message(w: &mut Writer, msg: &Message) {
             w.u64(out.streams);
             w.bool(out.degraded);
             w.bool(out.stalled);
+            w.u64(*unshipped);
         }
         Message::Reject {
             reason,
@@ -519,19 +532,22 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
             },
             max_stream_retries: r.u32()?,
         }),
-        2 => Message::Outcome(WireOutcome {
-            request_fp: r.fp()?,
-            ok: r.bool()?,
-            object: match r.bool()? {
-                false => None,
-                true => Some(r.bytes()?.to_vec()),
+        2 => Message::Outcome {
+            outcome: WireOutcome {
+                request_fp: r.fp()?,
+                ok: r.bool()?,
+                object: match r.bool()? {
+                    false => None,
+                    true => Some(r.bytes()?.to_vec()),
+                },
+                diagnostics: r.seq(4, |r| Ok(r.str()?.to_owned()))?,
+                wall_micros: r.u64()?,
+                streams: r.u64()?,
+                degraded: r.bool()?,
+                stalled: r.bool()?,
             },
-            diagnostics: r.seq(4, |r| Ok(r.str()?.to_owned()))?,
-            wall_micros: r.u64()?,
-            streams: r.u64()?,
-            degraded: r.bool()?,
-            stalled: r.bool()?,
-        }),
+            unshipped: r.u64()?,
+        },
         3 => Message::Reject {
             reason: r.str()?.to_owned(),
             retry_after_ms: r.u64()?,
@@ -608,26 +624,32 @@ mod tests {
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::Compile(sample_request()),
-            Message::Outcome(WireOutcome {
-                request_fp: Fp128 { hi: 1, lo: 2 },
-                ok: true,
-                object: Some(b"image".to_vec()),
-                diagnostics: vec!["warning: x".into()],
-                wall_micros: 1234,
-                streams: 5,
-                degraded: false,
-                stalled: true,
-            }),
-            Message::Outcome(WireOutcome {
-                request_fp: Fp128 { hi: 3, lo: 4 },
-                ok: false,
-                object: None,
-                diagnostics: Vec::new(),
-                wall_micros: 0,
-                streams: 0,
-                degraded: true,
-                stalled: false,
-            }),
+            Message::Outcome {
+                outcome: WireOutcome {
+                    request_fp: Fp128 { hi: 1, lo: 2 },
+                    ok: true,
+                    object: Some(b"image".to_vec()),
+                    diagnostics: vec!["warning: x".into()],
+                    wall_micros: 1234,
+                    streams: 5,
+                    degraded: false,
+                    stalled: true,
+                },
+                unshipped: 3,
+            },
+            Message::Outcome {
+                outcome: WireOutcome {
+                    request_fp: Fp128 { hi: 3, lo: 4 },
+                    ok: false,
+                    object: None,
+                    diagnostics: Vec::new(),
+                    wall_micros: 0,
+                    streams: 0,
+                    degraded: true,
+                    stalled: false,
+                },
+                unshipped: 0,
+            },
             Message::Reject {
                 reason: "queue full".into(),
                 retry_after_ms: 12,

@@ -53,7 +53,7 @@ const ROWS: &[Row] = &[
     Row { format: SNAPSHOT_FORMAT, samples: snapshot_samples, recode: recode_snapshot, golden: Fp128 { hi: 1566589782619992634, lo: 11463258408665851908 } },
     Row { format: RLOG_FORMAT, samples: rlog_samples, recode: recode_rlog, golden: Fp128 { hi: 4136731496422806886, lo: 3955571710160143157 } },
     Row { format: MBRS_FORMAT, samples: mbrs_samples, recode: recode_mbrs, golden: Fp128 { hi: 17029936234089811493, lo: 13997396492873622399 } },
-    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 8480225207132352859, lo: 18075193179523615146 } },
+    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 1267209949718214543, lo: 5749875692016389911 } },
 ];
 
 fn fp(n: u64) -> Fp128 {
@@ -216,16 +216,19 @@ fn compile_message(module: &str) -> Message {
 fn wire_samples() -> Vec<Vec<u8>> {
     let messages = [
         compile_message("Main"),
-        Message::Outcome(WireOutcome {
-            request_fp: fp(1),
-            ok: true,
-            object: Some(b"image".to_vec()),
-            diagnostics: vec!["warning: x".into()],
-            wall_micros: 1234,
-            streams: 5,
-            degraded: false,
-            stalled: true,
-        }),
+        Message::Outcome {
+            outcome: WireOutcome {
+                request_fp: fp(1),
+                ok: true,
+                object: Some(b"image".to_vec()),
+                diagnostics: vec!["warning: x".into()],
+                wall_micros: 1234,
+                streams: 5,
+                degraded: false,
+                stalled: true,
+            },
+            unshipped: 3,
+        },
         Message::DeltaShip {
             from_shard: 2,
             batch: encode_delta(9, &delta_ops()),
@@ -456,7 +459,7 @@ fn a_shard_handed_a_forged_delta_ship_rejects_it_and_keeps_serving() {
         panic!("forged batch must be rejected");
     };
     assert_eq!(reason, "bad delta batch");
-    let Message::Outcome(outcome) = call(&compile_message("After")) else {
+    let Message::Outcome { outcome, .. } = call(&compile_message("After")) else {
         panic!("the shard must still compile");
     };
     assert!(outcome.ok, "{:?}", outcome.diagnostics);

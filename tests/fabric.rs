@@ -12,11 +12,13 @@
 //! shard refuses its stamp, wherever in an operation the refusal lands.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
+use ccm2_bench::kit::{drive, requests, within, Observed, Oracle, Scratch};
 use ccm2_fabric::{
     decode_frame, encode_frame, Fabric, FabricRouter, HashRing, LeaseConfig, MembershipStore,
     Message, RouterRole, ShardNode, Transport, DEFAULT_VNODES,
@@ -123,26 +125,58 @@ fn stale_router_control_refused_after_lease_moves() {
     }
 }
 
-/// A conduit that forwards every frame, except that — while armed — a
-/// request frame the script picks never reaches its shard and is
-/// answered `EpochReject{epoch: 9, router: 2}`: the lease has moved to
-/// router 2 since this router last looked. Each refusal notes the newest
+/// A conduit that counts the replication frames it is handed and
+/// forwards every frame, except that — while armed — a request frame the
+/// script picks never reaches its shard and is answered
+/// `EpochReject{epoch: 9, router: 2}`: the lease has moved to router 2
+/// since this router last looked. Each refusal notes the newest
 /// membership image on disk at that moment.
 struct Scripted {
     inner: Arc<dyn Transport>,
     refuse: Mutex<Option<Refuse>>,
     mbrs: PathBuf,
     newest_at_refusal: Mutex<Vec<Option<String>>>,
+    syncs: AtomicU64,
+    ships: AtomicU64,
 }
 
 /// Picks the frames to refuse, by target shard and content.
 type Refuse = fn(u32, &Message) -> bool;
 
+impl Scripted {
+    /// Over `inner`, unarmed; `mbrs` is the membership directory a
+    /// refusal looks into.
+    fn over(inner: Arc<dyn Transport>, mbrs: PathBuf) -> Arc<Scripted> {
+        Arc::new(Scripted {
+            inner,
+            refuse: Mutex::new(None),
+            mbrs,
+            newest_at_refusal: Mutex::new(Vec::new()),
+            syncs: AtomicU64::new(0),
+            ships: AtomicU64::new(0),
+        })
+    }
+
+    /// `(Sync, DeltaShip)` frames handed to this conduit so far.
+    fn replication_frames(&self) -> (u64, u64) {
+        let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        (read(&self.syncs), read(&self.ships))
+    }
+}
+
 impl Transport for Scripted {
     fn call(&self, shard: u32, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+        let msg = decode_frame(frame);
+        let counted = match msg {
+            Some(Message::Sync) => Some(&self.syncs),
+            Some(Message::DeltaShip { .. }) => Some(&self.ships),
+            _ => None,
+        };
+        if let Some(frames) = counted {
+            frames.fetch_add(1, Ordering::Relaxed);
+        }
         let refuse = *self.refuse.lock().unwrap();
-        let refused =
-            refuse.is_some_and(|refuse| decode_frame(frame).is_some_and(|msg| refuse(shard, &msg)));
+        let refused = refuse.is_some_and(|refuse| msg.is_some_and(|msg| refuse(shard, &msg)));
         if refused {
             let newest = newest_image(&self.mbrs);
             self.newest_at_refusal.lock().unwrap().push(newest);
@@ -206,16 +240,14 @@ impl Drill {
         let dir = Scratch::new("stale-answer");
         let mbrs = dir.join("mbrs");
         let store = Arc::new(MembershipStore::new(&mbrs).expect("membership store opens"));
-        let wire = Arc::new(Scripted {
-            inner: fleet.conduit().transport(),
-            refuse: Mutex::new(None),
-            mbrs,
-            newest_at_refusal: Mutex::new(Vec::new()),
-        });
+        let wire = Scripted::over(fleet.conduit().transport(), mbrs);
         let router = FabricRouter::new(Arc::clone(&wire) as Arc<dyn Transport>)
             .with_identity(1)
             .with_membership_store(Arc::clone(&store));
         assert!(router.acquire_lease(), "uncontested first grant");
+        // A promotion has the shipper pull every member once; the
+        // scripts start when it is back.
+        router.flush();
         Drill {
             fleet,
             wire,
@@ -225,8 +257,11 @@ impl Drill {
         }
     }
 
+    /// Serves `req` and waits for the shipper: what the request left to
+    /// ship has been offered to the peers — or refused on the way.
     fn serve(&self, req: &CompileRequest) {
         assert!(self.router.serve(req).outcome().expect("served").ok);
+        self.router.flush();
     }
 
     fn join(&mut self) {
@@ -252,10 +287,13 @@ enum Hears {
     ImageAtGappedReconciliation,
 }
 
-/// One outcome wherever the refusal lands: the epoch is noted, the
-/// refusal counted once — the operation sends nothing more on refused
-/// authority — and the leader stands down, resyncs its ring from the
-/// durable image and persists nothing from then on.
+/// One outcome wherever the refusal lands — on the thread that runs the
+/// operation, or on the shipper's, behind a `flush` (the two ship rows:
+/// after a served compile the test's own, at admit the catch-up
+/// barrier's): the epoch is noted, the refusal counted once — the
+/// operation sends nothing more on refused authority — and the leader
+/// stands down, resyncs its ring from the durable image and persists
+/// nothing from then on.
 fn a_leader_stands_down_on(hears: Hears) {
     let mut drill = Drill::start();
     // What the fleet must hold for the frame to be sent at all.
@@ -274,8 +312,8 @@ fn a_leader_stands_down_on(hears: Hears) {
             |_, msg| matches!(msg, Message::Image { .. })
         }
         Hears::ShipToTheJoinerAtAdmit => {
-            // Deltas the router has not synced: submitted to shard 0's
-            // service behind its back, they wait for the catch-up epoch.
+            // Deltas no answer has told the router of: submitted to shard
+            // 0's service behind its back, they wait for the catch-up.
             let direct = drill.fleet.nodes()[0].service();
             direct.serve_batch(vec![module("Behind")]);
             drill.join();
@@ -400,24 +438,131 @@ fn a_refused_claim_only_teaches_the_epoch() {
 
 /// A request the fleet has already answered costs the fleet a lookup:
 /// the shard that owns it finds the flight landed. The router's own
-/// single-flight plays no part — nothing was in flight — and no shard
-/// compiles.
+/// single-flight plays no part — nothing was in flight — no shard
+/// compiles, and since nothing new lies past the shard's ship cursor,
+/// no replication frame moves either.
 #[test]
 fn the_owning_shard_answers_a_repeat_without_compiling() {
     for tcp in [false, true] {
         let nodes = (0..3).map(|id| Arc::new(ShardNode::start(id, config())));
         let fleet = Fabric::start_over(tcp, nodes.collect());
+        let wire = Scripted::over(fleet.conduit().transport(), PathBuf::new());
+        let router = FabricRouter::new(Arc::clone(&wire) as Arc<dyn Transport>);
         let req = module_for(1);
         let want = Oracle::reference(&req);
+        let mut frames = Vec::new();
         for _ in 0..2 {
-            let answer = fleet.router().serve(&req);
+            let answer = router.serve(&req);
             let out = answer.outcome().expect("served");
             assert_eq!((out.object.clone(), out.diagnostics.clone()), want);
+            router.flush();
+            frames.push(wire.replication_frames());
         }
         let shards = fleet.nodes().iter().map(|node| node.service().stats());
         let counted: Vec<(u64, u64)> = shards.map(|s| (s.compiled, s.replayed)).collect();
         assert_eq!(counted, [(0, 0), (1, 1), (0, 0)], "tcp: {tcp}");
-        assert_eq!(fleet.router().stats().joined, 0, "tcp: {tcp}");
+        assert_eq!(router.stats().joined, 0, "tcp: {tcp}");
+        // The compile: one pull, one ship to each peer. The repeat: none.
+        assert_eq!(frames, [(1, 2), (1, 2)], "tcp: {tcp}");
+    }
+}
+
+/// A conduit on which `DeltaShip` frames wait at a gate, so that what
+/// the shipper has pulled stays undelivered for as long as the test
+/// likes; once the gate is open they fail, as on a cut link.
+struct ShipsHeld {
+    inner: Arc<dyn Transport>,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl ShipsHeld {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Transport for ShipsHeld {
+    fn call(&self, shard: u32, frame: &[u8]) -> std::io::Result<Vec<u8>> {
+        if matches!(decode_frame(frame), Some(Message::DeltaShip { .. })) {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+            return Err(std::io::ErrorKind::ConnectionReset.into());
+        }
+        self.inner.call(shard, frame)
+    }
+
+    fn shards(&self) -> Vec<u32> {
+        self.inner.shards()
+    }
+
+    fn kill(&self, shard: u32) -> bool {
+        self.inner.kill(shard)
+    }
+}
+
+/// Opens the gate when the test ends, however it ends: a router joins
+/// its shipper when dropped, and the shipper may be waiting there.
+struct OpenAtTheEnd(Arc<ShipsHeld>);
+
+impl Drop for OpenAtTheEnd {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// The durability contract: *a request acknowledged before its delta
+/// shipped may be recompiled after a failover, never lost and never
+/// mismatched*. The answers come back while every ship to a peer is
+/// held at the gate; the owning shard dies with nothing of them
+/// replicated and nobody flushes; the survivors have nothing to absorb,
+/// compile the same requests again, and answer with the same bytes.
+#[test]
+fn a_request_acknowledged_before_its_delta_shipped_is_recompiled_not_lost() {
+    for tcp in [false, true] {
+        let nodes = (0..3).map(|id| Arc::new(ShardNode::start(id, config())));
+        let fleet = Fabric::start_over(tcp, nodes.collect());
+        let held = Arc::new(ShipsHeld {
+            inner: fleet.conduit().transport(),
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        });
+        let router = Arc::new(FabricRouter::new(Arc::clone(&held) as Arc<dyn Transport>));
+        let _gate = OpenAtTheEnd(Arc::clone(&held));
+        let ring = HashRing::new(&[0, 1, 2], DEFAULT_VNODES);
+        let modules = (0..64).map(|i| module(&format!("Owned{i}")));
+        let owned: Vec<CompileRequest> = modules
+            .filter(|req| ring.route(req.fingerprint()) == Some(1))
+            .take(3)
+            .collect();
+        let oracle = Arc::new(Oracle::of(&owned));
+
+        // Acknowledged: an answer does not wait for a peer.
+        let serve_all = || {
+            let (router, owned, oracle) = (Arc::clone(&router), owned.clone(), Arc::clone(&oracle));
+            within(Duration::from_secs(60), move || {
+                drive(&*router, &owned, &oracle);
+            });
+        };
+        serve_all();
+        let parked = |origin: u32| -> usize {
+            let peers = fleet.nodes().iter().filter(|node| node.id() != origin);
+            peers.map(|node| node.replica_len(origin)).sum()
+        };
+        assert_eq!(parked(1), 0, "tcp: {tcp}: a ship got through the gate");
+
+        // The origin dies unflushed; the next dispatch finds it dead.
+        assert!(held.kill(1), "tcp: {tcp}");
+        serve_all();
+        assert_eq!(router.live_shards(), [0, 2], "tcp: {tcp}");
+        let survivors = [&fleet.nodes()[0], &fleet.nodes()[2]];
+        let absorbed: u64 = survivors.iter().map(|n| n.stats().absorbed_ops).sum();
+        let recompiled: u64 = survivors.iter().map(|n| n.service().stats().compiled).sum();
+        assert_eq!(absorbed, 0, "tcp: {tcp}: nothing had been shipped");
+        assert_eq!(recompiled, owned.len() as u64, "tcp: {tcp}");
     }
 }
 
