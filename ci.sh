@@ -64,7 +64,9 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # origin's edge) and the service's
 # flights table (eight threads resubmitting one request across 2 000
 # landings: a duplicate that found the flight neither flying nor landed
-# would start a second compile).
+# would start a second compile). The checksum kernel's tests ride along
+# for the build, not for a race: a 1 MiB known answer, 200 000 keys and
+# the re-chunking search take seconds unoptimized.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -80,7 +82,7 @@ race() { # race <cargo test args> [-- <name filter>...]
       || { echo "no test ran: cargo test --release ${args[*]} -- $filter" >&2; return 1; }
   done
 }
-race -p ccm2-support -- arena
+race -p ccm2-support -- arena hash::
 race -p ccm2-sema -- get_racing_mark_complete
 race -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
 race -p ccm2-sched --test crew

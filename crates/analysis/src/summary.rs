@@ -21,8 +21,9 @@ use ccm2_support::source::Span;
 
 use crate::callgraph::{CallSite, LockAcquire, UnitSummary};
 
-/// Bump on ANY change to the summary encoding below.
-pub const SUMMARY_FORMAT_VERSION: u32 = 1;
+/// Bump on ANY change to the summary encoding below — or, as for v2,
+/// to the checksum kernel that seals it.
+pub const SUMMARY_FORMAT_VERSION: u32 = 2;
 
 /// The lock-summary envelope.
 pub const SUMMARY_FORMAT: Format = Format {

@@ -38,13 +38,13 @@ use crate::shard::ReplicaLog;
 /// The replica-log image envelope.
 pub const RLOG_FORMAT: Format = Format {
     magic: *b"CCM2RLOG",
-    version: 2,
+    version: 3,
 };
 
 /// The membership image envelope.
 pub const MBRS_FORMAT: Format = Format {
     magic: *b"CCM2MBRS",
-    version: 2,
+    version: 3,
 };
 
 /// A directory of replica-log images plus their quarantine.

@@ -361,7 +361,7 @@ impl ShardNode {
     }
 
     fn compile(&self, wire_req: crate::wire::WireRequest) -> Message {
-        let req = wire_req.to_request();
+        let req = wire_req.into_request();
         // Through the report path (not bare submit): shard-side
         // admission retries draw from the configured budget.
         let report = self.svc.serve_batch_report(vec![req]);
@@ -924,6 +924,31 @@ mod tests {
         });
         let reply = reply(&node, &future);
         assert_eq!(reply, bad_frame_reject());
+        assert_eq!(node.stats().bad_frames, 1);
+    }
+
+    // The other side of the skew, and the one a fleet meets when the
+    // checksum kernel changes under every format at once: today's
+    // `Compile` frame with its version field set back by one and its
+    // trailer recomputed. The same bytes under today's version compile.
+    #[test]
+    fn previous_version_compile_yields_clean_reject() {
+        let node = ShardNode::start(1, tiny_config());
+        let request = crate::wire::WireRequest::from_request(&module(7, "Older"));
+        let mut frame = encode_frame(&Message::Compile(request));
+        assert!(matches!(reply(&node, &frame), Message::Outcome { .. }));
+
+        let previous = crate::wire::WIRE_FORMAT.version - 1;
+        let trailer = frame.len() - 16;
+        frame[8..12].copy_from_slice(&previous.to_le_bytes());
+        let sum = Fp128::of(&frame[..trailer]);
+        frame[trailer..trailer + 8].copy_from_slice(&sum.hi.to_le_bytes());
+        frame[trailer + 8..].copy_from_slice(&sum.lo.to_le_bytes());
+        assert_eq!(
+            crate::wire::WIRE_FORMAT.open(&frame).err(),
+            Some(ccm2_support::envelope::OpenError::Version { found: previous })
+        );
+        assert_eq!(reply(&node, &frame), bad_frame_reject());
         assert_eq!(node.stats().bad_frames, 1);
     }
 

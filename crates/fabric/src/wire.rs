@@ -66,7 +66,7 @@ use ccm2_sema::symtab::DkyStrategy;
 /// retry elsewhere), never misdecode.
 pub const WIRE_FORMAT: Format = Format {
     magic: *b"CCM2WIRE",
-    version: 6,
+    version: 7,
 };
 /// The "no router" sentinel for lease-holder fields: a shard that has
 /// not yet granted any lease reports this as the holder.
@@ -118,16 +118,18 @@ impl WireRequest {
         }
     }
 
-    /// Reconstructs the service request a shard will actually run.
-    pub fn to_request(&self) -> CompileRequest {
+    /// The service request a shard will actually run. Consumes the
+    /// frame's strings: the source and every interface move, uncopied,
+    /// from where the decoder put them.
+    pub fn into_request(self) -> CompileRequest {
         let mut lib = DefLibrary::new();
-        for (name, text) in &self.defs {
-            lib.insert(name.clone(), text.clone());
+        for (name, text) in self.defs {
+            lib.insert(name, text);
         }
         CompileRequest {
             client: self.client,
-            module: self.module.clone(),
-            source: self.source.clone(),
+            module: self.module,
+            source: self.source,
             defs: Arc::new(lib),
             strategy: self.strategy,
             exec: self.exec,
@@ -866,20 +868,20 @@ mod tests {
     #[test]
     fn wire_request_round_trips_through_a_service_request() {
         let wire = sample_request();
-        let req = wire.to_request();
+        let req = wire.clone().into_request();
         assert_eq!(WireRequest::from_request(&req), wire);
         // The reconstructed request fingerprints identically to a
         // locally built one with the same inputs — the routing key and
         // the shard's single-flight key agree.
-        let again = wire.to_request();
+        let again = wire.into_request();
         assert_eq!(req.fingerprint(), again.fingerprint());
     }
 
     #[test]
     fn fault_plans_do_not_travel() {
-        let mut req = sample_request().to_request();
+        let mut req = sample_request().into_request();
         req.faults = Some(std::sync::Arc::new(ccm2_faults::FaultPlan::new()));
         let wire = WireRequest::from_request(&req);
-        assert!(wire.to_request().faults.is_none());
+        assert!(wire.into_request().faults.is_none());
     }
 }

@@ -33,7 +33,7 @@ use ccm2_support::hash::Fp128;
 /// (quarantine / miss), never as data.
 pub const DELTA_FORMAT: Format = Format {
     magic: *b"CCM2DELT",
-    version: 2,
+    version: 3,
 };
 
 /// One store mutation, in replay order.

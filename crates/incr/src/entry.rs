@@ -19,7 +19,9 @@ use ccm2_support::{Interner, Severity, Symbol};
 
 /// On-disk format version. See the module docs before touching this.
 /// v2: added the opaque interprocedural lock-summary blob (`summary`).
-pub const FORMAT_VERSION: u32 = 2;
+/// v3: same layout; the trailer (and every fingerprint keyed under this
+/// number) is the word-at-a-time kernel's.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The cache-entry envelope.
 pub const ENTRY_FORMAT: Format = Format {

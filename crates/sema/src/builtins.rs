@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use ccm2_support::hash::FixedState;
 use ccm2_support::intern::{Interner, Symbol};
 
 use crate::types::TypeId;
@@ -145,13 +146,13 @@ pub enum BuiltinDef {
 /// ```
 #[derive(Debug)]
 pub struct BuiltinTable {
-    map: HashMap<Symbol, BuiltinDef>,
+    map: HashMap<Symbol, BuiltinDef, FixedState>,
 }
 
 impl BuiltinTable {
     /// Builds the table, interning every pervasive name in `interner`.
     pub fn new(interner: &Interner) -> BuiltinTable {
-        let mut map = HashMap::new();
+        let mut map = HashMap::with_hasher(FixedState);
         map.insert(
             interner.intern("TRUE"),
             BuiltinDef::Const(ConstValue::Bool(true), TypeId::BOOLEAN),

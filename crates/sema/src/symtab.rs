@@ -31,6 +31,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use ccm2_support::arena::AppendArena;
+use ccm2_support::hash::FixedState;
 use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
 use ccm2_support::source::{FileId, Span};
@@ -185,7 +186,10 @@ pub struct SymbolEntry {
     pub span: Span,
 }
 
-type Entries = HashMap<Symbol, SymbolEntry>;
+/// A scope's entries. Keys are `Symbol`s — a `u32` the interner handed
+/// out — so the fixed-seed hasher is safe, costs less than SipHash on
+/// every DKY lookup, and iterates in one order in every run.
+type Entries = HashMap<Symbol, SymbolEntry, FixedState>;
 
 /// One scope's symbol table.
 ///

@@ -291,7 +291,7 @@ mod tests {
         );
         assert_eq!(
             req.fingerprint().to_hex(),
-            "016eabf1e3dfd3c7c1237a50a897e3b9"
+            "7e847fa14446e8b95cc9a45937edac66"
         );
     }
 

@@ -38,7 +38,7 @@ use crate::store::SharedStore;
 /// The snapshot-image envelope.
 pub const SNAPSHOT_FORMAT: Format = Format {
     magic: *b"CCM2SNAP",
-    version: 3,
+    version: 4,
 };
 
 /// One decoded snapshot image.

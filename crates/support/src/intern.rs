@@ -5,13 +5,20 @@
 //! search, qualified-name resolution, builtin lookup). The interner uses a
 //! sharded read-write-locked map so concurrent lexer tasks rarely contend,
 //! and keeps the strings in an [`AppendArena`] so resolving a symbol takes
-//! no lock at all.
+//! no lock at all. A name is hashed once, by [`FixedState`] — the
+//! word-at-a-time kernel of [`crate::hash`]: the hash picks the shard
+//! and is the key of the shard's map, whose values point into the arena
+//! where the one copy of the name lives. Which shard a name lands in,
+//! like its symbol number, depends on nothing but the name and the
+//! interning order.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::RwLock;
 
 use crate::arena::AppendArena;
+use crate::hash::FixedState;
 
 /// A handle to an interned string.
 ///
@@ -50,9 +57,28 @@ impl fmt::Debug for Symbol {
 
 const SHARDS: usize = 16;
 
-struct Shard {
-    map: HashMap<String, u32>,
+/// A shard's keys are hashes already: they are their own hash.
+#[derive(Default)]
+struct OwnHash(u64);
+
+impl Hasher for OwnHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
+
+/// Name hash → symbol; the name itself is in the arena, so a name is
+/// stored once and hashed once. A name whose hash is taken by another
+/// (one pair in 2⁶⁴) lives under the next free key after it.
+type Shard = HashMap<u64, u32, BuildHasherDefault<OwnHash>>;
 
 /// A thread-safe string interner.
 ///
@@ -73,47 +99,49 @@ impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Interner {
         Interner {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        map: HashMap::new(),
-                    })
-                })
-                .collect(),
+            shards: (0..SHARDS).map(|_| RwLock::default()).collect(),
             strings: AppendArena::new(),
         }
     }
 
-    fn shard_of(&self, s: &str) -> usize {
-        // FNV-1a over the bytes; cheap and stable across runs so that
-        // deterministic tests can rely on symbol numbering given identical
-        // interning order.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
+    /// The shard of the names that hash to `hash`: picked by the middle
+    /// of the hash, because the shard's map places by its lowest bits
+    /// and tags by its highest and must find both still varied.
+    fn shard(&self, hash: u64) -> &RwLock<Shard> {
+        &self.shards[(hash >> 32) as usize % SHARDS]
+    }
+
+    /// The symbol `s` is interned under, or else the key to intern it
+    /// under: its hash, unless other names hold that key and the next.
+    fn find(&self, shard: &Shard, hash: u64, s: &str) -> Result<u32, u64> {
+        let mut key = hash;
+        while let Some(&id) = shard.get(&key) {
+            if self.strings.get(id as usize).is_some_and(|held| held == s) {
+                return Ok(id);
+            }
+            key = key.wrapping_add(1);
         }
-        (h as usize) % SHARDS
+        Err(key)
     }
 
     /// Interns `s`, returning its [`Symbol`].
     ///
     /// Idempotent: interning the same string twice yields the same symbol.
     pub fn intern(&self, s: &str) -> Symbol {
-        let shard_idx = self.shard_of(s);
-        {
-            let shard = self.shards[shard_idx].read().expect("interner poisoned");
-            if let Some(&id) = shard.map.get(s) {
-                return Symbol(id);
-            }
-        }
-        let mut shard = self.shards[shard_idx].write().expect("interner poisoned");
-        if let Some(&id) = shard.map.get(s) {
+        let hash = FixedState.hash_one(s);
+        let lock = self.shard(hash);
+        if let Ok(id) = self.find(&lock.read().expect("interner poisoned"), hash, s) {
             return Symbol(id);
         }
-        let id = self.strings.push(s.to_owned()) as u32;
-        shard.map.insert(s.to_owned(), id);
-        Symbol(id)
+        let mut shard = lock.write().expect("interner poisoned");
+        match self.find(&shard, hash, s) {
+            Ok(id) => Symbol(id),
+            Err(free) => {
+                let id = self.strings.push(s.to_owned()) as u32;
+                shard.insert(free, id);
+                Symbol(id)
+            }
+        }
     }
 
     /// Returns the string interned under `sym`.
@@ -205,6 +233,22 @@ mod tests {
             }
         }
         assert_eq!(i.len(), 50);
+    }
+
+    #[test]
+    fn a_name_whose_hash_is_taken_gets_a_symbol_of_its_own() {
+        let i = Interner::new();
+        let taken = i.intern("taken");
+        // Forge the collision no two real names will show: put `taken`
+        // under the key and the shard where "late" is about to look.
+        let hash = FixedState.hash_one("late");
+        i.shard(hash).write().unwrap().insert(hash, taken.0);
+        let late = i.intern("late");
+        assert_ne!(late, taken);
+        assert_eq!(i.intern("late"), late);
+        assert_eq!(i.resolve(late), "late");
+        assert_eq!(i.intern("taken"), taken);
+        assert_eq!(i.len(), 2);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! * [`envelope`] — the one checksummed `magic · version · payload ·
 //!   Fp128` envelope and bounds-checked cursor pair behind every
 //!   `CCM2*` on-disk and wire format;
+//! * [`hash`] — the stable 128-bit digest under every fingerprint,
+//!   envelope trailer and ring point (eight bytes a step, two lanes),
+//!   and the fixed-seed `BuildHasher` over the same kernel;
 //! * [`imagedir`] — directories of whole-state images: atomic write,
 //!   newest-valid-wins load, quarantine, newest-plus-one retention;
 //! * [`intern`] — a thread-safe string interner producing copyable

@@ -39,21 +39,23 @@ struct Row {
     samples: fn() -> Vec<Vec<u8>>,
     /// Decode, then encode again; `None` when the decoder refuses.
     recode: fn(&[u8]) -> Option<Vec<u8>>,
-    /// `Fp128::of(samples()[0])` under `format.version`. CCM2INCR's and
-    /// CCM2LOCK's were taken at the commit before the shared envelope
-    /// existed.
+    /// `Fp128::of(samples()[0])` under `format.version`. All seven were
+    /// re-taken together when the checksum kernel changed (every version
+    /// went up by one that day): compared with the commit before, every
+    /// byte of every sample that differs is a version field or a trailer,
+    /// its own or a nested image's.
     golden: Fp128,
 }
 
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
-    Row { format: ENTRY_FORMAT, samples: entry_samples, recode: recode_entry, golden: Fp128 { hi: 10777657332433298116, lo: 9821820985886594869 } },
-    Row { format: SUMMARY_FORMAT, samples: summary_samples, recode: recode_summary, golden: Fp128 { hi: 5252129452001316174, lo: 8448326769721822742 } },
-    Row { format: DELTA_FORMAT, samples: delta_samples, recode: recode_delta, golden: Fp128 { hi: 16986647524978971491, lo: 3414477119848871437 } },
-    Row { format: SNAPSHOT_FORMAT, samples: snapshot_samples, recode: recode_snapshot, golden: Fp128 { hi: 1566589782619992634, lo: 11463258408665851908 } },
-    Row { format: RLOG_FORMAT, samples: rlog_samples, recode: recode_rlog, golden: Fp128 { hi: 4136731496422806886, lo: 3955571710160143157 } },
-    Row { format: MBRS_FORMAT, samples: mbrs_samples, recode: recode_mbrs, golden: Fp128 { hi: 17029936234089811493, lo: 13997396492873622399 } },
-    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 1267209949718214543, lo: 5749875692016389911 } },
+    Row { format: ENTRY_FORMAT, samples: entry_samples, recode: recode_entry, golden: Fp128 { hi: 17000951365270120202, lo: 18017450649145557381 } },
+    Row { format: SUMMARY_FORMAT, samples: summary_samples, recode: recode_summary, golden: Fp128 { hi: 12128200687570000696, lo: 5635358363366766373 } },
+    Row { format: DELTA_FORMAT, samples: delta_samples, recode: recode_delta, golden: Fp128 { hi: 5301089002453187168, lo: 11004111480639073577 } },
+    Row { format: SNAPSHOT_FORMAT, samples: snapshot_samples, recode: recode_snapshot, golden: Fp128 { hi: 7055624106435793409, lo: 15504354783789239352 } },
+    Row { format: RLOG_FORMAT, samples: rlog_samples, recode: recode_rlog, golden: Fp128 { hi: 2216076154505823879, lo: 5514304872664859580 } },
+    Row { format: MBRS_FORMAT, samples: mbrs_samples, recode: recode_mbrs, golden: Fp128 { hi: 11138832128959987642, lo: 3544610466040948425 } },
+    Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 6311564247161169111, lo: 1133410025927611748 } },
 ];
 
 fn fp(n: u64) -> Fp128 {
@@ -362,6 +364,31 @@ fn foreign_magic_version_skew_and_trailing_bytes_are_refused_under_a_valid_check
                 name(row)
             );
         }
+    }
+}
+
+// What the version field is there for. The skew above re-seals a
+// payload; this one is the golden sample itself, untouched but for the
+// version field set back by one and the trailer recomputed: the previous
+// version's image of the same value, intact. A bump that forgot a format
+// would leave its row reading `Version` of the wrong number, or decoding.
+#[test]
+fn the_golden_sample_one_version_back_is_refused_as_that_version() {
+    for row in ROWS {
+        let mut image = (row.samples)().remove(0);
+        let previous = row.format.version - 1;
+        let trailer = image.len() - 16;
+        image[8..12].copy_from_slice(&previous.to_le_bytes());
+        let sum = Fp128::of(&image[..trailer]);
+        image[trailer..trailer + 8].copy_from_slice(&sum.hi.to_le_bytes());
+        image[trailer + 8..].copy_from_slice(&sum.lo.to_le_bytes());
+        assert_eq!(
+            row.format.open(&image).err(),
+            Some(OpenError::Version { found: previous }),
+            "{}",
+            name(row)
+        );
+        assert!((row.recode)(&image).is_none(), "{}", name(row));
     }
 }
 
