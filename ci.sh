@@ -98,6 +98,10 @@ echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # workload twice and fails if any exact counter (tokens, streams, tasks,
 # work units, virtual times) differs between the two.
 perf/check.sh
+# perf/ builds --offline without --locked, so a dependency edge a crate
+# gains or loses silently rewrites perf/Cargo.lock — a file only a
+# `benchmark` PR may change. Refuse the rewrite here instead.
+git diff --exit-code -- perf/Cargo.lock
 perf/run.sh --counts --seconds 2
 
 echo "== golden: every reproduce section, byte for byte =="

@@ -8,7 +8,8 @@
 //! * [`drive`] — the shed-and-resubmit wave protocol against anything
 //!   that [`Serves`] a batch, with the hang guard and the byte
 //!   comparison inside.
-//! * [`within`] — the hang guard for anything else that could block.
+//! * [`ccm2_support::within`] — the hang guard for anything else that
+//!   could block.
 //! * [`compile`], [`unit_map`], [`baselines`], [`quietly`] — the
 //!   fault-matrix harness.
 //! * [`Scratch`] — a scratch directory that removes itself on drop.
@@ -167,26 +168,6 @@ pub fn drive(
     }
     let seen = seen.into_iter().map(|o| o.expect("served")).collect();
     (waves, seen)
-}
-
-/// Runs `run` on a thread of its own and fails the caller, instead of
-/// hanging it, if no result has come back within `limit`.
-pub fn within<T: Send + 'static>(
-    limit: std::time::Duration,
-    run: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (done, result) = std::sync::mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        let _ = done.send(run());
-    });
-    match result.recv_timeout(limit) {
-        Ok(out) => out,
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hung: not done in {limit:?}"),
-        // The run panicked before sending: that panic is the failure.
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(runner.join().expect_err("the run sent no result"))
-        }
-    }
 }
 
 /// A fresh directory under the system temp directory, removed with

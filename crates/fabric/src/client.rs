@@ -11,7 +11,7 @@
 //! the [`FabricRouter::is_shutdown`] check find it.
 //!
 //! The retry loop is the fleet-level mirror of the admission-retry
-//! budget inside one service (`ccm2_serve::CompileService::serve_batch_report`):
+//! budget inside one service (`ccm2_serve::CompileService::serve_batch`):
 //! bounded attempts, hint-driven back-off, and an honest
 //! [`FabricResponse::Retry`] when the budget is gone.
 

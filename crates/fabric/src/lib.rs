@@ -101,7 +101,6 @@ pub use wire::{
 /// lets two routers over the same shards lose their networks apart.
 pub struct Conduit {
     net: Net,
-    cut: parking_lot::Mutex<std::collections::BTreeSet<u32>>,
 }
 
 enum Net {
@@ -111,10 +110,7 @@ enum Net {
 
 impl Conduit {
     fn new(net: Net) -> Arc<Conduit> {
-        Arc::new(Conduit {
-            net,
-            cut: parking_lot::Mutex::new(std::collections::BTreeSet::new()),
-        })
+        Arc::new(Conduit { net })
     }
 
     /// The transport a router is built on.
@@ -127,24 +123,11 @@ impl Conduit {
 
     /// Opens (`true`) or heals (`false`) a standing partition of the
     /// link to `shard`: every call on it fails and the shard sees
-    /// nothing. On the loopback the cut links become one
-    /// `link:{shard}#c*` fault plan, which replaces any plan installed
-    /// through [`LoopbackTransport::set_link_faults`]; on sockets it is
-    /// [`TcpTransport::set_partitioned`].
+    /// nothing — [`LoopbackTransport::set_partitioned`] or
+    /// [`TcpTransport::set_partitioned`], whichever carries the conduit.
     pub fn partition(&self, shard: u32, on: bool) {
         match &self.net {
-            Net::Loopback(t) => {
-                let mut cut = self.cut.lock();
-                if on {
-                    cut.insert(shard);
-                } else {
-                    cut.remove(&shard);
-                }
-                let plan = cut.iter().fold(ccm2_faults::FaultPlan::new(), |plan, s| {
-                    plan.with_fault(format!("link:{s}#c*"), ccm2_faults::FaultKind::Panic)
-                });
-                t.set_link_faults((!cut.is_empty()).then(|| Arc::new(plan)));
-            }
+            Net::Loopback(t) => t.set_partitioned(shard, on),
             Net::Tcp(t) => t.set_partitioned(shard, on),
         }
     }
@@ -279,8 +262,8 @@ impl Fabric {
         }
     }
 
-    /// The router's loopback transport (corruption counters, link-fault
-    /// plans); `None` for a fleet on sockets.
+    /// The router's loopback transport (corruption counters); `None`
+    /// for a fleet on sockets.
     pub fn loopback(&self) -> Option<&Arc<LoopbackTransport>> {
         match &self.conduit().net {
             Net::Loopback(t) => Some(t),
@@ -454,12 +437,8 @@ mod tests {
             evict_misses: 3,
         });
         // Standing partition of the link to shard 1: every delivery on
-        // it is dropped. Shards 0 and 2 keep answering.
-        let loopback = Arc::clone(fabric.loopback().expect("loopback fleet"));
-        loopback.set_link_faults(Some(Arc::new(ccm2_faults::FaultPlan::single(
-            "link:1#c*",
-            ccm2_faults::FaultKind::Panic,
-        ))));
+        // it fails. Shards 0 and 2 keep answering.
+        fabric.partition(1, true);
 
         assert!(fabric.router().heartbeat_tick().is_empty());
         assert_eq!(fabric.router().health(1), HealthState::Suspect);
@@ -480,11 +459,15 @@ mod tests {
         assert_eq!(stats.suspects, 1, "one transition into suspicion");
         assert_eq!(stats.pings, 3 + 3 + 3);
         assert_eq!(stats.pongs, 2 + 2 + 2, "shards 0 and 2 kept answering");
-        assert!(loopback.link_faults_fired() >= 3);
+        assert_eq!(
+            fabric.nodes()[1].stats().pings,
+            0,
+            "the cut shard heard nothing"
+        );
 
         // Healing the partition does not resurrect the shard — only an
         // explicit re-admission does, through the warm-up path.
-        loopback.set_link_faults(None);
+        fabric.partition(1, false);
         assert!(fabric.router().heartbeat_tick().is_empty());
         assert_eq!(fabric.router().health(1), HealthState::Evicted);
         fabric.router().admit_shard(1);

@@ -362,15 +362,10 @@ impl ShardNode {
 
     fn compile(&self, wire_req: crate::wire::WireRequest) -> Message {
         let req = wire_req.into_request();
-        // Through the report path (not bare submit): shard-side
+        // Through the batch path (not bare submit): shard-side
         // admission retries draw from the configured budget.
-        let report = self.svc.serve_batch_report(vec![req]);
-        let answer = report
-            .requests
-            .into_iter()
-            .next()
-            .expect("one-request batch reports one response");
-        match answer.response {
+        let answer = self.svc.serve_batch(vec![req]).pop();
+        match answer.expect("a one-request batch answers once") {
             ccm2_serve::Response::Done(out) => {
                 // Read after the compile's inserts and under the lock a
                 // sync moves the cursor under: a delta this answer does
@@ -711,6 +706,118 @@ mod tests {
         assert_eq!((stood.ships, stood.epoch_rejects), (0, 0), "it pulled");
         let edges = assert_replicated_to_the_edge(fabric.nodes(), "after the leader's last pull");
         assert_eq!(leader.stats().shipped_ops, edges);
+    }
+
+    /// Delivery is at-least-once: `TcpTransport` resends a frame whose
+    /// kept stream failed, and the router resends after an error that
+    /// may have come after delivery. So every frame that changes a
+    /// shard's state, handled twice, must leave what handling it once
+    /// leaves — replica logs (`gaps` and `gapped` included), store
+    /// entries and lease alike.
+    #[test]
+    fn every_state_changing_frame_handled_twice_leaves_what_once_leaves() {
+        let (router, epoch) = (1, 2);
+        let table: Vec<(&str, Message)> = vec![
+            (
+                "compile",
+                Message::Compile(crate::wire::WireRequest::from_request(&module(3, "Twice"))),
+            ),
+            (
+                "contiguous ship",
+                Message::DeltaShip {
+                    from_shard: 7,
+                    batch: encode_delta(4, &inserts(4..6)),
+                    router,
+                    epoch,
+                },
+            ),
+            (
+                "ship past a hole",
+                Message::DeltaShip {
+                    from_shard: 7,
+                    batch: encode_delta(9, &inserts(9..11)),
+                    router,
+                    epoch,
+                },
+            ),
+            (
+                "absorb of a clean log",
+                Message::Absorb {
+                    dead_shard: 7,
+                    router,
+                    epoch,
+                },
+            ),
+            (
+                "absorb of a gapped log",
+                Message::Absorb {
+                    dead_shard: 8,
+                    router,
+                    epoch,
+                },
+            ),
+            (
+                "image push",
+                Message::Image {
+                    delta_seq: 2,
+                    entries: vec![(fp(100), b"one".to_vec()), (fp(101), b"two".to_vec())],
+                    router,
+                    epoch,
+                },
+            ),
+            ("lease renew", Message::LeaseRenew { router, epoch }),
+        ];
+        // A shard with a lease, a clean log of origin 7 and a gapped one
+        // of origin 8, aged by two probes.
+        let prepared = || {
+            let node = ShardNode::start(1, tiny_config());
+            let setup = [
+                Message::LeaseGrant { router, epoch },
+                Message::DeltaShip {
+                    from_shard: 7,
+                    batch: encode_delta(0, &inserts(0..4)),
+                    router,
+                    epoch,
+                },
+                Message::DeltaShip {
+                    from_shard: 8,
+                    batch: encode_delta(0, &inserts(20..22)),
+                    router,
+                    epoch,
+                },
+                Message::DeltaShip {
+                    from_shard: 8,
+                    batch: encode_delta(5, &inserts(25..26)),
+                    router,
+                    epoch,
+                },
+                Message::Ping { nonce: 1 },
+                Message::Ping { nonce: 2 },
+            ];
+            for msg in &setup {
+                assert!(!matches!(
+                    reply(&node, &encode_frame(msg)),
+                    Message::Reject { .. } | Message::EpochReject { .. }
+                ));
+            }
+            node
+        };
+        let state = |node: &ShardNode| {
+            let replicas = node.state.lock().replicas.clone();
+            (replicas, node.service().store().export(), node.lease())
+        };
+        for (row, msg) in &table {
+            let frame = encode_frame(msg);
+            let (once, twice) = (prepared(), prepared());
+            let first = reply(&once, &frame);
+            assert!(
+                !matches!(first, Message::Reject { .. } | Message::EpochReject { .. }),
+                "{row}: refused: {first:?}"
+            );
+            reply(&twice, &frame);
+            reply(&twice, &frame);
+            assert_eq!(state(&twice), state(&once), "{row}");
+        }
     }
 
     #[test]

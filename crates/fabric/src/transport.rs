@@ -9,22 +9,6 @@
 //!   [`LoopbackTransport::kill`] makes a shard vanish mid-fleet the
 //!   way a crashed process would: every later call fails with an I/O
 //!   error.
-//!
-//!   On top of that sits a per-link **fault plan**
-//!   ([`LoopbackTransport::set_link_faults`]): before call `n` on the
-//!   link to shard `id`, the plan is queried at site `link:{id}#c{n}`
-//!   — the same named-site idiom as `ccm2-faults`' `task:`/`store:`
-//!   sites, so one seeded plan drives compiler-level and network-level
-//!   chaos. The kinds map to network faults: `Panic` drops the frame
-//!   (caller sees an I/O error, shard sees nothing), `LoseSignal` is a
-//!   one-way partition (the shard handles the frame but the response
-//!   is lost), `Stall { units }` defers delivery until `units` later
-//!   calls on that link have passed (delay/reorder; the caller still
-//!   errors, modeling a client timeout before the late arrival),
-//!   `Duplicate` delivers the frame twice (at-least-once conduits),
-//!   and `Corrupt { byte }` flips one byte. An exact site
-//!   (`link:2#c17`) is a transient hiccup; a glob (`link:2#c*`) is a
-//!   standing partition of that link.
 //! * [`TcpTransport`] / [`TcpShardServer`] — real sockets on
 //!   `127.0.0.1` with ephemeral ports. Connections are kept alive: the
 //!   transport holds idle streams per shard and a call reuses one, the
@@ -42,9 +26,12 @@
 //! Both speak the exact same frames; the router cannot tell them
 //! apart. That symmetry is the point: everything proven on the
 //! deterministic transport holds on the socket one because the only
-//! difference is the byte conduit.
+//! difference is the byte conduit. Both have the same one drill
+//! switch, `set_partitioned`: a **full partition** of the link to a
+//! shard, under which a call fails before reaching it and the shard
+//! sees nothing.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,9 +43,6 @@ use parking_lot::Mutex;
 
 use crate::shard::ShardNode;
 use crate::wire::{frame_len, FRAME_OVERHEAD};
-
-/// Stall-deferred frames per link: `(due link-call number, frame)`.
-type DeferredFrames = HashMap<u32, Vec<(u64, Vec<u8>)>>;
 
 /// Largest payload a reader will allocate for (64 MiB — comfortably
 /// above any compile outcome, far below a garbage length prefix).
@@ -97,6 +81,33 @@ pub trait Transport: Send + Sync {
     }
 }
 
+/// The links a transport has cut: the one partition switch both
+/// transports carry.
+#[derive(Default)]
+struct Partitions(Mutex<HashSet<u32>>);
+
+impl Partitions {
+    fn set(&self, shard: u32, cut: bool) {
+        let mut cut_links = self.0.lock();
+        if cut {
+            cut_links.insert(shard);
+        } else {
+            cut_links.remove(&shard);
+        }
+    }
+
+    /// Fails a call on a cut link before it reaches the shard.
+    fn check(&self, shard: u32) -> io::Result<()> {
+        if self.0.lock().contains(&shard) {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("link to shard {shard} partitioned"),
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// In-process transport: shard id → handler, with optional seeded
 /// frame corruption. See the module docs.
 #[derive(Default)]
@@ -108,16 +119,7 @@ pub struct LoopbackTransport {
     corrupt: Option<(u64, u32)>,
     calls: AtomicU64,
     corrupted: AtomicU64,
-    /// Per-link fault plan (`link:{id}#c{n}` sites) — swappable
-    /// mid-run so drills can open and heal partitions.
-    link_faults: Mutex<Option<Arc<ccm2_faults::FaultPlan>>>,
-    /// Per-link call counters: the `n` in `link:{id}#c{n}`.
-    link_calls: Mutex<HashMap<u32, u64>>,
-    /// Frames whose delivery a `Stall` deferred: per link, `(due
-    /// link-call number, frame)`. Delivered (response discarded) when
-    /// the link's counter passes `due`.
-    deferred: Mutex<DeferredFrames>,
-    link_faults_fired: AtomicU64,
+    partitioned: Partitions,
 }
 
 impl LoopbackTransport {
@@ -150,119 +152,23 @@ impl LoopbackTransport {
         self.corrupted.load(Ordering::Relaxed)
     }
 
-    /// Installs (or with `None`, heals) the per-link fault plan. Takes
-    /// effect on the next call; drills flip this mid-run to open and
-    /// close partitions. See the module docs for the site namespace
-    /// (`link:{id}#c{n}`) and the kind → network-fault mapping.
-    pub fn set_link_faults(&self, plan: Option<Arc<ccm2_faults::FaultPlan>>) {
-        *self.link_faults.lock() = plan;
-    }
-
-    /// Link faults that actually fired (dropped, one-way'd, deferred,
-    /// duplicated, or corrupted a delivery).
-    pub fn link_faults_fired(&self) -> u64 {
-        self.link_faults_fired.load(Ordering::Relaxed)
-    }
-
-    /// Delivers frames a `Stall` parked on this link whose due call
-    /// number has passed; their responses are discarded (the callers
-    /// that sent them already saw an error — late arrival after a
-    /// client timeout).
-    fn flush_deferred(&self, shard: u32, now: u64, handler: &Arc<dyn FrameHandler>) {
-        let due: Vec<Vec<u8>> = {
-            let mut deferred = self.deferred.lock();
-            let Some(queue) = deferred.get_mut(&shard) else {
-                return;
-            };
-            let mut ready = Vec::new();
-            queue.retain(|(at, frame)| {
-                if *at <= now {
-                    ready.push(frame.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            ready
-        };
-        for frame in due {
-            let _ = handler.handle(&frame);
-        }
+    /// Opens (`true`) or heals (`false`) a full partition of the link
+    /// to `shard`: calls fail without reaching its handler.
+    pub fn set_partitioned(&self, shard: u32, cut: bool) {
+        self.partitioned.set(shard, cut);
     }
 }
 
 impl Transport for LoopbackTransport {
     fn call(&self, shard: u32, frame: &[u8]) -> io::Result<Vec<u8>> {
         let n = self.calls.fetch_add(1, Ordering::Relaxed);
+        self.partitioned.check(shard)?;
         let handler = self.endpoints.lock().get(&shard).cloned().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
                 format!("shard {shard} is down"),
             )
         })?;
-        let link_n = {
-            let mut counts = self.link_calls.lock();
-            let c = counts.entry(shard).or_insert(0);
-            let n = *c;
-            *c += 1;
-            n
-        };
-        // Anything a Stall parked earlier on this link arrives now,
-        // before the current frame — late delivery reorders the link.
-        self.flush_deferred(shard, link_n, &handler);
-        let link_fault = self
-            .link_faults
-            .lock()
-            .as_ref()
-            .and_then(|plan| plan.at(&format!("link:{shard}#c{link_n}")));
-        let mut frame = std::borrow::Cow::Borrowed(frame);
-        if let Some(kind) = link_fault {
-            self.link_faults_fired.fetch_add(1, Ordering::Relaxed);
-            match kind {
-                ccm2_faults::FaultKind::Panic => {
-                    // Dropped on the floor: the shard never sees it.
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        format!("link to shard {shard} dropped the frame"),
-                    ));
-                }
-                ccm2_faults::FaultKind::LoseSignal => {
-                    // One-way partition: delivered, answer lost.
-                    let _ = handler.handle(&frame);
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("response from shard {shard} lost"),
-                    ));
-                }
-                ccm2_faults::FaultKind::Stall { units } => {
-                    // Deferred delivery: the frame arrives `units`
-                    // link-calls from now; the caller times out today.
-                    self.deferred
-                        .lock()
-                        .entry(shard)
-                        .or_default()
-                        .push((link_n.saturating_add(units.max(1)), frame.into_owned()));
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("delivery to shard {shard} delayed past the call"),
-                    ));
-                }
-                ccm2_faults::FaultKind::Duplicate => {
-                    // At-least-once conduit: same frame, twice. The
-                    // first response is discarded (the duplicate's
-                    // answer is the one "this" call observes).
-                    let _ = handler.handle(&frame);
-                }
-                ccm2_faults::FaultKind::Corrupt { byte } => {
-                    if !frame.is_empty() {
-                        let mut bad = frame.into_owned();
-                        let at = byte % bad.len();
-                        bad[at] ^= 0x55;
-                        frame = std::borrow::Cow::Owned(bad);
-                    }
-                }
-            }
-        }
         if let Some((seed, rate_ppm)) = self.corrupt {
             let mut h = StableHasher::new();
             h.write_str("ccm2-fabric/loopback-corrupt");
@@ -271,13 +177,13 @@ impl Transport for LoopbackTransport {
             let roll = h.finish().fold64();
             if !frame.is_empty() && roll % 1_000_000 < u64::from(rate_ppm) {
                 self.corrupted.fetch_add(1, Ordering::Relaxed);
-                let mut bad = frame.into_owned();
+                let mut bad = frame.to_vec();
                 let at = (roll / 1_000_000) as usize % bad.len();
                 bad[at] ^= 0x55;
                 return Ok(handler.handle(&bad));
             }
         }
-        Ok(handler.handle(&frame))
+        Ok(handler.handle(frame))
     }
 
     fn shards(&self) -> Vec<u32> {
@@ -324,13 +230,12 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Vec<u8>> 
 /// ("maybe delivered") already allows, so delivery stays at-least-once.
 /// A failure on a fresh connection is the shard's and is returned.
 ///
-/// The drill hook is the **full partition**: the call fails before
-/// touching a socket and the shard sees nothing. The loopback's finer
-/// link faults (one-way, delay, duplicate) have no socket counterpart.
+/// The drill hook is the loopback's: a **full partition**, under which
+/// the call fails before touching a socket and the shard sees nothing.
 #[derive(Default)]
 pub struct TcpTransport {
     peers: Mutex<HashMap<u32, Peer>>,
-    partitioned: Mutex<std::collections::HashSet<u32>>,
+    partitioned: Partitions,
 }
 
 /// Where a shard listens, and the idle streams connected there (most
@@ -359,12 +264,7 @@ impl TcpTransport {
     /// Opens (`true`) or heals (`false`) a full partition of the link
     /// to `shard`: calls fail without touching the socket.
     pub fn set_partitioned(&self, shard: u32, cut: bool) {
-        let mut p = self.partitioned.lock();
-        if cut {
-            p.insert(shard);
-        } else {
-            p.remove(&shard);
-        }
+        self.partitioned.set(shard, cut);
     }
 
     /// One frame out and one frame back, on `kept` or on a fresh
@@ -400,12 +300,7 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn call(&self, shard: u32, frame: &[u8]) -> io::Result<Vec<u8>> {
-        if self.partitioned.lock().contains(&shard) {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("link to shard {shard} partitioned"),
-            ));
-        }
+        self.partitioned.check(shard)?;
         let (addr, kept) = match self.peers.lock().get_mut(&shard) {
             Some(peer) => (peer.addr, peer.idle.pop()),
             None => {
@@ -586,6 +481,13 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         assert_eq!(t.shards(), vec![2]);
         assert_eq!(t.calls(), 2);
+
+        t.set_partitioned(2, true);
+        let err = t.call(2, &frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(t.shards(), vec![2], "a cut link is not a dead shard");
+        t.set_partitioned(2, false);
+        assert!(t.call(2, &frame).is_ok(), "healed");
     }
 
     #[test]
@@ -677,21 +579,6 @@ mod tests {
         encode_frame(&Message::Ping { nonce })
     }
 
-    /// Calls on a thread of its own, so that a call that hangs fails the
-    /// test instead of hanging it.
-    fn call_or_time_out(t: &Arc<TcpTransport>, shard: u32, frame: Vec<u8>) -> io::Result<Vec<u8>> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let t = Arc::clone(t);
-        let caller = std::thread::spawn(move || {
-            let _ = tx.send(t.call(shard, &frame));
-        });
-        let result = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("call hung");
-        caller.join().expect("caller thread");
-        result
-    }
-
     #[test]
     fn overlapping_callers_share_few_streams_and_each_reads_its_own_answer() {
         const CALLERS: u64 = 4;
@@ -750,7 +637,7 @@ mod tests {
     #[test]
     fn stop_ends_idle_connections_at_once_and_later_calls_are_refused() {
         let mut server = TcpShardServer::serve(Arc::new(EchoHandler::default())).unwrap();
-        let t = Arc::new(TcpTransport::new());
+        let t = TcpTransport::new();
         t.register(3, server.addr());
         assert_eq!(t.call(3, &ping(1)).unwrap(), ping(1));
         assert_eq!(t.peers.lock()[&3].idle.len(), 1);
@@ -764,7 +651,8 @@ mod tests {
         );
         // The kept stream is dead and nobody listens any more: an error,
         // not a wait for an answer that cannot come.
-        let err = call_or_time_out(&t, 3, ping(2)).unwrap_err();
+        let limit = std::time::Duration::from_secs(30);
+        let err = ccm2_support::within(limit, move || t.call(3, &ping(2))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
     }
 

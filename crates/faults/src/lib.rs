@@ -16,9 +16,8 @@
 //! | `task:{name}`   | both executors, at dispatch | [`FaultKind::Panic`], [`FaultKind::Stall`] |
 //! | `task:{name}#r{k}` | dispatch of retry attempt `k >= 1` under supervised recovery | same as `task:` |
 //! | `signal:{event}`| both executors, per signal  | [`FaultKind::LoseSignal`] |
-//! | `store:{fp hex}`| artifact stores, at `store` | [`FaultKind::Corrupt`]    |
+//! | `store:{fp hex}`| the service's shared store, at `store` | [`FaultKind::Corrupt`] |
 //! | `shard:{id}#d{n}` | the fabric router, before dispatch `n` to shard `id` | [`FaultKind::Panic`] (shard death) |
-//! | `link:{id}#c{n}` | the fabric loopback transport, call `n` on the link to shard `id` | [`FaultKind::Panic`] (drop), [`FaultKind::LoseSignal`] (one-way partition: delivered, reply lost), [`FaultKind::Stall`] (delay/reorder: deferred delivery), [`FaultKind::Duplicate`], [`FaultKind::Corrupt`] |
 //!
 //! Task and event names are the scheduler's own labels (`codegen(M.P)`,
 //! `heading(P)`, …), so a plan can target one stream of one compile.
@@ -31,10 +30,8 @@
 //! dispatch counter, so `shard:2#d17` kills shard 2 at exactly dispatch
 //! 17 while `shard:2#d*` kills it at its first routed dispatch — death
 //! is permanent either way (the shard leaves the ring and its keys fail
-//! over). `link:` sites carry a per-link call counter, so the same
-//! exact-vs-glob idiom distinguishes a transient network fault
-//! (`link:2#c17` damages one delivery) from a standing partition
-//! (`link:2#c*` damages every delivery until the plan is lifted).
+//! over). A network partition is not a site: it is the fabric
+//! transports' `set_partitioned` switch.
 //!
 //! Sites that fire are logged; [`FaultPlan::fired`] returns the sorted,
 //! deduplicated list so harnesses can assert an injection actually
@@ -70,10 +67,6 @@ pub enum FaultKind {
         /// Which byte to flip, or `usize::MAX` to truncate.
         byte: usize,
     },
-    /// The delivery is duplicated: the frame reaches the destination
-    /// twice (at-least-once delivery). Only network-layer sites (`link:`)
-    /// interpret this kind; executors and stores ignore it.
-    Duplicate,
 }
 
 /// A deterministic fault plan: explicit site overrides plus an optional
@@ -289,19 +282,6 @@ mod tests {
         assert_eq!(first.at("shard:0#d0"), None);
         // Seeded task-rate plans never touch shard sites.
         assert_eq!(FaultPlan::seeded(9, 1_000_000).at("shard:1#d0"), None);
-    }
-
-    #[test]
-    fn link_sites_express_transient_and_standing_partitions() {
-        let transient = FaultPlan::single("link:2#c17", FaultKind::Duplicate);
-        assert_eq!(transient.at("link:2#c17"), Some(FaultKind::Duplicate));
-        assert_eq!(transient.at("link:2#c18"), None);
-        let standing = FaultPlan::single("link:3#c*", FaultKind::LoseSignal);
-        assert_eq!(standing.at("link:3#c0"), Some(FaultKind::LoseSignal));
-        assert_eq!(standing.at("link:3#c999"), Some(FaultKind::LoseSignal));
-        assert_eq!(standing.at("link:30#c0"), None, "id is not a prefix match");
-        // Seeded task-rate plans never touch link sites.
-        assert_eq!(FaultPlan::seeded(9, 1_000_000).at("link:1#c0"), None);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! failed write loses a future hit, never correctness.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ccm2_support::hash::Fp128;
+use ccm2_support::imagedir;
 use parking_lot::Mutex;
 
 /// A persistent (or test-scoped) map from stream fingerprints to encoded
@@ -249,29 +249,25 @@ impl ArtifactStore for MemStore {
 
 /// A file-per-entry on-disk store: `<dir>/<fp hex>.bin`.
 ///
-/// Writes go through a temporary file in the same directory followed by a
-/// rename, so a crash mid-write leaves either the old entry or none — a
-/// torn write can only surface as a missing or checksum-failing entry,
-/// both of which degrade to a miss.
+/// Entries are written and quarantined by [`imagedir`]'s rules: a write
+/// goes through a uniquely named temp file, synced, then renamed, so a
+/// crash mid-write leaves either the old entry or none — a torn write can
+/// only surface as a missing or checksum-failing entry, both of which
+/// degrade to a miss — and `quarantine/` keeps the newest
+/// [`imagedir::QUARANTINE_CAP`] entries that failed validation.
 ///
 /// The store is size-bounded: entries beyond the byte budget are evicted
 /// least-recently-used (recency is tracked in memory per handle and
 /// seeded from file modification times on open, oldest first), so a
 /// long-lived service cannot fill the disk. [`DiskStore::new`] applies
 /// [`DiskStore::DEFAULT_BUDGET`]; use [`DiskStore::with_budget`] to pick
-/// the bound, or [`DiskStore::unbounded`] for the pre-eviction behaviour
-/// (test fixtures, externally garbage-collected directories).
+/// the bound.
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
-    tmp_seq: AtomicU64,
-    /// `None` = unbounded (explicitly requested).
-    lru: Option<Mutex<ByteBudgetLru>>,
+    lru: Mutex<ByteBudgetLru>,
     /// Entries moved to `quarantine/` after failing validation.
     quarantined: AtomicU64,
-    /// Fault plan queried at `store:{fp hex}` sites: entries are
-    /// corrupted *before* they are persisted (fault injection).
-    faults: Option<std::sync::Arc<ccm2_faults::FaultPlan>>,
 }
 
 impl DiskStore {
@@ -291,34 +287,15 @@ impl DiskStore {
     /// seeding order is deterministic) and evicted immediately if they
     /// already exceed the budget.
     pub fn with_budget(dir: impl Into<PathBuf>, budget: u64) -> std::io::Result<DiskStore> {
-        let store = DiskStore::open(dir, Some(budget))?;
-        store.seed_lru();
-        Ok(store)
-    }
-
-    /// Opens a store with no size bound. Growth is then the caller's
-    /// problem; prefer [`DiskStore::with_budget`] for anything long-lived.
-    pub fn unbounded(dir: impl Into<PathBuf>) -> std::io::Result<DiskStore> {
-        DiskStore::open(dir, None)
-    }
-
-    fn open(dir: impl Into<PathBuf>, budget: Option<u64>) -> std::io::Result<DiskStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(DiskStore {
+        let store = DiskStore {
             dir,
-            tmp_seq: AtomicU64::new(0),
-            lru: budget.map(|b| Mutex::new(ByteBudgetLru::new(b))),
+            lru: Mutex::new(ByteBudgetLru::new(budget)),
             quarantined: AtomicU64::new(0),
-            faults: None,
-        })
-    }
-
-    /// Attaches a fault plan: every subsequent `store` queries
-    /// `store:{fp hex}` and applies any [`ccm2_faults::FaultKind::Corrupt`]
-    /// decision to the bytes before persisting them.
-    pub fn set_faults(&mut self, plan: std::sync::Arc<ccm2_faults::FaultPlan>) {
-        self.faults = Some(plan);
+        };
+        store.seed_lru();
+        Ok(store)
     }
 
     /// Entries moved to quarantine by this handle.
@@ -326,50 +303,14 @@ impl DiskStore {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// How many quarantined entries are kept before the oldest are
-    /// dropped (bounded forensic buffer, not a second cache).
-    pub const QUARANTINE_CAP: usize = 16;
-
-    fn quarantine_dir(&self) -> PathBuf {
-        self.dir.join("quarantine")
-    }
-
     /// Number of files currently held in `quarantine/`.
     pub fn quarantine_count(&self) -> usize {
-        std::fs::read_dir(self.quarantine_dir())
-            .map(|it| it.filter_map(|e| e.ok()).count())
-            .unwrap_or(0)
-    }
-
-    /// Drops the oldest quarantined files until at most
-    /// [`DiskStore::QUARANTINE_CAP`] remain.
-    fn trim_quarantine(&self) {
-        let Ok(rd) = std::fs::read_dir(self.quarantine_dir()) else {
-            return;
-        };
-        let mut found: Vec<(std::time::SystemTime, PathBuf)> = rd
-            .filter_map(|e| e.ok())
-            .map(|e| {
-                let mtime = e
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                (mtime, e.path())
-            })
-            .collect();
-        if found.len() <= DiskStore::QUARANTINE_CAP {
-            return;
-        }
-        found.sort();
-        for (_, path) in &found[..found.len() - DiskStore::QUARANTINE_CAP] {
-            let _ = std::fs::remove_file(path);
-        }
+        imagedir::quarantined_count(&self.dir)
     }
 
     /// Indexes pre-existing entries into the LRU, oldest first, evicting
     /// whatever no longer fits.
     fn seed_lru(&self) {
-        let Some(lru) = &self.lru else { return };
         let Ok(rd) = std::fs::read_dir(&self.dir) else {
             return;
         };
@@ -384,17 +325,24 @@ impl DiskStore {
             })
             .collect();
         found.sort();
-        let mut lru = lru.lock();
+        let mut lru = self.lru.lock();
         for (_, _, fp, len) in found {
-            let admission = lru.admit(fp, len);
-            let mut evict = admission.evict;
-            if !admission.accepted {
-                evict.push(fp);
-            }
-            for victim in evict {
-                let _ = std::fs::remove_file(self.entry_path(victim));
-            }
+            self.admit(&mut lru, fp, len);
         }
+    }
+
+    /// Accounts `len` bytes under `fp` and deletes the files the budget
+    /// evicts for it — `fp`'s own when it alone exceeds the budget.
+    /// Returns whether `fp` was admitted.
+    fn admit(&self, lru: &mut ByteBudgetLru, fp: Fp128, len: u64) -> bool {
+        let admission = lru.admit(fp, len);
+        for victim in admission.evict.iter().filter(|&&v| v != fp) {
+            let _ = std::fs::remove_file(self.entry_path(*victim));
+        }
+        if !admission.accepted {
+            let _ = std::fs::remove_file(self.entry_path(fp));
+        }
+        admission.accepted
     }
 
     /// The store's root directory.
@@ -402,24 +350,27 @@ impl DiskStore {
         &self.dir
     }
 
-    /// The configured byte budget (`None` = unbounded).
-    pub fn budget(&self) -> Option<u64> {
-        self.lru.as_ref().map(|l| l.lock().budget())
+    /// The configured byte budget.
+    pub fn budget(&self) -> u64 {
+        self.lru.lock().budget()
     }
 
-    /// Bytes currently accounted to tracked entries (`None` = unbounded
-    /// store, which does not track sizes).
-    pub fn bytes_in_use(&self) -> Option<u64> {
-        self.lru.as_ref().map(|l| l.lock().total())
+    /// Bytes currently accounted to tracked entries.
+    pub fn bytes_in_use(&self) -> u64 {
+        self.lru.lock().total()
     }
 
     /// Evictions performed by this handle.
     pub fn evictions(&self) -> u64 {
-        self.lru.as_ref().map_or(0, |l| l.lock().evictions())
+        self.lru.lock().evictions()
+    }
+
+    fn entry_name(fp: Fp128) -> String {
+        format!("{}.bin", fp.to_hex())
     }
 
     fn entry_path(&self, fp: Fp128) -> PathBuf {
-        self.dir.join(format!("{}.bin", fp.to_hex()))
+        self.dir.join(DiskStore::entry_name(fp))
     }
 
     /// Number of `.bin` entries on disk (test/report observability).
@@ -437,95 +388,32 @@ impl DiskStore {
 impl ArtifactStore for DiskStore {
     fn load(&self, fp: Fp128) -> Option<Vec<u8>> {
         let bytes = std::fs::read(self.entry_path(fp)).ok()?;
-        if let Some(lru) = &self.lru {
-            let mut lru = lru.lock();
-            if lru.contains(fp) {
-                lru.touch(fp);
-            } else {
-                // Another handle (or process) wrote it; adopt it so the
-                // budget keeps covering everything in the directory.
-                let admission = lru.admit(fp, bytes.len() as u64);
-                let mut evict = admission.evict;
-                if !admission.accepted {
-                    evict.push(fp);
-                }
-                for victim in evict {
-                    if victim != fp {
-                        let _ = std::fs::remove_file(self.entry_path(victim));
-                    }
-                }
-                if !admission.accepted {
-                    let _ = std::fs::remove_file(self.entry_path(fp));
-                }
-            }
+        let mut lru = self.lru.lock();
+        if lru.contains(fp) {
+            lru.touch(fp);
+        } else {
+            // Another handle (or process) wrote it; adopt it so the
+            // budget keeps covering everything in the directory.
+            self.admit(&mut lru, fp, bytes.len() as u64);
         }
         Some(bytes)
     }
 
     fn store(&self, fp: Fp128, bytes: &[u8]) {
-        // Fault injection: corrupt the payload before persisting it.
-        let mut corrupted: Vec<u8>;
-        let mut bytes = bytes;
-        if let Some(plan) = &self.faults {
-            if let Some(ccm2_faults::FaultKind::Corrupt { byte }) =
-                plan.at(&format!("store:{}", fp.to_hex()))
-            {
-                corrupted = bytes.to_vec();
-                if byte == usize::MAX {
-                    corrupted.truncate(corrupted.len() / 2);
-                } else if !corrupted.is_empty() {
-                    let ix = byte % corrupted.len();
-                    corrupted[ix] ^= 0x55;
-                }
-                bytes = &corrupted;
-            }
-        }
         // Decide admission before touching the filesystem so the
         // directory never transiently exceeds the budget.
-        if let Some(lru) = &self.lru {
-            let admission = lru.lock().admit(fp, bytes.len() as u64);
-            for victim in admission.evict.iter().filter(|&&v| v != fp) {
-                let _ = std::fs::remove_file(self.entry_path(*victim));
-            }
-            if !admission.accepted {
-                let _ = std::fs::remove_file(self.entry_path(fp));
-                return;
-            }
+        if !self.admit(&mut self.lru.lock(), fp, bytes.len() as u64) {
+            return;
         }
-        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".{}.{}.{seq}.tmp", fp.to_hex(), std::process::id()));
-        let write = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_data().ok();
-            std::fs::rename(&tmp, self.entry_path(fp))
-        };
-        if write().is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            if let Some(lru) = &self.lru {
-                lru.lock().remove(fp);
-            }
+        if imagedir::write_atomic(&self.dir, &DiskStore::entry_name(fp), bytes).is_err() {
+            self.lru.lock().remove(fp);
         }
     }
 
     fn quarantine(&self, fp: Fp128) {
-        let src = self.entry_path(fp);
-        if !src.exists() {
-            return;
-        }
-        let qdir = self.quarantine_dir();
-        if std::fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let dst = qdir.join(format!("{}.bin", fp.to_hex()));
-        if std::fs::rename(&src, &dst).is_ok() {
+        if imagedir::quarantine(&self.entry_path(fp)).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
-            if let Some(lru) = &self.lru {
-                lru.lock().remove(fp);
-            }
-            self.trim_quarantine();
+            self.lru.lock().remove(fp);
         }
     }
 }
@@ -617,7 +505,7 @@ mod tests {
         assert_eq!(s.entry_count(), 2, "one entry evicted");
         assert!(s.load(fp(2)).is_none(), "victim was the LRU entry");
         assert!(s.load(fp(1)).is_some() && s.load(fp(3)).is_some());
-        assert!(s.bytes_in_use().expect("bounded") <= 250);
+        assert!(s.bytes_in_use() <= 250);
         assert_eq!(s.evictions(), 1);
         // Oversize entries are rejected, not stored.
         s.store(fp(4), &vec![0u8; 300]);
@@ -634,16 +522,16 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let s = DiskStore::unbounded(&dir).expect("create");
+            let s = DiskStore::new(&dir).expect("create");
             for i in 0..6u64 {
                 s.store(fp(i), &[i as u8; 100]);
             }
             assert_eq!(s.entry_count(), 6);
         }
-        // Reopening with a budget trims the directory to fit.
+        // Reopening with a smaller budget trims the directory to fit.
         let s = DiskStore::with_budget(&dir, 250).expect("reopen");
         assert!(s.entry_count() <= 2, "seeded index evicted the overflow");
-        assert!(s.bytes_in_use().expect("bounded") <= 250);
+        assert!(s.bytes_in_use() <= 250);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -678,40 +566,51 @@ mod tests {
         s.quarantine(fp(2));
         assert_eq!(s.quarantined(), 1);
         // The quarantine buffer is bounded.
-        for i in 10..(12 + DiskStore::QUARANTINE_CAP as u64) {
+        for i in 10..(12 + imagedir::QUARANTINE_CAP as u64) {
             s.store(fp(i), b"x");
             s.quarantine(fp(i));
         }
-        assert!(s.quarantine_count() <= DiskStore::QUARANTINE_CAP);
+        assert!(s.quarantine_count() <= imagedir::QUARANTINE_CAP);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
+    // Two handles on one directory used to draw their temp names from
+    // per-handle counters, so both wrote `.{fp}.{pid}.0.tmp`: the first
+    // rename took the other's file, the second failed, and its handle
+    // dropped an entry that stayed on disk from its budget.
     #[test]
-    fn disk_store_fault_plan_corrupts_before_persist() {
+    fn two_handles_storing_one_entry_at_once_both_account_for_it() {
         let dir = std::env::temp_dir().join(format!(
-            "ccm2-incr-faultstore-test-{}-{}",
+            "ccm2-incr-twohandles-test-{}-{}",
             std::process::id(),
             line!()
         ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut s = DiskStore::new(&dir).expect("create");
-        s.set_faults(std::sync::Arc::new(ccm2_faults::FaultPlan::single(
-            format!("store:{}", fp(1).to_hex()),
-            ccm2_faults::FaultKind::Corrupt { byte: 2 },
-        )));
-        s.store(fp(1), b"payload");
-        let mut want = b"payload".to_vec();
-        want[2] ^= 0x55;
-        assert_eq!(s.load(fp(1)).as_deref(), Some(&want[..]));
-        // Untargeted entries are untouched; truncation mode halves.
-        s.store(fp(2), b"payload");
-        assert_eq!(s.load(fp(2)).as_deref(), Some(&b"payload"[..]));
-        s.set_faults(std::sync::Arc::new(ccm2_faults::FaultPlan::single(
-            format!("store:{}", fp(3).to_hex()),
-            ccm2_faults::FaultKind::Corrupt { byte: usize::MAX },
-        )));
-        s.store(fp(3), b"12345678");
-        assert_eq!(s.load(fp(3)).as_deref(), Some(&b"1234"[..]));
+        let payload = vec![0x5A; 4096];
+        for round in 0..300 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let handles = [
+                DiskStore::new(&dir).expect("create"),
+                DiskStore::new(&dir).expect("open"),
+            ];
+            let barrier = std::sync::Barrier::new(handles.len());
+            std::thread::scope(|scope| {
+                for handle in &handles {
+                    let (barrier, payload) = (&barrier, &payload);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        handle.store(fp(1), payload);
+                    });
+                }
+            });
+            assert_eq!(handles[0].entry_count(), 1, "round {round}");
+            for (i, handle) in handles.iter().enumerate() {
+                assert_eq!(
+                    handle.bytes_in_use(),
+                    payload.len() as u64,
+                    "round {round}: handle {i} lost an entry that is on disk"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

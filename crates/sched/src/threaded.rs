@@ -829,8 +829,7 @@ mod wakeup_tests {
     /// the round never ends. Idle workers (the 4-worker runs) sleep on
     /// the same condition variable throughout.
     fn ping_pong(workers: usize, class: EventClass, rounds: usize) {
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let run = std::thread::spawn(move || {
+        let tasks_run = ccm2_support::within(Duration::from_secs(300), move || {
             let report = run_threaded(workers, |sup| {
                 let ping: Vec<EventId> = (0..rounds).map(|_| sup.new_event(class)).collect();
                 let pong: Vec<EventId> = (0..rounds).map(|_| sup.new_event(class)).collect();
@@ -866,12 +865,8 @@ mod wakeup_tests {
                     sup.spawn(t);
                 }
             });
-            done_tx.send(report.tasks_run).expect("test thread listens");
+            report.tasks_run
         });
-        let tasks_run = done_rx
-            .recv_timeout(Duration::from_secs(300))
-            .expect("ping-pong hung: a sleeper missed its wake-up");
-        run.join().expect("run thread");
         assert_eq!(tasks_run, 2);
     }
 

@@ -7,7 +7,6 @@
 //! the threads it gets back are its own doing.
 
 use std::collections::HashSet;
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -16,6 +15,7 @@ use ccm2_sched::{
     run_threaded, EventClass, ExecEnv, RunReport, TaskDesc, TaskKind, ThreadedSupervisor, WaitSet,
 };
 use ccm2_support::ids::EventId;
+use ccm2_support::within;
 use ccm2_support::work::Work;
 
 static ALONE: Mutex<()> = Mutex::new(());
@@ -34,17 +34,6 @@ fn crew_threads() -> usize {
             std::fs::read_to_string(comm).is_ok_and(|name| name.trim_end() == "ccm2-worker")
         })
         .count()
-}
-
-/// Fails the test, instead of hanging it, if `run` is not done in time.
-fn within<T: Send + 'static>(limit: Duration, run: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        let _ = tx.send(run());
-    });
-    let out = rx.recv_timeout(limit).expect("run hung");
-    runner.join().expect("runner thread");
-    out
 }
 
 fn noop(name: &str) -> TaskDesc {

@@ -168,45 +168,6 @@ pub struct ServiceStats {
     /// Artifact-store entries quarantined after validation failures
     /// (mirrors the shared store's counter).
     pub quarantined: u64,
-    /// Admission-retry attempts drawn across every
-    /// [`CompileService::serve_batch`] call (each backoff resubmission
-    /// of a shed request counts one).
-    pub retry_attempts_used: u64,
-    /// Initially shed requests that were admitted on a retry attempt.
-    pub retry_recovered: u64,
-    /// Requests still shed after drawing their full retry budget.
-    pub retry_exhausted: u64,
-}
-
-/// One request's retry-budget accounting within a
-/// [`CompileService::serve_batch_report`] batch.
-#[derive(Clone, Debug)]
-pub struct RequestRetryReport {
-    /// The service's answer (same as [`CompileService::serve_batch`]).
-    pub response: Response,
-    /// Admission-retry attempts this request drew (0 = admitted, or
-    /// shed without a usable attempt, on the first submit).
-    pub attempts_used: u32,
-    /// Retry budget left when the request completed:
-    /// [`ServeConfig::retry_attempts`] minus [`Self::attempts_used`].
-    pub budget_remaining: u32,
-}
-
-/// The outcome report of one [`CompileService::serve_batch_report`]
-/// batch: per-request retry accounting plus the batch aggregates (also
-/// folded into the service-wide [`ServiceStats`] counters).
-#[derive(Debug)]
-pub struct ServeReport {
-    /// Per-request responses with retry accounting, in request order.
-    pub requests: Vec<RequestRetryReport>,
-    /// The configured admission-retry budget per request.
-    pub retry_budget: u32,
-    /// Retry attempts drawn across the batch.
-    pub attempts_used: u64,
-    /// Initially shed requests admitted on a retry attempt.
-    pub recovered: u64,
-    /// Requests still shed after their full budget.
-    pub exhausted: u64,
 }
 
 impl ServiceStats {
@@ -535,18 +496,6 @@ impl CompileService {
     /// that does not land in time yields a synthesized stalled outcome
     /// instead of blocking the batch forever.
     pub fn serve_batch(&self, requests: Vec<CompileRequest>) -> Vec<Response> {
-        self.serve_batch_report(requests)
-            .requests
-            .into_iter()
-            .map(|r| r.response)
-            .collect()
-    }
-
-    /// [`CompileService::serve_batch`] with retry-budget accounting:
-    /// the same responses, plus per-request attempts used / budget
-    /// remaining and the batch's aggregate retry counters (also folded
-    /// into [`ServiceStats`]).
-    pub fn serve_batch_report(&self, requests: Vec<CompileRequest>) -> ServeReport {
         let cfg = self.shared.config;
         // The deadline is measured from batch admission, so time burned
         // in backoff retries is charged against it.
@@ -555,8 +504,7 @@ impl CompileService {
             .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
         let mut submissions: Vec<Submission> =
             requests.iter().map(|r| self.submit(r.clone())).collect();
-        let mut attempts_used = vec![0u32; requests.len()];
-        for (i, sub) in submissions.iter_mut().enumerate() {
+        for (sub, req) in submissions.iter_mut().zip(&requests) {
             if !sub.is_shed() {
                 continue;
             }
@@ -578,38 +526,17 @@ impl CompileService {
                     .max(self.shed_hint_ms())
                     .min(cfg.retry_backoff_cap_ms);
                 std::thread::sleep(std::time::Duration::from_millis(delay));
-                attempts_used[i] = attempt + 1;
-                let again = self.submit(requests[i].clone());
+                let again = self.submit(req.clone());
                 if !again.is_shed() {
                     *sub = again;
                     break;
                 }
             }
         }
-        let mut report = ServeReport {
-            requests: Vec::with_capacity(requests.len()),
-            retry_budget: cfg.retry_attempts,
-            attempts_used: 0,
-            recovered: 0,
-            exhausted: 0,
-        };
-        for (i, sub) in submissions.iter().enumerate() {
-            report.attempts_used += u64::from(attempts_used[i]);
-            if attempts_used[i] > 0 && !sub.is_shed() {
-                report.recovered += 1;
-            }
-            if sub.is_shed() && attempts_used[i] == cfg.retry_attempts {
-                report.exhausted += 1;
-            }
-        }
-        {
-            let mut state = self.shared.state.lock();
-            state.stats.retry_attempts_used += report.attempts_used;
-            state.stats.retry_recovered += report.recovered;
-            state.stats.retry_exhausted += report.exhausted;
-        }
-        for ((s, req), used) in submissions.iter().zip(&requests).zip(attempts_used) {
-            let response = match s.ticket() {
+        submissions
+            .iter()
+            .zip(&requests)
+            .map(|(s, req)| match s.ticket() {
                 Some(t) => match (deadline_at, cfg.request_deadline_ms) {
                     (Some(d), Some(ms)) => {
                         let remaining = d.saturating_duration_since(std::time::Instant::now());
@@ -624,14 +551,8 @@ impl CompileService {
                     _ => Response::Done(t.wait()),
                 },
                 None => Response::Retry,
-            };
-            report.requests.push(RequestRetryReport {
-                response,
-                attempts_used: used,
-                budget_remaining: cfg.retry_attempts - used,
-            });
-        }
-        report
+            })
+            .collect()
     }
 
     /// Freezes the workers after their current compile. Submissions
@@ -936,45 +857,6 @@ mod tests {
         assert!(matches!(responses[2], Response::Retry));
         assert!(matches!(responses[3], Response::Done(_)));
         assert_eq!(svc.stats().compiled, 2);
-    }
-
-    #[test]
-    fn batch_report_accounts_retry_budget() {
-        let svc = CompileService::start(ServeConfig {
-            paused: true,
-            queue_capacity: 1,
-            retry_attempts: 6,
-            retry_backoff_base_ms: 5,
-            retry_backoff_cap_ms: 20,
-            ..ServeConfig::default()
-        });
-        let svc = Arc::new(svc);
-        let resumer = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-                svc.resume();
-            })
-        };
-        // Capacity 1 while paused: "A" is queued, "B" is shed and then
-        // recovered by the backoff loop once the resumer unfreezes.
-        let report = svc.serve_batch_report(vec![req(1, "A", "BEGIN"), req(2, "B", "BEGIN")]);
-        resumer.join().expect("resumer");
-        assert_eq!(report.retry_budget, 6);
-        assert!(matches!(report.requests[0].response, Response::Done(_)));
-        assert!(matches!(report.requests[1].response, Response::Done(_)));
-        assert_eq!(report.requests[0].attempts_used, 0);
-        assert_eq!(report.requests[0].budget_remaining, 6);
-        let used = report.requests[1].attempts_used;
-        assert!(used >= 1, "the shed request drew at least one retry");
-        assert_eq!(report.requests[1].budget_remaining, 6 - used);
-        assert_eq!(report.attempts_used, u64::from(used));
-        assert_eq!(report.recovered, 1);
-        assert_eq!(report.exhausted, 0);
-        let stats = svc.stats();
-        assert_eq!(stats.retry_attempts_used, u64::from(used));
-        assert_eq!(stats.retry_recovered, 1);
-        assert_eq!(stats.retry_exhausted, 0);
     }
 
     #[test]

@@ -278,9 +278,9 @@ impl ArtifactStore for SharedStore {
     }
 
     fn store(&self, fp: Fp128, bytes: &[u8]) {
-        // Fault injection: damage the entry before admission, the same
-        // way `DiskStore` does, so decode-side validation and the
-        // quarantine path get exercised end to end.
+        // Fault injection: damage the entry before admission, so
+        // decode-side validation and the quarantine path get exercised
+        // end to end.
         let mut corrupted: Vec<u8>;
         let mut bytes = bytes;
         if let Some(plan) = &self.faults {

@@ -20,7 +20,7 @@ use ccm2_incr::comparable_output;
 use ccm2_sema::symtab::DkyStrategy;
 use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig, Ticket};
 use ccm2_support::defs::DefProvider;
-use ccm2_support::Interner;
+use ccm2_support::{within, Interner};
 use ccm2_workload::{generate, GenParams, GeneratedModule};
 
 fn request(
@@ -163,20 +163,6 @@ fn piled_up_identical_requests_compile_exactly_once() {
     assert_eq!(stats.compiled, 1, "single-flight: exactly one compile");
     assert_eq!(stats.joined, 5);
     assert_eq!(stats.accepted, 1);
-}
-
-/// Fails the test, instead of hanging it, if `run` is not done in time.
-fn within<T: Send + 'static>(
-    limit: std::time::Duration,
-    run: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let runner = std::thread::spawn(move || {
-        let _ = tx.send(run());
-    });
-    let out = rx.recv_timeout(limit).expect("run hung");
-    runner.join().expect("runner thread");
-    out
 }
 
 #[test]

@@ -7,19 +7,23 @@
 //! same for every caller:
 //!
 //! * **write** — [`write_atomic`]: the bytes go to a hidden temp file
-//!   in the same directory, which is then renamed into place, so a
-//!   reader sees the previous image set or the complete new image,
-//!   never a half-written one. Temp names carry the process id and a
-//!   process-wide counter, so concurrent writers never share one.
+//!   in the same directory, are synced to the disk, and the file is
+//!   then renamed into place, so a reader sees the previous image set
+//!   or the complete new image, never a half-written one. Temp names
+//!   carry the process id and a process-wide counter, so concurrent
+//!   writers — through one handle or several — never share one.
 //! * **retain** — after a save, the new image and the one before it
 //!   stay; everything older is removed. The fallback is what a torn or
 //!   damaged newest image falls back to.
 //! * **load** — newest first; an image the caller's decoder refuses is
 //!   moved to `quarantine/` (kept for post-mortem, never read again)
-//!   and the next older one is tried.
+//!   and the next older one is tried. A quarantine directory keeps the
+//!   newest [`QUARANTINE_CAP`] files: a forensic buffer, not an archive.
 //!
 //! What the bytes mean is the caller's business: `ImageDir` never looks
-//! inside an image, it only asks the decoder whether it is valid.
+//! inside an image, it only asks the decoder whether it is valid. The
+//! artifact store (`ccm2_incr::DiskStore`) writes and quarantines its
+//! one-file-per-entry directory through the same two functions.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -29,14 +33,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Distinguishes temp files written by one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// How many files a `quarantine/` directory keeps; [`quarantine`] drops
+/// the oldest beyond it.
+pub const QUARANTINE_CAP: usize = 16;
+
 /// Writes `bytes` to `dir/name` through a uniquely named hidden temp
-/// file and a rename.
+/// file, synced to the disk before the rename.
 pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
     let path = dir.join(name);
     let write = || -> io::Result<()> {
-        fs::File::create(&tmp)?.write_all(bytes)?;
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_data()?;
         fs::rename(&tmp, &path)
     };
     if let Err(e) = write() {
@@ -47,13 +57,30 @@ pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf>
 }
 
 /// Moves `path` into the `quarantine/` directory beside it and returns
-/// where it went.
+/// where it went, then drops the oldest other files there (by
+/// modification time) until at most [`QUARANTINE_CAP`] remain.
 pub fn quarantine(path: &Path) -> io::Result<PathBuf> {
     let invalid = || io::Error::new(io::ErrorKind::InvalidInput, "not a file in a directory");
     let qdir = path.parent().ok_or_else(invalid)?.join("quarantine");
     fs::create_dir_all(&qdir)?;
     let dest = qdir.join(path.file_name().ok_or_else(invalid)?);
     fs::rename(path, &dest)?;
+    // Best-effort: the file is quarantined whether or not the trim runs.
+    if let Ok(rd) = fs::read_dir(&qdir) {
+        let mut older: Vec<(std::time::SystemTime, PathBuf)> = rd
+            .filter_map(|e| Some(e.ok()?.path()))
+            .filter(|p| *p != dest)
+            .map(|p| {
+                let mtime = p.metadata().and_then(|m| m.modified());
+                (mtime.unwrap_or(std::time::SystemTime::UNIX_EPOCH), p)
+            })
+            .collect();
+        older.sort();
+        let excess = (older.len() + 1).saturating_sub(QUARANTINE_CAP);
+        for (_, old) in &older[..excess] {
+            let _ = fs::remove_file(old);
+        }
+    }
     Ok(dest)
 }
 
@@ -231,6 +258,23 @@ mod tests {
         assert!(loaded.image.is_none());
         assert_eq!(loaded.quarantined.len(), 2);
         assert_eq!(d.save(b"ok:").unwrap(), dir.join("img-00000001.img"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_quarantine_keeps_the_newest_cap_files_and_the_one_just_moved() {
+        let dir = tmp_dir("qcap");
+        fs::create_dir_all(&dir).unwrap();
+        let n = QUARANTINE_CAP + 4;
+        for i in 0..n {
+            fs::write(dir.join(format!("bad-{i}")), b"torn").unwrap();
+            assert!(quarantine(&dir.join(format!("bad-{i}"))).unwrap().exists());
+        }
+        assert_eq!(quarantined_count(&dir), QUARANTINE_CAP);
+        assert!(dir
+            .join("quarantine")
+            .join(format!("bad-{}", n - 1))
+            .exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -23,7 +23,9 @@
 //!   thread-safe [`diag::DiagnosticSink`] so concurrently running compiler
 //!   tasks can report errors without interleaving;
 //! * [`ids`] — small strongly-typed index newtypes and a typed id
-//!   generator used for streams, scopes, tasks and events.
+//!   generator used for streams, scopes, tasks and events;
+//! * [`within`] — the hang guard: a run that is not done in time fails
+//!   its caller instead of hanging it.
 //!
 //! # Examples
 //!
@@ -55,3 +57,28 @@ pub use hash::{Fp128, StableHasher};
 pub use intern::{Interner, Symbol};
 pub use source::{LineCol, SourceFile, SourceMap, Span};
 pub use work::{NullMeter, Work, WorkMeter};
+
+/// Runs `run` on a thread of its own and fails the caller, instead of
+/// hanging it, if no result has come back within `limit`. A panic in
+/// `run` is re-raised on the caller's thread.
+pub fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    run: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (done, result) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = done.send(run());
+    });
+    match result.recv_timeout(limit) {
+        Ok(out) => {
+            let _ = runner.join();
+            out
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("hung: not done in {limit:?}"),
+        // The run panicked before sending: that panic is the failure.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("the run sent no result"))
+        }
+    }
+}

@@ -18,12 +18,13 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ccm2_bench::kit::{drive, requests, within, Observed, Oracle, Scratch};
+use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
 use ccm2_fabric::{
     decode_frame, encode_frame, Fabric, FabricRouter, HashRing, LeaseConfig, MembershipStore,
     Message, RouterRole, ShardNode, Transport, DEFAULT_VNODES,
 };
 use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
+use ccm2_support::within;
 use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
 fn config() -> ServeConfig {
