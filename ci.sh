@@ -66,7 +66,9 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # landings: a duplicate that found the flight neither flying nor landed
 # would start a second compile). The checksum kernel's tests ride along
 # for the build, not for a race: a 1 MiB known answer, 200 000 keys and
-# the re-chunking search take seconds unoptimized.
+# the re-chunking search take seconds unoptimized. So does the lexer's
+# differential against its predecessor, which an optimized build runs
+# with 200 000 seeded inputs instead of 20 000.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -90,6 +92,7 @@ race -p ccm2-sched --test executors
 race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin every_delta_reaches_every_peer
 race -p ccm2-serve --test stress -- duplicates_racing_a_landing
 race --test threaded_suite -- work_charges_equal
+race -p ccm2-syntax --test lexer_oracle
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:
@@ -113,12 +116,24 @@ echo "== golden: every reproduce section, byte for byte =="
 # the reports, so a figure that moves or a drill that says something
 # else fails here. A section name that is no section exits 2, so a typo
 # here cannot pass. To accept an intended change, regenerate the file
-# with the same command.
-cargo run -q --release -p ccm2-bench --bin reproduce -- \
+# with the same command. Its stderr must hold no panic: the drills catch
+# the ones they inject quietly, and a deadlock the simulator reports
+# (the workcrews cells) ends without a parked task thread panicking.
+stderr_log=$(mktemp)
+trap 'rm -f "$stderr_log"' EXIT
+if ! cargo run -q --release -p ccm2-bench --bin reproduce -- \
   table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 \
   overhead dky headings workcrews earlysplit analyze locks incr \
   serve fabric chaosnet watch faults recover sites \
-  | diff -u reproduce_output.txt -
+  2> "$stderr_log" | diff -u reproduce_output.txt -; then
+  cat "$stderr_log" >&2
+  exit 1
+fi
+if grep -q panicked "$stderr_log"; then
+  cat "$stderr_log" >&2
+  echo "the golden run panicked on stderr" >&2
+  exit 1
+fi
 
 echo "== envelopes: every format is a row of tests/envelopes.rs =="
 # A format outside the table has no golden digest (which is what catches

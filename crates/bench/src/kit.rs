@@ -314,16 +314,22 @@ pub fn baselines(m: &GeneratedModule) -> HashMap<(DkyStrategy, bool), UnitMap> {
     maps
 }
 
+/// `catch_unwind` with the panic hook silenced meanwhile: for a run
+/// whose panic is an expected outcome, not news for stderr.
+pub fn silenced<T>(run: impl FnOnce() -> T + std::panic::UnwindSafe) -> std::thread::Result<T> {
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = std::panic::catch_unwind(run);
+    std::panic::set_hook(hook);
+    result
+}
+
 /// Runs a matrix whose injected panics are *caught* (that is the point
 /// of the drill) with the default panic hook silenced, so it does not
 /// spray backtraces over the report. A failure of the matrix itself
 /// still reaches stderr, under `what`, before it unwinds on.
 pub fn quietly<T>(what: &str, matrix: impl FnOnce() -> T + std::panic::UnwindSafe) -> T {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = std::panic::catch_unwind(matrix);
-    std::panic::set_hook(hook);
-    result.unwrap_or_else(|payload| {
+    silenced(matrix).unwrap_or_else(|payload| {
         let msg = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())

@@ -29,8 +29,8 @@ use ccm2_codegen::emit::{gen_error_unit, gen_module_body, gen_procedure, global_
 use ccm2_codegen::ir::{CodeUnit, Instr};
 use ccm2_codegen::merge::{Merger, ModuleImage};
 use ccm2_incr::{
-    decode_entry, encode_entry, environment_fp, fingerprint_streams, import_closure, ArtifactStore,
-    CacheEntryData, CachedDiag, Carve, IncrStats, StreamNode, FORMAT_VERSION,
+    encode_entry, environment_fp, fingerprint_streams, import_closure, ArtifactStore,
+    CacheEntryData, CachedDiag, Carve, EntryDecoder, IncrStats, StreamNode, FORMAT_VERSION,
 };
 use ccm2_sched::{
     run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, Robustness, RunReport,
@@ -1211,57 +1211,53 @@ impl Driver {
             units: pending.len() + 1,
             ..IncrStats::default()
         };
-        let mut load = |fp: Fp128, what: &str| -> Option<Arc<CacheEntryData>> {
+        // One decoder for every entry: its name table asks the interner
+        // once per distinct name across all of them.
+        let mut decoder = EntryDecoder::new(&self.interner);
+        // A stream's name is resolved only to report its entry as bad.
+        let mut load = |fp: Fp128, name: Symbol| -> Option<Arc<CacheEntryData>> {
             if !complete {
                 return None;
             }
             let bytes = incr.store.load(fp)?;
-            match decode_entry(&bytes, &self.interner) {
+            let ignored = match decoder.decode(&bytes) {
                 // A proc entry recorded under analysis carries a lock
                 // summary; an undecodable one (format bump, corruption)
                 // makes the whole entry a miss — the stream recompiles
                 // and re-derives its summary live.
                 Ok(entry) => {
-                    if self.analyze && !entry.summary.is_empty() {
-                        if let Err(e) = ccm2_analysis::decode_summary(&entry.summary, 0) {
-                            stats.bad_entries += 1;
-                            incr.store.quarantine(fp);
-                            self.sink.report(Diagnostic {
-                                severity: Severity::Note,
-                                file: FileId(0),
-                                span: Span { lo: 0, hi: 0 },
-                                message: format!(
-                                    "incremental cache entry for `{what}` ignored: summary {e}"
-                                ),
-                            });
-                            return None;
-                        }
+                    let summary = (self.analyze && !entry.summary.is_empty())
+                        .then(|| ccm2_analysis::decode_summary(&entry.summary, 0));
+                    match summary {
+                        Some(Err(e)) => format!("summary {e}"),
+                        _ => return Some(Arc::new(entry)),
                     }
-                    Some(Arc::new(entry))
                 }
-                Err(e) => {
-                    stats.bad_entries += 1;
-                    incr.store.quarantine(fp);
-                    self.sink.report(Diagnostic {
-                        severity: Severity::Note,
-                        file: FileId(0),
-                        span: Span { lo: 0, hi: 0 },
-                        message: format!("incremental cache entry for `{what}` ignored: {e}"),
-                    });
-                    None
-                }
-            }
+                Err(e) => e.to_string(),
+            };
+            stats.bad_entries += 1;
+            incr.store.quarantine(fp);
+            self.sink.report(Diagnostic {
+                severity: Severity::Note,
+                file: FileId(0),
+                span: Span { lo: 0, hi: 0 },
+                message: format!(
+                    "incremental cache entry for `{}` ignored: {ignored}",
+                    self.interner.resolve(name)
+                ),
+            });
+            None
         };
         let entries: Vec<Option<Arc<CacheEntryData>>> = pending
             .iter()
             .enumerate()
-            .map(|(i, p)| load(fps.streams[i], &self.interner.resolve(p.name)))
+            .map(|(i, p)| load(fps.streams[i], p.name))
             .collect();
         let module_entry = {
             let st = self.st.lock();
             let main = st.main_name;
             drop(st);
-            main.and_then(|m| load(fps.module, &self.interner.resolve(m)))
+            main.and_then(|m| load(fps.module, m))
         };
         // Splice closure, bottom-up (children always follow their lexical
         // parent in discovery order, so a reverse scan sees them first).

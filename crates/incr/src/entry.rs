@@ -15,6 +15,7 @@ use ccm2_codegen::ir::{CodeUnit, Instr, Shape};
 use ccm2_codegen::merge::ModuleImage;
 use ccm2_sema::builtins::Builtin;
 use ccm2_support::envelope::{Format, OpenError, Reader, Writer};
+use ccm2_support::intern::{Miss, SpanTable};
 use ccm2_support::{Interner, Severity, Symbol};
 
 /// On-disk format version. See the module docs before touching this.
@@ -68,10 +69,6 @@ fn put_sym(w: &mut Writer, s: Symbol, interner: &Interner) {
     w.str(&interner.resolve(s));
 }
 
-fn get_sym(r: &mut Reader<'_>, interner: &Interner) -> Result<Symbol, OpenError> {
-    Ok(interner.intern(r.str()?))
-}
-
 fn write_shape(w: &mut Writer, shape: &Shape) {
     match shape {
         Shape::Int => w.u8(0),
@@ -118,19 +115,48 @@ fn read_shape(r: &mut Reader<'_>, depth: u32) -> Result<Shape, OpenError> {
     })
 }
 
+/// A builtin's name on the wire: `Builtin::ALL` lists the builtins in
+/// discriminant order, so the discriminant is the index.
 fn builtin_name(b: Builtin) -> &'static str {
-    Builtin::ALL
-        .iter()
-        .find(|(_, known)| *known == b)
-        .map(|(name, _)| *name)
-        .unwrap_or("?")
+    Builtin::ALL[b as usize].0
 }
 
-fn builtin_by_name(name: &str) -> Option<Builtin> {
-    Builtin::ALL
-        .iter()
-        .find(|(known, _)| *known == name)
-        .map(|(_, b)| *b)
+/// The builtin named `name` on the wire, matched as bytes: no UTF-8
+/// check, no string.
+fn builtin_by_name(name: &[u8]) -> Option<Builtin> {
+    use Builtin::*;
+    Some(match name {
+        b"ABS" => Abs,
+        b"CAP" => Cap,
+        b"CHR" => Chr,
+        b"DEC" => Dec,
+        b"DISPOSE" => Dispose,
+        b"EXCL" => Excl,
+        b"FLOAT" => Float,
+        b"HALT" => Halt,
+        b"HIGH" => High,
+        b"INC" => Inc,
+        b"INCL" => Incl,
+        b"MAX" => Max,
+        b"MIN" => Min,
+        b"NEW" => New,
+        b"ODD" => Odd,
+        b"ORD" => Ord,
+        b"TRUNC" => Trunc,
+        b"VAL" => Val,
+        b"WriteInt" => WriteInt,
+        b"WriteCard" => WriteCard,
+        b"WriteChar" => WriteChar,
+        b"WriteString" => WriteString,
+        b"WriteLn" => WriteLn,
+        b"WriteReal" => WriteReal,
+        b"sin" => Sin,
+        b"cos" => Cos,
+        b"sqrt" => Sqrt,
+        b"exp" => Exp,
+        b"ln" => Ln,
+        _ => return None,
+    })
 }
 
 fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
@@ -248,77 +274,6 @@ fn write_instr(w: &mut Writer, instr: &Instr, interner: &Interner) {
     }
 }
 
-fn read_instr(r: &mut Reader<'_>, interner: &Interner) -> Result<Instr, OpenError> {
-    Ok(match r.u8()? {
-        0 => Instr::PushInt(r.i64()?),
-        1 => Instr::PushReal(r.u64()?),
-        2 => Instr::PushBool(r.bool()?),
-        3 => Instr::PushChar(r.u8()?),
-        4 => Instr::PushStr(get_sym(r, interner)?),
-        5 => Instr::PushNil,
-        6 => Instr::PushSet(r.u64()?),
-        7 => Instr::PushProc(get_sym(r, interner)?),
-        8 => Instr::PushAddr {
-            level_up: r.u32()?,
-            slot: r.u32()?,
-        },
-        9 => Instr::PushGlobalAddr {
-            module: get_sym(r, interner)?,
-            slot: r.u32()?,
-        },
-        10 => Instr::AddrField(r.u32()?),
-        11 => Instr::AddrIndex {
-            lo: r.i64()?,
-            len: r.i64()?,
-        },
-        12 => Instr::AddrDeref,
-        13 => Instr::Load,
-        14 => Instr::Store,
-        15 => Instr::Dup,
-        16 => Instr::Pop,
-        17 => Instr::Add,
-        18 => Instr::Sub,
-        19 => Instr::Mul,
-        20 => Instr::DivInt,
-        21 => Instr::ModInt,
-        22 => Instr::DivReal,
-        23 => Instr::Neg,
-        24 => Instr::Not,
-        25 => Instr::CmpEq,
-        26 => Instr::CmpNe,
-        27 => Instr::CmpLt,
-        28 => Instr::CmpLe,
-        29 => Instr::CmpGt,
-        30 => Instr::CmpGe,
-        31 => Instr::InSet,
-        32 => Instr::SetIncl,
-        33 => Instr::SetInclRange,
-        34 => Instr::Jump(r.u32()?),
-        35 => Instr::JumpIfFalse(r.u32()?),
-        36 => Instr::JumpIfTrue(r.u32()?),
-        37 => Instr::Call {
-            target: get_sym(r, interner)?,
-            argc: r.u32()?,
-            link_up: r.u32()?,
-        },
-        38 => Instr::CallIndirect { argc: r.u32()? },
-        39 => {
-            let builtin = builtin_by_name(r.str()?).ok_or(OpenError::Malformed("builtin name"))?;
-            Instr::CallBuiltin {
-                builtin,
-                argc: r.u32()?,
-            }
-        }
-        40 => Instr::Return,
-        41 => Instr::ReturnValue,
-        42 => Instr::Halt,
-        43 => Instr::NewCell { shape: r.u32()? },
-        44 => Instr::DisposeCell,
-        45 => Instr::Nop,
-        _ => return Err(OpenError::Malformed("instruction tag")),
-    })
-}
-
 fn write_unit(w: &mut Writer, unit: &CodeUnit, interner: &Interner) {
     put_sym(w, unit.name, interner);
     w.u32(unit.level);
@@ -326,20 +281,6 @@ fn write_unit(w: &mut Writer, unit: &CodeUnit, interner: &Interner) {
     w.seq(&unit.frame, write_shape);
     w.seq(&unit.shapes, write_shape);
     w.seq(&unit.code, |w, i| write_instr(w, i, interner));
-}
-
-fn read_unit(r: &mut Reader<'_>, interner: &Interner) -> Result<CodeUnit, OpenError> {
-    let name = get_sym(r, interner)?;
-    let level = r.u32()?;
-    let param_count = r.u32()?;
-    Ok(CodeUnit {
-        name,
-        level,
-        param_count,
-        frame: r.seq(1, |r| read_shape(r, 0))?,
-        shapes: r.seq(1, |r| read_shape(r, 0))?,
-        code: r.seq(1, |r| read_instr(r, interner))?,
-    })
 }
 
 /// Serializes a cache entry.
@@ -365,29 +306,185 @@ pub fn encode_entry(entry: &CacheEntryData, interner: &Interner) -> Vec<u8> {
 /// Deserializes a cache entry, validating magic, version and checksum
 /// before trusting any field. Symbols are interned into `interner`.
 pub fn decode_entry(bytes: &[u8], interner: &Interner) -> Result<CacheEntryData, OpenError> {
-    let mut r = ENTRY_FORMAT.open(bytes)?;
-    let entry = CacheEntryData {
-        unit: read_unit(&mut r, interner)?,
-        diags: r.seq(13, |r| {
-            let severity = match r.u8()? {
-                0 => Severity::Note,
-                1 => Severity::Warning,
-                2 => Severity::Error,
-                _ => return Err(OpenError::Malformed("severity")),
-            };
-            Ok(CachedDiag {
-                severity,
-                rel_lo: r.u32()?,
-                rel_hi: r.u32()?,
-                message: r.str()?.to_owned(),
-            })
-        })?,
-        used: r.seq(4, |r| Ok(r.str()?.to_owned()))?,
-        findings: r.u32()?,
-        summary: r.bytes()?.to_vec(),
-    };
-    r.done()?;
-    Ok(entry)
+    EntryDecoder::new(interner).decode(bytes)
+}
+
+/// Decodes cache entries one after another into one interner. Its name
+/// table hands the interner each distinct string once, at its first
+/// occurrence, however many instructions and entries name it — which is
+/// when interning every occurrence would have numbered a new symbol, so
+/// numbering is unchanged.
+pub struct EntryDecoder<'i> {
+    interner: &'i Interner,
+    /// Every distinct name decoded so far, end to end: the buffer
+    /// `names` keys are spans of.
+    seen: Vec<u8>,
+    names: SpanTable<Symbol>,
+}
+
+/// `u32` at byte `at` of a fixed-width field array.
+#[inline]
+fn u32_at<const N: usize>(b: &[u8; N], at: usize) -> u32 {
+    u32::from_le_bytes(b[at..at + 4].try_into().expect("four bytes"))
+}
+
+/// `i64` at byte `at` of a fixed-width field array.
+#[inline]
+fn i64_at<const N: usize>(b: &[u8; N], at: usize) -> i64 {
+    i64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"))
+}
+
+impl<'i> EntryDecoder<'i> {
+    /// A decoder interning into `interner`.
+    pub fn new(interner: &'i Interner) -> EntryDecoder<'i> {
+        EntryDecoder {
+            interner,
+            seen: Vec::new(),
+            names: SpanTable::new(),
+        }
+    }
+
+    /// [`decode_entry`], through this decoder's name table.
+    pub fn decode(&mut self, bytes: &[u8]) -> Result<CacheEntryData, OpenError> {
+        let mut r = ENTRY_FORMAT.open(bytes)?;
+        let entry = CacheEntryData {
+            unit: self.read_unit(&mut r)?,
+            diags: r.seq(13, |r| {
+                let severity = match r.u8()? {
+                    0 => Severity::Note,
+                    1 => Severity::Warning,
+                    2 => Severity::Error,
+                    _ => return Err(OpenError::Malformed("severity")),
+                };
+                Ok(CachedDiag {
+                    severity,
+                    rel_lo: r.u32()?,
+                    rel_hi: r.u32()?,
+                    message: r.str()?.to_owned(),
+                })
+            })?,
+            used: r.seq(4, |r| Ok(r.str()?.to_owned()))?,
+            findings: r.u32()?,
+            summary: r.bytes()?.to_vec(),
+        };
+        r.done()?;
+        Ok(entry)
+    }
+
+    #[inline]
+    fn sym(&mut self, r: &mut Reader<'_>) -> Result<Symbol, OpenError> {
+        let bytes = r.bytes()?;
+        match self.names.find(&self.seen, bytes) {
+            Ok(sym) => Ok(sym),
+            Err(miss) => self.first_sym(bytes, miss),
+        }
+    }
+
+    /// A name this decoder has not met: the one question it asks the
+    /// interner about it.
+    #[cold]
+    fn first_sym(&mut self, bytes: &[u8], miss: Miss) -> Result<Symbol, OpenError> {
+        let name = std::str::from_utf8(bytes).map_err(|_| OpenError::Malformed("utf-8 string"))?;
+        let sym = self.interner.intern(name);
+        self.names.fill(miss, self.seen.len(), sym);
+        self.seen.extend_from_slice(bytes);
+        Ok(sym)
+    }
+
+    fn read_unit(&mut self, r: &mut Reader<'_>) -> Result<CodeUnit, OpenError> {
+        let name = self.sym(r)?;
+        let level = r.u32()?;
+        let param_count = r.u32()?;
+        Ok(CodeUnit {
+            name,
+            level,
+            param_count,
+            frame: r.seq(1, |r| read_shape(r, 0))?,
+            shapes: r.seq(1, |r| read_shape(r, 0))?,
+            code: r.seq(1, |r| self.read_instr(r))?,
+        })
+    }
+
+    /// One instruction: its tag, the symbol string of the four that name
+    /// one, then its fixed-width operands, read as one array.
+    #[inline(always)] // into `seq`'s loop: the instruction is built in place
+    fn read_instr(&mut self, r: &mut Reader<'_>) -> Result<Instr, OpenError> {
+        Ok(match r.u8()? {
+            0 => Instr::PushInt(i64::from_le_bytes(r.array()?)),
+            1 => Instr::PushReal(u64::from_le_bytes(r.array()?)),
+            2 => Instr::PushBool(r.bool()?),
+            3 => Instr::PushChar(r.u8()?),
+            4 => Instr::PushStr(self.sym(r)?),
+            5 => Instr::PushNil,
+            6 => Instr::PushSet(u64::from_le_bytes(r.array()?)),
+            7 => Instr::PushProc(self.sym(r)?),
+            8 => {
+                let b: [u8; 8] = r.array()?;
+                Instr::PushAddr {
+                    level_up: u32_at(&b, 0),
+                    slot: u32_at(&b, 4),
+                }
+            }
+            9 => Instr::PushGlobalAddr {
+                module: self.sym(r)?,
+                slot: r.u32()?,
+            },
+            10 => Instr::AddrField(r.u32()?),
+            11 => {
+                let b: [u8; 16] = r.array()?;
+                Instr::AddrIndex {
+                    lo: i64_at(&b, 0),
+                    len: i64_at(&b, 8),
+                }
+            }
+            12 => Instr::AddrDeref,
+            13 => Instr::Load,
+            14 => Instr::Store,
+            15 => Instr::Dup,
+            16 => Instr::Pop,
+            17 => Instr::Add,
+            18 => Instr::Sub,
+            19 => Instr::Mul,
+            20 => Instr::DivInt,
+            21 => Instr::ModInt,
+            22 => Instr::DivReal,
+            23 => Instr::Neg,
+            24 => Instr::Not,
+            25 => Instr::CmpEq,
+            26 => Instr::CmpNe,
+            27 => Instr::CmpLt,
+            28 => Instr::CmpLe,
+            29 => Instr::CmpGt,
+            30 => Instr::CmpGe,
+            31 => Instr::InSet,
+            32 => Instr::SetIncl,
+            33 => Instr::SetInclRange,
+            34 => Instr::Jump(r.u32()?),
+            35 => Instr::JumpIfFalse(r.u32()?),
+            36 => Instr::JumpIfTrue(r.u32()?),
+            37 => {
+                let target = self.sym(r)?;
+                let b: [u8; 8] = r.array()?;
+                Instr::Call {
+                    target,
+                    argc: u32_at(&b, 0),
+                    link_up: u32_at(&b, 4),
+                }
+            }
+            38 => Instr::CallIndirect { argc: r.u32()? },
+            39 => Instr::CallBuiltin {
+                builtin: builtin_by_name(r.bytes()?).ok_or(OpenError::Malformed("builtin name"))?,
+                argc: r.u32()?,
+            },
+            40 => Instr::Return,
+            41 => Instr::ReturnValue,
+            42 => Instr::Halt,
+            43 => Instr::NewCell { shape: r.u32()? },
+            44 => Instr::DisposeCell,
+            45 => Instr::Nop,
+            _ => return Err(OpenError::Malformed("instruction tag")),
+        })
+    }
 }
 
 /// Encodes a whole [`ModuleImage`] with the same interner-independent
@@ -488,6 +585,105 @@ mod tests {
             }
             other => panic!("expected Call, got {other:?}"),
         }
+    }
+
+    /// Every instruction and every shape, with operands no two fields
+    /// share, through the encoder and back: a decoder that reads a field
+    /// from the wrong offset, or builds the wrong variant, misdecodes.
+    #[test]
+    fn every_instruction_and_shape_round_trips() {
+        let i = Interner::new();
+        let mut entry = sample_entry(&i);
+        entry.unit.frame = vec![
+            Shape::Int,
+            Shape::Real,
+            Shape::Bool,
+            Shape::Char,
+            Shape::Set,
+            Shape::Ptr,
+            Shape::ProcVal,
+            Shape::Str,
+            Shape::Addr,
+            Shape::Array(Box::new(Shape::Array(Box::new(Shape::Set), 3)), 7),
+            Shape::Record(vec![
+                Shape::Record(vec![]),
+                Shape::Array(Box::new(Shape::Int), 2),
+            ]),
+        ];
+        entry.unit.code = vec![
+            Instr::PushInt(-0x0102_0304_0506_0708),
+            Instr::PushReal(1.5f64.to_bits()),
+            Instr::PushBool(false),
+            Instr::PushBool(true),
+            Instr::PushChar(b'q'),
+            Instr::PushStr(i.intern("")),
+            Instr::PushNil,
+            Instr::PushSet(0x8000_0000_0000_0001),
+            Instr::PushProc(i.intern("M.R")),
+            Instr::PushAddr {
+                level_up: 11,
+                slot: 12,
+            },
+            Instr::PushGlobalAddr {
+                module: i.intern("Lib1"),
+                slot: 13,
+            },
+            Instr::AddrField(14),
+            Instr::AddrIndex { lo: -15, len: 16 },
+            Instr::AddrDeref,
+            Instr::Load,
+            Instr::Store,
+            Instr::Dup,
+            Instr::Pop,
+            Instr::Add,
+            Instr::Sub,
+            Instr::Mul,
+            Instr::DivInt,
+            Instr::ModInt,
+            Instr::DivReal,
+            Instr::Neg,
+            Instr::Not,
+            Instr::CmpEq,
+            Instr::CmpNe,
+            Instr::CmpLt,
+            Instr::CmpLe,
+            Instr::CmpGt,
+            Instr::CmpGe,
+            Instr::InSet,
+            Instr::SetIncl,
+            Instr::SetInclRange,
+            Instr::Jump(17),
+            Instr::JumpIfFalse(18),
+            Instr::JumpIfTrue(19),
+            Instr::Call {
+                target: i.intern("M.P"),
+                argc: 20,
+                link_up: 21,
+            },
+            Instr::CallIndirect { argc: 22 },
+            Instr::CallBuiltin {
+                builtin: Builtin::Sqrt,
+                argc: 23,
+            },
+            Instr::Return,
+            Instr::ReturnValue,
+            Instr::Halt,
+            Instr::NewCell { shape: 24 },
+            Instr::DisposeCell,
+            Instr::Nop,
+        ];
+        let bytes = encode_entry(&entry, &i);
+        assert_eq!(decode_entry(&bytes, &i), Ok(entry));
+    }
+
+    #[test]
+    fn every_builtin_is_named_by_its_discriminant_and_decoded_by_its_name() {
+        for (i, &(name, b)) in Builtin::ALL.iter().enumerate() {
+            assert_eq!(b as usize, i, "Builtin::ALL out of discriminant order");
+            assert_eq!(builtin_name(b), name);
+            assert_eq!(builtin_by_name(name.as_bytes()), Some(b));
+        }
+        assert_eq!(builtin_by_name(b"abs"), None);
     }
 
     #[test]

@@ -38,8 +38,8 @@ use ccm2_support::{Diagnostic, Interner, SourceMap};
 
 pub use delta::{decode_delta, encode_delta, DeltaOp, DELTA_FORMAT};
 pub use entry::{
-    decode_entry, encode_entry, encode_image, CacheEntryData, CachedDiag, ENTRY_FORMAT,
-    FORMAT_VERSION,
+    decode_entry, encode_entry, encode_image, CacheEntryData, CachedDiag, EntryDecoder,
+    ENTRY_FORMAT, FORMAT_VERSION,
 };
 pub use fingerprint::{
     environment_fp, fingerprint_streams, import_closure, import_names, Carve, Fingerprints,

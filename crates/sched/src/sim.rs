@@ -156,6 +156,20 @@ thread_local! {
     static SIM_TASK: RefCell<Option<SimTaskCtx>> = const { RefCell::new(None) };
 }
 
+/// The payload a task thread unwinds with when it finds the controller
+/// gone: the run ended (a deadlock reported, a task's panic re-raised)
+/// while the task was parked.
+struct Shutdown;
+
+/// The controller hung up on a parked task. Unwind the task quietly —
+/// `resume_unwind` skips the panic hook — unless it is unwinding already
+/// (a drop that charged or waited on the way out), which then goes on.
+fn controller_gone() {
+    if !std::thread::panicking() {
+        std::panic::resume_unwind(Box::new(Shutdown));
+    }
+}
+
 struct SimTaskCtx {
     yield_tx: SyncSender<YieldMsg>,
     resume_rx: Receiver<()>,
@@ -172,7 +186,9 @@ impl SimTaskCtx {
             spawns: std::mem::take(&mut self.pending_spawns),
             action,
         };
-        self.yield_tx.send(msg).expect("controller alive");
+        if self.yield_tx.send(msg).is_err() {
+            controller_gone();
+        }
     }
 
     /// Yields the buffered charge (if any) and waits to be resumed.
@@ -183,7 +199,9 @@ impl SimTaskCtx {
         let lump = std::mem::take(&mut self.pending_charge);
         self.pending_total = 0;
         self.yield_with(Action::Charge(lump));
-        self.resume_rx.recv().expect("controller alive");
+        if self.resume_rx.recv().is_err() {
+            controller_gone();
+        }
     }
 }
 
@@ -228,11 +246,14 @@ impl ExecEnv for SimEnv {
             ctx.flush_charge();
             ctx.yield_with(Action::Wait(event, signaler_hint));
         });
-        SIM_TASK.with(|t| {
+        let resumed = SIM_TASK.with(|t| {
             let b = t.borrow();
             let ctx = b.as_ref().expect("sim task ctx");
-            ctx.resume_rx.recv().expect("controller alive");
+            ctx.resume_rx.recv().is_ok()
         });
+        if !resumed {
+            controller_gone();
+        }
     }
 
     fn spawn(&self, task: TaskDesc) {
@@ -409,7 +430,22 @@ impl Controller {
                 return;
             }
         }
+        self.shut_down();
         panic!("virtual-time deadlock: {report}");
+    }
+
+    /// Ends the run's task threads before the controller reports its
+    /// failure: dropping a started task's channels wakes its parked
+    /// thread, which unwinds quietly (`controller_gone`); then every
+    /// thread the run launched is joined.
+    fn shut_down(&mut self) {
+        for p in &mut self.procs {
+            p.current = None;
+            p.stack.clear();
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
     }
 
     fn admit(&mut self, desc: TaskDesc, now: u64) {
@@ -457,6 +493,10 @@ impl Controller {
                 // The controller decides what a panic means: it owns the
                 // run's `Robustness`.
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).err();
+                if caught.as_ref().is_some_and(|p| p.is::<Shutdown>()) {
+                    SIM_TASK.with(|t| t.borrow_mut().take());
+                    return;
+                }
                 // Final yields: flush buffered work, then Finish.
                 SIM_TASK.with(|t| {
                     let mut b = t.borrow_mut();
@@ -610,6 +650,7 @@ impl Controller {
                         // Unwind with the task's own payload, as the
                         // threaded executor does.
                         Some(payload) if !self.env.robustness.recover => {
+                            self.shut_down();
                             std::panic::resume_unwind(payload)
                         }
                         caught => caught.map(|p| payload_message(p.as_ref())),

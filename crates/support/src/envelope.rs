@@ -229,8 +229,10 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    /// The next `N` bytes, after one length check: a decoder reads a
+    /// record's fixed-width fields out of the array.
     #[inline]
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], OpenError> {
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], OpenError> {
         Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 

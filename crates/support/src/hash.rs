@@ -109,7 +109,7 @@ const SEED_B: u64 = 0x1319_8a2e_0370_7344;
 /// rest zero. Two overlapping fixed-size reads, not a copy of variable
 /// length: short keys (identifiers, a `u32`) are all tail.
 #[inline]
-fn le_partial(bytes: &[u8]) -> u64 {
+pub(crate) fn le_partial(bytes: &[u8]) -> u64 {
     let n = bytes.len();
     debug_assert!(n < 8);
     if n >= 4 {

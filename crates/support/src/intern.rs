@@ -173,6 +173,147 @@ impl Default for Interner {
     }
 }
 
+/// A table one reader of names keeps in front of the shared
+/// [`Interner`] — a lexer over one text, a decoder over a run of cache
+/// entries — so that the interner, its hash and its lock are met once per
+/// distinct name per reader. It stores no string: a key is a span of a
+/// byte buffer the owner keeps (the source text itself; an arena of the
+/// names decoded so far), compared there, and it is found by a
+/// one-multiply hash of its bytes. Open addressing, linear probing, a
+/// power-of-two slot array at most half full.
+///
+/// # Examples
+///
+/// ```
+/// use ccm2_support::intern::SpanTable;
+///
+/// let text = b"alpha beta alpha";
+/// let mut table = SpanTable::new();
+/// let miss = table.find(text, b"alpha").unwrap_err();
+/// table.fill(miss, 0, 7u32);
+/// assert_eq!(table.find(text, &text[11..]), Ok(7));
+/// assert!(table.find(text, b"beta").is_err());
+/// ```
+#[derive(Debug)]
+pub struct SpanTable<V> {
+    slots: Vec<Option<SpanSlot<V>>>,
+    used: usize,
+    /// `32 − log2(slots.len())`: a tag shifted right by this is the
+    /// key's home slot.
+    shift: u32,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct SpanSlot<V> {
+    tag: u32,
+    start: u32,
+    len: u32,
+    value: V,
+}
+
+/// A key [`SpanTable::find`] did not find, to be given to
+/// [`SpanTable::fill`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Miss {
+    tag: u32,
+    len: u32,
+}
+
+/// The top half of a one-multiply hash of `key`: its first and last
+/// eight bytes and its length, mixed by one multiply. Keys that differ
+/// only in their middle collide and are told apart by their bytes.
+#[inline]
+fn span_tag(key: &[u8]) -> u32 {
+    let n = key.len();
+    let (head, tail) = if n >= 8 {
+        let word = |at: usize| u64::from_le_bytes(key[at..at + 8].try_into().expect("8 bytes"));
+        (word(0), word(n - 8))
+    } else {
+        (crate::hash::le_partial(key), 0)
+    };
+    ((head ^ tail.rotate_left(29) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u32
+}
+
+impl<V: Copy> SpanTable<V> {
+    /// Slots allocated at the first fill.
+    const FIRST_SLOTS: usize = 64;
+
+    /// An empty table; it allocates at its first fill.
+    pub fn new() -> SpanTable<V> {
+        SpanTable {
+            slots: Vec::new(),
+            used: 0,
+            shift: 32,
+        }
+    }
+
+    /// The value of `key`, if a key with its bytes was filled in with a
+    /// span of `buf`; otherwise the [`Miss`] to fill it in with.
+    #[inline]
+    pub fn find(&self, buf: &[u8], key: &[u8]) -> Result<V, Miss> {
+        let tag = span_tag(key);
+        let miss = Miss {
+            tag,
+            len: key.len() as u32,
+        };
+        if self.slots.is_empty() {
+            return Err(miss);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (tag >> self.shift) as usize;
+        while let Some(slot) = &self.slots[i] {
+            if slot.tag == tag
+                && slot.len as usize == key.len()
+                && buf[slot.start as usize..][..key.len()] == *key
+            {
+                return Ok(slot.value);
+            }
+            i = (i + 1) & mask;
+        }
+        Err(miss)
+    }
+
+    /// Records the key `miss` was about as the bytes of `buf` from
+    /// `start` (later [`find`](Self::find)s must pass a `buf` that holds
+    /// them there), with `value`.
+    pub fn fill(&mut self, miss: Miss, start: usize, value: V) {
+        if (self.used + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        self.place(SpanSlot {
+            tag: miss.tag,
+            start: start as u32,
+            len: miss.len,
+            value,
+        });
+        self.used += 1;
+    }
+
+    fn place(&mut self, slot: SpanSlot<V>) {
+        let mask = self.slots.len() - 1;
+        let mut i = (slot.tag >> self.shift) as usize;
+        while self.slots[i].is_some() {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = Some(slot);
+    }
+
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(Self::FIRST_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![None; len]);
+        self.shift = 32 - len.trailing_zeros();
+        for slot in old.into_iter().flatten() {
+            self.place(slot);
+        }
+    }
+}
+
+impl<V: Copy> Default for SpanTable<V> {
+    fn default() -> SpanTable<V> {
+        SpanTable::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,5 +397,29 @@ mod tests {
         let i = Interner::new();
         let s = i.intern("roundtrip");
         assert_eq!(Symbol::from_index(s.index()), s);
+    }
+
+    // Keys kept in an arena, as a decoder keeps them: through several
+    // doublings, with the empty key, and with keys that share their
+    // first and last eight bytes (one tag, told apart by their bytes).
+    #[test]
+    fn a_span_table_finds_every_key_it_was_filled_with_and_no_other() {
+        let keys: Vec<String> = std::iter::once(String::new())
+            .chain((0..3000).map(|k| format!("headHEAD{k}tailTAIL")))
+            .collect();
+        let mut arena = Vec::new();
+        let mut table = SpanTable::new();
+        for (value, key) in keys.iter().enumerate() {
+            let miss = table
+                .find(&arena, key.as_bytes())
+                .expect_err("not filled yet");
+            table.fill(miss, arena.len(), value);
+            arena.extend_from_slice(key.as_bytes());
+        }
+        for (value, key) in keys.iter().enumerate() {
+            assert_eq!(table.find(&arena, key.as_bytes()), Ok(value), "{key:?}");
+        }
+        assert!(table.find(&arena, b"headHEAD3000tailTAIL").is_err());
+        assert!(table.find(&arena, b"headHEADtailTAIL").is_err());
     }
 }

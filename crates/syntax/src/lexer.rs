@@ -16,12 +16,85 @@
 //! * real literals `1.5`, `2.0E+3`;
 //! * string literals in single or double quotes (single line);
 //! * the operator/delimiter set, with `<>` lexing to the same token as `#`.
+//!
+//! # How it scans
+//!
+//! Every run of bytes — white space, an identifier, the digits of a
+//! number, the inside of a comment — is measured through one 256-entry
+//! byte-class table ([`CLASS`]), not through per-byte predicates. Every
+//! word is looked up first in a table the lexer owns (a [`SpanTable`]):
+//! open addressing, keyed by a one-multiply hash of the word's bytes and
+//! by the span of its first occurrence in the text, so the table holds
+//! no string. Only a word the table lacks is classified: tested against the
+//! reserved words if it has their shape (2–14 letters, the first two
+//! upper-case), otherwise named by the shared [`Interner`] — its hash,
+//! its lock, its map. So the interner is asked once per distinct name per
+//! lexer, at the name's first occurrence. That is exactly when it was
+//! ever handed a name it did not hold yet (interning is idempotent), so
+//! symbol numbering is what it would be if every occurrence were
+//! interned.
 
 use ccm2_support::diag::{Diagnostic, DiagnosticSink};
-use ccm2_support::intern::Interner;
+use ccm2_support::intern::{Interner, SpanTable};
 use ccm2_support::source::{FileId, SourceFile, Span};
 
 use crate::token::{Token, TokenKind};
+
+/// White space: what [`u8::is_ascii_whitespace`] accepts.
+const SPACE: u8 = 1;
+/// `A`–`Z`, `a`–`z`.
+const LETTER: u8 = 2;
+/// `0`–`9`.
+const DIGIT: u8 = 4;
+/// `A`–`F`: the letters a number literal's digit run takes in.
+const HEX: u8 = 8;
+/// `A`–`Z`.
+const UPPER: u8 = 16;
+
+/// The class bits of every byte value.
+static CLASS: [u8; 256] = classes();
+
+const fn classes() -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let b = i as u8;
+        let mut class = 0;
+        if b.is_ascii_whitespace() {
+            class |= SPACE;
+        }
+        if b.is_ascii_alphabetic() {
+            class |= LETTER;
+        }
+        if b.is_ascii_digit() {
+            class |= DIGIT;
+        }
+        if matches!(b, b'A'..=b'F') {
+            class |= HEX;
+        }
+        if b.is_ascii_uppercase() {
+            class |= UPPER;
+        }
+        table[i] = class;
+        i += 1;
+    }
+    table
+}
+
+#[inline]
+fn class(b: u8) -> u8 {
+    CLASS[b as usize]
+}
+
+/// The length of the run at the start of `bytes` whose every byte has a
+/// bit of `mask`.
+#[inline]
+fn run(bytes: &[u8], mask: u8) -> usize {
+    bytes
+        .iter()
+        .position(|&b| class(b) & mask == 0)
+        .unwrap_or(bytes.len())
+}
 
 /// Streaming lexer over a source file's text.
 ///
@@ -45,8 +118,9 @@ pub struct Lexer<'a> {
     pos: usize,
     file: FileId,
     interner: &'a Interner,
+    /// What each word met so far lexes to, keyed by its first span.
+    words: SpanTable<TokenKind>,
     sink: &'a DiagnosticSink,
-    done: bool,
 }
 
 impl<'a> Lexer<'a> {
@@ -61,8 +135,8 @@ impl<'a> Lexer<'a> {
             pos: 0,
             file: file.id(),
             interner,
+            words: SpanTable::new(),
             sink,
-            done: false,
         }
     }
 
@@ -74,97 +148,119 @@ impl<'a> Lexer<'a> {
         self.text.get(self.pos + 1).copied()
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
+    /// Bytes from the cursor on.
+    fn rest(&self) -> &'a [u8] {
+        &self.text[self.pos..]
+    }
+
+    fn error(&self, lo: usize, message: impl Into<String>) {
+        self.sink.report(Diagnostic::error(
+            self.file,
+            Span::new(lo as u32, self.pos as u32),
+            message,
+        ));
     }
 
     fn skip_trivia(&mut self) {
         loop {
-            match self.peek() {
-                Some(b) if b.is_ascii_whitespace() => {
-                    self.pos += 1;
+            self.pos += run(self.rest(), SPACE);
+            if !self.rest().starts_with(b"(*") {
+                return;
+            }
+            self.skip_comment();
+        }
+    }
+
+    /// Skips a comment, nested ones included, from its `(*`.
+    fn skip_comment(&mut self) {
+        let start = self.pos;
+        let text = self.text;
+        let mut at = self.pos + 2;
+        let mut depth = 1usize;
+        while let Some(k) = text[at..].iter().position(|&b| b == b'(' || b == b'*') {
+            at += k;
+            match (text[at], text.get(at + 1)) {
+                (b'(', Some(b'*')) => {
+                    depth += 1;
+                    at += 2;
                 }
-                Some(b'(') if self.peek2() == Some(b'*') => {
-                    let start = self.pos as u32;
-                    self.pos += 2;
-                    let mut depth = 1usize;
-                    loop {
-                        match (self.peek(), self.peek2()) {
-                            (Some(b'('), Some(b'*')) => {
-                                depth += 1;
-                                self.pos += 2;
-                            }
-                            (Some(b'*'), Some(b')')) => {
-                                depth -= 1;
-                                self.pos += 2;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            (Some(_), _) => self.pos += 1,
-                            (None, _) => {
-                                self.sink.report(Diagnostic::error(
-                                    self.file,
-                                    Span::new(start, self.pos as u32),
-                                    "unterminated comment",
-                                ));
-                                break;
-                            }
-                        }
+                (b'*', Some(b')')) => {
+                    depth -= 1;
+                    at += 2;
+                    if depth == 0 {
+                        self.pos = at;
+                        return;
                     }
                 }
-                _ => break,
+                _ => at += 1,
+            }
+        }
+        self.pos = text.len();
+        self.error(start, "unterminated comment");
+    }
+
+    fn lex_word(&mut self) -> TokenKind {
+        let start = self.pos;
+        self.pos += run(self.rest(), LETTER | DIGIT);
+        let word = &self.text[start..self.pos];
+        match self.words.find(self.text, word) {
+            Ok(kind) => kind,
+            Err(miss) => {
+                let kind = self.classify(word);
+                self.words.fill(miss, start, kind);
+                kind
             }
         }
     }
 
-    fn lex_ident(&mut self) -> TokenKind {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric()) {
-            self.pos += 1;
-        }
-        let word = std::str::from_utf8(&self.text[start..self.pos]).expect("ascii identifier");
-        TokenKind::reserved(word).unwrap_or_else(|| TokenKind::Ident(self.interner.intern(word)))
+    /// What a word this lexer has not met before lexes to: a reserved
+    /// word, if it has their shape and is one, else an identifier the
+    /// shared interner names.
+    fn classify(&self, word: &[u8]) -> TokenKind {
+        let shaped = (2..=14).contains(&word.len()) && class(word[0]) & class(word[1]) & UPPER != 0;
+        let word = std::str::from_utf8(word).expect("ascii identifier");
+        shaped
+            .then(|| TokenKind::reserved(word))
+            .flatten()
+            .unwrap_or_else(|| TokenKind::Ident(self.interner.intern(word)))
     }
 
     fn lex_number(&mut self) -> TokenKind {
         let start = self.pos;
         // Consume digits plus hex letters; decide the base by the suffix.
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit() || (b'A'..=b'F').contains(&b)) {
-            self.pos += 1;
-        }
+        self.pos += run(self.rest(), DIGIT | HEX);
         // Real literal: digits '.' digits [E [sign] digits]. Careful: `..`
         // after a number is a range, not a decimal point.
         if self.peek() == Some(b'.') && self.peek2() != Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.pos += run(self.rest(), DIGIT);
             if self.peek() == Some(b'E') {
                 self.pos += 1;
                 if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                     self.pos += 1;
                 }
-                while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
+                self.pos += run(self.rest(), DIGIT);
             }
             let s = std::str::from_utf8(&self.text[start..self.pos]).expect("ascii number");
             return match s.parse::<f64>() {
                 Ok(v) => TokenKind::Real(v.to_bits()),
                 Err(_) => {
-                    self.sink.report(Diagnostic::error(
-                        self.file,
-                        Span::new(start as u32, self.pos as u32),
-                        format!("malformed real literal `{s}`"),
-                    ));
+                    self.error(start, format!("malformed real literal `{s}`"));
                     TokenKind::Real(0f64.to_bits())
                 }
             };
         }
-        let body = std::str::from_utf8(&self.text[start..self.pos]).expect("ascii number");
+        let body = &self.text[start..self.pos];
+        if body.len() <= 18
+            && self.peek() != Some(b'H')
+            && body.iter().all(|&b| class(b) & DIGIT != 0)
+        {
+            // Plain decimal that cannot overflow: what `from_str_radix`
+            // below would answer, without the string.
+            let v = body.iter().fold(0i64, |v, &d| v * 10 + i64::from(d - b'0'));
+            return TokenKind::Int(v);
+        }
+        let body = std::str::from_utf8(body).expect("ascii number");
         // Suffix determines the base: `H` = hex; otherwise a trailing `B`
         // (octal) or `C` (octal char) was already consumed by the digit
         // scan above, since B and C are valid hex letters.
@@ -183,21 +279,16 @@ impl<'a> Lexer<'a> {
                 if (0..=255).contains(&v) {
                     TokenKind::CharLit(v as u8)
                 } else {
-                    self.sink.report(Diagnostic::error(
-                        self.file,
-                        Span::new(start as u32, self.pos as u32),
-                        format!("character code {v} out of range"),
-                    ));
+                    self.error(start, format!("character code {v} out of range"));
                     TokenKind::CharLit(0)
                 }
             }
             Ok(v) => TokenKind::Int(v),
             Err(_) => {
-                self.sink.report(Diagnostic::error(
-                    self.file,
-                    Span::new(start as u32, self.pos as u32),
+                self.error(
+                    start,
                     format!("malformed integer literal `{digits}` (base {base})"),
-                ));
+                );
                 TokenKind::Int(0)
             }
         }
@@ -207,18 +298,11 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         self.pos += 1; // opening quote
         let body_start = self.pos;
-        loop {
-            match self.peek() {
-                Some(b) if b == quote => break,
-                Some(b'\n') | None => {
-                    self.sink.report(Diagnostic::error(
-                        self.file,
-                        Span::new(start as u32, self.pos as u32),
-                        "unterminated string literal",
-                    ));
-                    break;
-                }
-                Some(_) => self.pos += 1,
+        match self.rest().iter().position(|&b| b == quote || b == b'\n') {
+            Some(k) if self.rest()[k] == quote => self.pos += k,
+            ended => {
+                self.pos = ended.map_or(self.text.len(), |k| self.pos + k);
+                self.error(start, "unterminated string literal");
             }
         }
         let body = std::str::from_utf8(&self.text[body_start..self.pos]).unwrap_or("");
@@ -234,166 +318,100 @@ impl<'a> Lexer<'a> {
             TokenKind::Str(self.interner.intern(body))
         }
     }
+
+    /// A one-byte token, or the two-byte one when `second` follows.
+    fn one_or_two(&mut self, second: u8, two: TokenKind, one: TokenKind) -> TokenKind {
+        if self.peek2() == Some(second) {
+            self.pos += 2;
+            two
+        } else {
+            self.pos += 1;
+            one
+        }
+    }
+}
+
+/// The token a byte is on its own, for bytes that never start a longer
+/// one.
+fn single(b: u8) -> Option<TokenKind> {
+    use TokenKind::*;
+    Some(match b {
+        b'+' => Plus,
+        b'-' => Minus,
+        b'*' => Star,
+        b'/' => Slash,
+        b'&' => Amp,
+        b'=' => Eq,
+        b'#' => Neq,
+        b'~' => Tilde,
+        b'^' => Caret,
+        b',' => Comma,
+        b';' => Semi,
+        b'|' => Bar,
+        b'(' => LParen,
+        b')' => RParen,
+        b'[' => LBracket,
+        b']' => RBracket,
+        b'{' => LBrace,
+        b'}' => RBrace,
+        _ => return None,
+    })
 }
 
 impl<'a> Iterator for Lexer<'a> {
     type Item = Token;
 
     fn next(&mut self) -> Option<Token> {
-        if self.done {
-            return None;
-        }
-        self.skip_trivia();
-        let start = self.pos as u32;
-        let Some(b) = self.peek() else {
-            self.done = true;
-            return None;
-        };
         use TokenKind::*;
-        let kind = match b {
-            b'A'..=b'Z' | b'a'..=b'z' => self.lex_ident(),
-            b'0'..=b'9' => self.lex_number(),
-            b'\'' | b'"' => self.lex_string(b),
-            b'+' => {
-                self.pos += 1;
-                Plus
-            }
-            b'-' => {
-                self.pos += 1;
-                Minus
-            }
-            b'*' => {
-                self.pos += 1;
-                Star
-            }
-            b'/' => {
-                self.pos += 1;
-                Slash
-            }
-            b'&' => {
-                self.pos += 1;
-                Amp
-            }
-            b'=' => {
-                self.pos += 1;
-                Eq
-            }
-            b'#' => {
-                self.pos += 1;
-                Neq
-            }
-            b'~' => {
-                self.pos += 1;
-                Tilde
-            }
-            b'^' => {
-                self.pos += 1;
-                Caret
-            }
-            b',' => {
-                self.pos += 1;
-                Comma
-            }
-            b';' => {
-                self.pos += 1;
-                Semi
-            }
-            b'|' => {
-                self.pos += 1;
-                Bar
-            }
-            b'(' => {
-                self.pos += 1;
-                LParen
-            }
-            b')' => {
-                self.pos += 1;
-                RParen
-            }
-            b'[' => {
-                self.pos += 1;
-                LBracket
-            }
-            b']' => {
-                self.pos += 1;
-                RBracket
-            }
-            b'{' => {
-                self.pos += 1;
-                LBrace
-            }
-            b'}' => {
-                self.pos += 1;
-                RBrace
-            }
-            b':' => {
-                self.pos += 1;
-                if self.peek() == Some(b'=') {
-                    self.pos += 1;
-                    Assign
-                } else {
-                    Colon
-                }
-            }
-            b'<' => {
-                self.pos += 1;
-                match self.peek() {
-                    Some(b'=') => {
+        loop {
+            self.skip_trivia();
+            let start = self.pos;
+            let b = self.peek()?;
+            let kind = match b {
+                b'A'..=b'Z' | b'a'..=b'z' => self.lex_word(),
+                b'0'..=b'9' => self.lex_number(),
+                b'\'' | b'"' => self.lex_string(b),
+                b':' => self.one_or_two(b'=', Assign, Colon),
+                b'>' => self.one_or_two(b'=', Ge, Gt),
+                b'.' => self.one_or_two(b'.', DotDot, Dot),
+                b'<' if self.peek2() == Some(b'>') => self.one_or_two(b'>', Neq, Lt),
+                b'<' => self.one_or_two(b'=', Le, Lt),
+                other => match single(other) {
+                    Some(kind) => {
                         self.pos += 1;
-                        Le
+                        kind
                     }
-                    Some(b'>') => {
+                    None => {
                         self.pos += 1;
-                        Neq
+                        self.error(start, format!("unexpected character `{}`", other as char));
+                        continue;
                     }
-                    _ => Lt,
-                }
-            }
-            b'>' => {
-                self.pos += 1;
-                if self.peek() == Some(b'=') {
-                    self.pos += 1;
-                    Ge
-                } else {
-                    Gt
-                }
-            }
-            b'.' => {
-                self.pos += 1;
-                if self.peek() == Some(b'.') {
-                    self.pos += 1;
-                    DotDot
-                } else {
-                    Dot
-                }
-            }
-            other => {
-                self.bump();
-                self.sink.report(Diagnostic::error(
-                    self.file,
-                    Span::new(start, self.pos as u32),
-                    format!("unexpected character `{}`", other as char),
-                ));
-                return self.next();
-            }
-        };
-        Some(Token::new(
-            kind,
-            Span::new(start, self.pos as u32),
-            self.file,
-        ))
+                },
+            };
+            let span = Span {
+                lo: start as u32,
+                hi: self.pos as u32,
+            };
+            return Some(Token::new(kind, span, self.file));
+        }
     }
 }
 
 /// Lexes an entire file into a vector of tokens (no trailing `Eof` token —
 /// the parser treats slice exhaustion as end of input).
 pub fn lex_file(file: &SourceFile, interner: &Interner, sink: &DiagnosticSink) -> Vec<Token> {
-    Lexer::new(file, interner, sink).collect()
+    // Sized for three bytes a token, a little under what dense code
+    // averages, so the vector is seldom copied while it grows. Capacity
+    // past the last token is never written, so it is never paged in.
+    let mut tokens = Vec::with_capacity(file.text().len() / 3);
+    tokens.extend(Lexer::new(file, interner, sink));
+    tokens
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccm2_support::intern::Symbol;
     use ccm2_support::source::SourceMap;
 
     fn kinds(src: &str) -> (Vec<TokenKind>, DiagnosticSink) {
@@ -541,5 +559,53 @@ mod tests {
         let (k, sink) = kinds("");
         assert!(k.is_empty());
         assert!(sink.is_empty());
+    }
+
+    #[test]
+    fn the_byte_classes_are_the_ascii_predicates() {
+        for b in 0..=255u8 {
+            let c = class(b);
+            assert_eq!(c & SPACE != 0, b.is_ascii_whitespace(), "{b}");
+            assert_eq!(c & LETTER != 0, b.is_ascii_alphabetic(), "{b}");
+            assert_eq!(c & DIGIT != 0, b.is_ascii_digit(), "{b}");
+            assert_eq!(c & HEX != 0, (b'A'..=b'F').contains(&b), "{b}");
+            assert_eq!(c & UPPER != 0, b.is_ascii_uppercase(), "{b}");
+        }
+    }
+
+    // Past the initial 256 slots, through several doublings, with names
+    // that share their first and last eight bytes (so they collide in the
+    // hash and are told apart by their bytes): each distinct name reaches
+    // the interner once, in order of first occurrence.
+    #[test]
+    fn the_name_table_interns_each_name_once_in_first_occurrence_order() {
+        let names: Vec<String> = (0..2000)
+            .map(|i| format!("prefixAB{i}x{}suffixYZ", i % 7))
+            .collect();
+        let mut src = String::new();
+        for round in 0..3 {
+            for (i, n) in names.iter().enumerate() {
+                if round == 0 || i % (round + 1) == 0 {
+                    src.push_str(n);
+                    src.push(' ');
+                }
+            }
+        }
+        let interner = Interner::new();
+        let map = SourceMap::new();
+        let file = map.add("t.mod", src);
+        let sink = DiagnosticSink::new();
+        let toks = lex_file(&file, &interner, &sink);
+        assert_eq!(interner.len(), names.len());
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(interner.resolve(Symbol::from_index(i)), *n);
+        }
+        for t in &toks {
+            let TokenKind::Ident(sym) = t.kind else {
+                panic!("{t:?}");
+            };
+            let text = &file.text()[t.span.lo as usize..t.span.hi as usize];
+            assert_eq!(interner.resolve(sym), text);
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! back a value whose encoding is exactly that image, or it has read
 //! something other than what was written.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use ccm2::{compile_concurrent, Options};
 use ccm2_analysis::{
     decode_summary, encode_summary, CallSite, LockAcquire, UnitSummary, SUMMARY_FORMAT,
 };
@@ -20,8 +21,8 @@ use ccm2_fabric::{
     Transport, WireOutcome, WireRequest, MBRS_FORMAT, NO_ROUTER, RLOG_FORMAT, WIRE_FORMAT,
 };
 use ccm2_incr::{
-    decode_delta, decode_entry, encode_delta, encode_entry, CacheEntryData, CachedDiag, DeltaOp,
-    DELTA_FORMAT, ENTRY_FORMAT,
+    decode_delta, decode_entry, encode_delta, encode_entry, ArtifactStore, CacheEntryData,
+    CachedDiag, DeltaOp, MemStore, DELTA_FORMAT, ENTRY_FORMAT,
 };
 use ccm2_sema::builtins::Builtin;
 use ccm2_sema::symtab::DkyStrategy;
@@ -30,6 +31,7 @@ use ccm2_support::envelope::{Format, OpenError};
 use ccm2_support::hash::Fp128;
 use ccm2_support::source::Span;
 use ccm2_support::{Interner, Severity};
+use ccm2_workload::{generate_suite, GeneratedModule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,13 +109,91 @@ fn entry_samples() -> Vec<Vec<u8>> {
         findings: 1,
         summary: summary_samples().remove(0),
     };
-    vec![encode_entry(&entry, &interner)]
+    let mut samples = vec![encode_entry(&entry, &interner)];
+    samples.extend(real_entries().iter().cloned());
+    samples
+}
+
+/// Every entry a cold compile of `m` stores, in fingerprint order.
+fn stored_entries(m: &GeneratedModule) -> Vec<Vec<u8>> {
+    let store = Arc::new(MemStore::new());
+    let out = compile_concurrent(
+        &m.source,
+        Arc::new(m.defs.clone()),
+        Arc::new(Interner::new()),
+        Options {
+            analyze: true,
+            incremental: Some(Arc::clone(&store) as Arc<dyn ArtifactStore>),
+            ..Options::threads(2)
+        },
+    );
+    assert!(out.is_ok(), "{}: {:?}", m.name, out.diagnostics);
+    let fps = store.fingerprints();
+    fps.into_iter().filter_map(|fp| store.load(fp)).collect()
+}
+
+/// Entries a real suite module stores: in the smallest module that has
+/// all four, for each of `Call`, `CallBuiltin`, `PushGlobalAddr` and a
+/// shape that holds shapes (the suite's records), the shortest entry
+/// that has one.
+fn real_entries() -> &'static [Vec<u8>] {
+    static CHOSEN: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    CHOSEN.get_or_init(|| {
+        fn has_instr(e: &CacheEntryData, what: fn(&Instr) -> bool) -> bool {
+            e.unit.code.iter().any(what)
+        }
+        let features: [fn(&CacheEntryData) -> bool; 4] = [
+            |e| has_instr(e, |i| matches!(i, Instr::Call { .. })),
+            |e| has_instr(e, |i| matches!(i, Instr::CallBuiltin { .. })),
+            |e| has_instr(e, |i| matches!(i, Instr::PushGlobalAddr { .. })),
+            |e| {
+                let mut shapes = e.unit.frame.iter().chain(&e.unit.shapes);
+                shapes.any(|s| matches!(s, Shape::Array(..) | Shape::Record(_)))
+            },
+        ];
+        let mut suite = generate_suite();
+        suite.sort_by_key(|m| m.source.len());
+        for m in &suite {
+            let mut stored = stored_entries(m);
+            stored.sort_by_key(|b| (b.len(), b.clone()));
+            let interner = Interner::new();
+            let decoded: Vec<CacheEntryData> = stored
+                .iter()
+                .map(|b| decode_entry(b, &interner).expect("a stored entry decodes"))
+                .collect();
+            let shortest: Option<Vec<usize>> = features
+                .iter()
+                .map(|has| decoded.iter().position(has))
+                .collect();
+            if let Some(mut at) = shortest {
+                at.sort_unstable();
+                at.dedup();
+                return at.into_iter().map(|i| stored[i].clone()).collect();
+            }
+        }
+        panic!("no suite module stores all four kinds of entry");
+    })
 }
 
 fn recode_entry(bytes: &[u8]) -> Option<Vec<u8>> {
     let interner = Interner::new();
     let entry = decode_entry(bytes, &interner).ok()?;
     Some(encode_entry(&entry, &interner))
+}
+
+// The decoder on every payload the compiler writes, not only on the
+// samples: one cold pass over the suite, every entry it stores decoded
+// and re-encoded to its own bytes.
+#[test]
+fn every_entry_a_suite_pass_stores_recodes_to_itself() {
+    let mut entries = 0;
+    for m in generate_suite() {
+        for bytes in stored_entries(&m) {
+            assert_eq!(recode_entry(&bytes), Some(bytes), "{}", m.name);
+            entries += 1;
+        }
+    }
+    assert!(entries > 1000, "{entries} entries");
 }
 
 fn summary_samples() -> Vec<Vec<u8>> {

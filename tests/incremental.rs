@@ -7,12 +7,13 @@ use std::sync::Arc;
 
 use ccm2::{compile_concurrent, ConcurrentOutput, Options};
 use ccm2_incr::{
-    environment_fp, import_closure, ArtifactStore, DiskStore, IncrStats, MemStore, FORMAT_VERSION,
+    decode_entry, environment_fp, import_closure, ArtifactStore, DiskStore, EntryDecoder,
+    IncrStats, MemStore, FORMAT_VERSION,
 };
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
 use ccm2_support::hash::{Fp128, StableHasher};
-use ccm2_support::Interner;
+use ccm2_support::{Interner, Symbol};
 use ccm2_workload::{
     apply_edits, body_edits, generate, suite_params, GenParams, GeneratedModule, SUITE_SIZE,
 };
@@ -353,6 +354,34 @@ fn warm_splice_tasks_run_before_any_codegen_in_both_executors() {
              codegen/procparse at {first_codegen}"
         );
     }
+}
+
+/// A warm compile decodes all of a module's entries through one
+/// decoder, whose name table asks the interner once per distinct name:
+/// each entry must come out as a decoder of its own makes it, and the
+/// interner must end with the same strings at the same indices.
+#[test]
+fn one_decoder_over_a_modules_entries_decodes_each_as_a_fresh_one_does() {
+    let m = generate(&suite_params(20));
+    let store = Arc::new(MemStore::new());
+    assert!(compile(&m, Some(store.clone()), true, 2).is_ok());
+    let blobs: Vec<Vec<u8>> = store
+        .fingerprints()
+        .into_iter()
+        .filter_map(|fp| store.load(fp))
+        .collect();
+    assert!(blobs.len() > 10);
+    let (shared, fresh) = (Interner::new(), Interner::new());
+    let mut decoder = EntryDecoder::new(&shared);
+    for bytes in &blobs {
+        assert_eq!(decoder.decode(bytes), decode_entry(bytes, &fresh));
+    }
+    let strings = |i: &Interner| -> Vec<String> {
+        (0..i.len())
+            .map(|k| i.resolve(Symbol::from_index(k)))
+            .collect()
+    };
+    assert_eq!(strings(&shared), strings(&fresh));
 }
 
 /// An [`ArtifactStore`] that holds nothing and notes every fingerprint
