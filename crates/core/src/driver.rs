@@ -357,6 +357,12 @@ struct DriverState {
     scope_events: HashMap<ScopeId, EventId>,
     heading_events: HashMap<ScopeId, EventId>,
     heading_info: HashMap<ScopeId, (Symbol, ProcSig)>,
+    /// The procedure streams carved directly inside each scope, in
+    /// source order.
+    child_streams: HashMap<ScopeId, Vec<ScopeId>>,
+    /// Scopes whose declarations are done: no heading of a stream carved
+    /// inside one of them afterwards will ever be declared.
+    declarations_done: HashSet<ScopeId>,
     stream_scopes: HashMap<StreamId, ScopeId>,
     symbol_events: HashMap<(ScopeId, Symbol), EventId>,
     main_scope: Option<ScopeId>,
@@ -448,6 +454,8 @@ impl Driver {
                 scope_events: HashMap::new(),
                 heading_events: HashMap::new(),
                 heading_info: HashMap::new(),
+                child_streams: HashMap::new(),
+                declarations_done: HashSet::new(),
                 stream_scopes: HashMap::new(),
                 symbol_events: HashMap::new(),
                 main_scope: None,
@@ -802,6 +810,7 @@ impl Driver {
         let Some(mut streaming) = streaming else {
             if let Some(s) = main_scope {
                 sema.tables.mark_complete(s);
+                self.release_undeclared_headings(s);
             } else {
                 self.env.signal(self.main_scope_event);
             }
@@ -848,13 +857,16 @@ impl Driver {
             }
         }
         let pending = declarer.finish();
-        // Under the no-early-split ablation, procedure bodies are Local:
-        // declare them here (serially — the ablation's cost) and spawn
-        // their code-generation tasks.
-        self.process_local_procs(pending);
+        self.release_undeclared_headings(scope);
         // Paper §3: the symbol table is marked complete before the
         // statement parse tree is built.
         sema.tables.mark_complete(scope);
+        // Under the no-early-split ablation, procedure bodies are Local:
+        // declare them here (serially — the ablation's cost) and spawn
+        // their code-generation tasks. The module's table is complete
+        // first: a local procedure's lookup that misses it must not wait
+        // on this very task.
+        self.process_local_procs(pending);
         self.merger
             .add_globals(streaming.name().name, global_shapes(&sema, scope));
         let module_name = streaming.name().name;
@@ -1028,15 +1040,18 @@ impl Driver {
     fn proc_parse(self: &Arc<Self>, stream: StreamId, scope: ScopeId, q: Arc<TokenQueue>) {
         let sema = Arc::clone(self.sema());
         let cursor = StreamCursor::new(q, Work::Parse);
-        let streaming = StreamingProc::begin(&cursor, &sema.interner, &sema.sink);
-        let Some(mut streaming) = streaming else {
-            sema.tables.mark_complete(scope);
-            return;
-        };
         let info = self.st.lock().heading_info.get(&scope).cloned();
-        let Some((code_name, sig)) = info else {
-            // Heading event fired without info: defensive.
+        let begun = info.and_then(|info| {
+            let streaming = StreamingProc::begin(&cursor, &sema.interner, &sema.sink)?;
+            Some((info, streaming))
+        });
+        let Some(((code_name, sig), mut streaming)) = begun else {
+            // The enclosing declarations never declared this heading: it
+            // failed to parse there, was reported there, and the whole
+            // declaration was skipped — so nothing of this stream is
+            // compiled, and none of its nested headings is declared.
             sema.tables.mark_complete(scope);
+            self.release_undeclared_headings(scope);
             return;
         };
         match self.heading_mode {
@@ -1066,6 +1081,7 @@ impl Driver {
             }
         }
         declarer.finish();
+        self.release_undeclared_headings(scope);
         sema.tables.mark_complete(scope);
         let (stmts, poisoned) = streaming.finish();
         // Statement analysis + code generation task: long before short.
@@ -1118,6 +1134,28 @@ impl Driver {
         };
         self.env.spawn(t);
         let _ = stream;
+    }
+
+    /// Once `parent`'s declarations are done, fires the §2.4 heading
+    /// event of every procedure stream carved directly inside it whose
+    /// heading they never declared (it failed to parse, or the parse
+    /// stopped short of it; a stream carved later is released as it is
+    /// carved). That stream's ProcParse then takes its no-heading branch
+    /// instead of waiting forever.
+    fn release_undeclared_headings(&self, parent: ScopeId) {
+        let undeclared: Vec<EventId> = {
+            let mut st = self.st.lock();
+            st.declarations_done.insert(parent);
+            let children = st.child_streams.get(&parent).map_or(&[][..], Vec::as_slice);
+            children
+                .iter()
+                .filter(|s| !st.heading_info.contains_key(s))
+                .filter_map(|s| st.heading_events.get(s).copied())
+                .collect()
+        };
+        for e in undeclared {
+            self.env.signal(e);
+        }
     }
 
     // ---- incremental compilation -------------------------------------------
@@ -1708,16 +1746,21 @@ impl StreamFactory for DriverHandle {
             .env
             .new_event_named(EventClass::Avoided, &format!("heading({name_str})"));
         let (writer, q) = TokenQueue::channel(Arc::clone(&this.env), format!("proc({name_str})"));
-        let id = {
+        let (id, undeclared) = {
             let mut st = this.st.lock();
             let id = StreamId(st.next_stream);
             st.next_stream += 1;
             st.scope_events.insert(scope, scope_ev);
             st.heading_events.insert(scope, heading_ev);
+            st.child_streams.entry(parent).or_default().push(scope);
             st.stream_scopes.insert(id, scope);
             st.procedures += 1;
-            id
+            (id, st.declarations_done.contains(&parent))
         };
+        if undeclared {
+            // The parent's parse stopped short of this heading.
+            this.env.signal(heading_ev);
+        }
         if this.incr.is_some() {
             // Incremental mode: task spawning is deferred to `split_eof`,
             // when the full carve set exists and each stream can be

@@ -158,12 +158,15 @@ pub fn run_splitter(
                 report.procedures += 1;
                 let (stream, mut proc_q) = factory.proc_stream(name, name_tok.file, parent_scope);
                 // Heading: `PROCEDURE Name … ;` (first `;` at paren depth
-                // 0) — copied to both the enclosing stream and the new
-                // one.
+                // 0, or up to a token no heading contains) — copied to
+                // both the enclosing stream and the new one.
                 heading.clear();
                 heading.push(t);
                 let mut paren_depth = 0i64;
                 while let Some(ht) = input.get(pos) {
+                    if ht.kind.ends_heading(paren_depth) {
+                        break;
+                    }
                     pos += 1;
                     heading.push(ht);
                     match ht.kind {
@@ -216,22 +219,22 @@ pub fn run_splitter(
 }
 
 /// After the procedure's END: copy the closing name and semicolon to the
-/// procedure stream (whatever of `Ident` `;` is there, so the stream
-/// parser can report precise errors). Returns tokens consumed and the
-/// highest byte offset copied (so the carve extends through `END Name ;`).
+/// procedure stream (whichever of `Ident` then `;` is there — the parser
+/// reads a procedure's trailer the same way). Returns tokens consumed and
+/// the highest byte offset copied (so the carve extends through
+/// `END Name ;`).
 fn copy_end_name(input: &dyn TokenSource, pos: &mut usize, sink: &mut TokenWriter) -> (usize, u32) {
     let (start, mut hi) = (*pos, 0);
-    while *pos < start + 2 {
-        match input.get(*pos) {
-            Some(t) if matches!(t.kind, TokenKind::Ident(_) | TokenKind::Semi) => {
-                *pos += 1;
-                hi = hi.max(t.span.hi);
-                sink.push(t);
-                if t.kind == TokenKind::Semi {
-                    break;
-                }
-            }
-            _ => break,
+    for semi in [false, true] {
+        let Some(t) = input.get(*pos) else { break };
+        let wanted = match t.kind {
+            TokenKind::Ident(_) => !semi,
+            kind => semi && kind == TokenKind::Semi,
+        };
+        if wanted {
+            *pos += 1;
+            hi = hi.max(t.span.hi);
+            sink.push(t);
         }
     }
     (*pos - start, hi)

@@ -3,19 +3,26 @@
 //! The parser operates on *token slices*, not text, because in the
 //! concurrent compiler the tokens of one stream arrive from the splitter
 //! (main module, procedures) or from a dedicated Lexor task (definition
-//! modules). Three entry points correspond to the three stream kinds of
+//! modules). Its entry points correspond to the three stream kinds of
 //! paper §2.1:
 //!
 //! * [`parse_definition`] — a definition-module stream;
-//! * [`parse_implementation`] — the main-module stream (which, in the
-//!   concurrent compiler, contains [`TokenKind::ProcStub`] markers where
-//!   procedure bodies were diverted);
-//! * [`parse_procedure`] — one procedure stream.
+//! * [`StreamingImpl`] — the main-module stream (which, in the concurrent
+//!   compiler, contains [`TokenKind::ProcStub`] markers where procedure
+//!   bodies were diverted); [`parse_implementation`] runs it to the end;
+//! * [`StreamingProc`] — one procedure stream.
+//!
+//! There is one driver: a procedure parsed in place (the sequential
+//! compiler, the no-early-split ablation) runs the code its stream would,
+//! and reads exactly the heading and `END name ;` the splitter carves, so
+//! every compile path recovers from a syntax error the same way.
 //!
 //! Grammar follows PIM Modula-2 with the Modula-2+ statement extensions
 //! (`LOCK`, `TRY`/`EXCEPT`/`FINALLY`, `RAISE`). Local (nested) modules and
 //! `FORWARD` declarations are not supported; the paper likewise ignores
 //! rare forms (§3, footnote 3).
+
+use std::iter::from_fn;
 
 use ccm2_support::diag::{Diagnostic, DiagnosticSink};
 use ccm2_support::intern::Interner;
@@ -70,7 +77,8 @@ pub fn parse_definition_from(
     Parser::new(source, interner, sink).definition_module()
 }
 
-/// Parses an implementation (or program) module from a token stream.
+/// Parses an implementation (or program) module from a token stream: the
+/// stages of [`StreamingImpl`], run to the end.
 ///
 /// The stream may contain [`TokenKind::ProcStub`] markers left by the
 /// splitter; the resulting [`ProcDecl`]s then have [`ProcBody::Remote`]
@@ -80,39 +88,18 @@ pub fn parse_implementation(
     interner: &Interner,
     sink: &DiagnosticSink,
 ) -> Option<ImplementationModule> {
-    Parser::new(&tokens, interner, sink).implementation_module()
-}
-
-/// Streaming variant of [`parse_implementation`] over any [`TokenSource`].
-pub fn parse_implementation_from(
-    source: &dyn TokenSource,
-    interner: &Interner,
-    sink: &DiagnosticSink,
-) -> Option<ImplementationModule> {
-    Parser::new(source, interner, sink).implementation_module()
-}
-
-/// Parses one full procedure declaration (`PROCEDURE … END name ;`), the
-/// content of a procedure stream.
-pub fn parse_procedure(
-    tokens: &[Token],
-    interner: &Interner,
-    sink: &DiagnosticSink,
-) -> Option<ProcDecl> {
-    let mut p = Parser::new(&tokens, interner, sink);
-    p.expect(TokenKind::Procedure)?;
-    p.procedure_rest()
-}
-
-/// Streaming variant of [`parse_procedure`] over any [`TokenSource`].
-pub fn parse_procedure_from(
-    source: &dyn TokenSource,
-    interner: &Interner,
-    sink: &DiagnosticSink,
-) -> Option<ProcDecl> {
-    let mut p = Parser::new(source, interner, sink);
-    p.expect(TokenKind::Procedure)?;
-    p.procedure_rest()
+    let lo = tokens.first().map(|t| t.span).unwrap_or_default();
+    let mut s = StreamingImpl::begin(&tokens, interner, sink)?;
+    let decls = from_fn(|| s.next_decls()).flatten().collect();
+    let (body, body_poisoned) = s.p.finish(s.name, true);
+    Some(ImplementationModule {
+        name: s.name,
+        imports: s.imports,
+        decls,
+        body,
+        body_poisoned,
+        span: lo.to(s.p.prev_span()),
+    })
 }
 
 /// Parses a standalone (constant) expression — used by constant-evaluation
@@ -136,6 +123,8 @@ struct Parser<'a> {
     /// Deltas around a body region decide whether that unit is *poisoned*
     /// — structurally parsed but not trustworthy for code generation.
     errors: std::cell::Cell<u32>,
+    /// Count syntax errors but report none (a procedure stream's heading).
+    quiet: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -152,6 +141,7 @@ impl<'a> Parser<'a> {
             file: FileId(0),
             file_known: false,
             errors: std::cell::Cell::new(0),
+            quiet: false,
         }
     }
 
@@ -217,10 +207,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn error(&self, msg: impl Into<String>) {
+    fn error_at(&self, span: Span, msg: impl Into<String>) {
         self.errors.set(self.errors.get() + 1);
-        self.sink
-            .report(Diagnostic::error(self.file, self.span(), msg));
+        if !self.quiet {
+            self.sink.report(Diagnostic::error(self.file, span, msg));
+        }
+    }
+
+    fn error(&self, msg: impl Into<String>) {
+        self.error_at(self.span(), msg);
     }
 
     fn expect(&mut self, kind: TokenKind) -> Option<()> {
@@ -231,6 +226,17 @@ impl<'a> Parser<'a> {
             self.error(format!("expected `{kind}`, found `{found}`"));
             None
         }
+    }
+
+    /// Expects `kind` to close `what`, whose next token may sit in another
+    /// stream: a miss is reported after the last token read.
+    fn expect_after(&mut self, kind: TokenKind, what: &str) -> bool {
+        if self.eat(kind) {
+            return true;
+        }
+        let at = Span::point(self.prev_span().hi);
+        self.error_at(at, format!("expected `{kind}` after {what}"));
+        false
     }
 
     fn ident(&mut self) -> Option<Ident> {
@@ -265,20 +271,39 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Recovers inside an import or a declaration: skips past its `;`,
+    /// but stops short of an `END` or a `PROCEDURE`, where the splitter
+    /// may close this stream or begin another.
+    fn skip_to_semi(&mut self) {
+        self.synchronize(&[TokenKind::Semi, TokenKind::End, TokenKind::Procedure]);
+        self.eat(TokenKind::Semi);
+    }
+
     // ----- modules -------------------------------------------------------
+
+    /// `MODULE name [priority] ;` and the imports after it.
+    fn module_header(&mut self) -> Option<(Ident, Vec<Import>)> {
+        self.expect(TokenKind::Module)?;
+        let name = self.ident()?;
+        // Optional module priority `[const]` — parsed and discarded.
+        if self.eat(TokenKind::LBracket) {
+            let _ = self.expression();
+            self.expect(TokenKind::RBracket);
+        }
+        self.expect(TokenKind::Semi)?;
+        Some((name, self.imports()))
+    }
 
     fn imports(&mut self) -> Vec<Import> {
         let mut imports = Vec::new();
         loop {
             if self.eat(TokenKind::From) {
                 let Some(module) = self.ident() else {
-                    self.synchronize(&[TokenKind::Semi]);
-                    self.eat(TokenKind::Semi);
+                    self.skip_to_semi();
                     continue;
                 };
                 if self.expect(TokenKind::Import).is_none() {
-                    self.synchronize(&[TokenKind::Semi]);
-                    self.eat(TokenKind::Semi);
+                    self.skip_to_semi();
                     continue;
                 }
                 let names = self.ident_list();
@@ -299,41 +324,15 @@ impl<'a> Parser<'a> {
 
     fn definition_module(&mut self) -> Option<DefinitionModule> {
         self.expect(TokenKind::Definition)?;
-        self.expect(TokenKind::Module)?;
-        let name = self.ident()?;
-        self.expect(TokenKind::Semi)?;
-        let imports = self.imports();
+        let (name, imports) = self.module_header()?;
         let mut exports = Vec::new();
         if self.eat(TokenKind::Export) {
             self.eat(TokenKind::Qualified);
             exports = self.ident_list();
             self.expect(TokenKind::Semi);
         }
-        let mut decls = Vec::new();
-        while !matches!(self.peek(), TokenKind::End | TokenKind::Eof) {
-            let before = self.pos;
-            self.declaration(true, &mut decls);
-            if self.pos == before {
-                let found = self.peek();
-                self.error(format!("unexpected `{found}` in definition module"));
-                self.bump();
-            }
-        }
-        self.expect(TokenKind::End);
-        if let Some(end_name) = self.ident() {
-            if end_name.name != name.name {
-                self.sink.report(Diagnostic::error(
-                    self.file,
-                    end_name.span,
-                    format!(
-                        "module ends with `{}` but is named `{}`",
-                        self.interner.resolve(end_name.name),
-                        self.interner.resolve(name.name)
-                    ),
-                ));
-            }
-        }
-        self.expect(TokenKind::Dot);
+        let decls = from_fn(|| self.next_decls(true)).flatten().collect();
+        self.end(name, true);
         Some(DefinitionModule {
             name,
             imports,
@@ -342,60 +341,83 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn implementation_module(&mut self) -> Option<ImplementationModule> {
-        let lo = self.span();
-        self.eat(TokenKind::Implementation);
-        self.expect(TokenKind::Module)?;
-        let name = self.ident()?;
-        // Optional module priority `[const]` — parsed and discarded.
-        if self.eat(TokenKind::LBracket) {
-            let _ = self.expression();
-            self.expect(TokenKind::RBracket);
-        }
-        self.expect(TokenKind::Semi)?;
-        let imports = self.imports();
-        let mut decls = Vec::new();
-        self.declarations(&mut decls);
-        let mut body = Vec::new();
+    /// A module's or procedure's optional `BEGIN` statement part and the
+    /// [`end`](Self::end) closing it. Returns the statements and whether
+    /// the body is *poisoned*: a syntax error inside it was recovered
+    /// from, so it must not reach code generation.
+    fn finish(&mut self, name: Ident, module: bool) -> (Vec<Stmt>, bool) {
         let errs_before = self.errors.get();
+        let mut body = Vec::new();
         if self.eat(TokenKind::Begin) {
             body = self.statement_sequence(&[TokenKind::End]);
         }
-        let body_poisoned = self.errors.get() > errs_before;
-        self.expect(TokenKind::End);
-        if let Some(end_name) = self.ident() {
-            if end_name.name != name.name {
-                self.sink.report(Diagnostic::error(
-                    self.file,
-                    end_name.span,
-                    format!(
-                        "module ends with `{}` but is named `{}`",
-                        self.interner.resolve(end_name.name),
-                        self.interner.resolve(name.name)
-                    ),
-                ));
-            }
+        let poisoned = self.errors.get() > errs_before;
+        self.end(name, module);
+        (body, poisoned)
+    }
+
+    /// `END name`, then `.` after a module or `;` after a procedure. A
+    /// procedure's trailer is read as the splitter copies it into the
+    /// procedure's stream — a name, then a `;`, either possibly missing —
+    /// so a procedure parsed in place reports what its stream would.
+    fn end(&mut self, name: Ident, module: bool) {
+        if self.expect(TokenKind::End).is_none() && !module {
+            return;
         }
-        self.expect(TokenKind::Dot);
-        let span = lo.to(self.prev_span());
-        Some(ImplementationModule {
-            name,
-            imports,
-            decls,
-            body,
-            body_poisoned,
-            span,
-        })
+        let name_str = self.interner.resolve(name.name);
+        let end_name = if module || matches!(self.peek(), TokenKind::Ident(_)) {
+            self.ident()
+        } else {
+            let at = Span::point(self.prev_span().hi);
+            self.error_at(at, format!("expected `{name_str}` after `END`"));
+            None
+        };
+        if let Some(end) = end_name.filter(|end| end.name != name.name) {
+            let found = self.interner.resolve(end.name);
+            let msg = if module {
+                format!("module ends with `{found}` but is named `{name_str}`")
+            } else {
+                format!("procedure ends with `{found}` but is named `{name_str}`")
+            };
+            self.sink
+                .report(Diagnostic::error(self.file, end.span, msg));
+        }
+        if module {
+            self.expect(TokenKind::Dot);
+        } else {
+            self.expect_after(TokenKind::Semi, &format!("procedure `{name_str}`"));
+        }
     }
 
     // ----- declarations --------------------------------------------------
 
-    fn declarations(&mut self, out: &mut Vec<Decl>) {
+    /// The next group of a declaration part: one CONST, TYPE or VAR
+    /// section, or one procedure (a heading only, in a definition
+    /// module). `None` at the part's end: `END`, the end of the stream or
+    /// — outside a definition module — `BEGIN`. A token no declaration
+    /// starts with is reported and skipped.
+    fn next_decls(&mut self, definition: bool) -> Option<Vec<Decl>> {
         loop {
+            match self.peek() {
+                TokenKind::End | TokenKind::Eof => return None,
+                TokenKind::Begin if !definition => return None,
+                _ => {}
+            }
+            let mut out = Vec::new();
             let before = self.pos;
-            self.declaration(false, out);
+            self.declaration(definition, &mut out);
+            if !out.is_empty() {
+                return Some(out);
+            }
             if self.pos == before {
-                break;
+                let found = self.peek();
+                let part = if definition {
+                    "definition module"
+                } else {
+                    "declarations"
+                };
+                self.error(format!("unexpected `{found}` in {part}"));
+                self.bump();
             }
         }
     }
@@ -409,13 +431,11 @@ impl<'a> Parser<'a> {
                 while let TokenKind::Ident(_) = self.peek() {
                     let Some(name) = self.ident() else { break };
                     if self.expect(TokenKind::Eq).is_none() {
-                        self.synchronize(&[TokenKind::Semi]);
-                        self.eat(TokenKind::Semi);
+                        self.skip_to_semi();
                         continue;
                     }
                     let Some(value) = self.expression() else {
-                        self.synchronize(&[TokenKind::Semi]);
-                        self.eat(TokenKind::Semi);
+                        self.skip_to_semi();
                         continue;
                     };
                     self.expect(TokenKind::Semi);
@@ -432,8 +452,7 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                     if self.expect(TokenKind::Eq).is_none() {
-                        self.synchronize(&[TokenKind::Semi]);
-                        self.eat(TokenKind::Semi);
+                        self.skip_to_semi();
                         continue;
                     }
                     let ty = self.type_expr();
@@ -446,13 +465,11 @@ impl<'a> Parser<'a> {
                 while let TokenKind::Ident(_) = self.peek() {
                     let names = self.ident_list();
                     if self.expect(TokenKind::Colon).is_none() {
-                        self.synchronize(&[TokenKind::Semi]);
-                        self.eat(TokenKind::Semi);
+                        self.skip_to_semi();
                         continue;
                     }
                     let Some(ty) = self.type_expr() else {
-                        self.synchronize(&[TokenKind::Semi]);
-                        self.eat(TokenKind::Semi);
+                        self.skip_to_semi();
                         continue;
                     };
                     self.expect(TokenKind::Semi);
@@ -460,6 +477,7 @@ impl<'a> Parser<'a> {
                 }
             }
             TokenKind::Procedure => {
+                let start = self.pos;
                 self.bump();
                 if heading_only {
                     if let Some(heading) = self.proc_heading() {
@@ -469,22 +487,10 @@ impl<'a> Parser<'a> {
                             body: ProcBody::HeadingOnly,
                         }));
                     } else {
-                        self.synchronize(&[TokenKind::Semi]);
-                        self.eat(TokenKind::Semi);
+                        self.skip_to_semi();
                     }
-                } else if let Some(proc) = self.procedure_rest() {
+                } else if let Some(proc) = self.procedure(start) {
                     out.push(Decl::Procedure(proc));
-                } else {
-                    self.synchronize(&[
-                        TokenKind::Semi,
-                        TokenKind::Const,
-                        TokenKind::Type,
-                        TokenKind::Var,
-                        TokenKind::Procedure,
-                        TokenKind::Begin,
-                        TokenKind::End,
-                    ]);
-                    self.eat(TokenKind::Semi);
                 }
             }
             _ => {}
@@ -524,51 +530,89 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// Parses everything after the `PROCEDURE` reserved word: heading,
-    /// then a local body, a splitter stub, or (heading-only) nothing.
-    fn procedure_rest(&mut self) -> Option<ProcDecl> {
-        let heading = self.proc_heading()?;
-        self.expect(TokenKind::Semi)?;
-        // The splitter may have replaced the body with a stub.
-        if let TokenKind::ProcStub(stream) = self.peek() {
-            self.bump();
-            self.expect(TokenKind::Semi);
-            return Some(ProcDecl {
-                heading,
-                body: ProcBody::Remote(stream),
-            });
-        }
-        let mut decls = Vec::new();
-        self.declarations(&mut decls);
-        let mut body = Vec::new();
-        let errs_before = self.errors.get();
-        if self.eat(TokenKind::Begin) {
-            body = self.statement_sequence(&[TokenKind::End]);
-        }
-        let poisoned = self.errors.get() > errs_before;
-        self.expect(TokenKind::End)?;
-        if let Some(end_name) = self.ident() {
-            if end_name.name != heading.name.name {
-                self.sink.report(Diagnostic::error(
-                    self.file,
-                    end_name.span,
-                    format!(
-                        "procedure ends with `{}` but is named `{}`",
-                        self.interner.resolve(end_name.name),
-                        self.interner.resolve(heading.name.name)
-                    ),
-                ));
+    /// Index just past the heading the splitter carves for the
+    /// `PROCEDURE` at `start`: through its first `;` outside parentheses,
+    /// or up to a token no heading contains ([`TokenKind::ends_heading`]).
+    fn heading_end(&self, start: usize) -> usize {
+        let (mut i, mut parens) = (start + 1, 0i64);
+        while let Some(t) = self.tokens.get(i) {
+            if t.kind.ends_heading(parens) {
+                break;
+            }
+            i += 1;
+            match t.kind {
+                TokenKind::LParen => parens += 1,
+                TokenKind::RParen => parens -= 1,
+                TokenKind::Semi if parens <= 0 => break,
+                _ => {}
             }
         }
-        self.expect(TokenKind::Semi);
+        i
+    }
+
+    /// A procedure declaration after its `PROCEDURE` (at `start`): the
+    /// heading, then the splitter's stub or a local body. The parse ends
+    /// where the splitter's carve does: a heading that fails to parse
+    /// loses the whole declaration, and what a local body's parse left
+    /// unread is never read by its procedure stream either.
+    fn procedure(&mut self, start: usize) -> Option<ProcDecl> {
+        let heading = self.proc_heading();
+        if heading.is_some() && !self.expect_after(TokenKind::Semi, "a procedure heading") {
+            self.pos = self.pos.max(self.heading_end(start));
+        }
+        let body = heading.as_ref().map(|heading| match self.peek() {
+            TokenKind::ProcStub(stream) => {
+                self.bump();
+                self.expect(TokenKind::Semi);
+                ProcBody::Remote(stream)
+            }
+            _ => {
+                let decls = from_fn(|| self.next_decls(false)).flatten().collect();
+                let (body, poisoned) = self.finish(heading.name, false);
+                ProcBody::Local(Box::new(ProcLocal {
+                    decls,
+                    body,
+                    poisoned,
+                }))
+            }
+        });
+        self.pos = self.pos.max(self.carve_end(start));
         Some(ProcDecl {
-            heading,
-            body: ProcBody::Local(Box::new(ProcLocal {
-                decls,
-                body,
-                poisoned,
-            })),
+            heading: heading?,
+            body: body?,
         })
+    }
+
+    /// Index just past the declaration the splitter carves for the
+    /// `PROCEDURE` at `start`: the heading, then the splitter's stub and
+    /// its `;`, or else the body (nested procedures carved alike) through
+    /// the `END` that balances it, and the name and `;` after that.
+    fn carve_end(&self, start: usize) -> usize {
+        let kind = |i: usize| self.tokens.get(i).map(|t| t.kind);
+        let mut i = self.heading_end(start);
+        if let Some(TokenKind::ProcStub(_)) = kind(i) {
+            return i + 1 + usize::from(kind(i + 1) == Some(TokenKind::Semi));
+        }
+        let mut depth = 0u32;
+        loop {
+            match kind(i) {
+                None => return i,
+                Some(TokenKind::End) if depth == 0 => break,
+                Some(TokenKind::End) => depth -= 1,
+                Some(TokenKind::Procedure) if matches!(kind(i + 1), Some(TokenKind::Ident(_))) => {
+                    i = self.carve_end(i);
+                    continue;
+                }
+                Some(k) if k.opens_end_block() => depth += 1,
+                _ => {}
+            }
+            i += 1;
+        }
+        i += 1;
+        if let Some(TokenKind::Ident(_)) = kind(i) {
+            i += 1;
+        }
+        i + usize::from(kind(i) == Some(TokenKind::Semi))
     }
 
     // ----- types ----------------------------------------------------------
@@ -749,6 +793,12 @@ impl<'a> Parser<'a> {
         stmts
     }
 
+    /// The statement sequence after `keyword`, if it comes next.
+    fn part(&mut self, keyword: TokenKind, terminators: &[TokenKind]) -> Option<Vec<Stmt>> {
+        self.eat(keyword)
+            .then(|| self.statement_sequence(terminators))
+    }
+
     fn statement(&mut self) -> Option<Stmt> {
         let lo = self.span();
         let kind = match self.peek() {
@@ -779,11 +829,7 @@ impl<'a> Parser<'a> {
                     ]);
                     arms.push((c, b));
                 }
-                let else_body = if self.eat(TokenKind::Else) {
-                    Some(self.statement_sequence(&[TokenKind::End]))
-                } else {
-                    None
-                };
+                let else_body = self.part(TokenKind::Else, &[TokenKind::End]);
                 self.expect(TokenKind::End)?;
                 StmtKind::If { arms, else_body }
             }
@@ -866,11 +912,7 @@ impl<'a> Parser<'a> {
                         self.statement_sequence(&[TokenKind::Bar, TokenKind::Else, TokenKind::End]);
                     arms.push(CaseArm { labels, body });
                 }
-                let else_body = if self.eat(TokenKind::Else) {
-                    Some(self.statement_sequence(&[TokenKind::End]))
-                } else {
-                    None
-                };
+                let else_body = self.part(TokenKind::Else, &[TokenKind::End]);
                 self.expect(TokenKind::End)?;
                 StmtKind::Case {
                     scrutinee,
@@ -921,16 +963,8 @@ impl<'a> Parser<'a> {
                     TokenKind::Finally,
                     TokenKind::End,
                 ]);
-                let except = if self.eat(TokenKind::Except) {
-                    Some(self.statement_sequence(&[TokenKind::Finally, TokenKind::End]))
-                } else {
-                    None
-                };
-                let finally = if self.eat(TokenKind::Finally) {
-                    Some(self.statement_sequence(&[TokenKind::End]))
-                } else {
-                    None
-                };
+                let except = self.part(TokenKind::Except, &[TokenKind::Finally, TokenKind::End]);
+                let finally = self.part(TokenKind::Finally, &[TokenKind::End]);
                 self.expect(TokenKind::End)?;
                 StmtKind::TryStmt {
                     body,
@@ -978,14 +1012,25 @@ impl<'a> Parser<'a> {
         };
         self.bump();
         let rhs = self.simple_expr()?;
-        Some(Expr {
+        Some(self.binary(lo, op, lhs, rhs))
+    }
+
+    /// `lhs op rhs`, spanning from `lo` through the last token read.
+    fn binary(&self, lo: Span, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        Expr {
             span: lo.to(self.prev_span()),
-            kind: ExprKind::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            },
-        })
+            kind: ExprKind::Binary { op, lhs, rhs },
+        }
+    }
+
+    /// `op operand`, spanning from `lo` through the last token read.
+    fn unary(&self, lo: Span, op: UnOp, operand: Expr) -> Expr {
+        let operand = Box::new(operand);
+        Expr {
+            span: lo.to(self.prev_span()),
+            kind: ExprKind::Unary { op, operand },
+        }
     }
 
     fn simple_expr(&mut self) -> Option<Expr> {
@@ -994,24 +1039,12 @@ impl<'a> Parser<'a> {
             TokenKind::Plus => {
                 self.bump();
                 let operand = self.term()?;
-                Expr {
-                    span: lo.to(self.prev_span()),
-                    kind: ExprKind::Unary {
-                        op: UnOp::Pos,
-                        operand: Box::new(operand),
-                    },
-                }
+                self.unary(lo, UnOp::Pos, operand)
             }
             TokenKind::Minus => {
                 self.bump();
                 let operand = self.term()?;
-                Expr {
-                    span: lo.to(self.prev_span()),
-                    kind: ExprKind::Unary {
-                        op: UnOp::Neg,
-                        operand: Box::new(operand),
-                    },
-                }
+                self.unary(lo, UnOp::Neg, operand)
             }
             _ => self.term()?,
         };
@@ -1024,14 +1057,7 @@ impl<'a> Parser<'a> {
             };
             self.bump();
             let rhs = self.term()?;
-            expr = Expr {
-                span: lo.to(self.prev_span()),
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(expr),
-                    rhs: Box::new(rhs),
-                },
-            };
+            expr = self.binary(lo, op, expr, rhs);
         }
         Some(expr)
     }
@@ -1050,49 +1076,25 @@ impl<'a> Parser<'a> {
             };
             self.bump();
             let rhs = self.factor()?;
-            expr = Expr {
-                span: lo.to(self.prev_span()),
-                kind: ExprKind::Binary {
-                    op,
-                    lhs: Box::new(expr),
-                    rhs: Box::new(rhs),
-                },
-            };
+            expr = self.binary(lo, op, expr, rhs);
         }
         Some(expr)
     }
 
     fn factor(&mut self) -> Option<Expr> {
         let lo = self.span();
+        let literal = match self.peek() {
+            TokenKind::Int(v) => Some(ExprKind::IntLit(v)),
+            TokenKind::Real(bits) => Some(ExprKind::RealLit(bits)),
+            TokenKind::CharLit(c) => Some(ExprKind::CharLit(c)),
+            TokenKind::Str(s) => Some(ExprKind::StrLit(s)),
+            _ => None,
+        };
+        if let Some(kind) = literal {
+            self.bump();
+            return Some(Expr { kind, span: lo });
+        }
         let expr = match self.peek() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Expr {
-                    kind: ExprKind::IntLit(v),
-                    span: lo,
-                }
-            }
-            TokenKind::Real(bits) => {
-                self.bump();
-                Expr {
-                    kind: ExprKind::RealLit(bits),
-                    span: lo,
-                }
-            }
-            TokenKind::CharLit(c) => {
-                self.bump();
-                Expr {
-                    kind: ExprKind::CharLit(c),
-                    span: lo,
-                }
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Expr {
-                    kind: ExprKind::StrLit(s),
-                    span: lo,
-                }
-            }
             TokenKind::LParen => {
                 self.bump();
                 let inner = self.expression()?;
@@ -1102,13 +1104,7 @@ impl<'a> Parser<'a> {
             TokenKind::Not | TokenKind::Tilde => {
                 self.bump();
                 let operand = self.factor()?;
-                Expr {
-                    span: lo.to(self.prev_span()),
-                    kind: ExprKind::Unary {
-                        op: UnOp::Not,
-                        operand: Box::new(operand),
-                    },
-                }
+                self.unary(lo, UnOp::Not, operand)
             }
             TokenKind::LBrace => {
                 // Untyped set constructor `{…}` (BITSET).
@@ -1234,10 +1230,9 @@ impl<'a> Parser<'a> {
 // ----- streaming (incremental) parsing --------------------------------
 //
 // The concurrent compiler's fused Parser/DeclAnalyzer tasks (paper §3)
-// must *interleave* parsing with declaration analysis: a procedure
-// heading's symbol-table entry is created — and the procedure stream's
-// avoided event fired — the moment the heading is parsed, not when the
-// whole module has been. These drivers expose the grammar in stages.
+// interleave parsing with declaration analysis: a procedure heading is
+// declared — and its stream's avoided event fired — the moment it is
+// parsed. These drivers expose the grammar in stages.
 
 /// Incremental parser for an implementation (or program) module.
 ///
@@ -1259,14 +1254,7 @@ impl<'a> StreamingImpl<'a> {
     ) -> Option<StreamingImpl<'a>> {
         let mut p = Parser::new(source, interner, sink);
         p.eat(TokenKind::Implementation);
-        p.expect(TokenKind::Module)?;
-        let name = p.ident()?;
-        if p.eat(TokenKind::LBracket) {
-            let _ = p.expression();
-            p.expect(TokenKind::RBracket);
-        }
-        p.expect(TokenKind::Semi)?;
-        let imports = p.imports();
+        let (name, imports) = p.module_header()?;
         Some(StreamingImpl { p, name, imports })
     }
 
@@ -1283,58 +1271,23 @@ impl<'a> StreamingImpl<'a> {
     /// Parses the next declaration group (one CONST/TYPE/VAR section or
     /// one PROCEDURE); `None` once the body (or module end) is reached.
     pub fn next_decls(&mut self) -> Option<Vec<Decl>> {
-        loop {
-            match self.p.peek() {
-                TokenKind::Begin | TokenKind::End | TokenKind::Eof => return None,
-                _ => {
-                    let mut out = Vec::new();
-                    let before = self.p.pos;
-                    self.p.declaration(false, &mut out);
-                    if !out.is_empty() {
-                        return Some(out);
-                    }
-                    if self.p.pos == before {
-                        let found = self.p.peek();
-                        self.p
-                            .error(format!("unexpected `{found}` in declarations"));
-                        self.p.bump();
-                    }
-                }
-            }
-        }
+        self.p.next_decls(false)
     }
 
     /// Parses the optional module body and the `END name .` trailer.
     /// Returns the statements plus whether the body was *poisoned* —
     /// syntactically recovered but untrustworthy for code generation.
     pub fn finish(mut self) -> (Vec<Stmt>, bool) {
-        let mut body = Vec::new();
-        let errs_before = self.p.errors.get();
-        if self.p.eat(TokenKind::Begin) {
-            body = self.p.statement_sequence(&[TokenKind::End]);
-        }
-        let poisoned = self.p.errors.get() > errs_before;
-        self.p.expect(TokenKind::End);
-        if let Some(end_name) = self.p.ident() {
-            if end_name.name != self.name.name {
-                self.p.sink.report(Diagnostic::error(
-                    self.p.file,
-                    end_name.span,
-                    format!(
-                        "module ends with `{}` but is named `{}`",
-                        self.p.interner.resolve(end_name.name),
-                        self.p.interner.resolve(self.name.name)
-                    ),
-                ));
-            }
-        }
-        self.p.expect(TokenKind::Dot);
-        (body, poisoned)
+        self.p.finish(self.name, true)
     }
 }
 
 /// Incremental parser for one procedure stream
 /// (`PROCEDURE … END name ;`).
+///
+/// The splitter copies a procedure's heading into the enclosing stream
+/// too, and that stream's parse reports the heading's syntax errors; this
+/// one counts them without reporting them again.
 pub struct StreamingProc<'a> {
     p: Parser<'a>,
     heading: ProcHeading,
@@ -1348,9 +1301,13 @@ impl<'a> StreamingProc<'a> {
         sink: &'a DiagnosticSink,
     ) -> Option<StreamingProc<'a>> {
         let mut p = Parser::new(source, interner, sink);
+        p.quiet = true;
         p.expect(TokenKind::Procedure)?;
         let heading = p.proc_heading()?;
-        p.expect(TokenKind::Semi)?;
+        if !p.eat(TokenKind::Semi) {
+            p.pos = p.pos.max(p.heading_end(0));
+        }
+        p.quiet = false;
         Some(StreamingProc { p, heading })
     }
 
@@ -1361,54 +1318,14 @@ impl<'a> StreamingProc<'a> {
 
     /// Parses the next local declaration group; `None` at the body.
     pub fn next_decls(&mut self) -> Option<Vec<Decl>> {
-        loop {
-            match self.p.peek() {
-                TokenKind::Begin | TokenKind::End | TokenKind::Eof => return None,
-                _ => {
-                    let mut out = Vec::new();
-                    let before = self.p.pos;
-                    self.p.declaration(false, &mut out);
-                    if !out.is_empty() {
-                        return Some(out);
-                    }
-                    if self.p.pos == before {
-                        let found = self.p.peek();
-                        self.p
-                            .error(format!("unexpected `{found}` in declarations"));
-                        self.p.bump();
-                    }
-                }
-            }
-        }
+        self.p.next_decls(false)
     }
 
     /// Parses the body and the `END name ;` trailer; returns the
     /// statements plus whether the body was poisoned (recovered from a
     /// syntax error and untrustworthy for code generation).
     pub fn finish(mut self) -> (Vec<Stmt>, bool) {
-        let mut body = Vec::new();
-        let errs_before = self.p.errors.get();
-        if self.p.eat(TokenKind::Begin) {
-            body = self.p.statement_sequence(&[TokenKind::End]);
-        }
-        let poisoned = self.p.errors.get() > errs_before;
-        if self.p.expect(TokenKind::End).is_some() {
-            if let Some(end_name) = self.p.ident() {
-                if end_name.name != self.heading.name.name {
-                    self.p.sink.report(Diagnostic::error(
-                        self.p.file,
-                        end_name.span,
-                        format!(
-                            "procedure ends with `{}` but is named `{}`",
-                            self.p.interner.resolve(end_name.name),
-                            self.p.interner.resolve(self.heading.name.name)
-                        ),
-                    ));
-                }
-            }
-            self.p.eat(TokenKind::Semi);
-        }
-        (body, poisoned)
+        self.p.finish(self.heading.name, false)
     }
 }
 
@@ -1622,9 +1539,13 @@ mod tests {
         );
         let sink = DiagnosticSink::new();
         let tokens = lex_file(&file, &interner, &sink);
-        let p = parse_procedure(&tokens, &interner, &sink).expect("parses");
+        let src: &[Token] = &tokens;
+        let mut p = StreamingProc::begin(&src, &interner, &sink).expect("parses");
+        let name = p.heading().name.name;
+        while p.next_decls().is_some() {}
+        p.finish();
         assert!(!sink.has_errors());
-        assert_eq!(interner.resolve(p.heading.name.name), "Add");
+        assert_eq!(interner.resolve(name), "Add");
     }
 
     #[test]
@@ -1818,28 +1739,5 @@ mod streaming_tests {
             s.finish()
         };
         assert!(sink.has_errors());
-    }
-
-    #[test]
-    fn streaming_matches_batch_parse() {
-        let src_text = "IMPLEMENTATION MODULE M; \
-             CONST a = 1; \
-             TYPE T = ARRAY [0..a] OF INTEGER; \
-             VAR v : T; \
-             PROCEDURE P(x : INTEGER); BEGIN v[0] := x END P; \
-             BEGIN P(a) END M.";
-        let (toks, interner, sink) = tokens(src_text);
-        let batch = parse_implementation(&toks, &interner, &sink).expect("batch");
-        let src: &[Token] = &toks;
-        let mut s = StreamingImpl::begin(&src, &interner, &sink).expect("begins");
-        let mut decls = Vec::new();
-        while let Some(g) = s.next_decls() {
-            decls.extend(g);
-        }
-        let (body, poisoned) = s.finish();
-        assert!(!poisoned);
-        assert!(!sink.has_errors(), "{:?}", sink.snapshot());
-        assert_eq!(decls, batch.decls);
-        assert_eq!(body, batch.body);
     }
 }

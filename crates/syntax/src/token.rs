@@ -307,6 +307,23 @@ impl TokenKind {
         )
     }
 
+    /// Whether this token ends a procedure heading that lacks its closing
+    /// `;` (`parens` deep in its parameter list): a reserved word no
+    /// heading contains, or a splitter stub. `VAR` and `PROCEDURE` occur
+    /// inside a parameter list, so they end a heading only outside one.
+    ///
+    /// The splitter's heading scan stops here, and so does the parser
+    /// when it skips a heading that failed to parse: both carve the same
+    /// heading, so a broken one swallows nothing past it on any path.
+    pub fn ends_heading(&self, parens: i64) -> bool {
+        use TokenKind::*;
+        match self {
+            Begin | End | Const | Type | ProcStub(_) => true,
+            Var | Procedure => parens <= 0,
+            _ => false,
+        }
+    }
+
     /// A short human-readable rendering for diagnostics.
     pub fn describe(&self) -> &'static str {
         use TokenKind::*;

@@ -6,6 +6,7 @@
 use std::sync::Arc;
 
 use ccm2::{compile_concurrent, Options};
+use ccm2_sema::symtab::DkyStrategy;
 use ccm2_support::defs::DefLibrary;
 use ccm2_support::diag::Diagnostic;
 use ccm2_support::source::SourceMap;
@@ -189,4 +190,283 @@ fn undeclared_pointer_target() {
         &DefLibrary::new(),
         &["undeclared pointer target type `Ghost`"],
     );
+}
+
+// ----- one parser driver: syntax errors in declarations and headings ----
+//
+// Every compile path parses a declaration part, a procedure heading and
+// a procedure's trailer with the same code, so a syntax error there
+// yields the sequential compiler's diagnostics and image on every path.
+
+/// The sequential compiler's output for `src`, beside the concurrent
+/// compiler's under `options`, both on one interner so the images'
+/// symbols compare. `Err` names what differs; a panic propagates.
+fn differs_from_seq(src: &str, defs: &DefLibrary, options: Options) -> Result<(), String> {
+    let interner = Arc::new(Interner::new());
+    let seq = ccm2_seq::compile_with(
+        src,
+        defs,
+        Arc::clone(&interner),
+        Arc::new(NullMeter),
+        options.heading_mode,
+    );
+    let conc = compile_concurrent(src, Arc::new(defs.clone()), interner, options);
+    let (a, b) = (
+        normalize(&seq.diagnostics, &seq.sources),
+        normalize(&conc.diagnostics, &conc.sources),
+    );
+    if a != b {
+        return Err(format!("diagnostics differ:\nseq  {a:#?}\nconc {b:#?}"));
+    }
+    if seq.image != conc.image {
+        return Err("object images differ".into());
+    }
+    Ok(())
+}
+
+fn with_strategy(mut options: Options, strategy: DkyStrategy) -> Options {
+    options.strategy = strategy;
+    options
+}
+
+#[test]
+fn a_heading_that_fails_to_parse_releases_its_stream() {
+    // The splitter gives each of these procedures a stream whose
+    // heading its parent never declares; the stream's parse task must
+    // still end, and report nothing the parent already reported.
+    let inputs = [
+        "MODULE M; PROCEDURE P(; BEGIN END P; BEGIN END M.",
+        "MODULE M; VAR g : INTEGER; PROCEDURE P(x : ); BEGIN g := 1 END P; BEGIN g := 2 END M.",
+        "MODULE M; PROCEDURE P; PROCEDURE Q(; BEGIN END Q; BEGIN END P; BEGIN P END M.",
+    ];
+    for src in inputs {
+        for executor in [Options::sim(4), Options::threads(1), Options::threads(2)] {
+            for strategy in DkyStrategy::ALL {
+                let what = format!("{:?} {}", executor.executor, strategy.name());
+                let options = with_strategy(executor.clone(), strategy);
+                if let Err(e) = differs_from_seq(src, &DefLibrary::new(), options) {
+                    panic!("{what}: {src}\n{e}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn malformed_modules_report_identically_on_every_path() {
+    let rows = [
+        "MODULE M; VAR a : INTEGER; 7 BEGIN a := 1 END M.",
+        "MODULE M; VAR a : INTEGER; ) BEGIN a := 1 END M.",
+        "MODULE M; CONST bad = ; good = 2; BEGIN END M.",
+        "MODULE M; PROCEDURE P; VAR x : INTEGER; 7 BEGIN x := 1 END P; BEGIN P END M.",
+        "MODULE M; PROCEDURE P; BEGIN ; BEGIN P END M.",
+        "MODULE M; PROCEDURE P; BEGIN END P BEGIN END M.",
+        "MODULE M; PROCEDURE P; PROCEDURE Q; 9 BEGIN END Q; BEGIN Q END P; BEGIN P END M.",
+        "MODULE M; BEGIN END M",
+        "MODULE M; BEGIN END Wrong.",
+    ];
+    let paths = [
+        ("threads(2)", Options::threads(2)),
+        ("sim(4)", Options::sim(4)),
+        (
+            "early_split: false",
+            Options {
+                early_split: false,
+                ..Options::default()
+            },
+        ),
+    ];
+    let mut failures = Vec::new();
+    for src in rows {
+        for (what, options) in &paths {
+            if let Err(e) = differs_from_seq(src, &DefLibrary::new(), options.clone()) {
+                failures.push(format!("{what}: {src}\n{e}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+/// Seeded token mutations of suite modules, confined to declaration
+/// parts and procedure headings: one token deleted, duplicated or
+/// swapped with its successor. Each mutant compiles under the
+/// sequential compiler and under one concurrent configuration (the
+/// case number picks it from every DKY strategy × three executors,
+/// plus the no-early-split ablation); none may panic, and both must
+/// agree on diagnostics and image. An optimized build runs 100× more.
+#[test]
+fn mutated_declarations_compile_identically_to_seq() {
+    const CASES: u64 = if cfg!(debug_assertions) { 200 } else { 20_000 };
+    let modules: Vec<_> = (0..4)
+        .map(|i| ccm2_workload::generate(&ccm2_workload::suite_params(i)))
+        .collect();
+    let sites: Vec<Vec<(usize, usize)>> = modules
+        .iter()
+        .map(|m| declaration_token_spans(&m.source))
+        .collect();
+    let mut configs: Vec<Options> = Vec::new();
+    for executor in [Options::sim(4), Options::threads(1), Options::threads(2)] {
+        for strategy in DkyStrategy::ALL {
+            configs.push(with_strategy(executor.clone(), strategy));
+        }
+    }
+    configs.push(Options {
+        early_split: false,
+        ..Options::default()
+    });
+    let (mut panics, mut divergences) = (Vec::new(), Vec::new());
+    let mut state = 0x27_u64;
+    for case in 0..CASES {
+        let m = (splitmix(&mut state) % modules.len() as u64) as usize;
+        let spans = &sites[m];
+        let at = (splitmix(&mut state) % (spans.len() as u64 - 1)) as usize;
+        let op = splitmix(&mut state) % 3;
+        let src = mutate(&modules[m].source, spans, at, op);
+        let options = configs[case as usize % configs.len()].clone();
+        let (lo, hi) = spans[at];
+        let what = format!(
+            "case {case}: {} token {at} `{}` {} under {:?} {}{}",
+            modules[m].name,
+            &modules[m].source[lo..hi],
+            ["deleted", "duplicated", "swapped"][op as usize],
+            options.executor,
+            options.strategy.name(),
+            if options.early_split {
+                ""
+            } else {
+                " without early split"
+            },
+        );
+        let defs = &modules[m].defs;
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            differs_from_seq(&src, defs, options)
+        })) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => divergences.push(format!("{what}\n{e}")),
+            Err(_) => panics.push(what),
+        }
+    }
+    assert!(
+        panics.is_empty() && divergences.is_empty(),
+        "{} panics, {} divergences in {CASES} mutants\n{}\n{}",
+        panics.len(),
+        divergences.len(),
+        panics.join("\n"),
+        divergences
+            .iter()
+            .take(3)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n\n"),
+    );
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Byte spans of the tokens of `source` that lie in a declaration part
+/// (from the first CONST/TYPE/VAR/PROCEDURE of a scope up to its BEGIN)
+/// or in a procedure heading, in source order. A scope's body and the
+/// `END name ;` closing it are left out, as are the module header and
+/// its imports.
+fn declaration_token_spans(source: &str) -> Vec<(usize, usize)> {
+    use ccm2_syntax::token::TokenKind;
+    let map = SourceMap::new();
+    let file = map.add("M.mod", source);
+    let tokens = ccm2_syntax::lex_file(
+        &file,
+        &Interner::new(),
+        &ccm2_support::DiagnosticSink::new(),
+    );
+    // One frame per open scope: `None` while in its declaration part
+    // (after its first declaration keyword), `Some(depth)` in its body.
+    let mut frames: Vec<Option<i64>> = vec![None];
+    let (mut started, mut records, mut out) = (false, 0i64, Vec::new());
+    let mut i = 0;
+    while i < tokens.len() {
+        let t = tokens[i];
+        let span = (t.span.lo as usize, t.span.hi as usize);
+        let next_is_ident = matches!(tokens.get(i + 1).map(|t| t.kind), Some(TokenKind::Ident(_)));
+        match (frames.last().copied().flatten(), t.kind) {
+            (None, TokenKind::Procedure) if next_is_ident => {
+                // The heading, through its `;` at paren depth 0.
+                let mut parens = 0i64;
+                while let Some(h) = tokens.get(i) {
+                    out.push((h.span.lo as usize, h.span.hi as usize));
+                    i += 1;
+                    match h.kind {
+                        TokenKind::LParen => parens += 1,
+                        TokenKind::RParen => parens -= 1,
+                        TokenKind::Semi if parens <= 0 => break,
+                        _ => {}
+                    }
+                }
+                started = true;
+                frames.push(None);
+                continue;
+            }
+            (None, TokenKind::Begin) => *frames.last_mut().expect("frame") = Some(0),
+            (None, TokenKind::Record) => {
+                records += 1;
+                out.push(span);
+            }
+            (None, TokenKind::End) if records > 0 => {
+                records -= 1;
+                out.push(span);
+            }
+            (None, TokenKind::End) | (Some(0), TokenKind::End) => {
+                // The scope ends: skip `END name ;`.
+                frames.pop();
+                i += 1;
+                while matches!(
+                    tokens.get(i).map(|t| t.kind),
+                    Some(TokenKind::Ident(_) | TokenKind::Semi)
+                ) {
+                    let semi = tokens[i].kind == TokenKind::Semi;
+                    i += 1;
+                    if semi {
+                        break;
+                    }
+                }
+                continue;
+            }
+            (Some(d), TokenKind::End) => *frames.last_mut().expect("frame") = Some(d - 1),
+            (Some(d), k) if k.opens_end_block() => *frames.last_mut().expect("frame") = Some(d + 1),
+            (Some(_), _) => {}
+            (None, TokenKind::Const | TokenKind::Type | TokenKind::Var) => {
+                started = true;
+                out.push(span);
+            }
+            (None, _) if started => out.push(span),
+            (None, _) => {}
+        }
+        i += 1;
+    }
+    out
+}
+
+/// `source` with the token at `spans[at]` deleted (`op` 0), duplicated
+/// (1) or swapped with the token after it (2; deleted instead when the
+/// next declaration token is not its neighbour).
+fn mutate(source: &str, spans: &[(usize, usize)], at: usize, op: u64) -> String {
+    let (lo, hi) = spans[at];
+    let (nlo, nhi) = spans[at + 1];
+    let (tok, next) = (&source[lo..hi], &source[nlo..nhi]);
+    match op {
+        0 => format!("{} {}", &source[..lo], &source[hi..]),
+        1 => format!("{} {tok}{}", &source[..hi], &source[hi..]),
+        // Tokens with more than blanks between them are not neighbours.
+        _ if !source[hi..nlo].trim().is_empty() => format!("{} {}", &source[..lo], &source[hi..]),
+        _ => format!(
+            "{}{next} {} {tok}{}",
+            &source[..lo],
+            &source[hi..nlo],
+            &source[nhi..]
+        ),
+    }
 }
