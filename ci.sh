@@ -68,10 +68,13 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # for the build, not for a race: a 1 MiB known answer, 200 000 keys and
 # the re-chunking search take seconds unoptimized. So does the lexer's
 # differential against its predecessor, which an optimized build runs
-# with 200 000 seeded inputs instead of 20 000, and the seeded mutation
-# differential of declaration parts and procedure headings (sequential
-# against concurrent compiler, diagnostics and image), which runs 20 000
-# mutants instead of 200.
+# with 200 000 seeded inputs instead of 20 000, the parser's token soups
+# (`token_soup`: no panic, no loop, no span outside the input), 100 000
+# instead of 2 000, and the two seeded mutation differentials — of
+# declaration parts and procedure headings (`mutated_declarations`), and
+# of module and procedure bodies (`mutated_bodies`): sequential against
+# concurrent compiler, diagnostics and image — 20 000 mutants each
+# instead of 200.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -96,7 +99,8 @@ race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_clo
 race -p ccm2-serve --test stress -- duplicates_racing_a_landing
 race --test threaded_suite -- work_charges_equal
 race -p ccm2-syntax --test lexer_oracle
-race --test diagnostics -- mutated_declarations
+race -p ccm2-syntax --test token_soup
+race --test diagnostics -- mutated_declarations mutated_bodies
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:

@@ -36,9 +36,7 @@ use ccm2_sched::{
     run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, Robustness, RunReport,
     SimConfig, TaskDesc, TaskKind, WaitSet,
 };
-use ccm2_sema::declare::{
-    bind_imports, declare_own_params, verify_heading, DeclareHooks, Declarer, HeadingMode,
-};
+use ccm2_sema::declare::{bind_imports, child_heading, DeclareHooks, Declarer, HeadingMode};
 use ccm2_sema::stats::LookupStats;
 use ccm2_sema::symtab::{DkyStrategy, DkyWaiter, ProcSig, ScopeKind, SymbolTables, TableNotifier};
 use ccm2_sema::Sema;
@@ -49,7 +47,7 @@ use ccm2_support::ids::{EventId, ScopeId, StreamId};
 use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceFile, SourceMap, Span};
 use ccm2_support::work::Work;
-use ccm2_syntax::ast::{stmt_count, Decl, Import, Stmt};
+use ccm2_syntax::ast::{stmt_count, Decl, Import, ProcBody, ProcLocal, Stmt};
 use ccm2_syntax::lexer::Lexer;
 use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
 
@@ -77,9 +75,6 @@ pub struct Options {
     pub heading_mode: HeadingMode,
     /// Executor.
     pub executor: Executor,
-    /// Statement count at which a procedure's code-generation task is
-    /// classified *long* (scheduled before short ones, §2.3.4).
-    pub long_proc_threshold: usize,
     /// Whether the source is split into procedure streams during lexical
     /// analysis (§2.1 — the paper's *early splitting*). With `false`, the
     /// splitter is bypassed and procedures are discovered during parsing,
@@ -134,7 +129,6 @@ impl Default for Options {
             strategy: DkyStrategy::Skeptical,
             heading_mode: HeadingMode::CopyToChild,
             executor: Executor::Threads(2),
-            long_proc_threshold: 40,
             early_split: true,
             analyze: false,
             incremental: None,
@@ -395,7 +389,6 @@ struct Driver {
     sema: OnceLock<Arc<Sema>>,
     strategy: DkyStrategy,
     heading_mode: HeadingMode,
-    long_threshold: usize,
     early_split: bool,
     analyze: bool,
     hub: ccm2_analysis::AnalysisHub,
@@ -443,7 +436,6 @@ impl Driver {
             sema: OnceLock::new(),
             strategy: options.strategy,
             heading_mode: options.heading_mode,
-            long_threshold: options.long_proc_threshold,
             early_split: options.early_split,
             analyze: options.analyze,
             hub: ccm2_analysis::AnalysisHub::new(),
@@ -918,14 +910,9 @@ impl Driver {
             self.env.spawn(t);
             return;
         }
-        let kind = if weight as usize >= self.long_threshold {
-            TaskKind::LongCodeGen
-        } else {
-            TaskKind::ShortCodeGen
-        };
         let mut t = TaskDesc::new(
             format!("codegen({})", self.interner.resolve(module_name)),
-            kind,
+            codegen_kind(weight),
             Box::new(move || {
                 let sema = this.sema();
                 let unit = if body_poisoned {
@@ -951,7 +938,7 @@ impl Driver {
         let sema = Arc::clone(self.sema());
         let mut queue = pending;
         while let Some(p) = queue.pop() {
-            let ccm2_syntax::ast::ProcBody::Local(local) = &p.body else {
+            let ProcBody::Local(local) = p.body else {
                 continue; // Remote bodies are handled by their streams.
             };
             {
@@ -964,15 +951,7 @@ impl Driver {
                     )
                 });
             }
-            match self.heading_mode {
-                HeadingMode::Reprocess => {
-                    declare_own_params(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::Dual => {
-                    verify_heading(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::CopyToChild => {}
-            }
+            child_heading(&sema, self.heading_mode, p.scope, &p.heading);
             let hooks = DriverHooks { driver: self };
             let mut declarer = Declarer::new(&sema, p.scope, self.heading_mode, &hooks);
             for d in &local.decls {
@@ -981,59 +960,12 @@ impl Driver {
             let nested = declarer.finish();
             sema.tables.mark_complete(p.scope);
             queue.extend(nested);
-            let stmts = local.body.clone();
-            if self.analyze {
-                let file = self.tables().scope(p.scope).file();
-                let unit_str = self.interner.resolve(p.code_name);
-                self.spawn_analyze(
-                    format!("analyze({unit_str})"),
-                    unit_str,
-                    file,
-                    ccm2_analysis::UnitKind::Procedure,
-                    local.decls.clone(),
-                    stmts.clone(),
-                    Some(p.scope),
-                );
-            }
-            let weight = stmt_count(&stmts) as u64;
-            let kind = if weight as usize >= self.long_threshold {
-                TaskKind::LongCodeGen
-            } else {
-                TaskKind::ShortCodeGen
-            };
-            let ancestor_events: Vec<EventId> = self
-                .tables()
-                .ancestry(p.scope)
-                .into_iter()
-                .skip(1)
-                .map(|s| self.scope_event(s))
-                .collect();
-            let this = Arc::clone(self);
-            let scope = p.scope;
-            let code_name = p.code_name;
-            let sig = p.sig.clone();
-            let poisoned = local.poisoned;
-            let mut t = TaskDesc::new(
-                format!("codegen({})", self.interner.resolve(code_name)),
-                kind,
-                Box::new(move || {
-                    let sema = this.sema();
-                    let unit = if poisoned {
-                        let level = sema.tables.scope(scope).level();
-                        gen_error_unit(&this.interner, code_name, level)
-                    } else {
-                        gen_procedure(sema, scope, code_name, &sig, &stmts)
-                    };
-                    this.merger.add_unit(unit, sema.meter.as_ref());
-                }),
-            );
-            t.weight = weight;
-            t.may_wait = WaitSet {
-                events: ancestor_events,
-                all_def_scopes: true,
-                any_barrier: false,
-            };
-            self.env.spawn(t);
+            let ProcLocal {
+                decls,
+                body,
+                poisoned,
+            } = *local;
+            self.spawn_procedure_tail(p.scope, p.code_name, p.sig, decls, body, poisoned);
         }
     }
 
@@ -1054,18 +986,7 @@ impl Driver {
             self.release_undeclared_headings(scope);
             return;
         };
-        match self.heading_mode {
-            HeadingMode::Reprocess => {
-                // §2.4 alternative 3: the child re-elaborates its heading.
-                declare_own_params(&sema, scope, streaming.heading());
-            }
-            HeadingMode::Dual => {
-                // Both flows: entries were copied in by the parent; the
-                // child cross-checks the heading through its own chain.
-                verify_heading(&sema, scope, streaming.heading());
-            }
-            HeadingMode::CopyToChild => {}
-        }
+        child_heading(&sema, self.heading_mode, scope, streaming.heading());
         // Local declarations are analyzed as parsed (nested procedure
         // headings fire immediately); the table completes before the
         // statement parse tree is built (§3).
@@ -1084,21 +1005,23 @@ impl Driver {
         self.release_undeclared_headings(scope);
         sema.tables.mark_complete(scope);
         let (stmts, poisoned) = streaming.finish();
-        // Statement analysis + code generation task: long before short.
-        let weight = stmt_count(&stmts) as u64;
-        let kind = if weight as usize >= self.long_threshold {
-            TaskKind::LongCodeGen
-        } else {
-            TaskKind::ShortCodeGen
-        };
-        let ancestor_events: Vec<EventId> = self
-            .tables()
-            .ancestry(scope)
-            .into_iter()
-            .skip(1)
-            .map(|s| self.scope_event(s))
-            .collect();
-        let this = Arc::clone(self);
+        self.spawn_procedure_tail(scope, code_name, sig, unit_decls, stmts, poisoned);
+        let _ = stream;
+    }
+
+    /// A procedure's tasks after its declarations: the `Analyze` task
+    /// when linting, then statement analysis + code generation (long
+    /// before short, §2.3.4), which may wait on the scopes enclosing it.
+    /// A poisoned body becomes an error unit.
+    fn spawn_procedure_tail(
+        self: &Arc<Self>,
+        scope: ScopeId,
+        code_name: Symbol,
+        sig: ProcSig,
+        decls: Vec<Decl>,
+        stmts: Vec<Stmt>,
+        poisoned: bool,
+    ) {
         let name_str = self.interner.resolve(code_name);
         if self.analyze {
             let file = self.tables().scope(scope).file();
@@ -1107,14 +1030,23 @@ impl Driver {
                 name_str.clone(),
                 file,
                 ccm2_analysis::UnitKind::Procedure,
-                unit_decls,
+                decls,
                 stmts.clone(),
                 Some(scope),
             );
         }
+        let ancestor_events: Vec<EventId> = self
+            .tables()
+            .ancestry(scope)
+            .into_iter()
+            .skip(1)
+            .map(|s| self.scope_event(s))
+            .collect();
+        let weight = stmt_count(&stmts) as u64;
+        let this = Arc::clone(self);
         let mut t = TaskDesc::new(
             format!("codegen({name_str})"),
-            kind,
+            codegen_kind(weight),
             Box::new(move || {
                 let sema = this.sema();
                 let unit = if poisoned {
@@ -1133,7 +1065,6 @@ impl Driver {
             any_barrier: false,
         };
         self.env.spawn(t);
-        let _ = stream;
     }
 
     /// Once `parent`'s declarations are done, fires the §2.4 heading
@@ -1900,6 +1831,19 @@ impl DkyWaiter for Driver {
         // event, so "run the resolver" scheduling works for the
         // dynamically created per-symbol events too.
         self.env.wait_hinted(ev, Some(self.scope_event(scope)));
+    }
+}
+
+/// Statement count at which a unit's code-generation task is classified
+/// *long*, and so scheduled before short ones (§2.3.4).
+const LONG_UNIT_STATEMENTS: u64 = 40;
+
+/// The code-generation task kind of a unit of `weight` statements.
+fn codegen_kind(weight: u64) -> TaskKind {
+    if weight >= LONG_UNIT_STATEMENTS {
+        TaskKind::LongCodeGen
+    } else {
+        TaskKind::ShortCodeGen
     }
 }
 

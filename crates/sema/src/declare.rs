@@ -471,6 +471,23 @@ pub fn verify_heading(sema: &Sema, proc_scope: ScopeId, heading: &ProcHeading) -
     elaborate_heading(sema, proc_scope, heading)
 }
 
+/// The child's side of the §2.4 heading flow, run by a procedure's own
+/// declaration analysis before its declarations: nothing under
+/// [`HeadingMode::CopyToChild`], [`declare_own_params`] under
+/// [`HeadingMode::Reprocess`], [`verify_heading`] under
+/// [`HeadingMode::Dual`].
+pub fn child_heading(sema: &Sema, mode: HeadingMode, proc_scope: ScopeId, heading: &ProcHeading) {
+    match mode {
+        HeadingMode::CopyToChild => {}
+        HeadingMode::Reprocess => {
+            declare_own_params(sema, proc_scope, heading);
+        }
+        HeadingMode::Dual => {
+            verify_heading(sema, proc_scope, heading);
+        }
+    }
+}
+
 /// Incremental declaration analysis for one scope: feed declarations as
 /// they are parsed ([`Declarer::declare`]), then [`Declarer::finish`].
 /// This is what lets the concurrent compiler fire a procedure heading's

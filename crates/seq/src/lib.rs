@@ -34,7 +34,9 @@ pub use ccm2_support::defs::{DefLibrary, DefProvider};
 
 use ccm2_codegen::emit::{gen_error_unit, gen_module_body, gen_procedure, global_shapes};
 use ccm2_codegen::merge::{Merger, ModuleImage};
-use ccm2_sema::declare::{bind_imports, declare_decls, DeclareHooks, HeadingMode, PendingProc};
+use ccm2_sema::declare::{
+    bind_imports, child_heading, declare_decls, DeclareHooks, HeadingMode, PendingProc,
+};
 use ccm2_sema::stats::LookupStats;
 use ccm2_sema::symtab::{DkyStrategy, NullWaiter, ScopeKind};
 use ccm2_sema::Sema;
@@ -194,15 +196,7 @@ pub fn compile_full(
     let mut queue = pending;
     while let Some(p) = queue.pop() {
         if let ProcBody::Local(local) = &p.body {
-            match heading_mode {
-                HeadingMode::Reprocess => {
-                    ccm2_sema::declare::declare_own_params(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::Dual => {
-                    ccm2_sema::declare::verify_heading(&sema, p.scope, &p.heading);
-                }
-                HeadingMode::CopyToChild => {}
-            }
+            child_heading(&sema, heading_mode, p.scope, &p.heading);
             let nested = declare_decls(&sema, p.scope, &local.decls, heading_mode, &hooks);
             sema.tables.mark_complete(p.scope);
             queue.extend(nested);

@@ -17,6 +17,18 @@
 //! and reads exactly the heading and `END name ;` the splitter carves, so
 //! every compile path recovers from a syntax error the same way.
 //!
+//! Recovery has one rule, the commitment model: a construct is committed
+//! once it consumes its first token, so one token decides it
+//! ([`TokenKind::starts_statement`]). A token nothing here starts with is
+//! reported once and skipped. A committed statement, declaration entry or
+//! import that fails resumes at the end of its *extent*, which the
+//! splitter's balance of `END`-closed blocks finds from its first token,
+//! never before the failure: its first `;` at depth 0, or the first token
+//! at depth 0 that closes a statement sequence
+//! ([`TokenKind::closes_sequence`]) or ends a heading. The same scan finds
+//! a procedure's carve. Diagnostics gather in the parser and reach the
+//! sink as each stage returns; a body that gathered one is *poisoned*.
+//!
 //! Grammar follows PIM Modula-2 with the Modula-2+ statement extensions
 //! (`LOCK`, `TRY`/`EXCEPT`/`FINALLY`, `RAISE`). Local (nested) modules and
 //! `FORWARD` declarations are not supported; the paper likewise ignores
@@ -65,7 +77,7 @@ pub fn parse_definition(
     interner: &Interner,
     sink: &DiagnosticSink,
 ) -> Option<DefinitionModule> {
-    Parser::new(&tokens, interner, sink).definition_module()
+    parse_definition_from(&tokens, interner, sink)
 }
 
 /// Streaming variant of [`parse_definition`] over any [`TokenSource`].
@@ -98,7 +110,7 @@ pub fn parse_implementation(
         decls,
         body,
         body_poisoned,
-        span: lo.to(s.p.prev_span()),
+        span: lo.to(s.p.last),
     })
 }
 
@@ -117,14 +129,21 @@ struct Parser<'a> {
     pos: usize,
     interner: &'a Interner,
     sink: &'a DiagnosticSink,
+    /// The file of the stream's tokens.
     file: FileId,
-    file_known: bool,
-    /// Syntax errors reported through [`Parser::error`]/[`Parser::expect`].
-    /// Deltas around a body region decide whether that unit is *poisoned*
-    /// — structurally parsed but not trustworthy for code generation.
-    errors: std::cell::Cell<u32>,
-    /// Count syntax errors but report none (a procedure stream's heading).
-    quiet: bool,
+    /// The span of the last token consumed. What the enclosing stream
+    /// reads of a procedure ends with its heading, so skipping a carve
+    /// leaves it alone.
+    last: Span,
+    /// Syntax errors not yet handed to the sink: a stage hands them over
+    /// as it returns ([`Parser::flush`]), a parse as it ends.
+    diags: Vec<Diagnostic>,
+}
+
+impl Drop for Parser<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -138,63 +157,39 @@ impl<'a> Parser<'a> {
             pos: 0,
             interner,
             sink,
-            file: FileId(0),
-            file_known: false,
-            errors: std::cell::Cell::new(0),
-            quiet: false,
+            file: tokens.get(0).map_or(FileId(0), |t| t.file),
+            last: Span::default(),
+            diags: Vec::new(),
         }
     }
 
     // ----- primitives ---------------------------------------------------
 
-    fn observe_file(&mut self, t: Option<Token>) {
-        if !self.file_known {
-            if let Some(t) = t {
-                self.file = t.file;
-                self.file_known = true;
-            }
-        }
+    fn peek(&self) -> TokenKind {
+        self.kind(self.pos).unwrap_or(TokenKind::Eof)
     }
 
-    fn peek(&mut self) -> TokenKind {
-        let t = self.tokens.get(self.pos);
-        self.observe_file(t);
-        t.map(|t| t.kind).unwrap_or(TokenKind::Eof)
+    fn kind(&self, i: usize) -> Option<TokenKind> {
+        self.tokens.get(i).map(|t| t.kind)
     }
 
-    fn peek2(&mut self) -> TokenKind {
-        let t = self.tokens.get(self.pos + 1);
-        t.map(|t| t.kind).unwrap_or(TokenKind::Eof)
-    }
-
+    /// The current token's span, or the point after the last token
+    /// consumed at the end of the stream.
     fn span(&self) -> Span {
-        self.tokens
-            .get(self.pos)
-            .map(|t| t.span)
-            .unwrap_or_else(|| {
-                self.tokens
-                    .get(self.pos.saturating_sub(1))
-                    .map(|t| Span::point(t.span.hi))
-                    .unwrap_or_default()
-            })
-    }
-
-    fn prev_span(&self) -> Span {
-        self.tokens
-            .get(self.pos.saturating_sub(1))
-            .map(|t| t.span)
-            .unwrap_or_default()
+        let at_end = Span::point(self.last.hi);
+        self.tokens.get(self.pos).map_or(at_end, |t| t.span)
     }
 
     fn bump(&mut self) -> TokenKind {
-        let k = self.peek();
-        if k != TokenKind::Eof {
-            self.pos += 1;
-        }
-        k
+        let Some(t) = self.tokens.get(self.pos) else {
+            return TokenKind::Eof;
+        };
+        self.pos += 1;
+        self.last = t.span;
+        t.kind
     }
 
-    fn at(&mut self, kind: TokenKind) -> bool {
+    fn at(&self, kind: TokenKind) -> bool {
         self.peek() == kind
     }
 
@@ -207,15 +202,18 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn error_at(&self, span: Span, msg: impl Into<String>) {
-        self.errors.set(self.errors.get() + 1);
-        if !self.quiet {
-            self.sink.report(Diagnostic::error(self.file, span, msg));
-        }
+    fn error_at(&mut self, span: Span, msg: impl Into<String>) {
+        self.diags.push(Diagnostic::error(self.file, span, msg));
     }
 
-    fn error(&self, msg: impl Into<String>) {
+    fn error(&mut self, msg: impl Into<String>) {
         self.error_at(self.span(), msg);
+    }
+
+    fn flush(&mut self) {
+        for d in self.diags.drain(..) {
+            self.sink.report(d);
+        }
     }
 
     fn expect(&mut self, kind: TokenKind) -> Option<()> {
@@ -234,7 +232,7 @@ impl<'a> Parser<'a> {
         if self.eat(kind) {
             return true;
         }
-        let at = Span::point(self.prev_span().hi);
+        let at = Span::point(self.last.hi);
         self.error_at(at, format!("expected `{kind}` after {what}"));
         false
     }
@@ -264,19 +262,72 @@ impl<'a> Parser<'a> {
         ids
     }
 
-    /// Skips tokens until one of `sync` (or Eof), for error recovery.
-    fn synchronize(&mut self, sync: &[TokenKind]) {
-        while !self.at(TokenKind::Eof) && !sync.contains(&self.peek()) {
-            self.bump();
-        }
+    // ----- recovery --------------------------------------------------------
+
+    /// Resumes after the committed construct that began at `start` and
+    /// failed at the current token: at the end of its extent (see the
+    /// module docs), past its `;` if it ends with one.
+    fn recover(&mut self, start: usize) {
+        self.pos = self.balance(start, self.pos, |k| {
+            k == TokenKind::Semi || k.closes_sequence() || k.ends_heading(0)
+        });
+        self.eat(TokenKind::Semi);
     }
 
-    /// Recovers inside an import or a declaration: skips past its `;`,
-    /// but stops short of an `END` or a `PROCEDURE`, where the splitter
-    /// may close this stream or begin another.
-    fn skip_to_semi(&mut self) {
-        self.synchronize(&[TokenKind::Semi, TokenKind::End, TokenKind::Procedure]);
-        self.eat(TokenKind::Semi);
+    /// Reports the current token as one nothing in `part` starts with,
+    /// and skips it — with the whole carve, if it declares a procedure.
+    fn unexpected(&mut self, part: &str) {
+        let found = self.peek();
+        self.error(format!("unexpected `{found}` in {part}"));
+        self.pos = if self.declares_procedure(self.pos) {
+            self.carve_end(self.pos)
+        } else {
+            self.pos + 1
+        };
+    }
+
+    /// An import or declaration entry, committed from its first token:
+    /// `parse` reads it up to its `;`, which must follow.
+    fn entry<T>(&mut self, parse: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        let start = self.pos;
+        let entry = parse(self);
+        if entry.is_some() {
+            self.expect(TokenKind::Semi);
+        } else {
+            self.recover(start);
+        }
+        entry
+    }
+
+    /// The balance scan the splitter carves by: walks from `i`, keeping
+    /// the depth of `END`-closed blocks and stepping over each nested
+    /// procedure declaration whole, to the first token at depth 0, at or
+    /// after `from`, that `stop` accepts (or the end of the stream).
+    fn balance(&self, mut i: usize, from: usize, stop: impl Fn(TokenKind) -> bool) -> usize {
+        let mut depth = 0u32;
+        while let Some(k) = self.kind(i) {
+            if depth == 0 && i >= from && stop(k) {
+                break;
+            }
+            if self.declares_procedure(i) {
+                i = self.carve_end(i);
+                continue;
+            }
+            match k {
+                TokenKind::End => depth = depth.saturating_sub(1),
+                k if k.opens_end_block() => depth += 1,
+                _ => {}
+            }
+            i += 1;
+        }
+        i
+    }
+
+    /// Whether a procedure declaration, which the splitter carves into a
+    /// stream of its own, begins at `i`: `PROCEDURE` and a name.
+    fn declares_procedure(&self, i: usize) -> bool {
+        self.kind(i) == Some(TokenKind::Procedure)
+            && matches!(self.kind(i + 1), Some(TokenKind::Ident(_)))
     }
 
     // ----- modules -------------------------------------------------------
@@ -296,28 +347,18 @@ impl<'a> Parser<'a> {
 
     fn imports(&mut self) -> Vec<Import> {
         let mut imports = Vec::new();
-        loop {
-            if self.eat(TokenKind::From) {
-                let Some(module) = self.ident() else {
-                    self.skip_to_semi();
-                    continue;
-                };
-                if self.expect(TokenKind::Import).is_none() {
-                    self.skip_to_semi();
-                    continue;
+        while matches!(self.peek(), TokenKind::From | TokenKind::Import) {
+            let entry = self.entry(|p| {
+                if p.bump() == TokenKind::Import {
+                    let modules = p.ident_list().into_iter();
+                    return Some(modules.map(|module| Import::Whole { module }).collect());
                 }
-                let names = self.ident_list();
-                self.expect(TokenKind::Semi);
-                imports.push(Import::From { module, names });
-            } else if self.eat(TokenKind::Import) {
-                let modules = self.ident_list();
-                self.expect(TokenKind::Semi);
-                for module in modules {
-                    imports.push(Import::Whole { module });
-                }
-            } else {
-                break;
-            }
+                let module = p.ident()?;
+                p.expect(TokenKind::Import)?;
+                let names = p.ident_list();
+                Some(vec![Import::From { module, names }])
+            });
+            imports.extend(entry.into_iter().flatten());
         }
         imports
     }
@@ -344,14 +385,19 @@ impl<'a> Parser<'a> {
     /// A module's or procedure's optional `BEGIN` statement part and the
     /// [`end`](Self::end) closing it. Returns the statements and whether
     /// the body is *poisoned*: a syntax error inside it was recovered
-    /// from, so it must not reach code generation.
+    /// from, so it must not reach code generation. A token that closes
+    /// other statement sequences than a body's is unexpected here.
     fn finish(&mut self, name: Ident, module: bool) -> (Vec<Stmt>, bool) {
-        let errs_before = self.errors.get();
+        let before = self.diags.len();
         let mut body = Vec::new();
         if self.eat(TokenKind::Begin) {
-            body = self.statement_sequence(&[TokenKind::End]);
+            body = self.statement_sequence();
+            while !matches!(self.peek(), TokenKind::End | TokenKind::Eof) {
+                self.unexpected("statement sequence");
+                body.extend(self.statement_sequence());
+            }
         }
-        let poisoned = self.errors.get() > errs_before;
+        let poisoned = self.diags.len() > before;
         self.end(name, module);
         (body, poisoned)
     }
@@ -368,7 +414,7 @@ impl<'a> Parser<'a> {
         let end_name = if module || matches!(self.peek(), TokenKind::Ident(_)) {
             self.ident()
         } else {
-            let at = Span::point(self.prev_span().hi);
+            let at = Span::point(self.last.hi);
             self.error_at(at, format!("expected `{name_str}` after `END`"));
             None
         };
@@ -379,8 +425,7 @@ impl<'a> Parser<'a> {
             } else {
                 format!("procedure ends with `{found}` but is named `{name_str}`")
             };
-            self.sink
-                .report(Diagnostic::error(self.file, end.span, msg));
+            self.error_at(end.span, msg);
         }
         if module {
             self.expect(TokenKind::Dot);
@@ -397,108 +442,61 @@ impl<'a> Parser<'a> {
     /// — outside a definition module — `BEGIN`. A token no declaration
     /// starts with is reported and skipped.
     fn next_decls(&mut self, definition: bool) -> Option<Vec<Decl>> {
-        loop {
+        let mut out = Vec::new();
+        while out.is_empty() {
             match self.peek() {
-                TokenKind::End | TokenKind::Eof => return None,
-                TokenKind::Begin if !definition => return None,
-                _ => {}
-            }
-            let mut out = Vec::new();
-            let before = self.pos;
-            self.declaration(definition, &mut out);
-            if !out.is_empty() {
-                return Some(out);
-            }
-            if self.pos == before {
-                let found = self.peek();
-                let part = if definition {
-                    "definition module"
-                } else {
-                    "declarations"
-                };
-                self.error(format!("unexpected `{found}` in {part}"));
-                self.bump();
+                TokenKind::End | TokenKind::Eof => break,
+                TokenKind::Begin if !definition => break,
+                TokenKind::Const | TokenKind::Type | TokenKind::Var => self.section(&mut out),
+                TokenKind::Procedure => {
+                    let start = self.pos;
+                    self.bump();
+                    out.extend(self.procedure(start, definition).map(Decl::Procedure));
+                }
+                _ if definition => self.unexpected("definition module"),
+                _ => self.unexpected("declarations"),
             }
         }
+        self.flush();
+        (!out.is_empty()).then_some(out)
     }
 
-    /// Parses one declaration group (CONST/TYPE/VAR section or PROCEDURE).
-    /// `heading_only` is true inside definition modules.
-    fn declaration(&mut self, heading_only: bool, out: &mut Vec<Decl>) {
-        match self.peek() {
-            TokenKind::Const => {
-                self.bump();
-                while let TokenKind::Ident(_) = self.peek() {
-                    let Some(name) = self.ident() else { break };
-                    if self.expect(TokenKind::Eq).is_none() {
-                        self.skip_to_semi();
-                        continue;
+    /// A CONST, TYPE or VAR section: its reserved word, then an entry for
+    /// each name that starts one. An entry that fails declares nothing.
+    fn section(&mut self, out: &mut Vec<Decl>) {
+        let keyword = self.bump();
+        while let TokenKind::Ident(_) = self.peek() {
+            out.extend(self.entry(|p| {
+                Some(match keyword {
+                    TokenKind::Const => {
+                        let name = p.ident()?;
+                        p.expect(TokenKind::Eq)?;
+                        let value = p.expression()?;
+                        Decl::Const { name, value }
                     }
-                    let Some(value) = self.expression() else {
-                        self.skip_to_semi();
-                        continue;
-                    };
-                    self.expect(TokenKind::Semi);
-                    out.push(Decl::Const { name, value });
-                }
-            }
-            TokenKind::Type => {
-                self.bump();
-                while let TokenKind::Ident(_) = self.peek() {
-                    let Some(name) = self.ident() else { break };
-                    if self.eat(TokenKind::Semi) {
-                        // Opaque type declaration `TYPE T;`
-                        out.push(Decl::Type { name, ty: None });
-                        continue;
+                    TokenKind::Type => {
+                        let name = p.ident()?;
+                        let ty = if p.at(TokenKind::Semi) {
+                            None // `TYPE T;` declares an opaque type.
+                        } else {
+                            p.expect(TokenKind::Eq)?;
+                            Some(p.type_expr()?)
+                        };
+                        Decl::Type { name, ty }
                     }
-                    if self.expect(TokenKind::Eq).is_none() {
-                        self.skip_to_semi();
-                        continue;
+                    _ => {
+                        let names = p.ident_list();
+                        p.expect(TokenKind::Colon)?;
+                        let ty = p.type_expr()?;
+                        Decl::Var { names, ty }
                     }
-                    let ty = self.type_expr();
-                    self.expect(TokenKind::Semi);
-                    out.push(Decl::Type { name, ty });
-                }
-            }
-            TokenKind::Var => {
-                self.bump();
-                while let TokenKind::Ident(_) = self.peek() {
-                    let names = self.ident_list();
-                    if self.expect(TokenKind::Colon).is_none() {
-                        self.skip_to_semi();
-                        continue;
-                    }
-                    let Some(ty) = self.type_expr() else {
-                        self.skip_to_semi();
-                        continue;
-                    };
-                    self.expect(TokenKind::Semi);
-                    out.push(Decl::Var { names, ty });
-                }
-            }
-            TokenKind::Procedure => {
-                let start = self.pos;
-                self.bump();
-                if heading_only {
-                    if let Some(heading) = self.proc_heading() {
-                        self.expect(TokenKind::Semi);
-                        out.push(Decl::Procedure(ProcDecl {
-                            heading,
-                            body: ProcBody::HeadingOnly,
-                        }));
-                    } else {
-                        self.skip_to_semi();
-                    }
-                } else if let Some(proc) = self.procedure(start) {
-                    out.push(Decl::Procedure(proc));
-                }
-            }
-            _ => {}
+                })
+            }));
         }
     }
 
     fn proc_heading(&mut self) -> Option<ProcHeading> {
-        let lo = self.prev_span();
+        let lo = self.last;
         let name = self.ident()?;
         let mut params = Vec::new();
         if self.eat(TokenKind::LParen) {
@@ -521,7 +519,7 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        let span = lo.to(self.prev_span());
+        let span = lo.to(self.last);
         Some(ProcHeading {
             name,
             params,
@@ -535,12 +533,12 @@ impl<'a> Parser<'a> {
     /// or up to a token no heading contains ([`TokenKind::ends_heading`]).
     fn heading_end(&self, start: usize) -> usize {
         let (mut i, mut parens) = (start + 1, 0i64);
-        while let Some(t) = self.tokens.get(i) {
-            if t.kind.ends_heading(parens) {
+        while let Some(k) = self.kind(i) {
+            if k.ends_heading(parens) {
                 break;
             }
             i += 1;
-            match t.kind {
+            match k {
                 TokenKind::LParen => parens += 1,
                 TokenKind::RParen => parens -= 1,
                 TokenKind::Semi if parens <= 0 => break,
@@ -551,21 +549,23 @@ impl<'a> Parser<'a> {
     }
 
     /// A procedure declaration after its `PROCEDURE` (at `start`): the
-    /// heading, then the splitter's stub or a local body. The parse ends
-    /// where the splitter's carve does: a heading that fails to parse
-    /// loses the whole declaration, and what a local body's parse left
-    /// unread is never read by its procedure stream either.
-    fn procedure(&mut self, start: usize) -> Option<ProcDecl> {
+    /// heading, then — outside a definition module — the splitter's stub
+    /// or a local body. The parse ends where the splitter's carve does: a
+    /// heading that fails to parse loses the whole declaration, and what a
+    /// local body's parse left unread is never read by its procedure
+    /// stream either.
+    fn procedure(&mut self, start: usize, heading_only: bool) -> Option<ProcDecl> {
         let heading = self.proc_heading();
-        if heading.is_some() && !self.expect_after(TokenKind::Semi, "a procedure heading") {
+        if heading.is_none() || !self.expect_after(TokenKind::Semi, "a procedure heading") {
             self.pos = self.pos.max(self.heading_end(start));
         }
+        if heading_only {
+            let body = ProcBody::HeadingOnly;
+            return heading.map(|heading| ProcDecl { heading, body });
+        }
+        let heading_last = self.last;
         let body = heading.as_ref().map(|heading| match self.peek() {
-            TokenKind::ProcStub(stream) => {
-                self.bump();
-                self.expect(TokenKind::Semi);
-                ProcBody::Remote(stream)
-            }
+            TokenKind::ProcStub(stream) => ProcBody::Remote(stream),
             _ => {
                 let decls = from_fn(|| self.next_decls(false)).flatten().collect();
                 let (body, poisoned) = self.finish(heading.name, false);
@@ -577,6 +577,7 @@ impl<'a> Parser<'a> {
             }
         });
         self.pos = self.pos.max(self.carve_end(start));
+        self.last = heading_last;
         Some(ProcDecl {
             heading: heading?,
             body: body?,
@@ -588,31 +589,19 @@ impl<'a> Parser<'a> {
     /// its `;`, or else the body (nested procedures carved alike) through
     /// the `END` that balances it, and the name and `;` after that.
     fn carve_end(&self, start: usize) -> usize {
-        let kind = |i: usize| self.tokens.get(i).map(|t| t.kind);
         let mut i = self.heading_end(start);
-        if let Some(TokenKind::ProcStub(_)) = kind(i) {
-            return i + 1 + usize::from(kind(i + 1) == Some(TokenKind::Semi));
+        if let Some(TokenKind::ProcStub(_)) = self.kind(i) {
+            return i + 1 + usize::from(self.kind(i + 1) == Some(TokenKind::Semi));
         }
-        let mut depth = 0u32;
-        loop {
-            match kind(i) {
-                None => return i,
-                Some(TokenKind::End) if depth == 0 => break,
-                Some(TokenKind::End) => depth -= 1,
-                Some(TokenKind::Procedure) if matches!(kind(i + 1), Some(TokenKind::Ident(_))) => {
-                    i = self.carve_end(i);
-                    continue;
-                }
-                Some(k) if k.opens_end_block() => depth += 1,
-                _ => {}
-            }
-            i += 1;
+        i = self.balance(i, i, |k| k == TokenKind::End);
+        if self.kind(i).is_none() {
+            return i;
         }
         i += 1;
-        if let Some(TokenKind::Ident(_)) = kind(i) {
+        if let Some(TokenKind::Ident(_)) = self.kind(i) {
             i += 1;
         }
-        i + usize::from(kind(i) == Some(TokenKind::Semi))
+        i + usize::from(self.kind(i) == Some(TokenKind::Semi))
     }
 
     // ----- types ----------------------------------------------------------
@@ -622,7 +611,9 @@ impl<'a> Parser<'a> {
         let kind = match self.peek() {
             TokenKind::Ident(_) => {
                 let first = self.ident()?;
-                if self.at(TokenKind::Dot) && matches!(self.peek2(), TokenKind::Ident(_)) {
+                if self.at(TokenKind::Dot)
+                    && matches!(self.kind(self.pos + 1), Some(TokenKind::Ident(_)))
+                {
                     self.bump();
                     let name = self.ident()?;
                     TypeExprKind::Named {
@@ -713,7 +704,9 @@ impl<'a> Parser<'a> {
                 self.expect(TokenKind::RBracket)?;
                 TypeExprKind::Subrange { lo: lo_e, hi: hi_e }
             }
-            TokenKind::Procedure => {
+            // A name after `PROCEDURE` declares a procedure, which the
+            // splitter carves as a whole: it is never a procedure type.
+            TokenKind::Procedure if !self.declares_procedure(self.pos) => {
                 self.bump();
                 let mut params = Vec::new();
                 if self.eat(TokenKind::LParen) {
@@ -743,60 +736,46 @@ impl<'a> Parser<'a> {
         };
         Some(TypeExpr {
             kind,
-            span: lo.to(self.prev_span()),
+            span: lo.to(self.last),
         })
     }
 
     // ----- statements -----------------------------------------------------
 
-    /// Parses a statement sequence; stops (without consuming) at any of
-    /// `terminators` or Eof.
-    fn statement_sequence(&mut self, terminators: &[TokenKind]) -> Vec<Stmt> {
+    /// A statement sequence, up to the token that closes it
+    /// ([`TokenKind::closes_sequence`]), which it leaves unread. A token
+    /// no statement starts with is unexpected; a statement that fails
+    /// resumes at the end of its extent.
+    fn statement_sequence(&mut self) -> Vec<Stmt> {
         let mut stmts = Vec::new();
         loop {
-            if self.at(TokenKind::Eof) || terminators.contains(&self.peek()) {
+            let next = self.peek();
+            if next.closes_sequence() {
                 break;
             }
-            if self.eat(TokenKind::Semi) {
-                continue; // empty statement
+            if !next.starts_statement() {
+                if !self.eat(TokenKind::Semi) {
+                    self.unexpected("statement sequence");
+                }
+                continue;
             }
-            let before = self.pos;
-            match self.statement() {
-                Some(s) => {
-                    stmts.push(s);
-                    if !self.eat(TokenKind::Semi) {
-                        if self.at(TokenKind::Eof) || terminators.contains(&self.peek()) {
-                            break;
-                        }
-                        // Missing semicolon: report and continue (recovery).
-                        let found = self.peek();
-                        self.error(format!("expected `;`, found `{found}`"));
-                    }
-                }
-                None => {
-                    if self.pos == before {
-                        let found = self.peek();
-                        self.error(format!("unexpected `{found}` in statement sequence"));
-                        self.bump();
-                    }
-                    // Skip to the next statement boundary: the failure is
-                    // already reported; resuming at the next `;` (or this
-                    // sequence's terminator) keeps one broken statement
-                    // from cascading into errors for its siblings.
-                    let mut sync = vec![TokenKind::Semi];
-                    sync.extend_from_slice(terminators);
-                    self.synchronize(&sync);
-                    self.eat(TokenKind::Semi);
-                }
+            let start = self.pos;
+            let Some(stmt) = self.statement() else {
+                self.recover(start);
+                continue;
+            };
+            stmts.push(stmt);
+            let found = self.peek();
+            if !self.eat(TokenKind::Semi) && found.starts_statement() {
+                self.error(format!("expected `;`, found `{found}`"));
             }
         }
         stmts
     }
 
     /// The statement sequence after `keyword`, if it comes next.
-    fn part(&mut self, keyword: TokenKind, terminators: &[TokenKind]) -> Option<Vec<Stmt>> {
-        self.eat(keyword)
-            .then(|| self.statement_sequence(terminators))
+    fn part(&mut self, keyword: TokenKind) -> Option<Vec<Stmt>> {
+        self.eat(keyword).then(|| self.statement_sequence())
     }
 
     fn statement(&mut self) -> Option<Stmt> {
@@ -816,20 +795,13 @@ impl<'a> Parser<'a> {
                 let mut arms = Vec::new();
                 let cond = self.expression()?;
                 self.expect(TokenKind::Then)?;
-                let body =
-                    self.statement_sequence(&[TokenKind::Elsif, TokenKind::Else, TokenKind::End]);
-                arms.push((cond, body));
+                arms.push((cond, self.statement_sequence()));
                 while self.eat(TokenKind::Elsif) {
                     let c = self.expression()?;
                     self.expect(TokenKind::Then)?;
-                    let b = self.statement_sequence(&[
-                        TokenKind::Elsif,
-                        TokenKind::Else,
-                        TokenKind::End,
-                    ]);
-                    arms.push((c, b));
+                    arms.push((c, self.statement_sequence()));
                 }
-                let else_body = self.part(TokenKind::Else, &[TokenKind::End]);
+                let else_body = self.part(TokenKind::Else);
                 self.expect(TokenKind::End)?;
                 StmtKind::If { arms, else_body }
             }
@@ -837,13 +809,13 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let cond = self.expression()?;
                 self.expect(TokenKind::Do)?;
-                let body = self.statement_sequence(&[TokenKind::End]);
+                let body = self.statement_sequence();
                 self.expect(TokenKind::End)?;
                 StmtKind::While { cond, body }
             }
             TokenKind::Repeat => {
                 self.bump();
-                let body = self.statement_sequence(&[TokenKind::Until]);
+                let body = self.statement_sequence();
                 self.expect(TokenKind::Until)?;
                 let until = self.expression()?;
                 StmtKind::Repeat { body, until }
@@ -861,7 +833,7 @@ impl<'a> Parser<'a> {
                     None
                 };
                 self.expect(TokenKind::Do)?;
-                let body = self.statement_sequence(&[TokenKind::End]);
+                let body = self.statement_sequence();
                 self.expect(TokenKind::End)?;
                 StmtKind::For {
                     var,
@@ -873,7 +845,7 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Loop => {
                 self.bump();
-                let body = self.statement_sequence(&[TokenKind::End]);
+                let body = self.statement_sequence();
                 self.expect(TokenKind::End)?;
                 StmtKind::Loop { body }
             }
@@ -908,11 +880,10 @@ impl<'a> Parser<'a> {
                         }
                     }
                     self.expect(TokenKind::Colon)?;
-                    let body =
-                        self.statement_sequence(&[TokenKind::Bar, TokenKind::Else, TokenKind::End]);
+                    let body = self.statement_sequence();
                     arms.push(CaseArm { labels, body });
                 }
-                let else_body = self.part(TokenKind::Else, &[TokenKind::End]);
+                let else_body = self.part(TokenKind::Else);
                 self.expect(TokenKind::End)?;
                 StmtKind::Case {
                     scrutinee,
@@ -924,47 +895,36 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let designator = self.designator()?;
                 self.expect(TokenKind::Do)?;
-                let body = self.statement_sequence(&[TokenKind::End]);
+                let body = self.statement_sequence();
                 self.expect(TokenKind::End)?;
                 StmtKind::With { designator, body }
             }
-            TokenKind::Return => {
-                self.bump();
-                let value = if matches!(
-                    self.peek(),
-                    TokenKind::Semi
-                        | TokenKind::End
-                        | TokenKind::Else
-                        | TokenKind::Elsif
-                        | TokenKind::Until
-                        | TokenKind::Bar
-                        | TokenKind::Except
-                        | TokenKind::Finally
-                        | TokenKind::Eof
-                ) {
+            TokenKind::Return | TokenKind::Raise => {
+                let keyword = self.bump();
+                let next = self.peek();
+                let value = if next == TokenKind::Semi || next.closes_sequence() {
                     None
                 } else {
                     Some(self.expression()?)
                 };
-                StmtKind::Return(value)
+                match keyword {
+                    TokenKind::Return => StmtKind::Return(value),
+                    _ => StmtKind::Raise(value),
+                }
             }
             TokenKind::Lock => {
                 self.bump();
                 let designator = self.designator()?;
                 self.expect(TokenKind::Do)?;
-                let body = self.statement_sequence(&[TokenKind::End]);
+                let body = self.statement_sequence();
                 self.expect(TokenKind::End)?;
                 StmtKind::LockStmt { designator, body }
             }
             TokenKind::Try => {
                 self.bump();
-                let body = self.statement_sequence(&[
-                    TokenKind::Except,
-                    TokenKind::Finally,
-                    TokenKind::End,
-                ]);
-                let except = self.part(TokenKind::Except, &[TokenKind::Finally, TokenKind::End]);
-                let finally = self.part(TokenKind::Finally, &[TokenKind::End]);
+                let body = self.statement_sequence();
+                let except = self.part(TokenKind::Except);
+                let finally = self.part(TokenKind::Finally);
                 self.expect(TokenKind::End)?;
                 StmtKind::TryStmt {
                     body,
@@ -972,26 +932,11 @@ impl<'a> Parser<'a> {
                     finally,
                 }
             }
-            TokenKind::Raise => {
-                self.bump();
-                let value = if matches!(
-                    self.peek(),
-                    TokenKind::Semi | TokenKind::End | TokenKind::Eof
-                ) {
-                    None
-                } else {
-                    Some(self.expression()?)
-                };
-                StmtKind::Raise(value)
-            }
-            other => {
-                self.error(format!("expected statement, found `{other}`"));
-                return None;
-            }
+            other => unreachable!("`{other}` starts no statement"),
         };
         Some(Stmt {
             kind,
-            span: lo.to(self.prev_span()),
+            span: lo.to(self.last),
         })
     }
 
@@ -1019,7 +964,7 @@ impl<'a> Parser<'a> {
     fn binary(&self, lo: Span, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
         let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
         Expr {
-            span: lo.to(self.prev_span()),
+            span: lo.to(self.last),
             kind: ExprKind::Binary { op, lhs, rhs },
         }
     }
@@ -1028,7 +973,7 @@ impl<'a> Parser<'a> {
     fn unary(&self, lo: Span, op: UnOp, operand: Expr) -> Expr {
         let operand = Box::new(operand);
         Expr {
-            span: lo.to(self.prev_span()),
+            span: lo.to(self.last),
             kind: ExprKind::Unary { op, operand },
         }
     }
@@ -1113,12 +1058,10 @@ impl<'a> Parser<'a> {
             TokenKind::Ident(_) => {
                 // `T{…}` is a typed set constructor; anything else is a
                 // designator (possibly with calls).
-                if let TokenKind::Ident(_) = self.peek() {
-                    if self.peek2() == TokenKind::LBrace {
-                        let name = self.ident()?;
-                        let brace_lo = self.span();
-                        return self.set_constructor(Some(name), brace_lo.to(lo));
-                    }
+                if self.kind(self.pos + 1) == Some(TokenKind::LBrace) {
+                    let name = self.ident()?;
+                    let brace_lo = self.span();
+                    return self.set_constructor(Some(name), brace_lo.to(lo));
                 }
                 self.designator()?
             }
@@ -1149,7 +1092,7 @@ impl<'a> Parser<'a> {
         }
         self.expect(TokenKind::RBrace)?;
         Some(Expr {
-            span: lo.to(self.prev_span()),
+            span: lo.to(self.last),
             kind: ExprKind::SetCons { of_type, elems },
         })
     }
@@ -1169,7 +1112,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let field = self.ident()?;
                     expr = Expr {
-                        span: lo.to(self.prev_span()),
+                        span: lo.to(self.last),
                         kind: ExprKind::Field {
                             base: Box::new(expr),
                             field,
@@ -1184,7 +1127,7 @@ impl<'a> Parser<'a> {
                     }
                     self.expect(TokenKind::RBracket)?;
                     expr = Expr {
-                        span: lo.to(self.prev_span()),
+                        span: lo.to(self.last),
                         kind: ExprKind::Index {
                             base: Box::new(expr),
                             indices,
@@ -1194,7 +1137,7 @@ impl<'a> Parser<'a> {
                 TokenKind::Caret => {
                     self.bump();
                     expr = Expr {
-                        span: lo.to(self.prev_span()),
+                        span: lo.to(self.last),
                         kind: ExprKind::Deref {
                             base: Box::new(expr),
                         },
@@ -1213,7 +1156,7 @@ impl<'a> Parser<'a> {
                     }
                     self.expect(TokenKind::RParen)?;
                     expr = Expr {
-                        span: lo.to(self.prev_span()),
+                        span: lo.to(self.last),
                         kind: ExprKind::Call {
                             callee: Box::new(expr),
                             args,
@@ -1254,7 +1197,9 @@ impl<'a> StreamingImpl<'a> {
     ) -> Option<StreamingImpl<'a>> {
         let mut p = Parser::new(source, interner, sink);
         p.eat(TokenKind::Implementation);
-        let (name, imports) = p.module_header()?;
+        let header = p.module_header();
+        p.flush();
+        let (name, imports) = header?;
         Some(StreamingImpl { p, name, imports })
     }
 
@@ -1287,7 +1232,7 @@ impl<'a> StreamingImpl<'a> {
 ///
 /// The splitter copies a procedure's heading into the enclosing stream
 /// too, and that stream's parse reports the heading's syntax errors; this
-/// one counts them without reporting them again.
+/// one drops them.
 pub struct StreamingProc<'a> {
     p: Parser<'a>,
     heading: ProcHeading,
@@ -1301,14 +1246,17 @@ impl<'a> StreamingProc<'a> {
         sink: &'a DiagnosticSink,
     ) -> Option<StreamingProc<'a>> {
         let mut p = Parser::new(source, interner, sink);
-        p.quiet = true;
-        p.expect(TokenKind::Procedure)?;
-        let heading = p.proc_heading()?;
-        if !p.eat(TokenKind::Semi) {
+        let heading = p
+            .expect(TokenKind::Procedure)
+            .and_then(|()| p.proc_heading());
+        if heading.is_some() && !p.eat(TokenKind::Semi) {
             p.pos = p.pos.max(p.heading_end(0));
         }
-        p.quiet = false;
-        Some(StreamingProc { p, heading })
+        p.diags.clear();
+        Some(StreamingProc {
+            p,
+            heading: heading?,
+        })
     }
 
     /// The parsed heading.

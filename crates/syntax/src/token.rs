@@ -307,6 +307,29 @@ impl TokenKind {
         )
     }
 
+    /// Whether a statement begins with this token, which commits the
+    /// parser to one: a name, `REPEAT`, `EXIT`, `RETURN`, `RAISE`, or a
+    /// reserved word that opens an `END`-closed statement.
+    pub fn starts_statement(&self) -> bool {
+        use TokenKind::*;
+        match self {
+            Ident(_) | Repeat | Exit | Return | Raise => true,
+            Record | Module => false,
+            _ => self.opens_end_block(),
+        }
+    }
+
+    /// Whether this token ends every statement sequence that meets it: a
+    /// reserved word that closes or divides a statement part, or the end
+    /// of the stream.
+    pub fn closes_sequence(&self) -> bool {
+        use TokenKind::*;
+        matches!(
+            self,
+            End | Elsif | Else | Until | Bar | Except | Finally | Eof
+        )
+    }
+
     /// Whether this token ends a procedure heading that lacks its closing
     /// `;` (`parens` deep in its parameter list): a reserved word no
     /// heading contains, or a splitter stub. `VAR` and `PROCEDURE` occur
@@ -431,14 +454,6 @@ impl Token {
     /// Creates a token.
     pub fn new(kind: TokenKind, span: Span, file: FileId) -> Token {
         Token { kind, span, file }
-    }
-
-    /// Returns the identifier symbol if this is an `Ident` token.
-    pub fn ident(&self) -> Option<Symbol> {
-        match self.kind {
-            TokenKind::Ident(s) => Some(s),
-            _ => None,
-        }
     }
 }
 

@@ -470,3 +470,210 @@ fn mutate(source: &str, spans: &[(usize, usize)], at: usize, op: u64) -> String 
         ),
     }
 }
+
+// ----- recovery on the commitment model ---------------------------------
+//
+// A construct that has consumed a token is committed: if it fails, the
+// parse resumes at the end of its own extent, so a broken statement or
+// RECORD ends neither the body nor the declaration part around it, and a
+// token nothing starts with is reported once.
+
+/// The paths each recovery row runs under, beside the sequential compiler.
+fn recovery_paths() -> [(&'static str, Options); 3] {
+    [
+        ("threads(2)", Options::threads(2)),
+        ("sim(4)", Options::sim(4)),
+        (
+            "early_split: false",
+            Options {
+                early_split: false,
+                ..Options::default()
+            },
+        ),
+    ]
+}
+
+#[test]
+fn broken_constructs_recover_to_the_end_of_their_own_extent() {
+    let rows: [(&str, &[&str]); 9] = [
+        (
+            "MODULE T; VAR x : INTEGER; BEGIN x := 1; 7; x := 2 END T.",
+            &["Main.mod:41..42 error unexpected `integer literal` in statement sequence"],
+        ),
+        (
+            "MODULE T; VAR x : INTEGER; BEGIN x := 1; ELSE x := 2 END T.",
+            &["Main.mod:41..45 error unexpected `ELSE` in statement sequence"],
+        ),
+        (
+            "MODULE T; VAR x : INTEGER; BEGIN x := 1; UNTIL x := 2 END T.",
+            &["Main.mod:41..46 error unexpected `UNTIL` in statement sequence"],
+        ),
+        (
+            "MODULE T; VAR x : INTEGER; BEGIN x := 1 ) ; x := 2 END T.",
+            &["Main.mod:40..41 error unexpected `)` in statement sequence"],
+        ),
+        // The WHILE keeps its own END: nothing is reported at the trailer.
+        (
+            "MODULE T; VAR x : INTEGER; BEGIN WHILE x = DO x := 1 END; x := 2 END T.",
+            &["Main.mod:43..45 error expected expression, found `DO`"],
+        ),
+        // Likewise the IF in a procedure body: no "expected `P` after `END`".
+        (
+            "MODULE T; VAR x : INTEGER; \
+             PROCEDURE P; BEGIN IF x = THEN x := 1 END; x := 2 END P; BEGIN P END T.",
+            &["Main.mod:53..57 error expected expression, found `THEN`"],
+        ),
+        // A broken FOR no longer hides the broken CASE label after it.
+        (
+            "MODULE T; VAR i, x : INTEGER; \
+             BEGIN FOR i := 1 TO DO x := 1 END; x := 2; CASE x OF 1 : x := 3 | : x := 4 END END T.",
+            &[
+                "Main.mod:50..52 error expected expression, found `DO`",
+                "Main.mod:96..97 error expected expression, found `:`",
+            ],
+        ),
+        // `x` stays declared: its use in the body reports nothing.
+        (
+            "MODULE T; VAR r : RECORD a : ) END; x : INTEGER; BEGIN x := 1 END T.",
+            &["Main.mod:29..30 error expected type, found `)`"],
+        ),
+        // The rest of the module survives the RECORD, `P` included.
+        (
+            "MODULE T; TYPE R = RECORD a : INTEGER; b : ARRAY OF END; VAR x : INTEGER; \
+             PROCEDURE P; BEGIN x := 1 END P; BEGIN P END T.",
+            &["Main.mod:52..55 error expected type, found `END`"],
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (src, expected) in rows {
+        let interner = Arc::new(Interner::new());
+        let seq = ccm2_seq::compile_with(
+            src,
+            &DefLibrary::new(),
+            Arc::clone(&interner),
+            Arc::new(NullMeter),
+            ccm2_sema::declare::HeadingMode::CopyToChild,
+        );
+        let got = normalize(&seq.diagnostics, &seq.sources);
+        if got != expected {
+            failures.push(format!("{src}\nexpected {expected:#?}\ngot {got:#?}"));
+        }
+        for (what, options) in recovery_paths() {
+            if let Err(e) = differs_from_seq(src, &DefLibrary::new(), options) {
+                failures.push(format!("{what}: {src}\n{e}"));
+            }
+        }
+        if src.contains("PROCEDURE P") {
+            let units = seq.image.iter().flat_map(|image| &image.units);
+            let names: Vec<_> = units.map(|u| interner.resolve(u.name)).collect();
+            if !names.iter().any(|n| n == "T.P") {
+                failures.push(format!("{src}\nno unit `T.P` in the image: {names:?}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n\n"));
+}
+
+/// Seeded token mutations of suite modules inside module and procedure
+/// bodies — one token deleted, duplicated or swapped with its successor,
+/// the body's closing `END` included — each compiled by the sequential
+/// compiler and by one concurrent configuration (the case number picks
+/// it, as in `mutated_declarations_compile_identically_to_seq`). None may
+/// panic, and both must agree on diagnostics and image. An optimized
+/// build runs 100× more.
+#[test]
+fn mutated_bodies_compile_identically_to_seq() {
+    const CASES: u64 = if cfg!(debug_assertions) { 200 } else { 20_000 };
+    let modules: Vec<_> = (0..4)
+        .map(|i| ccm2_workload::generate(&ccm2_workload::suite_params(i)))
+        .collect();
+    let sites: Vec<_> = modules
+        .iter()
+        .map(|m| body_token_spans(&m.source))
+        .collect();
+    let mut configs: Vec<Options> = [Options::sim(4), Options::threads(1), Options::threads(2)]
+        .iter()
+        .flat_map(|executor| DkyStrategy::ALL.map(|s| with_strategy(executor.clone(), s)))
+        .collect();
+    configs.push(Options {
+        early_split: false,
+        ..Options::default()
+    });
+    let (mut panics, mut divergences) = (Vec::new(), Vec::new());
+    let mut state = 0x28_u64;
+    for case in 0..CASES {
+        let m = (splitmix(&mut state) % modules.len() as u64) as usize;
+        let spans = &sites[m];
+        let at = (splitmix(&mut state) % (spans.len() as u64 - 1)) as usize;
+        let op = splitmix(&mut state) % 3;
+        let src = mutate(&modules[m].source, spans, at, op);
+        let options = configs[case as usize % configs.len()].clone();
+        let (lo, hi) = spans[at];
+        let what = format!(
+            "case {case}: {} body token {at} `{}` {} under {:?} {} early_split={}",
+            modules[m].name,
+            &modules[m].source[lo..hi],
+            ["deleted", "duplicated", "swapped"][op as usize],
+            options.executor,
+            options.strategy.name(),
+            options.early_split,
+        );
+        let defs = &modules[m].defs;
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            differs_from_seq(&src, defs, options)
+        })) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => divergences.push(format!("{what}\n{e}")),
+            Err(_) => panics.push(what),
+        }
+    }
+    assert!(
+        panics.is_empty() && divergences.is_empty(),
+        "{} panics, {} divergences in {CASES} mutants\n{}\n{}",
+        panics.len(),
+        divergences.len(),
+        panics.join("\n"),
+        divergences
+            .iter()
+            .take(3)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n\n"),
+    );
+}
+
+/// Byte spans of the tokens of `source` inside a module or procedure
+/// body: from the token after its `BEGIN` through the `END` that closes
+/// its scope, in source order.
+fn body_token_spans(source: &str) -> Vec<(usize, usize)> {
+    use ccm2_syntax::token::TokenKind;
+    let map = SourceMap::new();
+    let file = map.add("M.mod", source);
+    let sink = ccm2_support::DiagnosticSink::new();
+    let tokens = ccm2_syntax::lex_file(&file, &Interner::new(), &sink);
+    // One entry per open scope: its depth of open END-closed blocks, and
+    // whether its body has begun.
+    let mut scopes = vec![(0i64, false)];
+    let mut out = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        let declares = matches!(tokens.get(i + 1).map(|t| t.kind), Some(TokenKind::Ident(_)));
+        let Some((depth, in_body)) = scopes.last_mut() else {
+            break;
+        };
+        if *in_body {
+            out.push((t.span.lo as usize, t.span.hi as usize));
+        }
+        match t.kind {
+            TokenKind::Procedure if declares && !*in_body => scopes.push((0, false)),
+            TokenKind::Begin if *depth == 0 => *in_body = true,
+            TokenKind::End if *depth == 0 => {
+                scopes.pop();
+            }
+            TokenKind::End => *depth -= 1,
+            TokenKind::Module => {}
+            k if k.opens_end_block() => *depth += 1,
+            _ => {}
+        }
+    }
+    out
+}
