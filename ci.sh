@@ -74,7 +74,9 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # declaration parts and procedure headings (`mutated_declarations`), and
 # of module and procedure bodies (`mutated_bodies`): sequential against
 # concurrent compiler, diagnostics and image — 20 000 mutants each
-# instead of 200.
+# instead of 200. So does the pin of what the sequential compiler emits
+# for the suite and its body mutants (`output_pin`): 20 000 mutants
+# instead of 200, under a digest of their own.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -100,7 +102,7 @@ race -p ccm2-serve --test stress -- duplicates_racing_a_landing
 race --test threaded_suite -- work_charges_equal
 race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
-race --test diagnostics -- mutated_declarations mutated_bodies
+race --test diagnostics -- mutated_declarations mutated_bodies output_pin
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:

@@ -596,9 +596,7 @@ pub fn dky_strategies() -> String {
 }
 
 /// §2.4: heading alternative 3 (reprocess in both scopes) vs alternative 1
-/// (copy to child) — paper: about 3% slower — plus the dual mode (copy +
-/// child-side verification), which pays the verification in the child
-/// where alternative 3 already parses the heading.
+/// (copy to child) — paper: about 3% slower.
 pub fn heading_alternatives() -> String {
     let suite = generate_suite();
     let subset: Vec<&GeneratedModule> = suite.iter().skip(18).collect();
@@ -606,7 +604,6 @@ pub fn heading_alternatives() -> String {
     let mut totals = Vec::new();
     for (label, mode) in [
         ("alternative 1 (copy to child)", HeadingMode::CopyToChild),
-        ("dual (copy + child verify)", HeadingMode::Dual),
         ("alternative 3 (reprocess)", HeadingMode::Reprocess),
     ] {
         let total: u64 = subset
@@ -630,12 +627,7 @@ pub fn heading_alternatives() -> String {
     }
     out.push_str(&format!(
         "alternative 3 slower by: {:.1}% (paper: about 3%)\n",
-        (totals[2] as f64 / totals[0] as f64 - 1.0) * 100.0
-    ));
-    out.push_str(&format!(
-        "dual verification overhead: {:.1}% (bounded by alternative 3's {:.1}%)\n",
-        (totals[1] as f64 / totals[0] as f64 - 1.0) * 100.0,
-        (totals[2] as f64 / totals[0] as f64 - 1.0) * 100.0
+        (totals[1] as f64 / totals[0] as f64 - 1.0) * 100.0
     ));
     out
 }

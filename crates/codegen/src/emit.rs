@@ -6,7 +6,10 @@
 //! statement work is ready there are plenty of parallel tasks. This module
 //! is that second task's body: it walks statement ASTs, resolves names
 //! through the concurrent symbol tables (participating in DKY handling and
-//! the Table 2 statistics), type-checks, and emits M-code.
+//! the Table 2 statistics), type-checks, and emits M-code. Each
+//! identifier of a statement is looked up once: a designator's leading
+//! name — or `Module.name` — is classified into a `Head`, and its
+//! address, its value or the call it names is emitted from that.
 //!
 //! The same code serves the sequential compiler — symbol tables are simply
 //! always complete there.
@@ -18,12 +21,14 @@ use ccm2_support::source::Span;
 use ccm2_support::work::Work;
 
 use ccm2_sema::builtins::{Builtin, BuiltinDef};
-use ccm2_sema::consteval::eval_const;
-use ccm2_sema::symtab::{LookupResult, ProcSig, ScopeTable, SymbolKind};
+use ccm2_sema::consteval::{eval_const, min_max};
+use ccm2_sema::symtab::{
+    LookupResult, ProcInfo, ProcSig, ScopeTable, SymbolEntry, SymbolKind, VarInfo,
+};
 use ccm2_sema::types::{Type, TypeId};
 use ccm2_sema::value::ConstValue;
 use ccm2_sema::Sema;
-use ccm2_syntax::ast::{BinOp, CaseLabel, Expr, ExprKind, SetElem, Stmt, StmtKind, UnOp};
+use ccm2_syntax::ast::{BinOp, CaseLabel, Expr, ExprKind, Ident, SetElem, Stmt, StmtKind, UnOp};
 
 use crate::ir::{CodeUnit, Instr, Shape};
 use crate::shape::shape_of;
@@ -117,6 +122,22 @@ pub fn global_shapes(sema: &Sema, scope: ScopeId) -> Vec<Shape> {
 struct WithBinding {
     record_ty: TypeId,
     slot: u32,
+}
+
+/// What the one lookup of a designator's leading name found — or, when
+/// that name is a module and `.name` follows, what the lookup of `name`
+/// in the module found.
+enum Head {
+    /// A field of an active WITH record, reached through its binding's
+    /// address temp.
+    With { slot: u32, field: u32, ty: TypeId },
+    /// A declared entry; `qualified` if it was named as `Module.name`.
+    Entry { entry: SymbolEntry, qualified: bool },
+    /// A pervasive builtin.
+    Builtin(BuiltinDef),
+    /// Nothing: an undeclared name, or (`qualified`) one its module does
+    /// not export. Reported where it is used.
+    Missing { name: Symbol, qualified: bool },
 }
 
 struct Emitter<'a> {
@@ -235,103 +256,199 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    /// If `name` is a field of an active WITH binding, returns it
-    /// (innermost binding wins, as the language requires).
-    fn with_binding(&self, name: Symbol) -> Option<(usize, u32, TypeId)> {
-        for (ix, b) in self.with_stack.iter().enumerate().rev() {
-            if let Some((field_ix, fty)) = self.field_of(b.record_ty, name) {
-                return Some((ix, field_ix, fty));
+    // ----- designators ----------------------------------------------------
+
+    /// The one lookup of `name`: a field of an active WITH binding — the
+    /// innermost wins, as the language requires, and counts in Table 2's
+    /// WITH row — before the scope chain.
+    fn head(&self, name: Symbol) -> Head {
+        for b in self.with_stack.iter().rev() {
+            if let Some((field, ty)) = self.field_of(b.record_ty, name) {
+                self.sema.resolver.record_with_hit();
+                return Head::With {
+                    slot: b.slot,
+                    field,
+                    ty,
+                };
             }
         }
-        None
+        self.scope_head(name)
     }
 
-    // ----- designators ----------------------------------------------------
+    /// The lookup of `name` in the scope chain alone.
+    fn scope_head(&self, name: Symbol) -> Head {
+        match self.resolve(name) {
+            Some(LookupResult::Entry(entry)) => Head::Entry {
+                entry,
+                qualified: false,
+            },
+            Some(LookupResult::Builtin(def)) => Head::Builtin(def),
+            None => Head::Missing {
+                name,
+                qualified: false,
+            },
+        }
+    }
+
+    /// The step from `Module` to `Module.field`: if `head` is a module,
+    /// the lookup of `field` in it; `None`, with nothing looked up, if it
+    /// is not.
+    fn qualified(&self, head: &Head, field: Ident) -> Option<Head> {
+        let Head::Entry {
+            entry:
+                SymbolEntry {
+                    kind: SymbolKind::Module { scope },
+                    ..
+                },
+            ..
+        } = head
+        else {
+            return None;
+        };
+        Some(
+            match self.sema.resolver.lookup_qualified(*scope, field.name) {
+                Some(entry) => Head::Entry {
+                    entry,
+                    qualified: true,
+                },
+                None => Head::Missing {
+                    name: field.name,
+                    qualified: true,
+                },
+            },
+        )
+    }
+
+    /// Reports a [`Head::Missing`] name at `span`.
+    fn missing(&self, name: Symbol, qualified: bool, span: Span) -> TypeId {
+        let name = self.sema.interner.resolve(name);
+        self.error(
+            span,
+            if qualified {
+                format!("`{name}` is not exported")
+            } else {
+                format!("undeclared identifier `{name}`")
+            },
+        );
+        TypeId::ERROR
+    }
+
+    /// Emits the address of variable `v`.
+    fn var_addr(&mut self, v: &VarInfo) -> TypeId {
+        if let Some(module) = v.module {
+            self.emit(Instr::PushGlobalAddr {
+                module,
+                slot: v.slot,
+            });
+        } else {
+            let level_up = self.level.saturating_sub(v.level);
+            self.emit(Instr::PushAddr {
+                level_up,
+                slot: v.slot,
+            });
+            if v.is_var_param {
+                // The slot holds the caller-supplied address.
+                self.emit(Instr::Load);
+            }
+        }
+        v.ty
+    }
+
+    /// Emits what `head` denotes — its address, or with `value` its value
+    /// — and returns its type. A head that has no such thing is reported
+    /// at `span`.
+    fn emit_head(&mut self, head: &Head, span: Span, value: bool) -> TypeId {
+        let msg = match head {
+            Head::With { slot, field, ty } => {
+                self.emit(Instr::PushAddr {
+                    level_up: 0,
+                    slot: *slot,
+                });
+                self.emit(Instr::Load);
+                self.emit(Instr::AddrField(*field));
+                if value {
+                    self.emit(Instr::Load);
+                }
+                return *ty;
+            }
+            Head::Entry { entry, qualified } => match (&entry.kind, value) {
+                (SymbolKind::Var(v), _) => {
+                    let ty = self.var_addr(v);
+                    if value {
+                        self.emit(Instr::Load);
+                    }
+                    return ty;
+                }
+                (SymbolKind::Const { value, ty }, true) => {
+                    self.push_const(*value);
+                    return *ty;
+                }
+                (SymbolKind::EnumConst { ty, value }, true) => {
+                    self.emit(Instr::PushInt(*value));
+                    return *ty;
+                }
+                (SymbolKind::Proc(p), true) => {
+                    // A procedure used as a value.
+                    let ty = self.sema.types.add(Type::Proc {
+                        params: p.sig.params.iter().map(|q| (q.is_var, q.ty)).collect(),
+                        ret: p.sig.ret,
+                    });
+                    self.emit(Instr::PushProc(p.code_name));
+                    return ty;
+                }
+                (_, true) if *qualified => "qualified name is not a value".to_string(),
+                (_, true) => "name is not a value".to_string(),
+                (_, false) if *qualified => "qualified name is not a variable".to_string(),
+                (_, false) => format!(
+                    "`{}` is not a variable",
+                    self.sema.interner.resolve(entry.name)
+                ),
+            },
+            Head::Builtin(BuiltinDef::Const(v, ty)) if value => {
+                self.push_const(*v);
+                return *ty;
+            }
+            Head::Builtin(_) if value => "builtin needs a call or type context".to_string(),
+            Head::Builtin(_) => "builtin is not a variable".to_string(),
+            Head::Missing { name, qualified } => return self.missing(*name, *qualified, span),
+        };
+        self.error(span, msg);
+        TypeId::ERROR
+    }
 
     /// Emits code leaving the *address* of a designator on the stack;
     /// returns the designated type.
     fn designator_addr(&mut self, e: &Expr) -> TypeId {
+        self.designator(e, None, false)
+    }
+
+    /// Emits the address of designator `e` — or, with `value`, its value —
+    /// and returns its type. Its leading name is looked up once: here, or
+    /// by the caller, who passes what it found as `head`.
+    fn designator(&mut self, e: &Expr, head: Option<Head>, value: bool) -> TypeId {
         self.sema.meter.charge(Work::StmtAnalyze, 1);
-        match &e.kind {
+        let ty = match &e.kind {
             ExprKind::Name(id) => {
-                if let Some((bind_ix, field_ix, fty)) = self.with_binding(id.name) {
-                    // WITH scope hit (Table 2's "WITH" row).
-                    self.sema.resolver.record_with_hit();
-                    let slot = self.with_stack[bind_ix].slot;
-                    self.emit(Instr::PushAddr { level_up: 0, slot });
-                    self.emit(Instr::Load);
-                    self.emit(Instr::AddrField(field_ix));
-                    return fty;
-                }
-                match self.resolve(id.name) {
-                    Some(LookupResult::Entry(entry)) => match entry.kind {
-                        SymbolKind::Var(v) => {
-                            if let Some(module) = v.module {
-                                self.emit(Instr::PushGlobalAddr {
-                                    module,
-                                    slot: v.slot,
-                                });
-                            } else {
-                                let level_up = self.level.saturating_sub(v.level);
-                                self.emit(Instr::PushAddr {
-                                    level_up,
-                                    slot: v.slot,
-                                });
-                                if v.is_var_param {
-                                    // The slot holds the caller-supplied
-                                    // address.
-                                    self.emit(Instr::Load);
-                                }
-                            }
-                            v.ty
-                        }
-                        _ => {
-                            self.error(
-                                e.span,
-                                format!(
-                                    "`{}` is not a variable",
-                                    self.sema.interner.resolve(id.name)
-                                ),
-                            );
-                            TypeId::ERROR
-                        }
-                    },
-                    Some(LookupResult::Builtin(_)) => {
-                        self.error(e.span, "builtin is not a variable");
-                        TypeId::ERROR
-                    }
-                    None => {
-                        self.error(
-                            e.span,
-                            format!(
-                                "undeclared identifier `{}`",
-                                self.sema.interner.resolve(id.name)
-                            ),
-                        );
-                        TypeId::ERROR
-                    }
-                }
+                let head = head.unwrap_or_else(|| self.head(id.name));
+                return self.emit_head(&head, e.span, value);
             }
             ExprKind::Field { base, field } => {
-                // `Module.var` (qualified) or record field selection.
-                if let ExprKind::Name(mod_id) = &base.kind {
-                    if self.with_binding(mod_id.name).is_none() {
-                        if let Some(LookupResult::Entry(entry)) = self.resolve(mod_id.name) {
-                            if let SymbolKind::Module { scope } = entry.kind {
-                                return self.qualified_addr(scope, mod_id.name, *field, e.span);
-                            }
+                let base_ty = match &base.kind {
+                    ExprKind::Name(id) => {
+                        let head = head.unwrap_or_else(|| self.head(id.name));
+                        if let Some(qualified) = self.qualified(&head, *field) {
+                            return self.emit_head(&qualified, e.span, value);
                         }
+                        self.emit_head(&head, base.span, false)
                     }
-                }
-                let base_ty = self.designator_addr(base);
-                if base_ty == TypeId::ERROR {
-                    return TypeId::ERROR;
-                }
+                    _ => self.designator_addr(base),
+                };
                 match self.field_of(base_ty, field.name) {
                     Some((ix, fty)) => {
                         self.emit(Instr::AddrField(ix));
                         fty
                     }
+                    None if base_ty == TypeId::ERROR => TypeId::ERROR,
                     None => {
                         self.error(
                             field.span,
@@ -344,41 +461,7 @@ impl<'a> Emitter<'a> {
                     }
                 }
             }
-            ExprKind::Index { base, indices } => {
-                let mut ty = self.designator_addr(base);
-                for ix_expr in indices {
-                    match self.sema.types.get(self.sema.types.strip_subrange(ty)) {
-                        Type::Array { index, elem } => {
-                            let ixt = self.expr(ix_expr);
-                            if !self.sema.types.same_type(
-                                self.sema.types.strip_subrange(ixt),
-                                self.sema.types.strip_subrange(index),
-                            ) {
-                                self.error(ix_expr.span, "index type mismatch");
-                            }
-                            let (lo, hi) = self.sema.types.ordinal_bounds(index).unwrap_or((0, -1));
-                            self.emit(Instr::AddrIndex {
-                                lo,
-                                len: hi - lo + 1,
-                            });
-                            ty = elem;
-                        }
-                        Type::OpenArray { elem } => {
-                            let _ = self.expr(ix_expr);
-                            // Dynamic extent: the VM checks against the
-                            // actual array length.
-                            self.emit(Instr::AddrIndex { lo: 0, len: -1 });
-                            ty = elem;
-                        }
-                        Type::Error => return TypeId::ERROR,
-                        _ => {
-                            self.error(base.span, "indexing a non-array");
-                            return TypeId::ERROR;
-                        }
-                    }
-                }
-                ty
-            }
+            ExprKind::Index { base, indices } => self.index_addr(base, indices),
             ExprKind::Deref { base } => {
                 let ty = self.sema.types.strip_subrange(self.designator_addr(base));
                 match self.sema.pointee(ty) {
@@ -396,51 +479,52 @@ impl<'a> Emitter<'a> {
             }
             _ => {
                 self.error(e.span, "expression is not a designator");
-                TypeId::ERROR
+                return TypeId::ERROR;
             }
+        };
+        // A selected component's value is loaded even when selecting it
+        // failed.
+        if value {
+            self.emit(Instr::Load);
         }
+        ty
     }
 
-    /// Emits the address of `Module.name`.
-    fn qualified_addr(
-        &mut self,
-        module_scope: ScopeId,
-        _module: Symbol,
-        field: ccm2_syntax::ast::Ident,
-        span: Span,
-    ) -> TypeId {
-        match self
-            .sema
-            .resolver
-            .lookup_qualified(module_scope, field.name)
-        {
-            Some(entry) => match entry.kind {
-                SymbolKind::Var(v) => {
-                    let module = v
-                        .module
-                        .unwrap_or_else(|| self.sema.tables.scope(module_scope).name());
-                    self.emit(Instr::PushGlobalAddr {
-                        module,
-                        slot: v.slot,
+    /// Emits the address of `base[indices]`; returns the element type.
+    fn index_addr(&mut self, base: &Expr, indices: &[Expr]) -> TypeId {
+        let mut ty = self.designator_addr(base);
+        for ix_expr in indices {
+            match self.sema.types.get(self.sema.types.strip_subrange(ty)) {
+                Type::Array { index, elem } => {
+                    let ixt = self.expr(ix_expr);
+                    if !self.sema.types.same_type(
+                        self.sema.types.strip_subrange(ixt),
+                        self.sema.types.strip_subrange(index),
+                    ) {
+                        self.error(ix_expr.span, "index type mismatch");
+                    }
+                    let (lo, hi) = self.sema.types.ordinal_bounds(index).unwrap_or((0, -1));
+                    self.emit(Instr::AddrIndex {
+                        lo,
+                        len: hi - lo + 1,
                     });
-                    v.ty
+                    ty = elem;
                 }
+                Type::OpenArray { elem } => {
+                    let _ = self.expr(ix_expr);
+                    // Dynamic extent: the VM checks against the actual
+                    // array length.
+                    self.emit(Instr::AddrIndex { lo: 0, len: -1 });
+                    ty = elem;
+                }
+                Type::Error => return TypeId::ERROR,
                 _ => {
-                    self.error(span, "qualified name is not a variable");
-                    TypeId::ERROR
+                    self.error(base.span, "indexing a non-array");
+                    return TypeId::ERROR;
                 }
-            },
-            None => {
-                self.error(
-                    span,
-                    format!(
-                        "`{}` is not exported",
-                        self.sema.interner.resolve(field.name)
-                    ),
-                );
-                TypeId::ERROR
             }
         }
+        ty
     }
 
     // ----- expressions -----------------------------------------------------
@@ -478,82 +562,10 @@ impl<'a> Emitter<'a> {
                 self.emit(Instr::PushStr(*s));
                 TypeId::STRING
             }
-            ExprKind::Name(id) => {
-                if self.with_binding(id.name).is_some() {
-                    let ty = self.designator_addr(e);
-                    self.emit(Instr::Load);
-                    return ty;
-                }
-                match self.resolve(id.name) {
-                    Some(LookupResult::Entry(entry)) => match &entry.kind {
-                        SymbolKind::Const { value, ty } => {
-                            self.push_const(*value);
-                            *ty
-                        }
-                        SymbolKind::EnumConst { ty, value } => {
-                            self.emit(Instr::PushInt(*value));
-                            *ty
-                        }
-                        SymbolKind::Var(_) => {
-                            let ty = self.designator_addr(e);
-                            self.emit(Instr::Load);
-                            ty
-                        }
-                        SymbolKind::Proc(p) => {
-                            // Procedure used as a value.
-                            let code_name = p.code_name;
-                            let ty = self.sema.types.add(Type::Proc {
-                                params: p.sig.params.iter().map(|q| (q.is_var, q.ty)).collect(),
-                                ret: p.sig.ret,
-                            });
-                            self.emit(Instr::PushProc(code_name));
-                            ty
-                        }
-                        _ => {
-                            self.error(e.span, "name is not a value");
-                            TypeId::ERROR
-                        }
-                    },
-                    Some(LookupResult::Builtin(BuiltinDef::Const(v, ty))) => {
-                        self.push_const(v);
-                        ty
-                    }
-                    Some(LookupResult::Builtin(_)) => {
-                        self.error(e.span, "builtin needs a call or type context");
-                        TypeId::ERROR
-                    }
-                    None => {
-                        self.error(
-                            e.span,
-                            format!(
-                                "undeclared identifier `{}`",
-                                self.sema.interner.resolve(id.name)
-                            ),
-                        );
-                        TypeId::ERROR
-                    }
-                }
-            }
-            ExprKind::Field { base, field } => {
-                // Qualified value `Module.x`?
-                if let ExprKind::Name(mod_id) = &base.kind {
-                    if self.with_binding(mod_id.name).is_none() {
-                        if let Some(LookupResult::Entry(entry)) = self.resolve(mod_id.name) {
-                            if let SymbolKind::Module { scope } = entry.kind {
-                                return self.qualified_value(scope, *field, e.span);
-                            }
-                        }
-                    }
-                }
-                let ty = self.designator_addr(e);
-                self.emit(Instr::Load);
-                ty
-            }
-            ExprKind::Index { .. } | ExprKind::Deref { .. } => {
-                let ty = self.designator_addr(e);
-                self.emit(Instr::Load);
-                ty
-            }
+            ExprKind::Name(_)
+            | ExprKind::Field { .. }
+            | ExprKind::Index { .. }
+            | ExprKind::Deref { .. } => self.designator(e, None, true),
             ExprKind::Call { callee, args } => self.call(callee, args, e.span, false),
             ExprKind::Unary { op, operand } => {
                 let ty = self.expr(operand);
@@ -579,63 +591,6 @@ impl<'a> Emitter<'a> {
             }
             ExprKind::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, e.span),
             ExprKind::SetCons { of_type, elems } => self.set_cons(of_type, elems, e.span),
-        }
-    }
-
-    fn qualified_value(
-        &mut self,
-        module_scope: ScopeId,
-        field: ccm2_syntax::ast::Ident,
-        span: Span,
-    ) -> TypeId {
-        match self
-            .sema
-            .resolver
-            .lookup_qualified(module_scope, field.name)
-        {
-            Some(entry) => match &entry.kind {
-                SymbolKind::Const { value, ty } => {
-                    self.push_const(*value);
-                    *ty
-                }
-                SymbolKind::EnumConst { ty, value } => {
-                    self.emit(Instr::PushInt(*value));
-                    *ty
-                }
-                SymbolKind::Var(v) => {
-                    let module = v
-                        .module
-                        .unwrap_or_else(|| self.sema.tables.scope(module_scope).name());
-                    self.emit(Instr::PushGlobalAddr {
-                        module,
-                        slot: v.slot,
-                    });
-                    self.emit(Instr::Load);
-                    v.ty
-                }
-                SymbolKind::Proc(p) => {
-                    let ty = self.sema.types.add(Type::Proc {
-                        params: p.sig.params.iter().map(|q| (q.is_var, q.ty)).collect(),
-                        ret: p.sig.ret,
-                    });
-                    self.emit(Instr::PushProc(p.code_name));
-                    ty
-                }
-                _ => {
-                    self.error(span, "qualified name is not a value");
-                    TypeId::ERROR
-                }
-            },
-            None => {
-                self.error(
-                    span,
-                    format!(
-                        "`{}` is not exported",
-                        self.sema.interner.resolve(field.name)
-                    ),
-                );
-                TypeId::ERROR
-            }
         }
     }
 
@@ -810,78 +765,70 @@ impl<'a> Emitter<'a> {
     /// a function).
     fn call(&mut self, callee: &Expr, args: &[Expr], span: Span, as_stmt: bool) -> TypeId {
         // Builtins and direct procedure calls need the callee's identity.
-        match &callee.kind {
-            ExprKind::Name(id) => match self.resolve(id.name) {
-                Some(LookupResult::Builtin(BuiltinDef::Proc(b))) => {
-                    self.builtin_call(b, args, span, as_stmt)
+        let head = match &callee.kind {
+            // A called name is looked up past the fields of active WITH
+            // records.
+            ExprKind::Name(id) => match self.scope_head(id.name) {
+                Head::Builtin(BuiltinDef::Proc(b)) => {
+                    return self.builtin_call(b, args, span, as_stmt)
                 }
-                Some(LookupResult::Entry(entry)) => match &entry.kind {
-                    SymbolKind::Proc(p) => {
-                        let sig = p.sig.clone();
-                        let code_name = p.code_name;
-                        let level = p.level;
-                        self.direct_call(code_name, level, &sig, args, span, as_stmt)
-                    }
-                    SymbolKind::Var(v) => {
-                        let vt = self.sema.types.strip_subrange(v.ty);
-                        if let Type::Proc { params, ret } = self.sema.types.get(vt) {
-                            return self.indirect_call(callee, &params, ret, args, span, as_stmt);
-                        }
-                        self.error(span, "called variable is not a procedure value");
-                        TypeId::ERROR
-                    }
-                    _ => {
-                        self.error(span, "name is not callable");
-                        TypeId::ERROR
-                    }
+                // No other builtin is called by its name.
+                Head::Builtin(_) => Head::Missing {
+                    name: id.name,
+                    qualified: false,
                 },
-                _ => {
-                    self.error(
-                        span,
-                        format!(
-                            "undeclared identifier `{}`",
-                            self.sema.interner.resolve(id.name)
-                        ),
-                    );
-                    TypeId::ERROR
-                }
+                head => head,
             },
             ExprKind::Field { base, field } => {
-                if let ExprKind::Name(mod_id) = &base.kind {
-                    if let Some(LookupResult::Entry(entry)) = self.resolve(mod_id.name) {
-                        if let SymbolKind::Module { scope } = entry.kind {
-                            match self.sema.resolver.lookup_qualified(scope, field.name) {
-                                Some(e) => {
-                                    if let SymbolKind::Proc(p) = &e.kind {
-                                        let sig = p.sig.clone();
-                                        let code_name = p.code_name;
-                                        let level = p.level;
-                                        return self.direct_call(
-                                            code_name, level, &sig, args, span, as_stmt,
-                                        );
-                                    }
-                                    self.error(span, "qualified name is not a procedure");
-                                    return TypeId::ERROR;
-                                }
-                                None => {
-                                    self.error(
-                                        span,
-                                        format!(
-                                            "`{}` is not exported",
-                                            self.sema.interner.resolve(field.name)
-                                        ),
-                                    );
-                                    return TypeId::ERROR;
-                                }
-                            }
-                        }
-                    }
+                let ExprKind::Name(id) = &base.kind else {
+                    return self.indirect_call_dyn(callee, None, args, span, as_stmt);
+                };
+                let head = self.head(id.name);
+                match self.qualified(&head, *field) {
+                    Some(qualified) => qualified,
+                    // A record field holding a procedure value.
+                    None => return self.indirect_call_dyn(callee, Some(head), args, span, as_stmt),
                 }
-                // Record field holding a procedure value.
-                self.indirect_call_dyn(callee, args, span, as_stmt)
             }
-            _ => self.indirect_call_dyn(callee, args, span, as_stmt),
-        }
+            _ => return self.indirect_call_dyn(callee, None, args, span, as_stmt),
+        };
+        let msg = match &head {
+            Head::Entry {
+                entry:
+                    SymbolEntry {
+                        kind: SymbolKind::Proc(p),
+                        ..
+                    },
+                ..
+            } => return self.direct_call(p, args, span, as_stmt),
+            Head::Entry {
+                qualified: true, ..
+            } => "qualified name is not a procedure",
+            Head::Entry {
+                entry:
+                    SymbolEntry {
+                        kind: SymbolKind::Var(v),
+                        ..
+                    },
+                ..
+            } => match self.sema.types.get(self.sema.types.strip_subrange(v.ty)) {
+                Type::Proc { params, ret } => {
+                    self.check_ret_position(ret, span, as_stmt);
+                    self.push_args(&params, args, span);
+                    // The procedure value, above the args.
+                    let _ = self.emit_head(&head, callee.span, true);
+                    self.emit(Instr::CallIndirect {
+                        argc: args.len() as u32,
+                    });
+                    return ret.unwrap_or(TypeId::ERROR);
+                }
+                _ => "called variable is not a procedure value",
+            },
+            Head::Missing { name, qualified } => return self.missing(*name, *qualified, span),
+            _ => "name is not callable",
+        };
+        self.error(span, msg);
+        TypeId::ERROR
     }
 
     fn check_ret_position(&mut self, ret: Option<TypeId>, span: Span, as_stmt: bool) {
@@ -921,54 +868,31 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn direct_call(
-        &mut self,
-        code_name: Symbol,
-        callee_level: u32,
-        sig: &ProcSig,
-        args: &[Expr],
-        span: Span,
-        as_stmt: bool,
-    ) -> TypeId {
-        self.check_ret_position(sig.ret, span, as_stmt);
-        let params: Vec<(bool, TypeId)> = sig.params.iter().map(|p| (p.is_var, p.ty)).collect();
+    fn direct_call(&mut self, p: &ProcInfo, args: &[Expr], span: Span, as_stmt: bool) -> TypeId {
+        self.check_ret_position(p.sig.ret, span, as_stmt);
+        let params: Vec<(bool, TypeId)> = p.sig.params.iter().map(|p| (p.is_var, p.ty)).collect();
         self.push_args(&params, args, span);
         // Static link: hops from the caller's frame to the callee's
         // lexical parent frame. Top-level procedures need none.
-        let link_up = if callee_level <= 1 {
+        let link_up = if p.level <= 1 {
             u32::MAX
         } else {
-            self.level + 1 - callee_level
+            self.level + 1 - p.level
         };
         self.emit(Instr::Call {
-            target: code_name,
+            target: p.code_name,
             argc: args.len() as u32,
             link_up,
         });
-        sig.ret.unwrap_or(TypeId::ERROR)
+        p.sig.ret.unwrap_or(TypeId::ERROR)
     }
 
-    fn indirect_call(
-        &mut self,
-        callee: &Expr,
-        params: &[(bool, TypeId)],
-        ret: Option<TypeId>,
-        args: &[Expr],
-        span: Span,
-        as_stmt: bool,
-    ) -> TypeId {
-        self.check_ret_position(ret, span, as_stmt);
-        self.push_args(params, args, span);
-        let _ = self.expr(callee); // the procedure value, above the args
-        self.emit(Instr::CallIndirect {
-            argc: args.len() as u32,
-        });
-        ret.unwrap_or(TypeId::ERROR)
-    }
-
+    /// Calls the procedure value `callee` holds; `head` is what the lookup
+    /// of its leading name found, if the caller made it.
     fn indirect_call_dyn(
         &mut self,
         callee: &Expr,
+        head: Option<Head>,
         args: &[Expr],
         span: Span,
         as_stmt: bool,
@@ -979,7 +903,10 @@ impl<'a> Emitter<'a> {
         for a in args {
             let _ = self.expr(a);
         }
-        let ct = self.expr(callee);
+        let ct = match head {
+            Some(head) => self.designator(callee, Some(head), true),
+            None => self.expr(callee),
+        };
         let cs = self.sema.types.strip_subrange(ct);
         let ret = match self.sema.types.get(cs) {
             Type::Proc { ret, .. } => ret,
@@ -1076,37 +1003,14 @@ impl<'a> Emitter<'a> {
                 });
                 TypeId::ERROR
             }
-            Min | Max => {
-                let [arg] = args else {
-                    self.error(span, "MIN/MAX take one type argument");
-                    return TypeId::ERROR;
-                };
-                // Compile-time: reuse the constant evaluator.
-                let call_expr = Expr {
-                    kind: ExprKind::Call {
-                        callee: Box::new(Expr {
-                            kind: ExprKind::Name(ccm2_syntax::ast::Ident {
-                                name: self.sema.interner.intern(if b == Min {
-                                    "MIN"
-                                } else {
-                                    "MAX"
-                                }),
-                                span,
-                            }),
-                            span,
-                        }),
-                        args: vec![arg.clone()],
-                    },
-                    span,
-                };
-                match eval_const(self.sema, self.scope, &call_expr) {
-                    Some((v, ty)) => {
-                        self.push_const(v);
-                        expr_result(self, ty)
-                    }
-                    None => TypeId::ERROR,
+            // Compile-time: the constant evaluator's MIN/MAX.
+            Min | Max => match min_max(self.sema, self.scope, b, args, span) {
+                Some((v, ty)) => {
+                    self.push_const(v);
+                    expr_result(self, ty)
                 }
-            }
+                None => TypeId::ERROR,
+            },
             Val => {
                 let [tname, x] = args else {
                     self.error(span, "VAL takes a type and a value");
@@ -1407,17 +1311,13 @@ impl<'a> Emitter<'a> {
 
     fn for_stmt(
         &mut self,
-        var: ccm2_syntax::ast::Ident,
+        var: Ident,
         from: &Expr,
         to: &Expr,
         by: Option<&Expr>,
         body: &[Stmt],
         span: Span,
     ) {
-        let var_expr = Expr {
-            kind: ExprKind::Name(var),
-            span: var.span,
-        };
         let step = match by {
             None => 1,
             Some(e) => match eval_const(self.sema, self.scope, e) {
@@ -1428,8 +1328,10 @@ impl<'a> Emitter<'a> {
         if step == 0 {
             self.error(span, "FOR step cannot be zero");
         }
-        // v := from
-        let vt = self.designator_addr(&var_expr);
+        // The control variable is looked up once; its address is emitted
+        // four times. v := from
+        let v = self.head(var.name);
+        let vt = self.emit_head(&v, var.span, false);
         if !self.sema.types.is_ordinal(vt) {
             self.error(var.span, "FOR control variable must be ordinal");
         }
@@ -1451,7 +1353,7 @@ impl<'a> Emitter<'a> {
         self.emit(Instr::Store);
         // top: if NOT (v <= limit) goto end
         let top = self.here();
-        let _ = self.designator_addr(&var_expr);
+        let _ = self.emit_head(&v, var.span, false);
         self.emit(Instr::Load);
         self.emit(Instr::PushAddr {
             level_up: 0,
@@ -1462,8 +1364,8 @@ impl<'a> Emitter<'a> {
         let jf = self.emit(Instr::JumpIfFalse(0));
         self.stmts(body);
         // v := v + step
-        let _ = self.designator_addr(&var_expr);
-        let _ = self.designator_addr(&var_expr);
+        let _ = self.emit_head(&v, var.span, false);
+        let _ = self.emit_head(&v, var.span, false);
         self.emit(Instr::Load);
         self.emit(Instr::PushInt(step));
         self.emit(Instr::Add);
@@ -1904,6 +1806,106 @@ mod tests {
         // Scope 0 is the module scope created by emit_module.
         let shapes = global_shapes(&sema, ccm2_support::ids::ScopeId(0));
         assert_eq!(shapes, vec![Shape::Int, Shape::Real, Shape::Bool]);
+    }
+
+    /// The lookups that emitting the module body `body` records: every
+    /// simple one (Table 2's simple side, its WITH row included), the
+    /// qualified ones, and the WITH row alone. The module imports `M` and
+    /// declares the names the bodies use.
+    fn lookups_in(body: &str) -> (u64, u64, u64) {
+        use ccm2_sema::declare::bind_imports;
+        use ccm2_sema::stats::{Completeness, FoundWhen, ScopeClass};
+        use ccm2_syntax::parser::parse_definition;
+        let interner = Arc::new(Interner::new());
+        let sink = Arc::new(DiagnosticSink::new());
+        let sema = Sema::new(
+            Arc::clone(&interner),
+            Arc::clone(&sink),
+            DkyStrategy::Skeptical,
+            Arc::new(NullWaiter),
+            Arc::new(NullMeter),
+        );
+        let hooks = LocalHooks::new(&sema);
+        let map = SourceMap::new();
+        let def = map.add(
+            "M.def",
+            "DEFINITION MODULE M; CONST c = 3; VAR v : INTEGER; \
+             PROCEDURE P(a : INTEGER); END M.",
+        );
+        let def =
+            parse_definition(&lex_file(&def, &interner, &sink), &interner, &sink).expect("parses");
+        let m = sema
+            .tables
+            .new_scope(ScopeKind::DefModule, def.name.name, None, FileId(1));
+        declare_decls(&sema, m, &def.decls, HeadingMode::CopyToChild, &hooks);
+        sema.tables.mark_complete(m);
+        let main = map.add(
+            "T.mod",
+            format!(
+                "MODULE T; IMPORT M; \
+                 VAR x, y, i, n : INTEGER; c : CHAR; a : ARRAY [0..3] OF INTEGER; \
+                 r : RECORD f : INTEGER END; p : POINTER TO RECORD f : INTEGER END; \
+                 pv : PROCEDURE (INTEGER); \
+                 PROCEDURE P(v : INTEGER); BEGIN END P; \
+                 BEGIN {body} END T."
+            ),
+        );
+        let module = parse_implementation(&lex_file(&main, &interner, &sink), &interner, &sink)
+            .expect("parses");
+        let t = sema
+            .tables
+            .new_scope(ScopeKind::MainModule, module.name.name, None, FileId(0));
+        bind_imports(&sema, t, &module.imports, &|name| {
+            (name == def.name.name).then_some(m)
+        });
+        declare_decls(&sema, t, &module.decls, HeadingMode::CopyToChild, &hooks);
+        sema.tables.mark_complete(t);
+        let stats = sema.stats();
+        let with = || {
+            stats.simple_count(
+                FoundWhen::FirstTry,
+                ScopeClass::With,
+                Completeness::Complete,
+            )
+        };
+        let before = (stats.simple_total(), stats.qualified_total(), with());
+        gen_module_body(&sema, t, module.name.name, &module.body);
+        assert!(!sink.has_errors(), "{body}: {:?}", sink.snapshot());
+        (
+            stats.simple_total() - before.0,
+            stats.qualified_total() - before.1,
+            with() - before.2,
+        )
+    }
+
+    /// Statement analysis looks each identifier of a statement up once,
+    /// however many addresses and values it emits from what it found.
+    #[test]
+    fn each_identifier_is_looked_up_once() {
+        let rows: [(&str, (u64, u64, u64)); 16] = [
+            ("x := y", (2, 0, 0)),
+            ("x := r.f", (2, 0, 0)),
+            ("r.f := x", (2, 0, 0)),
+            ("x := a[i]", (3, 0, 0)),
+            ("p^.f := 1", (1, 0, 0)),
+            ("FOR i := 1 TO n DO END", (2, 0, 0)),
+            ("P(x)", (2, 0, 0)),
+            ("pv(x)", (2, 0, 0)),
+            ("M.v := 1", (1, 1, 0)),
+            ("x := M.c", (2, 1, 0)),
+            ("M.P(x)", (2, 1, 0)),
+            ("WITH r DO f := 1 END", (2, 0, 1)),
+            ("INC(x)", (2, 0, 0)),
+            ("x := MAX(INTEGER)", (3, 0, 0)),
+            ("x := VAL(INTEGER, c)", (4, 0, 0)),
+            ("x := ABS(y)", (3, 0, 0)),
+        ];
+        let wrong: Vec<String> = rows
+            .iter()
+            .filter(|(body, want)| lookups_in(body) != *want)
+            .map(|(body, want)| format!("{body}: want {want:?}, got {:?}", lookups_in(body)))
+            .collect();
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]

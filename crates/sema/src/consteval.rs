@@ -27,6 +27,21 @@ pub fn eval_const(sema: &Sema, scope: ScopeId, expr: &Expr) -> Option<(ConstValu
     ev.eval(expr)
 }
 
+/// Evaluates `MIN(args)` or `MAX(args)` — `b` says which, already
+/// resolved by the caller — in `scope`: the one type argument's least or
+/// greatest value, and its type.
+///
+/// Returns `None` after reporting a diagnostic at `span`.
+pub fn min_max(
+    sema: &Sema,
+    scope: ScopeId,
+    b: Builtin,
+    args: &[Expr],
+    span: Span,
+) -> Option<(ConstValue, TypeId)> {
+    Evaluator { sema, scope }.min_max(b, args, span)
+}
+
 struct Evaluator<'a> {
     sema: &'a Sema,
     scope: ScopeId,
@@ -265,32 +280,8 @@ impl<'a> Evaluator<'a> {
         else {
             return self.err(span, "only builtin functions are allowed in constants");
         };
-        // MIN/MAX take a *type* argument.
         if matches!(b, Builtin::Min | Builtin::Max) {
-            let [arg] = args else {
-                return self.err(span, "MIN/MAX take one type argument");
-            };
-            let ExprKind::Name(tn) = &arg.kind else {
-                return self.err(span, "MIN/MAX take a type name");
-            };
-            let ty = match self.sema.resolver.lookup(self.scope, tn.name) {
-                Some(LookupResult::Builtin(BuiltinDef::Type(t))) => t,
-                Some(LookupResult::Entry(e)) => match e.kind {
-                    SymbolKind::TypeName { ty } => ty,
-                    _ => return self.err(span, "MIN/MAX take a type name"),
-                },
-                _ => return self.err(span, "MIN/MAX take a type name"),
-            };
-            let Some((lo, hi)) = self.sema.types.ordinal_bounds(ty) else {
-                return self.err(span, "MIN/MAX require an ordinal type");
-            };
-            let v = if b == Builtin::Min { lo } else { hi };
-            let out_ty = self.sema.types.strip_subrange(ty);
-            return Some(match self.sema.types.get(out_ty) {
-                Type::Char => (ConstValue::Char(v as u8), TypeId::CHAR),
-                Type::Boolean => (ConstValue::Bool(v != 0), TypeId::BOOLEAN),
-                _ => (ConstValue::Int(v), out_ty),
-            });
+            return self.min_max(b, args, span);
         }
         let [arg] = args else {
             return self.err(span, "builtin takes one argument in constants");
@@ -323,6 +314,34 @@ impl<'a> Evaluator<'a> {
             _ => return self.err(span, "builtin not usable in constant expression"),
         };
         Some(out)
+    }
+
+    /// MIN/MAX take a *type* argument.
+    fn min_max(&self, b: Builtin, args: &[Expr], span: Span) -> Option<(ConstValue, TypeId)> {
+        let [arg] = args else {
+            return self.err(span, "MIN/MAX take one type argument");
+        };
+        let ExprKind::Name(tn) = &arg.kind else {
+            return self.err(span, "MIN/MAX take a type name");
+        };
+        let ty = match self.sema.resolver.lookup(self.scope, tn.name) {
+            Some(LookupResult::Builtin(BuiltinDef::Type(t))) => t,
+            Some(LookupResult::Entry(e)) => match e.kind {
+                SymbolKind::TypeName { ty } => ty,
+                _ => return self.err(span, "MIN/MAX take a type name"),
+            },
+            _ => return self.err(span, "MIN/MAX take a type name"),
+        };
+        let Some((lo, hi)) = self.sema.types.ordinal_bounds(ty) else {
+            return self.err(span, "MIN/MAX require an ordinal type");
+        };
+        let v = if b == Builtin::Min { lo } else { hi };
+        let out_ty = self.sema.types.strip_subrange(ty);
+        Some(match self.sema.types.get(out_ty) {
+            Type::Char => (ConstValue::Char(v as u8), TypeId::CHAR),
+            Type::Boolean => (ConstValue::Bool(v != 0), TypeId::BOOLEAN),
+            _ => (ConstValue::Int(v), out_ty),
+        })
     }
 }
 

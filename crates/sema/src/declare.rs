@@ -14,16 +14,10 @@
 //! * [`HeadingMode::Reprocess`] (alternative 3, the ~3% slower ablation):
 //!   the parent only inserts the procedure entry; the child re-elaborates
 //!   the heading itself via [`declare_own_params`], producing identical
-//!   entries by construction;
-//! * [`HeadingMode::Dual`]: both flows — the parent copies entries into
-//!   the child exactly as under `CopyToChild`, and the child additionally
-//!   re-elaborates the heading via [`verify_heading`] as a cross-check.
-//!   The verify step runs where `Reprocess` already safely runs its
-//!   child-side work, so it inherits that mode's deadlock-freedom.
+//!   entries by construction.
 //!
 //! (Alternative 2 — child processes the heading and copies to the parent —
-//! is rejected by the paper as deadlock-prone and is not implemented;
-//! `Dual` is *not* alternative 2: entry ownership stays with the parent.)
+//! is rejected by the paper as deadlock-prone and is not implemented.)
 
 use ccm2_support::diag::Diagnostic;
 use ccm2_support::ids::{ScopeId, StreamId};
@@ -49,26 +43,18 @@ pub enum HeadingMode {
     CopyToChild,
     /// Alternative 3: parent and child each process the heading.
     Reprocess,
-    /// Both flows: parent copies entries as under [`CopyToChild`]
-    /// *and* the child re-elaborates the heading as a cross-check
-    /// ([`verify_heading`]). Clean sources produce byte-identical
-    /// output to `CopyToChild`.
-    ///
-    /// [`CopyToChild`]: HeadingMode::CopyToChild
-    Dual,
 }
 
 impl HeadingMode {
     /// Stable tag mixed into the incremental environment digest so
     /// cache entries recorded under one heading mode are never spliced
     /// into a compile running another (the child-side work each mode
-    /// does — none, re-declare, verify — differs in metering and
-    /// diagnostics even when entries agree).
+    /// does — none, or re-declare — differs in metering and diagnostics
+    /// even when entries agree).
     pub fn cache_tag(self) -> u8 {
         match self {
             HeadingMode::CopyToChild => 0,
             HeadingMode::Reprocess => 1,
-            HeadingMode::Dual => 2,
         }
     }
 }
@@ -460,31 +446,13 @@ pub fn declare_own_params(sema: &Sema, proc_scope: ScopeId, heading: &ProcHeadin
     declare_params_into(sema, proc_scope, proc_scope, heading)
 }
 
-/// Child-side heading cross-validation for [`HeadingMode::Dual`]: the
-/// parameter entries were already copied in by the parent, so the child
-/// only re-elaborates the signature through its own chain (which visits
-/// the same ancestor scopes) and discards it. Duplicated effort like
-/// `Reprocess`, but no scope mutation — clean sources are unaffected.
-pub fn verify_heading(sema: &Sema, proc_scope: ScopeId, heading: &ProcHeading) -> ProcSig {
-    sema.meter
-        .charge(Work::DeclAnalyze, 1 + heading.param_count() as u64);
-    elaborate_heading(sema, proc_scope, heading)
-}
-
 /// The child's side of the §2.4 heading flow, run by a procedure's own
 /// declaration analysis before its declarations: nothing under
 /// [`HeadingMode::CopyToChild`], [`declare_own_params`] under
-/// [`HeadingMode::Reprocess`], [`verify_heading`] under
-/// [`HeadingMode::Dual`].
+/// [`HeadingMode::Reprocess`].
 pub fn child_heading(sema: &Sema, mode: HeadingMode, proc_scope: ScopeId, heading: &ProcHeading) {
-    match mode {
-        HeadingMode::CopyToChild => {}
-        HeadingMode::Reprocess => {
-            declare_own_params(sema, proc_scope, heading);
-        }
-        HeadingMode::Dual => {
-            verify_heading(sema, proc_scope, heading);
-        }
+    if mode == HeadingMode::Reprocess {
+        declare_own_params(sema, proc_scope, heading);
     }
 }
 
@@ -610,7 +578,7 @@ impl<'a> Declarer<'a> {
                 // Elaborate the heading in the parent scope; under
                 // CopyToChild also populate the child's parameter entries.
                 let sig = match (child, self.mode) {
-                    (Some(child), HeadingMode::CopyToChild | HeadingMode::Dual) => {
+                    (Some(child), HeadingMode::CopyToChild) => {
                         declare_params_into(sema, child, scope, &p.heading)
                     }
                     _ => elaborate_heading(sema, scope, &p.heading),
@@ -912,33 +880,9 @@ mod tests {
     }
 
     #[test]
-    fn dual_mode_copies_params_and_verify_agrees() {
-        let (sema, scope, decls, sink) = setup(
-            "IMPLEMENTATION MODULE M; \
-             PROCEDURE Add(a, b : INTEGER; VAR out : INTEGER); \
-             BEGIN out := a + b END Add; \
-             BEGIN END M.",
-        );
-        let hooks = LocalHooks::new(&sema);
-        let pending = declare_decls(&sema, scope, &decls, HeadingMode::Dual, &hooks);
-        sema.tables.mark_complete(scope);
-        assert!(!sink.has_errors(), "{:?}", sink.snapshot());
-        let p = &pending[0];
-        // Parent flow identical to CopyToChild: entries already present.
-        assert_eq!(sema.tables.scope(p.scope).len(), 3);
-        // Child-side cross-check resolves through the child's own chain
-        // and reproduces the signature without touching the scope.
-        let sig = verify_heading(&sema, p.scope, &p.heading);
-        assert_eq!(sig, p.sig);
-        assert_eq!(sema.tables.scope(p.scope).len(), 3);
-        assert!(!sink.has_errors(), "{:?}", sink.snapshot());
-    }
-
-    #[test]
     fn heading_mode_cache_tags_are_distinct_and_stable() {
         assert_eq!(HeadingMode::CopyToChild.cache_tag(), 0);
         assert_eq!(HeadingMode::Reprocess.cache_tag(), 1);
-        assert_eq!(HeadingMode::Dual.cache_tag(), 2);
     }
 
     #[test]

@@ -310,6 +310,12 @@ impl LookupStats {
                 Completeness::Complete,
                 "After DKY  complete",
             ),
+            // A search that blocked began on an incomplete table.
+            (
+                FoundWhen::AfterDky,
+                Completeness::Incomplete,
+                "After DKY  incomplete",
+            ),
         ];
         for &(f, c, label) in combos {
             let n = self.qualified_count(f, c);

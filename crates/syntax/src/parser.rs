@@ -505,7 +505,7 @@ impl<'a> Parser<'a> {
                     let is_var = self.eat(TokenKind::Var);
                     let names = self.ident_list();
                     self.expect(TokenKind::Colon)?;
-                    let ty = self.type_expr()?;
+                    let ty = self.formal_type()?;
                     params.push(FormalParam { is_var, names, ty });
                     if !self.eat(TokenKind::Semi) {
                         break;
@@ -515,7 +515,7 @@ impl<'a> Parser<'a> {
             self.expect(TokenKind::RParen)?;
         }
         let ret = if self.eat(TokenKind::Colon) {
-            Some(self.type_expr()?)
+            Some(self.type_name()?)
         } else {
             None
         };
@@ -605,6 +605,40 @@ impl<'a> Parser<'a> {
     }
 
     // ----- types ----------------------------------------------------------
+
+    /// A formal parameter's type, `[ARRAY OF] qualident` as PIM has it.
+    fn formal_type(&mut self) -> Option<TypeExpr> {
+        let lo = self.span();
+        if !self.eat(TokenKind::Array) {
+            return self.type_name();
+        }
+        self.expect(TokenKind::Of)?;
+        let elem = Box::new(self.type_name()?);
+        Some(TypeExpr {
+            kind: TypeExprKind::OpenArray { elem },
+            span: lo.to(self.last),
+        })
+    }
+
+    /// A type named by a qualident: all a procedure heading holds besides
+    /// `ARRAY OF`. A heading has no type constructor — no `RECORD`, whose
+    /// `END` would end the heading ([`TokenKind::ends_heading`]).
+    fn type_name(&mut self) -> Option<TypeExpr> {
+        match self.peek() {
+            TokenKind::Ident(_) => self.type_expr(),
+            // A token the heading ends at sits in another stream on the
+            // concurrent paths: the miss is reported after the last token
+            // read.
+            found if found.ends_heading(0) || found.ends_heading(1) => {
+                self.error_at(Span::point(self.last.hi), "expected type name");
+                None
+            }
+            found => {
+                self.error(format!("expected type name, found `{found}`"));
+                None
+            }
+        }
+    }
 
     fn type_expr(&mut self) -> Option<TypeExpr> {
         let lo = self.span();

@@ -332,8 +332,12 @@ impl TokenKind {
 
     /// Whether this token ends a procedure heading that lacks its closing
     /// `;` (`parens` deep in its parameter list): a reserved word no
-    /// heading contains, or a splitter stub. `VAR` and `PROCEDURE` occur
-    /// inside a parameter list, so they end a heading only outside one.
+    /// heading contains, or a splitter stub. `VAR` occurs inside a
+    /// parameter list, and so may `PROCEDURE` (a procedure type, which the
+    /// parser reports there), so they end a heading only outside one.
+    /// `RECORD` ends one only inside a parameter list: a formal type is
+    /// `[ARRAY OF] qualident`, and the carve of the declaration then holds
+    /// the record's `END`, which would otherwise end the heading.
     ///
     /// The splitter's heading scan stops here, and so does the parser
     /// when it skips a heading that failed to parse: both carve the same
@@ -343,6 +347,7 @@ impl TokenKind {
         match self {
             Begin | End | Const | Type | ProcStub(_) => true,
             Var | Procedure => parens <= 0,
+            Record => parens > 0,
             _ => false,
         }
     }

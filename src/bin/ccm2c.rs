@@ -57,7 +57,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: ccm2c [--workers N | --sim P | --seq] [--strategy S] \
-         [--headings copy|dual|reprocess] [--disasm] [--run] [--watchtool] [--stats] <module.mod>"
+         [--headings copy|reprocess] [--disasm] [--run] [--watchtool] [--stats] <module.mod>"
     );
     std::process::exit(2);
 }
@@ -104,7 +104,6 @@ fn parse_args() -> Args {
             "--headings" => {
                 args.headings = match it.next().as_deref() {
                     Some("copy") => HeadingMode::CopyToChild,
-                    Some("dual") => HeadingMode::Dual,
                     Some("reprocess") => HeadingMode::Reprocess,
                     _ => usage(),
                 }

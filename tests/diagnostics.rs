@@ -495,7 +495,7 @@ fn recovery_paths() -> [(&'static str, Options); 3] {
 
 #[test]
 fn broken_constructs_recover_to_the_end_of_their_own_extent() {
-    let rows: [(&str, &[&str]); 9] = [
+    let rows: [(&str, &[&str]); 10] = [
         (
             "MODULE T; VAR x : INTEGER; BEGIN x := 1; 7; x := 2 END T.",
             &["Main.mod:41..42 error unexpected `integer literal` in statement sequence"],
@@ -542,6 +542,13 @@ fn broken_constructs_recover_to_the_end_of_their_own_extent() {
             "MODULE T; TYPE R = RECORD a : INTEGER; b : ARRAY OF END; VAR x : INTEGER; \
              PROCEDURE P; BEGIN x := 1 END P; BEGIN P END T.",
             &["Main.mod:52..55 error expected type, found `END`"],
+        ),
+        // A formal type is `[ARRAY OF] qualident`: the RECORD is the one
+        // error, and its END ends the heading on no path.
+        (
+            "MODULE T; VAR x : INTEGER; \
+             PROCEDURE Q(r : RECORD a : INTEGER END); BEGIN x := 1 END Q; BEGIN x := 2 END T.",
+            &["Main.mod:42..42 error expected type name"],
         ),
     ];
     let mut failures = Vec::new();
@@ -676,4 +683,136 @@ fn body_token_spans(source: &str) -> Vec<(usize, usize)> {
         }
     }
     out
+}
+
+// ----- the sequential compiler's output, pinned -------------------------
+//
+// What the statement analyzer emits — object bytes and diagnostics — for
+// the suite and for mutants of its bodies, folded into one digest per
+// build profile. The digests were recorded before the analyzer was
+// restructured to look each identifier up once; they move only if what it
+// emits does.
+
+/// Names a renamed identifier may take besides the module's own: MIN, MAX
+/// and VAL (which take a type), other builtins, a type, a constant, the
+/// procedure every suite module starts with, and a name declared nowhere.
+const RENAMES: [&str; 10] = [
+    "MIN", "MAX", "VAL", "ABS", "INC", "INTEGER", "CHAR", "TRUE", "Proc0", "Ghost",
+];
+
+/// The error paths of statement analysis the mutants must reach, each as
+/// a piece of its diagnostic.
+const REACHED: [&str; 6] = [
+    "is not a variable",
+    "undeclared identifier",
+    "is not exported",
+    "arguments, found",
+    "MIN/MAX",
+    "VAL",
+];
+
+/// The sequential compiler's output for all 37 suite modules, then for
+/// seeded mutants of the first four modules' bodies: `mutate`'s three
+/// operations, and a fourth that renames an identifier to another name the
+/// module uses or (as often) to one of [`RENAMES`]. A rename keeps the body
+/// parseable, so it reaches the statement analyzer's error paths
+/// ([`REACHED`]). An optimized build runs 100× more mutants; each size has
+/// its own digest.
+#[test]
+fn output_pin_of_the_suite_and_its_body_mutants() {
+    const CASES: u64 = if cfg!(debug_assertions) { 200 } else { 20_000 };
+    const PIN: &str = if cfg!(debug_assertions) {
+        "c7e06948ae077ca6e908fa6f24ebd1b8"
+    } else {
+        "8c01547081e909e7a147fab1091fc24d"
+    };
+    let suite = ccm2_workload::generate_suite();
+    let mut digest = ccm2_support::hash::StableHasher::new();
+    for m in &suite {
+        fold_output(&mut digest, &m.source, &m.defs);
+    }
+    let modules = &suite[..4];
+    let sites: Vec<_> = modules
+        .iter()
+        .map(|m| body_token_spans(&m.source))
+        .collect();
+    let names: Vec<_> = modules.iter().map(|m| identifiers(&m.source)).collect();
+    let mut reached = [0usize; REACHED.len()];
+    let mut state = 0x29_u64;
+    for _ in 0..CASES {
+        let m = (splitmix(&mut state) % modules.len() as u64) as usize;
+        let (source, spans) = (&modules[m].source, &sites[m]);
+        let op = splitmix(&mut state) % 5;
+        let src = if op < 3 {
+            let at = (splitmix(&mut state) % (spans.len() as u64 - 1)) as usize;
+            mutate(source, spans, at, op)
+        } else {
+            // Half the renames are of a name that is called.
+            let (idents, vocabulary) = &names[m];
+            let called = |&&(_, hi): &&(usize, usize)| source[hi..].starts_with('(');
+            let body: Vec<_> = spans
+                .iter()
+                .filter(|s| idents.contains(s) && (op == 3 || called(s)))
+                .collect();
+            let (lo, hi) = *body[(splitmix(&mut state) % body.len() as u64) as usize];
+            // Half take one of the module's names, half one of RENAMES.
+            let pick = splitmix(&mut state) as usize;
+            let name = match pick % 2 {
+                0 => &vocabulary[pick / 2 % vocabulary.len()],
+                _ => RENAMES[pick / 2 % RENAMES.len()],
+            };
+            format!("{}{name}{}", &source[..lo], &source[hi..])
+        };
+        let diagnostics = fold_output(&mut digest, &src, &modules[m].defs);
+        for (count, piece) in reached.iter_mut().zip(REACHED) {
+            *count += usize::from(diagnostics.iter().any(|d| d.contains(piece)));
+        }
+    }
+    for (count, piece) in reached.iter().zip(REACHED) {
+        assert!(*count > 0, "no mutant reached `{piece}`: {reached:?}");
+    }
+    assert_eq!(digest.finish().to_hex(), PIN, "reached {reached:?}");
+}
+
+/// Feeds the sequential compiler's object bytes and rendered diagnostics
+/// for `src` to `digest`, and returns the diagnostics.
+fn fold_output(
+    digest: &mut ccm2_support::hash::StableHasher,
+    src: &str,
+    defs: &DefLibrary,
+) -> Vec<String> {
+    let out = ccm2_seq::compile(src, defs);
+    let (object, diagnostics) = ccm2_incr::comparable_output(
+        out.image.as_ref(),
+        &out.diagnostics,
+        &out.sources,
+        &out.interner,
+    );
+    let object = object.map(|bytes| [&[1], &bytes[..]].concat());
+    digest.write(&object.unwrap_or_default());
+    digest.write_u64(diagnostics.len() as u64);
+    for d in &diagnostics {
+        digest.write_str(d);
+    }
+    diagnostics
+}
+
+/// The byte spans of `source`'s identifier tokens, and its distinct
+/// identifiers in sorted order.
+fn identifiers(source: &str) -> (std::collections::HashSet<(usize, usize)>, Vec<String>) {
+    use ccm2_syntax::token::TokenKind;
+    let map = SourceMap::new();
+    let file = map.add("M.mod", source);
+    let sink = ccm2_support::DiagnosticSink::new();
+    let tokens = ccm2_syntax::lex_file(&file, &Interner::new(), &sink);
+    let spans: std::collections::HashSet<_> = tokens
+        .iter()
+        .filter(|t| matches!(t.kind, TokenKind::Ident(_)))
+        .map(|t| (t.span.lo as usize, t.span.hi as usize))
+        .collect();
+    let names: std::collections::BTreeSet<_> = spans
+        .iter()
+        .map(|&(lo, hi)| source[lo..hi].to_string())
+        .collect();
+    (spans, names.into_iter().collect())
 }

@@ -134,15 +134,17 @@ fn eight_workers_on_one_cpu_is_safe() {
 /// Work charges are counted per worker and added up when the workers
 /// end: nothing may be lost or counted twice on the way, so one worker,
 /// four workers and the simulator must report the same units for every
-/// kind of work. Under the default Skeptical strategy a lookup that
-/// blocked is charged for its second search, which depends on the
-/// interleaving; Pessimistic never searches twice, so there every kind
-/// must agree.
+/// kind of work, and every strategy makes the same number of simple and
+/// qualified lookups on each. Under Skeptical and Optimistic a lookup
+/// that blocked is charged for its second search, and whether it blocks
+/// depends on the interleaving: the threads may differ there in `Lookup`
+/// units and in Table 2's rows, the simulator repeats both run to run.
+/// Pessimistic never searches twice, so there every kind must agree.
 #[test]
 fn work_charges_equal_on_one_worker_four_workers_and_the_simulator() {
     use ccm2_support::work::Work;
     let m = generate(&suite_params(18));
-    let charges = |strategy, executor: Options| {
+    let run = |strategy, executor: Options| {
         let out = compile_concurrent(
             &m.source,
             Arc::new(m.defs.clone()),
@@ -153,8 +155,12 @@ fn work_charges_equal_on_one_worker_four_workers_and_the_simulator() {
             },
         );
         assert!(out.is_ok());
-        out.report.charges
+        let stats = &out.stats;
+        let totals = [stats.simple_total(), stats.qualified_total()];
+        let rows = (stats.simple_rows(), stats.qualified_rows());
+        (out.report.charges, totals, rows)
     };
+    let charges = |strategy, executor| run(strategy, executor).0;
     let want = charges(DkyStrategy::Pessimistic, Options::threads(1));
     assert!(want[Work::Lex as usize] > 0 && want[Work::Lookup as usize] > 0);
     for _ in 0..10 {
@@ -162,12 +168,32 @@ fn work_charges_equal_on_one_worker_four_workers_and_the_simulator() {
     }
     assert_eq!(charges(DkyStrategy::Pessimistic, Options::sim(4)), want);
 
-    let mut want = charges(DkyStrategy::Skeptical, Options::threads(1));
-    want[Work::Lookup as usize] = 0;
-    for executor in [Options::threads(4), Options::sim(4)] {
-        let mut got = charges(DkyStrategy::Skeptical, executor);
-        got[Work::Lookup as usize] = 0;
-        assert_eq!(got, want);
+    for strategy in DkyStrategy::ALL {
+        let totals = [Options::threads(1), Options::threads(4), Options::sim(4)]
+            .map(|executor| run(strategy, executor).1);
+        assert!(
+            totals.iter().all(|t| *t == totals[0]),
+            "{}: simple and qualified lookups {totals:?}",
+            strategy.name()
+        );
+    }
+
+    for strategy in [DkyStrategy::Skeptical, DkyStrategy::Optimistic] {
+        let mut want = charges(strategy, Options::threads(1));
+        want[Work::Lookup as usize] = 0;
+        for executor in [Options::threads(4), Options::sim(4)] {
+            let mut got = charges(strategy, executor);
+            got[Work::Lookup as usize] = 0;
+            assert_eq!(got, want, "{}", strategy.name());
+        }
+        let sim = || {
+            let (charges, _, rows) = run(strategy, Options::sim(4));
+            (charges[Work::Lookup as usize], rows)
+        };
+        let first = sim();
+        for _ in 0..2 {
+            assert_eq!(sim(), first, "{}: sim(4) repeats", strategy.name());
+        }
     }
 }
 

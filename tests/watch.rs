@@ -158,11 +158,7 @@ fn break_leaves_nested_units_in_siblings_intact() {
 #[test]
 fn heading_modes_are_cache_safe_and_isolated() {
     let m = generate(&GenParams::small("HeadCache", 31));
-    let modes = [
-        HeadingMode::CopyToChild,
-        HeadingMode::Dual,
-        HeadingMode::Reprocess,
-    ];
+    let modes = [HeadingMode::CopyToChild, HeadingMode::Reprocess];
     let mut outputs = Vec::new();
     for mode in modes {
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
@@ -187,13 +183,12 @@ fn heading_modes_are_cache_safe_and_isolated() {
         );
         outputs.push(comparable(&cold));
     }
-    // Clean sources: all three modes agree on the output itself.
-    assert_eq!(outputs[0], outputs[1], "Dual == CopyToChild on clean code");
-    assert_eq!(outputs[0], outputs[2], "Reprocess == CopyToChild");
+    // Clean sources: both modes agree on the output itself.
+    assert_eq!(outputs[0], outputs[1], "Reprocess == CopyToChild");
 
     // Cross-mode isolation: a store warmed under CopyToChild yields
-    // zero splices under the other two modes (distinct cache tags), and
-    // the outputs still match their own cold compiles.
+    // zero splices under the other mode (distinct cache tags), and the
+    // output still matches its own cold compile.
     let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
     let copy_cold = compile_cold(
         &m.source,
@@ -205,27 +200,25 @@ fn heading_modes_are_cache_safe_and_isolated() {
         },
     );
     assert!(copy_cold.is_ok());
-    for mode in [HeadingMode::Dual, HeadingMode::Reprocess] {
-        let out = compile_cold(
-            &m.source,
-            &m.defs,
-            Options {
-                heading_mode: mode,
-                incremental: Some(Arc::clone(&store)),
-                ..Options::default()
-            },
-        );
-        let stats = out.incr.expect("incremental");
-        assert_eq!(
-            stats.spliced, 0,
-            "{mode:?} must not splice CopyToChild's entries"
-        );
-        assert_eq!(
-            comparable(&out),
-            comparable(&copy_cold),
-            "{mode:?}: output unaffected by the foreign store"
-        );
-    }
+    let out = compile_cold(
+        &m.source,
+        &m.defs,
+        Options {
+            heading_mode: HeadingMode::Reprocess,
+            incremental: Some(Arc::clone(&store)),
+            ..Options::default()
+        },
+    );
+    let stats = out.incr.expect("incremental");
+    assert_eq!(
+        stats.spliced, 0,
+        "Reprocess must not splice CopyToChild's entries"
+    );
+    assert_eq!(
+        comparable(&out),
+        comparable(&copy_cold),
+        "Reprocess: output unaffected by the foreign store"
+    );
 }
 
 // ---- watch sessions end to end ------------------------------------------
