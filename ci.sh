@@ -76,7 +76,10 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # concurrent compiler, diagnostics and image — 20 000 mutants each
 # instead of 200. So does the pin of what the sequential compiler emits
 # for the suite and its body mutants (`output_pin`): 20 000 mutants
-# instead of 200, under a digest of their own.
+# instead of 200, under a digest of their own. And so does the seeded
+# interface-edit differential (`interface_edit_differential`: the edited
+# definition module and its importers recompile, every other interface
+# splices, the output is a cold compile's): 240 edits instead of 12.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -103,6 +106,7 @@ race --test threaded_suite -- work_charges_equal
 race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
 race --test diagnostics -- mutated_declarations mutated_bodies output_pin
+race --test incremental -- interface_edit_differential
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:

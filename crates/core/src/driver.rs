@@ -29,16 +29,19 @@ use ccm2_codegen::emit::{gen_error_unit, gen_module_body, gen_procedure, global_
 use ccm2_codegen::ir::{CodeUnit, Instr};
 use ccm2_codegen::merge::{Merger, ModuleImage};
 use ccm2_incr::{
-    encode_entry, environment_fp, fingerprint_streams, import_closure, ArtifactStore,
-    CacheEntryData, CachedDiag, Carve, EntryDecoder, IncrStats, StreamNode, FORMAT_VERSION,
+    decode_interface, encode_entry, encode_interface, environment_fp, fingerprint_streams,
+    ArtifactStore, CacheEntryData, CachedDiag, Carve, EntryDecoder, ImportGraph, IncrStats,
+    InterfaceKey, StreamNode, FORMAT_VERSION,
 };
 use ccm2_sched::{
     run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, Robustness, RunReport,
     SimConfig, TaskDesc, TaskKind, WaitSet,
 };
 use ccm2_sema::declare::{bind_imports, child_heading, DeclareHooks, Declarer, HeadingMode};
+use ccm2_sema::interface::{self, Interface};
 use ccm2_sema::stats::LookupStats;
 use ccm2_sema::symtab::{DkyStrategy, DkyWaiter, ProcSig, ScopeKind, SymbolTables, TableNotifier};
+use ccm2_sema::types::TypeId;
 use ccm2_sema::Sema;
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::{Diagnostic, DiagnosticSink, Severity};
@@ -92,11 +95,15 @@ pub struct Options {
     /// procedure stream whose fingerprint matches a store entry is
     /// *respliced*: its Parser/DeclAnalyzer and StmtAnalyzer/CodeGen
     /// tasks are replaced by one cheap `CacheSplice` task feeding the
-    /// cached unit into the merge and replaying its diagnostics. Only
-    /// active with `early_split` and `HeadingMode::CopyToChild`, and
-    /// only when the [`DefProvider`] can enumerate its library (the
-    /// environment fingerprint must cover every interface); otherwise
-    /// the compile silently runs cold.
+    /// cached unit into the merge and replaying its diagnostics. So is
+    /// every imported definition module whose interface key matches a
+    /// stored interface: one `CacheSplice` task installs its scope in
+    /// place of its Lexor, Importer and Parser/DeclAnalyzer tasks. Only
+    /// active with `early_split`, and only when the [`DefProvider`] can
+    /// enumerate its library (the environment fingerprint must cover
+    /// every interface); otherwise the compile silently runs cold. Every
+    /// heading mode is cache-safe: the mode's tag is part of every
+    /// fingerprint and key.
     pub incremental: Option<Arc<dyn ArtifactStore>>,
     /// Deterministic fault plan. When set, the executors query it at
     /// `task:{name}` / `signal:{event}` sites and the compile runs in
@@ -318,6 +325,22 @@ struct IncrInner {
     /// Signaled once hit/miss decisions exist (the module parser waits on
     /// it before choosing between live codegen and a module-body splice).
     ready: EventId,
+    /// The interfaces the source reaches, by key. Set once in `start`.
+    interfaces: OnceLock<Interfaces>,
+}
+
+/// What `start` decided about the definition modules the source reaches.
+struct Interfaces {
+    /// Every module with an interface key, imports before importers:
+    /// name, key, the modules it imports.
+    keyed: Vec<(Symbol, Fp128, Vec<Symbol>)>,
+    /// The stored interfaces this compile splices. A module is here only
+    /// if its artifact decoded and every module it imports is here too.
+    spliced: HashMap<Symbol, Arc<Interface>>,
+    /// The ids in this compile of each spliced interface's own types,
+    /// built on first use: by its own splice, or by that of a module
+    /// whose types link into it, whichever runs first.
+    types: Mutex<HashMap<Symbol, Arc<[TypeId]>>>,
 }
 
 /// A procedure stream whose task spawning is deferred until the splitter
@@ -343,7 +366,9 @@ struct ProcDecision {
 struct Decisions {
     module_fp: Fp128,
     module_entry: Option<Arc<CacheEntryData>>,
-    procs: HashMap<ScopeId, ProcDecision>,
+    /// In carve order, which is the order entries are recorded in: under
+    /// a byte budget, what a store keeps depends on it.
+    procs: Vec<(ScopeId, ProcDecision)>,
 }
 
 struct DriverState {
@@ -376,6 +401,10 @@ struct DriverState {
     /// Per-scope lock summaries captured from `Analyze` tasks, encoded
     /// into cache entries (carve-relative) when recording.
     summaries: HashMap<ScopeId, ccm2_analysis::UnitSummary>,
+    /// The imports of each definition module parsed live (incremental
+    /// mode only), kept for its interface artifact.
+    def_imports: HashMap<ScopeId, Vec<Import>>,
+    interfaces_spliced: usize,
     incr_stats: IncrStats,
 }
 
@@ -424,6 +453,7 @@ impl Driver {
                 library,
                 env_fp: OnceLock::new(),
                 ready: env.new_event_named(EventClass::Handled, "incr(decisions)"),
+                interfaces: OnceLock::new(),
             })
         });
         let driver = Arc::new(Driver {
@@ -461,6 +491,8 @@ impl Driver {
                 decisions: None,
                 used_sets: HashMap::new(),
                 summaries: HashMap::new(),
+                def_imports: HashMap::new(),
+                interfaces_spliced: 0,
                 incr_stats: IncrStats::default(),
             }),
         });
@@ -519,14 +551,13 @@ impl Driver {
         // `.def` leaves every unit of this module warm. Computed before
         // any task is spawned — `incr_split_eof` runs on a worker.
         if let Some(incr) = &self.incr {
-            let reachable = import_closure(&source, &incr.library);
-            let env_fp = environment_fp(
-                FORMAT_VERSION,
-                self.analyze,
-                self.heading_mode.cache_tag(),
-                &reachable,
-            );
+            let graph = ImportGraph::of(&source, &incr.library);
+            let tag = self.heading_mode.cache_tag();
+            let env_fp = environment_fp(FORMAT_VERSION, self.analyze, tag, &graph.closure());
             incr.env_fp.set(env_fp).expect("start runs once");
+            let keys = graph.interface_keys(FORMAT_VERSION, self.analyze, tag);
+            let interfaces = self.load_interfaces(incr, &keys);
+            assert!(incr.interfaces.set(interfaces).is_ok(), "start runs once");
         }
         let file = self.sources.add("Main.mod", source);
         // Lexor(main): never blocks (§2.3.3).
@@ -601,9 +632,71 @@ impl Driver {
         }
     }
 
+    /// Loads the stored interface of every keyed module, imports first,
+    /// and keeps those that decode and whose imports all splice (the
+    /// closure rule of `incr_split_eof`, one level up: a module parsed
+    /// live rebuilds its types, so every importer of it must too). A
+    /// module with an import that does not splice is not looked up.
+    fn load_interfaces(&self, incr: &IncrInner, keys: &[InterfaceKey<'_>]) -> Interfaces {
+        let mut keyed = Vec::with_capacity(keys.len());
+        let mut spliced: HashMap<Symbol, Arc<Interface>> = HashMap::new();
+        for k in keys {
+            let name = self.interner.intern(k.name);
+            let imports: Vec<Symbol> = k.imports.iter().map(|i| self.interner.intern(i)).collect();
+            let splices = imports.iter().all(|i| spliced.contains_key(i));
+            keyed.push((name, k.key, imports));
+            if !splices {
+                continue;
+            }
+            let Some(bytes) = incr.store.load(k.key) else {
+                continue;
+            };
+            // Links index the tables of modules this one reaches, which
+            // all splice by now; one that points elsewhere was forged.
+            let links_fit = |iface: &Interface| {
+                iface.links.iter().all(|&(dep, index)| {
+                    let dep = spliced.get(&iface.deps[dep as usize]);
+                    dep.is_some_and(|d| (index as usize) < d.types.len())
+                })
+            };
+            let ignored = match decode_interface(&bytes, &self.interner) {
+                Ok(iface) if links_fit(&iface) => {
+                    spliced.insert(name, Arc::new(iface));
+                    continue;
+                }
+                Ok(_) => "malformed link".to_string(),
+                Err(e) => e.to_string(),
+            };
+            incr.store.quarantine(k.key);
+            self.report_ignored(k.name, &ignored);
+        }
+        Interfaces {
+            keyed,
+            spliced,
+            types: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The Note a store artifact that failed to load gets.
+    fn report_ignored(&self, name: &str, why: &str) {
+        self.sink.report(Diagnostic {
+            severity: Severity::Note,
+            file: FileId(0),
+            span: Span { lo: 0, hi: 0 },
+            message: format!("incremental cache entry for `{name}` ignored: {why}"),
+        });
+    }
+
+    /// The stored interface this compile splices for module `name`.
+    fn spliced_interface(&self, name: Symbol) -> Option<Arc<Interface>> {
+        let interfaces = self.incr.as_ref()?.interfaces.get()?;
+        interfaces.spliced.get(&name).cloned()
+    }
+
     /// Once-only creation of a definition-module stream (§3); returns its
     /// interface scope, or `None` when the provider has no such module
-    /// (the importing parser reports the diagnostic).
+    /// (the importing parser reports the diagnostic). A module whose
+    /// stored interface splices gets one `CacheSplice` task instead.
     fn ensure_def_stream(self: &Arc<Self>, name: Symbol, depth: usize) -> Option<ScopeId> {
         {
             let mut st = self.st.lock();
@@ -630,6 +723,21 @@ impl Driver {
             st.scope_events.insert(scope, scope_ev);
             (scope, file)
         };
+        if let Some(iface) = self.spliced_interface(name) {
+            self.st.lock().interfaces_spliced += 1;
+            let this = Arc::clone(self);
+            let weight = (iface.entries.len() + iface.types.len()) as u64;
+            let mut t = TaskDesc::new(
+                format!("splice({name_str}.def)"),
+                TaskKind::CacheSplice,
+                Box::new(move || this.splice_interface(name, scope, &iface, depth)),
+            );
+            t.weight = weight;
+            t.signals = vec![scope_ev];
+            t.signals_def_scope = true;
+            self.env.spawn(t);
+            return Some(scope);
+        }
         // Spawn the stream's tasks: Lexor → {Importer, Parser/DeclAnalyzer}.
         let q = self.spawn_lexor(format!("lex({name_str}.def)"), file);
         {
@@ -791,7 +899,75 @@ impl Driver {
         }
         declarer.finish();
         self.merger.add_globals(name, global_shapes(&sema, scope));
+        if self.incr.is_some() {
+            self.st.lock().def_imports.insert(scope, def.imports);
+        }
         sema.tables.mark_complete(scope);
+    }
+
+    /// Task body of an interface splice: does what the module's live
+    /// Importer and Parser/DeclAnalyzer would have done, from its stored
+    /// interface — starts its imports' streams, binds its imports,
+    /// installs its types and entries, registers its global area — and
+    /// completes the scope.
+    fn splice_interface(
+        self: &Arc<Self>,
+        name: Symbol,
+        scope: ScopeId,
+        iface: &Interface,
+        depth: usize,
+    ) {
+        let sema = Arc::clone(self.sema());
+        let items = iface.entries.len() + iface.types.len();
+        self.env.charge(Work::Splice, 1 + items as u64 / 8);
+        let mapping = self.import_scopes(&iface.imports, depth + 1);
+        bind_imports(&sema, scope, &iface.imports, &|n| scope_of(&mapping, n));
+        let own = self.interface_types(name, scope);
+        let deps: Vec<Arc<[TypeId]>> = iface
+            .deps
+            .iter()
+            .map(|&d| self.interface_types(d, scope))
+            .collect();
+        let deps: Vec<&[TypeId]> = deps.iter().map(|d| &d[..]).collect();
+        interface::install_entries(&sema, iface, scope, &own, &deps);
+        self.merger.add_globals(name, global_shapes(&sema, scope));
+        sema.tables.mark_complete(scope);
+    }
+
+    /// The ids of spliced interface `name`'s own types, installed on
+    /// first use (with those of the interfaces they link into) by the
+    /// splice of `scope`.
+    fn interface_types(&self, name: Symbol, scope: ScopeId) -> Arc<[TypeId]> {
+        let interfaces = self
+            .incr
+            .as_ref()
+            .and_then(|incr| incr.interfaces.get())
+            .expect("only a spliced interface has types to install");
+        let mut built = interfaces.types.lock();
+        self.install_types(interfaces, &mut built, name, scope)
+    }
+
+    fn install_types(
+        &self,
+        interfaces: &Interfaces,
+        built: &mut HashMap<Symbol, Arc<[TypeId]>>,
+        name: Symbol,
+        scope: ScopeId,
+    ) -> Arc<[TypeId]> {
+        if let Some(own) = built.get(&name) {
+            return Arc::clone(own);
+        }
+        let iface = (interfaces.spliced.get(&name))
+            .expect("every interface a spliced one links into splices too");
+        let deps: Vec<Arc<[TypeId]>> = iface
+            .deps
+            .iter()
+            .map(|&d| self.install_types(interfaces, built, d, scope))
+            .collect();
+        let deps: Vec<&[TypeId]> = deps.iter().map(|d| &d[..]).collect();
+        let own: Arc<[TypeId]> = interface::install_types(self.sema(), iface, &deps, scope).into();
+        built.insert(name, Arc::clone(&own));
+        own
     }
 
     fn module_parse(self: &Arc<Self>, parse_q: Arc<TokenQueue>) {
@@ -1206,15 +1382,7 @@ impl Driver {
             };
             stats.bad_entries += 1;
             incr.store.quarantine(fp);
-            self.sink.report(Diagnostic {
-                severity: Severity::Note,
-                file: FileId(0),
-                span: Span { lo: 0, hi: 0 },
-                message: format!(
-                    "incremental cache entry for `{}` ignored: {ignored}",
-                    self.interner.resolve(name)
-                ),
-            });
+            self.report_ignored(&self.interner.resolve(name), &ignored);
             None
         };
         let entries: Vec<Option<Arc<CacheEntryData>>> = pending
@@ -1244,7 +1412,7 @@ impl Driver {
         stats.spliced =
             spliced.iter().filter(|s| **s).count() + usize::from(module_entry.is_some());
         stats.recompiled = stats.units - stats.spliced;
-        let procs: HashMap<ScopeId, ProcDecision> = pending
+        let mut procs: Vec<(ScopeId, ProcDecision)> = pending
             .iter()
             .enumerate()
             .map(|(i, p)| {
@@ -1258,6 +1426,7 @@ impl Driver {
                 )
             })
             .collect();
+        procs.sort_by_key(|(_, pd)| (pd.carve.lo, pd.carve.hi));
         let scope_of: Vec<ScopeId> = pending.iter().map(|p| p.scope).collect();
         {
             let mut st = self.st.lock();
@@ -1472,6 +1641,57 @@ impl Driver {
         }
     }
 
+    /// After a clean compile, record the interface of every definition
+    /// module parsed live that reported nothing in its own file and whose
+    /// imports were all recorded or spliced. Modules go imports first, so
+    /// a type belongs to the first interface that reaches it — the one
+    /// whose declarations created it — and a later one links to it.
+    fn record_interfaces(
+        &self,
+        incr: &IncrInner,
+        diagnostics: &[Diagnostic],
+        def_streams: &HashMap<Symbol, ScopeId>,
+        mut def_imports: HashMap<ScopeId, Vec<Import>>,
+    ) {
+        let Some(interfaces) = incr.interfaces.get() else {
+            return;
+        };
+        let installed = interfaces.types.lock();
+        let sema = self.sema();
+        let mut owners: HashMap<TypeId, (Symbol, u32)> = HashMap::new();
+        let mut recorded: HashSet<Symbol> = HashSet::new();
+        for (name, key, imports) in &interfaces.keyed {
+            let Some(&scope) = def_streams.get(name) else {
+                continue;
+            };
+            let own = match installed.get(name) {
+                Some(own) => own.to_vec(),
+                None => {
+                    let file = sema.tables.scope(scope).file();
+                    let quiet = !diagnostics.iter().any(|d| d.file == file);
+                    let parsed = def_imports.remove(&scope);
+                    let (Some(parsed), true) = (parsed, quiet) else {
+                        continue;
+                    };
+                    if !imports.iter().all(|i| recorded.contains(i)) {
+                        continue;
+                    }
+                    let owner = |t: TypeId| owners.get(&t).copied();
+                    let Some((iface, own)) = interface::capture(sema, scope, parsed, &owner) else {
+                        continue;
+                    };
+                    incr.store
+                        .store(*key, &encode_interface(&iface, &self.interner));
+                    own
+                }
+            };
+            for (index, t) in own.into_iter().enumerate() {
+                owners.insert(t, (*name, index as u32));
+            }
+            recorded.insert(*name);
+        }
+    }
+
     // ---- finish -------------------------------------------------------------
 
     fn finish(self: &Arc<Self>, report: RunReport) -> ConcurrentOutput {
@@ -1489,7 +1709,13 @@ impl Driver {
             .collect();
         let used_sets = std::mem::take(&mut st.used_sets);
         let summaries = std::mem::take(&mut st.summaries);
-        let incr_stats = st.incr_stats;
+        let def_streams = std::mem::take(&mut st.def_streams);
+        let def_imports = std::mem::take(&mut st.def_imports);
+        let incr_stats = IncrStats {
+            interfaces: imported_interfaces,
+            interfaces_spliced: st.interfaces_spliced,
+            ..st.incr_stats
+        };
         drop(st);
         // Unused-import lint and the whole-program lock-order pass: every
         // Analyze (and splice) task has completed — the run is over — so
@@ -1601,12 +1827,12 @@ impl Driver {
         }
         let mut diagnostics = self.sink.take();
         diagnostics.extend(degraded_diags);
-        // Record cache entries for the units that compiled live — but
-        // only from an error-free compile, so a hit never replays the
-        // artifacts of a failed one.
-        if let (Some(incr), Some(dec), Some(image)) = (&self.incr, &decisions, &image) {
-            let clean = !diagnostics.iter().any(|d| d.severity == Severity::Error);
-            if clean {
+        // Record cache entries for the units that compiled live, then the
+        // interfaces parsed live — but only from an error-free compile, so
+        // a hit never replays the artifacts of a failed one.
+        let clean = !diagnostics.iter().any(|d| d.severity == Severity::Error);
+        if let (Some(incr), true) = (&self.incr, clean) {
+            if let (Some(dec), Some(image)) = (&decisions, &image) {
                 self.record_entries(
                     incr,
                     dec,
@@ -1619,6 +1845,7 @@ impl Driver {
                     main_name,
                 );
             }
+            self.record_interfaces(incr, &diagnostics, &def_streams, def_imports);
         }
         let sema = self.sema();
         ConcurrentOutput {

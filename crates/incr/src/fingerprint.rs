@@ -33,6 +33,8 @@
 //! spans without changing their fingerprints; cached diagnostics are
 //! stored span-relative to the carve start and rebased on replay.
 
+use std::collections::BTreeMap;
+
 use ccm2_support::hash::{Fp128, StableHasher};
 
 /// Byte ranges of one carved procedure stream within the main source:
@@ -194,27 +196,129 @@ pub fn import_closure<'a>(
     main_source: &'a str,
     library: &'a [(String, String)],
 ) -> Vec<(&'a str, &'a str)> {
-    let by_name: std::collections::HashMap<&str, &str> = library
-        .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str()))
-        .collect();
-    let mut seen = std::collections::BTreeMap::<&str, &str>::new();
-    let mut frontier = import_names(main_source);
-    while let Some(name) = frontier.pop() {
-        if seen.contains_key(name) {
-            continue;
-        }
-        match by_name.get(name) {
-            Some(&src) => {
-                frontier.extend(import_names(src));
-                seen.insert(name, src);
+    ImportGraph::of(main_source, library).closure()
+}
+
+/// The definition modules a main source reaches through its imports,
+/// each with its source and the modules it imports in turn: one walk
+/// gives both the environment digest's closure and the interface keys.
+#[derive(Debug)]
+pub struct ImportGraph<'a> {
+    /// `None` for a module the library lacks.
+    nodes: BTreeMap<&'a str, Option<(&'a str, Vec<&'a str>)>>,
+}
+
+/// A definition module's interface key (see
+/// [`ImportGraph::interface_keys`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InterfaceKey<'a> {
+    /// The module's name.
+    pub name: &'a str,
+    /// The key its interface artifact is stored under.
+    pub key: Fp128,
+    /// The modules it imports, sorted ([`import_names`]).
+    pub imports: Vec<&'a str>,
+}
+
+impl<'a> ImportGraph<'a> {
+    /// Walks `main_source`'s imports through `library`.
+    pub fn of(main_source: &'a str, library: &'a [(String, String)]) -> ImportGraph<'a> {
+        let by_name: std::collections::HashMap<&str, &str> = library
+            .iter()
+            .map(|(n, s)| (n.as_str(), s.as_str()))
+            .collect();
+        let mut nodes = BTreeMap::new();
+        let mut frontier = import_names(main_source);
+        while let Some(name) = frontier.pop() {
+            if nodes.contains_key(name) {
+                continue;
             }
-            None => {
-                seen.insert(name, MISSING_DEF_SOURCE);
-            }
+            let node = by_name.get(name).map(|&src| {
+                let imports = import_names(src);
+                frontier.extend(&imports);
+                (src, imports)
+            });
+            nodes.insert(name, node);
         }
+        ImportGraph { nodes }
     }
-    seen.into_iter().collect()
+
+    /// [`import_closure`]'s pairs.
+    pub fn closure(&self) -> Vec<(&'a str, &'a str)> {
+        let nodes = self.nodes.iter();
+        nodes
+            .map(|(&name, node)| (name, node.as_ref().map_or(MISSING_DEF_SOURCE, |n| n.0)))
+            .collect()
+    }
+
+    /// The interface key of every module whose interface can be reused,
+    /// imports before importers: `K(X)` digests a domain tag, the format
+    /// version and configuration bits that [`environment_fp`] digests,
+    /// X's name and source, and the keys of X's imports in sorted order.
+    /// So a key changes with the module's own text and with any interface
+    /// it reaches. A module the library lacks, or one on an import cycle,
+    /// has no key, and neither has any module that imports it.
+    pub fn interface_keys(
+        &self,
+        format_version: u32,
+        analyze: bool,
+        heading_mode_tag: u8,
+    ) -> Vec<InterfaceKey<'a>> {
+        let mut walk = KeyWalk {
+            graph: self,
+            config: (format_version, analyze, heading_mode_tag),
+            state: BTreeMap::new(),
+            keys: Vec::new(),
+        };
+        for &name in self.nodes.keys() {
+            walk.key(name);
+        }
+        walk.keys
+    }
+}
+
+/// Depth-first computation of interface keys.
+struct KeyWalk<'g, 'a> {
+    graph: &'g ImportGraph<'a>,
+    config: (u32, bool, u8),
+    /// `None` while a module's imports are being keyed (a cycle reaches
+    /// it then), afterwards its key if it has one.
+    state: BTreeMap<&'a str, Option<Option<Fp128>>>,
+    keys: Vec<InterfaceKey<'a>>,
+}
+
+impl<'a> KeyWalk<'_, 'a> {
+    fn key(&mut self, name: &'a str) -> Option<Fp128> {
+        if let Some(&known) = self.state.get(name) {
+            return known.flatten();
+        }
+        let (source, imports) = self.graph.nodes.get(name)?.as_ref()?;
+        self.state.insert(name, None);
+        let imported: Option<Vec<Fp128>> = imports.iter().map(|&i| self.key(i)).collect();
+        let key = imported.map(|imported| {
+            let (format_version, analyze, heading_mode_tag) = self.config;
+            let mut h = StableHasher::new();
+            h.write_str("ccm2 interface");
+            h.write_u32(format_version);
+            h.write(&[u8::from(analyze), heading_mode_tag]);
+            h.write_str(name);
+            h.write_str(source);
+            h.write_u64(imported.len() as u64);
+            for fp in imported {
+                h.write_fp(fp);
+            }
+            h.finish()
+        });
+        self.state.insert(name, Some(key));
+        if let Some(key) = key {
+            self.keys.push(InterfaceKey {
+                name,
+                key,
+                imports: imports.clone(),
+            });
+        }
+        key
+    }
 }
 
 /// Digests the environment every fingerprint is chained from: the store
@@ -468,6 +572,69 @@ mod tests {
             environment_fp(1, false, 0, &closure),
             environment_fp(1, false, 0, &closure3)
         );
+    }
+
+    #[test]
+    fn interface_keys_chain_through_imports_and_skip_missing_and_cyclic_modules() {
+        let def = |name: &str, body: &str| {
+            (
+                name.to_string(),
+                format!("DEFINITION MODULE {name}; {body} END {name}."),
+            )
+        };
+        let lib = vec![
+            def("A", "IMPORT B;"),
+            def("B", "CONST N = 1;"),
+            def("C", "IMPORT Ghost;"),
+            def("D", "IMPORT E;"),
+            def("E", "IMPORT D;"),
+            def("F", "IMPORT A, C;"),
+        ];
+        let main = "MODULE M; IMPORT A, C, D, F; BEGIN END M.";
+        let keys = |lib: &[(String, String)]| -> Vec<(String, Fp128)> {
+            let graph = ImportGraph::of(main, lib);
+            let keys = graph.interface_keys(1, false, 0);
+            keys.iter().map(|k| (k.name.to_string(), k.key)).collect()
+        };
+        let base = keys(&lib);
+        let names: Vec<&str> = base.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["B", "A"],
+            "imports first; no key past a missing module or a cycle"
+        );
+
+        let mut edited_b = lib.clone();
+        edited_b[1] = def("B", "CONST N = 2;");
+        let after = keys(&edited_b);
+        assert!(
+            after[0].1 != base[0].1 && after[1].1 != base[1].1,
+            "B's edit reaches A"
+        );
+
+        let mut edited_a = lib.clone();
+        edited_a[0] = def("A", "IMPORT B; CONST K = 3;");
+        let after = keys(&edited_a);
+        assert_eq!(after[0], base[0], "A's edit leaves B");
+        assert_ne!(after[1], base[1]);
+
+        let graph = ImportGraph::of(main, &lib);
+        assert_ne!(
+            graph.interface_keys(1, false, 0),
+            graph.interface_keys(2, false, 0),
+            "version"
+        );
+        assert_ne!(
+            graph.interface_keys(1, false, 0),
+            graph.interface_keys(1, true, 0),
+            "analyze flag"
+        );
+        assert_ne!(
+            graph.interface_keys(1, false, 0),
+            graph.interface_keys(1, false, 1),
+            "heading mode"
+        );
+        assert_eq!(graph.closure(), import_closure(main, &lib));
     }
 
     #[test]

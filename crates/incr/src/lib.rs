@@ -25,6 +25,10 @@
 //!   encoding of a cache entry (code unit + diagnostics + lint data).
 //!   Corrupt or version-mismatched bytes decode to an error, never to a
 //!   wrong unit; callers degrade to a cache miss.
+//! * [`iface`] — the same for a definition module's completed scope
+//!   (`CCM2IFCE`), stored under an interface key
+//!   ([`ImportGraph::interface_keys`]) so a warm compile splices its
+//!   interfaces instead of lexing, importing and parsing them.
 //! * [`store`] — the [`store::ArtifactStore`] trait with an in-memory
 //!   implementation for tests/simulation and a file-per-entry on-disk
 //!   implementation for real warm starts.
@@ -32,6 +36,7 @@
 pub mod delta;
 pub mod entry;
 pub mod fingerprint;
+pub mod iface;
 pub mod store;
 
 use ccm2_support::{Diagnostic, Interner, SourceMap};
@@ -43,12 +48,15 @@ pub use entry::{
 };
 pub use fingerprint::{
     environment_fp, fingerprint_streams, import_closure, import_names, Carve, Fingerprints,
-    StreamNode, MISSING_DEF_SOURCE,
+    ImportGraph, InterfaceKey, StreamNode, MISSING_DEF_SOURCE,
 };
+pub use iface::{decode_interface, encode_interface, IFACE_FORMAT};
 pub use store::{Admission, ArtifactStore, ByteBudgetLru, DiskStore, MemStore};
 
 /// Counters describing what the incremental cache did during one
-/// concurrent compile (attached to `ConcurrentOutput`).
+/// concurrent compile (attached to `ConcurrentOutput`). The first five
+/// count code units — procedure streams and the module body — and
+/// nothing else; interfaces have counters of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IncrStats {
     /// Cacheable units considered: every procedure stream plus the
@@ -65,6 +73,11 @@ pub struct IncrStats {
     /// Store entries that failed validation (corrupt bytes, bad checksum,
     /// format-version mismatch) and were degraded to misses.
     pub bad_entries: usize,
+    /// Definition modules the compile reached.
+    pub interfaces: usize,
+    /// Of those, the ones spliced from their stored interface artifact
+    /// instead of lexed, imported and parsed.
+    pub interfaces_spliced: usize,
 }
 
 impl IncrStats {
@@ -84,6 +97,8 @@ impl IncrStats {
         self.spliced += other.spliced;
         self.recompiled += other.recompiled;
         self.bad_entries += other.bad_entries;
+        self.interfaces += other.interfaces;
+        self.interfaces_spliced += other.interfaces_spliced;
     }
 }
 
@@ -136,6 +151,8 @@ mod tests {
             spliced: 8,
             recompiled: 2,
             bad_entries: 1,
+            interfaces: 4,
+            interfaces_spliced: 3,
         };
         assert!((a.hit_rate() - 0.8).abs() < 1e-9);
         a.absorb(IncrStats {
@@ -144,9 +161,12 @@ mod tests {
             spliced: 10,
             recompiled: 0,
             bad_entries: 0,
+            interfaces: 4,
+            interfaces_spliced: 4,
         });
         assert_eq!(a.units, 20);
         assert_eq!(a.spliced, 18);
+        assert_eq!((a.interfaces, a.interfaces_spliced), (8, 7));
         assert_eq!(IncrStats::default().hit_rate(), 0.0);
     }
 

@@ -12,7 +12,9 @@
 //! * [`stats`] — the Table 2 identifier-lookup statistics;
 //! * [`consteval`] — constant-expression evaluation;
 //! * [`declare`] — declaration analysis, including the §2.4
-//!   procedure-heading information-flow alternatives.
+//!   procedure-heading information-flow alternatives;
+//! * [`interface`] — a definition module's completed scope as data, to
+//!   install in another compile instead of parsing the module again.
 //!
 //! Everything here is scheduler-agnostic: blocking on incomplete tables
 //! goes through the [`symtab::DkyWaiter`] trait, and work is charged to a
@@ -50,6 +52,7 @@
 pub mod builtins;
 pub mod consteval;
 pub mod declare;
+pub mod interface;
 pub mod stats;
 pub mod symtab;
 pub mod types;

@@ -282,6 +282,11 @@ impl ScopeTable {
         self.next_slot.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// Allocates `n` slots at once and returns the first.
+    pub fn alloc_slots(&self, n: u32) -> u32 {
+        self.next_slot.fetch_add(n, Ordering::Relaxed)
+    }
+
     /// Number of slots allocated so far (the frame size).
     pub fn slot_count(&self) -> u32 {
         self.next_slot.load(Ordering::Relaxed)

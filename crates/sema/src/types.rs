@@ -48,7 +48,8 @@ impl TypeId {
     /// `ADDRESS` (SYSTEM-ish; used by Modula-2+ LOCK designators).
     pub const ADDRESS: TypeId = TypeId(11);
 
-    const FIRST_DYNAMIC: u32 = 12;
+    /// The first id a type added after the builtins gets.
+    pub const FIRST_DYNAMIC: u32 = 12;
 }
 
 /// Structural description of a type.

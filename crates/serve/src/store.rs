@@ -44,7 +44,8 @@ pub struct StoreStats {
     pub hits: u64,
     /// `load` calls that found nothing.
     pub misses: u64,
-    /// `store` calls that were admitted (including replacements).
+    /// `store` calls that were admitted (including replacements, not
+    /// counting bytes the store already held under that key).
     pub insertions: u64,
     /// Entries evicted to make room for admitted ones.
     pub evictions: u64,
@@ -298,6 +299,14 @@ impl ArtifactStore for SharedStore {
             }
         }
         let mut inner = self.inner.lock();
+        // Keys are content addresses: the same bytes stored again (two
+        // compiles that both missed a unit or an interface while neither
+        // had finished) are a use of the entry, not a new one to log and
+        // ship to every replica.
+        if inner.map.get(&fp).is_some_and(|held| held[..] == *bytes) {
+            inner.lru.touch(fp);
+            return;
+        }
         let admission = inner.lru.admit(fp, bytes.len() as u64);
         for victim in &admission.evict {
             inner.map.remove(victim);
@@ -350,6 +359,21 @@ mod tests {
         assert_eq!((st.hits, st.misses, st.insertions), (1, 1, 1));
         assert_eq!(st.bytes_in_use, 3);
         assert!((st.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_same_bytes_stored_again_are_a_use_not_an_insertion() {
+        let s = SharedStore::new(10);
+        s.store(fp(1), &[1; 4]);
+        s.store(fp(2), &[2; 4]);
+        s.store(fp(1), &[1; 4]); // fp(2) is now least recently used
+        assert_eq!(s.stats().insertions, 2);
+        assert_eq!(s.deltas_since(0).map(|ops| ops.len()), Some(2));
+        s.store(fp(3), &[3; 4]);
+        assert!(s.load(fp(2)).is_none(), "the re-store kept fp(1) warm");
+        s.store(fp(1), &[9; 4]);
+        assert_eq!(s.stats().insertions, 4, "new bytes replace the old");
+        assert_eq!(s.load(fp(1)), Some(vec![9; 4]));
     }
 
     #[test]

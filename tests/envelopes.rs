@@ -21,12 +21,14 @@ use ccm2_fabric::{
     Transport, WireOutcome, WireRequest, MBRS_FORMAT, NO_ROUTER, RLOG_FORMAT, WIRE_FORMAT,
 };
 use ccm2_incr::{
-    decode_delta, decode_entry, encode_delta, encode_entry, ArtifactStore, CacheEntryData,
-    CachedDiag, DeltaOp, MemStore, DELTA_FORMAT, ENTRY_FORMAT,
+    decode_delta, decode_entry, decode_interface, encode_delta, encode_entry, encode_interface,
+    ArtifactStore, CacheEntryData, CachedDiag, DeltaOp, MemStore, DELTA_FORMAT, ENTRY_FORMAT,
+    IFACE_FORMAT,
 };
 use ccm2_sema::builtins::Builtin;
 use ccm2_sema::symtab::DkyStrategy;
 use ccm2_serve::{decode_snapshot, encode_snapshot, ExecChoice, ServeConfig, SNAPSHOT_FORMAT};
+use ccm2_support::defs::DefLibrary;
 use ccm2_support::envelope::{Format, OpenError};
 use ccm2_support::hash::Fp128;
 use ccm2_support::source::Span;
@@ -41,11 +43,11 @@ struct Row {
     samples: fn() -> Vec<Vec<u8>>,
     /// Decode, then encode again; `None` when the decoder refuses.
     recode: fn(&[u8]) -> Option<Vec<u8>>,
-    /// `Fp128::of(samples()[0])` under `format.version`. All seven were
-    /// re-taken together when the checksum kernel changed (every version
-    /// went up by one that day): compared with the commit before, every
-    /// byte of every sample that differs is a version field or a trailer,
-    /// its own or a nested image's.
+    /// `Fp128::of(samples()[0])` under `format.version`. The first seven
+    /// were re-taken together when the checksum kernel changed (every
+    /// version went up by one that day): compared with the commit before,
+    /// every byte of every sample that differs is a version field or a
+    /// trailer, its own or a nested image's.
     golden: Fp128,
 }
 
@@ -58,6 +60,7 @@ const ROWS: &[Row] = &[
     Row { format: RLOG_FORMAT, samples: rlog_samples, recode: recode_rlog, golden: Fp128 { hi: 2216076154505823879, lo: 5514304872664859580 } },
     Row { format: MBRS_FORMAT, samples: mbrs_samples, recode: recode_mbrs, golden: Fp128 { hi: 11138832128959987642, lo: 3544610466040948425 } },
     Row { format: WIRE_FORMAT, samples: wire_samples, recode: recode_wire, golden: Fp128 { hi: 6311564247161169111, lo: 1133410025927611748 } },
+    Row { format: IFACE_FORMAT, samples: iface_samples, recode: recode_iface, golden: Fp128 { hi: 5711969592137939276, lo: 11867040397517232289 } },
 ];
 
 fn fp(n: u64) -> Fp128 {
@@ -114,12 +117,13 @@ fn entry_samples() -> Vec<Vec<u8>> {
     samples
 }
 
-/// Every entry a cold compile of `m` stores, in fingerprint order.
-fn stored_entries(m: &GeneratedModule) -> Vec<Vec<u8>> {
+/// Every artifact a cold compile of `source` stores, in fingerprint
+/// order: cache entries and interfaces.
+fn stored(name: &str, source: &str, defs: &DefLibrary) -> Vec<Vec<u8>> {
     let store = Arc::new(MemStore::new());
     let out = compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
+        source,
+        Arc::new(defs.clone()),
         Arc::new(Interner::new()),
         Options {
             analyze: true,
@@ -127,9 +131,22 @@ fn stored_entries(m: &GeneratedModule) -> Vec<Vec<u8>> {
             ..Options::threads(2)
         },
     );
-    assert!(out.is_ok(), "{}: {:?}", m.name, out.diagnostics);
+    assert!(out.is_ok(), "{name}: {:?}", out.diagnostics);
     let fps = store.fingerprints();
     fps.into_iter().filter_map(|fp| store.load(fp)).collect()
+}
+
+/// The artifacts of `format` among `blobs`.
+fn of_format(blobs: Vec<Vec<u8>>, format: Format) -> Vec<Vec<u8>> {
+    blobs
+        .into_iter()
+        .filter(|b| b.starts_with(&format.magic))
+        .collect()
+}
+
+/// Every entry a cold compile of `m` stores, in fingerprint order.
+fn stored_entries(m: &GeneratedModule) -> Vec<Vec<u8>> {
+    of_format(stored(&m.name, &m.source, &m.defs), ENTRY_FORMAT)
 }
 
 /// Entries a real suite module stores: in the smallest module that has
@@ -181,19 +198,69 @@ fn recode_entry(bytes: &[u8]) -> Option<Vec<u8>> {
     Some(encode_entry(&entry, &interner))
 }
 
-// The decoder on every payload the compiler writes, not only on the
-// samples: one cold pass over the suite, every entry it stores decoded
-// and re-encoded to its own bytes.
+// The decoders on every payload the compiler writes, not only on the
+// samples: one cold pass over the suite, every cache entry and every
+// interface it stores decoded and re-encoded to its own bytes.
 #[test]
 fn every_entry_a_suite_pass_stores_recodes_to_itself() {
-    let mut entries = 0;
+    let (mut entries, mut interfaces) = (0, 0);
     for m in generate_suite() {
-        for bytes in stored_entries(&m) {
-            assert_eq!(recode_entry(&bytes), Some(bytes), "{}", m.name);
-            entries += 1;
+        for bytes in stored(&m.name, &m.source, &m.defs) {
+            if bytes.starts_with(&IFACE_FORMAT.magic) {
+                assert_eq!(recode_iface(&bytes), Some(bytes), "{}", m.name);
+                interfaces += 1;
+            } else {
+                assert_eq!(recode_entry(&bytes), Some(bytes), "{}", m.name);
+                entries += 1;
+            }
         }
     }
     assert!(entries > 1000, "{entries} entries");
+    assert!(interfaces > 500, "{interfaces} interfaces");
+}
+
+/// Interfaces as the compiler stores them: those of the hand-written
+/// chain program (links into another interface's table, a forward
+/// pointer, an enumeration, a procedure type, an open array, a
+/// variable), longest first, then the shortest and the longest of the
+/// smallest suite module.
+fn iface_samples() -> Vec<Vec<u8>> {
+    static CHOSEN: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    CHOSEN
+        .get_or_init(|| {
+            let mut defs = DefLibrary::new();
+            for (name, text) in CHAIN_DEFS {
+                defs.insert(name, text);
+            }
+            let mut chain = of_format(stored("Main", CHAIN_MAIN, &defs), IFACE_FORMAT);
+            assert_eq!(chain.len(), 3, "Base, Colors and Shapes are recorded");
+            chain.sort_by_key(|b| std::cmp::Reverse((b.len(), b.clone())));
+            let mut suite = generate_suite();
+            suite.sort_by_key(|m| m.source.len());
+            let smallest = &suite[0];
+            let mut real = of_format(
+                stored(&smallest.name, &smallest.source, &smallest.defs),
+                IFACE_FORMAT,
+            );
+            real.sort_by_key(|b| (b.len(), b.clone()));
+            chain.push(real.first().expect("suite interfaces are recorded").clone());
+            chain.push(real.last().expect("suite interfaces are recorded").clone());
+            chain
+        })
+        .clone()
+}
+
+const CHAIN_MAIN: &str = include_str!("programs/chain/Main.mod");
+const CHAIN_DEFS: [(&str, &str); 3] = [
+    ("Base", include_str!("programs/chain/Base.def")),
+    ("Colors", include_str!("programs/chain/Colors.def")),
+    ("Shapes", include_str!("programs/chain/Shapes.def")),
+];
+
+fn recode_iface(bytes: &[u8]) -> Option<Vec<u8>> {
+    let interner = Interner::new();
+    let iface = decode_interface(bytes, &interner).ok()?;
+    Some(encode_interface(&iface, &interner))
 }
 
 fn summary_samples() -> Vec<Vec<u8>> {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ccm2::{compile_concurrent, ConcurrentOutput, Options};
 use ccm2_incr::{
     decode_entry, environment_fp, import_closure, ArtifactStore, DiskStore, EntryDecoder,
-    IncrStats, MemStore, FORMAT_VERSION,
+    ImportGraph, IncrStats, MemStore, FORMAT_VERSION,
 };
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
@@ -344,7 +344,11 @@ fn warm_splice_tasks_run_before_any_codegen_in_both_executors() {
             })
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(splices.len(), stats.spliced, "one segment per splice");
+        assert_eq!(
+            splices.len(),
+            stats.spliced + stats.interfaces_spliced,
+            "one segment per splice"
+        );
         assert!(!codegens.is_empty(), "edited stream compiles live");
         let last_splice = *splices.last().expect("has splices");
         let first_codegen = *codegens.first().expect("has codegen");
@@ -438,6 +442,11 @@ fn fingerprints_of_three_suite_modules_are_pinned() {
         let out = compile(&m, Some(asked.clone()), true, 2);
         assert!(out.is_ok());
         let mut fps = asked.0.lock().unwrap().clone();
+        // The compile also asks for the interface keys of the modules it
+        // imports; what is pinned here is the code units' fingerprints.
+        let tag = Options::default().heading_mode.cache_tag();
+        let keys = ImportGraph::of(&m.source, &library).interface_keys(FORMAT_VERSION, true, tag);
+        fps.retain(|fp| keys.iter().all(|k| k.key != *fp));
         assert_eq!(fps.len(), out.procedures + 1, "module body + streams");
         fps.sort();
         let mut all = StableHasher::new();
@@ -447,4 +456,147 @@ fn fingerprints_of_three_suite_modules_are_pinned() {
         let all = all.finish().to_hex();
         assert_eq!(all, want_streams, "fingerprints of suite module {ix}");
     }
+}
+
+/// `(streams, imported interfaces, import nesting depth)`: Table 1's
+/// shape of a compile, which splicing its interfaces must not change.
+/// The depth is that of the import path a module was first reached by,
+/// which on threads is a race even between two cold compiles (an
+/// interface's Importer now and then names a module before the main
+/// module's does, on a loaded host), so it is compared on the simulator,
+/// where it is a function of the sources.
+fn shape(out: &ConcurrentOutput, options: &Options) -> (usize, usize, Option<usize>) {
+    let sim = matches!(options.executor, ccm2::Executor::Sim(_));
+    (
+        out.streams,
+        out.imported_interfaces,
+        sim.then_some(out.import_nesting_depth),
+    )
+}
+
+fn compile_with(
+    m: &GeneratedModule,
+    store: Option<Arc<dyn ArtifactStore>>,
+    options: Options,
+) -> ConcurrentOutput {
+    compile_concurrent(
+        &m.source,
+        Arc::new(m.defs.clone()),
+        Arc::new(Interner::new()),
+        Options {
+            incremental: store,
+            ..options
+        },
+    )
+}
+
+/// The definition modules a compile parsed live, by the names of their
+/// Parser/DeclAnalyzer tasks.
+fn parsed_live(out: &ConcurrentOutput) -> std::collections::BTreeSet<String> {
+    let segments = out.report.trace.segments.iter();
+    segments
+        .filter_map(|s| s.name.strip_prefix("defparse(")?.strip_suffix(')'))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every suite module, compiled warm against a store its own cold
+/// compile filled: every interface splices, and the output, the streams,
+/// the interfaces and the import depth are the cold compile's.
+#[test]
+fn warm_with_every_interface_spliced_equals_cold_for_every_suite_module() {
+    for i in 0..SUITE_SIZE {
+        let m = generate(&suite_params(i));
+        let options = if i % 2 == 0 {
+            Options::threads(2)
+        } else {
+            Options::sim(4)
+        };
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        let cold = compile_with(&m, Some(Arc::clone(&store)), options.clone());
+        assert!(cold.is_ok(), "suite module {i}: {:?}", cold.diagnostics);
+        let warm = compile_with(&m, Some(store), options.clone());
+        assert!(warm.is_ok(), "suite module {i}: {:?}", warm.diagnostics);
+        let stats = warm.incr.expect("incremental was active");
+        assert_eq!(stats.interfaces, cold.imported_interfaces, "module {i}");
+        assert_eq!(stats.interfaces_spliced, stats.interfaces, "module {i}");
+        assert!(parsed_live(&warm).is_empty(), "module {i}");
+        assert_eq!(comparable(&warm), comparable(&cold), "module {i}");
+        assert_eq!(shape(&warm, &options), shape(&cold, &options), "module {i}");
+    }
+}
+
+/// Seeded `EditOp::Interface` edits to one definition module of a suite
+/// module whose store a cold compile filled: the edited interface and
+/// every interface that imports it, directly or not, compile live; every
+/// other one splices; the output is a cold compile's of the edited
+/// sources. (`ci.sh` runs twenty times the seeds, optimized.)
+#[test]
+fn interface_edit_differential() {
+    let seeds: u64 = if cfg!(debug_assertions) { 12 } else { 240 };
+    for seed in 0..seeds {
+        let m = generate(&suite_params(seed as usize % SUITE_SIZE));
+        let options = if seed % 2 == 0 {
+            Options::threads(2)
+        } else {
+            Options::sim(4)
+        };
+        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        assert!(compile_with(&m, Some(Arc::clone(&store)), options.clone()).is_ok());
+
+        let library = m.defs.all_definitions().expect("a DefLibrary enumerates");
+        let keys = ImportGraph::of(&m.source, &library).interface_keys(FORMAT_VERSION, false, 0);
+        let edited_def = keys[(seed.wrapping_mul(0x9E37_79B9) >> 7) as usize % keys.len()].name;
+        // Imports come before importers, so one pass finds every module
+        // that reaches the edited one.
+        let mut live = std::collections::BTreeSet::from([edited_def.to_string()]);
+        for k in &keys {
+            if k.imports.iter().any(|i| live.contains(*i)) {
+                live.insert(k.name.to_string());
+            }
+        }
+        let edited = apply_edits(
+            &m,
+            &[ccm2_workload::EditOp::Interface {
+                def: edited_def.to_string(),
+                tag: seed,
+            }],
+        );
+        assert_ne!(m.defs.all_definitions(), edited.defs.all_definitions());
+        let warm = compile_with(&edited, Some(store), options.clone());
+        assert!(warm.is_ok(), "seed {seed}: {:?}", warm.diagnostics);
+        let stats = warm.incr.expect("incremental was active");
+        assert_eq!(parsed_live(&warm), live, "seed {seed}: edited {edited_def}");
+        assert_eq!(
+            stats.interfaces_spliced,
+            stats.interfaces - live.len(),
+            "seed {seed}"
+        );
+        let reference = compile_with(&edited, None, options.clone());
+        assert_eq!(comparable(&warm), comparable(&reference), "seed {seed}");
+        let shapes = (shape(&warm, &options), shape(&reference, &options));
+        assert_eq!(shapes.0, shapes.1, "seed {seed}");
+    }
+}
+
+/// What a byte-budgeted store keeps of a compile depends on the order
+/// the compile records its entries in. Entries go in carve order and
+/// interfaces in import order, so six compiles of one module, each into
+/// a fresh 16 KiB store, keep one set. (Recorded in a hash map's order,
+/// the same module kept 9 to 11 entries, a different set each time.)
+#[test]
+fn a_budgeted_store_keeps_the_same_entries_of_every_compile() {
+    let m = generate(&suite_params(20));
+    let kept: std::collections::BTreeSet<Vec<Fp128>> = (0..6)
+        .map(|_| {
+            let store = Arc::new(ccm2_serve::SharedStore::new(16 * 1024));
+            let out = compile(&m, Some(store.clone()), false, 1);
+            assert!(out.is_ok());
+            let mut fps: Vec<Fp128> = store.export().into_iter().map(|(fp, _)| fp).collect();
+            fps.sort();
+            fps
+        })
+        .collect();
+    let sizes: Vec<usize> = kept.iter().map(Vec::len).collect();
+    assert_eq!(kept.len(), 1, "sets of these sizes were kept: {sizes:?}");
 }

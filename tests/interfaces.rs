@@ -1,0 +1,173 @@
+//! A hand-written program over a three-deep import chain, whose answer
+//! (`programs/chain/Main.expected`) was worked out by hand rather than
+//! taken from a compiler. Every compile path runs it on `ccm2-vm` and
+//! must print exactly that: the sequential compiler, a cold concurrent
+//! compile, a warm one that splices every interface, and a warm one
+//! after an edit to the deepest definition module, on every DKY strategy
+//! and both executors. The definition modules hold what an interface
+//! can carry across compiles — a record, an enumeration used as
+//! `Colors.red`, a forward-declared pointer to a record walked as a
+//! linked list, a procedure type, an open-array formal, a constant
+//! computed from an imported constant, a `FROM` alias — so a stored
+//! interface installed wrongly prints something else.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use ccm2::{compile_concurrent, ConcurrentOutput, Options};
+use ccm2_incr::{decode_interface, encode_interface, ArtifactStore, MemStore, IFACE_FORMAT};
+use ccm2_sema::symtab::DkyStrategy;
+use ccm2_support::defs::DefLibrary;
+use ccm2_support::Interner;
+use ccm2_vm::Vm;
+
+const MAIN: &str = include_str!("programs/chain/Main.mod");
+const EXPECTED: &str = include_str!("programs/chain/Main.expected");
+const BASE: &str = include_str!("programs/chain/Base.def");
+const COLORS: &str = include_str!("programs/chain/Colors.def");
+const SHAPES: &str = include_str!("programs/chain/Shapes.def");
+
+/// The chain's definition modules, with `base` as `Base.def`.
+fn library(base: &str) -> DefLibrary {
+    let mut defs = DefLibrary::new();
+    defs.insert("Base", base);
+    defs.insert("Colors", COLORS);
+    defs.insert("Shapes", SHAPES);
+    defs
+}
+
+fn compile(
+    defs: &DefLibrary,
+    store: Option<&Arc<dyn ArtifactStore>>,
+    options: &Options,
+) -> ConcurrentOutput {
+    compile_concurrent(
+        MAIN,
+        Arc::new(defs.clone()),
+        Arc::new(Interner::new()),
+        Options {
+            incremental: store.cloned(),
+            ..options.clone()
+        },
+    )
+}
+
+/// What the compiled program prints.
+fn run(out: &ConcurrentOutput, path: &str) -> String {
+    assert!(out.is_ok(), "{path}: {:#?}", out.diagnostics);
+    let image = out.image.as_ref().expect("a clean compile has an image");
+    let printed = Vm::new(Arc::clone(&out.interner)).run(image);
+    printed.unwrap_or_else(|e| panic!("{path}: {e:?}"))
+}
+
+/// The definition modules a compile parsed live.
+fn parsed_live(out: &ConcurrentOutput) -> BTreeSet<String> {
+    let segments = out.report.trace.segments.iter();
+    segments
+        .filter_map(|s| s.name.strip_prefix("defparse(")?.strip_suffix(')'))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn the_sequential_compiler_prints_the_expected_answer() {
+    let out = ccm2_seq::compile(MAIN, &library(BASE));
+    assert!(out.is_ok(), "{:#?}", out.diagnostics);
+    let image = out.image.expect("a clean compile has an image");
+    let printed = Vm::new(out.interner).run(&image).expect("the program runs");
+    assert_eq!(printed, EXPECTED);
+    assert_eq!(out.import_nesting_depth, 3, "Shapes -> Colors -> Base");
+}
+
+#[test]
+fn every_path_prints_the_expected_answer_on_every_strategy_and_executor() {
+    let defs = library(BASE);
+    let edited = library(&BASE.replace("END Base.", "CONST Spare = 1;\nEND Base."));
+    let all: BTreeSet<String> = ["Base", "Colors", "Shapes"].map(String::from).into();
+    for strategy in DkyStrategy::ALL {
+        for executor in [Options::sim(4), Options::threads(2)] {
+            let options = Options {
+                strategy,
+                ..executor
+            };
+            let path = |what: &str| format!("{what}, {strategy:?}, {:?}", options.executor);
+            let cold = compile(&defs, None, &options);
+            assert_eq!(run(&cold, &path("cold")), EXPECTED);
+
+            let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+            let filling = compile(&defs, Some(&store), &options);
+            assert_eq!(run(&filling, &path("filling the store")), EXPECTED);
+            assert_eq!(parsed_live(&filling), all);
+
+            let warm = compile(&defs, Some(&store), &options);
+            assert_eq!(run(&warm, &path("warm")), EXPECTED);
+            let stats = warm.incr.expect("incremental was active");
+            assert_eq!((stats.interfaces, stats.interfaces_spliced), (3, 3));
+            assert!(parsed_live(&warm).is_empty(), "{}", path("warm"));
+
+            // Every module reaches Base, so an edit there rebuilds all
+            // three; the program does not read what the edit adds.
+            let after_edit = compile(&edited, Some(&store), &options);
+            assert_eq!(run(&after_edit, &path("warm after a Base edit")), EXPECTED);
+            let stats = after_edit.incr.expect("incremental was active");
+            assert_eq!((stats.interfaces, stats.interfaces_spliced), (3, 0));
+            assert_eq!(parsed_live(&after_edit), all);
+        }
+    }
+}
+
+/// An opaque type (`TYPE T;`) through the codec and back, and through a
+/// warm compile that splices it.
+#[test]
+fn an_interface_with_an_opaque_type_round_trips() {
+    let mut defs = DefLibrary::new();
+    defs.insert(
+        "Handles",
+        "DEFINITION MODULE Handles;\nTYPE T;\nVAR current : T;\n\
+         PROCEDURE Same(a, b : T) : BOOLEAN;\nEND Handles.",
+    );
+    let main = "MODULE Main;\nIMPORT Handles;\nVAR h : Handles.T;\n\
+                BEGIN h := Handles.current; WriteInt(7, 0) END Main.";
+    let store = Arc::new(MemStore::new());
+    let compile = || {
+        compile_concurrent(
+            main,
+            Arc::new(defs.clone()),
+            Arc::new(Interner::new()),
+            Options {
+                incremental: Some(Arc::clone(&store) as Arc<dyn ArtifactStore>),
+                ..Options::threads(2)
+            },
+        )
+    };
+    let cold = compile();
+    assert_eq!(run(&cold, "cold"), "7");
+    let stored: Vec<Vec<u8>> = store
+        .fingerprints()
+        .into_iter()
+        .filter_map(|fp| store.load(fp))
+        .filter(|b| b.starts_with(&IFACE_FORMAT.magic))
+        .collect();
+    assert_eq!(stored.len(), 1, "Handles is recorded");
+    let interner = Interner::new();
+    let iface = decode_interface(&stored[0], &interner).expect("it decodes");
+    assert!(iface.types.iter().any(|t| matches!(
+        t,
+        ccm2_sema::types::Type::Opaque { name } if interner.resolve(*name) == "T"
+    )));
+    assert_eq!(encode_interface(&iface, &interner), stored[0]);
+
+    let warm = compile();
+    assert_eq!(run(&warm, "warm"), "7");
+    let stats = warm.incr.expect("incremental was active");
+    assert_eq!(stats.interfaces_spliced, 1);
+    let comparable = |out: &ConcurrentOutput| {
+        ccm2_incr::comparable_output(
+            out.image.as_ref(),
+            &out.diagnostics,
+            &out.sources,
+            &out.interner,
+        )
+    };
+    assert_eq!(comparable(&warm), comparable(&cold));
+}

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use ccm2::{compile_concurrent, ConcurrentOutput, Executor, Options};
-use ccm2_incr::{decode_entry, encode_entry, ArtifactStore, MemStore};
+use ccm2_incr::{decode_entry, encode_entry, ArtifactStore, MemStore, ENTRY_FORMAT};
 use ccm2_sched::SimConfig;
 use ccm2_sema::declare::HeadingMode;
 use ccm2_sema::symtab::DkyStrategy;
@@ -264,6 +264,9 @@ fn summary_version_mismatch_degrades_to_cache_miss() {
     let mut forged = 0usize;
     for fp in mem.fingerprints() {
         let bytes = mem.load(fp).expect("entry present");
+        if !bytes.starts_with(&ENTRY_FORMAT.magic) {
+            continue; // an interface: it carries no summary
+        }
         let mut entry = decode_entry(&bytes, &cold.interner).expect("entry decodes");
         if entry.summary.is_empty() {
             continue;
