@@ -8,6 +8,17 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== the incremental cache stays behind crates/core/src/incremental.rs =="
+# The driver asks that module whether a stream splices; it never calls
+# the store itself nor names a cache codec or key. A store call, a codec,
+# the entry decoder, the fingerprinting or the import walk in the driver
+# fails here: it belongs in the seam.
+seam='\.(load|store|quarantine)\(|\b(encode|decode)_[a-z_]+|\bEntryDecoder\b|\bfingerprint_streams\b|\bImportGraph\b|\bInterfaceKey\b|\bFORMAT_VERSION\b'
+if grep -nE "$seam" crates/core/src/driver.rs; then
+  echo "the driver reaches past the incremental seam (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -18,34 +18,30 @@
 //! The driver owns the once-only table for definition modules (§3), the
 //! DKY event map (scope completion → scheduler event, §2.3.3), the
 //! per-symbol events of the Optimistic strategy, and the §2.4 heading
-//! events that gate procedure streams.
+//! events that gate procedure streams. What the incremental cache loads,
+//! decides and records is `crate::incremental`'s; the driver spawns the
+//! splice tasks it asks for.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use ccm2_codegen::emit::{gen_error_unit, gen_module_body, gen_procedure, global_shapes};
 use ccm2_codegen::ir::{CodeUnit, Instr};
 use ccm2_codegen::merge::{Merger, ModuleImage};
-use ccm2_incr::{
-    decode_interface, encode_entry, encode_interface, environment_fp, fingerprint_streams,
-    ArtifactStore, CacheEntryData, CachedDiag, Carve, EntryDecoder, ImportGraph, IncrStats,
-    InterfaceKey, StreamNode, FORMAT_VERSION,
-};
+use ccm2_incr::{ArtifactStore, IncrStats};
 use ccm2_sched::{
     run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, Robustness, RunReport,
     SimConfig, TaskDesc, TaskKind, WaitSet,
 };
 use ccm2_sema::declare::{bind_imports, child_heading, DeclareHooks, Declarer, HeadingMode};
-use ccm2_sema::interface::{self, Interface};
+use ccm2_sema::interface::Interface;
 use ccm2_sema::stats::LookupStats;
 use ccm2_sema::symtab::{DkyStrategy, DkyWaiter, ProcSig, ScopeKind, SymbolTables, TableNotifier};
-use ccm2_sema::types::TypeId;
 use ccm2_sema::Sema;
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::{Diagnostic, DiagnosticSink, Severity};
-use ccm2_support::hash::Fp128;
 use ccm2_support::ids::{EventId, ScopeId, StreamId};
 use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceFile, SourceMap, Span};
@@ -55,6 +51,7 @@ use ccm2_syntax::lexer::Lexer;
 use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
 
 use crate::importer::{run_importer, ImportSink};
+use crate::incremental::{Incremental, PendingStream, Splice};
 use crate::queue::{StreamCursor, TokenQueue, TokenWriter};
 use crate::splitter::{run_splitter, StreamFactory};
 
@@ -270,7 +267,7 @@ pub fn compile_concurrent(
         max_retries: options.max_stream_retries,
     };
     let mk = move |env: Arc<dyn ExecEnv>| {
-        let d = Driver::create(env, Arc::clone(&interner), defs, options.clone());
+        let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), &source);
         d.start(source);
         *dc.lock() = Some(d);
     };
@@ -310,67 +307,7 @@ pub fn compile_concurrent(
     }
 }
 
-/// Active incremental-compilation state (gating already applied).
-struct IncrInner {
-    store: Arc<dyn ArtifactStore>,
-    /// The enumerated definition library, kept so the environment digest
-    /// can be restricted to the interfaces the main source transitively
-    /// imports once that source is known (in `start`).
-    library: Vec<(String, String)>,
-    /// Digest of everything outside the main source that affects output:
-    /// format version, configuration, and the interfaces the module can
-    /// reach (per-import precision — an unrelated `.def` edit must not
-    /// invalidate this module's units). Set once in `start`.
-    env_fp: OnceLock<Fp128>,
-    /// Signaled once hit/miss decisions exist (the module parser waits on
-    /// it before choosing between live codegen and a module-body splice).
-    ready: EventId,
-    /// The interfaces the source reaches, by key. Set once in `start`.
-    interfaces: OnceLock<Interfaces>,
-}
-
-/// What `start` decided about the definition modules the source reaches.
-struct Interfaces {
-    /// Every module with an interface key, imports before importers:
-    /// name, key, the modules it imports.
-    keyed: Vec<(Symbol, Fp128, Vec<Symbol>)>,
-    /// The stored interfaces this compile splices. A module is here only
-    /// if its artifact decoded and every module it imports is here too.
-    spliced: HashMap<Symbol, Arc<Interface>>,
-    /// The ids in this compile of each spliced interface's own types,
-    /// built on first use: by its own splice, or by that of a module
-    /// whose types link into it, whichever runs first.
-    types: Mutex<HashMap<Symbol, Arc<[TypeId]>>>,
-}
-
-/// A procedure stream whose task spawning is deferred until the splitter
-/// has carved the whole module and fingerprints can be computed.
-struct PendingStream {
-    stream: StreamId,
-    scope: ScopeId,
-    parent: ScopeId,
-    name: Symbol,
-    queue: Arc<TokenQueue>,
-}
-
-/// Per-stream hit/miss decision, kept so `finish` can record entries for
-/// the streams that compiled live (under the fingerprints computed *this*
-/// run) without re-deriving carves.
-struct ProcDecision {
-    fp: Fp128,
-    /// `Some` = respliced from the cache; `None` = compiled live.
-    entry: Option<Arc<CacheEntryData>>,
-    carve: Carve,
-}
-
-struct Decisions {
-    module_fp: Fp128,
-    module_entry: Option<Arc<CacheEntryData>>,
-    /// In carve order, which is the order entries are recorded in: under
-    /// a byte budget, what a store keeps depends on it.
-    procs: Vec<(ScopeId, ProcDecision)>,
-}
-
+#[derive(Default)]
 struct DriverState {
     def_streams: HashMap<Symbol, ScopeId>,
     scope_events: HashMap<ScopeId, EventId>,
@@ -390,22 +327,6 @@ struct DriverState {
     next_stream: u32,
     procedures: usize,
     max_import_depth: usize,
-    /// Carve ranges reported by the splitter (incremental mode only).
-    carves: HashMap<ScopeId, Carve>,
-    /// Streams awaiting a hit/miss decision at `split_eof`.
-    pending_procs: Vec<PendingStream>,
-    decisions: Option<Arc<Decisions>>,
-    /// Per-scope used-name sets captured from `Analyze` tasks, for
-    /// recording cache entries.
-    used_sets: HashMap<ScopeId, HashSet<Symbol>>,
-    /// Per-scope lock summaries captured from `Analyze` tasks, encoded
-    /// into cache entries (carve-relative) when recording.
-    summaries: HashMap<ScopeId, ccm2_analysis::UnitSummary>,
-    /// The imports of each definition module parsed live (incremental
-    /// mode only), kept for its interface artifact.
-    def_imports: HashMap<ScopeId, Vec<Import>>,
-    interfaces_spliced: usize,
-    incr_stats: IncrStats,
 }
 
 struct Driver {
@@ -415,14 +336,14 @@ struct Driver {
     sources: Arc<SourceMap>,
     defs: Arc<dyn DefProvider>,
     merger: Merger,
-    sema: OnceLock<Arc<Sema>>,
+    sema: Arc<Sema>,
     strategy: DkyStrategy,
     heading_mode: HeadingMode,
     early_split: bool,
     analyze: bool,
     hub: ccm2_analysis::AnalysisHub,
     main_scope_event: EventId,
-    incr: Option<IncrInner>,
+    incr: Option<Incremental>,
     st: Mutex<DriverState>,
 }
 
@@ -432,93 +353,48 @@ impl Driver {
         interner: Arc<Interner>,
         defs: Arc<dyn DefProvider>,
         options: Options,
+        source: &str,
     ) -> Arc<Driver> {
         let sink = Arc::new(DiagnosticSink::new());
         let main_scope_event = env.new_event_named(EventClass::Handled, "scope(Main)");
         let placeholder = interner.intern("");
-        // Incremental gating: carves come from the splitter (so early
-        // splitting is required), and the environment digest must see the
-        // whole interface library. All heading modes are cache-safe: the
-        // mode's tag is mixed into the environment digest, so entries
-        // recorded under one mode never splice into another, and the
-        // child-side work the modes differ in (none / re-declare /
-        // verify) is skipped identically on every warm hit.
-        let incr = options.incremental.as_ref().and_then(|store| {
-            if !options.early_split {
-                return None;
+        Arc::new_cyclic(|driver| {
+            let meter = Arc::new(EnvMeter(Arc::clone(&env)));
+            let link = Arc::new(DriverLink {
+                driver: driver.clone(),
+                per_symbol_events: options.strategy == DkyStrategy::Optimistic,
+            });
+            let sema = Arc::new(Sema::new(
+                Arc::clone(&interner),
+                Arc::clone(&sink),
+                options.strategy,
+                Arc::clone(&link) as Arc<dyn DkyWaiter>,
+                meter,
+            ));
+            sema.tables.set_notifier(link);
+            let incr = Incremental::new(&options, defs.as_ref(), source, &sema, env.as_ref());
+            Driver {
+                env: Arc::clone(&env),
+                interner: Arc::clone(&interner),
+                sink,
+                sources: Arc::new(SourceMap::new()),
+                defs,
+                merger: Merger::new(placeholder, interner),
+                sema,
+                strategy: options.strategy,
+                heading_mode: options.heading_mode,
+                early_split: options.early_split,
+                analyze: options.analyze,
+                hub: ccm2_analysis::AnalysisHub::new(),
+                main_scope_event,
+                incr,
+                st: Mutex::new(DriverState::default()),
             }
-            let library = defs.all_definitions()?;
-            Some(IncrInner {
-                store: Arc::clone(store),
-                library,
-                env_fp: OnceLock::new(),
-                ready: env.new_event_named(EventClass::Handled, "incr(decisions)"),
-                interfaces: OnceLock::new(),
-            })
-        });
-        let driver = Arc::new(Driver {
-            env: Arc::clone(&env),
-            interner: Arc::clone(&interner),
-            sink: Arc::clone(&sink),
-            sources: Arc::new(SourceMap::new()),
-            defs,
-            merger: Merger::new(placeholder, Arc::clone(&interner)),
-            sema: OnceLock::new(),
-            strategy: options.strategy,
-            heading_mode: options.heading_mode,
-            early_split: options.early_split,
-            analyze: options.analyze,
-            hub: ccm2_analysis::AnalysisHub::new(),
-            main_scope_event,
-            incr,
-            st: Mutex::new(DriverState {
-                def_streams: HashMap::new(),
-                scope_events: HashMap::new(),
-                heading_events: HashMap::new(),
-                heading_info: HashMap::new(),
-                child_streams: HashMap::new(),
-                declarations_done: HashSet::new(),
-                stream_scopes: HashMap::new(),
-                symbol_events: HashMap::new(),
-                main_scope: None,
-                main_name: None,
-                main_imports: None,
-                next_stream: 0,
-                procedures: 0,
-                max_import_depth: 0,
-                carves: HashMap::new(),
-                pending_procs: Vec::new(),
-                decisions: None,
-                used_sets: HashMap::new(),
-                summaries: HashMap::new(),
-                def_imports: HashMap::new(),
-                interfaces_spliced: 0,
-                incr_stats: IncrStats::default(),
-            }),
-        });
-        let meter = Arc::new(EnvMeter(Arc::clone(&env)));
-        let link = Arc::new(DriverLink {
-            driver: Arc::downgrade(&driver),
-            per_symbol_events: options.strategy == DkyStrategy::Optimistic,
-        });
-        let sema = Arc::new(Sema::new(
-            interner,
-            sink,
-            options.strategy,
-            Arc::clone(&link) as Arc<dyn DkyWaiter>,
-            meter,
-        ));
-        sema.tables.set_notifier(link);
-        assert!(driver.sema.set(sema).is_ok(), "sema set once");
-        driver
-    }
-
-    fn sema(&self) -> &Arc<Sema> {
-        self.sema.get().expect("sema initialized")
+        })
     }
 
     fn tables(&self) -> &Arc<SymbolTables> {
-        &self.sema().tables
+        &self.sema.tables
     }
 
     /// Scope-completion event (created eagerly with the scope; the lazy
@@ -546,19 +422,6 @@ impl Driver {
     // ---- stream construction -------------------------------------------
 
     fn start(self: &Arc<Self>, source: String) {
-        // Per-import environment precision: digest only the interfaces
-        // this source can transitively reach, so touching an unrelated
-        // `.def` leaves every unit of this module warm. Computed before
-        // any task is spawned — `incr_split_eof` runs on a worker.
-        if let Some(incr) = &self.incr {
-            let graph = ImportGraph::of(&source, &incr.library);
-            let tag = self.heading_mode.cache_tag();
-            let env_fp = environment_fp(FORMAT_VERSION, self.analyze, tag, &graph.closure());
-            incr.env_fp.set(env_fp).expect("start runs once");
-            let keys = graph.interface_keys(FORMAT_VERSION, self.analyze, tag);
-            let interfaces = self.load_interfaces(incr, &keys);
-            assert!(incr.interfaces.set(interfaces).is_ok(), "start runs once");
-        }
         let file = self.sources.add("Main.mod", source);
         // Lexor(main): never blocks (§2.3.3).
         let lex_q = self.spawn_lexor("lex(Main)".to_string(), file);
@@ -632,67 +495,6 @@ impl Driver {
         }
     }
 
-    /// Loads the stored interface of every keyed module, imports first,
-    /// and keeps those that decode and whose imports all splice (the
-    /// closure rule of `incr_split_eof`, one level up: a module parsed
-    /// live rebuilds its types, so every importer of it must too). A
-    /// module with an import that does not splice is not looked up.
-    fn load_interfaces(&self, incr: &IncrInner, keys: &[InterfaceKey<'_>]) -> Interfaces {
-        let mut keyed = Vec::with_capacity(keys.len());
-        let mut spliced: HashMap<Symbol, Arc<Interface>> = HashMap::new();
-        for k in keys {
-            let name = self.interner.intern(k.name);
-            let imports: Vec<Symbol> = k.imports.iter().map(|i| self.interner.intern(i)).collect();
-            let splices = imports.iter().all(|i| spliced.contains_key(i));
-            keyed.push((name, k.key, imports));
-            if !splices {
-                continue;
-            }
-            let Some(bytes) = incr.store.load(k.key) else {
-                continue;
-            };
-            // Links index the tables of modules this one reaches, which
-            // all splice by now; one that points elsewhere was forged.
-            let links_fit = |iface: &Interface| {
-                iface.links.iter().all(|&(dep, index)| {
-                    let dep = spliced.get(&iface.deps[dep as usize]);
-                    dep.is_some_and(|d| (index as usize) < d.types.len())
-                })
-            };
-            let ignored = match decode_interface(&bytes, &self.interner) {
-                Ok(iface) if links_fit(&iface) => {
-                    spliced.insert(name, Arc::new(iface));
-                    continue;
-                }
-                Ok(_) => "malformed link".to_string(),
-                Err(e) => e.to_string(),
-            };
-            incr.store.quarantine(k.key);
-            self.report_ignored(k.name, &ignored);
-        }
-        Interfaces {
-            keyed,
-            spliced,
-            types: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The Note a store artifact that failed to load gets.
-    fn report_ignored(&self, name: &str, why: &str) {
-        self.sink.report(Diagnostic {
-            severity: Severity::Note,
-            file: FileId(0),
-            span: Span { lo: 0, hi: 0 },
-            message: format!("incremental cache entry for `{name}` ignored: {why}"),
-        });
-    }
-
-    /// The stored interface this compile splices for module `name`.
-    fn spliced_interface(&self, name: Symbol) -> Option<Arc<Interface>> {
-        let interfaces = self.incr.as_ref()?.interfaces.get()?;
-        interfaces.spliced.get(&name).cloned()
-    }
-
     /// Once-only creation of a definition-module stream (§3); returns its
     /// interface scope, or `None` when the provider has no such module
     /// (the importing parser reports the diagnostic). A module whose
@@ -723,8 +525,7 @@ impl Driver {
             st.scope_events.insert(scope, scope_ev);
             (scope, file)
         };
-        if let Some(iface) = self.spliced_interface(name) {
-            self.st.lock().interfaces_spliced += 1;
+        if let Some(iface) = self.incr.as_ref().and_then(|i| i.spliced_interface(name)) {
             let this = Arc::clone(self);
             let weight = (iface.entries.len() + iface.types.len()) as u64;
             let mut t = TaskDesc::new(
@@ -787,7 +588,7 @@ impl Driver {
             name,
             TaskKind::Lexor,
             Box::new(move || {
-                let sema = this.sema();
+                let sema = &this.sema;
                 writer.extend(Lexer::new(&file, &sema.interner, &sema.sink));
                 writer.close();
             }),
@@ -818,7 +619,7 @@ impl Driver {
             label,
             TaskKind::Analyze,
             Box::new(move || {
-                let sema = this.sema();
+                let sema = &this.sema;
                 let ua = ccm2_analysis::analyze_unit(
                     &sema.interner,
                     file,
@@ -829,15 +630,8 @@ impl Driver {
                     &sema.sink,
                 );
                 this.env.charge(Work::Analyze, ua.work);
-                if let Some(scope) = scope {
-                    if this.incr.is_some() {
-                        // Cache entries must carry the per-unit used-name
-                        // set and lock summary (a spliced unit can't
-                        // re-run its analysis).
-                        let mut st = this.st.lock();
-                        st.used_sets.insert(scope, ua.used.clone());
-                        st.summaries.insert(scope, ua.summary.clone());
-                    }
+                if let (Some(scope), Some(incr)) = (scope, &this.incr) {
+                    incr.analyzed(scope, &ua.used, &ua.summary);
                 }
                 this.hub.absorb(ua.used);
                 this.hub.absorb_summary(ua.summary);
@@ -863,7 +657,7 @@ impl Driver {
     // ---- task bodies ------------------------------------------------------
 
     fn def_parse(self: &Arc<Self>, name: Symbol, scope: ScopeId, q: Arc<TokenQueue>, depth: usize) {
-        let sema = Arc::clone(self.sema());
+        let sema = Arc::clone(&self.sema);
         let cursor = StreamCursor::new(q, Work::Parse);
         let parsed = parse_definition_from(&cursor, &sema.interner, &sema.sink);
         let Some(def) = parsed else {
@@ -899,8 +693,8 @@ impl Driver {
         }
         declarer.finish();
         self.merger.add_globals(name, global_shapes(&sema, scope));
-        if self.incr.is_some() {
-            self.st.lock().def_imports.insert(scope, def.imports);
+        if let Some(incr) = &self.incr {
+            incr.def_parsed(scope, def.imports);
         }
         sema.tables.mark_complete(scope);
     }
@@ -917,61 +711,19 @@ impl Driver {
         iface: &Interface,
         depth: usize,
     ) {
-        let sema = Arc::clone(self.sema());
+        let sema = Arc::clone(&self.sema);
         let items = iface.entries.len() + iface.types.len();
         self.env.charge(Work::Splice, 1 + items as u64 / 8);
         let mapping = self.import_scopes(&iface.imports, depth + 1);
         bind_imports(&sema, scope, &iface.imports, &|n| scope_of(&mapping, n));
-        let own = self.interface_types(name, scope);
-        let deps: Vec<Arc<[TypeId]>> = iface
-            .deps
-            .iter()
-            .map(|&d| self.interface_types(d, scope))
-            .collect();
-        let deps: Vec<&[TypeId]> = deps.iter().map(|d| &d[..]).collect();
-        interface::install_entries(&sema, iface, scope, &own, &deps);
+        let incr = self.incr.as_ref().expect("only a cached compile splices");
+        incr.install_interface(name, scope, iface);
         self.merger.add_globals(name, global_shapes(&sema, scope));
         sema.tables.mark_complete(scope);
     }
 
-    /// The ids of spliced interface `name`'s own types, installed on
-    /// first use (with those of the interfaces they link into) by the
-    /// splice of `scope`.
-    fn interface_types(&self, name: Symbol, scope: ScopeId) -> Arc<[TypeId]> {
-        let interfaces = self
-            .incr
-            .as_ref()
-            .and_then(|incr| incr.interfaces.get())
-            .expect("only a spliced interface has types to install");
-        let mut built = interfaces.types.lock();
-        self.install_types(interfaces, &mut built, name, scope)
-    }
-
-    fn install_types(
-        &self,
-        interfaces: &Interfaces,
-        built: &mut HashMap<Symbol, Arc<[TypeId]>>,
-        name: Symbol,
-        scope: ScopeId,
-    ) -> Arc<[TypeId]> {
-        if let Some(own) = built.get(&name) {
-            return Arc::clone(own);
-        }
-        let iface = (interfaces.spliced.get(&name))
-            .expect("every interface a spliced one links into splices too");
-        let deps: Vec<Arc<[TypeId]>> = iface
-            .deps
-            .iter()
-            .map(|&d| self.install_types(interfaces, built, d, scope))
-            .collect();
-        let deps: Vec<&[TypeId]> = deps.iter().map(|d| &d[..]).collect();
-        let own: Arc<[TypeId]> = interface::install_types(self.sema(), iface, &deps, scope).into();
-        built.insert(name, Arc::clone(&own));
-        own
-    }
-
     fn module_parse(self: &Arc<Self>, parse_q: Arc<TokenQueue>) {
-        let sema = Arc::clone(self.sema());
+        let sema = Arc::clone(&self.sema);
         let cursor = StreamCursor::new(parse_q, Work::Parse);
         let streaming = StreamingImpl::begin(&cursor, &sema.interner, &sema.sink);
         let main_scope = self.st.lock().main_scope;
@@ -1060,37 +812,21 @@ impl Driver {
         // stream by the time the main token queue closes, so waiting on
         // `ready` here cannot block for long (and never cyclically: the
         // splitter reads only from the lexer).
-        let module_entry = match &self.incr {
-            Some(incr) => {
-                self.env.wait(incr.ready);
-                let st = self.st.lock();
-                st.decisions.as_ref().and_then(|d| d.module_entry.clone())
-            }
-            None => None,
-        };
+        let module_splice = self.incr.as_ref().and_then(|incr| {
+            self.env.wait(incr.ready);
+            incr.module_splice()
+        });
         let weight = stmt_count(&stmts) as u64;
-        let this = Arc::clone(self);
-        if let Some(entry) = module_entry {
-            let mut t = TaskDesc::new(
-                format!("splice({})", self.interner.resolve(module_name)),
-                TaskKind::CacheSplice,
-                Box::new(move || {
-                    let sema = this.sema();
-                    this.env
-                        .charge(Work::Splice, 1 + entry.unit.code.len() as u64 / 64);
-                    this.merger
-                        .add_unit(entry.unit.clone(), sema.meter.as_ref());
-                }),
-            );
-            t.weight = weight;
-            self.env.spawn(t);
+        if let Some(splice) = module_splice {
+            self.spawn_splice(module_name, weight, None, splice);
             return;
         }
+        let this = Arc::clone(self);
         let mut t = TaskDesc::new(
             format!("codegen({})", self.interner.resolve(module_name)),
             codegen_kind(weight),
             Box::new(move || {
-                let sema = this.sema();
+                let sema = &this.sema;
                 let unit = if body_poisoned {
                     gen_error_unit(&this.interner, module_name, 0)
                 } else {
@@ -1111,7 +847,7 @@ impl Driver {
     /// Recursively declares Local-bodied procedures (no-early-split
     /// ablation) and spawns their code-generation tasks.
     fn process_local_procs(self: &Arc<Self>, pending: Vec<ccm2_sema::declare::PendingProc>) {
-        let sema = Arc::clone(self.sema());
+        let sema = Arc::clone(&self.sema);
         let mut queue = pending;
         while let Some(p) = queue.pop() {
             let ProcBody::Local(local) = p.body else {
@@ -1145,8 +881,8 @@ impl Driver {
         }
     }
 
-    fn proc_parse(self: &Arc<Self>, stream: StreamId, scope: ScopeId, q: Arc<TokenQueue>) {
-        let sema = Arc::clone(self.sema());
+    fn proc_parse(self: &Arc<Self>, scope: ScopeId, q: Arc<TokenQueue>) {
+        let sema = Arc::clone(&self.sema);
         let cursor = StreamCursor::new(q, Work::Parse);
         let info = self.st.lock().heading_info.get(&scope).cloned();
         let begun = info.and_then(|info| {
@@ -1182,7 +918,6 @@ impl Driver {
         sema.tables.mark_complete(scope);
         let (stmts, poisoned) = streaming.finish();
         self.spawn_procedure_tail(scope, code_name, sig, unit_decls, stmts, poisoned);
-        let _ = stream;
     }
 
     /// A procedure's tasks after its declarations: the `Analyze` task
@@ -1224,7 +959,7 @@ impl Driver {
             format!("codegen({name_str})"),
             codegen_kind(weight),
             Box::new(move || {
-                let sema = this.sema();
+                let sema = &this.sema;
                 let unit = if poisoned {
                     let level = sema.tables.scope(scope).level();
                     gen_error_unit(&this.interner, code_name, level)
@@ -1265,15 +1000,12 @@ impl Driver {
         }
     }
 
-    // ---- incremental compilation -------------------------------------------
-
     /// Parser/DeclAnalyzer task for a procedure stream, gated on the
     /// heading event (§2.4 avoided event). Under Avoidance it is also
     /// gated on the parent scope's completion (§2.2). Called directly
-    /// from `proc_stream`, or from `incr_split_eof` for cache misses.
+    /// from `proc_stream`, or at `split_eof` for cache misses.
     fn spawn_proc_parse(
         self: &Arc<Self>,
-        id: StreamId,
         scope: ScopeId,
         parent: ScopeId,
         name: Symbol,
@@ -1299,7 +1031,7 @@ impl Driver {
         let mut t = TaskDesc::new(
             format!("procparse({name_str})"),
             TaskKind::ProcParse,
-            Box::new(move || spawn_this.proc_parse(id, scope, body_q)),
+            Box::new(move || spawn_this.proc_parse(scope, body_q)),
         );
         t.prereqs = heading_ev.into_iter().collect();
         if self.strategy == DkyStrategy::Avoidance {
@@ -1314,176 +1046,34 @@ impl Driver {
         self.env.spawn(t);
     }
 
-    /// The splitter carved every stream: fingerprint them, decide hit or
-    /// miss per stream, then spawn each deferred task as either a
-    /// `CacheSplice` or a normal `ProcParse`. A hit is spliced only when
-    /// every nested stream inside it also hit — a recompiled inner
-    /// procedure needs its enclosing scopes declared live.
-    fn incr_split_eof(self: &Arc<Self>) {
-        let Some(incr) = &self.incr else { return };
-        let (pending, carves) = {
-            let mut st = self.st.lock();
-            (
-                std::mem::take(&mut st.pending_procs),
-                std::mem::take(&mut st.carves),
-            )
-        };
-        let main = self.sources.get(FileId(0));
-        let source_text = main.as_ref().map_or("", |f| f.text());
-        // Missing carves would make the context digests unsound (they
-        // describe which child bodies to exclude); degrade the whole
-        // compile to cold rather than risk a wrong splice.
-        let complete = pending.iter().all(|p| carves.contains_key(&p.scope));
-        let index_of: HashMap<ScopeId, usize> = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.scope, i))
-            .collect();
-        let nodes: Vec<StreamNode> = pending
-            .iter()
-            .map(|p| StreamNode {
-                carve: carves.get(&p.scope).copied().unwrap_or(Carve {
-                    lo: 0,
-                    heading_hi: 0,
-                    hi: 0,
-                }),
-                parent: index_of.get(&p.parent).copied(),
-            })
-            .collect();
-        let env_fp = *incr.env_fp.get().expect("set in start");
-        let fps = fingerprint_streams(source_text, &nodes, env_fp);
-        let mut stats = IncrStats {
-            units: pending.len() + 1,
-            ..IncrStats::default()
-        };
-        // One decoder for every entry: its name table asks the interner
-        // once per distinct name across all of them.
-        let mut decoder = EntryDecoder::new(&self.interner);
-        // A stream's name is resolved only to report its entry as bad.
-        let mut load = |fp: Fp128, name: Symbol| -> Option<Arc<CacheEntryData>> {
-            if !complete {
-                return None;
-            }
-            let bytes = incr.store.load(fp)?;
-            let ignored = match decoder.decode(&bytes) {
-                // A proc entry recorded under analysis carries a lock
-                // summary; an undecodable one (format bump, corruption)
-                // makes the whole entry a miss — the stream recompiles
-                // and re-derives its summary live.
-                Ok(entry) => {
-                    let summary = (self.analyze && !entry.summary.is_empty())
-                        .then(|| ccm2_analysis::decode_summary(&entry.summary, 0));
-                    match summary {
-                        Some(Err(e)) => format!("summary {e}"),
-                        _ => return Some(Arc::new(entry)),
-                    }
-                }
-                Err(e) => e.to_string(),
-            };
-            stats.bad_entries += 1;
-            incr.store.quarantine(fp);
-            self.report_ignored(&self.interner.resolve(name), &ignored);
-            None
-        };
-        let entries: Vec<Option<Arc<CacheEntryData>>> = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| load(fps.streams[i], p.name))
-            .collect();
-        let module_entry = {
-            let st = self.st.lock();
-            let main = st.main_name;
-            drop(st);
-            main.and_then(|m| load(fps.module, m))
-        };
-        // Splice closure, bottom-up (children always follow their lexical
-        // parent in discovery order, so a reverse scan sees them first).
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); pending.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some(p) = n.parent {
-                children[p].push(i);
-            }
-        }
-        let mut spliced = vec![false; pending.len()];
-        for i in (0..pending.len()).rev() {
-            spliced[i] = entries[i].is_some() && children[i].iter().all(|&c| spliced[c]);
-        }
-        stats.hits = entries.iter().flatten().count() + usize::from(module_entry.is_some());
-        stats.spliced =
-            spliced.iter().filter(|s| **s).count() + usize::from(module_entry.is_some());
-        stats.recompiled = stats.units - stats.spliced;
-        let mut procs: Vec<(ScopeId, ProcDecision)> = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                (
-                    p.scope,
-                    ProcDecision {
-                        fp: fps.streams[i],
-                        entry: spliced[i].then(|| entries[i].clone()).flatten(),
-                        carve: nodes[i].carve,
-                    },
-                )
-            })
-            .collect();
-        procs.sort_by_key(|(_, pd)| (pd.carve.lo, pd.carve.hi));
-        let scope_of: Vec<ScopeId> = pending.iter().map(|p| p.scope).collect();
-        {
-            let mut st = self.st.lock();
-            st.decisions = Some(Arc::new(Decisions {
-                module_fp: fps.module,
-                module_entry,
-                procs,
-            }));
-            st.incr_stats = stats;
-        }
-        // The module parser may now choose between live codegen and a
-        // module-body splice.
-        self.env.signal(incr.ready);
-        for (i, p) in pending.into_iter().enumerate() {
-            if spliced[i] {
-                let entry = entries[i].clone().expect("spliced implies entry");
-                let child_scopes: Vec<ScopeId> = children[i].iter().map(|&c| scope_of[c]).collect();
-                self.spawn_splice(p.scope, p.name, entry, nodes[i].carve, child_scopes);
-            } else {
-                self.spawn_proc_parse(p.stream, p.scope, p.parent, p.name, p.queue);
-            }
-        }
-    }
-
-    /// Spawns the `CacheSplice` task replacing a hit stream's ProcParse
-    /// and CodeGen tasks. Like ProcParse it is gated on the stream's §2.4
-    /// heading event: the enclosing declarer copies parameters into this
-    /// scope (CopyToChild), so the scope may only be marked complete after
-    /// that copy. Beyond the prereq it never waits, so it is always
+    /// Spawns the `CacheSplice` task replacing a hit unit's parse and
+    /// codegen tasks: those of the procedure stream of `stream`, or the
+    /// module body's codegen when `stream` is `None`. A procedure's
+    /// splice is gated, like its ProcParse, on the stream's §2.4 heading
+    /// event: the enclosing declarer copies parameters into this scope
+    /// (CopyToChild), so the scope may only be marked complete after that
+    /// copy. Beyond the prereq it never waits, so it is always
     /// stack-eligible.
     fn spawn_splice(
         self: &Arc<Self>,
-        scope: ScopeId,
         name: Symbol,
-        entry: Arc<CacheEntryData>,
-        carve: Carve,
-        child_scopes: Vec<ScopeId>,
+        weight: u64,
+        stream: Option<ScopeId>,
+        splice: Splice,
     ) {
-        let (heading_ev, scope_ev, child_evs) = {
-            let st = self.st.lock();
-            let child_evs: Vec<EventId> = child_scopes
-                .iter()
-                .filter_map(|s| st.heading_events.get(s).copied())
-                .collect();
-            (
-                st.heading_events.get(&scope).copied(),
-                st.scope_events.get(&scope).copied(),
-                child_evs,
-            )
-        };
+        let st = self.st.lock();
+        let heading_ev = stream.and_then(|s| st.heading_events.get(&s).copied());
+        let scope_ev = stream.and_then(|s| st.scope_events.get(&s).copied());
+        let child_evs: Vec<EventId> = (splice.children.iter())
+            .filter_map(|s| st.heading_events.get(s).copied())
+            .collect();
+        drop(st);
         let this = Arc::clone(self);
-        let weight = entry.unit.code.len() as u64;
         let body_evs = child_evs.clone();
         let mut t = TaskDesc::new(
             format!("splice({})", self.interner.resolve(name)),
             TaskKind::CacheSplice,
-            Box::new(move || this.splice_proc(scope, entry, carve, body_evs)),
+            Box::new(move || this.splice(stream, splice, body_evs)),
         );
         t.weight = weight;
         t.prereqs = heading_ev.into_iter().collect();
@@ -1491,28 +1081,28 @@ impl Driver {
         self.env.spawn(t);
     }
 
-    /// Task body of a procedure-stream splice: completes the (empty)
-    /// scope table, releases nested spliced streams' heading gates,
-    /// replays the stream's recorded diagnostics rebased onto this run's
-    /// carve, feeds the cached used-name set to the lint hub, and merges
-    /// the cached unit.
-    fn splice_proc(
+    /// Task body of a code unit's splice: completes a procedure stream's
+    /// (empty) scope table and releases its nested streams' heading
+    /// gates, replays the unit's recorded diagnostics rebased onto this
+    /// run's carve, feeds its cached used-name set and lock summary to
+    /// the lint hub, and merges the cached unit.
+    fn splice(
         self: &Arc<Self>,
-        scope: ScopeId,
-        entry: Arc<CacheEntryData>,
-        carve: Carve,
+        stream: Option<ScopeId>,
+        splice: Splice,
         child_heading_evs: Vec<EventId>,
     ) {
-        let sema = self.sema();
+        let sema = &self.sema;
+        let (entry, lo) = (splice.entry, splice.lo);
         self.env
             .charge(Work::Splice, 1 + entry.unit.code.len() as u64 / 64);
         // Completing the scope fires its completion event and frees any
         // DKY waiter. Spliced scopes are only ever searched by their own
         // descendants, and those are spliced too (closure rule), so the
         // emptiness of the table is unobservable.
-        sema.tables.mark_complete(scope);
-        // Nested spliced streams would otherwise never see their §2.4
-        // heading event: nobody parses this stream's text.
+        if let Some(scope) = stream {
+            sema.tables.mark_complete(scope);
+        }
         for e in child_heading_evs {
             self.env.signal(e);
         }
@@ -1521,8 +1111,8 @@ impl Driver {
                 severity: d.severity,
                 file: FileId(0),
                 span: Span {
-                    lo: carve.lo + d.rel_lo,
-                    hi: carve.lo + d.rel_hi,
+                    lo: lo + d.rel_lo,
+                    hi: lo + d.rel_hi,
                 },
                 message: d.message.clone(),
             });
@@ -1531,165 +1121,12 @@ impl Driver {
             let used: HashSet<Symbol> =
                 entry.used.iter().map(|u| sema.interner.intern(u)).collect();
             self.hub.absorb(used);
-            // Rebase the cached lock summary onto this run's carve, the
-            // same way the replayed diagnostics above are rebased. Load
-            // already validated the blob; a failure here is defensive.
-            if let Ok(mut summary) = ccm2_analysis::decode_summary(&entry.summary, carve.lo) {
+            if let Some(mut summary) = splice.summary {
                 summary.from_cache = true;
                 self.hub.absorb_summary(summary);
             }
         }
-        self.merger
-            .add_unit(entry.unit.clone(), sema.meter.as_ref());
-    }
-
-    /// After a clean compile, record a cache entry for every unit that
-    /// compiled live, under the fingerprints computed at `split_eof`.
-    /// Diagnostics are attributed to the innermost stream whose *body*
-    /// contains them (a nested heading belongs to its enclosing stream,
-    /// which declares it); module-level diagnostics are always re-emitted
-    /// live and are never recorded.
-    #[allow(clippy::too_many_arguments)] // one-shot call from `finish`
-    fn record_entries(
-        &self,
-        incr: &IncrInner,
-        dec: &Decisions,
-        image: &ModuleImage,
-        diagnostics: &[Diagnostic],
-        code_names: &HashMap<ScopeId, Symbol>,
-        used_sets: &HashMap<ScopeId, HashSet<Symbol>>,
-        summaries: &HashMap<ScopeId, ccm2_analysis::UnitSummary>,
-        lock_keys: &HashSet<(u32, u32, String)>,
-        main_name: Option<Symbol>,
-    ) {
-        let mut per_scope: HashMap<ScopeId, Vec<CachedDiag>> = HashMap::new();
-        for d in diagnostics {
-            if d.file != FileId(0) {
-                continue;
-            }
-            // Whole-program lock-pass diagnostics are derived in `finish`
-            // from every unit's summary; a warm run re-derives them from
-            // cached summaries, so caching them per-stream would replay
-            // them twice.
-            if lock_keys.contains(&(d.span.lo, d.span.hi, d.message.clone())) {
-                continue;
-            }
-            let owner = dec
-                .procs
-                .iter()
-                .filter(|(_, pd)| pd.carve.body_contains(d.span.lo))
-                .min_by_key(|(_, pd)| pd.carve.hi - pd.carve.lo)
-                .map(|(s, pd)| (*s, pd.carve));
-            if let Some((scope, carve)) = owner {
-                per_scope.entry(scope).or_default().push(CachedDiag {
-                    severity: d.severity,
-                    rel_lo: d.span.lo - carve.lo,
-                    rel_hi: d.span.hi.saturating_sub(carve.lo),
-                    message: d.message.clone(),
-                });
-            }
-        }
-        for (scope, pd) in &dec.procs {
-            if pd.entry.is_some() {
-                continue; // respliced: the store already has it
-            }
-            let Some(&name) = code_names.get(scope) else {
-                continue;
-            };
-            let Some(unit) = image.unit(name) else {
-                continue;
-            };
-            let diags = per_scope.remove(scope).unwrap_or_default();
-            let findings = diags.len() as u32;
-            let mut used: Vec<String> = used_sets
-                .get(scope)
-                .map(|s| s.iter().map(|sym| self.interner.resolve(*sym)).collect())
-                .unwrap_or_default();
-            used.sort();
-            used.dedup();
-            // Summary spans are stored carve-relative, like the cached
-            // diagnostics: a splice into a shifted file rebases both.
-            let summary = summaries
-                .get(scope)
-                .map(|s| ccm2_analysis::encode_summary(s, pd.carve.lo))
-                .unwrap_or_default();
-            let data = CacheEntryData {
-                unit: unit.clone(),
-                diags,
-                used,
-                findings,
-                summary,
-            };
-            incr.store
-                .store(pd.fp, &encode_entry(&data, &self.interner));
-        }
-        if dec.module_entry.is_none() {
-            if let Some(unit) = main_name.and_then(|m| image.unit(m)) {
-                // The module unit carries no diagnostics and no summary:
-                // everything at module level is re-derived by the live
-                // module parse (its Analyze task always runs).
-                let data = CacheEntryData {
-                    unit: unit.clone(),
-                    diags: vec![],
-                    used: vec![],
-                    findings: 0,
-                    summary: vec![],
-                };
-                incr.store
-                    .store(dec.module_fp, &encode_entry(&data, &self.interner));
-            }
-        }
-    }
-
-    /// After a clean compile, record the interface of every definition
-    /// module parsed live that reported nothing in its own file and whose
-    /// imports were all recorded or spliced. Modules go imports first, so
-    /// a type belongs to the first interface that reaches it — the one
-    /// whose declarations created it — and a later one links to it.
-    fn record_interfaces(
-        &self,
-        incr: &IncrInner,
-        diagnostics: &[Diagnostic],
-        def_streams: &HashMap<Symbol, ScopeId>,
-        mut def_imports: HashMap<ScopeId, Vec<Import>>,
-    ) {
-        let Some(interfaces) = incr.interfaces.get() else {
-            return;
-        };
-        let installed = interfaces.types.lock();
-        let sema = self.sema();
-        let mut owners: HashMap<TypeId, (Symbol, u32)> = HashMap::new();
-        let mut recorded: HashSet<Symbol> = HashSet::new();
-        for (name, key, imports) in &interfaces.keyed {
-            let Some(&scope) = def_streams.get(name) else {
-                continue;
-            };
-            let own = match installed.get(name) {
-                Some(own) => own.to_vec(),
-                None => {
-                    let file = sema.tables.scope(scope).file();
-                    let quiet = !diagnostics.iter().any(|d| d.file == file);
-                    let parsed = def_imports.remove(&scope);
-                    let (Some(parsed), true) = (parsed, quiet) else {
-                        continue;
-                    };
-                    if !imports.iter().all(|i| recorded.contains(i)) {
-                        continue;
-                    }
-                    let owner = |t: TypeId| owners.get(&t).copied();
-                    let Some((iface, own)) = interface::capture(sema, scope, parsed, &owner) else {
-                        continue;
-                    };
-                    incr.store
-                        .store(*key, &encode_interface(&iface, &self.interner));
-                    own
-                }
-            };
-            for (index, t) in own.into_iter().enumerate() {
-                owners.insert(t, (*name, index as u32));
-            }
-            recorded.insert(*name);
-        }
+        self.merger.add_unit(entry.unit, sema.meter.as_ref());
     }
 
     // ---- finish -------------------------------------------------------------
@@ -1701,21 +1138,15 @@ impl Driver {
         let imported_interfaces = st.def_streams.len();
         let import_nesting_depth = st.max_import_depth;
         let main_imports = st.main_imports.take();
-        let decisions = st.decisions.take();
-        let code_names: HashMap<ScopeId, Symbol> = st
+        // Every unit's code name, by scope: the procedures' and the
+        // module body's.
+        let mut code_names: HashMap<ScopeId, Symbol> = st
             .heading_info
             .iter()
             .map(|(s, (name, _))| (*s, *name))
             .collect();
-        let used_sets = std::mem::take(&mut st.used_sets);
-        let summaries = std::mem::take(&mut st.summaries);
+        code_names.extend(st.main_scope.zip(main_name));
         let def_streams = std::mem::take(&mut st.def_streams);
-        let def_imports = std::mem::take(&mut st.def_imports);
-        let incr_stats = IncrStats {
-            interfaces: imported_interfaces,
-            interfaces_spliced: st.interfaces_spliced,
-            ..st.incr_stats
-        };
         drop(st);
         // Unused-import lint and the whole-program lock-order pass: every
         // Analyze (and splice) task has completed — the run is over — so
@@ -1806,9 +1237,7 @@ impl Driver {
         });
         if !report.task_panics.is_empty() {
             if let Some(image) = image.as_mut() {
-                let mut expected: Vec<Symbol> = code_names.values().copied().collect();
-                expected.extend(main_name);
-                for name in expected {
+                for &name in code_names.values() {
                     if image.unit(name).is_some() {
                         continue;
                     }
@@ -1827,27 +1256,18 @@ impl Driver {
         }
         let mut diagnostics = self.sink.take();
         diagnostics.extend(degraded_diags);
-        // Record cache entries for the units that compiled live, then the
-        // interfaces parsed live — but only from an error-free compile, so
-        // a hit never replays the artifacts of a failed one.
-        let clean = !diagnostics.iter().any(|d| d.severity == Severity::Error);
-        if let (Some(incr), true) = (&self.incr, clean) {
-            if let (Some(dec), Some(image)) = (&decisions, &image) {
-                self.record_entries(
-                    incr,
-                    dec,
-                    image,
-                    &diagnostics,
-                    &code_names,
-                    &used_sets,
-                    &summaries,
-                    &lock_keys,
-                    main_name,
-                );
-            }
-            self.record_interfaces(incr, &diagnostics, &def_streams, def_imports);
-        }
-        let sema = self.sema();
+        let incr = self.incr.as_ref().map(|incr| {
+            let clean = !diagnostics.iter().any(|d| d.severity == Severity::Error);
+            let recorded = clean.then_some(&diagnostics[..]);
+            incr.finish(
+                image.as_ref(),
+                recorded,
+                &code_names,
+                &lock_keys,
+                &def_streams,
+            )
+        });
+        let sema = &self.sema;
         ConcurrentOutput {
             image,
             diagnostics,
@@ -1859,7 +1279,7 @@ impl Driver {
             procedures,
             imported_interfaces,
             import_nesting_depth,
-            incr: self.incr.as_ref().map(|_| incr_stats),
+            incr,
             locks,
             errors,
         }
@@ -1919,19 +1339,18 @@ impl StreamFactory for DriverHandle {
             // The parent's parse stopped short of this heading.
             this.env.signal(heading_ev);
         }
-        if this.incr.is_some() {
+        if let Some(incr) = &this.incr {
             // Incremental mode: task spawning is deferred to `split_eof`,
             // when the full carve set exists and each stream can be
             // fingerprinted as a cache hit (splice) or miss (parse).
-            this.st.lock().pending_procs.push(PendingStream {
-                stream: id,
+            incr.defer(PendingStream {
                 scope,
                 parent,
                 name,
                 queue: q,
             });
         } else {
-            this.spawn_proc_parse(id, scope, parent, name, q);
+            this.spawn_proc_parse(scope, parent, name, q);
         }
         (id, writer)
     }
@@ -1941,24 +1360,35 @@ impl StreamFactory for DriverHandle {
     }
 
     fn stream_carved(&self, stream: StreamId, heading: Span, full: Span) {
-        if self.0.incr.is_none() {
-            return;
-        }
-        let mut st = self.0.st.lock();
-        if let Some(&scope) = st.stream_scopes.get(&stream) {
-            st.carves.insert(
-                scope,
-                Carve {
-                    lo: full.lo,
-                    heading_hi: heading.hi,
-                    hi: full.hi,
-                },
-            );
+        let scope = self.0.st.lock().stream_scopes.get(&stream).copied();
+        if let (Some(incr), Some(scope)) = (&self.0.incr, scope) {
+            incr.carved(scope, heading, full);
         }
     }
 
+    /// Under incremental compilation, spawns each deferred stream's tasks
+    /// once the cache has decided which of them splice.
     fn split_eof(&self) {
-        self.0.incr_split_eof();
+        let this = &self.0;
+        let Some(incr) = &this.incr else {
+            return;
+        };
+        let main_file = this.sources.get(FileId(0));
+        let st = this.st.lock();
+        let main = st.main_scope.zip(st.main_name);
+        drop(st);
+        let streams = incr.split_eof(main_file.as_ref().map_or("", |f| f.text()), main);
+        // The module parser may now choose between live codegen and a
+        // module-body splice.
+        this.env.signal(incr.ready);
+        for (stream, splice) in streams {
+            let Some(splice) = splice else {
+                this.spawn_proc_parse(stream.scope, stream.parent, stream.name, stream.queue);
+                continue;
+            };
+            let weight = splice.entry.unit.code.len() as u64;
+            this.spawn_splice(stream.name, weight, Some(stream.scope), splice);
+        }
     }
 }
 

@@ -1,0 +1,567 @@
+//! The incremental cache behind one seam ([`Options::incremental`]).
+//!
+//! Every decision the driver's incremental mode makes, and every call it
+//! makes to the [`ArtifactStore`], is here. The driver calls in at three
+//! points — [`Incremental::new`] as the compile starts,
+//! [`Incremental::split_eof`] once the Splitter has carved every stream,
+//! and [`Incremental::finish`] — and asks two questions it cannot avoid:
+//! whether a definition module's stream splices
+//! ([`Incremental::spliced_interface`]) and, once [`Incremental::ready`]
+//! fired, whether the module body does ([`Incremental::module_splice`]).
+//! The splice tasks themselves stay in the driver.
+//!
+//! A procedure stream or the module body is a *code unit*, stored under
+//! its fingerprint (`ccm2_incr::fingerprint`); a definition module's
+//! completed scope is an *interface*, stored under its interface key.
+//! Both load the same way: an artifact that does not decode is
+//! quarantined, reported in a Note, and treated as absent.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+use ccm2_analysis::UnitSummary;
+use ccm2_codegen::merge::ModuleImage;
+use ccm2_incr::{
+    decode_interface, encode_entry, encode_interface, fingerprint_streams, ArtifactStore,
+    CacheEntryData, CachedDiag, Carve, EntryDecoder, ImportGraph, IncrStats, StreamNode,
+    FORMAT_VERSION,
+};
+use ccm2_sched::{EventClass, ExecEnv};
+use ccm2_sema::interface::{self, Interface};
+use ccm2_sema::types::TypeId;
+use ccm2_sema::Sema;
+use ccm2_support::defs::DefProvider;
+use ccm2_support::diag::{Diagnostic, Severity};
+use ccm2_support::hash::Fp128;
+use ccm2_support::ids::{EventId, ScopeId};
+use ccm2_support::intern::Symbol;
+use ccm2_support::source::{FileId, Span};
+use ccm2_syntax::ast::Import;
+
+use crate::driver::Options;
+use crate::queue::TokenQueue;
+
+/// A compile's incremental state, present only when the cache is active.
+pub(crate) struct Incremental {
+    store: Arc<dyn ArtifactStore>,
+    sema: Arc<Sema>,
+    analyze: bool,
+    /// Digest of everything outside the main source that affects output:
+    /// format version, configuration, and the interfaces the module can
+    /// reach (per-import precision — an unrelated `.def` edit must not
+    /// invalidate this module's units).
+    env_fp: Fp128,
+    /// Signaled once the code units' hit/miss decisions exist (the module
+    /// parser waits on it before choosing between live codegen and a
+    /// module-body splice).
+    pub(crate) ready: EventId,
+    /// Every module with an interface key, imports before importers:
+    /// name, key, the modules it imports.
+    keyed: Vec<(Symbol, Fp128, Vec<Symbol>)>,
+    /// The stored interfaces this compile splices. A module is here only
+    /// if its artifact decoded and every module it imports is here too.
+    spliced: HashMap<Symbol, Arc<Interface>>,
+    /// The ids in this compile of each spliced interface's own types,
+    /// built on first use: by its own splice, or by that of a module
+    /// whose types link into it, whichever runs first.
+    types: Mutex<HashMap<Symbol, Arc<[TypeId]>>>,
+    st: Mutex<State>,
+}
+
+#[derive(Default)]
+struct State {
+    /// Procedure streams whose tasks wait for the hit/miss decisions, in
+    /// the order the Splitter found them.
+    pending: Vec<PendingStream>,
+    /// Each pending stream's carve, by scope.
+    carves: HashMap<ScopeId, Carve>,
+    /// The code units' decisions: procedure streams in carve order, then
+    /// the module body. Entries are recorded in this order, and under a
+    /// byte budget what a store keeps depends on it.
+    units: Vec<Unit>,
+    /// The module body's splice, until the module parser takes it.
+    module_splice: Option<Splice>,
+    /// Per-scope used-name sets and lock summaries captured from
+    /// `Analyze` tasks: a recorded entry carries them, since a spliced
+    /// unit cannot re-run its analysis.
+    used_sets: HashMap<ScopeId, HashSet<Symbol>>,
+    summaries: HashMap<ScopeId, UnitSummary>,
+    /// The imports of each definition module parsed live, kept for its
+    /// interface artifact.
+    def_imports: HashMap<ScopeId, Vec<Import>>,
+    stats: IncrStats,
+}
+
+/// A procedure stream whose task spawning is deferred until the Splitter
+/// has carved the whole module and fingerprints can be computed.
+pub(crate) struct PendingStream {
+    pub(crate) scope: ScopeId,
+    pub(crate) parent: ScopeId,
+    pub(crate) name: Symbol,
+    pub(crate) queue: Arc<TokenQueue>,
+}
+
+/// What a code unit's `CacheSplice` task replays in place of its parse
+/// and codegen tasks.
+pub(crate) struct Splice {
+    /// The stored entry: the unit, its diagnostics and its used names.
+    pub(crate) entry: CacheEntryData,
+    /// Where the unit's carve starts in this compile's text; stored
+    /// diagnostics are relative to it.
+    pub(crate) lo: u32,
+    /// The stored lock summary rebased onto `lo` (under analysis, for a
+    /// unit that has one).
+    pub(crate) summary: Option<UnitSummary>,
+    /// The scopes of the streams carved directly inside the unit. They
+    /// splice too (closure rule), and nobody parses the text that would
+    /// declare their headings.
+    pub(crate) children: Vec<ScopeId>,
+}
+
+/// One code unit's decision, kept so `finish` can record an entry for
+/// each unit that compiled live under the fingerprint computed this run.
+struct Unit {
+    scope: ScopeId,
+    fp: Fp128,
+    spliced: bool,
+    /// `None` for the module body: its parse always runs live, so its
+    /// diagnostics are re-derived every compile and never recorded.
+    carve: Option<Carve>,
+}
+
+impl Incremental {
+    /// The cache of a compile of `source` under `options`, or `None` when
+    /// it cannot be active: carves come from the Splitter (so early
+    /// splitting is required), and the environment digest must see the
+    /// whole interface library. Every heading mode is cache-safe: the
+    /// mode's tag is mixed into the environment digest and every interface
+    /// key, so artifacts recorded under one mode never splice into
+    /// another, and the child-side work the modes differ in (none /
+    /// re-declare / verify) is skipped identically on every warm hit.
+    ///
+    /// Keys the compile and loads the interfaces it splices, before any
+    /// task is spawned.
+    pub(crate) fn new(
+        options: &Options,
+        defs: &dyn DefProvider,
+        source: &str,
+        sema: &Arc<Sema>,
+        env: &dyn ExecEnv,
+    ) -> Option<Incremental> {
+        let store = options.incremental.as_ref()?;
+        if !options.early_split {
+            return None;
+        }
+        let library = defs.all_definitions()?;
+        let ready = env.new_event_named(EventClass::Handled, "incr(decisions)");
+        let graph = ImportGraph::of(source, &library);
+        let tag = options.heading_mode.cache_tag();
+        let (env_fp, keys) = graph.keys(FORMAT_VERSION, options.analyze, tag);
+        let mut incr = Incremental {
+            store: Arc::clone(store),
+            sema: Arc::clone(sema),
+            analyze: options.analyze,
+            env_fp,
+            ready,
+            keyed: Vec::with_capacity(keys.len()),
+            spliced: HashMap::new(),
+            types: Mutex::new(HashMap::new()),
+            st: Mutex::new(State::default()),
+        };
+        // Imports come first, so a module's imports are decided before it
+        // is: one with an import that does not splice is not looked up
+        // (the closure rule of `split_eof`, one level up — a module parsed
+        // live rebuilds its types, so every importer of it must too).
+        let interner = &sema.interner;
+        for k in &keys {
+            let name = interner.intern(k.name);
+            let imports: Vec<Symbol> = k.imports.iter().map(|i| interner.intern(i)).collect();
+            let splices = imports.iter().all(|i| incr.spliced.contains_key(i));
+            incr.keyed.push((name, k.key, imports));
+            if !splices {
+                continue;
+            }
+            // Links index the tables of modules this one reaches, which
+            // all splice by now; one that points elsewhere was forged.
+            let links_fit = |iface: &Interface| {
+                iface.links.iter().all(|&(dep, index)| {
+                    let dep = incr.spliced.get(&iface.deps[dep as usize]);
+                    dep.is_some_and(|d| (index as usize) < d.types.len())
+                })
+            };
+            let loaded = incr.load(k.key, name, |bytes| {
+                match decode_interface(bytes, interner) {
+                    Ok(iface) if links_fit(&iface) => Ok(iface),
+                    Ok(_) => Err("malformed link".to_string()),
+                    Err(e) => Err(e.to_string()),
+                }
+            });
+            if let Ok(Some(iface)) = loaded {
+                incr.spliced.insert(name, Arc::new(iface));
+            }
+        }
+        Some(incr)
+    }
+
+    /// Loads the artifact stored under `key` and decodes it. One that
+    /// does not decode is quarantined and reported in a Note naming
+    /// `name`, and loads as `Err`.
+    fn load<T>(
+        &self,
+        key: Fp128,
+        name: Symbol,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<Option<T>, ()> {
+        let Some(bytes) = self.store.load(key) else {
+            return Ok(None);
+        };
+        let why = match decode(&bytes) {
+            Ok(artifact) => return Ok(Some(artifact)),
+            Err(why) => why,
+        };
+        self.store.quarantine(key);
+        let name = self.sema.interner.resolve(name);
+        self.sema.sink.report(Diagnostic {
+            severity: Severity::Note,
+            file: FileId(0),
+            span: Span { lo: 0, hi: 0 },
+            message: format!("incremental cache entry for `{name}` ignored: {why}"),
+        });
+        Err(())
+    }
+
+    /// The stored interface this compile splices for module `name`.
+    pub(crate) fn spliced_interface(&self, name: Symbol) -> Option<Arc<Interface>> {
+        self.spliced.get(&name).cloned()
+    }
+
+    /// Installs spliced interface `name`'s types (and those of the
+    /// interfaces they link into, on first use) and its entries into
+    /// `scope`.
+    pub(crate) fn install_interface(&self, name: Symbol, scope: ScopeId, iface: &Interface) {
+        let (own, deps) = {
+            let mut built = self.types.lock();
+            let own = self.install_types(&mut built, name, scope);
+            let deps: Vec<Arc<[TypeId]>> = (iface.deps.iter())
+                .map(|&d| self.install_types(&mut built, d, scope))
+                .collect();
+            (own, deps)
+        };
+        let deps: Vec<&[TypeId]> = deps.iter().map(|d| &d[..]).collect();
+        interface::install_entries(&self.sema, iface, scope, &own, &deps);
+    }
+
+    /// The ids of spliced interface `name`'s own types, installed on
+    /// first use (with those of the interfaces they link into) by the
+    /// splice of `scope`.
+    fn install_types(
+        &self,
+        built: &mut HashMap<Symbol, Arc<[TypeId]>>,
+        name: Symbol,
+        scope: ScopeId,
+    ) -> Arc<[TypeId]> {
+        if let Some(own) = built.get(&name) {
+            return Arc::clone(own);
+        }
+        let iface = (self.spliced.get(&name))
+            .expect("every interface a spliced one links into splices too");
+        let deps: Vec<Arc<[TypeId]>> = (iface.deps.iter())
+            .map(|&d| self.install_types(built, d, scope))
+            .collect();
+        let deps: Vec<&[TypeId]> = deps.iter().map(|d| &d[..]).collect();
+        let own: Arc<[TypeId]> = interface::install_types(&self.sema, iface, &deps, scope).into();
+        built.insert(name, Arc::clone(&own));
+        own
+    }
+
+    /// Defers a procedure stream's tasks to [`Incremental::split_eof`].
+    pub(crate) fn defer(&self, stream: PendingStream) {
+        self.st.lock().pending.push(stream);
+    }
+
+    /// The Splitter carved the stream of `scope`: `heading` covers
+    /// `PROCEDURE … ;` and `full` the whole declaration.
+    pub(crate) fn carved(&self, scope: ScopeId, heading: Span, full: Span) {
+        let carve = Carve {
+            lo: full.lo,
+            heading_hi: heading.hi,
+            hi: full.hi,
+        };
+        self.st.lock().carves.insert(scope, carve);
+    }
+
+    /// The Splitter carved every stream of `source` (it carves
+    /// unterminated ones too): fingerprints them, decides hit or miss per
+    /// code unit, and hands back each deferred stream with the splice that
+    /// replaces its parse, if it hits. A hit splices only when every
+    /// stream nested in it hits too — a recompiled inner procedure needs
+    /// its enclosing scopes declared live. `main` is the module's scope
+    /// and name, if its header was read.
+    pub(crate) fn split_eof(
+        &self,
+        source: &str,
+        main: Option<(ScopeId, Symbol)>,
+    ) -> Vec<(PendingStream, Option<Splice>)> {
+        let mut st = self.st.lock();
+        let pending = std::mem::take(&mut st.pending);
+        let carves = std::mem::take(&mut st.carves);
+        drop(st);
+        let index_of: HashMap<ScopeId, usize> = pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.scope, i))
+            .collect();
+        let nodes: Vec<StreamNode> = pending
+            .iter()
+            .map(|p| StreamNode {
+                carve: carves[&p.scope],
+                parent: index_of.get(&p.parent).copied(),
+            })
+            .collect();
+        let fps = fingerprint_streams(source, &nodes, self.env_fp);
+        let mut stats = IncrStats {
+            units: pending.len() + 1,
+            ..IncrStats::default()
+        };
+        // One decoder for every entry: its name table asks the interner
+        // once per distinct name across all of them.
+        let mut decoder = EntryDecoder::new(&self.sema.interner);
+        let mut load = |fp: Fp128, name: Symbol, lo: u32| {
+            let loaded = self.load(fp, name, |bytes| {
+                let entry = decoder.decode(bytes).map_err(|e| e.to_string())?;
+                // A proc entry recorded under analysis carries a lock
+                // summary; an undecodable one (format bump, corruption)
+                // makes the whole entry a miss — the stream recompiles
+                // and re-derives its summary live.
+                let summary = (self.analyze && !entry.summary.is_empty())
+                    .then(|| ccm2_analysis::decode_summary(&entry.summary, lo))
+                    .transpose()
+                    .map_err(|e| format!("summary {e}"))?;
+                Ok(Splice {
+                    entry,
+                    lo,
+                    summary,
+                    children: Vec::new(),
+                })
+            });
+            loaded.unwrap_or_else(|()| {
+                stats.bad_entries += 1;
+                None
+            })
+        };
+        let hits: Vec<Option<Splice>> = pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| load(fps.streams[i], p.name, nodes[i].carve.lo))
+            .collect();
+        let module = main.map(|(scope, name)| (scope, load(fps.module, name, 0)));
+        // Splice closure, bottom-up (children always follow their lexical
+        // parent in discovery order, so a reverse scan sees them first).
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); pending.len()];
+        for (i, n) in nodes.iter().enumerate() {
+            if let Some(p) = n.parent {
+                children[p].push(i);
+            }
+        }
+        let mut spliced = vec![false; pending.len()];
+        for i in (0..pending.len()).rev() {
+            spliced[i] = hits[i].is_some() && children[i].iter().all(|&c| spliced[c]);
+        }
+        let module_hit = module.as_ref().is_some_and(|(_, hit)| hit.is_some());
+        stats.hits = hits.iter().flatten().count() + usize::from(module_hit);
+        stats.spliced = spliced.iter().filter(|s| **s).count() + usize::from(module_hit);
+        stats.recompiled = stats.units - stats.spliced;
+        let mut units: Vec<Unit> = pending
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Unit {
+                scope: p.scope,
+                fp: fps.streams[i],
+                spliced: spliced[i],
+                carve: Some(nodes[i].carve),
+            })
+            .collect();
+        units.sort_by_key(|u| u.carve.map(|c| (c.lo, c.hi)));
+        let module_splice = module.and_then(|(scope, hit)| {
+            units.push(Unit {
+                scope,
+                fp: fps.module,
+                spliced: module_hit,
+                carve: None,
+            });
+            hit
+        });
+        {
+            let mut st = self.st.lock();
+            st.units = units;
+            st.module_splice = module_splice;
+            st.stats = stats;
+        }
+        let scope_of: Vec<ScopeId> = pending.iter().map(|p| p.scope).collect();
+        let streams = pending.into_iter().zip(hits).enumerate();
+        streams
+            .map(|(i, (stream, hit))| {
+                let splice = hit.filter(|_| spliced[i]).map(|splice| Splice {
+                    children: children[i].iter().map(|&c| scope_of[c]).collect(),
+                    ..splice
+                });
+                (stream, splice)
+            })
+            .collect()
+    }
+
+    /// The module body's splice, if it hits: asked once, after
+    /// [`Incremental::ready`] fired.
+    pub(crate) fn module_splice(&self) -> Option<Splice> {
+        self.st.lock().module_splice.take()
+    }
+
+    /// An `Analyze` task of the procedure stream of `scope` finished.
+    pub(crate) fn analyzed(&self, scope: ScopeId, used: &HashSet<Symbol>, summary: &UnitSummary) {
+        let mut st = self.st.lock();
+        st.used_sets.insert(scope, used.clone());
+        st.summaries.insert(scope, summary.clone());
+    }
+
+    /// The definition module of `scope` was parsed live.
+    pub(crate) fn def_parsed(&self, scope: ScopeId, imports: Vec<Import>) {
+        self.st.lock().def_imports.insert(scope, imports);
+    }
+
+    /// The compile is over: from an error-free one (`diagnostics` is
+    /// `Some`) records an entry for every code unit that compiled live,
+    /// then the interface of every definition module parsed live, so a
+    /// hit never replays the artifacts of a failed compile. Returns the
+    /// compile's counters. `code_names` names each unit's code in
+    /// `image`; `lock_keys` are the whole-program lock pass's diagnostics,
+    /// which a warm run re-derives, so no entry records them.
+    pub(crate) fn finish(
+        &self,
+        image: Option<&ModuleImage>,
+        diagnostics: Option<&[Diagnostic]>,
+        code_names: &HashMap<ScopeId, Symbol>,
+        lock_keys: &HashSet<(u32, u32, String)>,
+        def_streams: &HashMap<Symbol, ScopeId>,
+    ) -> IncrStats {
+        let st = std::mem::take(&mut *self.st.lock());
+        if let Some(diagnostics) = diagnostics {
+            if let Some(image) = image {
+                self.record_entries(&st, image, diagnostics, code_names, lock_keys);
+            }
+            self.record_interfaces(diagnostics, def_streams, st.def_imports);
+        }
+        let spliced = def_streams.keys().filter(|n| self.spliced.contains_key(n));
+        IncrStats {
+            interfaces: def_streams.len(),
+            interfaces_spliced: spliced.count(),
+            ..st.stats
+        }
+    }
+
+    /// Records an entry for every code unit that compiled live.
+    /// Diagnostics are attributed to the innermost stream whose *body*
+    /// contains them (a nested heading belongs to its enclosing stream,
+    /// which declares it); module-level diagnostics are always re-emitted
+    /// live and are never recorded.
+    fn record_entries(
+        &self,
+        st: &State,
+        image: &ModuleImage,
+        diagnostics: &[Diagnostic],
+        code_names: &HashMap<ScopeId, Symbol>,
+        lock_keys: &HashSet<(u32, u32, String)>,
+    ) {
+        let mut per_scope: HashMap<ScopeId, Vec<CachedDiag>> = HashMap::new();
+        for d in diagnostics {
+            let key = (d.span.lo, d.span.hi, d.message.clone());
+            if d.file != FileId(0) || lock_keys.contains(&key) {
+                continue;
+            }
+            let owner = (st.units.iter())
+                .filter_map(|u| Some((u.scope, u.carve?)))
+                .filter(|(_, carve)| carve.body_contains(d.span.lo))
+                .min_by_key(|(_, carve)| carve.hi - carve.lo);
+            if let Some((scope, carve)) = owner {
+                per_scope.entry(scope).or_default().push(CachedDiag {
+                    severity: d.severity,
+                    rel_lo: d.span.lo - carve.lo,
+                    rel_hi: d.span.hi.saturating_sub(carve.lo),
+                    message: d.message.clone(),
+                });
+            }
+        }
+        let interner = &self.sema.interner;
+        for unit in st.units.iter().filter(|u| !u.spliced) {
+            let Some(code) = code_names.get(&unit.scope).and_then(|&n| image.unit(n)) else {
+                continue;
+            };
+            let diags = per_scope.remove(&unit.scope).unwrap_or_default();
+            let mut used: Vec<String> = (st.used_sets.get(&unit.scope))
+                .map(|s| s.iter().map(|sym| interner.resolve(*sym)).collect())
+                .unwrap_or_default();
+            used.sort();
+            // Summary spans are stored carve-relative, like the cached
+            // diagnostics: a splice into a shifted file rebases both.
+            let summary = (st.summaries.get(&unit.scope))
+                .map(|s| ccm2_analysis::encode_summary(s, unit.carve.map_or(0, |c| c.lo)))
+                .unwrap_or_default();
+            let data = CacheEntryData {
+                unit: code.clone(),
+                findings: diags.len() as u32,
+                diags,
+                used,
+                summary,
+            };
+            self.store.store(unit.fp, &encode_entry(&data, interner));
+        }
+    }
+
+    /// Records the interface of every definition module parsed live that
+    /// reported nothing in its own file and whose imports were all
+    /// recorded or spliced. Modules go imports first, so a type belongs
+    /// to the first interface that reaches it — the one whose
+    /// declarations created it — and a later one links to it.
+    fn record_interfaces(
+        &self,
+        diagnostics: &[Diagnostic],
+        def_streams: &HashMap<Symbol, ScopeId>,
+        mut def_imports: HashMap<ScopeId, Vec<Import>>,
+    ) {
+        let installed = self.types.lock();
+        let sema = &self.sema;
+        let mut owners: HashMap<TypeId, (Symbol, u32)> = HashMap::new();
+        let mut recorded: HashSet<Symbol> = HashSet::new();
+        for (name, key, imports) in &self.keyed {
+            let Some(&scope) = def_streams.get(name) else {
+                continue;
+            };
+            let own = match installed.get(name) {
+                Some(own) => own.to_vec(),
+                None => {
+                    let file = sema.tables.scope(scope).file();
+                    let quiet = !diagnostics.iter().any(|d| d.file == file);
+                    let parsed = def_imports.remove(&scope);
+                    let (Some(parsed), true) = (parsed, quiet) else {
+                        continue;
+                    };
+                    if !imports.iter().all(|i| recorded.contains(i)) {
+                        continue;
+                    }
+                    let owner = |t: TypeId| owners.get(&t).copied();
+                    let Some((iface, own)) = interface::capture(sema, scope, parsed, &owner) else {
+                        continue;
+                    };
+                    self.store
+                        .store(*key, &encode_interface(&iface, &sema.interner));
+                    own
+                }
+            };
+            for (index, t) in own.into_iter().enumerate() {
+                owners.insert(t, (*name, index as u32));
+            }
+            recorded.insert(*name);
+        }
+    }
+}

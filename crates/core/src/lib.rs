@@ -34,6 +34,7 @@
 
 pub mod driver;
 pub mod importer;
+mod incremental;
 pub mod queue;
 pub mod splitter;
 

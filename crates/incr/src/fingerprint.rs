@@ -23,10 +23,11 @@
 //! excluded but its heading kept**. Keeping headings in the enclosing
 //! context means editing a sibling's *signature* (which changes call-site
 //! code) invalidates the siblings, while editing only a sibling's *body*
-//! does not. `env` folds in every definition module's source text — a
-//! deliberately conservative superset of any unit's actual imports — plus
-//! the format version and the configuration bits that change generated
-//! code or diagnostics.
+//! does not. `env` ([`ImportGraph::keys`]) folds in the source text of
+//! every definition module the main source transitively imports — not
+//! just the ones a given unit uses, and none it cannot reach — plus the
+//! format version and the configuration bits that change generated code
+//! or diagnostics.
 //!
 //! Because digests hash byte *content*, never absolute offsets,
 //! lengthening an earlier procedure's body shifts every later stream's
@@ -83,7 +84,7 @@ pub struct Fingerprints {
 /// provider cannot supply. Folding the *absence* into the digest means a
 /// module compiled while an interface was missing never shares
 /// fingerprints with one compiled after the interface (re)appeared.
-pub const MISSING_DEF_SOURCE: &str = "\u{1}<missing definition module>\u{1}";
+const MISSING_DEF_SOURCE: &str = "\u{1}<missing definition module>\u{1}";
 
 /// Extracts the module names a source text imports: `IMPORT A, B;` and
 /// `FROM C IMPORT x;` at any position. The scan is token-oriented but
@@ -184,32 +185,16 @@ impl Words<'_> {
     }
 }
 
-/// The transitive import closure of `main_source` over `library`, as
-/// `(name, source)` pairs sorted by name, ready for [`environment_fp`];
-/// the pairs borrow from the two arguments. Interfaces the library lacks
-/// appear with [`MISSING_DEF_SOURCE`] so their absence is part of the
-/// digest. This is what makes the environment digest *per-import
-/// precise*: a definition module no compiled unit can reach does not
-/// contribute, so editing it leaves every cached unit of this module
-/// valid.
-pub fn import_closure<'a>(
-    main_source: &'a str,
-    library: &'a [(String, String)],
-) -> Vec<(&'a str, &'a str)> {
-    ImportGraph::of(main_source, library).closure()
-}
-
 /// The definition modules a main source reaches through its imports,
 /// each with its source and the modules it imports in turn: one walk
-/// gives both the environment digest's closure and the interface keys.
+/// gives both the environment digest and the interface keys.
 #[derive(Debug)]
 pub struct ImportGraph<'a> {
     /// `None` for a module the library lacks.
     nodes: BTreeMap<&'a str, Option<(&'a str, Vec<&'a str>)>>,
 }
 
-/// A definition module's interface key (see
-/// [`ImportGraph::interface_keys`]).
+/// A definition module's interface key (see [`ImportGraph::keys`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InterfaceKey<'a> {
     /// The module's name.
@@ -243,44 +228,51 @@ impl<'a> ImportGraph<'a> {
         ImportGraph { nodes }
     }
 
-    /// [`import_closure`]'s pairs.
-    pub fn closure(&self) -> Vec<(&'a str, &'a str)> {
-        let nodes = self.nodes.iter();
-        nodes
-            .map(|(&name, node)| (name, node.as_ref().map_or(MISSING_DEF_SOURCE, |n| n.0)))
-            .collect()
-    }
-
-    /// The interface key of every module whose interface can be reused,
-    /// imports before importers: `K(X)` digests a domain tag, the format
-    /// version and configuration bits that [`environment_fp`] digests,
-    /// X's name and source, and the keys of X's imports in sorted order.
-    /// So a key changes with the module's own text and with any interface
-    /// it reaches. A module the library lacks, or one on an import cycle,
-    /// has no key, and neither has any module that imports it.
-    pub fn interface_keys(
+    /// What a compile of the main source is keyed by, under the format
+    /// version and the configuration bits that alter generated code or
+    /// diagnostics: the environment digest every stream fingerprint
+    /// chains from, and the interface key of every module whose interface
+    /// can be reused, imports before importers.
+    ///
+    /// The environment digest covers the configuration and the name and
+    /// source of every module the walk reached, in name order (a module
+    /// the library lacks as a placeholder). A definition module the main
+    /// source cannot reach does not contribute, so editing it leaves every
+    /// cached unit valid. `K(X)` digests a domain tag, the same
+    /// configuration, X's name and source, and the keys of X's imports in
+    /// sorted order: a key changes with the module's own text and with any
+    /// interface it reaches. A module the library lacks, or one on an
+    /// import cycle, has no key, and neither has any module importing it.
+    pub fn keys(
         &self,
         format_version: u32,
         analyze: bool,
         heading_mode_tag: u8,
-    ) -> Vec<InterfaceKey<'a>> {
+    ) -> (Fp128, Vec<InterfaceKey<'a>>) {
+        let config = [u8::from(analyze), heading_mode_tag];
+        let mut env = StableHasher::new();
+        env.write_u32(format_version);
+        env.write(&config);
+        env.write_u64(self.nodes.len() as u64);
         let mut walk = KeyWalk {
             graph: self,
-            config: (format_version, analyze, heading_mode_tag),
+            config: (format_version, config),
             state: BTreeMap::new(),
             keys: Vec::new(),
         };
-        for &name in self.nodes.keys() {
+        for (&name, node) in &self.nodes {
+            env.write_str(name);
+            env.write_str(node.as_ref().map_or(MISSING_DEF_SOURCE, |n| n.0));
             walk.key(name);
         }
-        walk.keys
+        (env.finish(), walk.keys)
     }
 }
 
 /// Depth-first computation of interface keys.
 struct KeyWalk<'g, 'a> {
     graph: &'g ImportGraph<'a>,
-    config: (u32, bool, u8),
+    config: (u32, [u8; 2]),
     /// `None` while a module's imports are being keyed (a cycle reaches
     /// it then), afterwards its key if it has one.
     state: BTreeMap<&'a str, Option<Option<Fp128>>>,
@@ -296,11 +288,11 @@ impl<'a> KeyWalk<'_, 'a> {
         self.state.insert(name, None);
         let imported: Option<Vec<Fp128>> = imports.iter().map(|&i| self.key(i)).collect();
         let key = imported.map(|imported| {
-            let (format_version, analyze, heading_mode_tag) = self.config;
+            let (format_version, config) = self.config;
             let mut h = StableHasher::new();
             h.write_str("ccm2 interface");
             h.write_u32(format_version);
-            h.write(&[u8::from(analyze), heading_mode_tag]);
+            h.write(&config);
             h.write_str(name);
             h.write_str(source);
             h.write_u64(imported.len() as u64);
@@ -319,27 +311,6 @@ impl<'a> KeyWalk<'_, 'a> {
         }
         key
     }
-}
-
-/// Digests the environment every fingerprint is chained from: the store
-/// format version, the configuration bits that alter generated code or
-/// diagnostics, and the (sorted) definition-module interfaces the
-/// compiled module can transitively reach (see [`import_closure`]).
-pub fn environment_fp(
-    format_version: u32,
-    analyze: bool,
-    heading_mode_tag: u8,
-    defs: &[(&str, &str)],
-) -> Fp128 {
-    let mut h = StableHasher::new();
-    h.write_u32(format_version);
-    h.write(&[u8::from(analyze), heading_mode_tag]);
-    h.write_u64(defs.len() as u64);
-    for (name, source) in defs {
-        h.write_str(name);
-        h.write_str(source);
-    }
-    h.finish()
 }
 
 /// Hashes `bytes[lo..hi]` with each direct child's body range excluded
@@ -540,42 +511,36 @@ mod tests {
     }
 
     #[test]
-    fn import_closure_is_transitive_and_marks_missing() {
-        let lib = vec![
+    fn environment_covers_the_import_closure_and_marks_missing() {
+        let def = |name: &str, body: &str| {
             (
-                "A".to_string(),
-                "DEFINITION MODULE A; IMPORT B; END A.".to_string(),
-            ),
-            ("B".to_string(), "DEFINITION MODULE B; END B.".to_string()),
-            (
-                "Unrelated".to_string(),
-                "DEFINITION MODULE Unrelated; END Unrelated.".to_string(),
-            ),
-        ];
-        let closure = import_closure("MODULE M; IMPORT A, Ghost; BEGIN END M.", &lib);
-        let names: Vec<&str> = closure.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["A", "B", "Ghost"], "transitive, no Unrelated");
-        assert_eq!(closure[2].1, MISSING_DEF_SOURCE);
+                name.to_string(),
+                format!("DEFINITION MODULE {name}; {body} END {name}."),
+            )
+        };
+        let lib = vec![def("A", "IMPORT B;"), def("B", ""), def("Unrelated", "")];
+        let main = "MODULE M; IMPORT A, Ghost; BEGIN END M.";
+        let graph = ImportGraph::of(main, &lib);
+        let names: Vec<&str> = graph.nodes.keys().copied().collect();
+        assert_eq!(names, ["A", "B", "Ghost"], "transitive, no Unrelated");
+        assert!(graph.nodes["Ghost"].is_none());
+        let env = |lib: &[(String, String)]| ImportGraph::of(main, lib).keys(1, false, 0).0;
         // Editing the unreachable interface does not change the digest;
-        // editing a reachable one does.
+        // editing a reachable one does, and so does the missing one
+        // turning up.
         let mut edited = lib.clone();
-        edited[2].1 = "DEFINITION MODULE Unrelated; CONST N = 1; END Unrelated.".to_string();
-        let closure2 = import_closure("MODULE M; IMPORT A, Ghost; BEGIN END M.", &edited);
-        assert_eq!(
-            environment_fp(1, false, 0, &closure),
-            environment_fp(1, false, 0, &closure2)
-        );
+        edited[2] = def("Unrelated", "CONST N = 1;");
+        assert_eq!(env(&lib), env(&edited));
         let mut edited_b = lib.clone();
-        edited_b[1].1 = "DEFINITION MODULE B; CONST N = 1; END B.".to_string();
-        let closure3 = import_closure("MODULE M; IMPORT A, Ghost; BEGIN END M.", &edited_b);
-        assert_ne!(
-            environment_fp(1, false, 0, &closure),
-            environment_fp(1, false, 0, &closure3)
-        );
+        edited_b[1] = def("B", "CONST N = 1;");
+        assert_ne!(env(&lib), env(&edited_b));
+        let mut found = lib.clone();
+        found.push(def("Ghost", ""));
+        assert_ne!(env(&lib), env(&found));
     }
 
     #[test]
-    fn interface_keys_chain_through_imports_and_skip_missing_and_cyclic_modules() {
+    fn keys_chain_through_imports_and_skip_missing_and_cyclic_modules() {
         let def = |name: &str, body: &str| {
             (
                 name.to_string(),
@@ -593,7 +558,7 @@ mod tests {
         let main = "MODULE M; IMPORT A, C, D, F; BEGIN END M.";
         let keys = |lib: &[(String, String)]| -> Vec<(String, Fp128)> {
             let graph = ImportGraph::of(main, lib);
-            let keys = graph.interface_keys(1, false, 0);
+            let keys = graph.keys(1, false, 0).1;
             keys.iter().map(|k| (k.name.to_string(), k.key)).collect()
         };
         let base = keys(&lib);
@@ -619,32 +584,14 @@ mod tests {
         assert_ne!(after[1], base[1]);
 
         let graph = ImportGraph::of(main, &lib);
-        assert_ne!(
-            graph.interface_keys(1, false, 0),
-            graph.interface_keys(2, false, 0),
-            "version"
-        );
-        assert_ne!(
-            graph.interface_keys(1, false, 0),
-            graph.interface_keys(1, true, 0),
-            "analyze flag"
-        );
-        assert_ne!(
-            graph.interface_keys(1, false, 0),
-            graph.interface_keys(1, false, 1),
-            "heading mode"
-        );
-        assert_eq!(graph.closure(), import_closure(main, &lib));
-    }
-
-    #[test]
-    fn environment_fp_covers_defs_and_config() {
-        let defs = [("IO", "DEFINITION MODULE IO; END IO.")];
-        let base = environment_fp(1, false, 0, &defs);
-        assert_ne!(base, environment_fp(2, false, 0, &defs), "version");
-        assert_ne!(base, environment_fp(1, true, 0, &defs), "analyze flag");
-        assert_ne!(base, environment_fp(1, false, 1, &defs), "heading mode");
-        let edited = [("IO", "DEFINITION MODULE IO; CONST N = 1; END IO.")];
-        assert_ne!(base, environment_fp(1, false, 0, &edited), "interface edit");
+        let base = graph.keys(1, false, 0);
+        for (other, what) in [
+            (graph.keys(2, false, 0), "version"),
+            (graph.keys(1, true, 0), "analyze flag"),
+            (graph.keys(1, false, 1), "heading mode"),
+        ] {
+            assert_ne!(other.0, base.0, "{what}: environment");
+            assert_ne!(other.1, base.1, "{what}: interface keys");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Interface artifacts (`CCM2IFCE`): a definition module's completed
 //! scope ([`Interface`]), sealed in the shared
 //! [`ccm2_support::envelope`] and stored under the module's interface key
-//! ([`crate::ImportGraph::interface_keys`]).
+//! ([`crate::ImportGraph::keys`]).
 //!
 //! Like a cache entry, an artifact holds no run-local number: names are
 //! strings, interned on load into the compile's interner, and type ids

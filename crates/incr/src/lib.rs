@@ -10,28 +10,32 @@
 //! [`ccm2_codegen::ir::CodeUnit`] straight into the merge and replays the
 //! stream's recorded diagnostics and lint findings.
 //!
-//! This crate provides the three reusable pieces; the driver integration
-//! lives in `ccm2::driver`:
+//! This crate provides the five reusable pieces; the compiler's one
+//! caller of them is the `incremental` module of the `ccm2` crate, behind
+//! which the driver keeps every incremental decision and store call:
 //!
 //! * [`fingerprint`] — pure functions turning the splitter's carve ranges
 //!   into stable 128-bit stream fingerprints. A stream's fingerprint
 //!   covers its own source slice *and* a chained context digest of every
 //!   enclosing scope's declarations (minus nested procedure bodies, so
 //!   edits inside a sibling's body do not invalidate it) plus an
-//!   environment digest over every definition module's source and the
-//!   codegen-relevant configuration. See the module docs for the exact
-//!   invalidation rules.
+//!   environment digest over the source of every definition module the
+//!   main source transitively imports and the codegen-relevant
+//!   configuration. See the module docs for the exact invalidation rules.
 //! * [`entry`] — a versioned, checksummed, interner-independent binary
 //!   encoding of a cache entry (code unit + diagnostics + lint data).
 //!   Corrupt or version-mismatched bytes decode to an error, never to a
 //!   wrong unit; callers degrade to a cache miss.
 //! * [`iface`] — the same for a definition module's completed scope
 //!   (`CCM2IFCE`), stored under an interface key
-//!   ([`ImportGraph::interface_keys`]) so a warm compile splices its
-//!   interfaces instead of lexing, importing and parsing them.
+//!   ([`ImportGraph::keys`]) so a warm compile splices its interfaces
+//!   instead of lexing, importing and parsing them.
 //! * [`store`] — the [`store::ArtifactStore`] trait with an in-memory
 //!   implementation for tests/simulation and a file-per-entry on-disk
 //!   implementation for real warm starts.
+//! * [`delta`] — the encoding of a batch of store insertions and
+//!   evictions (`CCM2DELT`), which the compile service journals and the
+//!   fabric ships to peers.
 
 pub mod delta;
 pub mod entry;
@@ -47,8 +51,7 @@ pub use entry::{
     ENTRY_FORMAT, FORMAT_VERSION,
 };
 pub use fingerprint::{
-    environment_fp, fingerprint_streams, import_closure, import_names, Carve, Fingerprints,
-    ImportGraph, InterfaceKey, StreamNode, MISSING_DEF_SOURCE,
+    fingerprint_streams, import_names, Carve, Fingerprints, ImportGraph, InterfaceKey, StreamNode,
 };
 pub use iface::{decode_interface, encode_interface, IFACE_FORMAT};
 pub use store::{Admission, ArtifactStore, ByteBudgetLru, DiskStore, MemStore};

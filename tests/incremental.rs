@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use ccm2::{compile_concurrent, ConcurrentOutput, Options};
 use ccm2_incr::{
-    decode_entry, environment_fp, import_closure, ArtifactStore, DiskStore, EntryDecoder,
-    ImportGraph, IncrStats, MemStore, FORMAT_VERSION,
+    decode_entry, ArtifactStore, DiskStore, EntryDecoder, ImportGraph, IncrStats, MemStore,
+    FORMAT_VERSION,
 };
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
@@ -193,6 +193,8 @@ fn corrupt_entries_degrade_to_misses_with_a_note() {
     assert!(warm.is_ok(), "corruption must never break the compile");
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.spliced, 0, "nothing decodable, nothing spliced");
+    assert!(stats.interfaces > 0, "the module imports interfaces");
+    assert_eq!(stats.interfaces_spliced, 0, "no interface decodes either");
     assert!(stats.bad_entries >= stats.units, "every entry was damaged");
     assert!(
         warm.diagnostics.iter().any(|d| {
@@ -430,12 +432,8 @@ fn fingerprints_of_three_suite_modules_are_pinned() {
     for (ix, want_env, want_streams) in pinned {
         let m = generate(&suite_params(ix));
         let library = m.defs.all_definitions().expect("a DefLibrary enumerates");
-        let env = environment_fp(
-            FORMAT_VERSION,
-            true,
-            Options::default().heading_mode.cache_tag(),
-            &import_closure(&m.source, &library),
-        );
+        let tag = Options::default().heading_mode.cache_tag();
+        let (env, keys) = ImportGraph::of(&m.source, &library).keys(FORMAT_VERSION, true, tag);
         assert_eq!(env.to_hex(), want_env, "environment of suite module {ix}");
 
         let asked = Arc::new(AskedFor::default());
@@ -444,8 +442,6 @@ fn fingerprints_of_three_suite_modules_are_pinned() {
         let mut fps = asked.0.lock().unwrap().clone();
         // The compile also asks for the interface keys of the modules it
         // imports; what is pinned here is the code units' fingerprints.
-        let tag = Options::default().heading_mode.cache_tag();
-        let keys = ImportGraph::of(&m.source, &library).interface_keys(FORMAT_VERSION, true, tag);
         fps.retain(|fp| keys.iter().all(|k| k.key != *fp));
         assert_eq!(fps.len(), out.procedures + 1, "module body + streams");
         fps.sort();
@@ -545,7 +541,7 @@ fn interface_edit_differential() {
         assert!(compile_with(&m, Some(Arc::clone(&store)), options.clone()).is_ok());
 
         let library = m.defs.all_definitions().expect("a DefLibrary enumerates");
-        let keys = ImportGraph::of(&m.source, &library).interface_keys(FORMAT_VERSION, false, 0);
+        let (_, keys) = ImportGraph::of(&m.source, &library).keys(FORMAT_VERSION, false, 0);
         let edited_def = keys[(seed.wrapping_mul(0x9E37_79B9) >> 7) as usize % keys.len()].name;
         // Imports come before importers, so one pass finds every module
         // that reaches the edited one.

@@ -15,9 +15,14 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use ccm2::{compile_concurrent, ConcurrentOutput, Options};
-use ccm2_incr::{decode_interface, encode_interface, ArtifactStore, MemStore, IFACE_FORMAT};
+use ccm2_incr::{
+    comparable_output, decode_interface, encode_interface, ArtifactStore, ImportGraph, MemStore,
+    FORMAT_VERSION, IFACE_FORMAT,
+};
 use ccm2_sema::symtab::DkyStrategy;
-use ccm2_support::defs::DefLibrary;
+use ccm2_support::defs::{DefLibrary, DefProvider};
+use ccm2_support::diag::Severity;
+use ccm2_support::hash::Fp128;
 use ccm2_support::Interner;
 use ccm2_vm::Vm;
 
@@ -161,13 +166,83 @@ fn an_interface_with_an_opaque_type_round_trips() {
     assert_eq!(run(&warm, "warm"), "7");
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.interfaces_spliced, 1);
-    let comparable = |out: &ConcurrentOutput| {
-        ccm2_incr::comparable_output(
-            out.image.as_ref(),
-            &out.diagnostics,
-            &out.sources,
-            &out.interner,
-        )
-    };
     assert_eq!(comparable(&warm), comparable(&cold));
+}
+
+/// Interner-independent (image bytes, rendered diagnostics) pair.
+fn comparable(out: &ConcurrentOutput) -> (Option<Vec<u8>>, Vec<String>) {
+    comparable_output(
+        out.image.as_ref(),
+        &out.diagnostics,
+        &out.sources,
+        &out.interner,
+    )
+}
+
+/// A stored interface that does not load — damaged bytes, or bytes that
+/// decode but link past the type table of the module they link into — is
+/// quarantined and reported in one Note naming its module. It and every
+/// module importing it are parsed live, the output is a cold compile's,
+/// and the next compile splices all three interfaces again.
+#[test]
+fn a_bad_interface_artifact_is_quarantined_and_parsed_live() {
+    let defs = library(BASE);
+    let options = Options::sim(4);
+    let cold = compile(&defs, None, &options);
+    let library = defs.all_definitions().expect("a DefLibrary enumerates");
+    let tag = options.heading_mode.cache_tag();
+    let (_, keys) = ImportGraph::of(MAIN, &library).keys(FORMAT_VERSION, false, tag);
+    let colors = keys
+        .iter()
+        .find(|k| k.name == "Colors")
+        .expect("Colors is keyed");
+
+    /// Spoils the artifact stored under a key.
+    type Spoil = fn(&MemStore, Fp128);
+    let damage: Spoil = |store, key| assert!(store.corrupt(key, 12));
+    let forge: Spoil = |store, key| {
+        let interner = Interner::new();
+        let bytes = store.load(key).expect("Colors is stored");
+        let mut iface = decode_interface(&bytes, &interner).expect("it decodes");
+        let link = iface.links.first_mut().expect("Colors links into Base");
+        link.1 += 1_000;
+        store.store(key, &encode_interface(&iface, &interner));
+    };
+    let cases = [
+        ("damaged", damage, "checksum mismatch"),
+        ("forged", forge, "malformed link"),
+    ];
+    for (case, spoil, why) in cases {
+        let store = Arc::new(MemStore::new());
+        let shared = Arc::clone(&store) as Arc<dyn ArtifactStore>;
+        assert_eq!(
+            run(&compile(&defs, Some(&shared), &options), case),
+            EXPECTED
+        );
+        spoil(&store, colors.key);
+
+        let warm = compile(&defs, Some(&shared), &options);
+        assert_eq!(run(&warm, case), EXPECTED);
+        let notes: Vec<&str> = (warm.diagnostics.iter())
+            .filter(|d| d.severity == Severity::Note)
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(notes.len(), 1, "{case}: {notes:?}");
+        assert!(notes[0].contains("`Colors`"), "{case}: {notes:?}");
+        assert!(notes[0].ends_with(why), "{case}: {notes:?}");
+        assert_eq!(store.quarantined(), 1, "{case}");
+        let live: BTreeSet<String> = ["Colors", "Shapes"].map(String::from).into();
+        assert_eq!(parsed_live(&warm), live, "{case}");
+        assert_eq!(comparable(&warm).0, comparable(&cold).0, "{case}");
+
+        let again = compile(&defs, Some(&shared), &options);
+        let stats = again.incr.expect("incremental was active");
+        assert_eq!(
+            (stats.interfaces, stats.interfaces_spliced),
+            (3, 3),
+            "{case}"
+        );
+        assert!(parsed_live(&again).is_empty(), "{case}");
+        assert_eq!(comparable(&again), comparable(&cold), "{case}");
+    }
 }
