@@ -29,7 +29,8 @@ echo "== cargo test (workspace) =="
 #   incremental, properties   a warm compile is invisible: same bytes as
 #                             cold, only the touched stream recompiles
 #   ccm2-serve soak, stress,  every request answered under a tight queue
-#   restart                   and store budget (shed ones by retry), dedup
+#   restart                   and store budget (a shed one by the caller's
+#                             resubmission in its next wave), dedup
 #                             above its floor, eviction-pressure bytes
 #                             equal to direct compiles, kill/restart from
 #                             the snapshot journal with torn images
@@ -118,6 +119,16 @@ race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
 race --test diagnostics -- mutated_declarations mutated_bodies output_pin
 race --test incremental -- interface_edit_differential
+
+echo "== examples, optimized, with README's arguments =="
+# Each example asserts its own result (a clean compile, a VM run's
+# answer, one image under every DKY strategy), so running one is a
+# test: a failed assertion exits non-zero and fails here.
+for example in quickstart run_program modules "watchtool 25" "speedup synth" "dky_strategies 28"; do
+  # The name and its arguments split on purpose.
+  # shellcheck disable=SC2086
+  cargo run -q --release --example $example > /dev/null
+done
 
 echo "== benchmark package: builds, lints, tests, exact counters repeat =="
 # perf/ is a workspace of its own, so the steps above never compile it:

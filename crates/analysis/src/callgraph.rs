@@ -74,15 +74,4 @@ impl UnitSummary {
             ..UnitSummary::default()
         }
     }
-
-    /// Shifts every recorded span by `delta` (used by the incremental
-    /// cache to rebase carve-relative spans at splice time).
-    pub fn shift_spans(&mut self, delta: u32) {
-        for a in &mut self.acquires {
-            a.span = Span::new(a.span.lo + delta, a.span.hi + delta);
-        }
-        for c in &mut self.calls {
-            c.span = Span::new(c.span.lo + delta, c.span.hi + delta);
-        }
-    }
 }

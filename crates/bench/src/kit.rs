@@ -128,8 +128,10 @@ impl Serves for FabricClient {
 }
 
 /// Serves `reqs` through `server` with the client back-off protocol:
-/// what a wave sheds goes into the next. Every request must come back
-/// within `1 + reqs.len()` waves (the hang guard), clean, and with the
+/// what a wave sheds goes into the next. These waves are the drills'
+/// retry loop: a service answers a shed once, at once (a
+/// [`FabricClient`] also retries inside a wave). Every request must come
+/// back within `1 + reqs.len()` waves (the hang guard), clean, and with the
 /// oracle's bytes. Returns the number of waves and what was observed,
 /// in request order.
 pub fn drive(

@@ -23,7 +23,6 @@ pub fn serve() -> String {
             queue_capacity: 16,
             store_budget: 8 * 1024,
             paused: false,
-            ..ServeConfig::default()
         },
     )
 }
@@ -113,7 +112,6 @@ mod tests {
                 queue_capacity: 8,
                 store_budget: 8 * 1024,
                 paused: false,
-                ..ServeConfig::default()
             },
         );
         assert!(report.contains("Optimistic  x threads(2) : identical"));

@@ -120,11 +120,6 @@ impl Merger {
         self.globals.lock().insert(module, slots);
     }
 
-    /// Number of units received so far.
-    pub fn unit_count(&self) -> usize {
-        self.units.lock().len()
-    }
-
     /// Produces the canonical module image. Sort keys are resolved name
     /// strings: symbol indices depend on interning order, which differs
     /// between runs (and between a warm cache run and a cold one), while

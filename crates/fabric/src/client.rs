@@ -10,10 +10,11 @@
 //! route and dispatch. It only needs a live one, and the rotation plus
 //! the [`FabricRouter::is_shutdown`] check find it.
 //!
-//! The retry loop is the fleet-level mirror of the admission-retry
-//! budget inside one service (`ccm2_serve::CompileService::serve_batch`):
-//! bounded attempts, hint-driven back-off, and an honest
-//! [`FabricResponse::Retry`] when the budget is gone.
+//! This is the fleet's one retry loop: a shard answers a shed once, at
+//! once, with a [`FabricResponse::Retry`] and its hint, and nothing
+//! between the shard and this loop resubmits. The loop makes
+//! [`CLIENT_MAX_ATTEMPTS`] attempts with hint-driven back-off, then
+//! returns an honest [`FabricResponse::Retry`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -53,7 +54,6 @@ pub struct ClientRetryStats {
 pub struct FabricClient {
     routers: Vec<Arc<FabricRouter>>,
     preferred: AtomicUsize,
-    max_attempts: u32,
     stats: Mutex<ClientRetryStats>,
 }
 
@@ -64,15 +64,8 @@ impl FabricClient {
         FabricClient {
             routers,
             preferred: AtomicUsize::new(0),
-            max_attempts: CLIENT_MAX_ATTEMPTS,
             stats: Mutex::new(ClientRetryStats::default()),
         }
-    }
-
-    /// Overrides the attempt budget (clamped to at least 1).
-    pub fn with_max_attempts(mut self, attempts: u32) -> FabricClient {
-        self.max_attempts = attempts.max(1);
-        self
     }
 
     /// Client counters.
@@ -120,7 +113,7 @@ impl FabricClient {
         let mut last = FabricResponse::Retry {
             after_ms: crate::router::DEFAULT_RETRY_AFTER_MS,
         };
-        for attempt in 0..self.max_attempts {
+        for attempt in 0..CLIENT_MAX_ATTEMPTS {
             let i = self.pick();
             match self.routers[i].serve(req) {
                 FabricResponse::Done(out) => {
@@ -131,7 +124,7 @@ impl FabricClient {
                     self.stats.lock().retries += 1;
                     last = FabricResponse::Retry { after_ms };
                     self.rotate_from(i);
-                    if attempt + 1 < self.max_attempts {
+                    if attempt + 1 < CLIENT_MAX_ATTEMPTS {
                         let sleep = after_ms.min(CLIENT_MAX_SLEEP_MS);
                         self.stats.lock().hint_ms_honored += sleep;
                         if sleep > 0 {

@@ -660,11 +660,11 @@ mod tests {
         let router = Arc::new(FabricRouter::new(
             Arc::clone(&transport) as Arc<dyn Transport>
         ));
-        let client = FabricClient::new(vec![router]).with_max_attempts(2);
+        let client = FabricClient::new(vec![router]);
         let resp = client.serve(&request(1, "Nobody"));
         assert!(matches!(resp, FabricResponse::Retry { after_ms } if after_ms >= 1));
         let stats = client.stats();
-        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.retries, u64::from(CLIENT_MAX_ATTEMPTS));
         assert_eq!(stats.exhausted, 1);
         assert_eq!(stats.served, 0);
     }

@@ -139,7 +139,7 @@ pub enum FabricResponse {
     /// Served (possibly by a survivor after failover, possibly joined
     /// onto an identical in-flight request).
     Done(WireOutcome),
-    /// Shed — queue full, over quota, no live shards, or a conduit too
+    /// Shed — queue full, no live shards, or a conduit too
     /// damaged to trust. Back off for roughly `after_ms` and resubmit;
     /// the hint scales with the owning shard's queue depth, so a
     /// loaded fleet tells its clients to slow down instead of having
@@ -170,7 +170,7 @@ pub struct FabricStats {
     pub joined: u64,
     /// Compile frames actually sent.
     pub routed_calls: u64,
-    /// Admission rejections relayed from shards (queue full / quota).
+    /// Admission rejections relayed from shards (queue full).
     pub rejected: u64,
     /// Responses that failed frame validation, or shard-side reports of
     /// a damaged request frame; retried against the same shard.

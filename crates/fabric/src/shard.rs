@@ -95,7 +95,7 @@ pub struct ReplicaLog {
 pub struct ShardStats {
     /// Compile frames answered with an outcome.
     pub compiles: u64,
-    /// Compile frames rejected at admission (queue full / over quota).
+    /// Compile frames rejected at admission (queue full).
     pub rejects: u64,
     /// Frames (or delta batches) that failed checksum/format validation.
     pub bad_frames: u64,
@@ -360,31 +360,27 @@ impl ShardNode {
         })
     }
 
+    /// Submits once. A shed is answered at once with the service's hint;
+    /// the caller that was shed owns the retry.
     fn compile(&self, wire_req: crate::wire::WireRequest) -> Message {
-        let req = wire_req.into_request();
-        // Through the batch path (not bare submit): shard-side
-        // admission retries draw from the configured budget.
-        let answer = self.svc.serve_batch(vec![req]).pop();
-        match answer.expect("a one-request batch answers once") {
-            ccm2_serve::Response::Done(out) => {
-                // Read after the compile's inserts and under the lock a
-                // sync moves the cursor under: a delta this answer does
-                // not count was shipped, or a later answer counts it.
-                let mut state = self.state.lock();
-                state.stats.compiles += 1;
-                let edge = self.svc.store().delta_seq();
-                Message::Outcome {
-                    outcome: WireOutcome::from_outcome(&out),
-                    unshipped: edge.saturating_sub(state.ship_cursor),
-                }
-            }
-            ccm2_serve::Response::Retry => {
-                self.state.lock().stats.rejects += 1;
-                Message::Reject {
-                    reason: "not admitted: queue full or over quota".into(),
-                    retry_after_ms: self.svc.shed_hint_ms(),
-                }
-            }
+        let submission = self.svc.submit(wire_req.into_request());
+        let Some(ticket) = submission.ticket() else {
+            self.state.lock().stats.rejects += 1;
+            return Message::Reject {
+                reason: "not admitted: queue full".into(),
+                retry_after_ms: self.svc.shed_hint_ms(),
+            };
+        };
+        let out = ticket.wait();
+        // Read after the compile's inserts and under the lock a sync
+        // moves the cursor under: a delta this answer does not count was
+        // shipped, or a later answer counts it.
+        let mut state = self.state.lock();
+        state.stats.compiles += 1;
+        let edge = self.svc.store().delta_seq();
+        Message::Outcome {
+            outcome: WireOutcome::from_outcome(&out),
+            unshipped: edge.saturating_sub(state.ship_cursor),
         }
     }
 
@@ -818,6 +814,41 @@ mod tests {
             reply(&twice, &frame);
             assert_eq!(state(&twice), state(&once), "{row}");
         }
+    }
+
+    /// A shed is answered once: one submission, one `Reject` carrying the
+    /// service's hint, no resubmission on the shard.
+    #[test]
+    fn a_shed_compile_is_rejected_once_with_the_service_hint() {
+        let node = ShardNode::start(
+            1,
+            ServeConfig {
+                queue_capacity: 1,
+                paused: true,
+                ..tiny_config()
+            },
+        );
+        let svc = node.service();
+        assert!(matches!(
+            svc.submit(module(1, "Queued")),
+            ccm2_serve::Submission::Queued(_)
+        ));
+        let before = svc.stats();
+        let frame = encode_frame(&Message::Compile(crate::wire::WireRequest::from_request(
+            &module(2, "Shed"),
+        )));
+        let Message::Reject { retry_after_ms, .. } = reply(&node, &frame) else {
+            panic!("a full queue must reject");
+        };
+        assert_eq!(retry_after_ms, svc.shed_hint_ms());
+        let after = svc.stats();
+        assert_eq!(
+            (after.submitted - before.submitted, after.shed - before.shed),
+            (1, 1),
+            "the shard resubmitted a shed request"
+        );
+        assert_eq!(node.stats().rejects, 1);
+        svc.resume();
     }
 
     #[test]

@@ -77,11 +77,11 @@ pub const FRAME_OVERHEAD: usize = OVERHEAD + 4;
 
 /// A compile request in wire form: everything
 /// [`CompileRequest::fingerprint`] covers except the fault plan (see
-/// the module docs), plus the client id for shard-side quota
-/// accounting.
+/// the module docs), plus the client id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireRequest {
-    /// Opaque client identifier (quota accounting on the shard).
+    /// Opaque client identifier (reporting only; it is not part of the
+    /// fingerprint and no shard decision reads it).
     pub client: u64,
     /// Module name (reporting only).
     pub module: String,
@@ -198,9 +198,10 @@ pub enum Message {
         /// change a client-visible answer.
         unshipped: u64,
     },
-    /// Shard → router: the request was not admitted (queue full /
-    /// over quota). The router backs off and resubmits — same protocol
-    /// as [`ccm2_serve::Response::Retry`], with the reason attached for
+    /// Shard → router: the request was not admitted (queue full). The
+    /// router relays it as a `Retry` and the caller that was shed backs
+    /// off and resubmits — same protocol as
+    /// [`ccm2_serve::Response::Retry`], with the reason attached for
     /// the stats log and a `Retry-After`-style hint (milliseconds the
     /// shard suggests waiting before resubmitting, from its queue
     /// pressure; `0` = no hint).

@@ -365,22 +365,6 @@ impl<'a> DefLoader<'a> {
     }
 }
 
-/// Compiles and disassembles in one step (used by examples and tools).
-///
-/// # Errors
-///
-/// Returns the diagnostics if compilation failed.
-pub fn compile_listing(
-    main_source: &str,
-    defs: &dyn DefProvider,
-) -> Result<String, Vec<Diagnostic>> {
-    let out = compile(main_source, defs);
-    match (&out.image, out.is_ok()) {
-        (Some(img), true) => Ok(img.disassemble(&out.interner)),
-        _ => Err(out.diagnostics),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

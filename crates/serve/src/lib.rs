@@ -70,7 +70,7 @@ pub mod store;
 
 pub use delta::{DeltaJournal, DeltaReplay};
 pub use request::{CompileOutcome, CompileRequest, ExecChoice, Response};
-pub use service::{ClientStats, CompileService, ServeConfig, ServiceStats, Submission, Ticket};
+pub use service::{CompileService, ServeConfig, ServiceStats, Submission, Ticket};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, SnapshotImage, SnapshotStore, SNAPSHOT_FORMAT,
 };

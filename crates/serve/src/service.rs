@@ -9,8 +9,8 @@
 //!    flight has *landed* — the service answered this very request
 //!    before and the answer is still inside the landed budget? The
 //!    caller gets a ticket born fulfilled, holding that answer: no
-//!    queue slot, no worker, no wake-up, no quota charge, on the
-//!    submitter's own thread, and it works while the service is paused.
+//!    queue slot, no worker, no wake-up, on the submitter's own
+//!    thread, and it works while the service is paused.
 //!    The object image is a pure function of the request (the late
 //!    merge, paper §2.1/§3 — the byte-identity contract every gate
 //!    enforces), so an answer, once made, is *the* answer.
@@ -21,8 +21,10 @@
 //!    hold and both return [`Submission::Joined`].
 //! 2. Otherwise the bounded queue admits it, or — when full — the
 //!    service *sheds* it with [`Submission::Shed`] so load never grows
-//!    an unbounded backlog. Shedding is the client's signal to back off
-//!    and resubmit.
+//!    an unbounded backlog. A shed is answered once, at once: the
+//!    service never resubmits on its own. The caller that was shed owns
+//!    the retry — back off (see [`CompileService::shed_hint_ms`]) and
+//!    resubmit.
 //! 3. A worker pops the request (still listed flying, so latecomers
 //!    keep joining during the compile), runs
 //!    [`ccm2::compile_concurrent`] against the shared artifact store,
@@ -87,33 +89,6 @@ pub struct ServeConfig {
     pub store_budget: u64,
     /// Start with the workers paused (deterministic tests).
     pub paused: bool,
-    /// Per-request deadline for [`serve_batch`](CompileService::serve_batch):
-    /// a ticket not fulfilled within this many milliseconds yields a
-    /// synthesized stalled outcome instead of blocking forever.
-    pub request_deadline_ms: Option<u64>,
-    /// First backoff delay after a shed submission, doubled per attempt.
-    pub retry_backoff_base_ms: u64,
-    /// Ceiling for the exponential backoff delay.
-    pub retry_backoff_cap_ms: u64,
-    /// Resubmission attempts for a shed request before giving up with
-    /// [`Response::Retry`]. Defaults to 3 — a briefly full queue is the
-    /// common case and a couple of backoffs almost always clear it. Set
-    /// 0 to opt out: every shed submission then surfaces immediately as
-    /// [`Response::Retry`] and the caller owns the retry policy.
-    /// Deadline-aware: a request whose
-    /// [`request_deadline_ms`](ServeConfig::request_deadline_ms) has
-    /// already expired consumes none of these attempts — it sheds
-    /// immediately instead of sleeping through backoffs it cannot use.
-    pub retry_attempts: u32,
-    /// Per-client admission quota: the maximum *outstanding* admitted
-    /// requests (queued or compiling) any one client may hold. A client
-    /// at its quota has further distinct requests shed with
-    /// [`Submission::OverQuota`] until one of its compiles lands —
-    /// back-pressure, not denial. Joining a flight, in the air or landed,
-    /// is exempt (a join consumes no queue slot and no worker), so
-    /// under-quota clients are never displaced by a flooding one. `None`
-    /// disables the quota.
-    pub per_client_quota: Option<u32>,
 }
 
 impl Default for ServeConfig {
@@ -123,14 +98,15 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             store_budget: 8 * 1024 * 1024,
             paused: false,
-            request_deadline_ms: None,
-            retry_backoff_base_ms: 1,
-            retry_backoff_cap_ms: 64,
-            retry_attempts: 3,
-            per_client_quota: None,
         }
     }
 }
+
+/// What [`CompileService::shed_hint_ms`] hints per request ahead in the
+/// queue, and for an empty one.
+const SHED_HINT_BASE_MS: u64 = 1;
+/// The longest [`CompileService::shed_hint_ms`] hints.
+const SHED_HINT_CAP_MS: u64 = 64;
 
 /// Lifetime counters for a [`CompileService`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -148,10 +124,11 @@ pub struct ServiceStats {
     pub replayed: u64,
     /// Requests shed because the queue was full.
     pub shed: u64,
-    /// Requests shed because the client was at its admission quota.
+    /// Always 0 (the service has no per-client quota); kept because the
+    /// benchmark package reads it.
     pub quota_shed: u64,
-    /// Shed requests whose batch deadline had already expired when a
-    /// retry would have run: they consumed no retry attempts.
+    /// Always 0 (the service has no batch deadline); kept because the
+    /// benchmark package reads it.
     pub deadline_shed: u64,
     /// Compiles actually run (the single-flight invariant:
     /// `compiled == accepted` once the queue drains, regardless of how
@@ -162,8 +139,7 @@ pub struct ServiceStats {
     /// Compiles that finished with at least one stream degraded to an
     /// error unit (caught task fault).
     pub degraded: u64,
-    /// Compiles with a watchdog stall diagnosis, plus batch requests
-    /// that missed their service deadline.
+    /// Compiles with a watchdog stall diagnosis.
     pub stalled: u64,
     /// Artifact-store entries quarantined after validation failures
     /// (mirrors the shared store's counter).
@@ -181,27 +157,6 @@ impl ServiceStats {
             self.joined as f64 / served as f64
         }
     }
-}
-
-/// Per-client admission counters ([`CompileService::client_stats`]) —
-/// the observability groundwork for the ROADMAP's fairness/quota item:
-/// a quota policy needs to know who is consuming queue slots and who is
-/// being shed before it can act on it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Requests this client submitted.
-    pub submitted: u64,
-    /// Requests admitted to the queue for this client.
-    pub admitted: u64,
-    /// Requests answered by an identical request's compile, in flight
-    /// or landed (see [`ServiceStats::joined`]).
-    pub joined: u64,
-    /// Requests shed at admission (queue full).
-    pub shed: u64,
-    /// Requests shed because this client was at its admission quota.
-    pub quota_shed: u64,
-    /// Admitted requests currently outstanding (queued or compiling).
-    pub outstanding: u32,
 }
 
 /// A claim on a future [`CompileOutcome`].
@@ -243,24 +198,6 @@ impl Ticket {
     pub fn try_get(&self) -> Option<Arc<CompileOutcome>> {
         self.shared.slot.lock().clone()
     }
-
-    /// Blocks until the outcome lands or `deadline` elapses.
-    pub fn wait_deadline(&self, deadline: std::time::Duration) -> Option<Arc<CompileOutcome>> {
-        let limit = std::time::Instant::now() + deadline;
-        let mut slot = self.shared.slot.lock();
-        while slot.is_none() {
-            let now = std::time::Instant::now();
-            if now >= limit {
-                return None;
-            }
-            if self.shared.done.wait_for(&mut slot, limit - now) && slot.is_none() {
-                return None;
-            }
-        }
-        Some(Arc::clone(
-            slot.as_ref().expect("loop exits only when filled"),
-        ))
-    }
 }
 
 /// What [`CompileService::submit`] did with a request.
@@ -274,10 +211,6 @@ pub enum Submission {
     Joined(Ticket),
     /// Shed: the queue was full. Back off and resubmit.
     Shed,
-    /// Shed: this client is at its
-    /// [`per_client_quota`](ServeConfig::per_client_quota). Back off
-    /// until one of the client's outstanding compiles lands.
-    OverQuota,
 }
 
 impl Submission {
@@ -285,14 +218,13 @@ impl Submission {
     pub fn ticket(&self) -> Option<&Ticket> {
         match self {
             Submission::Queued(t) | Submission::Joined(t) => Some(t),
-            Submission::Shed | Submission::OverQuota => None,
+            Submission::Shed => None,
         }
     }
 
-    /// Whether the request was shed at admission (queue full or client
-    /// over quota) — in both cases the remedy is back off and resubmit.
+    /// Whether the request was shed at admission.
     pub fn is_shed(&self) -> bool {
-        matches!(self, Submission::Shed | Submission::OverQuota)
+        matches!(self, Submission::Shed)
     }
 }
 
@@ -303,8 +235,6 @@ enum Flight {
         /// Shared with the worker that compiles it, so nobody copies
         /// the source text under the state lock.
         req: Arc<CompileRequest>,
-        /// The admitting client — the one whose quota this compile holds.
-        leader: u64,
         tickets: Vec<Arc<TicketShared>>,
     },
     /// Answered and inside the landed budget: a duplicate gets the answer.
@@ -328,8 +258,6 @@ struct State {
     paused: bool,
     shutdown: bool,
     stats: ServiceStats,
-    /// Admission counters per client id (BTreeMap for sorted readout).
-    client_stats: std::collections::BTreeMap<u64, ClientStats>,
 }
 
 struct Shared {
@@ -365,7 +293,6 @@ impl CompileService {
                 paused: config.paused,
                 shutdown: false,
                 stats: ServiceStats::default(),
-                client_stats: std::collections::BTreeMap::new(),
             }),
             work: Condvar::new(),
             store,
@@ -408,43 +335,26 @@ impl CompileService {
     }
 
     /// A `Retry-After`-style hint in milliseconds: how long a shed
-    /// client should wait before resubmitting, derived from the live
-    /// queue depth scaled by the backoff base and capped at the backoff
-    /// cap. An empty queue still hints one base period (the shed was
-    /// momentary — quota, or a queue that just drained). The fabric
-    /// carries this on `Reject` frames and the fabric client's retry
-    /// loop honors it.
+    /// client should wait before resubmitting — one millisecond per
+    /// request queued, plus one, capped at 64. An empty queue still
+    /// hints one millisecond (the shed was momentary: the queue just
+    /// drained). The fabric carries this on `Reject` frames and the
+    /// fabric client's retry loop honors it.
     pub fn shed_hint_ms(&self) -> u64 {
-        let cfg = &self.shared.config;
         let depth = self.shared.state.lock().queue.len() as u64;
-        cfg.retry_backoff_base_ms
-            .max(1)
+        SHED_HINT_BASE_MS
             .saturating_mul(depth + 1)
-            .min(cfg.retry_backoff_cap_ms.max(1))
-    }
-
-    /// Per-client admission counters, sorted by client id.
-    pub fn client_stats(&self) -> Vec<(u64, ClientStats)> {
-        let state = self.shared.state.lock();
-        state
-            .client_stats
-            .iter()
-            .map(|(id, cs)| (*id, *cs))
-            .collect()
+            .min(SHED_HINT_CAP_MS)
     }
 
     /// Submits one request; never blocks on compilation.
     pub fn submit(&self, req: CompileRequest) -> Submission {
         let fp = req.fingerprint();
-        let client = req.client;
         let mut guard = self.shared.state.lock();
         let state = &mut *guard;
         state.stats.submitted += 1;
-        let cs = state.client_stats.entry(client).or_default();
-        cs.submitted += 1;
         if let Some(flight) = state.flights.get_mut(&fp) {
             state.stats.joined += 1;
-            cs.joined += 1;
             let outcome = match flight {
                 Flight::Flying { tickets, .. } => {
                     let ticket = Ticket::new();
@@ -458,25 +368,15 @@ impl CompileService {
             drop(guard);
             return Submission::Joined(Ticket::holding(Some(outcome)));
         }
-        let quota = self.shared.config.per_client_quota;
-        if quota.is_some_and(|quota| cs.outstanding >= quota) {
-            state.stats.quota_shed += 1;
-            cs.quota_shed += 1;
-            return Submission::OverQuota;
-        }
         if state.queue.len() >= self.shared.queue_capacity {
             state.stats.shed += 1;
-            cs.shed += 1;
             return Submission::Shed;
         }
-        cs.admitted += 1;
-        cs.outstanding += 1;
         let ticket = Ticket::new();
         state.flights.insert(
             fp,
             Flight::Flying {
                 req: Arc::new(req),
-                leader: client,
                 tickets: vec![Arc::clone(&ticket.shared)],
             },
         );
@@ -488,68 +388,15 @@ impl CompileService {
     }
 
     /// Submits a whole batch first (maximizing single-flight overlap),
-    /// then waits for every non-shed outcome. Shed requests are
-    /// resubmitted under capped exponential backoff
-    /// ([`ServeConfig::retry_attempts`]); ones still shed after the last
-    /// attempt come back as [`Response::Retry`] in their original
-    /// positions. With a [`ServeConfig::request_deadline_ms`], a ticket
-    /// that does not land in time yields a synthesized stalled outcome
-    /// instead of blocking the batch forever.
+    /// then waits for each ticket. A shed request comes back at once as
+    /// [`Response::Retry`] in its position: resubmitting it is the
+    /// caller's business.
     pub fn serve_batch(&self, requests: Vec<CompileRequest>) -> Vec<Response> {
-        let cfg = self.shared.config;
-        // The deadline is measured from batch admission, so time burned
-        // in backoff retries is charged against it.
-        let deadline_at = cfg
-            .request_deadline_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        let mut submissions: Vec<Submission> =
-            requests.iter().map(|r| self.submit(r.clone())).collect();
-        for (sub, req) in submissions.iter_mut().zip(&requests) {
-            if !sub.is_shed() {
-                continue;
-            }
-            for attempt in 0..cfg.retry_attempts {
-                // Deadline-aware budget: an expired request sheds
-                // immediately instead of drawing attempts (and backoff
-                // sleeps) it can no longer use.
-                if deadline_at.is_some_and(|d| std::time::Instant::now() >= d) {
-                    self.shared.state.lock().stats.deadline_shed += 1;
-                    break;
-                }
-                // Exponential backoff, floored by the live queue-depth
-                // hint: when the queue is deep, early attempts wait as
-                // long as the shed hint tells external clients to.
-                let delay = cfg
-                    .retry_backoff_base_ms
-                    .checked_shl(attempt.min(16))
-                    .unwrap_or(u64::MAX)
-                    .max(self.shed_hint_ms())
-                    .min(cfg.retry_backoff_cap_ms);
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-                let again = self.submit(req.clone());
-                if !again.is_shed() {
-                    *sub = again;
-                    break;
-                }
-            }
-        }
+        let submissions: Vec<Submission> = requests.into_iter().map(|r| self.submit(r)).collect();
         submissions
             .iter()
-            .zip(&requests)
-            .map(|(s, req)| match s.ticket() {
-                Some(t) => match (deadline_at, cfg.request_deadline_ms) {
-                    (Some(d), Some(ms)) => {
-                        let remaining = d.saturating_duration_since(std::time::Instant::now());
-                        match t.wait_deadline(remaining) {
-                            Some(out) => Response::Done(out),
-                            None => {
-                                self.shared.state.lock().stats.stalled += 1;
-                                Response::Done(Arc::new(deadline_outcome(req, ms)))
-                            }
-                        }
-                    }
-                    _ => Response::Done(t.wait()),
-                },
+            .map(|s| match s.ticket() {
+                Some(t) => Response::Done(t.wait()),
                 None => Response::Retry,
             })
             .collect()
@@ -654,14 +501,9 @@ fn worker_loop(shared: &Shared) {
             } else {
                 state.flights.remove(&fp)
             };
-            let Some(Flight::Flying {
-                leader, tickets, ..
-            }) = flown
-            else {
+            let Some(Flight::Flying { tickets, .. }) = flown else {
                 unreachable!("a flight is landed exactly once, by the worker that flew it");
             };
-            let cs = state.client_stats.entry(leader).or_default();
-            cs.outstanding = cs.outstanding.saturating_sub(1);
             tickets
         };
         for ticket in tickets {
@@ -703,24 +545,6 @@ fn run_one(fp: Fp128, req: &CompileRequest, store: Arc<dyn ArtifactStore>) -> Co
         streams: out.streams,
         degraded,
         stalled,
-    }
-}
-
-fn deadline_outcome(req: &CompileRequest, ms: u64) -> CompileOutcome {
-    CompileOutcome {
-        request_fp: req.fingerprint(),
-        ok: false,
-        object: None,
-        diagnostics: vec![format!(
-            "request for `{}` exceeded the {ms}ms service deadline",
-            req.module
-        )],
-        incr: None,
-        virtual_cost: None,
-        wall_micros: 0,
-        streams: 0,
-        degraded: false,
-        stalled: true,
     }
 }
 
@@ -829,9 +653,6 @@ mod tests {
         let svc = CompileService::start(ServeConfig {
             paused: true,
             queue_capacity: 2,
-            // Opt out of automatic resubmission: this test asserts the
-            // raw shed surfaces as Response::Retry in its position.
-            retry_attempts: 0,
             ..ServeConfig::default()
         });
         let batch = vec![
@@ -856,7 +677,9 @@ mod tests {
         assert!(matches!(responses[1], Response::Done(_)));
         assert!(matches!(responses[2], Response::Retry));
         assert!(matches!(responses[3], Response::Done(_)));
-        assert_eq!(svc.stats().compiled, 2);
+        let stats = svc.stats();
+        assert_eq!(stats.compiled, 2);
+        assert_eq!(stats.shed, 1, "a shed is answered once, never resubmitted");
     }
 
     #[test]
@@ -880,167 +703,25 @@ mod tests {
         assert!(t2.wait().ok);
     }
 
-    #[test]
-    fn missed_request_deadline_yields_stalled_outcome() {
-        let svc = CompileService::start(ServeConfig {
-            paused: true, // never resumed during the batch: guaranteed miss
-            request_deadline_ms: Some(20),
-            ..ServeConfig::default()
-        });
-        let responses = svc.serve_batch(vec![req(1, "Late", "BEGIN")]);
-        let out = responses[0].outcome().expect("synthesized outcome");
-        assert!(!out.ok);
-        assert!(out.stalled);
-        assert!(
-            out.diagnostics[0].contains("service deadline"),
-            "{:?}",
-            out.diagnostics
-        );
-        assert_eq!(svc.stats().stalled, 1);
-    }
-
-    #[test]
-    fn shed_requests_are_retried_with_backoff() {
-        let svc = Arc::new(CompileService::start(ServeConfig {
-            paused: true,
-            queue_capacity: 1,
-            workers: 1,
-            retry_attempts: 12,
-            retry_backoff_base_ms: 1,
-            retry_backoff_cap_ms: 16,
-            ..ServeConfig::default()
-        }));
-        let resumer = {
-            let svc = Arc::clone(&svc);
-            std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-                svc.resume();
-            })
-        };
-        // Capacity 1 with paused workers: the second and third distinct
-        // requests shed at first submission and only land via backoff
-        // retries once the worker starts draining.
-        let responses = svc.serve_batch(vec![
-            req(1, "BackA", "BEGIN"),
-            req(2, "BackB", "BEGIN"),
-            req(3, "BackC", "BEGIN"),
-        ]);
-        resumer.join().expect("resumer");
-        assert!(
-            responses.iter().all(|r| r.outcome().is_some()),
-            "backoff retries landed every shed request"
-        );
-        assert!(svc.stats().shed >= 2, "initial submissions were shed");
-    }
-
+    /// One millisecond per queued request plus one, capped at 64 — at
+    /// every depth a default service's queue can reach.
     #[test]
     fn shed_hint_scales_with_queue_depth_and_caps() {
         let svc = CompileService::start(ServeConfig {
             paused: true,
-            workers: 1,
-            queue_capacity: 8,
-            retry_backoff_base_ms: 2,
-            retry_backoff_cap_ms: 10,
             ..ServeConfig::default()
         });
-        assert_eq!(svc.queue_len(), 0);
-        assert_eq!(svc.shed_hint_ms(), 2, "empty queue hints one base");
-        for i in 0..3 {
-            assert!(matches!(
-                svc.submit(req(1, &format!("Hint{i}"), "BEGIN")),
-                Submission::Queued(_)
-            ));
-        }
-        assert_eq!(svc.queue_len(), 3);
-        assert_eq!(svc.shed_hint_ms(), 8, "base * (depth + 1)");
-        for i in 3..8 {
-            svc.submit(req(1, &format!("Hint{i}"), "BEGIN"));
-        }
-        assert_eq!(svc.shed_hint_ms(), 10, "capped at retry_backoff_cap_ms");
-        svc.resume();
-    }
-
-    #[test]
-    fn per_client_quota_sheds_flooder_but_not_joins() {
-        let svc = CompileService::start(ServeConfig {
-            paused: true,
-            per_client_quota: Some(2),
-            ..ServeConfig::default()
-        });
-        // Client 1 floods four distinct requests: two admitted, two
-        // shed over quota.
-        let subs: Vec<Submission> = (0..4)
-            .map(|i| svc.submit(req(1, &format!("Q{i}"), "BEGIN")))
-            .collect();
-        assert!(matches!(subs[0], Submission::Queued(_)));
-        assert!(matches!(subs[1], Submission::Queued(_)));
-        assert!(matches!(subs[2], Submission::OverQuota));
-        assert!(matches!(subs[3], Submission::OverQuota));
-        assert!(subs[2].is_shed() && subs[2].ticket().is_none());
-        // Joining an in-flight compile is exempt: it costs no slot.
-        assert!(matches!(
-            svc.submit(req(1, "Q0", "BEGIN")),
-            Submission::Joined(_)
-        ));
-        // A different client is unaffected by the flooder's quota.
-        assert!(matches!(
-            svc.submit(req(2, "R", "BEGIN")),
-            Submission::Queued(_)
-        ));
-        let stats = svc.stats();
-        assert_eq!(stats.quota_shed, 2);
-        assert_eq!(stats.shed, 0, "queue-full and quota sheds are distinct");
-        let cs: std::collections::HashMap<u64, ClientStats> =
-            svc.client_stats().into_iter().collect();
-        assert_eq!(cs[&1].quota_shed, 2);
-        assert_eq!(cs[&1].outstanding, 2);
-        assert_eq!(cs[&2].quota_shed, 0);
-        // Quota is back-pressure, not denial: once the outstanding
-        // compiles land, the client may admit again.
-        svc.resume();
-        for s in &subs {
-            if let Some(t) = s.ticket() {
-                t.wait();
+        let capacity = svc.config().queue_capacity;
+        assert_eq!(capacity, 64);
+        for depth in 0..=capacity {
+            assert_eq!(svc.queue_len(), depth);
+            let hint = (depth as u64 + 1).min(64);
+            assert_eq!(svc.shed_hint_ms(), hint, "depth {depth}");
+            if depth < capacity {
+                let sub = svc.submit(req(1, &format!("Hint{depth}"), "BEGIN"));
+                assert!(matches!(sub, Submission::Queued(_)));
             }
         }
-        let again = svc.submit(req(1, "Q9", "BEGIN"));
-        assert!(matches!(again, Submission::Queued(_)));
-        again.ticket().expect("admitted").wait();
-        let cs: std::collections::HashMap<u64, ClientStats> =
-            svc.client_stats().into_iter().collect();
-        assert_eq!(cs[&1].outstanding, 0, "fulfillment releases the quota");
-    }
-
-    #[test]
-    fn expired_deadline_consumes_no_retry_attempts() {
-        // Paused workers, capacity 1: the second request sheds. With a
-        // 1ms deadline and 50ms backoff steps, a deadline-unaware retry
-        // loop would sleep ~500ms; the deadline-aware one must return
-        // almost immediately, charging zero attempts.
-        let svc = CompileService::start(ServeConfig {
-            paused: true,
-            workers: 1,
-            queue_capacity: 1,
-            request_deadline_ms: Some(1),
-            retry_attempts: 10,
-            retry_backoff_base_ms: 50,
-            retry_backoff_cap_ms: 50,
-            ..ServeConfig::default()
-        });
-        let started = std::time::Instant::now();
-        let responses = svc.serve_batch(vec![req(1, "DlA", "BEGIN"), req(2, "DlB", "BEGIN")]);
-        let elapsed = started.elapsed();
-        // First request was admitted but the paused worker missed the
-        // deadline; second was shed and its expired deadline short-
-        // circuited the retry budget.
-        let out = responses[0].outcome().expect("synthesized outcome");
-        assert!(out.stalled && !out.ok);
-        assert!(matches!(responses[1], Response::Retry));
-        assert!(
-            elapsed < std::time::Duration::from_millis(200),
-            "retry backoff ran despite expired deadline ({elapsed:?})"
-        );
-        assert!(svc.stats().deadline_shed >= 1);
         svc.resume();
     }
 
@@ -1090,7 +771,6 @@ mod tests {
         /// Found the flight landed: born fulfilled, the very allocation
         /// this request was last answered with.
         Landed,
-        OverQuota,
     }
 
     enum Step {
@@ -1159,11 +839,10 @@ mod tests {
                         Submission::Queued(_) => Sub::Queued,
                         Submission::Joined(t) if t.try_get().is_some() => Sub::Landed,
                         Submission::Joined(_) => Sub::Flying,
-                        Submission::OverQuota => Sub::OverQuota,
                         Submission::Shed => panic!("{name}: step {at} shed"),
                     };
                     assert_eq!(got, *want, "{name}: step {at}");
-                    let Some(ticket) = sub.ticket() else { continue };
+                    let ticket = sub.ticket().expect("not shed");
                     match got {
                         Sub::Landed => assert!(
                             Arc::ptr_eq(&ticket.wait(), &last[which]),
@@ -1218,7 +897,7 @@ mod tests {
     #[test]
     fn exactly_once_over_time() {
         use Step::{Land, Pause, Resume, Send};
-        use Sub::{Flying, Landed, OverQuota, Queued};
+        use Sub::{Flying, Landed, Queued};
 
         let clean = || req(1, "Tab", WARM);
         let shaped = |shape: fn(&mut CompileRequest)| {
@@ -1317,26 +996,6 @@ mod tests {
                     Send(2, 0, Landed),
                     Send(1, 1, Queued),
                     Send(2, 1, Flying),
-                    Resume,
-                    Land,
-                ],
-                counters: (2, 1),
-            },
-            Row {
-                name: "a landed request is not over quota",
-                answer: ok,
-                config: ServeConfig {
-                    per_client_quota: Some(1),
-                    ..ServeConfig::default()
-                },
-                requests: vec![clean(), req(1, "Other", WARM), req(1, "Third", WARM)],
-                script: vec![
-                    Send(1, 0, Queued),
-                    Land,
-                    Pause,
-                    Send(1, 1, Queued),
-                    Send(1, 2, OverQuota),
-                    Send(1, 0, Landed),
                     Resume,
                     Land,
                 ],

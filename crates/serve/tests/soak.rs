@@ -7,17 +7,8 @@
 use std::sync::Arc;
 
 use ccm2_sema::symtab::DkyStrategy;
-use ccm2_serve::{ClientStats, CompileRequest, CompileService, ExecChoice, Response, ServeConfig};
+use ccm2_serve::{CompileRequest, CompileService, ExecChoice, Response, ServeConfig};
 use ccm2_workload::{serve_load, ServeEvent, ServeLoadParams};
-
-fn named_request(client: u64, name: &str) -> CompileRequest {
-    CompileRequest::new(
-        client,
-        name,
-        format!("MODULE {name}; VAR x: INTEGER; BEGIN x := 1; END {name}."),
-        Arc::new(ccm2_support::defs::DefLibrary::new()),
-    )
-}
 
 fn request(e: &ServeEvent) -> CompileRequest {
     CompileRequest {
@@ -54,7 +45,6 @@ fn seeded_soak_loses_nothing_and_dedupes_above_floor() {
         queue_capacity: 4,
         store_budget: 16 * 1024,
         paused: false,
-        ..ServeConfig::default()
     });
 
     let mut pending: Vec<CompileRequest> = events.iter().map(request).collect();
@@ -102,89 +92,4 @@ fn seeded_soak_loses_nothing_and_dedupes_above_floor() {
         store.peak_bytes <= store.budget,
         "budget exceeded: {store:?}"
     );
-}
-
-/// Quota soak: one flooding client and several polite (under-quota)
-/// clients share a service with `per_client_quota` enforcement. The
-/// flooder must be shed over quota; the polite clients must **never**
-/// be shed — neither over quota nor at the queue (the queue is sized so
-/// only the flooder could have filled it) — and back-pressure must
-/// still drain every flooded request eventually (quota is not denial).
-#[test]
-fn under_quota_clients_are_never_shed_under_flood() {
-    const QUOTA: u32 = 2;
-    const FLOODER: u64 = 99;
-    const POLITE: [u64; 3] = [1, 2, 3];
-    const ROUNDS: usize = 6;
-
-    let svc = CompileService::start(ServeConfig {
-        workers: 2,
-        queue_capacity: 64,
-        store_budget: 64 * 1024,
-        per_client_quota: Some(QUOTA),
-        ..ServeConfig::default()
-    });
-
-    let mut flood_served = 0usize;
-    let mut polite_served = 0usize;
-    let mut pending: Vec<CompileRequest> = Vec::new();
-    for round in 0..ROUNDS {
-        // The flooder throws 12 distinct modules per round at the
-        // service; each polite client asks for one.
-        for i in 0..12 {
-            pending.push(named_request(FLOODER, &format!("Flood{round}x{i}")));
-        }
-        for &c in &POLITE {
-            pending.push(named_request(c, &format!("Polite{c}r{round}")));
-        }
-        // Client back-off protocol: resubmit shed requests until the
-        // round drains. Quota releases as compiles land, so this
-        // terminates.
-        let mut waves = 0usize;
-        while !pending.is_empty() {
-            waves += 1;
-            assert!(waves <= 200, "quota back-pressure failed to drain");
-            let batch = std::mem::take(&mut pending);
-            let resubmit = batch.clone();
-            for (req, resp) in resubmit.into_iter().zip(svc.serve_batch(batch)) {
-                match resp {
-                    Response::Done(out) => {
-                        assert!(out.ok, "{:?}", out.diagnostics);
-                        if req.client == FLOODER {
-                            flood_served += 1;
-                        } else {
-                            polite_served += 1;
-                        }
-                    }
-                    Response::Retry => pending.push(req),
-                }
-            }
-        }
-    }
-
-    assert_eq!(flood_served, ROUNDS * 12, "quota delays, never loses");
-    assert_eq!(polite_served, ROUNDS * POLITE.len());
-
-    let stats = svc.stats();
-    assert!(
-        stats.quota_shed > 0,
-        "the flooder was never held to its quota: {stats:?}"
-    );
-    for (client, cs) in svc.client_stats() {
-        assert_eq!(cs.outstanding, 0, "client {client} leaked outstanding");
-        if client != FLOODER {
-            assert_eq!(
-                (cs.shed, cs.quota_shed),
-                (0, 0),
-                "under-quota client {client} was shed: {cs:?}"
-            );
-        }
-    }
-    let flooder: ClientStats = svc
-        .client_stats()
-        .into_iter()
-        .find(|(c, _)| *c == FLOODER)
-        .expect("flooder tracked")
-        .1;
-    assert!(flooder.quota_shed > 0);
 }

@@ -80,7 +80,6 @@ fn many_threads_under_eviction_pressure_serve_exact_bytes() {
         queue_capacity: 64,
         store_budget: 4 * 1024, // far below 6 modules' worth of units
         paused: false,
-        ..ServeConfig::default()
     }));
 
     let submitters: Vec<_> = (0..8u64)

@@ -8,22 +8,6 @@ use ccm2_support::intern::Interner;
 
 use crate::ast::*;
 
-/// Pretty-prints a definition module.
-pub fn print_definition(m: &DefinitionModule, interner: &Interner) -> String {
-    let mut p = Printer::new(interner);
-    p.line(&format!("DEFINITION MODULE {};", p.id(m.name)));
-    p.imports(&m.imports);
-    if !m.exports.is_empty() {
-        let names: Vec<String> = m.exports.iter().map(|e| p.id(*e)).collect();
-        p.line(&format!("EXPORT QUALIFIED {};", names.join(", ")));
-    }
-    for d in &m.decls {
-        p.decl(d);
-    }
-    p.line(&format!("END {}.", p.id(m.name)));
-    p.out
-}
-
 /// Pretty-prints an implementation module.
 pub fn print_implementation(m: &ImplementationModule, interner: &Interner) -> String {
     let mut p = Printer::new(interner);

@@ -56,7 +56,7 @@ pub enum WatchError {
     /// The session's edit inbox is full; `check` the session to drain
     /// it before submitting more edits.
     InboxFull {
-        /// The configured capacity that was hit.
+        /// The capacity that was hit (256 edits).
         capacity: usize,
     },
 }
@@ -77,14 +77,16 @@ impl std::fmt::Display for WatchError {
 
 impl std::error::Error for WatchError {}
 
+/// Maximum queued edits per session between checks: a bound on input
+/// from outside, not a tuning knob.
+const INBOX_CAPACITY: usize = 256;
+
 /// Service-wide configuration.
 #[derive(Clone, Debug)]
 pub struct WatchConfig {
     /// Byte budget of the shared artifact store (serve's LRU admission
     /// discipline; all sessions of one service share it).
     pub store_budget: u64,
-    /// Maximum queued edits per session between checks.
-    pub inbox_capacity: usize,
     /// Driver options template for every check. The `incremental` field
     /// is ignored — each check runs against the service's shared store.
     pub options: Options,
@@ -94,7 +96,6 @@ impl Default for WatchConfig {
     fn default() -> WatchConfig {
         WatchConfig {
             store_budget: 32 << 20,
-            inbox_capacity: 256,
             // One worker thread: the editor loop's latency target is
             // "faster than a cold compile at P=1", so the default
             // measures exactly that configuration.
@@ -157,7 +158,6 @@ pub struct Session {
     interner: Arc<Interner>,
     store: Arc<SharedStore>,
     options: Options,
-    inbox_capacity: usize,
     inbox: Vec<EditOp>,
     rejected_edits: u64,
     revision: u64,
@@ -165,6 +165,9 @@ pub struct Session {
     units: UnitSnapshot,
     diagnostics: Vec<String>,
     object: Option<Vec<u8>>,
+    /// The last compiled revision's [`CheckReport::clean`], which a
+    /// deduped revision repeats.
+    clean: bool,
 }
 
 impl Session {
@@ -173,7 +176,6 @@ impl Session {
         module: GeneratedModule,
         store: Arc<SharedStore>,
         options: Options,
-        inbox_capacity: usize,
     ) -> Session {
         let defs = Arc::new(module.defs.clone());
         Session {
@@ -186,7 +188,6 @@ impl Session {
             interner: Arc::new(Interner::new()),
             store,
             options,
-            inbox_capacity,
             inbox: Vec::new(),
             rejected_edits: 0,
             revision: 0,
@@ -194,6 +195,7 @@ impl Session {
             units: Vec::new(),
             diagnostics: Vec::new(),
             object: None,
+            clean: false,
         }
     }
 
@@ -234,16 +236,11 @@ impl Session {
         self.rejected_edits
     }
 
-    /// Edits currently queued.
-    pub fn pending_edits(&self) -> usize {
-        self.inbox.len()
-    }
-
     fn submit(&mut self, op: EditOp) -> Result<(), WatchError> {
-        if self.inbox.len() >= self.inbox_capacity {
+        if self.inbox.len() >= INBOX_CAPACITY {
             self.rejected_edits += 1;
             return Err(WatchError::InboxFull {
-                capacity: self.inbox_capacity,
+                capacity: INBOX_CAPACITY,
             });
         }
         self.inbox.push(op);
@@ -285,7 +282,7 @@ impl Session {
                 edits_applied,
                 edits_coalesced,
                 deduped: true,
-                clean: self.diagnostics.is_empty() && self.object.is_some(),
+                clean: self.clean,
                 degraded_units: Vec::new(),
                 changed_units: Vec::new(),
                 diags_added: Vec::new(),
@@ -342,6 +339,7 @@ impl Session {
         self.units = units;
         self.diagnostics = diagnostics;
         self.object = object;
+        self.clean = clean;
 
         CheckReport {
             project: self.project.clone(),
@@ -395,7 +393,6 @@ impl WatchService {
             module,
             Arc::clone(&self.store),
             self.config.options.clone(),
-            self.config.inbox_capacity,
         );
         let report = session.check();
         self.sessions.insert(project, session);
@@ -669,21 +666,46 @@ mod tests {
         assert_eq!(svc.session("p").unwrap().revision(), 2);
     }
 
+    /// A deduped revision is as clean as the revision it repeats — also
+    /// when that one compiled with warnings only.
     #[test]
-    fn inbox_is_bounded() {
+    fn a_deduped_revision_repeats_the_last_verdict() {
         let mut svc = WatchService::new(WatchConfig {
-            inbox_capacity: 2,
+            options: Options {
+                analyze: true,
+                ..Options::threads(1)
+            },
             ..WatchConfig::default()
         });
+        let linted = generate(&GenParams {
+            lint_seeds: true,
+            ..GenParams::small("WatchLint", 8)
+        });
+        let opened = svc.open("p", linted);
+        assert!(opened.clean, "{:#?}", opened.diags_added);
+        assert!(!opened.diags_added.is_empty(), "the lint seeds warn");
+        let again = svc.check("p").unwrap();
+        assert!(again.deduped);
+        assert_eq!(again.clean, opened.clean);
+    }
+
+    #[test]
+    fn inbox_is_bounded() {
+        let mut svc = service();
         svc.open("p", small("WatchF", 6));
-        svc.submit("p", EditOp::ProcBody { index: 0, seed: 1 })
-            .unwrap();
-        svc.submit("p", EditOp::ProcBody { index: 1, seed: 1 })
-            .unwrap();
+        for seed in 0..INBOX_CAPACITY as u64 {
+            svc.submit("p", EditOp::ProcBody { index: 0, seed })
+                .unwrap();
+        }
         let err = svc
             .submit("p", EditOp::ProcBody { index: 2, seed: 1 })
             .unwrap_err();
-        assert_eq!(err, WatchError::InboxFull { capacity: 2 });
+        assert_eq!(
+            err,
+            WatchError::InboxFull {
+                capacity: INBOX_CAPACITY
+            }
+        );
         assert_eq!(svc.session("p").unwrap().rejected_edits(), 1);
         // Draining reopens the inbox.
         svc.check("p").unwrap();

@@ -41,18 +41,17 @@ fn main() {
             "{:#?}",
             &out.diagnostics[..out.diagnostics.len().min(5)]
         );
-        // Compare canonical disassembly (symbols differ across interners).
-        let listing = out
-            .image
-            .as_ref()
-            .expect("image")
-            .disassemble(&out.interner);
+        // Compare the interner-independent encoding: each compile has an
+        // interner of its own, so symbol numbers (which a disassembly
+        // prints) differ between runs of identical code.
+        let image = out.image.as_ref().expect("image");
+        let bytes = ccm2_incr::entry::encode_image(image, &out.interner);
         let identical = match &reference {
             None => {
-                reference = Some(listing);
+                reference = Some(bytes);
                 true
             }
-            Some(r) => *r == listing,
+            Some(r) => *r == bytes,
         };
         println!(
             "{:<12} | {:>12} | {:>13} | {}",
