@@ -19,6 +19,18 @@ if grep -nE "$seam" crates/core/src/driver.rs; then
   exit 1
 fi
 
+echo "== fault injection stays a compile option =="
+# A compile request is its inputs: the fault plan, the watchdog and the
+# stream-retry budget are `ccm2::Options` that the drills set on a
+# compile of their own, and a fault-injecting store is built by the
+# drill that wants one. The request and the service that runs it, and
+# the whole fleet, name no fault type.
+fence='ccm2_faults|FaultPlan|FaultKind'
+if grep -rnE "$fence" crates/serve/src/request.rs crates/serve/src/service.rs crates/fabric/src; then
+  echo "the request path names fault injection (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -33,7 +45,7 @@ echo "== cargo test (workspace) =="
 #                             resubmission in its next wave), dedup
 #                             above its floor, eviction-pressure bytes
 #                             equal to direct compiles, kill/restart from
-#                             the snapshot journal with torn images
+#                             the newest snapshot with torn images
 #                             quarantined
 #   faults, recover, watchdog an injected fault degrades exactly one
 #                             stream; supervised retry converges transient

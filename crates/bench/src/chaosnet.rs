@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ccm2_fabric::{
-    start_heartbeats, Fabric, FabricClient, FabricRouter, HashRing, HealthState, HeartbeatConfig,
-    LeaseConfig, MembershipStore, ReplicaLogStore, RouterRole, ShardNode, DEFAULT_VNODES,
+    start_heartbeats, Fabric, FabricClient, FabricRouter, HashRing, HealthState, MembershipStore,
+    ReplicaLogStore, RouterRole, ShardNode, DEFAULT_VNODES,
 };
 use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
 use ccm2_support::defs::DefLibrary;
@@ -28,18 +28,6 @@ const SEEDS: [u64; 3] = [0xC4A0, 0xC4A1, 0xC4A2];
 
 /// Shards every drill fleet starts with (ids `0..SHARDS`).
 pub const SHARDS: u32 = 3;
-
-/// The drills' failure detector: suspect on the first missed probe,
-/// evict on the second.
-pub const HEARTBEAT: HeartbeatConfig = HeartbeatConfig {
-    suspect_misses: 1,
-    evict_misses: 2,
-};
-
-/// A drill fleet over pre-built nodes, detector armed with [`HEARTBEAT`].
-pub fn start_fleet(tcp: bool, nodes: Vec<Arc<ShardNode>>) -> Fabric {
-    Fabric::start_over(tcp, nodes).with_heartbeat(HEARTBEAT)
-}
 
 /// Node `id` with durable `CCM2RLOG` replica logs under `dir`: built
 /// again over the same directory, it is that shard after a crash.
@@ -62,9 +50,9 @@ pub fn partition_window(params: &ServeLoadParams) -> PartitionWindow {
     shard_partition_schedule(&head, SHARDS, 1)[0]
 }
 
-/// Phase: the link to `victim` drops; the detector suspects, then
-/// evicts, in a deterministic number of virtual-time ticks, which it
-/// returns.
+/// Phase: the link to `victim` drops; the detector suspects on the
+/// first missed probe and evicts on the second, in virtual-time ticks,
+/// whose count it returns.
 pub fn partition_evict(fleet: &Fabric, victim: u32) -> usize {
     fleet.partition(victim, true);
     let router = fleet.router();
@@ -74,10 +62,7 @@ pub fn partition_evict(fleet: &Fabric, victim: u32) -> usize {
         assert!(ticks <= 4, "failure detector hung past its miss budget");
         router.heartbeat_tick();
     }
-    assert_eq!(
-        ticks, HEARTBEAT.evict_misses as usize,
-        "deterministic clock"
-    );
+    assert_eq!(ticks, 2, "deterministic clock");
     assert!(
         !router.live_shards().contains(&victim),
         "evicted shard still owns keys"
@@ -336,7 +321,7 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
     let oracle = Oracle::of(&reqs);
     let dir = Scratch::new("chaosnet");
     let mk_node = |id: u32| durable_node(&dir, id, cell_config());
-    let mut fleet = start_fleet(tcp, (0..SHARDS).map(mk_node).collect());
+    let mut fleet = Fabric::start_over(tcp, (0..SHARDS).map(mk_node).collect());
 
     // The final third of the load is always the cold joiner's first
     // batch.
@@ -391,7 +376,7 @@ fn wall_clock_eviction() {
     };
     let nodes = (0..SHARDS).map(|id| Arc::new(ShardNode::start(id, config)));
     let fleet = Fabric::start_over(true, nodes.collect());
-    let router = Arc::new(FabricRouter::new(fleet.conduit().transport()).with_heartbeat(HEARTBEAT));
+    let router = Arc::new(FabricRouter::new(fleet.conduit().transport()));
     let handle = start_heartbeats(
         Arc::clone(&router),
         std::time::Duration::from_millis(WALL_HEARTBEAT_MS),
@@ -482,20 +467,15 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
 
     let dir = Scratch::new("splitbrain");
     let store = Arc::new(MembershipStore::new(dir.join("mbrs")).expect("membership dir"));
-    let lease = LeaseConfig { expiry_ticks: 2 };
     let a = Arc::new(
         FabricRouter::new(fleet.conduit().transport())
             .with_identity(1)
-            .with_heartbeat(HEARTBEAT)
-            .with_lease(lease)
             .with_membership_store(Arc::clone(&store)),
     );
     let b = Arc::new(
         FabricRouter::new(conduit_b.transport())
             .with_identity(2)
             .as_standby()
-            .with_heartbeat(HEARTBEAT)
-            .with_lease(lease)
             .with_membership_store(Arc::clone(&store)),
     );
     assert!(a.acquire_lease(), "uncontested initial grant");

@@ -4,15 +4,14 @@
 //! width sweep here is a byte-identity check.
 
 use ccm2_fabric::Fabric;
-use ccm2_serve::{CompileService, DeltaJournal, ExecChoice, ServeConfig, SnapshotStore};
+use ccm2_serve::{ExecChoice, ServeConfig};
 use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
-use crate::kit::{drive, requests, Oracle, Scratch};
+use crate::kit::{drive, requests, Oracle};
 
 /// A shard-count sweep of the loopback fleet (byte-identical to
-/// standalone at every width), a seeded mid-stream shard-kill failover
-/// with zero lost admitted requests, and the snapshot + delta-journal
-/// restart path (fewer journal bytes than a full `CCM2SNAP` image).
+/// standalone at every width) and a seeded mid-stream shard-kill
+/// failover with zero lost admitted requests.
 pub fn fabric() -> String {
     fabric_with(
         &ServeLoadParams {
@@ -104,56 +103,6 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
         reqs.len() - kill_at
     ));
 
-    // Part 3 — restart from snapshot + delta replay, cheaper than a
-    // fresh full image.
-    let dir = Scratch::new("fabric-drill");
-    let snaps = SnapshotStore::new(dir.join("snap")).expect("snapshot dir");
-    let journal = DeltaJournal::new(dir.join("delta")).expect("journal dir");
-    let svc = CompileService::start(config);
-    // The production cadence: the journal ships continuously, snapshots
-    // cut occasionally. A restart reads the newest snapshot plus only
-    // the journal tail past its cut — so the tail, not the whole
-    // journal, is the incremental restart cost.
-    let cut = reqs.len() * 3 / 4;
-    drive(&svc, &reqs[..cut], &oracle);
-    svc.journal_deltas(&journal, &snaps)
-        .expect("journal the head");
-    snaps.save(svc.store()).expect("snapshot at the cut");
-    let journal_bytes_at_cut = journal.total_bytes().expect("journal size at cut");
-    drive(&svc, &reqs[cut..], &oracle);
-    let shipped = svc
-        .journal_deltas(&journal, &snaps)
-        .expect("journal the tail");
-    let delta_bytes = journal.total_bytes().expect("journal size") - journal_bytes_at_cut;
-    let full_snaps = SnapshotStore::new(dir.join("full")).expect("comparison dir");
-    let full_path = full_snaps.save(svc.store()).expect("full image");
-    let full_bytes = std::fs::metadata(&full_path).expect("image size").len();
-    let restored = CompileService::restore_with_deltas(config, &snaps, &journal).expect("restart");
-    let canon = |svc: &CompileService| {
-        let mut entries = svc.store().export();
-        entries.sort();
-        entries
-    };
-    assert_eq!(
-        canon(&restored),
-        canon(&svc),
-        "snapshot + delta replay must rebuild the exact store"
-    );
-    assert!(
-        shipped > 0 && delta_bytes < full_bytes,
-        "delta restart must beat the full image ({delta_bytes} B vs {full_bytes} B, {shipped} ops)"
-    );
-    out.push_str(&format!(
-        "\ndelta restart: snapshot at event {} + {} journaled ops replay the tail\n",
-        cut, shipped
-    ));
-    out.push_str(&format!(
-        "  journal tail {} B vs full CCM2SNAP image {} B ({:.1}% of full); {} entries rebuilt bit-identically\n",
-        delta_bytes,
-        full_bytes,
-        100.0 * delta_bytes as f64 / full_bytes as f64,
-        restored.store().export().len()
-    ));
     out
 }
 
@@ -165,8 +114,7 @@ mod tests {
     fn fabric_drill_holds_its_invariants() {
         // fabric_with asserts internally: byte-equivalence with
         // standalone compiles at every shard width and across the kill,
-        // zero lost requests, store rebuilt bit-identically from
-        // snapshot + delta replay with fewer bytes than a full image.
+        // zero lost requests.
         let report = fabric_with(
             &ServeLoadParams {
                 seed: 0xFAB5,
@@ -180,7 +128,6 @@ mod tests {
         );
         assert!(report.contains("byte-identical to standalone"));
         assert!(report.contains("0 lost, 0 mismatched"));
-        assert!(report.contains("delta restart"));
         assert!(!report.contains("wrote "), "the drill writes no file");
     }
 }

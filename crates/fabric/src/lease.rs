@@ -34,10 +34,12 @@
 //!   pong(s, view)  seen ≥ view.epoch; Leader and view.epoch > epoch
 //!                  and view.holder ≠ id          → Standby: Err(Stale)
 //!                  Leader otherwise              → s Alive, misses 0
-//!   miss(s)        misses += 1; ≥ suspect_misses and Alive → Suspect;
-//!                  ≥ evict_misses                → evict
+//!   miss(s)        misses += 1; ≥ SUSPECT_MISSES and Alive → Suspect;
+//!                  ≥ EVICT_MISSES                → evict
 //!   expired(ages, members)
-//!                  |age ≥ expiry_ticks|·2 > members
+//!                  |age ≥ EXPIRY_TICKS|·2 > members
+//!
+//!   SUSPECT_MISSES = 1, EVICT_MISSES = 2, EXPIRY_TICKS = 2
 //! ```
 //!
 //! A shard grants each epoch at most once (strict `>`), and a router
@@ -135,43 +137,20 @@ impl Lease {
     }
 }
 
-/// Failure-detector tuning: consecutive heartbeat misses before a shard
-/// is suspected, and before it is evicted from the ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    /// Misses at which the shard turns [`HealthState::Suspect`].
-    pub suspect_misses: u32,
-    /// Misses at which the shard is evicted (ring removal + absorb).
-    /// Clamped to at least `suspect_misses`.
-    pub evict_misses: u32,
-}
+/// Consecutive missed probes at which a shard turns
+/// [`HealthState::Suspect`].
+const SUSPECT_MISSES: u32 = 1;
 
-impl Default for HeartbeatConfig {
-    fn default() -> HeartbeatConfig {
-        HeartbeatConfig {
-            suspect_misses: 1,
-            evict_misses: 3,
-        }
-    }
-}
+/// Consecutive missed probes at which a shard is evicted (ring removal
+/// and absorb).
+const EVICT_MISSES: u32 = 2;
 
-/// Lease tuning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LeaseConfig {
-    /// Probe rounds a shard may answer without seeing a renewal before
-    /// a standby counts its lease as expired. Expiry is measured in
-    /// the *shard's* virtual clock (the `age` of its [`LeaseView`], as
-    /// mirrored on a `Pong`), so drills in virtual time and TCP
-    /// deployments on the wall clock expire identically. Clamped to at
-    /// least 1.
-    pub expiry_ticks: u32,
-}
-
-impl Default for LeaseConfig {
-    fn default() -> LeaseConfig {
-        LeaseConfig { expiry_ticks: 3 }
-    }
-}
+/// Probe rounds a shard may answer without seeing a renewal before a
+/// standby counts its lease as expired. Expiry is measured in the
+/// *shard's* virtual clock (the `age` of its [`LeaseView`], as mirrored
+/// on a `Pong`), so drills in virtual time and TCP deployments on the
+/// wall clock expire identically.
+const EXPIRY_TICKS: u32 = 2;
 
 /// Which side of the lease a router is on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -242,10 +221,6 @@ pub struct Stale;
 pub struct Authority {
     /// The router's control-plane identity (never [`NO_ROUTER`]).
     pub id: u32,
-    /// Failure-detector thresholds.
-    pub heartbeat: HeartbeatConfig,
-    /// Lease tuning.
-    pub lease: LeaseConfig,
     role: RouterRole,
     /// The epoch last led under — the stamp.
     epoch: u64,
@@ -341,27 +316,22 @@ impl Authority {
 
     /// `shard` missed a probe.
     pub fn miss(&mut self, shard: u32) -> Miss {
-        let HeartbeatConfig {
-            suspect_misses,
-            evict_misses,
-        } = self.heartbeat;
         let health = self.health.entry(shard).or_default();
         health.misses += 1;
-        let suspected = health.misses >= suspect_misses && health.state == HealthState::Alive;
+        let suspected = health.misses >= SUSPECT_MISSES && health.state == HealthState::Alive;
         if suspected {
             health.state = HealthState::Suspect;
         }
         Miss {
             suspected,
-            evict: health.misses >= evict_misses.max(suspect_misses),
+            evict: health.misses >= EVICT_MISSES,
         }
     }
 
     /// Whether a standby's round saw the lease expire; `ages` has one
     /// entry per shard that answered.
     pub fn expired(&self, ages: &[u32], members: usize) -> bool {
-        let expiry = self.lease.expiry_ticks.max(1);
-        ages.iter().filter(|&&age| age >= expiry).count() * 2 > members
+        ages.iter().filter(|&&age| age >= EXPIRY_TICKS).count() * 2 > members
     }
 
     /// Moves `shard` to `state`; an `Alive` shard starts with no misses.
@@ -540,15 +510,8 @@ mod tests {
     }
 
     #[test]
-    fn misses_suspect_then_evict_at_the_configured_counts() {
-        let mut a = Authority {
-            heartbeat: HeartbeatConfig {
-                suspect_misses: 2,
-                evict_misses: 4,
-            },
-            ..Authority::default()
-        };
-        let quiet = Miss::default();
+    fn the_first_miss_suspects_and_the_second_evicts() {
+        let mut a = Authority::default();
         let suspected = Miss {
             suspected: true,
             evict: false,
@@ -557,44 +520,28 @@ mod tests {
             suspected: false,
             evict: true,
         };
-        assert_eq!(a.miss(3), quiet, "one below suspicion");
-        assert_eq!(a.health(3), HealthState::Alive);
         assert_eq!(a.miss(3), suspected);
         assert_eq!(a.health(3), HealthState::Suspect);
-        assert_eq!(a.miss(3), quiet, "one below eviction; suspected once");
-        assert_eq!(a.miss(3), evict);
+        assert_eq!(a.miss(3), evict, "suspected once");
         assert_eq!(a.miss(3), evict, "until somebody evicts it");
         assert_eq!(a.health(7), HealthState::Alive, "never probed");
-
-        // Eviction is clamped to suspicion: both on the same miss.
-        a.heartbeat = HeartbeatConfig {
-            suspect_misses: 2,
-            evict_misses: 1,
-        };
-        assert_eq!(a.miss(8), quiet);
-        assert_eq!(
-            a.miss(8),
-            Miss {
-                suspected: true,
-                evict: true
-            }
-        );
+        // An answered probe starts the count again.
+        assert_eq!(a.pong(8, view(0, 0, 0)), Ok(()));
+        assert_eq!(a.miss(8), suspected);
+        assert_eq!(a.pong(8, view(0, 0, 0)), Ok(()));
+        assert_eq!(a.health(8), HealthState::Alive);
+        assert_eq!(a.miss(8), suspected, "one miss again, not the second");
     }
 
     #[test]
     fn the_lease_expires_when_most_members_report_it_old() {
-        let mut a = Authority {
-            lease: LeaseConfig { expiry_ticks: 2 },
-            ..Authority::default()
-        };
+        let a = Authority::default();
         assert!(!a.expired(&[], 3), "nobody answered");
         assert!(!a.expired(&[1, 1, 1], 3), "one tick below");
         assert!(!a.expired(&[2, 0, 1], 3), "1 of 3");
         assert!(a.expired(&[2, 3], 3), "2 of 3, the third silent");
         assert!(!a.expired(&[2], 2), "1 of 2");
         assert!(a.expired(&[5], 1), "1 of 1");
-        a.lease = LeaseConfig { expiry_ticks: 0 };
-        assert!(!a.expired(&[0], 1), "expiry is clamped to one tick");
     }
 
     #[test]

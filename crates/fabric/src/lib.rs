@@ -77,9 +77,7 @@ pub use durable::{
     decode_membership, decode_replica_logs, encode_membership, encode_replica_logs,
     MembershipImage, MembershipStore, ReplicaLogStore, MBRS_FORMAT, RLOG_FORMAT,
 };
-pub use lease::{
-    Authority, HealthState, HeartbeatConfig, Lease, LeaseConfig, LeaseView, RouterRole,
-};
+pub use lease::{Authority, HealthState, Lease, LeaseView, RouterRole};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
     start_heartbeats, FabricResponse, FabricRouter, FabricStats, HeartbeatHandle,
@@ -197,18 +195,6 @@ impl Fabric {
     /// The router (serve requests through this).
     pub fn router(&self) -> &FabricRouter {
         &self.router
-    }
-
-    /// Arms the router with a fault plan (`shard:{id}#d{n}` sites).
-    pub fn with_faults(mut self, plan: Arc<ccm2_faults::FaultPlan>) -> Fabric {
-        self.router = self.router.with_faults(plan);
-        self
-    }
-
-    /// Overrides the router's failure-detector thresholds.
-    pub fn with_heartbeat(mut self, config: HeartbeatConfig) -> Fabric {
-        self.router = self.router.with_heartbeat(config);
-        self
     }
 
     /// The conduit the fleet's own router runs on.
@@ -378,11 +364,9 @@ mod tests {
 
     #[test]
     fn injected_shard_death_mid_batch_loses_nothing() {
-        let plan = Arc::new(ccm2_faults::FaultPlan::single(
-            "shard:1#d*",
-            ccm2_faults::FaultKind::Panic,
-        ));
-        let fabric = Fabric::start(3, small_config()).with_faults(plan);
+        let fabric = Fabric::start(3, small_config());
+        // Shard 1 dies behind the router's back: the batch finds out.
+        fabric.conduit().transport().kill(1);
         let reqs: Vec<CompileRequest> = (0..12).map(|m| request(1, &format!("Batch{m}"))).collect();
         let responses = fabric.router().serve_batch(&reqs);
         for (req, resp) in reqs.iter().zip(&responses) {
@@ -432,10 +416,7 @@ mod tests {
 
     #[test]
     fn heartbeat_detector_suspects_then_evicts_a_partitioned_shard() {
-        let fabric = Fabric::start(3, small_config()).with_heartbeat(HeartbeatConfig {
-            suspect_misses: 1,
-            evict_misses: 3,
-        });
+        let fabric = Fabric::start(3, small_config());
         // Standing partition of the link to shard 1: every delivery on
         // it fails. Shards 0 and 2 keep answering.
         fabric.partition(1, true);
@@ -449,16 +430,15 @@ mod tests {
             "a suspect keeps its keys"
         );
 
-        assert!(fabric.router().heartbeat_tick().is_empty());
-        assert_eq!(fabric.router().heartbeat_tick(), vec![1], "third miss");
+        assert_eq!(fabric.router().heartbeat_tick(), vec![1], "second miss");
         assert_eq!(fabric.router().health(1), HealthState::Evicted);
         assert_eq!(fabric.router().live_shards(), vec![0, 2]);
         let stats = fabric.router().stats();
         assert_eq!(stats.heartbeat_evictions, 1);
         assert_eq!(stats.failovers, 1, "eviction is a real failover");
         assert_eq!(stats.suspects, 1, "one transition into suspicion");
-        assert_eq!(stats.pings, 3 + 3 + 3);
-        assert_eq!(stats.pongs, 2 + 2 + 2, "shards 0 and 2 kept answering");
+        assert_eq!(stats.pings, 3 + 3);
+        assert_eq!(stats.pongs, 2 + 2, "shards 0 and 2 kept answering");
         assert_eq!(
             fabric.nodes()[1].stats().pings,
             0,
@@ -583,7 +563,6 @@ mod tests {
         let b = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
             .with_identity(2)
             .as_standby()
-            .with_lease(LeaseConfig { expiry_ticks: 2 })
             .with_membership_store(Arc::clone(&store));
 
         assert!(a.acquire_lease(), "uncontested majority grant");
@@ -674,16 +653,12 @@ mod tests {
     /// either transport.
     #[test]
     fn fabric_contract_holds_on_both_transports() {
-        let heartbeat = HeartbeatConfig {
-            suspect_misses: 1,
-            evict_misses: 2,
-        };
         for tcp in [false, true] {
             let nodes: Vec<Arc<ShardNode>> = (0..3u32)
                 .map(|id| Arc::new(ShardNode::start(id, small_config())))
                 .collect();
             let kept = Arc::clone(&nodes[0]);
-            let mut fabric = Fabric::start_over(tcp, nodes).with_heartbeat(heartbeat);
+            let mut fabric = Fabric::start_over(tcp, nodes);
             assert_eq!(fabric.loopback().is_none(), tcp);
 
             // Serves, and replicates, over the conduit.
@@ -698,7 +673,7 @@ mod tests {
                 "tcp={tcp}: replication runs over this transport too"
             );
 
-            // partition -> evicted in exactly `evict_misses` ticks.
+            // partition -> evicted in exactly two ticks.
             fabric.partition(1, true);
             assert!(fabric.router().heartbeat_tick().is_empty(), "tcp={tcp}");
             assert_eq!(fabric.router().health(1), HealthState::Suspect);

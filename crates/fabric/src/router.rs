@@ -31,11 +31,9 @@
 //!    sends no replication frame at all; otherwise the shard is marked
 //!    dirty and the answer goes back at once. See *The shipper* below.
 //!
-//! Shard deaths can also be *injected* deterministically: give the
-//! router a [`FaultPlan`] and it queries site `shard:{id}#d{n}` before
-//! dispatch `n` to shard `id`; a [`FaultKind::Panic`] there kills the
-//! shard at exactly that dispatch — the chaos-drill analog of the
-//! `task:`/`store:` sites inside a single compile.
+//! A drill kills a shard at a scripted instant with
+//! [`FabricRouter::kill_shard`] (or behind the router's back with
+//! [`Transport::kill`], which the next dispatch finds).
 //!
 //! # The shipper
 //!
@@ -68,9 +66,8 @@
 //! partitioned shard is only discovered when a request happens to route
 //! to it. The router also runs a **proactive** suspicion clock:
 //! [`FabricRouter::heartbeat_tick`] probes every ring member with a
-//! [`Message::Ping`] and tracks consecutive misses per shard. Misses at
-//! or past [`HeartbeatConfig::suspect_misses`] mark the shard
-//! [`HealthState::Suspect`]; at [`HeartbeatConfig::evict_misses`] the
+//! [`Message::Ping`] and tracks consecutive misses per shard. The first
+//! miss marks the shard [`HealthState::Suspect`]; at the second the
 //! shard is evicted — the same [`fail_over`](FabricRouter::kill_shard)
 //! path as a detected death, so its replica logs are absorbed and its
 //! key range moves *before* a client request has to eat the error. A
@@ -100,19 +97,16 @@
 //! that sent the frame stops before its next membership effect.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_serve::CompileRequest;
 use ccm2_support::hash::Fp128;
 use parking_lot::{Condvar, Mutex};
 
 use crate::durable::{MembershipImage, MembershipStore};
-use crate::lease::{
-    Asked, Authority, HealthState, HeartbeatConfig, LeaseConfig, LeaseView, RouterRole, Stale,
-};
+use crate::lease::{Asked, Authority, HealthState, LeaseView, RouterRole, Stale};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::transport::Transport;
 use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, WireRequest, NO_ROUTER};
@@ -251,8 +245,6 @@ struct Core {
 pub struct FabricRouter {
     core: Arc<Core>,
     inflight: Mutex<HashMap<Fp128, Flight>>,
-    faults: Option<Arc<FaultPlan>>,
-    dispatch_seq: AtomicU64,
     down: AtomicBool,
     shipper: Mutex<Option<JoinHandle<()>>>,
 }
@@ -282,24 +274,9 @@ impl FabricRouter {
         FabricRouter {
             core,
             inflight: Mutex::new(HashMap::new()),
-            faults: None,
-            dispatch_seq: AtomicU64::new(0),
             down: AtomicBool::new(false),
             shipper: Mutex::new(Some(shipper)),
         }
-    }
-
-    /// Arms deterministic shard-death injection (site
-    /// `shard:{id}#d{n}`, kind [`FaultKind::Panic`]).
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> FabricRouter {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Overrides the failure-detector thresholds.
-    pub fn with_heartbeat(self, config: HeartbeatConfig) -> FabricRouter {
-        self.core.authority.lock().heartbeat = config;
-        self
     }
 
     /// Names this router on the control plane. Stamps travel on every
@@ -316,12 +293,6 @@ impl FabricRouter {
     /// expires.
     pub fn as_standby(self) -> FabricRouter {
         self.core.authority.lock().stand_by();
-        self
-    }
-
-    /// Overrides the lease tuning.
-    pub fn with_lease(self, lease: LeaseConfig) -> FabricRouter {
-        self.core.authority.lock().lease = lease;
         self
     }
 
@@ -741,17 +712,6 @@ impl FabricRouter {
                     after_ms: DEFAULT_RETRY_AFTER_MS,
                 }; // fleet-wide death
             };
-            let n = self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
-            if let Some(plan) = &self.faults {
-                if matches!(
-                    plan.at(&format!("shard:{shard}#d{n}")),
-                    Some(FaultKind::Panic)
-                ) {
-                    self.core.transport.kill(shard);
-                    let _ = self.fail_over(shard);
-                    continue;
-                }
-            }
             self.core.stats.lock().routed_calls += 1;
             let bytes = match self.core.transport.call(shard, &frame) {
                 Ok(bytes) => bytes,

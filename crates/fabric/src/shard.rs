@@ -159,11 +159,13 @@ impl ShardNode {
         ShardNode::from_service(id, CompileService::start(config))
     }
 
-    /// Wraps an existing service (e.g. one restored from snapshot +
-    /// delta replay) as shard `id`. The ship cursor starts at the
-    /// store's current delta sequence: history from before the wrap is
-    /// the snapshot's business, not replication's.
+    /// Wraps an existing service (e.g. one restored from a snapshot) as
+    /// shard `id`. From here on the store keeps its delta ops for
+    /// [`Message::Sync`], and each sync drops what it shipped. The ship
+    /// cursor starts at the store's current delta sequence: history from
+    /// before the wrap is the snapshot's business, not replication's.
     pub fn from_service(id: u32, svc: CompileService) -> ShardNode {
+        svc.store().retain_deltas();
         let ship_cursor = svc.store().delta_seq();
         ShardNode {
             id,
@@ -218,7 +220,7 @@ impl ShardNode {
         self.id
     }
 
-    /// The underlying service (drills journal / snapshot through this).
+    /// The underlying service (drills snapshot and inspect through this).
     pub fn service(&self) -> &CompileService {
         &self.svc
     }
@@ -397,14 +399,16 @@ impl ShardNode {
                 encode_delta(base, &ops)
             }
             None => {
-                // The store trimmed past our cursor (journal truncation
-                // or log overflow). Peers miss those ops — warmth, not
-                // truth — and the cursor rejoins the live edge.
+                // The store's bounded log overflowed past our cursor.
+                // Peers miss those ops — warmth, not truth — and the
+                // cursor rejoins the live edge.
                 state.stats.sync_resets += 1;
                 state.ship_cursor = store.delta_seq();
                 encode_delta(state.ship_cursor, &[])
             }
         };
+        // Shipped ops are owed to nobody: the log keeps only the rest.
+        store.truncate_deltas(state.ship_cursor);
         // A sync *answer* carries no authority: the router re-stamps
         // the batch with its own lease before fanning it out.
         Message::DeltaShip {
@@ -1220,6 +1224,36 @@ mod tests {
             source.service().store().export(),
             "byte-identical stores after the image ship"
         );
+    }
+
+    /// A shard's store keeps what its peers are owed and nothing else:
+    /// a sync ships every op past the cursor and the log drops them.
+    #[test]
+    fn a_sync_ships_what_is_owed_and_the_log_keeps_only_the_rest() {
+        use ccm2_incr::ArtifactStore as _;
+        let node = ShardNode::start(1, tiny_config());
+        let store = node.service().store();
+        store.store(fp(1), b"alpha");
+        store.store(fp(2), b"beta");
+        let Message::DeltaShip { batch, .. } = reply(&node, &encode_frame(&Message::Sync)) else {
+            panic!("Sync must answer DeltaShip");
+        };
+        let shipped = vec![
+            DeltaOp::Insert {
+                fp: fp(1),
+                bytes: b"alpha".to_vec(),
+            },
+            DeltaOp::Insert {
+                fp: fp(2),
+                bytes: b"beta".to_vec(),
+            },
+        ];
+        assert_eq!(decode_delta(&batch), Some((0, shipped)));
+        assert!(store.deltas_since(0).is_none(), "shipped ops are dropped");
+        assert_eq!(store.deltas_since(2), Some(Vec::new()));
+        store.store(fp(3), b"gamma");
+        assert_eq!(store.deltas_since(2).map(|ops| ops.len()), Some(1));
+        assert_eq!(node.stats().ships, 1);
     }
 
     #[test]

@@ -45,12 +45,11 @@
 //!   is [`crate::lease`]'s);
 //! * plain [`Message::Ack`].
 //!
-//! Fault plans are deliberately **not** wire-encodable: a
-//! [`FaultPlan`](ccm2_faults::FaultPlan) is an in-process test fixture
-//! (it accumulates a fired-log), so [`WireRequest::from_request`]
-//! drops it and fabric-level chaos is injected at the *transport and
-//! shard* level instead (`shard:{id}` fault sites, seeded frame
-//! corruption in the loopback transport).
+//! A [`WireRequest`] is a [`CompileRequest`]'s inputs, every one of
+//! them, so a request rebuilt from a frame fingerprints as the sender's
+//! did: the router's routing key and the shard's single-flight key are
+//! one key. Fabric-level chaos is injected at the transport instead
+//! (seeded frame corruption in the loopback, partitions, killed links).
 
 use std::sync::Arc;
 
@@ -66,7 +65,7 @@ use ccm2_sema::symtab::DkyStrategy;
 /// retry elsewhere), never misdecode.
 pub const WIRE_FORMAT: Format = Format {
     magic: *b"CCM2WIRE",
-    version: 7,
+    version: 8,
 };
 /// The "no router" sentinel for lease-holder fields: a shard that has
 /// not yet granted any lease reports this as the holder.
@@ -76,8 +75,8 @@ pub const NO_ROUTER: u32 = u32::MAX;
 pub const FRAME_OVERHEAD: usize = OVERHEAD + 4;
 
 /// A compile request in wire form: everything
-/// [`CompileRequest::fingerprint`] covers except the fault plan (see
-/// the module docs), plus the client id.
+/// [`CompileRequest::fingerprint`] covers, plus the client id and the
+/// module name.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireRequest {
     /// Opaque client identifier (reporting only; it is not part of the
@@ -95,15 +94,10 @@ pub struct WireRequest {
     pub exec: ExecChoice,
     /// Run the dataflow lints.
     pub analyze: bool,
-    /// Per-task watchdog deadline.
-    pub task_deadline: Option<u64>,
-    /// Supervised-retry budget per stream task.
-    pub max_stream_retries: u32,
 }
 
 impl WireRequest {
-    /// Lowers a service request to wire form. The fault plan (if any)
-    /// does not travel; the reconstructed request compiles clean.
+    /// Lowers a service request to wire form.
     pub fn from_request(req: &CompileRequest) -> WireRequest {
         WireRequest {
             client: req.client,
@@ -113,8 +107,6 @@ impl WireRequest {
             strategy: req.strategy,
             exec: req.exec,
             analyze: req.analyze,
-            task_deadline: req.task_deadline,
-            max_stream_retries: req.max_stream_retries,
         }
     }
 
@@ -134,9 +126,6 @@ impl WireRequest {
             strategy: self.strategy,
             exec: self.exec,
             analyze: self.analyze,
-            faults: None,
-            task_deadline: self.task_deadline,
-            max_stream_retries: self.max_stream_retries,
         }
     }
 }
@@ -161,10 +150,6 @@ pub struct WireOutcome {
     pub wall_micros: u64,
     /// Streams compiled.
     pub streams: u64,
-    /// A stream degraded after a caught fault.
-    pub degraded: bool,
-    /// A watchdog diagnosis fired.
-    pub stalled: bool,
 }
 
 impl WireOutcome {
@@ -177,8 +162,6 @@ impl WireOutcome {
             diagnostics: out.diagnostics.clone(),
             wall_micros: out.wall_micros,
             streams: out.streams as u64,
-            degraded: out.degraded,
-            stalled: out.stalled,
         }
     }
 }
@@ -394,10 +377,6 @@ fn encode_message(w: &mut Writer, msg: &Message) {
                 }
             }
             w.bool(req.analyze);
-            // Option<u64> as 0 = None, v + 1 = Some(v) — the same
-            // convention the request fingerprint uses.
-            w.u64(req.task_deadline.map_or(0, |d| d + 1));
-            w.u32(req.max_stream_retries);
         }
         Message::Outcome {
             outcome: out,
@@ -413,8 +392,6 @@ fn encode_message(w: &mut Writer, msg: &Message) {
             w.seq(&out.diagnostics, |w, d| w.str(d));
             w.u64(out.wall_micros);
             w.u64(out.streams);
-            w.bool(out.degraded);
-            w.bool(out.stalled);
             w.u64(*unshipped);
         }
         Message::Reject {
@@ -529,11 +506,6 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
                 _ => return Err(OpenError::Malformed("executor")),
             },
             analyze: r.bool()?,
-            task_deadline: match r.u64()? {
-                0 => None,
-                d => Some(d - 1),
-            },
-            max_stream_retries: r.u32()?,
         }),
         2 => Message::Outcome {
             outcome: WireOutcome {
@@ -546,8 +518,6 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
                 diagnostics: r.seq(4, |r| Ok(r.str()?.to_owned()))?,
                 wall_micros: r.u64()?,
                 streams: r.u64()?,
-                degraded: r.bool()?,
-                stalled: r.bool()?,
             },
             unshipped: r.u64()?,
         },
@@ -619,8 +589,6 @@ mod tests {
             strategy: DkyStrategy::Optimistic,
             exec: ExecChoice::Sim(4),
             analyze: true,
-            task_deadline: Some(0),
-            max_stream_retries: 3,
         }
     }
 
@@ -635,8 +603,6 @@ mod tests {
                     diagnostics: vec!["warning: x".into()],
                     wall_micros: 1234,
                     streams: 5,
-                    degraded: false,
-                    stalled: true,
                 },
                 unshipped: 3,
             },
@@ -648,8 +614,6 @@ mod tests {
                     diagnostics: Vec::new(),
                     wall_micros: 0,
                     streams: 0,
-                    degraded: true,
-                    stalled: false,
                 },
                 unshipped: 0,
             },
@@ -872,17 +836,19 @@ mod tests {
         let req = wire.clone().into_request();
         assert_eq!(WireRequest::from_request(&req), wire);
         // The reconstructed request fingerprints identically to a
-        // locally built one with the same inputs — the routing key and
-        // the shard's single-flight key agree.
-        let again = wire.into_request();
-        assert_eq!(req.fingerprint(), again.fingerprint());
-    }
-
-    #[test]
-    fn fault_plans_do_not_travel() {
-        let mut req = sample_request().into_request();
-        req.faults = Some(std::sync::Arc::new(ccm2_faults::FaultPlan::new()));
-        let wire = WireRequest::from_request(&req);
-        assert!(wire.into_request().faults.is_none());
+        // locally built one with the same inputs — a non-default
+        // strategy, executor and analysis flag among them — so the
+        // routing key and the shard's single-flight key agree.
+        let mut defs = DefLibrary::new();
+        for (name, text) in &wire.defs {
+            defs.insert(name.clone(), text.clone());
+        }
+        let mut local = CompileRequest::new(99, "Main", wire.source.clone(), Arc::new(defs));
+        local.strategy = DkyStrategy::Optimistic;
+        local.exec = ExecChoice::Sim(4);
+        local.analyze = true;
+        assert_eq!(req.fingerprint(), local.fingerprint());
+        local.analyze = false;
+        assert_ne!(req.fingerprint(), local.fingerprint(), "the flag counts");
     }
 }

@@ -1,15 +1,14 @@
-//! Store-delta entry format: the incremental half of the `CCM2SNAP`
-//! journal.
+//! Store-delta entry format: what a store changed since a sequence
+//! number.
 //!
 //! A full snapshot image replays an *entire* artifact store; a **delta
 //! batch** replays only what changed since a sequence number —
 //! insertions (with their bytes) and evictions/quarantines (key only).
 //! The same encoded batch serves three consumers:
 //!
-//! * the on-disk delta journal (`ccm2-serve`), where snapshot + delta
-//!   replay is the cheap restart path;
 //! * the `ccm2-fabric` replication stream, where shards ship batches to
 //!   peers inside `CCM2WIRE` frames;
+//! * the `CCM2RLOG` replica-log images a shard persists them in;
 //! * tests, which forge torn/bit-flipped batches to prove validation
 //!   degrades to a miss instead of misdecoding.
 //!

@@ -34,8 +34,7 @@
 //!   implementation for tests/simulation and a file-per-entry on-disk
 //!   implementation for real warm starts.
 //! * [`delta`] — the encoding of a batch of store insertions and
-//!   evictions (`CCM2DELT`), which the compile service journals and the
-//!   fabric ships to peers.
+//!   evictions (`CCM2DELT`), which the fabric ships to peers.
 
 pub mod delta;
 pub mod entry;

@@ -62,13 +62,11 @@
 //! assert_eq!(svc.stats().replayed, 1);
 //! ```
 
-pub mod delta;
 pub mod request;
 pub mod service;
 pub mod snapshot;
 pub mod store;
 
-pub use delta::{DeltaJournal, DeltaReplay};
 pub use request::{CompileOutcome, CompileRequest, ExecChoice, Response};
 pub use service::{CompileService, ServeConfig, ServiceStats, Submission, Ticket};
 pub use snapshot::{

@@ -16,6 +16,12 @@
 //! ask for. Sharing still happens where it is safe — at the artifact
 //! level, in [`SharedStore`](crate::SharedStore), whose content
 //! addresses ignore strategy and executor entirely.
+//!
+//! A request is its inputs and nothing else. Fault injection, the task
+//! watchdog and the stream-retry budget are compile options
+//! ([`ccm2::Options`]) that the drills set on a compile of their own; a
+//! service compile runs without them, so a task panic unwinds to the
+//! worker and is answered as a panicked compile.
 
 use std::sync::Arc;
 
@@ -86,17 +92,6 @@ pub struct CompileRequest {
     pub exec: ExecChoice,
     /// Run the dataflow lints as `Analyze` tasks.
     pub analyze: bool,
-    /// Fault-injection plan for this compile (tests and chaos drills;
-    /// `None` in production use).
-    pub faults: Option<Arc<ccm2_faults::FaultPlan>>,
-    /// Per-task watchdog deadline forwarded to the executor
-    /// (virtual units on the simulator, microseconds on threads).
-    pub task_deadline: Option<u64>,
-    /// Supervised-retry budget per stream task: a fatally faulted
-    /// `ProcParse`/`Analyze`/`CodeGen` task is re-enqueued up to this
-    /// many times before its stream degrades. 0 keeps the historical
-    /// degrade-immediately behavior.
-    pub max_stream_retries: u32,
 }
 
 impl CompileRequest {
@@ -116,9 +111,6 @@ impl CompileRequest {
             strategy: DkyStrategy::Skeptical,
             exec: ExecChoice::Threads(2),
             analyze: false,
-            faults: None,
-            task_deadline: None,
-            max_stream_retries: 0,
         }
     }
 
@@ -146,19 +138,6 @@ impl CompileRequest {
         });
         self.exec.hash_into(&mut h);
         h.write_u32(u32::from(self.analyze));
-        // Fault plans are deterministic, so two requests with the same
-        // plan config really do produce identical outcomes and may share
-        // a compile; `Debug` renders the full config (overrides, seed,
-        // rate) and omits the runtime fired-log.
-        match &self.faults {
-            Some(plan) => h.write_str(&format!("{plan:?}")),
-            None => h.write_u32(0),
-        }
-        h.write_u64(self.task_deadline.map_or(0, |d| d + 1));
-        // The retry budget changes reports (recovery diagnostics and
-        // degradation) even though recovered object bytes are identical,
-        // so it is part of the single-flight key.
-        h.write_u32(self.max_stream_retries);
         h.finish()
     }
 
@@ -170,9 +149,6 @@ impl CompileRequest {
             executor: self.exec.to_executor(),
             analyze: self.analyze,
             incremental: Some(store),
-            faults: self.faults.clone(),
-            task_deadline: self.task_deadline,
-            max_stream_retries: self.max_stream_retries,
             ..Options::default()
         }
     }
@@ -200,13 +176,6 @@ pub struct CompileOutcome {
     pub wall_micros: u64,
     /// Streams compiled (main + interfaces + procedures).
     pub streams: usize,
-    /// One or more streams degraded to error units after a caught task
-    /// fault (the compile still terminated and merged).
-    pub degraded: bool,
-    /// A watchdog diagnosis fired: a stalled task or released wedge, or
-    /// — for a synthesized deadline-miss outcome — the request itself
-    /// overran its service deadline.
-    pub stalled: bool,
 }
 
 /// The service's answer to one submitted request.
@@ -291,7 +260,7 @@ mod tests {
         );
         assert_eq!(
             req.fingerprint().to_hex(),
-            "7e847fa14446e8b95cc9a45937edac66"
+            "5fb7afd280be54237c59480062aabb08"
         );
     }
 

@@ -40,10 +40,9 @@
 //! the same strict-admission index ([`ccm2_incr::ByteBudgetLru`]): an
 //! answer costs its object bytes, its diagnostics and the struct; the
 //! least recently *answered* goes first; an answer larger than the
-//! whole budget is never kept. A flight is kept only if its request
-//! carried no fault plan and its outcome is not panicked, degraded or
-//! stalled — those describe one run, not the request. Compile *errors*
-//! are deterministic and are kept. A request that misses the table —
+//! whole budget is never kept. A panicked compile is never kept either:
+//! it describes one run, not the request. Compile *errors* are
+//! deterministic and are kept. A request that misses the table —
 //! evicted, or first seen after a restart or on another shard: landed
 //! flights are neither persisted nor replicated, they are warmth, not
 //! truth — compiles against the warm store (all `CacheSplice` tasks if
@@ -134,13 +133,8 @@ pub struct ServiceStats {
     /// `compiled == accepted` once the queue drains, regardless of how
     /// many requests joined or were replayed).
     pub compiled: u64,
-    /// Compiles that panicked (outcome degraded to an error report).
+    /// Compiles that panicked (answered with an error report).
     pub panicked: u64,
-    /// Compiles that finished with at least one stream degraded to an
-    /// error unit (caught task fault).
-    pub degraded: u64,
-    /// Compiles with a watchdog stall diagnosis.
-    pub stalled: u64,
     /// Artifact-store entries quarantined after validation failures
     /// (mirrors the shared store's counter).
     pub quarantined: u64,
@@ -459,9 +453,6 @@ fn worker_loop(shared: &Shared) {
             Err(payload) => (panic_outcome(fp, &payload), true),
         };
         let outcome = Arc::new(outcome);
-        // An answer is the request's, and kept, unless it describes this
-        // one run: an injected fault, a caught one, a watchdog diagnosis.
-        let keep = req.faults.is_none() && !panicked && !outcome.degraded && !outcome.stalled;
         let bytes = landed_bytes(&outcome);
 
         // Rows this landing pushes out of the budget (an object image
@@ -475,16 +466,11 @@ fn worker_loop(shared: &Shared) {
             if panicked {
                 state.stats.panicked += 1;
             }
-            if outcome.degraded {
-                state.stats.degraded += 1;
-            }
-            if outcome.stalled {
-                state.stats.stalled += 1;
-            }
             // Land the flight: the row changes phase (or leaves) in this
             // one lock hold, so a duplicate finds it flying or landed,
-            // never neither.
-            let landed = keep && {
+            // never neither. A panic describes this one run, not the
+            // request, and is never kept.
+            let landed = !panicked && {
                 let admission = state.landed.admit(fp, bytes);
                 evicted.extend(
                     admission
@@ -526,14 +512,6 @@ fn run_one(fp: Fp128, req: &CompileRequest, store: Arc<dyn ArtifactStore>) -> Co
         &out.sources,
         &out.interner,
     );
-    let degraded = out
-        .errors
-        .iter()
-        .any(|e| matches!(e, ccm2::CompileError::StreamFault { .. }));
-    let stalled = out
-        .errors
-        .iter()
-        .any(|e| matches!(e, ccm2::CompileError::Stalled { .. }));
     CompileOutcome {
         request_fp: fp,
         ok: out.is_ok(),
@@ -543,8 +521,6 @@ fn run_one(fp: Fp128, req: &CompileRequest, store: Arc<dyn ArtifactStore>) -> Co
         virtual_cost: out.report.virtual_time,
         wall_micros: out.report.wall_micros,
         streams: out.streams,
-        degraded,
-        stalled,
     }
 }
 
@@ -563,8 +539,6 @@ fn panic_outcome(fp: Fp128, payload: &(dyn std::any::Any + Send)) -> CompileOutc
         virtual_cost: None,
         wall_micros: 0,
         streams: 0,
-        degraded: false,
-        stalled: false,
     }
 }
 
@@ -791,8 +765,6 @@ mod tests {
         counters: (u64, u64),
         /// What request 0's first answer must look like, so a row cannot
         /// pass without producing the kind of outcome it is named after.
-        /// (Its later ones may differ: a faulted task that the warm
-        /// store splices around never runs.)
         answer: fn(&CompileOutcome) -> bool,
     }
 
@@ -815,10 +787,10 @@ mod tests {
         )
     }
 
-    /// Whether `r`'s answer is a function of `r` alone (no fault plan, no
-    /// watchdog, an executor that runs).
+    /// Whether `r`'s answer is a function of `r` alone (an executor that
+    /// runs).
     fn repeatable(r: &CompileRequest) -> bool {
-        r.faults.is_none() && r.task_deadline.is_none() && r.exec != ExecChoice::Threads(0)
+        r.exec != ExecChoice::Threads(0)
     }
 
     fn run_row(row: &Row) {
@@ -900,32 +872,7 @@ mod tests {
         use Sub::{Flying, Landed, Queued};
 
         let clean = || req(1, "Tab", WARM);
-        let shaped = |shape: fn(&mut CompileRequest)| {
-            let mut r = clean();
-            shape(&mut r);
-            r
-        };
-        // A request whose answer is not kept compiles on every
-        // submission, and its clean twin compiles too (then is kept).
-        let ok: fn(&CompileOutcome) -> bool = |o| o.ok && !o.degraded && !o.stalled;
-        let never_kept = |name, shape, answer| Row {
-            name,
-            answer,
-            config: ServeConfig::default(),
-            requests: vec![shaped(shape), clean()],
-            script: vec![
-                Send(1, 0, Queued),
-                Land,
-                Send(1, 0, Queued),
-                Land,
-                Send(2, 1, Queued),
-                Land,
-                Send(2, 1, Landed),
-                Send(1, 0, Queued),
-                Land,
-            ],
-            counters: (4, 1),
-        };
+        let ok: fn(&CompileOutcome) -> bool = |o| o.ok;
         let mut rows = vec![
             Row {
                 name: "sequential repeats",
@@ -945,45 +892,38 @@ mod tests {
             },
             Row {
                 name: "a compile error is the request's answer",
-                answer: |o| !o.ok && !o.diagnostics.is_empty() && !o.degraded && !o.stalled,
+                answer: |o| !o.ok && !o.diagnostics.is_empty(),
                 config: ServeConfig::default(),
                 requests: vec![req(1, "Tab", "BEGIN undeclared := 1;")],
                 script: vec![Send(1, 0, Queued), Land, Send(2, 0, Landed), Land],
                 counters: (1, 1),
             },
-            never_kept(
-                "fault plan that fires nothing",
-                |r| {
-                    r.faults = Some(Arc::new(ccm2_faults::FaultPlan::single(
-                        "task:no-such-task",
-                        ccm2_faults::FaultKind::Panic,
-                    )));
-                },
-                ok,
-            ),
-            never_kept(
-                "degraded",
-                |r| {
-                    r.faults = Some(Arc::new(ccm2_faults::FaultPlan::single(
-                        "task:codegen(Tab.P)",
-                        ccm2_faults::FaultKind::Panic,
-                    )));
-                },
-                |o| o.degraded,
-            ),
-            never_kept(
-                "stalled",
-                |r| {
-                    r.exec = ExecChoice::Sim(2);
-                    r.task_deadline = Some(1);
-                },
-                |o| o.stalled,
-            ),
-            never_kept(
-                "panicked",
-                |r| r.exec = ExecChoice::Threads(0),
-                |o| o.diagnostics[0].contains("compile panicked"),
-            ),
+            // A panicked compile is not kept: it compiles on every
+            // submission, and its clean twin compiles too (then is kept).
+            Row {
+                name: "panicked",
+                answer: |o| o.diagnostics[0].contains("compile panicked"),
+                config: ServeConfig::default(),
+                requests: vec![
+                    CompileRequest {
+                        exec: ExecChoice::Threads(0),
+                        ..clean()
+                    },
+                    clean(),
+                ],
+                script: vec![
+                    Send(1, 0, Queued),
+                    Land,
+                    Send(1, 0, Queued),
+                    Land,
+                    Send(2, 1, Queued),
+                    Land,
+                    Send(2, 1, Landed),
+                    Send(1, 0, Queued),
+                    Land,
+                ],
+                counters: (4, 1),
+            },
             Row {
                 name: "paused: a landed flight answers, a flying one waits",
                 answer: ok,

@@ -15,11 +15,9 @@
 //! entry*     fp, bytes   (count times)
 //! ```
 //!
-//! The sequence number is the seam between full images and the
-//! incremental [`DeltaJournal`](crate::DeltaJournal): a restart loads
-//! the newest valid image and replays only the journaled delta ops with
-//! higher sequence numbers — usually far fewer bytes than a fresh full
-//! image.
+//! A restored store continues its delta sequence from the recorded
+//! number ([`SharedStore::resume_delta_seq`]), so a shard wrapped around
+//! it numbers its first new mutation after the ones the image holds.
 //!
 //! Entries are stored **in LRU recency order, least recently used
 //! first** ([`SharedStore::export`]), so replaying them in file order
@@ -44,8 +42,8 @@ pub const SNAPSHOT_FORMAT: Format = Format {
 /// One decoded snapshot image.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotImage {
-    /// Store delta sequence number recorded at the image's cut. Delta
-    /// replay resumes after this sequence number.
+    /// Store delta sequence number recorded at the image's cut; the
+    /// restored store's sequence continues from it.
     pub delta_seq: u64,
     /// The store's entries, oldest-recency first.
     pub entries: Vec<(Fp128, Vec<u8>)>,

@@ -83,11 +83,18 @@ struct Inner {
     /// are history, not new workload.
     delta: VecDeque<DeltaOp>,
     delta_base: u64,
+    /// Whether logged ops are kept ([`SharedStore::retain_deltas`]);
+    /// until then a mutation only advances the sequence number.
+    retain: bool,
 }
 
 impl Inner {
-    fn log_delta(&mut self, op: DeltaOp) {
-        self.delta.push_back(op);
+    fn log_delta(&mut self, op: impl FnOnce() -> DeltaOp) {
+        if !self.retain {
+            self.delta_base += 1;
+            return;
+        }
+        self.delta.push_back(op());
         while self.delta.len() > DELTA_LOG_CAP {
             self.delta.pop_front();
             self.delta_base += 1;
@@ -123,6 +130,7 @@ impl SharedStore {
                 quarantined: 0,
                 delta: VecDeque::new(),
                 delta_base: 0,
+                retain: false,
             }),
             faults: None,
         }
@@ -171,9 +179,18 @@ impl SharedStore {
         debug_assert_eq!(inner.map.len(), inner.lru.len());
     }
 
-    /// The sequence number of the newest logged mutation (0 before any).
-    /// The snapshot journal records this so a restart knows where delta
-    /// replay must pick up.
+    /// From now on, keeps every logged mutation for
+    /// [`SharedStore::deltas_since`] until [`SharedStore::truncate_deltas`]
+    /// drops it (or the log's cap does). A store nobody ships from
+    /// keeps none: it only counts them in [`SharedStore::delta_seq`].
+    pub fn retain_deltas(&self) {
+        self.inner.lock().retain = true;
+    }
+
+    /// The sequence number of the newest logged mutation (0 before any),
+    /// counted whether or not the ops are retained. A snapshot records
+    /// it, and a store restored from one continues the sequence from
+    /// there ([`SharedStore::resume_delta_seq`]).
     pub fn delta_seq(&self) -> u64 {
         let inner = self.inner.lock();
         inner.delta_base + inner.delta.len() as u64
@@ -181,8 +198,9 @@ impl SharedStore {
 
     /// Every logged mutation with sequence number greater than `seq`,
     /// in replay order. `None` when the retained history no longer
-    /// reaches back to `seq` (the bounded log dropped older ops) — the
-    /// caller must fall back to a full snapshot/export instead.
+    /// reaches back to `seq` (the ops were never retained, or the bounded
+    /// log dropped them) — the caller must fall back to a full export
+    /// instead.
     pub fn deltas_since(&self, seq: u64) -> Option<Vec<DeltaOp>> {
         let inner = self.inner.lock();
         if seq < inner.delta_base {
@@ -195,8 +213,8 @@ impl SharedStore {
         Some(inner.delta.iter().skip(skip).cloned().collect())
     }
 
-    /// Drops logged ops with sequence number `<= seq` — call after the
-    /// ops are durably journaled so the in-memory log stays small.
+    /// Drops logged ops with sequence number `<= seq` — call once they
+    /// have been shipped, so the log holds only what is still owed.
     pub fn truncate_deltas(&self, seq: u64) {
         let mut inner = self.inner.lock();
         while inner.delta_base < seq.min(inner.delta_base + inner.delta.len() as u64) {
@@ -215,11 +233,11 @@ impl SharedStore {
         inner.delta_base = seq;
     }
 
-    /// Replays delta ops — the restart path (snapshot + delta replay)
-    /// and the fabric's replica-absorb path. Like [`SharedStore::import`]
-    /// this bypasses fault injection, the insertion counter and the
-    /// delta log itself: replayed history must not be re-journaled or
-    /// re-corrupted. Budget and LRU admission still apply.
+    /// Replays delta ops — the fabric's replica-absorb path. Like
+    /// [`SharedStore::import`] this bypasses fault injection, the
+    /// insertion counter and the delta log itself: replayed history must
+    /// not be re-shipped or re-corrupted. Budget and LRU admission still
+    /// apply.
     pub fn apply_delta(&self, ops: &[DeltaOp]) {
         let mut inner = self.inner.lock();
         for op in ops {
@@ -314,12 +332,12 @@ impl ArtifactStore for SharedStore {
         // Log victims before the insert so replaying the ops in order
         // reproduces the same occupancy trajectory under the budget.
         for victim in &admission.evict {
-            inner.log_delta(DeltaOp::Evict { fp: *victim });
+            inner.log_delta(|| DeltaOp::Evict { fp: *victim });
         }
         if admission.accepted {
             inner.map.insert(fp, bytes.to_vec());
             inner.insertions += 1;
-            inner.log_delta(DeltaOp::Insert {
+            inner.log_delta(|| DeltaOp::Insert {
                 fp,
                 bytes: bytes.to_vec(),
             });
@@ -336,7 +354,7 @@ impl ArtifactStore for SharedStore {
         if inner.map.remove(&fp).is_some() {
             inner.lru.remove(fp);
             inner.quarantined += 1;
-            inner.log_delta(DeltaOp::Evict { fp });
+            inner.log_delta(|| DeltaOp::Evict { fp });
         }
     }
 }
@@ -347,6 +365,39 @@ mod tests {
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
+    }
+
+    /// A store whose delta log is read, as a shard's is.
+    fn retaining(budget: u64) -> SharedStore {
+        let s = SharedStore::new(budget);
+        s.retain_deltas();
+        s
+    }
+
+    /// A store nobody ships from holds its budget and no second copy of
+    /// it: the sequence counts every mutation, the log keeps none.
+    #[test]
+    fn a_plain_store_counts_deltas_but_keeps_none() {
+        let s = SharedStore::new(10);
+        s.store(fp(1), &[1; 4]);
+        s.store(fp(2), &[2; 4]);
+        s.store(fp(3), &[3; 4]); // evicts fp(1)
+        s.quarantine(fp(2));
+        assert_eq!(s.delta_seq(), 5);
+        assert!(s.deltas_since(0).is_none(), "no op retained");
+        assert_eq!(s.deltas_since(5), Some(Vec::new()));
+        // Retention starts where it is asked for.
+        s.retain_deltas();
+        s.store(fp(4), &[4; 4]);
+        assert_eq!(s.delta_seq(), 6);
+        assert!(s.deltas_since(4).is_none());
+        assert_eq!(
+            s.deltas_since(5),
+            Some(vec![DeltaOp::Insert {
+                fp: fp(4),
+                bytes: vec![4; 4]
+            }])
+        );
     }
 
     #[test]
@@ -363,7 +414,7 @@ mod tests {
 
     #[test]
     fn the_same_bytes_stored_again_are_a_use_not_an_insertion() {
-        let s = SharedStore::new(10);
+        let s = retaining(10);
         s.store(fp(1), &[1; 4]);
         s.store(fp(2), &[2; 4]);
         s.store(fp(1), &[1; 4]); // fp(2) is now least recently used
@@ -456,7 +507,7 @@ mod tests {
 
     #[test]
     fn delta_log_records_inserts_evictions_and_quarantines() {
-        let s = SharedStore::new(10);
+        let s = retaining(10);
         assert_eq!(s.delta_seq(), 0);
         s.store(fp(1), &[1; 4]);
         s.store(fp(2), &[2; 4]);
@@ -497,7 +548,7 @@ mod tests {
 
     #[test]
     fn deltas_since_cursor_and_truncation() {
-        let s = SharedStore::new(1024);
+        let s = retaining(1024);
         s.store(fp(1), b"a");
         s.store(fp(2), b"b");
         assert_eq!(s.deltas_since(1).unwrap().len(), 1);
@@ -515,7 +566,7 @@ mod tests {
 
     #[test]
     fn overflowing_delta_log_drops_oldest_history() {
-        let s = SharedStore::new(u64::MAX);
+        let s = retaining(u64::MAX);
         for i in 0..(super::DELTA_LOG_CAP as u64 + 10) {
             s.store(fp(i), b"x");
         }

@@ -1,5 +1,5 @@
 //! Kill/restart drills: a service is stopped mid-load and a new one is
-//! restored from the snapshot journal. The promises under test:
+//! restored from its newest snapshot. The promises under test:
 //!
 //! * no admitted request is lost — the old service's drop drains its
 //!   queue, so every ticket lands even when the kill races the load;
@@ -28,9 +28,6 @@ fn request(e: &ServeEvent) -> CompileRequest {
         strategy: DkyStrategy::Skeptical,
         exec: ExecChoice::Sim(4),
         analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
     }
 }
 

@@ -19,9 +19,6 @@ fn request(e: &ServeEvent) -> CompileRequest {
         strategy: DkyStrategy::Skeptical,
         exec: ExecChoice::Sim(4),
         analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
     }
 }
 

@@ -37,9 +37,6 @@ fn request(
         strategy,
         exec,
         analyze: false,
-        faults: None,
-        task_deadline: None,
-        max_stream_retries: 0,
     }
 }
 

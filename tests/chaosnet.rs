@@ -15,8 +15,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ccm2_bench::chaosnet::{
-    crash_restart_absorb, durable_node, heal_rejoin, partition_evict, partition_window,
-    start_fleet, SHARDS,
+    crash_restart_absorb, durable_node, heal_rejoin, partition_evict, partition_window, SHARDS,
 };
 use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
 use ccm2_fabric::{Fabric, HealthState, ShardNode};
@@ -46,7 +45,7 @@ fn serve_chaos(
     tcp: bool,
 ) -> Vec<Observed> {
     let nodes = (0..SHARDS).map(|id| Arc::new(ShardNode::start(id, config())));
-    let fleet = start_fleet(tcp, nodes.collect());
+    let fleet = Fabric::start_over(tcp, nodes.collect());
     let window = partition_window(params);
 
     let mut out = drive(fleet.router(), &reqs[..window.from], oracle).1;

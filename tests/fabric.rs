@@ -20,8 +20,8 @@ use proptest::prelude::*;
 
 use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
 use ccm2_fabric::{
-    decode_frame, encode_frame, Fabric, FabricRouter, HashRing, LeaseConfig, MembershipStore,
-    Message, RouterRole, ShardNode, Transport, DEFAULT_VNODES,
+    decode_frame, encode_frame, Fabric, FabricRouter, HashRing, MembershipStore, Message,
+    RouterRole, ShardNode, Transport, DEFAULT_VNODES,
 };
 use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
 use ccm2_support::within;
@@ -85,7 +85,6 @@ fn stale_router_control_refused_after_lease_moves() {
     let b = FabricRouter::new(fleet.conduit().transport())
         .with_identity(2)
         .as_standby()
-        .with_lease(LeaseConfig { expiry_ticks: 2 })
         .with_membership_store(Arc::clone(&store));
 
     assert!(a.acquire_lease(), "uncontested first grant");
