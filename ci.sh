@@ -18,6 +18,15 @@ if grep -nE "$seam" crates/core/src/driver.rs; then
   echo "the driver reaches past the incremental seam (lines above)" >&2
   exit 1
 fi
+# The hit/miss decisions are made in that module too, between the main
+# module's scan and its naming: the lexer stays a lexer (scan, then name)
+# and the Splitter a router over the depth rule, and neither names the
+# store, the seam or anything of ccm2-incr.
+fence='ccm2_incr|\bIncremental\b|\bArtifactStore\b|\.(load|store|quarantine)\('
+if grep -nE "$fence" crates/syntax/src/lexer.rs crates/core/src/splitter.rs; then
+  echo "the lexer or the Splitter reaches into the incremental cache (lines above)" >&2
+  exit 1
+fi
 
 echo "== fault injection stays a compile option =="
 # A compile request is its inputs: the fault plan, the watchdog and the
@@ -103,7 +112,12 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # instead of 200, under a digest of their own. And so does the seeded
 # interface-edit differential (`interface_edit_differential`: the edited
 # definition module and its importers recompile, every other interface
-# splices, the output is a cold compile's): 240 edits instead of 12.
+# splices, the output is a cold compile's): 240 edits instead of 12. And
+# so does the warm-against-cold differential of body mutants
+# (`mutated_bodies_compile_warm_as_cold`: a mutant compiled against a
+# store its unmutated module filled is its cold compile, whatever the
+# mutation did to the structure the Lexor carves before it skips
+# spliced bodies): 20 000 mutants instead of 200.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -130,7 +144,7 @@ race --test threaded_suite -- work_charges_equal
 race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
 race --test diagnostics -- mutated_declarations mutated_bodies output_pin
-race --test incremental -- interface_edit_differential
+race --test incremental -- interface_edit_differential mutated_bodies_compile_warm_as_cold
 
 echo "== examples, optimized, with README's arguments =="
 # Each example asserts its own result (a clean compile, a VM run's

@@ -723,7 +723,7 @@ mod tests {
     use super::*;
     use ccm2_support::diag::Severity;
     use ccm2_support::source::SourceMap;
-    use ccm2_syntax::lexer::Lexer;
+    use ccm2_syntax::lexer::lex_file;
     use ccm2_syntax::parser::parse_implementation;
 
     /// Parses a module and runs the module-unit lints plus one
@@ -734,7 +734,7 @@ mod tests {
         let sources = SourceMap::new();
         let file = sources.add("Main.mod", source);
         let sink = DiagnosticSink::new();
-        let tokens: Vec<_> = Lexer::new(&file, &interner, &sink).collect();
+        let tokens = lex_file(&file, &interner, &sink);
         let module = parse_implementation(&tokens, &interner, &sink).expect("test module parses");
         assert!(!sink.has_errors(), "test module must be clean Modula-2+");
         let module_name = interner.resolve(module.name.name);

@@ -47,13 +47,14 @@ use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceFile, SourceMap, Span};
 use ccm2_support::work::Work;
 use ccm2_syntax::ast::{stmt_count, Decl, Import, ProcBody, ProcLocal, Stmt};
-use ccm2_syntax::lexer::Lexer;
+use ccm2_syntax::lexer::{Lexer, Names};
 use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
+use ccm2_syntax::token::{Token, TokenKind};
 
 use crate::importer::{run_importer, ImportSink};
-use crate::incremental::{Incremental, PendingStream, Splice};
+use crate::incremental::{Incremental, Splice};
 use crate::queue::{StreamCursor, TokenQueue, TokenWriter};
-use crate::splitter::{run_splitter, StreamFactory};
+use crate::splitter::{carve, run_splitter, StreamFactory};
 
 /// Which executor carries the compilation.
 #[derive(Clone, Debug)]
@@ -372,7 +373,7 @@ impl Driver {
                 meter,
             ));
             sema.tables.set_notifier(link);
-            let incr = Incremental::new(&options, defs.as_ref(), source, &sema, env.as_ref());
+            let incr = Incremental::new(&options, defs.as_ref(), source, &sema);
             Driver {
                 env: Arc::clone(&env),
                 interner: Arc::clone(&interner),
@@ -444,10 +445,19 @@ impl Driver {
             };
             self.env.spawn(t);
         }
-        // Splitter + main module parser. Under the no-early-split
-        // ablation the parser reads the raw token stream directly
-        // (procedures are discovered while parsing, as in pre-paper
-        // designs) and the main scope is created by the parser itself.
+        // An incremental compile's Lexor spawns the rest of the front
+        // once the cache has decided ([`Driver::lex_deferred`]).
+        if self.incr.is_none() {
+            self.spawn_front(lex_q);
+        }
+    }
+
+    /// Spawns the Splitter and the main module's parser over the main
+    /// Lexor's queue `lex_q`. Under the no-early-split ablation the
+    /// parser reads the raw token stream directly (procedures are
+    /// discovered while parsing, as in pre-paper designs) and the main
+    /// scope is created by the parser itself.
+    fn spawn_front(self: &Arc<Self>, lex_q: Arc<TokenQueue>) {
         let parse_q = if self.early_split {
             let (out, parse_q) = TokenQueue::channel(Arc::clone(&self.env), "parse(Main)");
             let this = Arc::clone(self);
@@ -480,14 +490,7 @@ impl Driver {
             );
             t.signals = vec![self.main_scope_event];
             t.may_wait = WaitSet {
-                // Under incremental compilation the parser also waits for
-                // the splitter's hit/miss decisions before spawning the
-                // module-body task.
-                events: self
-                    .incr
-                    .as_ref()
-                    .map(|i| vec![i.ready])
-                    .unwrap_or_default(),
+                events: vec![],
                 all_def_scopes: true,
                 any_barrier: true,
             };
@@ -579,23 +582,83 @@ impl Driver {
     }
 
     /// Spawns the Lexor task of one source file and returns the queue it
-    /// fills; [`Work::Lex`] is charged per published block.
+    /// fills; [`Work::Lex`] is charged per token, for a published one as
+    /// its block is published. It scans and names each token as it goes,
+    /// except for the main module of an incremental compile
+    /// ([`Driver::lex_deferred`]).
     fn spawn_lexor(self: &Arc<Self>, name: String, file: Arc<SourceFile>) -> Arc<TokenQueue> {
         let (writer, q) = TokenQueue::channel(Arc::clone(&self.env), name.clone());
         let mut writer = writer.charging(Work::Lex);
         let this = Arc::clone(self);
+        let own = Arc::clone(&q);
         let mut t = TaskDesc::new(
             name,
             TaskKind::Lexor,
             Box::new(move || {
                 let sema = &this.sema;
-                writer.extend(Lexer::new(&file, &sema.interner, &sema.sink));
+                match &this.incr {
+                    Some(incr) if file.id() == FileId(0) => {
+                        this.lex_deferred(incr, &file, &mut writer, own);
+                    }
+                    _ => {
+                        let mut names = Names::new(&file, &sema.interner);
+                        writer.extend(Lexer::new(&file, &sema.sink).map(|t| names.name(t)));
+                    }
+                }
                 writer.close();
             }),
         );
         t.signals_barriers = true;
         self.env.spawn(t);
         q
+    }
+
+    /// The Lexor of an incremental compile's main module, which fills
+    /// `lex_q`. It scans the whole text, carves it by the Splitter's
+    /// depth rule and has the cache decide which streams splice; then it
+    /// spawns the Splitter and the module parser, and names and publishes
+    /// only what the compile parses — everything but the bodies of the
+    /// streams that splice, which are scanned once and never named,
+    /// queued or split. What precedes the first `PROCEDURE` is module
+    /// level, which every compile parses: it is published as it is
+    /// scanned, so the Importer and the interface splices start as early
+    /// as in a cold compile.
+    fn lex_deferred(
+        self: &Arc<Self>,
+        incr: &Incremental,
+        file: &SourceFile,
+        writer: &mut TokenWriter,
+        lex_q: Arc<TokenQueue>,
+    ) {
+        let sema = &self.sema;
+        let mut names = Names::new(file, &sema.interner);
+        let mut scan = Lexer::new(file, &sema.sink);
+        let mut tokens: Vec<Token> = Vec::with_capacity(file.text().len() / 3);
+        let mut published = 0;
+        for t in scan.by_ref() {
+            tokens.push(t);
+            if t.kind == TokenKind::Procedure {
+                break;
+            }
+            writer.push(names.name(t));
+            published += 1;
+        }
+        tokens.extend(scan);
+        let carving = carve(&tokens);
+        let spliced = incr.decide(file.text(), &carving);
+        self.spawn_front(lex_q);
+        let rest = &tokens[published..];
+        let mut from = 0;
+        let mut skipped = 0;
+        for body in carving.bodies(&spliced) {
+            let lo = rest.partition_point(|t| t.span.lo < body.lo);
+            let hi = rest.partition_point(|t| t.span.lo < body.hi);
+            writer.extend(rest[from..lo].iter().map(|&t| names.name(t)));
+            skipped += hi - lo;
+            from = hi;
+        }
+        writer.extend(rest[from..].iter().map(|&t| names.name(t)));
+        self.env.charge(Work::Lex, skipped as u64);
     }
 
     /// Spawns one per-unit `Analyze` task (§2.3.4 priority: after
@@ -808,14 +871,9 @@ impl Driver {
             );
         }
         // Module-body statement analysis + code generation task — or a
-        // splice of the cached module unit. The splitter has carved every
-        // stream by the time the main token queue closes, so waiting on
-        // `ready` here cannot block for long (and never cyclically: the
-        // splitter reads only from the lexer).
-        let module_splice = self.incr.as_ref().and_then(|incr| {
-            self.env.wait(incr.ready);
-            incr.module_splice()
-        });
+        // splice of the cached module unit, decided before this task was
+        // spawned.
+        let module_splice = self.incr.as_ref().and_then(|incr| incr.module_splice());
         let weight = stmt_count(&stmts) as u64;
         if let Some(splice) = module_splice {
             self.spawn_splice(module_name, weight, None, splice);
@@ -1002,8 +1060,8 @@ impl Driver {
 
     /// Parser/DeclAnalyzer task for a procedure stream, gated on the
     /// heading event (§2.4 avoided event). Under Avoidance it is also
-    /// gated on the parent scope's completion (§2.2). Called directly
-    /// from `proc_stream`, or at `split_eof` for cache misses.
+    /// gated on the parent scope's completion (§2.2). Spawned as the
+    /// Splitter creates the stream, unless the stream splices.
     fn spawn_proc_parse(
         self: &Arc<Self>,
         scope: ScopeId,
@@ -1134,6 +1192,7 @@ impl Driver {
     fn finish(self: &Arc<Self>, report: RunReport) -> ConcurrentOutput {
         let mut st = self.st.lock();
         let main_name = st.main_name;
+        let main_scope = st.main_scope;
         let procedures = st.procedures;
         let imported_interfaces = st.def_streams.len();
         let import_nesting_depth = st.max_import_depth;
@@ -1265,6 +1324,7 @@ impl Driver {
                 &code_names,
                 &lock_keys,
                 &def_streams,
+                main_scope,
             )
         });
         let sema = &self.sema;
@@ -1339,17 +1399,10 @@ impl StreamFactory for DriverHandle {
             // The parent's parse stopped short of this heading.
             this.env.signal(heading_ev);
         }
-        if let Some(incr) = &this.incr {
-            // Incremental mode: task spawning is deferred to `split_eof`,
-            // when the full carve set exists and each stream can be
-            // fingerprinted as a cache hit (splice) or miss (parse).
-            incr.defer(PendingStream {
-                scope,
-                parent,
-                name,
-                queue: q,
-            });
-        } else {
+        // A stream that splices gets its `CacheSplice` when its carve
+        // closes; nobody reads its queue.
+        let spliced = (this.incr.as_ref()).is_some_and(|i| i.stream_created(id.0 as usize, scope));
+        if !spliced {
             this.spawn_proc_parse(scope, parent, name, q);
         }
         (id, writer)
@@ -1359,36 +1412,23 @@ impl StreamFactory for DriverHandle {
         self.0.st.lock().stream_scopes.get(&stream).copied()
     }
 
+    /// Under incremental compilation, spawns the `CacheSplice` of a
+    /// stream that splices, once the scopes of the streams nested in it
+    /// exist.
     fn stream_carved(&self, stream: StreamId, heading: Span, full: Span) {
-        let scope = self.0.st.lock().stream_scopes.get(&stream).copied();
-        if let (Some(incr), Some(scope)) = (&self.0.incr, scope) {
-            incr.carved(scope, heading, full);
-        }
-    }
-
-    /// Under incremental compilation, spawns each deferred stream's tasks
-    /// once the cache has decided which of them splice.
-    fn split_eof(&self) {
         let this = &self.0;
         let Some(incr) = &this.incr else {
             return;
         };
-        let main_file = this.sources.get(FileId(0));
-        let st = this.st.lock();
-        let main = st.main_scope.zip(st.main_name);
-        drop(st);
-        let streams = incr.split_eof(main_file.as_ref().map_or("", |f| f.text()), main);
-        // The module parser may now choose between live codegen and a
-        // module-body splice.
-        this.env.signal(incr.ready);
-        for (stream, splice) in streams {
-            let Some(splice) = splice else {
-                this.spawn_proc_parse(stream.scope, stream.parent, stream.name, stream.queue);
-                continue;
-            };
-            let weight = splice.entry.unit.code.len() as u64;
-            this.spawn_splice(stream.name, weight, Some(stream.scope), splice);
-        }
+        let scope = this.st.lock().stream_scopes.get(&stream).copied();
+        let (Some(scope), Some(splice)) =
+            (scope, incr.stream_closed(stream.0 as usize, heading, full))
+        else {
+            return;
+        };
+        let weight = splice.entry.unit.code.len() as u64;
+        let name = this.tables().scope(scope).name();
+        this.spawn_splice(name, weight, Some(scope), splice);
     }
 }
 

@@ -2,13 +2,17 @@
 //!
 //! Every decision the driver's incremental mode makes, and every call it
 //! makes to the [`ArtifactStore`], is here. The driver calls in at three
-//! points — [`Incremental::new`] as the compile starts,
-//! [`Incremental::split_eof`] once the Splitter has carved every stream,
-//! and [`Incremental::finish`] — and asks two questions it cannot avoid:
-//! whether a definition module's stream splices
-//! ([`Incremental::spliced_interface`]) and, once [`Incremental::ready`]
-//! fired, whether the module body does ([`Incremental::module_splice`]).
-//! The splice tasks themselves stay in the driver.
+//! points — [`Incremental::new`] as the compile starts (interface keys
+//! and loads), [`Incremental::decide`] once the main module's Lexor has
+//! scanned it and the depth rule has carved it (fingerprints, hit or
+//! miss per code unit, before any body token is published), and
+//! [`Incremental::finish`] — and asks what the decisions mean for each
+//! stream as the Splitter creates and closes it
+//! ([`Incremental::stream_created`], [`Incremental::stream_closed`]), whether a
+//! definition module's stream splices
+//! ([`Incremental::spliced_interface`]) and whether the module body does
+//! ([`Incremental::module_splice`]). The splice tasks themselves stay in
+//! the driver; the Splitter knows nothing of the cache.
 //!
 //! A procedure stream or the module body is a *code unit*, stored under
 //! its fingerprint (`ccm2_incr::fingerprint`); a definition module's
@@ -28,20 +32,19 @@ use ccm2_incr::{
     CacheEntryData, CachedDiag, Carve, EntryDecoder, ImportGraph, IncrStats, StreamNode,
     FORMAT_VERSION,
 };
-use ccm2_sched::{EventClass, ExecEnv};
 use ccm2_sema::interface::{self, Interface};
 use ccm2_sema::types::TypeId;
 use ccm2_sema::Sema;
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::{Diagnostic, Severity};
 use ccm2_support::hash::Fp128;
-use ccm2_support::ids::{EventId, ScopeId};
+use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
 use ccm2_support::source::{FileId, Span};
 use ccm2_syntax::ast::Import;
 
 use crate::driver::Options;
-use crate::queue::TokenQueue;
+use crate::splitter::Carving;
 
 /// A compile's incremental state, present only when the cache is active.
 pub(crate) struct Incremental {
@@ -53,10 +56,6 @@ pub(crate) struct Incremental {
     /// reach (per-import precision — an unrelated `.def` edit must not
     /// invalidate this module's units).
     env_fp: Fp128,
-    /// Signaled once the code units' hit/miss decisions exist (the module
-    /// parser waits on it before choosing between live codegen and a
-    /// module-body splice).
-    pub(crate) ready: EventId,
     /// Every module with an interface key, imports before importers:
     /// name, key, the modules it imports.
     keyed: Vec<(Symbol, Fp128, Vec<Symbol>)>,
@@ -72,11 +71,9 @@ pub(crate) struct Incremental {
 
 #[derive(Default)]
 struct State {
-    /// Procedure streams whose tasks wait for the hit/miss decisions, in
-    /// the order the Splitter found them.
-    pending: Vec<PendingStream>,
-    /// Each pending stream's carve, by scope.
-    carves: HashMap<ScopeId, Carve>,
+    /// Every procedure stream the scan carved, in the order the Splitter
+    /// creates them.
+    streams: Vec<Stream>,
     /// The code units' decisions: procedure streams in carve order, then
     /// the module body. Entries are recorded in this order, and under a
     /// byte budget what a store keeps depends on it.
@@ -94,13 +91,17 @@ struct State {
     stats: IncrStats,
 }
 
-/// A procedure stream whose task spawning is deferred until the Splitter
-/// has carved the whole module and fingerprints can be computed.
-pub(crate) struct PendingStream {
-    pub(crate) scope: ScopeId,
-    pub(crate) parent: ScopeId,
-    pub(crate) name: Symbol,
-    pub(crate) queue: Arc<TokenQueue>,
+/// One procedure stream the scan carved, and what became of it.
+struct Stream {
+    /// Its carve, as the Splitter must report it.
+    heading: Span,
+    full: Span,
+    /// Its scope, once the Splitter created the stream.
+    scope: Option<ScopeId>,
+    /// The streams carved directly inside it.
+    children: Vec<usize>,
+    /// Its splice, if it splices, until the Splitter closes its carve.
+    splice: Option<Splice>,
 }
 
 /// What a code unit's `CacheSplice` task replays in place of its parse
@@ -123,7 +124,8 @@ pub(crate) struct Splice {
 /// One code unit's decision, kept so `finish` can record an entry for
 /// each unit that compiled live under the fingerprint computed this run.
 struct Unit {
-    scope: ScopeId,
+    /// The unit's stream; `None` for the module body.
+    stream: Option<usize>,
     fp: Fp128,
     spliced: bool,
     /// `None` for the module body: its parse always runs live, so its
@@ -148,14 +150,12 @@ impl Incremental {
         defs: &dyn DefProvider,
         source: &str,
         sema: &Arc<Sema>,
-        env: &dyn ExecEnv,
     ) -> Option<Incremental> {
         let store = options.incremental.as_ref()?;
         if !options.early_split {
             return None;
         }
         let library = defs.all_definitions()?;
-        let ready = env.new_event_named(EventClass::Handled, "incr(decisions)");
         let graph = ImportGraph::of(source, &library);
         let tag = options.heading_mode.cache_tag();
         let (env_fp, keys) = graph.keys(FORMAT_VERSION, options.analyze, tag);
@@ -164,7 +164,6 @@ impl Incremental {
             sema: Arc::clone(sema),
             analyze: options.analyze,
             env_fp,
-            ready,
             keyed: Vec::with_capacity(keys.len()),
             spliced: HashMap::new(),
             types: Mutex::new(HashMap::new()),
@@ -172,7 +171,7 @@ impl Incremental {
         };
         // Imports come first, so a module's imports are decided before it
         // is: one with an import that does not splice is not looked up
-        // (the closure rule of `split_eof`, one level up — a module parsed
+        // (the closure rule of `decide`, one level up — a module parsed
         // live rebuilds its types, so every importer of it must too).
         let interner = &sema.interner;
         for k in &keys {
@@ -191,7 +190,7 @@ impl Incremental {
                     dep.is_some_and(|d| (index as usize) < d.types.len())
                 })
             };
-            let loaded = incr.load(k.key, name, |bytes| {
+            let loaded = incr.load(k.key, k.name, |bytes| {
                 match decode_interface(bytes, interner) {
                     Ok(iface) if links_fit(&iface) => Ok(iface),
                     Ok(_) => Err("malformed link".to_string()),
@@ -211,7 +210,7 @@ impl Incremental {
     fn load<T>(
         &self,
         key: Fp128,
-        name: Symbol,
+        name: &str,
         decode: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> Result<Option<T>, ()> {
         let Some(bytes) = self.store.load(key) else {
@@ -222,7 +221,6 @@ impl Incremental {
             Err(why) => why,
         };
         self.store.quarantine(key);
-        let name = self.sema.interner.resolve(name);
         self.sema.sink.report(Diagnostic {
             severity: Severity::Note,
             file: FileId(0),
@@ -276,60 +274,37 @@ impl Incremental {
         own
     }
 
-    /// Defers a procedure stream's tasks to [`Incremental::split_eof`].
-    pub(crate) fn defer(&self, stream: PendingStream) {
-        self.st.lock().pending.push(stream);
-    }
-
-    /// The Splitter carved the stream of `scope`: `heading` covers
-    /// `PROCEDURE … ;` and `full` the whole declaration.
-    pub(crate) fn carved(&self, scope: ScopeId, heading: Span, full: Span) {
-        let carve = Carve {
-            lo: full.lo,
-            heading_hi: heading.hi,
-            hi: full.hi,
-        };
-        self.st.lock().carves.insert(scope, carve);
-    }
-
-    /// The Splitter carved every stream of `source` (it carves
-    /// unterminated ones too): fingerprints them, decides hit or miss per
-    /// code unit, and hands back each deferred stream with the splice that
-    /// replaces its parse, if it hits. A hit splices only when every
-    /// stream nested in it hits too — a recompiled inner procedure needs
-    /// its enclosing scopes declared live. `main` is the module's scope
-    /// and name, if its header was read.
-    pub(crate) fn split_eof(
-        &self,
-        source: &str,
-        main: Option<(ScopeId, Symbol)>,
-    ) -> Vec<(PendingStream, Option<Splice>)> {
-        let mut st = self.st.lock();
-        let pending = std::mem::take(&mut st.pending);
-        let carves = std::mem::take(&mut st.carves);
-        drop(st);
-        let index_of: HashMap<ScopeId, usize> = pending
+    /// The main module's Lexor scanned `source` and the depth rule carved
+    /// it: fingerprints every stream the Splitter will create, decides hit
+    /// or miss per code unit, and returns, per stream, whether it
+    /// splices. A hit splices only when every stream nested in it hits
+    /// too — a recompiled inner procedure needs its enclosing scopes
+    /// declared live. An entry that does not decode is a miss, so a
+    /// stream whose body the Lexor skips always has a splice to replay.
+    pub(crate) fn decide(&self, source: &str, carving: &Carving) -> Vec<bool> {
+        let carved = &carving.streams;
+        let nodes: Vec<StreamNode> = carved
             .iter()
-            .enumerate()
-            .map(|(i, p)| (p.scope, i))
-            .collect();
-        let nodes: Vec<StreamNode> = pending
-            .iter()
-            .map(|p| StreamNode {
-                carve: carves[&p.scope],
-                parent: index_of.get(&p.parent).copied(),
+            .map(|c| StreamNode {
+                carve: Carve {
+                    lo: c.full.lo,
+                    heading_hi: c.heading.hi,
+                    hi: c.full.hi,
+                },
+                parent: c.parent,
             })
             .collect();
         let fps = fingerprint_streams(source, &nodes, self.env_fp);
         let mut stats = IncrStats {
-            units: pending.len() + 1,
+            units: carved.len() + 1,
             ..IncrStats::default()
         };
+        let text = |span: Span| source.get(span.lo as usize..span.hi as usize).unwrap_or("");
         // One decoder for every entry: its name table asks the interner
         // once per distinct name across all of them.
         let mut decoder = EntryDecoder::new(&self.sema.interner);
-        let mut load = |fp: Fp128, name: Symbol, lo: u32| {
-            let loaded = self.load(fp, name, |bytes| {
+        let mut load = |fp: Fp128, name: Span, lo: u32| {
+            let loaded = self.load(fp, text(name), |bytes| {
                 let entry = decoder.decode(bytes).map_err(|e| e.to_string())?;
                 // A proc entry recorded under analysis carries a lock
                 // summary; an undecodable one (format bump, corruption)
@@ -351,69 +326,102 @@ impl Incremental {
                 None
             })
         };
-        let hits: Vec<Option<Splice>> = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| load(fps.streams[i], p.name, nodes[i].carve.lo))
+        let hits: Vec<Option<Splice>> = (carved.iter().zip(&fps.streams))
+            .map(|(c, &fp)| load(fp, c.name, c.full.lo))
             .collect();
-        let module = main.map(|(scope, name)| (scope, load(fps.module, name, 0)));
+        let module = carving.module.map(|name| load(fps.module, name, 0));
         // Splice closure, bottom-up (children always follow their lexical
         // parent in discovery order, so a reverse scan sees them first).
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); pending.len()];
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some(p) = n.parent {
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); carved.len()];
+        for (i, c) in carved.iter().enumerate() {
+            if let Some(p) = c.parent {
                 children[p].push(i);
             }
         }
-        let mut spliced = vec![false; pending.len()];
-        for i in (0..pending.len()).rev() {
+        let mut spliced = vec![false; carved.len()];
+        for i in (0..carved.len()).rev() {
             spliced[i] = hits[i].is_some() && children[i].iter().all(|&c| spliced[c]);
         }
-        let module_hit = module.as_ref().is_some_and(|(_, hit)| hit.is_some());
+        let module_hit = module.as_ref().is_some_and(Option::is_some);
         stats.hits = hits.iter().flatten().count() + usize::from(module_hit);
         stats.spliced = spliced.iter().filter(|s| **s).count() + usize::from(module_hit);
         stats.recompiled = stats.units - stats.spliced;
-        let mut units: Vec<Unit> = pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| Unit {
-                scope: p.scope,
+        let mut units: Vec<Unit> = (0..carved.len())
+            .map(|i| Unit {
+                stream: Some(i),
                 fp: fps.streams[i],
                 spliced: spliced[i],
                 carve: Some(nodes[i].carve),
             })
             .collect();
         units.sort_by_key(|u| u.carve.map(|c| (c.lo, c.hi)));
-        let module_splice = module.and_then(|(scope, hit)| {
+        let module_splice = module.and_then(|hit| {
             units.push(Unit {
-                scope,
+                stream: None,
                 fp: fps.module,
                 spliced: module_hit,
                 carve: None,
             });
             hit
         });
-        {
-            let mut st = self.st.lock();
-            st.units = units;
-            st.module_splice = module_splice;
-            st.stats = stats;
-        }
-        let scope_of: Vec<ScopeId> = pending.iter().map(|p| p.scope).collect();
-        let streams = pending.into_iter().zip(hits).enumerate();
-        streams
-            .map(|(i, (stream, hit))| {
-                let splice = hit.filter(|_| spliced[i]).map(|splice| Splice {
-                    children: children[i].iter().map(|&c| scope_of[c]).collect(),
-                    ..splice
-                });
-                (stream, splice)
+        let mut st = self.st.lock();
+        st.module_splice = module_splice;
+        st.units = units;
+        st.stats = stats;
+        st.streams = (carved.iter().zip(hits).zip(children).enumerate())
+            .map(|(i, ((c, hit), children))| Stream {
+                heading: c.heading,
+                full: c.full,
+                scope: None,
+                children,
+                splice: hit.filter(|_| spliced[i]),
             })
-            .collect()
+            .collect();
+        spliced
     }
 
-    /// The module body's splice, if it hits: asked once, after
-    /// [`Incremental::ready`] fired.
+    /// The Splitter created stream `index` with scope `scope`: whether it
+    /// splices (its `CacheSplice` comes when its carve closes) rather
+    /// than compiling live.
+    pub(crate) fn stream_created(&self, index: usize, scope: ScopeId) -> bool {
+        let mut st = self.st.lock();
+        let Some(stream) = st.streams.get_mut(index) else {
+            return false;
+        };
+        stream.scope = Some(scope);
+        stream.splice.is_some()
+    }
+
+    /// The Splitter carved stream `index` as `heading` and `full`: the
+    /// splice that replaces its parse, if it splices, with its children's
+    /// scopes, which all exist by now. A carve other than the scan's is
+    /// reported as an internal error, since the Lexor skipped text by the
+    /// scan's.
+    pub(crate) fn stream_closed(&self, index: usize, heading: Span, full: Span) -> Option<Splice> {
+        let mut st = self.st.lock();
+        let scanned = st.streams.get(index).map(|s| (s.heading, s.full));
+        if scanned != Some((heading, full)) {
+            self.sema.sink.report(Diagnostic::error(
+                FileId(0),
+                full,
+                format!(
+                    "internal error: the Splitter carved stream {index} as {heading:?} {full:?}, \
+                     the scan as {scanned:?}"
+                ),
+            ));
+        }
+        let stream = st.streams.get_mut(index)?;
+        let splice = stream.splice.take()?;
+        let children = std::mem::take(&mut stream.children);
+        let children = children.iter().filter_map(|&c| st.streams[c].scope);
+        Some(Splice {
+            children: children.collect(),
+            ..splice
+        })
+    }
+
+    /// The module body's splice, if it hits: asked once, by the module
+    /// parser, which is spawned after [`Incremental::decide`].
     pub(crate) fn module_splice(&self) -> Option<Splice> {
         self.st.lock().module_splice.take()
     }
@@ -444,11 +452,19 @@ impl Incremental {
         code_names: &HashMap<ScopeId, Symbol>,
         lock_keys: &HashSet<(u32, u32, String)>,
         def_streams: &HashMap<Symbol, ScopeId>,
+        main_scope: Option<ScopeId>,
     ) -> IncrStats {
         let st = std::mem::take(&mut *self.st.lock());
         if let Some(diagnostics) = diagnostics {
             if let Some(image) = image {
-                self.record_entries(&st, image, diagnostics, code_names, lock_keys);
+                let scope_of = |u: &Unit| match u.stream {
+                    Some(i) => st.streams.get(i).and_then(|s| s.scope),
+                    None => main_scope,
+                };
+                let units: Vec<(ScopeId, &Unit)> = (st.units.iter())
+                    .filter_map(|u| Some((scope_of(u)?, u)))
+                    .collect();
+                self.record_entries(&st, &units, image, diagnostics, code_names, lock_keys);
             }
             self.record_interfaces(diagnostics, def_streams, st.def_imports);
         }
@@ -468,6 +484,7 @@ impl Incremental {
     fn record_entries(
         &self,
         st: &State,
+        units: &[(ScopeId, &Unit)],
         image: &ModuleImage,
         diagnostics: &[Diagnostic],
         code_names: &HashMap<ScopeId, Symbol>,
@@ -479,8 +496,8 @@ impl Incremental {
             if d.file != FileId(0) || lock_keys.contains(&key) {
                 continue;
             }
-            let owner = (st.units.iter())
-                .filter_map(|u| Some((u.scope, u.carve?)))
+            let owner = (units.iter())
+                .filter_map(|(scope, u)| Some((*scope, u.carve?)))
                 .filter(|(_, carve)| carve.body_contains(d.span.lo))
                 .min_by_key(|(_, carve)| carve.hi - carve.lo);
             if let Some((scope, carve)) = owner {
@@ -493,18 +510,18 @@ impl Incremental {
             }
         }
         let interner = &self.sema.interner;
-        for unit in st.units.iter().filter(|u| !u.spliced) {
-            let Some(code) = code_names.get(&unit.scope).and_then(|&n| image.unit(n)) else {
+        for &(scope, unit) in units.iter().filter(|(_, u)| !u.spliced) {
+            let Some(code) = code_names.get(&scope).and_then(|&n| image.unit(n)) else {
                 continue;
             };
-            let diags = per_scope.remove(&unit.scope).unwrap_or_default();
-            let mut used: Vec<String> = (st.used_sets.get(&unit.scope))
+            let diags = per_scope.remove(&scope).unwrap_or_default();
+            let mut used: Vec<String> = (st.used_sets.get(&scope))
                 .map(|s| s.iter().map(|sym| interner.resolve(*sym)).collect())
                 .unwrap_or_default();
             used.sort();
             // Summary spans are stored carve-relative, like the cached
             // diagnostics: a splice into a shifted file rebases both.
-            let summary = (st.summaries.get(&unit.scope))
+            let summary = (st.summaries.get(&scope))
                 .map(|s| ccm2_analysis::encode_summary(s, unit.carve.map_or(0, |c| c.lo)))
                 .unwrap_or_default();
             let data = CacheEntryData {

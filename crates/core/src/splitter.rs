@@ -32,46 +32,17 @@ pub trait StreamFactory: Send + Sync {
     fn main_module_started(&self, name: Symbol, file: FileId) -> ScopeId;
     /// The splitter found `PROCEDURE name` nested in `parent` scope:
     /// create the procedure's stream (scope, queue, tasks) and hand back
-    /// the producer end of its queue.
+    /// the producer end of its queue. Streams are numbered from 0 in the
+    /// order they are found, which is the order of [`carve`]'s streams.
     fn proc_stream(&self, name: Symbol, file: FileId, parent: ScopeId) -> (StreamId, TokenWriter);
     /// The scope created for `stream` (needed to parent nested
     /// procedures).
     fn scope_for(&self, stream: StreamId) -> Option<ScopeId>;
     /// The splitter finished carving `stream` out of the main module's
     /// text: `heading` covers `PROCEDURE … ;` and `full` the whole
-    /// declaration through `END Name ;`. Called once per stream, before
-    /// [`StreamFactory::split_eof`]. Default: ignore.
+    /// declaration through `END Name ;`. Called once per stream, after
+    /// every stream nested in it was carved. Default: ignore.
     fn stream_carved(&self, _stream: StreamId, _heading: Span, _full: Span) {}
-    /// All streams have been carved and reported; the main stream is
-    /// still open. Incremental drivers use this to decide hit/miss per
-    /// stream before any deferred per-procedure work starts. Default:
-    /// ignore.
-    fn split_eof(&self) {}
-}
-
-struct Frame {
-    sink: TokenWriter,
-    scope: Option<ScopeId>,
-    /// Unclosed END-consuming openers inside this frame.
-    depth: i64,
-    /// The stream this frame feeds (`None` for the main frame; the
-    /// others are procedure streams, closed when their END arrives).
-    stream: Option<StreamId>,
-    /// Source range of `PROCEDURE … ;` for proc frames.
-    heading: Span,
-    /// Grows to cover every token routed into this frame.
-    hi: u32,
-}
-
-impl Frame {
-    /// Report the carved extent to the factory, then close the sink.
-    fn carve_and_close(self, factory: &dyn StreamFactory) {
-        if let Some(stream) = self.stream {
-            let full = Span::new(self.heading.lo, self.hi.max(self.heading.hi));
-            factory.stream_carved(stream, self.heading, full);
-        }
-        self.sink.close();
-    }
 }
 
 /// Statistics about one splitter run.
@@ -83,86 +54,106 @@ pub struct SplitReport {
     pub tokens: usize,
 }
 
-/// Runs the splitter: consumes `input` (blocking on a live stream),
-/// routes tokens to `main_out` and to procedure streams created through
-/// `factory`. Closes every stream it opened (and `main_out`) before
-/// returning.
-pub fn run_splitter(
-    input: &dyn TokenSource,
-    main_out: TokenWriter,
-    factory: &dyn StreamFactory,
-) -> SplitReport {
-    let mut report = SplitReport::default();
-    let mut stack: Vec<Frame> = vec![Frame {
-        sink: main_out,
-        scope: None,
+/// What the depth rule finds in the main module's tokens, told in token
+/// order to whoever walks them: the Splitter, which routes the tokens,
+/// and [`carve`], which only records where the streams lie.
+trait Route {
+    /// Whether the innermost open frame can declare a procedure: the main
+    /// frame once the module header was read, a procedure frame always.
+    fn declares(&self) -> bool;
+    /// `t` belongs to the innermost open frame.
+    fn token(&mut self, t: Token);
+    /// The first `MODULE name` of the main frame was read (its `MODULE`
+    /// already told).
+    fn module_started(&mut self, name: Token);
+    /// `PROCEDURE name` declares a procedure inside the innermost frame;
+    /// its heading is read next.
+    fn open(&mut self, name: Token);
+    /// The heading of the procedure just opened (`PROCEDURE` first):
+    /// `closed` when it ended on its `;` outside parentheses. Its frame
+    /// is the innermost from here on.
+    fn heading(&mut self, heading: &[Token], closed: bool);
+    /// The innermost procedure frame is carved: `heading` covers
+    /// `PROCEDURE … ;`, `full` the declaration through `END Name ;`, and
+    /// `end` is its closing `END` (`None` when the text ran out first).
+    fn close(&mut self, heading: Span, full: Span, end: Option<Span>);
+}
+
+/// The depth rule's view of one open frame.
+struct Depth {
+    /// Unclosed END-consuming openers inside this frame.
+    depth: i64,
+    /// Source range of `PROCEDURE … ;` for proc frames.
+    heading: Span,
+    /// Grows to cover every token routed into this frame.
+    hi: u32,
+}
+
+/// Walks `input` by the depth rule, telling `to` what each token is, and
+/// closes every procedure frame still open at the end (unterminated ones
+/// included — their parsers will report the malformed input). Returns
+/// the number of tokens read.
+fn walk(input: &dyn TokenSource, to: &mut impl Route) -> usize {
+    let mut stack = vec![Depth {
         depth: 0,
-        stream: None,
         heading: Span::default(),
         hi: 0,
     }];
     let mut heading: Vec<Token> = Vec::new();
     let mut pos = 0usize;
-
     while let Some(t) = input.get(pos) {
         pos += 1;
-        report.tokens += 1;
         let is_main = stack.len() == 1;
         let top = stack.last_mut().expect("bottom frame always present");
         top.hi = top.hi.max(t.span.hi);
         match t.kind {
             TokenKind::Module => {
                 top.depth += 1;
-                top.sink.push(t);
+                to.token(t);
                 // The module name follows (possibly after nothing at all
                 // in malformed input). Create the scope BEFORE forwarding
                 // the name token, so downstream tasks always find it.
-                if let Some(name_tok) = input.get(pos) {
-                    if let (TokenKind::Ident(name), true) = (name_tok.kind, is_main) {
-                        top.scope = top
-                            .scope
-                            .or_else(|| Some(factory.main_module_started(name, name_tok.file)));
+                if let Some(name) = input.get(pos) {
+                    if matches!(name.kind, TokenKind::Ident(_)) && is_main && !to.declares() {
+                        to.module_started(name);
                     }
                 }
             }
             k if k.opens_end_block() => {
                 top.depth += 1;
-                top.sink.push(t);
+                to.token(t);
             }
             TokenKind::End => {
                 top.depth -= 1;
-                top.sink.push(t);
+                to.token(t);
                 if !is_main && top.depth < 0 {
                     // This END closes the current procedure stream:
                     // `END Name ;` goes to the procedure stream, which is
                     // then complete.
-                    let (copied, tail_hi) = copy_end_name(input, &mut pos, &mut top.sink);
-                    report.tokens += copied;
-                    let mut frame = stack.pop().expect("proc frame");
-                    frame.hi = frame.hi.max(tail_hi);
-                    frame.carve_and_close(factory);
+                    let tail_hi = copy_end_name(input, &mut pos, to);
+                    let frame = stack.pop().expect("proc frame");
+                    let full = Span::new(frame.heading.lo, frame.hi.max(tail_hi));
+                    to.close(frame.heading, full, Some(t.span));
                 }
             }
             TokenKind::Procedure => {
                 // Lookahead: a declaration only if an identifier follows
                 // (else a procedure *type*) and the module header has been
                 // seen (else malformed; let the parser report it).
-                let (Some(name_tok), Some(parent_scope)) = (input.get(pos), top.scope) else {
-                    top.sink.push(t);
+                let name = input
+                    .get(pos)
+                    .filter(|n| matches!(n.kind, TokenKind::Ident(_)));
+                let Some(name) = name.filter(|_| to.declares()) else {
+                    to.token(t);
                     continue;
                 };
-                let TokenKind::Ident(name) = name_tok.kind else {
-                    top.sink.push(t);
-                    continue;
-                };
-                report.procedures += 1;
-                let (stream, mut proc_q) = factory.proc_stream(name, name_tok.file, parent_scope);
+                to.open(name);
                 // Heading: `PROCEDURE Name … ;` (first `;` at paren depth
-                // 0, or up to a token no heading contains) — copied to
-                // both the enclosing stream and the new one.
+                // 0, or up to a token no heading contains).
                 heading.clear();
                 heading.push(t);
                 let mut paren_depth = 0i64;
+                let mut closed = false;
                 while let Some(ht) = input.get(pos) {
                     if ht.kind.ends_heading(paren_depth) {
                         break;
@@ -172,59 +163,39 @@ pub fn run_splitter(
                     match ht.kind {
                         TokenKind::LParen => paren_depth += 1,
                         TokenKind::RParen => paren_depth -= 1,
-                        TokenKind::Semi if paren_depth <= 0 => break,
+                        TokenKind::Semi if paren_depth <= 0 => {
+                            closed = true;
+                            break;
+                        }
                         _ => {}
                     }
                 }
-                report.tokens += heading.len() - 1;
-                let last = *heading.last().expect("heading starts with PROCEDURE");
-                // The enclosing stream gets the heading and, in place of
-                // the body, a stub (§3: "stripped of all embedded
-                // streams"); the new stream the heading then its body.
-                top.sink.extend(heading.iter().copied());
-                top.sink.push(Token::new(
-                    TokenKind::ProcStub(stream),
-                    last.span,
-                    last.file,
-                ));
-                top.sink
-                    .push(Token::new(TokenKind::Semi, last.span, last.file));
-                proc_q.extend(heading.iter().copied());
+                to.heading(&heading, closed);
+                let last = heading.last().expect("heading starts with PROCEDURE");
                 let heading_span = Span::new(t.span.lo, last.span.hi);
-                stack.push(Frame {
-                    sink: proc_q,
-                    scope: factory.scope_for(stream),
+                stack.push(Depth {
                     depth: 0,
-                    stream: Some(stream),
                     heading: heading_span,
                     hi: heading_span.hi,
                 });
             }
-            _ => top.sink.push(t),
+            _ => to.token(t),
         }
     }
-    // Close every procedure stream (unterminated ones included — their
-    // parsers will report the malformed input) and report its carve, let
-    // the factory act on the complete carve set, then close the main
-    // stream last so hit/miss decisions exist before the module parser
-    // can finish.
     while stack.len() > 1 {
-        stack.pop().expect("proc frame").carve_and_close(factory);
+        let frame = stack.pop().expect("proc frame");
+        let full = Span::new(frame.heading.lo, frame.hi.max(frame.heading.hi));
+        to.close(frame.heading, full, None);
     }
-    factory.split_eof();
-    if let Some(main) = stack.pop() {
-        main.sink.close();
-    }
-    report
+    pos
 }
 
-/// After the procedure's END: copy the closing name and semicolon to the
-/// procedure stream (whichever of `Ident` then `;` is there — the parser
-/// reads a procedure's trailer the same way). Returns tokens consumed and
-/// the highest byte offset copied (so the carve extends through
-/// `END Name ;`).
-fn copy_end_name(input: &dyn TokenSource, pos: &mut usize, sink: &mut TokenWriter) -> (usize, u32) {
-    let (start, mut hi) = (*pos, 0);
+/// After the procedure's END: tells `to` the closing name and semicolon
+/// (whichever of `Ident` then `;` is there — the parser reads a
+/// procedure's trailer the same way). Returns the highest byte offset
+/// told (so the carve extends through `END Name ;`).
+fn copy_end_name(input: &dyn TokenSource, pos: &mut usize, to: &mut impl Route) -> u32 {
+    let mut hi = 0;
     for semi in [false, true] {
         let Some(t) = input.get(*pos) else { break };
         let wanted = match t.kind {
@@ -234,10 +205,243 @@ fn copy_end_name(input: &dyn TokenSource, pos: &mut usize, sink: &mut TokenWrite
         if wanted {
             *pos += 1;
             hi = hi.max(t.span.hi);
-            sink.push(t);
+            to.token(t);
         }
     }
-    (*pos - start, hi)
+    hi
+}
+
+/// One frame the Splitter routes tokens into.
+struct Frame {
+    sink: TokenWriter,
+    scope: Option<ScopeId>,
+    /// The stream this frame feeds (`None` for the main frame; the
+    /// others are procedure streams, closed when their END arrives).
+    stream: Option<StreamId>,
+}
+
+/// The Splitter's side of the walk: routes each token to the stream of
+/// its frame, and creates and closes the streams through the factory.
+struct Router<'a> {
+    factory: &'a dyn StreamFactory,
+    stack: Vec<Frame>,
+    /// The stream [`Route::open`] created, until its heading is read.
+    opened: Option<(StreamId, TokenWriter)>,
+    procedures: usize,
+}
+
+impl Router<'_> {
+    fn top(&mut self) -> &mut Frame {
+        self.stack.last_mut().expect("bottom frame always present")
+    }
+}
+
+impl Route for Router<'_> {
+    fn declares(&self) -> bool {
+        self.stack.last().is_some_and(|f| f.scope.is_some())
+    }
+
+    fn token(&mut self, t: Token) {
+        self.top().sink.push(t);
+    }
+
+    fn module_started(&mut self, name: Token) {
+        if let TokenKind::Ident(sym) = name.kind {
+            let scope = self.factory.main_module_started(sym, name.file);
+            self.top().scope = Some(scope);
+        }
+    }
+
+    fn open(&mut self, name: Token) {
+        let (TokenKind::Ident(sym), Some(parent)) = (name.kind, self.top().scope) else {
+            unreachable!("a declaration is a name in a scoped frame");
+        };
+        self.procedures += 1;
+        self.opened = Some(self.factory.proc_stream(sym, name.file, parent));
+    }
+
+    fn heading(&mut self, heading: &[Token], _closed: bool) {
+        let (stream, mut proc_q) = self.opened.take().expect("a heading follows its open");
+        let last = *heading.last().expect("heading starts with PROCEDURE");
+        // The enclosing stream gets the heading and, in place of the
+        // body, a stub (§3: "stripped of all embedded streams"); the new
+        // stream the heading then its body.
+        let top = self.top();
+        top.sink.extend(heading.iter().copied());
+        top.sink.push(Token::new(
+            TokenKind::ProcStub(stream),
+            last.span,
+            last.file,
+        ));
+        top.sink
+            .push(Token::new(TokenKind::Semi, last.span, last.file));
+        proc_q.extend(heading.iter().copied());
+        let scope = self.factory.scope_for(stream);
+        self.stack.push(Frame {
+            sink: proc_q,
+            scope,
+            stream: Some(stream),
+        });
+    }
+
+    fn close(&mut self, heading: Span, full: Span, _end: Option<Span>) {
+        let frame = self.stack.pop().expect("proc frame");
+        if let Some(stream) = frame.stream {
+            self.factory.stream_carved(stream, heading, full);
+        }
+        frame.sink.close();
+    }
+}
+
+/// Runs the splitter: consumes `input` (blocking on a live stream),
+/// routes tokens to `main_out` and to procedure streams created through
+/// `factory`. Closes every stream it opened (and `main_out`, last)
+/// before returning.
+pub fn run_splitter(
+    input: &dyn TokenSource,
+    main_out: TokenWriter,
+    factory: &dyn StreamFactory,
+) -> SplitReport {
+    let mut router = Router {
+        factory,
+        stack: vec![Frame {
+            sink: main_out,
+            scope: None,
+            stream: None,
+        }],
+        opened: None,
+        procedures: 0,
+    };
+    let tokens = walk(input, &mut router);
+    if let Some(main) = router.stack.pop() {
+        main.sink.close();
+    }
+    SplitReport {
+        procedures: router.procedures,
+        tokens,
+    }
+}
+
+/// One procedure stream [`carve`] found, in the order the Splitter
+/// creates them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Carved {
+    /// `PROCEDURE … ;`, as the Splitter reports it.
+    pub heading: Span,
+    /// The whole declaration through `END Name ;`, as the Splitter
+    /// reports it.
+    pub full: Span,
+    /// The stream's closing `END`; `None` when the text ran out first.
+    pub end: Option<Span>,
+    /// Whether the heading ended on its `;` outside parentheses.
+    pub closed_heading: bool,
+    /// The procedure's name.
+    pub name: Span,
+    /// Index of the lexically enclosing stream; `None` directly inside
+    /// the module.
+    pub parent: Option<usize>,
+}
+
+/// Where the depth rule carves a module's streams, read off its scanned
+/// tokens before any of them is routed.
+#[derive(Clone, Debug, Default)]
+pub struct Carving {
+    /// The module's name, if its header was read (the Splitter then
+    /// creates the main scope).
+    pub module: Option<Span>,
+    /// Every procedure stream, in discovery order.
+    pub streams: Vec<Carved>,
+}
+
+impl Carving {
+    /// The byte ranges of the bodies of the streams `skip` marks (by
+    /// index) that hold only their own tokens: for each, from the end of
+    /// its heading to its closing `END`, less the streams carved inside
+    /// it. Sorted and disjoint. A stream whose text ran out or whose
+    /// heading did not end on its `;` keeps its body.
+    ///
+    /// Dropping these tokens from the Splitter's input leaves it the
+    /// same walk: every skipped range is balanced by construction (the
+    /// depth rule found its end), and the token after each skipped range
+    /// is one the Splitter reads the same way in both streams — a nested
+    /// `PROCEDURE` or the closing `END` — so it creates the same streams
+    /// in the same order and reports the same carves. Only the streams
+    /// whose bodies are skipped receive fewer tokens.
+    pub fn bodies(&self, skip: &[bool]) -> Vec<Span> {
+        let mut children: Vec<Vec<Span>> = vec![Vec::new(); self.streams.len()];
+        for c in &self.streams {
+            if let Some(p) = c.parent {
+                children[p].push(c.full);
+            }
+        }
+        let mut out = Vec::new();
+        for (i, c) in self.streams.iter().enumerate() {
+            let Some(end) = c.end.filter(|_| c.closed_heading && skip[i]) else {
+                continue;
+            };
+            let mut lo = c.heading.hi;
+            for child in &children[i] {
+                out.push(Span::new(lo, child.lo));
+                lo = child.hi;
+            }
+            out.push(Span::new(lo, end.lo));
+        }
+        out.retain(|s| s.lo < s.hi);
+        out.sort_by_key(|s| s.lo);
+        out
+    }
+}
+
+/// Records where the streams lie and drops every token.
+#[derive(Default)]
+struct Recorder {
+    carving: Carving,
+    /// The open streams, innermost last.
+    open: Vec<usize>,
+}
+
+impl Route for Recorder {
+    fn declares(&self) -> bool {
+        !self.open.is_empty() || self.carving.module.is_some()
+    }
+
+    fn token(&mut self, _: Token) {}
+
+    fn module_started(&mut self, name: Token) {
+        self.carving.module = Some(name.span);
+    }
+
+    fn open(&mut self, name: Token) {
+        self.open.push(self.carving.streams.len());
+        self.carving.streams.push(Carved {
+            heading: Span::default(),
+            full: Span::default(),
+            end: None,
+            closed_heading: false,
+            name: name.span,
+            parent: self.open.iter().rev().nth(1).copied(),
+        });
+    }
+
+    fn heading(&mut self, _: &[Token], closed: bool) {
+        let i = *self.open.last().expect("a heading follows its open");
+        self.carving.streams[i].closed_heading = closed;
+    }
+
+    fn close(&mut self, heading: Span, full: Span, end: Option<Span>) {
+        let i = self.open.pop().expect("proc frame");
+        let c = &mut self.carving.streams[i];
+        (c.heading, c.full, c.end) = (heading, full, end);
+    }
+}
+
+/// Walks a module's scanned tokens by the Splitter's depth rule and
+/// records where it will carve each stream, without routing any token.
+/// Identifiers need not be named: the rule reads token kinds only.
+pub fn carve(tokens: &[Token]) -> Carving {
+    let mut recorder = Recorder::default();
+    walk(&tokens, &mut recorder);
+    recorder.carving
 }
 
 #[cfg(test)]
@@ -260,6 +464,20 @@ mod tests {
         streams: Mutex<Vec<StreamRecord>>,
         scopes: Mutex<std::collections::HashMap<StreamId, ScopeId>>,
         next: std::sync::atomic::AtomicU32,
+        carves: Mutex<Vec<(StreamId, Span, Span)>>,
+    }
+
+    impl TestFactory {
+        fn new(env: &Arc<dyn ExecEnv>) -> TestFactory {
+            TestFactory {
+                env: Arc::clone(env),
+                tables: Arc::new(ccm2_sema::symtab::SymbolTables::new()),
+                streams: Mutex::new(vec![]),
+                scopes: Mutex::new(Default::default()),
+                next: std::sync::atomic::AtomicU32::new(0),
+                carves: Mutex::new(vec![]),
+            }
+        }
     }
 
     impl StreamFactory for TestFactory {
@@ -288,6 +506,9 @@ mod tests {
         fn scope_for(&self, stream: StreamId) -> Option<ScopeId> {
             self.scopes.lock().get(&stream).copied()
         }
+        fn stream_carved(&self, stream: StreamId, heading: Span, full: Span) {
+            self.carves.lock().push((stream, heading, full));
+        }
     }
 
     type SplitResult = (Vec<TokenKind>, Vec<(String, Vec<TokenKind>)>);
@@ -310,14 +531,7 @@ mod tests {
             let file = map.add("M.mod", src.clone());
             let sink = DiagnosticSink::new();
             let tokens = lex_file(&file, &interner2, &sink);
-            let tables = Arc::new(ccm2_sema::symtab::SymbolTables::new());
-            let factory = Arc::new(TestFactory {
-                env: Arc::clone(&env),
-                tables,
-                streams: Mutex::new(vec![]),
-                scopes: Mutex::new(Default::default()),
-                next: std::sync::atomic::AtomicU32::new(0),
-            });
+            let factory = Arc::new(TestFactory::new(&env));
             let (main_w, main_q) = TokenQueue::channel(Arc::clone(&env), "main");
             let fac2 = Arc::clone(&factory);
             sup.spawn(ccm2_sched::task::TaskDesc::new(
@@ -353,6 +567,59 @@ mod tests {
         });
         let r = out.lock().clone();
         r
+    }
+
+    /// The carves the Splitter reports over `tokens`, by stream.
+    fn splitter_carves(tokens: Vec<Token>) -> Vec<(Span, Span)> {
+        let carves = Arc::new(Mutex::new(vec![]));
+        let out = Arc::clone(&carves);
+        run_threaded(1, move |sup| {
+            let env: Arc<dyn ExecEnv> = Arc::clone(sup) as Arc<dyn ExecEnv>;
+            let factory = TestFactory::new(&env);
+            let (main_w, _) = TokenQueue::channel(env, "main");
+            sup.spawn(ccm2_sched::task::TaskDesc::new(
+                "split",
+                ccm2_sched::TaskKind::Splitter,
+                Box::new(move || {
+                    run_splitter(&tokens, main_w, &factory);
+                    *out.lock() = std::mem::take(&mut *factory.carves.lock());
+                }),
+            ));
+        });
+        let mut carves = std::mem::take(&mut *carves.lock());
+        carves.sort_by_key(|(stream, _, _)| stream.0);
+        carves.into_iter().map(|(_, h, f)| (h, f)).collect()
+    }
+
+    // A procedure type, a nested procedure, a heading without its `;`
+    // and a procedure the text ends inside: `carve` finds the Splitter's
+    // carves, and the Splitter finds them again in the tokens left when
+    // every body `bodies` may skip is dropped.
+    #[test]
+    fn the_scan_carves_what_the_splitter_carves_with_or_without_skipped_bodies() {
+        let src = "MODULE M; TYPE F = PROCEDURE (INTEGER); \
+                   PROCEDURE Outer(a : INTEGER); VAR t : INTEGER; \
+                     PROCEDURE Inner(k : INTEGER); BEGIN IF k > 0 THEN t := k END END Inner; \
+                   BEGIN Inner(1); WHILE a > 0 DO a := a - 1 END END Outer; \
+                   PROCEDURE Open(x : INTEGER) BEGIN x := 1 END Open; \
+                   PROCEDURE Last; BEGIN LOOP EXIT END";
+        let map = SourceMap::new();
+        let file = map.add("M.mod", src);
+        let tokens = lex_file(&file, &Interner::new(), &DiagnosticSink::new());
+        let carving = carve(&tokens);
+        let parents: Vec<Option<usize>> = carving.streams.iter().map(|c| c.parent).collect();
+        assert_eq!(parents, [None, Some(0), None, None]);
+        let want: Vec<(Span, Span)> = carving
+            .streams
+            .iter()
+            .map(|c| (c.heading, c.full))
+            .collect();
+        assert_eq!(splitter_carves(tokens.clone()), want);
+        let bodies = carving.bodies(&[true; 4]);
+        assert_eq!(bodies.len(), 3, "Outer around Inner, and Inner: {bodies:?}");
+        let skipped = |t: &Token| bodies.iter().any(|b| b.lo <= t.span.lo && t.span.lo < b.hi);
+        let live: Vec<Token> = tokens.iter().copied().filter(|t| !skipped(t)).collect();
+        assert_eq!(splitter_carves(live), want);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl Symbol {
 
     /// Reconstructs a symbol from a raw index previously obtained from
     /// [`Symbol::index`]. Only meaningful with the same interner.
-    pub fn from_index(index: usize) -> Symbol {
+    pub const fn from_index(index: usize) -> Symbol {
         Symbol(index as u32)
     }
 }

@@ -19,23 +19,36 @@
 //!
 //! # How it scans
 //!
+//! Lexing is two steps: *scan*, then *name*. [`Lexer`] scans: it yields
+//! every token with its exact kind and span, but an identifier or string
+//! is not yet named — its payload is a placeholder (see [`Lexer`]).
+//! [`Names`] names: it turns a scanned token into the token the parser
+//! reads, in token order. [`lex_file`] does both to a whole file, and the
+//! concurrent compiler's Lexor does both a token at a time as it streams.
+//! A compile that needs the structure of a whole file before it names any
+//! of it (an incremental compile's main module) scans it all first and
+//! names only the tokens it will publish.
+//!
 //! Every run of bytes — white space, an identifier, the digits of a
 //! number, the inside of a comment — is measured through one 256-entry
 //! byte-class table ([`CLASS`]), not through per-byte predicates. Every
-//! word is looked up first in a table the lexer owns (a [`SpanTable`]):
+//! word is looked up first in a table the scanner owns (a [`SpanTable`]):
 //! open addressing, keyed by a one-multiply hash of the word's bytes and
 //! by the span of its first occurrence in the text, so the table holds
-//! no string. Only a word the table lacks is classified: tested against the
-//! reserved words if it has their shape (2–14 letters, the first two
-//! upper-case), otherwise named by the shared [`Interner`] — its hash,
-//! its lock, its map. So the interner is asked once per distinct name per
-//! lexer, at the name's first occurrence. That is exactly when it was
-//! ever handed a name it did not hold yet (interning is idempotent), so
+//! no string. Only a word the table lacks is classified: tested against
+//! the reserved words if it has their shape (2–14 letters, the first two
+//! upper-case), otherwise numbered as the scanner's next distinct name.
+//! [`Names`] asks the shared [`Interner`] for a name's symbol — its hash,
+//! its lock, its map — once per distinct name, at the first token it
+//! names that carries it. Naming every token in order (as [`lex_file`]
+//! and the streaming Lexor do) hands the interner each name at its first
+//! occurrence in the text, which is exactly when interning every
+//! occurrence would have numbered it (interning is idempotent), so
 //! symbol numbering is what it would be if every occurrence were
 //! interned.
 
 use ccm2_support::diag::{Diagnostic, DiagnosticSink};
-use ccm2_support::intern::{Interner, SpanTable};
+use ccm2_support::intern::{Interner, SpanTable, Symbol};
 use ccm2_support::source::{FileId, SourceFile, Span};
 
 use crate::token::{Token, TokenKind};
@@ -96,46 +109,55 @@ fn run(bytes: &[u8], mask: u8) -> usize {
         .unwrap_or(bytes.len())
 }
 
-/// Streaming lexer over a source file's text.
+/// The scanner: an iterator over a source file's *scanned* tokens.
+///
+/// A scanned token has its exact kind and span, but an identifier's or a
+/// string's payload is a placeholder: an `Ident`'s symbol is the
+/// scanner's number for the name (0, 1, … in order of first occurrence),
+/// not the interner's, and a `Str`'s is 0. Only [`Names::name`] makes
+/// them the interner's. Kinds are otherwise final, so the token
+/// structure (reserved words, `PROCEDURE` headings, `END`s) can be read
+/// off scanned tokens. Lexical errors are reported as they are scanned.
 ///
 /// # Examples
 ///
 /// ```
 /// use ccm2_support::{Interner, SourceMap, DiagnosticSink};
-/// use ccm2_syntax::lexer::Lexer;
+/// use ccm2_syntax::lexer::{Lexer, Names};
 /// use ccm2_syntax::token::TokenKind;
 ///
 /// let interner = Interner::new();
 /// let map = SourceMap::new();
 /// let file = map.add("x.mod", "VAR x : INTEGER;");
 /// let sink = DiagnosticSink::new();
-/// let kinds: Vec<TokenKind> = Lexer::new(&file, &interner, &sink).map(|t| t.kind).collect();
-/// assert_eq!(kinds[0], TokenKind::Var);
-/// assert_eq!(kinds.last(), Some(&TokenKind::Semi));
+/// let scanned: Vec<_> = Lexer::new(&file, &sink).collect();
+/// assert_eq!(scanned[0].kind, TokenKind::Var);
+/// assert_eq!(scanned.last().map(|t| t.kind), Some(TokenKind::Semi));
+/// assert_eq!(interner.len(), 0, "scanning names nothing");
+/// let mut names = Names::new(&file, &interner);
+/// let x = names.name(scanned[1]);
+/// assert_eq!(x.kind, TokenKind::Ident(interner.intern("x")));
 /// ```
 pub struct Lexer<'a> {
     text: &'a [u8],
     pos: usize,
     file: FileId,
-    interner: &'a Interner,
-    /// What each word met so far lexes to, keyed by its first span.
+    /// What each word met so far scans to, keyed by its first span.
     words: SpanTable<TokenKind>,
+    /// Distinct names met so far: the next name's number.
+    names: usize,
     sink: &'a DiagnosticSink,
 }
 
 impl<'a> Lexer<'a> {
-    /// Creates a lexer over `file`'s text.
-    pub fn new(
-        file: &'a SourceFile,
-        interner: &'a Interner,
-        sink: &'a DiagnosticSink,
-    ) -> Lexer<'a> {
+    /// Creates a scanner over `file`'s text.
+    pub fn new(file: &'a SourceFile, sink: &'a DiagnosticSink) -> Lexer<'a> {
         Lexer {
             text: file.text().as_bytes(),
             pos: 0,
             file: file.id(),
-            interner,
             words: SpanTable::new(),
+            names: 0,
             sink,
         }
     }
@@ -213,16 +235,19 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// What a word this lexer has not met before lexes to: a reserved
-    /// word, if it has their shape and is one, else an identifier the
-    /// shared interner names.
-    fn classify(&self, word: &[u8]) -> TokenKind {
+    /// What a word this scanner has not met before scans to: a reserved
+    /// word, if it has their shape and is one, else an identifier under
+    /// the next name number.
+    fn classify(&mut self, word: &[u8]) -> TokenKind {
         let shaped = (2..=14).contains(&word.len()) && class(word[0]) & class(word[1]) & UPPER != 0;
         let word = std::str::from_utf8(word).expect("ascii identifier");
         shaped
             .then(|| TokenKind::reserved(word))
             .flatten()
-            .unwrap_or_else(|| TokenKind::Ident(self.interner.intern(word)))
+            .unwrap_or_else(|| {
+                self.names += 1;
+                TokenKind::Ident(Symbol::from_index(self.names - 1))
+            })
     }
 
     fn lex_number(&mut self) -> TokenKind {
@@ -305,17 +330,18 @@ impl<'a> Lexer<'a> {
                 self.error(start, "unterminated string literal");
             }
         }
-        let body = std::str::from_utf8(&self.text[body_start..self.pos]).unwrap_or("");
+        let body = &self.text[body_start..self.pos];
         if self.peek() == Some(quote) {
             self.pos += 1;
         }
         // A single-character string in quotes is a CHAR literal in Modula-2
         // when used in char context; we keep it as Str and let sema adapt,
         // except for the canonical single-char case which becomes CharLit.
+        // A string is named from its span ([`Names::name`]).
         if body.len() == 1 {
-            TokenKind::CharLit(body.as_bytes()[0])
+            TokenKind::CharLit(body[0])
         } else {
-            TokenKind::Str(self.interner.intern(body))
+            TokenKind::Str(Symbol::from_index(0))
         }
     }
 
@@ -361,6 +387,7 @@ fn single(b: u8) -> Option<TokenKind> {
 impl<'a> Iterator for Lexer<'a> {
     type Item = Token;
 
+    #[inline]
     fn next(&mut self) -> Option<Token> {
         use TokenKind::*;
         loop {
@@ -397,21 +424,95 @@ impl<'a> Iterator for Lexer<'a> {
     }
 }
 
+/// A name [`Names`] has not named yet. No interner numbers this many.
+const UNNAMED: Symbol = Symbol::from_index(u32::MAX as usize);
+
+/// The naming step: turns the scanned tokens of one file into the tokens
+/// the parser reads, by giving each identifier and string its interned
+/// symbol. Every other token is returned as it was scanned.
+pub struct Names<'a> {
+    text: &'a [u8],
+    interner: &'a Interner,
+    /// The interner's symbol of each name the scanner numbered, once a
+    /// token carrying it has been named ([`UNNAMED`] until then).
+    symbols: Vec<Symbol>,
+}
+
+impl<'a> Names<'a> {
+    /// Names the scanned tokens of `file` through `interner`.
+    pub fn new(file: &'a SourceFile, interner: &'a Interner) -> Names<'a> {
+        Names {
+            text: file.text().as_bytes(),
+            interner,
+            symbols: Vec::new(),
+        }
+    }
+
+    /// The named form of scanned token `t`, which must come from a
+    /// [`Lexer`] over this file.
+    #[inline(always)]
+    pub fn name(&mut self, mut t: Token) -> Token {
+        match t.kind {
+            TokenKind::Ident(number) => {
+                let symbol = match self.symbols.get(number.index()) {
+                    Some(&symbol) if symbol != UNNAMED => symbol,
+                    _ => self.first_ident(number.index(), t.span),
+                };
+                t.kind = TokenKind::Ident(symbol);
+            }
+            TokenKind::Str(_) => t.kind = TokenKind::Str(self.string(t.span)),
+            _ => {}
+        }
+        t
+    }
+
+    /// The interner's symbol of the name the scanner numbered `number`,
+    /// spelled at `span`, which no token named so far carried.
+    #[cold]
+    fn first_ident(&mut self, number: usize, span: Span) -> Symbol {
+        if number >= self.symbols.len() {
+            self.symbols.resize(number + 1, UNNAMED);
+        }
+        let word = &self.text[span.lo as usize..span.hi as usize];
+        let symbol = self
+            .interner
+            .intern(std::str::from_utf8(word).expect("ascii identifier"));
+        self.symbols[number] = symbol;
+        symbol
+    }
+
+    /// The interner's symbol of the body of the string literal at `span`,
+    /// which runs from the opening quote through the closing one, if the
+    /// string was terminated.
+    #[inline(never)]
+    fn string(&self, span: Span) -> Symbol {
+        let quoted = &self.text[span.lo as usize..span.hi as usize];
+        let body = &quoted[1..];
+        let body = match body.split_last() {
+            Some((&last, inner)) if last == quoted[0] => inner,
+            _ => body,
+        };
+        self.interner
+            .intern(std::str::from_utf8(body).unwrap_or(""))
+    }
+}
+
 /// Lexes an entire file into a vector of tokens (no trailing `Eof` token —
-/// the parser treats slice exhaustion as end of input).
+/// the parser treats slice exhaustion as end of input): every token
+/// scanned, then named, in order.
 pub fn lex_file(file: &SourceFile, interner: &Interner, sink: &DiagnosticSink) -> Vec<Token> {
     // Sized for three bytes a token, a little under what dense code
     // averages, so the vector is seldom copied while it grows. Capacity
     // past the last token is never written, so it is never paged in.
     let mut tokens = Vec::with_capacity(file.text().len() / 3);
-    tokens.extend(Lexer::new(file, interner, sink));
+    let mut names = Names::new(file, interner);
+    tokens.extend(Lexer::new(file, sink).map(|t| names.name(t)));
     tokens
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccm2_support::intern::Symbol;
     use ccm2_support::source::SourceMap;
 
     fn kinds(src: &str) -> (Vec<TokenKind>, DiagnosticSink) {
@@ -552,6 +653,37 @@ mod tests {
             assert!(!t.span.is_empty());
             assert!(t.span.hi as usize <= src.len());
         }
+    }
+
+    // A scan names nothing; naming only some of its tokens asks the
+    // interner for just their names and strings, each once.
+    #[test]
+    fn naming_a_subset_interns_only_its_names() {
+        let interner = Interner::new();
+        let map = SourceMap::new();
+        let file = map.add(
+            "t.mod",
+            "skipped 'not this' kept \"kept too\" skipped kept 'x'",
+        );
+        let sink = DiagnosticSink::new();
+        let scanned: Vec<Token> = Lexer::new(&file, &sink).collect();
+        assert_eq!(interner.len(), 0);
+        let mut names = Names::new(&file, &interner);
+        let named: Vec<TokenKind> = [2, 3, 5, 6].map(|i| names.name(scanned[i]).kind).to_vec();
+        let kept = interner.intern("kept");
+        let too = interner.intern("kept too");
+        assert_eq!(
+            named,
+            [
+                TokenKind::Ident(kept),
+                TokenKind::Str(too),
+                TokenKind::Ident(kept),
+                TokenKind::CharLit(b'x'),
+            ]
+        );
+        assert_eq!(interner.len(), 2);
+        let spans = |tokens: &[Token]| tokens.iter().map(|t| t.span).collect::<Vec<_>>();
+        assert_eq!(spans(&scanned), spans(&lex_file(&file, &interner, &sink)));
     }
 
     #[test]

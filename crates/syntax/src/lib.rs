@@ -9,9 +9,11 @@
 //! * [`token`] — the token model, including the reserved-word table and the
 //!   special [`token::TokenKind::ProcStub`] token that the splitter leaves
 //!   in a parent stream where a procedure body was excised;
-//! * [`lexer`] — a block-emitting lexer ([`lexer::Lexer`]): tokens are
-//!   produced in fixed-size blocks, matching the paper's lexical-token
-//!   queue whose per-block events are the *barrier events* of §2.3.3;
+//! * [`lexer`] — the lexer, in two steps: [`lexer::Lexer`] scans tokens
+//!   with their kinds and spans, [`lexer::Names`] names their identifiers
+//!   and strings (the concurrent compiler streams them in fixed-size
+//!   blocks, matching the paper's lexical-token queue whose per-block
+//!   events are the *barrier events* of §2.3.3);
 //! * [`ast`] — the abstract syntax tree for definition modules,
 //!   implementation modules, declarations, statements and expressions;
 //! * [`parser`] — a recursive-descent parser over token slices. The same
@@ -42,5 +44,5 @@ pub mod parser;
 pub mod pretty;
 pub mod token;
 
-pub use lexer::{lex_file, Lexer};
+pub use lexer::{lex_file, Lexer, Names};
 pub use token::{Token, TokenKind};

@@ -10,15 +10,14 @@
 //! * leave every non-faulted stream's object code byte-identical to the
 //!   fault-free compile of the same module.
 //!
-//! Separate deterministic tests audit the threaded executor's cleanup:
-//! a degraded run leaves no extra OS threads behind and does not poison
-//! the process for subsequent clean compiles.
+//! The audit that a degraded threaded run leaves no OS thread behind
+//! counts the process's threads, so it runs in a binary of its own
+//! (`tests/thread_audit.rs`).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ccm2::CompileError;
 use ccm2_bench::kit::{compile, fault_module, unit_map};
 use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_sema::symtab::DkyStrategy;
@@ -152,62 +151,6 @@ fn degraded_runs_are_deterministic_on_the_simulator() {
         b.diagnostics.iter().map(|d| &d.message).collect::<Vec<_>>()
     );
     assert_eq!(unit_map(&a), unit_map(&b));
-}
-
-#[cfg(target_os = "linux")]
-fn os_thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .count()
-}
-
-/// A degraded threaded run must join every worker it spawned: no leaked
-/// OS threads, and the process stays healthy for later clean compiles
-/// (`parking_lot`-style locks — no mutex poisoning to trip over).
-#[cfg(target_os = "linux")]
-#[test]
-fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
-    let m = module();
-    // Warm-up so lazily spawned runtime threads don't skew the count.
-    let warm = compile(&m, None, None, DkyStrategy::Skeptical, false, 0);
-    assert!(warm.errors.is_empty());
-    let before = os_thread_count();
-
-    let degraded = compile(
-        &m,
-        Some(Arc::new(FaultPlan::single(
-            "task:procparse(FaultShort)",
-            FaultKind::Panic,
-        ))),
-        None,
-        DkyStrategy::Skeptical,
-        false,
-        0,
-    );
-    assert!(!degraded.errors.is_empty());
-    assert!(degraded.errors.iter().any(
-        |e| matches!(e, CompileError::StreamFault { task, .. } if task.contains("FaultShort"))
-    ));
-
-    // Workers are joined before run_threaded_with returns; give the OS a
-    // moment to reap just in case, then audit.
-    for _ in 0..50 {
-        if os_thread_count() <= before {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    assert!(
-        os_thread_count() <= before,
-        "degraded run leaked OS threads: {} -> {}",
-        before,
-        os_thread_count()
-    );
-
-    // And the process is not poisoned: a clean compile still succeeds.
-    let clean = compile(&m, None, None, DkyStrategy::Skeptical, false, 0);
-    assert!(clean.errors.is_empty(), "{:?}", clean.errors);
-    assert!(clean.image.is_some());
 }
 
 /// A producer that dies takes its queue's writer with it, and a dropped

@@ -18,6 +18,9 @@ use ccm2_workload::{
     apply_edits, body_edits, generate, suite_params, GenParams, GeneratedModule, SUITE_SIZE,
 };
 
+mod mutants;
+use mutants::{body_token_spans, mutate, splitmix};
+
 fn compile(
     m: &GeneratedModule,
     store: Option<Arc<dyn ArtifactStore>>,
@@ -498,15 +501,20 @@ fn parsed_live(out: &ConcurrentOutput) -> std::collections::BTreeSet<String> {
 
 /// Every suite module, compiled warm against a store its own cold
 /// compile filled: every interface splices, and the output, the streams,
-/// the interfaces and the import depth are the cold compile's.
+/// the interfaces and the import depth are the cold compile's. The
+/// modules take turns at both executors under every DKY strategy.
 #[test]
 fn warm_with_every_interface_spliced_equals_cold_for_every_suite_module() {
     for i in 0..SUITE_SIZE {
         let m = generate(&suite_params(i));
-        let options = if i % 2 == 0 {
+        let executor = if i % 2 == 0 {
             Options::threads(2)
         } else {
             Options::sim(4)
+        };
+        let options = Options {
+            strategy: ccm2_sema::symtab::DkyStrategy::ALL[i / 2 % 4],
+            ..executor
         };
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
         let cold = compile_with(&m, Some(Arc::clone(&store)), options.clone());
@@ -595,4 +603,122 @@ fn a_budgeted_store_keeps_the_same_entries_of_every_compile() {
         .collect();
     let sizes: Vec<usize> = kept.iter().map(Vec::len).collect();
     assert_eq!(kept.len(), 1, "sets of these sizes were kept: {sizes:?}");
+}
+
+/// A fresh store holding what `store` holds.
+fn copy_of(store: &MemStore) -> Arc<MemStore> {
+    let copy = Arc::new(MemStore::new());
+    for fp in store.fingerprints() {
+        copy.store(fp, &store.load(fp).expect("listed"));
+    }
+    copy
+}
+
+/// Seeded body mutants of the first four suite modules — one token
+/// deleted, duplicated or swapped with its successor, which also breaks
+/// `END`s, comments and `PROCEDURE` words, and so the structure the
+/// main module's Lexor carves before it decides what to skip. Each is
+/// compiled warm, against a store its unmutated module filled, and
+/// cold, under one configuration (the case number picks it): the two
+/// agree on image and diagnostics, and the Splitter created one stream
+/// per carve of the scan (a carve of its own that differs from the
+/// scan's is an internal-error diagnostic). An optimized build runs
+/// 100× more.
+#[test]
+fn mutated_bodies_compile_warm_as_cold() {
+    const CASES: u64 = if cfg!(debug_assertions) { 200 } else { 20_000 };
+    let modules: Vec<GeneratedModule> = (0..4).map(|i| generate(&suite_params(i))).collect();
+    let sites: Vec<_> = modules
+        .iter()
+        .map(|m| body_token_spans(&m.source))
+        .collect();
+    let filled: Vec<Arc<MemStore>> = (modules.iter())
+        .map(|m| {
+            let store = Arc::new(MemStore::new());
+            assert!(compile(m, Some(store.clone()), false, 2).is_ok());
+            store
+        })
+        .collect();
+    let configs: Vec<Options> = [Options::sim(4), Options::threads(2)]
+        .iter()
+        .flat_map(|executor| {
+            ccm2_sema::symtab::DkyStrategy::ALL.map(|strategy| Options {
+                strategy,
+                ..executor.clone()
+            })
+        })
+        .collect();
+    let mut failures = Vec::new();
+    let mut state = 0x35_u64;
+    for case in 0..CASES {
+        let m = (splitmix(&mut state) % modules.len() as u64) as usize;
+        let spans = &sites[m];
+        let at = (splitmix(&mut state) % (spans.len() as u64 - 1)) as usize;
+        let op = splitmix(&mut state) % 3;
+        let mutant = GeneratedModule {
+            source: mutate(&modules[m].source, spans, at, op),
+            ..modules[m].clone()
+        };
+        let options = configs[case as usize % configs.len()].clone();
+        let (lo, hi) = spans[at];
+        let what = format!(
+            "case {case}: {} body token {at} `{}` {} under {:?} {}",
+            modules[m].name,
+            &modules[m].source[lo..hi],
+            ["deleted", "duplicated", "swapped"][op as usize],
+            options.executor,
+            options.strategy.name(),
+        );
+        let store: Arc<dyn ArtifactStore> = copy_of(&filled[m]);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let warm = compile_with(&mutant, Some(store), options.clone());
+            let cold = compile_with(&mutant, None, options.clone());
+            let units = warm.incr.expect("incremental was active").units;
+            if units != warm.procedures + 1 {
+                return Err(format!("{units} units, {} streams", warm.procedures));
+            }
+            let (warm, cold) = (comparable(&warm), comparable(&cold));
+            (warm == cold)
+                .then_some(())
+                .ok_or_else(|| format!("warm {:?}\ncold {:?}", warm.1, cold.1))
+        }));
+        match run {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => failures.push(format!("{what}\n{e}")),
+            Err(_) => failures.push(format!("{what}: panicked")),
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {CASES} mutants differ warm from cold\n{}",
+        failures.len(),
+        failures[..failures.len().min(3)].join("\n\n"),
+    );
+}
+
+/// A warm compile after one procedure-body edit routes through the
+/// Splitter only what it parses: the module level (the module body
+/// included), the headings, each spliced stream's `END Name ;` and the
+/// edited bodies. On one simulated processor, suite module 17 after the
+/// edit the benchmark's `warm_edit` makes (`Proc0`, whose nested
+/// procedure recompiles with it) charges `Work::Split` for 985 of the
+/// cold compile's 3 419 tokens: its module body and the two edited
+/// bodies are a fifth of its text. The output is the cold one.
+#[test]
+fn a_warm_body_edit_routes_only_live_tokens() {
+    use ccm2_support::work::Work;
+    let m = generate(&suite_params(17));
+    let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+    assert!(compile_with(&m, Some(Arc::clone(&store)), Options::sim(1)).is_ok());
+    let edited = apply_edits(&m, &body_edits(1, 35));
+    assert_ne!(m.source, edited.source, "the edit must land");
+    let warm = compile_with(&edited, Some(store), Options::sim(1));
+    let cold = compile_with(&edited, None, Options::sim(1));
+    assert!(warm.is_ok() && cold.is_ok());
+    let stats = warm.incr.expect("incremental was active");
+    assert_eq!(stats.recompiled, 2, "Proc0 and its nested procedure");
+    let split = |out: &ConcurrentOutput| out.report.charges[Work::Split as usize];
+    assert_eq!((split(&warm), split(&cold)), (985, 3419));
+    assert!(split(&warm) * 100 <= split(&cold) * 30);
+    assert_eq!(comparable(&warm), comparable(&cold));
 }
