@@ -40,6 +40,18 @@ if grep -rnE "$fence" crates/serve/src/request.rs crates/serve/src/service.rs cr
   exit 1
 fi
 
+echo "== differential tests compare through one harness =="
+# The contract (sequential ≡ concurrent × strategies × executors ≡ warm ≡
+# service ≡ fabric) is checked against one oracle, in one encoding, by
+# tests/contract/: a test is a corpus × paths × budget there. A test file
+# that writes its own comparer or diagnostic normalizer fails here: it
+# belongs in the harness, or a row of it.
+fence='\bfn (comparable|normalize|normalize_diags|differs_from_seq|assert_equivalent|check_matrix)\b'
+if grep -rnE --include='*.rs' --exclude-dir=contract "$fence" tests; then
+  echo "a test outside tests/contract/ defines its own comparer (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -47,6 +59,13 @@ echo "== cargo test (workspace) =="
 # The root package is a workspace member, so this one step runs every
 # suite once — the crates' unit tests and the root `tests/`. What the
 # subsystem suites among them guard:
+#   equivalence, diagnostics, the contract's rows (tests/contract/): the
+#   interfaces, threaded_suite suite, the import chain, seeded body and
+#                             declaration mutants and hand-written rows
+#                             answer on every DKY strategy × executor,
+#                             warm, through a service or a fleet with the
+#                             sequential compiler's image and diagnostics,
+#                             in its order
 #   incremental, properties   a warm compile is invisible: same bytes as
 #                             cold, only the touched stream recompiles
 #   ccm2-serve soak, stress,  every request answered under a tight queue
@@ -60,8 +79,8 @@ echo "== cargo test (workspace) =="
 #                             stream; supervised retry converges transient
 #                             faults and degrades persistent ones; deadline
 #                             and wedge-release edges on both executors
-#   ccm2-fabric, fabric,      the lease table row by row; a fleet is
-#   chaosnet                  byte-identical to one service across shard
+#   ccm2-fabric, fabric,      the lease table row by row; a fleet answers
+#   chaosnet                  with a direct compile's bytes across shard
 #                             widths, a seeded shard kill and a seeded
 #                             partition cycle on both transports; a stale
 #                             answer stands the leader down wherever it is
@@ -71,7 +90,7 @@ echo "== cargo test (workspace) =="
 #                             the final sources; a syntax error degrades
 #                             only the edited stream, identically across
 #                             the sequential compiler, every DKY strategy
-#                             and both executors
+#                             and every executor
 #   lockorder                 re-LOCK and lock-order-cycle predictions
 #                             equal the sequential reference everywhere,
 #                             and survive warm re-analysis
@@ -105,19 +124,21 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # (`token_soup`: no panic, no loop, no span outside the input), 100 000
 # instead of 2 000, and the two seeded mutation differentials — of
 # declaration parts and procedure headings (`mutated_declarations`), and
-# of module and procedure bodies (`mutated_bodies`): sequential against
-# concurrent compiler, diagnostics and image — 20 000 mutants each
-# instead of 200. So does the pin of what the sequential compiler emits
+# of module and procedure bodies (`mutated_bodies`): each mutant on the
+# next path of the contract (every strategy on every executor, and one
+# service) against the sequential compiler, diagnostics and image —
+# 20 000 mutants each instead of 200. So does the pin of what the sequential compiler emits
 # for the suite and its body mutants (`output_pin`): 20 000 mutants
 # instead of 200, under a digest of their own. And so does the seeded
 # interface-edit differential (`interface_edit_differential`: the edited
 # definition module and its importers recompile, every other interface
 # splices, the output is a cold compile's): 240 edits instead of 12. And
-# so does the warm-against-cold differential of body mutants
+# so does the warm differential of body mutants
 # (`mutated_bodies_compile_warm_as_cold`: a mutant compiled against a
-# store its unmutated module filled is its cold compile, whatever the
-# mutation did to the structure the Lexor carves before it skips
-# spliced bodies): 20 000 mutants instead of 200.
+# store its unmutated module filled, or by the service, answers as the
+# sequential compiler does, whatever the mutation did to the structure
+# the Lexor carves before it skips spliced bodies): 20 000 mutants
+# instead of 200.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.

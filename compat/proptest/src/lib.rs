@@ -2,7 +2,7 @@
 //!
 //! The build environment has no registry access, so the workspace vendors
 //! the slice of proptest used by its tests: the `proptest!` macro,
-//! `ProptestConfig { cases, .. }`, `prop_assert!` / `prop_assert_eq!`,
+//! `ProptestConfig { cases }`, `prop_assert!` / `prop_assert_eq!`,
 //! integer-range strategies, a regex-subset string strategy, and
 //! `collection::vec`.
 //!
@@ -26,16 +26,11 @@ pub mod prelude {
 pub struct ProptestConfig {
     /// Number of generated cases per test.
     pub cases: u32,
-    /// Accepted for source compatibility; unused by the shim.
-    pub max_shrink_iters: u32,
 }
 
 impl Default for ProptestConfig {
     fn default() -> ProptestConfig {
-        ProptestConfig {
-            cases: 32,
-            max_shrink_iters: 0,
-        }
+        ProptestConfig { cases: 32 }
     }
 }
 
@@ -403,7 +398,7 @@ mod tests {
     use crate::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 16 })]
 
         #[test]
         fn int_ranges_in_bounds(a in 0u64..100, b in -5i64..5) {

@@ -540,7 +540,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig { cases: 48 })]
 
         // Random stream lengths, producer stalls and reader access
         // patterns on two workers: every reader sees exactly the model

@@ -760,10 +760,7 @@ mod tests {
     // protocol layer, exercised in the shard tests); here the claim is
     // that damage is indistinguishable from silence.
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig {
-            cases: 64,
-            ..proptest::ProptestConfig::default()
-        })]
+        #![proptest_config(proptest::ProptestConfig { cases: 64 })]
 
         #[test]
         fn damaged_lease_frames_never_decode(
@@ -795,10 +792,7 @@ mod tests {
     // suspicion clock only ever advances on genuine silence or genuine
     // answers.
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig {
-            cases: 64,
-            ..proptest::ProptestConfig::default()
-        })]
+        #![proptest_config(proptest::ProptestConfig { cases: 64 })]
 
         #[test]
         fn damaged_heartbeat_frames_never_decode(

@@ -745,7 +745,7 @@ fn outcome(report: &RunReport) -> Outcome {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 48 })]
 
     #[test]
     fn random_graphs_come_out_the_same_on_every_executor(seed in 0u64..u64::MAX) {

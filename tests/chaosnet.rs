@@ -2,8 +2,9 @@
 //! detected and evicted by the heartbeat failure detector, healed, and
 //! warm-rejoined — must change *nothing* a client can observe. Every
 //! admitted request still returns the byte-identical object and
-//! diagnostics of one standalone [`CompileService`], on the
-//! deterministic loopback transport and on real TCP sockets alike. A
+//! diagnostics of a direct, storeless compile (`ccm2_bench::kit::Oracle`,
+//! what a standalone service answers), on the deterministic loopback
+//! transport and on real TCP sockets alike. A
 //! crash-restart of the whole fleet from its durable `CCM2RLOG` replica
 //! logs must come back holding every parked delta op.
 //!
@@ -17,48 +18,34 @@ use proptest::prelude::*;
 use ccm2_bench::chaosnet::{
     crash_restart_absorb, durable_node, heal_rejoin, partition_evict, partition_window, SHARDS,
 };
-use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
+use ccm2_bench::kit::{drive, requests, Oracle, Scratch};
 use ccm2_fabric::{Fabric, HealthState, ShardNode};
-use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
+use ccm2_serve::{CompileRequest, ExecChoice};
 use ccm2_workload::{serve_load, ServeLoadParams};
 
-fn config() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 64,
-        store_budget: 64 * 1024,
-        ..ServeConfig::default()
-    }
-}
-
-/// Serves every request on one standalone service (the reference).
-fn serve_standalone(reqs: &[CompileRequest], oracle: &Oracle) -> Vec<Observed> {
-    drive(&CompileService::start(config()), reqs, oracle).1
-}
+pub mod contract;
+use contract::config;
 
 /// Serves the whole load through a partition/evict/heal/rejoin cycle on
-/// the chosen transport, asserting the detector's deterministic clock.
-fn serve_chaos(
-    reqs: &[CompileRequest],
-    oracle: &Oracle,
-    params: &ServeLoadParams,
-    tcp: bool,
-) -> Vec<Observed> {
+/// the chosen transport — each answer clean and with the reference
+/// compile's bytes — asserting the detector's deterministic clock.
+fn serve_chaos(reqs: &[CompileRequest], params: &ServeLoadParams, tcp: bool) {
+    let oracle = &Oracle::of(reqs);
     let nodes = (0..SHARDS).map(|id| Arc::new(ShardNode::start(id, config())));
     let fleet = Fabric::start_over(tcp, nodes.collect());
     let window = partition_window(params);
 
-    let mut out = drive(fleet.router(), &reqs[..window.from], oracle).1;
+    drive(fleet.router(), &reqs[..window.from], oracle);
 
     let ticks = partition_evict(&fleet, window.shard);
     assert_eq!(ticks, 2, "suspect on the first miss, evict on the second");
     assert!(!fleet.router().live_shards().contains(&window.shard));
-    out.extend(drive(fleet.router(), &reqs[window.from..window.until], oracle).1);
+    drive(fleet.router(), &reqs[window.from..window.until], oracle);
 
     heal_rejoin(&fleet, window.shard);
     assert_eq!(fleet.router().health(window.shard), HealthState::Alive);
     assert_eq!(fleet.router().live_shards(), vec![0, 1, 2]);
-    out.extend(drive(fleet.router(), &reqs[window.until..], oracle).1);
+    drive(fleet.router(), &reqs[window.until..], oracle);
 
     assert!(
         fleet.router().stats().heartbeat_evictions == 1,
@@ -69,18 +56,14 @@ fn serve_chaos(
         pings_answered > 0,
         "the healthy shards never answered a probe"
     );
-    out
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 4,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 4 })]
 
     // A seeded partition -> eviction -> heal -> rejoin cycle on the
-    // loopback transport is invisible: byte-identical to standalone,
-    // zero admitted requests lost.
+    // loopback transport is invisible: byte-identical to the reference
+    // compile, zero admitted requests lost.
     #[test]
     fn partition_eviction_and_rejoin_are_invisible_to_clients(
         seed in 0u64..1_000_000,
@@ -94,15 +77,7 @@ proptest! {
             edit_every: 5,
             interface_every: 2,
         };
-        let load = requests(&serve_load(&params), ExecChoice::Sim(2));
-        let oracle = Oracle::of(&load);
-        let reference = serve_standalone(&load, &oracle);
-        let fleet = serve_chaos(&load, &oracle, &params, false);
-        for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
-            prop_assert!(r.0 && f.0, "event {i} failed somewhere");
-            prop_assert_eq!(&r.1, &f.1, "object bytes diverge at event {}", i);
-            prop_assert_eq!(&r.2, &f.2, "diagnostics diverge at event {}", i);
-        }
+        serve_chaos(&requests(&serve_load(&params), ExecChoice::Sim(2)), &params, false);
     }
 }
 
@@ -119,15 +94,11 @@ fn tcp_partition_cycle_matches_standalone() {
         edit_every: 5,
         interface_every: 2,
     };
-    let load = requests(&serve_load(&params), ExecChoice::Sim(2));
-    let oracle = Oracle::of(&load);
-    let reference = serve_standalone(&load, &oracle);
-    let fleet = serve_chaos(&load, &oracle, &params, true);
-    for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
-        assert!(r.0 && f.0, "event {i} failed somewhere");
-        assert_eq!(&r.1, &f.1, "object bytes diverge at event {i}");
-        assert_eq!(&r.2, &f.2, "diagnostics diverge at event {i}");
-    }
+    serve_chaos(
+        &requests(&serve_load(&params), ExecChoice::Sim(2)),
+        &params,
+        true,
+    );
 }
 
 // A whole-fleet crash (router, transport, and every node dropped) must

@@ -1,8 +1,9 @@
 //! Fleet-equivalence properties: an N-shard loopback fabric is
-//! observationally identical to one standalone [`CompileService`] —
-//! byte-identical objects (in the interner-independent
-//! `ccm2_incr::encode_image` encoding) and identical rendered
-//! diagnostics for every event of a seeded serve load. The property is
+//! observationally identical to a standalone service — every event of a
+//! seeded serve load is answered with the bytes and rendered diagnostics
+//! of a direct, storeless compile (`ccm2_bench::kit::Oracle`), which is
+//! what a standalone service answers too (the contract's
+//! `Path::Service` rows, `tests/contract/mod.rs`). The property is
 //! also checked **across a mid-stream shard kill**: the seeded
 //! failover (`ccm2_workload::shard_kill_schedule`) must change
 //! *nothing* a client can observe — zero admitted requests lost, same
@@ -18,46 +19,31 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use ccm2_bench::kit::{drive, requests, Observed, Oracle, Scratch};
+use ccm2_bench::kit::{drive, requests, Oracle, Scratch};
 use ccm2_fabric::{
     decode_frame, encode_frame, Fabric, FabricRouter, HashRing, MembershipStore, Message,
     RouterRole, ShardNode, Transport, DEFAULT_VNODES,
 };
-use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
+use ccm2_serve::{CompileRequest, ExecChoice};
 use ccm2_support::within;
 use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
-fn config() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        queue_capacity: 64,
-        store_budget: 64 * 1024,
-        ..ServeConfig::default()
-    }
-}
+pub mod contract;
+use contract::config;
 
-/// Serves every request on one standalone service (the reference),
-/// driving the documented back-off protocol until all are done.
-fn serve_standalone(reqs: &[CompileRequest], oracle: &Oracle) -> Vec<Observed> {
-    drive(&CompileService::start(config()), reqs, oracle).1
-}
-
-/// Serves every request on an N-shard loopback fabric, optionally
-/// killing one shard after `at` requests have been served.
-fn serve_fabric(
-    reqs: &[CompileRequest],
-    oracle: &Oracle,
-    shards: usize,
-    kill: Option<(usize, u32)>,
-) -> Vec<Observed> {
+/// Serves every request on an N-shard loopback fabric — each answer
+/// clean and with the reference compile's bytes — optionally killing
+/// one shard after `at` requests have been served.
+fn serve_fabric(reqs: &[CompileRequest], shards: usize, kill: Option<(usize, u32)>) {
+    let oracle = Oracle::of(reqs);
     let fabric = Fabric::start(shards, config());
     let at = kill.map_or(reqs.len(), |(at, _)| at.min(reqs.len()));
-    let mut out = drive(fabric.router(), &reqs[..at], oracle).1;
+    drive(fabric.router(), &reqs[..at], &oracle);
     if let Some((_, victim)) = kill {
         if at < reqs.len() {
             fabric.router().kill_shard(victim);
         }
-        out.extend(drive(fabric.router(), &reqs[at..], oracle).1);
+        drive(fabric.router(), &reqs[at..], &oracle);
         let live = fabric.router().live_shards();
         assert!(
             !live.contains(&victim),
@@ -65,7 +51,6 @@ fn serve_fabric(
         );
         assert_eq!(live.len(), shards - 1, "exactly one shard died");
     }
-    out
 }
 
 /// After the eviction lease moves to a new epoch, every
@@ -567,12 +552,9 @@ fn a_request_acknowledged_before_its_delta_shipped_is_recompiled_not_lost() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 6 })]
 
-    // N shards, no deaths: byte-identical to standalone.
+    // N shards, no deaths: byte-identical to the reference compile.
     #[test]
     fn fabric_matches_standalone(
         seed in 0u64..1_000_000,
@@ -588,15 +570,7 @@ proptest! {
             edit_every,
             interface_every: 2,
         };
-        let load = requests(&serve_load(&params), ExecChoice::Sim(2));
-        let oracle = Oracle::of(&load);
-        let reference = serve_standalone(&load, &oracle);
-        let fleet = serve_fabric(&load, &oracle, shards, None);
-        for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
-            prop_assert!(r.0 && f.0, "event {i} failed somewhere");
-            prop_assert_eq!(&r.1, &f.1, "object bytes diverge at event {}", i);
-            prop_assert_eq!(&r.2, &f.2, "diagnostics diverge at event {}", i);
-        }
+        serve_fabric(&requests(&serve_load(&params), ExecChoice::Sim(2)), shards, None);
     }
 
     // One seeded mid-stream shard kill: still byte-identical,
@@ -616,16 +590,8 @@ proptest! {
             interface_every: 3,
         };
         let load = requests(&serve_load(&params), ExecChoice::Sim(2));
-        let oracle = Oracle::of(&load);
         let schedule = shard_kill_schedule(&params, shards as u32, 1);
         prop_assert_eq!(schedule.len(), 1);
-        let (at, victim) = schedule[0];
-        let reference = serve_standalone(&load, &oracle);
-        let fleet = serve_fabric(&load, &oracle, shards, Some((at, victim)));
-        for (i, (r, f)) in reference.iter().zip(&fleet).enumerate() {
-            prop_assert!(r.0 && f.0, "event {i} failed somewhere");
-            prop_assert_eq!(&r.1, &f.1, "object bytes diverge at event {} (kill at {})", i, at);
-            prop_assert_eq!(&r.2, &f.2, "diagnostics diverge at event {}", i);
-        }
+        serve_fabric(&load, shards, Some(schedule[0]));
     }
 }

@@ -56,10 +56,7 @@ fn site(index: usize) -> (&'static str, FaultKind, &'static [&'static str]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 16,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 16 })]
 
     #[test]
     fn any_single_fault_degrades_only_its_own_stream(

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use ccm2::{compile_concurrent, ConcurrentOutput, Options};
+use ccm2::{ConcurrentOutput, Options};
 use ccm2_incr::{
     decode_entry, ArtifactStore, DiskStore, EntryDecoder, ImportGraph, IncrStats, MemStore,
     FORMAT_VERSION,
@@ -14,46 +14,16 @@ use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
 use ccm2_support::hash::{Fp128, StableHasher};
 use ccm2_support::{Interner, Symbol};
-use ccm2_workload::{
-    apply_edits, body_edits, generate, suite_params, GenParams, GeneratedModule, SUITE_SIZE,
-};
+use ccm2_workload::{apply_edits, body_edits, generate, suite_params, GenParams, SUITE_SIZE};
 
-mod mutants;
-use mutants::{body_token_spans, mutate, splitmix};
-
-fn compile(
-    m: &GeneratedModule,
-    store: Option<Arc<dyn ArtifactStore>>,
-    analyze: bool,
-    threads: usize,
-) -> ConcurrentOutput {
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            analyze,
-            incremental: store,
-            ..Options::threads(threads)
-        },
-    )
-}
-
-/// Interner-independent (image bytes, rendered diagnostics) pair.
-fn comparable(out: &ConcurrentOutput) -> (Option<Vec<u8>>, Vec<String>) {
-    ccm2_incr::comparable_output(
-        out.image.as_ref(),
-        &out.diagnostics,
-        &out.sources,
-        &out.interner,
-    )
-}
+pub mod contract;
+use contract::{parsed_live, Fills, Mutants, Output, Path, Program};
 
 #[test]
 fn warm_identical_compile_splices_every_unit() {
-    let m = generate(&GenParams::small("WarmAll", 31));
+    let m = Program::from(generate(&GenParams::small("WarmAll", 31))).analyzed();
     let store = Arc::new(MemStore::new());
-    let cold = compile(&m, Some(store.clone()), true, 4);
+    let cold = m.compile_into(store.clone(), Options::threads(4));
     assert!(
         cold.is_ok(),
         "{:?}",
@@ -64,14 +34,14 @@ fn warm_identical_compile_splices_every_unit() {
     assert_eq!(cold_stats.spliced, 0, "empty store cannot hit");
     assert!(store.entry_count() > 0, "cold run populates the store");
 
-    let warm = compile(&m, Some(store.clone()), true, 4);
+    let warm = m.compile_into(store.clone(), Options::threads(4));
     assert!(warm.is_ok());
     let warm_stats = warm.incr.expect("incremental was active");
     assert_eq!(warm_stats.units, cold_stats.units);
     assert_eq!(warm_stats.spliced, warm_stats.units, "all units resplice");
     assert_eq!(warm_stats.recompiled, 0);
     assert_eq!(warm_stats.bad_entries, 0);
-    assert_eq!(comparable(&cold), comparable(&warm), "warm == cold output");
+    assert_eq!(cold.comparable(), warm.comparable(), "warm == cold output");
 }
 
 #[test]
@@ -89,12 +59,14 @@ fn procedure_body_edit_recompiles_only_the_touched_stream() {
         lock_seeds: false,
     });
     let store = Arc::new(MemStore::new());
-    let cold = compile(&m, Some(store.clone()), true, 4);
+    let cold = Program::from(&m)
+        .analyzed()
+        .compile_into(store.clone(), Options::threads(4));
     assert!(cold.is_ok());
 
-    let edited = apply_edits(&m, &body_edits(1, 4242));
+    let edited = Program::from(apply_edits(&m, &body_edits(1, 4242))).analyzed();
     assert_ne!(m.source, edited.source, "edit must land");
-    let warm = compile(&edited, Some(store.clone()), true, 4);
+    let warm = edited.compile_into(store.clone(), Options::threads(4));
     assert!(warm.is_ok());
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.units, 13, "12 procedures + module body");
@@ -102,45 +74,44 @@ fn procedure_body_edit_recompiles_only_the_touched_stream() {
     assert_eq!(stats.spliced, 12, "siblings and module body resplice");
 
     // A from-scratch compile of the edited source is the ground truth.
-    let reference = compile(&edited, None, true, 4);
+    let reference = edited.compile(Options::threads(4));
     assert_eq!(reference.incr, None, "no store, no counters");
-    assert_eq!(comparable(&warm), comparable(&reference));
+    assert_eq!(warm.comparable(), reference.comparable());
 }
 
 #[test]
 fn interface_edit_invalidates_everything() {
     let m = generate(&GenParams::small("IfaceInval", 52));
     let store = Arc::new(MemStore::new());
-    let cold = compile(&m, Some(store.clone()), false, 2);
+    let cold = Program::from(&m).compile_into(store.clone(), Options::threads(2));
     assert!(cold.is_ok());
 
     let (lib, _) = m.defs.iter().next().expect("has interfaces");
-    let edited = apply_edits(
+    let edited: Program = apply_edits(
         &m,
         &[ccm2_workload::EditOp::Interface {
             def: lib.to_string(),
             tag: 9,
         }],
-    );
-    let warm = compile(&edited, Some(store.clone()), false, 2);
+    )
+    .into();
+    let warm = edited.compile_into(store.clone(), Options::threads(2));
     assert!(warm.is_ok());
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(
         stats.spliced, 0,
         "environment digest covers the interface library"
     );
-    let reference = compile(&edited, None, false, 2);
-    assert_eq!(comparable(&warm), comparable(&reference));
+    let reference = edited.compile(Options::threads(2));
+    assert_eq!(warm.comparable(), reference.comparable());
 }
 
 #[test]
 fn suite_hit_rate_after_one_procedure_edit_is_at_least_95_percent() {
     let store = Arc::new(MemStore::new());
-    let modules: Vec<GeneratedModule> = (0..SUITE_SIZE)
-        .map(|i| generate(&suite_params(i)))
-        .collect();
+    let modules = contract::suite();
     for m in &modules {
-        let cold = compile(m, Some(store.clone()), false, 4);
+        let cold = m.compile_into(store.clone(), Options::threads(4));
         assert!(
             cold.is_ok(),
             "{}: {:?}",
@@ -152,14 +123,18 @@ fn suite_hit_rate_after_one_procedure_edit_is_at_least_95_percent() {
     // The developer edits one procedure in one module, then rebuilds the
     // whole suite.
     let edited_index = 17;
-    let edited = apply_edits(&modules[edited_index], &body_edits(1, 0xED17));
+    let edited = apply_edits(
+        &generate(&suite_params(edited_index)),
+        &body_edits(1, 0xED17),
+    );
+    let edited = Program::from(edited);
     assert_ne!(modules[edited_index].source, edited.source);
 
     let mut total = IncrStats::default();
     let mut edited_out = None;
     for (i, m) in modules.iter().enumerate() {
         let target = if i == edited_index { &edited } else { m };
-        let warm = compile(target, Some(store.clone()), false, 4);
+        let warm = target.compile_into(store.clone(), Options::threads(4));
         assert!(warm.is_ok(), "module {i}");
         total.absorb(warm.incr.expect("incremental was active"));
         if i == edited_index {
@@ -174,25 +149,25 @@ fn suite_hit_rate_after_one_procedure_edit_is_at_least_95_percent() {
     assert_eq!(total.bad_entries, 0);
 
     // The edited module's warm output matches a from-scratch compile.
-    let reference = compile(&edited, None, false, 4);
+    let reference = edited.compile(Options::threads(4));
     assert_eq!(
-        comparable(&edited_out.expect("edited ran")),
-        comparable(&reference)
+        edited_out.expect("edited ran").comparable(),
+        reference.comparable()
     );
 }
 
 #[test]
 fn corrupt_entries_degrade_to_misses_with_a_note() {
-    let m = generate(&GenParams::small("Corrupt", 63));
+    let m = Program::from(generate(&GenParams::small("Corrupt", 63))).analyzed();
     let store = Arc::new(MemStore::new());
-    let cold = compile(&m, Some(store.clone()), true, 2);
+    let cold = m.compile_into(store.clone(), Options::threads(2));
     assert!(cold.is_ok());
-    let cold_cmp = comparable(&cold);
+    let cold_cmp = cold.comparable();
 
     for fp in store.fingerprints() {
         assert!(store.corrupt(fp, 12), "flip a payload byte");
     }
-    let warm = compile(&m, Some(store.clone()), true, 2);
+    let warm = m.compile_into(store.clone(), Options::threads(2));
     assert!(warm.is_ok(), "corruption must never break the compile");
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.spliced, 0, "nothing decodable, nothing spliced");
@@ -207,33 +182,33 @@ fn corrupt_entries_degrade_to_misses_with_a_note() {
         warm.diagnostics
     );
     // Image identical to the cold compile; only the cache notes differ.
-    assert_eq!(comparable(&warm).0, cold_cmp.0);
+    assert_eq!(warm.comparable().0, cold_cmp.0);
 
     // The warm run re-recorded good entries over the damaged ones, so a
     // third run splices everything again.
-    let third = compile(&m, Some(store.clone()), true, 2);
+    let third = m.compile_into(store.clone(), Options::threads(2));
     let stats3 = third.incr.expect("incremental was active");
     assert_eq!(stats3.spliced, stats3.units);
-    assert_eq!(comparable(&third), cold_cmp);
+    assert_eq!(third.comparable(), cold_cmp);
 }
 
 #[test]
 fn disk_store_survives_a_process_restart() {
     let dir = std::env::temp_dir().join(format!("ccm2-incr-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let m = generate(&GenParams::small("DiskWarm", 74));
+    let m = Program::from(generate(&GenParams::small("DiskWarm", 74)));
 
-    let cold_store: Arc<dyn ArtifactStore> = Arc::new(DiskStore::new(&dir).expect("create"));
-    let cold = compile(&m, Some(cold_store), false, 2);
+    let cold_store = Arc::new(DiskStore::new(&dir).expect("create"));
+    let cold = m.compile_into(cold_store, Options::threads(2));
     assert!(cold.is_ok());
 
     // A fresh handle on the same directory models a new compiler process.
-    let warm_store: Arc<dyn ArtifactStore> = Arc::new(DiskStore::new(&dir).expect("reopen"));
-    let warm = compile(&m, Some(warm_store), false, 2);
+    let warm_store = Arc::new(DiskStore::new(&dir).expect("reopen"));
+    let warm = m.compile_into(warm_store, Options::threads(2));
     assert!(warm.is_ok());
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.spliced, stats.units, "on-disk entries survive");
-    assert_eq!(comparable(&cold), comparable(&warm));
+    assert_eq!(cold.comparable(), warm.comparable());
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -248,20 +223,20 @@ fn unrelated_interface_edit_keeps_every_module_warm() {
         "DEFINITION MODULE LonelyLib; CONST Version = 1; END LonelyLib.",
     );
     let store = Arc::new(MemStore::new());
-    let cold = compile(&m, Some(store.clone()), false, 2);
+    let cold = Program::from(&m).compile_into(store.clone(), Options::threads(2));
     assert!(
         cold.is_ok(),
         "{:?}",
         &cold.diagnostics[..3.min(cold.diagnostics.len())]
     );
-    let cold_cmp = comparable(&cold);
+    let cold_cmp = cold.comparable();
 
     let mut edited = m.clone();
     edited.defs.insert(
         "LonelyLib",
         "DEFINITION MODULE LonelyLib; CONST Version = 2; END LonelyLib.",
     );
-    let warm = compile(&edited, Some(store.clone()), false, 2);
+    let warm = Program::from(edited).compile_into(store.clone(), Options::threads(2));
     assert!(warm.is_ok());
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(
@@ -269,7 +244,7 @@ fn unrelated_interface_edit_keeps_every_module_warm() {
         "unreachable interface edit must not invalidate: {stats:?}"
     );
     assert_eq!(stats.spliced, stats.units);
-    assert_eq!(comparable(&warm), cold_cmp);
+    assert_eq!(warm.comparable(), cold_cmp);
 
     // Control: the same kind of edit to a *reachable* interface still
     // invalidates everything.
@@ -286,7 +261,7 @@ fn unrelated_interface_edit_keeps_every_module_warm() {
         )
     };
     let touched = apply_edits(&m, &[ccm2_workload::EditOp::Interface { def: lib, tag: 3 }]);
-    let invalidated = compile(&touched, Some(store.clone()), false, 2);
+    let invalidated = Program::from(touched).compile_into(store.clone(), Options::threads(2));
     assert!(invalidated.is_ok());
     let stats = invalidated.incr.expect("incremental was active");
     assert_eq!(stats.spliced, 0, "reachable interface edits invalidate");
@@ -300,33 +275,18 @@ fn warm_splice_tasks_run_before_any_codegen_in_both_executors() {
     // unblocking merges and DKY waits as early as possible. With one
     // worker the pop order is exactly the priority order, so the trace
     // ordering is deterministic.
-    use ccm2::Executor;
-    use ccm2_sched::{SimConfig, TaskKind};
+    use ccm2_sched::TaskKind;
 
     let m = generate(&GenParams::small("SpliceRank", 77));
-    let edited = apply_edits(&m, &body_edits(1, 0x5AFE));
+    let edited = Program::from(apply_edits(&m, &body_edits(1, 0x5AFE)));
     assert_ne!(m.source, edited.source);
 
-    for executor in [Executor::Sim(SimConfig::firefly(1)), Executor::Threads(1)] {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let opts = |exec: Executor| ccm2::Options {
-            incremental: Some(Arc::clone(&store)),
-            executor: exec,
-            ..ccm2::Options::default()
-        };
-        let cold = ccm2::compile_concurrent(
-            &m.source,
-            Arc::new(m.defs.clone()),
-            Arc::new(Interner::new()),
-            opts(executor.clone()),
-        );
+    for options in [Options::sim(1), Options::threads(1)] {
+        let executor = &options.executor;
+        let store = Arc::new(MemStore::new());
+        let cold = Program::from(&m).compile_into(store.clone(), options.clone());
         assert!(cold.is_ok());
-        let warm = ccm2::compile_concurrent(
-            &edited.source,
-            Arc::new(edited.defs.clone()),
-            Arc::new(Interner::new()),
-            opts(executor.clone()),
-        );
+        let warm = edited.compile_into(store, options.clone());
         assert!(warm.is_ok());
         let stats = warm.incr.expect("incremental active");
         assert!(stats.spliced > 0, "warm run must splice ({executor:?})");
@@ -371,9 +331,9 @@ fn warm_splice_tasks_run_before_any_codegen_in_both_executors() {
 /// interner must end with the same strings at the same indices.
 #[test]
 fn one_decoder_over_a_modules_entries_decodes_each_as_a_fresh_one_does() {
-    let m = generate(&suite_params(20));
+    let m = Program::from(generate(&suite_params(20))).analyzed();
     let store = Arc::new(MemStore::new());
-    assert!(compile(&m, Some(store.clone()), true, 2).is_ok());
+    assert!(m.compile_into(store.clone(), Options::threads(2)).is_ok());
     let blobs: Vec<Vec<u8>> = store
         .fingerprints()
         .into_iter()
@@ -440,7 +400,9 @@ fn fingerprints_of_three_suite_modules_are_pinned() {
         assert_eq!(env.to_hex(), want_env, "environment of suite module {ix}");
 
         let asked = Arc::new(AskedFor::default());
-        let out = compile(&m, Some(asked.clone()), true, 2);
+        let out = Program::from(&m)
+            .analyzed()
+            .compile_into(asked.clone(), Options::threads(2));
         assert!(out.is_ok());
         let mut fps = asked.0.lock().unwrap().clone();
         // The compile also asks for the interface keys of the modules it
@@ -473,59 +435,25 @@ fn shape(out: &ConcurrentOutput, options: &Options) -> (usize, usize, Option<usi
     )
 }
 
-fn compile_with(
-    m: &GeneratedModule,
-    store: Option<Arc<dyn ArtifactStore>>,
-    options: Options,
-) -> ConcurrentOutput {
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            incremental: store,
-            ..options
-        },
-    )
-}
-
-/// The definition modules a compile parsed live, by the names of their
-/// Parser/DeclAnalyzer tasks.
-fn parsed_live(out: &ConcurrentOutput) -> std::collections::BTreeSet<String> {
-    let segments = out.report.trace.segments.iter();
-    segments
-        .filter_map(|s| s.name.strip_prefix("defparse(")?.strip_suffix(')'))
-        .map(str::to_string)
-        .collect()
-}
-
 /// Every suite module, compiled warm against a store its own cold
 /// compile filled: every interface splices, and the output, the streams,
 /// the interfaces and the import depth are the cold compile's. The
-/// modules take turns at both executors under every DKY strategy.
+/// modules take turns at the contract's paths that keep a cache.
 #[test]
 fn warm_with_every_interface_spliced_equals_cold_for_every_suite_module() {
-    for i in 0..SUITE_SIZE {
-        let m = generate(&suite_params(i));
-        let executor = if i % 2 == 0 {
-            Options::threads(2)
-        } else {
-            Options::sim(4)
-        };
-        let options = Options {
-            strategy: ccm2_sema::symtab::DkyStrategy::ALL[i / 2 % 4],
-            ..executor
-        };
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let cold = compile_with(&m, Some(Arc::clone(&store)), options.clone());
+    let paths: Vec<Path> = Path::all().into_iter().filter(Path::caches).collect();
+    for (i, m) in contract::suite().iter().enumerate() {
+        let options = paths[i % paths.len()].options();
+        let store = Arc::new(MemStore::new());
+        let cold = m.compile_into(store.clone(), options.clone());
         assert!(cold.is_ok(), "suite module {i}: {:?}", cold.diagnostics);
-        let warm = compile_with(&m, Some(store), options.clone());
+        let warm = m.compile_into(store, options.clone());
         assert!(warm.is_ok(), "suite module {i}: {:?}", warm.diagnostics);
         let stats = warm.incr.expect("incremental was active");
         assert_eq!(stats.interfaces, cold.imported_interfaces, "module {i}");
         assert_eq!(stats.interfaces_spliced, stats.interfaces, "module {i}");
         assert!(parsed_live(&warm).is_empty(), "module {i}");
-        assert_eq!(comparable(&warm), comparable(&cold), "module {i}");
+        assert_eq!(warm.comparable(), cold.comparable(), "module {i}");
         assert_eq!(shape(&warm, &options), shape(&cold, &options), "module {i}");
     }
 }
@@ -534,19 +462,19 @@ fn warm_with_every_interface_spliced_equals_cold_for_every_suite_module() {
 /// module whose store a cold compile filled: the edited interface and
 /// every interface that imports it, directly or not, compile live; every
 /// other one splices; the output is a cold compile's of the edited
-/// sources. (`ci.sh` runs twenty times the seeds, optimized.)
+/// sources. The seeds take turns at the contract's paths that keep a
+/// cache. (`ci.sh` runs twenty times the seeds, optimized.)
 #[test]
 fn interface_edit_differential() {
     let seeds: u64 = if cfg!(debug_assertions) { 12 } else { 240 };
+    let paths: Vec<Path> = Path::all().into_iter().filter(Path::caches).collect();
     for seed in 0..seeds {
         let m = generate(&suite_params(seed as usize % SUITE_SIZE));
-        let options = if seed % 2 == 0 {
-            Options::threads(2)
-        } else {
-            Options::sim(4)
-        };
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        assert!(compile_with(&m, Some(Arc::clone(&store)), options.clone()).is_ok());
+        let options = paths[seed as usize % paths.len()].options();
+        let store = Arc::new(MemStore::new());
+        assert!(Program::from(&m)
+            .compile_into(store.clone(), options.clone())
+            .is_ok());
 
         let library = m.defs.all_definitions().expect("a DefLibrary enumerates");
         let (_, keys) = ImportGraph::of(&m.source, &library).keys(FORMAT_VERSION, false, 0);
@@ -559,15 +487,16 @@ fn interface_edit_differential() {
                 live.insert(k.name.to_string());
             }
         }
-        let edited = apply_edits(
+        let edited: Program = apply_edits(
             &m,
             &[ccm2_workload::EditOp::Interface {
                 def: edited_def.to_string(),
                 tag: seed,
             }],
-        );
+        )
+        .into();
         assert_ne!(m.defs.all_definitions(), edited.defs.all_definitions());
-        let warm = compile_with(&edited, Some(store), options.clone());
+        let warm = edited.compile_into(store, options.clone());
         assert!(warm.is_ok(), "seed {seed}: {:?}", warm.diagnostics);
         let stats = warm.incr.expect("incremental was active");
         assert_eq!(parsed_live(&warm), live, "seed {seed}: edited {edited_def}");
@@ -576,8 +505,8 @@ fn interface_edit_differential() {
             stats.interfaces - live.len(),
             "seed {seed}"
         );
-        let reference = compile_with(&edited, None, options.clone());
-        assert_eq!(comparable(&warm), comparable(&reference), "seed {seed}");
+        let reference = edited.compile(options.clone());
+        assert_eq!(warm.comparable(), reference.comparable(), "seed {seed}");
         let shapes = (shape(&warm, &options), shape(&reference, &options));
         assert_eq!(shapes.0, shapes.1, "seed {seed}");
     }
@@ -590,11 +519,11 @@ fn interface_edit_differential() {
 /// the same module kept 9 to 11 entries, a different set each time.)
 #[test]
 fn a_budgeted_store_keeps_the_same_entries_of_every_compile() {
-    let m = generate(&suite_params(20));
+    let m = Program::from(generate(&suite_params(20)));
     let kept: std::collections::BTreeSet<Vec<Fp128>> = (0..6)
         .map(|_| {
             let store = Arc::new(ccm2_serve::SharedStore::new(16 * 1024));
-            let out = compile(&m, Some(store.clone()), false, 1);
+            let out = m.compile_into(store.clone(), Options::threads(1));
             assert!(out.is_ok());
             let mut fps: Vec<Fp128> = store.export().into_iter().map(|(fp, _)| fp).collect();
             fps.sort();
@@ -605,95 +534,25 @@ fn a_budgeted_store_keeps_the_same_entries_of_every_compile() {
     assert_eq!(kept.len(), 1, "sets of these sizes were kept: {sizes:?}");
 }
 
-/// A fresh store holding what `store` holds.
-fn copy_of(store: &MemStore) -> Arc<MemStore> {
-    let copy = Arc::new(MemStore::new());
-    for fp in store.fingerprints() {
-        copy.store(fp, &store.load(fp).expect("listed"));
-    }
-    copy
-}
-
 /// Seeded body mutants of the first four suite modules — one token
 /// deleted, duplicated or swapped with its successor, which also breaks
 /// `END`s, comments and `PROCEDURE` words, and so the structure the
 /// main module's Lexor carves before it decides what to skip. Each is
-/// compiled warm, against a store its unmutated module filled, and
-/// cold, under one configuration (the case number picks it): the two
-/// agree on image and diagnostics, and the Splitter created one stream
-/// per carve of the scan (a carve of its own that differs from the
-/// scan's is an internal-error diagnostic). An optimized build runs
-/// 100× more.
+/// compiled warm, against a store its unmutated module filled, on the
+/// path its case number picks — every cached path, and a service whose
+/// store every earlier mutant fed — and answers with the sequential
+/// compiler's image and diagnostics; the Splitter created one stream per
+/// carve of the scan (a carve of its own that differs from the scan's is
+/// an internal-error diagnostic). An optimized build runs 100× more.
 #[test]
 fn mutated_bodies_compile_warm_as_cold() {
-    const CASES: u64 = if cfg!(debug_assertions) { 200 } else { 20_000 };
-    let modules: Vec<GeneratedModule> = (0..4).map(|i| generate(&suite_params(i))).collect();
-    let sites: Vec<_> = modules
-        .iter()
-        .map(|m| body_token_spans(&m.source))
-        .collect();
-    let filled: Vec<Arc<MemStore>> = (modules.iter())
-        .map(|m| {
-            let store = Arc::new(MemStore::new());
-            assert!(compile(m, Some(store.clone()), false, 2).is_ok());
-            store
-        })
-        .collect();
-    let configs: Vec<Options> = [Options::sim(4), Options::threads(2)]
-        .iter()
-        .flat_map(|executor| {
-            ccm2_sema::symtab::DkyStrategy::ALL.map(|strategy| Options {
-                strategy,
-                ..executor.clone()
-            })
-        })
-        .collect();
-    let mut failures = Vec::new();
-    let mut state = 0x35_u64;
-    for case in 0..CASES {
-        let m = (splitmix(&mut state) % modules.len() as u64) as usize;
-        let spans = &sites[m];
-        let at = (splitmix(&mut state) % (spans.len() as u64 - 1)) as usize;
-        let op = splitmix(&mut state) % 3;
-        let mutant = GeneratedModule {
-            source: mutate(&modules[m].source, spans, at, op),
-            ..modules[m].clone()
-        };
-        let options = configs[case as usize % configs.len()].clone();
-        let (lo, hi) = spans[at];
-        let what = format!(
-            "case {case}: {} body token {at} `{}` {} under {:?} {}",
-            modules[m].name,
-            &modules[m].source[lo..hi],
-            ["deleted", "duplicated", "swapped"][op as usize],
-            options.executor,
-            options.strategy.name(),
-        );
-        let store: Arc<dyn ArtifactStore> = copy_of(&filled[m]);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let warm = compile_with(&mutant, Some(store), options.clone());
-            let cold = compile_with(&mutant, None, options.clone());
-            let units = warm.incr.expect("incremental was active").units;
-            if units != warm.procedures + 1 {
-                return Err(format!("{units} units, {} streams", warm.procedures));
-            }
-            let (warm, cold) = (comparable(&warm), comparable(&cold));
-            (warm == cold)
-                .then_some(())
-                .ok_or_else(|| format!("warm {:?}\ncold {:?}", warm.1, cold.1))
-        }));
-        match run {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => failures.push(format!("{what}\n{e}")),
-            Err(_) => failures.push(format!("{what}: panicked")),
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} of {CASES} mutants differ warm from cold\n{}",
-        failures.len(),
-        failures[..failures.len().min(3)].join("\n\n"),
-    );
+    let corpus = Mutants::bodies();
+    let paths = [
+        Path::warm(&Fills::of(&corpus.modules)),
+        vec![Path::service()],
+    ]
+    .concat();
+    corpus.differential(0x35, &paths);
 }
 
 /// A warm compile after one procedure-body edit routes through the
@@ -708,17 +567,19 @@ fn mutated_bodies_compile_warm_as_cold() {
 fn a_warm_body_edit_routes_only_live_tokens() {
     use ccm2_support::work::Work;
     let m = generate(&suite_params(17));
-    let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-    assert!(compile_with(&m, Some(Arc::clone(&store)), Options::sim(1)).is_ok());
-    let edited = apply_edits(&m, &body_edits(1, 35));
+    let store = Arc::new(MemStore::new());
+    assert!(Program::from(&m)
+        .compile_into(store.clone(), Options::sim(1))
+        .is_ok());
+    let edited = Program::from(apply_edits(&m, &body_edits(1, 35)));
     assert_ne!(m.source, edited.source, "the edit must land");
-    let warm = compile_with(&edited, Some(store), Options::sim(1));
-    let cold = compile_with(&edited, None, Options::sim(1));
+    let warm = edited.compile_into(store, Options::sim(1));
+    let cold = edited.compile(Options::sim(1));
     assert!(warm.is_ok() && cold.is_ok());
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.recompiled, 2, "Proc0 and its nested procedure");
     let split = |out: &ConcurrentOutput| out.report.charges[Work::Split as usize];
     assert_eq!((split(&warm), split(&cold)), (985, 3419));
     assert!(split(&warm) * 100 <= split(&cold) * 30);
-    assert_eq!(comparable(&warm), comparable(&cold));
+    assert_eq!(warm.comparable(), cold.comparable());
 }

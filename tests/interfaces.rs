@@ -4,8 +4,9 @@
 //! must print exactly that: the sequential compiler, a cold concurrent
 //! compile, a warm one that splices every interface, and a warm one
 //! after an edit to the deepest definition module, on every DKY strategy
-//! and both executors. The definition modules hold what an interface
-//! can carry across compiles — a record, an enumeration used as
+//! and every executor that keeps a cache; a service and a fleet answer
+//! with the sequential compiler's bytes. The definition modules hold what
+//! an interface can carry across compiles — a record, an enumeration used as
 //! `Colors.red`, a forward-declared pointer to a record walked as a
 //! linked list, a procedure type, an open-array formal, a constant
 //! computed from an imported constant, a `FROM` alias — so a stored
@@ -14,110 +15,71 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ccm2::{compile_concurrent, ConcurrentOutput, Options};
+use ccm2::{ConcurrentOutput, Options};
 use ccm2_incr::{
-    comparable_output, decode_interface, encode_interface, ArtifactStore, ImportGraph, MemStore,
-    FORMAT_VERSION, IFACE_FORMAT,
+    decode_interface, encode_interface, ArtifactStore, ImportGraph, MemStore, FORMAT_VERSION,
+    IFACE_FORMAT,
 };
-use ccm2_sema::symtab::DkyStrategy;
 use ccm2_support::defs::{DefLibrary, DefProvider};
 use ccm2_support::diag::Severity;
 use ccm2_support::hash::Fp128;
 use ccm2_support::Interner;
 use ccm2_vm::Vm;
 
-const MAIN: &str = include_str!("programs/chain/Main.mod");
-const EXPECTED: &str = include_str!("programs/chain/Main.expected");
-const BASE: &str = include_str!("programs/chain/Base.def");
-const COLORS: &str = include_str!("programs/chain/Colors.def");
-const SHAPES: &str = include_str!("programs/chain/Shapes.def");
-
-/// The chain's definition modules, with `base` as `Base.def`.
-fn library(base: &str) -> DefLibrary {
-    let mut defs = DefLibrary::new();
-    defs.insert("Base", base);
-    defs.insert("Colors", COLORS);
-    defs.insert("Shapes", SHAPES);
-    defs
-}
-
-fn compile(
-    defs: &DefLibrary,
-    store: Option<&Arc<dyn ArtifactStore>>,
-    options: &Options,
-) -> ConcurrentOutput {
-    compile_concurrent(
-        MAIN,
-        Arc::new(defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            incremental: store.cloned(),
-            ..options.clone()
-        },
-    )
-}
+pub mod contract;
+use contract::{agree, chain, parsed_live, Output, Path, Program, CHAIN_BASE, CHAIN_EXPECTED};
 
 /// What the compiled program prints.
-fn run(out: &ConcurrentOutput, path: &str) -> String {
+fn prints(out: &ConcurrentOutput, path: &str) -> String {
     assert!(out.is_ok(), "{path}: {:#?}", out.diagnostics);
     let image = out.image.as_ref().expect("a clean compile has an image");
     let printed = Vm::new(Arc::clone(&out.interner)).run(image);
     printed.unwrap_or_else(|e| panic!("{path}: {e:?}"))
 }
 
-/// The definition modules a compile parsed live.
-fn parsed_live(out: &ConcurrentOutput) -> BTreeSet<String> {
-    let segments = out.report.trace.segments.iter();
-    segments
-        .filter_map(|s| s.name.strip_prefix("defparse(")?.strip_suffix(')'))
-        .map(str::to_string)
-        .collect()
-}
-
 #[test]
 fn the_sequential_compiler_prints_the_expected_answer() {
-    let out = ccm2_seq::compile(MAIN, &library(BASE));
+    let out = chain(CHAIN_BASE).seq();
     assert!(out.is_ok(), "{:#?}", out.diagnostics);
     let image = out.image.expect("a clean compile has an image");
     let printed = Vm::new(out.interner).run(&image).expect("the program runs");
-    assert_eq!(printed, EXPECTED);
+    assert_eq!(printed, CHAIN_EXPECTED);
     assert_eq!(out.import_nesting_depth, 3, "Shapes -> Colors -> Base");
 }
 
 #[test]
 fn every_path_prints_the_expected_answer_on_every_strategy_and_executor() {
-    let defs = library(BASE);
-    let edited = library(&BASE.replace("END Base.", "CONST Spare = 1;\nEND Base."));
+    let program = chain(CHAIN_BASE);
+    let edited = chain(&CHAIN_BASE.replace("END Base.", "CONST Spare = 1;\nEND Base."));
     let all: BTreeSet<String> = ["Base", "Colors", "Shapes"].map(String::from).into();
-    for strategy in DkyStrategy::ALL {
-        for executor in [Options::sim(4), Options::threads(2)] {
-            let options = Options {
-                strategy,
-                ..executor
-            };
-            let path = |what: &str| format!("{what}, {strategy:?}, {:?}", options.executor);
-            let cold = compile(&defs, None, &options);
-            assert_eq!(run(&cold, &path("cold")), EXPECTED);
+    agree(&program, &[Path::service(), Path::fabric()]);
+    for path in Path::all().into_iter().filter(Path::caches) {
+        let options = path.options();
+        let cold = program.compile(options.clone());
+        assert_eq!(prints(&cold, &format!("cold, {path}")), CHAIN_EXPECTED);
 
-            let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-            let filling = compile(&defs, Some(&store), &options);
-            assert_eq!(run(&filling, &path("filling the store")), EXPECTED);
-            assert_eq!(parsed_live(&filling), all);
+        let store = Arc::new(MemStore::new());
+        let filling = program.compile_into(store.clone(), options.clone());
+        assert_eq!(
+            prints(&filling, &format!("filling the store, {path}")),
+            CHAIN_EXPECTED
+        );
+        assert_eq!(parsed_live(&filling), all);
 
-            let warm = compile(&defs, Some(&store), &options);
-            assert_eq!(run(&warm, &path("warm")), EXPECTED);
-            let stats = warm.incr.expect("incremental was active");
-            assert_eq!((stats.interfaces, stats.interfaces_spliced), (3, 3));
-            assert!(parsed_live(&warm).is_empty(), "{}", path("warm"));
+        let warm = program.compile_into(store.clone(), options.clone());
+        assert_eq!(prints(&warm, &format!("warm, {path}")), CHAIN_EXPECTED);
+        let stats = warm.incr.expect("incremental was active");
+        assert_eq!((stats.interfaces, stats.interfaces_spliced), (3, 3));
+        assert!(parsed_live(&warm).is_empty(), "warm, {path}");
 
-            // Every module reaches Base, so an edit there rebuilds all
-            // three; the program does not read what the edit adds.
-            let after_edit = compile(&edited, Some(&store), &options);
-            assert_eq!(run(&after_edit, &path("warm after a Base edit")), EXPECTED);
-            let stats = after_edit.incr.expect("incremental was active");
-            assert_eq!((stats.interfaces, stats.interfaces_spliced), (3, 0));
-            assert_eq!(parsed_live(&after_edit), all);
-        }
+        // Every module reaches Base, so an edit there rebuilds all
+        // three; the program does not read what the edit adds.
+        let after_edit = edited.compile_into(store, options);
+        let what = format!("warm after a Base edit, {path}");
+        assert_eq!(prints(&after_edit, &what), CHAIN_EXPECTED);
+        let stats = after_edit.incr.expect("incremental was active");
+        assert_eq!((stats.interfaces, stats.interfaces_spliced), (3, 0));
+        assert_eq!(parsed_live(&after_edit), all);
     }
 }
 
@@ -133,20 +95,11 @@ fn an_interface_with_an_opaque_type_round_trips() {
     );
     let main = "MODULE Main;\nIMPORT Handles;\nVAR h : Handles.T;\n\
                 BEGIN h := Handles.current; WriteInt(7, 0) END Main.";
+    let program = Program::new(main, defs);
     let store = Arc::new(MemStore::new());
-    let compile = || {
-        compile_concurrent(
-            main,
-            Arc::new(defs.clone()),
-            Arc::new(Interner::new()),
-            Options {
-                incremental: Some(Arc::clone(&store) as Arc<dyn ArtifactStore>),
-                ..Options::threads(2)
-            },
-        )
-    };
+    let compile = || program.compile_into(store.clone(), Options::threads(2));
     let cold = compile();
-    assert_eq!(run(&cold, "cold"), "7");
+    assert_eq!(prints(&cold, "cold"), "7");
     let stored: Vec<Vec<u8>> = store
         .fingerprints()
         .into_iter()
@@ -163,20 +116,10 @@ fn an_interface_with_an_opaque_type_round_trips() {
     assert_eq!(encode_interface(&iface, &interner), stored[0]);
 
     let warm = compile();
-    assert_eq!(run(&warm, "warm"), "7");
+    assert_eq!(prints(&warm, "warm"), "7");
     let stats = warm.incr.expect("incremental was active");
     assert_eq!(stats.interfaces_spliced, 1);
-    assert_eq!(comparable(&warm), comparable(&cold));
-}
-
-/// Interner-independent (image bytes, rendered diagnostics) pair.
-fn comparable(out: &ConcurrentOutput) -> (Option<Vec<u8>>, Vec<String>) {
-    comparable_output(
-        out.image.as_ref(),
-        &out.diagnostics,
-        &out.sources,
-        &out.interner,
-    )
+    assert_eq!(warm.comparable(), cold.comparable());
 }
 
 /// A stored interface that does not load — damaged bytes, or bytes that
@@ -186,12 +129,15 @@ fn comparable(out: &ConcurrentOutput) -> (Option<Vec<u8>>, Vec<String>) {
 /// and the next compile splices all three interfaces again.
 #[test]
 fn a_bad_interface_artifact_is_quarantined_and_parsed_live() {
-    let defs = library(BASE);
+    let program = chain(CHAIN_BASE);
     let options = Options::sim(4);
-    let cold = compile(&defs, None, &options);
-    let library = defs.all_definitions().expect("a DefLibrary enumerates");
+    let cold = program.compile(options.clone());
+    let library = program
+        .defs
+        .all_definitions()
+        .expect("a DefLibrary enumerates");
     let tag = options.heading_mode.cache_tag();
-    let (_, keys) = ImportGraph::of(MAIN, &library).keys(FORMAT_VERSION, false, tag);
+    let (_, keys) = ImportGraph::of(&program.source, &library).keys(FORMAT_VERSION, false, tag);
     let colors = keys
         .iter()
         .find(|k| k.name == "Colors")
@@ -214,15 +160,12 @@ fn a_bad_interface_artifact_is_quarantined_and_parsed_live() {
     ];
     for (case, spoil, why) in cases {
         let store = Arc::new(MemStore::new());
-        let shared = Arc::clone(&store) as Arc<dyn ArtifactStore>;
-        assert_eq!(
-            run(&compile(&defs, Some(&shared), &options), case),
-            EXPECTED
-        );
+        let compile = || program.compile_into(store.clone(), options.clone());
+        assert_eq!(prints(&compile(), case), CHAIN_EXPECTED);
         spoil(&store, colors.key);
 
-        let warm = compile(&defs, Some(&shared), &options);
-        assert_eq!(run(&warm, case), EXPECTED);
+        let warm = compile();
+        assert_eq!(prints(&warm, case), CHAIN_EXPECTED);
         let notes: Vec<&str> = (warm.diagnostics.iter())
             .filter(|d| d.severity == Severity::Note)
             .map(|d| d.message.as_str())
@@ -233,9 +176,9 @@ fn a_bad_interface_artifact_is_quarantined_and_parsed_live() {
         assert_eq!(store.quarantined(), 1, "{case}");
         let live: BTreeSet<String> = ["Colors", "Shapes"].map(String::from).into();
         assert_eq!(parsed_live(&warm), live, "{case}");
-        assert_eq!(comparable(&warm).0, comparable(&cold).0, "{case}");
+        assert_eq!(warm.comparable().0, cold.comparable().0, "{case}");
 
-        let again = compile(&defs, Some(&shared), &options);
+        let again = compile();
         let stats = again.incr.expect("incremental was active");
         assert_eq!(
             (stats.interfaces, stats.interfaces_spliced),
@@ -243,6 +186,6 @@ fn a_bad_interface_artifact_is_quarantined_and_parsed_live() {
             "{case}"
         );
         assert!(parsed_live(&again).is_empty(), "{case}");
-        assert_eq!(comparable(&again), comparable(&cold), "{case}");
+        assert_eq!(again.comparable(), cold.comparable(), "{case}");
     }
 }

@@ -33,7 +33,7 @@ fn transient_faults_recover_byte_identical_across_strategies_and_executors() {
         "task:codegen(*FaultLong)",
         "task:analyze(*FaultLong)",
     ];
-    for strategy in [DkyStrategy::Skeptical, DkyStrategy::Optimistic] {
+    for strategy in DkyStrategy::ALL {
         for sim in [true, false] {
             let baseline = compile(&m, None, None, strategy, sim, 0);
             assert!(baseline.errors.is_empty(), "{:?}", baseline.errors);

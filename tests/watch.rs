@@ -3,121 +3,67 @@
 //!
 //! * a syntax error inside one procedure body degrades exactly that
 //!   stream to a deterministic error unit — byte-identical across the
-//!   sequential compiler, all four DKY strategies, and both executors;
+//!   sequential compiler and every DKY strategy on every executor;
 //! * heading modes are cache-safe: each §2.4 mode splices only entries
 //!   it recorded itself (the environment digest separates them), and a
 //!   warm compile under any mode reproduces its cold output exactly;
 //! * a session replaying a seeded edit stream — broken intermediates
-//!   included — converges to the byte-identical output of a cold
-//!   compile of its final sources.
+//!   included — converges to the byte-identical output of the
+//!   sequential compiler on its final sources.
 
 use std::sync::Arc;
 
-use ccm2::{compile_concurrent, Executor, Options};
+use ccm2::Options;
 use ccm2_codegen::emit::is_error_unit;
-use ccm2_incr::{comparable_output, ArtifactStore, MemStore};
-use ccm2_sched::SimConfig;
+use ccm2_incr::MemStore;
 use ccm2_sema::declare::HeadingMode;
-use ccm2_sema::symtab::DkyStrategy;
-use ccm2_support::defs::DefLibrary;
-use ccm2_support::{Interner, NullMeter};
 use ccm2_watch::{CheckReport, WatchConfig, WatchService};
 use ccm2_workload::{
     apply_edits, edit_session_seeds, generate, EditOp, GenParams, GeneratedModule, SessionParams,
 };
 use proptest::prelude::*;
 
-/// Interner-independent (image bytes, rendered diagnostics) pair.
-fn comparable(out: &ccm2::ConcurrentOutput) -> (Option<Vec<u8>>, Vec<String>) {
-    comparable_output(
-        out.image.as_ref(),
-        &out.diagnostics,
-        &out.sources,
-        &out.interner,
-    )
-}
-
-fn compile_cold(source: &str, defs: &DefLibrary, options: Options) -> ccm2::ConcurrentOutput {
-    compile_concurrent(
-        source,
-        Arc::new(defs.clone()),
-        Arc::new(Interner::new()),
-        options,
-    )
-}
+pub mod contract;
+use contract::{run, Output, Path, Program};
 
 // ---- deterministic error units across the whole matrix ------------------
 
 /// The CI determinism guard: one broken procedure body, compiled by the
 /// sequential compiler and by the concurrent one under every DKY
-/// strategy on both executors, yields byte-identical object bytes and
+/// strategy on every executor, yields byte-identical object bytes and
 /// diagnostics — and the only degraded unit is the broken procedure's.
 #[test]
 fn error_unit_is_byte_identical_across_seq_dky_and_executors() {
     let m = generate(&GenParams::small("DetBrk", 21));
-    let broken = apply_edits(&m, &[EditOp::BreakBody { index: 1, seed: 5 }]);
-
-    let interner = Arc::new(Interner::new());
-    let seq = ccm2_seq::compile_with(
-        &broken.source,
-        &broken.defs,
-        Arc::clone(&interner),
-        Arc::new(NullMeter),
-        HeadingMode::CopyToChild,
-    );
-    assert!(!seq.diagnostics.is_empty(), "break must be reported");
-    let reference = comparable_output(
-        seq.image.as_ref(),
-        &seq.diagnostics,
-        &seq.sources,
-        &interner,
-    );
+    let broken = Program::from(apply_edits(&m, &[EditOp::BreakBody { index: 1, seed: 5 }]));
+    let reference = run(&Path::Seq, &broken);
+    assert!(!reference.1.is_empty(), "break must be reported");
     assert!(
         reference.0.is_some(),
         "recovered parse still yields an image"
     );
 
-    for strategy in [
-        DkyStrategy::Avoidance,
-        DkyStrategy::Pessimistic,
-        DkyStrategy::Skeptical,
-        DkyStrategy::Optimistic,
-    ] {
-        for sim in [true, false] {
-            let executor = if sim {
-                Executor::Sim(SimConfig::firefly(4))
-            } else {
-                Executor::Threads(2)
-            };
-            let out = compile_cold(
-                &broken.source,
-                &broken.defs,
-                Options {
-                    strategy,
-                    executor,
-                    ..Options::default()
-                },
-            );
-            assert_eq!(
-                comparable(&out),
-                reference,
-                "{strategy:?} sim={sim}: degraded output diverged from sequential"
-            );
-            let degraded: Vec<String> = out
-                .image
-                .as_ref()
-                .expect("image")
-                .units
-                .iter()
-                .filter(|u| is_error_unit(u, &out.interner))
-                .map(|u| out.interner.resolve(u.name))
-                .collect();
-            assert_eq!(
-                degraded,
-                vec!["DetBrk.Proc1".to_string()],
-                "{strategy:?} sim={sim}: exactly the broken stream degrades"
-            );
-        }
+    for path in Path::all() {
+        let out = broken.compile(path.options());
+        assert_eq!(
+            out.comparable(),
+            reference,
+            "{path}: degraded output diverged from sequential"
+        );
+        let degraded: Vec<String> = out
+            .image
+            .as_ref()
+            .expect("image")
+            .units
+            .iter()
+            .filter(|u| is_error_unit(u, &out.interner))
+            .map(|u| out.interner.resolve(u.name))
+            .collect();
+        assert_eq!(
+            degraded,
+            vec!["DetBrk.Proc1".to_string()],
+            "{path}: exactly the broken stream degrades"
+        );
     }
 }
 
@@ -130,8 +76,8 @@ fn break_leaves_nested_units_in_siblings_intact() {
         fault_seeds: true,
         ..GenParams::small("NestBrk", 22)
     });
-    let broken = apply_edits(&m, &[EditOp::BreakBody { index: 1, seed: 3 }]);
-    let out = compile_cold(&broken.source, &broken.defs, Options::default());
+    let broken = Program::from(apply_edits(&m, &[EditOp::BreakBody { index: 1, seed: 3 }]));
+    let out = broken.compile(Options::default());
     let image = out.image.as_ref().expect("image");
     let degraded: Vec<String> = image
         .units
@@ -157,31 +103,30 @@ fn break_leaves_nested_units_in_siblings_intact() {
 /// environment digest carries the mode tag).
 #[test]
 fn heading_modes_are_cache_safe_and_isolated() {
-    let m = generate(&GenParams::small("HeadCache", 31));
+    let m = Program::from(generate(&GenParams::small("HeadCache", 31)));
     let modes = [HeadingMode::CopyToChild, HeadingMode::Reprocess];
     let mut outputs = Vec::new();
-    for mode in modes {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let opts = || Options {
-            heading_mode: mode,
-            incremental: Some(Arc::clone(&store)),
-            ..Options::default()
+    for heading in modes {
+        let program = Program {
+            heading,
+            ..m.clone()
         };
-        let cold = compile_cold(&m.source, &m.defs, opts());
-        assert!(cold.is_ok(), "{mode:?}: {:#?}", cold.diagnostics);
+        let store = Arc::new(MemStore::new());
+        let cold = program.compile_into(store.clone(), Options::default());
+        assert!(cold.is_ok(), "{heading:?}: {:#?}", cold.diagnostics);
         assert_eq!(cold.incr.expect("incremental").spliced, 0);
-        let warm = compile_cold(&m.source, &m.defs, opts());
+        let warm = program.compile_into(store, Options::default());
         let stats = warm.incr.expect("incremental");
         assert_eq!(
             stats.spliced, stats.units,
-            "{mode:?}: fully warm second compile"
+            "{heading:?}: fully warm second compile"
         );
         assert_eq!(
-            comparable(&cold),
-            comparable(&warm),
-            "{mode:?}: warm output must equal cold"
+            cold.comparable(),
+            warm.comparable(),
+            "{heading:?}: warm output must equal cold"
         );
-        outputs.push(comparable(&cold));
+        outputs.push(cold.comparable());
     }
     // Clean sources: both modes agree on the output itself.
     assert_eq!(outputs[0], outputs[1], "Reprocess == CopyToChild");
@@ -189,34 +134,22 @@ fn heading_modes_are_cache_safe_and_isolated() {
     // Cross-mode isolation: a store warmed under CopyToChild yields
     // zero splices under the other mode (distinct cache tags), and the
     // output still matches its own cold compile.
-    let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-    let copy_cold = compile_cold(
-        &m.source,
-        &m.defs,
-        Options {
-            heading_mode: HeadingMode::CopyToChild,
-            incremental: Some(Arc::clone(&store)),
-            ..Options::default()
-        },
-    );
+    let store = Arc::new(MemStore::new());
+    let copy_cold = m.compile_into(store.clone(), Options::default());
     assert!(copy_cold.is_ok());
-    let out = compile_cold(
-        &m.source,
-        &m.defs,
-        Options {
-            heading_mode: HeadingMode::Reprocess,
-            incremental: Some(Arc::clone(&store)),
-            ..Options::default()
-        },
-    );
+    let reprocess = Program {
+        heading: HeadingMode::Reprocess,
+        ..m
+    };
+    let out = reprocess.compile_into(store, Options::default());
     let stats = out.incr.expect("incremental");
     assert_eq!(
         stats.spliced, 0,
         "Reprocess must not splice CopyToChild's entries"
     );
     assert_eq!(
-        comparable(&out),
-        comparable(&copy_cold),
+        out.comparable(),
+        copy_cold.comparable(),
         "Reprocess: output unaffected by the foreign store"
     );
 }
@@ -303,13 +236,7 @@ fn seeded_session_degrades_only_edited_streams_and_converges() {
         );
         // Final revision == cold compile of the final sources, byte for
         // byte (fresh interner, no artifact store).
-        let final_sources = session.module().clone();
-        let cold = compile_cold(
-            &final_sources.source,
-            &final_sources.defs,
-            Options::threads(1),
-        );
-        let (cold_object, cold_diags) = comparable(&cold);
+        let (cold_object, cold_diags) = run(&Path::Seq, &session.module().into());
         assert_eq!(
             session.object(),
             cold_object.as_deref(),
@@ -344,21 +271,14 @@ fn interface_edit_goes_cold_but_stays_correct() {
     assert!(r.cold_streams > 0);
 
     let session = svc.session("p").unwrap();
-    let cold = compile_cold(
-        &session.module().source,
-        &session.module().defs,
-        Options::threads(1),
-    );
-    assert_eq!(session.object(), comparable(&cold).0.as_deref());
+    let cold = run(&Path::Seq, &session.module().into());
+    assert_eq!(session.object(), cold.0.as_deref());
 }
 
 // ---- convergence property (proptest) ------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 6 })]
 
     // Any seeded stream, replayed through a session in arbitrary batch
     // sizes (so coalescing kicks in), converges: after the final check,
@@ -397,12 +317,7 @@ proptest! {
                 svc.check(&p.name).unwrap();
             }
             let session = svc.session(&p.name).expect("session");
-            let cold = compile_cold(
-                &session.module().source,
-                &session.module().defs,
-                Options::threads(1),
-            );
-            let (cold_object, cold_diags) = comparable(&cold);
+            let (cold_object, cold_diags) = run(&Path::Seq, &session.module().into());
             prop_assert_eq!(
                 session.object(),
                 cold_object.as_deref(),
