@@ -138,7 +138,10 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # store its unmutated module filled, or by the service, answers as the
 # sequential compiler does, whatever the mutation did to the structure
 # the Lexor carves before it skips spliced bodies): 20 000 mutants
-# instead of 200.
+# instead of 200. And so does the warm compile on two workers
+# (`a_warm_threaded_compile_loads_only_on_workers`: the interface cell
+# and the placeholders are handed between workers, and no store load
+# may run on the caller's thread): 2 000 rounds instead of 20.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -165,7 +168,7 @@ race --test threaded_suite -- work_charges_equal
 race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
 race --test diagnostics -- mutated_declarations mutated_bodies output_pin
-race --test incremental -- interface_edit_differential mutated_bodies_compile_warm_as_cold
+race --test incremental -- interface_edit_differential mutated_bodies_compile_warm_as_cold a_warm_threaded_compile_loads_only_on_workers
 
 echo "== examples, optimized, with README's arguments =="
 # Each example asserts its own result (a clean compile, a VM run's

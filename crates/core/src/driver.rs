@@ -23,6 +23,7 @@
 //! splice tasks it asks for.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -52,9 +53,9 @@ use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
 use ccm2_syntax::token::{Token, TokenKind};
 
 use crate::importer::{run_importer, ImportSink};
-use crate::incremental::{Incremental, Splice};
-use crate::queue::{StreamCursor, TokenQueue, TokenWriter};
-use crate::splitter::{carve, run_splitter, StreamFactory};
+use crate::incremental::{Incremental, Splice, Then};
+use crate::queue::{Holes, StreamCursor, TokenQueue, TokenWriter, BLOCK_SIZE};
+use crate::splitter::{carve, run_splitter, Scanned, StreamFactory};
 
 /// Which executor carries the compilation.
 #[derive(Clone, Debug)]
@@ -268,8 +269,8 @@ pub fn compile_concurrent(
         max_retries: options.max_stream_retries,
     };
     let mk = move |env: Arc<dyn ExecEnv>| {
-        let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), &source);
-        d.start(source);
+        let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), source);
+        d.start();
         *dc.lock() = Some(d);
     };
     let report = match executor {
@@ -345,6 +346,8 @@ struct Driver {
     hub: ccm2_analysis::AnalysisHub,
     main_scope_event: EventId,
     incr: Option<Incremental>,
+    /// Where the main Lexor's placeholders resolve.
+    holes: Arc<Holes>,
     st: Mutex<DriverState>,
 }
 
@@ -354,9 +357,11 @@ impl Driver {
         interner: Arc<Interner>,
         defs: Arc<dyn DefProvider>,
         options: Options,
-        source: &str,
+        source: String,
     ) -> Arc<Driver> {
         let sink = Arc::new(DiagnosticSink::new());
+        let sources = Arc::new(SourceMap::new());
+        let main = sources.add("Main.mod", source);
         let main_scope_event = env.new_event_named(EventClass::Handled, "scope(Main)");
         let placeholder = interner.intern("");
         Arc::new_cyclic(|driver| {
@@ -373,12 +378,12 @@ impl Driver {
                 meter,
             ));
             sema.tables.set_notifier(link);
-            let incr = Incremental::new(&options, defs.as_ref(), source, &sema);
+            let incr = Incremental::new(&options, defs.as_ref(), &main, &sema);
             Driver {
                 env: Arc::clone(&env),
                 interner: Arc::clone(&interner),
                 sink,
-                sources: Arc::new(SourceMap::new()),
+                sources,
                 defs,
                 merger: Merger::new(placeholder, interner),
                 sema,
@@ -389,6 +394,7 @@ impl Driver {
                 hub: ccm2_analysis::AnalysisHub::new(),
                 main_scope_event,
                 incr,
+                holes: Arc::default(),
                 st: Mutex::new(DriverState::default()),
             }
         })
@@ -422,11 +428,15 @@ impl Driver {
 
     // ---- stream construction -------------------------------------------
 
-    fn start(self: &Arc<Self>, source: String) {
-        let file = self.sources.add("Main.mod", source);
+    fn start(self: &Arc<Self>) {
+        let file = self
+            .sources
+            .get(FileId(0))
+            .expect("the main module is file 0");
         // Lexor(main): never blocks (§2.3.3).
         let lex_q = self.spawn_lexor("lex(Main)".to_string(), file);
-        // Importer(main): anticipates interfaces (§3).
+        // Importer(main): anticipates interfaces (§3) — under the cache,
+        // those it splices are loaded first.
         {
             let this = Arc::clone(self);
             let q = Arc::clone(&lex_q);
@@ -434,6 +444,9 @@ impl Driver {
                 "import(Main)",
                 TaskKind::Importer,
                 Box::new(move || {
+                    if let Some(incr) = &this.incr {
+                        incr.anticipate_interfaces();
+                    }
                     let cursor = StreamCursor::new(q, Work::Import);
                     run_importer(&cursor, 1, &DriverHandle(this));
                 }),
@@ -445,19 +458,10 @@ impl Driver {
             };
             self.env.spawn(t);
         }
-        // An incremental compile's Lexor spawns the rest of the front
-        // once the cache has decided ([`Driver::lex_deferred`]).
-        if self.incr.is_none() {
-            self.spawn_front(lex_q);
-        }
-    }
-
-    /// Spawns the Splitter and the main module's parser over the main
-    /// Lexor's queue `lex_q`. Under the no-early-split ablation the
-    /// parser reads the raw token stream directly (procedures are
-    /// discovered while parsing, as in pre-paper designs) and the main
-    /// scope is created by the parser itself.
-    fn spawn_front(self: &Arc<Self>, lex_q: Arc<TokenQueue>) {
+        // Splitter and Parser/DeclAnalyzer(main). Under the no-early-split
+        // ablation the parser reads the raw token stream directly
+        // (procedures are discovered while parsing, as in pre-paper
+        // designs) and the main scope is created by the parser itself.
         let parse_q = if self.early_split {
             let (out, parse_q) = TokenQueue::channel(Arc::clone(&self.env), "parse(Main)");
             let this = Arc::clone(self);
@@ -466,6 +470,12 @@ impl Driver {
                 "split(Main)",
                 TaskKind::Splitter,
                 Box::new(move || {
+                    // It outranks the Importer (§2.3.4), so on two workers
+                    // it is the task beside the Lexor, and anticipates the
+                    // interfaces in the Importer's place.
+                    if let Some(incr) = &this.incr {
+                        incr.anticipate_interfaces();
+                    }
                     let cursor = StreamCursor::new(q, Work::Split);
                     run_splitter(&cursor, out, &DriverHandle(this));
                 }),
@@ -582,30 +592,24 @@ impl Driver {
     }
 
     /// Spawns the Lexor task of one source file and returns the queue it
-    /// fills; [`Work::Lex`] is charged per token, for a published one as
-    /// its block is published. It scans and names each token as it goes,
-    /// except for the main module of an incremental compile
-    /// ([`Driver::lex_deferred`]).
+    /// fills; [`Work::Lex`] is charged per token, a block at a time as it
+    /// is published. It scans and names each token as it goes, except for
+    /// the main module of an incremental compile ([`Driver::lex_main`]).
     fn spawn_lexor(self: &Arc<Self>, name: String, file: Arc<SourceFile>) -> Arc<TokenQueue> {
         let (writer, q) = TokenQueue::channel(Arc::clone(&self.env), name.clone());
-        let mut writer = writer.charging(Work::Lex);
         let this = Arc::clone(self);
-        let own = Arc::clone(&q);
         let mut t = TaskDesc::new(
             name,
             TaskKind::Lexor,
-            Box::new(move || {
-                let sema = &this.sema;
-                match &this.incr {
-                    Some(incr) if file.id() == FileId(0) => {
-                        this.lex_deferred(incr, &file, &mut writer, own);
-                    }
-                    _ => {
-                        let mut names = Names::new(&file, &sema.interner);
-                        writer.extend(Lexer::new(&file, &sema.sink).map(|t| names.name(t)));
-                    }
+            Box::new(move || match &this.incr {
+                Some(incr) if file.id() == FileId(0) => this.lex_main(incr, &file, writer),
+                _ => {
+                    let sema = &this.sema;
+                    let mut names = Names::new(&file, &sema.interner);
+                    let mut writer = writer.charging(Work::Lex);
+                    writer.extend(Lexer::new(&file, &sema.sink).map(|t| names.name(t)));
+                    writer.close();
                 }
-                writer.close();
             }),
         );
         t.signals_barriers = true;
@@ -613,52 +617,86 @@ impl Driver {
         q
     }
 
-    /// The Lexor of an incremental compile's main module, which fills
-    /// `lex_q`. It scans the whole text, carves it by the Splitter's
-    /// depth rule and has the cache decide which streams splice; then it
-    /// spawns the Splitter and the module parser, and names and publishes
-    /// only what the compile parses — everything but the bodies of the
-    /// streams that splice, which are scanned once and never named,
-    /// queued or split. What precedes the first `PROCEDURE` is module
-    /// level, which every compile parses: it is published as it is
-    /// scanned, so the Importer and the interface splices start as early
-    /// as in a cold compile.
-    fn lex_deferred(
-        self: &Arc<Self>,
-        incr: &Incremental,
-        file: &SourceFile,
-        writer: &mut TokenWriter,
-        lex_q: Arc<TokenQueue>,
-    ) {
+    /// The Lexor of an incremental compile's main module. It carves the
+    /// text by the Splitter's depth rule as it scans it, and names and
+    /// publishes every token outside a procedure body as it reads it, so
+    /// the Importer, the Splitter and the module parser run beside the
+    /// scan. Each body piece it holds instead, scanned but not named, and
+    /// publishes one placeholder in its place. Once the scan is over the
+    /// cache decides, and each placeholder resolves into the stream the
+    /// Splitter routed it to: to nothing when its stream splices (a
+    /// spliced body is never named, queued or split), else to the piece's
+    /// named tokens.
+    fn lex_main(&self, incr: &Incremental, file: &SourceFile, mut writer: TokenWriter) {
         let sema = &self.sema;
         let mut names = Names::new(file, &sema.interner);
-        let mut scan = Lexer::new(file, &sema.sink);
-        let mut tokens: Vec<Token> = Vec::with_capacity(file.text().len() / 3);
-        let mut published = 0;
-        for t in scan.by_ref() {
-            tokens.push(t);
-            if t.kind == TokenKind::Procedure {
-                break;
+        // A token is charged as it is named, a block's worth at a time as
+        // the other Lexors charge theirs as they publish them; a spliced
+        // body's tokens, never named, once at the end.
+        let mut named = 0u64;
+        let mut name = |t: Token| {
+            named += 1;
+            if named.is_multiple_of(BLOCK_SIZE as u64) {
+                self.env.charge(Work::Lex, BLOCK_SIZE as u64);
             }
-            writer.push(names.name(t));
-            published += 1;
+            names.name(t)
+        };
+        let mut tokens: Vec<Token> = Vec::with_capacity(file.text().len() / 3);
+        let mut pieces: Vec<(usize, Range<usize>)> = Vec::new();
+        let scan = Lexer::new(file, &sema.sink);
+        let carving = carve(scan, &mut tokens, |told| match told {
+            Scanned::Token(t) => writer.push(name(t)),
+            Scanned::Piece {
+                stream,
+                tokens,
+                span,
+            } => {
+                let k = pieces.len() as u32;
+                writer.push(Token::new(TokenKind::Placeholder(k), span, file.id()));
+                pieces.push((stream, tokens));
+            }
+        });
+        writer.close();
+        let (spliced, due) = incr.decide(file.text(), &carving);
+        // What waited for the decisions runs now: a stream's ProcParse
+        // once its body has resolved, so that it never parks a worker on a
+        // placeholder, and the splices once the Lexor has charged the
+        // bodies they stand in for.
+        let mut last_piece = vec![None; carving.streams.len()];
+        for (k, &(stream, _)) in pieces.iter().enumerate() {
+            last_piece[stream] = Some(k);
         }
-        tokens.extend(scan);
-        let carving = carve(&tokens);
-        let spliced = incr.decide(file.text(), &carving);
-        self.spawn_front(lex_q);
-        let rest = &tokens[published..];
-        let mut from = 0;
-        let mut skipped = 0;
-        for body in carving.bodies(&spliced) {
-            let lo = rest.partition_point(|t| t.span.lo < body.lo);
-            let hi = rest.partition_point(|t| t.span.lo < body.hi);
-            writer.extend(rest[from..lo].iter().map(|&t| names.name(t)));
-            skipped += hi - lo;
-            from = hi;
+        let mut after: Vec<Vec<Then<()>>> = pieces.iter().map(|_| Vec::new()).collect();
+        let mut splices = Vec::new();
+        for (stream, then) in due {
+            match stream.map(|s| last_piece.get(s).copied().flatten()) {
+                Some(Some(k)) => after[k].push(then),
+                Some(None) => then(()),
+                None => splices.push(then),
+            }
         }
-        writer.extend(rest[from..].iter().map(|&t| names.name(t)));
-        self.env.charge(Work::Lex, skipped as u64);
+        let (mut skipped, mut unread) = (0, Vec::new());
+        for (k, (stream, piece)) in pieces.into_iter().enumerate() {
+            if spliced[stream] {
+                skipped += piece.len() as u64;
+                unread.push(k as u32);
+                continue;
+            }
+            let stretch = tokens[piece].iter().map(|&t| name(t)).collect();
+            self.holes.resolve(k as u32, stretch);
+            for then in std::mem::take(&mut after[k]) {
+                then(());
+            }
+        }
+        self.env
+            .charge(Work::Lex, named % BLOCK_SIZE as u64 + skipped);
+        for then in splices {
+            then(());
+        }
+        // Nobody reads a stream that splices.
+        for k in unread {
+            self.holes.unread(k);
+        }
     }
 
     /// Spawns one per-unit `Analyze` task (§2.3.4 priority: after
@@ -871,11 +909,31 @@ impl Driver {
             );
         }
         // Module-body statement analysis + code generation task — or a
-        // splice of the cached module unit, decided before this task was
-        // spawned.
-        let module_splice = self.incr.as_ref().and_then(|incr| incr.module_splice());
+        // splice of the cached module unit, once the cache has decided.
+        match &self.incr {
+            Some(incr) => {
+                let this = Arc::clone(self);
+                let unit = move |splice| {
+                    this.spawn_module_unit(scope, module_name, stmts, body_poisoned, splice)
+                };
+                incr.module_parsed(Box::new(unit));
+            }
+            None => self.spawn_module_unit(scope, module_name, stmts, body_poisoned, None),
+        }
+    }
+
+    /// Spawns the module body's statement analysis and code generation, or
+    /// the splice that replaces them.
+    fn spawn_module_unit(
+        self: &Arc<Self>,
+        scope: ScopeId,
+        module_name: Symbol,
+        stmts: Vec<Stmt>,
+        body_poisoned: bool,
+        splice: Option<Splice>,
+    ) {
         let weight = stmt_count(&stmts) as u64;
-        if let Some(splice) = module_splice {
+        if let Some(splice) = splice {
             self.spawn_splice(module_name, weight, None, splice);
             return;
         }
@@ -1384,6 +1442,7 @@ impl StreamFactory for DriverHandle {
             .env
             .new_event_named(EventClass::Avoided, &format!("heading({name_str})"));
         let (writer, q) = TokenQueue::channel(Arc::clone(&this.env), format!("proc({name_str})"));
+        let writer = writer.resolving(Arc::clone(&this.holes));
         let (id, undeclared) = {
             let mut st = this.st.lock();
             let id = StreamId(st.next_stream);
@@ -1401,9 +1460,13 @@ impl StreamFactory for DriverHandle {
         }
         // A stream that splices gets its `CacheSplice` when its carve
         // closes; nobody reads its queue.
-        let spliced = (this.incr.as_ref()).is_some_and(|i| i.stream_created(id.0 as usize, scope));
-        if !spliced {
-            this.spawn_proc_parse(scope, parent, name, q);
+        match &this.incr {
+            Some(incr) => {
+                let this = Arc::clone(this);
+                let parse = move |()| this.spawn_proc_parse(scope, parent, name, q);
+                incr.stream_created(id.0 as usize, scope, Box::new(parse));
+            }
+            None => this.spawn_proc_parse(scope, parent, name, q),
         }
         (id, writer)
     }
@@ -1420,15 +1483,16 @@ impl StreamFactory for DriverHandle {
         let Some(incr) = &this.incr else {
             return;
         };
-        let scope = this.st.lock().stream_scopes.get(&stream).copied();
-        let (Some(scope), Some(splice)) =
-            (scope, incr.stream_closed(stream.0 as usize, heading, full))
-        else {
+        let Some(scope) = this.st.lock().stream_scopes.get(&stream).copied() else {
             return;
         };
-        let weight = splice.entry.unit.code.len() as u64;
-        let name = this.tables().scope(scope).name();
-        this.spawn_splice(name, weight, Some(scope), splice);
+        let this = Arc::clone(this);
+        let splice = move |splice: Splice| {
+            let weight = splice.entry.unit.code.len() as u64;
+            let name = this.tables().scope(scope).name();
+            this.spawn_splice(name, weight, Some(scope), splice);
+        };
+        incr.stream_closed(stream.0 as usize, heading, full, Box::new(splice));
     }
 }
 

@@ -1,18 +1,28 @@
 //! The incremental cache behind one seam ([`Options::incremental`]).
 //!
 //! Every decision the driver's incremental mode makes, and every call it
-//! makes to the [`ArtifactStore`], is here. The driver calls in at three
-//! points — [`Incremental::new`] as the compile starts (interface keys
-//! and loads), [`Incremental::decide`] once the main module's Lexor has
-//! scanned it and the depth rule has carved it (fingerprints, hit or
-//! miss per code unit, before any body token is published), and
-//! [`Incremental::finish`] — and asks what the decisions mean for each
-//! stream as the Splitter creates and closes it
-//! ([`Incremental::stream_created`], [`Incremental::stream_closed`]), whether a
-//! definition module's stream splices
-//! ([`Incremental::spliced_interface`]) and whether the module body does
-//! ([`Incremental::module_splice`]). The splice tasks themselves stay in
-//! the driver; the Splitter knows nothing of the cache.
+//! makes to the [`ArtifactStore`], is here. [`Incremental::new`] keeps the
+//! store handle, the options and the interface library (a provider that
+//! cannot list it turns the cache off) and does nothing else: all of the
+//! cache's work runs inside the compile, on its workers. What a compile knows of
+//! its interfaces — the import walk, the interface keys and the
+//! environment digest, and every interface's load, decode, link check and
+//! quarantine — is one once-filled cell, which the main Importer and the
+//! Splitter fill as their first act unless another task asks first
+//! ([`Incremental::anticipate_interfaces`]). [`Incremental::decide`] runs
+//! once the main module's Lexor has scanned and carved it (fingerprints,
+//! hit or miss per code unit), and [`Incremental::finish`] records.
+//!
+//! The Splitter and the module parser run beside the scan, so the driver
+//! asks for each stream's fate when the Splitter creates and closes it
+//! ([`Incremental::stream_created`], [`Incremental::stream_closed`]) and
+//! for the module body's when its parser is done
+//! ([`Incremental::module_parsed`]): what it asks before the decisions
+//! exist is answered by `decide`, whose caller then runs the step the
+//! driver left (a ProcParse or a `CacheSplice` spawn). It also asks
+//! whether a definition module's stream splices
+//! ([`Incremental::spliced_interface`]). The splice tasks themselves stay
+//! in the driver; the Splitter knows nothing of the cache.
 //!
 //! A procedure stream or the module body is a *code unit*, stored under
 //! its fingerprint (`ccm2_incr::fingerprint`); a definition module's
@@ -21,7 +31,7 @@
 //! quarantined, reported in a Note, and treated as absent.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -40,7 +50,7 @@ use ccm2_support::diag::{Diagnostic, Severity};
 use ccm2_support::hash::Fp128;
 use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
-use ccm2_support::source::{FileId, Span};
+use ccm2_support::source::{FileId, SourceFile, Span};
 use ccm2_syntax::ast::Import;
 
 use crate::driver::Options;
@@ -51,6 +61,22 @@ pub(crate) struct Incremental {
     store: Arc<dyn ArtifactStore>,
     sema: Arc<Sema>,
     analyze: bool,
+    /// The heading mode's tag, mixed into every key.
+    tag: u8,
+    /// The main module and every definition module, which the interface
+    /// cell keys.
+    main: Arc<SourceFile>,
+    library: Vec<(String, String)>,
+    interfaces: OnceLock<Interfaces>,
+    /// The ids in this compile of each spliced interface's own types,
+    /// built on first use: by its own splice, or by that of a module
+    /// whose types link into it, whichever runs first.
+    types: Mutex<HashMap<Symbol, Arc<[TypeId]>>>,
+    st: Mutex<State>,
+}
+
+/// What a compile knows of its interfaces before it parses any.
+struct Interfaces {
     /// Digest of everything outside the main source that affects output:
     /// format version, configuration, and the interfaces the module can
     /// reach (per-import precision — an unrelated `.def` edit must not
@@ -62,17 +88,21 @@ pub(crate) struct Incremental {
     /// The stored interfaces this compile splices. A module is here only
     /// if its artifact decoded and every module it imports is here too.
     spliced: HashMap<Symbol, Arc<Interface>>,
-    /// The ids in this compile of each spliced interface's own types,
-    /// built on first use: by its own splice, or by that of a module
-    /// whose types link into it, whichever runs first.
-    types: Mutex<HashMap<Symbol, Arc<[TypeId]>>>,
-    st: Mutex<State>,
 }
+
+/// A step of the driver's that waits for the decisions.
+pub(crate) type Then<T> = Box<dyn FnOnce(T) + Send>;
+
+/// A step that was waiting when the decisions came, with the stream it
+/// parses, if it is a ProcParse spawn.
+pub(crate) type Due = (Option<usize>, Then<()>);
 
 #[derive(Default)]
 struct State {
-    /// Every procedure stream the scan carved, in the order the Splitter
-    /// creates them.
+    /// Whether [`Incremental::decide`] has run.
+    decided: bool,
+    /// Every procedure stream, by the index the Splitter numbers it with:
+    /// the order the scan carves them.
     streams: Vec<Stream>,
     /// The code units' decisions: procedure streams in carve order, then
     /// the module body. Entries are recorded in this order, and under a
@@ -80,6 +110,8 @@ struct State {
     units: Vec<Unit>,
     /// The module body's splice, until the module parser takes it.
     module_splice: Option<Splice>,
+    /// The module parser's last step, if it was done before the decisions.
+    module_parsed: Option<Then<Option<Splice>>>,
     /// Per-scope used-name sets and lock summaries captured from
     /// `Analyze` tasks: a recorded entry carries them, since a spliced
     /// unit cannot re-run its analysis.
@@ -91,17 +123,33 @@ struct State {
     stats: IncrStats,
 }
 
-/// One procedure stream the scan carved, and what became of it.
+impl State {
+    fn stream(&mut self, index: usize) -> &mut Stream {
+        if self.streams.len() <= index {
+            self.streams.resize_with(index + 1, Stream::default);
+        }
+        &mut self.streams[index]
+    }
+}
+
+/// One procedure stream, and what became of it.
+#[derive(Default)]
 struct Stream {
-    /// Its carve, as the Splitter must report it.
-    heading: Span,
-    full: Span,
+    /// Its heading and its whole carve as the scan found them, which the
+    /// Splitter must report.
+    carve: Option<(Span, Span)>,
     /// Its scope, once the Splitter created the stream.
     scope: Option<ScopeId>,
     /// The streams carved directly inside it.
     children: Vec<usize>,
     /// Its splice, if it splices, until the Splitter closes its carve.
     splice: Option<Splice>,
+    /// Its ProcParse spawn, if the Splitter created it before the
+    /// decisions.
+    parse: Option<Then<()>>,
+    /// The Splitter's carve and the stream's splice spawn, if the Splitter
+    /// closed it before the decisions.
+    closed: Option<(Span, Span, Then<Splice>)>,
 }
 
 /// What a code unit's `CacheSplice` task replays in place of its parse
@@ -134,7 +182,7 @@ struct Unit {
 }
 
 impl Incremental {
-    /// The cache of a compile of `source` under `options`, or `None` when
+    /// The cache of a compile of `main` under `options`, or `None` when
     /// it cannot be active: carves come from the Splitter (so early
     /// splitting is required), and the environment digest must see the
     /// whole interface library. Every heading mode is cache-safe: the
@@ -143,42 +191,67 @@ impl Incremental {
     /// another, and the child-side work the modes differ in (none /
     /// re-declare / verify) is skipped identically on every warm hit.
     ///
-    /// Keys the compile and loads the interfaces it splices, before any
-    /// task is spawned.
+    /// Keys nothing and loads nothing: that is the interface cell's work,
+    /// done inside the compile.
     pub(crate) fn new(
         options: &Options,
         defs: &dyn DefProvider,
-        source: &str,
+        main: &Arc<SourceFile>,
         sema: &Arc<Sema>,
     ) -> Option<Incremental> {
         let store = options.incremental.as_ref()?;
         if !options.early_split {
             return None;
         }
-        let library = defs.all_definitions()?;
-        let graph = ImportGraph::of(source, &library);
-        let tag = options.heading_mode.cache_tag();
-        let (env_fp, keys) = graph.keys(FORMAT_VERSION, options.analyze, tag);
-        let mut incr = Incremental {
+        Some(Incremental {
             store: Arc::clone(store),
             sema: Arc::clone(sema),
             analyze: options.analyze,
+            tag: options.heading_mode.cache_tag(),
+            main: Arc::clone(main),
+            library: defs.all_definitions()?,
+            interfaces: OnceLock::new(),
+            types: Mutex::new(HashMap::new()),
+            st: Mutex::new(State::default()),
+        })
+    }
+
+    /// Fills the interface cell, unless a task already has. The main
+    /// Importer calls this as its first act: anticipating interfaces is
+    /// its §3 job. So does the Splitter, which outranks it and so is the
+    /// one a second worker runs beside the Lexor. Any task that needs the
+    /// cell first fills it instead — the Lexor at
+    /// [`Incremental::decide`], or a parser's import scopes — so filling
+    /// it waits on no scheduler event and charges no work: a Lexor
+    /// blocked on the cell is never stuck behind a waiting task, and a
+    /// simulated task never yields while it holds the cell.
+    pub(crate) fn anticipate_interfaces(&self) {
+        self.interfaces();
+    }
+
+    fn interfaces(&self) -> &Interfaces {
+        self.interfaces.get_or_init(|| self.key_interfaces())
+    }
+
+    /// Keys the compile and loads the interfaces it splices.
+    fn key_interfaces(&self) -> Interfaces {
+        let graph = ImportGraph::of(self.main.text(), &self.library);
+        let (env_fp, keys) = graph.keys(FORMAT_VERSION, self.analyze, self.tag);
+        let mut ifaces = Interfaces {
             env_fp,
             keyed: Vec::with_capacity(keys.len()),
             spliced: HashMap::new(),
-            types: Mutex::new(HashMap::new()),
-            st: Mutex::new(State::default()),
         };
         // Imports come first, so a module's imports are decided before it
         // is: one with an import that does not splice is not looked up
         // (the closure rule of `decide`, one level up — a module parsed
         // live rebuilds its types, so every importer of it must too).
-        let interner = &sema.interner;
+        let interner = &self.sema.interner;
         for k in &keys {
             let name = interner.intern(k.name);
             let imports: Vec<Symbol> = k.imports.iter().map(|i| interner.intern(i)).collect();
-            let splices = imports.iter().all(|i| incr.spliced.contains_key(i));
-            incr.keyed.push((name, k.key, imports));
+            let splices = imports.iter().all(|i| ifaces.spliced.contains_key(i));
+            ifaces.keyed.push((name, k.key, imports));
             if !splices {
                 continue;
             }
@@ -186,11 +259,11 @@ impl Incremental {
             // all splice by now; one that points elsewhere was forged.
             let links_fit = |iface: &Interface| {
                 iface.links.iter().all(|&(dep, index)| {
-                    let dep = incr.spliced.get(&iface.deps[dep as usize]);
+                    let dep = ifaces.spliced.get(&iface.deps[dep as usize]);
                     dep.is_some_and(|d| (index as usize) < d.types.len())
                 })
             };
-            let loaded = incr.load(k.key, k.name, |bytes| {
+            let loaded = self.load(k.key, k.name, |bytes| {
                 match decode_interface(bytes, interner) {
                     Ok(iface) if links_fit(&iface) => Ok(iface),
                     Ok(_) => Err("malformed link".to_string()),
@@ -198,10 +271,10 @@ impl Incremental {
                 }
             });
             if let Ok(Some(iface)) = loaded {
-                incr.spliced.insert(name, Arc::new(iface));
+                ifaces.spliced.insert(name, Arc::new(iface));
             }
         }
-        Some(incr)
+        ifaces
     }
 
     /// Loads the artifact stored under `key` and decodes it. One that
@@ -232,7 +305,7 @@ impl Incremental {
 
     /// The stored interface this compile splices for module `name`.
     pub(crate) fn spliced_interface(&self, name: Symbol) -> Option<Arc<Interface>> {
-        self.spliced.get(&name).cloned()
+        self.interfaces().spliced.get(&name).cloned()
     }
 
     /// Installs spliced interface `name`'s types (and those of the
@@ -263,7 +336,7 @@ impl Incremental {
         if let Some(own) = built.get(&name) {
             return Arc::clone(own);
         }
-        let iface = (self.spliced.get(&name))
+        let iface = (self.interfaces().spliced.get(&name))
             .expect("every interface a spliced one links into splices too");
         let deps: Vec<Arc<[TypeId]>> = (iface.deps.iter())
             .map(|&d| self.install_types(built, d, scope))
@@ -275,13 +348,15 @@ impl Incremental {
     }
 
     /// The main module's Lexor scanned `source` and the depth rule carved
-    /// it: fingerprints every stream the Splitter will create, decides hit
-    /// or miss per code unit, and returns, per stream, whether it
-    /// splices. A hit splices only when every stream nested in it hits
+    /// it: fingerprints every stream the Splitter creates, decides hit or
+    /// miss per code unit, and returns, per stream, whether it splices,
+    /// with the driver's steps that were waiting for the decisions, for
+    /// the caller to run — a ProcParse spawn with the index of the stream
+    /// it reads. A hit splices only when every stream nested in it hits
     /// too — a recompiled inner procedure needs its enclosing scopes
     /// declared live. An entry that does not decode is a miss, so a
     /// stream whose body the Lexor skips always has a splice to replay.
-    pub(crate) fn decide(&self, source: &str, carving: &Carving) -> Vec<bool> {
+    pub(crate) fn decide(&self, source: &str, carving: &Carving) -> (Vec<bool>, Vec<Due>) {
         let carved = &carving.streams;
         let nodes: Vec<StreamNode> = carved
             .iter()
@@ -294,7 +369,7 @@ impl Incremental {
                 parent: c.parent,
             })
             .collect();
-        let fps = fingerprint_streams(source, &nodes, self.env_fp);
+        let fps = fingerprint_streams(source, &nodes, self.interfaces().env_fp);
         let mut stats = IncrStats {
             units: carved.len() + 1,
             ..IncrStats::default()
@@ -368,38 +443,75 @@ impl Incremental {
         st.module_splice = module_splice;
         st.units = units;
         st.stats = stats;
-        st.streams = (carved.iter().zip(hits).zip(children).enumerate())
-            .map(|(i, ((c, hit), children))| Stream {
-                heading: c.heading,
-                full: c.full,
-                scope: None,
-                children,
-                splice: hit.filter(|_| spliced[i]),
-            })
-            .collect();
-        spliced
+        for (i, ((c, hit), children)) in carved.iter().zip(hits).zip(children).enumerate() {
+            let stream = st.stream(i);
+            stream.carve = Some((c.heading, c.full));
+            stream.children = children;
+            stream.splice = hit.filter(|_| spliced[i]);
+        }
+        st.decided = true;
+        let mut due: Vec<Due> = Vec::new();
+        for i in 0..st.streams.len() {
+            let stream = &mut st.streams[i];
+            if let Some(parse) = stream.parse.take().filter(|_| stream.splice.is_none()) {
+                due.push((Some(i), parse));
+            }
+            if let Some((heading, full, then)) = st.streams[i].closed.take() {
+                if let Some(splice) = self.closed(&mut st, i, heading, full) {
+                    due.push((None, Box::new(move |()| then(splice))));
+                }
+            }
+        }
+        if let Some(then) = st.module_parsed.take() {
+            let splice = st.module_splice.take();
+            due.push((None, Box::new(move |()| then(splice))));
+        }
+        (spliced, due)
     }
 
-    /// The Splitter created stream `index` with scope `scope`: whether it
-    /// splices (its `CacheSplice` comes when its carve closes) rather
-    /// than compiling live.
-    pub(crate) fn stream_created(&self, index: usize, scope: ScopeId) -> bool {
+    /// The Splitter created stream `index` with scope `scope`. `parse`
+    /// spawns its ProcParse: it runs now or at the decisions, unless the
+    /// stream splices (its `CacheSplice` comes when its carve closes).
+    pub(crate) fn stream_created(&self, index: usize, scope: ScopeId, parse: Then<()>) {
         let mut st = self.st.lock();
-        let Some(stream) = st.streams.get_mut(index) else {
-            return false;
-        };
+        let decided = st.decided;
+        let stream = st.stream(index);
         stream.scope = Some(scope);
-        stream.splice.is_some()
+        if !decided {
+            stream.parse = Some(parse);
+        } else if stream.splice.is_none() {
+            drop(st);
+            parse(());
+        }
     }
 
-    /// The Splitter carved stream `index` as `heading` and `full`: the
-    /// splice that replaces its parse, if it splices, with its children's
-    /// scopes, which all exist by now. A carve other than the scan's is
-    /// reported as an internal error, since the Lexor skipped text by the
-    /// scan's.
-    pub(crate) fn stream_closed(&self, index: usize, heading: Span, full: Span) -> Option<Splice> {
+    /// The Splitter carved stream `index` as `heading` and `full`. If it
+    /// splices, `then` gets its splice, now or at the decisions.
+    pub(crate) fn stream_closed(
+        &self,
+        index: usize,
+        heading: Span,
+        full: Span,
+        then: Then<Splice>,
+    ) {
         let mut st = self.st.lock();
-        let scanned = st.streams.get(index).map(|s| (s.heading, s.full));
+        if !st.decided {
+            st.stream(index).closed = Some((heading, full, then));
+            return;
+        }
+        let splice = self.closed(&mut st, index, heading, full);
+        drop(st);
+        if let Some(splice) = splice {
+            then(splice);
+        }
+    }
+
+    /// The splice that replaces the parse of stream `index`, closed as
+    /// `heading` and `full`, if it splices, with its children's scopes,
+    /// which all exist by now. A carve other than the scan's is reported
+    /// as an internal error, since the Lexor skipped text by the scan's.
+    fn closed(&self, st: &mut State, index: usize, heading: Span, full: Span) -> Option<Splice> {
+        let scanned = st.streams.get(index).and_then(|s| s.carve);
         if scanned != Some((heading, full)) {
             self.sema.sink.report(Diagnostic::error(
                 FileId(0),
@@ -420,10 +532,17 @@ impl Incremental {
         })
     }
 
-    /// The module body's splice, if it hits: asked once, by the module
-    /// parser, which is spawned after [`Incremental::decide`].
-    pub(crate) fn module_splice(&self) -> Option<Splice> {
-        self.st.lock().module_splice.take()
+    /// The module parser is done: `then` gets the module body's splice if
+    /// it hits, now or at the decisions.
+    pub(crate) fn module_parsed(&self, then: Then<Option<Splice>>) {
+        let mut st = self.st.lock();
+        if !st.decided {
+            st.module_parsed = Some(then);
+            return;
+        }
+        let splice = st.module_splice.take();
+        drop(st);
+        then(splice);
     }
 
     /// An `Analyze` task of the procedure stream of `scope` finished.
@@ -468,10 +587,15 @@ impl Incremental {
             }
             self.record_interfaces(diagnostics, def_streams, st.def_imports);
         }
-        let spliced = def_streams.keys().filter(|n| self.spliced.contains_key(n));
+        let spliced = (self.interfaces.get()).map_or(0, |i| {
+            def_streams
+                .keys()
+                .filter(|n| i.spliced.contains_key(n))
+                .count()
+        });
         IncrStats {
             interfaces: def_streams.len(),
-            interfaces_spliced: spliced.count(),
+            interfaces_spliced: spliced,
             ..st.stats
         }
     }
@@ -546,11 +670,15 @@ impl Incremental {
         def_streams: &HashMap<Symbol, ScopeId>,
         mut def_imports: HashMap<ScopeId, Vec<Import>>,
     ) {
+        // No task asked for the cell: no definition module was started.
+        let Some(ifaces) = self.interfaces.get() else {
+            return;
+        };
         let installed = self.types.lock();
         let sema = &self.sema;
         let mut owners: HashMap<TypeId, (Symbol, u32)> = HashMap::new();
         let mut recorded: HashSet<Symbol> = HashSet::new();
-        for (name, key, imports) in &self.keyed {
+        for (name, key, imports) in &ifaces.keyed {
             let Some(&scope) = def_streams.get(name) else {
                 continue;
             };

@@ -19,6 +19,17 @@
 //! the queue lock, and the publisher signals the events it finds there.
 //! A consumer that never outruns its producer costs the supervisor
 //! nothing.
+//!
+//! A [`TokenKind::Placeholder`] stands for a stretch of tokens that comes
+//! later (an incremental compile's procedure bodies, held until the cache
+//! has decided). No reader is charged for one. A writer that resolves
+//! placeholders through [`Holes`] publishes, in its place, the stretch's
+//! tokens once [`Holes::resolve`] has them, or keeps nothing from there
+//! on once [`Holes::unread`] says nobody reads the stream. Until then it
+//! holds what follows the placeholder, and if it is closed first it parks
+//! in the `Holes` for the resolver to finish: its producer never waits,
+//! and only the stream's own consumers wait for the stretch, on the
+//! stream's barrier events.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
@@ -29,7 +40,7 @@ use ccm2_sched::{EventClass, ExecEnv};
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 use ccm2_syntax::parser::TokenSource;
-use ccm2_syntax::token::Token;
+use ccm2_syntax::token::{Token, TokenKind};
 
 /// Tokens per block — the granularity of producer/consumer batching. The
 /// paper does not give its block size; 64 keeps event traffic low while
@@ -90,6 +101,9 @@ impl TokenQueue {
             staged: Vec::with_capacity(BLOCK_SIZE),
             work: None,
             closed: false,
+            holes: None,
+            waiting: None,
+            unread: false,
         };
         (writer, queue)
     }
@@ -160,6 +174,14 @@ pub struct TokenWriter {
     staged: Vec<Token>,
     work: Option<Work>,
     closed: bool,
+    /// Where the placeholders pushed here resolve.
+    holes: Option<Arc<Holes>>,
+    /// The first placeholder not resolved when it was pushed, and every
+    /// token pushed after it.
+    waiting: Option<(u32, Vec<Token>)>,
+    /// Whether a placeholder said the stream is never read: nothing
+    /// pushed after it is kept.
+    unread: bool,
 }
 
 impl TokenWriter {
@@ -170,17 +192,64 @@ impl TokenWriter {
         self
     }
 
+    /// Resolves the placeholders pushed here through `holes`.
+    pub fn resolving(mut self, holes: Arc<Holes>) -> TokenWriter {
+        self.holes = Some(holes);
+        self
+    }
+
     /// Appends one token; seals and publishes the block when it fills.
     pub fn push(&mut self, token: Token) {
+        if let Some((_, after)) = &mut self.waiting {
+            after.push(token);
+            return;
+        }
+        if self.unread {
+            return;
+        }
+        if let (TokenKind::Placeholder(k), Some(holes)) = (token.kind, &self.holes) {
+            match holes.hole(k) {
+                Hole::Open => self.waiting = Some((k, Vec::new())),
+                Hole::Filled(stretch) => self.expand(&stretch),
+                Hole::Unread => self.unread = true,
+            }
+            return;
+        }
         self.staged.push(token);
         if self.staged.len() == BLOCK_SIZE {
             self.seal(false);
         }
     }
 
+    /// Publishes a resolved placeholder's tokens, charging the
+    /// [`Work::Split`] the Splitter would have been charged to read them,
+    /// token by token as a reader is.
+    fn expand(&mut self, stretch: &[Token]) {
+        for &t in stretch {
+            self.queue.env.charge(Work::Split, 1);
+            self.push(t);
+        }
+    }
+
     /// Closes the stream: seals the partial block and wakes every waiting
-    /// consumer.
+    /// consumer. A writer still waiting for a placeholder parks in its
+    /// [`Holes`] instead, and is closed by the resolver.
     pub fn close(mut self) {
+        while let Some((k, _)) = self.waiting {
+            let holes = Arc::clone(self.holes.as_ref().expect("only a resolving writer waits"));
+            let Some((writer, resolved)) = holes.park(k, self) else {
+                return;
+            };
+            self = writer;
+            let (_, after) = self.waiting.take().expect("still waiting");
+            match resolved {
+                Hole::Filled(stretch) => {
+                    self.expand(&stretch);
+                    self.extend(after);
+                }
+                _ => self.unread = true,
+            }
+        }
         self.seal(true);
     }
 
@@ -201,6 +270,80 @@ impl Extend<Token> for TokenWriter {
             self.push(t);
         }
     }
+}
+
+/// The resolutions of one compile's placeholders, and the writers closed
+/// before theirs arrived. Each token a placeholder resolves to is charged
+/// [`Work::Split`] to whoever routes it.
+#[derive(Debug, Default)]
+pub struct Holes {
+    /// By placeholder number: what became of it, and the writer parked
+    /// on it.
+    st: Mutex<Vec<(Hole, Option<TokenWriter>)>>,
+}
+
+/// What became of one placeholder.
+#[derive(Clone, Debug)]
+enum Hole {
+    /// Not resolved yet.
+    Open,
+    /// It stands for these tokens.
+    Filled(Arc<[Token]>),
+    /// The stream it was routed to is never read.
+    Unread,
+}
+
+impl Holes {
+    /// Placeholder `k` stands for `stretch`: a writer parked on it
+    /// publishes it now, on this thread, and closes (or parks on its next
+    /// unresolved placeholder).
+    pub fn resolve(&self, k: u32, stretch: Vec<Token>) {
+        self.settle(k, Hole::Filled(stretch.into()));
+    }
+
+    /// Nobody reads the stream placeholder `k` was routed to: its writer
+    /// keeps nothing from the placeholder on, and closes as it stands.
+    pub fn unread(&self, k: u32) {
+        self.settle(k, Hole::Unread);
+    }
+
+    fn settle(&self, k: u32, hole: Hole) {
+        let parked = {
+            let mut st = self.st.lock();
+            let slot = slot(&mut st, k);
+            slot.0 = hole;
+            slot.1.take()
+        };
+        if let Some(writer) = parked {
+            writer.close();
+        }
+    }
+
+    fn hole(&self, k: u32) -> Hole {
+        slot(&mut self.st.lock(), k).0.clone()
+    }
+
+    /// Parks `writer` until placeholder `k` resolves, or hands it back
+    /// with what `k` resolved to if it already has.
+    fn park(&self, k: u32, writer: TokenWriter) -> Option<(TokenWriter, Hole)> {
+        let mut st = self.st.lock();
+        let slot = slot(&mut st, k);
+        match slot.0 {
+            Hole::Open => {
+                slot.1 = Some(writer);
+                None
+            }
+            ref resolved => Some((writer, resolved.clone())),
+        }
+    }
+}
+
+fn slot(slots: &mut Vec<(Hole, Option<TokenWriter>)>, k: u32) -> &mut (Hole, Option<TokenWriter>) {
+    let k = k as usize;
+    if slots.len() <= k {
+        slots.resize_with(k + 1, || (Hole::Open, None));
+    }
+    &mut slots[k]
 }
 
 impl Drop for TokenWriter {
@@ -244,11 +387,18 @@ impl TokenSource for StreamCursor {
             // Block miss: the only path that takes the queue lock or waits.
             *current = Some((b, self.queue.block_blocking(b)?));
         }
-        let token = *current.as_ref()?.1.get(offset)?;
+        let block = &current.as_ref()?.1;
+        let token = *block.get(offset)?;
         let seen = self.high_water.get();
         if i >= seen {
             self.high_water.set(i + 1);
-            self.queue.env.charge(self.work, (i + 1 - seen) as u64);
+            // A placeholder is no token, and costs its reader nothing.
+            // (The queues that hold them are read in order.)
+            let first = seen.max(b * BLOCK_SIZE) - b * BLOCK_SIZE;
+            let free = (block[first..=offset].iter())
+                .filter(|t| matches!(t.kind, TokenKind::Placeholder(_)));
+            let charged = i + 1 - seen - free.count();
+            self.queue.env.charge(self.work, charged as u64);
         }
         Some(token)
     }
@@ -488,6 +638,53 @@ mod tests {
             assert_eq!(q.try_block(1), Ok(None), "staged tokens are discarded");
             assert!(q.try_block(0).expect("sealed").is_some());
         });
+    }
+
+    /// A placeholder resolved before it is pushed, between its push and
+    /// the writer's close, or after the close (the writer parked), puts
+    /// its stretch in its place and charges the holes' work per token;
+    /// one whose stream is unread keeps nothing from there on.
+    #[test]
+    fn placeholders_resolve_in_place_whenever_they_resolve() {
+        let hole = |k: u32| Token::new(TokenKind::Placeholder(k), Span::new(0, 0), FileId(0));
+        let stretch = |k: usize| -> Vec<Token> { (10 * k..10 * k + 3).map(tok).collect() };
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let out = Arc::clone(&got);
+        let report = run_threaded(1, move |sup| {
+            let env: Arc<dyn ExecEnv> = Arc::clone(sup) as Arc<dyn ExecEnv>;
+            let holes = Arc::new(Holes::default());
+            holes.resolve(0, stretch(0));
+            let mut queues = Vec::new();
+            for k in 0..4u32 {
+                let (w, q) = TokenQueue::channel(Arc::clone(&env), format!("w{k}"));
+                let mut w = w.resolving(Arc::clone(&holes));
+                w.extend([tok(1), hole(k), tok(2)]);
+                if k == 1 {
+                    holes.resolve(1, stretch(1));
+                }
+                w.close();
+                queues.push(q);
+            }
+            holes.resolve(2, stretch(2));
+            holes.unread(3);
+            for q in queues {
+                let cursor = StreamCursor::new(q, Work::Parse);
+                let read: Vec<TokenKind> =
+                    (0..).map_while(|i| cursor.get(i)).map(|t| t.kind).collect();
+                out.lock().push(read);
+            }
+        });
+        let kinds = |ts: Vec<Token>| ts.into_iter().map(|t| t.kind).collect::<Vec<_>>();
+        for (k, read) in got.lock().iter().enumerate().take(3) {
+            let want = kinds([vec![tok(1)], stretch(k), vec![tok(2)]].concat());
+            assert_eq!(*read, want, "placeholder {k}");
+        }
+        assert_eq!(
+            got.lock()[3],
+            [tok(1).kind],
+            "an unread stream keeps its head"
+        );
+        assert_eq!(report.charges[Work::Split as usize], 9);
     }
 
     /// What one reader saw and what it was charged, against the model.

@@ -18,6 +18,9 @@
 //! resolves `PROCEDURE` used as a *type* (`TYPE F = PROCEDURE(…)`):
 //! a procedure declaration is recognized only when an identifier follows.
 
+use std::cell::RefCell;
+use std::ops::Range;
+
 use ccm2_support::ids::{ScopeId, StreamId};
 use ccm2_support::intern::Symbol;
 use ccm2_support::source::{FileId, Span};
@@ -69,10 +72,9 @@ trait Route {
     /// `PROCEDURE name` declares a procedure inside the innermost frame;
     /// its heading is read next.
     fn open(&mut self, name: Token);
-    /// The heading of the procedure just opened (`PROCEDURE` first):
-    /// `closed` when it ended on its `;` outside parentheses. Its frame
-    /// is the innermost from here on.
-    fn heading(&mut self, heading: &[Token], closed: bool);
+    /// The heading of the procedure just opened (`PROCEDURE` first). Its
+    /// frame is the innermost from here on.
+    fn heading(&mut self, heading: &[Token]);
     /// The innermost procedure frame is carved: `heading` covers
     /// `PROCEDURE … ;`, `full` the declaration through `END Name ;`, and
     /// `end` is its closing `END` (`None` when the text ran out first).
@@ -93,7 +95,7 @@ struct Depth {
 /// closes every procedure frame still open at the end (unterminated ones
 /// included — their parsers will report the malformed input). Returns
 /// the number of tokens read.
-fn walk(input: &dyn TokenSource, to: &mut impl Route) -> usize {
+fn walk(input: &(impl TokenSource + ?Sized), to: &mut impl Route) -> usize {
     let mut stack = vec![Depth {
         depth: 0,
         heading: Span::default(),
@@ -153,7 +155,6 @@ fn walk(input: &dyn TokenSource, to: &mut impl Route) -> usize {
                 heading.clear();
                 heading.push(t);
                 let mut paren_depth = 0i64;
-                let mut closed = false;
                 while let Some(ht) = input.get(pos) {
                     if ht.kind.ends_heading(paren_depth) {
                         break;
@@ -163,14 +164,11 @@ fn walk(input: &dyn TokenSource, to: &mut impl Route) -> usize {
                     match ht.kind {
                         TokenKind::LParen => paren_depth += 1,
                         TokenKind::RParen => paren_depth -= 1,
-                        TokenKind::Semi if paren_depth <= 0 => {
-                            closed = true;
-                            break;
-                        }
+                        TokenKind::Semi if paren_depth <= 0 => break,
                         _ => {}
                     }
                 }
-                to.heading(&heading, closed);
+                to.heading(&heading);
                 let last = heading.last().expect("heading starts with PROCEDURE");
                 let heading_span = Span::new(t.span.lo, last.span.hi);
                 stack.push(Depth {
@@ -194,7 +192,7 @@ fn walk(input: &dyn TokenSource, to: &mut impl Route) -> usize {
 /// (whichever of `Ident` then `;` is there — the parser reads a
 /// procedure's trailer the same way). Returns the highest byte offset
 /// told (so the carve extends through `END Name ;`).
-fn copy_end_name(input: &dyn TokenSource, pos: &mut usize, to: &mut impl Route) -> u32 {
+fn copy_end_name(input: &(impl TokenSource + ?Sized), pos: &mut usize, to: &mut impl Route) -> u32 {
     let mut hi = 0;
     for semi in [false, true] {
         let Some(t) = input.get(*pos) else { break };
@@ -260,7 +258,7 @@ impl Route for Router<'_> {
         self.opened = Some(self.factory.proc_stream(sym, name.file, parent));
     }
 
-    fn heading(&mut self, heading: &[Token], _closed: bool) {
+    fn heading(&mut self, heading: &[Token]) {
         let (stream, mut proc_q) = self.opened.take().expect("a heading follows its open");
         let last = *heading.last().expect("heading starts with PROCEDURE");
         // The enclosing stream gets the heading and, in place of the
@@ -331,10 +329,6 @@ pub struct Carved {
     /// The whole declaration through `END Name ;`, as the Splitter
     /// reports it.
     pub full: Span,
-    /// The stream's closing `END`; `None` when the text ran out first.
-    pub end: Option<Span>,
-    /// Whether the heading ended on its `;` outside parentheses.
-    pub closed_heading: bool,
     /// The procedure's name.
     pub name: Span,
     /// Index of the lexically enclosing stream; `None` directly inside
@@ -343,7 +337,7 @@ pub struct Carved {
 }
 
 /// Where the depth rule carves a module's streams, read off its scanned
-/// tokens before any of them is routed.
+/// tokens.
 #[derive(Clone, Debug, Default)]
 pub struct Carving {
     /// The module's name, if its header was read (the Splitter then
@@ -353,94 +347,160 @@ pub struct Carving {
     pub streams: Vec<Carved>,
 }
 
-impl Carving {
-    /// The byte ranges of the bodies of the streams `skip` marks (by
-    /// index) that hold only their own tokens: for each, from the end of
-    /// its heading to its closing `END`, less the streams carved inside
-    /// it. Sorted and disjoint. A stream whose text ran out or whose
-    /// heading did not end on its `;` keeps its body.
-    ///
-    /// Dropping these tokens from the Splitter's input leaves it the
-    /// same walk: every skipped range is balanced by construction (the
-    /// depth rule found its end), and the token after each skipped range
-    /// is one the Splitter reads the same way in both streams — a nested
-    /// `PROCEDURE` or the closing `END` — so it creates the same streams
-    /// in the same order and reports the same carves. Only the streams
-    /// whose bodies are skipped receive fewer tokens.
-    pub fn bodies(&self, skip: &[bool]) -> Vec<Span> {
-        let mut children: Vec<Vec<Span>> = vec![Vec::new(); self.streams.len()];
-        for c in &self.streams {
-            if let Some(p) = c.parent {
-                children[p].push(c.full);
-            }
+/// What [`carve`] tells its caller in token order.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Scanned {
+    /// A token outside every procedure body: module level, a heading, or
+    /// a stream's closing `END Name ;`.
+    Token(Token),
+    /// A piece of the body of stream `stream`: its tokens from its heading
+    /// or the end of a stream nested in it to the next nested stream or
+    /// its closing `END`, by their indices among the scanned tokens. A
+    /// body's pieces are the body less its nested streams; an empty piece
+    /// is not told.
+    Piece {
+        /// The stream's index in [`Carving::streams`].
+        stream: usize,
+        /// The piece's tokens.
+        tokens: Range<usize>,
+        /// From its first token to its last.
+        span: Span,
+    },
+}
+
+/// A token source that scans as far as it is read, keeping every token.
+struct Scanning<'t, I> {
+    scan: RefCell<(I, &'t mut Vec<Token>)>,
+}
+
+impl<I: Iterator<Item = Token>> TokenSource for Scanning<'_, I> {
+    #[inline]
+    fn get(&self, i: usize) -> Option<Token> {
+        let mut scan = self.scan.borrow_mut();
+        let (scan, tokens) = &mut *scan;
+        if tokens.len() <= i {
+            // A few tokens ahead at a time keeps the scanner's loop tight.
+            tokens.extend(scan.by_ref().take(i + 32 - tokens.len()));
         }
-        let mut out = Vec::new();
-        for (i, c) in self.streams.iter().enumerate() {
-            let Some(end) = c.end.filter(|_| c.closed_heading && skip[i]) else {
-                continue;
-            };
-            let mut lo = c.heading.hi;
-            for child in &children[i] {
-                out.push(Span::new(lo, child.lo));
-                lo = child.hi;
-            }
-            out.push(Span::new(lo, end.lo));
-        }
-        out.retain(|s| s.lo < s.hi);
-        out.sort_by_key(|s| s.lo);
-        out
+        tokens.as_slice().get(i).copied()
     }
 }
 
-/// Records where the streams lie and drops every token.
-#[derive(Default)]
-struct Recorder {
+/// Records where the streams lie, and tells the body pieces apart from
+/// everything else. The walk tells it every token once, in order, so
+/// the number told is the index of the next.
+struct Recorder<'s, 't, I, F> {
+    source: &'s Scanning<'t, I>,
     carving: Carving,
     /// The open streams, innermost last.
     open: Vec<usize>,
+    /// Tokens told so far.
+    told: usize,
+    /// Where the innermost open stream's current piece starts.
+    piece: usize,
+    out: F,
 }
 
-impl Route for Recorder {
+impl<I, F: FnMut(Scanned)> Recorder<'_, '_, I, F> {
+    /// Tells the innermost open stream's piece, up to token `end`.
+    fn end_piece(&mut self, end: usize) {
+        if let Some(&stream) = self.open.last().filter(|_| self.piece < end) {
+            let scan = self.source.scan.borrow();
+            let span = Span::new(scan.1[self.piece].span.lo, scan.1[end - 1].span.hi);
+            drop(scan);
+            (self.out)(Scanned::Piece {
+                stream,
+                tokens: self.piece..end,
+                span,
+            });
+        }
+    }
+}
+
+impl<I: Iterator<Item = Token>, F: FnMut(Scanned)> Route for Recorder<'_, '_, I, F> {
     fn declares(&self) -> bool {
         !self.open.is_empty() || self.carving.module.is_some()
     }
 
-    fn token(&mut self, _: Token) {}
+    fn token(&mut self, t: Token) {
+        self.told += 1;
+        if self.open.is_empty() {
+            (self.out)(Scanned::Token(t));
+        }
+    }
 
     fn module_started(&mut self, name: Token) {
         self.carving.module = Some(name.span);
     }
 
     fn open(&mut self, name: Token) {
+        self.end_piece(self.told);
         self.open.push(self.carving.streams.len());
         self.carving.streams.push(Carved {
             heading: Span::default(),
             full: Span::default(),
-            end: None,
-            closed_heading: false,
             name: name.span,
             parent: self.open.iter().rev().nth(1).copied(),
         });
     }
 
-    fn heading(&mut self, _: &[Token], closed: bool) {
-        let i = *self.open.last().expect("a heading follows its open");
-        self.carving.streams[i].closed_heading = closed;
+    fn heading(&mut self, heading: &[Token]) {
+        self.told += heading.len();
+        self.piece = self.told;
+        for &t in heading {
+            (self.out)(Scanned::Token(t));
+        }
     }
 
     fn close(&mut self, heading: Span, full: Span, end: Option<Span>) {
+        // The closing `END Name ;` was told last; it is no body.
+        let scan = self.source.scan.borrow();
+        let tokens = &scan.1;
+        let body = end.map_or(self.told, |end| {
+            (self.piece..self.told)
+                .rfind(|&i| tokens[i].span == end)
+                .expect("the closing END was told")
+        });
+        let trailer = tokens[body..self.told].to_vec();
+        drop(scan);
+        self.end_piece(body);
+        for t in trailer {
+            (self.out)(Scanned::Token(t));
+        }
         let i = self.open.pop().expect("proc frame");
         let c = &mut self.carving.streams[i];
-        (c.heading, c.full, c.end) = (heading, full, end);
+        (c.heading, c.full) = (heading, full);
+        self.piece = self.told;
     }
 }
 
-/// Walks a module's scanned tokens by the Splitter's depth rule and
-/// records where it will carve each stream, without routing any token.
-/// Identifiers need not be named: the rule reads token kinds only.
-pub fn carve(tokens: &[Token]) -> Carving {
-    let mut recorder = Recorder::default();
-    walk(&tokens, &mut recorder);
+/// Walks a module's tokens by the Splitter's depth rule as `scan` yields
+/// them, appending each to `tokens`, and records where it will carve each
+/// stream, without routing any. Identifiers need not be named: the rule
+/// reads token kinds only. `out` is told each token outside a procedure
+/// body as it is read, and each body piece once it ends, in token order.
+/// The Splitter carves the same streams whether it reads the tokens or
+/// what `out` is told with a placeholder in place of each piece: a
+/// piece holds no procedure heading, and the token after it is the one
+/// that ends it (a nested `PROCEDURE` or the closing `END`), read the
+/// same way either way.
+pub fn carve(
+    scan: impl Iterator<Item = Token>,
+    tokens: &mut Vec<Token>,
+    out: impl FnMut(Scanned),
+) -> Carving {
+    let source = Scanning {
+        scan: RefCell::new((scan, tokens)),
+    };
+    let mut recorder = Recorder {
+        source: &source,
+        carving: Carving::default(),
+        open: Vec::new(),
+        told: 0,
+        piece: 0,
+        out,
+    };
+    walk(&source, &mut recorder);
     recorder.carving
 }
 
@@ -593,10 +653,10 @@ mod tests {
 
     // A procedure type, a nested procedure, a heading without its `;`
     // and a procedure the text ends inside: `carve` finds the Splitter's
-    // carves, and the Splitter finds them again in the tokens left when
-    // every body `bodies` may skip is dropped.
+    // carves and tells the text in order, and the Splitter finds the same
+    // carves again when every body piece is a placeholder.
     #[test]
-    fn the_scan_carves_what_the_splitter_carves_with_or_without_skipped_bodies() {
+    fn the_scan_carves_what_the_splitter_carves_with_placeholders() {
         let src = "MODULE M; TYPE F = PROCEDURE (INTEGER); \
                    PROCEDURE Outer(a : INTEGER); VAR t : INTEGER; \
                      PROCEDURE Inner(k : INTEGER); BEGIN IF k > 0 THEN t := k END END Inner; \
@@ -606,7 +666,9 @@ mod tests {
         let map = SourceMap::new();
         let file = map.add("M.mod", src);
         let tokens = lex_file(&file, &Interner::new(), &DiagnosticSink::new());
-        let carving = carve(&tokens);
+        let (mut told, mut scanned) = (Vec::new(), Vec::new());
+        let carving = carve(tokens.iter().copied(), &mut scanned, |s| told.push(s));
+        assert_eq!(scanned, tokens);
         let parents: Vec<Option<usize>> = carving.streams.iter().map(|c| c.parent).collect();
         assert_eq!(parents, [None, Some(0), None, None]);
         let want: Vec<(Span, Span)> = carving
@@ -615,11 +677,28 @@ mod tests {
             .map(|c| (c.heading, c.full))
             .collect();
         assert_eq!(splitter_carves(tokens.clone()), want);
-        let bodies = carving.bodies(&[true; 4]);
-        assert_eq!(bodies.len(), 3, "Outer around Inner, and Inner: {bodies:?}");
-        let skipped = |t: &Token| bodies.iter().any(|b| b.lo <= t.span.lo && t.span.lo < b.hi);
-        let live: Vec<Token> = tokens.iter().copied().filter(|t| !skipped(t)).collect();
-        assert_eq!(splitter_carves(live), want);
+        let flat = |keep: &dyn Fn(usize) -> bool| -> Vec<Token> {
+            let told = told.iter().flat_map(|s| match s {
+                Scanned::Token(t) => vec![*t],
+                Scanned::Piece {
+                    stream,
+                    tokens: piece,
+                    ..
+                } if keep(*stream) => scanned[piece.clone()].to_vec(),
+                Scanned::Piece { .. } => vec![],
+            });
+            told.collect()
+        };
+        assert_eq!(flat(&|_| true), tokens);
+        let placeholders: Vec<Token> = (told.iter().enumerate())
+            .map(|(k, s)| match s {
+                Scanned::Token(t) => *t,
+                Scanned::Piece { span, .. } => {
+                    Token::new(TokenKind::Placeholder(k as u32), *span, file.id())
+                }
+            })
+            .collect();
+        assert_eq!(splitter_carves(placeholders), want);
     }
 
     #[test]

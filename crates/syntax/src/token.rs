@@ -34,6 +34,11 @@ pub enum TokenKind {
     /// body was diverted to the stream with the given id (paper §3: the
     /// main module body is "stripped of all embedded streams").
     ProcStub(StreamId),
+    /// Marker an incremental compile's main Lexor publishes in place of a
+    /// stretch of a procedure body it holds until the cache has decided;
+    /// the stream it is routed into receives the stretch's tokens in its
+    /// place, so no parser reads one.
+    Placeholder(u32),
 
     // ----- reserved words (Modula-2) -----
     /// `AND`
@@ -332,7 +337,7 @@ impl TokenKind {
 
     /// Whether this token ends a procedure heading that lacks its closing
     /// `;` (`parens` deep in its parameter list): a reserved word no
-    /// heading contains, or a splitter stub. `VAR` occurs inside a
+    /// heading contains, a splitter stub or a placeholder. `VAR` occurs inside a
     /// parameter list, and so may `PROCEDURE` (a procedure type, which the
     /// parser reports there), so they end a heading only outside one.
     /// `RECORD` ends one only inside a parameter list: a formal type is
@@ -345,7 +350,7 @@ impl TokenKind {
     pub fn ends_heading(&self, parens: i64) -> bool {
         use TokenKind::*;
         match self {
-            Begin | End | Const | Type | ProcStub(_) => true,
+            Begin | End | Const | Type | ProcStub(_) | Placeholder(_) => true,
             Var | Procedure => parens <= 0,
             Record => parens > 0,
             _ => false,
@@ -362,6 +367,7 @@ impl TokenKind {
             Str(_) => "string literal",
             CharLit(_) => "character literal",
             ProcStub(_) => "<procedure stub>",
+            Placeholder(_) => "<placeholder>",
             And => "AND",
             Array => "ARRAY",
             Begin => "BEGIN",

@@ -555,14 +555,15 @@ fn mutated_bodies_compile_warm_as_cold() {
     corpus.differential(0x35, &paths);
 }
 
-/// A warm compile after one procedure-body edit routes through the
-/// Splitter only what it parses: the module level (the module body
-/// included), the headings, each spliced stream's `END Name ;` and the
-/// edited bodies. On one simulated processor, suite module 17 after the
-/// edit the benchmark's `warm_edit` makes (`Proc0`, whose nested
-/// procedure recompiles with it) charges `Work::Split` for 985 of the
-/// cold compile's 3 419 tokens: its module body and the two edited
-/// bodies are a fifth of its text. The output is the cold one.
+/// A warm compile after one procedure-body edit routes only what it
+/// parses: the module level (the module body included), the headings,
+/// each spliced stream's `END Name ;` and the edited bodies, which reach
+/// their streams as resolved placeholders (a placeholder itself costs
+/// nothing). On one simulated processor, suite module 17 after the edit
+/// the benchmark's `warm_edit` makes (`Proc0`, whose nested procedure
+/// recompiles with it) charges `Work::Split` for 985 of the cold
+/// compile's 3 419 tokens: its module body and the two edited bodies are
+/// a fifth of its text. The output is the cold one.
 #[test]
 fn a_warm_body_edit_routes_only_live_tokens() {
     use ccm2_support::work::Work;
@@ -582,4 +583,96 @@ fn a_warm_body_edit_routes_only_live_tokens() {
     assert_eq!((split(&warm), split(&cold)), (985, 3419));
     assert!(split(&warm) * 100 <= split(&cold) * 30);
     assert_eq!(warm.comparable(), cold.comparable());
+}
+
+/// A `MemStore` that records the name of the thread every load runs on.
+#[derive(Debug, Default)]
+struct LoadThreads {
+    inner: MemStore,
+    loads: std::sync::Mutex<Vec<Option<String>>>,
+}
+
+impl ArtifactStore for LoadThreads {
+    fn load(&self, fp: Fp128) -> Option<Vec<u8>> {
+        let thread = std::thread::current().name().map(String::from);
+        self.loads.lock().expect("not poisoned").push(thread);
+        self.inner.load(fp)
+    }
+
+    fn store(&self, fp: Fp128, bytes: &[u8]) {
+        self.inner.store(fp, bytes);
+    }
+
+    fn quarantine(&self, fp: Fp128) {
+        self.inner.quarantine(fp);
+    }
+}
+
+/// A warm compile on two workers loads nothing on the caller's thread:
+/// the interface cell (filled by the main Importer, the Lexor's
+/// `decide` or a parser's import scopes, whichever asks first) and the
+/// code units' decisions are the compile's own work, done on the crew's
+/// workers. Each round races the cell's fill and the placeholders'
+/// resolution against the Splitter again; optimized, 2 000 rounds.
+#[test]
+fn a_warm_threaded_compile_loads_only_on_workers() {
+    let rounds = if cfg!(debug_assertions) { 20 } else { 2_000 };
+    let m = Program::from(generate(&GenParams::small("OnWorkers", 7)));
+    let store = Arc::new(LoadThreads::default());
+    let cold = m.compile_into(store.clone(), Options::threads(2));
+    assert!(cold.is_ok(), "{:?}", cold.diagnostics);
+    for round in 0..rounds {
+        store.loads.lock().expect("not poisoned").clear();
+        let warm = m.compile_into(store.clone(), Options::threads(2));
+        assert_eq!(warm.comparable(), cold.comparable(), "round {round}");
+        let stats = warm.incr.expect("incremental was active");
+        assert_eq!(stats.spliced, stats.units, "round {round}");
+        assert!(stats.interfaces_spliced > 0, "round {round}");
+        let loads = std::mem::take(&mut *store.loads.lock().expect("not poisoned"));
+        assert!(!loads.is_empty());
+        let off_crew = loads.iter().filter(|t| t.as_deref() != Some("ccm2-worker"));
+        let off_crew: Vec<_> = off_crew.collect();
+        assert!(off_crew.is_empty(), "round {round}: loads on {off_crew:?}");
+    }
+}
+
+/// The warm front overlaps again. On four simulated processors, after
+/// the benchmark's one-body edit of suite module 17, the Splitter and
+/// the module parser start with the main Lexor, before its first segment
+/// ends, and read what it publishes as it scans; the edited procedures'
+/// parsers start only once the Lexor is done, since their bodies waited
+/// in placeholders for the cache's decision.
+#[test]
+fn a_warm_front_splits_and_parses_beside_the_scan() {
+    let m = generate(&suite_params(17));
+    let store = Arc::new(MemStore::new());
+    assert!(Program::from(&m)
+        .compile_into(store.clone(), Options::sim(4))
+        .is_ok());
+    let edited = Program::from(apply_edits(&m, &body_edits(1, 35)));
+    let warm = edited.compile_into(store, Options::sim(4));
+    assert!(warm.is_ok(), "{:?}", warm.diagnostics);
+    let segments = &warm.report.trace.segments;
+    let of = |task: &'static str| segments.iter().filter(move |s| s.name == task);
+    let start = |task| of(task).map(|s| s.start).min().expect(task);
+    let lex_first_end = of("lex(Main)").map(|s| s.end).min().expect("lexed");
+    let lex_end = of("lex(Main)").map(|s| s.end).max().expect("lexed");
+    for task in ["split(Main)", "parse(Main)"] {
+        assert!(
+            start(task) < lex_first_end,
+            "{task} starts at {}, the Lexor's first segment ends at {lex_first_end}",
+            start(task)
+        );
+    }
+    let parsers: Vec<(&str, u64)> = (segments.iter())
+        .filter(|s| s.name.starts_with("procparse("))
+        .map(|s| (s.name.as_str(), s.start))
+        .collect();
+    assert!(!parsers.is_empty(), "the edited procedures parse live");
+    for (task, at) in parsers {
+        assert!(
+            at >= lex_end,
+            "{task} starts at {at}, the Lexor ends at {lex_end}"
+        );
+    }
 }
