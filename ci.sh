@@ -101,11 +101,13 @@ cargo test --workspace -q
 
 echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # The arena's readers-vs-writer test, lookups racing a table's
-# completion, the 10 000-round signal/wait ping-pong and the
-# spin-then-park barrier wait all pass in a debug build, which is too
-# slow to open the windows they probe; an optimized build opens them.
-# So it is with the worker crew (a thread back on the idle stack before
-# its run's caller hears of it), the executor table and its seeded
+# completion, the 10 000-round signal/wait ping-pong and the barrier
+# wait whose producer publishes before the consumer sleeps or after all
+# pass in a debug build, which is too slow to open the windows they
+# probe; an optimized build opens them. So it is with the worker crew
+# (a thread back on the idle stack before its run's caller hears of it,
+# and a caller that is worker 0 of its run and of a run one of its
+# tasks starts), the executor table and its seeded
 # differential (one policy under two drivers: a worker that unwinds, a
 # retry requeued under a blocked worker, threads {1, 2, 4} against the
 # simulator) and the kept-alive shard connections (callers sharing
@@ -140,8 +142,9 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # the Lexor carves before it skips spliced bodies): 20 000 mutants
 # instead of 200. And so does the warm compile on two workers
 # (`a_warm_threaded_compile_loads_only_on_workers`: the interface cell
-# and the placeholders are handed between workers, and no store load
-# may run on the caller's thread): 2 000 rounds instead of 20.
+# and the placeholders are handed between workers, and every store load
+# runs on one of the run's workers, never on the caller before it
+# becomes worker 0): 2 000 rounds instead of 20.
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -159,7 +162,7 @@ race() { # race <cargo test args> [-- <name filter>...]
 }
 race -p ccm2-support -- arena hash::
 race -p ccm2-sema -- get_racing_mark_complete
-race -p ccm2-sched -- gated_notify barrier_wait_spins charges_from_workers
+race -p ccm2-sched -- gated_notify barrier_wait_wakes charges_from_workers
 race -p ccm2-sched --test crew
 race -p ccm2-sched --test executors
 race -p ccm2-fabric -- overlapping_callers stop_ends_idle a_stream_the_shard_closed batches_of_one_origin every_delta_reaches_every_peer

@@ -58,7 +58,7 @@ use ccm2_support::work::{Work, WorkMeter};
 
 pub use sim::{run_sim, run_sim_with, SimConfig, SimEnv};
 pub use task::{TaskDesc, TaskKind, WaitSet};
-pub use threaded::{run_threaded, run_threaded_with, ThreadedSupervisor};
+pub use threaded::{on_worker, run_threaded, run_threaded_with, ThreadedSupervisor, WORKER_STACK};
 pub use trace::{render_watchtool, Segment, Trace};
 pub use wfg::WaitForGraph;
 

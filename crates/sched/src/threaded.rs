@@ -16,18 +16,18 @@
 //!   signal the awaited event, and restricted by the stack-eligibility
 //!   rule (a nested task must not be able to wait on an event that only a
 //!   task suspended beneath it can signal).
-//! * **Barrier events** (token-block queues): the worker simply parks —
-//!   safe because token consumers only start after their producer Lexor
-//!   began, and Lexor tasks never block.
-//!   Parking costs two context switches and a token block is usually a
-//!   few microseconds away, so the worker first watches the event's flag
-//!   for [`BARRIER_SPIN`].
+//! * **Barrier events** (token-block queues): the worker simply parks, at
+//!   once — safe because token consumers only start after their producer
+//!   Lexor began, and Lexor tasks never block.
 //! * The ready "queue" is a single ordered structure searched in the
 //!   §2.3.4 kind order, with long code-generation tasks before short ones.
 //!
-//! The worker threads themselves belong to no run: they are borrowed from
-//! a process-wide crew (`lend`) and go back to it, so a run that follows
-//! another creates no thread.
+//! A run's calling thread is its worker 0 once `setup` has returned (the
+//! paper's initialization thread blocks while the workers compile; here
+//! it compiles too). Workers `1..N` belong to no run: they are borrowed
+//! from a process-wide crew (`lend`) and go back to it, so a run that
+//! follows another creates no thread, and a one-worker run hands nothing
+//! to another thread.
 //!
 //! What tasks do all the time costs no shared write: an event's flag is
 //! an atomic in an append-only arena (reading it takes no lock), work
@@ -50,10 +50,10 @@ use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
 use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
 
-/// How long a worker watches a barrier event's flag before it parks: a
-/// few block-publication times, well under the two context switches
-/// parking costs.
-const BARRIER_SPIN: Duration = Duration::from_micros(20);
+/// The stack a worker runs on: a crew thread's, and the one to spawn a
+/// thread that starts runs with, since it is worker 0 of each. Tasks
+/// nest on it up to the policy's `NEST_CAP` (32) deep.
+pub const WORKER_STACK: usize = 16 * 1024 * 1024;
 
 /// One dispatched, unfinished task of a worker.
 struct Frame {
@@ -111,6 +111,12 @@ struct WorkerCtx {
     /// This worker's work charges, added to the supervisor's when the
     /// worker ends.
     charges: [u64; Work::COUNT],
+}
+
+/// Whether the calling thread is a worker of a threaded run right now: a
+/// crew thread out on a loan, or a run's caller while it is worker 0.
+pub fn on_worker() -> bool {
+    WORKER.with(|w| w.borrow().is_some())
 }
 
 impl ThreadedSupervisor {
@@ -185,28 +191,26 @@ impl ThreadedSupervisor {
     }
 
     fn worker_loop(&self, index: usize) {
-        /// Empties the thread's `WORKER` slot and adds its charges to the
-        /// supervisor's — on return and on unwind alike: the thread goes
-        /// back to the crew either way.
-        struct Leave<'a>(&'a ThreadedSupervisor);
+        /// Puts the thread's previous `WORKER` slot back (empty on a crew
+        /// thread, an outer run's on a caller that is a worker itself) and
+        /// adds this worker's charges to the supervisor's — on return and
+        /// on unwind alike.
+        struct Leave<'a>(&'a ThreadedSupervisor, Option<WorkerCtx>);
         impl Drop for Leave<'_> {
             fn drop(&mut self) {
-                let Some(ctx) = WORKER.with(|w| w.borrow_mut().take()) else {
-                    return;
-                };
+                let ctx = WORKER.with(|w| std::mem::replace(&mut *w.borrow_mut(), self.1.take()));
+                let ctx = ctx.expect("set by worker_loop");
                 for (total, units) in self.0.charges.iter().zip(ctx.charges) {
                     total.fetch_add(units, Ordering::Relaxed);
                 }
             }
         }
-        WORKER.with(|w| {
-            *w.borrow_mut() = Some(WorkerCtx {
-                sup: self,
-                index,
-                charges: [0; Work::COUNT],
-            })
-        });
-        let _leave = Leave(self);
+        let ctx = WorkerCtx {
+            sup: self,
+            index,
+            charges: [0; Work::COUNT],
+        };
+        let _leave = Leave(self, WORKER.with(|w| w.borrow_mut().replace(ctx)));
         loop {
             let (body, stall) = {
                 let mut st = self.state.lock();
@@ -441,15 +445,6 @@ impl ExecEnv for ThreadedSupervisor {
             }
             return;
         };
-        if self.events.get(event).class == EventClass::Barrier {
-            let arrived = Instant::now();
-            while arrived.elapsed() < BARRIER_SPIN {
-                if self.signaled(event) {
-                    return;
-                }
-                std::hint::spin_loop();
-            }
-        }
         let mut st = self.state.lock();
         loop {
             let over = self.signaled(event) || st.aborted;
@@ -522,7 +517,7 @@ fn lend(loan: Loan) {
     // the process.
     std::thread::Builder::new()
         .name("ccm2-worker".to_string())
-        .stack_size(16 * 1024 * 1024)
+        .stack_size(WORKER_STACK)
         .spawn(move || {
             let mut loan = loan;
             loop {
@@ -542,12 +537,13 @@ fn lend(loan: Loan) {
 }
 
 /// Runs a task graph on `workers` OS threads. `setup` creates events and
-/// spawns the initial tasks (the paper's compiler-initialization thread,
-/// which then blocks while the workers perform the compilation).
+/// spawns the initial tasks (the paper's compiler-initialization thread);
+/// then the calling thread is worker 0 until the run ends, so its stack
+/// becomes a worker's (see [`WORKER_STACK`]).
 ///
-/// The threads are borrowed from a crew that outlives the run (the
-/// paper's WorkCrews exist before the work arrives): after the first
-/// runs have grown it, a run creates no thread.
+/// The other `workers - 1` threads are borrowed from a crew that outlives
+/// the run (the paper's WorkCrews exist before the work arrives): after
+/// the first runs have grown it, a run creates no thread.
 ///
 /// Returns when every task has completed.
 ///
@@ -577,19 +573,20 @@ pub fn run_threaded_with(
     let sup = Arc::new(ThreadedSupervisor::new(workers, robustness));
     setup(&sup);
     let (done, reports) = std::sync::mpsc::channel();
-    for ix in 0..workers {
+    for ix in 1..workers {
         let sup = Arc::clone(&sup);
         lend(Loan {
             work: Box::new(move || sup.worker_loop(ix)),
             done: done.clone(),
         });
     }
+    // Where the paper's initialization thread blocks, this one works.
+    let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sup.worker_loop(0)));
     // Hear from every worker before re-raising anything: the supervisor
     // must be this thread's alone again, and every panic payload must be
     // accounted for (not just the first reporter's).
-    let mut payloads: Vec<Payload> = (0..workers)
-        .filter_map(|_| reports.recv().expect("every loan reports"))
-        .collect();
+    let lent = (1..workers).filter_map(|_| reports.recv().expect("every loan reports"));
+    let mut payloads: Vec<Payload> = own.err().into_iter().chain(lent).collect();
     match payloads.len() {
         0 => {}
         1 => {
@@ -874,18 +871,18 @@ mod wakeup_tests {
     fn gated_notify_loses_no_wakeup_in_10_000_rounds() {
         for workers in [2, 4] {
             ping_pong(workers, EventClass::Handled, 10_000);
-            // Barrier waits spin before they park, and never nest.
+            // Barrier waits park at once, and never nest.
             ping_pong(workers, EventClass::Barrier, 10_000);
         }
     }
 
     /// The two ways out of a barrier wait. A producer that publishes as
-    /// soon as the consumer has arrived finds it watching the flag (or
-    /// not yet waiting); one that publishes only after the state lock
-    /// has shown it a sleeper — the consumer spun its 20 us out and
-    /// parked — must still wake it.
+    /// soon as the consumer has arrived may find it not yet asleep (the
+    /// consumer reads the flag set under the state lock and goes on); one
+    /// that publishes only after the state lock has shown it a sleeper
+    /// must wake it.
     #[test]
-    fn barrier_wait_spins_then_parks_and_wakes_either_way() {
+    fn barrier_wait_wakes_if_published_before_or_after_the_consumer_sleeps() {
         for wait_for_sleeper in [false, true] {
             let consumed = Arc::new(AtomicUsize::new(0));
             let out = Arc::clone(&consumed);

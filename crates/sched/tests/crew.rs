@@ -24,16 +24,29 @@ fn alone() -> std::sync::MutexGuard<'static, ()> {
     ALONE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Threads of this process named as the crew names its own.
+/// Threads of this process named as the crew names its own. A listing
+/// of `/proc/self/task` ends early when the thread it has reached exits
+/// meanwhile (the test thread of the test before, say), so the count is
+/// taken again until two listings agree.
 fn crew_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("linux procfs")
-        .filter(|task| {
-            let comm = task.as_ref().expect("task entry").path().join("comm");
-            // A thread may exit between the listing and the read.
-            std::fs::read_to_string(comm).is_ok_and(|name| name.trim_end() == "ccm2-worker")
-        })
-        .count()
+    let listed = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("linux procfs")
+            .filter(|task| {
+                let comm = task.as_ref().expect("task entry").path().join("comm");
+                // A thread may exit between the listing and the read.
+                std::fs::read_to_string(comm).is_ok_and(|name| name.trim_end() == "ccm2-worker")
+            })
+            .count()
+    };
+    let mut count = listed();
+    loop {
+        let again = listed();
+        if again == count {
+            return count;
+        }
+        count = again;
+    }
 }
 
 fn noop(name: &str) -> TaskDesc {
@@ -56,6 +69,24 @@ fn back_to_back_runs_reuse_one_thread() {
 }
 
 #[test]
+fn a_one_worker_run_runs_on_its_caller_and_borrows_no_thread() {
+    let _alone = alone();
+    let before = crew_threads();
+    let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let seen = Arc::clone(&ran_on);
+    let report = run_threaded(1, |sup| {
+        sup.spawn(TaskDesc::new(
+            "t",
+            TaskKind::ShortCodeGen,
+            Box::new(move || seen.lock().unwrap().push(std::thread::current().id())),
+        ))
+    });
+    assert_eq!(report.tasks_run, 1);
+    assert_eq!(*ran_on.lock().unwrap(), [std::thread::current().id()]);
+    assert_eq!(crew_threads(), before);
+}
+
+#[test]
 fn the_crew_grows_to_the_peak_demand_not_with_the_calls() {
     let _alone = alone();
     const CALLERS: usize = 8;
@@ -74,8 +105,9 @@ fn the_crew_grows_to_the_peak_demand_not_with_the_calls() {
         }
     });
     let after = crew_threads();
+    // Each caller is worker 0 of its runs and borrows one thread.
     assert!(
-        after <= before.max(2 * CALLERS),
+        after <= before.max(CALLERS),
         "{CALLERS} callers of two-worker runs, 2400 runs: crew went from {before} to {after}"
     );
 }
@@ -141,8 +173,9 @@ fn threads_that_unwound_a_deadlocked_run_serve_the_next_one() {
     );
     assert_eq!(wedged_on.len(), 2);
 
-    // The crew is otherwise idle and hands out its most recently
-    // returned threads first: the next run is on those two.
+    // The caller is worker 0 of both runs, and the otherwise idle crew
+    // hands out its most recently returned thread first: the next run is
+    // on those two.
     let (result, reused) = run_pair(|sup, _, _| {
         sup.charge(Work::Parse, 10);
         sup.charge(Work::Lookup, 1);
@@ -187,4 +220,46 @@ fn a_task_that_starts_a_run_of_its_own_finishes() {
         total
     });
     assert_eq!(inner_tasks, 4);
+}
+
+/// A task's thread is worker 0 of a run the task starts, and the outer
+/// worker's slot is put back after it: the outer task's charges before
+/// and after the inner run, and the inner tasks' charges to either
+/// supervisor, each land in their own report exactly once.
+#[test]
+fn a_run_started_by_a_task_keeps_the_outer_workers_charges() {
+    let _alone = alone();
+    let outer = run_threaded(1, |sup| {
+        let outer = Arc::clone(sup);
+        let task = move || {
+            outer.charge(Work::Parse, 3);
+            // Both inner tasks run at once, so one is on worker 0.
+            let both_running = Arc::new(std::sync::Barrier::new(2));
+            let ran_on: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+            let inner = run_threaded(2, |inner| {
+                for name in ["inner-a", "inner-b"] {
+                    let (inner2, outer) = (Arc::clone(inner), Arc::clone(&outer));
+                    let (ran_on, both_running) = (Arc::clone(&ran_on), Arc::clone(&both_running));
+                    let body = move || {
+                        ran_on.lock().unwrap().insert(std::thread::current().id());
+                        both_running.wait();
+                        inner2.charge(Work::Lookup, 1);
+                        outer.charge(Work::Merge, 1);
+                    };
+                    inner.spawn(TaskDesc::new(name, TaskKind::ShortCodeGen, Box::new(body)));
+                }
+            });
+            outer.charge(Work::Parse, 4);
+            let here = std::thread::current().id();
+            assert!(ran_on.lock().unwrap().contains(&here), "not worker 0");
+            let mut want = [0u64; Work::COUNT];
+            want[Work::Lookup as usize] = 2;
+            assert_eq!(inner.charges, want);
+        };
+        sup.spawn(TaskDesc::new("outer", TaskKind::ProcParse, Box::new(task)));
+    });
+    let mut want = [0u64; Work::COUNT];
+    want[Work::Parse as usize] = 7;
+    want[Work::Merge as usize] = 2;
+    assert_eq!(outer.charges, want);
 }

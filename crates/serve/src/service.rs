@@ -298,6 +298,8 @@ impl CompileService {
                 let sh = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ccm2-serve-{i}"))
+                    // Worker 0 of every compile it runs.
+                    .stack_size(ccm2_sched::WORKER_STACK)
                     .spawn(move || worker_loop(&sh))
                     .expect("spawn service worker")
             })

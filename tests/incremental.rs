@@ -585,17 +585,18 @@ fn a_warm_body_edit_routes_only_live_tokens() {
     assert_eq!(warm.comparable(), cold.comparable());
 }
 
-/// A `MemStore` that records the name of the thread every load runs on.
+/// A `MemStore` that records, for every load, whether it ran on a
+/// worker of a threaded run.
 #[derive(Debug, Default)]
 struct LoadThreads {
     inner: MemStore,
-    loads: std::sync::Mutex<Vec<Option<String>>>,
+    loads: std::sync::Mutex<Vec<bool>>,
 }
 
 impl ArtifactStore for LoadThreads {
     fn load(&self, fp: Fp128) -> Option<Vec<u8>> {
-        let thread = std::thread::current().name().map(String::from);
-        self.loads.lock().expect("not poisoned").push(thread);
+        let on_worker = ccm2_sched::on_worker();
+        self.loads.lock().expect("not poisoned").push(on_worker);
         self.inner.load(fp)
     }
 
@@ -608,12 +609,13 @@ impl ArtifactStore for LoadThreads {
     }
 }
 
-/// A warm compile on two workers loads nothing on the caller's thread:
-/// the interface cell (filled by the main Importer, the Lexor's
+/// A warm compile on two workers loads nothing outside its run's
+/// workers — not before the run, on the thread that becomes its worker
+/// 0: the interface cell (filled by the main Importer, the Lexor's
 /// `decide` or a parser's import scopes, whichever asks first) and the
-/// code units' decisions are the compile's own work, done on the crew's
-/// workers. Each round races the cell's fill and the placeholders'
-/// resolution against the Splitter again; optimized, 2 000 rounds.
+/// code units' decisions are the compile's own work, done by its tasks.
+/// Each round races the cell's fill and the placeholders' resolution
+/// against the Splitter again; optimized, 2 000 rounds.
 #[test]
 fn a_warm_threaded_compile_loads_only_on_workers() {
     let rounds = if cfg!(debug_assertions) { 20 } else { 2_000 };
@@ -630,9 +632,11 @@ fn a_warm_threaded_compile_loads_only_on_workers() {
         assert!(stats.interfaces_spliced > 0, "round {round}");
         let loads = std::mem::take(&mut *store.loads.lock().expect("not poisoned"));
         assert!(!loads.is_empty());
-        let off_crew = loads.iter().filter(|t| t.as_deref() != Some("ccm2-worker"));
-        let off_crew: Vec<_> = off_crew.collect();
-        assert!(off_crew.is_empty(), "round {round}: loads on {off_crew:?}");
+        let off_worker = loads.iter().filter(|&&on_worker| !on_worker).count();
+        assert_eq!(
+            off_worker, 0,
+            "round {round}: {off_worker} loads off the workers"
+        );
     }
 }
 
