@@ -29,13 +29,13 @@ if grep -nE "$fence" crates/syntax/src/lexer.rs crates/core/src/splitter.rs; the
 fi
 
 echo "== fault injection stays a compile option =="
-# A compile request is its inputs: the fault plan, the watchdog and the
-# stream-retry budget are `ccm2::Options` that the drills set on a
-# compile of their own, and a fault-injecting store is built by the
-# drill that wants one. The request and the service that runs it, and
-# the whole fleet, name no fault type.
+# A compile request is its inputs: the fault plan and the watchdog are
+# `ccm2::Options` that the drills set on a compile of their own. The
+# service, its store and snapshots, the incremental cache, the watch
+# session and the whole fleet name no fault type: faults are injected
+# at the scheduler's task and signal sites only.
 fence='ccm2_faults|FaultPlan|FaultKind'
-if grep -rnE "$fence" crates/serve/src/request.rs crates/serve/src/service.rs crates/fabric/src; then
+if grep -rnE "$fence" crates/serve/src crates/incr/src crates/watch/src crates/fabric/src; then
   echo "the request path names fault injection (lines above)" >&2
   exit 1
 fi
@@ -75,10 +75,10 @@ echo "== cargo test (workspace) =="
 #                             equal to direct compiles, kill/restart from
 #                             the newest snapshot with torn images
 #                             quarantined
-#   faults, recover, watchdog an injected fault degrades exactly one
-#                             stream; supervised retry converges transient
-#                             faults and degrades persistent ones; deadline
-#                             and wedge-release edges on both executors
+#   faults, watchdog          an injected fault degrades exactly one
+#                             stream, identically on every run of the
+#                             simulator; deadline and wedge-release edges
+#                             on both executors
 #   ccm2-fabric, fabric,      the lease table row by row; a fleet answers
 #   chaosnet                  with a direct compile's bytes across shard
 #                             widths, a seeded shard kill and a seeded
@@ -109,7 +109,7 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # and a caller that is worker 0 of its run and of a run one of its
 # tasks starts), the executor table and its seeded
 # differential (one policy under two drivers: a worker that unwinds, a
-# retry requeued under a blocked worker, threads {1, 2, 4} against the
+# degraded task's backstop signals, threads {1, 2, 4} against the
 # simulator) and the kept-alive shard connections (callers sharing
 # streams, a stream the server closed meanwhile, one origin's delta
 # batches overtaking each other on the way to a peer, and 2 000 rounds

@@ -1,7 +1,7 @@
 //! The fault drills: `reproduce -- faults` (survival matrix),
-//! `reproduce -- recover` (supervised retry, service kill/restart, torn
-//! snapshots) and `reproduce -- sites` (the fault-site namespace). All
-//! three compile the same fault-seeded module through the kit's
+//! `reproduce -- recover` (service kill/restart, torn snapshots) and
+//! `reproduce -- sites` (the fault-site namespace). The first and the
+//! last compile the same fault-seeded module through the kit's
 //! fault-matrix harness.
 
 use std::sync::Arc;
@@ -174,7 +174,7 @@ fn faults_inner() -> String {
                 let (plan, deadline) = mk_plan(sim);
                 let plan = Arc::new(plan);
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    compile(&m, Some(Arc::clone(&plan)), deadline, strategy, sim, 0)
+                    compile(&m, Some(Arc::clone(&plan)), deadline, strategy, sim)
                 }));
                 let run = run.unwrap_or_else(|_| panic!("{cell}: compile aborted"));
                 assert!(plan.any_fired(), "{label}: the fault site never fired");
@@ -216,151 +216,20 @@ fn faults_inner() -> String {
     out
 }
 
-/// The self-healing recovery matrix (`reproduce -- recover`): supervised
-/// stream retry under transient and persistent faults, crossed with all
-/// four DKY strategies and both executors, plus the service
-/// kill/restart and torn-snapshot drills. Asserts its own invariants —
-/// recovered runs byte-identical to fault-free baselines, zero lost
-/// requests across a restart, fallback past a torn image — and reports
-/// the counts.
+/// The service recovery drills (`reproduce -- recover`): kill/restart
+/// from a snapshot and a torn newest snapshot, at three seeded kill
+/// points. Asserts its own invariants — zero lost requests across a
+/// restart, the store restored in LRU order, fallback past a torn
+/// image — and reports the counts.
 pub fn recover() -> String {
-    quietly("recover matrix", recover_inner)
-}
-
-fn recover_inner() -> String {
-    let m = module();
-
     let mut out = String::from(
-        "Self-healing recovery matrix: fault x 4 DKY strategies x {sim(4), threads(2)}\n\
-         (transient faults: every stream recovers, output byte-identical to fault-free;\n\
-         persistent faults: retries exhaust, the stream degrades, the rest is identical)\n\n",
+        "Service recovery drills: kill/restart from a snapshot and a torn newest snapshot\n\
+         (every request answered across the restart, the store restored in LRU order,\n\
+         a torn image quarantined and the last good one restored)\n\n",
     );
-    let baselines = baselines(&m);
-
-    // Transient faults: an exact site pattern matches dispatch attempt 0
-    // only, so the supervised retry (`task:{name}#r1`) runs clean.
-    let transient: Vec<(&str, PlanFn)> = vec![
-        ("panic  task:procparse(FaultShort)", |_| {
-            (
-                FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic),
-                None,
-            )
-        }),
-        ("panic  task:codegen(*FaultLong)", |_| {
-            (
-                FaultPlan::single("task:codegen(*FaultLong)", FaultKind::Panic),
-                None,
-            )
-        }),
-        ("stall  task:procparse(FaultLong)", |sim| {
-            if sim {
-                // Deadline above every legitimate task cost (the
-                // recovered stream's codegen runs ~1100 units) but
-                // far below the stall, so only the stall is fatal.
-                (
-                    FaultPlan::single(
-                        "task:procparse(FaultLong)",
-                        FaultKind::Stall { units: 10_000 },
-                    ),
-                    Some(3_000),
-                )
-            } else {
-                (
-                    FaultPlan::single("task:procparse(FaultLong)", FaultKind::Stall { units: 50 }),
-                    Some(10_000),
-                )
-            }
-        }),
-    ];
-
-    let mut total = 0usize;
-    for (label, mk_plan) in &transient {
-        let mut cells = 0usize;
-        for strategy in DkyStrategy::ALL {
-            for sim in [true, false] {
-                let cell = format!("{label} [{strategy:?}/{}]", exec_name(sim));
-                let (plan, deadline) = mk_plan(sim);
-                let plan = Arc::new(plan);
-                let run = compile(&m, Some(Arc::clone(&plan)), deadline, strategy, sim, 2);
-                assert!(plan.any_fired(), "{label}: the fault site never fired");
-                assert!(
-                    run.errors
-                        .iter()
-                        .all(|e| matches!(e, CompileError::Recovered { .. }))
-                        && !run.errors.is_empty(),
-                    "{cell}: expected only Recovered, got {:?}",
-                    run.errors
-                );
-                assert!(run.is_ok(), "{cell}: recovery must not fail the compile");
-                // Full byte-equivalence, faulted stream included: the
-                // retried attempt converges to the fault-free output.
-                assert!(run.image.is_some(), "{cell}: no image");
-                assert_eq!(
-                    unit_map(&run),
-                    baselines[&(strategy, sim)],
-                    "{cell}: recovered output diverged"
-                );
-                cells += 1;
-            }
-        }
-        total += cells;
-        out.push_str(&format!(
-            "  transient {label:<38} {cells}/8 recovered, byte-identical, 0 degraded\n"
-        ));
-    }
-
-    // Persistent faults: a trailing glob also matches every retry site,
-    // so the budget exhausts and the stream degrades — while every
-    // other stream still matches the baseline byte for byte.
-    let persistent: Vec<(&str, &str, &str)> = vec![
-        (
-            "panic  task:procparse(FaultShort)*",
-            "task:procparse(FaultShort)*",
-            "FaultShort",
-        ),
-        (
-            "panic  task:codegen(*FaultLong)*",
-            "task:codegen(*FaultLong)*",
-            "FaultLong",
-        ),
-    ];
-    for (label, pattern, touched) in &persistent {
-        let mut cells = 0usize;
-        for strategy in DkyStrategy::ALL {
-            for sim in [true, false] {
-                let cell = format!("{label} [{strategy:?}/{}]", exec_name(sim));
-                let plan = Arc::new(FaultPlan::single(*pattern, FaultKind::Panic));
-                let run = compile(&m, Some(Arc::clone(&plan)), None, strategy, sim, 2);
-                assert!(
-                    run.errors
-                        .iter()
-                        .any(|e| matches!(e, CompileError::StreamFault { .. })),
-                    "{cell}: persistent fault must degrade"
-                );
-                assert!(
-                    plan.fired().iter().any(|f| f.contains("#r2")),
-                    "{cell}: the whole retry budget was not consumed: {:?}",
-                    plan.fired()
-                );
-                assert_other_streams_identical(
-                    &run,
-                    &baselines[&(strategy, sim)],
-                    &[touched],
-                    &cell,
-                );
-                cells += 1;
-            }
-        }
-        total += cells;
-        out.push_str(&format!(
-            "  persistent {label:<37} {cells}/8 degraded after retries exhausted\n"
-        ));
-    }
-
     // Service kill/restart: seeded load, snapshot at a kill point, kill,
     // restore, finish the load. Zero lost requests; the restored store
     // serves byte-identical artifacts with its LRU order intact.
-    out.push('\n');
     let load = ccm2_workload::ServeLoadParams {
         seed: 0x5EED,
         projects: 2,
@@ -443,32 +312,24 @@ fn recover_inner() -> String {
         ));
     }
 
-    out.push_str(&format!(
-        "\n{total} faulted compiles + 3 kill/restart + 3 torn-snapshot drills: \
-         0 hangs, 0 lost requests, recovered outputs byte-identical\n"
-    ));
+    out.push_str("\n3 kill/restart + 3 torn-snapshot drills: 0 lost requests\n");
     out
 }
 
 /// Enumerates the fault-site namespace (`reproduce -- sites`): one
 /// probe-recording compile per executor logs every site the runtime
-/// queries — task dispatches (with the `#r{k}` retry namespace), signal
-/// deliveries and artifact-store writes — so chaos plans can be written
-/// against real site names instead of grepping source.
+/// queries — task dispatches and signal deliveries — so chaos plans can
+/// be written against real site names instead of grepping source.
 pub fn fault_sites() -> String {
     let m = module();
-    // The kit's compile plus a store armed with the same plan, so the
-    // `store:` sites are probed too.
-    let compile = |plan: Arc<FaultPlan>, sim: bool, retries: u32| {
+    // The kit's compile, with an incremental store as a service
+    // compile has one.
+    let compile = |plan: Arc<FaultPlan>, sim: bool| {
         let executor = if sim {
             Executor::Sim(SimConfig::firefly(4))
         } else {
             Executor::Threads(2)
         };
-        let store = Arc::new(ccm2_serve::SharedStore::with_faults(
-            1 << 20,
-            Arc::clone(&plan),
-        ));
         compile_concurrent(
             &m.source,
             Arc::new(m.defs.clone()),
@@ -478,8 +339,7 @@ pub fn fault_sites() -> String {
                 executor,
                 analyze: true,
                 faults: Some(plan),
-                incremental: Some(store),
-                max_stream_retries: retries,
+                incremental: Some(Arc::new(ccm2_serve::SharedStore::new(1 << 20))),
                 ..Options::default()
             },
         )
@@ -491,7 +351,7 @@ pub fn fault_sites() -> String {
     );
     for sim in [true, false] {
         let plan = Arc::new(FaultPlan::new().with_probe_recording());
-        let run = compile(Arc::clone(&plan), sim, 0);
+        let run = compile(Arc::clone(&plan), sim);
         assert!(run.is_ok(), "probe sweep must compile clean");
         assert!(!plan.any_fired(), "probing must not inject");
         // A token block's barrier event is signaled only when a consumer
@@ -504,33 +364,13 @@ pub fn fault_sites() -> String {
             .filter(|site| sim || !site.contains("/block#"))
             .collect();
         out.push_str(&format!("\n{} — {} sites:\n", exec_name(sim), probed.len()));
-        for prefix in ["task:", "signal:", "store:"] {
+        for prefix in ["task:", "signal:"] {
             let group: Vec<&String> = probed.iter().filter(|s| s.starts_with(prefix)).collect();
             out.push_str(&format!("  {prefix:<8} {} sites\n", group.len()));
             for site in group {
                 out.push_str(&format!("    {site}\n"));
             }
         }
-    }
-
-    // The retry namespace only appears when a supervised retry actually
-    // dispatches; demonstrate it with one transient fault.
-    let plan = Arc::new(
-        FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic).with_probe_recording(),
-    );
-    let run = compile(Arc::clone(&plan), true, 1);
-    assert!(run.is_ok(), "transient fault recovers");
-    let retry_sites: Vec<String> = plan
-        .probed()
-        .into_iter()
-        .filter(|s| s.contains("#r"))
-        .collect();
-    assert!(!retry_sites.is_empty(), "retry dispatch was not probed");
-    out.push_str(
-        "\nretry namespace (supervised recovery, attempt k queries `task:{name}#r{k}`):\n",
-    );
-    for site in retry_sites {
-        out.push_str(&format!("    {site}\n"));
     }
     out
 }

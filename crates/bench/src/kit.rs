@@ -220,15 +220,14 @@ pub fn exec_name(sim: bool) -> &'static str {
     }
 }
 
-/// One analyzing compile of `m` under a fault plan, a per-task
-/// deadline and a supervised-retry budget, on `sim(4)` or `threads(2)`.
+/// One analyzing compile of `m` under a fault plan and a per-task
+/// deadline, on `sim(4)` or `threads(2)`.
 pub fn compile(
     m: &GeneratedModule,
     plan: Option<Arc<FaultPlan>>,
     deadline: Option<u64>,
     strategy: DkyStrategy,
     sim: bool,
-    retries: u32,
 ) -> ConcurrentOutput {
     let executor = if sim {
         Executor::Sim(SimConfig::firefly(4))
@@ -245,7 +244,6 @@ pub fn compile(
             analyze: true,
             faults: plan,
             task_deadline: deadline,
-            max_stream_retries: retries,
             ..Options::default()
         },
     )
@@ -305,7 +303,7 @@ pub fn baselines(m: &GeneratedModule) -> HashMap<(DkyStrategy, bool), UnitMap> {
     let mut maps = HashMap::new();
     for strategy in DkyStrategy::ALL {
         for sim in [true, false] {
-            let base = compile(m, None, None, strategy, sim, 0);
+            let base = compile(m, None, None, strategy, sim);
             assert!(
                 base.errors.is_empty() && base.image.is_some(),
                 "fault-free baseline must be clean"

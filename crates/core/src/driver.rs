@@ -117,16 +117,6 @@ pub struct Options {
     /// set, tasks that silently stall past the deadline are diagnosed
     /// as [`CompileError::Stalled`] instead of hanging the compile.
     pub task_deadline: Option<u64>,
-    /// Supervised stream recovery: how many times a fatally faulted
-    /// per-stream task (ProcParse / Analyze / CodeGen) is re-enqueued
-    /// before the stream is allowed to degrade. Attempt `k >= 1` of a
-    /// task queries the suffixed fault site `task:{name}#r{k}`, so an
-    /// exact-match plan models a transient fault (recovers, output
-    /// byte-identical to a fault-free run, surfaced as
-    /// [`CompileError::Recovered`] plus a Note diagnostic) while a
-    /// `task:{name}*` glob models a persistent one (degrades after
-    /// retries exhaust). 0 (the default) disables retries.
-    pub max_stream_retries: u32,
 }
 
 impl Default for Options {
@@ -140,7 +130,6 @@ impl Default for Options {
             incremental: None,
             faults: None,
             task_deadline: None,
-            max_stream_retries: 0,
         }
     }
 }
@@ -185,17 +174,6 @@ pub enum CompileError {
     Stalled {
         /// The watchdog's rendering of the cycle or the overdue task.
         cycle_or_task: String,
-    },
-    /// A stream task whose faulted dispatches were retried under
-    /// [`Options::max_stream_retries`] and then completed cleanly. The
-    /// stream did *not* degrade — its output is byte-identical to a
-    /// fault-free run — so the companion diagnostic is a Note, not an
-    /// Error, and [`ConcurrentOutput::is_ok`] stays true.
-    Recovered {
-        /// The recovered task's name.
-        task: String,
-        /// How many dispatch attempts faulted before the clean one.
-        attempts: u32,
     },
 }
 
@@ -261,12 +239,9 @@ pub fn compile_concurrent(
     let driver_cell: Arc<Mutex<Option<Arc<Driver>>>> = Arc::new(Mutex::new(None));
     let dc = Arc::clone(&driver_cell);
     let robustness = Robustness {
-        recover: options.faults.is_some()
-            || options.task_deadline.is_some()
-            || options.max_stream_retries > 0,
+        recover: options.faults.is_some() || options.task_deadline.is_some(),
         plan: options.faults.clone(),
         deadline: options.task_deadline,
-        max_retries: options.max_stream_retries,
     };
     let mk = move |env: Arc<dyn ExecEnv>| {
         let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), source);
@@ -1325,32 +1300,12 @@ impl Driver {
                 message: format!("stall diagnosed: {stall}"),
             });
         }
-        // Supervised recoveries did NOT degrade anything — the retried
-        // stream's output is byte-identical to a fault-free run — so
-        // they surface as Notes: visible to harnesses, but `is_ok()`
-        // stays true and the compile remains cacheable.
-        for (task, attempts) in &report.recoveries {
-            errors.push(CompileError::Recovered {
-                task: task.clone(),
-                attempts: *attempts,
-            });
-            degraded_diags.push(Diagnostic {
-                severity: Severity::Note,
-                file: FileId(0),
-                span: Span { lo: 0, hi: 0 },
-                message: format!(
-                    "stream recovered: task `{task}` completed after \
-                     {attempts} retried attempt(s)"
-                ),
-            });
-        }
         // Executors report panics/stalls in completion order, which varies
         // run to run on the threaded executor; sort for determinism.
         degraded_diags.sort_by(|a, b| a.message.cmp(&b.message));
         errors.sort_by_key(|e| match e {
             CompileError::StreamFault { task, message } => (0u8, task.clone(), message.clone()),
             CompileError::Stalled { cycle_or_task } => (1u8, cycle_or_task.clone(), String::new()),
-            CompileError::Recovered { task, attempts } => (2u8, task.clone(), attempts.to_string()),
         });
         if !report.task_panics.is_empty() {
             if let Some(image) = image.as_mut() {

@@ -2,36 +2,25 @@
 //!
 //! A [`FaultPlan`] decides, for every *named site* the runtime passes
 //! through, whether a fault fires there and which kind. The decision is
-//! a **pure function of the site name** (explicit overrides first, then
-//! a seeded hash), so it is independent of scheduling order: the same
-//! plan injects the same faults whether the compile runs on the
-//! virtual-time simulator or on real threads, with any worker count.
-//! That is what makes the survival matrix (`reproduce -- faults`) and
-//! the degradation property tests reproducible.
+//! a **pure function of the site name** (the first matching override),
+//! so it is independent of scheduling order: the same plan injects the
+//! same faults whether the compile runs on the virtual-time simulator or
+//! on real threads, with any worker count. That is what makes the
+//! survival matrix (`reproduce -- faults`) and the degradation property
+//! tests reproducible.
 //!
 //! # Site naming
 //!
 //! | prefix      | queried by                  | kinds that apply          |
 //! |-------------|-----------------------------|---------------------------|
 //! | `task:{name}`   | both executors, at dispatch | [`FaultKind::Panic`], [`FaultKind::Stall`] |
-//! | `task:{name}#r{k}` | dispatch of retry attempt `k >= 1` under supervised recovery | same as `task:` |
 //! | `signal:{event}`| both executors, per signal  | [`FaultKind::LoseSignal`] |
-//! | `store:{fp hex}`| the service's shared store, at `store` | [`FaultKind::Corrupt`] |
-//! | `shard:{id}#d{n}` | the fabric router, before dispatch `n` to shard `id` | [`FaultKind::Panic`] (shard death) |
 //!
 //! Task and event names are the scheduler's own labels (`codegen(M.P)`,
 //! `heading(P)`, …), so a plan can target one stream of one compile.
 //! Patterns may contain `*` wildcards (`task:codegen(*FaultShort*)`).
-//! The retry suffix makes fault *persistence* expressible: an exact
-//! `task:{name}` override models a transient fault (it matches attempt
-//! 0 only, so a supervised retry recovers), while `task:{name}*` also
-//! matches every `#r{k}` site and models a persistent fault that
-//! exhausts the retry budget. `shard:` sites carry the router's global
-//! dispatch counter, so `shard:2#d17` kills shard 2 at exactly dispatch
-//! 17 while `shard:2#d*` kills it at its first routed dispatch — death
-//! is permanent either way (the shard leaves the ring and its keys fail
-//! over). A network partition is not a site: it is the fabric
-//! transports' `set_partitioned` switch.
+//! A network partition is not a site: it is the fabric transports'
+//! `set_partitioned` switch.
 //!
 //! Sites that fire are logged; [`FaultPlan::fired`] returns the sorted,
 //! deduplicated list so harnesses can assert an injection actually
@@ -42,8 +31,6 @@
 //! so chaos plans can be authored without grepping source.
 
 use parking_lot::Mutex;
-
-use ccm2_support::hash::StableHasher;
 
 /// What happens at a site the plan selects.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,23 +47,12 @@ pub enum FaultKind {
         /// Stall length in executor-native units (see above).
         units: u64,
     },
-    /// The artifact bytes are corrupted before they are persisted:
-    /// the byte at `byte % len` is flipped (XOR 0x55). A `byte` of
-    /// `usize::MAX` truncates the entry to half length instead.
-    Corrupt {
-        /// Which byte to flip, or `usize::MAX` to truncate.
-        byte: usize,
-    },
 }
 
-/// A deterministic fault plan: explicit site overrides plus an optional
-/// seeded background rate.
+/// A deterministic fault plan: explicit site overrides, first match
+/// wins.
 pub struct FaultPlan {
     overrides: Vec<(String, FaultKind)>,
-    seed: u64,
-    /// Probability (parts per million) that any `task:` site panics
-    /// under the seeded mode. 0 disables it.
-    rate_ppm: u32,
     fired: Mutex<Vec<String>>,
     /// When true, every queried site is recorded in `probed` (site
     /// enumeration for `reproduce -- sites`).
@@ -88,8 +64,6 @@ impl std::fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultPlan")
             .field("overrides", &self.overrides)
-            .field("seed", &self.seed)
-            .field("rate_ppm", &self.rate_ppm)
             .finish()
     }
 }
@@ -105,8 +79,6 @@ impl FaultPlan {
     pub fn new() -> FaultPlan {
         FaultPlan {
             overrides: Vec::new(),
-            seed: 0,
-            rate_ppm: 0,
             fired: Mutex::new(Vec::new()),
             record_probes: false,
             probed: Mutex::new(Vec::new()),
@@ -123,17 +95,6 @@ impl FaultPlan {
     pub fn with_fault(mut self, pattern: impl Into<String>, kind: FaultKind) -> FaultPlan {
         self.overrides.push((pattern.into(), kind));
         self
-    }
-
-    /// A seeded random plan: each `task:` site independently panics
-    /// with probability `rate_ppm` / 1e6, decided by hashing
-    /// (seed, site) — stable across executors and runs.
-    pub fn seeded(seed: u64, rate_ppm: u32) -> FaultPlan {
-        FaultPlan {
-            seed,
-            rate_ppm,
-            ..FaultPlan::new()
-        }
     }
 
     /// Turns on probe recording: every site the runtime queries — fired
@@ -158,8 +119,7 @@ impl FaultPlan {
             .overrides
             .iter()
             .find(|(p, _)| glob_match(p, site))
-            .map(|(_, k)| *k)
-            .or_else(|| self.seeded_hit(site));
+            .map(|(_, k)| *k);
         if let Some(kind) = hit {
             let entry = format!("{site} -> {kind:?}");
             let mut log = self.fired.lock();
@@ -168,18 +128,6 @@ impl FaultPlan {
             }
         }
         hit
-    }
-
-    fn seeded_hit(&self, site: &str) -> Option<FaultKind> {
-        if self.rate_ppm == 0 || !site.starts_with("task:") {
-            return None;
-        }
-        let mut h = StableHasher::new();
-        h.write_str("ccm2-faults/v1");
-        h.write_u64(self.seed);
-        h.write_str(site);
-        let draw = h.finish().lo % 1_000_000;
-        (draw < u64::from(self.rate_ppm)).then_some(FaultKind::Panic)
     }
 
     /// Sorted, deduplicated `site -> kind` log of every site that fired.
@@ -267,21 +215,12 @@ mod tests {
         assert!(!glob_match("task:a*b", "task:b-then-a"));
         assert!(glob_match("a*b*c", "a--b--c"));
         assert!(!glob_match("a*b*c", "a--c--b"));
-    }
-
-    #[test]
-    fn shard_sites_support_exact_and_first_dispatch_kills() {
-        // The fabric router queries `shard:{id}#d{n}` per dispatch.
-        let exact = FaultPlan::single("shard:2#d17", FaultKind::Panic);
-        assert_eq!(exact.at("shard:2#d17"), Some(FaultKind::Panic));
-        assert_eq!(exact.at("shard:2#d18"), None);
-        assert_eq!(exact.at("shard:21#d7"), None, "id is not a prefix match");
-        let first = FaultPlan::single("shard:2#d*", FaultKind::Panic);
-        assert_eq!(first.at("shard:2#d0"), Some(FaultKind::Panic));
-        assert_eq!(first.at("shard:2#d430"), Some(FaultKind::Panic));
-        assert_eq!(first.at("shard:0#d0"), None);
-        // Seeded task-rate plans never touch shard sites.
-        assert_eq!(FaultPlan::seeded(9, 1_000_000).at("shard:1#d0"), None);
+        // A trailing `*` matches from the prefix on, empty tail included;
+        // a pattern without one matches whole names only.
+        assert!(glob_match("task:lex*", "task:lex"));
+        assert!(glob_match("task:lex*", "task:lex(Main)"));
+        assert!(!glob_match("task:lex*", "task:le"));
+        assert!(!glob_match("task:lex", "task:lex(Main)"));
     }
 
     #[test]
@@ -290,26 +229,6 @@ mod tests {
             .with_fault("task:*", FaultKind::Stall { units: 7 })
             .with_fault("task:lex(Main)", FaultKind::Panic);
         assert_eq!(p.at("task:lex(Main)"), Some(FaultKind::Stall { units: 7 }));
-    }
-
-    #[test]
-    fn seeded_mode_is_deterministic_and_task_only() {
-        let a = FaultPlan::seeded(42, 500_000);
-        let b = FaultPlan::seeded(42, 500_000);
-        let sites = [
-            "task:codegen(M.A)",
-            "task:codegen(M.B)",
-            "task:procparse(C)",
-            "task:analyze(M.D)",
-            "signal:heading(A)",
-        ];
-        let da: Vec<_> = sites.iter().map(|s| a.at(s)).collect();
-        let db: Vec<_> = sites.iter().map(|s| b.at(s)).collect();
-        assert_eq!(da, db);
-        assert_eq!(da[4], None, "seeded mode only panics task sites");
-        // At 50% some of these four task sites fire and some do not.
-        assert!(da[..4].iter().any(|k| k.is_some()));
-        assert!(da[..4].iter().any(|k| k.is_none()));
     }
 
     #[test]
@@ -329,25 +248,6 @@ mod tests {
         let silent = FaultPlan::new();
         silent.at("task:codegen(M.P)");
         assert!(silent.probed().is_empty(), "recording is opt-in");
-    }
-
-    #[test]
-    fn retry_suffix_distinguishes_transient_from_persistent() {
-        // Exact match = transient: fires on attempt 0 only.
-        let transient = FaultPlan::single("task:codegen(M.P)", FaultKind::Panic);
-        assert_eq!(transient.at("task:codegen(M.P)"), Some(FaultKind::Panic));
-        assert_eq!(transient.at("task:codegen(M.P)#r1"), None);
-        // Trailing glob = persistent: matches every retry attempt.
-        let persistent = FaultPlan::single("task:codegen(M.P)*", FaultKind::Panic);
-        assert_eq!(persistent.at("task:codegen(M.P)"), Some(FaultKind::Panic));
-        assert_eq!(
-            persistent.at("task:codegen(M.P)#r1"),
-            Some(FaultKind::Panic)
-        );
-        assert_eq!(
-            persistent.at("task:codegen(M.P)#r2"),
-            Some(FaultKind::Panic)
-        );
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! * `policy` — the scheduling decisions, as plain data with no lock,
 //!   clock or thread: which task is ready, what an event releases, what
-//!   a blocked worker may nest, whether a faulted dispatch is retried,
-//!   what a finished task leaves behind, and what to do when nobody can
-//!   run.
+//!   a blocked worker may nest, what a dispatch serves first, what a
+//!   finished task leaves behind, and what to do when nobody can run.
 //! * [`threaded`] — drives the policy with real OS-thread workers, one
 //!   per assumed processor: the paper's deployment model.
 //! * [`sim`] — drives it in deterministic virtual time on P *simulated*
@@ -92,18 +91,6 @@ pub struct Robustness {
     pub deadline: Option<u64>,
     /// Catch task panics and recover wedges instead of unwinding.
     pub recover: bool,
-    /// How many times a fatally faulted per-stream task
-    /// ([`TaskKind::stream_retryable`]) may be re-enqueued before it is
-    /// allowed to degrade. A fault is *fatal* when it is a panic, or a
-    /// stall long enough to blow the configured `deadline`; because both
-    /// executors inject at task dispatch — before the body runs, before
-    /// any event is signaled — a retried attempt needs no rollback.
-    /// Attempt `k >= 1` queries the suffixed site `task:{name}#r{k}`, so
-    /// an exact-match plan models a transient fault (fires on attempt 0
-    /// only) and a `task:{name}*` glob models a persistent one. Requires
-    /// `recover`; the default of 0 keeps the historical degrade-only
-    /// behavior.
-    pub max_retries: u32,
 }
 
 impl Robustness {
@@ -122,21 +109,6 @@ impl Robustness {
             plan,
             deadline,
             recover: true,
-            max_retries: 0,
-        }
-    }
-
-    /// Same as [`Robustness::degrading`], but supervised: fatally
-    /// faulted per-stream tasks are retried up to `max_retries` times
-    /// before degrading.
-    pub fn supervised(
-        plan: Option<std::sync::Arc<ccm2_faults::FaultPlan>>,
-        deadline: Option<u64>,
-        max_retries: u32,
-    ) -> Robustness {
-        Robustness {
-            max_retries,
-            ..Robustness::degrading(plan, deadline)
         }
     }
 
@@ -293,11 +265,10 @@ pub struct RunReport {
     /// Watchdog diagnoses: wedges force-released and tasks that
     /// overran the configured deadline.
     pub stalls: Vec<String>,
-    /// Supervised recoveries: tasks whose faulted dispatches were
-    /// retried under [`Robustness::max_retries`] and then completed
-    /// cleanly, as `(task name, attempts that faulted)`. A recovered
-    /// task contributes nothing to `task_panics`/`stalls` — its output
-    /// is byte-identical to a fault-free run.
+    /// Always empty: no executor retries a faulted task. The field is
+    /// kept only because a test of the benchmark package
+    /// (`perf/src/layers.rs`) builds a `RunReport` literal that names
+    /// it; it goes with the next change to that package.
     pub recoveries: Vec<(String, u32)>,
 }
 

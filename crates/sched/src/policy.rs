@@ -6,9 +6,9 @@
 //! asks it the six questions of the discipline: [`Policy::admit`] a
 //! task, [`Policy::release`] what an occurred event was the last prereq
 //! of, the next task for an idle worker ([`Policy::next_idle`]) or a
-//! blocked one ([`Policy::next_for_blocked`]), whether a dispatch runs
-//! or is retried ([`Policy::dispatch`]), what a finished task leaves
-//! behind ([`Policy::finish`]), and what to do when nobody can run
+//! blocked one ([`Policy::next_for_blocked`]), what a dispatch serves
+//! first ([`Policy::dispatch`]), what a finished task leaves behind
+//! ([`Policy::finish`]), and what to do when nobody can run
 //! ([`Policy::wait_for_report`], [`Policy::release_wedge`]).
 //!
 //! What differs between drivers comes in as a value, never as a branch:
@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashSet};
 use ccm2_faults::FaultKind;
 use ccm2_support::ids::EventId;
 
-use crate::task::{priority_key, retry_priority_key, TaskBody, TaskDesc, TaskKind, WaitSet};
+use crate::task::{priority_key, TaskBody, TaskDesc, TaskKind, WaitSet};
 use crate::wfg::WaitForGraph;
 use crate::{EventClass, EventTable, Robustness};
 
@@ -42,11 +42,6 @@ pub(crate) struct Task {
     signals_def_scope: bool,
     signals_barriers: bool,
     may_wait: WaitSet,
-    weight: u64,
-    /// Faulted dispatches abandoned and requeued so far.
-    attempt: u32,
-    /// Whether the dispatch that ran met no fatal fault.
-    clean: bool,
 }
 
 /// A task that may run, and the time it became able to.
@@ -64,20 +59,6 @@ struct Pending {
     body: TaskBody,
 }
 
-/// What [`Policy::dispatch`] decided.
-pub(crate) enum Dispatch {
-    /// Stall for `stall`, then run `body` (which panics in the task's
-    /// place when a panic was injected).
-    Run {
-        task: Task,
-        body: TaskBody,
-        stall: u64,
-    },
-    /// The dispatch met a fatal fault before anything ran and the task
-    /// is ready again, `wasted` later, under its next attempt's site.
-    Retried { wasted: u64 },
-}
-
 pub(crate) struct Policy {
     robustness: Robustness,
     stall_unit: u64,
@@ -91,20 +72,6 @@ pub(crate) struct Policy {
     /// Watchdog diagnoses (wedge releases and deadline overruns).
     pub(crate) stalls: Vec<String>,
     stall_keys: HashSet<String>,
-    /// Supervised recoveries: `(task, faulted attempts retried)`.
-    pub(crate) recoveries: Vec<(String, u32)>,
-}
-
-/// The fault-plan site a task dispatch queries: bare `task:{name}` for
-/// the first attempt, `task:{name}#r{attempt}` for retries — so plans
-/// can distinguish transient faults (exact match, attempt 0 only) from
-/// persistent ones (`task:{name}*` glob).
-fn dispatch_site(name: &str, attempt: u32) -> String {
-    if attempt == 0 {
-        format!("task:{name}")
-    } else {
-        format!("task:{name}#r{attempt}")
-    }
 }
 
 impl Policy {
@@ -121,7 +88,6 @@ impl Policy {
             panics: Vec::new(),
             stalls: Vec::new(),
             stall_keys: HashSet::new(),
-            recoveries: Vec::new(),
         }
     }
 
@@ -147,9 +113,6 @@ impl Policy {
             signals_def_scope: desc.signals_def_scope,
             signals_barriers: desc.signals_barriers,
             may_wait: desc.may_wait,
-            weight: desc.weight,
-            attempt: 0,
-            clean: true,
         };
         let (mut prereqs, body) = (desc.prereqs, desc.body);
         prereqs.retain(|e| !occurred(*e));
@@ -228,47 +191,23 @@ impl Policy {
         self.ready.remove(&key)
     }
 
-    /// Decides a dispatch at `now`, before anything of the task has run:
-    /// queries its fault site and, when the fault is fatal — a panic, or
-    /// a stall that would blow the deadline — and the task is a
-    /// per-stream task with budget left under recover mode, abandons the
-    /// dispatch and requeues the task for `now` plus what the dispatch
-    /// wasted (a fatal stall is cut off at the deadline by the
-    /// watchdog). A retried attempt needs no rollback: nothing ran and
-    /// nothing was signaled, and the task stays outstanding throughout.
-    pub(crate) fn dispatch(&mut self, ready: Ready, now: u64) -> Dispatch {
-        let Ready {
-            mut task, mut body, ..
-        } = ready;
-        let rb = &self.robustness;
-        let inject = rb
-            .plan
-            .as_ref()
-            .and_then(|p| p.at(&dispatch_site(&task.name, task.attempt)));
+    /// Dispatches `ready`, before anything of the task has run: queries
+    /// its `task:{name}` fault site and hands back the task, the body to
+    /// run — one that panics in the task's place when a panic was
+    /// injected — and the stall to serve first, in native units.
+    pub(crate) fn dispatch(&self, ready: Ready) -> (Task, TaskBody, u64) {
+        let Ready { task, mut body, .. } = ready;
+        let inject =
+            (self.robustness.plan.as_ref()).and_then(|p| p.at(&format!("task:{}", task.name)));
         let stall = match inject {
             Some(FaultKind::Stall { units }) => units.saturating_mul(self.stall_unit),
             _ => 0,
         };
-        let fatal = inject == Some(FaultKind::Panic) || rb.deadline.is_some_and(|d| stall > d);
-        let budget = rb.max_retries;
-        if fatal && rb.recover && task.kind.stream_retryable() && task.attempt < budget {
-            let wasted = rb.deadline.map_or(stall, |d| d.min(stall));
-            task.attempt += 1;
-            self.seq += 1;
-            // Budget-aware requeue: consumed attempts lift the task's
-            // rank so a near-budget retry isn't starved behind fresh
-            // same-class work.
-            let key = retry_priority_key(task.kind, task.weight, self.seq, task.attempt, budget);
-            let stamp = now + wasted;
-            self.ready.insert(key, Ready { task, body, stamp });
-            return Dispatch::Retried { wasted };
-        }
-        task.clean = !fatal;
         if inject == Some(FaultKind::Panic) {
             let name = task.name.clone();
             body = Box::new(move || panic!("injected fault: task `{name}` panicked"));
         }
-        Dispatch::Run { task, body, stall }
+        (task, body, stall)
     }
 
     /// Books a task whose body has returned, or was `caught` panicking
@@ -286,8 +225,6 @@ impl Policy {
         self.finished += 1;
         if let Some(msg) = caught {
             self.panics.push((task.name.clone(), msg));
-        } else if task.attempt > 0 && task.clean {
-            self.recoveries.push((task.name.clone(), task.attempt));
         }
         let mut backstop = std::mem::take(&mut task.signals);
         backstop.retain(|e| !self.robustness.loses_signal(&events.get(*e).name));
@@ -554,88 +491,34 @@ mod tests {
         assert_eq!(nest(&mut p, e, None, &stack[1..]), "resolver");
     }
 
-    /// Dispatches the best ready task until one runs; returns how many
-    /// dispatches were abandoned first, and the one that ran.
-    fn dispatch_until_run(p: &mut Policy) -> (u32, Task, TaskBody, u64) {
-        for retried in 0.. {
-            let ready = p.next_idle().expect("a retried task is ready again");
-            if let Dispatch::Run { task, body, stall } = p.dispatch(ready, 0) {
-                return (retried, task, body, stall);
-            }
-        }
-        unreachable!()
-    }
-
     #[test]
-    fn retries_stop_at_the_budget_and_rank_above_fresh_work() {
-        let plan = FaultPlan::single("task:victim*", FaultKind::Panic)
-            .with_fault("task:lexor", FaultKind::Panic);
-        let plan = Arc::new(plan);
+    fn dispatch_serves_a_stall_in_native_units_and_panics_in_the_bodys_place() {
+        let plan = FaultPlan::single("task:victim", FaultKind::Panic)
+            .with_fault("task:slow", FaultKind::Stall { units: 3 });
         let events = EventTable::default();
-        let mut p = Policy::new(Robustness::supervised(Some(plan.clone()), None, 2), 1);
-        p.admit(desc("victim", TaskKind::ShortCodeGen), 0, NEVER);
-        p.admit(desc("fresh", TaskKind::ShortCodeGen), 0, NEVER);
-
-        let victim = p.next_idle().expect("admitted first");
-        assert!(matches!(
-            p.dispatch(victim, 0),
-            Dispatch::Retried { wasted: 0 }
-        ));
-        // One attempt consumed, one left: ahead of `fresh` already.
-        let (retried, mut task, body, _) = dispatch_until_run(&mut p);
-        assert_eq!((retried, task.name.as_str()), (1, "victim"));
-        assert!(plan.fired().iter().any(|f| f.contains("task:victim#r2")));
-        // The budget is spent: the dispatch runs, and panics in the
-        // body's place.
+        // 1 000 native units to the stall unit, as on threads.
+        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan)), None), 1_000);
+        for name in ["victim", "slow", "clean"] {
+            p.admit(desc(name, TaskKind::ProcParse), 0, NEVER);
+        }
+        let mut next = || {
+            let ready = p.next_idle().expect("admitted");
+            p.dispatch(ready)
+        };
+        let (mut victim, body, stall) = next();
+        assert_eq!((victim.name.as_str(), stall), ("victim", 0));
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
             .expect_err("the injected panic");
         let msg = crate::payload_message(payload.as_ref());
         assert_eq!(msg, "injected fault: task `victim` panicked");
-        p.finish(&mut task, Some(msg.clone()), &events);
+        let (slow, _, stall) = next();
+        assert_eq!((slow.name.as_str(), stall), ("slow", 3_000));
+        let (clean, body, stall) = next();
+        assert_eq!((clean.name.as_str(), stall), ("clean", 0));
+        body();
+        p.finish(&mut victim, Some(msg.clone()), &events);
         assert_eq!(p.panics, [("victim".to_string(), msg)]);
-        assert!(p.recoveries.is_empty());
-
-        // A structural task is never retried.
-        p.admit(desc("lexor", TaskKind::Lexor), 0, NEVER);
-        for want in ["lexor", "fresh"] {
-            let (retried, task, ..) = dispatch_until_run(&mut p);
-            assert_eq!((retried, task.name.as_str()), (0, want));
-        }
         assert_eq!((p.outstanding(), p.finished), (2, 1));
-    }
-
-    #[test]
-    fn a_stall_is_fatal_past_the_deadline_and_a_clean_retry_is_a_recovery() {
-        let plan = FaultPlan::single("task:slow", FaultKind::Stall { units: 3 })
-            .with_fault("task:stuck", FaultKind::Stall { units: 50 });
-        // Deadline 10 000 native units, 1 000 of them to the stall unit.
-        let robustness = Robustness::supervised(Some(Arc::new(plan)), Some(10_000), 1);
-        let events = EventTable::default();
-        let mut p = Policy::new(robustness, 1_000);
-        p.admit(desc("slow", TaskKind::ProcParse), 0, NEVER);
-        let (retried, mut slow, _, stall) = dispatch_until_run(&mut p);
-        assert_eq!((retried, stall), (0, 3_000), "served, not retried");
-        p.finish(&mut slow, None, &events);
-
-        p.admit(desc("stuck", TaskKind::ProcParse), 0, NEVER);
-        let stuck = p.next_idle().expect("admitted");
-        // Cut off at the deadline, and ready again when that is over.
-        assert!(matches!(
-            p.dispatch(stuck, 500),
-            Dispatch::Retried { wasted: 10_000 }
-        ));
-        let again = p.next_idle().expect("requeued");
-        assert_eq!(again.stamp, 10_500);
-        let Dispatch::Run {
-            mut task, stall, ..
-        } = p.dispatch(again, 10_500)
-        else {
-            panic!("the exact-match site fires on attempt 0 only");
-        };
-        assert_eq!(stall, 0);
-        p.finish(&mut task, None, &events);
-        assert_eq!(p.recoveries, [("stuck".to_string(), 1)]);
-        assert!(p.panics.is_empty() && p.stalls.is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 
-use crate::policy::{Dispatch, Policy, Ready, Task};
+use crate::policy::{Policy, Ready, Task};
 use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
 use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
@@ -588,26 +588,18 @@ impl Controller {
             };
 
             // 3. Step it, dispatching it first if it is fresh from the
-            // ready queue: the policy may abandon the dispatch instead
-            // (supervised retry), and the wasted time is charged.
+            // ready queue: the dispatch and any injected stall are
+            // charged before its first slice.
             let slice_start = self.procs[p].clock;
             let mut task = match self.procs[p].current.take().expect("runnable") {
                 Slot::Started(task) => task,
                 Slot::Fresh(ready) => {
-                    let now = slice_start + self.config.dispatch_cost;
-                    match self.policy.dispatch(ready, now) {
-                        Dispatch::Retried { wasted } => {
-                            self.procs[p].clock = now + wasted;
-                            continue;
-                        }
-                        Dispatch::Run { task, body, stall } => {
-                            let mut task = self.launch(task, body);
-                            self.procs[p].clock = now + stall;
-                            task.busy = stall;
-                            self.check_deadline(&task);
-                            task
-                        }
-                    }
+                    let (task, body, stall) = self.policy.dispatch(ready);
+                    let mut task = self.launch(task, body);
+                    self.procs[p].clock = slice_start + self.config.dispatch_cost + stall;
+                    task.busy = stall;
+                    self.check_deadline(&task);
+                    task
                 }
             };
             task.resume_tx.send(()).expect("task thread alive");
@@ -686,7 +678,7 @@ impl Controller {
             charges: self.charges,
             task_panics: self.policy.panics,
             stalls: self.policy.stalls,
-            recoveries: self.policy.recoveries,
+            recoveries: Vec::new(),
         }
     }
 

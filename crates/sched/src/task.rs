@@ -71,24 +71,6 @@ impl TaskKind {
             .expect("known kind")
     }
 
-    /// Whether a fatally faulted dispatch of this kind may be retried
-    /// by the supervised-recovery plane. Per-stream tasks qualify: they
-    /// are independent of sibling streams and — because faults fire at
-    /// dispatch, before the body runs — a fresh attempt restarts the
-    /// stream from scratch with no partial state to discard. Structural
-    /// tasks (Lexor, Splitter, Importer, parsers of whole modules, the
-    /// Merge) do not: re-running them would replay spawns and signals
-    /// already observed by the rest of the run.
-    pub fn stream_retryable(&self) -> bool {
-        matches!(
-            self,
-            TaskKind::ProcParse
-                | TaskKind::Analyze
-                | TaskKind::LongCodeGen
-                | TaskKind::ShortCodeGen
-        )
-    }
-
     /// Short label for traces (WatchTool rendering).
     pub fn label(&self) -> &'static str {
         match self {
@@ -204,33 +186,6 @@ pub fn priority_key(kind: TaskKind, weight: u64, seq: u64) -> (usize, std::cmp::
     (kind.rank(), std::cmp::Reverse(weight), seq)
 }
 
-/// Priority key for a supervised-retry requeue: the original key with a
-/// budget-aware rank boost. A retried stream that requeues at its
-/// original priority sits behind every queued task of its class, and a
-/// near-budget retry can starve there until its deadline lapses —
-/// wasting the attempts already charged for it. Each consumed attempt
-/// therefore lifts the task one rank; a retry on its *last* budgeted
-/// attempt jumps to just below [`TaskKind::CacheSplice`], ahead of all
-/// ordinary parse/analyze/codegen work. Structural tasks (Lexor,
-/// Splitter, CacheSplice) always keep absolute priority — a retry never
-/// preempts the tasks whose signals the rest of the run is gated on.
-pub fn retry_priority_key(
-    kind: TaskKind,
-    weight: u64,
-    seq: u64,
-    attempt: u32,
-    budget: u32,
-) -> (usize, std::cmp::Reverse<u64>, u64) {
-    let floor = TaskKind::CacheSplice.rank() + 1;
-    let remaining = budget.saturating_sub(attempt);
-    let rank = if remaining == 0 {
-        floor // last chance: ahead of everything non-structural
-    } else {
-        kind.rank().saturating_sub(attempt as usize).max(floor)
-    };
-    (rank, std::cmp::Reverse(weight), seq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,24 +210,6 @@ mod tests {
         assert!(b < a, "heavier task first within a class");
         let c = priority_key(TaskKind::Lexor, 0, 100);
         assert!(c < b, "higher class first regardless of weight");
-    }
-
-    #[test]
-    fn retry_key_boosts_with_consumed_budget() {
-        let fresh = priority_key(TaskKind::ShortCodeGen, 10, 50);
-        // One consumed attempt with budget to spare: one rank up.
-        let once = retry_priority_key(TaskKind::ShortCodeGen, 10, 51, 1, 3);
-        assert!(once < fresh, "a retry outranks its own class");
-        assert_eq!(once.0, TaskKind::ShortCodeGen.rank() - 1);
-        // The final budgeted attempt jumps to the boost floor.
-        let last = retry_priority_key(TaskKind::ShortCodeGen, 10, 52, 3, 3);
-        assert_eq!(last.0, TaskKind::CacheSplice.rank() + 1);
-        assert!(last < once);
-        // The boost never overtakes structural tasks or cache splices.
-        assert!(priority_key(TaskKind::CacheSplice, 0, 99) < last);
-        assert!(priority_key(TaskKind::Lexor, 0, 99) < last);
-        let deep = retry_priority_key(TaskKind::ProcParse, 0, 53, 30, 100);
-        assert_eq!(deep.0, TaskKind::CacheSplice.rank() + 1, "boost clamps");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 
-use crate::policy::{Dispatch, Policy, Task};
+use crate::policy::{Policy, Task};
 use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
 use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
@@ -235,39 +235,30 @@ impl ThreadedSupervisor {
 
     /// Takes the next task for `worker` — idle, or blocked on `blocked`
     /// (an event and the co-signaler hint) — through the policy's
-    /// dispatch decision and onto the worker's stack, all in the lock
-    /// section the caller is in. Returns the body and the injected
-    /// stall (microseconds) to serve before it.
+    /// dispatch and onto the worker's stack, all in the lock section the
+    /// caller is in. Returns the body and the injected stall
+    /// (microseconds) to serve before it.
     fn take(
         &self,
         st: &mut SupState,
         worker: usize,
         blocked: Option<(EventId, Option<EventId>)>,
     ) -> Option<(TaskBody, u64)> {
-        loop {
-            let ready = match blocked {
-                None => st.policy.next_idle(),
-                Some((e, hint)) => {
-                    let stack = st.stacks[worker].iter().map(|f| &f.task);
-                    let class = self.events.get(e).class;
-                    st.policy.next_for_blocked((e, class), hint, stack)
-                }
-            }?;
-            match st.policy.dispatch(ready, 0) {
-                Dispatch::Run { task, body, stall } => {
-                    st.stacks[worker].push(Frame {
-                        task,
-                        waiting: None,
-                        started: self.robustness.deadline.map(|_| Instant::now()),
-                    });
-                    return Some((body, stall));
-                }
-                // Ready again under its next attempt's site: for this
-                // worker's next look, or a sleeper's. The abandoned
-                // dispatch served none of its stall.
-                Dispatch::Retried { .. } => self.wake_locked(st),
+        let ready = match blocked {
+            None => st.policy.next_idle(),
+            Some((e, hint)) => {
+                let stack = st.stacks[worker].iter().map(|f| &f.task);
+                let class = self.events.get(e).class;
+                st.policy.next_for_blocked((e, class), hint, stack)
             }
-        }
+        }?;
+        let (task, body, stall) = st.policy.dispatch(ready);
+        st.stacks[worker].push(Frame {
+            task,
+            waiting: None,
+            started: self.robustness.deadline.map(|_| Instant::now()),
+        });
+        Some((body, stall))
     }
 
     /// Runs the task `take` just put on top of `worker`'s stack.
@@ -616,7 +607,7 @@ pub fn run_threaded_with(
         charges,
         task_panics: std::mem::take(&mut policy.panics),
         stalls: std::mem::take(&mut policy.stalls),
-        recoveries: std::mem::take(&mut policy.recoveries),
+        recoveries: Vec::new(),
     }
 }
 

@@ -9,7 +9,7 @@
 //! {1, 2, 4}.
 
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_sched::{
@@ -470,122 +470,6 @@ fn injected_stall_trips_the_deadline() {
     }
 }
 
-/// Supervised recovery: a transient fault (exact-match site, so it fires
-/// on attempt 0 only) is retried on a fresh dispatch; the body runs
-/// once, dependents run, and nothing degrades.
-#[test]
-fn transient_fault_is_retried_and_recovers() {
-    for exec in TABLE {
-        let attempt = || {
-            let plan = panic_plan("task:victim");
-            let log = Log::default();
-            let l = log.clone();
-            let robustness = Robustness::supervised(Some(plan.clone()), None, 2);
-            let report = run(exec, robustness, move |env| victim_and_dependent(env, &l));
-            assert_eq!(log.take(), ["victim", "dependent"], "{exec:?}");
-            assert!(report.task_panics.is_empty(), "{:?}", report.task_panics);
-            assert!(report.stalls.is_empty(), "{:?}", report.stalls);
-            assert_eq!(report.recoveries, [("victim".to_string(), 1)], "{exec:?}");
-            assert!(plan.fired().iter().any(|f| f.contains("task:victim")));
-            report.virtual_time
-        };
-        assert_eq!(
-            attempt(),
-            attempt(),
-            "recovery is virtual-time deterministic"
-        );
-    }
-}
-
-/// A persistent fault (the trailing glob matches every `#r{k}` retry
-/// site) exhausts the retry budget and then degrades exactly as an
-/// unsupervised fault would.
-#[test]
-fn persistent_fault_exhausts_retries_and_degrades() {
-    for exec in TABLE {
-        let plan = panic_plan("task:victim*");
-        let robustness = Robustness::supervised(Some(plan.clone()), None, 2);
-        let report = run(exec, robustness, |env| {
-            env.spawn(task("victim", TaskKind::ProcParse, || {
-                unreachable!("every attempt faults")
-            }));
-        });
-        assert_eq!(report.task_panics.len(), 1, "{exec:?}");
-        assert_eq!(report.task_panics[0].0, "victim");
-        assert!(report.recoveries.is_empty());
-        let fired = plan.fired();
-        assert!(
-            fired.iter().any(|f| f.contains("task:victim#r2")),
-            "{exec:?}: all retry attempts were dispatched: {fired:?}"
-        );
-    }
-}
-
-/// A stall long enough to blow the deadline is fatal and retried, and no
-/// stall is diagnosed. The simulator charges the wasted dispatch, cut
-/// off at the deadline; a worker thread skips the 60 s sleep entirely.
-#[test]
-fn fatal_stall_is_retried() {
-    for exec in TABLE {
-        let (units, deadline) = if exec.is_sim() {
-            (5_000, 1_000)
-        } else {
-            (60_000, 10_000)
-        };
-        let plan = FaultPlan::single("task:victim", FaultKind::Stall { units });
-        let robustness = Robustness::supervised(Some(Arc::new(plan)), Some(deadline), 1);
-        let started = Instant::now();
-        let report = run(exec, robustness, lone_task("victim"));
-        assert_eq!(report.recoveries, [("victim".to_string(), 1)], "{exec:?}");
-        assert!(report.stalls.is_empty(), "{exec:?}: {:?}", report.stalls);
-        if exec.is_sim() {
-            // Deadline-truncated stall penalty + clean attempt's work.
-            assert_eq!(report.virtual_time, Some(1_010), "{exec:?}");
-        } else {
-            assert!(started.elapsed() < Duration::from_secs(30), "{exec:?}");
-        }
-    }
-}
-
-/// Structural tasks (not stream-retryable) degrade at once even with a
-/// retry budget: re-running them would replay spawns and signals the
-/// rest of the run has already seen.
-#[test]
-fn structural_tasks_are_not_retried() {
-    for exec in TABLE {
-        let plan = panic_plan("task:lexor*");
-        let robustness = Robustness::supervised(Some(plan.clone()), None, 3);
-        let report = run(exec, robustness, |env| {
-            env.spawn(task("lexor", TaskKind::Lexor, || {}));
-        });
-        assert_eq!(report.task_panics.len(), 1, "{exec:?}");
-        assert!(report.recoveries.is_empty());
-        assert_eq!(plan.fired().len(), 1, "{exec:?}: {:?}", plan.fired());
-    }
-}
-
-/// Budget-aware retry scheduling: a retried stream requeues with a rank
-/// boost, so the victim's (successful) retry on its last budgeted
-/// attempt runs ahead of every fresh same-class task spawned after it —
-/// requeued at its original priority it would run last.
-#[test]
-fn near_budget_retry_jumps_ahead_of_fresh_same_class_work() {
-    for exec in SINGLE {
-        let robustness = Robustness::supervised(Some(panic_plan("task:victim")), None, 1);
-        let report = run(exec, robustness, |env| {
-            for name in ["victim", "comp0", "comp1", "comp2"] {
-                let env1 = env.clone();
-                env.spawn(task(name, TaskKind::ShortCodeGen, move || {
-                    env1.charge(Work::CodeGen, 10)
-                }));
-            }
-        });
-        assert_eq!(report.recoveries, [("victim".to_string(), 1)], "{exec:?}");
-        let order: Vec<&str> = report.trace.segments.iter().map(|s| &*s.name).collect();
-        assert_eq!(order, ["victim", "comp0", "comp1", "comp2"], "{exec:?}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Seeded differential over random task graphs.
 
@@ -715,7 +599,6 @@ struct Outcome {
     tasks_run: usize,
     charges: [u64; Work::COUNT],
     task_panics: Vec<(String, String)>,
-    recoveries: Vec<(String, u32)>,
     /// Names of the tasks in the trace, sorted. (The simulator cuts a
     /// task's run into a segment per slice, a worker thread records one
     /// per task: the segments of one task count once.)
@@ -725,8 +608,6 @@ struct Outcome {
 fn outcome(report: &RunReport) -> Outcome {
     let mut task_panics = report.task_panics.clone();
     task_panics.sort();
-    let mut recoveries = report.recoveries.clone();
-    recoveries.sort();
     let mut traced: Vec<String> = report
         .trace
         .segments
@@ -739,7 +620,6 @@ fn outcome(report: &RunReport) -> Outcome {
         tasks_run: report.tasks_run,
         charges: report.charges,
         task_panics,
-        recoveries,
         traced,
     }
 }
@@ -751,18 +631,13 @@ proptest! {
     fn random_graphs_come_out_the_same_on_every_executor(seed in 0u64..u64::MAX) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng);
-        // No plan, or a panic at one root task: transient (its exact
-        // site) or persistent (every retry site too), 0–2 retries.
+        // No plan, or a panic at one root task (its exact site: not
+        // `{victim}*`, which would take in the victim's children), which
+        // degrades it.
         let victim = format!("task:t{:02}", rng.gen_range(0..graph.len()));
         let robustness = match rng.gen_range(0..3) {
             0 => Robustness::none(),
-            1 => Robustness::supervised(Some(panic_plan(&victim)), None, rng.gen_range(0..3)),
-            _ => {
-                // Not `{victim}*`, which would take in the victim's children.
-                let plan = FaultPlan::single(victim.clone(), FaultKind::Panic)
-                    .with_fault(format!("{victim}#*"), FaultKind::Panic);
-                Robustness::supervised(Some(Arc::new(plan)), None, rng.gen_range(0..3))
-            }
+            _ => Robustness::degrading(Some(panic_plan(&victim)), None),
         };
         // The firefly model charges every dispatch, so that a task whose
         // body never ran is in the simulator's trace too.

@@ -17,9 +17,9 @@
 //! level, in [`SharedStore`](crate::SharedStore), whose content
 //! addresses ignore strategy and executor entirely.
 //!
-//! A request is its inputs and nothing else. Fault injection, the task
-//! watchdog and the stream-retry budget are compile options
-//! ([`ccm2::Options`]) that the drills set on a compile of their own; a
+//! A request is its inputs and nothing else. Fault injection and the
+//! task watchdog are compile options ([`ccm2::Options`]) that the drills
+//! set on a compile of their own; a
 //! service compile runs without them, so a task panic unwinds to the
 //! worker and is answered as a panicked compile.
 

@@ -276,8 +276,8 @@ impl CompileService {
         CompileService::start_with_store(config, Arc::new(SharedStore::new(config.store_budget)))
     }
 
-    /// Starts the worker pool against a caller-supplied store — e.g. a
-    /// [`SharedStore::with_faults`] one for corruption drills.
+    /// Starts the worker pool against a caller-supplied store — the one
+    /// [`CompileService::restore`] rebuilt from a snapshot.
     pub fn start_with_store(config: ServeConfig, store: Arc<SharedStore>) -> CompileService {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {

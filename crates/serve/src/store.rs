@@ -112,7 +112,6 @@ impl Inner {
 #[derive(Debug)]
 pub struct SharedStore {
     inner: Mutex<Inner>,
-    faults: Option<std::sync::Arc<ccm2_faults::FaultPlan>>,
 }
 
 impl SharedStore {
@@ -132,17 +131,6 @@ impl SharedStore {
                 delta_base: 0,
                 retain: false,
             }),
-            faults: None,
-        }
-    }
-
-    /// A store that corrupts entries whose `store:{fp}` site fires in
-    /// `plan` before admitting them — the decode-validation path then
-    /// quarantines them on the next load.
-    pub fn with_faults(budget: u64, plan: std::sync::Arc<ccm2_faults::FaultPlan>) -> SharedStore {
-        SharedStore {
-            faults: Some(plan),
-            ..SharedStore::new(budget)
         }
     }
 
@@ -160,10 +148,8 @@ impl SharedStore {
     }
 
     /// Replays restored entries into the store, preserving the order
-    /// given (oldest first). Unlike `store`, this bypasses fault
-    /// injection and the insertion counter: a restore is not workload,
-    /// and it must not re-corrupt entries that were corrupted (and
-    /// possibly quarantined) in their first life.
+    /// given (oldest first). Unlike `store`, this bypasses the insertion
+    /// counter and the delta log: a restore is not workload.
     pub fn import(&self, entries: &[(Fp128, Vec<u8>)]) {
         let mut inner = self.inner.lock();
         for (fp, bytes) in entries {
@@ -234,10 +220,9 @@ impl SharedStore {
     }
 
     /// Replays delta ops — the fabric's replica-absorb path. Like
-    /// [`SharedStore::import`] this bypasses fault injection, the
-    /// insertion counter and the delta log itself: replayed history must
-    /// not be re-shipped or re-corrupted. Budget and LRU admission still
-    /// apply.
+    /// [`SharedStore::import`] this bypasses the insertion counter and
+    /// the delta log itself: replayed history must not be re-shipped.
+    /// Budget and LRU admission still apply.
     pub fn apply_delta(&self, ops: &[DeltaOp]) {
         let mut inner = self.inner.lock();
         for op in ops {
@@ -297,25 +282,6 @@ impl ArtifactStore for SharedStore {
     }
 
     fn store(&self, fp: Fp128, bytes: &[u8]) {
-        // Fault injection: damage the entry before admission, so
-        // decode-side validation and the quarantine path get exercised
-        // end to end.
-        let mut corrupted: Vec<u8>;
-        let mut bytes = bytes;
-        if let Some(plan) = &self.faults {
-            if let Some(ccm2_faults::FaultKind::Corrupt { byte }) =
-                plan.at(&format!("store:{}", fp.to_hex()))
-            {
-                corrupted = bytes.to_vec();
-                if byte == usize::MAX {
-                    corrupted.truncate(corrupted.len() / 2);
-                } else if !corrupted.is_empty() {
-                    let ix = byte % corrupted.len();
-                    corrupted[ix] ^= 0x55;
-                }
-                bytes = &corrupted;
-            }
-        }
         let mut inner = self.inner.lock();
         // Keys are content addresses: the same bytes stored again (two
         // compiles that both missed a unit or an interface while neither
@@ -452,33 +418,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_corrupts_entry_and_quarantine_removes_it() {
-        use ccm2_incr::ArtifactStore as _;
-        let target = fp(3);
-        let plan = ccm2_faults::FaultPlan::single(
-            format!("store:{}", target.to_hex()),
-            ccm2_faults::FaultKind::Corrupt { byte: 1 },
-        );
-        let s = SharedStore::with_faults(1024, std::sync::Arc::new(plan));
-        s.store(target, b"abcd");
+    fn quarantine_removes_the_entry_once() {
+        let s = SharedStore::new(1024);
+        s.store(fp(3), b"abcd");
         s.store(fp(4), b"abcd");
-        assert_eq!(
-            s.load(target).as_deref(),
-            Some(&b"a\x37cd"[..]),
-            "byte 1 XOR 0x55"
-        );
-        assert_eq!(
-            s.load(fp(4)).as_deref(),
-            Some(&b"abcd"[..]),
-            "other entries untouched"
-        );
-        s.quarantine(target);
-        assert!(s.load(target).is_none());
-        s.quarantine(target); // second call is a no-op
+        s.quarantine(fp(3));
+        assert!(s.load(fp(3)).is_none());
+        assert_eq!(s.load(fp(4)).as_deref(), Some(&b"abcd"[..]));
         let st = s.stats();
-        assert_eq!(st.quarantined, 1);
-        assert_eq!(st.entries, 1);
+        assert_eq!((st.quarantined, st.entries), (1, 1));
         assert_eq!(st.bytes_in_use, 4, "LRU re-accounted after quarantine");
+        s.quarantine(fp(3)); // a second call does nothing
+        assert_eq!(s.stats(), st);
     }
 
     #[test]

@@ -69,13 +69,13 @@ proptest! {
         let strategy = DkyStrategy::ALL[strategy_ix];
         let m = module();
 
-        let baseline = compile(&m, None, None, strategy, sim, 0);
+        let baseline = compile(&m, None, None, strategy, sim);
         prop_assert!(baseline.errors.is_empty(), "baseline not clean: {:?}", baseline.errors);
         let base_units = unit_map(&baseline);
 
         let plan = Arc::new(FaultPlan::single(pattern, kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compile(&m, Some(Arc::clone(&plan)), None, strategy, sim, 0)
+            compile(&m, Some(Arc::clone(&plan)), None, strategy, sim)
         }));
         let run = match run {
             Ok(out) => out,
@@ -137,7 +137,6 @@ fn degraded_runs_are_deterministic_on_the_simulator() {
             None,
             DkyStrategy::Skeptical,
             true,
-            0,
         )
     };
     let a = run(0);
@@ -166,7 +165,6 @@ fn a_dead_lexor_ends_its_stream_instead_of_hanging() {
                 None,
                 DkyStrategy::Skeptical,
                 sim,
-                0,
             );
             assert!(plan.any_fired(), "{site} [sim={sim}]: never fired");
             assert!(!out.errors.is_empty(), "{site} [sim={sim}]: no error");

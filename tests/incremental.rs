@@ -10,6 +10,7 @@ use ccm2_incr::{
     decode_entry, ArtifactStore, DiskStore, EntryDecoder, ImportGraph, IncrStats, MemStore,
     FORMAT_VERSION,
 };
+use ccm2_serve::SharedStore;
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
 use ccm2_support::hash::{Fp128, StableHasher};
@@ -156,17 +157,19 @@ fn suite_hit_rate_after_one_procedure_edit_is_at_least_95_percent() {
     );
 }
 
-#[test]
-fn corrupt_entries_degrade_to_misses_with_a_note() {
-    let m = Program::from(generate(&GenParams::small("Corrupt", 63))).analyzed();
-    let store = Arc::new(MemStore::new());
-    let cold = m.compile_into(store.clone(), Options::threads(2));
+/// Compiles `m` cold into `store`, has `damage` flip a payload byte of
+/// every entry it left and hand back the store the next compiles read,
+/// and checks that the damage costs splices, never the image.
+fn damaged_entries_degrade_to_misses(
+    m: &Program,
+    store: Arc<dyn ArtifactStore>,
+    damage: impl FnOnce() -> Arc<dyn ArtifactStore>,
+) {
+    let cold = m.compile_into(store, Options::threads(2));
     assert!(cold.is_ok());
     let cold_cmp = cold.comparable();
 
-    for fp in store.fingerprints() {
-        assert!(store.corrupt(fp, 12), "flip a payload byte");
-    }
+    let store = damage();
     let warm = m.compile_into(store.clone(), Options::threads(2));
     assert!(warm.is_ok(), "corruption must never break the compile");
     let stats = warm.incr.expect("incremental was active");
@@ -186,10 +189,37 @@ fn corrupt_entries_degrade_to_misses_with_a_note() {
 
     // The warm run re-recorded good entries over the damaged ones, so a
     // third run splices everything again.
-    let third = m.compile_into(store.clone(), Options::threads(2));
+    let third = m.compile_into(store, Options::threads(2));
     let stats3 = third.incr.expect("incremental was active");
     assert_eq!(stats3.spliced, stats3.units);
     assert_eq!(third.comparable(), cold_cmp);
+}
+
+#[test]
+fn corrupt_entries_degrade_to_misses_with_a_note() {
+    let m = Program::from(generate(&GenParams::small("Corrupt", 63))).analyzed();
+    let mem = Arc::new(MemStore::new());
+    damaged_entries_degrade_to_misses(&m, mem.clone(), || {
+        for fp in mem.fingerprints() {
+            assert!(mem.corrupt(fp, 12), "flip a payload byte");
+        }
+        mem.clone()
+    });
+
+    // A service's store, damaged on its way through an export: every
+    // entry's payload byte flipped, then imported into a fresh store,
+    // which quarantines what its compiles find damaged.
+    let shared = Arc::new(SharedStore::new(1 << 20));
+    let restored = Arc::new(SharedStore::new(1 << 20));
+    damaged_entries_degrade_to_misses(&m, shared.clone(), || {
+        let mut entries = shared.export();
+        for (_, bytes) in &mut entries {
+            bytes[12] ^= 0x55;
+        }
+        restored.import(&entries);
+        restored.clone()
+    });
+    assert!(restored.stats().quarantined > 0, "{:?}", restored.stats());
 }
 
 #[test]

@@ -29,7 +29,7 @@ fn os_thread_count() -> usize {
 fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     let m = fault_module("Px", 0xF0);
     // Warm-up so lazily spawned runtime threads don't skew the count.
-    let warm = compile(&m, None, None, DkyStrategy::Skeptical, false, 0);
+    let warm = compile(&m, None, None, DkyStrategy::Skeptical, false);
     assert!(warm.errors.is_empty());
     let before = os_thread_count();
 
@@ -42,7 +42,6 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
         None,
         DkyStrategy::Skeptical,
         false,
-        0,
     );
     assert!(!degraded.errors.is_empty());
     assert!(degraded.errors.iter().any(
@@ -65,7 +64,7 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     );
 
     // And the process is not poisoned: a clean compile still succeeds.
-    let clean = compile(&m, None, None, DkyStrategy::Skeptical, false, 0);
+    let clean = compile(&m, None, None, DkyStrategy::Skeptical, false);
     assert!(clean.errors.is_empty(), "{:?}", clean.errors);
     assert!(clean.image.is_some());
 }
