@@ -30,9 +30,10 @@
 //!   (`CCM2IFCE`), stored under an interface key
 //!   ([`ImportGraph::keys`]) so a warm compile splices its interfaces
 //!   instead of lexing, importing and parsing them.
-//! * [`store`] — the [`store::ArtifactStore`] trait with an in-memory
-//!   implementation for tests/simulation and a file-per-entry on-disk
-//!   implementation for real warm starts.
+//! * [`store`] — the [`store::ArtifactStore`] trait, the unbounded
+//!   in-memory [`MemStore`], and the byte-budgeted LRU index that
+//!   `ccm2-serve`'s `SharedStore` keeps. A store is persisted as one
+//!   whole-store image (`ccm2_serve::SnapshotStore`).
 //! * [`delta`] — the encoding of a batch of store insertions and
 //!   evictions (`CCM2DELT`), which the fabric ships to peers.
 
@@ -53,7 +54,7 @@ pub use fingerprint::{
     fingerprint_streams, import_names, Carve, Fingerprints, ImportGraph, InterfaceKey, StreamNode,
 };
 pub use iface::{decode_interface, encode_interface, IFACE_FORMAT};
-pub use store::{Admission, ArtifactStore, ByteBudgetLru, DiskStore, MemStore};
+pub use store::{Admission, ArtifactStore, ByteBudgetLru, MemStore};
 
 /// Counters describing what the incremental cache did during one
 /// concurrent compile (attached to `ConcurrentOutput`). The first five

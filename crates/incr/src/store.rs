@@ -6,15 +6,16 @@
 //! failed write loses a future hit, never correctness.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ccm2_support::hash::Fp128;
-use ccm2_support::imagedir;
 use parking_lot::Mutex;
 
-/// A persistent (or test-scoped) map from stream fingerprints to encoded
-/// cache entries.
+/// A map from stream fingerprints to encoded cache entries: what an
+/// incremental compile loads from and stores into. [`MemStore`] is the
+/// unbounded one; `ccm2_serve::SharedStore` is byte-budgeted, shared by
+/// a service's compiles, and persisted as one whole-store image
+/// (`ccm2_serve::SnapshotStore`).
 pub trait ArtifactStore: Send + Sync + std::fmt::Debug {
     /// Loads the entry stored under `fp`, if any.
     fn load(&self, fp: Fp128) -> Option<Vec<u8>>;
@@ -32,10 +33,10 @@ pub trait ArtifactStore: Send + Sync + std::fmt::Debug {
 /// A byte-budgeted least-recently-used index over fingerprinted entries.
 ///
 /// The index tracks *sizes and recency only* — payloads live with the
-/// caller (a `HashMap` in `ccm2-serve`'s `SharedStore`, files on disk in
-/// [`DiskStore`]). Admission is strict: the tracked total never exceeds
-/// the budget, not even transiently, because [`ByteBudgetLru::admit`]
-/// reports what must be evicted *before* the new entry is accounted.
+/// caller (a `HashMap` in `ccm2-serve`'s `SharedStore`). Admission is
+/// strict: the tracked total never exceeds the budget, not even
+/// transiently, because [`ByteBudgetLru::admit`] reports what must be
+/// evicted *before* the new entry is accounted.
 /// Recency ticks are a monotonic counter, so eviction order is
 /// deterministic for a deterministic access sequence.
 #[derive(Debug)]
@@ -175,12 +176,13 @@ pub struct Admission {
     pub evict: Vec<Fp128>,
 }
 
-/// An in-memory store for tests and simulation runs.
+/// An unbounded in-memory store: one locked map, no budget and no
+/// eviction. It keeps one process's artifacts for as long as it lives:
+/// the `warm_edit` benchmark's edit-and-recompile loop and
+/// `reproduce -- incr` run on it, as do the tests.
 #[derive(Debug, Default)]
 pub struct MemStore {
     map: Mutex<HashMap<Fp128, Vec<u8>>>,
-    loads: AtomicU64,
-    stores: AtomicU64,
     quarantined: AtomicU64,
 }
 
@@ -193,14 +195,6 @@ impl MemStore {
     /// Number of entries currently stored.
     pub fn entry_count(&self) -> usize {
         self.map.lock().len()
-    }
-
-    /// `(loads, stores)` performed so far (test observability).
-    pub fn op_counts(&self) -> (u64, u64) {
-        (
-            self.loads.load(Ordering::Relaxed),
-            self.stores.load(Ordering::Relaxed),
-        )
     }
 
     /// Corrupts the entry under `fp` by XOR-flipping one payload byte —
@@ -231,189 +225,16 @@ impl MemStore {
 
 impl ArtifactStore for MemStore {
     fn load(&self, fp: Fp128) -> Option<Vec<u8>> {
-        self.loads.fetch_add(1, Ordering::Relaxed);
         self.map.lock().get(&fp).cloned()
     }
 
     fn store(&self, fp: Fp128, bytes: &[u8]) {
-        self.stores.fetch_add(1, Ordering::Relaxed);
         self.map.lock().insert(fp, bytes.to_vec());
     }
 
     fn quarantine(&self, fp: Fp128) {
         if self.map.lock().remove(&fp).is_some() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A file-per-entry on-disk store: `<dir>/<fp hex>.bin`.
-///
-/// Entries are written and quarantined by [`imagedir`]'s rules: a write
-/// goes through a uniquely named temp file, synced, then renamed, so a
-/// crash mid-write leaves either the old entry or none — a torn write can
-/// only surface as a missing or checksum-failing entry, both of which
-/// degrade to a miss — and `quarantine/` keeps the newest
-/// [`imagedir::QUARANTINE_CAP`] entries that failed validation.
-///
-/// The store is size-bounded: entries beyond the byte budget are evicted
-/// least-recently-used (recency is tracked in memory per handle and
-/// seeded from file modification times on open, oldest first), so a
-/// long-lived service cannot fill the disk. [`DiskStore::new`] applies
-/// [`DiskStore::DEFAULT_BUDGET`]; use [`DiskStore::with_budget`] to pick
-/// the bound.
-#[derive(Debug)]
-pub struct DiskStore {
-    dir: PathBuf,
-    lru: Mutex<ByteBudgetLru>,
-    /// Entries moved to `quarantine/` after failing validation.
-    quarantined: AtomicU64,
-}
-
-impl DiskStore {
-    /// Default byte budget applied by [`DiskStore::new`]: 256 MiB, far
-    /// above any single build's working set but a hard ceiling for a
-    /// long-lived service's cache directory.
-    pub const DEFAULT_BUDGET: u64 = 256 * 1024 * 1024;
-
-    /// Opens (creating if needed) a store rooted at `dir`, bounded by
-    /// [`DiskStore::DEFAULT_BUDGET`].
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<DiskStore> {
-        DiskStore::with_budget(dir, DiskStore::DEFAULT_BUDGET)
-    }
-
-    /// Opens a store bounded by `budget` bytes. Existing entries are
-    /// indexed oldest-first (by modification time, then name, so the
-    /// seeding order is deterministic) and evicted immediately if they
-    /// already exceed the budget.
-    pub fn with_budget(dir: impl Into<PathBuf>, budget: u64) -> std::io::Result<DiskStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let store = DiskStore {
-            dir,
-            lru: Mutex::new(ByteBudgetLru::new(budget)),
-            quarantined: AtomicU64::new(0),
-        };
-        store.seed_lru();
-        Ok(store)
-    }
-
-    /// Entries moved to quarantine by this handle.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Number of files currently held in `quarantine/`.
-    pub fn quarantine_count(&self) -> usize {
-        imagedir::quarantined_count(&self.dir)
-    }
-
-    /// Indexes pre-existing entries into the LRU, oldest first, evicting
-    /// whatever no longer fits.
-    fn seed_lru(&self) {
-        let Ok(rd) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        let mut found: Vec<(std::time::SystemTime, String, Fp128, u64)> = rd
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                let fp = Fp128::from_hex(name.strip_suffix(".bin")?)?;
-                let meta = e.metadata().ok()?;
-                let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                Some((mtime, name, fp, meta.len()))
-            })
-            .collect();
-        found.sort();
-        let mut lru = self.lru.lock();
-        for (_, _, fp, len) in found {
-            self.admit(&mut lru, fp, len);
-        }
-    }
-
-    /// Accounts `len` bytes under `fp` and deletes the files the budget
-    /// evicts for it — `fp`'s own when it alone exceeds the budget.
-    /// Returns whether `fp` was admitted.
-    fn admit(&self, lru: &mut ByteBudgetLru, fp: Fp128, len: u64) -> bool {
-        let admission = lru.admit(fp, len);
-        for victim in admission.evict.iter().filter(|&&v| v != fp) {
-            let _ = std::fs::remove_file(self.entry_path(*victim));
-        }
-        if !admission.accepted {
-            let _ = std::fs::remove_file(self.entry_path(fp));
-        }
-        admission.accepted
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured byte budget.
-    pub fn budget(&self) -> u64 {
-        self.lru.lock().budget()
-    }
-
-    /// Bytes currently accounted to tracked entries.
-    pub fn bytes_in_use(&self) -> u64 {
-        self.lru.lock().total()
-    }
-
-    /// Evictions performed by this handle.
-    pub fn evictions(&self) -> u64 {
-        self.lru.lock().evictions()
-    }
-
-    fn entry_name(fp: Fp128) -> String {
-        format!("{}.bin", fp.to_hex())
-    }
-
-    fn entry_path(&self, fp: Fp128) -> PathBuf {
-        self.dir.join(DiskStore::entry_name(fp))
-    }
-
-    /// Number of `.bin` entries on disk (test/report observability).
-    pub fn entry_count(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|it| {
-                it.filter_map(|e| e.ok())
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "bin"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-}
-
-impl ArtifactStore for DiskStore {
-    fn load(&self, fp: Fp128) -> Option<Vec<u8>> {
-        let bytes = std::fs::read(self.entry_path(fp)).ok()?;
-        let mut lru = self.lru.lock();
-        if lru.contains(fp) {
-            lru.touch(fp);
-        } else {
-            // Another handle (or process) wrote it; adopt it so the
-            // budget keeps covering everything in the directory.
-            self.admit(&mut lru, fp, bytes.len() as u64);
-        }
-        Some(bytes)
-    }
-
-    fn store(&self, fp: Fp128, bytes: &[u8]) {
-        // Decide admission before touching the filesystem so the
-        // directory never transiently exceeds the budget.
-        if !self.admit(&mut self.lru.lock(), fp, bytes.len() as u64) {
-            return;
-        }
-        if imagedir::write_atomic(&self.dir, &DiskStore::entry_name(fp), bytes).is_err() {
-            self.lru.lock().remove(fp);
-        }
-    }
-
-    fn quarantine(&self, fp: Fp128) {
-        if imagedir::quarantine(&self.entry_path(fp)).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.lru.lock().remove(fp);
         }
     }
 }
@@ -436,8 +257,6 @@ mod tests {
         assert!(s.corrupt(fp(1), 0));
         assert_ne!(s.load(fp(1)).as_deref(), Some(&b"abc"[..]));
         assert!(!s.corrupt(fp(2), 0), "missing entry not corruptible");
-        let (loads, stores) = s.op_counts();
-        assert_eq!((loads, stores), (3, 1));
     }
 
     #[test]
@@ -488,133 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_evicts_lru_within_budget() {
-        let dir = std::env::temp_dir().join(format!(
-            "ccm2-incr-budget-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let payload = vec![0xAB; 100];
-        let s = DiskStore::with_budget(&dir, 250).expect("create");
-        s.store(fp(1), &payload);
-        s.store(fp(2), &payload);
-        assert_eq!(s.entry_count(), 2);
-        s.load(fp(1)); // 1 becomes MRU; 2 is the next victim
-        s.store(fp(3), &payload);
-        assert_eq!(s.entry_count(), 2, "one entry evicted");
-        assert!(s.load(fp(2)).is_none(), "victim was the LRU entry");
-        assert!(s.load(fp(1)).is_some() && s.load(fp(3)).is_some());
-        assert!(s.bytes_in_use() <= 250);
-        assert_eq!(s.evictions(), 1);
-        // Oversize entries are rejected, not stored.
-        s.store(fp(4), &vec![0u8; 300]);
-        assert!(s.load(fp(4)).is_none());
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn disk_store_reopen_seeds_index_and_enforces_budget() {
-        let dir = std::env::temp_dir().join(format!(
-            "ccm2-incr-reseed-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let s = DiskStore::new(&dir).expect("create");
-            for i in 0..6u64 {
-                s.store(fp(i), &[i as u8; 100]);
-            }
-            assert_eq!(s.entry_count(), 6);
-        }
-        // Reopening with a smaller budget trims the directory to fit.
-        let s = DiskStore::with_budget(&dir, 250).expect("reopen");
-        assert!(s.entry_count() <= 2, "seeded index evicted the overflow");
-        assert!(s.bytes_in_use() <= 250);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn disk_store_quarantines_bit_flipped_entry() {
-        let dir = std::env::temp_dir().join(format!(
-            "ccm2-incr-quarantine-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = DiskStore::new(&dir).expect("create");
-        s.store(fp(1), b"good bytes with a checksum");
-        // Bit-flip the on-disk entry (simulated disk corruption).
-        let path = s.entry_path(fp(1));
-        let mut bytes = std::fs::read(&path).expect("entry on disk");
-        bytes[3] ^= 0x55;
-        std::fs::write(&path, &bytes).expect("rewrite");
-        // A loader that notices the mismatch quarantines the entry:
-        // it moves aside, is no longer served, and is counted.
-        s.quarantine(fp(1));
-        assert_eq!(s.quarantined(), 1);
-        assert_eq!(s.quarantine_count(), 1);
-        assert!(s.load(fp(1)).is_none(), "quarantined entry never served");
-        assert!(
-            dir.join("quarantine")
-                .join(format!("{}.bin", fp(1).to_hex()))
-                .exists(),
-            "blob preserved for inspection"
-        );
-        // Quarantining a missing entry is a no-op.
-        s.quarantine(fp(2));
-        assert_eq!(s.quarantined(), 1);
-        // The quarantine buffer is bounded.
-        for i in 10..(12 + imagedir::QUARANTINE_CAP as u64) {
-            s.store(fp(i), b"x");
-            s.quarantine(fp(i));
-        }
-        assert!(s.quarantine_count() <= imagedir::QUARANTINE_CAP);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    // Two handles on one directory used to draw their temp names from
-    // per-handle counters, so both wrote `.{fp}.{pid}.0.tmp`: the first
-    // rename took the other's file, the second failed, and its handle
-    // dropped an entry that stayed on disk from its budget.
-    #[test]
-    fn two_handles_storing_one_entry_at_once_both_account_for_it() {
-        let dir = std::env::temp_dir().join(format!(
-            "ccm2-incr-twohandles-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
-        let payload = vec![0x5A; 4096];
-        for round in 0..300 {
-            let _ = std::fs::remove_dir_all(&dir);
-            let handles = [
-                DiskStore::new(&dir).expect("create"),
-                DiskStore::new(&dir).expect("open"),
-            ];
-            let barrier = std::sync::Barrier::new(handles.len());
-            std::thread::scope(|scope| {
-                for handle in &handles {
-                    let (barrier, payload) = (&barrier, &payload);
-                    scope.spawn(move || {
-                        barrier.wait();
-                        handle.store(fp(1), payload);
-                    });
-                }
-            });
-            assert_eq!(handles[0].entry_count(), 1, "round {round}");
-            for (i, handle) in handles.iter().enumerate() {
-                assert_eq!(
-                    handle.bytes_in_use(),
-                    payload.len() as u64,
-                    "round {round}: handle {i} lost an entry that is on disk"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
     fn mem_store_quarantine_removes_and_counts() {
         let s = MemStore::new();
         s.store(fp(1), b"abc");
@@ -623,23 +315,5 @@ mod tests {
         assert!(s.load(fp(1)).is_none());
         s.quarantine(fp(1));
         assert_eq!(s.quarantined(), 1, "missing entry not double-counted");
-    }
-
-    #[test]
-    fn disk_store_round_trip_and_hex_naming() {
-        let dir = std::env::temp_dir().join(format!("ccm2-incr-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = DiskStore::new(&dir).expect("create store dir");
-        assert_eq!(s.load(fp(7)), None);
-        s.store(fp(7), b"payload");
-        assert_eq!(s.load(fp(7)).as_deref(), Some(&b"payload"[..]));
-        assert_eq!(s.entry_count(), 1);
-        // Entries are addressable by fingerprint hex, so a second store
-        // handle (a later compiler run) sees them.
-        let again = DiskStore::new(&dir).expect("reopen");
-        assert_eq!(again.load(fp(7)).as_deref(), Some(&b"payload"[..]));
-        s.store(fp(7), b"replaced");
-        assert_eq!(again.load(fp(7)).as_deref(), Some(&b"replaced"[..]));
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

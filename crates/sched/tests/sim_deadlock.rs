@@ -9,16 +9,29 @@ use std::time::Duration;
 use ccm2_sched::{run_sim, EventClass, ExecEnv, SimConfig, TaskDesc, TaskKind};
 use ccm2_support::work::Work;
 
-/// Threads of this process named as the simulator names a task's.
+/// Threads of this process named as the simulator names a task's. A
+/// listing of `/proc/self/task` ends early when the thread it has
+/// reached exits meanwhile, so the count is taken again until two
+/// listings agree.
 fn sim_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("linux procfs")
-        .filter(|task| {
-            let comm = task.as_ref().expect("task entry").path().join("comm");
-            // A thread may exit between the listing and the read.
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with("sim-"))
-        })
-        .count()
+    let listed = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("linux procfs")
+            .filter(|task| {
+                let comm = task.as_ref().expect("task entry").path().join("comm");
+                // A thread may exit between the listing and the read.
+                std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with("sim-"))
+            })
+            .count()
+    };
+    let mut count = listed();
+    loop {
+        let again = listed();
+        if again == count {
+            return count;
+        }
+        count = again;
+    }
 }
 
 #[test]

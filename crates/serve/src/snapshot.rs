@@ -50,6 +50,55 @@ pub struct SnapshotImage {
 }
 
 /// A directory of store snapshot images plus their quarantine.
+///
+/// This is how a store outlives its process: one process saves the
+/// whole store, the next imports the newest image into a fresh one, and
+/// its compile is warm.
+///
+/// ```
+/// use std::sync::Arc;
+/// use ccm2::{compile_concurrent, ConcurrentOutput, Options};
+/// use ccm2_incr::comparable_output;
+/// use ccm2_serve::{SharedStore, SnapshotStore};
+/// use ccm2_support::defs::DefLibrary;
+/// use ccm2_support::Interner;
+///
+/// let mut defs = DefLibrary::new();
+/// defs.insert("Lib", "DEFINITION MODULE Lib; CONST Times = 2; END Lib.");
+/// let defs = Arc::new(defs);
+/// let source = "MODULE Hello; FROM Lib IMPORT Times; VAR i: INTEGER; \
+///               PROCEDURE Greet; BEGIN WriteString('hello') END Greet; \
+///               BEGIN FOR i := 1 TO Times DO Greet END; WriteLn END Hello.";
+/// let compile = |store: Arc<SharedStore>| {
+///     let options = Options {
+///         incremental: Some(store),
+///         ..Options::threads(2)
+///     };
+///     compile_concurrent(source, defs.clone(), Arc::new(Interner::new()), options)
+/// };
+/// let output = |out: &ConcurrentOutput| {
+///     comparable_output(out.image.as_ref(), &out.diagnostics, &out.sources, &out.interner)
+/// };
+/// let dir = std::env::temp_dir().join(format!("ccm2-snapshot-doc-{}", std::process::id()));
+///
+/// // One process compiles cold into its store and saves the store.
+/// let store = Arc::new(SharedStore::new(1 << 20));
+/// let cold = compile(Arc::clone(&store));
+/// assert!(cold.is_ok(), "{:?}", cold.diagnostics);
+/// SnapshotStore::new(&dir)?.save(&store)?;
+///
+/// // The next process imports the newest image into a fresh store.
+/// let loaded = SnapshotStore::new(&dir)?.load_latest()?;
+/// let restored = Arc::new(SharedStore::new(1 << 20));
+/// restored.import(&loaded.image.expect("the saved image").entries);
+/// let warm = compile(restored);
+/// let incr = warm.incr.expect("an incremental compile");
+/// assert_eq!(incr.spliced, incr.units, "every unit spliced");
+/// assert_eq!(incr.interfaces_spliced, incr.interfaces);
+/// assert_eq!(output(&warm), output(&cold));
+/// # std::fs::remove_dir_all(&dir)?;
+/// # Ok::<(), std::io::Error>(())
+/// ```
 #[derive(Debug)]
 pub struct SnapshotStore {
     images: ImageDir,

@@ -7,7 +7,7 @@
 //! content-addressed and the cached object code is
 //! strategy/executor-independent, see the equivalence tests).
 //!
-//! Unlike [`MemStore`](ccm2_incr::MemStore) (unbounded, test-scoped),
+//! Unlike [`MemStore`](ccm2_incr::MemStore) (unbounded, one process's),
 //! `SharedStore` is built for a long-lived multi-tenant process: it
 //! enforces a byte budget with strict LRU admission (the tracked total
 //! never exceeds the budget, not even transiently) and counts hits,

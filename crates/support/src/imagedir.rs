@@ -6,10 +6,10 @@
 //! ring membership) that supersedes every older one. The rules, the
 //! same for every caller:
 //!
-//! * **write** — [`write_atomic`]: the bytes go to a hidden temp file
-//!   in the same directory, are synced to the disk, and the file is
-//!   then renamed into place, so a reader sees the previous image set
-//!   or the complete new image, never a half-written one. Temp names
+//! * **write** — the bytes go to a hidden temp file in the same
+//!   directory, are synced to the disk, and the file is then renamed
+//!   into place, so a reader sees the previous image set or the
+//!   complete new image, never a half-written one. Temp names
 //!   carry the process id and a process-wide counter, so concurrent
 //!   writers — through one handle or several — never share one.
 //! * **retain** — after a save, the new image and the one before it
@@ -21,9 +21,9 @@
 //!   newest [`QUARANTINE_CAP`] files: a forensic buffer, not an archive.
 //!
 //! What the bytes mean is the caller's business: `ImageDir` never looks
-//! inside an image, it only asks the decoder whether it is valid. The
-//! artifact store (`ccm2_incr::DiskStore`) writes and quarantines its
-//! one-file-per-entry directory through the same two functions.
+//! inside an image, it only asks the decoder whether it is valid. An
+//! artifact store is persisted as one of these images, of the whole
+//! store (`ccm2_serve::SnapshotStore`).
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -33,13 +33,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Distinguishes temp files written by one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// How many files a `quarantine/` directory keeps; [`quarantine`] drops
+/// How many files a `quarantine/` directory keeps; quarantining drops
 /// the oldest beyond it.
 pub const QUARANTINE_CAP: usize = 16;
 
 /// Writes `bytes` to `dir/name` through a uniquely named hidden temp
 /// file, synced to the disk before the rename.
-pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
     let path = dir.join(name);
@@ -59,7 +59,7 @@ pub fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf>
 /// Moves `path` into the `quarantine/` directory beside it and returns
 /// where it went, then drops the oldest other files there (by
 /// modification time) until at most [`QUARANTINE_CAP`] remain.
-pub fn quarantine(path: &Path) -> io::Result<PathBuf> {
+fn quarantine(path: &Path) -> io::Result<PathBuf> {
     let invalid = || io::Error::new(io::ErrorKind::InvalidInput, "not a file in a directory");
     let qdir = path.parent().ok_or_else(invalid)?.join("quarantine");
     fs::create_dir_all(&qdir)?;
@@ -85,7 +85,7 @@ pub fn quarantine(path: &Path) -> io::Result<PathBuf> {
 }
 
 /// Number of files in `dir/quarantine/`.
-pub fn quarantined_count(dir: &Path) -> usize {
+fn quarantined_count(dir: &Path) -> usize {
     fs::read_dir(dir.join("quarantine"))
         .map(|rd| rd.count())
         .unwrap_or(0)

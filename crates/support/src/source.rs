@@ -133,15 +133,6 @@ impl SourceFile {
         &self.text
     }
 
-    /// The text covered by `span`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the span is out of bounds or splits a UTF-8 character.
-    pub fn snippet(&self, span: Span) -> &str {
-        &self.text[span.lo as usize..span.hi as usize]
-    }
-
     /// Converts a byte offset to a one-based line/column pair.
     pub fn line_col(&self, offset: u32) -> LineCol {
         let line = match self.line_starts.binary_search(&offset) {
@@ -151,22 +142,6 @@ impl SourceFile {
         LineCol {
             line: line as u32 + 1,
             col: offset - self.line_starts[line] + 1,
-        }
-    }
-
-    /// Number of lines in the file (a trailing newline does not start a new
-    /// counted line unless text follows it).
-    pub fn line_count(&self) -> usize {
-        if self
-            .text
-            .as_bytes()
-            .last()
-            .map(|&b| b == b'\n')
-            .unwrap_or(false)
-        {
-            self.line_starts.len() - 1
-        } else {
-            self.line_starts.len()
         }
     }
 }
@@ -255,14 +230,6 @@ mod tests {
         assert_eq!(f.line_col(10), LineCol { line: 2, col: 1 });
         assert_eq!(f.line_col(12), LineCol { line: 2, col: 3 });
         assert_eq!(f.line_col(16), LineCol { line: 3, col: 1 });
-        assert_eq!(f.line_count(), 3);
-    }
-
-    #[test]
-    fn snippet_extracts_text() {
-        let map = SourceMap::new();
-        let f = map.add("m.mod", "MODULE M;");
-        assert_eq!(f.snippet(Span::new(0, 6)), "MODULE");
     }
 
     #[test]
@@ -280,7 +247,6 @@ mod tests {
     fn empty_file_has_one_line() {
         let map = SourceMap::new();
         let f = map.add("empty.mod", "");
-        assert_eq!(f.line_count(), 1);
         assert_eq!(f.line_col(0), LineCol { line: 1, col: 1 });
     }
 }

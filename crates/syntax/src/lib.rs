@@ -41,7 +41,6 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 pub mod token;
 
 pub use lexer::{lex_file, Lexer, Names};

@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use ccm2::{ConcurrentOutput, Options};
 use ccm2_incr::{
-    decode_entry, ArtifactStore, DiskStore, EntryDecoder, ImportGraph, IncrStats, MemStore,
-    FORMAT_VERSION,
+    decode_entry, ArtifactStore, EntryDecoder, ImportGraph, IncrStats, MemStore, FORMAT_VERSION,
 };
 use ccm2_serve::SharedStore;
 use ccm2_support::defs::DefProvider;
@@ -220,26 +219,6 @@ fn corrupt_entries_degrade_to_misses_with_a_note() {
         restored.clone()
     });
     assert!(restored.stats().quarantined > 0, "{:?}", restored.stats());
-}
-
-#[test]
-fn disk_store_survives_a_process_restart() {
-    let dir = std::env::temp_dir().join(format!("ccm2-incr-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let m = Program::from(generate(&GenParams::small("DiskWarm", 74)));
-
-    let cold_store = Arc::new(DiskStore::new(&dir).expect("create"));
-    let cold = m.compile_into(cold_store, Options::threads(2));
-    assert!(cold.is_ok());
-
-    // A fresh handle on the same directory models a new compiler process.
-    let warm_store = Arc::new(DiskStore::new(&dir).expect("reopen"));
-    let warm = m.compile_into(warm_store, Options::threads(2));
-    assert!(warm.is_ok());
-    let stats = warm.incr.expect("incremental was active");
-    assert_eq!(stats.spliced, stats.units, "on-disk entries survive");
-    assert_eq!(cold.comparable(), warm.comparable());
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]

@@ -243,45 +243,6 @@ proptest! {
     }
 
     #[test]
-    fn pretty_print_roundtrips_generated_modules(
-        seed in 0u64..2000,
-        procedures in 1usize..10,
-        stmts in 4usize..16,
-    ) {
-        use ccm2_syntax::lexer::lex_file;
-        use ccm2_syntax::parser::parse_implementation;
-        use ccm2_syntax::pretty::print_implementation;
-
-        let m = generate(&GenParams {
-            name: "Pp".into(),
-            seed,
-            procedures,
-            interfaces: 2,
-            import_depth: 1,
-            stmts_per_proc: stmts,
-            nested_ratio: 0.2,
-            lint_seeds: false,
-        fault_seeds: false,
-        lock_seeds: false,
-        });
-        let interner = Interner::new();
-        let map = ccm2_support::SourceMap::new();
-        let sink = DiagnosticSink::new();
-        let f1 = map.add("a.mod", m.source.clone());
-        let t1 = lex_file(&f1, &interner, &sink);
-        let m1 = parse_implementation(&t1, &interner, &sink).expect("parse 1");
-        prop_assert!(!sink.has_errors(), "{:?}", sink.snapshot());
-        let printed = print_implementation(&m1, &interner);
-        let f2 = map.add("b.mod", printed.clone());
-        let t2 = lex_file(&f2, &interner, &sink);
-        let m2 = parse_implementation(&t2, &interner, &sink).expect("parse 2");
-        prop_assert!(!sink.has_errors(), "printed:\n{printed}\n{:?}", sink.snapshot());
-        // Fixed point: printing the reparse gives the same text.
-        let printed2 = print_implementation(&m2, &interner);
-        prop_assert_eq!(printed, printed2);
-    }
-
-    #[test]
     fn suite_params_always_generate_compilable_modules(ix in 0usize..37) {
         // Every point of the Table 1 parameter surface must be valid.
         let m = generate(&ccm2_workload::suite_params(ix));

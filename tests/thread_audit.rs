@@ -14,11 +14,24 @@ use ccm2_bench::kit::{compile, fault_module};
 use ccm2_faults::{FaultKind, FaultPlan};
 use ccm2_sema::symtab::DkyStrategy;
 
+/// Threads of this process. A listing of `/proc/self/task` ends early
+/// when the thread it has reached exits meanwhile, so the count is taken
+/// again until two listings agree.
 #[cfg(target_os = "linux")]
 fn os_thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .count()
+    let listed = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs")
+            .count()
+    };
+    let mut count = listed();
+    loop {
+        let again = listed();
+        if again == count {
+            return count;
+        }
+        count = again;
+    }
 }
 
 /// A degraded threaded run must join every worker it spawned: no leaked
