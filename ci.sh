@@ -40,6 +40,18 @@ if grep -rnE "$fence" crates/serve/src crates/incr/src crates/watch/src crates/f
   exit 1
 fi
 
+echo "== one artifact store =="
+# ccm2_incr::MemStore is the product's store, budgeted or not; the
+# ArtifactStore trait stays as the seam a test or a benchmark wraps it
+# through. A second implementation under crates/*/src fails here: what
+# it adds belongs in MemStore.
+impls=$(grep -rn 'impl ArtifactStore for' crates/*/src || true)
+if [ "$(printf '%s' "$impls" | grep -c .)" -gt 1 ]; then
+  printf '%s\n' "$impls" >&2
+  echo "more than one ArtifactStore implementation under crates/*/src (lines above)" >&2
+  exit 1
+fi
+
 echo "== differential tests compare through one harness =="
 # The contract (sequential ≡ concurrent × strategies × executors ≡ warm ≡
 # service ≡ fabric) is checked against one oracle, in one encoding, by
@@ -54,6 +66,10 @@ fi
 
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (workspace, -D warnings) =="
+# A broken or ambiguous intra-doc link is a warning, and so a failure.
+RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps --workspace
 
 echo "== cargo test (workspace) =="
 # The root package is a workspace member, so this one step runs every

@@ -227,7 +227,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Size bound for [`vec`].
+    /// Size bound for [`vec()`].
     pub struct SizeRange {
         lo: usize,
         hi: usize,

@@ -339,7 +339,7 @@ pub fn fault_sites() -> String {
                 executor,
                 analyze: true,
                 faults: Some(plan),
-                incremental: Some(Arc::new(ccm2_serve::SharedStore::new(1 << 20))),
+                incremental: Some(Arc::new(ccm2_incr::MemStore::with_budget(1 << 20))),
                 ..Options::default()
             },
         )

@@ -1,7 +1,7 @@
 //! Durable replica logs (`CCM2RLOG`) and ring membership (`CCM2MBRS`):
 //! the router-crash half of the fabric's recovery plane.
 //!
-//! A shard's per-origin [`ReplicaLog`](crate::ReplicaLog)s are pure
+//! A shard's per-origin [`ReplicaLog`]s are pure
 //! potential energy: they only matter at failover, which is exactly
 //! when the process holding them may itself have just restarted. This
 //! module persists the full replica map, so a shard (or the whole

@@ -569,7 +569,7 @@ impl FabricRouter {
     ///    of resurrecting a shard the live leader evicted.
     /// 2. **Head-ship** — a full store image is pulled from *every*
     ///    ring member that answers [`Message::FetchImage`] and pushed
-    ///    to the joiner (`SharedStore::import` merges, preserving LRU
+    ///    to the joiner (`MemStore::import` merges, preserving LRU
     ///    order). The ring hands the joiner keys from all members, so
     ///    a single member's image would leave most of them cold.
     /// 3. **Catch-up** — the shipper is asked to pull every ring member

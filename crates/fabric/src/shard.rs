@@ -12,7 +12,7 @@
 //! the ops in a per-origin [`ReplicaLog`]; the log is pure potential
 //! energy until the origin dies, at which point [`Message::Absorb`]
 //! replays it into the survivor's own store
-//! ([`SharedStore::apply_delta`](ccm2_serve::SharedStore)) so re-routed
+//! ([`MemStore::apply_delta`](ccm2_incr::MemStore::apply_delta)) so re-routed
 //! requests warm-hit instead of recompiling.
 //!
 //! Replication is warmth, not truth: the store is content-addressed, so

@@ -8,14 +8,16 @@
 //! bounded worker pool fronting one shared, size-bounded artifact
 //! store.
 //!
+//! The store is `ccm2-incr`'s one artifact store, a
+//! [`MemStore`](ccm2_incr::MemStore) made with a byte budget
+//! ([`ServeConfig::store_budget`]): strict LRU admission (occupancy
+//! never exceeds the budget, not even transiently) and the counters
+//! [`StoreStats`] reports. Because the cache is content-addressed and
+//! the compiler's output is strategy- and executor-independent, one
+//! store safely serves every request mix.
+//!
 //! The pieces, bottom-up:
 //!
-//! * [`SharedStore`] — an [`ccm2_incr::ArtifactStore`] with a byte
-//!   budget, strict LRU admission (occupancy never exceeds the budget,
-//!   not even transiently) and hit/miss/insertion/eviction counters.
-//!   Because the cache is content-addressed and the compiler's output
-//!   is strategy- and executor-independent, one store safely serves
-//!   every request mix.
 //! * [`CompileRequest`] / [`CompileOutcome`] / [`Response`] — a
 //!   self-contained request (source + interfaces + DKY strategy +
 //!   executor + analysis flag), its fingerprint (the single-flight
@@ -65,11 +67,10 @@
 pub mod request;
 pub mod service;
 pub mod snapshot;
-pub mod store;
 
+pub use ccm2_incr::StoreStats;
 pub use request::{CompileOutcome, CompileRequest, ExecChoice, Response};
 pub use service::{CompileService, ServeConfig, ServiceStats, Submission, Ticket};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, SnapshotImage, SnapshotStore, SNAPSHOT_FORMAT,
 };
-pub use store::{SharedStore, StoreStats};

@@ -14,7 +14,7 @@
 //! in their *reports* (virtual cost, task counts), so folding them
 //! together would hand a client a report for a configuration it did not
 //! ask for. Sharing still happens where it is safe — at the artifact
-//! level, in [`SharedStore`](crate::SharedStore), whose content
+//! level, in the service's [`MemStore`](ccm2_incr::MemStore), whose content
 //! addresses ignore strategy and executor entirely.
 //!
 //! A request is its inputs and nothing else. Fault injection and the

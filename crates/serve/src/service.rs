@@ -35,10 +35,10 @@
 //!
 //! # What stays landed
 //!
-//! Landed answers are a second pool beside the [`SharedStore`], bounded
-//! by the same number ([`ServeConfig::store_budget`]) and accounted by
-//! the same strict-admission index ([`ccm2_incr::ByteBudgetLru`]): an
-//! answer costs its object bytes, its diagnostics and the struct; the
+//! Landed answers are a second pool beside the artifact store (a
+//! [`MemStore`] made with [`ServeConfig::store_budget`]), bounded by the
+//! same number and accounted by the same strict-admission index
+//! ([`ccm2_incr::ByteBudgetLru`]): an answer costs its object bytes, its diagnostics and the struct; the
 //! least recently *answered* goes first; an answer larger than the
 //! whole budget is never kept. A panicked compile is never kept either:
 //! it describes one run, not the request. Compile *errors* are
@@ -64,13 +64,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ccm2::compile_concurrent;
-use ccm2_incr::{comparable_output, ArtifactStore, ByteBudgetLru};
+use ccm2_incr::{comparable_output, ArtifactStore, ByteBudgetLru, MemStore};
 use ccm2_support::hash::Fp128;
 use ccm2_support::Interner;
 use parking_lot::{Condvar, Mutex};
 
 use crate::request::{CompileOutcome, CompileRequest, Response};
-use crate::store::SharedStore;
 
 /// Service configuration.
 #[derive(Clone, Copy, Debug)]
@@ -82,9 +81,9 @@ pub struct ServeConfig {
     /// a flight, in the air or landed, never consumes a slot.
     pub queue_capacity: usize,
     /// Byte budget. It bounds each of the service's two caches on its
-    /// own: the shared artifact store ([`SharedStore`], compiled units)
-    /// and the landed flights (whole answers, see the module docs) may
-    /// hold this many bytes apiece.
+    /// own: the shared artifact store (compiled units, in a
+    /// [`MemStore::with_budget`] of it) and the landed flights (whole
+    /// answers, see the module docs) may hold this many bytes apiece.
     pub store_budget: u64,
     /// Start with the workers paused (deterministic tests).
     pub paused: bool,
@@ -257,7 +256,7 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     work: Condvar,
-    store: Arc<SharedStore>,
+    store: Arc<MemStore>,
     queue_capacity: usize,
     config: ServeConfig,
 }
@@ -273,12 +272,15 @@ pub struct CompileService {
 impl CompileService {
     /// Starts the worker pool.
     pub fn start(config: ServeConfig) -> CompileService {
-        CompileService::start_with_store(config, Arc::new(SharedStore::new(config.store_budget)))
+        CompileService::start_with_store(
+            config,
+            Arc::new(MemStore::with_budget(config.store_budget)),
+        )
     }
 
     /// Starts the worker pool against a caller-supplied store — the one
     /// [`CompileService::restore`] rebuilt from a snapshot.
-    pub fn start_with_store(config: ServeConfig, store: Arc<SharedStore>) -> CompileService {
+    pub fn start_with_store(config: ServeConfig, store: Arc<MemStore>) -> CompileService {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -308,7 +310,7 @@ impl CompileService {
     }
 
     /// The shared artifact store (for stats or pre-warming).
-    pub fn store(&self) -> &Arc<SharedStore> {
+    pub fn store(&self) -> &Arc<MemStore> {
         &self.shared.store
     }
 
@@ -778,7 +780,7 @@ mod tests {
             Arc::new(Interner::new()),
             ccm2::Options {
                 incremental: None,
-                ..r.options(Arc::new(ccm2_incr::MemStore::new()))
+                ..r.options(Arc::new(MemStore::new()))
             },
         );
         comparable_output(

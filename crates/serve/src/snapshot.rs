@@ -1,4 +1,4 @@
-//! Crash-safe [`SharedStore`] snapshots (`CCM2SNAP`): the
+//! Crash-safe [`MemStore`] snapshots (`CCM2SNAP`): the
 //! service-restart half of the self-healing recovery plane.
 //!
 //! A snapshot is one image of the whole shared artifact store, sealed
@@ -16,22 +16,21 @@
 //! ```
 //!
 //! A restored store continues its delta sequence from the recorded
-//! number ([`SharedStore::resume_delta_seq`]), so a shard wrapped around
+//! number ([`MemStore::resume_delta_seq`]), so a shard wrapped around
 //! it numbers its first new mutation after the ones the image holds.
 //!
 //! Entries are stored **in LRU recency order, least recently used
-//! first** ([`SharedStore::export`]), so replaying them in file order
+//! first** ([`MemStore::export`]), so replaying them in file order
 //! on restore rebuilds the same eviction order — LRU behavior survives
 //! the restart.
 
 use std::io;
 use std::path::PathBuf;
 
+use ccm2_incr::MemStore;
 use ccm2_support::envelope::Format;
 use ccm2_support::hash::Fp128;
 use ccm2_support::imagedir::{ImageDir, Loaded};
-
-use crate::store::SharedStore;
 
 /// The snapshot-image envelope.
 pub const SNAPSHOT_FORMAT: Format = Format {
@@ -58,8 +57,8 @@ pub struct SnapshotImage {
 /// ```
 /// use std::sync::Arc;
 /// use ccm2::{compile_concurrent, ConcurrentOutput, Options};
-/// use ccm2_incr::comparable_output;
-/// use ccm2_serve::{SharedStore, SnapshotStore};
+/// use ccm2_incr::{comparable_output, MemStore};
+/// use ccm2_serve::SnapshotStore;
 /// use ccm2_support::defs::DefLibrary;
 /// use ccm2_support::Interner;
 ///
@@ -69,7 +68,7 @@ pub struct SnapshotImage {
 /// let source = "MODULE Hello; FROM Lib IMPORT Times; VAR i: INTEGER; \
 ///               PROCEDURE Greet; BEGIN WriteString('hello') END Greet; \
 ///               BEGIN FOR i := 1 TO Times DO Greet END; WriteLn END Hello.";
-/// let compile = |store: Arc<SharedStore>| {
+/// let compile = |store: Arc<MemStore>| {
 ///     let options = Options {
 ///         incremental: Some(store),
 ///         ..Options::threads(2)
@@ -82,14 +81,14 @@ pub struct SnapshotImage {
 /// let dir = std::env::temp_dir().join(format!("ccm2-snapshot-doc-{}", std::process::id()));
 ///
 /// // One process compiles cold into its store and saves the store.
-/// let store = Arc::new(SharedStore::new(1 << 20));
+/// let store = Arc::new(MemStore::new());
 /// let cold = compile(Arc::clone(&store));
 /// assert!(cold.is_ok(), "{:?}", cold.diagnostics);
 /// SnapshotStore::new(&dir)?.save(&store)?;
 ///
 /// // The next process imports the newest image into a fresh store.
 /// let loaded = SnapshotStore::new(&dir)?.load_latest()?;
-/// let restored = Arc::new(SharedStore::new(1 << 20));
+/// let restored = Arc::new(MemStore::new());
 /// restored.import(&loaded.image.expect("the saved image").entries);
 /// let warm = compile(restored);
 /// let incr = warm.incr.expect("an incremental compile");
@@ -113,7 +112,7 @@ impl SnapshotStore {
     }
 
     /// Writes a new image of `store` and returns its path.
-    pub fn save(&self, store: &SharedStore) -> io::Result<PathBuf> {
+    pub fn save(&self, store: &MemStore) -> io::Result<PathBuf> {
         self.images
             .save(&encode_snapshot(store.delta_seq(), &store.export()))
     }
@@ -169,7 +168,7 @@ impl crate::service::CompileService {
         config: crate::service::ServeConfig,
         snaps: &SnapshotStore,
     ) -> io::Result<crate::service::CompileService> {
-        let store = SharedStore::new(config.store_budget);
+        let store = MemStore::with_budget(config.store_budget);
         if let Some(image) = snaps.load_latest()?.image {
             store.import(&image.entries);
             store.resume_delta_seq(image.delta_seq);
@@ -198,7 +197,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let snaps = SnapshotStore::new(&dir).unwrap();
         assert!(snaps.load_latest().unwrap().image.is_none(), "cold start");
-        let store = SharedStore::new(1024);
+        let store = MemStore::with_budget(1024);
         store.store(fp(1), b"one");
         store.store(fp(2), b"two");
         store.load(fp(1)); // recency order now 2, 1

@@ -31,7 +31,7 @@
 //!
 //! Every run of bytes — white space, an identifier, the digits of a
 //! number, the inside of a comment — is measured through one 256-entry
-//! byte-class table ([`CLASS`]), not through per-byte predicates. Every
+//! byte-class table (`CLASS`), not through per-byte predicates. Every
 //! word is looked up first in a table the scanner owns (a [`SpanTable`]):
 //! open addressing, keyed by a one-multiply hash of the word's bytes and
 //! by the span of its first occurrence in the text, so the table holds

@@ -9,17 +9,16 @@
 //! Edits accumulate between checks (the in-process debounce window) and
 //! are coalesced **newest-wins per target** — two edits to the same
 //! procedure body collapse to the latest, exactly as a real editor's
-//! buffer state supersedes its history. Each [`Session::check`] applies
+//! buffer state supersedes its history. Each [`WatchService::check`] applies
 //! the survivors, re-runs the concurrent driver against the warm store,
 //! and returns a [`CheckReport`]: the diagnostics *delta*, which units
 //! changed or degraded, warm/cold stream counts, and wall time.
 //!
-//! Two pieces are deliberately reused from `ccm2-serve` rather than
-//! reinvented:
+//! Two pieces are deliberately reused rather than reinvented:
 //!
-//! * **admission** — the artifact store is serve's [`SharedStore`], the
-//!   byte-budgeted LRU with single-flight admission, so a fleet of
-//!   sessions shares one bounded cache exactly like a fleet of compile
+//! * **admission** — the artifact store is the service's: one
+//!   [`MemStore`] with a byte budget and strict LRU admission, so a fleet
+//!   of sessions shares one bounded cache exactly like a fleet of compile
 //!   requests does;
 //! * **dedup** — a revision's no-op key is serve's
 //!   [`CompileRequest::fingerprint`], the same single-flight digest the
@@ -29,7 +28,7 @@
 //!
 //! Unlike serve (which returns interner-independent object *bytes*),
 //! sessions call [`compile_concurrent`] directly and keep the
-//! [`ModuleImage`]: per-unit identity is what makes the editor-loop
+//! [`ModuleImage`](ccm2_codegen::merge::ModuleImage): per-unit identity is what makes the editor-loop
 //! guarantees checkable — a broken revision must degrade *only* the
 //! edited procedure's unit (to the deterministic error unit the
 //! recovering parser produces) while every sibling stays byte-identical
@@ -42,8 +41,8 @@ use std::time::{Duration, Instant};
 use ccm2::{compile_concurrent, Options};
 use ccm2_codegen::emit::is_error_unit;
 use ccm2_codegen::ir::CodeUnit;
-use ccm2_incr::{comparable_output, ArtifactStore};
-use ccm2_serve::{CompileRequest, SharedStore, StoreStats};
+use ccm2_incr::{comparable_output, ArtifactStore, MemStore, StoreStats};
+use ccm2_serve::CompileRequest;
 use ccm2_support::hash::Fp128;
 use ccm2_support::intern::Interner;
 use ccm2_workload::{apply_edits, EditOp, GeneratedModule};
@@ -84,8 +83,8 @@ const INBOX_CAPACITY: usize = 256;
 /// Service-wide configuration.
 #[derive(Clone, Debug)]
 pub struct WatchConfig {
-    /// Byte budget of the shared artifact store (serve's LRU admission
-    /// discipline; all sessions of one service share it).
+    /// Byte budget of the shared artifact store (a [`MemStore`] with
+    /// strict LRU admission; all sessions of one service share it).
     pub store_budget: u64,
     /// Driver options template for every check. The `incremental` field
     /// is ignored — each check runs against the service's shared store.
@@ -156,7 +155,7 @@ pub struct Session {
     // keystroke would dominate small-project checks.
     defs: Arc<ccm2_support::defs::DefLibrary>,
     interner: Arc<Interner>,
-    store: Arc<SharedStore>,
+    store: Arc<MemStore>,
     options: Options,
     inbox: Vec<EditOp>,
     rejected_edits: u64,
@@ -174,7 +173,7 @@ impl Session {
     fn new(
         project: String,
         module: GeneratedModule,
-        store: Arc<SharedStore>,
+        store: Arc<MemStore>,
         options: Options,
     ) -> Session {
         let defs = Arc::new(module.defs.clone());
@@ -363,7 +362,7 @@ impl Session {
 /// sharing one byte-budgeted artifact store.
 pub struct WatchService {
     config: WatchConfig,
-    store: Arc<SharedStore>,
+    store: Arc<MemStore>,
     sessions: HashMap<String, Session>,
 }
 
@@ -376,7 +375,7 @@ impl Default for WatchService {
 impl WatchService {
     /// Creates a service with its own shared store.
     pub fn new(config: WatchConfig) -> WatchService {
-        let store = Arc::new(SharedStore::new(config.store_budget));
+        let store = Arc::new(MemStore::with_budget(config.store_budget));
         WatchService {
             config,
             store,

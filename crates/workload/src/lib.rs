@@ -12,7 +12,7 @@
 //!   §4.2 (Figure 2);
 //! * [`edit`] — mechanical edit scenarios (k procedure bodies, one
 //!   interface) for evaluating the incremental compilation cache;
-//! * [`serve_load`] — a seeded many-client event stream (projects,
+//! * [`serve_load`](mod@serve_load) — a seeded many-client event stream (projects,
 //!   revisions, edits) for driving the `ccm2-serve` compile service;
 //! * [`session`] — seeded editor-session edit streams (benign, breaking
 //!   and fixing edits) for driving `ccm2-watch`.

@@ -59,3 +59,9 @@ pub mod prelude {
     pub use ccm2_vm::Vm;
     pub use ccm2_workload::{generate, GenParams};
 }
+
+/// README.md's Rust blocks, run by `cargo test --doc` so the front page
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -349,9 +349,7 @@ impl Fills {
     fn copy(&self, name: &str) -> Arc<MemStore> {
         let filled = &self.0[name];
         let copy = Arc::new(MemStore::new());
-        for fp in filled.fingerprints() {
-            copy.store(fp, &filled.load(fp).expect("listed"));
-        }
+        copy.import(&filled.export());
         copy
     }
 }

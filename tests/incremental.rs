@@ -9,7 +9,6 @@ use ccm2::{ConcurrentOutput, Options};
 use ccm2_incr::{
     decode_entry, ArtifactStore, EntryDecoder, ImportGraph, IncrStats, MemStore, FORMAT_VERSION,
 };
-use ccm2_serve::SharedStore;
 use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::Severity;
 use ccm2_support::hash::{Fp128, StableHasher};
@@ -32,7 +31,7 @@ fn warm_identical_compile_splices_every_unit() {
     let cold_stats = cold.incr.expect("incremental was active");
     assert_eq!(cold_stats.units, cold.procedures + 1, "procs + module body");
     assert_eq!(cold_stats.spliced, 0, "empty store cannot hit");
-    assert!(store.entry_count() > 0, "cold run populates the store");
+    assert!(store.stats().entries > 0, "cold run populates the store");
 
     let warm = m.compile_into(store.clone(), Options::threads(4));
     assert!(warm.is_ok());
@@ -205,13 +204,13 @@ fn corrupt_entries_degrade_to_misses_with_a_note() {
         mem.clone()
     });
 
-    // A service's store, damaged on its way through an export: every
-    // entry's payload byte flipped, then imported into a fresh store,
-    // which quarantines what its compiles find damaged.
-    let shared = Arc::new(SharedStore::new(1 << 20));
-    let restored = Arc::new(SharedStore::new(1 << 20));
-    damaged_entries_degrade_to_misses(&m, shared.clone(), || {
-        let mut entries = shared.export();
+    // A store damaged on its way through an export (a snapshot image):
+    // every entry's payload byte flipped, then imported into a fresh
+    // store, which quarantines what its compiles find damaged.
+    let exported = Arc::new(MemStore::new());
+    let restored = Arc::new(MemStore::new());
+    damaged_entries_degrade_to_misses(&m, exported.clone(), || {
+        let mut entries = exported.export();
         for (_, bytes) in &mut entries {
             bytes[12] ^= 0x55;
         }
@@ -531,7 +530,7 @@ fn a_budgeted_store_keeps_the_same_entries_of_every_compile() {
     let m = Program::from(generate(&suite_params(20)));
     let kept: std::collections::BTreeSet<Vec<Fp128>> = (0..6)
         .map(|_| {
-            let store = Arc::new(ccm2_serve::SharedStore::new(16 * 1024));
+            let store = Arc::new(MemStore::with_budget(16 * 1024));
             let out = m.compile_into(store.clone(), Options::threads(1));
             assert!(out.is_ok());
             let mut fps: Vec<Fp128> = store.export().into_iter().map(|(fp, _)| fp).collect();
