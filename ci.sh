@@ -64,6 +64,14 @@ if grep -rnE --include='*.rs' --exclude-dir=contract "$fence" tests; then
   exit 1
 fi
 
+echo "== properties are plain tests =="
+# Test bodies inside a macro are invisible to rustfmt and clippy, so a
+# property is a #[test] looping over seeded cases, never a proptest! block.
+if git grep -n proptest -- '*.toml' '*.rs' Cargo.lock; then
+  echo "a manifest or source file names proptest (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -409,9 +409,10 @@ mod tests {
     use super::*;
     use ccm2_sched::task::{TaskDesc, TaskKind, WaitSet};
     use ccm2_sched::{run_threaded, RunReport};
+    use ccm2_support::hash::splitmix64;
     use ccm2_support::source::{FileId, Span};
     use ccm2_syntax::token::TokenKind;
-    use proptest::prelude::*;
+    use std::ops::Range;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
 
@@ -736,28 +737,30 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 48 })]
-
-        // Random stream lengths, producer stalls and reader access
-        // patterns on two workers: every reader sees exactly the model
-        // `Vec<Token>` and is charged once per token.
-        #[test]
-        fn random_interleavings_match_the_vec_model(
-            n in 0usize..5 * BLOCK_SIZE,
-            n_readers in 1usize..4,
-            yields in proptest::collection::vec(0usize..5 * BLOCK_SIZE, 0..12),
-            steps in proptest::collection::vec(0usize..7, 1..40),
-        ) {
+    // Random stream lengths, producer stalls and reader access patterns
+    // on two workers: every reader sees exactly the model `Vec<Token>`
+    // and is charged once per token.
+    #[test]
+    fn random_interleavings_match_the_vec_model() {
+        for case in 0..48 {
+            let mut state = case;
+            let mut draw =
+                |r: Range<usize>| r.start + (splitmix64(&mut state) % r.len() as u64) as usize;
+            let n = draw(0..5 * BLOCK_SIZE);
+            let n_readers = draw(1..4);
+            let yields: Vec<usize> = (0..draw(0..12)).map(|_| draw(0..5 * BLOCK_SIZE)).collect();
+            let steps: Vec<usize> = (0..draw(1..40)).map(|_| draw(0..7)).collect();
+            println!("case {case}: n {n}, readers {n_readers}, yields {yields:?}, steps {steps:?}");
             let model: Arc<Vec<Token>> = Arc::new((0..n).map(tok).collect());
             let kinds = [
                 (TaskKind::Splitter, Work::Split),
                 (TaskKind::Importer, Work::Import),
                 (TaskKind::ModuleParse, Work::Parse),
             ];
-            let seen: Vec<_> = (0..n_readers).map(|_| Arc::new(Mutex::new(vec![]))).collect();
+            let seen: Vec<_> = (0..n_readers)
+                .map(|_| Arc::new(Mutex::new(vec![])))
+                .collect();
             let (tokens, outs) = (Arc::clone(&model), seen.clone());
-            let (yields, steps) = (yields.clone(), steps.clone());
             let report = run_threaded(2, move |sup| {
                 let env: Arc<dyn ExecEnv> = Arc::clone(sup) as Arc<dyn ExecEnv>;
                 let (mut w, q) = TokenQueue::channel(env, "lex");
@@ -781,7 +784,11 @@ mod tests {
                             // Look ahead or behind by this step's amount
                             // before moving on.
                             let d = steps[(i + r) % steps.len()];
-                            let j = if d % 2 == 0 { i + d / 2 } else { i.saturating_sub(d) };
+                            let j = if d % 2 == 0 {
+                                i + d / 2
+                            } else {
+                                i.saturating_sub(d)
+                            };
                             assert_eq!(cursor.get(j), model.as_slice().get(j).copied());
                             out.lock().push(t);
                             i += 1;

@@ -14,9 +14,9 @@
 //!   stable across processes, minimal key movement on shard
 //!   join/leave.
 //! * [`transport`] — the byte conduit: a deterministic, seedable
-//!   in-process loopback (drills, proptests) and a real TCP transport
-//!   (kept-alive connections, frame after frame), interchangeable behind
-//!   one trait.
+//!   in-process loopback (drills, property tests) and a real TCP
+//!   transport (kept-alive connections, frame after frame),
+//!   interchangeable behind one trait.
 //! * [`lease`] — the epoch-numbered eviction lease that keeps
 //!   membership authority exclusive when several routers run at once,
 //!   and the failure detector's clock: one transition table as plain

@@ -2,7 +2,7 @@
 //! implementations.
 //!
 //! * [`LoopbackTransport`] — in-process, deterministic, seedable. The
-//!   fleet drills and the equivalence proptests run on it: a call is a
+//!   fleet drills and the seeded equivalence tests run on it: a call is a
 //!   direct `handle()` on the target shard, an optional seeded
 //!   corruptor flips one byte in a reproducible subset of frames (to
 //!   prove the `CCM2WIRE` checksum actually gates), and

@@ -576,6 +576,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccm2_support::hash::splitmix64;
 
     fn sample_request() -> WireRequest {
         WireRequest {
@@ -759,30 +760,22 @@ mod tests {
     // epochs are *valid* frames (the shard answers EpochReject at the
     // protocol layer, exercised in the shard tests); here the claim is
     // that damage is indistinguishable from silence.
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig { cases: 64 })]
-
-        #[test]
-        fn damaged_lease_frames_never_decode(
-            router in 0u32..=u32::MAX,
-            epoch in 0u64..=u64::MAX,
-            cut in 0usize..64,
-            at in 0usize..64,
-            mask in 1u8..=255,
-        ) {
+    #[test]
+    fn damaged_lease_frames_never_decode() {
+        for case in 0..64 {
+            let mut state = case;
+            let router = splitmix64(&mut state) as u32;
+            let epoch = splitmix64(&mut state);
+            let (cut, at, mask) = damage(&mut state);
+            println!(
+                "case {case}: router {router}, epoch {epoch}, cut {cut}, at {at}, mask {mask}"
+            );
             for msg in [
                 Message::LeaseGrant { router, epoch },
                 Message::LeaseRenew { router, epoch },
                 Message::EpochReject { epoch, router },
             ] {
-                let frame = encode_frame(&msg);
-                proptest::prop_assert_eq!(decode_frame(&frame).as_ref(), Some(&msg));
-                let cut = cut.min(frame.len() - 1);
-                proptest::prop_assert!(decode_frame(&frame[..cut]).is_none(), "torn at {}", cut);
-                let mut flipped = frame.clone();
-                let at = at % flipped.len();
-                flipped[at] ^= mask;
-                proptest::prop_assert!(decode_frame(&flipped).is_none(), "flip at {}", at);
+                assert_damage_never_decodes(&msg, cut, at, mask);
             }
         }
     }
@@ -791,17 +784,14 @@ mod tests {
     // `None` (never panics, never misdecodes): the failure detector's
     // suspicion clock only ever advances on genuine silence or genuine
     // answers.
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig { cases: 64 })]
-
-        #[test]
-        fn damaged_heartbeat_frames_never_decode(
-            nonce in 0u64..=u64::MAX,
-            shard in 0u32..=u32::MAX,
-            cut in 0usize..64,
-            at in 0usize..64,
-            mask in 1u8..=255,
-        ) {
+    #[test]
+    fn damaged_heartbeat_frames_never_decode() {
+        for case in 0..64 {
+            let mut state = case;
+            let nonce = splitmix64(&mut state);
+            let shard = splitmix64(&mut state) as u32;
+            let (cut, at, mask) = damage(&mut state);
+            println!("case {case}: nonce {nonce}, shard {shard}, cut {cut}, at {at}, mask {mask}");
             for msg in [
                 Message::Ping { nonce },
                 Message::Pong {
@@ -812,16 +802,30 @@ mod tests {
                     lease_age: shard % 7,
                 },
             ] {
-                let frame = encode_frame(&msg);
-                proptest::prop_assert_eq!(decode_frame(&frame).as_ref(), Some(&msg));
-                let cut = cut.min(frame.len() - 1);
-                proptest::prop_assert!(decode_frame(&frame[..cut]).is_none(), "torn at {}", cut);
-                let mut flipped = frame.clone();
-                let at = at % flipped.len();
-                flipped[at] ^= mask;
-                proptest::prop_assert!(decode_frame(&flipped).is_none(), "flip at {}", at);
+                assert_damage_never_decodes(&msg, cut, at, mask);
             }
         }
+    }
+
+    /// A cut in `0..64`, a flip position in `0..64` and a mask in `1..=255`.
+    fn damage(state: &mut u64) -> (usize, usize, u8) {
+        let cut = (splitmix64(state) % 64) as usize;
+        let at = (splitmix64(state) % 64) as usize;
+        (cut, at, 1 + (splitmix64(state) % 255) as u8)
+    }
+
+    /// `msg` round-trips, and its frame cut short at `cut` or with the
+    /// byte at `at` xored by `mask` (both wrapped into the frame) does not
+    /// decode.
+    fn assert_damage_never_decodes(msg: &Message, cut: usize, at: usize, mask: u8) {
+        let frame = encode_frame(msg);
+        assert_eq!(decode_frame(&frame).as_ref(), Some(msg));
+        let cut = cut.min(frame.len() - 1);
+        assert!(decode_frame(&frame[..cut]).is_none(), "torn at {cut}");
+        let mut flipped = frame.clone();
+        let at = at % flipped.len();
+        flipped[at] ^= mask;
+        assert!(decode_frame(&flipped).is_none(), "flip at {at}");
     }
 
     #[test]

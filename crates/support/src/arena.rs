@@ -116,7 +116,8 @@ impl<T> std::fmt::Debug for AppendArena<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::hash::splitmix64;
+    use std::ops::Range;
     use std::sync::Barrier;
 
     #[test]
@@ -152,25 +153,28 @@ mod tests {
         }
     }
 
-    proptest! {
-        // Against a `Vec`: same indices, same contents, nothing past the
-        // end, at every length along the way.
-        #[test]
-        fn matches_the_vec_model(
-            values in proptest::collection::vec(0u32..1000, 0..400),
-            probes in proptest::collection::vec(0usize..600, 1..20),
-        ) {
+    // Against a `Vec`: same indices, same contents, nothing past the
+    // end, at every length along the way.
+    #[test]
+    fn matches_the_vec_model() {
+        for case in 0..32 {
+            let mut state = case;
+            let mut draw =
+                |r: Range<usize>| r.start + (splitmix64(&mut state) % r.len() as u64) as usize;
+            let values: Vec<u32> = (0..draw(0..400)).map(|_| draw(0..1000) as u32).collect();
+            let probes: Vec<usize> = (0..draw(1..20)).map(|_| draw(0..600)).collect();
+            println!("case {case}: values {values:?}, probes {probes:?}");
             let arena = AppendArena::new();
             let mut model = Vec::new();
             for &v in &values {
-                prop_assert_eq!(arena.push(v), model.len());
+                assert_eq!(arena.push(v), model.len());
                 model.push(v);
-                prop_assert_eq!(arena.len(), model.len());
+                assert_eq!(arena.len(), model.len());
                 for &p in &probes {
-                    prop_assert_eq!(arena.get(p), model.get(p));
+                    assert_eq!(arena.get(p), model.get(p));
                 }
             }
-            prop_assert_eq!(arena.is_empty(), model.is_empty());
+            assert_eq!(arena.is_empty(), model.is_empty());
         }
     }
 

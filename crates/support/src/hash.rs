@@ -274,6 +274,18 @@ impl Hasher for FixedHasher {
     }
 }
 
+/// One step of SplitMix64: adds the golden-ratio gamma to `state` and
+/// returns its mix. The contract's mutants, the edit sessions and the
+/// seeded tests of crates without `rand` draw from it, so a change here
+/// moves all their draws.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,16 +297,12 @@ mod tests {
             .collect()
     }
 
-    /// SplitMix64: the tests' own source of repeatable random numbers.
+    /// [`splitmix64`]: the tests' own source of repeatable random numbers.
     struct Rng(u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            splitmix64(&mut self.0)
         }
 
         fn below(&mut self, n: usize) -> usize {
@@ -304,6 +312,19 @@ mod tests {
         fn bytes(&mut self, n: usize) -> Vec<u8> {
             (0..n).map(|_| self.next() as u8).collect()
         }
+    }
+
+    // The published SplitMix64 reference values from state 0: a change
+    // to the generator fails here, by name, before it moves the draws of
+    // the mutants, the edit sessions and the seeded tests.
+    #[test]
+    fn splitmix64_from_zero_gives_the_reference_values() {
+        let mut state = 0;
+        let draws = [(); 3].map(|_| splitmix64(&mut state));
+        assert_eq!(
+            draws,
+            [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        );
     }
 
     // Known answers, cross-checked against a second implementation

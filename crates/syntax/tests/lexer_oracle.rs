@@ -10,6 +10,7 @@
 //! block) runs 200 000.
 
 use ccm2_support::diag::{Diagnostic, DiagnosticSink};
+use ccm2_support::hash::splitmix64;
 use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceFile, SourceMap, Span};
 use ccm2_syntax::token::{Token, TokenKind};
@@ -366,16 +367,12 @@ impl<'a> Iterator for Lexer<'a> {
     }
 }
 
-/// `splitmix64`: a seeded stream of draws, enough for choosing pieces.
+/// [`splitmix64`] draws from one seed, enough for choosing pieces.
 struct Draws(u64);
 
 impl Draws {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     fn below(&mut self, n: usize) -> usize {

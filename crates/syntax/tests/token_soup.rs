@@ -12,6 +12,7 @@ use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ccm2_support::diag::DiagnosticSink;
+use ccm2_support::hash::splitmix64;
 use ccm2_support::intern::Interner;
 use ccm2_support::source::SourceMap;
 use ccm2_syntax::lexer::lex_file;
@@ -45,14 +46,6 @@ impl TokenSource for Counting<'_> {
         assert!(self.reads.get() < self.limit, "{} reads", self.limit);
         self.tokens.get(i).copied()
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Parses `src` (a module, or else a procedure stream) through every
@@ -96,9 +89,9 @@ fn token_soups_never_panic_loop_or_point_outside_the_input() {
     let mut state = 0x15_u64;
     let mut failures = Vec::new();
     for case in 0..SOUPS {
-        let len = splitmix(&mut state) % 48;
+        let len = splitmix64(&mut state) % 48;
         let soup: Vec<&str> = (0..len)
-            .map(|_| words[(splitmix(&mut state) % words.len() as u64) as usize])
+            .map(|_| words[(splitmix64(&mut state) % words.len() as u64) as usize])
             .collect();
         let soup = soup.join(" ");
         for src in [

@@ -14,6 +14,8 @@
 //! procedure, and the stream ends with no outstanding breaks — so the
 //! final revision of a session replaying the stream compiles cleanly.
 
+use ccm2_support::hash::splitmix64;
+
 use crate::edit::EditOp;
 use crate::gen::GenParams;
 
@@ -57,16 +59,6 @@ impl Default for SessionParams {
     }
 }
 
-/// Deterministic splitmix-style step (same scheme the generators in
-/// [`crate::gen`] use).
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Generates a seeded multi-module edit stream over `modules` (their
 /// [`GenParams`] — the stream only needs procedure counts and interface
 /// names, not the generated text). See the module docs for the shape
@@ -90,18 +82,18 @@ pub fn edit_session_seeds(modules: &[GenParams], params: &SessionParams) -> Vec<
             });
             continue;
         }
-        let module = (next(&mut state) % modules.len() as u64) as usize;
+        let module = (splitmix64(&mut state) % modules.len() as u64) as usize;
         let procs = modules[module].procedures.max(1);
-        let index = (next(&mut state) % procs as u64) as usize;
-        let seed = next(&mut state);
-        let roll = (next(&mut state) % 100) as u32;
+        let index = (splitmix64(&mut state) % procs as u64) as usize;
+        let seed = splitmix64(&mut state);
+        let roll = (splitmix64(&mut state) % 100) as u32;
         // A new break needs its own slot *and* a later slot for its fix.
         let can_break = remaining > broken.len() + 1;
         let op = if roll < params.break_pct && can_break && !broken.contains(&(module, index)) {
             broken.push((module, index));
             EditOp::BreakBody { index, seed }
         } else if roll < params.break_pct + params.fix_pct && !broken.is_empty() {
-            let at = (next(&mut state) % broken.len() as u64) as usize;
+            let at = (splitmix64(&mut state) % broken.len() as u64) as usize;
             let (module, index) = broken.remove(at);
             out.push(SessionEdit {
                 module,

@@ -35,7 +35,7 @@ use ccm2_sema::declare::HeadingMode;
 use ccm2_sema::symtab::DkyStrategy;
 use ccm2_serve::{CompileRequest, CompileService, ExecChoice, ServeConfig};
 use ccm2_support::defs::{DefLibrary, DefProvider};
-use ccm2_support::hash::StableHasher;
+use ccm2_support::hash::{splitmix64, StableHasher};
 use ccm2_support::source::SourceMap;
 use ccm2_support::{DiagnosticSink, Interner, NullMeter};
 use ccm2_syntax::token::TokenKind;
@@ -502,10 +502,10 @@ impl Mutants {
     /// The next mutant `state` draws — module, token, operation — and
     /// what it is, for a report.
     fn draw(&self, state: &mut u64) -> (Program, String) {
-        let m = (splitmix(state) % self.modules.len() as u64) as usize;
+        let m = (splitmix64(state) % self.modules.len() as u64) as usize;
         let spans = &self.sites[m];
-        let at = (splitmix(state) % (spans.len() as u64 - 1)) as usize;
-        let op = splitmix(state) % 3;
+        let at = (splitmix64(state) % (spans.len() as u64 - 1)) as usize;
+        let op = splitmix64(state) % 3;
         let module = &self.modules[m];
         let (lo, hi) = spans[at];
         let what = format!(
@@ -559,15 +559,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     let text = payload.downcast_ref::<String>().map(String::as_str);
     text.or_else(|| payload.downcast_ref::<&str>().copied())
         .unwrap_or("panicked")
-}
-
-/// One step of the splitmix64 generator the mutants are drawn from.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// `source` with the token at `spans[at]` deleted (`op` 0), duplicated
@@ -753,12 +744,12 @@ pub fn output_pin() -> (String, [usize; REACHED.len()]) {
     let mut reached = [0usize; REACHED.len()];
     let mut state = 0x29_u64;
     for _ in 0..CASES {
-        let m = (splitmix(&mut state) % corpus.modules.len() as u64) as usize;
+        let m = (splitmix64(&mut state) % corpus.modules.len() as u64) as usize;
         let (module, spans) = (&corpus.modules[m], &corpus.sites[m]);
         let source = &module.source;
-        let op = splitmix(&mut state) % 5;
+        let op = splitmix64(&mut state) % 5;
         let source = if op < 3 {
-            let at = (splitmix(&mut state) % (spans.len() as u64 - 1)) as usize;
+            let at = (splitmix64(&mut state) % (spans.len() as u64 - 1)) as usize;
             mutate(source, spans, at, op)
         } else {
             // Half the renames are of a name that is called.
@@ -768,9 +759,9 @@ pub fn output_pin() -> (String, [usize; REACHED.len()]) {
                 .iter()
                 .filter(|s| idents.contains(s) && (op == 3 || called(s)))
                 .collect();
-            let (lo, hi) = *body[(splitmix(&mut state) % body.len() as u64) as usize];
+            let (lo, hi) = *body[(splitmix64(&mut state) % body.len() as u64) as usize];
             // Half take one of the module's names, half one of RENAMES.
-            let pick = splitmix(&mut state) as usize;
+            let pick = splitmix64(&mut state) as usize;
             let name = match pick % 2 {
                 0 => &vocabulary[pick / 2 % vocabulary.len()],
                 _ => RENAMES[pick / 2 % RENAMES.len()],

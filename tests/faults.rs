@@ -1,7 +1,7 @@
 //! Fault-injection properties: any single injected fault degrades only
 //! its own stream.
 //!
-//! For every fault site × DKY strategy × executor drawn by proptest, a
+//! For every fault site × DKY strategy × executor a seeded case draws, a
 //! compile with one injected fault must
 //!
 //! * terminate (no hang — the wedge-release watchdog guarantees this —
@@ -16,7 +16,8 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use ccm2_bench::kit::{compile, fault_module, unit_map};
 use ccm2_faults::{FaultKind, FaultPlan};
@@ -55,42 +56,42 @@ fn site(index: usize) -> (&'static str, FaultKind, &'static [&'static str]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16 })]
-
-    #[test]
-    fn any_single_fault_degrades_only_its_own_stream(
-        site_ix in 0usize..6,
-        strategy_ix in 0usize..4,
-        exec_ix in 0usize..2,
-    ) {
+#[test]
+fn any_single_fault_degrades_only_its_own_stream() {
+    for case in 0..16 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let site_ix = rng.gen_range(0usize..6);
+        let strategy_ix = rng.gen_range(0usize..4);
+        let exec_ix = rng.gen_range(0usize..2);
+        println!("case {case}: site_ix {site_ix}, strategy_ix {strategy_ix}, exec_ix {exec_ix}");
         let sim = exec_ix == 0;
         let (pattern, kind, touched) = site(site_ix);
         let strategy = DkyStrategy::ALL[strategy_ix];
         let m = module();
 
         let baseline = compile(&m, None, None, strategy, sim);
-        prop_assert!(baseline.errors.is_empty(), "baseline not clean: {:?}", baseline.errors);
+        assert!(
+            baseline.errors.is_empty(),
+            "baseline not clean: {:?}",
+            baseline.errors
+        );
         let base_units = unit_map(&baseline);
 
         let plan = Arc::new(FaultPlan::single(pattern, kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             compile(&m, Some(Arc::clone(&plan)), None, strategy, sim)
-        }));
-        let run = match run {
-            Ok(out) => out,
-            Err(_) => return Err(TestCaseError::fail(format!(
-                "{pattern} [{strategy:?}, sim={sim}]: compile unwound instead of degrading"
-            ))),
-        };
+        }))
+        .unwrap_or_else(|_| {
+            panic!("{pattern} [{strategy:?}, sim={sim}]: compile unwound instead of degrading")
+        });
 
-        prop_assert!(plan.any_fired(), "{pattern}: fault site never fired");
-        prop_assert!(!run.errors.is_empty(), "{pattern}: no degradation error");
+        assert!(plan.any_fired(), "{pattern}: fault site never fired");
+        assert!(!run.errors.is_empty(), "{pattern}: no degradation error");
         let named = run
             .diagnostics
             .iter()
             .any(|d| touched.iter().any(|t| d.message.contains(t)));
-        prop_assert!(
+        assert!(
             named,
             "{pattern}: no diagnostic names the faulted stream: {:#?}",
             run.diagnostics
@@ -102,19 +103,17 @@ proptest! {
             if is_touched(name) {
                 continue;
             }
-            prop_assert_eq!(
+            assert_eq!(
                 Some(rendered),
                 base_units.get(name),
-                "{} [{:?}, sim={}]: non-faulted unit `{}` diverged",
-                pattern, strategy, sim, name
+                "{pattern} [{strategy:?}, sim={sim}]: non-faulted unit `{name}` diverged"
             );
         }
         for name in base_units.keys() {
             if !is_touched(name) {
-                prop_assert!(
+                assert!(
                     faulted_units.contains_key(name),
-                    "{}: non-faulted unit `{}` missing from degraded image",
-                    pattern, name
+                    "{pattern}: non-faulted unit `{name}` missing from degraded image"
                 );
             }
         }

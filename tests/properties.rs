@@ -1,19 +1,27 @@
-//! Property-based tests (proptest) for the core invariants:
+//! Seeded property tests for the core invariants:
 //!
 //! * the lexer never loses input — token spans are ordered, in-bounds and
-//!   non-overlapping for arbitrary source text;
-//! * the splitter conserves tokens — main-stream tokens plus procedure
-//!   streams reassemble the original program's token multiset (with
-//!   heading duplication and stubs accounted for);
+//!   non-overlapping for arbitrary source text, and identifier soup lexes
+//!   back to its words;
 //! * generated programs of arbitrary shape answer alike on the
-//!   contract's paths (`contract::Path`) and the sequential compiler;
+//!   contract's paths (`contract::Path`) and the sequential compiler, lint
+//!   and lock findings included, and so does a warm compile;
 //! * merge is order-insensitive;
-//! * compiled straight-line integer arithmetic agrees with a reference
-//!   evaluation.
+//! * compiled straight-line integer arithmetic and constant folding agree
+//!   with a reference evaluation;
+//! * `ccm2_incr::import_names` agrees with its word-list oracle.
+//!
+//! The Splitter's token conservation is checked by
+//! `crates/core/tests/split_reconstruct.rs`.
+//!
+//! Each test runs a fixed number of cases. A case draws its inputs from
+//! a `SmallRng` seeded with the case's index and prints them before it
+//! runs, so the harness shows a failing case's inputs with its panic.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use ccm2::{compile_concurrent, Options};
 use ccm2_serve::ExecChoice;
@@ -27,11 +35,32 @@ use ccm2_workload::{generate, GenParams};
 pub mod contract;
 use contract::{agree, Exec, Output, Path, Program};
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24 })]
+/// Arbitrary source text: printable ASCII and the newline.
+const PRINTABLE: &[u8] = concat!(
+    " !\"#$%&'()*+,-./0123456789:;<=>?@",
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`",
+    "abcdefghijklmnopqrstuvwxyz{|}~\n",
+)
+.as_bytes();
+/// An identifier's first character.
+const LETTERS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+/// An identifier's later characters.
+const ALPHANUMERIC: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
 
-    #[test]
-    fn lexer_spans_tile_arbitrary_ascii(src in "[ -~\n]{0,400}") {
+/// `n` characters drawn from `table`.
+fn draw(rng: &mut SmallRng, table: &[u8], n: usize) -> String {
+    (0..n)
+        .map(|_| table[rng.gen_range(0..table.len())] as char)
+        .collect()
+}
+
+#[test]
+fn lexer_spans_tile_arbitrary_ascii() {
+    for case in 0..24 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let len = rng.gen_range(0..=400);
+        let src = draw(&mut rng, PRINTABLE, len);
+        println!("case {case}: src {src:?}");
         let interner = Interner::new();
         let map = ccm2_support::SourceMap::new();
         let file = map.add("fuzz.mod", src.clone());
@@ -39,40 +68,56 @@ proptest! {
         let tokens = lex_file(&file, &interner, &sink);
         let mut prev_end = 0u32;
         for t in &tokens {
-            prop_assert!(t.span.lo >= prev_end, "overlapping tokens");
-            prop_assert!(t.span.hi as usize <= src.len(), "span out of bounds");
-            prop_assert!(t.span.lo < t.span.hi, "empty token span");
+            assert!(t.span.lo >= prev_end, "overlapping tokens");
+            assert!(t.span.hi as usize <= src.len(), "span out of bounds");
+            assert!(t.span.lo < t.span.hi, "empty token span");
             prev_end = t.span.hi;
         }
     }
+}
 
-    #[test]
-    fn lexer_roundtrips_identifier_soup(words in proptest::collection::vec("[A-Za-z][A-Za-z0-9]{0,8}", 1..40)) {
+#[test]
+fn lexer_roundtrips_identifier_soup() {
+    for case in 0..24 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let words: Vec<String> = (0..rng.gen_range(1..40))
+            .map(|_| {
+                let rest = rng.gen_range(0..=8);
+                draw(&mut rng, LETTERS, 1) + &draw(&mut rng, ALPHANUMERIC, rest)
+            })
+            .collect();
+        println!("case {case}: words {words:?}");
         let src = words.join(" ");
         let interner = Interner::new();
         let map = ccm2_support::SourceMap::new();
         let file = map.add("soup.mod", src.clone());
         let sink = DiagnosticSink::new();
         let tokens = lex_file(&file, &interner, &sink);
-        prop_assert!(!sink.has_errors());
-        prop_assert_eq!(tokens.len(), words.len());
+        assert!(!sink.has_errors());
+        assert_eq!(tokens.len(), words.len());
         for (t, w) in tokens.iter().zip(&words) {
             match t.kind {
-                TokenKind::Ident(s) => prop_assert_eq!(&interner.resolve(s), w),
-                k if k.is_reserved_word() => prop_assert_eq!(k.describe(), w.as_str()),
-                other => prop_assert!(false, "unexpected token {:?} for {:?}", other, w),
+                TokenKind::Ident(s) => assert_eq!(&interner.resolve(s), w),
+                k if k.is_reserved_word() => assert_eq!(k.describe(), w.as_str()),
+                other => panic!("unexpected token {other:?} for {w:?}"),
             }
         }
     }
+}
 
-    #[test]
-    fn generated_programs_compile_equally_everywhere(
-        seed in 0u64..5000,
-        procedures in 1usize..14,
-        interfaces in 0usize..7,
-        stmts in 4usize..20,
-        nested in 0u32..40,
-    ) {
+#[test]
+fn generated_programs_compile_equally_everywhere() {
+    for case in 0..24 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let seed = rng.gen_range(0u64..5000);
+        let procedures = rng.gen_range(1usize..14);
+        let interfaces = rng.gen_range(0usize..7);
+        let stmts = rng.gen_range(4usize..20);
+        let nested = rng.gen_range(0u32..40);
+        println!(
+            "case {case}: seed {seed}, procedures {procedures}, interfaces {interfaces}, \
+             stmts {stmts}, nested {nested}"
+        );
         let params = GenParams {
             name: "Prop".into(),
             seed,
@@ -82,21 +127,31 @@ proptest! {
             stmts_per_proc: stmts,
             nested_ratio: nested as f64 / 100.0,
             lint_seeds: false,
-        fault_seeds: false,
-        lock_seeds: false,
+            fault_seeds: false,
+            lock_seeds: false,
         };
         // The seed picks one of the contract's paths.
         let paths = Path::all();
         let path = &paths[seed as usize % paths.len()];
         let (image, diagnostics) = agree(&generate(&params).into(), [path]);
-        prop_assert!(image.is_some() && diagnostics.is_empty(), "seq diagnostics: {:?}", diagnostics);
+        assert!(
+            image.is_some() && diagnostics.is_empty(),
+            "seq diagnostics: {diagnostics:?}"
+        );
     }
+}
 
-    #[test]
-    fn straight_line_arithmetic_matches_reference(
-        values in proptest::collection::vec(-50i64..50, 1..12),
-        ops in proptest::collection::vec(0u8..4, 0..11),
-    ) {
+#[test]
+fn straight_line_arithmetic_matches_reference() {
+    for case in 0..24 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let values: Vec<i64> = (0..rng.gen_range(1..12))
+            .map(|_| rng.gen_range(-50..50))
+            .collect();
+        let ops: Vec<u8> = (0..rng.gen_range(0..11))
+            .map(|_| rng.gen_range(0..4))
+            .collect();
+        println!("case {case}: values {values:?}, ops {ops:?}");
         // Build `r := v0 op v1 op v2 …` left-associated with DIV/MOD made
         // safe, and evaluate both in Rust and through the full
         // compile+run pipeline.
@@ -133,31 +188,39 @@ proptest! {
                 }
             }
         }
-        let src = format!(
-            "MODULE P; VAR r : INTEGER; BEGIN r := {expr}; WriteInt(r, 0) END P."
-        );
+        let src = format!("MODULE P; VAR r : INTEGER; BEGIN r := {expr}; WriteInt(r, 0) END P.");
         let out = compile_concurrent(
             &src,
             Arc::new(DefLibrary::new()),
             Arc::new(Interner::new()),
             Options::threads(1),
         );
-        prop_assert!(out.is_ok(), "diagnostics: {:?} for {}", out.diagnostics, src);
+        assert!(
+            out.is_ok(),
+            "diagnostics: {:?} for {}",
+            out.diagnostics,
+            src
+        );
         let text = Vm::new(out.interner)
             .run(&out.image.expect("image"))
             .expect("runs");
-        prop_assert_eq!(text.trim(), format!("{expected}"));
+        assert_eq!(text.trim(), format!("{expected}"));
     }
+}
 
-    #[test]
-    fn merge_is_order_insensitive_for_generated_units(perm_seed in 0u64..1000) {
-        use ccm2_codegen::ir::{CodeUnit, Instr};
-        use ccm2_codegen::merge::Merger;
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
+#[test]
+fn merge_is_order_insensitive_for_generated_units() {
+    use ccm2_codegen::ir::{CodeUnit, Instr};
+    use ccm2_codegen::merge::Merger;
+    use rand::seq::SliceRandom;
 
+    for case in 0..24 {
+        let perm_seed = SmallRng::seed_from_u64(case).gen_range(0u64..1000);
+        println!("case {case}: perm_seed {perm_seed}");
         let interner = Arc::new(Interner::new());
-        let names: Vec<_> = (0..12).map(|i| interner.intern(&format!("M.P{i}"))).collect();
+        let names: Vec<_> = (0..12)
+            .map(|i| interner.intern(&format!("M.P{i}")))
+            .collect();
         let make_units = || -> Vec<CodeUnit> {
             names
                 .iter()
@@ -176,16 +239,22 @@ proptest! {
         }
         let b = Merger::new(interner.intern("M"), Arc::clone(&interner));
         let mut shuffled = make_units();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(perm_seed);
-        shuffled.shuffle(&mut rng);
+        shuffled.shuffle(&mut SmallRng::seed_from_u64(perm_seed));
         for u in shuffled {
             b.add_unit(u, &NullMeter);
         }
-        prop_assert_eq!(a.finish(), b.finish());
+        assert_eq!(a.finish(), b.finish());
     }
+}
 
-    #[test]
-    fn const_folding_matches_vm_for_const_declarations(a in -100i64..100, b in -100i64..100, c in 1i64..50) {
+#[test]
+fn const_folding_matches_vm_for_const_declarations() {
+    for case in 0..24 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let a = rng.gen_range(-100i64..100);
+        let b = rng.gen_range(-100i64..100);
+        let c = rng.gen_range(1i64..50);
+        println!("case {case}: a {a}, b {b}, c {c}");
         // The same expression evaluated at compile time (CONST) and at
         // run time (VAR assignment) must agree.
         let src = format!(
@@ -201,25 +270,24 @@ proptest! {
             Arc::new(Interner::new()),
             Options::threads(1),
         );
-        prop_assert!(out.is_ok(), "{:?}", out.diagnostics);
+        assert!(out.is_ok(), "{:?}", out.diagnostics);
         let text = Vm::new(out.interner)
             .run(&out.image.expect("image"))
             .expect("runs");
         let parts: Vec<&str> = text.trim().split(' ').collect();
-        prop_assert_eq!(parts.len(), 2);
-        prop_assert_eq!(parts[0], parts[1], "const fold vs runtime disagree: {}", text);
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[0], parts[1], "const fold vs runtime disagree: {text}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12 })]
-
-    #[test]
-    fn lint_findings_deterministic_and_strategy_independent(
-        seed in 0u64..2000,
-        procedures in 2usize..10,
-        interfaces in 1usize..4,
-    ) {
+#[test]
+fn lint_findings_deterministic_and_strategy_independent() {
+    for case in 0..12 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let seed = rng.gen_range(0u64..2000);
+        let procedures = rng.gen_range(2usize..10);
+        let interfaces = rng.gen_range(1usize..4);
+        println!("case {case}: seed {seed}, procedures {procedures}, interfaces {interfaces}");
         let m = generate(&GenParams {
             name: "Lint".into(),
             seed,
@@ -229,25 +297,36 @@ proptest! {
             stmts_per_proc: 8,
             nested_ratio: 0.2,
             lint_seeds: true,
-        fault_seeds: false,
-        lock_seeds: false,
+            fault_seeds: false,
+            lock_seeds: false,
         });
         let program = Program::from(m).analyzed();
         // Deterministic across runs...
         let seq = program.seq();
-        prop_assert!(seq.is_ok(), "{:?}", seq.diagnostics);
+        assert!(seq.is_ok(), "{:?}", seq.diagnostics);
         let reference = seq.comparable();
         // ...and identical under the concurrent compiler for every DKY
         // strategy.
-        prop_assert_eq!(agree(&program, &Path::all_on(Exec::Split(ExecChoice::Sim(3)))), reference);
+        assert_eq!(
+            agree(&program, &Path::all_on(Exec::Split(ExecChoice::Sim(3)))),
+            reference
+        );
     }
+}
 
-    #[test]
-    fn suite_params_always_generate_compilable_modules(ix in 0usize..37) {
+#[test]
+fn suite_params_always_generate_compilable_modules() {
+    for case in 0..12 {
+        let ix = SmallRng::seed_from_u64(case).gen_range(0usize..37);
+        println!("case {case}: ix {ix}");
         // Every point of the Table 1 parameter surface must be valid.
         let m = generate(&ccm2_workload::suite_params(ix));
         let out = ccm2_seq::compile(&m.source, &m.defs);
-        prop_assert!(out.is_ok(), "suite[{ix}]: {:?}", &out.diagnostics[..out.diagnostics.len().min(3)]);
+        assert!(
+            out.is_ok(),
+            "suite[{ix}]: {:?}",
+            &out.diagnostics[..out.diagnostics.len().min(3)]
+        );
     }
 }
 
@@ -257,18 +336,17 @@ proptest! {
 // diagnostics and the same lint findings as a cold compile of the same
 // source. The store is populated once (pre-edit, Skeptical, threads), so
 // cross-strategy and cross-executor splices are also exercised.
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 5 })]
+#[test]
+fn warm_cache_compiles_are_invisible() {
+    use ccm2_incr::{ArtifactStore, MemStore};
+    use ccm2_workload::{apply_edits, body_edits};
 
-    #[test]
-    fn warm_cache_compiles_are_invisible(
-        seed in 0u64..3000,
-        procedures in 2usize..9,
-        edit_count in 1usize..3,
-    ) {
-        use ccm2_incr::{ArtifactStore, MemStore};
-        use ccm2_workload::{apply_edits, body_edits};
-
+    for case in 0..5 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let seed = rng.gen_range(0u64..3000);
+        let procedures = rng.gen_range(2usize..9);
+        let edit_count = rng.gen_range(1usize..3);
+        println!("case {case}: seed {seed}, procedures {procedures}, edit_count {edit_count}");
         let base = generate(&GenParams {
             name: "Incr".into(),
             seed,
@@ -281,44 +359,46 @@ proptest! {
             fault_seeds: false,
             lock_seeds: false,
         });
-        let edited = Program::from(apply_edits(&base, &body_edits(edit_count, seed ^ 0xE11))).analyzed();
+        let edited =
+            Program::from(apply_edits(&base, &body_edits(edit_count, seed ^ 0xE11))).analyzed();
         let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
-        let cold = Program::from(base).analyzed().compile_into(Arc::clone(&store), Options::threads(2));
-        prop_assert!(cold.is_ok(), "{:?}", cold.diagnostics);
+        let cold = Program::from(base)
+            .analyzed()
+            .compile_into(Arc::clone(&store), Options::threads(2));
+        assert!(cold.is_ok(), "{:?}", cold.diagnostics);
         // Ground truth: the oracle's answer for the edited source.
         let seq = edited.seq();
-        prop_assert!(seq.is_ok(), "{:?}", seq.diagnostics);
+        assert!(seq.is_ok(), "{:?}", seq.diagnostics);
         let want = seq.comparable();
         let mut first_warm = true;
         // Each case runs every path: a property keeps its two executors.
         let executors = [ExecChoice::Sim(2), ExecChoice::Threads(2)].map(Exec::Split);
         for path in executors.into_iter().flat_map(Path::all_on) {
             let warm = edited.compile_into(Arc::clone(&store), path.options());
-            prop_assert!(warm.is_ok(), "{path}: {:?}", warm.diagnostics);
+            assert!(warm.is_ok(), "{path}: {:?}", warm.diagnostics);
             let stats = warm.incr.expect("incremental was active");
-            prop_assert!(stats.spliced > 0, "{path}: nothing spliced ({stats:?})");
+            assert!(stats.spliced > 0, "{path}: nothing spliced ({stats:?})");
             // The first warm run recompiles the edited streams; it
             // also re-records them, so every later run hits fully.
             if first_warm {
-                prop_assert!(stats.recompiled >= edit_count, "{path}: {stats:?}");
+                assert!(stats.recompiled >= edit_count, "{path}: {stats:?}");
                 first_warm = false;
             } else {
-                prop_assert_eq!(stats.recompiled, 0, "{} after re-record", path);
+                assert_eq!(stats.recompiled, 0, "{path} after re-record");
             }
-            prop_assert_eq!(warm.comparable(), want.clone(), "{} diverged", path);
+            assert_eq!(warm.comparable(), want.clone(), "{path} diverged");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6 })]
-
-    #[test]
-    fn lock_predictions_byte_identical_across_strategies_and_executors(
-        seed in 0u64..2000,
-        procedures in 2usize..8,
-        stmts in 4usize..12,
-    ) {
+#[test]
+fn lock_predictions_byte_identical_across_strategies_and_executors() {
+    for case in 0..6 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let seed = rng.gen_range(0u64..2000);
+        let procedures = rng.gen_range(2usize..8);
+        let stmts = rng.gen_range(4usize..12);
+        println!("case {case}: seed {seed}, procedures {procedures}, stmts {stmts}");
         let program = Program::from(generate(&GenParams {
             name: "PropLk".into(),
             seed,
@@ -330,32 +410,37 @@ proptest! {
             lint_seeds: false,
             fault_seeds: false,
             lock_seeds: true,
-        })).analyzed();
+        }))
+        .analyzed();
         let seq = program.seq();
-        prop_assert!(seq.is_ok(), "{:?}", seq.diagnostics);
+        assert!(seq.is_ok(), "{:?}", seq.diagnostics);
         let reference = seq.comparable();
         // Every seeded module embeds the three-lock cycle and the
         // reentrant grab; the interprocedural pass must always see both.
-        prop_assert!(
-            reference.1.iter().any(|d| d.contains("lock-order cycle among `lkA`, `lkB`, `lkC`")),
-            "seeded cycle not predicted: {:#?}", reference.1
+        assert!(
+            reference
+                .1
+                .iter()
+                .any(|d| d.contains("lock-order cycle among `lkA`, `lkB`, `lkC`")),
+            "seeded cycle not predicted: {:#?}",
+            reference.1
         );
-        prop_assert!(
+        assert!(
             reference.1.iter().any(|d| d.contains("may re-LOCK it")),
-            "seeded re-LOCK not predicted: {:#?}", reference.1
+            "seeded re-LOCK not predicted: {:#?}",
+            reference.1
         );
         let s = seq.locks.clone().expect("analysis ran");
         // Each case runs every path: a property keeps its two executors.
         let executors = [ExecChoice::Sim(3), ExecChoice::Threads(2)].map(Exec::Split);
         for path in executors.into_iter().flat_map(Path::all_on) {
             let conc = program.compile(path.options());
-            prop_assert_eq!(&conc.comparable(), &reference, "{}", path);
+            assert_eq!(&conc.comparable(), &reference, "{path}");
             let c = conc.locks.expect("analysis ran");
-            prop_assert_eq!(
+            assert_eq!(
                 (c.units, c.edges, c.cycles, c.findings),
                 (s.units, s.edges, s.cycles, s.findings),
-                "lock stats diverged on {}",
-                path
+                "lock stats diverged on {path}"
             );
         }
     }
@@ -431,28 +516,35 @@ const IMPORT_SCRAPS: [&str; 30] = [
     "IM", "IMPORT9",
 ];
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256 })]
-
-    #[test]
-    fn import_names_equals_its_word_list_oracle_on_scraps(
-        picks in proptest::collection::vec(0usize..IMPORT_SCRAPS.len(), 0..40),
-    ) {
+#[test]
+fn import_names_equals_its_word_list_oracle_on_scraps() {
+    for case in 0..256 {
+        let mut rng = SmallRng::seed_from_u64(case);
+        let picks: Vec<usize> = (0..rng.gen_range(0..40))
+            .map(|_| rng.gen_range(0..IMPORT_SCRAPS.len()))
+            .collect();
+        println!("case {case}: picks {picks:?}");
         let source: String = picks.iter().map(|&i| IMPORT_SCRAPS[i]).collect();
-        prop_assert_eq!(
+        assert_eq!(
             ccm2_incr::import_names(&source),
             import_names_by_word_list(&source),
-            "{:?}",
-            source
+            "{source:?}"
         );
     }
+}
 
-    #[test]
-    fn import_names_equals_its_word_list_oracle_on_generated_modules(seed in 0u64..1_000_000) {
+#[test]
+fn import_names_equals_its_word_list_oracle_on_generated_modules() {
+    for case in 0..256 {
+        let seed = SmallRng::seed_from_u64(case).gen_range(0u64..1_000_000);
+        println!("case {case}: seed {seed}");
         let m = generate(&GenParams::small("Imp", seed));
         let texts = std::iter::once(m.source.as_str()).chain(m.defs.iter().map(|(_, text)| text));
         for text in texts {
-            prop_assert_eq!(ccm2_incr::import_names(text), import_names_by_word_list(text));
+            assert_eq!(
+                ccm2_incr::import_names(text),
+                import_names_by_word_list(text)
+            );
         }
     }
 }
