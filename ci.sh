@@ -168,7 +168,13 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # (`a_warm_threaded_compile_loads_only_on_workers`: the interface cell
 # and the placeholders are handed between workers, and every store load
 # runs on one of the run's workers, never on the caller before it
-# becomes worker 0): 2 000 rounds instead of 20.
+# becomes worker 0): 2 000 rounds instead of 20. And so do the watch
+# session's convergence property (`session_replay_converges_to_cold_compile`:
+# a seeded edit stream replayed in seeded batch sizes ends on a cold
+# compile's image and diagnostics, every check after the first handed
+# the interfaces the last one decoded): 60 cases instead of 6, and the
+# interface-carry rows (`carry_`: compiles with and without the carry
+# answer alike, with the same store traffic and quarantines).
 #
 # These tests are picked by name, and a name that matches nothing
 # passes silently: each filter runs on its own and must run a test.
@@ -196,6 +202,7 @@ race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
 race --test diagnostics -- mutated_declarations mutated_bodies output_pin
 race --test incremental -- interface_edit_differential mutated_bodies_compile_warm_as_cold a_warm_threaded_compile_loads_only_on_workers
+race --test watch -- session_replay_converges_to_cold_compile carry_
 
 echo "== examples, optimized, with README's arguments =="
 # Each example asserts its own result (a clean compile, a VM run's

@@ -99,7 +99,7 @@ pub fn is_error_unit(unit: &CodeUnit, interner: &ccm2_support::intern::Interner)
     matches!(
         unit.code.as_slice(),
         [Instr::PushStr(msg), Instr::Return]
-            if interner.resolve(*msg).starts_with("degraded: unit `")
+            if interner.as_str(*msg).starts_with("degraded: unit `")
     )
 }
 

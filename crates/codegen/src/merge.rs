@@ -126,12 +126,13 @@ impl Merger {
     /// the names themselves do not.
     pub fn finish(&self) -> ModuleImage {
         let mut units = std::mem::take(&mut *self.units.lock());
-        units.sort_by_key(|u| self.interner.resolve(u.name));
+        let name = |s: Symbol| self.interner.as_str(s);
+        units.sort_by(|a, b| name(a.name).cmp(name(b.name)));
         let mut globals: Vec<GlobalArea> = std::mem::take(&mut *self.globals.lock())
             .into_iter()
             .map(|(module, slots)| GlobalArea { module, slots })
             .collect();
-        globals.sort_by_key(|g| self.interner.resolve(g.module));
+        globals.sort_by(|a, b| name(a.module).cmp(name(b.module)));
         ModuleImage {
             name: self.name,
             units,

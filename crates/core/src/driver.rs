@@ -53,7 +53,7 @@ use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
 use ccm2_syntax::token::{Token, TokenKind};
 
 use crate::importer::{run_importer, ImportSink};
-use crate::incremental::{Incremental, Splice, Then};
+use crate::incremental::{Incremental, InterfaceCarry, Splice, Then};
 use crate::queue::{Holes, StreamCursor, TokenQueue, TokenWriter, BLOCK_SIZE};
 use crate::splitter::{carve, run_splitter, Scanned, StreamFactory};
 
@@ -117,6 +117,16 @@ pub struct Options {
     /// set, tasks that silently stall past the deadline are diagnosed
     /// as [`CompileError::Stalled`] instead of hanging the compile.
     pub task_deadline: Option<u64>,
+    /// The interfaces an earlier compile under the same interner spliced
+    /// (its [`ConcurrentOutput::interface_carry`]). With an active
+    /// [`Options::incremental`] store, every interface still loads from
+    /// the store as without it, but one whose stored bytes are those the
+    /// carried interface was decoded from splices without a decode. A
+    /// carry made under another interner is ignored. Set, the compile
+    /// returns its own carry; an editor session hands an empty
+    /// [`InterfaceCarry::new`] to its first compile and each compile's
+    /// carry to the next.
+    pub interface_carry: Option<Arc<InterfaceCarry>>,
 }
 
 impl Default for Options {
@@ -130,6 +140,7 @@ impl Default for Options {
             incremental: None,
             faults: None,
             task_deadline: None,
+            interface_carry: None,
         }
     }
 }
@@ -210,6 +221,11 @@ pub struct ConcurrentOutput {
     /// Degradation events (empty for a fault-free run). Each also has a
     /// corresponding error [`Diagnostic`] in `diagnostics`.
     pub errors: Vec<CompileError>,
+    /// The interfaces this compile spliced, for the next compile under
+    /// the same interner; `Some` iff it ran with an active
+    /// [`Options::incremental`] store and was handed an
+    /// [`Options::interface_carry`].
+    pub interface_carry: Option<Arc<InterfaceCarry>>,
 }
 
 impl ConcurrentOutput {
@@ -280,6 +296,7 @@ pub fn compile_concurrent(
             incr: None,
             locks: None,
             errors: Vec::new(),
+            interface_carry: None,
         },
     }
 }
@@ -1322,8 +1339,8 @@ impl Driver {
                     unit.code = vec![Instr::PushStr(msg), Instr::Return];
                     image.units.push(unit);
                 }
-                let interner = &self.interner;
-                image.units.sort_by_key(|a| interner.resolve(a.name));
+                let name = |s: Symbol| self.interner.as_str(s);
+                image.units.sort_by(|a, b| name(a.name).cmp(name(b.name)));
             }
         }
         let mut diagnostics = self.sink.take();
@@ -1355,6 +1372,7 @@ impl Driver {
             incr,
             locks,
             errors,
+            interface_carry: self.incr.as_ref().and_then(Incremental::carry),
         }
     }
 }

@@ -29,6 +29,14 @@
 //! completed scope is an *interface*, stored under its interface key.
 //! Both load the same way: an artifact that does not decode is
 //! quarantined, reported in a Note, and treated as absent.
+//!
+//! A compile may be handed an [`InterfaceCarry`]: the interfaces an
+//! earlier compile under the same interner spliced. The interface cell
+//! still walks, keys and loads every interface, and opens every loaded
+//! artifact's envelope; only the decode is skipped for an artifact whose
+//! checksum is the one the carried interface was decoded from. So the
+//! store's traffic, its LRU order and every quarantine are those of a
+//! compile without a carry.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -40,7 +48,7 @@ use ccm2_codegen::merge::ModuleImage;
 use ccm2_incr::{
     decode_interface, encode_entry, encode_interface, fingerprint_streams, ArtifactStore,
     CacheEntryData, CachedDiag, Carve, EntryDecoder, ImportGraph, IncrStats, StreamNode,
-    FORMAT_VERSION,
+    FORMAT_VERSION, IFACE_FORMAT,
 };
 use ccm2_sema::interface::{self, Interface};
 use ccm2_sema::types::TypeId;
@@ -49,12 +57,58 @@ use ccm2_support::defs::DefProvider;
 use ccm2_support::diag::{Diagnostic, Severity};
 use ccm2_support::hash::Fp128;
 use ccm2_support::ids::ScopeId;
-use ccm2_support::intern::Symbol;
+use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceFile, Span};
 use ccm2_syntax::ast::Import;
 
 use crate::driver::Options;
 use crate::splitter::Carving;
+
+/// The interfaces one compile spliced, for the next compile under the
+/// same interner to splice without decoding them again
+/// ([`Options::interface_carry`]).
+///
+/// A compile handed a carry returns one
+/// ([`ConcurrentOutput::interface_carry`](crate::ConcurrentOutput::interface_carry))
+/// that holds exactly the interfaces it spliced, so the carry of a
+/// session stays the size of one compile's imports. A carry made under
+/// another interner is ignored: its names would not resolve.
+pub struct InterfaceCarry {
+    interner: Arc<Interner>,
+    /// By interface key: the checksum trailer of the stored artifact and
+    /// the interface it decodes to.
+    decoded: HashMap<Fp128, Carried>,
+}
+
+#[derive(Clone)]
+struct Carried {
+    trailer: [u8; 16],
+    iface: Arc<Interface>,
+}
+
+impl InterfaceCarry {
+    /// An empty carry for compiles under `interner`: what the first
+    /// compile of a session is handed.
+    pub fn new(interner: Arc<Interner>) -> InterfaceCarry {
+        InterfaceCarry {
+            interner,
+            decoded: HashMap::new(),
+        }
+    }
+
+    /// The carried interfaces, by interface key.
+    pub fn iter(&self) -> impl Iterator<Item = (Fp128, &Arc<Interface>)> {
+        self.decoded.iter().map(|(&key, c)| (key, &c.iface))
+    }
+}
+
+impl std::fmt::Debug for InterfaceCarry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InterfaceCarry")
+            .field("interfaces", &self.decoded.len())
+            .finish()
+    }
+}
 
 /// A compile's incremental state, present only when the cache is active.
 pub(crate) struct Incremental {
@@ -67,6 +121,10 @@ pub(crate) struct Incremental {
     /// cell keys.
     main: Arc<SourceFile>,
     library: Vec<(String, String)>,
+    /// What an earlier compile under this interner spliced, if this
+    /// compile was handed a carry (one from another interner is
+    /// replaced by an empty one).
+    carry: Option<Arc<InterfaceCarry>>,
     interfaces: OnceLock<Interfaces>,
     /// The ids in this compile of each spliced interface's own types,
     /// built on first use: by its own splice, or by that of a module
@@ -88,6 +146,9 @@ struct Interfaces {
     /// The stored interfaces this compile splices. A module is here only
     /// if its artifact decoded and every module it imports is here too.
     spliced: HashMap<Symbol, Arc<Interface>>,
+    /// The same interfaces by key, for the carry this compile returns;
+    /// empty when it was handed none.
+    carried: HashMap<Fp128, Carried>,
 }
 
 /// A step of the driver's that waits for the decisions.
@@ -203,6 +264,14 @@ impl Incremental {
         if !options.early_split {
             return None;
         }
+        let interner = &sema.interner;
+        let carry = (options.interface_carry.as_ref()).map(|c| {
+            if Arc::ptr_eq(&c.interner, interner) {
+                Arc::clone(c)
+            } else {
+                Arc::new(InterfaceCarry::new(Arc::clone(interner)))
+            }
+        });
         Some(Incremental {
             store: Arc::clone(store),
             sema: Arc::clone(sema),
@@ -210,6 +279,7 @@ impl Incremental {
             tag: options.heading_mode.cache_tag(),
             main: Arc::clone(main),
             library: defs.all_definitions()?,
+            carry,
             interfaces: OnceLock::new(),
             types: Mutex::new(HashMap::new()),
             st: Mutex::new(State::default()),
@@ -241,6 +311,7 @@ impl Incremental {
             env_fp,
             keyed: Vec::with_capacity(keys.len()),
             spliced: HashMap::new(),
+            carried: HashMap::new(),
         };
         // Imports come first, so a module's imports are decided before it
         // is: one with an import that does not splice is not looked up
@@ -264,17 +335,46 @@ impl Incremental {
                 })
             };
             let loaded = self.load(k.key, k.name, |bytes| {
-                match decode_interface(bytes, interner) {
-                    Ok(iface) if links_fit(&iface) => Ok(iface),
-                    Ok(_) => Err("malformed link".to_string()),
-                    Err(e) => Err(e.to_string()),
+                let iface = match self.carried(k.key, bytes) {
+                    Some(iface) => iface,
+                    None => Arc::new(decode_interface(bytes, interner).map_err(|e| e.to_string())?),
+                };
+                if links_fit(&iface) {
+                    Ok((trailer(bytes), iface))
+                } else {
+                    Err("malformed link".to_string())
                 }
             });
-            if let Ok(Some(iface)) = loaded {
-                ifaces.spliced.insert(name, Arc::new(iface));
+            if let Ok(Some((trailer, iface))) = loaded {
+                if self.carry.is_some() {
+                    let iface = Arc::clone(&iface);
+                    ifaces.carried.insert(k.key, Carried { trailer, iface });
+                }
+                ifaces.spliced.insert(name, iface);
             }
         }
         ifaces
+    }
+
+    /// The carried interface stored under `key`, if `bytes` open as an
+    /// interface envelope and are the bytes it was decoded from: the
+    /// envelope checks the trailer against the payload, and the trailer
+    /// is the one carried. Anything else decodes afresh, and fails as it
+    /// would without a carry.
+    fn carried(&self, key: Fp128, bytes: &[u8]) -> Option<Arc<Interface>> {
+        let carried = self.carry.as_ref()?.decoded.get(&key)?;
+        IFACE_FORMAT.open(bytes).ok()?;
+        (carried.trailer == trailer(bytes)).then(|| Arc::clone(&carried.iface))
+    }
+
+    /// The interfaces this compile spliced, for the next compile under
+    /// its interner, if it was handed a carry.
+    pub(crate) fn carry(&self) -> Option<Arc<InterfaceCarry>> {
+        let carry = self.carry.as_ref()?;
+        Some(Arc::new(InterfaceCarry {
+            interner: Arc::clone(&carry.interner),
+            decoded: (self.interfaces.get()).map_or_else(HashMap::new, |i| i.carried.clone()),
+        }))
     }
 
     /// Loads the artifact stored under `key` and decodes it. One that
@@ -709,4 +809,11 @@ impl Incremental {
             recorded.insert(*name);
         }
     }
+}
+
+/// The checksum trailer that closes an envelope (zeros for bytes too
+/// short to hold one, which never open).
+fn trailer(bytes: &[u8]) -> [u8; 16] {
+    let at = bytes.len().saturating_sub(16);
+    bytes[at..].try_into().unwrap_or([0; 16])
 }

@@ -40,5 +40,6 @@ pub mod splitter;
 
 pub use ccm2_analysis::LockStats;
 pub use driver::{compile_concurrent, CompileError, ConcurrentOutput, Executor, Options};
+pub use incremental::InterfaceCarry;
 pub use queue::{StreamCursor, TokenQueue, TokenWriter, BLOCK_SIZE};
 pub use splitter::{run_splitter, SplitReport, StreamFactory};

@@ -771,6 +771,10 @@ mod tests {
     use ccm2_support::work::NullMeter;
 
     fn fixture() -> (Arc<Interner>, Arc<SymbolTables>, Resolver) {
+        fixture_under(DkyStrategy::Skeptical)
+    }
+
+    fn fixture_under(strategy: DkyStrategy) -> (Arc<Interner>, Arc<SymbolTables>, Resolver) {
         let interner = Arc::new(Interner::new());
         let tables = Arc::new(SymbolTables::new());
         let builtins = Arc::new(BuiltinTable::new(&interner));
@@ -779,7 +783,7 @@ mod tests {
             Arc::clone(&tables),
             builtins,
             stats,
-            DkyStrategy::Skeptical,
+            strategy,
             Arc::new(NullWaiter),
             Arc::new(NullMeter),
         );
@@ -1149,6 +1153,124 @@ mod tests {
         assert_eq!(t.alloc_slot(), 0);
         assert_eq!(t.alloc_slot(), 1);
         assert_eq!(t.slot_count(), 2);
+    }
+
+    /// The oracle's answer to `lookup(origin, name)`: the origin's own
+    /// map, then the builtins, then each parent's map in turn; an alias
+    /// found on the way is looked up in its exporting scope's map alone.
+    fn oracle_lookup(
+        scopes: &[(Option<usize>, HashMap<Symbol, SymbolEntry>)],
+        builtins: &BuiltinTable,
+        origin: usize,
+        name: Symbol,
+    ) -> Option<LookupResult> {
+        let found = |e: &SymbolEntry| match e.kind {
+            SymbolKind::Alias { from_scope, name } => (scopes[from_scope.index()].1)
+                .get(&name)
+                .cloned()
+                .map(LookupResult::Entry),
+            _ => Some(LookupResult::Entry(e.clone())),
+        };
+        if let Some(e) = scopes[origin].1.get(&name) {
+            return found(e);
+        }
+        if let Some(b) = builtins.lookup(name) {
+            return Some(LookupResult::Builtin(b));
+        }
+        let mut cur = scopes[origin].0;
+        while let Some(s) = cur {
+            if let Some(e) = scopes[s].1.get(&name) {
+                return found(e);
+            }
+            cur = scopes[s].0;
+        }
+        None
+    }
+
+    /// Property: symbol-table search agrees with an oracle scope
+    /// resolver. Each case builds a random forest of scopes (a main
+    /// module and definition modules at the roots, procedures below),
+    /// inserts constants and FROM-import aliases drawn from a small name
+    /// pool — so names shadow each other, and builtins, across scopes —
+    /// completes a random subset of the tables, and then asks every
+    /// `lookup(origin, name)` of the resolver and of a naive parent-chain
+    /// walk over one map per scope. A redeclaration must be refused with
+    /// the entry the oracle holds.
+    #[test]
+    fn lookup_agrees_with_an_oracle_scope_resolver() {
+        use ccm2_support::hash::splitmix64;
+        const POOL: [&str; 8] = ["a", "b", "c", "d", "e", "TRUE", "INTEGER", "ORD"];
+        for case in 0..400u64 {
+            let mut state = case;
+            let mut draw = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+            let strategy = DkyStrategy::ALL[draw(4)];
+            // Scope k's parent, if any, is an earlier scope.
+            let parents: Vec<Option<usize>> = (0..1 + draw(9))
+                .map(|k| (k > 0 && draw(5) > 0).then(|| draw(k)))
+                .collect();
+            // (scope, name, what it aliases: (scope, name))
+            let inserts: Vec<_> = (0..draw(4 * parents.len()))
+                .map(|_| {
+                    let (at, name) = (draw(parents.len()), draw(POOL.len()));
+                    let alias = (draw(4) == 0).then(|| (draw(parents.len()), draw(POOL.len())));
+                    (at, name, alias)
+                })
+                .collect();
+            let complete: Vec<bool> = parents.iter().map(|_| draw(4) > 0).collect();
+            println!(
+                "case {case}: {strategy:?}, parents {parents:?}, \
+                 inserts {inserts:?}, complete {complete:?}"
+            );
+
+            let (i, tables, r) = fixture_under(strategy);
+            let builtins = BuiltinTable::new(&i);
+            let names: Vec<Symbol> = POOL.iter().map(|n| i.intern(n)).collect();
+            let ids: Vec<ScopeId> = (parents.iter().enumerate())
+                .map(|(k, parent)| {
+                    let kind = match (k, parent) {
+                        (0, _) => ScopeKind::MainModule,
+                        (_, None) => ScopeKind::DefModule,
+                        _ => ScopeKind::Procedure,
+                    };
+                    let name = i.intern(&format!("S{k}"));
+                    tables.new_scope(kind, name, parent.map(|p| ScopeId(p as u32)), FileId(0))
+                })
+                .collect();
+            let mut scopes: Vec<(Option<usize>, HashMap<Symbol, SymbolEntry>)> =
+                parents.iter().map(|&p| (p, HashMap::new())).collect();
+            for (value, &(at, name, alias)) in inserts.iter().enumerate() {
+                let kind = match alias {
+                    Some((from, name)) => SymbolKind::Alias {
+                        from_scope: ids[from],
+                        name: names[name],
+                    },
+                    None => SymbolKind::Const {
+                        value: ConstValue::Int(value as i64),
+                        ty: TypeId::INTEGER,
+                    },
+                };
+                let entry = SymbolEntry {
+                    name: names[name],
+                    kind,
+                    span: Span::default(),
+                };
+                let held = scopes[at].1.get(&names[name]).cloned();
+                assert_eq!(tables.insert(ids[at], entry.clone()).err(), held);
+                scopes[at].1.entry(names[name]).or_insert(entry);
+            }
+            for (&id, _) in ids.iter().zip(&complete).filter(|(_, c)| **c) {
+                tables.mark_complete(id);
+            }
+            for (origin, &id) in ids.iter().enumerate() {
+                for (&name, text) in names.iter().zip(POOL) {
+                    assert_eq!(
+                        r.lookup(id, name),
+                        oracle_lookup(&scopes, &builtins, origin, name),
+                        "case {case}: lookup of `{text}` from S{origin}"
+                    );
+                }
+            }
+        }
     }
 }
 

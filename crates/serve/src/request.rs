@@ -120,25 +120,26 @@ impl CompileRequest {
     /// excluded — different clients asking for the same compilation
     /// should share one.
     pub fn fingerprint(&self) -> Fp128 {
-        let mut h = StableHasher::new();
-        h.write_str("ccm2-serve/request/v1");
-        h.write_str(&self.source);
-        // The library's sorted view, borrowed: this runs on every
-        // submission, so the interface texts are hashed where they lie.
-        h.write_u64(self.defs.len() as u64);
-        for (name, text) in self.defs.iter() {
-            h.write_str(name);
-            h.write_str(text);
-        }
-        h.write_u32(match self.strategy {
-            DkyStrategy::Avoidance => 0,
-            DkyStrategy::Pessimistic => 1,
-            DkyStrategy::Skeptical => 2,
-            DkyStrategy::Optimistic => 3,
-        });
-        self.exec.hash_into(&mut h);
-        h.write_u32(u32::from(self.analyze));
-        h.finish()
+        fingerprint(
+            &self.source,
+            &self.defs,
+            self.strategy,
+            self.exec,
+            self.analyze,
+        )
+    }
+
+    /// The [`fingerprint`](CompileRequest::fingerprint) of
+    /// `CompileRequest::new(_, _, source, defs)`, hashed where `source`
+    /// and `defs` lie instead of copied into a request.
+    pub fn fingerprint_of(source: &str, defs: &DefLibrary) -> Fp128 {
+        fingerprint(
+            source,
+            defs,
+            DkyStrategy::Skeptical,
+            ExecChoice::Threads(2),
+            false,
+        )
     }
 
     /// Driver options for this request, fronting `store` as the
@@ -152,6 +153,34 @@ impl CompileRequest {
             ..Options::default()
         }
     }
+}
+
+fn fingerprint(
+    source: &str,
+    defs: &DefLibrary,
+    strategy: DkyStrategy,
+    exec: ExecChoice,
+    analyze: bool,
+) -> Fp128 {
+    let mut h = StableHasher::new();
+    h.write_str("ccm2-serve/request/v1");
+    h.write_str(source);
+    // The library's sorted view, borrowed: this runs on every
+    // submission, so the interface texts are hashed where they lie.
+    h.write_u64(defs.len() as u64);
+    for (name, text) in defs.iter() {
+        h.write_str(name);
+        h.write_str(text);
+    }
+    h.write_u32(match strategy {
+        DkyStrategy::Avoidance => 0,
+        DkyStrategy::Pessimistic => 1,
+        DkyStrategy::Skeptical => 2,
+        DkyStrategy::Optimistic => 3,
+    });
+    exec.hash_into(&mut h);
+    h.write_u32(u32::from(analyze));
+    h.finish()
 }
 
 /// What the service reports back for one request.
@@ -261,6 +290,11 @@ mod tests {
         assert_eq!(
             req.fingerprint().to_hex(),
             "5fb7afd280be54237c59480062aabb08"
+        );
+        assert_eq!(
+            CompileRequest::fingerprint_of(&req.source, &req.defs),
+            req.fingerprint(),
+            "a default request's digest, borrowed"
         );
     }
 

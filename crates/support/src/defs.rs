@@ -50,6 +50,11 @@ impl DefLibrary {
         self.defs.insert(name.into(), source.into());
     }
 
+    /// The source of definition module `name`, to edit where it lies.
+    pub fn source_mut(&mut self, name: &str) -> Option<&mut String> {
+        self.defs.get_mut(name)
+    }
+
     /// Iterates over `(name, source)` pairs sorted by name: the order and
     /// content of [`DefProvider::all_definitions`], borrowed — what a
     /// digest over the whole library reads without copying the texts.

@@ -150,10 +150,19 @@ impl Interner {
     ///
     /// Panics if `sym` did not come from this interner.
     pub fn resolve(&self, sym: Symbol) -> String {
+        self.as_str(sym).to_owned()
+    }
+
+    /// Returns the string interned under `sym`, borrowed: what a
+    /// comparison or a sort key reads without copying the name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sym` did not come from this interner.
+    pub fn as_str(&self, sym: Symbol) -> &str {
         self.strings
             .get(sym.index())
             .expect("symbol from another interner")
-            .clone()
     }
 
     /// Number of distinct strings interned so far.

@@ -14,38 +14,57 @@
 //! and returns a [`CheckReport`]: the diagnostics *delta*, which units
 //! changed or degraded, warm/cold stream counts, and wall time.
 //!
-//! Two pieces are deliberately reused rather than reinvented:
+//! A check does only what its report needs, so it costs its compile and
+//! little else. The survivors are applied in place ([`EditOp::apply`]):
+//! neither the module nor its interface library is copied, and the
+//! library is moved into the compile's `Arc` and back. The session keeps
+//! the compile's [`ModuleImage`] by move (trimmed of its growth slack)
+//! and diffs its units against the previous image's without copying a
+//! unit or a name that did not change. [`Session::object`] encodes the image on its first call after
+//! each compiled revision, never during the check.
+//!
+//! Three pieces are deliberately reused rather than reinvented:
 //!
 //! * **admission** — the artifact store is the service's: one
 //!   [`MemStore`] with a byte budget and strict LRU admission, so a fleet
 //!   of sessions shares one bounded cache exactly like a fleet of compile
 //!   requests does;
-//! * **dedup** — a revision's no-op key is serve's
-//!   [`CompileRequest::fingerprint`], the same single-flight digest the
-//!   service uses to join identical requests. If coalescing leaves the
-//!   sources byte-identical to the previous revision, the compile is
-//!   skipped outright and the report says [`CheckReport::deduped`].
+//! * **dedup** — a revision's no-op key is serve's single-flight digest
+//!   of a default request ([`CompileRequest::fingerprint_of`]), hashed
+//!   where the session's sources lie. If coalescing leaves the sources
+//!   byte-identical to the previous revision, the compile is skipped
+//!   outright and the report says [`CheckReport::deduped`];
+//! * **decoded interfaces** — every compile of a session runs under the
+//!   session's one interner, so each hands the next the interfaces it
+//!   spliced ([`InterfaceCarry`], through [`Options::interface_carry`]).
+//!   The next compile still loads every interface from the store and
+//!   opens its envelope, so hits, misses and quarantines are unchanged,
+//!   but it does not decode again one whose bytes are those it carries.
 //!
 //! Unlike serve (which returns interner-independent object *bytes*),
 //! sessions call [`compile_concurrent`] directly and keep the
-//! [`ModuleImage`](ccm2_codegen::merge::ModuleImage): per-unit identity is what makes the editor-loop
+//! [`ModuleImage`]: per-unit identity is what makes the editor-loop
 //! guarantees checkable — a broken revision must degrade *only* the
 //! edited procedure's unit (to the deterministic error unit the
 //! recovering parser produces) while every sibling stays byte-identical
 //! and warm.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use ccm2::{compile_concurrent, Options};
+use ccm2::{compile_concurrent, InterfaceCarry, Options};
 use ccm2_codegen::emit::is_error_unit;
 use ccm2_codegen::ir::CodeUnit;
-use ccm2_incr::{comparable_output, ArtifactStore, MemStore, StoreStats};
+use ccm2_codegen::merge::ModuleImage;
+use ccm2_incr::{encode_image, render_diagnostics, ArtifactStore, MemStore, StoreStats};
 use ccm2_serve::CompileRequest;
+use ccm2_support::defs::DefProvider;
 use ccm2_support::hash::Fp128;
 use ccm2_support::intern::Interner;
-use ccm2_workload::{apply_edits, EditOp, GeneratedModule};
+use ccm2_workload::{EditOp, GeneratedModule};
 
 /// Errors surfaced by [`WatchService`] operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,18 +161,12 @@ pub struct CheckReport {
     pub wall: Duration,
 }
 
-/// A resolved unit snapshot: dotted code name plus the unit itself.
-type UnitSnapshot = Vec<(String, CodeUnit)>;
-
 /// One always-on project session.
 pub struct Session {
     project: String,
+    /// The sources, edited in place. The compile borrows the library by
+    /// moving it into an `Arc` and back, so the session holds one copy.
     module: GeneratedModule,
-    // `module.defs` behind an `Arc`, rebuilt only when an interface
-    // edit lands: the fingerprint and the compile both want shared
-    // ownership every check, and cloning the full library per
-    // keystroke would dominate small-project checks.
-    defs: Arc<ccm2_support::defs::DefLibrary>,
     interner: Arc<Interner>,
     store: Arc<MemStore>,
     options: Options,
@@ -161,9 +174,17 @@ pub struct Session {
     rejected_edits: u64,
     revision: u64,
     last_fp: Option<Fp128>,
-    units: UnitSnapshot,
+    /// The last compiled revision's image, kept as the compile returned
+    /// it: the next revision's units are diffed against it.
+    image: Option<ModuleImage>,
     diagnostics: Vec<String>,
-    object: Option<Vec<u8>>,
+    /// The image's interner-independent encoding, made on the first
+    /// [`Session::object`] call after each compiled revision.
+    object: OnceLock<Option<Vec<u8>>>,
+    /// The interfaces the last compile spliced, which the next one
+    /// splices without decoding them again if the store still holds the
+    /// same bytes.
+    carry: Arc<InterfaceCarry>,
     /// The last compiled revision's [`CheckReport::clean`], which a
     /// deduped revision repeats.
     clean: bool,
@@ -176,24 +197,25 @@ impl Session {
         store: Arc<MemStore>,
         options: Options,
     ) -> Session {
-        let defs = Arc::new(module.defs.clone());
+        // One interner for the session's whole lifetime: symbols stay
+        // stable across revisions, so units of revision N can be compared
+        // to revision N-1 directly, and interfaces decoded by one compile
+        // can be spliced by the next.
+        let interner = Arc::new(Interner::new());
         Session {
             project,
             module,
-            defs,
-            // One interner for the session's whole lifetime: symbols
-            // stay stable across revisions, so units of revision N can
-            // be compared to revision N-1 directly.
-            interner: Arc::new(Interner::new()),
+            carry: Arc::new(InterfaceCarry::new(Arc::clone(&interner))),
+            interner,
             store,
             options,
             inbox: Vec::new(),
             rejected_edits: 0,
             revision: 0,
             last_fp: None,
-            units: Vec::new(),
+            image: None,
             diagnostics: Vec::new(),
-            object: None,
+            object: OnceLock::new(),
             clean: false,
         }
     }
@@ -213,10 +235,10 @@ impl Session {
         &self.module
     }
 
-    /// Last revision's units as (dotted code name, unit) pairs, sorted
-    /// by name.
-    pub fn units(&self) -> &[(String, CodeUnit)] {
-        &self.units
+    /// Last revision's units, sorted by dotted code name (names resolve
+    /// through the session's interner).
+    pub fn units(&self) -> &[CodeUnit] {
+        self.image.as_ref().map_or(&[], |im| &im.units)
     }
 
     /// Last revision's rendered diagnostics.
@@ -225,9 +247,12 @@ impl Session {
     }
 
     /// Last revision's object image in the interner-independent
-    /// encoding (comparable across sessions and to cold compiles).
+    /// encoding (comparable across sessions and to cold compiles),
+    /// encoded on the first call after each compiled revision.
     pub fn object(&self) -> Option<&[u8]> {
-        self.object.as_deref()
+        (self.object)
+            .get_or_init(|| (self.image.as_ref()).map(|im| encode_image(im, &self.interner)))
+            .as_deref()
     }
 
     /// Edits rejected because the inbox was full.
@@ -252,27 +277,14 @@ impl Session {
         let ops = coalesce(drained);
         let edits_coalesced = ops.superseded;
         let edits_applied = ops.survivors.len();
-        if edits_applied > 0 {
-            let defs_touched = ops
-                .survivors
-                .iter()
-                .any(|op| matches!(op, EditOp::Interface { .. }));
-            self.module = apply_edits(&self.module, &ops.survivors);
-            if defs_touched {
-                self.defs = Arc::new(self.module.defs.clone());
-            }
+        for op in &ops.survivors {
+            op.apply(&mut self.module);
         }
 
         // Serve's single-flight key doubles as the no-op detector: if
         // the coalesced edits left the sources byte-identical (or there
-        // were none), skip the compile and answer from the snapshot.
-        let fp = CompileRequest::new(
-            0,
-            self.module.name.clone(),
-            self.module.source.clone(),
-            Arc::clone(&self.defs),
-        )
-        .fingerprint();
+        // were none), skip the compile and answer from the last one.
+        let fp = CompileRequest::fingerprint_of(&self.module.source, &self.module.defs);
         if self.last_fp == Some(fp) {
             self.revision += 1;
             return CheckReport {
@@ -294,50 +306,46 @@ impl Session {
 
         let options = Options {
             incremental: Some(Arc::clone(&self.store) as Arc<dyn ArtifactStore>),
+            interface_carry: Some(Arc::clone(&self.carry)),
             ..self.options.clone()
         };
-        let out = compile_concurrent(
-            &self.module.source,
-            Arc::clone(&self.defs) as Arc<dyn ccm2_support::defs::DefProvider>,
-            Arc::clone(&self.interner),
-            options,
-        );
-        let (object, diagnostics) = comparable_output(
-            out.image.as_ref(),
-            &out.diagnostics,
-            &out.sources,
-            &out.interner,
-        );
-        let units: UnitSnapshot = out
-            .image
-            .as_ref()
-            .map(|im| {
-                im.units
-                    .iter()
-                    .map(|u| (self.interner.resolve(u.name), u.clone()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut degraded_units: Vec<String> = units
-            .iter()
-            .filter(|(_, u)| is_error_unit(u, &self.interner))
-            .map(|(n, _)| n.clone())
+        let defs = Arc::new(std::mem::take(&mut self.module.defs));
+        let out = panic::catch_unwind(AssertUnwindSafe(|| {
+            compile_concurrent(
+                &self.module.source,
+                Arc::clone(&defs) as Arc<dyn DefProvider>,
+                Arc::clone(&self.interner),
+                options,
+            )
+        }));
+        // The compile is over and has let go of the library, unless it
+        // unwound with the library still held by a task.
+        self.module.defs = Arc::try_unwrap(defs).unwrap_or_else(|defs| (*defs).clone());
+        let out = out.unwrap_or_else(|p| panic::resume_unwind(p));
+        let clean = out.is_ok();
+        let diagnostics = render_diagnostics(&out.diagnostics, &out.sources);
+        let units = out.image.as_ref().map_or(&[][..], |im| &im.units);
+        // Units are sorted by name, so the degraded ones are too.
+        let degraded_units: Vec<String> = (units.iter())
+            .filter(|u| is_error_unit(u, &self.interner))
+            .map(|u| self.interner.resolve(u.name))
             .collect();
-        degraded_units.sort();
-        let changed_units = changed_units(&self.units, &units);
+        let changed_units = changed_units(self.units(), units, &self.interner);
         let (diags_added, diags_removed) = sorted_diff(&self.diagnostics, &diagnostics);
         let (warm_streams, cold_streams) = out
             .incr
             .as_ref()
             .map(|s| (s.spliced, s.recompiled))
             .unwrap_or((0, 0));
-        let clean = out.is_ok();
 
         self.revision += 1;
         self.last_fp = Some(fp);
-        self.units = units;
+        self.image = out.image.map(compact);
         self.diagnostics = diagnostics;
-        self.object = object;
+        self.object = OnceLock::new();
+        if let Some(carry) = out.interface_carry {
+            self.carry = carry;
+        }
         self.clean = clean;
 
         CheckReport {
@@ -478,40 +486,49 @@ fn coalesce(ops: Vec<EditOp>) -> Coalesced {
     }
 }
 
-/// Merge-walk two name-sorted unit snapshots; a unit counts as changed
-/// if it is only present on one side or compares unequal.
-fn changed_units(old: &UnitSnapshot, new: &UnitSnapshot) -> Vec<String> {
+/// `image` with the slack of its growth trimmed. A session holds its
+/// image until the next compiled revision, and the code of a unit
+/// compiled live grew by doubling: kept as it is, every open session
+/// would hold that slack between checks.
+fn compact(mut image: ModuleImage) -> ModuleImage {
+    image.units.shrink_to_fit();
+    for unit in &mut image.units {
+        unit.code.shrink_to_fit();
+    }
+    image
+}
+
+/// Merge-walks two images' units, each sorted by name: the names of
+/// the units present on one side only or unequal on both, in order.
+/// Names are compared where the interner holds them, and only a changed
+/// unit's is copied out.
+fn changed_units(old: &[CodeUnit], new: &[CodeUnit], interner: &Interner) -> Vec<String> {
     let mut changed = Vec::new();
     let (mut i, mut j) = (0, 0);
     while i < old.len() || j < new.len() {
-        match (old.get(i), new.get(j)) {
-            (Some((a, ua)), Some((b, ub))) => match a.cmp(b) {
-                std::cmp::Ordering::Equal => {
-                    if ua != ub {
-                        changed.push(a.clone());
-                    }
-                    i += 1;
-                    j += 1;
+        let order = match (old.get(i), new.get(j)) {
+            (Some(a), Some(b)) => interner.as_str(a.name).cmp(interner.as_str(b.name)),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        let unit = match order {
+            Ordering::Equal => {
+                (i, j) = (i + 1, j + 1);
+                if old[i - 1] == new[j - 1] {
+                    continue;
                 }
-                std::cmp::Ordering::Less => {
-                    changed.push(a.clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    changed.push(b.clone());
-                    j += 1;
-                }
-            },
-            (Some((a, _)), None) => {
-                changed.push(a.clone());
+                &new[j - 1]
+            }
+            Ordering::Less => {
                 i += 1;
+                &old[i - 1]
             }
-            (None, Some((b, _))) => {
-                changed.push(b.clone());
+            Ordering::Greater => {
                 j += 1;
+                &new[j - 1]
             }
-            (None, None) => unreachable!(),
-        }
+        };
+        changed.push(interner.resolve(unit.name));
     }
     changed
 }
@@ -524,15 +541,15 @@ fn sorted_diff(old: &[String], new: &[String]) -> (Vec<String>, Vec<String>) {
     while i < old.len() || j < new.len() {
         match (old.get(i), new.get(j)) {
             (Some(a), Some(b)) => match a.cmp(b) {
-                std::cmp::Ordering::Equal => {
+                Ordering::Equal => {
                     i += 1;
                     j += 1;
                 }
-                std::cmp::Ordering::Less => {
+                Ordering::Less => {
                     removed.push(a.clone());
                     i += 1;
                 }
-                std::cmp::Ordering::Greater => {
+                Ordering::Greater => {
                     added.push(b.clone());
                     j += 1;
                 }
@@ -605,13 +622,15 @@ mod tests {
         assert_eq!(r.changed_units, vec!["WatchC.Proc2".to_string()]);
         // Every sibling unit is byte-identical to the fault-free
         // revision.
-        for (name, unit) in svc.session("p").unwrap().units() {
+        let session = svc.session("p").unwrap();
+        for unit in session.units() {
+            let name = session.interner.resolve(unit.name);
             if name != "WatchC.Proc2" {
                 let prev = clean_units
                     .iter()
-                    .find(|(n, _)| n == name)
+                    .find(|u| u.name == unit.name)
                     .expect("sibling");
-                assert_eq!(&prev.1, unit, "{name} unchanged");
+                assert_eq!(prev, unit, "{name} unchanged");
             }
         }
         // Fixing restores the clean outputs exactly.

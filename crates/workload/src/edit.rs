@@ -15,7 +15,6 @@
 //! compilable and deterministic without reparsing.
 
 use crate::gen::GeneratedModule;
-use ccm2_support::defs::DefLibrary;
 
 /// One mechanical edit applied to a [`GeneratedModule`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,22 +67,31 @@ pub enum EditOp {
 pub fn apply_edits(module: &GeneratedModule, edits: &[EditOp]) -> GeneratedModule {
     let mut out = module.clone();
     for edit in edits {
-        match edit {
-            EditOp::ProcBody { index, seed } => {
-                out.source = edit_proc_body(&out.source, *index, *seed);
-            }
-            EditOp::Interface { def, tag } => {
-                out.defs = edit_interface(&out.defs, def, *tag);
-            }
-            EditOp::BreakBody { index, seed } => {
-                out.source = break_proc_body(&out.source, *index, *seed);
-            }
-            EditOp::FixBody { index } => {
-                out.source = fix_proc_body(&out.source, *index);
-            }
-        }
+        edit.apply(&mut out);
     }
     out
+}
+
+impl EditOp {
+    /// Applies this edit to `module` in place: the one text it touches
+    /// is edited where it lies, and nothing else is copied. An edit
+    /// whose anchor is absent leaves `module` as it is.
+    pub fn apply(&self, module: &mut GeneratedModule) {
+        match self {
+            EditOp::ProcBody { index, seed } => {
+                edit_proc_body(&mut module.source, *index, *seed);
+            }
+            EditOp::Interface { def, tag } => {
+                if let Some(text) = module.defs.source_mut(def) {
+                    insert_interface_const(text, *tag);
+                }
+            }
+            EditOp::BreakBody { index, seed } => {
+                break_proc_body(&mut module.source, *index, *seed);
+            }
+            EditOp::FixBody { index } => fix_proc_body(&mut module.source, *index),
+        }
+    }
 }
 
 /// The first `k` procedures of `module`, as body edits (the standard
@@ -98,15 +106,12 @@ pub fn body_edits(k: usize, seed: u64) -> Vec<EditOp> {
 /// prologue; the edit inserts right after it.
 const BODY_ANCHOR: &str = "BEGIN\n  l0 := p0 + p1; l1 := 1; l2 := 0;\n";
 
-fn edit_proc_body(source: &str, index: usize, seed: u64) -> String {
+fn edit_proc_body(source: &mut String, index: usize, seed: u64) {
     // The first body prologue after the heading belongs to this procedure
     // (nested procedures use a differently indented prologue).
-    let Some(insert_at) = body_insert_point(source, index) else {
-        return source.to_string();
-    };
-    let mut edited = source.to_string();
-    edited.insert_str(insert_at, &format!("  l0 := l0 + {};\n", seed % 9973));
-    edited
+    if let Some(insert_at) = body_insert_point(source, index) {
+        source.insert_str(insert_at, &format!("  l0 := l0 + {};\n", seed % 9973));
+    }
 }
 
 /// Finds the byte offset just past `Proc{index}`'s body prologue, or
@@ -118,13 +123,10 @@ fn body_insert_point(source: &str, index: usize) -> Option<usize> {
     Some(at + body + BODY_ANCHOR.len())
 }
 
-fn break_proc_body(source: &str, index: usize, seed: u64) -> String {
-    let Some(insert_at) = body_insert_point(source, index) else {
-        return source.to_string();
-    };
-    let mut edited = source.to_string();
-    edited.insert_str(insert_at, &format!("  l0 := {} + ;\n", seed % 9973));
-    edited
+fn break_proc_body(source: &mut String, index: usize, seed: u64) {
+    if let Some(insert_at) = body_insert_point(source, index) {
+        source.insert_str(insert_at, &format!("  l0 := {} + ;\n", seed % 9973));
+    }
 }
 
 /// A line is a break-marker iff it has exactly the shape
@@ -144,48 +146,34 @@ fn is_benign_inserted(line: &str) -> bool {
         .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
 }
 
-fn fix_proc_body(source: &str, index: usize) -> String {
+fn fix_proc_body(source: &mut String, index: usize) {
     // Every edit (benign or breaking) inserts at the top-of-body insert
     // point, so broken lines always live in the contiguous run of
     // edit-shaped lines right after the prologue. Scan that run, drop
     // the broken lines, keep everything else byte-for-byte.
     let Some(start) = body_insert_point(source, index) else {
-        return source.to_string();
+        return;
     };
-    let rest = &source[start..];
-    let mut edited = source[..start].to_string();
+    let mut kept = String::new();
     let mut scanned = 0usize;
-    for line in rest.split_inclusive('\n') {
+    for line in source[start..].split_inclusive('\n') {
         let trimmed = line.trim_end_matches('\n');
         if is_broken_line(trimmed) {
             scanned += line.len();
         } else if is_benign_inserted(trimmed) {
-            edited.push_str(line);
+            kept.push_str(line);
             scanned += line.len();
         } else {
             break;
         }
     }
-    edited.push_str(&rest[scanned..]);
-    edited
+    source.replace_range(start..start + scanned, &kept);
 }
 
-fn edit_interface(defs: &DefLibrary, target: &str, tag: u64) -> DefLibrary {
-    let mut out = DefLibrary::new();
-    for (name, text) in defs.iter() {
-        if name == target {
-            out.insert(name, insert_interface_const(text, tag));
-        } else {
-            out.insert(name, text);
-        }
-    }
-    out
-}
-
-/// Returns `text` with `CONST EditN{tag} = {tag};` inserted after the
-/// module header line and any `IMPORT`/`FROM` lines — declarations may
-/// not precede imports in Modula-2.
-fn insert_interface_const(text: &str, tag: u64) -> String {
+/// Inserts `CONST EditN{tag} = {tag};` into `text` after the module
+/// header line and any `IMPORT`/`FROM` lines — declarations may not
+/// precede imports in Modula-2.
+fn insert_interface_const(text: &mut String, tag: u64) {
     let mut at = text.find('\n').map(|i| i + 1).unwrap_or(text.len());
     while at < text.len() {
         let line_end = text[at..]
@@ -199,9 +187,7 @@ fn insert_interface_const(text: &str, tag: u64) -> String {
             break;
         }
     }
-    let mut t = text.to_string();
-    t.insert_str(at, &format!("CONST EditN{tag} = {tag};\n"));
-    t
+    text.insert_str(at, &format!("CONST EditN{tag} = {tag};\n"));
 }
 
 #[cfg(test)]

@@ -9,14 +9,23 @@
 //!   warm compile under any mode reproduces its cold output exactly;
 //! * a session replaying a seeded edit stream — broken intermediates
 //!   included — converges to the byte-identical output of the
-//!   sequential compiler on its final sources.
+//!   sequential compiler on its final sources;
+//! * the interface carry a session threads from compile to compile
+//!   splices the interfaces the last compile decoded without decoding
+//!   them again, and changes nothing else: outputs, store traffic and
+//!   quarantines are those of compiles without it.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use ccm2::Options;
+use ccm2::{compile_concurrent, ConcurrentOutput, InterfaceCarry, Options};
 use ccm2_codegen::emit::is_error_unit;
 use ccm2_incr::MemStore;
 use ccm2_sema::declare::HeadingMode;
+use ccm2_sema::interface::Interface;
+use ccm2_support::defs::DefProvider;
+use ccm2_support::hash::Fp128;
+use ccm2_support::intern::Interner;
 use ccm2_watch::{CheckReport, WatchConfig, WatchService};
 use ccm2_workload::{
     apply_edits, edit_session_seeds, generate, EditOp, GenParams, GeneratedModule, SessionParams,
@@ -285,7 +294,8 @@ fn interface_edit_goes_cold_but_stays_correct() {
 // a coalesced-away fix) leave the final state itself broken.
 #[test]
 fn session_replay_converges_to_cold_compile() {
-    for case in 0..6 {
+    let cases = if cfg!(debug_assertions) { 6 } else { 60 };
+    for case in 0..cases {
         let mut rng = SmallRng::seed_from_u64(case);
         let seed = rng.gen_range(0u64..u64::MAX);
         let batch = rng.gen_range(1usize..4);
@@ -335,4 +345,239 @@ fn session_replay_converges_to_cold_compile() {
             );
         }
     }
+}
+
+// ---- the interface carry ------------------------------------------------
+
+/// A compile of `m` against `store` under `interner`, handed `carry`
+/// (`None`: a compile without one).
+fn compile_carried(
+    m: &GeneratedModule,
+    store: &Arc<MemStore>,
+    interner: &Arc<Interner>,
+    carry: Option<Arc<InterfaceCarry>>,
+) -> ConcurrentOutput {
+    compile_concurrent(
+        &m.source,
+        Arc::new(m.defs.clone()) as Arc<dyn DefProvider>,
+        Arc::clone(interner),
+        Options {
+            incremental: Some(Arc::clone(store) as _),
+            interface_carry: carry,
+            ..Options::threads(1)
+        },
+    )
+}
+
+fn carried(out: &ConcurrentOutput) -> HashMap<Fp128, Arc<Interface>> {
+    let carry = out.interface_carry.as_ref().expect("handed a carry");
+    carry.iter().map(|(key, i)| (key, Arc::clone(i))).collect()
+}
+
+/// Two sessions' worth of compiles side by side, one threading the
+/// carry and one without it, each on a store of its own: every step
+/// must answer alike, with the same counters and the same store.
+struct Twins {
+    interner: Arc<Interner>,
+    carry: Arc<InterfaceCarry>,
+    stores: [Arc<MemStore>; 2],
+}
+
+impl Twins {
+    fn new() -> Twins {
+        let interner = Arc::new(Interner::new());
+        Twins {
+            carry: Arc::new(InterfaceCarry::new(Arc::clone(&interner))),
+            interner,
+            stores: [Arc::new(MemStore::new()), Arc::new(MemStore::new())],
+        }
+    }
+
+    /// Compiles `m` both ways, checks the two against each other and
+    /// against the sequential compiler (but for the cache's own Notes),
+    /// and returns the carried compile.
+    fn step(&mut self, m: &GeneratedModule) -> ConcurrentOutput {
+        let handed = Some(Arc::clone(&self.carry));
+        let out = compile_carried(m, &self.stores[0], &self.interner, handed);
+        let plain = compile_carried(m, &self.stores[1], &Arc::new(Interner::new()), None);
+        assert!(
+            plain.interface_carry.is_none(),
+            "no carry handed, none back"
+        );
+        let (object, mut diags) = out.comparable();
+        diags.retain(|d| !d.contains("incremental cache entry"));
+        assert_eq!(
+            (object, diags),
+            run(&Path::Seq, &m.into()),
+            "carried vs cold"
+        );
+        assert_eq!(plain.comparable(), out.comparable(), "carried vs uncarried");
+        assert_eq!(out.incr, plain.incr, "the same splices and misses");
+        let [a, b] = &self.stores;
+        assert_eq!(a.stats(), b.stats(), "the same store traffic");
+        assert_eq!(
+            a.export(),
+            b.export(),
+            "the same entries in the same LRU order"
+        );
+        self.carry = Arc::clone(out.interface_carry.as_ref().expect("handed a carry"));
+        out
+    }
+}
+
+/// After a body edit every interface of the check is the one the last
+/// compile decoded, the very `Arc`: nothing is decoded again.
+#[test]
+fn carry_splices_every_interface_of_a_body_edit_undecoded() {
+    let m = generate(&GenParams::small("CarryBody", 51));
+    let mut twins = Twins::new();
+    let cold = twins.step(&m);
+    assert!(carried(&cold).is_empty(), "a cold store splices nothing");
+    let warm = twins.step(&m);
+    let decoded = carried(&warm);
+    let stats = warm.incr.expect("incremental");
+    assert!(stats.interfaces_spliced > 0);
+    assert_eq!(
+        decoded.len(),
+        stats.interfaces_spliced,
+        "the carry is what spliced"
+    );
+
+    let edited = apply_edits(&m, &[EditOp::ProcBody { index: 1, seed: 5 }]);
+    let out = twins.step(&edited);
+    let now = carried(&out);
+    assert_eq!(now.len(), decoded.len());
+    for (key, iface) in &now {
+        assert!(
+            Arc::ptr_eq(iface, &decoded[key]),
+            "{key:?}: decoded again instead of carried"
+        );
+    }
+}
+
+/// After an interface edit the edited interface and its importers are
+/// parsed live, then decoded afresh by the next check; every other
+/// interface stays the carried `Arc`.
+#[test]
+fn carry_decodes_an_edited_interface_and_its_importers_afresh() {
+    let m = generate(&GenParams::small("CarryIface", 52));
+    let mut twins = Twins::new();
+    twins.step(&m);
+    let warm = twins.step(&m);
+    let before = carried(&warm);
+
+    let def = format!("{}Lib0", m.name);
+    let edited = apply_edits(&m, &[EditOp::Interface { def, tag: 7 }]);
+    let out = twins.step(&edited);
+    let stats = out.incr.expect("incremental");
+    let live = stats.interfaces - stats.interfaces_spliced;
+    assert!(live > 0, "the edited interface recompiles");
+    let after_edit = carried(&out);
+    assert_eq!(after_edit.len(), stats.interfaces_spliced);
+    for (key, iface) in &after_edit {
+        assert!(
+            Arc::ptr_eq(iface, &before[key]),
+            "{key:?}: untouched, carried"
+        );
+    }
+
+    let body = apply_edits(&edited, &[EditOp::ProcBody { index: 0, seed: 9 }]);
+    let next = twins.step(&body);
+    let now = carried(&next);
+    let fresh: Vec<&Fp128> = now.keys().filter(|k| !after_edit.contains_key(k)).collect();
+    assert_eq!(fresh.len(), live, "exactly the live ones decode afresh");
+    for key in fresh {
+        assert!(!before.contains_key(key), "a new key: the edit changed it");
+    }
+    for (key, iface) in now.iter().filter(|(k, _)| after_edit.contains_key(k)) {
+        assert!(Arc::ptr_eq(iface, &after_edit[key]), "{key:?}: carried");
+    }
+}
+
+/// A carry made under another interner is ignored: every interface is
+/// decoded under the compile's own, and the output is a cold compile's.
+#[test]
+fn carry_from_another_interner_is_ignored() {
+    let m = generate(&GenParams::small("CarryForeign", 53));
+    let store = Arc::new(MemStore::new());
+    let theirs = Arc::new(Interner::new());
+    compile_carried(&m, &store, &theirs, None);
+    let empty = InterfaceCarry::new(Arc::clone(&theirs));
+    let warm = compile_carried(&m, &store, &theirs, Some(Arc::new(empty)));
+    let foreign = carried(&warm);
+    assert!(!foreign.is_empty());
+
+    let ours = Arc::new(Interner::new());
+    let out = compile_carried(&m, &store, &ours, warm.interface_carry.clone());
+    assert_eq!(out.comparable(), run(&Path::Seq, &(&m).into()));
+    let decoded = carried(&out);
+    assert_eq!(
+        decoded.len(),
+        foreign.len(),
+        "every interface still splices"
+    );
+    for (key, iface) in &decoded {
+        assert!(
+            !Arc::ptr_eq(iface, &foreign[key]),
+            "{key:?}: foreign reused"
+        );
+    }
+}
+
+/// An interface entry damaged in the store between two checks is
+/// quarantined with the same Note whether or not the compile carries
+/// the interface it held: the envelope is opened either way.
+#[test]
+fn carry_quarantines_a_damaged_interface_like_an_uncarried_compile() {
+    let m = generate(&GenParams::small("CarryDamage", 54));
+    let mut twins = Twins::new();
+    twins.step(&m);
+    let warm = twins.step(&m);
+    let decoded = carried(&warm);
+    let mut keys: Vec<Fp128> = decoded.keys().copied().collect();
+    keys.sort();
+    for store in &twins.stores {
+        assert!(store.corrupt(keys[0], 20), "the interface is stored");
+    }
+    let edited = apply_edits(&m, &[EditOp::ProcBody { index: 2, seed: 3 }]);
+    let out = twins.step(&edited);
+    let (_, diags) = out.comparable();
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.contains("ignored: checksum mismatch")),
+        "{diags:#?}"
+    );
+    assert_eq!(twins.stores[0].stats().quarantined, 1);
+    assert!(
+        !carried(&out).contains_key(&keys[0]),
+        "a quarantined one is not carried"
+    );
+}
+
+/// `object()` is encoded on demand from the kept image: after a compiled
+/// revision and after a deduped one it is a cold compile's.
+#[test]
+fn object_on_demand_equals_a_cold_compile() {
+    let m = generate(&GenParams::small("WObject", 55));
+    let mut svc = WatchService::new(WatchConfig::default());
+    svc.open("p", m);
+    let cold = |svc: &WatchService| run(&Path::Seq, &svc.session("p").unwrap().module().into());
+    svc.submit("p", EditOp::ProcBody { index: 1, seed: 4 })
+        .unwrap();
+    assert!(!svc.check("p").unwrap().deduped);
+    // Not read before the deduped revision: encoded from the kept image.
+    assert!(svc.check("p").unwrap().deduped);
+    let want = cold(&svc);
+    let session = svc.session("p").unwrap();
+    assert_eq!(session.object(), want.0.as_deref());
+    assert_eq!(session.object(), want.0.as_deref(), "a second read");
+
+    svc.submit("p", EditOp::BreakBody { index: 0, seed: 6 })
+        .unwrap();
+    assert!(!svc.check("p").unwrap().clean);
+    let want = cold(&svc);
+    assert_eq!(svc.session("p").unwrap().object(), want.0.as_deref());
+    assert!(svc.check("p").unwrap().deduped);
+    assert_eq!(svc.session("p").unwrap().object(), want.0.as_deref());
 }
