@@ -72,6 +72,15 @@ if git grep -n proptest -- '*.toml' '*.rs' Cargo.lock; then
   exit 1
 fi
 
+echo "== a replica is a store =="
+# A shard keeps each peer's store as a budgeted MemStore and persists it
+# as a CCM2SNAP image. The op log it replaced, its cap and its own image
+# format fail here if they come back.
+if git grep -nE 'ReplicaLogStore|RLOG_FORMAT|REPLICA_LOG_CAP' -- '*.rs'; then
+  echo "the replica op log is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -108,7 +117,7 @@ echo "== cargo test (workspace) =="
 #                             widths, a seeded shard kill and a seeded
 #                             partition cycle on both transports; a stale
 #                             answer stands the leader down wherever it is
-#                             heard; durable replica logs survive a fleet
+#                             heard; durable replicas survive a fleet
 #                             restart
 #   ccm2-watch, watch         edit sessions converge to the cold compile of
 #                             the final sources; a syntax error degrades
@@ -137,9 +146,10 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # simulator) and the kept-alive shard connections (callers sharing
 # streams, a stream the server closed meanwhile, one origin's delta
 # batches overtaking each other on the way to a peer, and 2 000 rounds
-# per transport of concurrent compiles each followed by a flush: a
-# second shipper shows as a gap, a lost dirty mark as a log short of its
-# origin's edge) and the service's
+# per transport of concurrent compiles each followed by a flush, after
+# which every peer's replica must be at its origin's edge and hold its
+# origin's entries: a second shipper shows as a gap, a lost dirty mark as
+# a replica short of the edge) and the service's
 # flights table (eight threads resubmitting one request across 2 000
 # landings: a duplicate that found the flight neither flying nor landed
 # would start a second compile). The checksum kernel's tests ride along

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use ccm2_fabric::{
     start_heartbeats, Fabric, FabricClient, FabricRouter, HashRing, HealthState, MembershipStore,
-    ReplicaLogStore, RouterRole, ShardNode, DEFAULT_VNODES,
+    RouterRole, ShardNode, DEFAULT_VNODES,
 };
 use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
 use ccm2_support::defs::DefLibrary;
@@ -29,14 +29,13 @@ const SEEDS: [u64; 3] = [0xC4A0, 0xC4A1, 0xC4A2];
 /// Shards every drill fleet starts with (ids `0..SHARDS`).
 pub const SHARDS: u32 = 3;
 
-/// Node `id` with durable `CCM2RLOG` replica logs under `dir`: built
-/// again over the same directory, it is that shard after a crash.
+/// Node `id` with durable replicas (`CCM2SNAP` images) under `dir`:
+/// built again over the same directory, it is that shard after a crash.
 pub fn durable_node(dir: &Scratch, id: u32, config: ServeConfig) -> Arc<ShardNode> {
-    let rlogs = ReplicaLogStore::new(dir.join(format!("rlog-{id}"))).expect("rlog dir");
     Arc::new(
         ShardNode::start(id, config)
-            .with_durable_log(rlogs)
-            .expect("durable replica logs"),
+            .with_durable_log(dir.join(format!("replicas-{id}")))
+            .expect("durable replicas"),
     )
 }
 
@@ -139,39 +138,38 @@ pub fn cold_join(
 
 /// Phase: crash-restart. Drops the whole fleet (router, sockets, nodes)
 /// and rebuilds shards `0..SHARDS` with `rebuild` — from their durable
-/// `CCM2RLOG` stores. Every parked replica op, of every origin the old
-/// fleet had, must come back; then the origin with the most ops parked
-/// on its peers is killed and the failover absorb must replay the
-/// restored logs into live stores. Returns the rebuilt, post-failover
-/// fleet.
+/// replica images. Every replica entry, of every origin the old fleet
+/// had, must come back; then the origin with the most entries on its
+/// peers is killed and the failover absorb must import the restored
+/// replicas into live stores. Returns the rebuilt, post-failover fleet.
 pub fn crash_restart_absorb(
     fleet: Fabric,
     tcp: bool,
     rebuild: impl Fn(u32) -> Arc<ShardNode>,
 ) -> Fabric {
     let origins: Vec<u32> = fleet.nodes().iter().map(|n| n.id()).collect();
-    // What is parked when the fleet goes down is what the answers so far
-    // reported, not how far the shipper happened to be.
+    // What is replicated when the fleet goes down is what the answers so
+    // far reported, not how far the shipper happened to be.
     fleet.router().flush();
-    let parked = |nodes: &[Arc<ShardNode>]| -> Vec<Vec<usize>> {
+    let replicated = |nodes: &[Arc<ShardNode>]| -> Vec<Vec<usize>> {
         nodes
             .iter()
             .filter(|n| n.id() < SHARDS)
             .map(|n| origins.iter().map(|&o| n.replica_len(o)).collect())
             .collect()
     };
-    let parked_before = parked(fleet.nodes());
+    let before = replicated(fleet.nodes());
     assert!(
-        parked_before.iter().flatten().sum::<usize>() > 0,
-        "no parked replica ops to survive the crash — the drill is vacuous"
+        before.iter().flatten().sum::<usize>() > 0,
+        "no replica entries to survive the crash — the drill is vacuous"
     );
     drop(fleet);
 
     let nodes: Vec<Arc<ShardNode>> = (0..SHARDS).map(rebuild).collect();
     assert_eq!(
-        parked(&nodes),
-        parked_before,
-        "restart lost or invented parked replica ops"
+        replicated(&nodes),
+        before,
+        "restart lost or invented replica entries"
     );
     let fleet = Fabric::start_over(tcp, nodes);
     let origin = (0..SHARDS)
@@ -189,11 +187,11 @@ pub fn crash_restart_absorb(
         .nodes()
         .iter()
         .filter(|n| n.id() != origin)
-        .map(|n| n.stats().absorbed_ops)
+        .map(|n| n.stats().absorbed_entries)
         .sum();
     assert!(
         absorbed > 0,
-        "failover after restart absorbed nothing from the durable logs"
+        "failover after restart absorbed nothing from the durable replicas"
     );
     fleet
 }
@@ -223,15 +221,15 @@ fn transport_name(tcp: bool) -> &'static str {
 /// the partition heals and the victim warm-rejoins, a cold shard joins
 /// through the warm-up path (>= 50% warm hits on its first post-join
 /// batch), and finally the whole fleet is crash-restarted from its
-/// durable `CCM2RLOG` replica logs and a failover absorbs the restored
-/// parked ops. Zero lost admitted requests, zero hangs, byte-identity
+/// durable replica images and a failover absorbs the restored
+/// replicas. Zero lost admitted requests, zero hangs, byte-identity
 /// to a standalone compile, everywhere. The split-brain cells and the
 /// wall-clock detector leg follow.
 pub fn chaosnet() -> String {
     let mut out = String::from(
         "Chaosnet: seeded network-fault drills over the fabric control plane\n\
            each cell: partition -> heartbeat eviction -> serve through the hole -> heal\n\
-           -> warm rejoin -> cold join (warm-hit floor) -> CCM2RLOG crash-restart -> absorb\n\n",
+           -> warm rejoin -> cold join (warm-hit floor) -> replica crash-restart -> absorb\n\n",
     );
     out.push_str("  seed   | transport | evict ticks | warm hits | events\n");
     out.push_str("  -------+-----------+-------------+-----------+-------\n");
@@ -339,14 +337,14 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
     // Phase 4 — cold join.
     let (warm_hits, warm_lookups) =
         cold_join(&mut fleet, mk_node(JOINER), &reqs[join_at..], &oracle);
-    // Whoever stayed, or came new, holds logs without a hole. (The
+    // Whoever stayed, or came new, holds replicas without a hole. (The
     // victim's have one per origin that compiled while it was away, and
     // say so: `gapped`, so a failover reconciles it with an image.)
     fleet.router().flush();
     for node in fleet.nodes().iter().filter(|n| n.id() != window.shard) {
         assert_eq!(node.stats().replica_gaps, 0, "shard {}", node.id());
     }
-    // Phase 5 — crash-restart from the durable logs, failover absorb.
+    // Phase 5 — crash-restart from the durable replicas, failover absorb.
     let fleet = crash_restart_absorb(fleet, tcp, mk_node);
     // The restarted, post-failover fleet still serves standalone bytes.
     drive(fleet.router(), &reqs[..6], &oracle);
@@ -587,7 +585,7 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
     a.flush();
     b.flush();
     transcript.push(format!("tail served={}", reqs.len() - 2 * third));
-    // No peer's log was handed a batch past a hole, whoever shipped.
+    // No peer's replica was handed a batch past a hole, whoever shipped.
     for node in fleet.nodes() {
         assert_eq!(node.stats().replica_gaps, 0, "shard {}", node.id());
     }

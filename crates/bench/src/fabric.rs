@@ -3,8 +3,8 @@
 //! count are `perf/`'s (`fabric_tcp` and its `fabric.*` layers); the
 //! width sweep here is a byte-identity check.
 
-use ccm2_fabric::Fabric;
-use ccm2_serve::{ExecChoice, ServeConfig};
+use ccm2_fabric::{Fabric, HashRing, DEFAULT_VNODES};
+use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
 use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
 use crate::kit::{drive, requests, Oracle};
@@ -82,20 +82,44 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
     let live = fabric.router().live_shards();
     assert!(!live.contains(&victim), "victim must leave the ring");
     assert_eq!(live.len(), shards - 1);
-    let absorbed: u64 = fabric
-        .nodes()
-        .iter()
-        .filter(|node| node.id() != victim)
-        .map(|node| node.stats().absorbed_ops)
-        .sum();
+    // What the absorb bought. The events after the kill can all be
+    // answered by lookup, touching no store (in `fabric()`'s load all
+    // seven are), so the victim's own answered requests are asked again,
+    // one at a time: they compile on the survivors, against its replica.
+    let ring = HashRing::new(&(0..shards as u32).collect::<Vec<_>>(), DEFAULT_VNODES);
+    let mut owned: Vec<CompileRequest> = (reqs[..kill_at].iter())
+        .filter(|req| ring.route(req.fingerprint()) == Some(victim))
+        .cloned()
+        .collect();
+    owned.sort_by_key(CompileRequest::fingerprint);
+    owned.dedup_by_key(|req| req.fingerprint());
+    let survivors = || fabric.nodes().iter().filter(|node| node.id() != victim);
+    let lookups = || {
+        let stores = survivors().map(|node| node.service().store().stats());
+        stores.fold((0, 0), |(hits, misses), s| {
+            (hits + s.hits, misses + s.misses)
+        })
+    };
+    let before = lookups();
+    for req in owned.chunks(1) {
+        drive(fabric.router(), req, &oracle);
+    }
+    let after = lookups();
+    let absorbed: u64 = survivors().map(|node| node.stats().absorbed_entries).sum();
     out.push_str(&format!(
         "\nkill drill ({} shards): shard {} killed before event {} (seeded schedule)\n",
         shards, victim, kill_at
     ));
     out.push_str(&format!(
-        "  failover: ring rebalance + {} survivor absorbs; {} replicated ops warmed survivors\n",
+        "  failover: ring rebalance + {} survivor absorbs; {} replicated entries warmed survivors\n",
         fabric.router().stats().absorbs,
         absorbed
+    ));
+    out.push_str(&format!(
+        "  the victim's {} answered requests asked again: {} store hits, {} misses on survivors\n",
+        owned.len(),
+        after.0 - before.0,
+        after.1 - before.1
     ));
     out.push_str(&format!(
         "  served {}+{} events across the kill: 0 lost, 0 mismatched vs standalone\n",

@@ -24,16 +24,17 @@
 //!   ([`Authority`]).
 //! * [`shard`] — a service wrapped as a passive frame handler that says
 //!   in each answer how many store deltas it has yet to ship, plus the
-//!   replica logs it keeps for its peers' `CCM2DELT` streams.
+//!   replica of each peer's store that it rebuilds from the peer's
+//!   `CCM2DELT` stream: a budgeted `MemStore`, persisted (when asked)
+//!   as `CCM2SNAP` images.
 //! * [`router`] — routing, router-level single-flight, failover
 //!   (ring removal + replica absorption), the one shipper thread that
 //!   pulls those deltas and fans them out off the request path, and the
 //!   control plane's I/O: ticks, grant rounds, renewals, warm joins.
 //! * [`client`] — the fleet's client side: sticky router preference,
 //!   router-failover retry, and honored `Retry-After` back-off hints.
-//! * [`durable`] — crash-atomic persistence: `CCM2RLOG` replica-log
-//!   images and `CCM2MBRS` membership images (what standby routers
-//!   mirror and promoted leaders restore).
+//! * [`durable`] — crash-atomic `CCM2MBRS` membership images (what
+//!   standby routers mirror and promoted leaders restore).
 //!
 //! The fleet invariant the drills pin: for any seeded workload, an
 //! N-shard fabric returns byte-identical objects and diagnostics to a
@@ -74,8 +75,7 @@ use ccm2_serve::ServeConfig;
 
 pub use client::{ClientRetryStats, FabricClient, CLIENT_MAX_ATTEMPTS, CLIENT_MAX_SLEEP_MS};
 pub use durable::{
-    decode_membership, decode_replica_logs, encode_membership, encode_replica_logs,
-    MembershipImage, MembershipStore, ReplicaLogStore, MBRS_FORMAT, RLOG_FORMAT,
+    decode_membership, encode_membership, MembershipImage, MembershipStore, MBRS_FORMAT,
 };
 pub use lease::{Authority, HealthState, Lease, LeaseView, RouterRole};
 pub use ring::{HashRing, DEFAULT_VNODES};
@@ -83,7 +83,7 @@ pub use router::{
     start_heartbeats, FabricResponse, FabricRouter, FabricStats, HeartbeatHandle,
     DEFAULT_RETRY_AFTER_MS,
 };
-pub use shard::{ReplicaLog, ShardNode, ShardStats, REPLICA_LOG_CAP};
+pub use shard::{ShardNode, ShardStats};
 pub use transport::{
     read_frame, FrameHandler, LoopbackTransport, TcpShardServer, TcpTransport, Transport,
     MAX_PAYLOAD,
@@ -153,7 +153,7 @@ impl Fabric {
     }
 
     /// Assembles a fleet from pre-built nodes (restored shards, durable
-    /// logs, odd ids) over TCP sockets on `127.0.0.1` when `tcp`, on a
+    /// replicas, odd ids) over TCP sockets on `127.0.0.1` when `tcp`, on a
     /// clean loopback otherwise.
     pub fn start_over(tcp: bool, nodes: Vec<Arc<ShardNode>>) -> Fabric {
         if !tcp {
@@ -341,10 +341,10 @@ mod tests {
         let victim_req = victim_req.expect("some module routes to shard 1");
         assert!(fabric.router().serve(&victim_req).outcome().is_some());
 
-        // The compile's artifacts were replicated to the peers' logs.
+        // The compile's artifacts were replicated to the peers' replicas.
         fabric.router().flush();
-        let parked: usize = fabric.nodes()[0].replica_len(1) + fabric.nodes()[2].replica_len(1);
-        assert!(parked > 0, "peers hold no replicas for shard 1");
+        let replicated = fabric.nodes()[0].replica_len(1) + fabric.nodes()[2].replica_len(1);
+        assert!(replicated > 0, "peers hold no replicas for shard 1");
 
         fabric.router().kill_shard(1);
         fabric.router().kill_shard(1); // idempotent
@@ -353,11 +353,11 @@ mod tests {
         assert_eq!(stats.failovers, 1);
         assert_eq!(stats.absorbs, 2, "both survivors absorbed");
         let absorbed: u64 =
-            fabric.nodes()[0].stats().absorbed_ops + fabric.nodes()[2].stats().absorbed_ops;
+            fabric.nodes()[0].stats().absorbed_entries + fabric.nodes()[2].stats().absorbed_entries;
         assert!(absorbed > 0, "absorb applied nothing");
 
         // The same request now serves from a survivor — and its
-        // artifacts are already warm there thanks to the absorbed log.
+        // artifacts are already warm there thanks to the absorbed replica.
         let resp = fabric.router().serve(&victim_req);
         assert!(resp.outcome().expect("served by a survivor").ok);
     }
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn gapped_survivor_is_reconciled_with_a_full_image_at_failover() {
         let fabric = Fabric::start(3, small_config());
-        // Warm shard 1 so the peers hold a (clean) replica log for it
+        // Warm shard 1 so the peers hold a (clean) replica of it
         // and shard 0 / 2 have authoritative bytes to reconcile from.
         let victim_req = (0..64)
             .map(|i| request(7, &format!("Gap{i}")))
@@ -498,7 +498,7 @@ mod tests {
         assert!(fabric.router().serve(&victim_req).outcome().is_some());
         fabric.router().flush();
 
-        // Poison shard 2's log for origin 1 with a far-future batch:
+        // Poison shard 2's replica of origin 1 with a far-future batch:
         // sequence gap ⇒ gapped ⇒ absorb must discard it.
         let poison = encode_frame(&Message::DeltaShip {
             from_shard: 1,

@@ -20,7 +20,7 @@
 //! 4. **Failover** — the dead shard leaves the ring (its key range
 //!    spreads over the survivors — see the ring's minimal-disruption
 //!    guarantee), every survivor is told to [`absorb`](crate::wire::Message::Absorb)
-//!    the replica log it holds for the dead shard, and the dispatch
+//!    the replica it holds of the dead shard's store, and the dispatch
 //!    loop re-routes. An admitted request is therefore never lost to a
 //!    shard death: it either completes on a survivor or (all shards
 //!    dead / shed at admission) surfaces as [`FabricResponse::Retry`]
@@ -69,7 +69,7 @@
 //! [`Message::Ping`] and tracks consecutive misses per shard. The first
 //! miss marks the shard [`HealthState::Suspect`]; at the second the
 //! shard is evicted — the same [`fail_over`](FabricRouter::kill_shard)
-//! path as a detected death, so its replica logs are absorbed and its
+//! path as a detected death, so its replicas are absorbed and its
 //! key range moves *before* a client request has to eat the error. A
 //! later [`FabricRouter::admit_shard`] moves it through
 //! [`HealthState::Rejoining`] (warm-up) back to [`HealthState::Alive`].
@@ -83,7 +83,7 @@
 //! With one router, eviction authority is implicit. With standbys (this
 //! is what makes router loss survivable) it must be *exclusive*, or a
 //! partitioned ex-leader can resurrect an evicted shard or double-
-//! absorb a replica log — split-brain. Authority is an **epoch lease**
+//! absorb a replica — split-brain. Authority is an **epoch lease**
 //! granted by the shards, and every decision about it is answered by
 //! the one [`Authority`] this router keeps under one lock (the table is
 //! [`crate::lease`]'s module doc). What is here is the I/O around those
@@ -111,9 +111,9 @@ use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::transport::Transport;
 use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, WireRequest, NO_ROUTER};
 
-/// A full store image on the move: the delta cursor at the cut plus the
-/// entries, coldest first (the payload of [`Message::Image`]).
-type StoreImage = (u64, Vec<(Fp128, Vec<u8>)>);
+/// A full store image on the move: the entries, coldest first (the
+/// payload of [`Message::Image`]).
+type StoreImage = Vec<(Fp128, Vec<u8>)>;
 
 /// Give up re-sending after this many consecutive invalid responses
 /// from one shard and shed to the client's back-off protocol instead;
@@ -185,7 +185,7 @@ pub struct FabricStats {
     pub suspects: u64,
     /// Shards evicted by the failure detector (subset of `failovers`).
     pub heartbeat_evictions: u64,
-    /// Survivors whose gapped replica log was discarded at absorb and
+    /// Survivors whose gapped replica was discarded at absorb and
     /// reconciled with a full store image from a healthy peer.
     pub gapped_reconciliations: u64,
     /// Shards admitted through the join warm-up (image head-ship +
@@ -575,7 +575,7 @@ impl FabricRouter {
     /// 3. **Catch-up** — the shipper is asked to pull every ring member
     ///    with the joiner as an extra peer, and [`flush`](FabricRouter::flush)
     ///    waits for it: deltas cut after the images reach the joiner too
-    ///    (parked in its replica logs, per origin).
+    ///    (replayed into its replica of each origin).
     /// 4. Only then does the ring take the joiner — keys move to a
     ///    shard that can already serve them warm.
     ///
@@ -617,9 +617,9 @@ impl FabricRouter {
             .mark(shard, HealthState::Rejoining);
         let mut shipped = None;
         for &src in sources {
-            if let Some((delta_seq, entries)) = self.fetch_image(src)? {
+            if let Some(entries) = self.fetch_image(src)? {
                 let n = entries.len() as u64;
-                if self.push_image(shard, delta_seq, entries)? {
+                if self.push_image(shard, entries)? {
                     shipped = Some(shipped.unwrap_or(0) + n);
                 }
             }
@@ -643,7 +643,7 @@ impl FabricRouter {
     /// Drill hook: kill `shard` now — [`flush`](FabricRouter::flush),
     /// so that what it leaves behind does not depend on how far the
     /// shipper had got, then drop its transport endpoint, remove it from
-    /// the ring, and have the survivors absorb its replica logs.
+    /// the ring, and have the survivors absorb their replicas of it.
     /// Idempotent.
     pub fn kill_shard(&self, shard: u32) {
         self.flush();
@@ -762,24 +762,16 @@ impl FabricRouter {
     fn fetch_image(&self, shard: u32) -> Result<Option<StoreImage>, Stale> {
         let fetch = encode_frame(&Message::FetchImage);
         Ok(match self.core.control(shard, Asked::Control, &fetch)? {
-            Some(Message::Image {
-                delta_seq, entries, ..
-            }) => Some((delta_seq, entries)),
+            Some(Message::Image { entries, .. }) => Some(entries),
             _ => None,
         })
     }
 
     /// Pushes a full store image to `shard` under this router's stamp;
     /// `true` on its `Ack`.
-    fn push_image(
-        &self,
-        shard: u32,
-        delta_seq: u64,
-        entries: Vec<(Fp128, Vec<u8>)>,
-    ) -> Result<bool, Stale> {
+    fn push_image(&self, shard: u32, entries: StoreImage) -> Result<bool, Stale> {
         let (router, epoch) = self.core.authority.lock().stamp();
         let image = encode_frame(&Message::Image {
-            delta_seq,
             entries,
             router,
             epoch,
@@ -789,8 +781,8 @@ impl FabricRouter {
     }
 
     /// Declares `shard` dead: off the ring, survivors absorb their
-    /// replica logs for it. A survivor that reports its log *gapped*
-    /// ([`Message::AbsorbDone`]) discarded it rather than replay a
+    /// replicas of it. A survivor that reports its replica *gapped*
+    /// ([`Message::AbsorbDone`]) discarded it rather than import a
     /// hole; the router reconciles it with a full store image pulled
     /// from a survivor that absorbed cleanly. Idempotent under races —
     /// only the caller that actually removes the shard runs the absorb
@@ -849,7 +841,7 @@ impl FabricRouter {
             return Ok(());
         }
         // Full-image reconciliation: a healthy survivor's store covers
-        // everything the gapped logs lost (and more).
+        // everything the gapped replicas lost (and more).
         let mut image = None;
         for &s in survivors.iter().filter(|s| !gapped_survivors.contains(s)) {
             image = self.fetch_image(s)?;
@@ -857,11 +849,11 @@ impl FabricRouter {
                 break;
             }
         }
-        let Some((delta_seq, entries)) = image else {
+        let Some(entries) = image else {
             return Ok(()); // every survivor gapped: nothing authoritative left
         };
         for g in gapped_survivors {
-            if self.push_image(g, delta_seq, entries.clone())? {
+            if self.push_image(g, entries.clone())? {
                 self.core.stats.lock().gapped_reconciliations += 1;
             }
         }

@@ -1,5 +1,5 @@
 //! A shard: one [`CompileService`] behind a `CCM2WIRE` frame handler,
-//! plus the replica logs it holds for its peers.
+//! plus the replicas of its peers' stores.
 //!
 //! A shard is deliberately passive — it answers frames and never
 //! initiates traffic — but it says when it has something to ship: every
@@ -8,39 +8,47 @@
 //! `crate::router`) answers a non-zero count with a [`Message::Sync`],
 //! which hands back everything accumulated since the previous sync as
 //! one `CCM2DELT` batch and moves the cursor, and fans that batch out to
-//! the surviving peers as [`Message::DeltaShip`] frames. Each peer parks
-//! the ops in a per-origin [`ReplicaLog`]; the log is pure potential
-//! energy until the origin dies, at which point [`Message::Absorb`]
-//! replays it into the survivor's own store
-//! ([`MemStore::apply_delta`](ccm2_incr::MemStore::apply_delta)) so re-routed
-//! requests warm-hit instead of recompiling.
+//! the surviving peers as [`Message::DeltaShip`] frames. Each peer
+//! replays the batch into its replica of the origin's store, a
+//! [`MemStore`] under the peer's own store budget
+//! ([`MemStore::apply_delta`]). The origin logs its evictions before
+//! each insert, so under equal budgets a replica holds exactly the
+//! origin's entries, and never more than one store's worth of bytes.
+//! The replica is pure potential energy until the origin dies, at which
+//! point [`Message::Absorb`] imports it into the survivor's own store —
+//! the path a pushed [`Message::Image`] takes — so re-routed requests
+//! warm-hit instead of recompiling.
 //!
 //! Replication is warmth, not truth: the store is content-addressed, so
-//! replaying an insert can never corrupt an entry (same fingerprint ⇒
-//! same bytes), and a lost batch merely costs a recompile. But a *hole*
-//! in the log must not be replayed silently: a sequence gap in the
-//! incoming stream, or an overflow past [`REPLICA_LOG_CAP`], marks the
-//! log **gapped**. A gapped log keeps accepting ops (it is still the
-//! warmest thing available) but [`Message::Absorb`] refuses to replay
-//! it — the shard answers `AbsorbDone { gapped: true }` and the router
-//! reconciles with a full-image ship ([`Message::FetchImage`] /
-//! [`Message::Image`]) from a healthy peer instead.
+//! an imported entry can never corrupt one (same fingerprint ⇒ same
+//! bytes), and a lost batch merely costs a recompile. But a *hole* in
+//! the stream must not be absorbed silently: a batch that begins past
+//! the replica's sequence number marks the replica **gapped**. A gapped
+//! replica drops its entries at once and keeps only its sequence number;
+//! [`Message::Absorb`] answers `AbsorbDone { gapped: true }` and the
+//! router reconciles with a full-image ship ([`Message::FetchImage`] /
+//! [`Message::Image`]) from a healthy peer instead. Delivery is
+//! at-least-once, so a batch can arrive again: only its ops past the
+//! replica's sequence number are replayed.
 //!
-//! One start is not a hole: **an empty log whose first batch begins past
-//! sequence 0 belongs to a peer that met this origin late** — a joiner
-//! warmed from the origin's store image (§9.7: the image covers what
-//! came before its cut), or a survivor that has already absorbed the
-//! origin's earlier log. What it parks from there on is contiguous, so
-//! `receive_ship` counts a gap only against a log that already holds
-//! ops. The rule leans on the origin's batches reaching a peer in the
-//! order they were cut — one shipper per router, and only the lease
-//! holder pulls — because a batch that overtook the log's first would be
+//! One start is not a hole: **a shard that holds no replica of an
+//! origin and is handed a batch beginning past sequence 0 met that
+//! origin late** — a joiner warmed from the origin's store image (§9.7:
+//! the image covers what came before its cut), a survivor that has
+//! already absorbed the origin's earlier replica, or a shard restarted
+//! without an image of it. The replica starts at that batch, so
+//! `receive_ship` counts a gap only against a replica it already holds.
+//! The rule leans on the origin's batches reaching a peer in the order
+//! they were cut — one shipper per router, and only the lease holder
+//! pulls — because a batch that overtook the replica's first would be
 //! taken for that late start.
 //!
-//! With a [`ReplicaLogStore`] attached ([`ShardNode::with_durable_log`])
-//! every replica-map mutation is persisted through the checksummed
-//! `CCM2RLOG` image path, so a crash between ship and absorb loses
-//! zero parked ops.
+//! With a durable directory attached ([`ShardNode::with_durable_log`])
+//! each clean replica is kept as a `ccm2_serve::SnapshotStore` image
+//! (`CCM2SNAP`, whose `delta_seq` is the replica's sequence number) in
+//! a subdirectory per origin, rewritten after every batch, so a crash
+//! between ship and absorb loses no replica entry. A gapped replica
+//! leaves no image.
 //!
 //! # The eviction lease
 //!
@@ -59,35 +67,38 @@
 //! learns to demote).
 
 use std::collections::HashMap;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use ccm2_incr::{decode_delta, encode_delta, DeltaOp};
-use ccm2_serve::{CompileService, ServeConfig};
+use ccm2_incr::{decode_delta, encode_delta, MemStore};
+use ccm2_serve::{CompileService, ServeConfig, SnapshotStore};
+use ccm2_support::hash::Fp128;
 use parking_lot::Mutex;
 
-use crate::durable::ReplicaLogStore;
 use crate::lease::{Lease, LeaseView};
 use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, NO_ROUTER};
 
-/// Per-origin replica logs keep at most this many ops; beyond it the
-/// oldest are dropped (they are the most likely to have been evicted at
-/// the origin anyway). Matches the store's own in-memory delta cap.
-pub const REPLICA_LOG_CAP: usize = 8192;
+/// What a shard holds for one peer: the peer's store, rebuilt from the
+/// batches it shipped, as of the store's
+/// [`delta_seq`](MemStore::delta_seq) (the origin's numbering).
+struct Replica {
+    store: Arc<MemStore>,
+    /// Batches that arrived past a hole. The first makes the replica
+    /// gapped: its entries go, and absorb refuses it.
+    gaps: u64,
+}
 
-/// Deltas replicated from one peer, in arrival order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReplicaLog {
-    /// Sequence number after the last op (origin numbering).
-    pub last_seq: u64,
-    /// The ops, oldest first, capped at [`REPLICA_LOG_CAP`].
-    pub ops: Vec<DeltaOp>,
-    /// Batches that arrived with a sequence gap (counted so the drills
-    /// can assert the happy path is actually gap-free).
-    pub gaps: u64,
-    /// The log has lost ops — a sequence gap or a cap overflow dropped
-    /// part of the stream. A gapped log must not be replayed at
-    /// failover: absorb discards it and reports `gapped` so the router
-    /// reconciles with a full store image instead of a silent hole.
-    pub gapped: bool,
+impl Replica {
+    /// An empty replica whose next op is the origin's `seq + 1`.
+    fn at(seq: u64, budget: u64) -> Replica {
+        let store = MemStore::with_budget(budget);
+        store.resume_delta_seq(seq);
+        Replica {
+            store: Arc::new(store),
+            gaps: 0,
+        }
+    }
 }
 
 /// Counters for one shard's frame traffic.
@@ -104,23 +115,23 @@ pub struct ShardStats {
     /// Syncs that found the store's delta history trimmed and had to
     /// reset the cursor (the peers silently miss those ops).
     pub sync_resets: u64,
-    /// Ops currently parked across all replica logs.
-    pub replica_ops: u64,
-    /// Batches, across all replica logs, that arrived past a hole.
+    /// Entries currently held across all replicas.
+    pub replica_entries: u64,
+    /// Batches, across all replicas, that arrived past a hole.
     pub replica_gaps: u64,
-    /// Ops replayed into the local store by `Absorb` frames.
-    pub absorbed_ops: u64,
-    /// Gapped replica logs discarded (not replayed) at absorb.
+    /// Replica entries imported into the local store by `Absorb` frames.
+    pub absorbed_entries: u64,
+    /// Gapped replicas discarded (not imported) at absorb.
     pub gapped_discards: u64,
     /// Heartbeat probes answered.
     pub pings: u64,
     /// `FetchImage` frames answered with a full store image.
     pub images_served: u64,
     /// Entries imported from pushed `Image` frames (join warm-up /
-    /// gapped-log reconciliation).
+    /// gapped-replica reconciliation).
     pub imported_entries: u64,
-    /// Replica-log images persisted to the attached durable store.
-    pub rlog_writes: u64,
+    /// Replica images written to the attached durable directory.
+    pub replica_saves: u64,
     /// Lease grants honored ([`Message::LeaseGrant`] at a new epoch).
     pub lease_grants: u64,
     /// Lease renewals honored (age reset to zero).
@@ -133,7 +144,7 @@ pub struct ShardStats {
 struct ShardState {
     /// Store delta sequence number up to which peers have been shipped.
     ship_cursor: u64,
-    replicas: HashMap<u32, ReplicaLog>,
+    replicas: HashMap<u32, Replica>,
     stats: ShardStats,
     /// The eviction lease this shard honors, with its grant ledger.
     lease: Lease,
@@ -145,12 +156,17 @@ pub struct ShardNode {
     id: u32,
     svc: CompileService,
     state: Mutex<ShardState>,
-    durable: Option<ReplicaLogStore>,
-    /// Serialises persist snapshots: without it two concurrent ships
-    /// could clone the replica map in one order and write their
-    /// `rlog-{seq}` images in the other, leaving the *older* snapshot
-    /// as the newest file on disk.
-    persist_gate: Mutex<()>,
+    /// The directory of replica images, one subdirectory per origin.
+    durable: Option<PathBuf>,
+    /// Serialises replica changes with their images: held from a
+    /// batch's (or an absorb's) change until its image is written, so
+    /// the newest image of an origin on disk is of its newest replica.
+    replica_gate: Mutex<()>,
+}
+
+/// The image subdirectory of `origin`'s replica under `dir`.
+fn replica_dir(dir: &Path, origin: u32) -> PathBuf {
+    dir.join(format!("origin-{origin}"))
 }
 
 impl ShardNode {
@@ -177,41 +193,63 @@ impl ShardNode {
                 lease: Lease::default(),
             }),
             durable: None,
-            persist_gate: Mutex::new(()),
+            replica_gate: Mutex::new(()),
         }
     }
 
-    /// Attaches a durable replica-log store: the current replica map is
-    /// replaced with the newest valid persisted image (so a restarted
-    /// shard comes back holding everything it had parked for its
-    /// peers), and every subsequent replica mutation is persisted
-    /// through the crash-atomic `CCM2RLOG` path.
-    pub fn with_durable_log(mut self, rlogs: ReplicaLogStore) -> std::io::Result<ShardNode> {
-        if let Some(logs) = rlogs.load_latest()?.image {
-            self.state.get_mut().replicas = logs;
+    /// Keeps this shard's replicas under `dir`: each origin's newest
+    /// valid image there becomes its replica (so a restarted shard comes
+    /// back holding what it held for its peers), and from now on every
+    /// batch and absorb rewrites the origin's image through the
+    /// crash-atomic `CCM2SNAP` path.
+    pub fn with_durable_log(mut self, dir: impl Into<PathBuf>) -> io::Result<ShardNode> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        let budget = self.replica_budget();
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let origin = name.to_str().and_then(|n| n.strip_prefix("origin-"));
+            let Some(origin) = origin.and_then(|id| id.parse().ok()) else {
+                continue;
+            };
+            if let Some(image) = SnapshotStore::new(entry.path())?.load_latest()?.image {
+                let replica = Replica::at(image.delta_seq, budget);
+                replica.store.import(&image.entries);
+                self.state.get_mut().replicas.insert(origin, replica);
+            }
         }
-        self.durable = Some(rlogs);
+        self.durable = Some(dir);
         Ok(self)
     }
 
-    /// Persists the replica map if a durable store is attached. The map
-    /// is cloned under the shard lock; the disk write happens outside
-    /// it so frame traffic keeps flowing. The persist gate is held
-    /// across clone *and* save so image sequence order matches snapshot
-    /// order — concurrent ships stay crash-consistent.
-    fn persist_replicas(&self) {
-        let Some(rlogs) = &self.durable else { return };
-        let _gate = self.persist_gate.lock();
-        let logs: HashMap<u32, ReplicaLog> = {
+    /// A replica's budget: this shard's own store budget.
+    fn replica_budget(&self) -> u64 {
+        self.svc.store().stats().budget
+    }
+
+    /// Writes `origin`'s replica image if a durable directory is
+    /// attached, or removes it once the replica is gone or gapped. The
+    /// caller holds the replica gate; the write happens outside the
+    /// shard lock so frame traffic keeps flowing.
+    fn persist(&self, origin: u32) {
+        let Some(dir) = &self.durable else { return };
+        let dir = replica_dir(dir, origin);
+        let clean = {
             let state = self.state.lock();
-            state
-                .replicas
-                .iter()
-                .map(|(origin, log)| (*origin, log.clone()))
-                .collect()
+            let replica = state.replicas.get(&origin).filter(|r| r.gaps == 0);
+            replica.map(|r| Arc::clone(&r.store))
         };
-        if rlogs.save(&logs).is_ok() {
-            self.state.lock().stats.rlog_writes += 1;
+        match clean {
+            Some(store) => {
+                let saved = SnapshotStore::new(&dir).and_then(|images| images.save(&store));
+                if saved.is_ok() {
+                    self.state.lock().stats.replica_saves += 1;
+                }
+            }
+            None => {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 
@@ -229,18 +267,19 @@ impl ShardNode {
     pub fn stats(&self) -> ShardStats {
         let state = self.state.lock();
         let mut stats = state.stats;
-        stats.replica_ops = state.replicas.values().map(|l| l.ops.len() as u64).sum();
-        stats.replica_gaps = state.replicas.values().map(|l| l.gaps).sum();
+        for replica in state.replicas.values() {
+            stats.replica_entries += replica.store.stats().entries as u64;
+            stats.replica_gaps += replica.gaps;
+        }
         stats
     }
 
-    /// The ops currently parked for peer `origin` (drill assertions).
+    /// The entries this shard holds for peer `origin` (drill
+    /// assertions).
     pub fn replica_len(&self, origin: u32) -> usize {
-        self.state
-            .lock()
-            .replicas
-            .get(&origin)
-            .map_or(0, |l| l.ops.len())
+        let state = self.state.lock();
+        let replica = state.replicas.get(&origin);
+        replica.map_or(0, |r| r.store.stats().entries)
     }
 
     /// This shard's current lease view.
@@ -345,7 +384,6 @@ impl ShardNode {
                 entries,
                 router,
                 epoch,
-                ..
             } => {
                 self.admit(router, epoch)?;
                 self.import_image(&entries)
@@ -427,82 +465,71 @@ impl ShardNode {
                 retry_after_ms: 0,
             };
         };
-        let batch_end = base.saturating_add(ops.len() as u64);
+        let end = base.saturating_add(ops.len() as u64);
+        let budget = self.replica_budget();
+        let _gate = self.replica_gate.lock();
         {
             let mut state = self.state.lock();
-            let log = state.replicas.entry(from_shard).or_default();
-            if base > log.last_seq && !log.ops.is_empty() {
-                log.gaps += 1;
-                log.gapped = true;
+            let replica = state
+                .replicas
+                .entry(from_shard)
+                .or_insert_with(|| Replica::at(base, budget));
+            let seq = replica.store.delta_seq();
+            if base > seq {
+                // Ops are missing: what the replica holds is no longer
+                // the origin's store, and absorb will refuse it.
+                replica.gaps += 1;
+                replica.store = Arc::new(MemStore::with_budget(budget));
             }
-            // Overlap (a re-shipped prefix) is skipped; fresh ops append.
-            let skip = (log.last_seq.saturating_sub(base)) as usize;
-            if skip < ops.len() {
-                log.ops.extend(ops.into_iter().skip(skip));
+            if replica.gaps == 0 {
+                // Ops up to `seq` were replayed when first delivered.
+                let fresh = ops.into_iter().skip((seq - base) as usize);
+                replica.store.apply_delta(fresh.collect());
             }
-            log.last_seq = log.last_seq.max(batch_end);
-            if log.ops.len() > REPLICA_LOG_CAP {
-                let excess = log.ops.len() - REPLICA_LOG_CAP;
-                log.ops.drain(..excess);
-                // The oldest ops are gone: replaying the remainder at
-                // failover would absorb a hole as if it were the whole
-                // stream. Poison the log instead.
-                log.gapped = true;
-            }
+            replica.store.resume_delta_seq(seq.max(end));
         }
-        self.persist_replicas();
+        self.persist(from_shard);
         Message::Ack
     }
 
     fn absorb(&self, dead_shard: u32) -> Message {
-        let log = self.state.lock().replicas.remove(&dead_shard);
-        let reply = match log {
-            Some(log) if log.gapped => {
-                // The log lost ops; replaying the survivors would
-                // present a hole as the full stream. Discard and tell
+        let _gate = self.replica_gate.lock();
+        let replica = self.state.lock().replicas.remove(&dead_shard);
+        let (applied, gapped) = match replica {
+            Some(replica) if replica.gaps > 0 => {
+                // The hole would pass for the origin's whole store. Tell
                 // the router, which reconciles with a full image.
                 self.state.lock().stats.gapped_discards += 1;
-                Message::AbsorbDone {
-                    applied_ops: 0,
-                    gapped: true,
-                }
+                (0, true)
             }
-            Some(log) => {
-                // Replay outside the shard lock; apply_delta takes the
-                // store's own lock.
-                self.svc.store().apply_delta(&log.ops);
-                self.state.lock().stats.absorbed_ops += log.ops.len() as u64;
-                Message::AbsorbDone {
-                    applied_ops: log.ops.len() as u64,
-                    gapped: false,
-                }
+            Some(replica) => {
+                let entries = replica.store.export();
+                self.svc.store().import(&entries);
+                let applied = entries.len() as u64;
+                self.state.lock().stats.absorbed_entries += applied;
+                (applied, false)
             }
-            None => Message::AbsorbDone {
-                applied_ops: 0,
-                gapped: false,
-            },
+            None => (0, false),
         };
-        self.persist_replicas();
-        reply
+        self.persist(dead_shard);
+        Message::AbsorbDone { applied, gapped }
     }
 
     fn serve_image(&self) -> Message {
         let store = self.svc.store();
         // Export under the store's own lock: a consistent cut of the
-        // entries (coldest first) and the delta cursor at the cut.
+        // entries, coldest first.
         let entries = store.export();
-        let delta_seq = store.delta_seq();
         self.state.lock().stats.images_served += 1;
         // An image *answer* is data, not authority (cf. sync answers).
         Message::Image {
-            delta_seq,
             entries,
             router: NO_ROUTER,
             epoch: 0,
         }
     }
 
-    fn import_image(&self, entries: &[(ccm2_support::hash::Fp128, Vec<u8>)]) -> Message {
+    fn import_image(&self, entries: &[(Fp128, Vec<u8>)]) -> Message {
         self.svc.store().import(entries);
         self.state.lock().stats.imported_entries += entries.len() as u64;
         Message::Ack
@@ -512,9 +539,8 @@ impl ShardNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccm2_incr::DeltaOp;
     use ccm2_serve::CompileRequest;
-    use ccm2_support::hash::Fp128;
-    use std::sync::Arc;
 
     fn fp(n: u64) -> Fp128 {
         Fp128 { hi: n, lo: !n }
@@ -597,28 +623,29 @@ mod tests {
         }
     }
 
-    /// Every peer's log of every origin holds every op the origin's
-    /// store has logged since the fleet started — as many as the store's
-    /// edge says, ending there — and never saw a hole. Returns the sum of
-    /// those edges.
+    /// Every peer's replica of every origin has replayed every op the
+    /// origin's store has logged since the fleet started, up to the
+    /// store's edge, never saw a hole, and holds exactly the origin's
+    /// entries: its fingerprints and its bytes. Returns the sum of those
+    /// edges.
     fn assert_replicated_to_the_edge(nodes: &[Arc<ShardNode>], when: &str) -> u64 {
         let mut edges = 0;
+        let held = |store: &MemStore| (store.fingerprints(), store.stats().bytes_in_use);
         for origin in nodes {
-            let edge = origin.service().store().delta_seq();
+            let store = origin.service().store();
+            let edge = store.delta_seq();
             edges += edge;
             for peer in nodes.iter().filter(|peer| peer.id != origin.id) {
                 let state = peer.state.lock();
-                let seen = state
-                    .replicas
-                    .get(&origin.id)
-                    .map_or((0, 0, 0, false), |log| {
-                        (log.last_seq, log.ops.len() as u64, log.gaps, log.gapped)
-                    });
+                let seen = state.replicas.get(&origin.id).map_or_else(
+                    || (0, 0, (Vec::new(), 0)),
+                    |r| (r.store.delta_seq(), r.gaps, held(&r.store)),
+                );
                 let (peer, origin) = (peer.id, origin.id);
                 assert_eq!(
                     seen,
-                    (edge, edge, 0, false),
-                    "{when}: shard {peer}'s log of origin {origin}"
+                    (edge, 0, held(store)),
+                    "{when}: shard {peer}'s replica of origin {origin}"
                 );
             }
         }
@@ -627,8 +654,8 @@ mod tests {
 
     /// Requests served side by side mark their shards dirty side by
     /// side; two batches of one origin must reach a peer in the order
-    /// the origin cut them, or the peer's log reads the later one as a
-    /// gap and is lost to failover.
+    /// the origin cut them, or the peer's replica reads the later one as
+    /// a gap and is lost to failover.
     #[test]
     fn batches_of_one_origin_reach_its_peers_in_order() {
         let fabric = fleet(true, 3);
@@ -640,15 +667,16 @@ mod tests {
     }
 
     /// Order and completeness, searched: after every round of eight
-    /// concurrent compiles and a `flush`, every delta of every origin is
-    /// in every peer's log, once and in order, and the router shipped
-    /// exactly what the stores logged. Two shippers would reorder an
+    /// concurrent compiles and a `flush`, every delta of every origin has
+    /// reached every peer's replica, once and in order — so the replica
+    /// holds what its origin holds — and the router shipped exactly what
+    /// the stores logged. Two shippers would reorder an
     /// origin's batches; a dirty mark cleared after its pull instead of
     /// before would lose the compile that landed mid-pull, and `flush`
     /// would return with that delta still behind the cursor.
     #[test]
     fn every_delta_reaches_every_peer_once_and_in_order() {
-        // A fresh fleet every so often keeps the logs under their cap.
+        // A fresh fleet every so often searches the start-up again.
         const ROUNDS_PER_FLEET: usize = 100;
         let fleets = if cfg!(debug_assertions) { 1 } else { 20 };
         for tcp in [false, true] {
@@ -669,7 +697,7 @@ mod tests {
     /// A standby serves traffic — it is what a client falls back to when
     /// its router dies before the standby has promoted — but it must not
     /// pull: its stamp cannot deliver the batch, and the cursor it moved
-    /// would leave a hole in every peer's log under the leader's next
+    /// would leave a hole in every peer's replica under the leader's next
     /// batch. What its requests leave behind goes out with that batch.
     #[test]
     fn a_standby_that_serves_traffic_leaves_its_deltas_to_the_leader() {
@@ -712,7 +740,7 @@ mod tests {
     /// kept stream failed, and the router resends after an error that
     /// may have come after delivery. So every frame that changes a
     /// shard's state, handled twice, must leave what handling it once
-    /// leaves — replica logs (`gaps` and `gapped` included), store
+    /// leaves — replicas (sequence number, gaps and entries), store
     /// entries and lease alike.
     #[test]
     fn every_state_changing_frame_handled_twice_leaves_what_once_leaves() {
@@ -732,6 +760,31 @@ mod tests {
                 },
             ),
             (
+                // Replayed again, the big entry would push one of the
+                // replica's own out of its full budget before its evict.
+                "ship that passes an entry through a full budget",
+                Message::DeltaShip {
+                    from_shard: 7,
+                    batch: encode_delta(
+                        4,
+                        &[
+                            DeltaOp::Evict { fp: fp(0) },
+                            DeltaOp::Insert {
+                                fp: fp(50),
+                                bytes: vec![5; 64 * 1024 - 12],
+                            },
+                            DeltaOp::Evict { fp: fp(50) },
+                            DeltaOp::Insert {
+                                fp: fp(51),
+                                bytes: vec![6; 4],
+                            },
+                        ],
+                    ),
+                    router,
+                    epoch,
+                },
+            ),
+            (
                 "ship past a hole",
                 Message::DeltaShip {
                     from_shard: 7,
@@ -741,7 +794,7 @@ mod tests {
                 },
             ),
             (
-                "absorb of a clean log",
+                "absorb of a clean replica",
                 Message::Absorb {
                     dead_shard: 7,
                     router,
@@ -749,7 +802,7 @@ mod tests {
                 },
             ),
             (
-                "absorb of a gapped log",
+                "absorb of a gapped replica",
                 Message::Absorb {
                     dead_shard: 8,
                     router,
@@ -759,7 +812,6 @@ mod tests {
             (
                 "image push",
                 Message::Image {
-                    delta_seq: 2,
                     entries: vec![(fp(100), b"one".to_vec()), (fp(101), b"two".to_vec())],
                     router,
                     epoch,
@@ -767,8 +819,8 @@ mod tests {
             ),
             ("lease renew", Message::LeaseRenew { router, epoch }),
         ];
-        // A shard with a lease, a clean log of origin 7 and a gapped one
-        // of origin 8, aged by two probes.
+        // A shard with a lease, a clean replica of origin 7 and a gapped
+        // one of origin 8, aged by two probes.
         let prepared = || {
             let node = ShardNode::start(1, tiny_config());
             let setup = [
@@ -803,7 +855,10 @@ mod tests {
             node
         };
         let state = |node: &ShardNode| {
-            let replicas = node.state.lock().replicas.clone();
+            let mut replicas: Vec<_> = (node.state.lock().replicas.iter())
+                .map(|(origin, r)| (*origin, r.store.delta_seq(), r.gaps, r.store.export()))
+                .collect();
+            replicas.sort_unstable_by_key(|r| r.0);
             (replicas, node.service().store().export(), node.lease())
         };
         for (row, msg) in &table {
@@ -972,8 +1027,8 @@ mod tests {
             ),
             Message::Ack
         );
-        // Park some ops under the live leader so a double-absorb would
-        // have something to steal.
+        // Replicate some entries under the live leader so a double-absorb
+        // would have something to steal.
         let live_ship = encode_frame(&Message::DeltaShip {
             from_shard: 7,
             batch: encode_delta(0, &inserts(0..4)),
@@ -999,9 +1054,9 @@ mod tests {
                 })
             ),
             reject,
-            "stale absorb must not replay the log"
+            "stale absorb must not import the replica"
         );
-        assert_eq!(node.replica_len(7), 4, "the log is untouched");
+        assert_eq!(node.replica_len(7), 4, "the replica is untouched");
         assert_eq!(
             reply(
                 &node,
@@ -1013,14 +1068,13 @@ mod tests {
                 })
             ),
             reject,
-            "stale fan-out must not park ops"
+            "stale fan-out must not replicate"
         );
         assert_eq!(node.replica_len(9), 0);
         assert_eq!(
             reply(
                 &node,
                 &encode_frame(&Message::Image {
-                    delta_seq: 0,
                     entries: vec![(fp(1), b"zombie".to_vec())],
                     router: 0,
                     epoch: 1,
@@ -1042,7 +1096,7 @@ mod tests {
                 })
             ),
             Message::AbsorbDone {
-                applied_ops: 4,
+                applied: 4,
                 gapped: false
             }
         );
@@ -1117,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn sequence_gap_marks_log_gapped_and_absorb_discards_it() {
+    fn sequence_gap_marks_the_replica_gapped_and_absorb_discards_it() {
         let node = ShardNode::start(3, tiny_config());
         assert_eq!(
             reply(&node, &ship_frame(7, 0, &inserts(0..4))),
@@ -1128,67 +1182,83 @@ mod tests {
             reply(&node, &ship_frame(7, 50, &inserts(50..52))),
             Message::Ack
         );
-        assert_eq!(node.replica_len(7), 6, "a gapped log still parks ops");
+        assert_eq!(node.replica_len(7), 0, "a gapped replica holds nothing");
+        assert_eq!(node.stats().replica_gaps, 1);
         assert_eq!(
             reply(&node, &absorb_frame(7)),
             Message::AbsorbDone {
-                applied_ops: 0,
+                applied: 0,
                 gapped: true,
             },
-            "a holey log must not replay"
+            "a holey replica must not be absorbed"
         );
         let stats = node.stats();
         assert_eq!(stats.gapped_discards, 1);
-        assert_eq!(stats.absorbed_ops, 0);
+        assert_eq!(stats.absorbed_entries, 0);
         assert!(
             node.service().store().export().is_empty(),
             "nothing was applied"
         );
     }
 
-    // Regression: before the `gapped` flag, overflowing REPLICA_LOG_CAP
-    // silently dropped the oldest ops and a later absorb replayed the
-    // remainder as if it were the whole stream.
+    /// A replica is a store, not a history: however many ops its origin
+    /// ships — here more than a store's own delta log keeps (8 192), each
+    /// entry big enough that the budget holds an eighth of them — it
+    /// holds at most its budget's worth of entries, and absorb imports
+    /// them.
     #[test]
-    fn cap_overflow_poisons_the_log_instead_of_absorbing_a_hole() {
+    fn a_replica_shipped_past_any_op_count_still_absorbs_within_its_budget() {
         let node = ShardNode::start(5, tiny_config());
-        let n = (REPLICA_LOG_CAP + 16) as u64;
-        assert_eq!(
-            reply(&node, &ship_frame(9, 0, &inserts(0..n))),
-            Message::Ack
-        );
-        assert_eq!(node.replica_len(9), REPLICA_LOG_CAP, "capped");
+        let budget = tiny_config().store_budget;
+        let ops: Vec<DeltaOp> = (0..8192 + 16)
+            .map(|i| DeltaOp::Insert {
+                fp: fp(i),
+                bytes: vec![i as u8; 64],
+            })
+            .collect();
+        for (batch, ops) in ops.chunks(1000).enumerate() {
+            let base = 1000 * batch as u64;
+            assert_eq!(reply(&node, &ship_frame(9, base, ops)), Message::Ack);
+        }
+        let held = node.replica_len(9) as u64;
+        assert_eq!(held, budget / 64, "a full budget of the newest entries");
         assert_eq!(
             reply(&node, &absorb_frame(9)),
             Message::AbsorbDone {
-                applied_ops: 0,
-                gapped: true,
+                applied: held,
+                gapped: false,
             }
         );
-        assert_eq!(node.stats().gapped_discards, 1);
-        assert!(node.service().store().export().is_empty());
+        let store = node.service().store().stats();
+        assert_eq!((store.entries as u64, store.bytes_in_use), (held, budget));
+        assert!(store.peak_bytes <= budget);
+        assert_eq!(node.stats().gapped_discards, 0);
     }
 
     #[test]
-    fn clean_log_absorbs_and_reports_applied_ops() {
+    fn clean_replica_absorbs_and_reports_applied_entries() {
         let node = ShardNode::start(6, tiny_config());
         assert_eq!(
             reply(&node, &ship_frame(2, 0, &inserts(0..3))),
             Message::Ack
         );
+        let evict_and_insert = [DeltaOp::Evict { fp: fp(0) }, inserts(3..4).remove(0)];
         assert_eq!(
-            reply(&node, &ship_frame(2, 3, &inserts(3..5))),
+            reply(&node, &ship_frame(2, 3, &evict_and_insert)),
             Message::Ack
         );
         assert_eq!(
             reply(&node, &absorb_frame(2)),
             Message::AbsorbDone {
-                applied_ops: 5,
+                applied: 3,
                 gapped: false,
             }
         );
-        assert_eq!(node.stats().absorbed_ops, 5);
-        assert_eq!(node.service().store().export().len(), 5);
+        assert_eq!(node.stats().absorbed_entries, 3);
+        assert_eq!(
+            node.service().store().fingerprints(),
+            vec![fp(1), fp(2), fp(3)]
+        );
     }
 
     #[test]
@@ -1197,20 +1267,16 @@ mod tests {
         use ccm2_incr::ArtifactStore as _;
         source.service().store().store(fp(1), b"alpha");
         source.service().store().store(fp(2), b"beta");
-        let Message::Image {
-            delta_seq, entries, ..
-        } = reply(&source, &encode_frame(&Message::FetchImage))
+        let Message::Image { entries, .. } = reply(&source, &encode_frame(&Message::FetchImage))
         else {
             panic!("FetchImage must answer Image");
         };
-        assert_eq!(delta_seq, source.service().store().delta_seq());
         assert_eq!(entries.len(), 2);
         let joiner = ShardNode::start(2, tiny_config());
         assert_eq!(
             reply(
                 &joiner,
                 &encode_frame(&Message::Image {
-                    delta_seq,
                     entries,
                     router: 0,
                     epoch: 0,
@@ -1257,37 +1323,63 @@ mod tests {
     }
 
     #[test]
-    fn durable_log_survives_a_node_restart_and_still_absorbs() {
+    fn durable_replicas_survive_a_node_restart_and_a_gapped_one_leaves_no_image() {
         let dir = std::env::temp_dir().join(format!(
             "ccm2-shard-durable-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let node = ShardNode::start(1, tiny_config())
-            .with_durable_log(ReplicaLogStore::new(&dir).unwrap())
-            .unwrap();
+        let durable = || {
+            ShardNode::start(1, tiny_config())
+                .with_durable_log(&dir)
+                .unwrap()
+        };
+        let node = durable();
         assert_eq!(
             reply(&node, &ship_frame(0, 0, &inserts(0..4))),
             Message::Ack
         );
-        assert!(node.stats().rlog_writes >= 1, "ship persisted the log");
+        assert_eq!(node.stats().replica_saves, 1, "the ship saved the replica");
         assert_eq!(node.replica_len(0), 4);
-        drop(node); // crash: the parked ops exist only on disk now
+        // Origin 8's replica gaps: it holds nothing and its image goes.
+        for base in [0, 5] {
+            let ship = ship_frame(8, base, &inserts(20 + base..22 + base));
+            assert_eq!(reply(&node, &ship), Message::Ack);
+        }
+        assert_eq!(node.replica_len(8), 0);
+        assert!(!replica_dir(&dir, 8).exists(), "a gapped replica's image");
+        drop(node); // crash: the replicas exist only on disk now
 
-        let revived = ShardNode::start(1, tiny_config())
-            .with_durable_log(ReplicaLogStore::new(&dir).unwrap())
-            .unwrap();
-        assert_eq!(revived.replica_len(0), 4, "restart reloads the log");
+        let revived = durable();
+        assert_eq!(revived.replica_len(0), 4, "restart reloads the replica");
+        // Origin 8 is one the revived shard meets late: no gap.
+        assert_eq!(
+            reply(&revived, &ship_frame(8, 9, &inserts(9..10))),
+            Message::Ack
+        );
+        assert_eq!(
+            (revived.replica_len(8), revived.stats().replica_gaps),
+            (1, 0)
+        );
+        // Origin 0's replica continues from the image's sequence number.
+        assert_eq!(
+            reply(&revived, &ship_frame(0, 4, &inserts(4..5))),
+            Message::Ack
+        );
         assert_eq!(
             reply(&revived, &absorb_frame(0)),
             Message::AbsorbDone {
-                applied_ops: 4,
+                applied: 5,
                 gapped: false,
             },
             "a restarted shard still covers its dead peer"
         );
-        assert_eq!(revived.service().store().export().len(), 4);
+        assert_eq!(revived.service().store().export().len(), 5);
+        assert!(
+            !replica_dir(&dir, 0).exists(),
+            "an absorbed replica's image"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

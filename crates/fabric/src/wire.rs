@@ -28,12 +28,12 @@
 //!   deltas its shard has not shipped yet; [`Message::Sync`] (the
 //!   router's shipper asks a shard that has some for them),
 //!   [`Message::DeltaShip`] (an encoded `CCM2DELT` batch on its way to
-//!   a peer), [`Message::Absorb`] (failover: apply the replica log of a
-//!   dead shard, answered by [`Message::AbsorbDone`]);
+//!   a peer), [`Message::Absorb`] (failover: import the replica of a
+//!   dead shard's store, answered by [`Message::AbsorbDone`]);
 //! * control plane — [`Message::Ping`] /
 //!   [`Message::Pong`] heartbeats for the router's failure detector,
 //!   and [`Message::FetchImage`] / [`Message::Image`] full-store
-//!   shipment for join warm-up and gapped-log reconciliation;
+//!   shipment for join warm-up and gapped-replica reconciliation;
 //! * lease plane — [`Message::LeaseGrant`] /
 //!   [`Message::LeaseRenew`] carry the **epoch-numbered eviction
 //!   lease**: every membership-changing message (`Absorb`, pushed
@@ -41,7 +41,7 @@
 //!   router's id and lease epoch, and a shard that has granted a newer
 //!   epoch answers [`Message::EpochReject`] naming the current holder
 //!   instead of obeying — a partitioned ex-leader cannot resurrect an
-//!   evicted shard or double-absorb a replica log (the rule itself
+//!   evicted shard or double-absorb a replica (the rule itself
 //!   is [`crate::lease`]'s);
 //! * plain [`Message::Ack`].
 //!
@@ -65,7 +65,7 @@ use ccm2_sema::symtab::DkyStrategy;
 /// retry elsewhere), never misdecode.
 pub const WIRE_FORMAT: Format = Format {
     magic: *b"CCM2WIRE",
-    version: 8,
+    version: 9,
 };
 /// The "no router" sentinel for lease-holder fields: a shard that has
 /// not yet granted any lease reports this as the holder.
@@ -212,8 +212,8 @@ pub enum Message {
         /// The sender's lease epoch at send time.
         epoch: u64,
     },
-    /// Router → shard at failover: apply the replica log you hold for
-    /// `dead_shard` into your own store, then discard it. Stamped with
+    /// Router → shard at failover: import the replica you hold of
+    /// `dead_shard`'s store into your own store, then discard it. Stamped with
     /// the router's lease epoch: a stale-epoch absorb is refused with
     /// [`Message::EpochReject`], so an ex-leader cannot double-absorb.
     Absorb {
@@ -253,7 +253,7 @@ pub enum Message {
         lease_age: u32,
     },
     /// Router → shard: export your full store image (join warm-up and
-    /// gapped-log reconciliation; answered by [`Message::Image`]).
+    /// gapped-replica reconciliation; answered by [`Message::Image`]).
     FetchImage,
     /// A full store image in LRU order (coldest first, so importing in
     /// order reproduces the source's eviction order). Travels in both
@@ -261,8 +261,6 @@ pub enum Message {
     /// the router pushes one to a joiner or a gapped survivor (which
     /// imports it and answers [`Message::Ack`]).
     Image {
-        /// The source store's delta cursor at export time.
-        delta_seq: u64,
         /// `(fingerprint, encoded unit)` pairs, coldest first.
         entries: Vec<(Fp128, Vec<u8>)>,
         /// Sending router (lease stamp; [`NO_ROUTER`] on shard→router
@@ -274,15 +272,15 @@ pub enum Message {
         epoch: u64,
     },
     /// Shard → router: the answer to [`Message::Absorb`]. More than an
-    /// [`Message::Ack`] so the router can see whether the replica log
-    /// replayed cleanly or had been *gapped* by cap overflow and
-    /// discarded — the trigger for a full-image reconciliation instead
-    /// of a silent hole.
+    /// [`Message::Ack`] so the router can see whether the replica was
+    /// imported or had been *gapped* by a sequence gap and discarded —
+    /// the trigger for a full-image reconciliation instead of a silent
+    /// hole.
     AbsorbDone {
-        /// Delta ops actually replayed into the survivor's store.
-        applied_ops: u64,
-        /// The log had lost ops (cap overflow / sequence gap) and was
-        /// discarded without replay.
+        /// Replica entries imported into the survivor's store.
+        applied: u64,
+        /// The replica had missed ops (a sequence gap) and was discarded
+        /// without import.
         gapped: bool,
     },
     /// Router → shard: claim the eviction lease at `epoch`
@@ -446,13 +444,11 @@ fn encode_message(w: &mut Writer, msg: &Message) {
         }
         Message::FetchImage => w.u8(10),
         Message::Image {
-            delta_seq,
             entries,
             router,
             epoch,
         } => {
             w.u8(11);
-            w.u64(*delta_seq);
             w.seq(entries, |w, (fp, bytes)| {
                 w.fp(*fp);
                 w.bytes(bytes);
@@ -460,12 +456,9 @@ fn encode_message(w: &mut Writer, msg: &Message) {
             w.u32(*router);
             w.u64(*epoch);
         }
-        Message::AbsorbDone {
-            applied_ops,
-            gapped,
-        } => {
+        Message::AbsorbDone { applied, gapped } => {
             w.u8(12);
-            w.u64(*applied_ops);
+            w.u64(*applied);
             w.bool(*gapped);
         }
         Message::LeaseGrant { router, epoch } => {
@@ -548,13 +541,12 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
         },
         10 => Message::FetchImage,
         11 => Message::Image {
-            delta_seq: r.u64()?,
             entries: r.seq(20, |r| Ok((r.fp()?, r.bytes()?.to_vec())))?,
             router: r.u32()?,
             epoch: r.u64()?,
         },
         12 => Message::AbsorbDone {
-            applied_ops: r.u64()?,
+            applied: r.u64()?,
             gapped: r.bool()?,
         },
         13 => Message::LeaseGrant {
@@ -652,7 +644,6 @@ mod tests {
             },
             Message::FetchImage,
             Message::Image {
-                delta_seq: 42,
                 entries: vec![
                     (Fp128 { hi: 5, lo: 6 }, b"cold".to_vec()),
                     (Fp128 { hi: 7, lo: 8 }, b"warm".to_vec()),
@@ -661,17 +652,16 @@ mod tests {
                 epoch: 3,
             },
             Message::Image {
-                delta_seq: 0,
                 entries: Vec::new(),
                 router: NO_ROUTER,
                 epoch: 0,
             },
             Message::AbsorbDone {
-                applied_ops: 17,
+                applied: 17,
                 gapped: false,
             },
             Message::AbsorbDone {
-                applied_ops: 0,
+                applied: 0,
                 gapped: true,
             },
             Message::LeaseGrant {

@@ -4,11 +4,11 @@
 //! A full snapshot image replays an *entire* artifact store; a **delta
 //! batch** replays only what changed since a sequence number —
 //! insertions (with their bytes) and evictions/quarantines (key only).
-//! The same encoded batch serves three consumers:
+//! The same encoded batch serves two consumers:
 //!
 //! * the `ccm2-fabric` replication stream, where shards ship batches to
-//!   peers inside `CCM2WIRE` frames;
-//! * the `CCM2RLOG` replica-log images a shard persists them in;
+//!   peers inside `CCM2WIRE` frames, and each peer replays them into its
+//!   replica of the sender's store ([`MemStore::apply_delta`](crate::MemStore::apply_delta));
 //! * tests, which forge torn/bit-flipped batches to prove validation
 //!   degrades to a miss instead of misdecoding.
 //!

@@ -258,13 +258,13 @@ impl Inner {
 
     /// Admits history (an import or a replayed insert): evicts what the
     /// budget asks, counts no insertion and logs nothing.
-    fn replay_insert(&mut self, fp: Fp128, bytes: &[u8]) {
+    fn replay_insert(&mut self, fp: Fp128, bytes: Vec<u8>) {
         let admission = self.lru.admit(fp, bytes.len() as u64);
         for victim in &admission.evict {
             self.map.remove(victim);
         }
         if admission.accepted {
-            self.map.insert(fp, bytes.to_vec());
+            self.map.insert(fp, bytes);
         }
     }
 }
@@ -368,7 +368,7 @@ impl MemStore {
     pub fn import(&self, entries: &[(Fp128, Vec<u8>)]) {
         let mut inner = self.inner.lock();
         for (fp, bytes) in entries {
-            inner.replay_insert(*fp, bytes);
+            inner.replay_insert(*fp, bytes.clone());
         }
         inner.peak_bytes = inner.peak_bytes.max(inner.lru.total());
         debug_assert_eq!(inner.map.len(), inner.lru.len());
@@ -418,9 +418,11 @@ impl MemStore {
         }
     }
 
-    /// Re-anchors the delta sequence counter after a restore: the next
-    /// logged mutation gets sequence number `seq + 1`. Requires an empty
-    /// log (restores happen before the store takes traffic).
+    /// Re-anchors the delta sequence counter: the next logged mutation
+    /// gets sequence number `seq + 1`. A store restored from a snapshot
+    /// continues the image's sequence, and a fabric replica follows its
+    /// origin's. Requires an empty log (a restore happens before the
+    /// store takes traffic, and a replica retains none).
     pub fn resume_delta_seq(&self, seq: u64) {
         let mut inner = self.inner.lock();
         debug_assert!(inner.delta.is_empty(), "resume on a store with history");
@@ -428,18 +430,20 @@ impl MemStore {
         inner.delta_base = seq;
     }
 
-    /// Replays delta ops — the fabric's replica-absorb path. Like
-    /// [`MemStore::import`] this bypasses the insertion counter and
-    /// the delta log itself: replayed history must not be re-shipped.
-    /// Budget and LRU admission still apply.
-    pub fn apply_delta(&self, ops: &[DeltaOp]) {
+    /// Replays another store's delta ops — how a fabric shard keeps the
+    /// replica of a peer's store that the peer ships it. Like
+    /// [`MemStore::import`] this bypasses the insertion counter and the
+    /// delta log itself: replayed history must not be re-shipped. Budget
+    /// and LRU admission still apply; an inserted entry keeps the op's
+    /// bytes.
+    pub fn apply_delta(&self, ops: Vec<DeltaOp>) {
         let mut inner = self.inner.lock();
         for op in ops {
             match op {
-                DeltaOp::Insert { fp, bytes } => inner.replay_insert(*fp, bytes),
+                DeltaOp::Insert { fp, bytes } => inner.replay_insert(fp, bytes),
                 DeltaOp::Evict { fp } => {
-                    if inner.map.remove(fp).is_some() {
-                        inner.lru.remove(*fp);
+                    if inner.map.remove(&fp).is_some() {
+                        inner.lru.remove(fp);
                     }
                 }
             }
@@ -693,7 +697,7 @@ mod tests {
         assert_eq!(s.delta_seq(), 5);
         // Replaying the ops rebuilds the same content.
         let replica = MemStore::with_budget(10);
-        replica.apply_delta(&ops);
+        replica.apply_delta(ops);
         assert_eq!(
             replica.export().iter().map(|(f, _)| *f).collect::<Vec<_>>(),
             vec![fp(3)]

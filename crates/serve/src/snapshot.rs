@@ -18,6 +18,8 @@
 //! A restored store continues its delta sequence from the recorded
 //! number ([`MemStore::resume_delta_seq`]), so a shard wrapped around
 //! it numbers its first new mutation after the ones the image holds.
+//! A fabric shard keeps its replica of each peer's store as such an
+//! image too; there the number is the origin's sequence number.
 //!
 //! Entries are stored **in LRU recency order, least recently used
 //! first** ([`MemStore::export`]), so replaying them in file order

@@ -2,9 +2,9 @@
 //! loading, quarantine.
 //!
 //! An [`ImageDir`] holds files named `{prefix}-{seq:08}.img`, each a
-//! complete image of some state (a store snapshot, a replica-log map, a
-//! ring membership) that supersedes every older one. The rules, the
-//! same for every caller:
+//! complete image of some state (a store snapshot, a ring membership)
+//! that supersedes every older one. The rules, the same for every
+//! caller:
 //!
 //! * **write** — the bytes go to a hidden temp file in the same
 //!   directory, are synced to the disk, and the file is then renamed

@@ -5,8 +5,8 @@
 //! diagnostics of a direct, storeless compile (`ccm2_bench::kit::Oracle`,
 //! what a standalone service answers), on the deterministic loopback
 //! transport and on real TCP sockets alike. A
-//! crash-restart of the whole fleet from its durable `CCM2RLOG` replica
-//! logs must come back holding every parked delta op.
+//! crash-restart of the whole fleet from its durable replica images
+//! must come back holding every replica entry.
 //!
 //! The phases are `ccm2_bench::chaosnet`'s — the ones `reproduce --
 //! chaosnet` composes into its cells.
@@ -106,8 +106,8 @@ fn tcp_partition_cycle_matches_standalone() {
 }
 
 // A whole-fleet crash (router, transport, and every node dropped) must
-// lose zero parked replica-log ops: the rebuilt nodes load their
-// CCM2RLOG images and the next failover absorbs from them.
+// lose no replica entry: the rebuilt nodes load their replicas'
+// CCM2SNAP images and the next failover absorbs from them.
 #[test]
 fn fleet_restart_from_durable_logs_loses_no_parked_ops() {
     let dir = Scratch::new("chaosnet-it");
@@ -125,8 +125,8 @@ fn fleet_restart_from_durable_logs_loses_no_parked_ops() {
     let fleet = Fabric::start_over(false, (0..SHARDS).map(mk_node).collect());
     drive(fleet.router(), &load, &Oracle::of(&load));
     // Crash, rebuild the same shard ids from the same directories, fail
-    // one over. The phase asserts that serving parked replica ops at
+    // one over. The phase asserts that serving replicated entries at
     // all (or the drill is vacuous), that the restart changed none of
-    // them, and that the failover absorbed from the restored logs.
+    // them, and that the failover absorbed from the restored replicas.
     crash_restart_absorb(fleet, false, mk_node);
 }

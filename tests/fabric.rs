@@ -306,7 +306,7 @@ fn a_leader_stands_down_on(hears: Hears) {
             |shard, msg| shard == JOINER && matches!(msg, Message::DeltaShip { .. })
         }
         Hears::ImageAtGappedReconciliation => {
-            // Shard 2's log of origin 1 gets a hole, so that the absorb
+            // Shard 2's replica of origin 1 gets a hole, so that the absorb
             // discards it and the router reconciles with an image.
             drill.serve(&module_for(1));
             let evict = ccm2_incr::DeltaOp::Evict {
@@ -318,8 +318,8 @@ fn a_leader_stands_down_on(hears: Hears) {
                 router: 1,
                 epoch: 1,
             });
-            let parked = drill.fleet.nodes()[2].handle(&hole);
-            assert_eq!(decode_frame(&parked), Some(Message::Ack));
+            let holed = drill.fleet.nodes()[2].handle(&hole);
+            assert_eq!(decode_frame(&holed), Some(Message::Ack));
             |_, msg| matches!(msg, Message::Image { .. })
         }
     };
@@ -534,18 +534,18 @@ fn a_request_acknowledged_before_its_delta_shipped_is_recompiled_not_lost() {
             });
         };
         serve_all();
-        let parked = |origin: u32| -> usize {
+        let replicated = |origin: u32| -> usize {
             let peers = fleet.nodes().iter().filter(|node| node.id() != origin);
             peers.map(|node| node.replica_len(origin)).sum()
         };
-        assert_eq!(parked(1), 0, "tcp: {tcp}: a ship got through the gate");
+        assert_eq!(replicated(1), 0, "tcp: {tcp}: a ship got through the gate");
 
         // The origin dies unflushed; the next dispatch finds it dead.
         assert!(held.kill(1), "tcp: {tcp}");
         serve_all();
         assert_eq!(router.live_shards(), [0, 2], "tcp: {tcp}");
         let survivors = [&fleet.nodes()[0], &fleet.nodes()[2]];
-        let absorbed: u64 = survivors.iter().map(|n| n.stats().absorbed_ops).sum();
+        let absorbed: u64 = survivors.iter().map(|n| n.stats().absorbed_entries).sum();
         let recompiled: u64 = survivors.iter().map(|n| n.service().stats().compiled).sum();
         assert_eq!(absorbed, 0, "tcp: {tcp}: nothing had been shipped");
         assert_eq!(recompiled, owned.len() as u64, "tcp: {tcp}");
