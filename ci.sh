@@ -81,6 +81,16 @@ if git grep -nE 'ReplicaLogStore|RLOG_FORMAT|REPLICA_LOG_CAP' -- '*.rs'; then
   exit 1
 fi
 
+echo "== a replica is a cache =="
+# A Sync drains the origin's queue of ops and a replica applies every
+# batch that reaches it: no delta is numbered. The sequence numbers, the
+# cursor API over them and the gap bookkeeping they fed fail here if
+# they come back.
+if git grep -nwE 'resume_delta_seq|deltas_since|truncate_deltas|gapped_reconciliations|gapped_discards|replica_gaps' -- '*.rs'; then
+  echo "delta sequence numbering is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -147,9 +157,10 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # streams, a stream the server closed meanwhile, one origin's delta
 # batches overtaking each other on the way to a peer, and 2 000 rounds
 # per transport of concurrent compiles each followed by a flush, after
-# which every peer's replica must be at its origin's edge and hold its
-# origin's entries: a second shipper shows as a gap, a lost dirty mark as
-# a replica short of the edge) and the service's
+# which every origin's queue must be drained and every peer's replica
+# must hold exactly its origin's entries: a second shipper's reordered
+# batches show as a replica that kept an entry its origin evicted, a
+# lost dirty mark as ops left in a queue) and the service's
 # flights table (eight threads resubmitting one request across 2 000
 # landings: a duplicate that found the flight neither flying nor landed
 # would start a second compile). The checksum kernel's tests ride along

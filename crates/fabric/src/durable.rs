@@ -122,7 +122,7 @@ mod tests {
         };
         assert_eq!(store.load_latest().unwrap().image, Some(sorted.clone()));
         // A store snapshot under a membership name is not a membership.
-        let foreign = ccm2_serve::encode_snapshot(0, &[]);
+        let foreign = ccm2_serve::encode_snapshot(&[]);
         std::fs::write(dir.join("mbrs-00000002.img"), foreign).unwrap();
         let loaded = store.load_latest().unwrap();
         assert_eq!(loaded.quarantined.len(), 1);

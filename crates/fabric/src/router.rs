@@ -27,7 +27,7 @@
 //!    with a back-off hint, the same contract as
 //!    [`ccm2_serve::Response::Retry`].
 //! 5. **Replicate, off the request's path** — the answer says how many
-//!    store deltas its shard has not shipped. Zero, and the request
+//!    store deltas its shard has queued. Zero, and the request
 //!    sends no replication frame at all; otherwise the shard is marked
 //!    dirty and the answer goes back at once. See *The shipper* below.
 //!
@@ -46,7 +46,7 @@
 //! the batch to the peers under this router's stamp, through the same
 //! `control` that hears a stale answer. One writer per router makes the
 //! order of an origin's batches structural. Only the lease holder pulls:
-//! a standby that pulled would move the shard's cursor past a batch its
+//! a standby that pulled would drain the shard's queue into a batch its
 //! stamp cannot deliver, so its marks are dropped, and a promotion marks
 //! every member once — what a standby's requests left behind goes out
 //! with the leader's next pull.
@@ -185,9 +185,6 @@ pub struct FabricStats {
     pub suspects: u64,
     /// Shards evicted by the failure detector (subset of `failovers`).
     pub heartbeat_evictions: u64,
-    /// Survivors whose gapped replica was discarded at absorb and
-    /// reconciled with a full store image from a healthy peer.
-    pub gapped_reconciliations: u64,
     /// Shards admitted through the join warm-up (image head-ship +
     /// delta catch-up before ring ownership).
     pub warm_joins: u64,
@@ -214,7 +211,7 @@ type Flight = Arc<(Mutex<Option<FabricResponse>>, Condvar)>;
 /// What the shipper has been asked to pull.
 #[derive(Default)]
 struct Dirty {
-    /// Shards whose answers said deltas lie past their ship cursor, each
+    /// Shards whose answers said they hold queued deltas, each
     /// with the peers off the ring (a joiner mid-warm-up) that its next
     /// batch must reach as well.
     shards: BTreeMap<u32, Vec<u32>>,
@@ -406,7 +403,7 @@ impl FabricRouter {
             self.core.stats.lock().promotions += 1;
             self.persist_membership();
             // What requests served while nobody here held the lease left
-            // past the shards' cursors is this router's to ship now.
+            // in the shards' queues is this router's to ship now.
             for &shard in &members {
                 self.core.mark_dirty(shard, None);
             }
@@ -781,12 +778,8 @@ impl FabricRouter {
     }
 
     /// Declares `shard` dead: off the ring, survivors absorb their
-    /// replicas of it. A survivor that reports its replica *gapped*
-    /// ([`Message::AbsorbDone`]) discarded it rather than import a
-    /// hole; the router reconciles it with a full store image pulled
-    /// from a survivor that absorbed cleanly. Idempotent under races —
-    /// only the caller that actually removes the shard runs the absorb
-    /// fan-out.
+    /// replicas of it. Idempotent under races — only the caller that
+    /// actually removes the shard runs the absorb fan-out.
     ///
     /// Lease rules: the absorb fan-out is a membership change, so it
     /// carries this router's stamp, and a refusal aborts it with nothing
@@ -816,17 +809,13 @@ impl FabricRouter {
             router,
             epoch,
         });
-        let mut gapped_survivors = Vec::new();
         let mut witnessed = false;
         for &s in &survivors {
-            if let Some(Message::AbsorbDone { gapped, .. }) =
+            if let Some(Message::AbsorbDone { .. }) =
                 self.core.control(s, Asked::Control, &absorb)?
             {
                 self.core.stats.lock().absorbs += 1;
                 witnessed = true;
-                if gapped {
-                    gapped_survivors.push(s);
-                }
             }
         }
         // An eviction becomes durable only when a surviving shard
@@ -836,26 +825,6 @@ impl FabricRouter {
         // next leader converge on.
         if witnessed {
             self.persist_membership();
-        }
-        if gapped_survivors.is_empty() {
-            return Ok(());
-        }
-        // Full-image reconciliation: a healthy survivor's store covers
-        // everything the gapped replicas lost (and more).
-        let mut image = None;
-        for &s in survivors.iter().filter(|s| !gapped_survivors.contains(s)) {
-            image = self.fetch_image(s)?;
-            if image.is_some() {
-                break;
-            }
-        }
-        let Some(entries) = image else {
-            return Ok(()); // every survivor gapped: nothing authoritative left
-        };
-        for g in gapped_survivors {
-            if self.push_image(g, entries.clone())? {
-                self.core.stats.lock().gapped_reconciliations += 1;
-            }
         }
         Ok(())
     }
@@ -937,14 +906,14 @@ impl Core {
         }
     }
 
-    /// One pull: sync `shard` for the deltas past its cursor and fan the
+    /// One pull: sync `shard` for the deltas it has queued and fan the
     /// batch to every surviving peer and to `extra_peers`, under this
     /// router's `(router, epoch)` stamp. A peer holding a newer lease
     /// refuses it, which stands this router down on the spot
     /// (replication is how a partitioned dueling leader usually learns
     /// it lost) and ends the fan-out.
     fn ship(&self, shard: u32, extra_peers: &[u32]) -> Result<(), Stale> {
-        // Only the lease holder pulls: a sync moves the shard's cursor,
+        // Only the lease holder pulls: a sync drains the shard's queue,
         // and a standby's stamp could not deliver what it took.
         if self.authority.lock().role() != RouterRole::Leader {
             return Ok(());
@@ -956,7 +925,7 @@ impl Core {
         else {
             return Ok(());
         };
-        let Some((_base, ops)) = ccm2_incr::decode_delta(&batch) else {
+        let Some(ops) = ccm2_incr::decode_delta(&batch) else {
             return Ok(());
         };
         if ops.is_empty() {

@@ -2,53 +2,40 @@
 //! plus the replicas of its peers' stores.
 //!
 //! A shard is deliberately passive — it answers frames and never
-//! initiates traffic — but it says when it has something to ship: every
-//! [`Message::Outcome`] carries `unshipped`, the number of store deltas
-//! past this shard's ship cursor. The leading router's shipper (see
-//! `crate::router`) answers a non-zero count with a [`Message::Sync`],
-//! which hands back everything accumulated since the previous sync as
-//! one `CCM2DELT` batch and moves the cursor, and fans that batch out to
-//! the surviving peers as [`Message::DeltaShip`] frames. Each peer
-//! replays the batch into its replica of the origin's store, a
+//! initiates traffic — but it says when it has something to ship: its
+//! store queues every mutation ([`MemStore::retain_deltas`]), and every
+//! [`Message::Outcome`] carries `unshipped`, the queue's length. The
+//! leading router's shipper (see `crate::router`) answers a non-zero
+//! count with a [`Message::Sync`], which drains the queue into one
+//! `CCM2DELT` batch ([`MemStore::drain_deltas`]), and fans that batch
+//! out to the surviving peers as [`Message::DeltaShip`] frames. Each
+//! peer applies the batch to its replica of the origin's store, a
 //! [`MemStore`] under the peer's own store budget
-//! ([`MemStore::apply_delta`]). The origin logs its evictions before
-//! each insert, so under equal budgets a replica holds exactly the
-//! origin's entries, and never more than one store's worth of bytes.
-//! The replica is pure potential energy until the origin dies, at which
-//! point [`Message::Absorb`] imports it into the survivor's own store —
-//! the path a pushed [`Message::Image`] takes — so re-routed requests
-//! warm-hit instead of recompiling.
+//! ([`MemStore::apply_delta`]). The origin queues its evictions before
+//! each insert, so under equal budgets a replica that has seen every
+//! batch holds exactly the origin's entries, and never more than one
+//! store's worth of bytes. The replica is pure potential energy until
+//! the origin dies, at which point [`Message::Absorb`] imports it into
+//! the survivor's own store — the path a pushed [`Message::Image`] takes
+//! — so re-routed requests warm-hit instead of recompiling.
 //!
 //! Replication is warmth, not truth: the store is content-addressed, so
 //! an imported entry can never corrupt one (same fingerprint ⇒ same
-//! bytes), and a lost batch merely costs a recompile. But a *hole* in
-//! the stream must not be absorbed silently: a batch that begins past
-//! the replica's sequence number marks the replica **gapped**. A gapped
-//! replica drops its entries at once and keeps only its sequence number;
-//! [`Message::Absorb`] answers `AbsorbDone { gapped: true }` and the
-//! router reconciles with a full-image ship ([`Message::FetchImage`] /
-//! [`Message::Image`]) from a healthy peer instead. Delivery is
-//! at-least-once, so a batch can arrive again: only its ops past the
-//! replica's sequence number are replayed.
+//! bytes), and a lost batch merely costs a recompile. So a replica is a
+//! cache of its origin's store, not a mirror of its history: a batch
+//! carries no position, and a replica applies every batch that reaches
+//! it — the first after a late start (a joiner warmed from images, a
+//! survivor that absorbed an earlier replica, a restarted shard or a
+//! restarted origin) like any other. Delivery is at-least-once, and a
+//! batch applied twice leaves what one application leaves. An origin's
+//! batches reach a peer in the order they were cut — one shipper per
+//! router, and only the lease holder pulls — which is what lets a
+//! replica hold exactly its origin's entries rather than a superset.
 //!
-//! One start is not a hole: **a shard that holds no replica of an
-//! origin and is handed a batch beginning past sequence 0 met that
-//! origin late** — a joiner warmed from the origin's store image (§9.7:
-//! the image covers what came before its cut), a survivor that has
-//! already absorbed the origin's earlier replica, or a shard restarted
-//! without an image of it. The replica starts at that batch, so
-//! `receive_ship` counts a gap only against a replica it already holds.
-//! The rule leans on the origin's batches reaching a peer in the order
-//! they were cut — one shipper per router, and only the lease holder
-//! pulls — because a batch that overtook the replica's first would be
-//! taken for that late start.
-//!
-//! With a durable directory attached ([`ShardNode::with_durable_log`])
-//! each clean replica is kept as a `ccm2_serve::SnapshotStore` image
-//! (`CCM2SNAP`, whose `delta_seq` is the replica's sequence number) in
-//! a subdirectory per origin, rewritten after every batch, so a crash
-//! between ship and absorb loses no replica entry. A gapped replica
-//! leaves no image.
+//! With a durable directory attached ([`ShardNode::with_durable_replicas`])
+//! each replica is kept as a `ccm2_serve::SnapshotStore` image
+//! (`CCM2SNAP`) in a subdirectory per origin, rewritten after every
+//! batch, so a crash between ship and absorb loses no replica entry.
 //!
 //! # The eviction lease
 //!
@@ -79,28 +66,6 @@ use parking_lot::Mutex;
 use crate::lease::{Lease, LeaseView};
 use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, NO_ROUTER};
 
-/// What a shard holds for one peer: the peer's store, rebuilt from the
-/// batches it shipped, as of the store's
-/// [`delta_seq`](MemStore::delta_seq) (the origin's numbering).
-struct Replica {
-    store: Arc<MemStore>,
-    /// Batches that arrived past a hole. The first makes the replica
-    /// gapped: its entries go, and absorb refuses it.
-    gaps: u64,
-}
-
-impl Replica {
-    /// An empty replica whose next op is the origin's `seq + 1`.
-    fn at(seq: u64, budget: u64) -> Replica {
-        let store = MemStore::with_budget(budget);
-        store.resume_delta_seq(seq);
-        Replica {
-            store: Arc::new(store),
-            gaps: 0,
-        }
-    }
-}
-
 /// Counters for one shard's frame traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -112,23 +77,15 @@ pub struct ShardStats {
     pub bad_frames: u64,
     /// Sync frames answered with a non-empty delta batch.
     pub ships: u64,
-    /// Syncs that found the store's delta history trimmed and had to
-    /// reset the cursor (the peers silently miss those ops).
-    pub sync_resets: u64,
     /// Entries currently held across all replicas.
     pub replica_entries: u64,
-    /// Batches, across all replicas, that arrived past a hole.
-    pub replica_gaps: u64,
     /// Replica entries imported into the local store by `Absorb` frames.
     pub absorbed_entries: u64,
-    /// Gapped replicas discarded (not imported) at absorb.
-    pub gapped_discards: u64,
     /// Heartbeat probes answered.
     pub pings: u64,
     /// `FetchImage` frames answered with a full store image.
     pub images_served: u64,
-    /// Entries imported from pushed `Image` frames (join warm-up /
-    /// gapped-replica reconciliation).
+    /// Entries imported from pushed `Image` frames (a joiner's warm-up).
     pub imported_entries: u64,
     /// Replica images written to the attached durable directory.
     pub replica_saves: u64,
@@ -142,9 +99,8 @@ pub struct ShardStats {
 }
 
 struct ShardState {
-    /// Store delta sequence number up to which peers have been shipped.
-    ship_cursor: u64,
-    replicas: HashMap<u32, Replica>,
+    /// Each peer's store as this shard holds it, by origin.
+    replicas: HashMap<u32, Arc<MemStore>>,
     stats: ShardStats,
     /// The eviction lease this shard honors, with its grant ledger.
     lease: Lease,
@@ -176,18 +132,15 @@ impl ShardNode {
     }
 
     /// Wraps an existing service (e.g. one restored from a snapshot) as
-    /// shard `id`. From here on the store keeps its delta ops for
-    /// [`Message::Sync`], and each sync drops what it shipped. The ship
-    /// cursor starts at the store's current delta sequence: history from
-    /// before the wrap is the snapshot's business, not replication's.
+    /// shard `id`. From here on the store queues its mutations for
+    /// [`Message::Sync`] to drain: what it held before the wrap is the
+    /// snapshot's business, not replication's.
     pub fn from_service(id: u32, svc: CompileService) -> ShardNode {
         svc.store().retain_deltas();
-        let ship_cursor = svc.store().delta_seq();
         ShardNode {
             id,
             svc,
             state: Mutex::new(ShardState {
-                ship_cursor,
                 replicas: HashMap::new(),
                 stats: ShardStats::default(),
                 lease: Lease::default(),
@@ -202,7 +155,7 @@ impl ShardNode {
     /// back holding what it held for its peers), and from now on every
     /// batch and absorb rewrites the origin's image through the
     /// crash-atomic `CCM2SNAP` path.
-    pub fn with_durable_log(mut self, dir: impl Into<PathBuf>) -> io::Result<ShardNode> {
+    pub fn with_durable_replicas(mut self, dir: impl Into<PathBuf>) -> io::Result<ShardNode> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let budget = self.replica_budget();
@@ -214,9 +167,12 @@ impl ShardNode {
                 continue;
             };
             if let Some(image) = SnapshotStore::new(entry.path())?.load_latest()?.image {
-                let replica = Replica::at(image.delta_seq, budget);
-                replica.store.import(&image.entries);
-                self.state.get_mut().replicas.insert(origin, replica);
+                let replica = MemStore::with_budget(budget);
+                replica.import(image.entries);
+                self.state
+                    .get_mut()
+                    .replicas
+                    .insert(origin, Arc::new(replica));
             }
         }
         self.durable = Some(dir);
@@ -229,18 +185,14 @@ impl ShardNode {
     }
 
     /// Writes `origin`'s replica image if a durable directory is
-    /// attached, or removes it once the replica is gone or gapped. The
-    /// caller holds the replica gate; the write happens outside the
-    /// shard lock so frame traffic keeps flowing.
+    /// attached, or removes it once the replica is gone. The caller holds
+    /// the replica gate; the write happens outside the shard lock so
+    /// frame traffic keeps flowing.
     fn persist(&self, origin: u32) {
         let Some(dir) = &self.durable else { return };
         let dir = replica_dir(dir, origin);
-        let clean = {
-            let state = self.state.lock();
-            let replica = state.replicas.get(&origin).filter(|r| r.gaps == 0);
-            replica.map(|r| Arc::clone(&r.store))
-        };
-        match clean {
+        let replica = self.state.lock().replicas.get(&origin).cloned();
+        match replica {
             Some(store) => {
                 let saved = SnapshotStore::new(&dir).and_then(|images| images.save(&store));
                 if saved.is_ok() {
@@ -268,18 +220,16 @@ impl ShardNode {
         let state = self.state.lock();
         let mut stats = state.stats;
         for replica in state.replicas.values() {
-            stats.replica_entries += replica.store.stats().entries as u64;
-            stats.replica_gaps += replica.gaps;
+            stats.replica_entries += replica.stats().entries as u64;
         }
         stats
     }
 
-    /// The entries this shard holds for peer `origin` (drill
-    /// assertions).
-    pub fn replica_len(&self, origin: u32) -> usize {
-        let state = self.state.lock();
-        let replica = state.replicas.get(&origin);
-        replica.map_or(0, |r| r.store.stats().entries)
+    /// The fingerprints this shard holds for peer `origin`, sorted
+    /// (drill assertions).
+    pub fn replica_fingerprints(&self, origin: u32) -> Vec<Fp128> {
+        let replica = self.state.lock().replicas.get(&origin).cloned();
+        replica.map_or_else(Vec::new, |r| r.fingerprints())
     }
 
     /// This shard's current lease view.
@@ -386,7 +336,7 @@ impl ShardNode {
                 epoch,
             } => {
                 self.admit(router, epoch)?;
-                self.import_image(&entries)
+                self.import_image(entries)
             }
             Message::Outcome { .. }
             | Message::Reject { .. }
@@ -412,82 +362,45 @@ impl ShardNode {
             };
         };
         let out = ticket.wait();
-        // Read after the compile's inserts and under the lock a sync
-        // moves the cursor under: a delta this answer does not count was
-        // shipped, or a later answer counts it.
-        let mut state = self.state.lock();
-        state.stats.compiles += 1;
-        let edge = self.svc.store().delta_seq();
+        self.state.lock().stats.compiles += 1;
+        // Read after the compile's inserts: a delta this answer does not
+        // count was drained by a sync, or a later answer counts it.
         Message::Outcome {
             outcome: WireOutcome::from_outcome(&out),
-            unshipped: edge.saturating_sub(state.ship_cursor),
+            unshipped: self.svc.store().pending_deltas() as u64,
         }
     }
 
     fn sync(&self) -> Message {
-        let store = self.svc.store();
-        let mut state = self.state.lock();
-        let base = state.ship_cursor;
-        let batch = match store.deltas_since(base) {
-            Some(ops) => {
-                state.ship_cursor = base + ops.len() as u64;
-                if !ops.is_empty() {
-                    state.stats.ships += 1;
-                }
-                encode_delta(base, &ops)
-            }
-            None => {
-                // The store's bounded log overflowed past our cursor.
-                // Peers miss those ops — warmth, not truth — and the
-                // cursor rejoins the live edge.
-                state.stats.sync_resets += 1;
-                state.ship_cursor = store.delta_seq();
-                encode_delta(state.ship_cursor, &[])
-            }
-        };
-        // Shipped ops are owed to nobody: the log keeps only the rest.
-        store.truncate_deltas(state.ship_cursor);
+        let ops = self.svc.store().drain_deltas();
+        if !ops.is_empty() {
+            self.state.lock().stats.ships += 1;
+        }
         // A sync *answer* carries no authority: the router re-stamps
         // the batch with its own lease before fanning it out.
         Message::DeltaShip {
             from_shard: self.id,
-            batch,
+            batch: encode_delta(&ops),
             router: NO_ROUTER,
             epoch: 0,
         }
     }
 
     fn receive_ship(&self, from_shard: u32, batch: &[u8]) -> Message {
-        let Some((base, ops)) = decode_delta(batch) else {
+        let Some(ops) = decode_delta(batch) else {
             self.state.lock().stats.bad_frames += 1;
             return Message::Reject {
                 reason: "bad delta batch".into(),
                 retry_after_ms: 0,
             };
         };
-        let end = base.saturating_add(ops.len() as u64);
         let budget = self.replica_budget();
         let _gate = self.replica_gate.lock();
-        {
-            let mut state = self.state.lock();
-            let replica = state
-                .replicas
-                .entry(from_shard)
-                .or_insert_with(|| Replica::at(base, budget));
-            let seq = replica.store.delta_seq();
-            if base > seq {
-                // Ops are missing: what the replica holds is no longer
-                // the origin's store, and absorb will refuse it.
-                replica.gaps += 1;
-                replica.store = Arc::new(MemStore::with_budget(budget));
-            }
-            if replica.gaps == 0 {
-                // Ops up to `seq` were replayed when first delivered.
-                let fresh = ops.into_iter().skip((seq - base) as usize);
-                replica.store.apply_delta(fresh.collect());
-            }
-            replica.store.resume_delta_seq(seq.max(end));
-        }
+        let replica = Arc::clone(
+            (self.state.lock().replicas.entry(from_shard))
+                .or_insert_with(|| Arc::new(MemStore::with_budget(budget))),
+        );
+        replica.apply_delta(ops);
         self.persist(from_shard);
         Message::Ack
     }
@@ -495,24 +408,12 @@ impl ShardNode {
     fn absorb(&self, dead_shard: u32) -> Message {
         let _gate = self.replica_gate.lock();
         let replica = self.state.lock().replicas.remove(&dead_shard);
-        let (applied, gapped) = match replica {
-            Some(replica) if replica.gaps > 0 => {
-                // The hole would pass for the origin's whole store. Tell
-                // the router, which reconciles with a full image.
-                self.state.lock().stats.gapped_discards += 1;
-                (0, true)
-            }
-            Some(replica) => {
-                let entries = replica.store.export();
-                self.svc.store().import(&entries);
-                let applied = entries.len() as u64;
-                self.state.lock().stats.absorbed_entries += applied;
-                (applied, false)
-            }
-            None => (0, false),
-        };
+        let entries = replica.map_or_else(Vec::new, |replica| replica.export());
+        let applied = entries.len() as u64;
+        self.svc.store().import(entries);
+        self.state.lock().stats.absorbed_entries += applied;
         self.persist(dead_shard);
-        Message::AbsorbDone { applied, gapped }
+        Message::AbsorbDone { applied }
     }
 
     fn serve_image(&self) -> Message {
@@ -529,9 +430,10 @@ impl ShardNode {
         }
     }
 
-    fn import_image(&self, entries: &[(Fp128, Vec<u8>)]) -> Message {
+    fn import_image(&self, entries: Vec<(Fp128, Vec<u8>)>) -> Message {
+        let imported = entries.len() as u64;
         self.svc.store().import(entries);
-        self.state.lock().stats.imported_entries += entries.len() as u64;
+        self.state.lock().stats.imported_entries += imported;
         Message::Ack
     }
 }
@@ -555,10 +457,10 @@ mod tests {
         }
     }
 
-    fn ship_frame(from_shard: u32, base: u64, ops: &[DeltaOp]) -> Vec<u8> {
+    fn ship_frame(from_shard: u32, ops: &[DeltaOp]) -> Vec<u8> {
         encode_frame(&Message::DeltaShip {
             from_shard,
-            batch: encode_delta(base, ops),
+            batch: encode_delta(ops),
             router: 0,
             epoch: 0,
         })
@@ -592,11 +494,14 @@ mod tests {
         decode_frame(&node.handle(frame)).expect("shard replies validly")
     }
 
+    /// A store budget small enough that a run of rounds evicts: only
+    /// then can a replica that applied its origin's batches out of order
+    /// differ from the origin (an evicted entry comes back).
     fn fleet_config() -> ServeConfig {
         ServeConfig {
             workers: 2,
             queue_capacity: 64,
-            store_budget: 1 << 20,
+            store_budget: 4 << 10,
             ..ServeConfig::default()
         }
     }
@@ -623,39 +528,37 @@ mod tests {
         }
     }
 
-    /// Every peer's replica of every origin has replayed every op the
-    /// origin's store has logged since the fleet started, up to the
-    /// store's edge, never saw a hole, and holds exactly the origin's
-    /// entries: its fingerprints and its bytes. Returns the sum of those
-    /// edges.
+    /// Every origin's queue is drained, and every peer's replica of it
+    /// holds exactly the origin's entries: its fingerprints and its
+    /// bytes. Returns the ops the origins' stores have queued since the
+    /// fleet started (each an insertion, an eviction or a quarantine).
     fn assert_replicated_to_the_edge(nodes: &[Arc<ShardNode>], when: &str) -> u64 {
-        let mut edges = 0;
+        let mut queued = 0;
         let held = |store: &MemStore| (store.fingerprints(), store.stats().bytes_in_use);
         for origin in nodes {
             let store = origin.service().store();
-            let edge = store.delta_seq();
-            edges += edge;
+            let stats = store.stats();
+            queued += stats.insertions + stats.evictions + stats.quarantined;
+            assert_eq!(store.pending_deltas(), 0, "{when}: origin {}", origin.id);
             for peer in nodes.iter().filter(|peer| peer.id != origin.id) {
                 let state = peer.state.lock();
-                let seen = state.replicas.get(&origin.id).map_or_else(
-                    || (0, 0, (Vec::new(), 0)),
-                    |r| (r.store.delta_seq(), r.gaps, held(&r.store)),
-                );
+                let seen = state.replicas.get(&origin.id).map(|r| held(r));
                 let (peer, origin) = (peer.id, origin.id);
                 assert_eq!(
-                    seen,
-                    (edge, 0, held(store)),
+                    seen.unwrap_or_default(),
+                    held(store),
                     "{when}: shard {peer}'s replica of origin {origin}"
                 );
             }
         }
-        edges
+        queued
     }
 
     /// Requests served side by side mark their shards dirty side by
     /// side; two batches of one origin must reach a peer in the order
-    /// the origin cut them, or the peer's replica reads the later one as
-    /// a gap and is lost to failover.
+    /// the origin cut them, or an entry the later batch evicts comes back
+    /// with the earlier one and the replica is no longer its origin's
+    /// store.
     #[test]
     fn batches_of_one_origin_reach_its_peers_in_order() {
         let fabric = fleet(true, 3);
@@ -670,10 +573,10 @@ mod tests {
     /// concurrent compiles and a `flush`, every delta of every origin has
     /// reached every peer's replica, once and in order — so the replica
     /// holds what its origin holds — and the router shipped exactly what
-    /// the stores logged. Two shippers would reorder an
+    /// the stores queued. Two shippers would reorder an
     /// origin's batches; a dirty mark cleared after its pull instead of
     /// before would lose the compile that landed mid-pull, and `flush`
-    /// would return with that delta still behind the cursor.
+    /// would return with that delta still in its origin's queue.
     #[test]
     fn every_delta_reaches_every_peer_once_and_in_order() {
         // A fresh fleet every so often searches the start-up again.
@@ -682,23 +585,23 @@ mod tests {
         for tcp in [false, true] {
             for _ in 0..fleets {
                 let fabric = fleet(tcp, 3);
-                let mut edges = 0;
+                let mut queued = 0;
                 for round in 0..ROUNDS_PER_FLEET {
                     serve_eight(fabric.router(), round);
                     fabric.router().flush();
                     let when = format!("tcp={tcp}, round {round}");
-                    edges = assert_replicated_to_the_edge(fabric.nodes(), &when);
+                    queued = assert_replicated_to_the_edge(fabric.nodes(), &when);
                 }
-                assert_eq!(fabric.router().stats().shipped_ops, edges, "tcp={tcp}");
+                assert_eq!(fabric.router().stats().shipped_ops, queued, "tcp={tcp}");
             }
         }
     }
 
     /// A standby serves traffic — it is what a client falls back to when
     /// its router dies before the standby has promoted — but it must not
-    /// pull: its stamp cannot deliver the batch, and the cursor it moved
-    /// would leave a hole in every peer's replica under the leader's next
-    /// batch. What its requests leave behind goes out with that batch.
+    /// pull: its stamp cannot deliver the batch, and the ops its sync
+    /// drained would be lost to every peer's replica. What its requests
+    /// leave behind goes out with the leader's next batch.
     #[test]
     fn a_standby_that_serves_traffic_leaves_its_deltas_to_the_leader() {
         let fabric = fleet(false, 2);
@@ -708,7 +611,7 @@ mod tests {
             .as_standby();
         assert!(leader.acquire_lease());
         // Two modules for each shard in every phase, so that both origins
-        // have deltas past their cursors when the leader serves again.
+        // have queued deltas when the leader serves again.
         let ring = crate::HashRing::new(&[0, 1], crate::DEFAULT_VNODES);
         let phase = |tag: &str| -> Vec<CompileRequest> {
             let modules = (0..64).map(|i| module(1, &format!("{tag}{i}")));
@@ -732,16 +635,15 @@ mod tests {
         let stood = standby.stats();
         assert_eq!(standby.role(), crate::RouterRole::Standby);
         assert_eq!((stood.ships, stood.epoch_rejects), (0, 0), "it pulled");
-        let edges = assert_replicated_to_the_edge(fabric.nodes(), "after the leader's last pull");
-        assert_eq!(leader.stats().shipped_ops, edges);
+        let queued = assert_replicated_to_the_edge(fabric.nodes(), "after the leader's last pull");
+        assert_eq!(leader.stats().shipped_ops, queued);
     }
 
     /// Delivery is at-least-once: `TcpTransport` resends a frame whose
     /// kept stream failed, and the router resends after an error that
     /// may have come after delivery. So every frame that changes a
     /// shard's state, handled twice, must leave what handling it once
-    /// leaves — replicas (sequence number, gaps and entries), store
-    /// entries and lease alike.
+    /// leaves — replica entries, store entries and lease alike.
     #[test]
     fn every_state_changing_frame_handled_twice_leaves_what_once_leaves() {
         let (router, epoch) = (1, 2);
@@ -751,10 +653,10 @@ mod tests {
                 Message::Compile(crate::wire::WireRequest::from_request(&module(3, "Twice"))),
             ),
             (
-                "contiguous ship",
+                "ship",
                 Message::DeltaShip {
                     from_shard: 7,
-                    batch: encode_delta(4, &inserts(4..6)),
+                    batch: encode_delta(&inserts(4..6)),
                     router,
                     epoch,
                 },
@@ -765,46 +667,26 @@ mod tests {
                 "ship that passes an entry through a full budget",
                 Message::DeltaShip {
                     from_shard: 7,
-                    batch: encode_delta(
-                        4,
-                        &[
-                            DeltaOp::Evict { fp: fp(0) },
-                            DeltaOp::Insert {
-                                fp: fp(50),
-                                bytes: vec![5; 64 * 1024 - 12],
-                            },
-                            DeltaOp::Evict { fp: fp(50) },
-                            DeltaOp::Insert {
-                                fp: fp(51),
-                                bytes: vec![6; 4],
-                            },
-                        ],
-                    ),
+                    batch: encode_delta(&[
+                        DeltaOp::Evict { fp: fp(0) },
+                        DeltaOp::Insert {
+                            fp: fp(50),
+                            bytes: vec![5; 64 * 1024 - 12],
+                        },
+                        DeltaOp::Evict { fp: fp(50) },
+                        DeltaOp::Insert {
+                            fp: fp(51),
+                            bytes: vec![6; 4],
+                        },
+                    ]),
                     router,
                     epoch,
                 },
             ),
             (
-                "ship past a hole",
-                Message::DeltaShip {
-                    from_shard: 7,
-                    batch: encode_delta(9, &inserts(9..11)),
-                    router,
-                    epoch,
-                },
-            ),
-            (
-                "absorb of a clean replica",
+                "absorb",
                 Message::Absorb {
                     dead_shard: 7,
-                    router,
-                    epoch,
-                },
-            ),
-            (
-                "absorb of a gapped replica",
-                Message::Absorb {
-                    dead_shard: 8,
                     router,
                     epoch,
                 },
@@ -819,27 +701,15 @@ mod tests {
             ),
             ("lease renew", Message::LeaseRenew { router, epoch }),
         ];
-        // A shard with a lease, a clean replica of origin 7 and a gapped
-        // one of origin 8, aged by two probes.
+        // A shard with a lease and a replica of origin 7, aged by two
+        // probes.
         let prepared = || {
             let node = ShardNode::start(1, tiny_config());
             let setup = [
                 Message::LeaseGrant { router, epoch },
                 Message::DeltaShip {
                     from_shard: 7,
-                    batch: encode_delta(0, &inserts(0..4)),
-                    router,
-                    epoch,
-                },
-                Message::DeltaShip {
-                    from_shard: 8,
-                    batch: encode_delta(0, &inserts(20..22)),
-                    router,
-                    epoch,
-                },
-                Message::DeltaShip {
-                    from_shard: 8,
-                    batch: encode_delta(5, &inserts(25..26)),
+                    batch: encode_delta(&inserts(0..4)),
                     router,
                     epoch,
                 },
@@ -856,7 +726,7 @@ mod tests {
         };
         let state = |node: &ShardNode| {
             let mut replicas: Vec<_> = (node.state.lock().replicas.iter())
-                .map(|(origin, r)| (*origin, r.store.delta_seq(), r.gaps, r.store.export()))
+                .map(|(origin, r)| (*origin, r.export()))
                 .collect();
             replicas.sort_unstable_by_key(|r| r.0);
             (replicas, node.service().store().export(), node.lease())
@@ -1031,12 +901,12 @@ mod tests {
         // would have something to steal.
         let live_ship = encode_frame(&Message::DeltaShip {
             from_shard: 7,
-            batch: encode_delta(0, &inserts(0..4)),
+            batch: encode_delta(&inserts(0..4)),
             router: 1,
             epoch: 2,
         });
         assert_eq!(reply(&node, &live_ship), Message::Ack);
-        assert_eq!(node.replica_len(7), 4);
+        assert_eq!(node.replica_fingerprints(7).len(), 4);
 
         // The partitioned ex-leader (router 0, epoch 1) tries every
         // membership-changing frame it has. All bounce, nothing moves.
@@ -1056,13 +926,17 @@ mod tests {
             reject,
             "stale absorb must not import the replica"
         );
-        assert_eq!(node.replica_len(7), 4, "the replica is untouched");
+        assert_eq!(
+            node.replica_fingerprints(7).len(),
+            4,
+            "the replica is untouched"
+        );
         assert_eq!(
             reply(
                 &node,
                 &encode_frame(&Message::DeltaShip {
                     from_shard: 9,
-                    batch: encode_delta(0, &inserts(0..2)),
+                    batch: encode_delta(&inserts(0..2)),
                     router: 0,
                     epoch: 1,
                 })
@@ -1070,7 +944,7 @@ mod tests {
             reject,
             "stale fan-out must not replicate"
         );
-        assert_eq!(node.replica_len(9), 0);
+        assert_eq!(node.replica_fingerprints(9).len(), 0);
         assert_eq!(
             reply(
                 &node,
@@ -1095,10 +969,7 @@ mod tests {
                     epoch: 2
                 })
             ),
-            Message::AbsorbDone {
-                applied: 4,
-                gapped: false
-            }
+            Message::AbsorbDone { applied: 4 }
         );
     }
 
@@ -1170,37 +1041,6 @@ mod tests {
         assert_eq!(node.stats().bad_frames, damaged);
     }
 
-    #[test]
-    fn sequence_gap_marks_the_replica_gapped_and_absorb_discards_it() {
-        let node = ShardNode::start(3, tiny_config());
-        assert_eq!(
-            reply(&node, &ship_frame(7, 0, &inserts(0..4))),
-            Message::Ack
-        );
-        // Sequence jumps from 4 to 50: ops 4..50 are missing.
-        assert_eq!(
-            reply(&node, &ship_frame(7, 50, &inserts(50..52))),
-            Message::Ack
-        );
-        assert_eq!(node.replica_len(7), 0, "a gapped replica holds nothing");
-        assert_eq!(node.stats().replica_gaps, 1);
-        assert_eq!(
-            reply(&node, &absorb_frame(7)),
-            Message::AbsorbDone {
-                applied: 0,
-                gapped: true,
-            },
-            "a holey replica must not be absorbed"
-        );
-        let stats = node.stats();
-        assert_eq!(stats.gapped_discards, 1);
-        assert_eq!(stats.absorbed_entries, 0);
-        assert!(
-            node.service().store().export().is_empty(),
-            "nothing was applied"
-        );
-    }
-
     /// A replica is a store, not a history: however many ops its origin
     /// ships — here more than a store's own delta log keeps (8 192), each
     /// entry big enough that the budget holds an eighth of them — it
@@ -1216,43 +1056,32 @@ mod tests {
                 bytes: vec![i as u8; 64],
             })
             .collect();
-        for (batch, ops) in ops.chunks(1000).enumerate() {
-            let base = 1000 * batch as u64;
-            assert_eq!(reply(&node, &ship_frame(9, base, ops)), Message::Ack);
+        for ops in ops.chunks(1000) {
+            assert_eq!(reply(&node, &ship_frame(9, ops)), Message::Ack);
         }
-        let held = node.replica_len(9) as u64;
+        let held = node.replica_fingerprints(9).len() as u64;
         assert_eq!(held, budget / 64, "a full budget of the newest entries");
         assert_eq!(
             reply(&node, &absorb_frame(9)),
-            Message::AbsorbDone {
-                applied: held,
-                gapped: false,
-            }
+            Message::AbsorbDone { applied: held }
         );
         let store = node.service().store().stats();
         assert_eq!((store.entries as u64, store.bytes_in_use), (held, budget));
         assert!(store.peak_bytes <= budget);
-        assert_eq!(node.stats().gapped_discards, 0);
     }
 
     #[test]
     fn clean_replica_absorbs_and_reports_applied_entries() {
         let node = ShardNode::start(6, tiny_config());
-        assert_eq!(
-            reply(&node, &ship_frame(2, 0, &inserts(0..3))),
-            Message::Ack
-        );
+        assert_eq!(reply(&node, &ship_frame(2, &inserts(0..3))), Message::Ack);
         let evict_and_insert = [DeltaOp::Evict { fp: fp(0) }, inserts(3..4).remove(0)];
         assert_eq!(
-            reply(&node, &ship_frame(2, 3, &evict_and_insert)),
+            reply(&node, &ship_frame(2, &evict_and_insert)),
             Message::Ack
         );
         assert_eq!(
             reply(&node, &absorb_frame(2)),
-            Message::AbsorbDone {
-                applied: 3,
-                gapped: false,
-            }
+            Message::AbsorbDone { applied: 3 }
         );
         assert_eq!(node.stats().absorbed_entries, 3);
         assert_eq!(
@@ -1293,17 +1122,22 @@ mod tests {
     }
 
     /// A shard's store keeps what its peers are owed and nothing else:
-    /// a sync ships every op past the cursor and the log drops them.
+    /// a sync drains every queued op, and the queue keeps only what came
+    /// after.
     #[test]
     fn a_sync_ships_what_is_owed_and_the_log_keeps_only_the_rest() {
         use ccm2_incr::ArtifactStore as _;
         let node = ShardNode::start(1, tiny_config());
         let store = node.service().store();
+        let sync = || {
+            let Message::DeltaShip { batch, .. } = reply(&node, &encode_frame(&Message::Sync))
+            else {
+                panic!("Sync must answer DeltaShip");
+            };
+            decode_delta(&batch).expect("a valid batch")
+        };
         store.store(fp(1), b"alpha");
         store.store(fp(2), b"beta");
-        let Message::DeltaShip { batch, .. } = reply(&node, &encode_frame(&Message::Sync)) else {
-            panic!("Sync must answer DeltaShip");
-        };
         let shipped = vec![
             DeltaOp::Insert {
                 fp: fp(1),
@@ -1314,16 +1148,16 @@ mod tests {
                 bytes: b"beta".to_vec(),
             },
         ];
-        assert_eq!(decode_delta(&batch), Some((0, shipped)));
-        assert!(store.deltas_since(0).is_none(), "shipped ops are dropped");
-        assert_eq!(store.deltas_since(2), Some(Vec::new()));
+        assert_eq!(sync(), shipped);
+        assert_eq!(store.pending_deltas(), 0, "shipped ops are dropped");
         store.store(fp(3), b"gamma");
-        assert_eq!(store.deltas_since(2).map(|ops| ops.len()), Some(1));
-        assert_eq!(node.stats().ships, 1);
+        assert_eq!(sync().len(), 1);
+        assert!(sync().is_empty());
+        assert_eq!(node.stats().ships, 2);
     }
 
     #[test]
-    fn durable_replicas_survive_a_node_restart_and_a_gapped_one_leaves_no_image() {
+    fn durable_replicas_survive_a_node_restart() {
         let dir = std::env::temp_dir().join(format!(
             "ccm2-shard-durable-{}-{:?}",
             std::process::id(),
@@ -1332,47 +1166,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let durable = || {
             ShardNode::start(1, tiny_config())
-                .with_durable_log(&dir)
+                .with_durable_replicas(&dir)
                 .unwrap()
         };
         let node = durable();
-        assert_eq!(
-            reply(&node, &ship_frame(0, 0, &inserts(0..4))),
-            Message::Ack
-        );
+        assert_eq!(reply(&node, &ship_frame(0, &inserts(0..4))), Message::Ack);
         assert_eq!(node.stats().replica_saves, 1, "the ship saved the replica");
-        assert_eq!(node.replica_len(0), 4);
-        // Origin 8's replica gaps: it holds nothing and its image goes.
-        for base in [0, 5] {
-            let ship = ship_frame(8, base, &inserts(20 + base..22 + base));
-            assert_eq!(reply(&node, &ship), Message::Ack);
-        }
-        assert_eq!(node.replica_len(8), 0);
-        assert!(!replica_dir(&dir, 8).exists(), "a gapped replica's image");
-        drop(node); // crash: the replicas exist only on disk now
+        assert_eq!(node.replica_fingerprints(0).len(), 4);
+        drop(node); // crash: the replica exists only on disk now
 
         let revived = durable();
-        assert_eq!(revived.replica_len(0), 4, "restart reloads the replica");
-        // Origin 8 is one the revived shard meets late: no gap.
         assert_eq!(
-            reply(&revived, &ship_frame(8, 9, &inserts(9..10))),
-            Message::Ack
+            revived.replica_fingerprints(0).len(),
+            4,
+            "restart reloads the replica"
         );
+        // The next batch adds to the restored replica, whatever its
+        // origin's store went through meanwhile.
         assert_eq!(
-            (revived.replica_len(8), revived.stats().replica_gaps),
-            (1, 0)
-        );
-        // Origin 0's replica continues from the image's sequence number.
-        assert_eq!(
-            reply(&revived, &ship_frame(0, 4, &inserts(4..5))),
+            reply(&revived, &ship_frame(0, &inserts(4..5))),
             Message::Ack
         );
         assert_eq!(
             reply(&revived, &absorb_frame(0)),
-            Message::AbsorbDone {
-                applied: 5,
-                gapped: false,
-            },
+            Message::AbsorbDone { applied: 5 },
             "a restarted shard still covers its dead peer"
         );
         assert_eq!(revived.service().store().export().len(), 5);

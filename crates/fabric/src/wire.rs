@@ -33,7 +33,7 @@
 //! * control plane — [`Message::Ping`] /
 //!   [`Message::Pong`] heartbeats for the router's failure detector,
 //!   and [`Message::FetchImage`] / [`Message::Image`] full-store
-//!   shipment for join warm-up and gapped-replica reconciliation;
+//!   shipment for a joiner's warm-up;
 //! * lease plane — [`Message::LeaseGrant`] /
 //!   [`Message::LeaseRenew`] carry the **epoch-numbered eviction
 //!   lease**: every membership-changing message (`Absorb`, pushed
@@ -65,7 +65,7 @@ use ccm2_sema::symtab::DkyStrategy;
 /// retry elsewhere), never misdecode.
 pub const WIRE_FORMAT: Format = Format {
     magic: *b"CCM2WIRE",
-    version: 9,
+    version: 10,
 };
 /// The "no router" sentinel for lease-holder fields: a shard that has
 /// not yet granted any lease reports this as the holder.
@@ -175,9 +175,9 @@ pub enum Message {
     Outcome {
         /// What the client gets.
         outcome: WireOutcome,
-        /// Store deltas past the shard's ship cursor as it answered:
-        /// non-zero tells the router this shard has something to
-        /// [`Message::Sync`]. For the router only — routing must not
+        /// Store deltas queued on the shard and not yet synced as it
+        /// answered: non-zero tells the router this shard has something
+        /// to [`Message::Sync`]. For the router only — routing must not
         /// change a client-visible answer.
         unshipped: u64,
     },
@@ -194,9 +194,9 @@ pub enum Message {
         /// Suggested client backoff in milliseconds (0 = no hint).
         retry_after_ms: u64,
     },
-    /// Router → shard: hand over the store deltas accumulated since the
-    /// last sync (the shard answers [`Message::DeltaShip`], possibly
-    /// with an empty batch).
+    /// Router → shard: hand over the store deltas queued since the last
+    /// sync, which leave the shard's queue (it answers
+    /// [`Message::DeltaShip`], possibly with an empty batch).
     Sync,
     /// An encoded `CCM2DELT` batch from `from_shard`, forwarded by the
     /// router to each surviving peer (which answers [`Message::Ack`] —
@@ -252,14 +252,14 @@ pub enum Message {
         /// not on wall time).
         lease_age: u32,
     },
-    /// Router → shard: export your full store image (join warm-up and
-    /// gapped-replica reconciliation; answered by [`Message::Image`]).
+    /// Router → shard: export your full store image (a joiner's warm-up;
+    /// answered by [`Message::Image`]).
     FetchImage,
     /// A full store image in LRU order (coldest first, so importing in
     /// order reproduces the source's eviction order). Travels in both
     /// directions: a shard answers [`Message::FetchImage`] with it, and
-    /// the router pushes one to a joiner or a gapped survivor (which
-    /// imports it and answers [`Message::Ack`]).
+    /// the router pushes one to a joiner (which imports it and answers
+    /// [`Message::Ack`]).
     Image {
         /// `(fingerprint, encoded unit)` pairs, coldest first.
         entries: Vec<(Fp128, Vec<u8>)>,
@@ -271,17 +271,10 @@ pub enum Message {
         /// a membership action.
         epoch: u64,
     },
-    /// Shard → router: the answer to [`Message::Absorb`]. More than an
-    /// [`Message::Ack`] so the router can see whether the replica was
-    /// imported or had been *gapped* by a sequence gap and discarded —
-    /// the trigger for a full-image reconciliation instead of a silent
-    /// hole.
+    /// Shard → router: the answer to [`Message::Absorb`].
     AbsorbDone {
         /// Replica entries imported into the survivor's store.
         applied: u64,
-        /// The replica had missed ops (a sequence gap) and was discarded
-        /// without import.
-        gapped: bool,
     },
     /// Router → shard: claim the eviction lease at `epoch`
     /// ([`Lease::grant`](crate::lease::Lease::grant)); granted with
@@ -456,10 +449,9 @@ fn encode_message(w: &mut Writer, msg: &Message) {
             w.u32(*router);
             w.u64(*epoch);
         }
-        Message::AbsorbDone { applied, gapped } => {
+        Message::AbsorbDone { applied } => {
             w.u8(12);
             w.u64(*applied);
-            w.bool(*gapped);
         }
         Message::LeaseGrant { router, epoch } => {
             w.u8(13);
@@ -545,10 +537,7 @@ fn decode_message(r: &mut Reader<'_>) -> Result<Message, OpenError> {
             router: r.u32()?,
             epoch: r.u64()?,
         },
-        12 => Message::AbsorbDone {
-            applied: r.u64()?,
-            gapped: r.bool()?,
-        },
+        12 => Message::AbsorbDone { applied: r.u64()? },
         13 => Message::LeaseGrant {
             router: r.u32()?,
             epoch: r.u64()?,
@@ -617,7 +606,7 @@ mod tests {
             Message::Sync,
             Message::DeltaShip {
                 from_shard: 2,
-                batch: ccm2_incr::encode_delta(9, &[]),
+                batch: ccm2_incr::encode_delta(&[]),
                 router: 0,
                 epoch: 4,
             },
@@ -656,14 +645,8 @@ mod tests {
                 router: NO_ROUTER,
                 epoch: 0,
             },
-            Message::AbsorbDone {
-                applied: 17,
-                gapped: false,
-            },
-            Message::AbsorbDone {
-                applied: 0,
-                gapped: true,
-            },
+            Message::AbsorbDone { applied: 17 },
+            Message::AbsorbDone { applied: 0 },
             Message::LeaseGrant {
                 router: 2,
                 epoch: 11,

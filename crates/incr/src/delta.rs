@@ -1,9 +1,9 @@
-//! Store-delta entry format: what a store changed since a sequence
-//! number.
+//! Store-delta entry format: a batch of store mutations.
 //!
 //! A full snapshot image replays an *entire* artifact store; a **delta
-//! batch** replays only what changed since a sequence number —
-//! insertions (with their bytes) and evictions/quarantines (key only).
+//! batch** replays only what one store changed since its previous batch
+//! was taken ([`MemStore::drain_deltas`](crate::MemStore::drain_deltas))
+//! — insertions (with their bytes) and evictions/quarantines (key only).
 //! The same encoded batch serves two consumers:
 //!
 //! * the `ccm2-fabric` replication stream, where shards ship batches to
@@ -15,15 +15,13 @@
 //! # Payload (`CCM2DELT`, sealed in [`ccm2_support::envelope`])
 //!
 //! ```text
-//! base_seq   u64       sequence number *before* the first op
 //! count      u32       number of ops
 //! op*        tag u8 (1=insert, 2=evict), fp,
 //!            [insert only: bytes]
 //! ```
 //!
-//! Ops are consecutive: the op at index `i` has sequence number
-//! `base_seq + i + 1`, so a reader can verify chain contiguity across
-//! batches without per-op sequence fields.
+//! A batch carries no position: replication is warmth, and a replica
+//! applies whatever batch reaches it.
 
 use ccm2_support::envelope::{Format, OpenError, OVERHEAD};
 use ccm2_support::hash::Fp128;
@@ -32,7 +30,7 @@ use ccm2_support::hash::Fp128;
 /// (quarantine / miss), never as data.
 pub const DELTA_FORMAT: Format = Format {
     magic: *b"CCM2DELT",
-    version: 3,
+    version: 4,
 };
 
 /// One store mutation, in replay order.
@@ -69,12 +67,10 @@ impl DeltaOp {
     }
 }
 
-/// Encodes `ops` as one checksummed batch whose first op has sequence
-/// number `base_seq + 1`.
-pub fn encode_delta(base_seq: u64, ops: &[DeltaOp]) -> Vec<u8> {
+/// Encodes `ops` as one checksummed batch.
+pub fn encode_delta(ops: &[DeltaOp]) -> Vec<u8> {
     DELTA_FORMAT.seal(|w| {
-        w.reserve(8 + 4 + ops.iter().map(DeltaOp::encoded_len).sum::<usize>() + OVERHEAD);
-        w.u64(base_seq);
+        w.reserve(4 + ops.iter().map(DeltaOp::encoded_len).sum::<usize>() + OVERHEAD);
         w.seq(ops, |w, op| match op {
             DeltaOp::Insert { fp, bytes } => {
                 w.u8(1);
@@ -89,13 +85,11 @@ pub fn encode_delta(base_seq: u64, ops: &[DeltaOp]) -> Vec<u8> {
     })
 }
 
-/// Decodes a batch, returning `(base_seq, ops)`. Anything the envelope
-/// or the payload grammar refuses (torn tail, bit flip, other version,
-/// trailing bytes) is `None` and the caller degrades to a miss /
-/// quarantines the segment.
-pub fn decode_delta(buf: &[u8]) -> Option<(u64, Vec<DeltaOp>)> {
+/// Decodes a batch's ops. Anything the envelope or the payload grammar
+/// refuses (torn tail, bit flip, other version, trailing bytes) is
+/// `None` and the caller degrades to a miss / quarantines the segment.
+pub fn decode_delta(buf: &[u8]) -> Option<Vec<DeltaOp>> {
     let mut r = DELTA_FORMAT.open(buf).ok()?;
-    let base_seq = r.u64().ok()?;
     let ops = r
         .seq(17, |r| {
             let tag = r.u8()?;
@@ -111,7 +105,7 @@ pub fn decode_delta(buf: &[u8]) -> Option<(u64, Vec<DeltaOp>)> {
         })
         .ok()?;
     r.done().ok()?;
-    Some((base_seq, ops))
+    Some(ops)
 }
 
 #[cfg(test)]
@@ -137,23 +131,23 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_ops_and_base_seq() {
+    fn round_trip_preserves_ops() {
         let ops = sample();
-        let buf = encode_delta(41, &ops);
-        assert_eq!(decode_delta(&buf), Some((41, ops)));
+        let buf = encode_delta(&ops);
+        assert_eq!(decode_delta(&buf), Some(ops));
     }
 
     #[test]
     fn empty_batch_round_trips() {
-        let buf = encode_delta(0, &[]);
-        assert_eq!(decode_delta(&buf), Some((0, Vec::new())));
+        let buf = encode_delta(&[]);
+        assert_eq!(decode_delta(&buf), Some(Vec::new()));
     }
 
     #[test]
     fn encoded_len_matches_actual_encoding() {
         let ops = sample();
-        let buf = encode_delta(0, &ops);
-        let overhead = OVERHEAD + 8 + 4;
+        let buf = encode_delta(&ops);
+        let overhead = OVERHEAD + 4;
         assert_eq!(
             buf.len(),
             overhead + ops.iter().map(DeltaOp::encoded_len).sum::<usize>()

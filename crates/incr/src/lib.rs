@@ -34,7 +34,8 @@
 //!   implementation, [`MemStore`]: unbounded by default, byte-budgeted
 //!   with strict LRU admission when a service asks
 //!   ([`MemStore::with_budget`]), with counters ([`StoreStats`]), a
-//!   recency-ordered export and a delta log. A store is persisted as one
+//!   recency-ordered export and a queue of its mutations for a fabric
+//!   shard to drain. A store is persisted as one
 //!   whole-store image (`ccm2_serve::SnapshotStore`).
 //! * [`delta`] — the encoding of a batch of store insertions and
 //!   evictions (`CCM2DELT`), which the fabric ships to peers.

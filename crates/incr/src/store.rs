@@ -176,12 +176,10 @@ pub struct Admission {
     pub evict: Vec<Fp128>,
 }
 
-/// Upper bound on retained delta-log ops. When the log overflows, the
-/// oldest ops are dropped and the retained history no longer reaches
-/// back to every consumer's cursor — [`MemStore::deltas_since`] then
-/// returns `None` and the consumer falls back to a full snapshot. This
-/// bounds the log's memory no matter how rarely deltas are shipped.
-const DELTA_LOG_CAP: usize = 8192;
+/// Upper bound on queued delta ops. When the queue overflows, the oldest
+/// ops are dropped: their peers miss that warmth, and the queue's memory
+/// stays bounded no matter how rarely it is drained.
+const DELTA_QUEUE_CAP: usize = 8192;
 
 /// A snapshot of a [`MemStore`]'s counters and occupancy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -233,31 +231,26 @@ struct Inner {
     insertions: u64,
     oversize_rejections: u64,
     quarantined: u64,
-    /// Sequence-numbered mutation log: `delta[i]` has sequence number
-    /// `delta_base + i + 1`. Imports and replays are *not* logged — they
-    /// are history, not new workload.
+    /// Mutations not yet drained, oldest first. Imports and replays are
+    /// *not* queued — they are history, not new workload.
     delta: VecDeque<DeltaOp>,
-    delta_base: u64,
-    /// Whether logged ops are kept ([`MemStore::retain_deltas`]);
-    /// until then a mutation only advances the sequence number.
+    /// Whether mutations are queued at all ([`MemStore::retain_deltas`]).
     retain: bool,
 }
 
 impl Inner {
-    fn log_delta(&mut self, op: impl FnOnce() -> DeltaOp) {
+    fn queue_delta(&mut self, op: impl FnOnce() -> DeltaOp) {
         if !self.retain {
-            self.delta_base += 1;
             return;
         }
         self.delta.push_back(op());
-        while self.delta.len() > DELTA_LOG_CAP {
+        if self.delta.len() > DELTA_QUEUE_CAP {
             self.delta.pop_front();
-            self.delta_base += 1;
         }
     }
 
     /// Admits history (an import or a replayed insert): evicts what the
-    /// budget asks, counts no insertion and logs nothing.
+    /// budget asks, counts no insertion and queues nothing.
     fn replay_insert(&mut self, fp: Fp128, bytes: Vec<u8>) {
         let admission = self.lru.admit(fp, bytes.len() as u64);
         for victim in &admission.evict {
@@ -281,8 +274,8 @@ impl Inner {
 /// the budget, not even transiently). Either way it counts hits,
 /// misses, insertions, evictions and oversize rejections
 /// ([`MemStore::stats`]), exports and imports its entries in recency
-/// order (a `ccm2_serve::SnapshotStore` image) and keeps a delta log
-/// for a fabric shard to ship once asked to ([`MemStore::retain_deltas`]).
+/// order (a `ccm2_serve::SnapshotStore` image) and queues its mutations
+/// for a fabric shard to drain once asked to ([`MemStore::retain_deltas`]).
 ///
 /// All state sits under one mutex so the map, the LRU index and the
 /// counters can never disagree; entries are small (hundreds of bytes to
@@ -318,7 +311,6 @@ impl MemStore {
                 oversize_rejections: 0,
                 quarantined: 0,
                 delta: VecDeque::new(),
-                delta_base: 0,
                 retain: false,
             }),
         }
@@ -363,84 +355,59 @@ impl MemStore {
     }
 
     /// Replays restored entries into the store, preserving the order
-    /// given (oldest first). Unlike `store`, this bypasses the insertion
-    /// counter and the delta log: a restore is not workload.
-    pub fn import(&self, entries: &[(Fp128, Vec<u8>)]) {
+    /// given (oldest first), and keeps their bytes. Unlike `store`, this
+    /// bypasses the insertion counter and the delta queue: a restore is
+    /// not workload.
+    pub fn import(&self, entries: Vec<(Fp128, Vec<u8>)>) {
         let mut inner = self.inner.lock();
         for (fp, bytes) in entries {
-            inner.replay_insert(*fp, bytes.clone());
+            inner.replay_insert(fp, bytes);
         }
         inner.peak_bytes = inner.peak_bytes.max(inner.lru.total());
         debug_assert_eq!(inner.map.len(), inner.lru.len());
     }
 
-    /// From now on, keeps every logged mutation for
-    /// [`MemStore::deltas_since`] until [`MemStore::truncate_deltas`]
-    /// drops it (or the log's cap does). A store nobody ships from
-    /// keeps none: it only counts them in [`MemStore::delta_seq`].
+    /// From now on, queues every mutation (insert, eviction, quarantine)
+    /// until [`MemStore::drain_deltas`] takes it, or the queue's cap
+    /// drops it. A store nobody ships from queues none.
     pub fn retain_deltas(&self) {
         self.inner.lock().retain = true;
     }
 
-    /// The sequence number of the newest logged mutation (0 before any),
-    /// counted whether or not the ops are retained. A snapshot records
-    /// it, and a store restored from one continues the sequence from
-    /// there ([`MemStore::resume_delta_seq`]).
-    pub fn delta_seq(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.delta_base + inner.delta.len() as u64
+    /// Mutations queued and not yet drained.
+    pub fn pending_deltas(&self) -> usize {
+        self.inner.lock().delta.len()
     }
 
-    /// Every logged mutation with sequence number greater than `seq`,
-    /// in replay order. `None` when the retained history no longer
-    /// reaches back to `seq` (the ops were never retained, or the bounded
-    /// log dropped them) — the caller must fall back to a full export
-    /// instead.
-    pub fn deltas_since(&self, seq: u64) -> Option<Vec<DeltaOp>> {
-        let inner = self.inner.lock();
-        if seq < inner.delta_base {
-            return None;
-        }
-        let skip = (seq - inner.delta_base) as usize;
-        if skip > inner.delta.len() {
-            return None;
-        }
-        Some(inner.delta.iter().skip(skip).cloned().collect())
+    /// Takes every queued mutation, oldest first, and leaves the queue
+    /// empty: what one drain returns, no later one returns again.
+    pub fn drain_deltas(&self) -> Vec<DeltaOp> {
+        self.inner.lock().delta.drain(..).collect()
     }
 
-    /// Drops logged ops with sequence number `<= seq` — call once they
-    /// have been shipped, so the log holds only what is still owed.
-    pub fn truncate_deltas(&self, seq: u64) {
-        let mut inner = self.inner.lock();
-        while inner.delta_base < seq.min(inner.delta_base + inner.delta.len() as u64) {
-            inner.delta.pop_front();
-            inner.delta_base += 1;
-        }
-    }
-
-    /// Re-anchors the delta sequence counter: the next logged mutation
-    /// gets sequence number `seq + 1`. A store restored from a snapshot
-    /// continues the image's sequence, and a fabric replica follows its
-    /// origin's. Requires an empty log (a restore happens before the
-    /// store takes traffic, and a replica retains none).
-    pub fn resume_delta_seq(&self, seq: u64) {
-        let mut inner = self.inner.lock();
-        debug_assert!(inner.delta.is_empty(), "resume on a store with history");
-        inner.delta.clear();
-        inner.delta_base = seq;
-    }
-
-    /// Replays another store's delta ops — how a fabric shard keeps the
+    /// Replays another store's delta batch — how a fabric shard keeps the
     /// replica of a peer's store that the peer ships it. Like
     /// [`MemStore::import`] this bypasses the insertion counter and the
-    /// delta log itself: replayed history must not be re-shipped. Budget
-    /// and LRU admission still apply; an inserted entry keeps the op's
-    /// bytes.
+    /// delta queue itself: replayed history must not be re-shipped.
+    /// Budget and LRU admission still apply; an inserted entry keeps the
+    /// op's bytes.
+    ///
+    /// Only each key's last op in the batch takes effect: an insert that
+    /// a later op of the batch undoes is skipped. So a batch replayed
+    /// twice leaves what replaying it once leaves — the second pass finds
+    /// every kept insert already held, and never pushes a held entry out
+    /// of the budget for an entry the batch evicts again.
     pub fn apply_delta(&self, ops: Vec<DeltaOp>) {
+        let last: HashMap<Fp128, usize> = (ops.iter().enumerate())
+            .map(|(at, op)| (op.fp(), at))
+            .collect();
         let mut inner = self.inner.lock();
-        for op in ops {
+        for (at, op) in ops.into_iter().enumerate() {
             match op {
-                DeltaOp::Insert { fp, bytes } => inner.replay_insert(fp, bytes),
+                DeltaOp::Insert { fp, bytes } if last[&fp] == at => {
+                    inner.replay_insert(fp, bytes);
+                }
+                DeltaOp::Insert { .. } => {}
                 DeltaOp::Evict { fp } => {
                     if inner.map.remove(&fp).is_some() {
                         inner.lru.remove(fp);
@@ -490,7 +457,7 @@ impl ArtifactStore for MemStore {
         let mut inner = self.inner.lock();
         // Keys are content addresses: the same bytes stored again (two
         // compiles that both missed a unit or an interface while neither
-        // had finished) are a use of the entry, not a new one to log and
+        // had finished) are a use of the entry, not a new one to queue and
         // ship to every replica.
         if inner.map.get(&fp).is_some_and(|held| held[..] == *bytes) {
             inner.lru.touch(fp);
@@ -500,15 +467,15 @@ impl ArtifactStore for MemStore {
         for victim in &admission.evict {
             inner.map.remove(victim);
         }
-        // Log victims before the insert so replaying the ops in order
+        // Queue victims before the insert so replaying the ops in order
         // reproduces the same occupancy trajectory under the budget.
         for victim in &admission.evict {
-            inner.log_delta(|| DeltaOp::Evict { fp: *victim });
+            inner.queue_delta(|| DeltaOp::Evict { fp: *victim });
         }
         if admission.accepted {
             inner.map.insert(fp, bytes.to_vec());
             inner.insertions += 1;
-            inner.log_delta(|| DeltaOp::Insert {
+            inner.queue_delta(|| DeltaOp::Insert {
                 fp,
                 bytes: bytes.to_vec(),
             });
@@ -525,7 +492,7 @@ impl ArtifactStore for MemStore {
         if inner.map.remove(&fp).is_some() {
             inner.lru.remove(fp);
             inner.quarantined += 1;
-            inner.log_delta(|| DeltaOp::Evict { fp });
+            inner.queue_delta(|| DeltaOp::Evict { fp });
         }
     }
 }
@@ -538,7 +505,7 @@ mod tests {
         Fp128 { hi: n, lo: !n }
     }
 
-    /// A store whose delta log is read, as a shard's is.
+    /// A store whose delta queue is drained, as a shard's is.
     fn retaining(budget: u64) -> MemStore {
         let s = MemStore::with_budget(budget);
         s.retain_deltas();
@@ -546,28 +513,25 @@ mod tests {
     }
 
     /// A store nobody ships from holds its budget and no second copy of
-    /// it: the sequence counts every mutation, the log keeps none.
+    /// it: it queues no mutation until asked to.
     #[test]
-    fn a_plain_store_counts_deltas_but_keeps_none() {
+    fn a_plain_store_queues_no_deltas() {
         let s = MemStore::with_budget(10);
         s.store(fp(1), &[1; 4]);
         s.store(fp(2), &[2; 4]);
         s.store(fp(3), &[3; 4]); // evicts fp(1)
         s.quarantine(fp(2));
-        assert_eq!(s.delta_seq(), 5);
-        assert!(s.deltas_since(0).is_none(), "no op retained");
-        assert_eq!(s.deltas_since(5), Some(Vec::new()));
-        // Retention starts where it is asked for.
+        assert_eq!(s.pending_deltas(), 0, "no op retained");
+        assert!(s.drain_deltas().is_empty());
+        // Queueing starts where it is asked for.
         s.retain_deltas();
         s.store(fp(4), &[4; 4]);
-        assert_eq!(s.delta_seq(), 6);
-        assert!(s.deltas_since(4).is_none());
         assert_eq!(
-            s.deltas_since(5),
-            Some(vec![DeltaOp::Insert {
+            s.drain_deltas(),
+            vec![DeltaOp::Insert {
                 fp: fp(4),
                 bytes: vec![4; 4]
-            }])
+            }]
         );
     }
 
@@ -594,7 +558,7 @@ mod tests {
         s.store(fp(2), &[2; 4]);
         s.store(fp(1), &[1; 4]); // fp(2) is now least recently used
         assert_eq!(s.stats().insertions, 2);
-        assert_eq!(s.deltas_since(0).map(|ops| ops.len()), Some(2));
+        assert_eq!(s.pending_deltas(), 2);
         s.store(fp(3), &[3; 4]);
         assert!(s.load(fp(2)).is_none(), "the re-store kept fp(1) warm");
         s.store(fp(1), &[9; 4]);
@@ -655,7 +619,7 @@ mod tests {
             vec![fp(2), fp(3), fp(1)]
         );
         let restored = MemStore::with_budget(100);
-        restored.import(&exported);
+        restored.import(exported.clone());
         assert_eq!(restored.export(), exported);
         // LRU behavior survives: the pre-restart victim is still first.
         let taken = 3 + 3 + 5;
@@ -669,12 +633,11 @@ mod tests {
     #[test]
     fn delta_log_records_inserts_evictions_and_quarantines() {
         let s = retaining(10);
-        assert_eq!(s.delta_seq(), 0);
         s.store(fp(1), &[1; 4]);
         s.store(fp(2), &[2; 4]);
         s.store(fp(3), &[3; 4]); // evicts fp(1)
         s.quarantine(fp(2));
-        let ops = s.deltas_since(0).expect("full history retained");
+        let ops = s.drain_deltas();
         assert_eq!(
             ops,
             vec![
@@ -694,7 +657,6 @@ mod tests {
                 DeltaOp::Evict { fp: fp(2) },
             ]
         );
-        assert_eq!(s.delta_seq(), 5);
         // Replaying the ops rebuilds the same content.
         let replica = MemStore::with_budget(10);
         replica.apply_delta(ops);
@@ -708,32 +670,71 @@ mod tests {
     }
 
     #[test]
-    fn deltas_since_cursor_and_truncation() {
+    fn a_drain_takes_each_op_once() {
         let s = retaining(1024);
         s.store(fp(1), b"a");
         s.store(fp(2), b"b");
-        assert_eq!(s.deltas_since(1).unwrap().len(), 1);
-        assert_eq!(s.deltas_since(2).unwrap().len(), 0);
-        s.truncate_deltas(1);
-        assert!(s.deltas_since(0).is_none(), "history trimmed below cursor");
-        assert_eq!(s.deltas_since(1).unwrap().len(), 1);
-        // Resume re-anchors the counter on a drained log.
-        s.truncate_deltas(2);
-        s.resume_delta_seq(40);
+        assert_eq!(s.pending_deltas(), 2);
+        assert_eq!(s.drain_deltas().len(), 2);
+        assert_eq!(s.pending_deltas(), 0);
+        assert!(s.drain_deltas().is_empty(), "drained ops are gone");
         s.store(fp(3), b"c");
-        assert_eq!(s.delta_seq(), 41);
-        assert_eq!(s.deltas_since(40).unwrap().len(), 1);
+        assert_eq!(
+            s.drain_deltas(),
+            vec![DeltaOp::Insert {
+                fp: fp(3),
+                bytes: b"c".to_vec()
+            }]
+        );
     }
 
     #[test]
-    fn overflowing_delta_log_drops_oldest_history() {
+    fn an_overflowing_queue_drops_its_oldest_ops() {
         let s = retaining(u64::MAX);
-        for i in 0..(super::DELTA_LOG_CAP as u64 + 10) {
+        for i in 0..(super::DELTA_QUEUE_CAP as u64 + 10) {
             s.store(fp(i), b"x");
         }
-        assert!(s.deltas_since(0).is_none(), "oldest ops dropped");
-        let newest = s.delta_seq();
-        assert_eq!(s.deltas_since(newest - 1).unwrap().len(), 1);
+        assert_eq!(s.pending_deltas(), super::DELTA_QUEUE_CAP);
+        let ops = s.drain_deltas();
+        assert_eq!(ops[0].fp(), fp(10), "the oldest ops dropped");
+    }
+
+    /// A batch delivered twice leaves what one delivery leaves, entries
+    /// and recency order alike — even one that passes an entry through a
+    /// full budget: replayed again, that entry would push the replica's
+    /// own out before the batch's evict of it.
+    #[test]
+    fn a_batch_applied_twice_leaves_what_once_leaves() {
+        let budget = 64;
+        let held: Vec<_> = (0..4).map(|i| (fp(i), vec![i as u8; 4])).collect();
+        let batch = vec![
+            DeltaOp::Evict { fp: fp(0) },
+            DeltaOp::Insert {
+                fp: fp(50),
+                bytes: vec![5; 64 - 12],
+            },
+            DeltaOp::Evict { fp: fp(50) },
+            DeltaOp::Insert {
+                fp: fp(51),
+                bytes: vec![6; 4],
+            },
+            DeltaOp::Insert {
+                fp: fp(1),
+                bytes: vec![1; 4],
+            },
+        ];
+        let applied = |times: usize| {
+            let replica = MemStore::with_budget(budget);
+            replica.import(held.clone());
+            for _ in 0..times {
+                replica.apply_delta(batch.clone());
+            }
+            replica.export()
+        };
+        let once = applied(1);
+        let order: Vec<Fp128> = once.iter().map(|(f, _)| *f).collect();
+        assert_eq!(order, vec![fp(2), fp(3), fp(51), fp(1)]);
+        assert_eq!(applied(2), once);
     }
 
     #[test]

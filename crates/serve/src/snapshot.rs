@@ -10,16 +10,12 @@
 //! # Payload
 //!
 //! ```text
-//! delta_seq  u64       store delta sequence number at the cut
 //! count      u32       number of entries
 //! entry*     fp, bytes   (count times)
 //! ```
 //!
-//! A restored store continues its delta sequence from the recorded
-//! number ([`MemStore::resume_delta_seq`]), so a shard wrapped around
-//! it numbers its first new mutation after the ones the image holds.
 //! A fabric shard keeps its replica of each peer's store as such an
-//! image too; there the number is the origin's sequence number.
+//! image too.
 //!
 //! Entries are stored **in LRU recency order, least recently used
 //! first** ([`MemStore::export`]), so replaying them in file order
@@ -37,15 +33,12 @@ use ccm2_support::imagedir::{ImageDir, Loaded};
 /// The snapshot-image envelope.
 pub const SNAPSHOT_FORMAT: Format = Format {
     magic: *b"CCM2SNAP",
-    version: 4,
+    version: 5,
 };
 
 /// One decoded snapshot image.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotImage {
-    /// Store delta sequence number recorded at the image's cut; the
-    /// restored store's sequence continues from it.
-    pub delta_seq: u64,
     /// The store's entries, oldest-recency first.
     pub entries: Vec<(Fp128, Vec<u8>)>,
 }
@@ -91,7 +84,7 @@ pub struct SnapshotImage {
 /// // The next process imports the newest image into a fresh store.
 /// let loaded = SnapshotStore::new(&dir)?.load_latest()?;
 /// let restored = Arc::new(MemStore::new());
-/// restored.import(&loaded.image.expect("the saved image").entries);
+/// restored.import(loaded.image.expect("the saved image").entries);
 /// let warm = compile(restored);
 /// let incr = warm.incr.expect("an incremental compile");
 /// assert_eq!(incr.spliced, incr.units, "every unit spliced");
@@ -115,8 +108,7 @@ impl SnapshotStore {
 
     /// Writes a new image of `store` and returns its path.
     pub fn save(&self, store: &MemStore) -> io::Result<PathBuf> {
-        self.images
-            .save(&encode_snapshot(store.delta_seq(), &store.export()))
+        self.images.save(&encode_snapshot(&store.export()))
     }
 
     /// Loads the newest valid image, quarantining any torn/corrupt ones
@@ -132,9 +124,8 @@ impl SnapshotStore {
 }
 
 /// Encodes one snapshot image.
-pub fn encode_snapshot(delta_seq: u64, entries: &[(Fp128, Vec<u8>)]) -> Vec<u8> {
+pub fn encode_snapshot(entries: &[(Fp128, Vec<u8>)]) -> Vec<u8> {
     SNAPSHOT_FORMAT.seal(|w| {
-        w.u64(delta_seq);
         w.seq(entries, |w, (fp, bytes)| {
             w.fp(*fp);
             w.bytes(bytes);
@@ -147,7 +138,6 @@ pub fn encode_snapshot(delta_seq: u64, entries: &[(Fp128, Vec<u8>)]) -> Vec<u8> 
 pub fn decode_snapshot(buf: &[u8]) -> Option<SnapshotImage> {
     let mut r = SNAPSHOT_FORMAT.open(buf).ok()?;
     let image = SnapshotImage {
-        delta_seq: r.u64().ok()?,
         entries: r.seq(20, |r| Ok((r.fp()?, r.bytes()?.to_vec()))).ok()?,
     };
     r.done().ok()?;
@@ -172,8 +162,7 @@ impl crate::service::CompileService {
     ) -> io::Result<crate::service::CompileService> {
         let store = MemStore::with_budget(config.store_budget);
         if let Some(image) = snaps.load_latest()?.image {
-            store.import(&image.entries);
-            store.resume_delta_seq(image.delta_seq);
+            store.import(image.entries);
         }
         Ok(crate::service::CompileService::start_with_store(
             config,
@@ -194,7 +183,7 @@ mod tests {
     // The directory protocol (fallback, quarantine, retention) is
     // `ImageDir`'s and tested there; this is the typed front.
     #[test]
-    fn save_and_load_preserve_entries_recency_order_and_delta_seq() {
+    fn save_and_load_preserve_entries_and_recency_order() {
         let dir = std::env::temp_dir().join(format!("ccm2-snap-rt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let snaps = SnapshotStore::new(&dir).unwrap();
@@ -213,7 +202,6 @@ mod tests {
         assert_eq!(
             loaded.image,
             Some(SnapshotImage {
-                delta_seq: 2, // two logged insertions at the cut
                 entries: vec![(fp(2), b"two".to_vec()), (fp(1), b"one".to_vec())],
             })
         );

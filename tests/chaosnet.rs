@@ -130,3 +130,53 @@ fn fleet_restart_from_durable_logs_loses_no_parked_ops() {
     // them, and that the failover absorbed from the restored replicas.
     crash_restart_absorb(fleet, false, mk_node);
 }
+
+// A restarted origin's first batches reach the replicas that its peers
+// restored from their images. After a whole-fleet crash every shard
+// comes back with an empty store of its own and its replicas as they
+// were; what an origin stores next must reach those replicas like any
+// other batch, not be taken for ops they have already applied.
+#[test]
+fn a_restarted_origins_new_entries_reach_its_peers_restored_replicas() {
+    let dir = Scratch::new("chaosnet-restart");
+    let mk_node = |id: u32| durable_node(&dir, id, config());
+    let load = |seed| {
+        let params = ServeLoadParams {
+            seed,
+            projects: 2,
+            clients: 3,
+            events: 18,
+            edit_every: 5,
+            interface_every: 2,
+        };
+        requests(&serve_load(&params), ExecChoice::Sim(2))
+    };
+    let (before, after) = (load(0xD0_18), load(0xD0_19));
+
+    let fleet = Fabric::start_over(false, (0..SHARDS).map(mk_node).collect());
+    drive(fleet.router(), &before, &Oracle::of(&before));
+    fleet.router().flush();
+    drop(fleet);
+
+    let fleet = Fabric::start_over(false, (0..SHARDS).map(mk_node).collect());
+    drive(fleet.router(), &after, &Oracle::of(&after));
+    fleet.router().flush();
+    let mut checked = 0;
+    for origin in fleet.nodes() {
+        let stored = origin.service().store().fingerprints();
+        for peer in fleet.nodes().iter().filter(|peer| peer.id() != origin.id()) {
+            let replica = peer.replica_fingerprints(origin.id());
+            let missing = stored.iter().filter(|fp| !replica.contains(fp)).count();
+            assert_eq!(
+                missing,
+                0,
+                "shard {}'s replica of origin {} lacks {missing} of its {} entries",
+                peer.id(),
+                origin.id(),
+                stored.len()
+            );
+            checked += stored.len();
+        }
+    }
+    assert!(checked > 0, "the restarted fleet stored nothing");
+}

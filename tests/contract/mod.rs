@@ -349,7 +349,7 @@ impl Fills {
     fn copy(&self, name: &str) -> Arc<MemStore> {
         let filled = &self.0[name];
         let copy = Arc::new(MemStore::new());
-        copy.import(&filled.export());
+        copy.import(filled.export());
         copy
     }
 }

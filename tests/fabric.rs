@@ -270,7 +270,6 @@ enum Hears {
     AbsorbAtFailover,
     ImageAtAdmit,
     ShipToTheJoinerAtAdmit,
-    ImageAtGappedReconciliation,
 }
 
 /// One outcome wherever the refusal lands — on the thread that runs the
@@ -305,23 +304,6 @@ fn a_leader_stands_down_on(hears: Hears) {
             drill.join();
             |shard, msg| shard == JOINER && matches!(msg, Message::DeltaShip { .. })
         }
-        Hears::ImageAtGappedReconciliation => {
-            // Shard 2's replica of origin 1 gets a hole, so that the absorb
-            // discards it and the router reconciles with an image.
-            drill.serve(&module_for(1));
-            let evict = ccm2_incr::DeltaOp::Evict {
-                fp: module("Hole").fingerprint(),
-            };
-            let hole = encode_frame(&Message::DeltaShip {
-                from_shard: 1,
-                batch: ccm2_incr::encode_delta(10_000, &[evict]),
-                router: 1,
-                epoch: 1,
-            });
-            let holed = drill.fleet.nodes()[2].handle(&hole);
-            assert_eq!(decode_frame(&holed), Some(Message::Ack));
-            |_, msg| matches!(msg, Message::Image { .. })
-        }
     };
     let before = drill.router.stats();
 
@@ -329,7 +311,7 @@ fn a_leader_stands_down_on(hears: Hears) {
     match hears {
         Hears::RenewInTheTick => assert!(drill.router.heartbeat_tick().is_empty()),
         Hears::ShipAfterAServedCompile => drill.serve(&module("Served")),
-        Hears::AbsorbAtFailover | Hears::ImageAtGappedReconciliation => drill.router.kill_shard(1),
+        Hears::AbsorbAtFailover => drill.router.kill_shard(1),
         Hears::RenewAtTheAdmitBarrier | Hears::ImageAtAdmit | Hears::ShipToTheJoinerAtAdmit => {
             assert!(
                 !drill.router.admit_shard(JOINER),
@@ -390,11 +372,6 @@ fn stale_image_at_admit_stands_the_leader_down() {
 #[test]
 fn stale_ship_to_the_joiner_at_admit_stands_the_leader_down() {
     a_leader_stands_down_on(Hears::ShipToTheJoinerAtAdmit);
-}
-
-#[test]
-fn stale_image_at_gapped_reconciliation_stands_the_leader_down() {
-    a_leader_stands_down_on(Hears::ImageAtGappedReconciliation);
 }
 
 /// A claimant holds nothing to stand down from: a refused `LeaseGrant`
@@ -536,7 +513,9 @@ fn a_request_acknowledged_before_its_delta_shipped_is_recompiled_not_lost() {
         serve_all();
         let replicated = |origin: u32| -> usize {
             let peers = fleet.nodes().iter().filter(|node| node.id() != origin);
-            peers.map(|node| node.replica_len(origin)).sum()
+            peers
+                .map(|node| node.replica_fingerprints(origin).len())
+                .sum()
         };
         assert_eq!(replicated(1), 0, "tcp: {tcp}: a ship got through the gate");
 

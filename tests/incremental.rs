@@ -214,7 +214,7 @@ fn corrupt_entries_degrade_to_misses_with_a_note() {
         for (_, bytes) in &mut entries {
             bytes[12] ^= 0x55;
         }
-        restored.import(&entries);
+        restored.import(entries);
         restored.clone()
     });
     assert!(restored.stats().quarantined > 0, "{:?}", restored.stats());
