@@ -91,6 +91,17 @@ if git grep -nwE 'resume_delta_seq|deltas_since|truncate_deltas|gapped_reconcili
   exit 1
 fi
 
+echo "== no executor has a timer =="
+# As in the paper's Supervisors, a worker parks until a task signals and
+# a run whose workers all park is a wedge, which recover mode releases.
+# The per-task deadline that only wrote an overrun down, the stall fault
+# injected to trip it and the timed park that scanned for it fail here
+# if they come back.
+if git grep -nwE 'task_deadline|check_deadline|park_watched|stall_unit|FaultKind::Stall' -- crates tests src; then
+  echo "the per-task deadline is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -120,8 +131,8 @@ echo "== cargo test (workspace) =="
 #                             quarantined
 #   faults, watchdog          an injected fault degrades exactly one
 #                             stream, identically on every run of the
-#                             simulator; deadline and wedge-release edges
-#                             on both executors
+#                             simulator; a wedge release racing a late
+#                             legitimate signal on both executors
 #   ccm2-fabric, fabric,      the lease table row by row; a fleet answers
 #   chaosnet                  with a direct compile's bytes across shard
 #                             widths, a seeded shard kill and a seeded
@@ -138,7 +149,7 @@ echo "== cargo test (workspace) =="
 #                             equal the sequential reference everywhere,
 #                             and survive warm re-analysis
 # The golden step below runs the full matrices of the same subsystems
-# (56 fault cells, the chaosnet and split-brain grids, the 100-edit
+# (48 fault cells, the chaosnet and split-brain grids, the 100-edit
 # session) with their invariants asserted inside.
 cargo test --workspace -q
 

@@ -23,10 +23,6 @@ fn module() -> GeneratedModule {
     fault_module("Mx", 0xFA)
 }
 
-/// A fault plan per executor (stalls are virtual units on the simulator
-/// and real milliseconds on threads) with its per-task deadline.
-type PlanFn = fn(bool) -> (FaultPlan, Option<u64>);
-
 /// Every unit of `run` outside the `touched` streams must be the
 /// baseline's, byte for byte, and none of the baseline's may be missing.
 fn assert_other_streams_identical(
@@ -68,91 +64,30 @@ pub fn faults() -> String {
 fn faults_inner() -> String {
     let m = module();
 
-    // Each scenario: display name, the fault plan, and the streams the
-    // fault is allowed to touch.
-    let scenarios: Vec<(&str, PlanFn, &[&str])> = vec![
+    // Each scenario: the fault, its site, and the streams the fault is
+    // allowed to touch.
+    let scenarios: [(FaultKind, &str, &[&str]); 6] = [
         (
-            "panic  task:procparse(FaultShort)",
-            |_| {
-                (
-                    FaultPlan::single("task:procparse(FaultShort)", FaultKind::Panic),
-                    None,
-                )
-            },
+            FaultKind::Panic,
+            "task:procparse(FaultShort)",
             &["FaultShort"],
         ),
         (
-            "panic  task:procparse(FaultNest)",
-            |_| {
-                (
-                    FaultPlan::single("task:procparse(FaultNest)", FaultKind::Panic),
-                    None,
-                )
-            },
+            FaultKind::Panic,
+            "task:procparse(FaultNest)",
             &["FaultNest"],
         ),
+        (FaultKind::Panic, "task:analyze(*FaultLong)", &["FaultLong"]),
+        (FaultKind::Panic, "task:codegen(*FaultLong)", &["FaultLong"]),
         (
-            "panic  task:analyze(*FaultLong)",
-            |_| {
-                (
-                    FaultPlan::single("task:analyze(*FaultLong)", FaultKind::Panic),
-                    None,
-                )
-            },
-            &["FaultLong"],
-        ),
-        (
-            "panic  task:codegen(*FaultLong)",
-            |_| {
-                (
-                    FaultPlan::single("task:codegen(*FaultLong)", FaultKind::Panic),
-                    None,
-                )
-            },
-            &["FaultLong"],
-        ),
-        (
-            "panic  task:codegen(*FaultShort)",
-            |_| {
-                (
-                    FaultPlan::single("task:codegen(*FaultShort)", FaultKind::Panic),
-                    None,
-                )
-            },
+            FaultKind::Panic,
+            "task:codegen(*FaultShort)",
             &["FaultShort"],
         ),
         (
-            "lost   signal:heading(FaultShort)",
-            |_| {
-                (
-                    FaultPlan::single("signal:heading(FaultShort)", FaultKind::LoseSignal),
-                    None,
-                )
-            },
+            FaultKind::LoseSignal,
+            "signal:heading(FaultShort)",
             &["FaultShort"],
-        ),
-        (
-            "stall  task:procparse(FaultLong)",
-            |sim| {
-                if sim {
-                    (
-                        FaultPlan::single(
-                            "task:procparse(FaultLong)",
-                            FaultKind::Stall { units: 5_000 },
-                        ),
-                        Some(1_000),
-                    )
-                } else {
-                    (
-                        FaultPlan::single(
-                            "task:procparse(FaultLong)",
-                            FaultKind::Stall { units: 50 },
-                        ),
-                        Some(10_000),
-                    )
-                }
-            },
-            &["FaultLong"],
         ),
     ];
 
@@ -164,17 +99,21 @@ fn faults_inner() -> String {
     let mut total = 0usize;
     let baselines = baselines(&m);
 
-    for (label, mk_plan, touched) in &scenarios {
+    for (kind, site, touched) in scenarios {
+        let word = match kind {
+            FaultKind::Panic => "panic",
+            FaultKind::LoseSignal => "lost",
+        };
+        let label = format!("{word:<6} {site}");
         let mut cells = 0usize;
         let mut degraded = 0usize;
         let mut stalled = 0usize;
         for strategy in DkyStrategy::ALL {
             for sim in [true, false] {
                 let cell = format!("{label} [{strategy:?}/{}]", exec_name(sim));
-                let (plan, deadline) = mk_plan(sim);
-                let plan = Arc::new(plan);
+                let plan = Arc::new(FaultPlan::single(site, kind));
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    compile(&m, Some(Arc::clone(&plan)), deadline, strategy, sim)
+                    compile(&m, Some(Arc::clone(&plan)), strategy, sim)
                 }));
                 let run = run.unwrap_or_else(|_| panic!("{cell}: compile aborted"));
                 assert!(plan.any_fired(), "{label}: the fault site never fired");

@@ -220,12 +220,11 @@ pub fn exec_name(sim: bool) -> &'static str {
     }
 }
 
-/// One analyzing compile of `m` under a fault plan and a per-task
-/// deadline, on `sim(4)` or `threads(2)`.
+/// One analyzing compile of `m` under a fault plan, on `sim(4)` or
+/// `threads(2)`.
 pub fn compile(
     m: &GeneratedModule,
     plan: Option<Arc<FaultPlan>>,
-    deadline: Option<u64>,
     strategy: DkyStrategy,
     sim: bool,
 ) -> ConcurrentOutput {
@@ -243,7 +242,6 @@ pub fn compile(
             executor,
             analyze: true,
             faults: plan,
-            task_deadline: deadline,
             ..Options::default()
         },
     )
@@ -303,7 +301,7 @@ pub fn baselines(m: &GeneratedModule) -> HashMap<(DkyStrategy, bool), UnitMap> {
     let mut maps = HashMap::new();
     for strategy in DkyStrategy::ALL {
         for sim in [true, false] {
-            let base = compile(m, None, None, strategy, sim);
+            let base = compile(m, None, strategy, sim);
             assert!(
                 base.errors.is_empty() && base.image.is_some(),
                 "fault-free baseline must be clean"

@@ -112,11 +112,6 @@ pub struct Options {
     /// hangs. Non-faulted streams are byte-identical to a fault-free
     /// run.
     pub faults: Option<Arc<ccm2_faults::FaultPlan>>,
-    /// Per-task deadline in executor-native units (virtual time units
-    /// on the simulator, microseconds of wall time on threads). When
-    /// set, tasks that silently stall past the deadline are diagnosed
-    /// as [`CompileError::Stalled`] instead of hanging the compile.
-    pub task_deadline: Option<u64>,
     /// The interfaces an earlier compile under the same interner spliced
     /// (its [`ConcurrentOutput::interface_carry`]). With an active
     /// [`Options::incremental`] store, every interface still loads from
@@ -139,7 +134,6 @@ impl Default for Options {
             analyze: false,
             incremental: None,
             faults: None,
-            task_deadline: None,
             interface_carry: None,
         }
     }
@@ -165,9 +159,8 @@ impl Options {
 }
 
 /// A degradation event surfaced by a compile running with
-/// [`Options::faults`] or [`Options::task_deadline`]: structured
-/// companions to the error diagnostics, for harnesses that classify
-/// failures.
+/// [`Options::faults`]: structured companions to the error diagnostics,
+/// for harnesses that classify failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
     /// A task body panicked (organic or injected); its stream degraded
@@ -180,11 +173,10 @@ pub enum CompileError {
         message: String,
     },
     /// A silent stall converted into a diagnosis: a wait-for cycle or
-    /// wedge the watchdog force-released, or a task that overran the
-    /// configured deadline.
+    /// wedge the watchdog force-released.
     Stalled {
-        /// The watchdog's rendering of the cycle or the overdue task.
-        cycle_or_task: String,
+        /// The watchdog's rendering of the cycle or wedge.
+        wedge: String,
     },
 }
 
@@ -255,9 +247,8 @@ pub fn compile_concurrent(
     let driver_cell: Arc<Mutex<Option<Arc<Driver>>>> = Arc::new(Mutex::new(None));
     let dc = Arc::clone(&driver_cell);
     let robustness = Robustness {
-        recover: options.faults.is_some() || options.task_deadline.is_some(),
+        recover: options.faults.is_some(),
         plan: options.faults.clone(),
-        deadline: options.task_deadline,
     };
     let mk = move |env: Arc<dyn ExecEnv>| {
         let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), source);
@@ -1308,7 +1299,7 @@ impl Driver {
         }
         for stall in &report.stalls {
             errors.push(CompileError::Stalled {
-                cycle_or_task: stall.clone(),
+                wedge: stall.clone(),
             });
             degraded_diags.push(Diagnostic {
                 severity: Severity::Error,
@@ -1322,7 +1313,7 @@ impl Driver {
         degraded_diags.sort_by(|a, b| a.message.cmp(&b.message));
         errors.sort_by_key(|e| match e {
             CompileError::StreamFault { task, message } => (0u8, task.clone(), message.clone()),
-            CompileError::Stalled { cycle_or_task } => (1u8, cycle_or_task.clone(), String::new()),
+            CompileError::Stalled { wedge } => (1u8, wedge.clone(), String::new()),
         });
         if !report.task_panics.is_empty() {
             if let Some(image) = image.as_mut() {

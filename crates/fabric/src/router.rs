@@ -925,12 +925,10 @@ impl Core {
         else {
             return Ok(());
         };
-        let Some(ops) = ccm2_incr::decode_delta(&batch) else {
-            return Ok(());
+        let ops = match ccm2_incr::delta_op_count(&batch) {
+            Some(n) if n > 0 => n as u64,
+            _ => return Ok(()),
         };
-        if ops.is_empty() {
-            return Ok(());
-        }
         let mut peers = self.ring.lock().shards();
         peers.extend_from_slice(extra_peers);
         peers.sort_unstable();
@@ -948,7 +946,7 @@ impl Core {
         }
         let mut stats = self.stats.lock();
         stats.ships += 1;
-        stats.shipped_ops += ops.len() as u64;
+        stats.shipped_ops += ops;
         Ok(())
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! | prefix      | queried by                  | kinds that apply          |
 //! |-------------|-----------------------------|---------------------------|
-//! | `task:{name}`   | both executors, at dispatch | [`FaultKind::Panic`], [`FaultKind::Stall`] |
+//! | `task:{name}`   | both executors, at dispatch | [`FaultKind::Panic`]      |
 //! | `signal:{event}`| both executors, per signal  | [`FaultKind::LoseSignal`] |
 //!
 //! Task and event names are the scheduler's own labels (`codegen(M.P)`,
@@ -41,12 +41,6 @@ pub enum FaultKind {
     /// Every signal of the event is dropped: the event is never marked
     /// signaled, so waiters wedge until the watchdog force-releases.
     LoseSignal,
-    /// The task stalls at dispatch: `units` virtual time units on the
-    /// simulator, `units` milliseconds of real sleep on threads.
-    Stall {
-        /// Stall length in executor-native units (see above).
-        units: u64,
-    },
 }
 
 /// A deterministic fault plan: explicit site overrides, first match
@@ -226,9 +220,9 @@ mod tests {
     #[test]
     fn first_matching_override_wins() {
         let p = FaultPlan::new()
-            .with_fault("task:*", FaultKind::Stall { units: 7 })
-            .with_fault("task:lex(Main)", FaultKind::Panic);
-        assert_eq!(p.at("task:lex(Main)"), Some(FaultKind::Stall { units: 7 }));
+            .with_fault("task:*", FaultKind::Panic)
+            .with_fault("task:lex(Main)", FaultKind::LoseSignal);
+        assert_eq!(p.at("task:lex(Main)"), Some(FaultKind::Panic));
     }
 
     #[test]

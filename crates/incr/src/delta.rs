@@ -108,6 +108,15 @@ pub fn decode_delta(buf: &[u8]) -> Option<Vec<DeltaOp>> {
     Some(ops)
 }
 
+/// The number of ops a batch holds, read from its header without
+/// decoding (or copying) a single op. `None` where the envelope refuses
+/// the batch, or its count could not fit; a batch whose ops are
+/// malformed past the count still counts here, and
+/// [`decode_delta`] refuses it wherever it is applied.
+pub fn delta_op_count(buf: &[u8]) -> Option<usize> {
+    DELTA_FORMAT.open(buf).ok()?.count(17).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +150,17 @@ mod tests {
     fn empty_batch_round_trips() {
         let buf = encode_delta(&[]);
         assert_eq!(decode_delta(&buf), Some(Vec::new()));
+        assert_eq!(delta_op_count(&buf), Some(0));
+    }
+
+    #[test]
+    fn op_count_reads_the_header_of_a_sealed_batch_only() {
+        let buf = encode_delta(&sample());
+        assert_eq!(delta_op_count(&buf), Some(3));
+        let mut flipped = buf.clone();
+        flipped[OVERHEAD] ^= 1;
+        assert_eq!(delta_op_count(&flipped), None, "a bit flip breaks the seal");
+        assert_eq!(delta_op_count(&buf[..buf.len() - 1]), None, "torn");
     }
 
     #[test]

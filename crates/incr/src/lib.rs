@@ -48,7 +48,7 @@ pub mod store;
 
 use ccm2_support::{Diagnostic, Interner, SourceMap};
 
-pub use delta::{decode_delta, encode_delta, DeltaOp, DELTA_FORMAT};
+pub use delta::{decode_delta, delta_op_count, encode_delta, DeltaOp, DELTA_FORMAT};
 pub use entry::{
     decode_entry, encode_entry, encode_image, CacheEntryData, CachedDiag, EntryDecoder,
     ENTRY_FORMAT, FORMAT_VERSION,

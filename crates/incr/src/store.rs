@@ -231,19 +231,28 @@ struct Inner {
     insertions: u64,
     oversize_rejections: u64,
     quarantined: u64,
-    /// Mutations not yet drained, oldest first. Imports and replays are
-    /// *not* queued — they are history, not new workload.
-    delta: VecDeque<DeltaOp>,
+    /// Mutations not yet drained, oldest first, by key: an insert's
+    /// bytes are read from `map` when it is drained. Imports and replays
+    /// are *not* queued — they are history, not new workload.
+    delta: VecDeque<Queued>,
     /// Whether mutations are queued at all ([`MemStore::retain_deltas`]).
     retain: bool,
 }
 
+/// A queued mutation: the key an insertion, an eviction or a quarantine
+/// touched.
+#[derive(Debug)]
+enum Queued {
+    Insert(Fp128),
+    Evict(Fp128),
+}
+
 impl Inner {
-    fn queue_delta(&mut self, op: impl FnOnce() -> DeltaOp) {
+    fn queue_delta(&mut self, op: Queued) {
         if !self.retain {
             return;
         }
-        self.delta.push_back(op());
+        self.delta.push_back(op);
         if self.delta.len() > DELTA_QUEUE_CAP {
             self.delta.pop_front();
         }
@@ -380,9 +389,23 @@ impl MemStore {
     }
 
     /// Takes every queued mutation, oldest first, and leaves the queue
-    /// empty: what one drain returns, no later one returns again.
+    /// empty: what one drain returns, no later one returns again. An
+    /// insert carries the bytes the store holds under its key now; one
+    /// whose key has left the store since ships nothing (an eviction or
+    /// a quarantine queued its own `Evict` after it, an import's
+    /// eviction is history).
     pub fn drain_deltas(&self) -> Vec<DeltaOp> {
-        self.inner.lock().delta.drain(..).collect()
+        let mut inner = self.inner.lock();
+        let Inner { map, delta, .. } = &mut *inner;
+        (delta.drain(..))
+            .filter_map(|op| match op {
+                Queued::Insert(fp) => map.get(&fp).map(|bytes| DeltaOp::Insert {
+                    fp,
+                    bytes: bytes.clone(),
+                }),
+                Queued::Evict(fp) => Some(DeltaOp::Evict { fp }),
+            })
+            .collect()
     }
 
     /// Replays another store's delta batch — how a fabric shard keeps the
@@ -470,15 +493,12 @@ impl ArtifactStore for MemStore {
         // Queue victims before the insert so replaying the ops in order
         // reproduces the same occupancy trajectory under the budget.
         for victim in &admission.evict {
-            inner.queue_delta(|| DeltaOp::Evict { fp: *victim });
+            inner.queue_delta(Queued::Evict(*victim));
         }
         if admission.accepted {
             inner.map.insert(fp, bytes.to_vec());
             inner.insertions += 1;
-            inner.queue_delta(|| DeltaOp::Insert {
-                fp,
-                bytes: bytes.to_vec(),
-            });
+            inner.queue_delta(Queued::Insert(fp));
         } else {
             inner.oversize_rejections += 1;
         }
@@ -492,7 +512,7 @@ impl ArtifactStore for MemStore {
         if inner.map.remove(&fp).is_some() {
             inner.lru.remove(fp);
             inner.quarantined += 1;
-            inner.queue_delta(|| DeltaOp::Evict { fp });
+            inner.queue_delta(Queued::Evict(fp));
         }
     }
 }
@@ -638,17 +658,11 @@ mod tests {
         s.store(fp(3), &[3; 4]); // evicts fp(1)
         s.quarantine(fp(2));
         let ops = s.drain_deltas();
+        // fp(1) and fp(2) left before the drain: each ships as its
+        // eviction alone.
         assert_eq!(
             ops,
             vec![
-                DeltaOp::Insert {
-                    fp: fp(1),
-                    bytes: vec![1; 4]
-                },
-                DeltaOp::Insert {
-                    fp: fp(2),
-                    bytes: vec![2; 4]
-                },
                 DeltaOp::Evict { fp: fp(1) },
                 DeltaOp::Insert {
                     fp: fp(3),
@@ -667,6 +681,25 @@ mod tests {
         let st = replica.stats();
         assert_eq!(st.insertions, 0, "replays are not workload");
         assert_eq!(st.entries, 1);
+    }
+
+    /// An insert is queued by key and its bytes are read at the drain,
+    /// so an entry an import pushes out before the drain ships nothing:
+    /// the import is history and queues no eviction of its own.
+    #[test]
+    fn an_entry_an_import_pushes_out_before_the_drain_ships_nothing() {
+        let s = retaining(10);
+        s.store(fp(1), &[1; 4]);
+        s.store(fp(2), &[2; 4]);
+        s.import(vec![(fp(3), vec![3; 4])]); // evicts fp(1)
+        assert_eq!(s.fingerprints(), [fp(2), fp(3)]);
+        assert_eq!(
+            s.drain_deltas(),
+            [DeltaOp::Insert {
+                fp: fp(2),
+                bytes: vec![2; 4]
+            }]
+        );
     }
 
     #[test]

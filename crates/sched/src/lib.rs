@@ -15,8 +15,7 @@
 //! Both drivers implement [`ExecEnv`], so the compiler driver is written
 //! once, and both keep their events in one `EventTable`. A driver
 //! supplies what the policy cannot know: whether an event has occurred
-//! yet, the time a ready entry is stamped with, and how many of its
-//! native time units one stall unit is (DESIGN.md §3).
+//! yet, and the time a ready entry is stamped with (DESIGN.md §3).
 //! Events come in the three classes of §2.3.3 ([`EventClass`]); tasks
 //! carry the §2.3.4 priority classes and the declared signal/wait sets
 //! that drive blocked-worker rescheduling and its anti-deadlock
@@ -74,10 +73,7 @@ pub use wfg::WaitForGraph;
 /// * a wedge (every worker blocked or idle with tasks outstanding) is
 ///   not a panic but a watchdog action: the wait-for-graph diagnosis is
 ///   recorded in [`RunReport::stalls`] and the blocking events are
-///   force-signaled so the run drains;
-/// * a task overrunning `deadline` is recorded in
-///   [`RunReport::stalls`] (virtual busy time on the simulator, wall
-///   time on threads).
+///   force-signaled so the run drains.
 ///
 /// Without `recover` (the default), behavior is the historical one:
 /// deadlocks and panics unwind with a diagnosis in the payload.
@@ -86,9 +82,6 @@ pub struct Robustness {
     /// Fault plan queried at `task:`/`signal:` sites; `None` injects
     /// nothing.
     pub plan: Option<std::sync::Arc<ccm2_faults::FaultPlan>>,
-    /// Per-task deadline in executor-native units: virtual time units
-    /// on the simulator, microseconds of wall time on threads.
-    pub deadline: Option<u64>,
     /// Catch task panics and recover wedges instead of unwinding.
     pub recover: bool,
 }
@@ -99,15 +92,11 @@ impl Robustness {
         Robustness::default()
     }
 
-    /// Degraded-mode configuration: inject per `plan`, watch per-task
-    /// `deadline`, and recover instead of panicking.
-    pub fn degrading(
-        plan: Option<std::sync::Arc<ccm2_faults::FaultPlan>>,
-        deadline: Option<u64>,
-    ) -> Robustness {
+    /// Degraded-mode configuration: inject per `plan`, and recover
+    /// instead of panicking.
+    pub fn degrading(plan: Option<std::sync::Arc<ccm2_faults::FaultPlan>>) -> Robustness {
         Robustness {
             plan,
-            deadline,
             recover: true,
         }
     }
@@ -262,8 +251,8 @@ pub struct RunReport {
     /// Task bodies that panicked and were caught under
     /// [`Robustness::recover`], as `(task name, panic message)`.
     pub task_panics: Vec<(String, String)>,
-    /// Watchdog diagnoses: wedges force-released and tasks that
-    /// overran the configured deadline.
+    /// Watchdog diagnoses: the wedges force-released under
+    /// [`Robustness::recover`].
     pub stalls: Vec<String>,
     /// Always empty: no executor retries a faulted task. The field is
     /// kept only because a test of the benchmark package

@@ -12,10 +12,9 @@
 //! ([`Policy::wait_for_report`], [`Policy::release_wedge`]).
 //!
 //! What differs between drivers comes in as a value, never as a branch:
-//! whether an event has occurred yet (`occurred`), the time a ready
-//! entry is stamped with, and how many of the driver's native time units
-//! one [`FaultKind::Stall`] unit is. Times the policy hands back are in
-//! native units.
+//! whether an event has occurred yet (`occurred`), and the time a ready
+//! entry is stamped with. Times the policy hands back are in native
+//! units.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -61,7 +60,6 @@ struct Pending {
 
 pub(crate) struct Policy {
     robustness: Robustness,
-    stall_unit: u64,
     ready: BTreeMap<PrioKey, Ready>,
     pending: Vec<Pending>,
     seq: u64,
@@ -69,17 +67,15 @@ pub(crate) struct Policy {
     pub(crate) finished: usize,
     /// Task bodies caught panicking under recover mode.
     pub(crate) panics: Vec<(String, String)>,
-    /// Watchdog diagnoses (wedge releases and deadline overruns).
+    /// Watchdog diagnoses (wedge releases).
     pub(crate) stalls: Vec<String>,
     stall_keys: HashSet<String>,
 }
 
 impl Policy {
-    /// `stall_unit`: native time units per [`FaultKind::Stall`] unit.
-    pub(crate) fn new(robustness: Robustness, stall_unit: u64) -> Policy {
+    pub(crate) fn new(robustness: Robustness) -> Policy {
         Policy {
             robustness,
-            stall_unit,
             ready: BTreeMap::new(),
             pending: Vec::new(),
             seq: 0,
@@ -192,22 +188,18 @@ impl Policy {
     }
 
     /// Dispatches `ready`, before anything of the task has run: queries
-    /// its `task:{name}` fault site and hands back the task, the body to
-    /// run — one that panics in the task's place when a panic was
-    /// injected — and the stall to serve first, in native units.
-    pub(crate) fn dispatch(&self, ready: Ready) -> (Task, TaskBody, u64) {
+    /// its `task:{name}` fault site and hands back the task and the body
+    /// to run — one that panics in the task's place when a panic was
+    /// injected.
+    pub(crate) fn dispatch(&self, ready: Ready) -> (Task, TaskBody) {
         let Ready { task, mut body, .. } = ready;
         let inject =
             (self.robustness.plan.as_ref()).and_then(|p| p.at(&format!("task:{}", task.name)));
-        let stall = match inject {
-            Some(FaultKind::Stall { units }) => units.saturating_mul(self.stall_unit),
-            _ => 0,
-        };
         if inject == Some(FaultKind::Panic) {
             let name = task.name.clone();
             body = Box::new(move || panic!("injected fault: task `{name}` panicked"));
         }
-        (task, body, stall)
+        (task, body)
     }
 
     /// Books a task whose body has returned, or was `caught` panicking
@@ -349,7 +341,7 @@ mod tests {
     /// Admits `desc` into a scratch policy and takes it out dispatched:
     /// the record a driver holds for a task on a worker's stack.
     fn dispatched(desc: TaskDesc) -> Task {
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         p.admit(desc, 0, NEVER);
         p.next_idle().expect("no prereqs").task
     }
@@ -367,7 +359,7 @@ mod tests {
 
     #[test]
     fn ready_queue_ranks_by_kind_then_weight_then_arrival() {
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         for (name, kind, weight) in [
             ("short", TaskKind::ShortCodeGen, 0),
             ("long-small", TaskKind::LongCodeGen, 5),
@@ -396,7 +388,7 @@ mod tests {
     fn release_waits_for_the_last_prereq() {
         let (e0, e1, e2) = (EventId(0), EventId(1), EventId(2));
         let mut occurred = vec![e0];
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         let mut both = desc("both", TaskKind::Lexor);
         // e0 occurred before admission and is not waited for again.
         both.prereqs = vec![e0, e1, e2];
@@ -427,7 +419,7 @@ mod tests {
         let (e1, e2, hinted) = (EventId(1), EventId(2), EventId(3));
         // On the stack: A, which signals e1 and waits on e2.
         let stack = [dispatched(signaling("A", TaskKind::Lexor, &[e1]))];
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         p.admit(waiting("unsafe", TaskKind::Splitter, on(&[e1])), 0, NEVER);
         p.admit(desc("safe", TaskKind::ShortCodeGen), 0, NEVER);
         p.admit(signaling("resolver", TaskKind::Merge, &[e2]), 0, NEVER);
@@ -454,7 +446,7 @@ mod tests {
         producer.signals_barriers = true;
         let stack = [dispatched(def_signaler), dispatched(producer)];
 
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         let any_def = WaitSet {
             all_def_scopes: true,
             ..WaitSet::none()
@@ -479,7 +471,7 @@ mod tests {
     #[test]
     fn barrier_waits_and_deep_stacks_nest_nothing() {
         let e = EventId(0);
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         p.admit(signaling("resolver", TaskKind::Lexor, &[e]), 0, NEVER);
         let frame = |i: usize| dispatched(desc(&format!("s{i}"), TaskKind::ProcParse));
         let stack: Vec<Task> = (0..NEST_CAP).map(frame).collect();
@@ -492,33 +484,29 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_serves_a_stall_in_native_units_and_panics_in_the_bodys_place() {
-        let plan = FaultPlan::single("task:victim", FaultKind::Panic)
-            .with_fault("task:slow", FaultKind::Stall { units: 3 });
+    fn dispatch_panics_in_the_bodys_place_and_leaves_other_tasks_alone() {
+        let plan = FaultPlan::single("task:victim", FaultKind::Panic);
         let events = EventTable::default();
-        // 1 000 native units to the stall unit, as on threads.
-        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan)), None), 1_000);
-        for name in ["victim", "slow", "clean"] {
+        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan))));
+        for name in ["victim", "clean"] {
             p.admit(desc(name, TaskKind::ProcParse), 0, NEVER);
         }
         let mut next = || {
             let ready = p.next_idle().expect("admitted");
             p.dispatch(ready)
         };
-        let (mut victim, body, stall) = next();
-        assert_eq!((victim.name.as_str(), stall), ("victim", 0));
+        let (mut victim, body) = next();
+        assert_eq!(victim.name, "victim");
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
             .expect_err("the injected panic");
         let msg = crate::payload_message(payload.as_ref());
         assert_eq!(msg, "injected fault: task `victim` panicked");
-        let (slow, _, stall) = next();
-        assert_eq!((slow.name.as_str(), stall), ("slow", 3_000));
-        let (clean, body, stall) = next();
-        assert_eq!((clean.name.as_str(), stall), ("clean", 0));
+        let (clean, body) = next();
+        assert_eq!(clean.name, "clean");
         body();
         p.finish(&mut victim, Some(msg.clone()), &events);
         assert_eq!(p.panics, [("victim".to_string(), msg)]);
-        assert_eq!((p.outstanding(), p.finished), (2, 1));
+        assert_eq!((p.outstanding(), p.finished), (1, 1));
     }
 
     #[test]
@@ -527,7 +515,7 @@ mod tests {
         let events = EventTable::default();
         let kept = events.create(EventClass::Handled, "kept");
         let lost = events.create(EventClass::Handled, "lost");
-        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan)), None), 1);
+        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan))));
         p.admit(signaling("t", TaskKind::Lexor, &[kept, lost]), 0, NEVER);
         let mut t = p.next_idle().expect("ready").task;
         assert_eq!(p.finish(&mut t, None, &events), [kept]);
@@ -537,7 +525,7 @@ mod tests {
     #[test]
     fn wedge_release_takes_each_unoccurred_event_once_in_order() {
         let e: Vec<EventId> = (0..6).map(EventId).collect();
-        let mut p = Policy::new(Robustness::degrading(None, None), 1);
+        let mut p = Policy::new(Robustness::degrading(None));
         let mut gated = desc("gated", TaskKind::Lexor);
         gated.prereqs = vec![e[5], e[1], e[3]];
         p.admit(gated, 0, NEVER);
@@ -555,8 +543,9 @@ mod tests {
         assert!(p
             .release_wedge([e[2]].into_iter(), |_| true, "report C")
             .is_empty());
-        p.record_stall("deadline:t".into(), "first".into());
-        p.record_stall("deadline:t".into(), "second".into());
+        // A key is recorded once whatever its message.
+        p.record_stall("report D".into(), "first".into());
+        p.record_stall("report D".into(), "second".into());
         let want = [
             "watchdog released wedge: report A",
             "watchdog released wedge: report B",
@@ -574,7 +563,7 @@ mod tests {
         let a = dispatched(signaling("A", TaskKind::ProcParse, &[ea]));
         let b = dispatched(signaling("B", TaskKind::ProcParse, &[eb]));
 
-        let mut p = Policy::new(Robustness::none(), 1);
+        let mut p = Policy::new(Robustness::none());
         let mut gated = desc("gated", TaskKind::Lexor);
         gated.prereqs = vec![ea, gate];
         p.admit(gated, 0, NEVER);

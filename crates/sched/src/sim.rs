@@ -9,8 +9,8 @@
 //! clock from the work each task charges
 //! ([`ccm2_support::work::WorkMeter`] units). What this driver supplies
 //! to the policy: an event has *occurred* once the controller has
-//! published it at a virtual time, ready entries are stamped with the
-//! virtual time they became ready, and a stall unit is one virtual unit.
+//! published it at a virtual time, and ready entries are stamped with
+//! the virtual time they became ready.
 //!
 //! Mechanically, every task runs on its own parked OS thread; a
 //! single-threaded controller resumes exactly one task at a time and
@@ -122,8 +122,6 @@ struct Started {
     task: Task,
     resume_tx: SyncSender<()>,
     yield_rx: Receiver<YieldMsg>,
-    /// Virtual busy time accumulated so far (deadline watchdog).
-    busy: u64,
 }
 
 /// What a processor is about to step: a task taken from the ready queue
@@ -148,7 +146,7 @@ pub struct SimEnv {
     events: EventTable,
     prestart: Mutex<Prestart>,
     /// Queried by tasks at `signal:` sites (lost-signal injection), and
-    /// by the controller for the deadline and recover mode.
+    /// by the controller for recover mode.
     robustness: Robustness,
 }
 
@@ -316,11 +314,10 @@ pub fn run_sim(config: SimConfig, setup: impl FnOnce(&Arc<SimEnv>)) -> RunReport
     run_sim_with(config, Robustness::default(), setup)
 }
 
-/// [`run_sim`] with a [`Robustness`] configuration: fault injection,
-/// per-task virtual-time deadlines, and — when `recover` is set —
-/// catch-and-degrade instead of unwinding on task panics and wedges.
-/// Caught panics and watchdog diagnoses come back in
-/// [`RunReport::task_panics`] / [`RunReport::stalls`].
+/// [`run_sim`] with a [`Robustness`] configuration: fault injection
+/// and — when `recover` is set — catch-and-degrade instead of unwinding
+/// on task panics and wedges. Caught panics and watchdog diagnoses come
+/// back in [`RunReport::task_panics`] / [`RunReport::stalls`].
 pub fn run_sim_with(
     config: SimConfig,
     robustness: Robustness,
@@ -373,7 +370,7 @@ impl Controller {
             })
             .collect();
         Controller {
-            policy: Policy::new(env.robustness.clone(), 1),
+            policy: Policy::new(env.robustness.clone()),
             env,
             config,
             wake_time: WakeTimes::default(),
@@ -381,24 +378,6 @@ impl Controller {
             trace: Trace::default(),
             charges: [0; Work::COUNT],
             handles: Vec::new(),
-        }
-    }
-
-    /// Diagnoses the task if its accumulated virtual busy time exceeds
-    /// the configured deadline.
-    fn check_deadline(&mut self, task: &Started) {
-        let Some(deadline) = self.env.robustness.deadline else {
-            return;
-        };
-        let (name, busy) = (&task.task.name, task.busy);
-        if busy > deadline {
-            self.policy.record_stall(
-                format!("deadline:{name}"),
-                format!(
-                    "task `{name}` exceeded the {deadline}-unit virtual \
-                     deadline ({busy} units charged)"
-                ),
-            );
         }
     }
 
@@ -517,7 +496,6 @@ impl Controller {
             task,
             resume_tx,
             yield_rx,
-            busy: 0,
         }
     }
 
@@ -588,18 +566,14 @@ impl Controller {
             };
 
             // 3. Step it, dispatching it first if it is fresh from the
-            // ready queue: the dispatch and any injected stall are
-            // charged before its first slice.
+            // ready queue: the dispatch is charged before its first slice.
             let slice_start = self.procs[p].clock;
             let mut task = match self.procs[p].current.take().expect("runnable") {
                 Slot::Started(task) => task,
                 Slot::Fresh(ready) => {
-                    let (task, body, stall) = self.policy.dispatch(ready);
-                    let mut task = self.launch(task, body);
-                    self.procs[p].clock = slice_start + self.config.dispatch_cost + stall;
-                    task.busy = stall;
-                    self.check_deadline(&task);
-                    task
+                    let (task, body) = self.policy.dispatch(ready);
+                    self.procs[p].clock = slice_start + self.config.dispatch_cost;
+                    self.launch(task, body)
                 }
             };
             task.resume_tx.send(()).expect("task thread alive");
@@ -618,8 +592,6 @@ impl Controller {
                     }
                     let advance = (scaled * factor).ceil() as u64;
                     self.procs[p].clock += advance.max(1);
-                    task.busy += advance.max(1);
-                    self.check_deadline(&task);
                     self.record_segment(p, &task.task, slice_start);
                     self.procs[p].current = Some(Slot::Started(task));
                 }

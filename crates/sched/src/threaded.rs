@@ -4,10 +4,9 @@
 //! structure holds the scheduling policy (`crate::policy`: the priority
 //! queues and every decision about them) behind one state lock, and the
 //! event flags beside it. What this driver supplies to the policy: an
-//! event has *occurred* once its flag is set, ready entries need no
-//! stamp (0), and a stall unit is a millisecond (1000 of the native
-//! microseconds). The defining behaviors of the paper, as they look on
-//! real threads:
+//! event has *occurred* once its flag is set, and ready entries need no
+//! stamp (0). The defining behaviors of the paper, as they look on real
+//! threads:
 //!
 //! * **Avoided events** keep a task off the ready queues until they have
 //!   occurred (it is never assigned just to block immediately).
@@ -38,7 +37,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -62,8 +61,6 @@ struct Frame {
     /// co-signaler hint. Feeds nesting eligibility, the mid-wakeup guard
     /// and the wait-for-graph diagnosis.
     waiting: Option<(EventId, Option<EventId>)>,
-    /// Dispatch time (only taken when a deadline is configured).
-    started: Option<Instant>,
 }
 
 struct SupState {
@@ -123,7 +120,7 @@ impl ThreadedSupervisor {
     fn new(workers: usize, robustness: Robustness) -> ThreadedSupervisor {
         ThreadedSupervisor {
             state: Mutex::new(SupState {
-                policy: Policy::new(robustness.clone(), 1000),
+                policy: Policy::new(robustness.clone()),
                 // Room for the usual nesting depth, so that a dispatch
                 // does not allocate inside the lock section.
                 stacks: (0..workers).map(|_| Vec::with_capacity(4)).collect(),
@@ -159,16 +156,10 @@ impl ThreadedSupervisor {
         })
     }
 
-    /// Waits on the condition variable (at most `timeout`, if given),
-    /// counted as a sleeper meanwhile.
-    fn sleep(&self, st: &mut MutexGuard<'_, SupState>, timeout: Option<Duration>) {
+    /// Waits on the condition variable, counted as a sleeper meanwhile.
+    fn sleep(&self, st: &mut MutexGuard<'_, SupState>) {
         st.sleepers += 1;
-        match timeout {
-            Some(t) => {
-                self.cv.wait_for(st, t);
-            }
-            None => self.cv.wait(st),
-        }
+        self.cv.wait(st);
         st.sleepers -= 1;
     }
 
@@ -212,7 +203,7 @@ impl ThreadedSupervisor {
         };
         let _leave = Leave(self, WORKER.with(|w| w.borrow_mut().replace(ctx)));
         loop {
-            let (body, stall) = {
+            let body = {
                 let mut st = self.state.lock();
                 loop {
                     if st.done || st.aborted {
@@ -229,21 +220,20 @@ impl ThreadedSupervisor {
                     self.park(&mut st, None);
                 }
             };
-            self.run_task(index, body, stall);
+            self.run_task(index, body);
         }
     }
 
     /// Takes the next task for `worker` — idle, or blocked on `blocked`
     /// (an event and the co-signaler hint) — through the policy's
     /// dispatch and onto the worker's stack, all in the lock section the
-    /// caller is in. Returns the body and the injected stall
-    /// (microseconds) to serve before it.
+    /// caller is in. Returns the body to run.
     fn take(
         &self,
         st: &mut SupState,
         worker: usize,
         blocked: Option<(EventId, Option<EventId>)>,
-    ) -> Option<(TaskBody, u64)> {
+    ) -> Option<TaskBody> {
         let ready = match blocked {
             None => st.policy.next_idle(),
             Some((e, hint)) => {
@@ -252,20 +242,16 @@ impl ThreadedSupervisor {
                 st.policy.next_for_blocked((e, class), hint, stack)
             }
         }?;
-        let (task, body, stall) = st.policy.dispatch(ready);
+        let (task, body) = st.policy.dispatch(ready);
         st.stacks[worker].push(Frame {
             task,
             waiting: None,
-            started: self.robustness.deadline.map(|_| Instant::now()),
         });
-        Some((body, stall))
+        Some(body)
     }
 
     /// Runs the task `take` just put on top of `worker`'s stack.
-    fn run_task(&self, worker: usize, body: TaskBody, stall: u64) {
-        if stall > 0 {
-            std::thread::sleep(Duration::from_micros(stall));
-        }
+    fn run_task(&self, worker: usize, body: TaskBody) {
         let seg_start = self.now();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).err();
         let seg_end = self.now();
@@ -281,7 +267,6 @@ impl ThreadedSupervisor {
             }
             caught => caught.map(|p| payload_message(p.as_ref())),
         };
-        self.check_deadline(&mut st.policy, &frame);
         for e in st.policy.finish(&mut frame.task, caught, &self.events) {
             if !self.signaled(e) {
                 self.signal_locked(&mut st, e);
@@ -304,40 +289,6 @@ impl ThreadedSupervisor {
     fn signal_locked(&self, st: &mut SupState, event: EventId) {
         self.events.set(event);
         st.policy.release(event, 0, |e| self.signaled(e));
-    }
-
-    /// Diagnoses the task if it was dispatched longer ago than the
-    /// configured deadline.
-    fn check_deadline(&self, policy: &mut Policy, frame: &Frame) {
-        let (Some(deadline), Some(started)) = (self.robustness.deadline, frame.started) else {
-            return;
-        };
-        let elapsed = started.elapsed().as_micros() as u64;
-        if elapsed > deadline {
-            let name = &frame.task.name;
-            policy.record_stall(
-                format!("deadline:{name}"),
-                format!("task `{name}` exceeded the {deadline}us deadline ({elapsed}us elapsed)"),
-            );
-        }
-    }
-
-    /// Sleeps on the condvar; with a deadline configured the sleep is
-    /// timed so the watchdog can diagnose tasks that stall while
-    /// *running* (a stalled task occupies its worker, so the wedge
-    /// detector never sees all workers parked).
-    fn park_watched(&self, st: &mut MutexGuard<'_, SupState>) {
-        match self.robustness.deadline {
-            Some(deadline) if self.robustness.recover => {
-                let timeout = Duration::from_micros((deadline / 2).max(5_000));
-                self.sleep(st, Some(timeout));
-                let st = &mut **st;
-                for frame in st.stacks.iter().flatten() {
-                    self.check_deadline(&mut st.policy, frame);
-                }
-            }
-            _ => self.sleep(st, None),
-        }
     }
 
     /// Parks the calling worker — idle, or inside a `wait()` on `on` —
@@ -393,7 +344,7 @@ impl ThreadedSupervisor {
             self.wake_locked(st);
             return;
         }
-        self.park_watched(guard);
+        self.sleep(guard);
         guard.parked -= 1;
     }
 }
@@ -432,7 +383,7 @@ impl ExecEnv for ThreadedSupervisor {
             // initialization thread, §2.3.2): plain blocking wait.
             let mut st = self.state.lock();
             while !self.signaled(event) && !st.aborted {
-                self.sleep(&mut st, None);
+                self.sleep(&mut st);
             }
             return;
         };
@@ -447,10 +398,10 @@ impl ExecEnv for ThreadedSupervisor {
             }
             frame.waiting = Some((event, signaler_hint));
             match self.take(&mut st, worker, Some((event, signaler_hint))) {
-                Some((body, stall)) => {
+                Some(body) => {
                     drop(st);
                     // Recursion bounded by the eligibility rule + depth cap.
-                    self.run_task(worker, body, stall);
+                    self.run_task(worker, body);
                     st = self.state.lock();
                 }
                 None => self.park(&mut st, Some(event)),
@@ -551,10 +502,10 @@ pub fn run_threaded(workers: usize, setup: impl FnOnce(&Arc<ThreadedSupervisor>)
 }
 
 /// [`run_threaded`] with a [`Robustness`] configuration: fault
-/// injection, per-task wall-clock deadlines (microseconds), and — when
-/// `recover` is set — catch-and-degrade instead of unwinding on task
-/// panics and wedges. Caught panics and watchdog diagnoses come back in
-/// [`RunReport::task_panics`] / [`RunReport::stalls`].
+/// injection and — when `recover` is set — catch-and-degrade instead of
+/// unwinding on task panics and wedges. Caught panics and watchdog
+/// diagnoses come back in [`RunReport::task_panics`] /
+/// [`RunReport::stalls`].
 pub fn run_threaded_with(
     workers: usize,
     robustness: Robustness,
@@ -774,6 +725,7 @@ mod wakeup_tests {
     use super::*;
     use crate::task::{TaskKind, WaitSet};
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::time::Duration;
 
     /// Regression: the deadlock detector must not fire while another
     /// parked worker's awaited event has already been signaled (it is

@@ -69,7 +69,7 @@ fn any_single_fault_degrades_only_its_own_stream() {
         let strategy = DkyStrategy::ALL[strategy_ix];
         let m = module();
 
-        let baseline = compile(&m, None, None, strategy, sim);
+        let baseline = compile(&m, None, strategy, sim);
         assert!(
             baseline.errors.is_empty(),
             "baseline not clean: {:?}",
@@ -79,7 +79,7 @@ fn any_single_fault_degrades_only_its_own_stream() {
 
         let plan = Arc::new(FaultPlan::single(pattern, kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compile(&m, Some(Arc::clone(&plan)), None, strategy, sim)
+            compile(&m, Some(Arc::clone(&plan)), strategy, sim)
         }))
         .unwrap_or_else(|_| {
             panic!("{pattern} [{strategy:?}, sim={sim}]: compile unwound instead of degrading")
@@ -133,7 +133,6 @@ fn degraded_runs_are_deterministic_on_the_simulator() {
                 "task:codegen(*FaultLong)",
                 FaultKind::Panic,
             ))),
-            None,
             DkyStrategy::Skeptical,
             true,
         )
@@ -158,13 +157,7 @@ fn a_dead_lexor_ends_its_stream_instead_of_hanging() {
     for sim in [true, false] {
         for site in ["task:lex(Main)", "task:split(Main)"] {
             let plan = Arc::new(FaultPlan::single(site, FaultKind::Panic));
-            let out = compile(
-                &m,
-                Some(Arc::clone(&plan)),
-                None,
-                DkyStrategy::Skeptical,
-                sim,
-            );
+            let out = compile(&m, Some(Arc::clone(&plan)), DkyStrategy::Skeptical, sim);
             assert!(plan.any_fired(), "{site} [sim={sim}]: never fired");
             assert!(!out.errors.is_empty(), "{site} [sim={sim}]: no error");
         }

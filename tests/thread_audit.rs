@@ -42,7 +42,7 @@ fn os_thread_count() -> usize {
 fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     let m = fault_module("Px", 0xF0);
     // Warm-up so lazily spawned runtime threads don't skew the count.
-    let warm = compile(&m, None, None, DkyStrategy::Skeptical, false);
+    let warm = compile(&m, None, DkyStrategy::Skeptical, false);
     assert!(warm.errors.is_empty());
     let before = os_thread_count();
 
@@ -52,7 +52,6 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
             "task:procparse(FaultShort)",
             FaultKind::Panic,
         ))),
-        None,
         DkyStrategy::Skeptical,
         false,
     );
@@ -77,7 +76,7 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
     );
 
     // And the process is not poisoned: a clean compile still succeeds.
-    let clean = compile(&m, None, None, DkyStrategy::Skeptical, false);
+    let clean = compile(&m, None, DkyStrategy::Skeptical, false);
     assert!(clean.errors.is_empty(), "{:?}", clean.errors);
     assert!(clean.image.is_some());
 }
