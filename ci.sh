@@ -102,6 +102,18 @@ if git grep -nwE 'task_deadline|check_deadline|park_watched|stall_unit|FaultKind
   exit 1
 fi
 
+echo "== one transport =="
+# Every fleet, in the product, the drills and the tests, runs on TCP
+# sockets on 127.0.0.1, the one transport the benchmark measures. A test
+# that needs more of the wire wraps the transport or puts a handler in
+# front of a shard. The in-process loopback, its selector, the drill's
+# transport column and the unused frame-overhead helper fail here if
+# they come back.
+if git grep -nE 'LoopbackTransport|Net::Loopback|start_on\(|transport_name|fn frame_overhead' -- crates tests src; then
+  echo "a second fleet transport is back (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -136,7 +148,7 @@ echo "== cargo test (workspace) =="
 #   ccm2-fabric, fabric,      the lease table row by row; a fleet answers
 #   chaosnet                  with a direct compile's bytes across shard
 #                             widths, a seeded shard kill and a seeded
-#                             partition cycle on both transports; a stale
+#                             partition cycle over TCP; a stale
 #                             answer stands the leader down wherever it is
 #                             heard; durable replicas survive a fleet
 #                             restart
@@ -167,7 +179,7 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # simulator) and the kept-alive shard connections (callers sharing
 # streams, a stream the server closed meanwhile, one origin's delta
 # batches overtaking each other on the way to a peer, and 2 000 rounds
-# per transport of concurrent compiles each followed by a flush, after
+# of concurrent compiles each followed by a flush, after
 # which every origin's queue must be drained and every peer's replica
 # must hold exactly its origin's entries: a second shipper's reordered
 # batches show as a replica that kept an entry its origin evicted, a

@@ -1,5 +1,5 @@
 //! The `reproduce -- chaosnet` drill: seeded network faults against the
-//! fabric control plane, on the loopback and on TCP alike.
+//! fabric control plane, over TCP.
 //!
 //! The lifecycle is a handful of phase functions over a
 //! [`ccm2_fabric::Fabric`] — [`partition_evict`], [`heal_rejoin`],
@@ -142,11 +142,7 @@ pub fn cold_join(
 /// had, must come back; then the origin with the most entries on its
 /// peers is killed and the failover absorb must import the restored
 /// replicas into live stores. Returns the rebuilt, post-failover fleet.
-pub fn crash_restart_absorb(
-    fleet: Fabric,
-    tcp: bool,
-    rebuild: impl Fn(u32) -> Arc<ShardNode>,
-) -> Fabric {
+pub fn crash_restart_absorb(fleet: Fabric, rebuild: impl Fn(u32) -> Arc<ShardNode>) -> Fabric {
     let origins: Vec<u32> = fleet.nodes().iter().map(|n| n.id()).collect();
     // What is replicated when the fleet goes down is what the answers so
     // far reported, not how far the shipper happened to be.
@@ -176,7 +172,7 @@ pub fn crash_restart_absorb(
         before,
         "restart lost or invented replica entries"
     );
-    let fleet = Fabric::start_over(tcp, nodes);
+    let fleet = Fabric::start_over(nodes);
     let origin = (0..SHARDS)
         .max_by_key(|&o| {
             fleet
@@ -211,15 +207,7 @@ fn cell_config() -> ServeConfig {
     }
 }
 
-fn transport_name(tcp: bool) -> &'static str {
-    if tcp {
-        "tcp"
-    } else {
-        "loopback"
-    }
-}
-
-/// The seeded network-fault matrix (three seeds x both transports) over
+/// The seeded network-fault matrix (three seeds) over
 /// the hardened fabric control plane. Each cell runs one full lifecycle
 /// — partition opens on the seeded schedule, the heartbeat detector
 /// suspects then evicts the victim, the fleet serves through the hole,
@@ -236,56 +224,42 @@ pub fn chaosnet() -> String {
            each cell: partition -> heartbeat eviction -> serve through the hole -> heal\n\
            -> warm rejoin -> cold join (warm-hit floor) -> replica crash-restart -> absorb\n\n",
     );
-    out.push_str("  seed   | transport | evict ticks | warm hits | events\n");
-    out.push_str("  -------+-----------+-------------+-----------+-------\n");
+    out.push_str("  seed   | evict ticks | warm hits | events\n");
+    out.push_str("  -------+-------------+-----------+-------\n");
     let mut cells = 0usize;
     for seed in SEEDS {
-        for tcp in [false, true] {
-            let cell = chaosnet_cell(seed, tcp);
-            out.push_str(&format!(
-                "  {:#6x} | {:>9} | {:>11} | {:>4}/{:<4} | {:>6}\n",
-                seed,
-                transport_name(tcp),
-                cell.ticks_to_evict,
-                cell.warm_hits,
-                cell.warm_lookups,
-                cell.events,
-            ));
-            cells += 1;
-        }
+        let cell = chaosnet_cell(seed);
+        out.push_str(&format!(
+            "  {:#6x} | {:>11} | {:>4}/{:<4} | {:>6}\n",
+            seed, cell.ticks_to_evict, cell.warm_hits, cell.warm_lookups, cell.events,
+        ));
+        cells += 1;
     }
     out.push_str(&format!(
         "  {cells} cells: 0 lost admitted requests, 0 hangs, 0 mismatched vs standalone\n"
     ));
 
-    // Split-brain matrix: the same seeds on both transports, each
-    // running all three router disturbances (kill / partition / duel)
-    // against a two-router fleet with the epoch lease.
+    // Split-brain matrix: the same seeds, each running all three router
+    // disturbances (kill / partition / duel) against a two-router fleet
+    // with the epoch lease.
     out.push_str(
         "\nsplit-brain drills: two routers, epoch-leased eviction authority, client failover\n",
     );
-    out.push_str("  seed   | transport | drill     | epoch | promote ticks | epoch rejects\n");
-    out.push_str("  -------+-----------+-----------+-------+---------------+--------------\n");
+    out.push_str("  seed   | drill     | epoch | promote ticks | epoch rejects\n");
+    out.push_str("  -------+-----------+-------+---------------+--------------\n");
     let mut cells = 0usize;
     for seed in SEEDS {
-        for tcp in [false, true] {
-            for kind in [
-                RouterDrillKind::Kill,
-                RouterDrillKind::Partition,
-                RouterDrillKind::Duel,
-            ] {
-                let cell = split_brain_cell(seed, tcp, kind);
-                out.push_str(&format!(
-                    "  {:#6x} | {:>9} | {:>9} | {:>5} | {:>13} | {:>13}\n",
-                    seed,
-                    transport_name(tcp),
-                    cell.kind,
-                    cell.promoted_epoch,
-                    cell.promote_ticks,
-                    cell.epoch_rejects,
-                ));
-                cells += 1;
-            }
+        for kind in [
+            RouterDrillKind::Kill,
+            RouterDrillKind::Partition,
+            RouterDrillKind::Duel,
+        ] {
+            let cell = split_brain_cell(seed, kind);
+            out.push_str(&format!(
+                "  {:#6x} | {:>9} | {:>5} | {:>13} | {:>13}\n",
+                seed, cell.kind, cell.promoted_epoch, cell.promote_ticks, cell.epoch_rejects,
+            ));
+            cells += 1;
         }
     }
     out.push_str(&format!(
@@ -300,8 +274,8 @@ pub fn chaosnet() -> String {
     out
 }
 
-/// One cell of the chaosnet matrix (a seed on a transport), reduced to
-/// the numbers the report carries.
+/// One cell of the chaosnet matrix (a seed), reduced to the numbers the
+/// report carries.
 struct ChaosCell {
     events: usize,
     ticks_to_evict: usize,
@@ -310,7 +284,7 @@ struct ChaosCell {
 }
 
 /// One chaosnet cell; see [`chaosnet`] for the script it runs.
-fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
+fn chaosnet_cell(seed: u64) -> ChaosCell {
     const JOINER: u32 = 9;
     let params = ServeLoadParams {
         seed,
@@ -324,7 +298,7 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
     let oracle = Oracle::of(&reqs);
     let dir = Scratch::new("chaosnet");
     let mk_node = |id: u32| durable_node(&dir, id, cell_config());
-    let mut fleet = Fabric::start_over(tcp, (0..SHARDS).map(mk_node).collect());
+    let mut fleet = Fabric::start_over((0..SHARDS).map(mk_node).collect());
 
     // The final third of the load is always the cold joiner's first
     // batch.
@@ -343,7 +317,7 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
     let (warm_hits, warm_lookups) =
         cold_join(&mut fleet, mk_node(JOINER), &reqs[join_at..], &oracle);
     // Phase 5 — crash-restart from the durable replicas, failover absorb.
-    let fleet = crash_restart_absorb(fleet, tcp, mk_node);
+    let fleet = crash_restart_absorb(fleet, mk_node);
     // The restarted, post-failover fleet still serves standalone bytes.
     drive(fleet.router(), &reqs[..6], &oracle);
 
@@ -359,7 +333,7 @@ fn chaosnet_cell(seed: u64, tcp: bool) -> ChaosCell {
 const WALL_HEARTBEAT_MS: u64 = 25;
 
 /// Wall-clock leg of the chaosnet drill — the one thing here that
-/// exercises [`start_heartbeats`]: a TCP fleet under real-time
+/// exercises [`start_heartbeats`]: a fleet under real-time
 /// heartbeats must evict a partitioned shard within a generous bounded
 /// deadline (the zero-hangs guarantee on the non-virtual clock). How
 /// long it took is `perf/`'s business, not this report's.
@@ -371,8 +345,8 @@ fn wall_clock_eviction() {
         ..ServeConfig::default()
     };
     let nodes = (0..SHARDS).map(|id| Arc::new(ShardNode::start(id, config)));
-    let fleet = Fabric::start_over(true, nodes.collect());
-    let router = Arc::new(FabricRouter::new(fleet.conduit().transport()));
+    let fleet = Fabric::start_over(nodes.collect());
+    let router = Arc::new(FabricRouter::new(fleet.transport().clone()));
     let handle = start_heartbeats(
         Arc::clone(&router),
         std::time::Duration::from_millis(WALL_HEARTBEAT_MS),
@@ -421,7 +395,7 @@ struct SplitBrainCell {
 }
 
 /// One split-brain drill cell: a 3-shard fleet behind two routers
-/// (A leads, B stands by) on *independent* conduits over the same
+/// (A leads, B stands by) on *independent* transports over the same
 /// shards, a shared durable membership store, and a client that fails
 /// over between them. The seeded disturbance hits router A mid-load:
 ///
@@ -438,7 +412,7 @@ struct SplitBrainCell {
 /// identical to a standalone compile. The transcript records phases,
 /// roles, epochs and per-shard grant histories — and no wall-clock
 /// values, so the same seed always replays the same transcript.
-fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCell {
+fn split_brain_cell(seed: u64, kind: RouterDrillKind) -> SplitBrainCell {
     let params = ServeLoadParams {
         seed,
         projects: 3,
@@ -450,11 +424,11 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
     let reqs = requests(&serve_load(&params), ExecChoice::Sim(4));
     let oracle = Oracle::of(&reqs);
 
-    // Two independent conduits over the same shards: cutting router A's
-    // network must not touch router B's.
+    // Two independent transports over the same shards: cutting router
+    // A's network must not touch router B's.
     let nodes = (0..SHARDS).map(|id| Arc::new(ShardNode::start(id, cell_config())));
-    let mut fleet = Fabric::start_over(tcp, nodes.collect());
-    let conduit_b = fleet.open_conduit();
+    let mut fleet = Fabric::start_over(nodes.collect());
+    let transport_b = fleet.open_transport();
     let cut_a = |on: bool| {
         for shard in 0..SHARDS {
             fleet.partition(shard, on);
@@ -464,12 +438,12 @@ fn split_brain_cell(seed: u64, tcp: bool, kind: RouterDrillKind) -> SplitBrainCe
     let dir = Scratch::new("splitbrain");
     let store = Arc::new(MembershipStore::new(dir.join("mbrs")).expect("membership dir"));
     let a = Arc::new(
-        FabricRouter::new(fleet.conduit().transport())
+        FabricRouter::new(fleet.transport().clone())
             .with_identity(1)
             .with_membership_store(Arc::clone(&store)),
     );
     let b = Arc::new(
-        FabricRouter::new(conduit_b.transport())
+        FabricRouter::new(transport_b)
             .with_identity(2)
             .as_standby()
             .with_membership_store(Arc::clone(&store)),
@@ -650,15 +624,15 @@ mod tests {
     fn split_brain_cell_holds_its_invariants() {
         // The cell asserts internally: 0 lost, 0 hangs, byte-identity
         // to standalone, no epoch with two leaders, membership
-        // converged on the durable image. One loopback cell per drill
-        // kind keeps the unit suite fast; the full seeded matrix runs
-        // under `reproduce -- chaosnet`.
+        // converged on the durable image. One cell per drill kind keeps
+        // the unit suite fast; the full seeded matrix runs under
+        // `reproduce -- chaosnet`.
         for kind in [
             RouterDrillKind::Kill,
             RouterDrillKind::Partition,
             RouterDrillKind::Duel,
         ] {
-            let cell = split_brain_cell(0xD1CE, false, kind);
+            let cell = split_brain_cell(0xD1CE, kind);
             assert!(cell.promoted_epoch >= 2, "standby claimed a fresh epoch");
             assert!(cell.promote_ticks >= 1);
             if kind != RouterDrillKind::Kill {
@@ -679,10 +653,10 @@ mod tests {
         // and memberships — and no wall-clock values — so this is the
         // replayability guarantee for split-brain investigations.
         let kind = RouterDrillKind::Duel;
-        let first = split_brain_cell(0x5EED, false, kind).transcript;
-        let second = split_brain_cell(0x5EED, false, kind).transcript;
+        let first = split_brain_cell(0x5EED, kind).transcript;
+        let second = split_brain_cell(0x5EED, kind).transcript;
         assert_eq!(first, second, "same seed must replay identically");
-        let other = split_brain_cell(0x5EED + 1, false, kind).transcript;
+        let other = split_brain_cell(0x5EED + 1, kind).transcript;
         assert_ne!(first, other, "different seed takes a different path");
     }
 }

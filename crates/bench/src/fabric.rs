@@ -9,7 +9,7 @@ use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 
 use crate::kit::{drive, requests, Oracle};
 
-/// A shard-count sweep of the loopback fleet (byte-identical to
+/// A shard-count sweep of the fleet (byte-identical to
 /// standalone at every width) and a seeded mid-stream shard-kill
 /// failover with zero lost admitted requests.
 pub fn fabric() -> String {
@@ -37,7 +37,7 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
     };
 
     let mut out =
-        String::from("Compile fabric (ccm2-fabric): sharded fleet over CCM2WIRE loopback\n");
+        String::from("Compile fabric (ccm2-fabric): sharded fleet over CCM2WIRE on TCP\n");
     out.push_str(&format!(
         "  load: projects={} clients={} events={} edit every {} (interface every {}th edit), seed {:#x}\n",
         load.projects, load.clients, load.events, load.edit_every, load.interface_every, load.seed

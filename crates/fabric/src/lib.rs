@@ -13,10 +13,9 @@
 //! * [`ring`] — the consistent-hash ring over request fingerprints:
 //!   stable across processes, minimal key movement on shard
 //!   join/leave.
-//! * [`transport`] — the byte conduit: a deterministic, seedable
-//!   in-process loopback (drills, property tests) and a real TCP
-//!   transport (kept-alive connections, frame after frame),
-//!   interchangeable behind one trait.
+//! * [`transport`] — the byte path: TCP on `127.0.0.1`, kept-alive
+//!   connections carrying frame after frame, behind the [`Transport`]
+//!   trait a test wraps to hold, refuse or count frames.
 //! * [`lease`] — the epoch-numbered eviction lease that keeps
 //!   membership authority exclusive when several routers run at once,
 //!   and the failure detector's clock: one transition table as plain
@@ -85,108 +84,50 @@ pub use router::{
 };
 pub use shard::{ShardNode, ShardStats};
 pub use transport::{
-    read_frame, FrameHandler, LoopbackTransport, TcpShardServer, TcpTransport, Transport,
-    MAX_PAYLOAD,
+    read_frame, FrameHandler, TcpShardServer, TcpTransport, Transport, MAX_PAYLOAD,
 };
 pub use wire::{
     decode_frame, encode_frame, frame_len, Message, WireOutcome, WireRequest, FRAME_OVERHEAD,
     NO_ROUTER, WIRE_FORMAT,
 };
 
-/// One byte path from a router to the fleet's shards, on either
-/// transport, with a partition switch per link. A fleet's conduits are
-/// independent: cutting one leaves the others delivering, which is what
-/// lets two routers over the same shards lose their networks apart.
-pub struct Conduit {
-    net: Net,
-}
-
-enum Net {
-    Loopback(Arc<LoopbackTransport>),
-    Tcp(Arc<TcpTransport>),
-}
-
-impl Conduit {
-    fn new(net: Net) -> Arc<Conduit> {
-        Arc::new(Conduit { net })
-    }
-
-    /// The transport a router is built on.
-    pub fn transport(&self) -> Arc<dyn Transport> {
-        match &self.net {
-            Net::Loopback(t) => Arc::clone(t) as Arc<dyn Transport>,
-            Net::Tcp(t) => Arc::clone(t) as Arc<dyn Transport>,
-        }
-    }
-
-    /// Opens (`true`) or heals (`false`) a standing partition of the
-    /// link to `shard`: every call on it fails and the shard sees
-    /// nothing — [`LoopbackTransport::set_partitioned`] or
-    /// [`TcpTransport::set_partitioned`], whichever carries the conduit.
-    pub fn partition(&self, shard: u32, on: bool) {
-        match &self.net {
-            Net::Loopback(t) => t.set_partitioned(shard, on),
-            Net::Tcp(t) => t.set_partitioned(shard, on),
-        }
-    }
-}
-
-/// A whole fleet in one value, on the deterministic loopback or on real
-/// TCP sockets: the shards, the conduits that reach them, one router on
-/// the first conduit, and — over TCP — the shard servers, which stop
-/// when the fleet is dropped. The unit the drills and equivalence tests
-/// spin up; the same script runs on either transport.
+/// A whole fleet in one value, on TCP sockets on `127.0.0.1`: the
+/// shards, their servers (which stop when the fleet is dropped), the
+/// transports that reach them, and one router on the first transport.
+/// The unit the drills and equivalence tests spin up.
+///
+/// Each transport has its own partition switches: cutting a link on one
+/// leaves the others delivering, which is what lets two routers over the
+/// same shards lose their networks apart.
 pub struct Fabric {
     router: FabricRouter,
-    conduits: Vec<Arc<Conduit>>,
+    /// The fleet router's transport first, then one per
+    /// [`Fabric::open_transport`].
+    transports: Vec<Arc<TcpTransport>>,
     nodes: Vec<Arc<ShardNode>>,
-    /// One per node, in node order; empty on the loopback.
+    /// One per node, in node order.
     servers: Vec<TcpShardServer>,
 }
 
 impl Fabric {
     /// Starts `shards` fresh shards (ids `0..shards`) with identical
-    /// configs on a clean loopback transport.
+    /// configs.
     pub fn start(shards: usize, config: ServeConfig) -> Fabric {
         let nodes = (0..shards as u32).map(|id| Arc::new(ShardNode::start(id, config)));
-        Fabric::start_over(false, nodes.collect())
+        Fabric::start_over(nodes.collect())
     }
 
     /// Assembles a fleet from pre-built nodes (restored shards, durable
-    /// replicas, odd ids) over TCP sockets on `127.0.0.1` when `tcp`, on a
-    /// clean loopback otherwise.
-    pub fn start_over(tcp: bool, nodes: Vec<Arc<ShardNode>>) -> Fabric {
-        if !tcp {
-            return Fabric::start_on(Arc::new(LoopbackTransport::new()), nodes);
-        }
-        let servers: Vec<TcpShardServer> = nodes
-            .iter()
-            .map(|node| {
-                TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>)
-                    .expect("bind a loopback port for the shard server")
-            })
-            .collect();
+    /// replicas, odd ids).
+    pub fn start_over(nodes: Vec<Arc<ShardNode>>) -> Fabric {
+        let servers: Vec<TcpShardServer> = nodes.iter().map(serve).collect();
         let transport = Arc::new(TcpTransport::new());
         for (node, server) in nodes.iter().zip(&servers) {
             transport.register(node.id(), server.addr());
         }
-        Fabric::assemble(Net::Tcp(transport), nodes, servers)
-    }
-
-    /// Assembles a loopback fleet on a caller-provided transport
-    /// (seeded corruption).
-    pub fn start_on(transport: Arc<LoopbackTransport>, nodes: Vec<Arc<ShardNode>>) -> Fabric {
-        for node in &nodes {
-            transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-        }
-        Fabric::assemble(Net::Loopback(transport), nodes, Vec::new())
-    }
-
-    fn assemble(net: Net, nodes: Vec<Arc<ShardNode>>, servers: Vec<TcpShardServer>) -> Fabric {
-        let conduit = Conduit::new(net);
         Fabric {
-            router: FabricRouter::new(conduit.transport()),
-            conduits: vec![conduit],
+            router: FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>),
+            transports: vec![transport],
             nodes,
             servers,
         }
@@ -197,64 +138,40 @@ impl Fabric {
         &self.router
     }
 
-    /// The conduit the fleet's own router runs on.
-    pub fn conduit(&self) -> &Conduit {
-        &self.conduits[0]
+    /// The transport the fleet's own router runs on.
+    pub fn transport(&self) -> &Arc<TcpTransport> {
+        &self.transports[0]
     }
 
-    /// [`Conduit::partition`] on the router's conduit, after the
-    /// router's [`FabricRouter::flush`]: what the cut finds shipped is
-    /// what the answers before it reported, on every run.
+    /// [`TcpTransport::set_partitioned`] on the router's transport, after
+    /// the router's [`FabricRouter::flush`]: what the cut finds shipped
+    /// is what the answers before it reported, on every run.
     pub fn partition(&self, shard: u32, on: bool) {
         self.router.flush();
-        self.conduit().partition(shard, on);
+        self.transport().set_partitioned(shard, on);
     }
 
-    /// A further, independent conduit to the same shards, for a second
-    /// router: its partitions and the first conduit's do not touch.
-    pub fn open_conduit(&mut self) -> Arc<Conduit> {
-        let conduit = Conduit::new(match &self.conduit().net {
-            Net::Loopback(_) => Net::Loopback(Arc::new(LoopbackTransport::new())),
-            Net::Tcp(_) => Net::Tcp(Arc::new(TcpTransport::new())),
-        });
-        for at in 0..self.nodes.len() {
-            self.connect(&conduit, at);
+    /// A further, independent transport to the same shards, for a second
+    /// router: its partitions and the first transport's do not touch.
+    pub fn open_transport(&mut self) -> Arc<TcpTransport> {
+        let transport = Arc::new(TcpTransport::new());
+        for (node, server) in self.nodes.iter().zip(&self.servers) {
+            transport.register(node.id(), server.addr());
         }
-        self.conduits.push(Arc::clone(&conduit));
-        conduit
+        self.transports.push(Arc::clone(&transport));
+        transport
     }
 
-    /// Makes a late joiner reachable on every conduit (starting its
-    /// server over TCP). The ring does not own it until a router's
+    /// Starts a server for a late joiner and makes it reachable on every
+    /// transport. The ring does not own it until a router's
     /// [`FabricRouter::admit_shard`] has warmed it.
     pub fn join(&mut self, node: Arc<ShardNode>) {
-        if matches!(self.conduit().net, Net::Tcp(_)) {
-            let server = TcpShardServer::serve(Arc::clone(&node) as Arc<dyn FrameHandler>)
-                .expect("bind a loopback port for the shard server");
-            self.servers.push(server);
+        let server = serve(&node);
+        for transport in &self.transports {
+            transport.register(node.id(), server.addr());
         }
+        self.servers.push(server);
         self.nodes.push(node);
-        for conduit in &self.conduits {
-            self.connect(conduit, self.nodes.len() - 1);
-        }
-    }
-
-    /// Registers node `at` on `conduit`.
-    fn connect(&self, conduit: &Conduit, at: usize) {
-        let node = &self.nodes[at];
-        match &conduit.net {
-            Net::Loopback(t) => t.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>),
-            Net::Tcp(t) => t.register(node.id(), self.servers[at].addr()),
-        }
-    }
-
-    /// The router's loopback transport (corruption counters); `None`
-    /// for a fleet on sockets.
-    pub fn loopback(&self) -> Option<&Arc<LoopbackTransport>> {
-        match &self.conduit().net {
-            Net::Loopback(t) => Some(t),
-            Net::Tcp(_) => None,
-        }
     }
 
     /// The shard nodes in start order, late joiners last (drill
@@ -271,11 +188,19 @@ impl Fabric {
     }
 }
 
+/// Starts `node`'s server on an ephemeral `127.0.0.1` port.
+fn serve(node: &Arc<ShardNode>) -> TcpShardServer {
+    TcpShardServer::serve(Arc::clone(node) as Arc<dyn FrameHandler>)
+        .expect("bind a loopback port for the shard server")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccm2_serve::{CompileRequest, ExecChoice};
     use ccm2_support::defs::DefLibrary;
+    use ccm2_support::hash::splitmix64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn request(client: u64, name: &str) -> CompileRequest {
         let mut req = CompileRequest::new(
@@ -367,7 +292,7 @@ mod tests {
     fn injected_shard_death_mid_batch_loses_nothing() {
         let fabric = Fabric::start(3, small_config());
         // Shard 1 dies behind the router's back: the batch finds out.
-        fabric.conduit().transport().kill(1);
+        fabric.transport().kill(1);
         let reqs: Vec<CompileRequest> = (0..12).map(|m| request(1, &format!("Batch{m}"))).collect();
         let responses = fabric.router().serve_batch(&reqs);
         for (req, resp) in reqs.iter().zip(&responses) {
@@ -379,40 +304,134 @@ mod tests {
         assert_eq!(fabric.router().live_shards(), vec![0, 2]);
     }
 
+    /// A shard behind a seeded corruptor that damages a share of the
+    /// `Compile` frames it is handed, one byte each: `requests_ppm` parts
+    /// per million on the way in (the shard sees a bad frame), and
+    /// `answers_ppm` on the way out, past the 16-byte header, so that the
+    /// socket still carries a whole frame and only the checksum can tell.
+    /// Every other frame passes untouched.
+    struct Corruptor {
+        node: Arc<ShardNode>,
+        requests_ppm: u64,
+        answers_ppm: u64,
+        compiles: AtomicU64,
+        damaged: AtomicU64,
+    }
+
+    impl FrameHandler for Corruptor {
+        fn handle(&self, frame: &[u8]) -> Vec<u8> {
+            if !matches!(decode_frame(frame), Some(Message::Compile(_))) {
+                return self.node.handle(frame);
+            }
+            let n = self.compiles.fetch_add(1, Ordering::Relaxed);
+            let mut state = u64::from(self.node.id()) << 32 | n;
+            let roll = splitmix64(&mut state) % 1_000_000;
+            let at = splitmix64(&mut state) as usize;
+            if roll < self.requests_ppm {
+                self.damaged.fetch_add(1, Ordering::Relaxed);
+                let mut bad = frame.to_vec();
+                let at = at % bad.len();
+                bad[at] ^= 0x55;
+                self.node.handle(&bad)
+            } else if roll < self.requests_ppm + self.answers_ppm {
+                self.damaged.fetch_add(1, Ordering::Relaxed);
+                let mut bad = self.node.handle(frame);
+                let at = 16 + at % (bad.len() - 16);
+                bad[at] ^= 0x55;
+                bad
+            } else {
+                self.node.handle(frame)
+            }
+        }
+    }
+
+    /// Three shards, each served behind a [`Corruptor`], and a router
+    /// over them.
+    fn corrupted_fleet(
+        requests_ppm: u64,
+        answers_ppm: u64,
+    ) -> (Vec<TcpShardServer>, Vec<Arc<Corruptor>>, FabricRouter) {
+        let transport = Arc::new(TcpTransport::new());
+        let (mut servers, mut corruptors) = (Vec::new(), Vec::new());
+        for id in 0..3u32 {
+            let corruptor = Arc::new(Corruptor {
+                node: Arc::new(ShardNode::start(id, small_config())),
+                requests_ppm,
+                answers_ppm,
+                compiles: AtomicU64::new(0),
+                damaged: AtomicU64::new(0),
+            });
+            let server = TcpShardServer::serve(Arc::clone(&corruptor) as Arc<dyn FrameHandler>)
+                .expect("bind a shard server");
+            transport.register(id, server.addr());
+            servers.push(server);
+            corruptors.push(corruptor);
+        }
+        (servers, corruptors, FabricRouter::new(transport))
+    }
+
+    fn damaged(corruptors: &[Arc<Corruptor>]) -> u64 {
+        corruptors
+            .iter()
+            .map(|c| c.damaged.load(Ordering::Relaxed))
+            .sum()
+    }
+
     #[test]
     fn corrupted_frames_are_retried_not_trusted() {
-        // ~25% of frames damaged: plenty of rejects, still converges.
-        let transport = Arc::new(LoopbackTransport::with_corruption(0x5EED, 250_000));
-        let nodes = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        let fabric = Fabric::start_on(transport, nodes);
-        let reqs: Vec<CompileRequest> = (0..8).map(|m| request(2, &format!("Noise{m}"))).collect();
-        let responses = fabric.router().serve_batch(&reqs);
+        // Three in ten compile frames damaged, half of them each way:
+        // plenty of rejects, and still (nearly) every request is served.
+        let (_servers, corruptors, router) = corrupted_fleet(150_000, 150_000);
+        let reqs: Vec<CompileRequest> = (0..16).map(|m| request(2, &format!("Noise{m}"))).collect();
+        let responses = router.serve_batch(&reqs);
         let served = responses.iter().filter(|r| r.outcome().is_some()).count();
         assert!(
-            served >= 6,
-            "checksum retries should serve nearly everything ({served}/8)"
+            served >= 14,
+            "checksum retries should serve nearly everything ({served}/16)"
         );
         for resp in &responses {
             if let Some(out) = resp.outcome() {
                 assert!(out.ok, "{:?}", out.diagnostics);
             }
         }
-        assert!(
-            fabric.loopback().expect("loopback fleet").corrupted() > 0,
-            "corruption never fired — the test is vacuous"
-        );
-        assert!(
-            fabric.router().stats().checksum_rejects > 0
-                || fabric.nodes().iter().all(|n| n.stats().bad_frames == 0),
-            "damage was observed but never counted"
+        let damaged = damaged(&corruptors);
+        assert!(damaged > 0, "corruption never fired — the test is vacuous");
+        let bad_requests: u64 = corruptors.iter().map(|c| c.node.stats().bad_frames).sum();
+        assert!(bad_requests > 0, "no damaged request reached a shard");
+        assert!(bad_requests < damaged, "no answer was damaged");
+        let stats = router.stats();
+        assert_eq!(
+            stats.checksum_rejects, damaged,
+            "each damaged frame counted"
         );
         assert_eq!(
-            fabric.router().stats().failovers,
-            0,
+            stats.failovers, 0,
             "corruption must not be misdiagnosed as shard death"
         );
+    }
+
+    #[test]
+    fn a_shard_whose_every_answer_is_damaged_ends_in_retry_not_failover() {
+        let (_servers, corruptors, router) = corrupted_fleet(0, 1_000_000);
+        let router = Arc::new(router);
+        let serving = Arc::clone(&router);
+        let resp = ccm2_support::within(std::time::Duration::from_secs(60), move || {
+            serving.serve(&request(4, "Garbled"))
+        });
+        assert!(
+            matches!(resp, FabricResponse::Retry { after_ms } if after_ms == DEFAULT_RETRY_AFTER_MS),
+            "{resp:?}"
+        );
+        let calls = u64::from(router::MAX_CHECKSUM_RETRIES) + 1;
+        let compiles: u64 = corruptors
+            .iter()
+            .map(|c| c.compiles.load(Ordering::Relaxed))
+            .sum();
+        assert_eq!((compiles, damaged(&corruptors)), (calls, calls));
+        let stats = router.stats();
+        assert_eq!(stats.checksum_rejects, calls);
+        assert_eq!(stats.failovers, 0, "a garbled answer is not a dead shard");
+        assert_eq!(router.live_shards(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -499,18 +518,12 @@ mod tests {
 
     #[test]
     fn standby_promotes_on_lease_expiry_and_stale_leader_demotes() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        for node in &nodes {
-            transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-        }
+        let fabric = Fabric::start(3, small_config());
         let store = temp_store("promote");
-        let a = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+        let a = FabricRouter::new(fabric.transport().clone())
             .with_identity(1)
             .with_membership_store(Arc::clone(&store));
-        let b = FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+        let b = FabricRouter::new(fabric.transport().clone())
             .with_identity(2)
             .as_standby()
             .with_membership_store(Arc::clone(&store));
@@ -547,21 +560,15 @@ mod tests {
 
     #[test]
     fn client_fails_over_to_the_standby_when_its_router_dies() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-            .map(|id| Arc::new(ShardNode::start(id, small_config())))
-            .collect();
-        for node in &nodes {
-            transport.register(node.id(), Arc::clone(node) as Arc<dyn FrameHandler>);
-        }
+        let fabric = Fabric::start(3, small_config());
         let store = temp_store("client");
         let a = Arc::new(
-            FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+            FabricRouter::new(fabric.transport().clone())
                 .with_identity(1)
                 .with_membership_store(Arc::clone(&store)),
         );
         let b = Arc::new(
-            FabricRouter::new(Arc::clone(&transport) as Arc<dyn Transport>)
+            FabricRouter::new(fabric.transport().clone())
                 .with_identity(2)
                 .as_standby()
                 .with_membership_store(Arc::clone(&store)),
@@ -585,10 +592,8 @@ mod tests {
 
     #[test]
     fn client_exhausts_its_budget_against_a_dead_fleet() {
-        let transport = Arc::new(LoopbackTransport::new());
-        let router = Arc::new(FabricRouter::new(
-            Arc::clone(&transport) as Arc<dyn Transport>
-        ));
+        // A transport that reaches no shard.
+        let router = Arc::new(FabricRouter::new(Arc::new(TcpTransport::new())));
         let client = FabricClient::new(vec![router]);
         let resp = client.serve(&request(1, "Nobody"));
         assert!(matches!(resp, FabricResponse::Retry { after_ms } if after_ms >= 1));
@@ -598,89 +603,74 @@ mod tests {
         assert_eq!(stats.served, 0);
     }
 
-    /// The fleet contract, row by row, on the loopback and on sockets:
-    /// what the drills script against a [`Fabric`] behaves the same on
-    /// either transport.
+    /// The fleet contract, row by row: what the drills script against a
+    /// [`Fabric`], over its sockets.
     #[test]
-    fn fabric_contract_holds_on_both_transports() {
-        for tcp in [false, true] {
-            let nodes: Vec<Arc<ShardNode>> = (0..3u32)
-                .map(|id| Arc::new(ShardNode::start(id, small_config())))
-                .collect();
-            let kept = Arc::clone(&nodes[0]);
-            let mut fabric = Fabric::start_over(tcp, nodes);
-            assert_eq!(fabric.loopback().is_none(), tcp);
+    fn fabric_contract_holds_over_sockets() {
+        let nodes: Vec<Arc<ShardNode>> = (0..3u32)
+            .map(|id| Arc::new(ShardNode::start(id, small_config())))
+            .collect();
+        let kept = Arc::clone(&nodes[0]);
+        let mut fabric = Fabric::start_over(nodes);
 
-            // Serves, and replicates, over the conduit.
-            let reqs: Vec<CompileRequest> =
-                (0..6).map(|m| request(5, &format!("Row{m}"))).collect();
-            for resp in &fabric.router().serve_batch(&reqs) {
-                assert!(resp.outcome().expect("served over the conduit").ok);
-            }
-            fabric.router().flush();
-            assert!(
-                fabric.router().stats().ships > 0,
-                "tcp={tcp}: replication runs over this transport too"
-            );
-
-            // partition -> evicted in exactly two ticks.
-            fabric.partition(1, true);
-            assert!(fabric.router().heartbeat_tick().is_empty(), "tcp={tcp}");
-            assert_eq!(fabric.router().health(1), HealthState::Suspect);
-            assert_eq!(fabric.router().heartbeat_tick(), vec![1], "tcp={tcp}");
-            assert_eq!(fabric.router().health(1), HealthState::Evicted);
-            assert_eq!(fabric.router().live_shards(), vec![0, 2]);
-
-            // heal -> admit_shard -> Alive.
-            fabric.partition(1, false);
-            assert!(fabric.router().admit_shard(1), "tcp={tcp}");
-            assert_eq!(fabric.router().health(1), HealthState::Alive);
-            assert_eq!(fabric.router().live_shards(), vec![0, 1, 2]);
-
-            // A late joiner serves the keys the ring hands it.
-            let joiner = Arc::new(ShardNode::start(7, small_config()));
-            fabric.join(Arc::clone(&joiner));
-            assert!(fabric.router().admit_shard(7), "tcp={tcp}");
-            let ring = HashRing::new(&[0, 1, 2, 7], DEFAULT_VNODES);
-            let for_joiner = (0..200)
-                .map(|i| request(6, &format!("Late{i}")))
-                .find(|r| ring.route(r.fingerprint()) == Some(7))
-                .expect("some module routes to the joiner");
-            assert!(fabric.router().serve(&for_joiner).outcome().is_some());
-            assert_eq!(
-                joiner.stats().compiles,
-                1,
-                "tcp={tcp}: the joiner compiled it"
-            );
-
-            // Cutting conduit A leaves conduit B answering.
-            let b = fabric.open_conduit();
-            let router_b = FabricRouter::new(b.transport());
-            for shard in [0, 1, 2, 7] {
-                fabric.partition(shard, true);
-            }
-            let probe = request(8, "AcrossB");
-            assert!(
-                fabric.router().serve(&probe).outcome().is_none(),
-                "tcp={tcp}: conduit A is cut from every shard"
-            );
-            assert!(
-                router_b.serve(&probe).outcome().expect("served over B").ok,
-                "tcp={tcp}"
-            );
-
-            // Dropping the fleet stops its servers: no port listens and
-            // no connection thread still holds a shard.
-            let addrs: Vec<_> = fabric.servers.iter().map(TcpShardServer::addr).collect();
-            assert_eq!(addrs.len(), if tcp { 4 } else { 0 });
-            drop((fabric, router_b, b));
-            for addr in addrs {
-                assert!(
-                    std::net::TcpStream::connect(addr).is_err(),
-                    "a shard server outlived its fleet"
-                );
-            }
-            assert_eq!(Arc::strong_count(&kept), 1, "tcp={tcp}: a shard leaked");
+        // Serves, and replicates, over the sockets.
+        let reqs: Vec<CompileRequest> = (0..6).map(|m| request(5, &format!("Row{m}"))).collect();
+        for resp in &fabric.router().serve_batch(&reqs) {
+            assert!(resp.outcome().expect("served over the sockets").ok);
         }
+        fabric.router().flush();
+        assert!(fabric.router().stats().ships > 0, "replication runs");
+
+        // partition -> evicted in exactly two ticks.
+        fabric.partition(1, true);
+        assert!(fabric.router().heartbeat_tick().is_empty());
+        assert_eq!(fabric.router().health(1), HealthState::Suspect);
+        assert_eq!(fabric.router().heartbeat_tick(), vec![1]);
+        assert_eq!(fabric.router().health(1), HealthState::Evicted);
+        assert_eq!(fabric.router().live_shards(), vec![0, 2]);
+
+        // heal -> admit_shard -> Alive.
+        fabric.partition(1, false);
+        assert!(fabric.router().admit_shard(1));
+        assert_eq!(fabric.router().health(1), HealthState::Alive);
+        assert_eq!(fabric.router().live_shards(), vec![0, 1, 2]);
+
+        // A late joiner serves the keys the ring hands it.
+        let joiner = Arc::new(ShardNode::start(7, small_config()));
+        fabric.join(Arc::clone(&joiner));
+        assert!(fabric.router().admit_shard(7));
+        let ring = HashRing::new(&[0, 1, 2, 7], DEFAULT_VNODES);
+        let for_joiner = (0..200)
+            .map(|i| request(6, &format!("Late{i}")))
+            .find(|r| ring.route(r.fingerprint()) == Some(7))
+            .expect("some module routes to the joiner");
+        assert!(fabric.router().serve(&for_joiner).outcome().is_some());
+        assert_eq!(joiner.stats().compiles, 1, "the joiner compiled it");
+
+        // Cutting transport A leaves transport B answering.
+        let b = fabric.open_transport();
+        let router_b = FabricRouter::new(b.clone());
+        for shard in [0, 1, 2, 7] {
+            fabric.partition(shard, true);
+        }
+        let probe = request(8, "AcrossB");
+        assert!(
+            fabric.router().serve(&probe).outcome().is_none(),
+            "transport A is cut from every shard"
+        );
+        assert!(router_b.serve(&probe).outcome().expect("served over B").ok);
+
+        // Dropping the fleet stops its servers: no port listens and no
+        // connection thread still holds a shard.
+        let addrs: Vec<_> = fabric.servers.iter().map(TcpShardServer::addr).collect();
+        assert_eq!(addrs.len(), 4);
+        drop((fabric, router_b, b));
+        for addr in addrs {
+            assert!(
+                std::net::TcpStream::connect(addr).is_err(),
+                "a shard server outlived its fleet"
+            );
+        }
+        assert_eq!(Arc::strong_count(&kept), 1, "a shard leaked");
     }
 }

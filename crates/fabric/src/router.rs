@@ -117,9 +117,9 @@ type StoreImage = Vec<(Fp128, Vec<u8>)>;
 
 /// Give up re-sending after this many consecutive invalid responses
 /// from one shard and shed to the client's back-off protocol instead;
-/// persistent damage at this density means the conduit is sick, not
+/// persistent damage at this density means the link is sick, not
 /// unlucky.
-const MAX_CHECKSUM_RETRIES: u32 = 8;
+pub(crate) const MAX_CHECKSUM_RETRIES: u32 = 8;
 
 /// Back-off hint attached to a [`FabricResponse::Retry`] when no shard
 /// supplied a better one (fleet-wide death, damaged conduit, router

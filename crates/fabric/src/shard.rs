@@ -506,9 +506,9 @@ mod tests {
         }
     }
 
-    fn fleet(tcp: bool, shards: u32) -> crate::Fabric {
+    fn fleet(shards: u32) -> crate::Fabric {
         let nodes = (0..shards).map(|id| Arc::new(ShardNode::start(id, fleet_config())));
-        crate::Fabric::start_over(tcp, nodes.collect())
+        crate::Fabric::start_over(nodes.collect())
     }
 
     fn module(client: u64, name: &str) -> CompileRequest {
@@ -561,12 +561,12 @@ mod tests {
     /// store.
     #[test]
     fn batches_of_one_origin_reach_its_peers_in_order() {
-        let fabric = fleet(true, 3);
+        let fabric = fleet(3);
         for round in 0..40 {
             serve_eight(fabric.router(), round);
         }
         fabric.router().flush();
-        assert_replicated_to_the_edge(fabric.nodes(), "tcp");
+        assert_replicated_to_the_edge(fabric.nodes(), "after 40 rounds");
     }
 
     /// Order and completeness, searched: after every round of eight
@@ -582,18 +582,15 @@ mod tests {
         // A fresh fleet every so often searches the start-up again.
         const ROUNDS_PER_FLEET: usize = 100;
         let fleets = if cfg!(debug_assertions) { 1 } else { 20 };
-        for tcp in [false, true] {
-            for _ in 0..fleets {
-                let fabric = fleet(tcp, 3);
-                let mut queued = 0;
-                for round in 0..ROUNDS_PER_FLEET {
-                    serve_eight(fabric.router(), round);
-                    fabric.router().flush();
-                    let when = format!("tcp={tcp}, round {round}");
-                    queued = assert_replicated_to_the_edge(fabric.nodes(), &when);
-                }
-                assert_eq!(fabric.router().stats().shipped_ops, queued, "tcp={tcp}");
+        for _ in 0..fleets {
+            let fabric = fleet(3);
+            let mut queued = 0;
+            for round in 0..ROUNDS_PER_FLEET {
+                serve_eight(fabric.router(), round);
+                fabric.router().flush();
+                queued = assert_replicated_to_the_edge(fabric.nodes(), &format!("round {round}"));
             }
+            assert_eq!(fabric.router().stats().shipped_ops, queued);
         }
     }
 
@@ -604,9 +601,9 @@ mod tests {
     /// leave behind goes out with the leader's next batch.
     #[test]
     fn a_standby_that_serves_traffic_leaves_its_deltas_to_the_leader() {
-        let fabric = fleet(false, 2);
-        let leader = crate::FabricRouter::new(fabric.conduit().transport()).with_identity(1);
-        let standby = crate::FabricRouter::new(fabric.conduit().transport())
+        let fabric = fleet(2);
+        let leader = crate::FabricRouter::new(fabric.transport().clone()).with_identity(1);
+        let standby = crate::FabricRouter::new(fabric.transport().clone())
             .with_identity(2)
             .as_standby();
         assert!(leader.acquire_lease());

@@ -1,48 +1,35 @@
-//! How frames move: the [`Transport`] trait and its two
-//! implementations.
+//! How frames move: the [`Transport`] trait, and the one fleet
+//! transport, [`TcpTransport`] / [`TcpShardServer`] — real sockets on
+//! `127.0.0.1` with ephemeral ports.
 //!
-//! * [`LoopbackTransport`] — in-process, deterministic, seedable. The
-//!   fleet drills and the seeded equivalence tests run on it: a call is a
-//!   direct `handle()` on the target shard, an optional seeded
-//!   corruptor flips one byte in a reproducible subset of frames (to
-//!   prove the `CCM2WIRE` checksum actually gates), and
-//!   [`LoopbackTransport::kill`] makes a shard vanish mid-fleet the
-//!   way a crashed process would: every later call fails with an I/O
-//!   error.
-//! * [`TcpTransport`] / [`TcpShardServer`] — real sockets on
-//!   `127.0.0.1` with ephemeral ports. Connections are kept alive: the
-//!   transport holds idle streams per shard and a call reuses one, the
-//!   server answers frame after frame on a connection until its client
-//!   closes it, so neither a socket nor a thread is made per call. A
-//!   call that fails on a reused stream is retried once on a fresh
-//!   connection — the shard may have closed the idle stream — which can
-//!   deliver a frame twice, as the router's own resend after an error
-//!   already can: delivery is at-least-once either way.
-//!   [`TcpShardServer::stop`] half-closes the connections it holds, so
-//!   idle ones end at once and a frame in hand is still answered. The
-//!   integration test runs the same router code over TCP to show the
-//!   loopback results are not an artifact of skipping serialization.
+//! Connections are kept alive: the transport holds idle streams per
+//! shard and a call reuses one, the server answers frame after frame on
+//! a connection until its client closes it, so neither a socket nor a
+//! thread is made per call. A call that fails on a reused stream is
+//! retried once on a fresh connection — the shard may have closed the
+//! idle stream — which can deliver a frame twice, as the router's own
+//! resend after an error already can: delivery is at-least-once either
+//! way. [`TcpShardServer::stop`] half-closes the connections it holds,
+//! so idle ones end at once and a frame in hand is still answered.
 //!
-//! Both speak the exact same frames; the router cannot tell them
-//! apart. That symmetry is the point: everything proven on the
-//! deterministic transport holds on the socket one because the only
-//! difference is the byte conduit. Both have the same one drill
-//! switch, `set_partitioned`: a **full partition** of the link to a
-//! shard, under which a call fails before reaching it and the shard
-//! sees nothing.
+//! The drill switch is [`TcpTransport::set_partitioned`]: a **full
+//! partition** of the link to a shard, under which a call fails before
+//! touching a socket and the shard sees nothing. Whatever else a test
+//! needs of the wire — a held frame, a refused stamp, a damaged byte —
+//! it builds as a [`Transport`] wrapping this one or as a
+//! [`FrameHandler`] in front of a shard.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ccm2_support::hash::StableHasher;
 use parking_lot::Mutex;
 
 use crate::shard::ShardNode;
-use crate::wire::{frame_len, FRAME_OVERHEAD};
+use crate::wire::frame_len;
 
 /// Largest payload a reader will allocate for (64 MiB — comfortably
 /// above any compile outcome, far below a garbage length prefix).
@@ -75,126 +62,8 @@ pub trait Transport: Send + Sync {
     fn shards(&self) -> Vec<u32>;
 
     /// Makes `shard` unreachable (test/drill hook). Returns whether it
-    /// was reachable before. Transports that cannot kill return false.
-    fn kill(&self, _shard: u32) -> bool {
-        false
-    }
-}
-
-/// The links a transport has cut: the one partition switch both
-/// transports carry.
-#[derive(Default)]
-struct Partitions(Mutex<HashSet<u32>>);
-
-impl Partitions {
-    fn set(&self, shard: u32, cut: bool) {
-        let mut cut_links = self.0.lock();
-        if cut {
-            cut_links.insert(shard);
-        } else {
-            cut_links.remove(&shard);
-        }
-    }
-
-    /// Fails a call on a cut link before it reaches the shard.
-    fn check(&self, shard: u32) -> io::Result<()> {
-        if self.0.lock().contains(&shard) {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("link to shard {shard} partitioned"),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// In-process transport: shard id → handler, with optional seeded
-/// frame corruption. See the module docs.
-#[derive(Default)]
-pub struct LoopbackTransport {
-    endpoints: Mutex<HashMap<u32, Arc<dyn FrameHandler>>>,
-    /// `(seed, rate_ppm)`: frame `n` is corrupted iff the stable hash
-    /// of `(seed, n)` lands under `rate_ppm` parts per million —
-    /// deterministic for a given seed and call order.
-    corrupt: Option<(u64, u32)>,
-    calls: AtomicU64,
-    corrupted: AtomicU64,
-    partitioned: Partitions,
-}
-
-impl LoopbackTransport {
-    /// A clean loopback: no corruption, no endpoints.
-    pub fn new() -> LoopbackTransport {
-        LoopbackTransport::default()
-    }
-
-    /// A loopback that flips one byte in a seeded `rate_ppm` fraction
-    /// of request frames before delivery.
-    pub fn with_corruption(seed: u64, rate_ppm: u32) -> LoopbackTransport {
-        LoopbackTransport {
-            corrupt: Some((seed, rate_ppm)),
-            ..LoopbackTransport::default()
-        }
-    }
-
-    /// Registers (or replaces) the handler for `shard`.
-    pub fn register(&self, shard: u32, handler: Arc<dyn FrameHandler>) {
-        self.endpoints.lock().insert(shard, handler);
-    }
-
-    /// Total calls attempted (including to dead shards).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Frames the corruptor actually damaged.
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted.load(Ordering::Relaxed)
-    }
-
-    /// Opens (`true`) or heals (`false`) a full partition of the link
-    /// to `shard`: calls fail without reaching its handler.
-    pub fn set_partitioned(&self, shard: u32, cut: bool) {
-        self.partitioned.set(shard, cut);
-    }
-}
-
-impl Transport for LoopbackTransport {
-    fn call(&self, shard: u32, frame: &[u8]) -> io::Result<Vec<u8>> {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
-        self.partitioned.check(shard)?;
-        let handler = self.endpoints.lock().get(&shard).cloned().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("shard {shard} is down"),
-            )
-        })?;
-        if let Some((seed, rate_ppm)) = self.corrupt {
-            let mut h = StableHasher::new();
-            h.write_str("ccm2-fabric/loopback-corrupt");
-            h.write_u64(seed);
-            h.write_u64(n);
-            let roll = h.finish().fold64();
-            if !frame.is_empty() && roll % 1_000_000 < u64::from(rate_ppm) {
-                self.corrupted.fetch_add(1, Ordering::Relaxed);
-                let mut bad = frame.to_vec();
-                let at = (roll / 1_000_000) as usize % bad.len();
-                bad[at] ^= 0x55;
-                return Ok(handler.handle(&bad));
-            }
-        }
-        Ok(handler.handle(frame))
-    }
-
-    fn shards(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.endpoints.lock().keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn kill(&self, shard: u32) -> bool {
-        self.endpoints.lock().remove(&shard).is_some()
-    }
+    /// was reachable before.
+    fn kill(&self, shard: u32) -> bool;
 }
 
 /// Reads one complete frame off `r`: 16 header bytes, then exactly the
@@ -230,12 +99,13 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> io::Result<Vec<u8>> 
 /// ("maybe delivered") already allows, so delivery stays at-least-once.
 /// A failure on a fresh connection is the shard's and is returned.
 ///
-/// The drill hook is the loopback's: a **full partition**, under which
-/// the call fails before touching a socket and the shard sees nothing.
+/// The drill hook is a **full partition**, under which the call fails
+/// before touching a socket and the shard sees nothing.
 #[derive(Default)]
 pub struct TcpTransport {
     peers: Mutex<HashMap<u32, Peer>>,
-    partitioned: Partitions,
+    /// The links cut by [`TcpTransport::set_partitioned`].
+    partitioned: Mutex<HashSet<u32>>,
 }
 
 /// Where a shard listens, and the idle streams connected there (most
@@ -264,7 +134,12 @@ impl TcpTransport {
     /// Opens (`true`) or heals (`false`) a full partition of the link
     /// to `shard`: calls fail without touching the socket.
     pub fn set_partitioned(&self, shard: u32, cut: bool) {
-        self.partitioned.set(shard, cut);
+        let mut cut_links = self.partitioned.lock();
+        if cut {
+            cut_links.insert(shard);
+        } else {
+            cut_links.remove(&shard);
+        }
     }
 
     /// One frame out and one frame back, on `kept` or on a fresh
@@ -300,7 +175,12 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn call(&self, shard: u32, frame: &[u8]) -> io::Result<Vec<u8>> {
-        self.partitioned.check(shard)?;
+        if self.partitioned.lock().contains(&shard) {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("link to shard {shard} partitioned"),
+            ));
+        }
         let (addr, kept) = match self.peers.lock().get_mut(&shard) {
             Some(peer) => (peer.addr, peer.idle.pop()),
             None => {
@@ -439,11 +319,6 @@ fn serve_connection(mut stream: TcpStream, handler: &dyn FrameHandler) {
     }
 }
 
-/// Frame overhead re-exported for size accounting in the drills.
-pub const fn frame_overhead() -> usize {
-    FRAME_OVERHEAD
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,10 +340,14 @@ mod tests {
     }
 
     #[test]
-    fn loopback_routes_kills_and_refuses_dead_shards() {
-        let t = LoopbackTransport::new();
-        t.register(1, Arc::new(AckHandler));
-        t.register(2, Arc::new(AckHandler));
+    fn tcp_routes_kills_and_refuses_dead_shards() {
+        let (one, two) = (
+            TcpShardServer::serve(Arc::new(AckHandler)).unwrap(),
+            TcpShardServer::serve(Arc::new(AckHandler)).unwrap(),
+        );
+        let t = TcpTransport::new();
+        t.register(1, one.addr());
+        t.register(2, two.addr());
         assert_eq!(t.shards(), vec![1, 2]);
 
         let frame = encode_frame(&Message::Sync);
@@ -480,7 +359,6 @@ mod tests {
         let err = t.call(1, &frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         assert_eq!(t.shards(), vec![2]);
-        assert_eq!(t.calls(), 2);
 
         t.set_partitioned(2, true);
         let err = t.call(2, &frame).unwrap_err();
@@ -488,34 +366,6 @@ mod tests {
         assert_eq!(t.shards(), vec![2], "a cut link is not a dead shard");
         t.set_partitioned(2, false);
         assert!(t.call(2, &frame).is_ok(), "healed");
-    }
-
-    #[test]
-    fn seeded_corruption_is_deterministic_and_caught_by_the_checksum() {
-        // A high rate so a small call count definitely hits corruption.
-        let make = || {
-            let t = LoopbackTransport::with_corruption(0xC0FF, 400_000);
-            t.register(7, Arc::new(AckHandler));
-            t
-        };
-        let frame = encode_frame(&Message::Sync);
-        let observe = |t: &LoopbackTransport| {
-            (0..64)
-                .map(|_| {
-                    let resp = t.call(7, &frame).unwrap();
-                    matches!(decode_frame(&resp), Some(Message::Ack))
-                })
-                .collect::<Vec<bool>>()
-        };
-        let (a, b) = (make(), make());
-        let (run_a, run_b) = (observe(&a), observe(&b));
-        assert_eq!(run_a, run_b, "same seed, same call order, same damage");
-        assert!(a.corrupted() > 0, "rate 40% never fired in 64 calls");
-        assert!(
-            run_a.iter().any(|ok| !ok),
-            "every corrupted frame still decoded — checksum is dead"
-        );
-        assert!(run_a.iter().any(|ok| *ok), "every frame was corrupted");
     }
 
     #[test]

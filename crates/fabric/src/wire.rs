@@ -49,7 +49,8 @@
 //! them, so a request rebuilt from a frame fingerprints as the sender's
 //! did: the router's routing key and the shard's single-flight key are
 //! one key. Fabric-level chaos is injected at the transport instead
-//! (seeded frame corruption in the loopback, partitions, killed links).
+//! (partitions and killed links on [`crate::TcpTransport`]; damaged
+//! bytes by a test's own handler in front of a shard).
 
 use std::sync::Arc;
 

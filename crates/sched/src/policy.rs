@@ -16,7 +16,7 @@
 //! entry is stamped with. Times the policy hands back are in native
 //! units.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use ccm2_faults::FaultKind;
 use ccm2_support::ids::EventId;
@@ -67,9 +67,8 @@ pub(crate) struct Policy {
     pub(crate) finished: usize,
     /// Task bodies caught panicking under recover mode.
     pub(crate) panics: Vec<(String, String)>,
-    /// Watchdog diagnoses (wedge releases).
+    /// Watchdog diagnoses (wedge releases), each recorded once.
     pub(crate) stalls: Vec<String>,
-    stall_keys: HashSet<String>,
 }
 
 impl Policy {
@@ -83,7 +82,6 @@ impl Policy {
             finished: 0,
             panics: Vec::new(),
             stalls: Vec::new(),
-            stall_keys: HashSet::new(),
         }
     }
 
@@ -223,13 +221,6 @@ impl Policy {
         backstop
     }
 
-    /// Records a watchdog diagnosis once per dedup key.
-    pub(crate) fn record_stall(&mut self, key: String, msg: String) {
-        if self.stall_keys.insert(key) {
-            self.stalls.push(msg);
-        }
-    }
-
     /// Diagnoses a state in which nobody can run, from the wait-for
     /// graph of `suspended` (each task inside a wait, with the event it
     /// awaits and the co-signaler hint), the pending tasks, and what
@@ -280,8 +271,9 @@ impl Policy {
     /// so that the run drains (with degraded streams) instead of
     /// aborting — every event `awaited` by a suspended task or gating a
     /// pending one that has not occurred. Records `report` as the
-    /// diagnosis unless there is nothing to release (the driver then
-    /// aborts as it does without recover mode). Each release makes at
+    /// diagnosis, once however often it recurs, unless there is nothing
+    /// to release (the driver then aborts as it does without recover
+    /// mode). Each release makes at
     /// least one more event occur and events are finite, so recovery
     /// rounds terminate.
     pub(crate) fn release_wedge(
@@ -297,11 +289,9 @@ impl Policy {
         events.sort_by_key(|e| e.index());
         events.dedup();
         events.retain(|e| !occurred(*e));
-        if !events.is_empty() {
-            self.record_stall(
-                report.to_string(),
-                format!("watchdog released wedge: {report}"),
-            );
+        let diagnosis = format!("watchdog released wedge: {report}");
+        if !events.is_empty() && !self.stalls.contains(&diagnosis) {
+            self.stalls.push(diagnosis);
         }
         events
     }
@@ -543,13 +533,9 @@ mod tests {
         assert!(p
             .release_wedge([e[2]].into_iter(), |_| true, "report C")
             .is_empty());
-        // A key is recorded once whatever its message.
-        p.record_stall("report D".into(), "first".into());
-        p.record_stall("report D".into(), "second".into());
         let want = [
             "watchdog released wedge: report A",
             "watchdog released wedge: report B",
-            "first",
         ];
         assert_eq!(p.stalls, want);
     }

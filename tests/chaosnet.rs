@@ -3,8 +3,7 @@
 //! warm-rejoined — must change *nothing* a client can observe. Every
 //! admitted request still returns the byte-identical object and
 //! diagnostics of a direct, storeless compile (`ccm2_bench::kit::Oracle`,
-//! what a standalone service answers), on the deterministic loopback
-//! transport and on real TCP sockets alike. A
+//! what a standalone service answers), over the fleet's TCP sockets. A
 //! crash-restart of the whole fleet from its durable replica images
 //! must come back holding every replica entry.
 //!
@@ -27,13 +26,13 @@ use ccm2_workload::{serve_load, ServeLoadParams};
 pub mod contract;
 use contract::config;
 
-/// Serves the whole load through a partition/evict/heal/rejoin cycle on
-/// the chosen transport — each answer clean and with the reference
-/// compile's bytes — asserting the detector's deterministic clock.
-fn serve_chaos(reqs: &[CompileRequest], params: &ServeLoadParams, tcp: bool) {
+/// Serves the whole load through a partition/evict/heal/rejoin cycle —
+/// each answer clean and with the reference compile's bytes — asserting
+/// the detector's deterministic clock.
+fn serve_chaos(reqs: &[CompileRequest], params: &ServeLoadParams) {
     let oracle = &Oracle::of(reqs);
     let nodes = (0..SHARDS).map(|id| Arc::new(ShardNode::start(id, config())));
-    let fleet = Fabric::start_over(tcp, nodes.collect());
+    let fleet = Fabric::start_over(nodes.collect());
     let window = partition_window(params);
 
     drive(fleet.router(), &reqs[..window.from], oracle);
@@ -59,9 +58,8 @@ fn serve_chaos(reqs: &[CompileRequest], params: &ServeLoadParams, tcp: bool) {
     );
 }
 
-// A seeded partition -> eviction -> heal -> rejoin cycle on the
-// loopback transport is invisible: byte-identical to the reference
-// compile, zero admitted requests lost.
+// A seeded partition -> eviction -> heal -> rejoin cycle is invisible:
+// byte-identical to the reference compile, zero admitted requests lost.
 #[test]
 fn partition_eviction_and_rejoin_are_invisible_to_clients() {
     for case in 0..4 {
@@ -77,16 +75,12 @@ fn partition_eviction_and_rejoin_are_invisible_to_clients() {
             edit_every: 5,
             interface_every: 2,
         };
-        serve_chaos(
-            &requests(&serve_load(&params), ExecChoice::Sim(2)),
-            &params,
-            false,
-        );
+        serve_chaos(&requests(&serve_load(&params), ExecChoice::Sim(2)), &params);
     }
 }
 
-// The same cycle over real TCP sockets: the partition switch models a
-// dead link (connect refused / black-holed writes) instead of a fault
+// The same cycle on a pinned seed: the partition switch models a dead
+// link (the call fails before a byte is written) instead of a fault
 // plan, and the contract is identical.
 #[test]
 fn tcp_partition_cycle_matches_standalone() {
@@ -98,11 +92,7 @@ fn tcp_partition_cycle_matches_standalone() {
         edit_every: 5,
         interface_every: 2,
     };
-    serve_chaos(
-        &requests(&serve_load(&params), ExecChoice::Sim(2)),
-        &params,
-        true,
-    );
+    serve_chaos(&requests(&serve_load(&params), ExecChoice::Sim(2)), &params);
 }
 
 // A whole-fleet crash (router, transport, and every node dropped) must
@@ -122,13 +112,13 @@ fn fleet_restart_from_durable_logs_loses_no_parked_ops() {
     };
     let load = requests(&serve_load(&params), ExecChoice::Sim(2));
 
-    let fleet = Fabric::start_over(false, (0..SHARDS).map(mk_node).collect());
+    let fleet = Fabric::start_over((0..SHARDS).map(mk_node).collect());
     drive(fleet.router(), &load, &Oracle::of(&load));
     // Crash, rebuild the same shard ids from the same directories, fail
     // one over. The phase asserts that serving replicated entries at
     // all (or the drill is vacuous), that the restart changed none of
     // them, and that the failover absorbed from the restored replicas.
-    crash_restart_absorb(fleet, false, mk_node);
+    crash_restart_absorb(fleet, mk_node);
 }
 
 // A restarted origin's first batches reach the replicas that its peers
@@ -153,12 +143,12 @@ fn a_restarted_origins_new_entries_reach_its_peers_restored_replicas() {
     };
     let (before, after) = (load(0xD0_18), load(0xD0_19));
 
-    let fleet = Fabric::start_over(false, (0..SHARDS).map(mk_node).collect());
+    let fleet = Fabric::start_over((0..SHARDS).map(mk_node).collect());
     drive(fleet.router(), &before, &Oracle::of(&before));
     fleet.router().flush();
     drop(fleet);
 
-    let fleet = Fabric::start_over(false, (0..SHARDS).map(mk_node).collect());
+    let fleet = Fabric::start_over((0..SHARDS).map(mk_node).collect());
     drive(fleet.router(), &after, &Oracle::of(&after));
     fleet.router().flush();
     let mut checked = 0;

@@ -233,7 +233,7 @@ pub enum Path {
     },
     /// One compile service; its shared store outlives each request.
     Service(Arc<CompileService>),
-    /// A three-shard loopback fleet behind its router.
+    /// A three-shard fleet on TCP sockets behind its router.
     Fabric(Arc<Fabric>),
 }
 
@@ -270,7 +270,7 @@ impl Path {
         Path::Service(Arc::new(CompileService::start(config())))
     }
 
-    /// A fresh three-shard loopback fleet with [`config`].
+    /// A fresh three-shard fleet on TCP sockets with [`config`].
     pub fn fabric() -> Path {
         Path::Fabric(Arc::new(Fabric::start(3, config())))
     }

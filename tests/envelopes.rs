@@ -16,8 +16,8 @@ use ccm2_analysis::{
 };
 use ccm2_codegen::ir::{CodeUnit, Instr, Shape};
 use ccm2_fabric::{
-    decode_frame, decode_membership, encode_frame, encode_membership, LoopbackTransport,
-    MembershipImage, Message, ShardNode, Transport, WireOutcome, WireRequest, MBRS_FORMAT,
+    decode_frame, decode_membership, encode_frame, encode_membership, MembershipImage, Message,
+    ShardNode, TcpShardServer, TcpTransport, Transport, WireOutcome, WireRequest, MBRS_FORMAT,
     NO_ROUTER, WIRE_FORMAT,
 };
 use ccm2_incr::{
@@ -581,7 +581,7 @@ fn resealed_payload_mutations_never_panic_and_never_misdecode() {
 }
 
 // The forged batch as it arrives in production: inside a `DeltaShip`
-// frame, off a transport. The shard must answer `Reject` — and still be
+// frame, off a socket. The shard must answer `Reject` — and still be
 // there for the next request.
 #[test]
 fn a_shard_handed_a_forged_delta_ship_rejects_it_and_keeps_serving() {
@@ -589,8 +589,10 @@ fn a_shard_handed_a_forged_delta_ship_rejects_it_and_keeps_serving() {
         workers: 1,
         ..ServeConfig::default()
     };
-    let transport = LoopbackTransport::new();
-    transport.register(0, Arc::new(ShardNode::start(0, config)));
+    let server =
+        TcpShardServer::serve(Arc::new(ShardNode::start(0, config))).expect("bind a shard server");
+    let transport = TcpTransport::new();
+    transport.register(0, server.addr());
     let call = |msg: &Message| {
         let answer = transport.call(0, &encode_frame(msg)).expect("reachable");
         decode_frame(&answer).expect("shard replies validly")

@@ -1,4 +1,4 @@
-//! Fleet-equivalence properties: an N-shard loopback fabric is
+//! Fleet-equivalence properties: an N-shard fabric on TCP sockets is
 //! observationally identical to a standalone service — every event of a
 //! seeded serve load is answered with the bytes and rendered diagnostics
 //! of a direct, storeless compile (`ccm2_bench::kit::Oracle`), which is
@@ -32,7 +32,7 @@ use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
 pub mod contract;
 use contract::config;
 
-/// Serves every request on an N-shard loopback fabric — each answer
+/// Serves every request on an N-shard fabric — each answer
 /// clean and with the reference compile's bytes — optionally killing
 /// one shard after `at` requests have been served.
 fn serve_fabric(reqs: &[CompileRequest], shards: usize, kill: Option<(usize, u32)>) {
@@ -65,10 +65,10 @@ fn stale_router_control_refused_after_lease_moves() {
     let mut fleet = Fabric::start(3, config());
     let dir = Scratch::new("stale-router");
     let store = Arc::new(MembershipStore::new(dir.join("mbrs")).expect("membership store opens"));
-    let a = FabricRouter::new(fleet.conduit().transport())
+    let a = FabricRouter::new(fleet.transport().clone())
         .with_identity(1)
         .with_membership_store(Arc::clone(&store));
-    let b = FabricRouter::new(fleet.conduit().transport())
+    let b = FabricRouter::new(fleet.transport().clone())
         .with_identity(2)
         .as_standby()
         .with_membership_store(Arc::clone(&store));
@@ -111,7 +111,7 @@ fn stale_router_control_refused_after_lease_moves() {
     }
 }
 
-/// A conduit that counts the replication frames it is handed and
+/// A transport that counts the replication frames it is handed and
 /// forwards every frame, except that — while armed — a request frame the
 /// script picks never reaches its shard and is answered
 /// `EpochReject{epoch: 9, router: 2}`: the lease has moved to router 2
@@ -143,7 +143,7 @@ impl Scripted {
         })
     }
 
-    /// `(Sync, DeltaShip)` frames handed to this conduit so far.
+    /// `(Sync, DeltaShip)` frames handed to this transport so far.
     fn replication_frames(&self) -> (u64, u64) {
         let read = |n: &AtomicU64| n.load(Ordering::Relaxed);
         (read(&self.syncs), read(&self.ships))
@@ -208,8 +208,8 @@ fn module_for(shard: u32) -> CompileRequest {
         .expect("some module routes to the shard")
 }
 
-/// Shards 0, 1 and 2 on the loopback; router 1, leading at epoch 1 over
-/// a [`Scripted`] conduit, with a membership store of its own.
+/// Shards 0, 1 and 2; router 1, leading at epoch 1 over a [`Scripted`]
+/// transport, with a membership store of its own.
 struct Drill {
     fleet: Fabric,
     wire: Arc<Scripted>,
@@ -226,7 +226,7 @@ impl Drill {
         let dir = Scratch::new("stale-answer");
         let mbrs = dir.join("mbrs");
         let store = Arc::new(MembershipStore::new(&mbrs).expect("membership store opens"));
-        let wire = Scripted::over(fleet.conduit().transport(), mbrs);
+        let wire = Scripted::over(fleet.transport().clone(), mbrs);
         let router = FabricRouter::new(Arc::clone(&wire) as Arc<dyn Transport>)
             .with_identity(1)
             .with_membership_store(Arc::clone(&store));
@@ -406,31 +406,28 @@ fn a_refused_claim_only_teaches_the_epoch() {
 /// no replication frame moves either.
 #[test]
 fn the_owning_shard_answers_a_repeat_without_compiling() {
-    for tcp in [false, true] {
-        let nodes = (0..3).map(|id| Arc::new(ShardNode::start(id, config())));
-        let fleet = Fabric::start_over(tcp, nodes.collect());
-        let wire = Scripted::over(fleet.conduit().transport(), PathBuf::new());
-        let router = FabricRouter::new(Arc::clone(&wire) as Arc<dyn Transport>);
-        let req = module_for(1);
-        let want = Oracle::reference(&req);
-        let mut frames = Vec::new();
-        for _ in 0..2 {
-            let answer = router.serve(&req);
-            let out = answer.outcome().expect("served");
-            assert_eq!((out.object.clone(), out.diagnostics.clone()), want);
-            router.flush();
-            frames.push(wire.replication_frames());
-        }
-        let shards = fleet.nodes().iter().map(|node| node.service().stats());
-        let counted: Vec<(u64, u64)> = shards.map(|s| (s.compiled, s.replayed)).collect();
-        assert_eq!(counted, [(0, 0), (1, 1), (0, 0)], "tcp: {tcp}");
-        assert_eq!(router.stats().joined, 0, "tcp: {tcp}");
-        // The compile: one pull, one ship to each peer. The repeat: none.
-        assert_eq!(frames, [(1, 2), (1, 2)], "tcp: {tcp}");
+    let fleet = Fabric::start(3, config());
+    let wire = Scripted::over(fleet.transport().clone(), PathBuf::new());
+    let router = FabricRouter::new(Arc::clone(&wire) as Arc<dyn Transport>);
+    let req = module_for(1);
+    let want = Oracle::reference(&req);
+    let mut frames = Vec::new();
+    for _ in 0..2 {
+        let answer = router.serve(&req);
+        let out = answer.outcome().expect("served");
+        assert_eq!((out.object.clone(), out.diagnostics.clone()), want);
+        router.flush();
+        frames.push(wire.replication_frames());
     }
+    let shards = fleet.nodes().iter().map(|node| node.service().stats());
+    let counted: Vec<(u64, u64)> = shards.map(|s| (s.compiled, s.replayed)).collect();
+    assert_eq!(counted, [(0, 0), (1, 1), (0, 0)]);
+    assert_eq!(router.stats().joined, 0);
+    // The compile: one pull, one ship to each peer. The repeat: none.
+    assert_eq!(frames, [(1, 2), (1, 2)]);
 }
 
-/// A conduit on which `DeltaShip` frames wait at a gate, so that what
+/// A transport on which `DeltaShip` frames wait at a gate, so that what
 /// the shipper has pulled stays undelivered for as long as the test
 /// likes; once the gate is open they fail, as on a cut link.
 struct ShipsHeld {
@@ -485,50 +482,47 @@ impl Drop for OpenAtTheEnd {
 /// compile the same requests again, and answer with the same bytes.
 #[test]
 fn a_request_acknowledged_before_its_delta_shipped_is_recompiled_not_lost() {
-    for tcp in [false, true] {
-        let nodes = (0..3).map(|id| Arc::new(ShardNode::start(id, config())));
-        let fleet = Fabric::start_over(tcp, nodes.collect());
-        let held = Arc::new(ShipsHeld {
-            inner: fleet.conduit().transport(),
-            open: Mutex::new(false),
-            opened: Condvar::new(),
+    let fleet = Fabric::start(3, config());
+    let held = Arc::new(ShipsHeld {
+        inner: fleet.transport().clone(),
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+    });
+    let router = Arc::new(FabricRouter::new(Arc::clone(&held) as Arc<dyn Transport>));
+    let _gate = OpenAtTheEnd(Arc::clone(&held));
+    let ring = HashRing::new(&[0, 1, 2], DEFAULT_VNODES);
+    let modules = (0..64).map(|i| module(&format!("Owned{i}")));
+    let owned: Vec<CompileRequest> = modules
+        .filter(|req| ring.route(req.fingerprint()) == Some(1))
+        .take(3)
+        .collect();
+    let oracle = Arc::new(Oracle::of(&owned));
+
+    // Acknowledged: an answer does not wait for a peer.
+    let serve_all = || {
+        let (router, owned, oracle) = (Arc::clone(&router), owned.clone(), Arc::clone(&oracle));
+        within(Duration::from_secs(60), move || {
+            drive(&*router, &owned, &oracle);
         });
-        let router = Arc::new(FabricRouter::new(Arc::clone(&held) as Arc<dyn Transport>));
-        let _gate = OpenAtTheEnd(Arc::clone(&held));
-        let ring = HashRing::new(&[0, 1, 2], DEFAULT_VNODES);
-        let modules = (0..64).map(|i| module(&format!("Owned{i}")));
-        let owned: Vec<CompileRequest> = modules
-            .filter(|req| ring.route(req.fingerprint()) == Some(1))
-            .take(3)
-            .collect();
-        let oracle = Arc::new(Oracle::of(&owned));
+    };
+    serve_all();
+    let replicated = |origin: u32| -> usize {
+        let peers = fleet.nodes().iter().filter(|node| node.id() != origin);
+        peers
+            .map(|node| node.replica_fingerprints(origin).len())
+            .sum()
+    };
+    assert_eq!(replicated(1), 0, "a ship got through the gate");
 
-        // Acknowledged: an answer does not wait for a peer.
-        let serve_all = || {
-            let (router, owned, oracle) = (Arc::clone(&router), owned.clone(), Arc::clone(&oracle));
-            within(Duration::from_secs(60), move || {
-                drive(&*router, &owned, &oracle);
-            });
-        };
-        serve_all();
-        let replicated = |origin: u32| -> usize {
-            let peers = fleet.nodes().iter().filter(|node| node.id() != origin);
-            peers
-                .map(|node| node.replica_fingerprints(origin).len())
-                .sum()
-        };
-        assert_eq!(replicated(1), 0, "tcp: {tcp}: a ship got through the gate");
-
-        // The origin dies unflushed; the next dispatch finds it dead.
-        assert!(held.kill(1), "tcp: {tcp}");
-        serve_all();
-        assert_eq!(router.live_shards(), [0, 2], "tcp: {tcp}");
-        let survivors = [&fleet.nodes()[0], &fleet.nodes()[2]];
-        let absorbed: u64 = survivors.iter().map(|n| n.stats().absorbed_entries).sum();
-        let recompiled: u64 = survivors.iter().map(|n| n.service().stats().compiled).sum();
-        assert_eq!(absorbed, 0, "tcp: {tcp}: nothing had been shipped");
-        assert_eq!(recompiled, owned.len() as u64, "tcp: {tcp}");
-    }
+    // The origin dies unflushed; the next dispatch finds it dead.
+    assert!(held.kill(1));
+    serve_all();
+    assert_eq!(router.live_shards(), [0, 2]);
+    let survivors = [&fleet.nodes()[0], &fleet.nodes()[2]];
+    let absorbed: u64 = survivors.iter().map(|n| n.stats().absorbed_entries).sum();
+    let recompiled: u64 = survivors.iter().map(|n| n.service().stats().compiled).sum();
+    assert_eq!(absorbed, 0, "nothing had been shipped");
+    assert_eq!(recompiled, owned.len() as u64);
 }
 
 // N shards, no deaths: byte-identical to the reference compile.
