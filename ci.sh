@@ -212,7 +212,14 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # (`a_warm_threaded_compile_loads_only_on_workers`: the interface cell
 # and the placeholders are handed between workers, and every store load
 # runs on one of the run's workers, never on the caller before it
-# becomes worker 0): 2 000 rounds instead of 20. And so do the watch
+# becomes worker 0): 2 000 rounds instead of 20. And so does the skim
+# differential (`the_skim_carves_what_the_scan_carves`: the main Lexor's
+# carve, which only skims procedure bodies, against the depth rule over
+# every token, on the suite and on seeded body and declaration mutants):
+# 40 000 mutants instead of 400. And so does the allocation pin
+# (`alloc_pin`: allocations and bytes of a cold, a warm and a sequential
+# compile of each suite module, counted on the compiling thread), whose
+# figures are an optimized build's. And so do the watch
 # session's convergence property (`session_replay_converges_to_cold_compile`:
 # a seeded edit stream replayed in seeded batch sizes ends on a cold
 # compile's image and diagnostics, every check after the first handed
@@ -245,7 +252,8 @@ race --test threaded_suite -- work_charges_equal
 race -p ccm2-syntax --test lexer_oracle
 race -p ccm2-syntax --test token_soup
 race --test diagnostics -- mutated_declarations mutated_bodies output_pin
-race --test incremental -- interface_edit_differential mutated_bodies_compile_warm_as_cold a_warm_threaded_compile_loads_only_on_workers
+race --test incremental -- interface_edit_differential mutated_bodies_compile_warm_as_cold a_warm_threaded_compile_loads_only_on_workers the_skim_carves_what_the_scan_carves
+race --test alloc_pin
 race --test watch -- session_replay_converges_to_cold_compile carry_
 
 echo "== examples, optimized, with README's arguments =="

@@ -563,6 +563,92 @@ fn mutated_bodies_compile_warm_as_cold() {
     corpus.differential(0x35, &paths);
 }
 
+/// The main Lexor of an incremental compile skims every procedure body,
+/// reading only the words the depth rule reads, and carves what the rule
+/// carves over every token: over the 37 suite modules, and over seeded
+/// mutants of their bodies and of their declaration parts and headings,
+/// which break `END`s, comments, strings and `PROCEDURE` words. An
+/// optimized build runs 100× more mutants.
+#[test]
+fn the_skim_carves_what_the_scan_carves() {
+    let cases = if cfg!(debug_assertions) { 200 } else { 20_000 };
+    let mut departures = Vec::new();
+    for program in contract::suite() {
+        if let Some(e) = contract::skim_departs(&program.source) {
+            departures.push(format!("{}: {e}", program.name));
+        }
+    }
+    for (seed, corpus) in [(0x51, Mutants::bodies()), (0x52, Mutants::declarations())] {
+        for (case, (program, what)) in corpus.drawn(seed, cases).enumerate() {
+            if let Some(e) = contract::skim_departs(&program.source) {
+                departures.push(format!("case {case}: {what}: {e}"));
+            }
+        }
+    }
+    assert!(
+        departures.is_empty(),
+        "{} departures\n{}",
+        departures.len(),
+        departures[..departures.len().min(3)].join("\n\n")
+    );
+}
+
+/// The main Lexor of an incremental compile reports a body's lexical
+/// errors from its skim, not from the scan that reads the body again
+/// once it is known to compile live. A module with an unexpected
+/// character, an unterminated string, a malformed real and an
+/// out-of-range character code, each in a different procedure body, and
+/// one more body edited, compiled against a store its clean module
+/// filled (every other body splices) on every cached path and through a
+/// service: each answers with the sequential compiler's diagnostics, each
+/// reported once, in order, and its image.
+#[test]
+fn lexical_errors_in_skimmed_bodies_are_reported_once() {
+    let clean = generate(&GenParams::small("LexErrors", 9));
+    let edited = apply_edits(&clean, &body_edits(1, 7));
+    assert_ne!(clean.source, edited.source, "the edit must land");
+    let mut source = edited.source.clone();
+    let errors = [
+        "l0 := 1 $ + 2;",
+        "l0 := \"never closed",
+        "l0 := 1.5E+;",
+        "l0 := 400C;",
+    ];
+    for (i, error) in errors.iter().enumerate() {
+        let heading = source
+            .find(&format!("PROCEDURE Proc{}(", i + 1))
+            .expect("the procedure is there");
+        let body = heading + source[heading..].find("BEGIN\n").expect("a body") + 6;
+        source.insert_str(body, &format!("  {error}\n"));
+    }
+    let program = Program {
+        source,
+        ..Program::from(&clean)
+    };
+    let paths = [
+        Path::warm(&Fills::of(&[Program::from(&clean)])),
+        vec![Path::service()],
+    ]
+    .concat();
+    let (_, diagnostics) = contract::agree(&program, &paths);
+    for message in [
+        "unexpected character `$`",
+        "unterminated string literal",
+        "malformed real literal `1.5E+`",
+        "character code 256 out of range",
+    ] {
+        let reported = diagnostics.iter().filter(|d| d.contains(message));
+        assert_eq!(reported.count(), 1, "{message} in {diagnostics:#?}");
+    }
+    let store = Arc::new(MemStore::new());
+    assert!(Program::from(&clean)
+        .compile_into(store.clone(), Options::sim(1))
+        .is_ok());
+    let stats = program.compile_into(store, Options::sim(1)).incr;
+    let stats = stats.expect("incremental was active");
+    assert!(stats.spliced > 0 && stats.recompiled >= 5, "{stats:?}");
+}
+
 /// A warm compile after one procedure-body edit routes only what it
 /// parses: the module level (the module body included), the headings,
 /// each spliced stream's `END Name ;` and the edited bodies, which reach
@@ -571,7 +657,9 @@ fn mutated_bodies_compile_warm_as_cold() {
 /// the benchmark's `warm_edit` makes (`Proc0`, whose nested procedure
 /// recompiles with it) charges `Work::Split` for 985 of the cold
 /// compile's 3 419 tokens: its module body and the two edited bodies are
-/// a fifth of its text. The output is the cold one.
+/// a fifth of its text. Its main Lexor still charges `Work::Lex` for all
+/// 3 419, the bodies it only skimmed included. The output is the cold
+/// one.
 #[test]
 fn a_warm_body_edit_routes_only_live_tokens() {
     use ccm2_support::work::Work;
@@ -590,6 +678,15 @@ fn a_warm_body_edit_routes_only_live_tokens() {
     let split = |out: &ConcurrentOutput| out.report.charges[Work::Split as usize];
     assert_eq!((split(&warm), split(&cold)), (985, 3419));
     assert!(split(&warm) * 100 <= split(&cold) * 30);
+    // The warm Lexor charges every token of the main module, skimmed or
+    // scanned, as the cold Splitter does (the cold Lexors charge the
+    // definition modules' tokens too, which the warm compile splices).
+    let lex = |out: &ConcurrentOutput| out.report.charges[Work::Lex as usize];
+    assert_eq!(
+        lex(&warm),
+        split(&cold),
+        "a skimmed body is charged its tokens"
+    );
     assert_eq!(warm.comparable(), cold.comparable());
 }
 
