@@ -191,58 +191,63 @@ pub enum TokenKind {
     Eof,
 }
 
+/// Every reserved word, spelled, with its token: the one list that
+/// [`TokenKind::reserved`] looks words up in and that tests enumerate.
+pub const RESERVED: [(&str, TokenKind); 45] = [
+    ("AND", TokenKind::And),
+    ("ARRAY", TokenKind::Array),
+    ("BEGIN", TokenKind::Begin),
+    ("BY", TokenKind::By),
+    ("CASE", TokenKind::Case),
+    ("CONST", TokenKind::Const),
+    ("DEFINITION", TokenKind::Definition),
+    ("DIV", TokenKind::Div),
+    ("DO", TokenKind::Do),
+    ("ELSE", TokenKind::Else),
+    ("ELSIF", TokenKind::Elsif),
+    ("END", TokenKind::End),
+    ("EXIT", TokenKind::Exit),
+    ("EXPORT", TokenKind::Export),
+    ("FOR", TokenKind::For),
+    ("FROM", TokenKind::From),
+    ("IF", TokenKind::If),
+    ("IMPLEMENTATION", TokenKind::Implementation),
+    ("IMPORT", TokenKind::Import),
+    ("IN", TokenKind::In),
+    ("LOOP", TokenKind::Loop),
+    ("MOD", TokenKind::Mod),
+    ("MODULE", TokenKind::Module),
+    ("NOT", TokenKind::Not),
+    ("OF", TokenKind::Of),
+    ("OR", TokenKind::Or),
+    ("POINTER", TokenKind::Pointer),
+    ("PROCEDURE", TokenKind::Procedure),
+    ("QUALIFIED", TokenKind::Qualified),
+    ("RECORD", TokenKind::Record),
+    ("REPEAT", TokenKind::Repeat),
+    ("RETURN", TokenKind::Return),
+    ("SET", TokenKind::Set),
+    ("THEN", TokenKind::Then),
+    ("TO", TokenKind::To),
+    ("TYPE", TokenKind::Type),
+    ("UNTIL", TokenKind::Until),
+    ("VAR", TokenKind::Var),
+    ("WHILE", TokenKind::While),
+    ("WITH", TokenKind::With),
+    ("LOCK", TokenKind::Lock),
+    ("TRY", TokenKind::Try),
+    ("EXCEPT", TokenKind::Except),
+    ("FINALLY", TokenKind::Finally),
+    ("RAISE", TokenKind::Raise),
+];
+
 impl TokenKind {
     /// Looks up a reserved word; returns `None` for ordinary identifiers.
     pub fn reserved(word: &str) -> Option<TokenKind> {
-        use TokenKind::*;
-        Some(match word {
-            "AND" => And,
-            "ARRAY" => Array,
-            "BEGIN" => Begin,
-            "BY" => By,
-            "CASE" => Case,
-            "CONST" => Const,
-            "DEFINITION" => Definition,
-            "DIV" => Div,
-            "DO" => Do,
-            "ELSE" => Else,
-            "ELSIF" => Elsif,
-            "END" => End,
-            "EXIT" => Exit,
-            "EXPORT" => Export,
-            "FOR" => For,
-            "FROM" => From,
-            "IF" => If,
-            "IMPLEMENTATION" => Implementation,
-            "IMPORT" => Import,
-            "IN" => In,
-            "LOOP" => Loop,
-            "MOD" => Mod,
-            "MODULE" => Module,
-            "NOT" => Not,
-            "OF" => Of,
-            "OR" => Or,
-            "POINTER" => Pointer,
-            "PROCEDURE" => Procedure,
-            "QUALIFIED" => Qualified,
-            "RECORD" => Record,
-            "REPEAT" => Repeat,
-            "RETURN" => Return,
-            "SET" => Set,
-            "THEN" => Then,
-            "TO" => To,
-            "TYPE" => Type,
-            "UNTIL" => Until,
-            "VAR" => Var,
-            "WHILE" => While,
-            "WITH" => With,
-            "LOCK" => Lock,
-            "TRY" => Try,
-            "EXCEPT" => Except,
-            "FINALLY" => Finally,
-            "RAISE" => Raise,
-            _ => return None,
-        })
+        RESERVED
+            .iter()
+            .find(|(spelled, _)| *spelled == word)
+            .map(|&(_, kind)| kind)
     }
 
     /// Returns `true` for reserved-word tokens.
@@ -505,54 +510,9 @@ mod tests {
 
     #[test]
     fn every_reserved_word_round_trips_through_describe() {
-        for word in [
-            "AND",
-            "ARRAY",
-            "BEGIN",
-            "BY",
-            "CASE",
-            "CONST",
-            "DEFINITION",
-            "DIV",
-            "DO",
-            "ELSE",
-            "ELSIF",
-            "END",
-            "EXIT",
-            "EXPORT",
-            "FOR",
-            "FROM",
-            "IF",
-            "IMPLEMENTATION",
-            "IMPORT",
-            "IN",
-            "LOOP",
-            "MOD",
-            "MODULE",
-            "NOT",
-            "OF",
-            "OR",
-            "POINTER",
-            "PROCEDURE",
-            "QUALIFIED",
-            "RECORD",
-            "REPEAT",
-            "RETURN",
-            "SET",
-            "THEN",
-            "TO",
-            "TYPE",
-            "UNTIL",
-            "VAR",
-            "WHILE",
-            "WITH",
-            "LOCK",
-            "TRY",
-            "EXCEPT",
-            "FINALLY",
-            "RAISE",
-        ] {
-            let kind = TokenKind::reserved(word).expect("is reserved");
+        for (word, kind) in RESERVED {
+            assert_eq!(TokenKind::reserved(word), Some(kind));
+            assert!(kind.is_reserved_word(), "{word}");
             assert_eq!(kind.describe(), word);
         }
     }
