@@ -29,11 +29,11 @@ if grep -nE "$fence" crates/syntax/src/lexer.rs crates/core/src/splitter.rs; the
 fi
 
 echo "== fault injection stays a compile option =="
-# A compile request is its inputs: the fault plan and the watchdog are
-# `ccm2::Options` that the drills set on a compile of their own. The
-# service, its store and snapshots, the incremental cache, the watch
-# session and the whole fleet name no fault type: faults are injected
-# at the scheduler's task and signal sites only.
+# A compile request is its inputs: the fault plan is a `ccm2::Options`
+# field that the drills set on a compile of their own. The service, its
+# store and snapshots, the incremental cache, the watch session and the
+# whole fleet name no fault type: faults are injected at the
+# scheduler's task sites only.
 fence='ccm2_faults|FaultPlan|FaultKind'
 if grep -rnE "$fence" crates/serve/src crates/incr/src crates/watch/src crates/fabric/src; then
   echo "the request path names fault injection (lines above)" >&2
@@ -93,12 +93,24 @@ fi
 
 echo "== no executor has a timer =="
 # As in the paper's Supervisors, a worker parks until a task signals and
-# a run whose workers all park is a wedge, which recover mode releases.
+# a run whose workers all park is a wedge, which ends the run with the
+# wait-for report.
 # The per-task deadline that only wrote an overrun down, the stall fault
 # injected to trip it and the timed park that scanned for it fail here
 # if they come back.
 if git grep -nwE 'task_deadline|check_deadline|park_watched|stall_unit|FaultKind::Stall' -- crates tests src; then
   echo "the per-task deadline is back (lines above)" >&2
+  exit 1
+fi
+
+echo "== no watchdog =="
+# A wedge ends the run with or without a fault plan. The lost-signal
+# fault, the wedge release that existed only to clean up after it, the
+# site listing's probe recording and the stall error fail here if they
+# come back; a dead task's undeclared events are released where it
+# dies (the driver's ParseGuard).
+if git grep -nE 'LoseSignal|release_wedge|loses_signal|with_probe_recording|Stalled \{' -- crates tests src; then
+  echo "the watchdog is back (lines above)" >&2
   exit 1
 fi
 
@@ -141,10 +153,11 @@ echo "== cargo test (workspace) =="
 #                             equal to direct compiles, kill/restart from
 #                             the newest snapshot with torn images
 #                             quarantined
-#   faults, watchdog          an injected fault degrades exactly one
-#                             stream, identically on every run of the
-#                             simulator; a wedge release racing a late
-#                             legitimate signal on both executors
+#   faults, thread_audit      an injected fault at each task site of the
+#                             matrix degrades exactly one stream on both
+#                             executors, identically on every run of the
+#                             simulator; a degraded threaded run leaves
+#                             no thread behind
 #   ccm2-fabric, fabric,      the lease table row by row; a fleet answers
 #   chaosnet                  with a direct compile's bytes across shard
 #                             widths, a seeded shard kill and a seeded
@@ -161,7 +174,7 @@ echo "== cargo test (workspace) =="
 #                             equal the sequential reference everywhere,
 #                             and survive warm re-analysis
 # The golden step below runs the full matrices of the same subsystems
-# (48 fault cells, the chaosnet and split-brain grids, the 100-edit
+# (40 fault cells, the chaosnet and split-brain grids, the 100-edit
 # session) with their invariants asserted inside.
 cargo test --workspace -q
 
@@ -282,7 +295,7 @@ perf/run.sh --counts --seconds 2
 echo "== golden: every reproduce section, byte for byte =="
 # What `reproduce` prints is a pure function of the tree: virtual times,
 # counts and drill verdicts, no clock reading. One invocation runs the
-# thirteen paper sections, the four extension reports and the seven
+# thirteen paper sections, the four extension reports and the six
 # drills — each drill asserting its own invariants (0 lost, 0 hangs,
 # byte-identity, never two leaders) — and the diff pins every byte of
 # the reports, so a figure that moves or a drill that says something
@@ -296,7 +309,7 @@ trap 'rm -f "$stderr_log"' EXIT
 if ! cargo run -q --release -p ccm2-bench --bin reproduce -- \
   table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 \
   overhead dky headings workcrews earlysplit analyze locks incr \
-  serve fabric chaosnet watch faults recover sites \
+  serve fabric chaosnet watch faults recover \
   2> "$stderr_log" | diff -u reproduce_output.txt -; then
   cat "$stderr_log" >&2
   exit 1

@@ -1,27 +1,17 @@
-//! The fault drills: `reproduce -- faults` (survival matrix),
-//! `reproduce -- recover` (service kill/restart, torn snapshots) and
-//! `reproduce -- sites` (the fault-site namespace). The first and the
-//! last compile the same fault-seeded module through the kit's
-//! fault-matrix harness.
+//! The fault drills: `reproduce -- faults` (survival matrix, over the
+//! kit's fault-seeded module) and `reproduce -- recover` (service
+//! kill/restart, torn snapshots).
 
 use std::sync::Arc;
 
-use ccm2::{compile_concurrent, CompileError, ConcurrentOutput, Executor, Options};
-use ccm2_faults::{FaultKind, FaultPlan};
-use ccm2_sched::SimConfig;
+use ccm2::{CompileError, ConcurrentOutput};
+use ccm2_faults::FaultPlan;
 use ccm2_sema::symtab::DkyStrategy;
 use ccm2_serve::{CompileService, ExecChoice, ServeConfig, SnapshotStore};
-use ccm2_support::Interner;
-use ccm2_workload::GeneratedModule;
 
 use crate::kit::{
     baselines, compile, exec_name, fault_module, quietly, requests, unit_map, Scratch, UnitMap,
 };
-
-/// The module every drill here compiles.
-fn module() -> GeneratedModule {
-    fault_module("Mx", 0xFA)
-}
 
 /// Every unit of `run` outside the `touched` streams must be the
 /// baseline's, byte for byte, and none of the baseline's may be missing.
@@ -62,33 +52,16 @@ pub fn faults() -> String {
 }
 
 fn faults_inner() -> String {
-    let m = module();
+    let m = fault_module("Mx", 0xFA);
 
-    // Each scenario: the fault, its site, and the streams the fault is
-    // allowed to touch.
-    let scenarios: [(FaultKind, &str, &[&str]); 6] = [
-        (
-            FaultKind::Panic,
-            "task:procparse(FaultShort)",
-            &["FaultShort"],
-        ),
-        (
-            FaultKind::Panic,
-            "task:procparse(FaultNest)",
-            &["FaultNest"],
-        ),
-        (FaultKind::Panic, "task:analyze(*FaultLong)", &["FaultLong"]),
-        (FaultKind::Panic, "task:codegen(*FaultLong)", &["FaultLong"]),
-        (
-            FaultKind::Panic,
-            "task:codegen(*FaultShort)",
-            &["FaultShort"],
-        ),
-        (
-            FaultKind::LoseSignal,
-            "signal:heading(FaultShort)",
-            &["FaultShort"],
-        ),
+    // Each scenario: the site whose dispatch panics, and the streams the
+    // fault is allowed to touch.
+    let scenarios: [(&str, &[&str]); 5] = [
+        ("task:procparse(FaultShort)", &["FaultShort"]),
+        ("task:procparse(FaultNest)", &["FaultNest"]),
+        ("task:analyze(*FaultLong)", &["FaultLong"]),
+        ("task:codegen(*FaultLong)", &["FaultLong"]),
+        ("task:codegen(*FaultShort)", &["FaultShort"]),
     ];
 
     let mut out = String::from(
@@ -99,19 +72,14 @@ fn faults_inner() -> String {
     let mut total = 0usize;
     let baselines = baselines(&m);
 
-    for (kind, site, touched) in scenarios {
-        let word = match kind {
-            FaultKind::Panic => "panic",
-            FaultKind::LoseSignal => "lost",
-        };
-        let label = format!("{word:<6} {site}");
+    for (site, touched) in scenarios {
+        let label = format!("panic  {site}");
         let mut cells = 0usize;
         let mut degraded = 0usize;
-        let mut stalled = 0usize;
         for strategy in DkyStrategy::ALL {
             for sim in [true, false] {
                 let cell = format!("{label} [{strategy:?}/{}]", exec_name(sim));
-                let plan = Arc::new(FaultPlan::single(site, kind));
+                let plan = Arc::new(FaultPlan::single(site));
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     compile(&m, Some(Arc::clone(&plan)), strategy, sim)
                 }));
@@ -135,18 +103,13 @@ fn faults_inner() -> String {
                         .iter()
                         .any(|e| matches!(e, CompileError::StreamFault { .. })),
                 );
-                stalled += usize::from(
-                    run.errors
-                        .iter()
-                        .any(|e| matches!(e, CompileError::Stalled { .. })),
-                );
                 assert_other_streams_identical(&run, &baselines[&(strategy, sim)], touched, &cell);
                 cells += 1;
             }
         }
         total += cells;
         out.push_str(&format!(
-            "  {label:<38} {cells}/8 survived  (degraded in {degraded}, stall-diagnosed in {stalled})\n"
+            "  {label:<38} {cells}/8 survived  (degraded in {degraded})\n"
         ));
     }
     out.push_str(&format!(
@@ -252,64 +215,5 @@ pub fn recover() -> String {
     }
 
     out.push_str("\n3 kill/restart + 3 torn-snapshot drills: 0 lost requests\n");
-    out
-}
-
-/// Enumerates the fault-site namespace (`reproduce -- sites`): one
-/// probe-recording compile per executor logs every site the runtime
-/// queries — task dispatches and signal deliveries — so chaos plans can
-/// be written against real site names instead of grepping source.
-pub fn fault_sites() -> String {
-    let m = module();
-    // The kit's compile, with an incremental store as a service
-    // compile has one.
-    let compile = |plan: Arc<FaultPlan>, sim: bool| {
-        let executor = if sim {
-            Executor::Sim(SimConfig::firefly(4))
-        } else {
-            Executor::Threads(2)
-        };
-        compile_concurrent(
-            &m.source,
-            Arc::new(m.defs.clone()),
-            Arc::new(Interner::new()),
-            Options {
-                strategy: DkyStrategy::Skeptical,
-                executor,
-                analyze: true,
-                faults: Some(plan),
-                incremental: Some(Arc::new(ccm2_incr::MemStore::with_budget(1 << 20))),
-                ..Options::default()
-            },
-        )
-    };
-
-    let mut out = String::from(
-        "Fault-site namespace: every site queried by one probe-recording compile\n\
-         (override patterns in a FaultPlan match these names; `*` is a wildcard)\n",
-    );
-    for sim in [true, false] {
-        let plan = Arc::new(FaultPlan::new().with_probe_recording());
-        let run = compile(Arc::clone(&plan), sim);
-        assert!(run.is_ok(), "probe sweep must compile clean");
-        assert!(!plan.any_fired(), "probing must not inject");
-        // A token block's barrier event is signaled only when a consumer
-        // got there first and waits for it. On threads that is timing
-        // (one run in six probed a `…/block#0` here), so those sites
-        // are listed where they repeat: under the simulator.
-        let probed: Vec<String> = plan
-            .probed()
-            .into_iter()
-            .filter(|site| sim || !site.contains("/block#"))
-            .collect();
-        out.push_str(&format!("\n{} — {} sites:\n", exec_name(sim), probed.len()));
-        for prefix in ["task:", "signal:"] {
-            let group: Vec<&String> = probed.iter().filter(|s| s.starts_with(prefix)).collect();
-            out.push_str(&format!("  {prefix:<8} {} sites\n", group.len()));
-            for site in group {
-                out.push_str(&format!("    {site}\n"));
-            }
-        }
-    }
     out
 }

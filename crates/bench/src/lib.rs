@@ -36,7 +36,7 @@ pub enum Report {
 }
 
 /// Every `reproduce` section, in the order `all` prints them.
-pub const SECTIONS: [(&str, Report); 24] = [
+pub const SECTIONS: [(&str, Report); 23] = [
     ("table1", Report::Alone(paper::table1)),
     ("table2", Report::Alone(paper::table2)),
     ("table3", Report::Speedups(paper::table3)),
@@ -60,5 +60,4 @@ pub const SECTIONS: [(&str, Report); 24] = [
     ("watch", Report::Alone(watch::watch)),
     ("faults", Report::Alone(faults::faults)),
     ("recover", Report::Alone(faults::recover)),
-    ("sites", Report::Alone(faults::fault_sites)),
 ];

@@ -32,8 +32,8 @@ use ccm2_codegen::ir::{CodeUnit, Instr};
 use ccm2_codegen::merge::{Merger, ModuleImage};
 use ccm2_incr::{ArtifactStore, IncrStats};
 use ccm2_sched::{
-    run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, Robustness, RunReport,
-    SimConfig, TaskDesc, TaskKind, WaitSet,
+    run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, RunReport, SimConfig, TaskDesc,
+    TaskKind, WaitSet,
 };
 use ccm2_sema::declare::{bind_imports, child_heading, DeclareHooks, Declarer, HeadingMode};
 use ccm2_sema::interface::Interface;
@@ -104,12 +104,13 @@ pub struct Options {
     /// fingerprint and key.
     pub incremental: Option<Arc<dyn ArtifactStore>>,
     /// Deterministic fault plan. When set, the executors query it at
-    /// `task:{name}` / `signal:{event}` sites and the compile runs in
-    /// *degraded mode*: a faulted stream's panic is caught, its object
-    /// unit is replaced by an error unit carrying rendered diagnostics,
-    /// and downstream events are force-signaled so the merge never
-    /// hangs. Non-faulted streams are byte-identical to a fault-free
-    /// run.
+    /// every `task:{name}` dispatch and the compile runs in *degraded
+    /// mode*: a faulted stream's panic is caught, its object unit is
+    /// replaced by an error unit carrying rendered diagnostics, and the
+    /// events the dead task leaves unsignaled are signaled for it (its
+    /// declared ones by the executor, the headings a dead ProcParse
+    /// never declared by the driver) so the merge never hangs.
+    /// Non-faulted streams are byte-identical to a fault-free run.
     pub faults: Option<Arc<ccm2_faults::FaultPlan>>,
     /// The interfaces an earlier compile under the same interner spliced
     /// (its [`ConcurrentOutput::interface_carry`]). With an active
@@ -170,12 +171,6 @@ pub enum CompileError {
         task: String,
         /// The rendered panic payload.
         message: String,
-    },
-    /// A silent stall converted into a diagnosis: a wait-for cycle or
-    /// wedge the watchdog force-released.
-    Stalled {
-        /// The watchdog's rendering of the cycle or wedge.
-        wedge: String,
     },
 }
 
@@ -245,22 +240,23 @@ pub fn compile_concurrent(
     let interner_out = Arc::clone(&interner);
     let driver_cell: Arc<Mutex<Option<Arc<Driver>>>> = Arc::new(Mutex::new(None));
     let dc = Arc::clone(&driver_cell);
-    let robustness = Robustness {
-        recover: options.faults.is_some(),
-        plan: options.faults.clone(),
-    };
+    let plan = options.faults.clone();
     let mk = move |env: Arc<dyn ExecEnv>| {
         let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), source);
         d.start();
         *dc.lock() = Some(d);
     };
     let report = match executor {
-        Executor::Threads(n) => run_threaded_with(n, robustness, move |sup| {
-            mk(Arc::clone(sup) as Arc<dyn ExecEnv>)
-        }),
-        Executor::Sim(cfg) => run_sim_with(cfg, robustness, move |env| {
-            mk(Arc::clone(env) as Arc<dyn ExecEnv>)
-        }),
+        Executor::Threads(n) => {
+            run_threaded_with(n, plan, move |sup| mk(Arc::clone(sup) as Arc<dyn ExecEnv>))
+        }
+        Executor::Sim(cfg) => {
+            run_sim_with(
+                cfg,
+                plan,
+                move |env| mk(Arc::clone(env) as Arc<dyn ExecEnv>),
+            )
+        }
     };
     let taken = driver_cell.lock().take();
     match taken {
@@ -311,6 +307,26 @@ struct DriverState {
     next_stream: u32,
     procedures: usize,
     max_import_depth: usize,
+}
+
+/// What a procedure stream's ProcParse body holds of the driver: the
+/// driver and the stream's scope. It drops with the body — run to its
+/// end, unwound by a panic, or replaced unrun by an injected one — and
+/// then releases the undeclared headings of the streams carved inside
+/// the scope, unless the parse got that far itself: a dead parse leaves
+/// no child's ProcParse gated on a heading that nobody will declare.
+struct ParseGuard {
+    driver: Arc<Driver>,
+    scope: ScopeId,
+}
+
+impl Drop for ParseGuard {
+    fn drop(&mut self) {
+        let done = (self.driver.st.lock().declarations_done).contains(&self.scope);
+        if !done {
+            self.driver.release_undeclared_headings(self.scope);
+        }
+    }
 }
 
 struct Driver {
@@ -1093,10 +1109,11 @@ impl Driver {
 
     /// Once `parent`'s declarations are done, fires the §2.4 heading
     /// event of every procedure stream carved directly inside it whose
-    /// heading they never declared (it failed to parse, or the parse
-    /// stopped short of it; a stream carved later is released as it is
-    /// carved). That stream's ProcParse then takes its no-heading branch
-    /// instead of waiting forever.
+    /// heading they never declared (it failed to parse, the parse
+    /// stopped short of it, or the parse died: [`ParseGuard`]; a stream
+    /// carved later is released as it is carved). That stream's
+    /// ProcParse then takes its no-heading branch instead of waiting
+    /// forever.
     fn release_undeclared_headings(&self, parent: ScopeId) {
         let undeclared: Vec<EventId> = {
             let mut st = self.st.lock();
@@ -1140,11 +1157,17 @@ impl Driver {
             .map(|s| self.scope_event(s))
             .collect();
         let body_q = Arc::clone(&q);
-        let spawn_this = Arc::clone(self);
+        let guard = ParseGuard {
+            driver: Arc::clone(self),
+            scope,
+        };
         let mut t = TaskDesc::new(
             format!("procparse({name_str})"),
             TaskKind::ProcParse,
-            Box::new(move || spawn_this.proc_parse(scope, body_q)),
+            Box::new(move || {
+                let guard = guard;
+                guard.driver.proc_parse(guard.scope, body_q)
+            }),
         );
         t.prereqs = heading_ev.into_iter().collect();
         if self.strategy == DkyStrategy::Avoidance {
@@ -1294,12 +1317,16 @@ impl Driver {
             image
         });
         // Graceful degradation: a caught task panic degrades only its own
-        // stream (the merged object gets a deterministic error unit below);
-        // a watchdog report converts a silent stall into a diagnosis. Both
-        // become error diagnostics, so degraded compiles are never cached.
+        // stream (the merged object gets a deterministic error unit below)
+        // and becomes an error diagnostic, so degraded compiles are never
+        // cached. Executors report panics in completion order, which
+        // varies run to run on the threaded executor; sort for
+        // determinism.
+        let mut panics = report.task_panics.clone();
+        panics.sort();
         let mut errors: Vec<CompileError> = Vec::new();
         let mut degraded_diags: Vec<Diagnostic> = Vec::new();
-        for (task, message) in &report.task_panics {
+        for (task, message) in &panics {
             errors.push(CompileError::StreamFault {
                 task: task.clone(),
                 message: message.clone(),
@@ -1311,24 +1338,7 @@ impl Driver {
                 message: format!("stream degraded: task `{task}` panicked: {message}"),
             });
         }
-        for stall in &report.stalls {
-            errors.push(CompileError::Stalled {
-                wedge: stall.clone(),
-            });
-            degraded_diags.push(Diagnostic {
-                severity: Severity::Error,
-                file: FileId(0),
-                span: Span { lo: 0, hi: 0 },
-                message: format!("stall diagnosed: {stall}"),
-            });
-        }
-        // Executors report panics/stalls in completion order, which varies
-        // run to run on the threaded executor; sort for determinism.
         degraded_diags.sort_by(|a, b| a.message.cmp(&b.message));
-        errors.sort_by_key(|e| match e {
-            CompileError::StreamFault { task, message } => (0u8, task.clone(), message.clone()),
-            CompileError::Stalled { wedge } => (1u8, wedge.clone(), String::new()),
-        });
         if !report.task_panics.is_empty() {
             if let Some(image) = image.as_mut() {
                 for &name in code_names.values() {

@@ -4,7 +4,7 @@
 //! * `policy` — the scheduling decisions, as plain data with no lock,
 //!   clock or thread: which task is ready, what an event releases, what
 //!   a blocked worker may nest, what a dispatch serves first, what a
-//!   finished task leaves behind, and what to do when nobody can run.
+//!   finished task leaves behind, and the diagnosis when nobody can run.
 //! * [`threaded`] — drives the policy with real OS-thread workers, one
 //!   per assumed processor: the paper's deployment model.
 //! * [`sim`] — drives it in deterministic virtual time on P *simulated*
@@ -49,7 +49,6 @@ pub mod wfg;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ccm2_faults::FaultKind;
 use ccm2_support::arena::AppendArena;
 use ccm2_support::ids::EventId;
 use ccm2_support::work::{Work, WorkMeter};
@@ -60,55 +59,22 @@ pub use threaded::{on_worker, run_threaded, run_threaded_with, ThreadedSuperviso
 pub use trace::{render_watchtool, Segment, Trace};
 pub use wfg::WaitForGraph;
 
-/// Fault-injection and degradation configuration for a run
-/// ([`run_threaded_with`] / [`run_sim_with`]).
+/// The fault plan of a run ([`run_threaded_with`] / [`run_sim_with`]).
 ///
-/// With `recover` set, both executors change failure handling from
-/// *abort* to *diagnose and continue*:
+/// A plan is queried at every dispatch (`task:{name}` sites), and a run
+/// with one is in *recover mode*: a panicking task body, injected or
+/// not, is caught, its name and payload are recorded in
+/// [`RunReport::task_panics`], its declared signals are still
+/// backstop-signaled (so dependents and the merge never hang), and the
+/// run completes. An event the dead task did not declare is for its
+/// body's captures to signal as they drop: they drop on the worker, as
+/// the panic unwinds, even when the body an injected panic replaced
+/// never ran (`crate::policy`'s dispatch).
 ///
-/// * a panicking task body is caught; its name and payload are recorded
-///   in [`RunReport::task_panics`], its declared signals are still
-///   backstop-signaled (so dependents and the merge never hang), and
-///   the run completes;
-/// * a wedge (every worker blocked or idle with tasks outstanding) is
-///   not a panic but a watchdog action: the wait-for-graph diagnosis is
-///   recorded in [`RunReport::stalls`] and the blocking events are
-///   force-signaled so the run drains.
-///
-/// Without `recover` (the default), behavior is the historical one:
-/// deadlocks and panics unwind with a diagnosis in the payload.
-#[derive(Clone, Default)]
-pub struct Robustness {
-    /// Fault plan queried at `task:`/`signal:` sites; `None` injects
-    /// nothing.
-    pub plan: Option<std::sync::Arc<ccm2_faults::FaultPlan>>,
-    /// Catch task panics and recover wedges instead of unwinding.
-    pub recover: bool,
-}
-
-impl Robustness {
-    /// No injection, no watchdog, historical panic behavior.
-    pub fn none() -> Robustness {
-        Robustness::default()
-    }
-
-    /// Degraded-mode configuration: inject per `plan`, and recover
-    /// instead of panicking.
-    pub fn degrading(plan: Option<std::sync::Arc<ccm2_faults::FaultPlan>>) -> Robustness {
-        Robustness {
-            plan,
-            recover: true,
-        }
-    }
-
-    /// Whether the fault plan drops every signal of the event labeled
-    /// `event_name` (`signal:{name}` site with [`FaultKind::LoseSignal`]).
-    pub(crate) fn loses_signal(&self, event_name: &str) -> bool {
-        self.plan
-            .as_ref()
-            .is_some_and(|p| p.at(&format!("signal:{event_name}")) == Some(FaultKind::LoseSignal))
-    }
-}
+/// Without a plan (`None`, the default) a task panic unwinds the run
+/// with its own payload. A wedge ends the run with the wait-for
+/// diagnosis either way.
+pub type Robustness = Option<std::sync::Arc<ccm2_faults::FaultPlan>>;
 
 /// What `catch_unwind` hands back from a panicked task or worker.
 pub(crate) type Payload = Box<dyn std::any::Any + Send>;
@@ -142,8 +108,7 @@ pub enum EventClass {
 /// once.
 pub(crate) struct EventFlag {
     pub(crate) class: EventClass,
-    /// Display name for diagnostics (empty → `event#N`) and the
-    /// `signal:{name}` fault site.
+    /// Display name for diagnostics (empty → `event#N`).
     pub(crate) name: String,
     signaled: AtomicBool,
 }
@@ -189,8 +154,7 @@ pub trait ExecEnv: Send + Sync {
     fn new_event(&self, class: EventClass) -> EventId {
         self.new_event_named(class, "")
     }
-    /// Creates a labeled event (labels appear in scheduler diagnostics
-    /// and name the event's `signal:` fault site).
+    /// Creates a labeled event (labels appear in scheduler diagnostics).
     fn new_event_named(&self, class: EventClass, name: &str) -> EventId;
     /// Signals an event (idempotent).
     fn signal(&self, event: EventId);
@@ -248,11 +212,13 @@ pub struct RunReport {
     pub tasks_run: usize,
     /// Total units charged per [`Work`] kind.
     pub charges: [u64; Work::COUNT],
-    /// Task bodies that panicked and were caught under
-    /// [`Robustness::recover`], as `(task name, panic message)`.
+    /// Task bodies that panicked and were caught in recover mode (a run
+    /// with a [`Robustness`] plan), as `(task name, panic message)`.
     pub task_panics: Vec<(String, String)>,
-    /// Watchdog diagnoses: the wedges force-released under
-    /// [`Robustness::recover`].
+    /// Always empty: no executor releases a wedge, which ends the run
+    /// with the wait-for diagnosis instead. Kept, like `recoveries`, only
+    /// because a test of the benchmark package (`perf/src/layers.rs`)
+    /// builds a `RunReport` literal that names it.
     pub stalls: Vec<String>,
     /// Always empty: no executor retries a faulted task. The field is
     /// kept only because a test of the benchmark package

@@ -8,8 +8,8 @@
 //! of, the next task for an idle worker ([`Policy::next_idle`]) or a
 //! blocked one ([`Policy::next_for_blocked`]), what a dispatch serves
 //! first ([`Policy::dispatch`]), what a finished task leaves behind
-//! ([`Policy::finish`]), and what to do when nobody can run
-//! ([`Policy::wait_for_report`], [`Policy::release_wedge`]).
+//! ([`Policy::finish`]), and why nobody can run
+//! ([`Policy::wait_for_report`]).
 //!
 //! What differs between drivers comes in as a value, never as a branch:
 //! whether an event has occurred yet (`occurred`), and the time a ready
@@ -18,7 +18,6 @@
 
 use std::collections::BTreeMap;
 
-use ccm2_faults::FaultKind;
 use ccm2_support::ids::EventId;
 
 use crate::task::{priority_key, TaskBody, TaskDesc, TaskKind, WaitSet};
@@ -59,7 +58,7 @@ struct Pending {
 }
 
 pub(crate) struct Policy {
-    robustness: Robustness,
+    plan: Robustness,
     ready: BTreeMap<PrioKey, Ready>,
     pending: Vec<Pending>,
     seq: u64,
@@ -67,22 +66,25 @@ pub(crate) struct Policy {
     pub(crate) finished: usize,
     /// Task bodies caught panicking under recover mode.
     pub(crate) panics: Vec<(String, String)>,
-    /// Watchdog diagnoses (wedge releases), each recorded once.
-    pub(crate) stalls: Vec<String>,
 }
 
 impl Policy {
-    pub(crate) fn new(robustness: Robustness) -> Policy {
+    pub(crate) fn new(plan: Robustness) -> Policy {
         Policy {
-            robustness,
+            plan,
             ready: BTreeMap::new(),
             pending: Vec::new(),
             seq: 0,
             outstanding: 0,
             finished: 0,
             panics: Vec::new(),
-            stalls: Vec::new(),
         }
+    }
+
+    /// Whether a task panic is caught (recover mode: the run has a fault
+    /// plan) rather than unwinding the run.
+    pub(crate) fn recovers(&self) -> bool {
+        self.plan.is_some()
     }
 
     /// Tasks admitted and not finished.
@@ -187,15 +189,20 @@ impl Policy {
 
     /// Dispatches `ready`, before anything of the task has run: queries
     /// its `task:{name}` fault site and hands back the task and the body
-    /// to run — one that panics in the task's place when a panic was
-    /// injected.
+    /// to run — one that panics in the task's place when the plan fires
+    /// there. That body owns the one it replaces, so the replaced
+    /// body's captures drop where the panic unwinds — on the worker,
+    /// outside any lock the driver holds around this call — and a
+    /// capture that signals as it drops is heard by its waiters.
     pub(crate) fn dispatch(&self, ready: Ready) -> (Task, TaskBody) {
         let Ready { task, mut body, .. } = ready;
-        let inject =
-            (self.robustness.plan.as_ref()).and_then(|p| p.at(&format!("task:{}", task.name)));
-        if inject == Some(FaultKind::Panic) {
+        if (self.plan.as_ref()).is_some_and(|p| p.fires(&format!("task:{}", task.name))) {
             let name = task.name.clone();
-            body = Box::new(move || panic!("injected fault: task `{name}` panicked"));
+            let replaced = body;
+            body = Box::new(move || {
+                let _replaced = replaced;
+                panic!("injected fault: task `{name}` panicked")
+            });
         }
         (task, body)
     }
@@ -204,21 +211,14 @@ impl Policy {
     /// under recover mode, and returns the backstop: the declared
     /// signals the driver now signals on the task's behalf, so that a
     /// forgotten signal — or a panicked task — cannot leave dependents
-    /// and the merge waiting. Injected lost signals stay lost.
-    pub(crate) fn finish(
-        &mut self,
-        task: &mut Task,
-        caught: Option<String>,
-        events: &EventTable,
-    ) -> Vec<EventId> {
+    /// and the merge waiting.
+    pub(crate) fn finish(&mut self, task: &mut Task, caught: Option<String>) -> Vec<EventId> {
         self.outstanding -= 1;
         self.finished += 1;
         if let Some(msg) = caught {
             self.panics.push((task.name.clone(), msg));
         }
-        let mut backstop = std::mem::take(&mut task.signals);
-        backstop.retain(|e| !self.robustness.loses_signal(&events.get(*e).name));
-        backstop
+        std::mem::take(&mut task.signals)
     }
 
     /// Diagnoses a state in which nobody can run, from the wait-for
@@ -266,35 +266,6 @@ impl Policy {
             ),
         }
     }
-
-    /// Recover-mode wedge release: the events the driver force-signals
-    /// so that the run drains (with degraded streams) instead of
-    /// aborting — every event `awaited` by a suspended task or gating a
-    /// pending one that has not occurred. Records `report` as the
-    /// diagnosis, once however often it recurs, unless there is nothing
-    /// to release (the driver then aborts as it does without recover
-    /// mode). Each release makes at
-    /// least one more event occur and events are finite, so recovery
-    /// rounds terminate.
-    pub(crate) fn release_wedge(
-        &mut self,
-        awaited: impl Iterator<Item = EventId>,
-        occurred: impl Fn(EventId) -> bool,
-        report: &str,
-    ) -> Vec<EventId> {
-        let mut events: Vec<EventId> = awaited.collect();
-        for p in &self.pending {
-            events.extend_from_slice(&p.prereqs);
-        }
-        events.sort_by_key(|e| e.index());
-        events.dedup();
-        events.retain(|e| !occurred(*e));
-        let diagnosis = format!("watchdog released wedge: {report}");
-        if !events.is_empty() && !self.stalls.contains(&diagnosis) {
-            self.stalls.push(diagnosis);
-        }
-        events
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +302,7 @@ mod tests {
     /// Admits `desc` into a scratch policy and takes it out dispatched:
     /// the record a driver holds for a task on a worker's stack.
     fn dispatched(desc: TaskDesc) -> Task {
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         p.admit(desc, 0, NEVER);
         p.next_idle().expect("no prereqs").task
     }
@@ -349,7 +320,7 @@ mod tests {
 
     #[test]
     fn ready_queue_ranks_by_kind_then_weight_then_arrival() {
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         for (name, kind, weight) in [
             ("short", TaskKind::ShortCodeGen, 0),
             ("long-small", TaskKind::LongCodeGen, 5),
@@ -378,7 +349,7 @@ mod tests {
     fn release_waits_for_the_last_prereq() {
         let (e0, e1, e2) = (EventId(0), EventId(1), EventId(2));
         let mut occurred = vec![e0];
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         let mut both = desc("both", TaskKind::Lexor);
         // e0 occurred before admission and is not waited for again.
         both.prereqs = vec![e0, e1, e2];
@@ -409,7 +380,7 @@ mod tests {
         let (e1, e2, hinted) = (EventId(1), EventId(2), EventId(3));
         // On the stack: A, which signals e1 and waits on e2.
         let stack = [dispatched(signaling("A", TaskKind::Lexor, &[e1]))];
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         p.admit(waiting("unsafe", TaskKind::Splitter, on(&[e1])), 0, NEVER);
         p.admit(desc("safe", TaskKind::ShortCodeGen), 0, NEVER);
         p.admit(signaling("resolver", TaskKind::Merge, &[e2]), 0, NEVER);
@@ -436,7 +407,7 @@ mod tests {
         producer.signals_barriers = true;
         let stack = [dispatched(def_signaler), dispatched(producer)];
 
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         let any_def = WaitSet {
             all_def_scopes: true,
             ..WaitSet::none()
@@ -461,7 +432,7 @@ mod tests {
     #[test]
     fn barrier_waits_and_deep_stacks_nest_nothing() {
         let e = EventId(0);
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         p.admit(signaling("resolver", TaskKind::Lexor, &[e]), 0, NEVER);
         let frame = |i: usize| dispatched(desc(&format!("s{i}"), TaskKind::ProcParse));
         let stack: Vec<Task> = (0..NEST_CAP).map(frame).collect();
@@ -475,9 +446,8 @@ mod tests {
 
     #[test]
     fn dispatch_panics_in_the_bodys_place_and_leaves_other_tasks_alone() {
-        let plan = FaultPlan::single("task:victim", FaultKind::Panic);
-        let events = EventTable::default();
-        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan))));
+        let plan = FaultPlan::single("task:victim");
+        let mut p = Policy::new(Some(Arc::new(plan)));
         for name in ["victim", "clean"] {
             p.admit(desc(name, TaskKind::ProcParse), 0, NEVER);
         }
@@ -494,50 +464,19 @@ mod tests {
         let (clean, body) = next();
         assert_eq!(clean.name, "clean");
         body();
-        p.finish(&mut victim, Some(msg.clone()), &events);
+        p.finish(&mut victim, Some(msg.clone()));
         assert_eq!(p.panics, [("victim".to_string(), msg)]);
         assert_eq!((p.outstanding(), p.finished), (1, 1));
     }
 
     #[test]
-    fn finish_backstops_declared_signals_but_not_lost_ones() {
-        let plan = FaultPlan::single("signal:lost", FaultKind::LoseSignal);
-        let events = EventTable::default();
-        let kept = events.create(EventClass::Handled, "kept");
-        let lost = events.create(EventClass::Handled, "lost");
-        let mut p = Policy::new(Robustness::degrading(Some(Arc::new(plan))));
-        p.admit(signaling("t", TaskKind::Lexor, &[kept, lost]), 0, NEVER);
+    fn finish_backstops_declared_signals() {
+        let (e0, e1) = (EventId(0), EventId(1));
+        let mut p = Policy::new(None);
+        p.admit(signaling("t", TaskKind::Lexor, &[e0, e1]), 0, NEVER);
         let mut t = p.next_idle().expect("ready").task;
-        assert_eq!(p.finish(&mut t, None, &events), [kept]);
+        assert_eq!(p.finish(&mut t, None), [e0, e1]);
         assert_eq!((p.outstanding(), p.finished), (0, 1));
-    }
-
-    #[test]
-    fn wedge_release_takes_each_unoccurred_event_once_in_order() {
-        let e: Vec<EventId> = (0..6).map(EventId).collect();
-        let mut p = Policy::new(Robustness::degrading(None));
-        let mut gated = desc("gated", TaskKind::Lexor);
-        gated.prereqs = vec![e[5], e[1], e[3]];
-        p.admit(gated, 0, NEVER);
-        // e3 occurred since admission; e4 is awaited twice; e2 occurred.
-        let occurred = |x: EventId| x == e[3] || x == e[2];
-        let awaited = [e[4], e[2], e[4], e[0]];
-        let events = p.release_wedge(awaited.into_iter(), occurred, "report A");
-        assert_eq!(events, [e[0], e[1], e[4], e[5]]);
-        assert_eq!(p.stalls, ["watchdog released wedge: report A"]);
-
-        // The same diagnosis is recorded once, another one beside it,
-        // and nothing at all when there is nothing to release.
-        p.release_wedge([e[0]].into_iter(), NEVER, "report A");
-        p.release_wedge([e[0]].into_iter(), NEVER, "report B");
-        assert!(p
-            .release_wedge([e[2]].into_iter(), |_| true, "report C")
-            .is_empty());
-        let want = [
-            "watchdog released wedge: report A",
-            "watchdog released wedge: report B",
-        ];
-        assert_eq!(p.stalls, want);
     }
 
     #[test]
@@ -549,7 +488,7 @@ mod tests {
         let a = dispatched(signaling("A", TaskKind::ProcParse, &[ea]));
         let b = dispatched(signaling("B", TaskKind::ProcParse, &[eb]));
 
-        let mut p = Policy::new(Robustness::none());
+        let mut p = Policy::new(None);
         let mut gated = desc("gated", TaskKind::Lexor);
         gated.prereqs = vec![ea, gate];
         p.admit(gated, 0, NEVER);

@@ -145,9 +145,6 @@ pub struct SimEnv {
     /// the controller publishes the signal at the slice-end clock.
     events: EventTable,
     prestart: Mutex<Prestart>,
-    /// Queried by tasks at `signal:` sites (lost-signal injection), and
-    /// by the controller for recover mode.
-    robustness: Robustness,
 }
 
 thread_local! {
@@ -209,12 +206,6 @@ impl ExecEnv for SimEnv {
     }
 
     fn signal(&self, event: EventId) {
-        if self.robustness.loses_signal(&self.events.get(event).name) {
-            // Injected lost signal: never marked signaled, never
-            // published to the controller. The watchdog force-releases
-            // any waiter it wedges.
-            return;
-        }
         self.events.set(event);
         let in_task = SIM_TASK.with(|t| {
             let mut b = t.borrow_mut();
@@ -311,13 +302,13 @@ struct Proc {
 /// Panics if the task graph deadlocks (nothing runnable while tasks
 /// remain), mirroring the threaded executor's detector.
 pub fn run_sim(config: SimConfig, setup: impl FnOnce(&Arc<SimEnv>)) -> RunReport {
-    run_sim_with(config, Robustness::default(), setup)
+    run_sim_with(config, None, setup)
 }
 
-/// [`run_sim`] with a [`Robustness`] configuration: fault injection
-/// and — when `recover` is set — catch-and-degrade instead of unwinding
-/// on task panics and wedges. Caught panics and watchdog diagnoses come
-/// back in [`RunReport::task_panics`] / [`RunReport::stalls`].
+/// [`run_sim`] with a fault plan: injection at dispatch, and
+/// catch-and-degrade instead of unwinding on a task panic (see
+/// [`Robustness`]). Caught panics come back in
+/// [`RunReport::task_panics`].
 pub fn run_sim_with(
     config: SimConfig,
     robustness: Robustness,
@@ -327,10 +318,9 @@ pub fn run_sim_with(
     let env = Arc::new(SimEnv {
         events: EventTable::default(),
         prestart: Mutex::default(),
-        robustness,
     });
     setup(&env);
-    Controller::new(env, config).run()
+    Controller::new(env, config, robustness).run()
 }
 
 struct Controller {
@@ -361,7 +351,7 @@ impl WakeTimes {
 }
 
 impl Controller {
-    fn new(env: Arc<SimEnv>, config: SimConfig) -> Controller {
+    fn new(env: Arc<SimEnv>, config: SimConfig, robustness: Robustness) -> Controller {
         let procs = (0..config.procs)
             .map(|_| Proc {
                 clock: 0,
@@ -370,7 +360,7 @@ impl Controller {
             })
             .collect();
         Controller {
-            policy: Policy::new(env.robustness.clone()),
+            policy: Policy::new(robustness),
             env,
             config,
             wake_time: WakeTimes::default(),
@@ -381,34 +371,17 @@ impl Controller {
         }
     }
 
-    /// Nobody can run and tasks remain. Under recover mode the wedge
-    /// is released ([`Policy::release_wedge`]) at the latest clock;
-    /// otherwise, or with nothing to release, the run ends here.
-    fn wedged(&mut self) {
-        fn waits(procs: &[Proc]) -> impl Iterator<Item = &(Started, EventId, Option<EventId>)> {
-            procs.iter().flat_map(|p| p.stack.iter())
-        }
-        let suspended = waits(&self.procs).map(|(s, e, hint)| (&s.task, *e, *hint));
+    /// Nobody can run and tasks remain: the run ends here, with the
+    /// wait-for diagnosis.
+    fn wedged(&mut self) -> ! {
+        let waits = self.procs.iter().flat_map(|p| p.stack.iter());
+        let suspended = waits.map(|(s, e, hint)| (&s.task, *e, *hint));
         let report = format!(
             "{} tasks outstanding, none runnable; {}",
             self.policy.outstanding(),
             self.policy
                 .wait_for_report(suspended, &self.env.events, self.wake_time.occurred())
         );
-        if self.env.robustness.recover {
-            let awaited = waits(&self.procs).map(|&(_, e, _)| e);
-            let events = self
-                .policy
-                .release_wedge(awaited, self.wake_time.occurred(), &report);
-            let at = self.procs.iter().map(|p| p.clock).max().unwrap_or(0);
-            for &e in &events {
-                self.env.events.set(e);
-                self.publish_signal(e, at);
-            }
-            if !events.is_empty() {
-                return;
-            }
-        }
         self.shut_down();
         panic!("virtual-time deadlock: {report}");
     }
@@ -469,8 +442,8 @@ impl Controller {
                         pending_total: 0,
                     })
                 });
-                // The controller decides what a panic means: it owns the
-                // run's `Robustness`.
+                // The controller decides what a panic means: its policy
+                // holds the run's `Robustness`.
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).err();
                 if caught.as_ref().is_some_and(|p| p.is::<Shutdown>()) {
                     SIM_TASK.with(|t| t.borrow_mut().take());
@@ -562,7 +535,6 @@ impl Controller {
                     break;
                 }
                 self.wedged();
-                continue;
             };
 
             // 3. Step it, dispatching it first if it is fresh from the
@@ -613,14 +585,14 @@ impl Controller {
                     let caught = match caught {
                         // Unwind with the task's own payload, as the
                         // threaded executor does.
-                        Some(payload) if !self.env.robustness.recover => {
+                        Some(payload) if !self.policy.recovers() => {
                             self.shut_down();
                             std::panic::resume_unwind(payload)
                         }
                         caught => caught.map(|p| payload_message(p.as_ref())),
                     };
                     let at = self.procs[p].clock;
-                    for e in self.policy.finish(&mut task.task, caught, &self.env.events) {
+                    for e in self.policy.finish(&mut task.task, caught) {
                         self.env.events.set(e);
                         self.publish_signal(e, at);
                     }
@@ -649,7 +621,7 @@ impl Controller {
             tasks_run: self.policy.finished,
             charges: self.charges,
             task_panics: self.policy.panics,
-            stalls: self.policy.stalls,
+            stalls: Vec::new(),
             recoveries: Vec::new(),
         }
     }

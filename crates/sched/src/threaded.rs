@@ -94,7 +94,6 @@ pub struct ThreadedSupervisor {
     /// Charges made outside the workers, plus each worker's own once it
     /// has ended.
     charges: [AtomicU64; Work::COUNT],
-    robustness: Robustness,
 }
 
 thread_local! {
@@ -120,7 +119,7 @@ impl ThreadedSupervisor {
     fn new(workers: usize, robustness: Robustness) -> ThreadedSupervisor {
         ThreadedSupervisor {
             state: Mutex::new(SupState {
-                policy: Policy::new(robustness.clone()),
+                policy: Policy::new(robustness),
                 // Room for the usual nesting depth, so that a dispatch
                 // does not allocate inside the lock section.
                 stacks: (0..workers).map(|_| Vec::with_capacity(4)).collect(),
@@ -135,7 +134,6 @@ impl ThreadedSupervisor {
             start: Instant::now(),
             trace: Mutex::new(Trace::default()),
             charges: Default::default(),
-            robustness,
         }
     }
 
@@ -258,7 +256,7 @@ impl ThreadedSupervisor {
         let mut st = self.state.lock();
         let mut frame = st.stacks[worker].pop().expect("the task just run");
         let caught = match caught {
-            Some(payload) if !self.robustness.recover => {
+            Some(payload) if !st.policy.recovers() => {
                 // Unwinding takes this worker out of the run, and the
                 // others would wait for its task forever.
                 st.aborted = true;
@@ -267,7 +265,7 @@ impl ThreadedSupervisor {
             }
             caught => caught.map(|p| payload_message(p.as_ref())),
         };
-        for e in st.policy.finish(&mut frame.task, caught, &self.events) {
+        for e in st.policy.finish(&mut frame.task, caught) {
             if !self.signaled(e) {
                 self.signal_locked(&mut st, e);
             }
@@ -294,56 +292,38 @@ impl ThreadedSupervisor {
     /// Parks the calling worker — idle, or inside a `wait()` on `on` —
     /// until something may have changed. If that leaves the run wedged
     /// (every worker parked, nothing runnable, tasks outstanding), it
-    /// does not sleep: under recover mode the policy's wedge release is
-    /// applied and the caller looks again; otherwise the run is aborted
-    /// with the wait-for diagnosis. Assumes the paper's model that only
-    /// tasks signal events once the run has started.
+    /// does not sleep: the run is aborted with the wait-for diagnosis.
+    /// Assumes the paper's model that only tasks signal events once the
+    /// run has started.
     fn park(&self, guard: &mut MutexGuard<'_, SupState>, on: Option<EventId>) {
-        guard.parked += 1;
         let st = &mut **guard;
         // A parked worker whose awaited event is signaled is merely
         // mid-wakeup: notified, but not yet re-holding the lock.
-        let wedged = st.parked == self.workers
+        let wedged = st.parked + 1 == self.workers
             && !st.policy.has_ready()
             && st.policy.outstanding() > 0
             && (st.stacks.iter())
                 .filter_map(|s| s.last()?.waiting)
                 .all(|(e, _)| !self.signaled(e));
         if wedged {
-            let waits = || {
-                let frames = st.stacks.iter().flatten();
-                frames.filter_map(|f| f.waiting.map(|(e, hint)| (&f.task, e, hint)))
-            };
+            let frames = st.stacks.iter().flatten();
+            let waits = frames.filter_map(|f| f.waiting.map(|(e, hint)| (&f.task, e, hint)));
             let report = st
                 .policy
-                .wait_for_report(waits(), &self.events, |e| self.signaled(e));
-            let release = if self.robustness.recover {
-                let awaited = waits().map(|(_, e, _)| e);
-                st.policy
-                    .release_wedge(awaited, |e| self.signaled(e), &report)
-            } else {
-                Vec::new()
+                .wait_for_report(waits, &self.events, |e| self.signaled(e));
+            st.aborted = true;
+            let outstanding = st.policy.outstanding();
+            let this = match on {
+                None => "idle".to_string(),
+                Some(e) => format!("on {e:?} ({})", self.events.get(e).name),
             };
-            st.parked -= 1;
-            if release.is_empty() {
-                st.aborted = true;
-                let outstanding = st.policy.outstanding();
-                let this = match on {
-                    None => "idle".to_string(),
-                    Some(e) => format!("on {e:?} ({})", self.events.get(e).name),
-                };
-                self.wake_locked(st);
-                panic!(
-                    "supervisor deadlock: all workers blocked (this worker \
-                     {this}); {outstanding} tasks outstanding; {report}"
-                );
-            }
-            for e in release {
-                self.signal_locked(st, e);
-            }
             self.wake_locked(st);
-            return;
+            panic!(
+                "supervisor deadlock: all workers blocked (this worker \
+                 {this}); {outstanding} tasks outstanding; {report}"
+            );
         }
+        guard.parked += 1;
         self.sleep(guard);
         guard.parked -= 1;
     }
@@ -355,11 +335,8 @@ impl ExecEnv for ThreadedSupervisor {
     }
 
     fn signal(&self, event: EventId) {
-        // An injected lost signal is dropped on the floor (the backstop
-        // drops it too; the watchdog eventually force-releases any waiter
-        // it wedges). Whoever signaled an event first has woken its
-        // waiters.
-        if self.robustness.loses_signal(&self.events.get(event).name) || self.signaled(event) {
+        // Whoever signaled an event first has woken its waiters.
+        if self.signaled(event) {
             return;
         }
         let mut st = self.state.lock();
@@ -498,14 +475,13 @@ fn lend(loan: Loan) {
 /// graphs never deadlock; the scheduler tests exercise the detector
 /// directly.
 pub fn run_threaded(workers: usize, setup: impl FnOnce(&Arc<ThreadedSupervisor>)) -> RunReport {
-    run_threaded_with(workers, Robustness::default(), setup)
+    run_threaded_with(workers, None, setup)
 }
 
-/// [`run_threaded`] with a [`Robustness`] configuration: fault
-/// injection and — when `recover` is set — catch-and-degrade instead of
-/// unwinding on task panics and wedges. Caught panics and watchdog
-/// diagnoses come back in [`RunReport::task_panics`] /
-/// [`RunReport::stalls`].
+/// [`run_threaded`] with a fault plan: injection at dispatch, and
+/// catch-and-degrade instead of unwinding on a task panic (see
+/// [`Robustness`]). Caught panics come back in
+/// [`RunReport::task_panics`].
 pub fn run_threaded_with(
     workers: usize,
     robustness: Robustness,
@@ -557,7 +533,7 @@ pub fn run_threaded_with(
         tasks_run: policy.finished,
         charges,
         task_panics: std::mem::take(&mut policy.panics),
-        stalls: std::mem::take(&mut policy.stalls),
+        stalls: Vec::new(),
         recoveries: Vec::new(),
     }
 }
@@ -907,7 +883,7 @@ mod fault_tests {
     /// back to the crew, so it must leave as a returning worker does.
     #[test]
     fn an_unwinding_worker_empties_its_slot_and_hands_in_its_charges() {
-        let sup = Arc::new(ThreadedSupervisor::new(1, Robustness::default()));
+        let sup = Arc::new(ThreadedSupervisor::new(1, None));
         let sup2 = Arc::clone(&sup);
         sup.spawn(TaskDesc::new(
             "boom",
@@ -939,6 +915,5 @@ mod fault_tests {
             }
         });
         assert!(report.task_panics.is_empty());
-        assert!(report.stalls.is_empty());
     }
 }

@@ -11,7 +11,7 @@
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use ccm2_faults::{FaultKind, FaultPlan};
+use ccm2_faults::FaultPlan;
 use ccm2_sched::{
     run_sim_with, run_threaded_with, EventClass, ExecEnv, Robustness, RunReport, SimConfig,
     TaskDesc, TaskKind, WaitSet,
@@ -112,7 +112,7 @@ impl Log {
 }
 
 fn panic_plan(pattern: &str) -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::single(pattern, FaultKind::Panic))
+    Arc::new(FaultPlan::single(pattern))
 }
 
 /// `victim` (a per-stream task charging 10 units) and a `dependent`
@@ -136,7 +136,7 @@ fn avoided_prereq_gates_a_higher_priority_task() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, Robustness::none(), move |env| {
+        let report = run(exec, None, move |env| {
             let gate = env.new_event(EventClass::Avoided);
             let (env1, l1) = (env.clone(), l.clone());
             let mut gated = task("gated", TaskKind::Lexor, move || {
@@ -166,7 +166,7 @@ fn blocked_worker_nests_the_signaler() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, Robustness::none(), move |env| {
+        let report = run(exec, None, move |env| {
             let e = env.new_event(EventClass::Handled);
             let (env1, l1) = (env.clone(), l.clone());
             let mut waiter = task("waiter", TaskKind::Lexor, move || {
@@ -212,7 +212,7 @@ fn eligibility_rule_nests_the_signaler_not_the_unsafe_task() {
     for exec in SINGLE {
         let log = Log::default();
         let l = log.clone();
-        run(exec, Robustness::none(), move |env| {
+        run(exec, None, move |env| {
             let e1 = env.new_event(EventClass::Handled);
             let e2 = env.new_event(EventClass::Handled);
             let (enva, la) = (env.clone(), l.clone());
@@ -249,7 +249,7 @@ fn hint_finds_the_undeclared_signaler() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, Robustness::none(), move |env| {
+        let report = run(exec, None, move |env| {
             let scope_done = env.new_event_named(EventClass::Handled, "scope");
             let symbol = env.new_event_named(EventClass::Handled, "symbol");
             let any_def_scope = WaitSet {
@@ -300,7 +300,7 @@ fn deadlock_prefix(exec: Exec) -> &'static str {
 #[test]
 fn event_cycle_is_named_in_the_panic() {
     for exec in TABLE {
-        let msg = try_run(exec, SimConfig::new, Robustness::none(), |env| {
+        let msg = try_run(exec, SimConfig::new, None, |env| {
             let ea = env.new_event_named(EventClass::Handled, "needs-A");
             let eb = env.new_event_named(EventClass::Handled, "needs-B");
             for (name, mine, theirs) in [("A", ea, eb), ("B", eb, ea)] {
@@ -333,7 +333,7 @@ fn event_cycle_is_named_in_the_panic() {
 #[test]
 fn unsignaled_gate_names_the_blocked_task() {
     for exec in TABLE {
-        let msg = try_run(exec, SimConfig::new, Robustness::none(), |env| {
+        let msg = try_run(exec, SimConfig::new, None, |env| {
             let gate = env.new_event_named(EventClass::Avoided, "never-signaled");
             let mut t = task("gated", TaskKind::Lexor, || {});
             t.prereqs = vec![gate];
@@ -346,23 +346,25 @@ fn unsignaled_gate_names_the_blocked_task() {
     }
 }
 
-/// Outside recover mode an injected panic unwinds the run with the
-/// fault's own message, and the body it replaced never runs.
+/// Outside recover mode (no plan) a task panic unwinds the run with the
+/// task's own message, and the dependent it gates never runs.
 #[test]
-fn injected_panic_outside_recover_mode_unwinds_the_run() {
+fn a_task_panic_outside_recover_mode_unwinds_the_run() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let robustness = Robustness {
-            plan: Some(panic_plan("task:victim")),
-            ..Robustness::none()
-        };
-        let msg = try_run(exec, SimConfig::new, robustness, move |env| {
-            victim_and_dependent(env, &l)
+        let msg = try_run(exec, SimConfig::new, None, move |env| {
+            let done = env.new_event_named(EventClass::Avoided, "victim-done");
+            let mut victim = task("victim", TaskKind::ProcParse, || panic!("victim panicked"));
+            victim.signals = vec![done];
+            env.spawn(victim);
+            let mut dependent = task("dependent", TaskKind::ShortCodeGen, l.pusher("dependent"));
+            dependent.prereqs = vec![done];
+            env.spawn(dependent);
         })
-        .expect_err("the injected panic unwinds");
-        assert_eq!(msg, "injected fault: task `victim` panicked", "{exec:?}");
-        assert!(log.take().is_empty(), "{exec:?}: nothing may have run");
+        .expect_err("the panic unwinds");
+        assert_eq!(msg, "victim panicked", "{exec:?}");
+        assert!(log.take().is_empty(), "{exec:?}: nothing else may have run");
     }
 }
 
@@ -374,16 +376,12 @@ fn recovered_panic_completes_the_run_and_signals_dependents() {
         let plan = panic_plan("task:victim");
         let log = Log::default();
         let l = log.clone();
-        let report = run(
-            exec,
-            Robustness::degrading(Some(plan.clone())),
-            move |env| {
-                victim_and_dependent(env, &l);
-                for name in ["ok0", "ok1", "ok2", "ok3"] {
-                    env.spawn(task(name, TaskKind::ShortCodeGen, l.pusher("ok")));
-                }
-            },
-        );
+        let report = run(exec, Some(plan.clone()), move |env| {
+            victim_and_dependent(env, &l);
+            for name in ["ok0", "ok1", "ok2", "ok3"] {
+                env.spawn(task(name, TaskKind::ShortCodeGen, l.pusher("ok")));
+            }
+        });
         let mut ran = log.take();
         ran.sort_unstable();
         assert_eq!(ran, ["dependent", "ok", "ok", "ok", "ok"], "{exec:?}");
@@ -395,37 +393,44 @@ fn recovered_panic_completes_the_run_and_signals_dependents() {
     }
 }
 
-/// Recover mode: a lost signal wedges the waiter; the watchdog
-/// force-releases it and records the diagnosis instead of panicking.
+/// Signals its event as it drops: what a task leaves signaled when its
+/// body is dropped unrun.
+struct SignalOnDrop(Env, EventId);
+
+impl Drop for SignalOnDrop {
+    fn drop(&mut self) {
+        self.0.signal(self.1);
+    }
+}
+
+/// Recover mode: the body an injected panic replaces is dropped where
+/// the panic unwinds — on the worker, outside the executor's lock — so a
+/// capture that signals on drop reaches the task waiting for it.
 #[test]
-fn lost_signal_is_force_released_by_the_watchdog() {
+fn a_replaced_bodys_captures_signal_as_the_injected_panic_unwinds() {
     for exec in TABLE {
-        let plan = Arc::new(FaultPlan::single("signal:gate", FaultKind::LoseSignal));
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, Robustness::degrading(Some(plan)), move |env| {
-            let gate = env.new_event_named(EventClass::Handled, "gate");
-            let env1 = env.clone();
-            let mut waiter = task("waiter", TaskKind::ProcParse, move || {
-                env1.wait(gate);
-                l.push("released");
-            });
-            waiter.may_wait = waits_on(&[gate]);
-            env.spawn(waiter);
+        let report = run(exec, Some(panic_plan("task:victim")), move |env| {
+            let released = env.new_event_named(EventClass::Handled, "released");
+            let on_drop = SignalOnDrop(env.clone(), released);
+            let l2 = l.clone();
+            env.spawn(task("victim", TaskKind::ProcParse, move || {
+                let _on_drop = on_drop;
+                l2.push("victim");
+            }));
             let env2 = env.clone();
-            let mut signaler = task("signaler", TaskKind::ShortCodeGen, move || {
-                env2.signal(gate)
+            let mut dependent = task("dependent", TaskKind::ShortCodeGen, move || {
+                env2.wait(released);
+                l.push("dependent");
             });
-            signaler.signals = vec![gate];
-            env.spawn(signaler);
+            dependent.may_wait = waits_on(&[released]);
+            env.spawn(dependent);
         });
-        assert_eq!(log.take(), ["released"], "{exec:?}");
-        assert_eq!(report.stalls.len(), 1, "{exec:?}: {:?}", report.stalls);
-        let stall = &report.stalls[0];
-        assert!(
-            stall.contains("watchdog released wedge: ") && stall.contains("waiter awaits [gate]"),
-            "{exec:?}: {stall}"
-        );
+        assert_eq!(log.take(), ["dependent"], "{exec:?}");
+        assert_eq!(report.tasks_run, 2, "{exec:?}");
+        let panicked: Vec<&str> = report.task_panics.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(panicked, ["victim"], "{exec:?}");
     }
 }
 
@@ -595,8 +600,8 @@ fn random_graphs_come_out_the_same_on_every_executor() {
         // degrades it.
         let victim = format!("task:t{:02}", rng.gen_range(0..graph.len()));
         let robustness = match rng.gen_range(0..3) {
-            0 => Robustness::none(),
-            _ => Robustness::degrading(Some(panic_plan(&victim))),
+            0 => None,
+            _ => Some(panic_plan(&victim)),
         };
         // The firefly model charges every dispatch, so that a task whose
         // body never ran is in the simulator's trace too.

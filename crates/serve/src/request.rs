@@ -17,11 +17,10 @@
 //! level, in the service's [`MemStore`](ccm2_incr::MemStore), whose content
 //! addresses ignore strategy and executor entirely.
 //!
-//! A request is its inputs and nothing else. Fault injection and the
-//! task watchdog are compile options ([`ccm2::Options`]) that the drills
-//! set on a compile of their own; a
-//! service compile runs without them, so a task panic unwinds to the
-//! worker and is answered as a panicked compile.
+//! A request is its inputs and nothing else. Fault injection is a
+//! compile option ([`ccm2::Options`]) that the drills set on a compile
+//! of their own; a service compile runs without it, so a task panic
+//! unwinds to the worker and is answered as a panicked compile.
 
 use std::sync::Arc;
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ccm2::CompileError;
 use ccm2_bench::kit::{compile, fault_module};
-use ccm2_faults::{FaultKind, FaultPlan};
+use ccm2_faults::FaultPlan;
 use ccm2_sema::symtab::DkyStrategy;
 
 /// Threads of this process. A listing of `/proc/self/task` ends early
@@ -48,10 +48,7 @@ fn degraded_threaded_run_joins_all_workers_and_does_not_poison() {
 
     let degraded = compile(
         &m,
-        Some(Arc::new(FaultPlan::single(
-            "task:procparse(FaultShort)",
-            FaultKind::Panic,
-        ))),
+        Some(Arc::new(FaultPlan::single("task:procparse(FaultShort)"))),
         DkyStrategy::Skeptical,
         false,
     );
