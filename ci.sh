@@ -126,6 +126,17 @@ if git grep -nE 'LoopbackTransport|Net::Loopback|start_on\(|transport_name|fn fr
   exit 1
 fi
 
+echo "== one arena per stream's tree =="
+# A stream's expressions and statements live in its `Ast`: a child is an
+# `ExprId`, a statement sequence a `List<Stmt>`, and the tree drops with
+# the arena in a few frees. A boxed expression or an owned statement
+# vector fails here if it comes back into the node types, which are
+# everything in ast.rs above the arena's own pools (`pub struct Ast`).
+if sed -n '1,/^pub struct Ast {/p' crates/syntax/src/ast.rs | grep -nE 'Box<Expr>|Vec<Stmt>'; then
+  echo "a per-node allocation is back in the syntax tree (lines above)" >&2
+  exit 1
+fi
+
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -56,7 +56,7 @@ use ccm2_support::diag::{Diagnostic, DiagnosticSink};
 use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::FileId;
 use ccm2_syntax::ast::{
-    CaseLabel, Decl, Expr, ExprKind, Import, ProcHeading, SetElem, Stmt, StmtKind, TypeExpr,
+    Ast, Body, Decl, Expr, ExprKind, Import, Label, ProcHeading, Stmt, StmtKind, TypeExpr,
     TypeExprKind,
 };
 
@@ -134,21 +134,23 @@ impl AnalysisHub {
 
 /// Runs every per-unit lint over one unit and reports findings to
 /// `sink`. `decls` and `body` are the unit's *own* declarations and
-/// statement list; nested procedures among `decls` are analyzed as
-/// separate units by the caller and treated as opaque here. `unit` is
-/// the unit's dotted code name (`M`, `M.P.Q`), recorded on the summary
-/// for the interprocedural lock-order pass.
+/// statements, both in `body`'s arena; nested procedures among `decls` are
+/// analyzed as separate units by the caller and treated as opaque here.
+/// `unit` is the unit's dotted code name (`M`, `M.P.Q`), recorded on the
+/// summary for the interprocedural lock-order pass.
 pub fn analyze_unit(
     interner: &Interner,
     file: FileId,
     unit: &str,
     kind: UnitKind,
     decls: &[Decl],
-    body: &[Stmt],
+    body: &Body,
     sink: &DiagnosticSink,
 ) -> UnitAnalysis {
+    let ast = &*body.ast;
     let mut l = Linter {
         interner,
+        ast,
         file,
         sink,
         used: HashSet::new(),
@@ -172,7 +174,7 @@ pub fn analyze_unit(
         l.walk_decl(d);
     }
     let mut assigned: HashSet<Symbol> = HashSet::new();
-    l.walk_stmts(body, &mut assigned);
+    l.walk_stmts(&ast[body.stmts], &mut assigned);
     // Unused locals: procedure units only (module-level names are
     // visible to every procedure unit, which this pass cannot see).
     if kind == UnitKind::Procedure {
@@ -247,6 +249,8 @@ pub fn check_unused_imports(
 
 struct Linter<'a> {
     interner: &'a Interner,
+    /// The arena of the unit's tree.
+    ast: &'a Ast,
     file: FileId,
     sink: &'a DiagnosticSink,
     used: HashSet<Symbol>,
@@ -265,7 +269,7 @@ struct Linter<'a> {
     summary: UnitSummary,
 }
 
-impl Linter<'_> {
+impl<'a> Linter<'a> {
     fn report(&mut self, span: ccm2_support::source::Span, message: String) {
         self.sink
             .report(Diagnostic::warning(self.file, span, message));
@@ -297,7 +301,7 @@ impl Linter<'_> {
     fn walk_decl(&mut self, decl: &Decl) {
         self.work += 1;
         match decl {
-            Decl::Const { value, .. } => self.walk_expr_mentions(value),
+            Decl::Const { value, .. } => self.walk_expr_mentions(&self.ast[*value]),
             Decl::Type { ty, .. } => {
                 if let Some(ty) = ty {
                     self.walk_type(ty);
@@ -342,8 +346,8 @@ impl Linter<'_> {
             TypeExprKind::Set { of } => self.walk_type(of),
             TypeExprKind::Enumeration { .. } => {}
             TypeExprKind::Subrange { lo, hi } => {
-                self.walk_expr_mentions(lo);
-                self.walk_expr_mentions(hi);
+                self.walk_expr_mentions(&self.ast[*lo]);
+                self.walk_expr_mentions(&self.ast[*hi]);
             }
             TypeExprKind::ProcType { params, ret } => {
                 for (_, ty) in params {
@@ -392,30 +396,31 @@ impl Linter<'_> {
 
     fn walk_stmt(&mut self, stmt: &Stmt, assigned: &mut HashSet<Symbol>) {
         self.work += 1;
-        match &stmt.kind {
+        let ast = self.ast;
+        match stmt.kind {
             StmtKind::Assign { lhs, rhs } => {
-                self.walk_expr(rhs, assigned);
-                self.walk_assign_target(lhs, assigned);
+                self.walk_expr(&ast[rhs], assigned);
+                self.walk_assign_target(&ast[lhs], assigned);
             }
-            StmtKind::Call { call } => self.walk_call(call, assigned),
+            StmtKind::Call { call } => self.walk_call(&ast[call], assigned),
             StmtKind::If { arms, else_body } => {
-                for (cond, _) in arms {
-                    self.walk_expr(cond, assigned);
+                for arm in &ast[arms] {
+                    self.walk_expr(&ast[arm.cond], assigned);
                 }
-                let mut branches: Vec<&[Stmt]> = arms.iter().map(|(_, b)| b.as_slice()).collect();
+                let mut branches: Vec<&[Stmt]> = ast[arms].iter().map(|a| &ast[a.body]).collect();
                 if let Some(e) = else_body {
-                    branches.push(e.as_slice());
+                    branches.push(&ast[e]);
                 }
                 self.walk_branches(&branches, else_body.is_some(), assigned);
             }
             StmtKind::While { cond, body } => {
-                self.walk_expr(cond, assigned);
-                self.walk_unpropagated(body, assigned);
+                self.walk_expr(&ast[cond], assigned);
+                self.walk_unpropagated(&ast[body], assigned);
             }
             StmtKind::Repeat { body, until } => {
                 // Runs at least once: assignments propagate.
-                self.walk_stmts(body, assigned);
-                self.walk_expr(until, assigned);
+                self.walk_stmts(&ast[body], assigned);
+                self.walk_expr(&ast[until], assigned);
             }
             StmtKind::For {
                 var,
@@ -424,51 +429,52 @@ impl Linter<'_> {
                 by,
                 body,
             } => {
-                self.walk_expr(from, assigned);
-                self.walk_expr(to, assigned);
+                self.walk_expr(&ast[from], assigned);
+                self.walk_expr(&ast[to], assigned);
                 if let Some(by) = by {
-                    self.walk_expr(by, assigned);
+                    self.walk_expr(&ast[by], assigned);
                 }
                 self.mention(var.name);
                 assigned.insert(var.name);
-                self.walk_unpropagated(body, assigned);
+                self.walk_unpropagated(&ast[body], assigned);
             }
-            StmtKind::Loop { body } => self.walk_unpropagated(body, assigned),
+            StmtKind::Loop { body } => self.walk_unpropagated(&ast[body], assigned),
             StmtKind::Case {
                 scrutinee,
                 arms,
                 else_body,
             } => {
-                self.walk_expr(scrutinee, assigned);
-                for arm in arms {
-                    for label in &arm.labels {
+                self.walk_expr(&ast[scrutinee], assigned);
+                for arm in &ast[arms] {
+                    for &label in &ast[arm.labels] {
                         match label {
-                            CaseLabel::Single(e) => self.walk_expr_mentions(e),
-                            CaseLabel::Range(a, b) => {
-                                self.walk_expr_mentions(a);
-                                self.walk_expr_mentions(b);
+                            Label::Single(e) => self.walk_expr_mentions(&ast[e]),
+                            Label::Range(a, b) => {
+                                self.walk_expr_mentions(&ast[a]);
+                                self.walk_expr_mentions(&ast[b]);
                             }
                         }
                     }
                 }
-                let mut branches: Vec<&[Stmt]> = arms.iter().map(|a| a.body.as_slice()).collect();
+                let mut branches: Vec<&[Stmt]> = ast[arms].iter().map(|a| &ast[a.body]).collect();
                 if let Some(e) = else_body {
-                    branches.push(e.as_slice());
+                    branches.push(&ast[e]);
                 }
                 self.walk_branches(&branches, else_body.is_some(), assigned);
             }
             StmtKind::With { designator, body } => {
-                self.walk_expr(designator, assigned);
-                self.walk_stmts(body, assigned);
+                self.walk_expr(&ast[designator], assigned);
+                self.walk_stmts(&ast[body], assigned);
             }
             StmtKind::Return(e) | StmtKind::Raise(e) => {
                 if let Some(e) = e {
-                    self.walk_expr(e, assigned);
+                    self.walk_expr(&ast[e], assigned);
                 }
             }
             StmtKind::LockStmt { designator, body } => {
+                let designator = &ast[designator];
                 self.walk_expr(designator, assigned);
-                self.lock_discipline(designator, stmt, body, assigned);
+                self.lock_discipline(designator, stmt, &ast[body], assigned);
             }
             StmtKind::TryStmt {
                 body,
@@ -477,13 +483,13 @@ impl Linter<'_> {
             } => {
                 // The body may be cut short by an exception and the
                 // except-arm may not run at all: neither propagates.
-                self.walk_unpropagated(body, assigned);
+                self.walk_unpropagated(&ast[body], assigned);
                 if let Some(except) = except {
-                    self.walk_unpropagated(except, assigned);
+                    self.walk_unpropagated(&ast[except], assigned);
                 }
                 if let Some(finally) = finally {
                     // FINALLY always runs.
-                    self.walk_stmts(finally, assigned);
+                    self.walk_stmts(&ast[finally], assigned);
                 }
             }
             StmtKind::Exit | StmtKind::Empty => {}
@@ -552,17 +558,17 @@ impl Linter<'_> {
 
     /// Canonical display string for a mutex designator.
     fn canonical(&self, expr: &Expr) -> String {
-        match &expr.kind {
+        match expr.kind {
             ExprKind::Name(id) => self.interner.resolve(id.name),
             ExprKind::Field { base, field } => {
                 format!(
                     "{}.{}",
-                    self.canonical(base),
+                    self.canonical(&self.ast[base]),
                     self.interner.resolve(field.name)
                 )
             }
-            ExprKind::Index { base, .. } => format!("{}[]", self.canonical(base)),
-            ExprKind::Deref { base } => format!("{}^", self.canonical(base)),
+            ExprKind::Index { base, .. } => format!("{}[]", self.canonical(&self.ast[base])),
+            ExprKind::Deref { base } => format!("{}^", self.canonical(&self.ast[base])),
             _ => String::from("<expr>"),
         }
     }
@@ -574,22 +580,23 @@ impl Linter<'_> {
     /// assigns `r`; `p^ :=` *reads* `p`.
     fn walk_assign_target(&mut self, lhs: &Expr, assigned: &mut HashSet<Symbol>) {
         self.work += 1;
-        match &lhs.kind {
+        let ast = self.ast;
+        match lhs.kind {
             ExprKind::Name(id) => {
                 self.mention(id.name);
                 assigned.insert(id.name);
             }
             ExprKind::Index { base, indices } => {
-                for ix in indices {
-                    self.walk_expr(ix, assigned);
+                for &ix in &ast[indices] {
+                    self.walk_expr(&ast[ix], assigned);
                 }
-                self.walk_assign_target(base, assigned);
+                self.walk_assign_target(&ast[base], assigned);
             }
             ExprKind::Field { base, field } => {
                 self.mention(field.name);
-                self.walk_assign_target(base, assigned);
+                self.walk_assign_target(&ast[base], assigned);
             }
-            ExprKind::Deref { base } => self.walk_expr(base, assigned),
+            ExprKind::Deref { base } => self.walk_expr(&ast[base], assigned),
             _ => self.walk_expr(lhs, assigned),
         }
     }
@@ -599,12 +606,15 @@ impl Linter<'_> {
     /// init-checked, and counts as assigned afterwards.
     fn walk_call(&mut self, call: &Expr, assigned: &mut HashSet<Symbol>) {
         self.work += 1;
-        if let ExprKind::Call { callee, args } = &call.kind {
+        let ast = self.ast;
+        if let ExprKind::Call { callee, args } = call.kind {
+            let callee = &ast[callee];
             self.walk_expr(callee, assigned);
             self.check_lock_reentry(callee);
             self.record_call(callee);
             let mut out_params: Vec<Symbol> = Vec::new();
-            for arg in args {
+            for &arg in &ast[args] {
+                let arg = &ast[arg];
                 if let ExprKind::Name(id) = &arg.kind {
                     self.work += 1;
                     self.mention(id.name);
@@ -626,7 +636,7 @@ impl Linter<'_> {
         let ExprKind::Field { base, field } = &callee.kind else {
             return;
         };
-        let ExprKind::Name(module) = &base.kind else {
+        let ExprKind::Name(module) = &self.ast[*base].kind else {
             return;
         };
         let module_str = self.interner.resolve(module.name);
@@ -661,24 +671,26 @@ impl Linter<'_> {
 
     fn walk_expr(&mut self, expr: &Expr, assigned: &HashSet<Symbol>) {
         self.work += 1;
-        match &expr.kind {
+        let ast = self.ast;
+        match expr.kind {
             ExprKind::IntLit(_)
             | ExprKind::RealLit(_)
             | ExprKind::CharLit(_)
             | ExprKind::StrLit(_) => {}
-            ExprKind::Name(id) => self.read(id, assigned),
+            ExprKind::Name(id) => self.read(&id, assigned),
             ExprKind::Field { base, field } => {
                 self.mention(field.name);
-                self.walk_expr(base, assigned);
+                self.walk_expr(&ast[base], assigned);
             }
             ExprKind::Index { base, indices } => {
-                self.walk_expr(base, assigned);
-                for ix in indices {
-                    self.walk_expr(ix, assigned);
+                self.walk_expr(&ast[base], assigned);
+                for &ix in &ast[indices] {
+                    self.walk_expr(&ast[ix], assigned);
                 }
             }
-            ExprKind::Deref { base } => self.walk_expr(base, assigned),
+            ExprKind::Deref { base } => self.walk_expr(&ast[base], assigned),
             ExprKind::Call { callee, args } => {
+                let callee = &ast[callee];
                 // Expression (function) calls: same VAR-argument
                 // conservatism as statement calls, but results feed into
                 // the surrounding expression, so `assigned` is immutable
@@ -686,7 +698,8 @@ impl Linter<'_> {
                 self.walk_expr(callee, assigned);
                 self.check_lock_reentry(callee);
                 self.record_call(callee);
-                for arg in args {
+                for &arg in &ast[args] {
+                    let arg = &ast[arg];
                     if let ExprKind::Name(id) = &arg.kind {
                         self.work += 1;
                         self.mention(id.name);
@@ -695,21 +708,21 @@ impl Linter<'_> {
                     }
                 }
             }
-            ExprKind::Unary { operand, .. } => self.walk_expr(operand, assigned),
+            ExprKind::Unary { operand, .. } => self.walk_expr(&ast[operand], assigned),
             ExprKind::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs, assigned);
-                self.walk_expr(rhs, assigned);
+                self.walk_expr(&ast[lhs], assigned);
+                self.walk_expr(&ast[rhs], assigned);
             }
             ExprKind::SetCons { of_type, elems } => {
                 if let Some(t) = of_type {
                     self.mention(t.name);
                 }
-                for e in elems {
+                for &e in &ast[elems] {
                     match e {
-                        SetElem::Single(x) => self.walk_expr(x, assigned),
-                        SetElem::Range(a, b) => {
-                            self.walk_expr(a, assigned);
-                            self.walk_expr(b, assigned);
+                        Label::Single(x) => self.walk_expr(&ast[x], assigned),
+                        Label::Range(a, b) => {
+                            self.walk_expr(&ast[a], assigned);
+                            self.walk_expr(&ast[b], assigned);
                         }
                     }
                 }
@@ -769,7 +782,7 @@ mod tests {
                         &name,
                         UnitKind::Procedure,
                         &local.decls,
-                        &local.body,
+                        &local.body_in(&module.body.ast),
                         &sink,
                     );
                     findings += ua.findings;

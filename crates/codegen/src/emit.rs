@@ -28,7 +28,9 @@ use ccm2_sema::symtab::{
 use ccm2_sema::types::{Type, TypeId};
 use ccm2_sema::value::ConstValue;
 use ccm2_sema::Sema;
-use ccm2_syntax::ast::{BinOp, CaseLabel, Expr, ExprKind, Ident, SetElem, Stmt, StmtKind, UnOp};
+use ccm2_syntax::ast::{
+    Ast, BinOp, Body, CaseArm, Expr, ExprId, ExprKind, Ident, Label, List, Stmt, StmtKind, UnOp,
+};
 
 use crate::ir::{CodeUnit, Instr, Shape};
 use crate::shape::shape_of;
@@ -40,13 +42,13 @@ pub fn gen_procedure(
     scope: ScopeId,
     code_name: Symbol,
     sig: &ProcSig,
-    body: &[Stmt],
+    body: &Body,
 ) -> CodeUnit {
     let table = sema.tables.scope(scope);
-    let mut e = Emitter::new(sema, scope, code_name, table.level(), sig.ret);
+    let mut e = Emitter::new(sema, &body.ast, scope, code_name, table.level(), sig.ret);
     e.init_frame_from_scope(table);
     e.unit.param_count = sig.params.len() as u32;
-    e.stmts(body);
+    e.stmts(body.stmts);
     // Fall-off-the-end: functions return a default value, proper
     // procedures just return.
     match sig.ret {
@@ -63,14 +65,9 @@ pub fn gen_procedure(
 
 /// Generates the module-body code unit. Module-level variables live in
 /// the global area, so the unit's frame holds only compiler temporaries.
-pub fn gen_module_body(
-    sema: &Sema,
-    scope: ScopeId,
-    module_name: Symbol,
-    body: &[Stmt],
-) -> CodeUnit {
-    let mut e = Emitter::new(sema, scope, module_name, 0, None);
-    e.stmts(body);
+pub fn gen_module_body(sema: &Sema, scope: ScopeId, module_name: Symbol, body: &Body) -> CodeUnit {
+    let mut e = Emitter::new(sema, &body.ast, scope, module_name, 0, None);
+    e.stmts(body.stmts);
     e.emit(Instr::Halt);
     e.finish()
 }
@@ -142,6 +139,8 @@ enum Head {
 
 struct Emitter<'a> {
     sema: &'a Sema,
+    /// The arena of the statements emitted.
+    ast: &'a Ast,
     scope: ScopeId,
     level: u32,
     ret_ty: Option<TypeId>,
@@ -155,6 +154,7 @@ struct Emitter<'a> {
 impl<'a> Emitter<'a> {
     fn new(
         sema: &'a Sema,
+        ast: &'a Ast,
         scope: ScopeId,
         code_name: Symbol,
         level: u32,
@@ -163,6 +163,7 @@ impl<'a> Emitter<'a> {
         let file = sema.tables.scope(scope).file();
         Emitter {
             sema,
+            ast,
             scope,
             level,
             ret_ty,
@@ -247,8 +248,8 @@ impl<'a> Emitter<'a> {
 
     /// Field index and type within a record type.
     fn field_of(&self, record: TypeId, name: Symbol) -> Option<(u32, TypeId)> {
-        match self.sema.types.get(record) {
-            Type::Record { fields } => fields
+        match *self.sema.types.get(record) {
+            Type::Record { ref fields } => fields
                 .iter()
                 .position(|(f, _)| *f == name)
                 .map(|ix| (ix as u32, fields[ix].1)),
@@ -427,16 +428,18 @@ impl<'a> Emitter<'a> {
     /// by the caller, who passes what it found as `head`.
     fn designator(&mut self, e: &Expr, head: Option<Head>, value: bool) -> TypeId {
         self.sema.meter.charge(Work::StmtAnalyze, 1);
-        let ty = match &e.kind {
+        let ast = self.ast;
+        let ty = match e.kind {
             ExprKind::Name(id) => {
                 let head = head.unwrap_or_else(|| self.head(id.name));
                 return self.emit_head(&head, e.span, value);
             }
             ExprKind::Field { base, field } => {
-                let base_ty = match &base.kind {
+                let base = &ast[base];
+                let base_ty = match base.kind {
                     ExprKind::Name(id) => {
                         let head = head.unwrap_or_else(|| self.head(id.name));
-                        if let Some(qualified) = self.qualified(&head, *field) {
+                        if let Some(qualified) = self.qualified(&head, field) {
                             return self.emit_head(&qualified, e.span, value);
                         }
                         self.emit_head(&head, base.span, false)
@@ -461,8 +464,9 @@ impl<'a> Emitter<'a> {
                     }
                 }
             }
-            ExprKind::Index { base, indices } => self.index_addr(base, indices),
+            ExprKind::Index { base, indices } => self.index_addr(&ast[base], &ast[indices]),
             ExprKind::Deref { base } => {
+                let base = &ast[base];
                 let ty = self.sema.types.strip_subrange(self.designator_addr(base));
                 match self.sema.pointee(ty) {
                     Some(to) => {
@@ -470,7 +474,7 @@ impl<'a> Emitter<'a> {
                         to
                     }
                     None => {
-                        if self.sema.types.get(ty) != Type::Error {
+                        if *self.sema.types.get(ty) != Type::Error {
                             self.error(base.span, "dereferencing a non-pointer");
                         }
                         TypeId::ERROR
@@ -491,10 +495,11 @@ impl<'a> Emitter<'a> {
     }
 
     /// Emits the address of `base[indices]`; returns the element type.
-    fn index_addr(&mut self, base: &Expr, indices: &[Expr]) -> TypeId {
+    fn index_addr(&mut self, base: &Expr, indices: &[ExprId]) -> TypeId {
         let mut ty = self.designator_addr(base);
-        for ix_expr in indices {
-            match self.sema.types.get(self.sema.types.strip_subrange(ty)) {
+        for &ix in indices {
+            let ix_expr = &self.ast[ix];
+            match *self.sema.types.get(self.sema.types.strip_subrange(ty)) {
                 Type::Array { index, elem } => {
                     let ixt = self.expr(ix_expr);
                     if !self.sema.types.same_type(
@@ -545,30 +550,31 @@ impl<'a> Emitter<'a> {
     /// its type.
     fn expr(&mut self, e: &Expr) -> TypeId {
         self.sema.meter.charge(Work::StmtAnalyze, 1);
-        match &e.kind {
+        let ast = self.ast;
+        match e.kind {
             ExprKind::IntLit(v) => {
-                self.emit(Instr::PushInt(*v));
+                self.emit(Instr::PushInt(v));
                 TypeId::INTEGER
             }
             ExprKind::RealLit(bits) => {
-                self.emit(Instr::PushReal(*bits));
+                self.emit(Instr::PushReal(bits));
                 TypeId::REAL
             }
             ExprKind::CharLit(c) => {
-                self.emit(Instr::PushChar(*c));
+                self.emit(Instr::PushChar(c));
                 TypeId::CHAR
             }
             ExprKind::StrLit(s) => {
-                self.emit(Instr::PushStr(*s));
+                self.emit(Instr::PushStr(s));
                 TypeId::STRING
             }
             ExprKind::Name(_)
             | ExprKind::Field { .. }
             | ExprKind::Index { .. }
             | ExprKind::Deref { .. } => self.designator(e, None, true),
-            ExprKind::Call { callee, args } => self.call(callee, args, e.span, false),
+            ExprKind::Call { callee, args } => self.call(&ast[callee], &ast[args], e.span, false),
             ExprKind::Unary { op, operand } => {
-                let ty = self.expr(operand);
+                let ty = self.expr(&ast[operand]);
                 match op {
                     UnOp::Neg => {
                         if !(self.sema.types.is_integerlike(ty) || ty == TypeId::REAL) {
@@ -589,8 +595,8 @@ impl<'a> Emitter<'a> {
                     }
                 }
             }
-            ExprKind::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, e.span),
-            ExprKind::SetCons { of_type, elems } => self.set_cons(of_type, elems, e.span),
+            ExprKind::Binary { op, lhs, rhs } => self.binary(op, &ast[lhs], &ast[rhs], e.span),
+            ExprKind::SetCons { of_type, elems } => self.set_cons(of_type, &ast[elems], e.span),
         }
     }
 
@@ -631,7 +637,7 @@ impl<'a> Emitter<'a> {
         let rt = self.expr(rhs);
         let types = &self.sema.types;
         let l = types.strip_subrange(lt);
-        let is_set = matches!(types.get(l), Type::Bitset | Type::Set { .. });
+        let is_set = matches!(*types.get(l), Type::Bitset | Type::Set { .. });
         match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul => {
                 if !types.same_type(lt, rt) {
@@ -690,7 +696,10 @@ impl<'a> Emitter<'a> {
                     self.error(span, "IN needs an ordinal left operand");
                 }
                 let rs = types.strip_subrange(rt);
-                if !matches!(types.get(rs), Type::Bitset | Type::Set { .. } | Type::Error) {
+                if !matches!(
+                    *types.get(rs),
+                    Type::Bitset | Type::Set { .. } | Type::Error
+                ) {
                     self.error(span, "IN needs a set right operand");
                 }
                 self.emit(Instr::InSet);
@@ -706,19 +715,14 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn set_cons(
-        &mut self,
-        of_type: &Option<ccm2_syntax::ast::Ident>,
-        elems: &[SetElem],
-        span: Span,
-    ) -> TypeId {
+    fn set_cons(&mut self, of_type: Option<Ident>, elems: &[Label], span: Span) -> TypeId {
         let set_ty = match of_type {
             None => TypeId::BITSET,
             Some(id) => match self.resolve(id.name) {
                 Some(LookupResult::Entry(e)) => match e.kind {
                     SymbolKind::TypeName { ty } => {
                         let s = self.sema.types.strip_subrange(ty);
-                        if !matches!(self.sema.types.get(s), Type::Set { .. } | Type::Bitset) {
+                        if !matches!(*self.sema.types.get(s), Type::Set { .. } | Type::Bitset) {
                             self.error(span, "set constructor type is not a set type");
                         }
                         ty
@@ -736,18 +740,20 @@ impl<'a> Emitter<'a> {
             },
         };
         self.emit(Instr::PushSet(0));
-        for el in elems {
+        for &el in elems {
             match el {
-                SetElem::Single(x) => {
+                Label::Single(x) => {
+                    let x = &self.ast[x];
                     let t = self.expr(x);
                     if !self.sema.types.is_ordinal(t) {
                         self.error(x.span, "set element must be ordinal");
                     }
                     self.emit(Instr::SetIncl);
                 }
-                SetElem::Range(lo, hi) => {
+                Label::Range(lo, hi) => {
+                    let lo = &self.ast[lo];
                     let t1 = self.expr(lo);
-                    let t2 = self.expr(hi);
+                    let t2 = self.expr(&self.ast[hi]);
                     if !self.sema.types.is_ordinal(t1) || !self.sema.types.is_ordinal(t2) {
                         self.error(lo.span, "set range must be ordinal");
                     }
@@ -763,7 +769,7 @@ impl<'a> Emitter<'a> {
     /// Emits a call. `as_stmt` is true in statement position (the callee
     /// must be a proper procedure there; in expression position it must be
     /// a function).
-    fn call(&mut self, callee: &Expr, args: &[Expr], span: Span, as_stmt: bool) -> TypeId {
+    fn call(&mut self, callee: &Expr, args: &[ExprId], span: Span, as_stmt: bool) -> TypeId {
         // Builtins and direct procedure calls need the callee's identity.
         let head = match &callee.kind {
             // A called name is looked up past the fields of active WITH
@@ -780,7 +786,7 @@ impl<'a> Emitter<'a> {
                 head => head,
             },
             ExprKind::Field { base, field } => {
-                let ExprKind::Name(id) = &base.kind else {
+                let ExprKind::Name(id) = &self.ast[*base].kind else {
                     return self.indirect_call_dyn(callee, None, args, span, as_stmt);
                 };
                 let head = self.head(id.name);
@@ -811,10 +817,10 @@ impl<'a> Emitter<'a> {
                         ..
                     },
                 ..
-            } => match self.sema.types.get(self.sema.types.strip_subrange(v.ty)) {
-                Type::Proc { params, ret } => {
+            } => match *self.sema.types.get(self.sema.types.strip_subrange(v.ty)) {
+                Type::Proc { ref params, ret } => {
                     self.check_ret_position(ret, span, as_stmt);
-                    self.push_args(&params, args, span);
+                    self.push_args(params, args, span);
                     // The procedure value, above the args.
                     let _ = self.emit_head(&head, callee.span, true);
                     self.emit(Instr::CallIndirect {
@@ -839,14 +845,15 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn push_args(&mut self, params: &[(bool, TypeId)], args: &[Expr], span: Span) {
+    fn push_args(&mut self, params: &[(bool, TypeId)], args: &[ExprId], span: Span) {
         if params.len() != args.len() {
             self.error(
                 span,
                 format!("expected {} arguments, found {}", params.len(), args.len()),
             );
         }
-        for (ix, arg) in args.iter().enumerate() {
+        for (ix, &arg) in args.iter().enumerate() {
+            let arg = &self.ast[arg];
             match params.get(ix) {
                 Some((true, pty)) => {
                     // VAR parameter: pass the address.
@@ -868,7 +875,7 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn direct_call(&mut self, p: &ProcInfo, args: &[Expr], span: Span, as_stmt: bool) -> TypeId {
+    fn direct_call(&mut self, p: &ProcInfo, args: &[ExprId], span: Span, as_stmt: bool) -> TypeId {
         self.check_ret_position(p.sig.ret, span, as_stmt);
         let params: Vec<(bool, TypeId)> = p.sig.params.iter().map(|p| (p.is_var, p.ty)).collect();
         self.push_args(&params, args, span);
@@ -893,22 +900,22 @@ impl<'a> Emitter<'a> {
         &mut self,
         callee: &Expr,
         head: Option<Head>,
-        args: &[Expr],
+        args: &[ExprId],
         span: Span,
         as_stmt: bool,
     ) -> TypeId {
         // Type the callee first (without emitting) is not possible in a
         // single pass; evaluate args untyped, then the value, then call.
         // The callee's type is checked to be a procedure type.
-        for a in args {
-            let _ = self.expr(a);
+        for &a in args {
+            let _ = self.expr(&self.ast[a]);
         }
         let ct = match head {
             Some(head) => self.designator(callee, Some(head), true),
             None => self.expr(callee),
         };
         let cs = self.sema.types.strip_subrange(ct);
-        let ret = match self.sema.types.get(cs) {
+        let ret = match *self.sema.types.get(cs) {
             Type::Proc { ret, .. } => ret,
             Type::Error => None,
             _ => {
@@ -925,8 +932,9 @@ impl<'a> Emitter<'a> {
 
     // ----- builtins ---------------------------------------------------------
 
-    fn builtin_call(&mut self, b: Builtin, args: &[Expr], span: Span, as_stmt: bool) -> TypeId {
+    fn builtin_call(&mut self, b: Builtin, args: &[ExprId], span: Span, as_stmt: bool) -> TypeId {
         use Builtin::*;
+        let ast = self.ast;
         let expr_result = |this: &mut Self, ty: TypeId| {
             if as_stmt {
                 this.error(span, "builtin function result ignored");
@@ -939,11 +947,11 @@ impl<'a> Emitter<'a> {
                 TypeId::ERROR
             }
             New | Dispose => {
-                let [arg] = args else {
+                let &[arg] = args else {
                     self.error(span, "NEW/DISPOSE take one pointer variable");
                     return TypeId::ERROR;
                 };
-                let pt = self.designator_addr(arg);
+                let pt = self.designator_addr(&ast[arg]);
                 let ps = self.sema.types.strip_subrange(pt);
                 match self.sema.pointee(ps) {
                     Some(to) if b == New => {
@@ -954,7 +962,7 @@ impl<'a> Emitter<'a> {
                     Some(_) => {
                         self.emit(Instr::DisposeCell);
                     }
-                    None if self.sema.types.get(ps) == Type::Error => {}
+                    None if *self.sema.types.get(ps) == Type::Error => {}
                     None => self.error(span, "NEW/DISPOSE need a pointer variable"),
                 }
                 TypeId::ERROR
@@ -964,11 +972,13 @@ impl<'a> Emitter<'a> {
                     self.error(span, "INC/DEC take one or two arguments");
                     return TypeId::ERROR;
                 }
-                let vt = self.designator_addr(&args[0]);
+                let var = &ast[args[0]];
+                let vt = self.designator_addr(var);
                 if !self.sema.types.is_ordinal(vt) {
-                    self.error(args[0].span, "INC/DEC need an ordinal variable");
+                    self.error(var.span, "INC/DEC need an ordinal variable");
                 }
-                if let Some(amount) = args.get(1) {
+                if let Some(&amount) = args.get(1) {
+                    let amount = &ast[amount];
                     let at = self.expr(amount);
                     if !self.sema.types.is_integerlike(at) {
                         self.error(amount.span, "INC/DEC amount must be integer");
@@ -981,14 +991,15 @@ impl<'a> Emitter<'a> {
                 TypeId::ERROR
             }
             Incl | Excl => {
-                let [set, elem] = args else {
+                let &[set, elem] = args else {
                     self.error(span, "INCL/EXCL take a set variable and an element");
                     return TypeId::ERROR;
                 };
+                let (set, elem) = (&ast[set], &ast[elem]);
                 let st = self.designator_addr(set);
                 let ss = self.sema.types.strip_subrange(st);
                 if !matches!(
-                    self.sema.types.get(ss),
+                    *self.sema.types.get(ss),
                     Type::Bitset | Type::Set { .. } | Type::Error
                 ) {
                     self.error(set.span, "INCL/EXCL need a set variable");
@@ -1004,7 +1015,7 @@ impl<'a> Emitter<'a> {
                 TypeId::ERROR
             }
             // Compile-time: the constant evaluator's MIN/MAX.
-            Min | Max => match min_max(self.sema, self.scope, b, args, span) {
+            Min | Max => match min_max(self.sema, self.scope, ast, b, args, span) {
                 Some((v, ty)) => {
                     self.push_const(v);
                     expr_result(self, ty)
@@ -1012,11 +1023,12 @@ impl<'a> Emitter<'a> {
                 None => TypeId::ERROR,
             },
             Val => {
-                let [tname, x] = args else {
+                let &[tname, x] = args else {
                     self.error(span, "VAL takes a type and a value");
                     return TypeId::ERROR;
                 };
-                let ExprKind::Name(tn) = &tname.kind else {
+                let x = &ast[x];
+                let ExprKind::Name(tn) = &ast[tname].kind else {
                     self.error(span, "VAL's first argument must be a type name");
                     return TypeId::ERROR;
                 };
@@ -1055,14 +1067,15 @@ impl<'a> Emitter<'a> {
                 expr_result(self, target)
             }
             High => {
-                let [arg] = args else {
+                let &[arg] = args else {
                     self.error(span, "HIGH takes one open-array argument");
                     return TypeId::ERROR;
                 };
+                let arg = &ast[arg];
                 let t = self.expr(arg);
                 let s = self.sema.types.strip_subrange(t);
                 if !matches!(
-                    self.sema.types.get(s),
+                    *self.sema.types.get(s),
                     Type::OpenArray { .. } | Type::Array { .. } | Type::Error
                 ) {
                     self.error(arg.span, "HIGH needs an array");
@@ -1087,8 +1100,8 @@ impl<'a> Emitter<'a> {
                 if args.len() != 2 {
                     self.error(span, "write builtins take a value and a width");
                 }
-                for a in args {
-                    let _ = self.expr(a);
+                for &a in args {
+                    let _ = self.expr(&ast[a]);
                 }
                 self.emit(Instr::CallBuiltin {
                     builtin: b,
@@ -1100,8 +1113,8 @@ impl<'a> Emitter<'a> {
                 if args.len() != 1 {
                     self.error(span, "write builtins take one argument");
                 }
-                for a in args {
-                    let _ = self.expr(a);
+                for &a in args {
+                    let _ = self.expr(&ast[a]);
                 }
                 self.emit(Instr::CallBuiltin {
                     builtin: b,
@@ -1111,11 +1124,11 @@ impl<'a> Emitter<'a> {
             }
             // One-argument value functions.
             Abs | Cap | Chr | Odd | Ord | Trunc | Float | Sin | Cos | Sqrt | Exp | Ln => {
-                let [arg] = args else {
+                let &[arg] = args else {
                     self.error(span, "builtin takes one argument");
                     return TypeId::ERROR;
                 };
-                let at = self.expr(arg);
+                let at = self.expr(&ast[arg]);
                 self.emit(Instr::CallBuiltin {
                     builtin: b,
                     argc: 1,
@@ -1135,40 +1148,42 @@ impl<'a> Emitter<'a> {
 
     // ----- statements --------------------------------------------------------
 
-    fn stmts(&mut self, body: &[Stmt]) {
-        for s in body {
+    fn stmts(&mut self, body: List<Stmt>) {
+        for s in &self.ast[body] {
             self.stmt(s);
         }
     }
 
     fn stmt(&mut self, s: &Stmt) {
         self.sema.meter.charge(Work::StmtAnalyze, 1);
-        match &s.kind {
+        let ast = self.ast;
+        match s.kind {
             StmtKind::Empty => {}
             StmtKind::Assign { lhs, rhs } => {
-                let lt = self.designator_addr(lhs);
-                let rt = self.expr(rhs);
+                let lt = self.designator_addr(&ast[lhs]);
+                let rt = self.expr(&ast[rhs]);
                 if !self.sema.types.assignable(lt, rt) {
                     self.error(s.span, "assignment type mismatch");
                 }
                 self.emit(Instr::Store);
             }
-            StmtKind::Call { call } => match &call.kind {
+            StmtKind::Call { call } => match ast[call].kind {
                 ExprKind::Call { callee, args } => {
-                    let _ = self.call(callee, args, s.span, true);
+                    let _ = self.call(&ast[callee], &ast[args], s.span, true);
                 }
                 _ => {
                     // Parameterless call written without parentheses.
-                    let _ = self.call(call, &[], s.span, true);
+                    let _ = self.call(&ast[call], &[], s.span, true);
                 }
             },
             StmtKind::If { arms, else_body } => {
                 let mut end_jumps = Vec::new();
-                for (cond, body) in arms {
+                for arm in &ast[arms] {
+                    let cond = &ast[arm.cond];
                     let ct = self.expr(cond);
                     self.check_bool(ct, cond.span);
                     let jf = self.emit(Instr::JumpIfFalse(0));
-                    self.stmts(body);
+                    self.stmts(arm.body);
                     end_jumps.push(self.emit(Instr::Jump(0)));
                     let next = self.here();
                     self.patch_jump(jf, next);
@@ -1183,6 +1198,7 @@ impl<'a> Emitter<'a> {
             }
             StmtKind::While { cond, body } => {
                 let top = self.here();
+                let cond = &ast[cond];
                 let ct = self.expr(cond);
                 self.check_bool(ct, cond.span);
                 let jf = self.emit(Instr::JumpIfFalse(0));
@@ -1194,6 +1210,7 @@ impl<'a> Emitter<'a> {
             StmtKind::Repeat { body, until } => {
                 let top = self.here();
                 self.stmts(body);
+                let until = &ast[until];
                 let ct = self.expr(until);
                 self.check_bool(ct, until.span);
                 self.emit(Instr::JumpIfFalse(top));
@@ -1204,7 +1221,7 @@ impl<'a> Emitter<'a> {
                 to,
                 by,
                 body,
-            } => self.for_stmt(*var, from, to, by.as_ref(), body, s.span),
+            } => self.for_stmt(var, &ast[from], &ast[to], by, body, s.span),
             StmtKind::Loop { body } => {
                 self.loop_exits.push(Vec::new());
                 let top = self.here();
@@ -1231,15 +1248,16 @@ impl<'a> Emitter<'a> {
                 scrutinee,
                 arms,
                 else_body,
-            } => self.case_stmt(scrutinee, arms, else_body.as_deref(), s.span),
+            } => self.case_stmt(&ast[scrutinee], &ast[arms], else_body),
             StmtKind::With { designator, body } => {
                 // The record's address is evaluated once into an address
                 // temp; field references inside the body load it.
                 let slot = self.alloc_temp(Shape::Addr);
                 self.emit(Instr::PushAddr { level_up: 0, slot });
+                let designator = &ast[designator];
                 let rt = self.designator_addr(designator);
                 let rs = self.sema.types.strip_subrange(rt);
-                if !matches!(self.sema.types.get(rs), Type::Record { .. } | Type::Error) {
+                if !matches!(*self.sema.types.get(rs), Type::Record { .. } | Type::Error) {
                     self.error(designator.span, "WITH needs a record designator");
                 }
                 self.emit(Instr::Store);
@@ -1250,7 +1268,7 @@ impl<'a> Emitter<'a> {
                 self.stmts(body);
                 self.with_stack.pop();
             }
-            StmtKind::Return(value) => match (self.ret_ty, value) {
+            StmtKind::Return(value) => match (self.ret_ty, value.map(|v| &ast[v])) {
                 (Some(rt), Some(v)) => {
                     let vt = self.expr(v);
                     if !self.sema.types.assignable(rt, vt) {
@@ -1276,7 +1294,7 @@ impl<'a> Emitter<'a> {
                 // Modula-2+ LOCK: evaluate the mutex designator (the VM is
                 // single-threaded per image, so acquisition is a no-op);
                 // the body runs bracketed.
-                let _ = self.designator_addr(designator);
+                let _ = self.designator_addr(&ast[designator]);
                 self.emit(Instr::Pop);
                 self.stmts(body);
             }
@@ -1301,7 +1319,7 @@ impl<'a> Emitter<'a> {
             }
             StmtKind::Raise(value) => {
                 if let Some(v) = value {
-                    let _ = self.expr(v);
+                    let _ = self.expr(&ast[v]);
                     self.emit(Instr::Pop);
                 }
                 self.emit(Instr::Halt);
@@ -1314,13 +1332,13 @@ impl<'a> Emitter<'a> {
         var: Ident,
         from: &Expr,
         to: &Expr,
-        by: Option<&Expr>,
-        body: &[Stmt],
+        by: Option<ExprId>,
+        body: List<Stmt>,
         span: Span,
     ) {
         let step = match by {
             None => 1,
-            Some(e) => match eval_const(self.sema, self.scope, e) {
+            Some(e) => match eval_const(self.sema, self.scope, self.ast, e) {
                 Some((v, _)) => v.ordinal().unwrap_or(1),
                 None => 1,
             },
@@ -1375,13 +1393,7 @@ impl<'a> Emitter<'a> {
         self.patch_jump(jf, end);
     }
 
-    fn case_stmt(
-        &mut self,
-        scrutinee: &Expr,
-        arms: &[ccm2_syntax::ast::CaseArm],
-        else_body: Option<&[Stmt]>,
-        span: Span,
-    ) {
+    fn case_stmt(&mut self, scrutinee: &Expr, arms: &[CaseArm], else_body: Option<List<Stmt>>) {
         // The scrutinee is evaluated once into a temp (addr pushed below
         // the value so Store's (addr, value) order holds).
         let tmp = self.alloc_temp(Shape::Int);
@@ -1403,15 +1415,16 @@ impl<'a> Emitter<'a> {
         };
         // Emit tests; record (arm, jump-site) pairs to patch to bodies.
         let mut body_jumps: Vec<(usize, usize)> = Vec::new();
+        let ast = self.ast;
         for (arm_ix, arm) in arms.iter().enumerate() {
-            for label in &arm.labels {
+            for &label in &ast[arm.labels] {
                 match label {
-                    CaseLabel::Single(e) => {
-                        let Some((v, _)) = eval_const(self.sema, self.scope, e) else {
+                    Label::Single(e) => {
+                        let Some((v, _)) = eval_const(self.sema, self.scope, ast, e) else {
                             continue;
                         };
                         let Some(ord) = v.ordinal() else {
-                            self.error(e.span, "case label must be ordinal");
+                            self.error(ast[e].span, "case label must be ordinal");
                             continue;
                         };
                         load_tmp(self);
@@ -1420,15 +1433,15 @@ impl<'a> Emitter<'a> {
                         let j = self.emit(Instr::JumpIfTrue(0));
                         body_jumps.push((arm_ix, j));
                     }
-                    CaseLabel::Range(lo, hi) => {
+                    Label::Range(lo, hi) => {
                         let (Some((lv, _)), Some((hv, _))) = (
-                            eval_const(self.sema, self.scope, lo),
-                            eval_const(self.sema, self.scope, hi),
+                            eval_const(self.sema, self.scope, ast, lo),
+                            eval_const(self.sema, self.scope, ast, hi),
                         ) else {
                             continue;
                         };
                         let (Some(l), Some(h)) = (lv.ordinal(), hv.ordinal()) else {
-                            self.error(lo.span, "case label must be ordinal");
+                            self.error(ast[lo].span, "case label must be ordinal");
                             continue;
                         };
                         load_tmp(self);
@@ -1457,7 +1470,7 @@ impl<'a> Emitter<'a> {
         let mut arm_starts = vec![0u32; arms.len()];
         for (arm_ix, arm) in arms.iter().enumerate() {
             arm_starts[arm_ix] = self.here();
-            self.stmts(&arm.body);
+            self.stmts(arm.body);
             end_jumps.push(self.emit(Instr::Jump(0)));
         }
         let end = self.here();
@@ -1468,7 +1481,6 @@ impl<'a> Emitter<'a> {
         for j in end_jumps {
             self.patch_jump(j, end);
         }
-        let _ = span;
     }
 }
 
@@ -1505,9 +1517,11 @@ mod tests {
             .tables
             .new_scope(ScopeKind::MainModule, module.name.name, None, FileId(0));
         let hooks = LocalHooks::new(&sema);
+        let ast = &module.body.ast;
         let mut queue = declare_decls(
             &sema,
             scope,
+            ast,
             &module.decls,
             HeadingMode::CopyToChild,
             &hooks,
@@ -1519,18 +1533,19 @@ mod tests {
                 let nested = declare_decls(
                     &sema,
                     p.scope,
+                    ast,
                     &local.decls,
                     HeadingMode::CopyToChild,
                     &hooks,
                 );
                 sema.tables.mark_complete(p.scope);
                 queue.extend(nested);
-                all.push((p.clone(), local.body.clone()));
+                all.push((p.clone(), local.body_in(ast)));
             }
         }
         let mut units = Vec::new();
-        for (p, body) in &all {
-            units.push(gen_procedure(&sema, p.scope, p.code_name, &p.sig, body));
+        for (p, body) in all {
+            units.push(gen_procedure(&sema, p.scope, p.code_name, &p.sig, &body));
         }
         units.push(gen_module_body(
             &sema,
@@ -1837,7 +1852,14 @@ mod tests {
         let m = sema
             .tables
             .new_scope(ScopeKind::DefModule, def.name.name, None, FileId(1));
-        declare_decls(&sema, m, &def.decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(
+            &sema,
+            m,
+            &def.ast,
+            &def.decls,
+            HeadingMode::CopyToChild,
+            &hooks,
+        );
         sema.tables.mark_complete(m);
         let main = map.add(
             "T.mod",
@@ -1858,7 +1880,14 @@ mod tests {
         bind_imports(&sema, t, &module.imports, &|name| {
             (name == def.name.name).then_some(m)
         });
-        declare_decls(&sema, t, &module.decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(
+            &sema,
+            t,
+            &module.body.ast,
+            &module.decls,
+            HeadingMode::CopyToChild,
+            &hooks,
+        );
         sema.tables.mark_complete(t);
         let stats = sema.stats();
         let with = || {

@@ -11,7 +11,7 @@ use crate::ir::Shape;
 /// implementation; the error type degrades to an integer slot so that
 /// poisoned programs still lay out deterministically.
 pub fn shape_of(types: &TypeStore, ty: TypeId) -> Shape {
-    match types.get(ty) {
+    match *types.get(ty) {
         Type::Integer | Type::Cardinal => Shape::Int,
         Type::Real => Shape::Real,
         Type::Boolean => Shape::Bool,
@@ -29,7 +29,7 @@ pub fn shape_of(types: &TypeStore, ty: TypeId) -> Shape {
         // Open arrays receive their actual extent from the caller; the
         // static shape records only the element layout.
         Type::OpenArray { elem } => Shape::Array(Box::new(shape_of(types, elem)), 0),
-        Type::Record { fields } => {
+        Type::Record { ref fields } => {
             Shape::Record(fields.iter().map(|(_, t)| shape_of(types, *t)).collect())
         }
         Type::Error | Type::Pending => Shape::Int,

@@ -46,7 +46,7 @@ use ccm2_support::ids::{EventId, ScopeId, StreamId};
 use ccm2_support::intern::{Interner, Symbol};
 use ccm2_support::source::{FileId, SourceFile, SourceMap, Span};
 use ccm2_support::work::Work;
-use ccm2_syntax::ast::{stmt_count, Decl, Import, ProcBody, ProcLocal, Stmt};
+use ccm2_syntax::ast::{Ast, Body, Decl, Import, ProcBody};
 use ccm2_syntax::lexer::{Lexer, Names};
 use ccm2_syntax::parser::{parse_definition_from, StreamingImpl, StreamingProc};
 use ccm2_syntax::token::{Token, TokenKind};
@@ -518,8 +518,8 @@ impl Driver {
                 return Some(s);
             }
         }
-        let name_str = self.interner.resolve(name);
-        let text = self.defs.definition_source(&name_str)?;
+        let name_str = self.interner.as_str(name);
+        let text = self.defs.definition_source(name_str)?;
         let scope_ev = self
             .env
             .new_event_named(EventClass::Handled, &format!("scope({name_str}.def)"));
@@ -713,9 +713,10 @@ impl Driver {
     }
 
     /// Spawns one per-unit `Analyze` task (§2.3.4 priority: after
-    /// statement analysis, before code generation). Analysis tasks are
-    /// pure AST walks: no prereqs and an empty wait-set, so they are
-    /// always stack-eligible for blocked workers.
+    /// statement analysis, before code generation), which shares the
+    /// unit's arena with its code generation. Analysis tasks are pure
+    /// AST walks: no prereqs and an empty wait-set, so they are always
+    /// stack-eligible for blocked workers.
     #[allow(clippy::too_many_arguments)] // one spawn site per stream kind
     fn spawn_analyze(
         self: &Arc<Self>,
@@ -724,10 +725,11 @@ impl Driver {
         file: FileId,
         kind: ccm2_analysis::UnitKind,
         decls: Vec<Decl>,
-        stmts: Vec<Stmt>,
+        body: &Body,
         scope: Option<ScopeId>,
     ) {
-        let weight = stmt_count(&stmts) as u64;
+        let body = body.clone();
+        let weight = body.ast.stmt_count(body.stmts) as u64;
         let this = Arc::clone(self);
         let mut t = TaskDesc::new(
             label,
@@ -740,7 +742,7 @@ impl Driver {
                     &unit,
                     kind,
                     &decls,
-                    &stmts,
+                    &body,
                     &sema.sink,
                 );
                 this.env.charge(Work::Analyze, ua.work);
@@ -803,7 +805,7 @@ impl Driver {
         let hooks = DriverHooks { driver: self };
         let mut declarer = Declarer::new(&sema, scope, self.heading_mode, &hooks);
         for decl in &def.decls {
-            declarer.declare(decl);
+            declarer.declare(&def.ast, decl);
         }
         declarer.finish();
         self.merger.add_globals(name, global_shapes(&sema, scope));
@@ -884,7 +886,7 @@ impl Driver {
         let mut unit_decls: Vec<Decl> = Vec::new();
         while let Some(decls) = streaming.next_decls() {
             for decl in &decls {
-                declarer.declare(decl);
+                declarer.declare(streaming.ast(), decl);
             }
             if self.analyze {
                 unit_decls.extend(decls);
@@ -899,12 +901,15 @@ impl Driver {
         // declare them here (serially — the ablation's cost) and spawn
         // their code-generation tasks. The module's table is complete
         // first: a local procedure's lookup that misses it must not wait
-        // on this very task.
-        self.process_local_procs(pending);
+        // on this very task. They share the stream's arena as it stands;
+        // the module body's parse goes on in a continuation of it.
+        if pending.iter().any(|p| matches!(p.body, ProcBody::Local(_))) {
+            self.process_local_procs(pending, streaming.share_ast());
+        }
         self.merger
             .add_globals(streaming.name().name, global_shapes(&sema, scope));
         let module_name = streaming.name().name;
-        let (stmts, body_poisoned) = streaming.finish();
+        let body = streaming.finish();
         // Analysis of the module unit (its own decls + body); the
         // unused-import check runs in `finish`, over every unit's union.
         if self.analyze {
@@ -917,7 +922,7 @@ impl Driver {
                 file,
                 ccm2_analysis::UnitKind::Module,
                 unit_decls,
-                stmts.clone(),
+                &body,
                 None,
             );
         }
@@ -926,12 +931,10 @@ impl Driver {
         match &self.incr {
             Some(incr) => {
                 let this = Arc::clone(self);
-                let unit = move |splice| {
-                    this.spawn_module_unit(scope, module_name, stmts, body_poisoned, splice)
-                };
+                let unit = move |splice| this.spawn_module_unit(scope, module_name, body, splice);
                 incr.module_parsed(Box::new(unit));
             }
-            None => self.spawn_module_unit(scope, module_name, stmts, body_poisoned, None),
+            None => self.spawn_module_unit(scope, module_name, body, None),
         }
     }
 
@@ -941,25 +944,24 @@ impl Driver {
         self: &Arc<Self>,
         scope: ScopeId,
         module_name: Symbol,
-        stmts: Vec<Stmt>,
-        body_poisoned: bool,
+        body: Body,
         splice: Option<Splice>,
     ) {
-        let weight = stmt_count(&stmts) as u64;
+        let weight = body.ast.stmt_count(body.stmts) as u64;
         if let Some(splice) = splice {
             self.spawn_splice(module_name, weight, None, splice);
             return;
         }
         let this = Arc::clone(self);
         let mut t = TaskDesc::new(
-            format!("codegen({})", self.interner.resolve(module_name)),
+            format!("codegen({})", self.interner.as_str(module_name)),
             codegen_kind(weight),
             Box::new(move || {
                 let sema = &this.sema;
-                let unit = if body_poisoned {
+                let unit = if body.poisoned {
                     gen_error_unit(&this.interner, module_name, 0)
                 } else {
-                    gen_module_body(sema, scope, module_name, &stmts)
+                    gen_module_body(sema, scope, module_name, &body)
                 };
                 this.merger.add_unit(unit, sema.meter.as_ref());
             }),
@@ -974,8 +976,14 @@ impl Driver {
     }
 
     /// Recursively declares Local-bodied procedures (no-early-split
-    /// ablation) and spawns their code-generation tasks.
-    fn process_local_procs(self: &Arc<Self>, pending: Vec<ccm2_sema::declare::PendingProc>) {
+    /// ablation) and spawns their code-generation tasks. Their bodies are
+    /// in `ast`, the module stream's arena as it stood when its
+    /// declarations were done.
+    fn process_local_procs(
+        self: &Arc<Self>,
+        pending: Vec<ccm2_sema::declare::PendingProc>,
+        ast: Arc<Ast>,
+    ) {
         let sema = Arc::clone(&self.sema);
         let mut queue = pending;
         while let Some(p) = queue.pop() {
@@ -992,21 +1000,17 @@ impl Driver {
                     )
                 });
             }
-            child_heading(&sema, self.heading_mode, p.scope, &p.heading);
+            child_heading(&sema, self.heading_mode, p.scope, &ast, &p.heading);
             let hooks = DriverHooks { driver: self };
             let mut declarer = Declarer::new(&sema, p.scope, self.heading_mode, &hooks);
             for d in &local.decls {
-                declarer.declare(d);
+                declarer.declare(&ast, d);
             }
             let nested = declarer.finish();
             sema.tables.mark_complete(p.scope);
             queue.extend(nested);
-            let ProcLocal {
-                decls,
-                body,
-                poisoned,
-            } = *local;
-            self.spawn_procedure_tail(p.scope, p.code_name, p.sig, decls, body, poisoned);
+            let body = local.body_in(&ast);
+            self.spawn_procedure_tail(p.scope, p.code_name, p.sig, local.decls, body);
         }
     }
 
@@ -1027,7 +1031,13 @@ impl Driver {
             self.release_undeclared_headings(scope);
             return;
         };
-        child_heading(&sema, self.heading_mode, scope, streaming.heading());
+        child_heading(
+            &sema,
+            self.heading_mode,
+            scope,
+            streaming.ast(),
+            streaming.heading(),
+        );
         // Local declarations are analyzed as parsed (nested procedure
         // headings fire immediately); the table completes before the
         // statement parse tree is built (§3).
@@ -1036,7 +1046,7 @@ impl Driver {
         let mut unit_decls: Vec<Decl> = Vec::new();
         while let Some(decls) = streaming.next_decls() {
             for decl in &decls {
-                declarer.declare(decl);
+                declarer.declare(streaming.ast(), decl);
             }
             if self.analyze {
                 unit_decls.extend(decls);
@@ -1045,33 +1055,33 @@ impl Driver {
         declarer.finish();
         self.release_undeclared_headings(scope);
         sema.tables.mark_complete(scope);
-        let (stmts, poisoned) = streaming.finish();
-        self.spawn_procedure_tail(scope, code_name, sig, unit_decls, stmts, poisoned);
+        let body = streaming.finish();
+        self.spawn_procedure_tail(scope, code_name, sig, unit_decls, body);
     }
 
     /// A procedure's tasks after its declarations: the `Analyze` task
     /// when linting, then statement analysis + code generation (long
     /// before short, §2.3.4), which may wait on the scopes enclosing it.
-    /// A poisoned body becomes an error unit.
+    /// A poisoned body becomes an error unit. The arena drops with the
+    /// last of them.
     fn spawn_procedure_tail(
         self: &Arc<Self>,
         scope: ScopeId,
         code_name: Symbol,
         sig: ProcSig,
         decls: Vec<Decl>,
-        stmts: Vec<Stmt>,
-        poisoned: bool,
+        body: Body,
     ) {
-        let name_str = self.interner.resolve(code_name);
+        let name_str = self.interner.as_str(code_name);
         if self.analyze {
             let file = self.tables().scope(scope).file();
             self.spawn_analyze(
                 format!("analyze({name_str})"),
-                name_str.clone(),
+                name_str.to_owned(),
                 file,
                 ccm2_analysis::UnitKind::Procedure,
                 decls,
-                stmts.clone(),
+                &body,
                 Some(scope),
             );
         }
@@ -1082,18 +1092,18 @@ impl Driver {
             .skip(1)
             .map(|s| self.scope_event(s))
             .collect();
-        let weight = stmt_count(&stmts) as u64;
+        let weight = body.ast.stmt_count(body.stmts) as u64;
         let this = Arc::clone(self);
         let mut t = TaskDesc::new(
             format!("codegen({name_str})"),
             codegen_kind(weight),
             Box::new(move || {
                 let sema = &this.sema;
-                let unit = if poisoned {
+                let unit = if body.poisoned {
                     let level = sema.tables.scope(scope).level();
                     gen_error_unit(&this.interner, code_name, level)
                 } else {
-                    gen_procedure(sema, scope, code_name, &sig, &stmts)
+                    gen_procedure(sema, scope, code_name, &sig, &body)
                 };
                 this.merger.add_unit(unit, sema.meter.as_ref());
             }),
@@ -1141,7 +1151,7 @@ impl Driver {
         name: Symbol,
         q: Arc<TokenQueue>,
     ) {
-        let name_str = self.interner.resolve(name);
+        let name_str = self.interner.as_str(name);
         let (scope_ev, heading_ev) = {
             let st = self.st.lock();
             (
@@ -1207,7 +1217,7 @@ impl Driver {
         let this = Arc::clone(self);
         let body_evs = child_evs.clone();
         let mut t = TaskDesc::new(
-            format!("splice({})", self.interner.resolve(name)),
+            format!("splice({})", self.interner.as_str(name)),
             TaskKind::CacheSplice,
             Box::new(move || this.splice(stream, splice, body_evs)),
         );
@@ -1422,7 +1432,7 @@ impl StreamFactory for DriverHandle {
         let scope = this
             .tables()
             .new_scope(ScopeKind::Procedure, name, Some(parent), file);
-        let name_str = this.interner.resolve(name);
+        let name_str = this.interner.as_str(name);
         let scope_ev = this
             .env
             .new_event_named(EventClass::Handled, &format!("scope(proc {name_str})"));

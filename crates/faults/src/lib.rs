@@ -1,9 +1,9 @@
 //! Deterministic fault-injection plane.
 //!
-//! A [`FaultPlan`] is a list of `task:{name}` patterns. Both executors
-//! ask it, as they dispatch a task, whether the task's body panics in
-//! place of running. The answer is a **pure function of the site name**
-//! (does any pattern match), so it is independent of scheduling order:
+//! A [`FaultPlan`] is one `task:{name}` pattern. Both executors ask it,
+//! as they dispatch a task, whether the task's body panics in place of
+//! running. The answer is a **pure function of the site name** (does the
+//! pattern match), so it is independent of scheduling order:
 //! the same plan injects the same faults whether the compile runs on the
 //! virtual-time simulator or on real threads, with any worker count.
 //! That is what makes the survival matrix (`reproduce -- faults`) and
@@ -23,42 +23,33 @@
 use parking_lot::Mutex;
 
 /// A deterministic fault plan: the `task:` sites whose dispatch panics.
-#[derive(Default)]
 pub struct FaultPlan {
-    patterns: Vec<String>,
+    pattern: String,
     fired: Mutex<Vec<String>>,
 }
 
 impl std::fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultPlan")
-            .field("patterns", &self.patterns)
+            .field("pattern", &self.pattern)
             .finish()
     }
 }
 
 impl FaultPlan {
-    /// An empty plan: no site ever fires.
-    pub fn new() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// A plan injecting a panic at the sites `pattern` matches.
+    /// A plan injecting a panic at the sites `pattern` matches: the site
+    /// itself, or with `*` wildcards a glob.
     pub fn single(pattern: impl Into<String>) -> FaultPlan {
-        FaultPlan::new().with_fault(pattern)
-    }
-
-    /// Adds a pattern: any site matching it (literal, or a glob with `*`
-    /// wildcards) fires.
-    pub fn with_fault(mut self, pattern: impl Into<String>) -> FaultPlan {
-        self.patterns.push(pattern.into());
-        self
+        FaultPlan {
+            pattern: pattern.into(),
+            fired: Mutex::new(Vec::new()),
+        }
     }
 
     /// Whether the plan fires at `site`. Pure in the site name; firing
     /// sites are logged for [`FaultPlan::fired`].
     pub fn fires(&self, site: &str) -> bool {
-        let hit = self.patterns.iter().any(|p| glob_match(p, site));
+        let hit = glob_match(&self.pattern, site);
         if hit {
             let mut log = self.fired.lock();
             if !log.iter().any(|s| s == site) {
@@ -119,13 +110,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_plan_never_fires() {
-        let p = FaultPlan::new();
-        assert!(!p.fires("task:codegen(M.P)"));
-        assert!(!p.any_fired());
-    }
-
-    #[test]
     fn exact_pattern_fires_and_logs() {
         let p = FaultPlan::single("task:codegen(M.P)");
         assert!(p.fires("task:codegen(M.P)"));
@@ -150,18 +134,6 @@ mod tests {
         assert!(glob_match("task:lex*", "task:lex(Main)"));
         assert!(!glob_match("task:lex*", "task:le"));
         assert!(!glob_match("task:lex", "task:lex(Main)"));
-    }
-
-    #[test]
-    fn any_pattern_of_a_plan_fires() {
-        let p = FaultPlan::new()
-            .with_fault("task:lex(Main)")
-            .with_fault("task:codegen(*)");
-        assert!(p.fires("task:codegen(M.P)"));
-        assert!(p.fires("task:lex(Main)"));
-        assert!(!p.fires("task:split(Main)"));
-        let want = ["task:codegen(M.P)", "task:lex(Main)"];
-        assert_eq!(p.fired(), want);
     }
 
     #[test]

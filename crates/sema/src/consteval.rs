@@ -11,7 +11,7 @@ use ccm2_support::diag::Diagnostic;
 use ccm2_support::ids::ScopeId;
 use ccm2_support::source::Span;
 
-use ccm2_syntax::ast::{BinOp, Expr, ExprKind, SetElem, UnOp};
+use ccm2_syntax::ast::{Ast, BinOp, Expr, ExprId, ExprKind, Label, UnOp};
 
 use crate::builtins::{Builtin, BuiltinDef};
 use crate::symtab::{LookupResult, SymbolKind};
@@ -19,12 +19,16 @@ use crate::types::{Type, TypeId};
 use crate::value::ConstValue;
 use crate::Sema;
 
-/// Evaluates a constant expression in `scope`.
+/// Evaluates the constant expression `expr` of `ast` in `scope`.
 ///
 /// Returns the value and its type, or `None` after reporting a diagnostic.
-pub fn eval_const(sema: &Sema, scope: ScopeId, expr: &Expr) -> Option<(ConstValue, TypeId)> {
-    let ev = Evaluator { sema, scope };
-    ev.eval(expr)
+pub fn eval_const(
+    sema: &Sema,
+    scope: ScopeId,
+    ast: &Ast,
+    expr: ExprId,
+) -> Option<(ConstValue, TypeId)> {
+    Evaluator { sema, scope, ast }.eval(&ast[expr])
 }
 
 /// Evaluates `MIN(args)` or `MAX(args)` — `b` says which, already
@@ -35,16 +39,18 @@ pub fn eval_const(sema: &Sema, scope: ScopeId, expr: &Expr) -> Option<(ConstValu
 pub fn min_max(
     sema: &Sema,
     scope: ScopeId,
+    ast: &Ast,
     b: Builtin,
-    args: &[Expr],
+    args: &[ExprId],
     span: Span,
 ) -> Option<(ConstValue, TypeId)> {
-    Evaluator { sema, scope }.min_max(b, args, span)
+    Evaluator { sema, scope, ast }.min_max(b, args, span)
 }
 
 struct Evaluator<'a> {
     sema: &'a Sema,
     scope: ScopeId,
+    ast: &'a Ast,
 }
 
 impl<'a> Evaluator<'a> {
@@ -74,7 +80,7 @@ impl<'a> Evaluator<'a> {
             },
             ExprKind::Field { base, field } => {
                 // Qualified constant `Module.c`.
-                let ExprKind::Name(mod_id) = &base.kind else {
+                let ExprKind::Name(mod_id) = &self.ast[*base].kind else {
                     return self.err(expr.span, "constant expression too complex");
                 };
                 match self.sema.resolver.lookup(self.scope, mod_id.name) {
@@ -104,7 +110,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             ExprKind::Unary { op, operand } => {
-                let (v, ty) = self.eval(operand)?;
+                let (v, ty) = self.eval(&self.ast[*operand])?;
                 match (op, v) {
                     (UnOp::Neg, ConstValue::Int(x)) => {
                         Some((ConstValue::Int(x.wrapping_neg()), ty))
@@ -120,15 +126,16 @@ impl<'a> Evaluator<'a> {
                 }
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let (a, ta) = self.eval(lhs)?;
-                let (b, _tb) = self.eval(rhs)?;
+                let (a, ta) = self.eval(&self.ast[*lhs])?;
+                let (b, _tb) = self.eval(&self.ast[*rhs])?;
                 self.binary(*op, a, b, ta, expr.span)
             }
             ExprKind::SetCons { elems, .. } => {
                 let mut mask: u64 = 0;
-                for el in elems {
+                for &el in &self.ast[*elems] {
                     match el {
-                        SetElem::Single(e) => {
+                        Label::Single(e) => {
+                            let e = &self.ast[e];
                             let (v, _) = self.eval(e)?;
                             let Some(o) = v.ordinal() else {
                                 return self.err(e.span, "set element must be ordinal");
@@ -138,7 +145,8 @@ impl<'a> Evaluator<'a> {
                             }
                             mask |= 1 << o;
                         }
-                        SetElem::Range(lo, hi) => {
+                        Label::Range(lo, hi) => {
+                            let (lo, hi) = (&self.ast[lo], &self.ast[hi]);
                             let (lv, _) = self.eval(lo)?;
                             let (hv, _) = self.eval(hi)?;
                             let (Some(l), Some(h)) = (lv.ordinal(), hv.ordinal()) else {
@@ -155,7 +163,9 @@ impl<'a> Evaluator<'a> {
                 }
                 Some((ConstValue::Set(mask), TypeId::BITSET))
             }
-            ExprKind::Call { callee, args } => self.builtin_call(callee, args, expr.span),
+            ExprKind::Call { callee, args } => {
+                self.builtin_call(&self.ast[*callee], &self.ast[*args], expr.span)
+            }
             _ => self.err(expr.span, "expression is not constant"),
         }
     }
@@ -269,7 +279,7 @@ impl<'a> Evaluator<'a> {
     fn builtin_call(
         &self,
         callee: &Expr,
-        args: &[Expr],
+        args: &[ExprId],
         span: Span,
     ) -> Option<(ConstValue, TypeId)> {
         let ExprKind::Name(id) = &callee.kind else {
@@ -286,7 +296,7 @@ impl<'a> Evaluator<'a> {
         let [arg] = args else {
             return self.err(span, "builtin takes one argument in constants");
         };
-        let (v, vt) = self.eval(arg)?;
+        let (v, vt) = self.eval(&self.ast[*arg])?;
         let out = match (b, v) {
             (Builtin::Abs, ConstValue::Int(x)) => (ConstValue::Int(x.abs()), vt),
             (Builtin::Abs, ConstValue::Real(_)) => (
@@ -317,11 +327,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// MIN/MAX take a *type* argument.
-    fn min_max(&self, b: Builtin, args: &[Expr], span: Span) -> Option<(ConstValue, TypeId)> {
+    fn min_max(&self, b: Builtin, args: &[ExprId], span: Span) -> Option<(ConstValue, TypeId)> {
         let [arg] = args else {
             return self.err(span, "MIN/MAX take one type argument");
         };
-        let ExprKind::Name(tn) = &arg.kind else {
+        let ExprKind::Name(tn) = &self.ast[*arg].kind else {
             return self.err(span, "MIN/MAX take a type name");
         };
         let ty = match self.sema.resolver.lookup(self.scope, tn.name) {
@@ -337,7 +347,7 @@ impl<'a> Evaluator<'a> {
         };
         let v = if b == Builtin::Min { lo } else { hi };
         let out_ty = self.sema.types.strip_subrange(ty);
-        Some(match self.sema.types.get(out_ty) {
+        Some(match *self.sema.types.get(out_ty) {
             Type::Char => (ConstValue::Char(v as u8), TypeId::CHAR),
             Type::Boolean => (ConstValue::Bool(v != 0), TypeId::BOOLEAN),
             _ => (ConstValue::Int(v), out_ty),
@@ -374,9 +384,9 @@ mod tests {
         let map = SourceMap::new();
         let f = map.add("c.frag", src);
         let toks = lex_file(&f, &interner, &sink);
-        let expr = ccm2_syntax::parser::parse_const_expr(&toks, &interner, &sink)
+        let (ast, expr) = ccm2_syntax::parser::parse_const_expr(&toks, &interner, &sink)
             .expect("const expr parses");
-        (eval_const(&sema, scope, &expr), sink)
+        (eval_const(&sema, scope, &ast, expr), sink)
     }
 
     #[test]

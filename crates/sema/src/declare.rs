@@ -24,7 +24,7 @@ use ccm2_support::ids::{ScopeId, StreamId};
 use ccm2_support::source::Span;
 use ccm2_support::work::Work;
 
-use ccm2_syntax::ast::{Decl, ProcBody, ProcHeading, TypeExpr, TypeExprKind};
+use ccm2_syntax::ast::{Ast, Decl, ProcBody, ProcHeading, TypeExpr, TypeExprKind};
 
 use crate::builtins::BuiltinDef;
 use crate::consteval::eval_const;
@@ -120,7 +120,7 @@ impl std::fmt::Debug for LocalHooks<'_> {
     }
 }
 
-/// Elaborates a type expression in `scope`.
+/// Elaborates a type expression of `ast` in `scope`.
 ///
 /// `forward` lists type names declared *later* in the same declaration
 /// part; `POINTER TO`-references to them are created with a pending
@@ -129,6 +129,7 @@ impl std::fmt::Debug for LocalHooks<'_> {
 pub fn elaborate_type(
     sema: &Sema,
     scope: ScopeId,
+    ast: &Ast,
     texpr: &TypeExpr,
     forward: &mut ForwardRefs,
 ) -> TypeId {
@@ -198,21 +199,21 @@ pub fn elaborate_type(
             }
         }
         TypeExprKind::Array { index, elem } => {
-            let index = elaborate_type(sema, scope, index, forward);
-            let elem = elaborate_type(sema, scope, elem, forward);
+            let index = elaborate_type(sema, scope, ast, index, forward);
+            let elem = elaborate_type(sema, scope, ast, elem, forward);
             if !sema.types.is_ordinal(index) {
                 return err(texpr.span, "array index type must be ordinal".into());
             }
             sema.types.add(Type::Array { index, elem })
         }
         TypeExprKind::OpenArray { elem } => {
-            let elem = elaborate_type(sema, scope, elem, forward);
+            let elem = elaborate_type(sema, scope, ast, elem, forward);
             sema.types.add(Type::OpenArray { elem })
         }
         TypeExprKind::Record { fields } => {
             let mut out = Vec::new();
             for section in fields {
-                let ty = elaborate_type(sema, scope, &section.ty, forward);
+                let ty = elaborate_type(sema, scope, ast, &section.ty, forward);
                 for n in &section.names {
                     if out.iter().any(|(f, _)| *f == n.name) {
                         sema.sink.report(Diagnostic::error(
@@ -239,11 +240,11 @@ pub fn elaborate_type(
                 forward.add_patch(*name, ptr);
                 return ptr;
             }
-            let to = elaborate_type(sema, scope, to, forward);
+            let to = elaborate_type(sema, scope, ast, to, forward);
             sema.types.add(Type::Pointer { to })
         }
         TypeExprKind::Set { of } => {
-            let of_id = elaborate_type(sema, scope, of, forward);
+            let of_id = elaborate_type(sema, scope, ast, of, forward);
             match sema.types.ordinal_bounds(of_id) {
                 Some((lo, hi)) if lo >= 0 && hi <= 63 => sema.types.add(Type::Set { of: of_id }),
                 Some(_) => err(texpr.span, "set base ordinals must lie in 0..63".into()),
@@ -271,8 +272,8 @@ pub fn elaborate_type(
             ty
         }
         TypeExprKind::Subrange { lo, hi } => {
-            let lo_v = eval_const(sema, scope, lo);
-            let hi_v = eval_const(sema, scope, hi);
+            let lo_v = eval_const(sema, scope, ast, *lo);
+            let hi_v = eval_const(sema, scope, ast, *hi);
             match (lo_v, hi_v) {
                 (Some((lv, lt)), Some((hv, _))) => {
                     let (Some(l), Some(h)) = (lv.ordinal(), hv.ordinal()) else {
@@ -290,11 +291,11 @@ pub fn elaborate_type(
         TypeExprKind::ProcType { params, ret } => {
             let params = params
                 .iter()
-                .map(|(is_var, t)| (*is_var, elaborate_type(sema, scope, t, forward)))
+                .map(|(is_var, t)| (*is_var, elaborate_type(sema, scope, ast, t, forward)))
                 .collect();
             let ret = ret
                 .as_ref()
-                .map(|t| elaborate_type(sema, scope, t, forward));
+                .map(|t| elaborate_type(sema, scope, ast, t, forward));
             sema.types.add(Type::Proc { params, ret })
         }
     }
@@ -362,13 +363,18 @@ fn report_redeclaration(
     ));
 }
 
-/// Elaborates a procedure heading in `resolve_scope` (the parent), giving
-/// its signature.
-pub fn elaborate_heading(sema: &Sema, resolve_scope: ScopeId, heading: &ProcHeading) -> ProcSig {
+/// Elaborates a procedure heading of `ast` in `resolve_scope` (the
+/// parent), giving its signature.
+pub fn elaborate_heading(
+    sema: &Sema,
+    resolve_scope: ScopeId,
+    ast: &Ast,
+    heading: &ProcHeading,
+) -> ProcSig {
     let mut forward = ForwardRefs::default();
     let mut params = Vec::new();
     for section in &heading.params {
-        let ty = elaborate_type(sema, resolve_scope, &section.ty, &mut forward);
+        let ty = elaborate_type(sema, resolve_scope, ast, &section.ty, &mut forward);
         for _ in &section.names {
             params.push(ParamSig {
                 is_var: section.is_var,
@@ -379,13 +385,13 @@ pub fn elaborate_heading(sema: &Sema, resolve_scope: ScopeId, heading: &ProcHead
     let ret = heading
         .ret
         .as_ref()
-        .map(|t| elaborate_type(sema, resolve_scope, t, &mut forward));
+        .map(|t| elaborate_type(sema, resolve_scope, ast, t, &mut forward));
     resolve_patches(sema, resolve_scope, &mut forward);
     ProcSig { params, ret }
 }
 
-/// Inserts the formal-parameter entries of `heading` into `proc_scope`,
-/// with types resolved in `resolve_scope`.
+/// Inserts the formal-parameter entries of `heading`, a heading of `ast`,
+/// into `proc_scope`, with types resolved in `resolve_scope`.
 ///
 /// Under [`HeadingMode::CopyToChild`] the parent calls this with
 /// `resolve_scope` = parent; under [`HeadingMode::Reprocess`] the child
@@ -396,6 +402,7 @@ pub fn declare_params_into(
     sema: &Sema,
     proc_scope: ScopeId,
     resolve_scope: ScopeId,
+    ast: &Ast,
     heading: &ProcHeading,
 ) -> ProcSig {
     let table = sema.tables.scope(proc_scope);
@@ -404,7 +411,7 @@ pub fn declare_params_into(
     let mut forward = ForwardRefs::default();
     let mut params = Vec::new();
     for section in &heading.params {
-        let ty = elaborate_type(sema, resolve_scope, &section.ty, &mut forward);
+        let ty = elaborate_type(sema, resolve_scope, ast, &section.ty, &mut forward);
         for n in &section.names {
             let slot = table.alloc_slot();
             params.push(ParamSig {
@@ -430,7 +437,7 @@ pub fn declare_params_into(
     let ret = heading
         .ret
         .as_ref()
-        .map(|t| elaborate_type(sema, resolve_scope, t, &mut forward));
+        .map(|t| elaborate_type(sema, resolve_scope, ast, t, &mut forward));
     resolve_patches(sema, resolve_scope, &mut forward);
     ProcSig { params, ret }
 }
@@ -438,26 +445,38 @@ pub fn declare_params_into(
 /// Child-side heading re-processing for [`HeadingMode::Reprocess`]
 /// (§2.4 alternative 3): parameter types resolve through the child's own
 /// ancestry chain.
-pub fn declare_own_params(sema: &Sema, proc_scope: ScopeId, heading: &ProcHeading) -> ProcSig {
+pub fn declare_own_params(
+    sema: &Sema,
+    proc_scope: ScopeId,
+    ast: &Ast,
+    heading: &ProcHeading,
+) -> ProcSig {
     // Resolving from the child's chain visits parent scopes — identical
     // results, duplicated effort (the paper measured ~3%).
     sema.meter
         .charge(Work::DeclAnalyze, 1 + heading.param_count() as u64);
-    declare_params_into(sema, proc_scope, proc_scope, heading)
+    declare_params_into(sema, proc_scope, proc_scope, ast, heading)
 }
 
 /// The child's side of the §2.4 heading flow, run by a procedure's own
 /// declaration analysis before its declarations: nothing under
 /// [`HeadingMode::CopyToChild`], [`declare_own_params`] under
 /// [`HeadingMode::Reprocess`].
-pub fn child_heading(sema: &Sema, mode: HeadingMode, proc_scope: ScopeId, heading: &ProcHeading) {
+pub fn child_heading(
+    sema: &Sema,
+    mode: HeadingMode,
+    proc_scope: ScopeId,
+    ast: &Ast,
+    heading: &ProcHeading,
+) {
     if mode == HeadingMode::Reprocess {
-        declare_own_params(sema, proc_scope, heading);
+        declare_own_params(sema, proc_scope, ast, heading);
     }
 }
 
 /// Incremental declaration analysis for one scope: feed declarations as
-/// they are parsed ([`Declarer::declare`]), then [`Declarer::finish`].
+/// they are parsed ([`Declarer::declare`], with the arena their
+/// expressions are in), then [`Declarer::finish`].
 /// This is what lets the concurrent compiler fire a procedure heading's
 /// avoided event the moment the heading is parsed, long before the rest
 /// of the enclosing scope has been (paper §3: fast processing of
@@ -494,8 +513,8 @@ impl<'a> Declarer<'a> {
         }
     }
 
-    /// Processes one declaration.
-    pub fn declare(&mut self, decl: &Decl) {
+    /// Processes one declaration of `ast`.
+    pub fn declare(&mut self, ast: &Ast, decl: &Decl) {
         let sema = self.sema;
         let scope = self.scope;
         let table = sema.tables.scope(scope);
@@ -504,7 +523,7 @@ impl<'a> Declarer<'a> {
         sema.meter.charge(Work::DeclAnalyze, 1);
         match decl {
             Decl::Const { name, value } => {
-                let entry = match eval_const(sema, scope, value) {
+                let entry = match eval_const(sema, scope, ast, *value) {
                     Some((v, ty)) => SymbolEntry {
                         name: name.name,
                         kind: SymbolKind::Const { value: v, ty },
@@ -525,7 +544,7 @@ impl<'a> Declarer<'a> {
             }
             Decl::Type { name, ty } => {
                 let tid = match ty {
-                    Some(texpr) => elaborate_type(sema, scope, texpr, &mut self.forward),
+                    Some(texpr) => elaborate_type(sema, scope, ast, texpr, &mut self.forward),
                     None => sema.types.add(Type::Opaque { name: name.name }),
                 };
                 let entry = SymbolEntry {
@@ -538,7 +557,7 @@ impl<'a> Declarer<'a> {
                 }
             }
             Decl::Var { names, ty } => {
-                let tid = elaborate_type(sema, scope, ty, &mut self.forward);
+                let tid = elaborate_type(sema, scope, ast, ty, &mut self.forward);
                 for n in names {
                     let slot = table.alloc_slot();
                     let entry = SymbolEntry {
@@ -562,7 +581,7 @@ impl<'a> Declarer<'a> {
                 let code_name = sema.interner.intern(&format!(
                     "{}.{}",
                     self.code_prefix,
-                    sema.interner.resolve(name.name)
+                    sema.interner.as_str(name.name)
                 ));
                 // Identify / create the child scope.
                 let child = match &p.body {
@@ -579,9 +598,9 @@ impl<'a> Declarer<'a> {
                 // CopyToChild also populate the child's parameter entries.
                 let sig = match (child, self.mode) {
                     (Some(child), HeadingMode::CopyToChild) => {
-                        declare_params_into(sema, child, scope, &p.heading)
+                        declare_params_into(sema, child, scope, ast, &p.heading)
                     }
-                    _ => elaborate_heading(sema, scope, &p.heading),
+                    _ => elaborate_heading(sema, scope, ast, &p.heading),
                 };
                 let level = child.map(|c| sema.tables.scope(c).level()).unwrap_or(1);
                 let entry = SymbolEntry {
@@ -622,17 +641,19 @@ impl<'a> Declarer<'a> {
     }
 }
 
-/// Batch form of [`Declarer`]: processes a complete declaration list.
+/// Batch form of [`Declarer`]: processes a complete declaration list of
+/// `ast`.
 pub fn declare_decls(
     sema: &Sema,
     scope: ScopeId,
+    ast: &Ast,
     decls: &[Decl],
     mode: HeadingMode,
     hooks: &dyn DeclareHooks,
 ) -> Vec<PendingProc> {
     let mut d = Declarer::new(sema, scope, mode, hooks);
     for decl in decls {
-        d.declare(decl);
+        d.declare(ast, decl);
     }
     d.finish()
 }
@@ -703,9 +724,9 @@ pub fn bind_imports(
 /// (the scope's own dotted path).
 pub fn code_prefix_of(sema: &Sema, scope: ScopeId) -> String {
     let chain = sema.tables.ancestry(scope);
-    let mut parts: Vec<String> = chain
+    let mut parts: Vec<&str> = chain
         .iter()
-        .map(|s| sema.interner.resolve(sema.tables.scope(*s).name()))
+        .map(|s| sema.interner.as_str(sema.tables.scope(*s).name()))
         .collect();
     parts.reverse();
     parts.join(".")
@@ -723,7 +744,7 @@ mod tests {
     use ccm2_syntax::parser::parse_implementation;
     use std::sync::Arc;
 
-    fn setup(src: &str) -> (Sema, ScopeId, Vec<Decl>, Arc<DiagnosticSink>) {
+    fn setup(src: &str) -> (Sema, ScopeId, Arc<Ast>, Vec<Decl>, Arc<DiagnosticSink>) {
         let interner = Arc::new(Interner::new());
         let sink = Arc::new(DiagnosticSink::new());
         let sema = Sema::new(
@@ -740,7 +761,7 @@ mod tests {
         let scope = sema
             .tables
             .new_scope(ScopeKind::MainModule, m.name.name, None, FileId(0));
-        (sema, scope, m.decls, sink)
+        (sema, scope, m.body.ast, m.decls, sink)
     }
 
     fn lookup_kind(sema: &Sema, scope: ScopeId, name: &str) -> SymbolKind {
@@ -753,7 +774,7 @@ mod tests {
 
     #[test]
     fn consts_types_vars_declared() {
-        let (sema, scope, decls, sink) = setup(
+        let (sema, scope, ast, decls, sink) = setup(
             "IMPLEMENTATION MODULE M; \
              CONST n = 3; \
              TYPE Vec = ARRAY [1..n] OF REAL; \
@@ -761,7 +782,7 @@ mod tests {
              BEGIN END M.",
         );
         let hooks = LocalHooks::new(&sema);
-        let pending = declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        let pending = declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         sema.tables.mark_complete(scope);
         assert!(pending.is_empty());
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
@@ -772,7 +793,7 @@ mod tests {
         let SymbolKind::TypeName { ty } = lookup_kind(&sema, scope, "Vec") else {
             panic!()
         };
-        let Type::Array { index, .. } = sema.types.get(ty) else {
+        let Type::Array { index, .. } = *sema.types.get(ty) else {
             panic!()
         };
         assert_eq!(sema.types.ordinal_bounds(index), Some((1, 3)));
@@ -785,10 +806,10 @@ mod tests {
 
     #[test]
     fn enumeration_members_enter_scope() {
-        let (sema, scope, decls, sink) =
+        let (sema, scope, ast, decls, sink) =
             setup("IMPLEMENTATION MODULE M; TYPE Color = (red, green, blue); BEGIN END M.");
         let hooks = LocalHooks::new(&sema);
-        declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         sema.tables.mark_complete(scope);
         assert!(!sink.has_errors());
         let SymbolKind::EnumConst { value, .. } = lookup_kind(&sema, scope, "green") else {
@@ -799,46 +820,46 @@ mod tests {
 
     #[test]
     fn forward_pointer_patched() {
-        let (sema, scope, decls, sink) = setup(
+        let (sema, scope, ast, decls, sink) = setup(
             "IMPLEMENTATION MODULE M; \
              TYPE P = POINTER TO Node; \
                   Node = RECORD next : P; val : INTEGER END; \
              BEGIN END M.",
         );
         let hooks = LocalHooks::new(&sema);
-        declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         sema.tables.mark_complete(scope);
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
         let SymbolKind::TypeName { ty: p } = lookup_kind(&sema, scope, "P") else {
             panic!()
         };
-        let Type::Pointer { to } = sema.types.get(p) else {
+        let Type::Pointer { to } = *sema.types.get(p) else {
             panic!()
         };
-        assert!(matches!(sema.types.get(to), Type::Record { .. }));
+        assert!(matches!(*sema.types.get(to), Type::Record { .. }));
     }
 
     #[test]
     fn never_declared_forward_pointer_reports() {
-        let (sema, scope, decls, sink) =
+        let (sema, scope, ast, decls, sink) =
             setup("IMPLEMENTATION MODULE M; TYPE P = POINTER TO Ghost; BEGIN END M.");
         // `Ghost` is not in the forward set (no TYPE Ghost), so this is an
         // undeclared-type error rather than a patch failure.
         let hooks = LocalHooks::new(&sema);
-        declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         assert!(sink.has_errors());
     }
 
     #[test]
     fn procedure_headings_copy_params_to_child() {
-        let (sema, scope, decls, sink) = setup(
+        let (sema, scope, ast, decls, sink) = setup(
             "IMPLEMENTATION MODULE M; \
              PROCEDURE Add(a, b : INTEGER; VAR out : INTEGER); \
              BEGIN out := a + b END Add; \
              BEGIN END M.",
         );
         let hooks = LocalHooks::new(&sema);
-        let pending = declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        let pending = declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         sema.tables.mark_complete(scope);
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
         assert_eq!(pending.len(), 1);
@@ -860,13 +881,13 @@ mod tests {
 
     #[test]
     fn reprocess_mode_defers_param_entry_to_child() {
-        let (sema, scope, decls, sink) = setup(
+        let (sema, scope, ast, decls, sink) = setup(
             "IMPLEMENTATION MODULE M; \
              PROCEDURE Inc(VAR x : INTEGER); BEGIN x := x + 1 END Inc; \
              BEGIN END M.",
         );
         let hooks = LocalHooks::new(&sema);
-        let pending = declare_decls(&sema, scope, &decls, HeadingMode::Reprocess, &hooks);
+        let pending = declare_decls(&sema, scope, &ast, &decls, HeadingMode::Reprocess, &hooks);
         assert!(!sink.has_errors());
         let p = &pending[0];
         assert!(
@@ -874,7 +895,7 @@ mod tests {
             "child empty before reprocess"
         );
         // Child side re-elaborates (alternative 3).
-        let sig = declare_own_params(&sema, p.scope, &p.heading);
+        let sig = declare_own_params(&sema, p.scope, &ast, &p.heading);
         assert_eq!(sig, p.sig);
         assert_eq!(sema.tables.scope(p.scope).len(), 1);
     }
@@ -887,7 +908,7 @@ mod tests {
 
     #[test]
     fn nested_procedure_code_names_are_dotted() {
-        let (sema, scope, decls, sink) = setup(
+        let (sema, scope, ast, decls, sink) = setup(
             "IMPLEMENTATION MODULE M; \
              PROCEDURE Outer; \
                PROCEDURE Inner; BEGIN END Inner; \
@@ -895,7 +916,7 @@ mod tests {
              BEGIN END M.",
         );
         let hooks = LocalHooks::new(&sema);
-        let pending = declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        let pending = declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         assert!(!sink.has_errors());
         let outer = &pending[0];
         let ccm2_syntax::ast::ProcBody::Local(local) = &outer.body else {
@@ -904,6 +925,7 @@ mod tests {
         let inner_pending = declare_decls(
             &sema,
             outer.scope,
+            &ast,
             &local.decls,
             HeadingMode::CopyToChild,
             &hooks,
@@ -917,25 +939,25 @@ mod tests {
 
     #[test]
     fn redeclaration_reports_error() {
-        let (sema, scope, decls, sink) =
+        let (sema, scope, ast, decls, sink) =
             setup("IMPLEMENTATION MODULE M; CONST x = 1; VAR x : INTEGER; BEGIN END M.");
         let hooks = LocalHooks::new(&sema);
-        declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         assert!(sink.has_errors());
     }
 
     #[test]
     fn set_of_out_of_range_base_reports() {
-        let (sema, scope, decls, sink) =
+        let (sema, scope, ast, decls, sink) =
             setup("IMPLEMENTATION MODULE M; TYPE S = SET OF [0..100]; BEGIN END M.");
         let hooks = LocalHooks::new(&sema);
-        declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         assert!(sink.has_errors());
     }
 
     #[test]
     fn opaque_types_from_definition_modules() {
-        let (sema, scope, _, _) = setup("IMPLEMENTATION MODULE M; BEGIN END M.");
+        let (sema, scope, ast, _, _) = setup("IMPLEMENTATION MODULE M; BEGIN END M.");
         let name = sema.interner.intern("T");
         let decls = vec![Decl::Type {
             name: ccm2_syntax::ast::Ident {
@@ -945,10 +967,10 @@ mod tests {
             ty: None,
         }];
         let hooks = LocalHooks::new(&sema);
-        declare_decls(&sema, scope, &decls, HeadingMode::CopyToChild, &hooks);
+        declare_decls(&sema, scope, &ast, &decls, HeadingMode::CopyToChild, &hooks);
         let SymbolKind::TypeName { ty } = lookup_kind(&sema, scope, "T") else {
             panic!()
         };
-        assert!(matches!(sema.types.get(ty), Type::Opaque { .. }));
+        assert!(matches!(*sema.types.get(ty), Type::Opaque { .. }));
     }
 }

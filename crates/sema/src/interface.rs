@@ -209,7 +209,7 @@ impl Walk<'_> {
         }
         // A pointer takes its place before its pointee: the one edge of
         // a table that may point forward.
-        let pointer = matches!(ty, Type::Pointer { .. });
+        let pointer = matches!(*ty, Type::Pointer { .. });
         if pointer {
             self.place(t);
         }
@@ -245,13 +245,13 @@ pub fn capture(
     owner: &dyn Fn(TypeId) -> Option<(Symbol, u32)>,
 ) -> Option<(Interface, Vec<TypeId>)> {
     let table = sema.tables.scope(scope);
-    let mut entries: Vec<(String, SymbolEntry)> = table
+    let mut entries: Vec<(&str, SymbolEntry)> = table
         .entries_sorted()
         .into_iter()
         .filter(|e| !is_binding(&e.kind))
-        .map(|e| (sema.interner.resolve(e.name), e))
+        .map(|e| (sema.interner.as_str(e.name), e))
         .collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries.sort_by(|a, b| a.0.cmp(b.0));
     let mut walk = Walk {
         sema,
         owner,

@@ -137,7 +137,7 @@ impl Sema {
     /// against it: meeting a pending pointee is a DKY blockage — wait for
     /// the declaring scope to complete, then re-read.
     pub fn pointee(&self, ptr: TypeId) -> Option<TypeId> {
-        let read = || match self.types.get(ptr) {
+        let read = || match *self.types.get(ptr) {
             Type::Pointer { to } => Some(to),
             _ => None,
         };

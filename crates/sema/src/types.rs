@@ -15,6 +15,7 @@ use ccm2_support::ids::ScopeId;
 use ccm2_support::intern::Symbol;
 use ccm2_support::AppendArena;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Identifies a type in a [`TypeStore`].
@@ -156,7 +157,7 @@ enum Forward {
 /// use ccm2_sema::types::{Type, TypeId, TypeStore};
 /// let store = TypeStore::new();
 /// let t = store.add(Type::Pointer { to: TypeId::INTEGER });
-/// assert!(matches!(store.get(t), Type::Pointer { .. }));
+/// assert!(matches!(*store.get(t), Type::Pointer { .. }));
 /// assert!(store.assignable(TypeId::INTEGER, TypeId::CARDINAL));
 /// ```
 #[derive(Debug)]
@@ -212,19 +213,20 @@ impl TypeStore {
             .expect("type id from another store")
     }
 
-    /// Returns a clone of the type under `id`.
+    /// Returns the type under `id`, borrowed from the store; only a
+    /// patched forward pointer is built.
     ///
     /// # Panics
     ///
     /// Panics if `id` did not come from this store.
-    pub fn get(&self, id: TypeId) -> Type {
+    pub fn get(&self, id: TypeId) -> Cow<'_, Type> {
         let ty = self.stored(id);
         if matches!(ty, Type::Pointer { to } if *to == TypeId::PENDING) {
             if let Some(&Forward::Patched(to)) = self.forward.lock().get(&id) {
-                return Type::Pointer { to };
+                return Cow::Owned(Type::Pointer { to });
             }
         }
-        ty.clone()
+        Cow::Borrowed(ty)
     }
 
     /// Adds a pointer whose pointee is named but may be declared later in
@@ -394,16 +396,16 @@ mod tests {
     #[test]
     fn builtin_ids_are_fixed() {
         let s = TypeStore::new();
-        assert_eq!(s.get(TypeId::INTEGER), Type::Integer);
-        assert_eq!(s.get(TypeId::BOOLEAN), Type::Boolean);
-        assert_eq!(s.get(TypeId::ERROR), Type::Error);
+        assert_eq!(*s.get(TypeId::INTEGER), Type::Integer);
+        assert_eq!(*s.get(TypeId::BOOLEAN), Type::Boolean);
+        assert_eq!(*s.get(TypeId::ERROR), Type::Error);
     }
 
     #[test]
     fn add_and_get_round_trip() {
         let s = TypeStore::new();
         let t = s.add(Type::Set { of: TypeId::CHAR });
-        assert_eq!(s.get(t), Type::Set { of: TypeId::CHAR });
+        assert_eq!(*s.get(t), Type::Set { of: TypeId::CHAR });
     }
 
     #[test]
@@ -507,7 +509,7 @@ mod tests {
         });
         let r = s.add(Type::Record { fields: vec![] });
         s.patch_pointer(p, r);
-        assert_eq!(s.get(p), Type::Pointer { to: r });
+        assert_eq!(*s.get(p), Type::Pointer { to: r });
     }
 
     #[test]
@@ -516,14 +518,14 @@ mod tests {
         let p = s.add_forward_pointer(ScopeId(3));
         assert_eq!(s.pending_owner(p), Some(ScopeId(3)));
         assert_eq!(
-            s.get(p),
+            *s.get(p),
             Type::Pointer {
                 to: TypeId::PENDING
             }
         );
         s.patch_pointer(p, TypeId::REAL);
         assert_eq!(s.pending_owner(p), None);
-        assert_eq!(s.get(p), Type::Pointer { to: TypeId::REAL });
+        assert_eq!(*s.get(p), Type::Pointer { to: TypeId::REAL });
         assert!(s.assignable(p, TypeId::NILTYPE));
     }
 

@@ -186,7 +186,8 @@ pub fn compile_full(
         def_scopes.get(&name).copied()
     });
     let hooks = SeqHooks;
-    let pending = declare_decls(&sema, main_scope, &module.decls, heading_mode, &hooks);
+    let ast = &module.body.ast;
+    let pending = declare_decls(&sema, main_scope, ast, &module.decls, heading_mode, &hooks);
     sema.tables.mark_complete(main_scope);
     // Declare all procedure scopes (recursively) before generating any
     // code: the same "declarations first" discipline the concurrent
@@ -196,8 +197,8 @@ pub fn compile_full(
     let mut queue = pending;
     while let Some(p) = queue.pop() {
         if let ProcBody::Local(local) = &p.body {
-            child_heading(&sema, heading_mode, p.scope, &p.heading);
-            let nested = declare_decls(&sema, p.scope, &local.decls, heading_mode, &hooks);
+            child_heading(&sema, heading_mode, p.scope, ast, &p.heading);
+            let nested = declare_decls(&sema, p.scope, ast, &local.decls, heading_mode, &hooks);
             sema.tables.mark_complete(p.scope);
             queue.extend(nested);
         }
@@ -227,7 +228,7 @@ pub fn compile_full(
                     &interner.resolve(p.code_name),
                     ccm2_analysis::UnitKind::Procedure,
                     &local.decls,
-                    &local.body,
+                    &local.body_in(ast),
                     &sink,
                 );
                 meter.charge(Work::Analyze, ua.work);
@@ -266,13 +267,13 @@ pub fn compile_full(
                 let level = sema.tables.scope(p.scope).level();
                 gen_error_unit(&interner, p.code_name, level)
             } else {
-                gen_procedure(&sema, p.scope, p.code_name, &p.sig, &local.body)
+                gen_procedure(&sema, p.scope, p.code_name, &p.sig, &local.body_in(ast))
             };
             merger.add_unit(unit, meter.as_ref());
             procedures += 1;
         }
     }
-    let body_unit = if module.body_poisoned {
+    let body_unit = if module.body.poisoned {
         gen_error_unit(&interner, module.name.name, 0)
     } else {
         gen_module_body(&sema, main_scope, module.name.name, &module.body)
@@ -359,7 +360,8 @@ impl<'a> DefLoader<'a> {
         bind_imports(self.sema, scope, &def.imports, &|n| {
             import_scopes.get(&n).copied()
         });
-        declare_decls(self.sema, scope, &def.decls, self.heading_mode, &SeqHooks);
+        let mode = self.heading_mode;
+        declare_decls(self.sema, scope, &def.ast, &def.decls, mode, &SeqHooks);
         self.sema.tables.mark_complete(scope);
         Some(scope)
     }

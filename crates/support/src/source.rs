@@ -6,7 +6,7 @@
 //! every token and AST node so diagnostics can point at source.
 
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Identifies a [`SourceFile`] inside a [`SourceMap`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -93,28 +93,23 @@ impl fmt::Display for LineCol {
 }
 
 /// One source file: a name (e.g. `Text.def`) plus its full text and a
-/// precomputed line-start table.
+/// line-start table, built by the first [`SourceFile::line_col`] (a
+/// compile never asks for one; a diagnostic's renderer does).
 #[derive(Debug)]
 pub struct SourceFile {
     id: FileId,
     name: String,
     text: String,
-    line_starts: Vec<u32>,
+    line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceFile {
     fn new(id: FileId, name: String, text: String) -> SourceFile {
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
         SourceFile {
             id,
             name,
             text,
-            line_starts,
+            line_starts: OnceLock::new(),
         }
     }
 
@@ -135,13 +130,18 @@ impl SourceFile {
 
     /// Converts a byte offset to a one-based line/column pair.
     pub fn line_col(&self, offset: u32) -> LineCol {
-        let line = match self.line_starts.binary_search(&offset) {
+        let line_starts = self.line_starts.get_or_init(|| {
+            let newlines = self.text.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+            let after = newlines.map(|(i, _)| i as u32 + 1);
+            std::iter::once(0).chain(after).collect()
+        });
+        let line = match line_starts.binary_search(&offset) {
             Ok(exact) => exact,
             Err(next) => next - 1,
         };
         LineCol {
             line: line as u32 + 1,
-            col: offset - self.line_starts[line] + 1,
+            col: offset - line_starts[line] + 1,
         }
     }
 }

@@ -10,6 +10,19 @@
 //! * qualified names `A.b` are parsed as field selection on a name and
 //!   disambiguated during semantic analysis, which is where the paper's
 //!   *qualified identifier* lookup statistics (Table 2) are collected.
+//!
+//! Expressions and statements live in one arena per parsed stream, an
+//! [`Ast`]: a child expression is an [`ExprId`], and a statement sequence,
+//! an argument list or a CASE arm's labels is a [`List`] of consecutive
+//! entries. The parser collects a list on a scratch stack and moves it
+//! into the arena when it closes; nested lists close first, so every
+//! list is contiguous. The tree is read through the arena (`ast[id]`,
+//! `&ast[list]`) and dropped with it, in a few large frees.
+
+use std::fmt;
+use std::marker::PhantomData;
+use std::ops::{Index, Range};
+use std::sync::Arc;
 
 use ccm2_support::ids::StreamId;
 use ccm2_support::intern::Symbol;
@@ -63,6 +76,8 @@ pub struct DefinitionModule {
     /// Interface declarations (constants, types, variables, procedure
     /// headings).
     pub decls: Vec<Decl>,
+    /// The arena the declarations' expressions live in.
+    pub ast: Ast,
 }
 
 /// An implementation module (`M.mod`).
@@ -74,14 +89,26 @@ pub struct ImplementationModule {
     pub imports: Vec<Import>,
     /// Module-level declarations.
     pub decls: Vec<Decl>,
-    /// Module body statements (may be empty).
-    pub body: Vec<Stmt>,
-    /// `true` when the parser recovered from a syntax error inside the
-    /// module body: the statements are structurally sound but must not
-    /// be fed to code generation (emit an error unit instead).
-    pub body_poisoned: bool,
+    /// The module body (its statements may be empty), in the arena of the
+    /// whole module: declarations and local procedure bodies included.
+    pub body: Body,
     /// Span of the whole module.
     pub span: Span,
+}
+
+/// What a stream's parse hands on once it is over: its arena and its
+/// body's statements in it.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Body {
+    /// The stream's arena: its declarations' expressions and its body.
+    /// The tasks that read it share it, and the last of them frees it.
+    pub ast: Arc<Ast>,
+    /// The body's statements.
+    pub stmts: List<Stmt>,
+    /// Whether the body is *poisoned*: the parser recovered from a syntax
+    /// error inside it, so its statements are structurally sound but must
+    /// not be fed to code generation (emit an error unit instead).
+    pub poisoned: bool,
 }
 
 /// One declaration.
@@ -92,7 +119,7 @@ pub enum Decl {
         /// Declared name.
         name: Ident,
         /// Constant value expression.
-        value: Expr,
+        value: ExprId,
     },
     /// `TYPE name = type;` (in definition modules, `TYPE name;` declares an
     /// opaque type, represented with `ty: None`).
@@ -162,8 +189,9 @@ pub struct FormalParam {
 /// Where a procedure's body lives.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ProcBody {
-    /// The body is right here (sequential compiler, or a definition parsed
-    /// from an unsplit stream).
+    /// The body is right here, in the enclosing stream's arena
+    /// (sequential compiler, or a definition parsed from an unsplit
+    /// stream).
     Local(Box<ProcLocal>),
     /// The splitter diverted the body to the stream with this id; the
     /// parent sees only the heading (paper §3).
@@ -178,11 +206,23 @@ pub struct ProcLocal {
     /// Nested declarations (may contain nested procedures).
     pub decls: Vec<Decl>,
     /// Body statements.
-    pub body: Vec<Stmt>,
+    pub body: List<Stmt>,
     /// `true` when the parser recovered from a syntax error inside this
     /// body (not in nested procedures): statements are structurally
     /// sound but must not be fed to code generation.
     pub poisoned: bool,
+}
+
+impl ProcLocal {
+    /// This procedure's body, in `ast`: the arena of the stream that holds
+    /// the declaration.
+    pub fn body_in(&self, ast: &Arc<Ast>) -> Body {
+        Body {
+            ast: Arc::clone(ast),
+            stmts: self.body,
+            poisoned: self.poisoned,
+        }
+    }
 }
 
 /// A full procedure declaration.
@@ -248,9 +288,9 @@ pub enum TypeExprKind {
     /// `[lo .. hi]`.
     Subrange {
         /// Lower bound (constant expression).
-        lo: Box<Expr>,
+        lo: ExprId,
         /// Upper bound (constant expression).
-        hi: Box<Expr>,
+        hi: ExprId,
     },
     /// `PROCEDURE (params) : ret`.
     ProcType {
@@ -271,7 +311,7 @@ pub struct FieldSection {
 }
 
 /// A statement with its span.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Stmt {
     /// The statement kind.
     pub kind: StmtKind,
@@ -280,123 +320,133 @@ pub struct Stmt {
 }
 
 /// Statement kinds (Modula-2 plus the Modula-2+ `LOCK`/`TRY`/`RAISE`).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum StmtKind {
     /// `lhs := rhs`.
     Assign {
         /// Target designator.
-        lhs: Expr,
+        lhs: ExprId,
         /// Source expression.
-        rhs: Expr,
+        rhs: ExprId,
     },
     /// A procedure call used as a statement.
     Call {
         /// The call expression (an [`ExprKind::Call`] or a bare
         /// designator for parameterless procedures).
-        call: Expr,
+        call: ExprId,
     },
     /// `IF … THEN … ELSIF … ELSE … END`.
     If {
-        /// `(condition, body)` for the IF and each ELSIF, in order.
-        arms: Vec<(Expr, Vec<Stmt>)>,
+        /// The IF and each ELSIF, in order.
+        arms: List<IfArm>,
         /// The ELSE body, if present.
-        else_body: Option<Vec<Stmt>>,
+        else_body: Option<List<Stmt>>,
     },
     /// `WHILE cond DO body END`.
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: ExprId,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
     },
     /// `REPEAT body UNTIL cond`.
     Repeat {
         /// Loop body.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
         /// Termination condition.
-        until: Expr,
+        until: ExprId,
     },
     /// `FOR v := from TO to BY by DO body END`.
     For {
         /// Control variable.
         var: Ident,
         /// Initial value.
-        from: Expr,
+        from: ExprId,
         /// Final value.
-        to: Expr,
+        to: ExprId,
         /// Step (constant); `None` means 1.
-        by: Option<Expr>,
+        by: Option<ExprId>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
     },
     /// `LOOP body END`.
     Loop {
         /// Loop body.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
     },
     /// `EXIT`.
     Exit,
     /// `CASE e OF arms ELSE … END`.
     Case {
         /// Scrutinee.
-        scrutinee: Expr,
+        scrutinee: ExprId,
         /// Case arms.
-        arms: Vec<CaseArm>,
+        arms: List<CaseArm>,
         /// ELSE body, if present.
-        else_body: Option<Vec<Stmt>>,
+        else_body: Option<List<Stmt>>,
     },
     /// `WITH designator DO body END` — opens a field scope (the paper's
     /// Table 2 has a dedicated "WITH" scope row).
     With {
         /// The record designator.
-        designator: Expr,
+        designator: ExprId,
         /// Body statements.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
     },
     /// `RETURN [expr]`.
-    Return(Option<Expr>),
+    Return(Option<ExprId>),
     /// Modula-2+ `LOCK designator DO body END`.
     LockStmt {
         /// The mutex designator.
-        designator: Expr,
+        designator: ExprId,
         /// Body statements.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
     },
     /// Modula-2+ `TRY body EXCEPT handler FINALLY cleanup END`.
     TryStmt {
         /// Protected body.
-        body: Vec<Stmt>,
+        body: List<Stmt>,
         /// Exception handler, if present.
-        except: Option<Vec<Stmt>>,
+        except: Option<List<Stmt>>,
         /// Finalization body, if present.
-        finally: Option<Vec<Stmt>>,
+        finally: Option<List<Stmt>>,
     },
     /// Modula-2+ `RAISE [expr]`.
-    Raise(Option<Expr>),
+    Raise(Option<ExprId>),
     /// The empty statement (stray `;`).
     Empty,
 }
 
-/// One arm of a CASE statement.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CaseArm {
-    /// The labels selecting this arm.
-    pub labels: Vec<CaseLabel>,
-    /// The arm's body.
-    pub body: Vec<Stmt>,
+/// The IF or one ELSIF of an IF statement.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct IfArm {
+    /// The condition.
+    pub cond: ExprId,
+    /// The statements it guards.
+    pub body: List<Stmt>,
 }
 
-/// A case label: a single constant or a constant range.
-#[derive(Clone, PartialEq, Debug)]
-pub enum CaseLabel {
-    /// `c :`
-    Single(Expr),
-    /// `lo .. hi :`
-    Range(Expr, Expr),
+/// One arm of a CASE statement.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct CaseArm {
+    /// The labels selecting this arm.
+    pub labels: List<Label>,
+    /// The arm's body.
+    pub body: List<Stmt>,
+}
+
+/// A CASE label or an element of a set constructor: one value, or an
+/// inclusive range of values.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Label {
+    /// `c`
+    Single(ExprId),
+    /// `lo .. hi`
+    Range(ExprId, ExprId),
 }
 
 /// An expression with its span.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Expr {
     /// The expression kind.
     pub kind: ExprKind,
@@ -405,7 +455,7 @@ pub struct Expr {
 }
 
 /// Expression kinds.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum ExprKind {
     /// Integer literal.
     IntLit(i64),
@@ -422,7 +472,7 @@ pub enum ExprKind {
     /// `Module.ident`; sema disambiguates.
     Field {
         /// The selected-from expression.
-        base: Box<Expr>,
+        base: ExprId,
         /// The field or member name.
         field: Ident,
     },
@@ -430,54 +480,45 @@ pub enum ExprKind {
     /// arrays).
     Index {
         /// The indexed expression.
-        base: Box<Expr>,
+        base: ExprId,
         /// Index expressions.
-        indices: Vec<Expr>,
+        indices: List<ExprId>,
     },
     /// `base^` — pointer dereference.
     Deref {
         /// The pointer expression.
-        base: Box<Expr>,
+        base: ExprId,
     },
     /// `callee(args)` — procedure/function call or type conversion.
     Call {
         /// The called designator.
-        callee: Box<Expr>,
+        callee: ExprId,
         /// Actual arguments.
-        args: Vec<Expr>,
+        args: List<ExprId>,
     },
     /// Unary operation.
     Unary {
         /// The operator.
         op: UnOp,
         /// Operand.
-        operand: Box<Expr>,
+        operand: ExprId,
     },
     /// Binary operation.
     Binary {
         /// The operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: ExprId,
     },
     /// Set constructor `{1, 3..5}` or `BITSET{…}`.
     SetCons {
         /// Optional set type name.
         of_type: Option<Ident>,
         /// Elements.
-        elems: Vec<SetElem>,
+        elems: List<Label>,
     },
-}
-
-/// An element of a set constructor.
-#[derive(Clone, PartialEq, Debug)]
-pub enum SetElem {
-    /// A single member.
-    Single(Expr),
-    /// An inclusive range of members.
-    Range(Expr, Expr),
 }
 
 /// Unary operators.
@@ -526,72 +567,300 @@ pub enum BinOp {
     In,
 }
 
-impl Expr {
-    /// Counts the nodes of this expression tree — used by the virtual-time
-    /// cost model (work is charged per node analyzed/generated).
-    pub fn node_count(&self) -> usize {
-        1 + match &self.kind {
+// ----- the arena ------------------------------------------------------------
+
+/// The index of an expression in its stream's [`Ast`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct ExprId(u32);
+
+/// A run of consecutive `T`s in an [`Ast`]: a statement sequence, an
+/// argument or index list, the arms of an IF or a CASE, a CASE arm's
+/// labels, the elements of a set constructor.
+pub struct List<T> {
+    start: u32,
+    len: u32,
+    of: PhantomData<fn() -> T>,
+}
+
+impl<T> List<T> {
+    /// The number of entries.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the list has no entries.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    fn range(self) -> Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+impl<T> Clone for List<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for List<T> {}
+
+impl<T> PartialEq for List<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.start, self.len) == (other.start, other.len)
+    }
+}
+
+impl<T> Eq for List<T> {}
+
+impl<T> Default for List<T> {
+    fn default() -> Self {
+        List {
+            start: 0,
+            len: 0,
+            of: PhantomData,
+        }
+    }
+}
+
+impl<T> fmt::Debug for List<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "List({:?})", self.range())
+    }
+}
+
+/// One stream's syntax tree: every expression, statement and list its
+/// parse built, each kind in a pool of its own.
+///
+/// An arena may continue a shared one
+/// ([`StreamingImpl::share_ast`](crate::parser::StreamingImpl::share_ast)):
+/// an index under its `base` is the shared arena's, so what was handed
+/// out before the share reads the same through either.
+#[derive(Clone, Default, PartialEq, Debug)]
+pub struct Ast {
+    /// The arena this one continues, if any.
+    below: Option<Arc<Ast>>,
+    /// Where this arena's pools start: where `below`'s end.
+    base: [u32; 6],
+    exprs: Vec<Expr>,
+    stmts: Vec<Stmt>,
+    ids: Vec<ExprId>,
+    labels: Vec<Label>,
+    if_arms: Vec<IfArm>,
+    case_arms: Vec<CaseArm>,
+}
+
+mod sealed {
+    /// The pool of an [`Ast`](super::Ast) that holds a list's entries.
+    pub trait Pool: Sized {
+        /// The pool's place in [`Ast::lens`](super::Ast::lens).
+        const KIND: usize;
+        fn pool(ast: &super::Ast) -> &Vec<Self>;
+        fn pool_mut(ast: &mut super::Ast) -> &mut Vec<Self>;
+    }
+}
+
+/// A kind of entry an [`Ast`] keeps in [`List`]s.
+pub trait Listed: sealed::Pool {}
+
+macro_rules! listed {
+    ($($t:ty => $pool:ident: $kind:literal),* $(,)?) => {$(
+        impl sealed::Pool for $t {
+            const KIND: usize = $kind;
+            fn pool(ast: &Ast) -> &Vec<Self> {
+                &ast.$pool
+            }
+            fn pool_mut(ast: &mut Ast) -> &mut Vec<Self> {
+                &mut ast.$pool
+            }
+        }
+        impl Listed for $t {}
+    )*};
+}
+
+listed!(
+    Stmt => stmts: 1,
+    ExprId => ids: 2,
+    Label => labels: 3,
+    IfArm => if_arms: 4,
+    CaseArm => case_arms: 5,
+);
+
+impl Index<ExprId> for Ast {
+    type Output = Expr;
+
+    fn index(&self, id: ExprId) -> &Expr {
+        match id.0.checked_sub(self.base[0]) {
+            Some(at) => &self.exprs[at as usize],
+            None => &self.below()[id],
+        }
+    }
+}
+
+impl<T: Listed> Index<List<T>> for Ast {
+    type Output = [T];
+
+    fn index(&self, list: List<T>) -> &[T] {
+        match list.start.checked_sub(self.base[T::KIND]) {
+            Some(at) => &T::pool(self)[at as usize..][..list.len()],
+            None => &self.below()[list],
+        }
+    }
+}
+
+/// A position in a pool, which the arena's `u32` indices must reach.
+fn position(at: usize) -> u32 {
+    u32::try_from(at).expect("a stream's tree holds fewer than 2^32 nodes of a kind")
+}
+
+impl Ast {
+    /// The arena this one continues, which holds every index under its
+    /// base.
+    fn below(&self) -> &Ast {
+        self.below
+            .as_deref()
+            .expect("an index under an arena's base is in the arena it continues")
+    }
+
+    /// Adds an expression whose children are already in the arena.
+    pub(crate) fn add(&mut self, expr: Expr) -> ExprId {
+        self.exprs.push(expr);
+        ExprId(position(self.base[0] as usize + self.exprs.len() - 1))
+    }
+
+    /// Shares what this arena holds and goes on as its continuation: what
+    /// is added from now on lands in the continuation alone, and every id
+    /// and list handed out so far reads the same through both. The module
+    /// stream shares its declarations this way with the local procedures
+    /// that compile while its body is still being parsed, without copying
+    /// them.
+    pub(crate) fn share(&mut self) -> Arc<Ast> {
+        let shared = Arc::new(std::mem::take(self));
+        let lens = shared.lens();
+        self.base = std::array::from_fn(|k| position(shared.base[k] as usize + lens[k]));
+        self.below = Some(Arc::clone(&shared));
+        shared
+    }
+
+    /// The length of the pool of `T`s: where a list of them opens.
+    pub(crate) fn mark<T: Listed>(&self) -> usize {
+        T::pool(self).len()
+    }
+
+    /// Adds `entry` to the pool of its kind.
+    pub(crate) fn push<T: Listed>(&mut self, entry: T) {
+        T::pool_mut(self).push(entry);
+    }
+
+    /// Moves the entries of `scratch`'s pool from `mark` on to the end of
+    /// this arena's, as one list.
+    pub(crate) fn close<T: Listed>(&mut self, scratch: &mut Ast, mark: usize) -> List<T> {
+        let base = self.base[T::KIND];
+        let to = T::pool_mut(self);
+        let at = to.len();
+        to.extend(T::pool_mut(scratch).drain(mark..));
+        List {
+            start: position(base as usize + at),
+            len: position(to.len() - at),
+            of: PhantomData,
+        }
+    }
+
+    /// The length of each pool: what [`Ast::truncate`] goes back to.
+    pub(crate) fn lens(&self) -> [usize; 6] {
+        [
+            self.exprs.len(),
+            self.stmts.len(),
+            self.ids.len(),
+            self.labels.len(),
+            self.if_arms.len(),
+            self.case_arms.len(),
+        ]
+    }
+
+    /// Drops whatever was added since [`Ast::lens`] read `lens`.
+    pub(crate) fn truncate(&mut self, lens: [usize; 6]) {
+        let [e, s, i, l, a, c] = lens;
+        self.exprs.truncate(e);
+        self.stmts.truncate(s);
+        self.ids.truncate(i);
+        self.labels.truncate(l);
+        self.if_arms.truncate(a);
+        self.case_arms.truncate(c);
+    }
+
+    /// Counts the nodes of the expression tree rooted at `id`, `id`
+    /// itself included.
+    pub fn node_count(&self, id: ExprId) -> usize {
+        let labels = |elems: List<Label>| -> usize {
+            self[elems]
+                .iter()
+                .map(|e| match *e {
+                    Label::Single(x) => self.node_count(x),
+                    Label::Range(a, b) => self.node_count(a) + self.node_count(b),
+                })
+                .sum()
+        };
+        let list =
+            |ids: List<ExprId>| -> usize { self[ids].iter().map(|&x| self.node_count(x)).sum() };
+        1 + match self[id].kind {
             ExprKind::IntLit(_)
             | ExprKind::RealLit(_)
             | ExprKind::CharLit(_)
             | ExprKind::StrLit(_)
             | ExprKind::Name(_) => 0,
-            ExprKind::Field { base, .. } | ExprKind::Deref { base } => base.node_count(),
-            ExprKind::Index { base, indices } => {
-                base.node_count() + indices.iter().map(Expr::node_count).sum::<usize>()
-            }
-            ExprKind::Call { callee, args } => {
-                callee.node_count() + args.iter().map(Expr::node_count).sum::<usize>()
-            }
-            ExprKind::Unary { operand, .. } => operand.node_count(),
-            ExprKind::Binary { lhs, rhs, .. } => lhs.node_count() + rhs.node_count(),
-            ExprKind::SetCons { elems, .. } => elems
-                .iter()
-                .map(|e| match e {
-                    SetElem::Single(x) => x.node_count(),
-                    SetElem::Range(a, b) => a.node_count() + b.node_count(),
-                })
-                .sum(),
+            ExprKind::Field { base, .. } | ExprKind::Deref { base } => self.node_count(base),
+            ExprKind::Index { base, indices } => self.node_count(base) + list(indices),
+            ExprKind::Call { callee, args } => self.node_count(callee) + list(args),
+            ExprKind::Unary { operand, .. } => self.node_count(operand),
+            ExprKind::Binary { lhs, rhs, .. } => self.node_count(lhs) + self.node_count(rhs),
+            ExprKind::SetCons { elems, .. } => labels(elems),
         }
     }
-}
 
-/// Counts statements recursively (used by the workload generator's
-/// "long procedure first" classification and by the cost model).
-pub fn stmt_count(stmts: &[Stmt]) -> usize {
-    stmts
-        .iter()
-        .map(|s| {
-            1 + match &s.kind {
-                StmtKind::If { arms, else_body } => {
-                    arms.iter().map(|(_, b)| stmt_count(b)).sum::<usize>()
-                        + else_body.as_deref().map_or(0, stmt_count)
+    /// Counts the statements of `seq`, nested ones included: the weight
+    /// of a stream's CodeGen and Analyze tasks ("long procedures first",
+    /// §2.3.4).
+    pub fn stmt_count(&self, seq: List<Stmt>) -> usize {
+        let count = |body: Option<List<Stmt>>| body.map_or(0, |b| self.stmt_count(b));
+        self[seq]
+            .iter()
+            .map(|s| {
+                1 + match s.kind {
+                    StmtKind::If { arms, else_body } => {
+                        self[arms]
+                            .iter()
+                            .map(|a| self.stmt_count(a.body))
+                            .sum::<usize>()
+                            + count(else_body)
+                    }
+                    StmtKind::While { body, .. }
+                    | StmtKind::Loop { body }
+                    | StmtKind::For { body, .. }
+                    | StmtKind::With { body, .. }
+                    | StmtKind::LockStmt { body, .. }
+                    | StmtKind::Repeat { body, .. } => self.stmt_count(body),
+                    StmtKind::Case {
+                        arms, else_body, ..
+                    } => {
+                        self[arms]
+                            .iter()
+                            .map(|a| self.stmt_count(a.body))
+                            .sum::<usize>()
+                            + count(else_body)
+                    }
+                    StmtKind::TryStmt {
+                        body,
+                        except,
+                        finally,
+                    } => self.stmt_count(body) + count(except) + count(finally),
+                    _ => 0,
                 }
-                StmtKind::While { body, .. }
-                | StmtKind::Loop { body }
-                | StmtKind::For { body, .. }
-                | StmtKind::With { body, .. }
-                | StmtKind::LockStmt { body, .. } => stmt_count(body),
-                StmtKind::Repeat { body, .. } => stmt_count(body),
-                StmtKind::Case {
-                    arms, else_body, ..
-                } => {
-                    arms.iter().map(|a| stmt_count(&a.body)).sum::<usize>()
-                        + else_body.as_deref().map_or(0, stmt_count)
-                }
-                StmtKind::TryStmt {
-                    body,
-                    except,
-                    finally,
-                } => {
-                    stmt_count(body)
-                        + except.as_deref().map_or(0, stmt_count)
-                        + finally.as_deref().map_or(0, stmt_count)
-                }
-                _ => 0,
-            }
-        })
-        .sum()
+            })
+            .sum()
+    }
 }
 
 #[cfg(test)]
@@ -605,18 +874,14 @@ mod tests {
         }
     }
 
-    fn name_expr(n: u32) -> Expr {
-        Expr {
-            kind: ExprKind::Name(ident(n)),
-            span: Span::default(),
-        }
-    }
-
     #[test]
     fn declared_names_cover_all_decl_kinds() {
         let c = Decl::Const {
             name: ident(1),
-            value: name_expr(2),
+            value: Ast::default().add(Expr {
+                kind: ExprKind::Name(ident(2)),
+                span: Span::default(),
+            }),
         };
         assert_eq!(c.declared_names().len(), 1);
         let v = Decl::Var {
@@ -630,41 +895,6 @@ mod tests {
             },
         };
         assert_eq!(v.declared_names().len(), 2);
-    }
-
-    #[test]
-    fn node_count_counts_subtrees() {
-        let e = Expr {
-            kind: ExprKind::Binary {
-                op: BinOp::Add,
-                lhs: Box::new(name_expr(0)),
-                rhs: Box::new(Expr {
-                    kind: ExprKind::Call {
-                        callee: Box::new(name_expr(1)),
-                        args: vec![name_expr(2), name_expr(3)],
-                    },
-                    span: Span::default(),
-                }),
-            },
-            span: Span::default(),
-        };
-        assert_eq!(e.node_count(), 6);
-    }
-
-    #[test]
-    fn stmt_count_recurses() {
-        let inner = Stmt {
-            kind: StmtKind::Exit,
-            span: Span::default(),
-        };
-        let s = Stmt {
-            kind: StmtKind::While {
-                cond: name_expr(0),
-                body: vec![inner.clone(), inner],
-            },
-            span: Span::default(),
-        };
-        assert_eq!(stmt_count(&[s]), 3);
     }
 
     #[test]
@@ -705,5 +935,166 @@ mod tests {
             span: Span::default(),
         };
         assert_eq!(h.param_count(), 3);
+    }
+
+    #[test]
+    fn node_count_counts_subtrees() {
+        let (mut ast, mut scratch) = (Ast::default(), Ast::default());
+        let name = |ast: &mut Ast, n| {
+            ast.add(Expr {
+                kind: ExprKind::Name(ident(n)),
+                span: Span::default(),
+            })
+        };
+        let (lhs, callee) = (name(&mut ast, 0), name(&mut ast, 1));
+        let args = [name(&mut ast, 2), name(&mut ast, 3)];
+        scratch.ids.extend(args);
+        let args = ast.close(&mut scratch, 0);
+        let rhs = ast.add(Expr {
+            kind: ExprKind::Call { callee, args },
+            span: Span::default(),
+        });
+        let sum = ast.add(Expr {
+            kind: ExprKind::Binary {
+                op: BinOp::Add,
+                lhs,
+                rhs,
+            },
+            span: Span::default(),
+        });
+        assert_eq!(ast.node_count(sum), 6);
+        assert_eq!(ast.node_count(rhs), 4);
+        assert_eq!(ast.node_count(lhs), 1);
+    }
+
+    #[test]
+    fn nested_sequences_land_as_contiguous_lists() {
+        use ccm2_support::diag::DiagnosticSink;
+        use ccm2_support::intern::Interner;
+        use ccm2_support::source::SourceMap;
+        let (interner, map, sink) = (Interner::new(), SourceMap::new(), DiagnosticSink::new());
+        let file = map.add(
+            "M.mod",
+            "MODULE M; VAR i, n : INTEGER; \
+             BEGIN \
+               CASE i OF \
+                 1 : WHILE i < n DO \
+                       IF i = 2 THEN n := 1; i := 2 ELSE EXIT END; \
+                       i := i + 1 \
+                     END \
+               | 2, 3 : n := 0 \
+               END; \
+               n := 5 \
+             END M.",
+        );
+        let tokens = crate::lexer::lex_file(&file, &interner, &sink);
+        let m = crate::parser::parse_implementation(&tokens, &interner, &sink).expect("parses");
+        assert!(!sink.has_errors(), "{:?}", sink.snapshot());
+        let (ast, body) = (&m.body.ast, m.body.stmts);
+        // CASE, WHILE, IF, `n := 1`, `i := 2`, EXIT, `i := i + 1`,
+        // `n := 0`, `n := 5`.
+        assert_eq!(ast.stmt_count(body), 9);
+        let StmtKind::Case { arms, .. } = ast[body][0].kind else {
+            panic!("CASE first")
+        };
+        let [one, two_three] = ast[arms] else {
+            panic!("two arms")
+        };
+        assert_eq!(ast[two_three.labels].len(), 2);
+        let StmtKind::While {
+            body: loop_body, ..
+        } = ast[one.body][0].kind
+        else {
+            panic!("WHILE in the first arm")
+        };
+        let StmtKind::If {
+            arms: if_arms,
+            else_body: Some(else_body),
+        } = ast[loop_body][0].kind
+        else {
+            panic!("IF in the loop")
+        };
+        let then_body = ast[if_arms][0].body;
+        // Each sequence closes before the one holding it, into the next
+        // stretch of the pool: innermost first, the module body last.
+        let order = [
+            then_body,
+            else_body,
+            loop_body,
+            one.body,
+            two_three.body,
+            body,
+        ];
+        let mut at = 0;
+        for seq in order {
+            assert_eq!(
+                seq.start, at,
+                "{seq:?} follows the sequence closed before it"
+            );
+            at += seq.len;
+        }
+        assert_eq!(at as usize, ast.stmts.len());
+        assert_eq!(ast.stmt_count(body), ast.stmts.len());
+    }
+
+    #[test]
+    fn close_moves_a_scratch_run_into_one_list() {
+        let (mut ast, mut scratch) = (Ast::default(), Ast::default());
+        let exit = Stmt {
+            kind: StmtKind::Exit,
+            span: Span::default(),
+        };
+        scratch.stmts.extend([exit, exit, exit]);
+        let inner: List<Stmt> = ast.close(&mut scratch, 1);
+        assert_eq!((inner.len(), scratch.stmts.len()), (2, 1));
+        let body = Stmt {
+            kind: StmtKind::Loop { body: inner },
+            span: Span::default(),
+        };
+        scratch.stmts.push(body);
+        let outer: List<Stmt> = ast.close(&mut scratch, 0);
+        assert_eq!(&ast[outer], &[exit, body]);
+        assert_eq!(ast.stmt_count(outer), 4);
+        let lens = ast.lens();
+        ast.add(Expr {
+            kind: ExprKind::IntLit(1),
+            span: Span::default(),
+        });
+        ast.truncate(lens);
+        assert_eq!(ast.lens(), lens);
+    }
+
+    #[test]
+    fn a_continuation_reads_what_it_shared_without_a_copy() {
+        let (mut ast, mut scratch) = (Ast::default(), Ast::default());
+        let int = |n| Expr {
+            kind: ExprKind::IntLit(n),
+            span: Span::default(),
+        };
+        let one = ast.add(int(1));
+        scratch.ids.extend([one, one]);
+        let pair: List<ExprId> = ast.close(&mut scratch, 0);
+        let shared = ast.share();
+        assert_eq!(ast.lens(), [0; 6], "the continuation starts empty");
+        let two = ast.add(int(2));
+        scratch.ids.extend([two, one]);
+        let mixed: List<ExprId> = ast.close(&mut scratch, 0);
+        for tree in [&*shared, &ast] {
+            assert_eq!(tree[one], int(1));
+            assert_eq!(&tree[pair], &[one, one]);
+        }
+        assert_eq!(ast[two], int(2));
+        assert_eq!(&ast[mixed], &[two, one]);
+        assert_eq!(ast.node_count(two), 1);
+        assert!(Arc::ptr_eq(ast.below.as_ref().expect("continues"), &shared));
+        assert_eq!(
+            shared.lens(),
+            [1, 0, 2, 0, 0, 0],
+            "the shared arena is not added to"
+        );
+        // A second share stacks on the first.
+        let again = ast.share();
+        let three = ast.add(int(3));
+        assert_eq!((ast[three], again[two], ast[one]), (int(3), int(2), int(1)));
     }
 }

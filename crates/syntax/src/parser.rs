@@ -29,12 +29,21 @@
 //! a procedure's carve. Diagnostics gather in the parser and reach the
 //! sink as each stage returns; a body that gathered one is *poisoned*.
 //!
+//! A parse builds its stream's tree into one arena ([`Ast`]), which the
+//! stream's parser owns until it hands it on: [`StreamingImpl::finish`]
+//! and [`StreamingProc::finish`] return it with the body ([`Body`]). A
+//! list is collected on a scratch stack that lives as long as the parse
+//! and moves into the arena in one piece when it closes; a construct that
+//! fails leaves neither scratch nor arena entries behind.
+//!
 //! Grammar follows PIM Modula-2 with the Modula-2+ statement extensions
 //! (`LOCK`, `TRY`/`EXCEPT`/`FINALLY`, `RAISE`). Local (nested) modules and
 //! `FORWARD` declarations are not supported; the paper likewise ignores
 //! rare forms (§3, footnote 3).
 
 use std::iter::from_fn;
+use std::mem::take;
+use std::sync::Arc;
 
 use ccm2_support::diag::{Diagnostic, DiagnosticSink};
 use ccm2_support::intern::Interner;
@@ -90,7 +99,7 @@ pub fn parse_definition_from(
 }
 
 /// Parses an implementation (or program) module from a token stream: the
-/// stages of [`StreamingImpl`], run to the end.
+/// stages of [`StreamingImpl`], run to the end, into one arena.
 ///
 /// The stream may contain [`TokenKind::ProcStub`] markers left by the
 /// splitter; the resulting [`ProcDecl`]s then have [`ProcBody::Remote`]
@@ -103,25 +112,30 @@ pub fn parse_implementation(
     let lo = tokens.first().map(|t| t.span).unwrap_or_default();
     let mut s = StreamingImpl::begin(&tokens, interner, sink)?;
     let decls = from_fn(|| s.next_decls()).flatten().collect();
-    let (body, body_poisoned) = s.p.finish(s.name, true);
+    let (stmts, poisoned) = s.p.finish(s.name, true);
     Some(ImplementationModule {
         name: s.name,
         imports: s.imports,
         decls,
-        body,
-        body_poisoned,
+        body: Body {
+            ast: Arc::new(take(&mut s.p.ast)),
+            stmts,
+            poisoned,
+        },
         span: lo.to(s.p.last),
     })
 }
 
 /// Parses a standalone (constant) expression — used by constant-evaluation
-/// tests and tools.
+/// tests and tools. Returns the arena and the expression in it.
 pub fn parse_const_expr(
     tokens: &[Token],
     interner: &Interner,
     sink: &DiagnosticSink,
-) -> Option<Expr> {
-    Parser::new(&tokens, interner, sink).expression()
+) -> Option<(Ast, ExprId)> {
+    let mut p = Parser::new(&tokens, interner, sink);
+    let expr = p.expression()?;
+    Some((take(&mut p.ast), expr))
 }
 
 struct Parser<'a> {
@@ -138,6 +152,10 @@ struct Parser<'a> {
     /// Syntax errors not yet handed to the sink: a stage hands them over
     /// as it returns ([`Parser::flush`]), a parse as it ends.
     diags: Vec<Diagnostic>,
+    /// The stream's arena.
+    ast: Ast,
+    /// The lists still open, innermost last in each pool.
+    scratch: Ast,
 }
 
 impl Drop for Parser<'_> {
@@ -160,6 +178,8 @@ impl<'a> Parser<'a> {
             file: tokens.get(0).map_or(FileId(0), |t| t.file),
             last: Span::default(),
             diags: Vec::new(),
+            ast: Ast::default(),
+            scratch: Ast::default(),
         }
     }
 
@@ -251,6 +271,26 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn add(&mut self, kind: ExprKind, span: Span) -> ExprId {
+        self.ast.add(Expr { kind, span })
+    }
+
+    /// Closes the list of `T`s opened when the scratch pool was at `mark`.
+    fn close<T: Listed>(&mut self, mark: usize) -> List<T> {
+        self.ast.close(&mut self.scratch, mark)
+    }
+
+    /// Where the arena and the open lists stand, for [`Parser::reset`].
+    fn checkpoint(&self) -> [[usize; 6]; 2] {
+        [self.ast.lens(), self.scratch.lens()]
+    }
+
+    /// Drops what was built since `at`: a construct that failed.
+    fn reset(&mut self, at: [[usize; 6]; 2]) {
+        self.ast.truncate(at[0]);
+        self.scratch.truncate(at[1]);
+    }
+
     fn ident_list(&mut self) -> Vec<Ident> {
         let mut ids = Vec::new();
         while let Some(id) = self.ident() {
@@ -289,11 +329,12 @@ impl<'a> Parser<'a> {
     /// An import or declaration entry, committed from its first token:
     /// `parse` reads it up to its `;`, which must follow.
     fn entry<T>(&mut self, parse: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
-        let start = self.pos;
+        let (start, at) = (self.pos, self.checkpoint());
         let entry = parse(self);
         if entry.is_some() {
             self.expect(TokenKind::Semi);
         } else {
+            self.reset(at);
             self.recover(start);
         }
         entry
@@ -338,7 +379,9 @@ impl<'a> Parser<'a> {
         let name = self.ident()?;
         // Optional module priority `[const]` — parsed and discarded.
         if self.eat(TokenKind::LBracket) {
+            let at = self.checkpoint();
             let _ = self.expression();
+            self.reset(at);
             self.expect(TokenKind::RBracket);
         }
         self.expect(TokenKind::Semi)?;
@@ -379,6 +422,7 @@ impl<'a> Parser<'a> {
             imports,
             exports,
             decls,
+            ast: take(&mut self.ast),
         })
     }
 
@@ -387,16 +431,17 @@ impl<'a> Parser<'a> {
     /// the body is *poisoned*: a syntax error inside it was recovered
     /// from, so it must not reach code generation. A token that closes
     /// other statement sequences than a body's is unexpected here.
-    fn finish(&mut self, name: Ident, module: bool) -> (Vec<Stmt>, bool) {
+    fn finish(&mut self, name: Ident, module: bool) -> (List<Stmt>, bool) {
         let before = self.diags.len();
-        let mut body = Vec::new();
+        let mark = self.scratch.mark::<Stmt>();
         if self.eat(TokenKind::Begin) {
-            body = self.statement_sequence();
+            self.statements();
             while !matches!(self.peek(), TokenKind::End | TokenKind::Eof) {
                 self.unexpected("statement sequence");
-                body.extend(self.statement_sequence());
+                self.statements();
             }
         }
+        let body = self.close(mark);
         let poisoned = self.diags.len() > before;
         self.end(name, module);
         (body, poisoned)
@@ -410,7 +455,7 @@ impl<'a> Parser<'a> {
         if self.expect(TokenKind::End).is_none() && !module {
             return;
         }
-        let name_str = self.interner.resolve(name.name);
+        let name_str = self.interner.as_str(name.name);
         let end_name = if module || matches!(self.peek(), TokenKind::Ident(_)) {
             self.ident()
         } else {
@@ -732,9 +777,9 @@ impl<'a> Parser<'a> {
             }
             TokenKind::LBracket => {
                 self.bump();
-                let lo_e = Box::new(self.expression()?);
+                let lo_e = self.expression()?;
                 self.expect(TokenKind::DotDot)?;
-                let hi_e = Box::new(self.expression()?);
+                let hi_e = self.expression()?;
                 self.expect(TokenKind::RBracket)?;
                 TypeExprKind::Subrange { lo: lo_e, hi: hi_e }
             }
@@ -777,11 +822,18 @@ impl<'a> Parser<'a> {
     // ----- statements -----------------------------------------------------
 
     /// A statement sequence, up to the token that closes it
-    /// ([`TokenKind::closes_sequence`]), which it leaves unread. A token
-    /// no statement starts with is unexpected; a statement that fails
-    /// resumes at the end of its extent.
-    fn statement_sequence(&mut self) -> Vec<Stmt> {
-        let mut stmts = Vec::new();
+    /// ([`TokenKind::closes_sequence`]), which it leaves unread.
+    fn statement_sequence(&mut self) -> List<Stmt> {
+        let mark = self.scratch.mark::<Stmt>();
+        self.statements();
+        self.close(mark)
+    }
+
+    /// The statements of a sequence, onto the scratch stack, up to the
+    /// token that closes it. A token no statement starts with is
+    /// unexpected; a statement that fails resumes at the end of its
+    /// extent.
+    fn statements(&mut self) {
         loop {
             let next = self.peek();
             if next.closes_sequence() {
@@ -793,23 +845,46 @@ impl<'a> Parser<'a> {
                 }
                 continue;
             }
-            let start = self.pos;
+            let (start, at) = (self.pos, self.checkpoint());
             let Some(stmt) = self.statement() else {
+                self.reset(at);
                 self.recover(start);
                 continue;
             };
-            stmts.push(stmt);
+            self.scratch.push(stmt);
             let found = self.peek();
             if !self.eat(TokenKind::Semi) && found.starts_statement() {
                 self.error(format!("expected `;`, found `{found}`"));
             }
         }
-        stmts
     }
 
     /// The statement sequence after `keyword`, if it comes next.
-    fn part(&mut self, keyword: TokenKind) -> Option<Vec<Stmt>> {
+    fn part(&mut self, keyword: TokenKind) -> Option<List<Stmt>> {
         self.eat(keyword).then(|| self.statement_sequence())
+    }
+
+    /// `cond THEN statements`: an IF's or an ELSIF's arm, onto the
+    /// scratch stack.
+    fn if_arm(&mut self) -> Option<()> {
+        let cond = self.expression()?;
+        self.expect(TokenKind::Then)?;
+        let body = self.statement_sequence();
+        self.scratch.push(IfArm { cond, body });
+        Some(())
+    }
+
+    /// A CASE label or a set constructor's element, `e` or `lo .. hi`,
+    /// onto the scratch stack.
+    fn label(&mut self) -> Option<()> {
+        let e = self.expression()?;
+        let label = if self.eat(TokenKind::DotDot) {
+            Label::Range(e, self.expression()?)
+        } else {
+            Label::Single(e)
+        };
+        self.scratch.push(label);
+        Some(())
     }
 
     fn statement(&mut self) -> Option<Stmt> {
@@ -826,15 +901,12 @@ impl<'a> Parser<'a> {
             }
             TokenKind::If => {
                 self.bump();
-                let mut arms = Vec::new();
-                let cond = self.expression()?;
-                self.expect(TokenKind::Then)?;
-                arms.push((cond, self.statement_sequence()));
+                let mark = self.scratch.mark::<IfArm>();
+                self.if_arm()?;
                 while self.eat(TokenKind::Elsif) {
-                    let c = self.expression()?;
-                    self.expect(TokenKind::Then)?;
-                    arms.push((c, self.statement_sequence()));
+                    self.if_arm()?;
                 }
+                let arms = self.close(mark);
                 let else_body = self.part(TokenKind::Else);
                 self.expect(TokenKind::End)?;
                 StmtKind::If { arms, else_body }
@@ -891,7 +963,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let scrutinee = self.expression()?;
                 self.expect(TokenKind::Of)?;
-                let mut arms = Vec::new();
+                let mark = self.scratch.mark::<CaseArm>();
                 loop {
                     // Arms are separated by `|`; an arm may be empty.
                     if matches!(self.peek(), TokenKind::Else | TokenKind::End) {
@@ -900,23 +972,17 @@ impl<'a> Parser<'a> {
                     if self.eat(TokenKind::Bar) {
                         continue;
                     }
-                    let mut labels = Vec::new();
-                    loop {
-                        let e = self.expression()?;
-                        if self.eat(TokenKind::DotDot) {
-                            let hi = self.expression()?;
-                            labels.push(CaseLabel::Range(e, hi));
-                        } else {
-                            labels.push(CaseLabel::Single(e));
-                        }
-                        if !self.eat(TokenKind::Comma) {
-                            break;
-                        }
+                    let labels_mark = self.scratch.mark::<Label>();
+                    self.label()?;
+                    while self.eat(TokenKind::Comma) {
+                        self.label()?;
                     }
+                    let labels = self.close(labels_mark);
                     self.expect(TokenKind::Colon)?;
                     let body = self.statement_sequence();
-                    arms.push(CaseArm { labels, body });
+                    self.scratch.push(CaseArm { labels, body });
                 }
+                let arms = self.close(mark);
                 let else_body = self.part(TokenKind::Else);
                 self.expect(TokenKind::End)?;
                 StmtKind::Case {
@@ -976,7 +1042,7 @@ impl<'a> Parser<'a> {
 
     // ----- expressions ----------------------------------------------------
 
-    fn expression(&mut self) -> Option<Expr> {
+    fn expression(&mut self) -> Option<ExprId> {
         let lo = self.span();
         let lhs = self.simple_expr()?;
         let op = match self.peek() {
@@ -995,24 +1061,16 @@ impl<'a> Parser<'a> {
     }
 
     /// `lhs op rhs`, spanning from `lo` through the last token read.
-    fn binary(&self, lo: Span, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
-        Expr {
-            span: lo.to(self.last),
-            kind: ExprKind::Binary { op, lhs, rhs },
-        }
+    fn binary(&mut self, lo: Span, op: BinOp, lhs: ExprId, rhs: ExprId) -> ExprId {
+        self.add(ExprKind::Binary { op, lhs, rhs }, lo.to(self.last))
     }
 
     /// `op operand`, spanning from `lo` through the last token read.
-    fn unary(&self, lo: Span, op: UnOp, operand: Expr) -> Expr {
-        let operand = Box::new(operand);
-        Expr {
-            span: lo.to(self.last),
-            kind: ExprKind::Unary { op, operand },
-        }
+    fn unary(&mut self, lo: Span, op: UnOp, operand: ExprId) -> ExprId {
+        self.add(ExprKind::Unary { op, operand }, lo.to(self.last))
     }
 
-    fn simple_expr(&mut self) -> Option<Expr> {
+    fn simple_expr(&mut self) -> Option<ExprId> {
         let lo = self.span();
         let mut expr = match self.peek() {
             TokenKind::Plus => {
@@ -1041,7 +1099,7 @@ impl<'a> Parser<'a> {
         Some(expr)
     }
 
-    fn term(&mut self) -> Option<Expr> {
+    fn term(&mut self) -> Option<ExprId> {
         let lo = self.span();
         let mut expr = self.factor()?;
         loop {
@@ -1060,7 +1118,7 @@ impl<'a> Parser<'a> {
         Some(expr)
     }
 
-    fn factor(&mut self) -> Option<Expr> {
+    fn factor(&mut self) -> Option<ExprId> {
         let lo = self.span();
         let literal = match self.peek() {
             TokenKind::Int(v) => Some(ExprKind::IntLit(v)),
@@ -1071,7 +1129,7 @@ impl<'a> Parser<'a> {
         };
         if let Some(kind) = literal {
             self.bump();
-            return Some(Expr { kind, span: lo });
+            return Some(self.add(kind, lo));
         }
         let expr = match self.peek() {
             TokenKind::LParen => {
@@ -1107,98 +1165,71 @@ impl<'a> Parser<'a> {
         Some(expr)
     }
 
-    fn set_constructor(&mut self, of_type: Option<Ident>, lo: Span) -> Option<Expr> {
+    fn set_constructor(&mut self, of_type: Option<Ident>, lo: Span) -> Option<ExprId> {
         self.expect(TokenKind::LBrace)?;
-        let mut elems = Vec::new();
+        let mark = self.scratch.mark::<Label>();
         if !self.at(TokenKind::RBrace) {
-            loop {
-                let e = self.expression()?;
-                if self.eat(TokenKind::DotDot) {
-                    let hi = self.expression()?;
-                    elems.push(SetElem::Range(e, hi));
-                } else {
-                    elems.push(SetElem::Single(e));
-                }
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
+            self.label()?;
+            while self.eat(TokenKind::Comma) {
+                self.label()?;
             }
         }
         self.expect(TokenKind::RBrace)?;
-        Some(Expr {
-            span: lo.to(self.last),
-            kind: ExprKind::SetCons { of_type, elems },
-        })
+        let elems = self.close(mark);
+        Some(self.add(ExprKind::SetCons { of_type, elems }, lo.to(self.last)))
+    }
+
+    /// One or more expressions separated by commas, then `closer`.
+    fn expression_list(&mut self, closer: TokenKind) -> Option<List<ExprId>> {
+        let mark = self.scratch.mark::<ExprId>();
+        loop {
+            let e = self.expression()?;
+            self.scratch.push(e);
+            if !self.eat(TokenKind::Comma) {
+                break;
+            }
+        }
+        self.expect(closer)?;
+        Some(self.close(mark))
     }
 
     /// Parses a designator with postfix selectors and calls:
     /// `ident { .field | [exprs] | ^ | (args) }`.
-    fn designator(&mut self) -> Option<Expr> {
+    fn designator(&mut self) -> Option<ExprId> {
         let lo = self.span();
         let first = self.ident()?;
-        let mut expr = Expr {
-            kind: ExprKind::Name(first),
-            span: lo,
-        };
+        let mut expr = self.add(ExprKind::Name(first), lo);
         loop {
-            match self.peek() {
+            let kind = match self.peek() {
                 TokenKind::Dot => {
                     self.bump();
                     let field = self.ident()?;
-                    expr = Expr {
-                        span: lo.to(self.last),
-                        kind: ExprKind::Field {
-                            base: Box::new(expr),
-                            field,
-                        },
-                    };
+                    ExprKind::Field { base: expr, field }
                 }
                 TokenKind::LBracket => {
                     self.bump();
-                    let mut indices = vec![self.expression()?];
-                    while self.eat(TokenKind::Comma) {
-                        indices.push(self.expression()?);
+                    let indices = self.expression_list(TokenKind::RBracket)?;
+                    ExprKind::Index {
+                        base: expr,
+                        indices,
                     }
-                    self.expect(TokenKind::RBracket)?;
-                    expr = Expr {
-                        span: lo.to(self.last),
-                        kind: ExprKind::Index {
-                            base: Box::new(expr),
-                            indices,
-                        },
-                    };
                 }
                 TokenKind::Caret => {
                     self.bump();
-                    expr = Expr {
-                        span: lo.to(self.last),
-                        kind: ExprKind::Deref {
-                            base: Box::new(expr),
-                        },
-                    };
+                    ExprKind::Deref { base: expr }
                 }
                 TokenKind::LParen => {
                     self.bump();
-                    let mut args = Vec::new();
-                    if !self.at(TokenKind::RParen) {
-                        loop {
-                            args.push(self.expression()?);
-                            if !self.eat(TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(TokenKind::RParen)?;
-                    expr = Expr {
-                        span: lo.to(self.last),
-                        kind: ExprKind::Call {
-                            callee: Box::new(expr),
-                            args,
-                        },
+                    let args = if self.eat(TokenKind::RParen) {
+                        List::default()
+                    } else {
+                        self.expression_list(TokenKind::RParen)?
                     };
+                    ExprKind::Call { callee: expr, args }
                 }
                 _ => break,
-            }
+            };
+            expr = self.add(kind, lo.to(self.last));
         }
         Some(expr)
     }
@@ -1249,15 +1280,33 @@ impl<'a> StreamingImpl<'a> {
 
     /// Parses the next declaration group (one CONST/TYPE/VAR section or
     /// one PROCEDURE); `None` once the body (or module end) is reached.
+    /// Its expressions are in [`StreamingImpl::ast`].
     pub fn next_decls(&mut self) -> Option<Vec<Decl>> {
         self.p.next_decls(false)
     }
 
-    /// Parses the optional module body and the `END name .` trailer.
-    /// Returns the statements plus whether the body was *poisoned* —
-    /// syntactically recovered but untrustworthy for code generation.
-    pub fn finish(mut self) -> (Vec<Stmt>, bool) {
-        self.p.finish(self.name, true)
+    /// The stream's arena so far.
+    pub fn ast(&self) -> &Ast {
+        &self.p.ast
+    }
+
+    /// Shares the stream's arena as it stands, declarations and local
+    /// procedure bodies included; the parse goes on in a continuation of
+    /// it (see [`Ast`]).
+    pub fn share_ast(&mut self) -> Arc<Ast> {
+        self.p.ast.share()
+    }
+
+    /// Parses the optional module body and the `END name .` trailer, and
+    /// hands on the arena with the body in it.
+    pub fn finish(mut self) -> Body {
+        let (stmts, poisoned) = self.p.finish(self.name, true);
+        let ast = Arc::new(take(&mut self.p.ast));
+        Body {
+            ast,
+            stmts,
+            poisoned,
+        }
     }
 }
 
@@ -1298,16 +1347,27 @@ impl<'a> StreamingProc<'a> {
         &self.heading
     }
 
-    /// Parses the next local declaration group; `None` at the body.
+    /// Parses the next local declaration group; `None` at the body. Its
+    /// expressions are in [`StreamingProc::ast`].
     pub fn next_decls(&mut self) -> Option<Vec<Decl>> {
         self.p.next_decls(false)
     }
 
-    /// Parses the body and the `END name ;` trailer; returns the
-    /// statements plus whether the body was poisoned (recovered from a
-    /// syntax error and untrustworthy for code generation).
-    pub fn finish(mut self) -> (Vec<Stmt>, bool) {
-        self.p.finish(self.heading.name, false)
+    /// The stream's arena so far.
+    pub fn ast(&self) -> &Ast {
+        &self.p.ast
+    }
+
+    /// Parses the body and the `END name ;` trailer, and hands on the
+    /// arena with the body in it.
+    pub fn finish(mut self) -> Body {
+        let (stmts, poisoned) = self.p.finish(self.heading.name, false);
+        let ast = Arc::new(take(&mut self.p.ast));
+        Body {
+            ast,
+            stmts,
+            poisoned,
+        }
     }
 }
 
@@ -1343,7 +1403,7 @@ mod tests {
         let m = m.expect("parses");
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
         assert_eq!(i.resolve(m.name.name), "M");
-        assert!(m.body.is_empty());
+        assert!(m.body.stmts.is_empty());
     }
 
     #[test]
@@ -1432,7 +1492,7 @@ mod tests {
         );
         let m = m.expect("parses");
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
-        assert_eq!(m.body.len(), 12);
+        assert_eq!(m.body.stmts.len(), 12);
     }
 
     #[test]
@@ -1443,15 +1503,18 @@ mod tests {
         );
         let m = m.expect("parses");
         assert!(!sink.has_errors());
-        let StmtKind::Assign { rhs, .. } = &m.body[0].kind else {
+        let StmtKind::Assign { rhs, .. } = m.body.ast[m.body.stmts][0].kind else {
             panic!("expected assign")
         };
         // b + (c * d): top is Add.
-        let ExprKind::Binary { op, rhs: mul, .. } = &rhs.kind else {
+        let ExprKind::Binary { op, rhs: mul, .. } = m.body.ast[rhs].kind else {
             panic!("expected binary")
         };
-        assert_eq!(*op, BinOp::Add);
-        assert!(matches!(mul.kind, ExprKind::Binary { op: BinOp::Mul, .. }));
+        assert_eq!(op, BinOp::Add);
+        assert!(matches!(
+            m.body.ast[mul].kind,
+            ExprKind::Binary { op: BinOp::Mul, .. }
+        ));
     }
 
     #[test]
@@ -1463,15 +1526,15 @@ mod tests {
         );
         let m = m.expect("parses");
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
-        assert_eq!(m.body.len(), 3);
-        let StmtKind::Call { call } = &m.body[1].kind else {
+        assert_eq!(m.body.stmts.len(), 3);
+        let StmtKind::Call { call } = m.body.ast[m.body.stmts][1].kind else {
             panic!("expected call")
         };
-        let ExprKind::Call { callee, args } = &call.kind else {
+        let ExprKind::Call { callee, args } = m.body.ast[call].kind else {
             panic!("expected call expr")
         };
         assert_eq!(args.len(), 2);
-        assert!(matches!(callee.kind, ExprKind::Field { .. }));
+        assert!(matches!(m.body.ast[callee].kind, ExprKind::Field { .. }));
     }
 
     #[test]
@@ -1577,7 +1640,7 @@ mod tests {
             parse_impl("IMPLEMENTATION MODULE M; VAR a : INTEGER; BEGIN a := 1 a := 2 END M.");
         assert!(sink.has_errors());
         let m = m.expect("still produces a module");
-        assert_eq!(m.body.len(), 2);
+        assert_eq!(m.body.stmts.len(), 2);
     }
 
     #[test]
@@ -1673,9 +1736,9 @@ mod streaming_tests {
         assert_eq!(g3.len(), 1);
         assert!(matches!(g3[0], Decl::Procedure(_)));
         assert!(s.next_decls().is_none(), "BEGIN reached");
-        let (body, poisoned) = s.finish();
-        assert_eq!(body.len(), 1);
-        assert!(!poisoned);
+        let body = s.finish();
+        assert_eq!(body.stmts.len(), 1);
+        assert!(!body.poisoned);
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
     }
 
@@ -1686,7 +1749,7 @@ mod streaming_tests {
         let mut s = StreamingImpl::begin(&src, &interner, &sink).expect("begins");
         assert!(s.next_decls().is_some());
         assert!(s.next_decls().is_none());
-        assert!(s.finish().0.is_empty());
+        assert!(s.finish().stmts.is_empty());
         assert!(!sink.has_errors());
     }
 
@@ -1704,9 +1767,9 @@ mod streaming_tests {
         assert!(s.heading().ret.is_some());
         assert!(s.next_decls().is_some(), "VAR t");
         assert!(s.next_decls().is_none());
-        let (body, poisoned) = s.finish();
-        assert_eq!(body.len(), 2);
-        assert!(!poisoned);
+        let body = s.finish();
+        assert_eq!(body.stmts.len(), 2);
+        assert!(!body.poisoned);
         assert!(!sink.has_errors(), "{:?}", sink.snapshot());
     }
 

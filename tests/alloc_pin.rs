@@ -113,47 +113,47 @@ fn figures(i: usize) -> [(u64, u64); 3] {
 /// store the unedited module filled, and `ccm2_seq::compile`.
 #[rustfmt::skip]
 const PINS: [[(u64, u64); 3]; SUITE_SIZE] = [
-    [(1043, 304950), (821, 211239), (944, 273732)],
-    [(1001, 249228), (798, 175717), (882, 218706)],
-    [(1118, 329600), (874, 239225), (1053, 300286)],
-    [(1139, 311357), (883, 220682), (990, 278629)],
-    [(1275, 334173), (910, 204351), (1155, 297671)],
-    [(1313, 362588), (925, 234676), (1228, 326698)],
-    [(1561, 431067), (1037, 226729), (1454, 395491)],
-    [(1573, 426864), (1055, 260493), (1512, 392500)],
-    [(1685, 483211), (1107, 281985), (1592, 437851)],
-    [(1899, 550053), (1165, 293950), (1883, 505797)],
-    [(2124, 616699), (1311, 327979), (2067, 569103)],
-    [(2191, 643975), (1379, 353095), (2134, 595293)],
-    [(2522, 764659), (1481, 387379), (2469, 714145)],
-    [(2947, 893627), (1575, 414651), (3031, 840900)],
-    [(3082, 938074), (1735, 444591), (3115, 885060)],
-    [(3383, 1030996), (1867, 504965), (3429, 968033)],
-    [(3843, 1182942), (2211, 594797), (3927, 1110974)],
-    [(4515, 1470751), (2388, 659929), (4740, 1384931)],
-    [(4908, 1577667), (2565, 756904), (5221, 1496142)],
-    [(5660, 1856614), (2859, 831144), (6033, 1775853)],
-    [(6374, 2158770), (3082, 929123), (6937, 2075954)],
-    [(7121, 2312770), (3434, 1024134), (7673, 2222935)],
-    [(8536, 2883289), (3829, 1201789), (9477, 2777282)],
-    [(9560, 3206087), (4268, 1284000), (10614, 3092984)],
-    [(11246, 3820039), (4779, 1510931), (12831, 3699439)],
-    [(13555, 4789820), (5226, 1723662), (15851, 4698304)],
-    [(15252, 5318276), (5917, 1947614), (17881, 5212006)],
-    [(17535, 6141499), (6525, 2167360), (20557, 6018591)],
-    [(21250, 7639788), (7453, 2538638), (25562, 7500943)],
-    [(24712, 8976092), (8338, 3032963), (30077, 8862461)],
-    [(29683, 11083472), (9544, 3567936), (36666, 11015953)],
-    [(35347, 13410805), (10961, 4195170), (44120, 13342756)],
-    [(42945, 16536790), (12149, 4733925), (54896, 16542933)],
-    [(49611, 19183190), (13974, 5788967), (63342, 19155140)],
-    [(60974, 24220253), (15973, 6827536), (79699, 24330283)],
-    [(72022, 28421276), (18396, 7967567), (94627, 28639034)],
-    [(87557, 34717202), (21313, 9211514), (116221, 35100332)],
+    [(894, 297375), (718, 203486), (680, 248294)],
+    [(873, 237861), (703, 171948), (665, 201888)],
+    [(933, 317005), (748, 225184), (710, 264812)],
+    [(1011, 300401), (785, 209810), (788, 263201)],
+    [(1055, 325732), (802, 199152), (787, 283545)],
+    [(1090, 352943), (818, 228037), (809, 304512)],
+    [(1315, 420633), (934, 224435), (1012, 366723)],
+    [(1281, 411218), (924, 254979), (974, 352184)],
+    [(1355, 461823), (961, 276345), (984, 378203)],
+    [(1481, 534241), (1018, 288234), (1094, 464693)],
+    [(1665, 590577), (1126, 318945), (1218, 511239)],
+    [(1732, 607364), (1186, 336214), (1266, 532103)],
+    [(1986, 715618), (1287, 369728), (1444, 606423)],
+    [(2214, 833074), (1388, 394573), (1574, 740857)],
+    [(2362, 877908), (1500, 420593), (1704, 710692)],
+    [(2574, 989850), (1598, 494976), (1852, 863556)],
+    [(2982, 1130077), (1904, 574089), (2150, 980160)],
+    [(3366, 1374911), (2050, 629230), (2383, 1111277)],
+    [(3582, 1490657), (2182, 723385), (2502, 1202394)],
+    [(4102, 1748928), (2423, 797933), (2853, 1549297)],
+    [(4618, 2057892), (2638, 901904), (3228, 1754491)],
+    [(5140, 2185375), (2960, 992567), (3607, 1871723)],
+    [(5917, 2710578), (3244, 1161200), (4062, 2161564)],
+    [(6751, 3013267), (3630, 1245023), (4637, 2646866)],
+    [(7597, 3516920), (4018, 1435562), (5168, 3041250)],
+    [(8880, 4446663), (4473, 1659555), (5995, 3711924)],
+    [(9968, 4940788), (4992, 1881031), (6654, 4009439)],
+    [(11401, 5673956), (5565, 2103021), (7523, 5075250)],
+    [(13441, 6962288), (6299, 2450759), (8840, 5691586)],
+    [(15432, 8185597), (7100, 2904156), (10098, 6556711)],
+    [(18076, 10046383), (8094, 3382961), (11716, 9162386)],
+    [(21229, 12291301), (9248, 4072631), (13670, 10372566)],
+    [(24764, 14929257), (10275, 4600740), (15727, 11967274)],
+    [(28636, 17280523), (11847, 5510006), (18093, 13281281)],
+    [(34095, 21896161), (13475, 6509557), (21314, 18874750)],
+    [(39502, 25881735), (15440, 7767905), (24445, 20986779)],
+    [(47110, 31600546), (17940, 8975433), (28989, 24544433)],
 ];
 
 /// The suite totals of [`PINS`]' columns.
-const TOTALS: [(u64, u64); 3] = [(562062, 209578513), (184107, 67277310), (695890, 208055125)];
+const TOTALS: [(u64, u64); 3] = [(340410, 191637426), (156293, 64895287), (221215, 157646326)];
 
 fn totals(rows: &[[(u64, u64); 3]]) -> [(u64, u64); 3] {
     let mut sum = [(0, 0); 3];
