@@ -28,15 +28,21 @@ if grep -nE "$fence" crates/syntax/src/lexer.rs crates/core/src/splitter.rs; the
   exit 1
 fi
 
-echo "== fault injection stays a compile option =="
-# A compile request is its inputs: the fault plan is a `ccm2::Options`
-# field that the drills set on a compile of their own. The service, its
-# store and snapshots, the incremental cache, the watch session and the
-# whole fleet name no fault type: faults are injected at the
-# scheduler's task sites only.
-fence='ccm2_faults|FaultPlan|FaultKind'
-if grep -rnE "$fence" crates/serve/src crates/incr/src crates/watch/src crates/fabric/src; then
-  echo "the request path names fault injection (lines above)" >&2
+echo "== no fault plane =="
+# As in the paper's Supervisors, a task panic ends its compile: the run
+# unwinds with the task's own payload, and the service answers "compile
+# panicked". The fault plan, the catch-and-degrade mode it armed, the
+# executors' entry points that took one, the per-stream fault error, the
+# drop guard that released a dead parse's headings and the generator's
+# fault-seed procedures fail here if they come back. The ccm2-faults
+# package stays empty: the benchmark's lock file lists it.
+fence='FaultPlan|Robustness|run_threaded_with|run_sim_with|CompileError|ParseGuard|fault_seeds'
+if git grep -nwE "$fence" -- crates tests src; then
+  echo "the fault plane is back (lines above)" >&2
+  exit 1
+fi
+if grep -nvE '^[[:space:]]*(//.*)?$' crates/faults/src/lib.rs; then
+  echo "crates/faults/src/lib.rs holds an item (lines above)" >&2
   exit 1
 fi
 
@@ -104,11 +110,10 @@ if git grep -nwE 'task_deadline|check_deadline|park_watched|stall_unit|FaultKind
 fi
 
 echo "== no watchdog =="
-# A wedge ends the run with or without a fault plan. The lost-signal
+# A wedge ends the run with the wait-for report. The lost-signal
 # fault, the wedge release that existed only to clean up after it, the
 # site listing's probe recording and the stall error fail here if they
-# come back; a dead task's undeclared events are released where it
-# dies (the driver's ParseGuard).
+# come back.
 if git grep -nE 'LoseSignal|release_wedge|loses_signal|with_probe_recording|Stalled \{' -- crates tests src; then
   echo "the watchdog is back (lines above)" >&2
   exit 1
@@ -164,11 +169,6 @@ echo "== cargo test (workspace) =="
 #                             equal to direct compiles, kill/restart from
 #                             the newest snapshot with torn images
 #                             quarantined
-#   faults, thread_audit      an injected fault at each task site of the
-#                             matrix degrades exactly one stream on both
-#                             executors, identically on every run of the
-#                             simulator; a degraded threaded run leaves
-#                             no thread behind
 #   ccm2-fabric, fabric,      the lease table row by row; a fleet answers
 #   chaosnet                  with a direct compile's bytes across shard
 #                             widths, a seeded shard kill and a seeded
@@ -185,8 +185,7 @@ echo "== cargo test (workspace) =="
 #                             equal the sequential reference everywhere,
 #                             and survive warm re-analysis
 # The golden step below runs the full matrices of the same subsystems
-# (40 fault cells, the chaosnet and split-brain grids, the 100-edit
-# session) with their invariants asserted inside.
+# (the chaosnet and split-brain grids, the 100-edit session) with their invariants asserted inside.
 cargo test --workspace -q
 
 echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
@@ -199,7 +198,7 @@ echo "== lock-free reads and gated wake-ups: race tests again, optimized =="
 # and a caller that is worker 0 of its run and of a run one of its
 # tasks starts), the executor table and its seeded
 # differential (one policy under two drivers: a worker that unwinds, a
-# degraded task's backstop signals, threads {1, 2, 4} against the
+# task panic that ends its run, threads {1, 2, 4} against the
 # simulator) and the kept-alive shard connections (callers sharing
 # streams, a stream the server closed meanwhile, one origin's delta
 # batches overtaking each other on the way to a peer, and 2 000 rounds
@@ -306,21 +305,21 @@ perf/run.sh --counts --seconds 2
 echo "== golden: every reproduce section, byte for byte =="
 # What `reproduce` prints is a pure function of the tree: virtual times,
 # counts and drill verdicts, no clock reading. One invocation runs the
-# thirteen paper sections, the four extension reports and the six
+# thirteen paper sections, the four extension reports and the five
 # drills — each drill asserting its own invariants (0 lost, 0 hangs,
 # byte-identity, never two leaders) — and the diff pins every byte of
 # the reports, so a figure that moves or a drill that says something
 # else fails here. A section name that is no section exits 2, so a typo
 # here cannot pass. To accept an intended change, regenerate the file
-# with the same command. Its stderr must hold no panic: the drills catch
-# the ones they inject quietly, and a deadlock the simulator reports
-# (the workcrews cells) ends without a parked task thread panicking.
+# with the same command. Its stderr must hold no panic: a deadlock the
+# simulator reports (the workcrews cells) is caught quietly and ends
+# without a parked task thread panicking.
 stderr_log=$(mktemp)
 trap 'rm -f "$stderr_log"' EXIT
 if ! cargo run -q --release -p ccm2-bench --bin reproduce -- \
   table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig7 \
   overhead dky headings workcrews earlysplit analyze locks incr \
-  serve fabric chaosnet watch faults recover \
+  serve fabric chaosnet watch recover \
   2> "$stderr_log" | diff -u reproduce_output.txt -; then
   cat "$stderr_log" >&2
   exit 1

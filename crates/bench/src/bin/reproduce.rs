@@ -11,8 +11,7 @@
 //! cargo run --release -p ccm2-bench --bin reproduce -- fig4 fig5 fig7
 //! cargo run --release -p ccm2-bench --bin reproduce -- overhead dky headings workcrews
 //! cargo run --release -p ccm2-bench --bin reproduce -- earlysplit analyze locks incr
-//! cargo run --release -p ccm2-bench --bin reproduce -- serve fabric chaosnet watch
-//! cargo run --release -p ccm2-bench --bin reproduce -- faults recover
+//! cargo run --release -p ccm2-bench --bin reproduce -- serve fabric chaosnet watch recover
 //! ```
 //!
 //! Stdout carries no clock reading: on one commit it repeats byte for

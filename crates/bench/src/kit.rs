@@ -10,23 +10,19 @@
 //!   comparison inside.
 //! * [`ccm2_support::within`] — the hang guard for anything else that
 //!   could block.
-//! * [`compile`], [`unit_map`], [`baselines`], [`quietly`] — the
-//!   fault-matrix harness.
+//! * [`silenced`] — `catch_unwind` for a run whose panic is expected.
 //! * [`Scratch`] — a scratch directory that removes itself on drop.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ccm2::{compile_concurrent, ConcurrentOutput, Executor, Options};
+use ccm2::{compile_concurrent, Options};
 use ccm2_fabric::{FabricClient, FabricResponse, FabricRouter};
-use ccm2_faults::FaultPlan;
-use ccm2_sched::SimConfig;
-use ccm2_sema::symtab::DkyStrategy;
 use ccm2_serve::{CompileRequest, CompileService, ExecChoice, Response};
 use ccm2_support::hash::Fp128;
 use ccm2_support::Interner;
-use ccm2_workload::{GeneratedModule, ServeEvent};
+use ccm2_workload::ServeEvent;
 
 /// What a client can observe of one served request: `ok`, the object
 /// bytes, the rendered diagnostics.
@@ -200,118 +196,6 @@ impl Drop for Scratch {
     }
 }
 
-// ---- fault-matrix harness -------------------------------------------------
-
-/// The small fault-seeded module (`FaultShort`, `FaultLong`,
-/// `FaultNest` procedures) the fault and recovery matrices compile.
-pub fn fault_module(name: &str, seed: u64) -> GeneratedModule {
-    ccm2_workload::generate(&ccm2_workload::GenParams {
-        fault_seeds: true,
-        ..ccm2_workload::GenParams::small(name, seed)
-    })
-}
-
-/// `sim(4)` or `threads(2)`: the two executors of the matrices.
-pub fn exec_name(sim: bool) -> &'static str {
-    if sim {
-        "sim(4)"
-    } else {
-        "threads(2)"
-    }
-}
-
-/// One analyzing compile of `m` under a fault plan, on `sim(4)` or
-/// `threads(2)`.
-pub fn compile(
-    m: &GeneratedModule,
-    plan: Option<Arc<FaultPlan>>,
-    strategy: DkyStrategy,
-    sim: bool,
-) -> ConcurrentOutput {
-    let executor = if sim {
-        Executor::Sim(SimConfig::firefly(4))
-    } else {
-        Executor::Threads(2)
-    };
-    compile_concurrent(
-        &m.source,
-        Arc::new(m.defs.clone()),
-        Arc::new(Interner::new()),
-        Options {
-            strategy,
-            executor,
-            analyze: true,
-            faults: plan,
-            ..Options::default()
-        },
-    )
-}
-
-/// An interner-independent rendering of one code unit, so units from
-/// different compiles (different interners, different symbol indices)
-/// can be compared byte for byte.
-fn render_unit(u: &ccm2_codegen::ir::CodeUnit, interner: &Interner) -> String {
-    use ccm2_codegen::ir::Instr;
-    let mut s = format!(
-        "{} level={} params={} frame={:?} shapes={:?}\n",
-        interner.resolve(u.name),
-        u.level,
-        u.param_count,
-        u.frame,
-        u.shapes
-    );
-    for ins in &u.code {
-        match ins {
-            Instr::PushStr(sym) => s.push_str(&format!("PushStr({})\n", interner.resolve(*sym))),
-            Instr::PushProc(sym) => s.push_str(&format!("PushProc({})\n", interner.resolve(*sym))),
-            Instr::PushGlobalAddr { module, slot } => s.push_str(&format!(
-                "PushGlobalAddr({}, {slot})\n",
-                interner.resolve(*module)
-            )),
-            Instr::Call {
-                target,
-                argc,
-                link_up,
-            } => s.push_str(&format!(
-                "Call({}, {argc}, {link_up})\n",
-                interner.resolve(*target)
-            )),
-            other => s.push_str(&format!("{other:?}\n")),
-        }
-    }
-    s
-}
-
-/// Resolved unit name → rendered unit.
-pub type UnitMap = HashMap<String, String>;
-
-/// The units of a compile's image (which must exist), rendered
-/// comparably.
-pub fn unit_map(out: &ConcurrentOutput) -> UnitMap {
-    let image = out.image.as_ref().expect("the compile merged an image");
-    image
-        .units
-        .iter()
-        .map(|u| (out.interner.resolve(u.name), render_unit(u, &out.interner)))
-        .collect()
-}
-
-/// Fault-free unit maps of `m`, one per DKY strategy × executor.
-pub fn baselines(m: &GeneratedModule) -> HashMap<(DkyStrategy, bool), UnitMap> {
-    let mut maps = HashMap::new();
-    for strategy in DkyStrategy::ALL {
-        for sim in [true, false] {
-            let base = compile(m, None, strategy, sim);
-            assert!(
-                base.errors.is_empty() && base.image.is_some(),
-                "fault-free baseline must be clean"
-            );
-            maps.insert((strategy, sim), unit_map(&base));
-        }
-    }
-    maps
-}
-
 /// `catch_unwind` with the panic hook silenced meanwhile: for a run
 /// whose panic is an expected outcome, not news for stderr.
 pub fn silenced<T>(run: impl FnOnce() -> T + std::panic::UnwindSafe) -> std::thread::Result<T> {
@@ -320,23 +204,6 @@ pub fn silenced<T>(run: impl FnOnce() -> T + std::panic::UnwindSafe) -> std::thr
     let result = std::panic::catch_unwind(run);
     std::panic::set_hook(hook);
     result
-}
-
-/// Runs a matrix whose injected panics are *caught* (that is the point
-/// of the drill) with the default panic hook silenced, so it does not
-/// spray backtraces over the report. A failure of the matrix itself
-/// still reaches stderr, under `what`, before it unwinds on.
-pub fn quietly<T>(what: &str, matrix: impl FnOnce() -> T + std::panic::UnwindSafe) -> T {
-    silenced(matrix).unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned());
-        if let Some(msg) = msg {
-            eprintln!("{what} failed: {msg}");
-        }
-        std::panic::resume_unwind(payload)
-    })
 }
 
 #[cfg(test)]

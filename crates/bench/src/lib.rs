@@ -4,7 +4,7 @@
 //! * [`paper`] — the paper's evaluation (§4): tables, figures, ablations.
 //! * [`reports`] — what this repository adds: `analyze`, `earlysplit`,
 //!   `incr`, `locks`.
-//! * [`serve`], [`fabric`], [`chaosnet`], [`watch`], [`faults`] — one
+//! * [`serve`], [`fabric`], [`chaosnet`], [`watch`], [`recover`] — one
 //!   module per drill family, all written with [`kit`].
 //! * [`SECTIONS`] — the `reproduce` section table.
 //!
@@ -16,9 +16,9 @@
 
 pub mod chaosnet;
 pub mod fabric;
-pub mod faults;
 pub mod kit;
 pub mod paper;
+pub mod recover;
 pub mod reports;
 pub mod serve;
 pub mod watch;
@@ -36,7 +36,7 @@ pub enum Report {
 }
 
 /// Every `reproduce` section, in the order `all` prints them.
-pub const SECTIONS: [(&str, Report); 23] = [
+pub const SECTIONS: [(&str, Report); 22] = [
     ("table1", Report::Alone(paper::table1)),
     ("table2", Report::Alone(paper::table2)),
     ("table3", Report::Speedups(paper::table3)),
@@ -58,6 +58,5 @@ pub const SECTIONS: [(&str, Report); 23] = [
     ("fabric", Report::Alone(fabric::fabric)),
     ("chaosnet", Report::Alone(chaosnet::chaosnet)),
     ("watch", Report::Alone(watch::watch)),
-    ("faults", Report::Alone(faults::faults)),
-    ("recover", Report::Alone(faults::recover)),
+    ("recover", Report::Alone(recover::recover)),
 ];

@@ -28,12 +28,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use ccm2_codegen::emit::{gen_error_unit, gen_module_body, gen_procedure, global_shapes};
-use ccm2_codegen::ir::{CodeUnit, Instr};
 use ccm2_codegen::merge::{Merger, ModuleImage};
 use ccm2_incr::{ArtifactStore, IncrStats};
 use ccm2_sched::{
-    run_sim_with, run_threaded_with, EnvMeter, EventClass, ExecEnv, RunReport, SimConfig, TaskDesc,
-    TaskKind, WaitSet,
+    run_sim, run_threaded, EnvMeter, EventClass, ExecEnv, RunReport, SimConfig, TaskDesc, TaskKind,
+    WaitSet,
 };
 use ccm2_sema::declare::{bind_imports, child_heading, DeclareHooks, Declarer, HeadingMode};
 use ccm2_sema::interface::Interface;
@@ -103,15 +102,6 @@ pub struct Options {
     /// heading mode is cache-safe: the mode's tag is part of every
     /// fingerprint and key.
     pub incremental: Option<Arc<dyn ArtifactStore>>,
-    /// Deterministic fault plan. When set, the executors query it at
-    /// every `task:{name}` dispatch and the compile runs in *degraded
-    /// mode*: a faulted stream's panic is caught, its object unit is
-    /// replaced by an error unit carrying rendered diagnostics, and the
-    /// events the dead task leaves unsignaled are signaled for it (its
-    /// declared ones by the executor, the headings a dead ProcParse
-    /// never declared by the driver) so the merge never hangs.
-    /// Non-faulted streams are byte-identical to a fault-free run.
-    pub faults: Option<Arc<ccm2_faults::FaultPlan>>,
     /// The interfaces an earlier compile under the same interner spliced
     /// (its [`ConcurrentOutput::interface_carry`]). With an active
     /// [`Options::incremental`] store, every interface still loads from
@@ -133,7 +123,6 @@ impl Default for Options {
             early_split: true,
             analyze: false,
             incremental: None,
-            faults: None,
             interface_carry: None,
         }
     }
@@ -156,22 +145,6 @@ impl Options {
             ..Options::default()
         }
     }
-}
-
-/// A degradation event surfaced by a compile running with
-/// [`Options::faults`]: structured companions to the error diagnostics,
-/// for harnesses that classify failures.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CompileError {
-    /// A task body panicked (organic or injected); its stream degraded
-    /// to an error unit.
-    StreamFault {
-        /// The faulted task's name (contains the stream name, e.g.
-        /// `codegen(M.P)`).
-        task: String,
-        /// The rendered panic payload.
-        message: String,
-    },
 }
 
 /// The result of a concurrent compilation.
@@ -204,9 +177,6 @@ pub struct ConcurrentOutput {
     /// Interprocedural lock-order statistics; `Some` iff the compile ran
     /// with [`Options::analyze`] and reached the whole-program lock pass.
     pub locks: Option<ccm2_analysis::LockStats>,
-    /// Degradation events (empty for a fault-free run). Each also has a
-    /// corresponding error [`Diagnostic`] in `diagnostics`.
-    pub errors: Vec<CompileError>,
     /// The interfaces this compile spliced, for the next compile under
     /// the same interner; `Some` iff it ran with an active
     /// [`Options::incremental`] store and was handed an
@@ -240,23 +210,14 @@ pub fn compile_concurrent(
     let interner_out = Arc::clone(&interner);
     let driver_cell: Arc<Mutex<Option<Arc<Driver>>>> = Arc::new(Mutex::new(None));
     let dc = Arc::clone(&driver_cell);
-    let plan = options.faults.clone();
     let mk = move |env: Arc<dyn ExecEnv>| {
         let d = Driver::create(env, Arc::clone(&interner), defs, options.clone(), source);
         d.start();
         *dc.lock() = Some(d);
     };
     let report = match executor {
-        Executor::Threads(n) => {
-            run_threaded_with(n, plan, move |sup| mk(Arc::clone(sup) as Arc<dyn ExecEnv>))
-        }
-        Executor::Sim(cfg) => {
-            run_sim_with(
-                cfg,
-                plan,
-                move |env| mk(Arc::clone(env) as Arc<dyn ExecEnv>),
-            )
-        }
+        Executor::Threads(n) => run_threaded(n, move |sup| mk(Arc::clone(sup) as Arc<dyn ExecEnv>)),
+        Executor::Sim(cfg) => run_sim(cfg, move |env| mk(Arc::clone(env) as Arc<dyn ExecEnv>)),
     };
     let taken = driver_cell.lock().take();
     match taken {
@@ -281,7 +242,6 @@ pub fn compile_concurrent(
             import_nesting_depth: 0,
             incr: None,
             locks: None,
-            errors: Vec::new(),
             interface_carry: None,
         },
     }
@@ -307,26 +267,6 @@ struct DriverState {
     next_stream: u32,
     procedures: usize,
     max_import_depth: usize,
-}
-
-/// What a procedure stream's ProcParse body holds of the driver: the
-/// driver and the stream's scope. It drops with the body — run to its
-/// end, unwound by a panic, or replaced unrun by an injected one — and
-/// then releases the undeclared headings of the streams carved inside
-/// the scope, unless the parse got that far itself: a dead parse leaves
-/// no child's ProcParse gated on a heading that nobody will declare.
-struct ParseGuard {
-    driver: Arc<Driver>,
-    scope: ScopeId,
-}
-
-impl Drop for ParseGuard {
-    fn drop(&mut self) {
-        let done = (self.driver.st.lock().declarations_done).contains(&self.scope);
-        if !done {
-            self.driver.release_undeclared_headings(self.scope);
-        }
-    }
 }
 
 struct Driver {
@@ -1120,8 +1060,8 @@ impl Driver {
     /// Once `parent`'s declarations are done, fires the §2.4 heading
     /// event of every procedure stream carved directly inside it whose
     /// heading they never declared (it failed to parse, the parse
-    /// stopped short of it, or the parse died: [`ParseGuard`]; a stream
-    /// carved later is released as it is carved). That stream's
+    /// stopped short of it; a stream carved later is released as it is
+    /// carved). That stream's
     /// ProcParse then takes its no-heading branch instead of waiting
     /// forever.
     fn release_undeclared_headings(&self, parent: ScopeId) {
@@ -1166,18 +1106,11 @@ impl Driver {
             .skip(1)
             .map(|s| self.scope_event(s))
             .collect();
-        let body_q = Arc::clone(&q);
-        let guard = ParseGuard {
-            driver: Arc::clone(self),
-            scope,
-        };
+        let this = Arc::clone(self);
         let mut t = TaskDesc::new(
             format!("procparse({name_str})"),
             TaskKind::ProcParse,
-            Box::new(move || {
-                let guard = guard;
-                guard.driver.proc_parse(guard.scope, body_q)
-            }),
+            Box::new(move || this.proc_parse(scope, q)),
         );
         t.prereqs = heading_ev.into_iter().collect();
         if self.strategy == DkyStrategy::Avoidance {
@@ -1320,56 +1253,13 @@ impl Driver {
                 locks = Some(lock_stats);
             }
         }
-        let mut image: Option<ModuleImage> = main_name.map(|name| {
+        let image: Option<ModuleImage> = main_name.map(|name| {
             let mut image = self.merger.finish();
             image.name = name;
             image.entry = name;
             image
         });
-        // Graceful degradation: a caught task panic degrades only its own
-        // stream (the merged object gets a deterministic error unit below)
-        // and becomes an error diagnostic, so degraded compiles are never
-        // cached. Executors report panics in completion order, which
-        // varies run to run on the threaded executor; sort for
-        // determinism.
-        let mut panics = report.task_panics.clone();
-        panics.sort();
-        let mut errors: Vec<CompileError> = Vec::new();
-        let mut degraded_diags: Vec<Diagnostic> = Vec::new();
-        for (task, message) in &panics {
-            errors.push(CompileError::StreamFault {
-                task: task.clone(),
-                message: message.clone(),
-            });
-            degraded_diags.push(Diagnostic {
-                severity: Severity::Error,
-                file: FileId(0),
-                span: Span { lo: 0, hi: 0 },
-                message: format!("stream degraded: task `{task}` panicked: {message}"),
-            });
-        }
-        degraded_diags.sort_by(|a, b| a.message.cmp(&b.message));
-        if !report.task_panics.is_empty() {
-            if let Some(image) = image.as_mut() {
-                for &name in code_names.values() {
-                    if image.unit(name).is_some() {
-                        continue;
-                    }
-                    let name_str = self.interner.resolve(name);
-                    let level = if main_name == Some(name) { 0 } else { 1 };
-                    let mut unit = CodeUnit::new(name, level);
-                    let msg = self.interner.intern(&format!(
-                        "degraded: stream `{name_str}` replaced after fault"
-                    ));
-                    unit.code = vec![Instr::PushStr(msg), Instr::Return];
-                    image.units.push(unit);
-                }
-                let name = |s: Symbol| self.interner.as_str(s);
-                image.units.sort_by(|a, b| name(a.name).cmp(name(b.name)));
-            }
-        }
-        let mut diagnostics = self.sink.take();
-        diagnostics.extend(degraded_diags);
+        let diagnostics = self.sink.take();
         let incr = self.incr.as_ref().map(|incr| {
             let clean = !diagnostics.iter().any(|d| d.severity == Severity::Error);
             let recorded = clean.then_some(&diagnostics[..]);
@@ -1396,7 +1286,6 @@ impl Driver {
             import_nesting_depth,
             incr,
             locks,
-            errors,
             interface_carry: self.incr.as_ref().and_then(Incremental::carry),
         }
     }

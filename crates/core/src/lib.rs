@@ -39,7 +39,7 @@ pub mod queue;
 pub mod splitter;
 
 pub use ccm2_analysis::LockStats;
-pub use driver::{compile_concurrent, CompileError, ConcurrentOutput, Executor, Options};
+pub use driver::{compile_concurrent, ConcurrentOutput, Executor, Options};
 pub use incremental::InterfaceCarry;
 pub use queue::{StreamCursor, TokenQueue, TokenWriter, BLOCK_SIZE};
 pub use splitter::{run_splitter, SplitReport, StreamFactory};

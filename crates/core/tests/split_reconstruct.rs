@@ -248,7 +248,6 @@ fn reconstructs_generated_modules() {
             stmts_per_proc: 14,
             nested_ratio: 0.3,
             lint_seeds: false,
-            fault_seeds: false,
             lock_seeds: false,
         });
         assert_reconstructs(&m.source);
@@ -266,7 +265,6 @@ fn reconstructs_large_generated_module() {
         stmts_per_proc: 25,
         nested_ratio: 0.2,
         lint_seeds: false,
-        fault_seeds: false,
         lock_seeds: false,
     });
     assert_reconstructs(&m.source);

@@ -19,7 +19,9 @@
 //! Events come in the three classes of §2.3.3 ([`EventClass`]); tasks
 //! carry the §2.3.4 priority classes and the declared signal/wait sets
 //! that drive blocked-worker rescheduling and its anti-deadlock
-//! eligibility rule.
+//! eligibility rule. A task panic ends its run on either driver: the run
+//! unwinds with the task's own payload, as a deadlock unwinds with the
+//! wait-for diagnosis.
 //!
 //! # Examples
 //!
@@ -53,28 +55,11 @@ use ccm2_support::arena::AppendArena;
 use ccm2_support::ids::EventId;
 use ccm2_support::work::{Work, WorkMeter};
 
-pub use sim::{run_sim, run_sim_with, SimConfig, SimEnv};
+pub use sim::{run_sim, SimConfig, SimEnv};
 pub use task::{TaskDesc, TaskKind, WaitSet};
-pub use threaded::{on_worker, run_threaded, run_threaded_with, ThreadedSupervisor, WORKER_STACK};
+pub use threaded::{on_worker, run_threaded, ThreadedSupervisor, WORKER_STACK};
 pub use trace::{render_watchtool, Segment, Trace};
 pub use wfg::WaitForGraph;
-
-/// The fault plan of a run ([`run_threaded_with`] / [`run_sim_with`]).
-///
-/// A plan is queried at every dispatch (`task:{name}` sites), and a run
-/// with one is in *recover mode*: a panicking task body, injected or
-/// not, is caught, its name and payload are recorded in
-/// [`RunReport::task_panics`], its declared signals are still
-/// backstop-signaled (so dependents and the merge never hang), and the
-/// run completes. An event the dead task did not declare is for its
-/// body's captures to signal as they drop: they drop on the worker, as
-/// the panic unwinds, even when the body an injected panic replaced
-/// never ran (`crate::policy`'s dispatch).
-///
-/// Without a plan (`None`, the default) a task panic unwinds the run
-/// with its own payload. A wedge ends the run with the wait-for
-/// diagnosis either way.
-pub type Robustness = Option<std::sync::Arc<ccm2_faults::FaultPlan>>;
 
 /// What `catch_unwind` hands back from a panicked task or worker.
 pub(crate) type Payload = Box<dyn std::any::Any + Send>;
@@ -212,8 +197,10 @@ pub struct RunReport {
     pub tasks_run: usize,
     /// Total units charged per [`Work`] kind.
     pub charges: [u64; Work::COUNT],
-    /// Task bodies that panicked and were caught in recover mode (a run
-    /// with a [`Robustness`] plan), as `(task name, panic message)`.
+    /// Always empty: a task panic unwinds the run, which then has no
+    /// report. Kept, like `stalls` and `recoveries`, only because a test
+    /// of the benchmark package (`perf/src/layers.rs`) builds a
+    /// `RunReport` literal that names it.
     pub task_panics: Vec<(String, String)>,
     /// Always empty: no executor releases a wedge, which ends the run
     /// with the wait-for diagnosis instead. Kept, like `recoveries`, only

@@ -3,12 +3,11 @@
 //! [`Policy`] is plain data: it takes no lock, reads no clock and starts
 //! no thread. A driver owns one — the simulator's controller directly,
 //! the threaded supervisor inside the state lock it takes anyway — and
-//! asks it the six questions of the discipline: [`Policy::admit`] a
+//! asks it the five questions of the discipline: [`Policy::admit`] a
 //! task, [`Policy::release`] what an occurred event was the last prereq
 //! of, the next task for an idle worker ([`Policy::next_idle`]) or a
-//! blocked one ([`Policy::next_for_blocked`]), what a dispatch serves
-//! first ([`Policy::dispatch`]), what a finished task leaves behind
-//! ([`Policy::finish`]), and why nobody can run
+//! blocked one ([`Policy::next_for_blocked`]), what a finished task
+//! leaves behind ([`Policy::finish`]), and why nobody can run
 //! ([`Policy::wait_for_report`]).
 //!
 //! What differs between drivers comes in as a value, never as a branch:
@@ -22,7 +21,7 @@ use ccm2_support::ids::EventId;
 
 use crate::task::{priority_key, TaskBody, TaskDesc, TaskKind, WaitSet};
 use crate::wfg::WaitForGraph;
-use crate::{EventClass, EventTable, Robustness};
+use crate::{EventClass, EventTable};
 
 type PrioKey = (usize, std::cmp::Reverse<u64>, u64);
 
@@ -57,36 +56,16 @@ struct Pending {
     body: TaskBody,
 }
 
+#[derive(Default)]
 pub(crate) struct Policy {
-    plan: Robustness,
     ready: BTreeMap<PrioKey, Ready>,
     pending: Vec<Pending>,
     seq: u64,
     outstanding: usize,
     pub(crate) finished: usize,
-    /// Task bodies caught panicking under recover mode.
-    pub(crate) panics: Vec<(String, String)>,
 }
 
 impl Policy {
-    pub(crate) fn new(plan: Robustness) -> Policy {
-        Policy {
-            plan,
-            ready: BTreeMap::new(),
-            pending: Vec::new(),
-            seq: 0,
-            outstanding: 0,
-            finished: 0,
-            panics: Vec::new(),
-        }
-    }
-
-    /// Whether a task panic is caught (recover mode: the run has a fault
-    /// plan) rather than unwinding the run.
-    pub(crate) fn recovers(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Tasks admitted and not finished.
     pub(crate) fn outstanding(&self) -> usize {
         self.outstanding
@@ -187,37 +166,13 @@ impl Policy {
         self.ready.remove(&key)
     }
 
-    /// Dispatches `ready`, before anything of the task has run: queries
-    /// its `task:{name}` fault site and hands back the task and the body
-    /// to run — one that panics in the task's place when the plan fires
-    /// there. That body owns the one it replaces, so the replaced
-    /// body's captures drop where the panic unwinds — on the worker,
-    /// outside any lock the driver holds around this call — and a
-    /// capture that signals as it drops is heard by its waiters.
-    pub(crate) fn dispatch(&self, ready: Ready) -> (Task, TaskBody) {
-        let Ready { task, mut body, .. } = ready;
-        if (self.plan.as_ref()).is_some_and(|p| p.fires(&format!("task:{}", task.name))) {
-            let name = task.name.clone();
-            let replaced = body;
-            body = Box::new(move || {
-                let _replaced = replaced;
-                panic!("injected fault: task `{name}` panicked")
-            });
-        }
-        (task, body)
-    }
-
-    /// Books a task whose body has returned, or was `caught` panicking
-    /// under recover mode, and returns the backstop: the declared
-    /// signals the driver now signals on the task's behalf, so that a
-    /// forgotten signal — or a panicked task — cannot leave dependents
-    /// and the merge waiting.
-    pub(crate) fn finish(&mut self, task: &mut Task, caught: Option<String>) -> Vec<EventId> {
+    /// Books a task whose body has returned, and returns the backstop:
+    /// the declared signals the driver now signals on the task's behalf,
+    /// so that a forgotten signal cannot leave dependents and the merge
+    /// waiting.
+    pub(crate) fn finish(&mut self, task: &mut Task) -> Vec<EventId> {
         self.outstanding -= 1;
         self.finished += 1;
-        if let Some(msg) = caught {
-            self.panics.push((task.name.clone(), msg));
-        }
         std::mem::take(&mut task.signals)
     }
 
@@ -271,8 +226,6 @@ impl Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccm2_faults::FaultPlan;
-    use std::sync::Arc;
 
     const NEVER: fn(EventId) -> bool = |_| false;
 
@@ -302,7 +255,7 @@ mod tests {
     /// Admits `desc` into a scratch policy and takes it out dispatched:
     /// the record a driver holds for a task on a worker's stack.
     fn dispatched(desc: TaskDesc) -> Task {
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         p.admit(desc, 0, NEVER);
         p.next_idle().expect("no prereqs").task
     }
@@ -320,7 +273,7 @@ mod tests {
 
     #[test]
     fn ready_queue_ranks_by_kind_then_weight_then_arrival() {
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         for (name, kind, weight) in [
             ("short", TaskKind::ShortCodeGen, 0),
             ("long-small", TaskKind::LongCodeGen, 5),
@@ -349,7 +302,7 @@ mod tests {
     fn release_waits_for_the_last_prereq() {
         let (e0, e1, e2) = (EventId(0), EventId(1), EventId(2));
         let mut occurred = vec![e0];
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         let mut both = desc("both", TaskKind::Lexor);
         // e0 occurred before admission and is not waited for again.
         both.prereqs = vec![e0, e1, e2];
@@ -380,7 +333,7 @@ mod tests {
         let (e1, e2, hinted) = (EventId(1), EventId(2), EventId(3));
         // On the stack: A, which signals e1 and waits on e2.
         let stack = [dispatched(signaling("A", TaskKind::Lexor, &[e1]))];
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         p.admit(waiting("unsafe", TaskKind::Splitter, on(&[e1])), 0, NEVER);
         p.admit(desc("safe", TaskKind::ShortCodeGen), 0, NEVER);
         p.admit(signaling("resolver", TaskKind::Merge, &[e2]), 0, NEVER);
@@ -407,7 +360,7 @@ mod tests {
         producer.signals_barriers = true;
         let stack = [dispatched(def_signaler), dispatched(producer)];
 
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         let any_def = WaitSet {
             all_def_scopes: true,
             ..WaitSet::none()
@@ -432,7 +385,7 @@ mod tests {
     #[test]
     fn barrier_waits_and_deep_stacks_nest_nothing() {
         let e = EventId(0);
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         p.admit(signaling("resolver", TaskKind::Lexor, &[e]), 0, NEVER);
         let frame = |i: usize| dispatched(desc(&format!("s{i}"), TaskKind::ProcParse));
         let stack: Vec<Task> = (0..NEST_CAP).map(frame).collect();
@@ -445,37 +398,12 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_panics_in_the_bodys_place_and_leaves_other_tasks_alone() {
-        let plan = FaultPlan::single("task:victim");
-        let mut p = Policy::new(Some(Arc::new(plan)));
-        for name in ["victim", "clean"] {
-            p.admit(desc(name, TaskKind::ProcParse), 0, NEVER);
-        }
-        let mut next = || {
-            let ready = p.next_idle().expect("admitted");
-            p.dispatch(ready)
-        };
-        let (mut victim, body) = next();
-        assert_eq!(victim.name, "victim");
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
-            .expect_err("the injected panic");
-        let msg = crate::payload_message(payload.as_ref());
-        assert_eq!(msg, "injected fault: task `victim` panicked");
-        let (clean, body) = next();
-        assert_eq!(clean.name, "clean");
-        body();
-        p.finish(&mut victim, Some(msg.clone()));
-        assert_eq!(p.panics, [("victim".to_string(), msg)]);
-        assert_eq!((p.outstanding(), p.finished), (1, 1));
-    }
-
-    #[test]
     fn finish_backstops_declared_signals() {
         let (e0, e1) = (EventId(0), EventId(1));
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         p.admit(signaling("t", TaskKind::Lexor, &[e0, e1]), 0, NEVER);
         let mut t = p.next_idle().expect("ready").task;
-        assert_eq!(p.finish(&mut t, None), [e0, e1]);
+        assert_eq!(p.finish(&mut t), [e0, e1]);
         assert_eq!((p.outstanding(), p.finished), (0, 1));
     }
 
@@ -488,7 +416,7 @@ mod tests {
         let a = dispatched(signaling("A", TaskKind::ProcParse, &[ea]));
         let b = dispatched(signaling("B", TaskKind::ProcParse, &[eb]));
 
-        let mut p = Policy::new(None);
+        let mut p = Policy::default();
         let mut gated = desc("gated", TaskKind::Lexor);
         gated.prereqs = vec![ea, gate];
         p.admit(gated, 0, NEVER);

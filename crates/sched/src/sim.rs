@@ -33,7 +33,7 @@ use ccm2_support::work::Work;
 use crate::policy::{Policy, Ready, Task};
 use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
-use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
+use crate::{EventClass, EventTable, ExecEnv, Payload, RunReport};
 
 /// Configuration for a simulated run.
 #[derive(Clone, Debug)]
@@ -302,25 +302,13 @@ struct Proc {
 /// Panics if the task graph deadlocks (nothing runnable while tasks
 /// remain), mirroring the threaded executor's detector.
 pub fn run_sim(config: SimConfig, setup: impl FnOnce(&Arc<SimEnv>)) -> RunReport {
-    run_sim_with(config, None, setup)
-}
-
-/// [`run_sim`] with a fault plan: injection at dispatch, and
-/// catch-and-degrade instead of unwinding on a task panic (see
-/// [`Robustness`]). Caught panics come back in
-/// [`RunReport::task_panics`].
-pub fn run_sim_with(
-    config: SimConfig,
-    robustness: Robustness,
-    setup: impl FnOnce(&Arc<SimEnv>),
-) -> RunReport {
     assert!(config.procs >= 1, "need at least one processor");
     let env = Arc::new(SimEnv {
         events: EventTable::default(),
         prestart: Mutex::default(),
     });
     setup(&env);
-    Controller::new(env, config, robustness).run()
+    Controller::new(env, config).run()
 }
 
 struct Controller {
@@ -351,7 +339,7 @@ impl WakeTimes {
 }
 
 impl Controller {
-    fn new(env: Arc<SimEnv>, config: SimConfig, robustness: Robustness) -> Controller {
+    fn new(env: Arc<SimEnv>, config: SimConfig) -> Controller {
         let procs = (0..config.procs)
             .map(|_| Proc {
                 clock: 0,
@@ -360,7 +348,7 @@ impl Controller {
             })
             .collect();
         Controller {
-            policy: Policy::new(robustness),
+            policy: Policy::default(),
             env,
             config,
             wake_time: WakeTimes::default(),
@@ -442,8 +430,8 @@ impl Controller {
                         pending_total: 0,
                     })
                 });
-                // The controller decides what a panic means: its policy
-                // holds the run's `Robustness`.
+                // The controller re-raises a panic once it has ended the
+                // run's other task threads.
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).err();
                 if caught.as_ref().is_some_and(|p| p.is::<Shutdown>()) {
                     SIM_TASK.with(|t| t.borrow_mut().take());
@@ -542,8 +530,7 @@ impl Controller {
             let slice_start = self.procs[p].clock;
             let mut task = match self.procs[p].current.take().expect("runnable") {
                 Slot::Started(task) => task,
-                Slot::Fresh(ready) => {
-                    let (task, body) = self.policy.dispatch(ready);
+                Slot::Fresh(Ready { task, body, .. }) => {
                     self.procs[p].clock = slice_start + self.config.dispatch_cost;
                     self.launch(task, body)
                 }
@@ -582,17 +569,14 @@ impl Controller {
                 }
                 Action::Finish(caught) => {
                     self.record_segment(p, &task.task, slice_start);
-                    let caught = match caught {
+                    if let Some(payload) = caught {
                         // Unwind with the task's own payload, as the
                         // threaded executor does.
-                        Some(payload) if !self.policy.recovers() => {
-                            self.shut_down();
-                            std::panic::resume_unwind(payload)
-                        }
-                        caught => caught.map(|p| payload_message(p.as_ref())),
-                    };
+                        self.shut_down();
+                        std::panic::resume_unwind(payload)
+                    }
                     let at = self.procs[p].clock;
-                    for e in self.policy.finish(&mut task.task, caught) {
+                    for e in self.policy.finish(&mut task.task) {
                         self.env.events.set(e);
                         self.publish_signal(e, at);
                     }
@@ -620,7 +604,7 @@ impl Controller {
             trace: self.trace,
             tasks_run: self.policy.finished,
             charges: self.charges,
-            task_panics: self.policy.panics,
+            task_panics: Vec::new(),
             stalls: Vec::new(),
             recoveries: Vec::new(),
         }

@@ -44,10 +44,10 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
 
-use crate::policy::{Policy, Task};
+use crate::policy::{Policy, Ready, Task};
 use crate::task::{TaskBody, TaskDesc};
 use crate::trace::{Segment, Trace};
-use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, Robustness, RunReport};
+use crate::{payload_message, EventClass, EventTable, ExecEnv, Payload, RunReport};
 
 /// The stack a worker runs on: a crew thread's, and the one to spawn a
 /// thread that starts runs with, since it is worker 0 of each. Tasks
@@ -75,7 +75,7 @@ struct SupState {
     sleepers: usize,
     done: bool,
     /// A worker is unwinding — with the deadlock diagnosis, or out of a
-    /// panicked task outside recover mode — and takes the run with it:
+    /// panicked task — and takes the run with it:
     /// every other worker leaves, every `wait()` returns.
     aborted: bool,
 }
@@ -116,10 +116,10 @@ pub fn on_worker() -> bool {
 }
 
 impl ThreadedSupervisor {
-    fn new(workers: usize, robustness: Robustness) -> ThreadedSupervisor {
+    fn new(workers: usize) -> ThreadedSupervisor {
         ThreadedSupervisor {
             state: Mutex::new(SupState {
-                policy: Policy::new(robustness),
+                policy: Policy::default(),
                 // Room for the usual nesting depth, so that a dispatch
                 // does not allocate inside the lock section.
                 stacks: (0..workers).map(|_| Vec::with_capacity(4)).collect(),
@@ -223,16 +223,16 @@ impl ThreadedSupervisor {
     }
 
     /// Takes the next task for `worker` — idle, or blocked on `blocked`
-    /// (an event and the co-signaler hint) — through the policy's
-    /// dispatch and onto the worker's stack, all in the lock section the
-    /// caller is in. Returns the body to run.
+    /// (an event and the co-signaler hint) — from the policy and onto the
+    /// worker's stack, all in the lock section the caller is in. Returns
+    /// the body to run.
     fn take(
         &self,
         st: &mut SupState,
         worker: usize,
         blocked: Option<(EventId, Option<EventId>)>,
     ) -> Option<TaskBody> {
-        let ready = match blocked {
+        let Ready { task, body, .. } = match blocked {
             None => st.policy.next_idle(),
             Some((e, hint)) => {
                 let stack = st.stacks[worker].iter().map(|f| &f.task);
@@ -240,7 +240,6 @@ impl ThreadedSupervisor {
                 st.policy.next_for_blocked((e, class), hint, stack)
             }
         }?;
-        let (task, body) = st.policy.dispatch(ready);
         st.stacks[worker].push(Frame {
             task,
             waiting: None,
@@ -255,17 +254,14 @@ impl ThreadedSupervisor {
         let seg_end = self.now();
         let mut st = self.state.lock();
         let mut frame = st.stacks[worker].pop().expect("the task just run");
-        let caught = match caught {
-            Some(payload) if !st.policy.recovers() => {
-                // Unwinding takes this worker out of the run, and the
-                // others would wait for its task forever.
-                st.aborted = true;
-                self.wake(st);
-                std::panic::resume_unwind(payload);
-            }
-            caught => caught.map(|p| payload_message(p.as_ref())),
-        };
-        for e in st.policy.finish(&mut frame.task, caught) {
+        if let Some(payload) = caught {
+            // Unwinding takes this worker out of the run, and the others
+            // would wait for its task forever.
+            st.aborted = true;
+            self.wake(st);
+            std::panic::resume_unwind(payload);
+        }
+        for e in st.policy.finish(&mut frame.task) {
             if !self.signaled(e) {
                 self.signal_locked(&mut st, e);
             }
@@ -475,20 +471,8 @@ fn lend(loan: Loan) {
 /// graphs never deadlock; the scheduler tests exercise the detector
 /// directly.
 pub fn run_threaded(workers: usize, setup: impl FnOnce(&Arc<ThreadedSupervisor>)) -> RunReport {
-    run_threaded_with(workers, None, setup)
-}
-
-/// [`run_threaded`] with a fault plan: injection at dispatch, and
-/// catch-and-degrade instead of unwinding on a task panic (see
-/// [`Robustness`]). Caught panics come back in
-/// [`RunReport::task_panics`].
-pub fn run_threaded_with(
-    workers: usize,
-    robustness: Robustness,
-    setup: impl FnOnce(&Arc<ThreadedSupervisor>),
-) -> RunReport {
     assert!(workers >= 1, "need at least one worker");
-    let sup = Arc::new(ThreadedSupervisor::new(workers, robustness));
+    let sup = Arc::new(ThreadedSupervisor::new(workers));
     setup(&sup);
     let (done, reports) = std::sync::mpsc::channel();
     for ix in 1..workers {
@@ -525,14 +509,14 @@ pub fn run_threaded_with(
     for (ix, c) in sup.charges.iter().enumerate() {
         charges[ix] = c.load(Ordering::Relaxed);
     }
-    let policy = &mut sup.state.lock().policy;
+    let tasks_run = sup.state.lock().policy.finished;
     RunReport {
         virtual_time: None,
         wall_micros: sup.now(),
         trace,
-        tasks_run: policy.finished,
+        tasks_run,
         charges,
-        task_panics: std::mem::take(&mut policy.panics),
+        task_panics: Vec::new(),
         stalls: Vec::new(),
         recoveries: Vec::new(),
     }
@@ -852,14 +836,14 @@ mod wakeup_tests {
 }
 
 #[cfg(test)]
-mod fault_tests {
+mod panic_tests {
     use super::*;
     use crate::task::TaskKind;
 
     #[test]
     fn multiple_worker_panics_are_aggregated() {
-        // Without recover mode two organic panics on two workers must
-        // both be accounted for in the re-raised payload.
+        // Two panics on two workers must both be accounted for in the
+        // re-raised payload.
         let res = std::panic::catch_unwind(|| {
             run_threaded(2, |sup| {
                 for i in 0..2 {
@@ -883,7 +867,7 @@ mod fault_tests {
     /// back to the crew, so it must leave as a returning worker does.
     #[test]
     fn an_unwinding_worker_empties_its_slot_and_hands_in_its_charges() {
-        let sup = Arc::new(ThreadedSupervisor::new(1, None));
+        let sup = Arc::new(ThreadedSupervisor::new(1));
         let sup2 = Arc::clone(&sup);
         sup.spawn(TaskDesc::new(
             "boom",
@@ -901,19 +885,5 @@ mod fault_tests {
             (unwound.is_err(), slot_empty, handed_in)
         });
         assert_eq!(worker.join().expect("caught above"), (true, true, 7));
-    }
-
-    #[test]
-    fn plain_run_unaffected_by_default_robustness() {
-        let report = run_threaded(2, |sup| {
-            for i in 0..8 {
-                sup.spawn(TaskDesc::new(
-                    format!("t{i}"),
-                    TaskKind::ShortCodeGen,
-                    Box::new(|| {}),
-                ));
-            }
-        });
-        assert!(report.task_panics.is_empty());
     }
 }

@@ -189,6 +189,37 @@ fn threads_that_unwound_a_deadlocked_run_serve_the_next_one() {
     assert_eq!(report.charges, want);
 }
 
+/// A task panic ends its run: the worker that ran it re-raises, the other
+/// is woken out of its wait. The crew loses neither thread and gains
+/// none, and the next run on those two is clean.
+#[test]
+fn threads_that_unwound_a_task_panic_serve_the_next_one() {
+    let _alone = alone();
+    let before = crew_threads();
+    // A's event is made first; B awaits what only A would signal.
+    let (result, unwound_on) = run_pair(|sup, mine, theirs| {
+        if mine < theirs {
+            panic!("A panicked");
+        }
+        sup.wait(theirs);
+        sup.signal(mine);
+    });
+    let payload = result.expect_err("the panic unwinds the run");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"A panicked"));
+    assert_eq!(unwound_on.len(), 2);
+
+    let (result, reused) = run_pair(|sup, _, _| sup.charge(Work::Parse, 10));
+    let report = result.expect("a sound run on threads that unwound");
+    assert_eq!(reused, unwound_on);
+    assert_eq!(report.tasks_run, 2);
+    assert_eq!(report.charges[Work::Parse as usize], 20);
+    let after = crew_threads();
+    assert!(
+        after <= before.max(1),
+        "a panicked run and a clean one grew the crew from {before} to {after} threads"
+    );
+}
+
 #[test]
 fn a_task_that_starts_a_run_of_its_own_finishes() {
     let _alone = alone();

@@ -11,10 +11,8 @@
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use ccm2_faults::FaultPlan;
 use ccm2_sched::{
-    run_sim_with, run_threaded_with, EventClass, ExecEnv, Robustness, RunReport, SimConfig,
-    TaskDesc, TaskKind, WaitSet,
+    run_sim, run_threaded, EventClass, ExecEnv, RunReport, SimConfig, TaskDesc, TaskKind, WaitSet,
 };
 use ccm2_support::ids::EventId;
 use ccm2_support::work::Work;
@@ -46,14 +44,13 @@ impl Exec {
 fn try_run(
     exec: Exec,
     config: fn(u32) -> SimConfig,
-    robustness: Robustness,
     graph: impl FnOnce(&Env) + Send + 'static,
 ) -> Result<RunReport, String> {
     let (tx, rx) = mpsc::channel();
     let runner = std::thread::spawn(move || {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match exec {
-            Threads(n) => run_threaded_with(n, robustness, |sup| graph(&(sup.clone() as Env))),
-            Sim(p) => run_sim_with(config(p), robustness, |env| graph(&(env.clone() as Env))),
+            Threads(n) => run_threaded(n, |sup| graph(&(sup.clone() as Env))),
+            Sim(p) => run_sim(config(p), |env| graph(&(env.clone() as Env))),
         }));
         let _ = tx.send(outcome.map_err(|p| {
             match p.downcast::<String>() {
@@ -72,8 +69,8 @@ fn try_run(
     outcome
 }
 
-fn run(exec: Exec, robustness: Robustness, graph: impl FnOnce(&Env) + Send + 'static) -> RunReport {
-    try_run(exec, SimConfig::new, robustness, graph)
+fn run(exec: Exec, graph: impl FnOnce(&Env) + Send + 'static) -> RunReport {
+    try_run(exec, SimConfig::new, graph)
         .unwrap_or_else(|msg| panic!("run panicked on {exec:?}: {msg}"))
 }
 
@@ -111,32 +108,12 @@ impl Log {
     }
 }
 
-fn panic_plan(pattern: &str) -> Arc<FaultPlan> {
-    Arc::new(FaultPlan::single(pattern))
-}
-
-/// `victim` (a per-stream task charging 10 units) and a `dependent`
-/// gated on the event it declares.
-fn victim_and_dependent(env: &Env, log: &Log) {
-    let done = env.new_event_named(EventClass::Avoided, "victim-done");
-    let (env2, log2) = (env.clone(), log.clone());
-    let mut victim = task("victim", TaskKind::ProcParse, move || {
-        env2.charge(Work::Parse, 10);
-        log2.push("victim");
-    });
-    victim.signals = vec![done];
-    env.spawn(victim);
-    let mut dependent = task("dependent", TaskKind::ShortCodeGen, log.pusher("dependent"));
-    dependent.prereqs = vec![done];
-    env.spawn(dependent);
-}
-
 #[test]
 fn avoided_prereq_gates_a_higher_priority_task() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, None, move |env| {
+        let report = run(exec, move |env| {
             let gate = env.new_event(EventClass::Avoided);
             let (env1, l1) = (env.clone(), l.clone());
             let mut gated = task("gated", TaskKind::Lexor, move || {
@@ -166,7 +143,7 @@ fn blocked_worker_nests_the_signaler() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, None, move |env| {
+        let report = run(exec, move |env| {
             let e = env.new_event(EventClass::Handled);
             let (env1, l1) = (env.clone(), l.clone());
             let mut waiter = task("waiter", TaskKind::Lexor, move || {
@@ -212,7 +189,7 @@ fn eligibility_rule_nests_the_signaler_not_the_unsafe_task() {
     for exec in SINGLE {
         let log = Log::default();
         let l = log.clone();
-        run(exec, None, move |env| {
+        run(exec, move |env| {
             let e1 = env.new_event(EventClass::Handled);
             let e2 = env.new_event(EventClass::Handled);
             let (enva, la) = (env.clone(), l.clone());
@@ -249,7 +226,7 @@ fn hint_finds_the_undeclared_signaler() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let report = run(exec, None, move |env| {
+        let report = run(exec, move |env| {
             let scope_done = env.new_event_named(EventClass::Handled, "scope");
             let symbol = env.new_event_named(EventClass::Handled, "symbol");
             let any_def_scope = WaitSet {
@@ -300,7 +277,7 @@ fn deadlock_prefix(exec: Exec) -> &'static str {
 #[test]
 fn event_cycle_is_named_in_the_panic() {
     for exec in TABLE {
-        let msg = try_run(exec, SimConfig::new, None, |env| {
+        let msg = try_run(exec, SimConfig::new, |env| {
             let ea = env.new_event_named(EventClass::Handled, "needs-A");
             let eb = env.new_event_named(EventClass::Handled, "needs-B");
             for (name, mine, theirs) in [("A", ea, eb), ("B", eb, ea)] {
@@ -333,7 +310,7 @@ fn event_cycle_is_named_in_the_panic() {
 #[test]
 fn unsignaled_gate_names_the_blocked_task() {
     for exec in TABLE {
-        let msg = try_run(exec, SimConfig::new, None, |env| {
+        let msg = try_run(exec, SimConfig::new, |env| {
             let gate = env.new_event_named(EventClass::Avoided, "never-signaled");
             let mut t = task("gated", TaskKind::Lexor, || {});
             t.prereqs = vec![gate];
@@ -346,14 +323,14 @@ fn unsignaled_gate_names_the_blocked_task() {
     }
 }
 
-/// Outside recover mode (no plan) a task panic unwinds the run with the
-/// task's own message, and the dependent it gates never runs.
+/// A task panic unwinds the run with the task's own message, and the
+/// dependent it gates never runs.
 #[test]
-fn a_task_panic_outside_recover_mode_unwinds_the_run() {
+fn a_task_panic_unwinds_the_run() {
     for exec in TABLE {
         let log = Log::default();
         let l = log.clone();
-        let msg = try_run(exec, SimConfig::new, None, move |env| {
+        let msg = try_run(exec, SimConfig::new, move |env| {
             let done = env.new_event_named(EventClass::Avoided, "victim-done");
             let mut victim = task("victim", TaskKind::ProcParse, || panic!("victim panicked"));
             victim.signals = vec![done];
@@ -365,72 +342,6 @@ fn a_task_panic_outside_recover_mode_unwinds_the_run() {
         .expect_err("the panic unwinds");
         assert_eq!(msg, "victim panicked", "{exec:?}");
         assert!(log.take().is_empty(), "{exec:?}: nothing else may have run");
-    }
-}
-
-/// Recover mode: an injected task panic is caught, the victim's declared
-/// signals still fire, and the run completes with the panic reported.
-#[test]
-fn recovered_panic_completes_the_run_and_signals_dependents() {
-    for exec in TABLE {
-        let plan = panic_plan("task:victim");
-        let log = Log::default();
-        let l = log.clone();
-        let report = run(exec, Some(plan.clone()), move |env| {
-            victim_and_dependent(env, &l);
-            for name in ["ok0", "ok1", "ok2", "ok3"] {
-                env.spawn(task(name, TaskKind::ShortCodeGen, l.pusher("ok")));
-            }
-        });
-        let mut ran = log.take();
-        ran.sort_unstable();
-        assert_eq!(ran, ["dependent", "ok", "ok", "ok", "ok"], "{exec:?}");
-        assert_eq!(report.tasks_run, 6);
-        assert_eq!(report.task_panics.len(), 1, "{exec:?}");
-        assert_eq!(report.task_panics[0].0, "victim");
-        assert!(report.task_panics[0].1.contains("injected fault"));
-        assert!(plan.any_fired());
-    }
-}
-
-/// Signals its event as it drops: what a task leaves signaled when its
-/// body is dropped unrun.
-struct SignalOnDrop(Env, EventId);
-
-impl Drop for SignalOnDrop {
-    fn drop(&mut self) {
-        self.0.signal(self.1);
-    }
-}
-
-/// Recover mode: the body an injected panic replaces is dropped where
-/// the panic unwinds — on the worker, outside the executor's lock — so a
-/// capture that signals on drop reaches the task waiting for it.
-#[test]
-fn a_replaced_bodys_captures_signal_as_the_injected_panic_unwinds() {
-    for exec in TABLE {
-        let log = Log::default();
-        let l = log.clone();
-        let report = run(exec, Some(panic_plan("task:victim")), move |env| {
-            let released = env.new_event_named(EventClass::Handled, "released");
-            let on_drop = SignalOnDrop(env.clone(), released);
-            let l2 = l.clone();
-            env.spawn(task("victim", TaskKind::ProcParse, move || {
-                let _on_drop = on_drop;
-                l2.push("victim");
-            }));
-            let env2 = env.clone();
-            let mut dependent = task("dependent", TaskKind::ShortCodeGen, move || {
-                env2.wait(released);
-                l.push("dependent");
-            });
-            dependent.may_wait = waits_on(&[released]);
-            env.spawn(dependent);
-        });
-        assert_eq!(log.take(), ["dependent"], "{exec:?}");
-        assert_eq!(report.tasks_run, 2, "{exec:?}");
-        let panicked: Vec<&str> = report.task_panics.iter().map(|(t, _)| t.as_str()).collect();
-        assert_eq!(panicked, ["victim"], "{exec:?}");
     }
 }
 
@@ -562,7 +473,6 @@ fn spawn_graph(env: &Env, graph: Vec<Node>) {
 struct Outcome {
     tasks_run: usize,
     charges: [u64; Work::COUNT],
-    task_panics: Vec<(String, String)>,
     /// Names of the tasks in the trace, sorted. (The simulator cuts a
     /// task's run into a segment per slice, a worker thread records one
     /// per task: the segments of one task count once.)
@@ -570,8 +480,6 @@ struct Outcome {
 }
 
 fn outcome(report: &RunReport) -> Outcome {
-    let mut task_panics = report.task_panics.clone();
-    task_panics.sort();
     let mut traced: Vec<String> = report
         .trace
         .segments
@@ -583,7 +491,6 @@ fn outcome(report: &RunReport) -> Outcome {
     Outcome {
         tasks_run: report.tasks_run,
         charges: report.charges,
-        task_panics,
         traced,
     }
 }
@@ -595,22 +502,11 @@ fn random_graphs_come_out_the_same_on_every_executor() {
         println!("case {case}: seed {seed}");
         let mut rng = SmallRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng);
-        // No plan, or a panic at one root task (its exact site: not
-        // `{victim}*`, which would take in the victim's children), which
-        // degrades it.
-        let victim = format!("task:t{:02}", rng.gen_range(0..graph.len()));
-        let robustness = match rng.gen_range(0..3) {
-            0 => None,
-            _ => Some(panic_plan(&victim)),
-        };
-        // The firefly model charges every dispatch, so that a task whose
-        // body never ran is in the simulator's trace too.
+        // The firefly model: dispatch costs and bus contention.
         let run = |exec| {
             let graph = graph.clone();
-            try_run(exec, SimConfig::firefly, robustness.clone(), move |env| {
-                spawn_graph(env, graph)
-            })
-            .unwrap_or_else(|msg| panic!("seed {seed} panicked on {exec:?}: {msg}"))
+            try_run(exec, SimConfig::firefly, move |env| spawn_graph(env, graph))
+                .unwrap_or_else(|msg| panic!("seed {seed} panicked on {exec:?}: {msg}"))
         };
         let reference = run(Threads(1));
         assert_eq!(reference.trace.segments.len(), reference.tasks_run);

@@ -17,10 +17,9 @@
 //! level, in the service's [`MemStore`](ccm2_incr::MemStore), whose content
 //! addresses ignore strategy and executor entirely.
 //!
-//! A request is its inputs and nothing else. Fault injection is a
-//! compile option ([`ccm2::Options`]) that the drills set on a compile
-//! of their own; a service compile runs without it, so a task panic
-//! unwinds to the worker and is answered as a panicked compile.
+//! A request is its inputs and nothing else. A task panic ends its
+//! compile: it unwinds to the service's worker and is answered as a
+//! panicked compile.
 
 use std::sync::Arc;
 

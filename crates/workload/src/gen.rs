@@ -40,18 +40,14 @@ pub struct GenParams {
     /// so these exercise the `ccm2-analysis` passes without perturbing
     /// the object image.
     pub lint_seeds: bool,
-    /// Append fixed-text procedures with known names and shapes
-    /// (`FaultShort`, `FaultLong`, `FaultNest`/`FaultNestInner`) that
-    /// fault-injection tests target by site name. RNG-independent: the
-    /// rest of the module is byte-identical with the flag off.
-    pub fault_seeds: bool,
     /// Append fixed-text procedures with known interprocedural lock
     /// shapes: `LockGrabX` acquires module lock `lkX`, `LockEdgeXY`
     /// acquires `lkX` and calls `LockGrabY` (a lock-order edge — AB, BC
     /// and CA close a cycle, DE is the acyclic control), and `LockReent`
-    /// calls `LockGrabA` while already holding `lkA`. RNG-independent,
-    /// like `fault_seeds`. [`lock_seed_scenarios`] describes the runtime
-    /// drills these shapes support.
+    /// calls `LockGrabA` while already holding `lkA`. RNG-independent:
+    /// the rest of the module is byte-identical with the flag off.
+    /// [`lock_seed_scenarios`] describes the runtime drills these shapes
+    /// support.
     pub lock_seeds: bool,
 }
 
@@ -67,7 +63,6 @@ impl GenParams {
             stmts_per_proc: 12,
             nested_ratio: 0.15,
             lint_seeds: false,
-            fault_seeds: false,
             lock_seeds: false,
         }
     }
@@ -377,29 +372,8 @@ pub fn generate(params: &GenParams) -> GeneratedModule {
         next_type += 1;
     }
 
-    // Fault-seed procedures: fixed text, appended after every
-    // RNG-driven declaration so the rest of the module is unchanged by
-    // the flag. `FaultShort` is a one-assignment body (a short CodeGen
-    // task), `FaultLong` a 40-statement one (long enough that a stall
-    // or mid-stream panic lands while other streams are active), and
-    // `FaultNest` hosts `FaultNestInner` (heading events + static
-    // chain, the §2.4 dependency shape).
-    if params.fault_seeds {
-        src.push_str(
-            "PROCEDURE FaultShort(p0, p1 : INTEGER) : INTEGER;\nVAR l0 : INTEGER;\nBEGIN\n  l0 := p0 + p1;\n  RETURN l0\nEND FaultShort;\n\n",
-        );
-        src.push_str("PROCEDURE FaultLong(p0, p1 : INTEGER) : INTEGER;\nVAR l0, l1 : INTEGER;\nBEGIN\n  l0 := p0; l1 := p1;\n");
-        for k in 0..40 {
-            src.push_str(&format!("  l0 := l0 + l1 + {k};\n"));
-        }
-        src.push_str("  RETURN l0 + l1\nEND FaultLong;\n\n");
-        src.push_str(
-            "PROCEDURE FaultNest(p0, p1 : INTEGER) : INTEGER;\nVAR l0 : INTEGER;\n  PROCEDURE FaultNestInner(q0 : INTEGER) : INTEGER;\n  VAR m0 : INTEGER;\n  BEGIN\n    m0 := q0 + l0;\n    RETURN m0\n  END FaultNestInner;\nBEGIN\n  l0 := p0 + p1;\n  l0 := l0 + FaultNestInner(p0);\n  RETURN l0\nEND FaultNest;\n\n",
-        );
-    }
-
-    // Lock-seed procedures: fixed text like the fault seeds, appended
-    // after every RNG-driven declaration so the rest of the module is
+    // Lock-seed procedures: fixed text, appended after every
+    // RNG-driven declaration so the rest of the module is
     // unchanged by the flag. Grabbers precede the edge procedures, so
     // every call site targets an already-declared procedure.
     if params.lock_seeds {
@@ -431,11 +405,6 @@ pub fn generate(params: &GenParams) -> GeneratedModule {
     let calls = gen.declared_procs.clone();
     for name in calls.iter().take(8) {
         src.push_str(&format!("  gTotal := gTotal + {name}(gCount, 2);\n"));
-    }
-    if params.fault_seeds {
-        src.push_str(
-            "  gTotal := gTotal + FaultShort(gCount, 1) + FaultLong(gCount, 2) + FaultNest(gCount, 3);\n",
-        );
     }
     if params.lock_seeds {
         src.push_str(
@@ -777,7 +746,6 @@ mod tests {
             stmts_per_proc: 8,
             nested_ratio: 0.0,
             lint_seeds: false,
-            fault_seeds: false,
             lock_seeds: false,
         };
         let m = generate(&params);
@@ -802,7 +770,6 @@ mod tests {
             stmts_per_proc: 6,
             nested_ratio: 0.4,
             lint_seeds: false,
-            fault_seeds: false,
             lock_seeds: false,
         };
         let m = generate(&params);
@@ -850,29 +817,6 @@ mod tests {
                 m.source
             );
         }
-    }
-
-    #[test]
-    fn fault_seeded_modules_compile_cleanly_and_leave_the_rest_unchanged() {
-        let base = GenParams::small("FaultSeed", 77);
-        let seeded = GenParams {
-            fault_seeds: true,
-            ..base.clone()
-        };
-        let plain = generate(&base);
-        let m = generate(&seeded);
-        for needle in ["FaultShort", "FaultLong", "FaultNest", "FaultNestInner"] {
-            assert!(m.source.contains(needle), "missing `{needle}`");
-        }
-        let out = compile(&m.source, &m.defs);
-        assert!(out.is_ok(), "{:#?}\nsource:\n{}", out.diagnostics, m.source);
-        // Byte-identical prefix: the seeds only append, never perturb the
-        // RNG-driven part of the module.
-        let split = m
-            .source
-            .find("PROCEDURE FaultShort")
-            .expect("seeds appended");
-        assert_eq!(&m.source[..split], &plain.source[..split]);
     }
 
     #[test]

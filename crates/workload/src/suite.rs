@@ -45,7 +45,6 @@ pub fn suite_params(i: usize) -> GenParams {
         stmts_per_proc,
         nested_ratio: 0.12,
         lint_seeds: false,
-        fault_seeds: false,
         lock_seeds: false,
     }
 }

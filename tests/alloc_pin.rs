@@ -113,47 +113,47 @@ fn figures(i: usize) -> [(u64, u64); 3] {
 /// store the unedited module filled, and `ccm2_seq::compile`.
 #[rustfmt::skip]
 const PINS: [[(u64, u64); 3]; SUITE_SIZE] = [
-    [(894, 297375), (718, 203486), (680, 248294)],
-    [(873, 237861), (703, 171948), (665, 201888)],
-    [(933, 317005), (748, 225184), (710, 264812)],
-    [(1011, 300401), (785, 209810), (788, 263201)],
-    [(1055, 325732), (802, 199152), (787, 283545)],
-    [(1090, 352943), (818, 228037), (809, 304512)],
-    [(1315, 420633), (934, 224435), (1012, 366723)],
-    [(1281, 411218), (924, 254979), (974, 352184)],
-    [(1355, 461823), (961, 276345), (984, 378203)],
-    [(1481, 534241), (1018, 288234), (1094, 464693)],
-    [(1665, 590577), (1126, 318945), (1218, 511239)],
-    [(1732, 607364), (1186, 336214), (1266, 532103)],
-    [(1986, 715618), (1287, 369728), (1444, 606423)],
-    [(2214, 833074), (1388, 394573), (1574, 740857)],
-    [(2362, 877908), (1500, 420593), (1704, 710692)],
-    [(2574, 989850), (1598, 494976), (1852, 863556)],
-    [(2982, 1130077), (1904, 574089), (2150, 980160)],
-    [(3366, 1374911), (2050, 629230), (2383, 1111277)],
-    [(3582, 1490657), (2182, 723385), (2502, 1202394)],
-    [(4102, 1748928), (2423, 797933), (2853, 1549297)],
-    [(4618, 2057892), (2638, 901904), (3228, 1754491)],
-    [(5140, 2185375), (2960, 992567), (3607, 1871723)],
-    [(5917, 2710578), (3244, 1161200), (4062, 2161564)],
-    [(6751, 3013267), (3630, 1245023), (4637, 2646866)],
-    [(7597, 3516920), (4018, 1435562), (5168, 3041250)],
-    [(8880, 4446663), (4473, 1659555), (5995, 3711924)],
-    [(9968, 4940788), (4992, 1881031), (6654, 4009439)],
-    [(11401, 5673956), (5565, 2103021), (7523, 5075250)],
-    [(13441, 6962288), (6299, 2450759), (8840, 5691586)],
-    [(15432, 8185597), (7100, 2904156), (10098, 6556711)],
-    [(18076, 10046383), (8094, 3382961), (11716, 9162386)],
-    [(21229, 12291301), (9248, 4072631), (13670, 10372566)],
-    [(24764, 14929257), (10275, 4600740), (15727, 11967274)],
-    [(28636, 17280523), (11847, 5510006), (18093, 13281281)],
-    [(34095, 21896161), (13475, 6509557), (21314, 18874750)],
-    [(39502, 25881735), (15440, 7767905), (24445, 20986779)],
-    [(47110, 31600546), (17940, 8975433), (28989, 24544433)],
+    [(894, 297343), (718, 203454), (680, 248294)],
+    [(873, 237829), (703, 171916), (665, 201888)],
+    [(933, 316973), (748, 225152), (710, 264812)],
+    [(1011, 300369), (785, 209778), (788, 263201)],
+    [(1055, 325700), (802, 199120), (787, 283545)],
+    [(1090, 352911), (818, 228005), (809, 304512)],
+    [(1315, 420601), (934, 224403), (1012, 366723)],
+    [(1281, 411186), (924, 254947), (974, 352184)],
+    [(1355, 461791), (961, 276313), (984, 378203)],
+    [(1481, 534209), (1018, 288202), (1094, 464693)],
+    [(1665, 590545), (1126, 318913), (1218, 511239)],
+    [(1732, 607332), (1186, 336182), (1266, 532103)],
+    [(1986, 715586), (1287, 369696), (1444, 606423)],
+    [(2214, 833042), (1388, 394541), (1574, 740857)],
+    [(2362, 877876), (1500, 420561), (1704, 710692)],
+    [(2574, 989818), (1598, 494944), (1852, 863556)],
+    [(2982, 1130045), (1904, 574057), (2150, 980160)],
+    [(3366, 1374879), (2050, 629198), (2383, 1111277)],
+    [(3582, 1490625), (2182, 723353), (2502, 1202394)],
+    [(4102, 1748896), (2423, 797901), (2853, 1549297)],
+    [(4618, 2057860), (2638, 901872), (3228, 1754491)],
+    [(5140, 2185343), (2960, 992535), (3607, 1871723)],
+    [(5917, 2710546), (3244, 1161168), (4062, 2161564)],
+    [(6751, 3013235), (3630, 1244991), (4637, 2646866)],
+    [(7597, 3516888), (4018, 1435530), (5168, 3041250)],
+    [(8880, 4446631), (4473, 1659523), (5995, 3711924)],
+    [(9968, 4940756), (4992, 1880999), (6654, 4009439)],
+    [(11401, 5673924), (5565, 2102989), (7523, 5075250)],
+    [(13441, 6962256), (6299, 2450727), (8840, 5691586)],
+    [(15432, 8185565), (7100, 2904124), (10098, 6556711)],
+    [(18076, 10046351), (8094, 3382929), (11716, 9162386)],
+    [(21229, 12291269), (9248, 4072599), (13670, 10372566)],
+    [(24764, 14929225), (10275, 4600708), (15727, 11967274)],
+    [(28636, 17280491), (11847, 5509974), (18093, 13281281)],
+    [(34095, 21896129), (13475, 6509525), (21314, 18874750)],
+    [(39502, 25881703), (15440, 7767873), (24445, 20986779)],
+    [(47110, 31600514), (17940, 8975401), (28989, 24544433)],
 ];
 
 /// The suite totals of [`PINS`]' columns.
-const TOTALS: [(u64, u64); 3] = [(340410, 191637426), (156293, 64895287), (221215, 157646326)];
+const TOTALS: [(u64, u64); 3] = [(340410, 191636242), (156293, 64894103), (221215, 157646326)];
 
 fn totals(rows: &[[(u64, u64); 3]]) -> [(u64, u64); 3] {
     let mut sum = [(0, 0); 3];

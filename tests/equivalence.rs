@@ -26,7 +26,6 @@ fn modules_under_test() -> Vec<Program> {
         stmts_per_proc: 18,
         nested_ratio: 0.25,
         lint_seeds: false,
-        fault_seeds: false,
         lock_seeds: false,
     });
     out.push(big.into());

@@ -54,7 +54,6 @@ fn procedure_body_edit_recompiles_only_the_touched_stream() {
         stmts_per_proc: 14,
         nested_ratio: 0.0, // flat: the edited stream has no children
         lint_seeds: true,
-        fault_seeds: false,
         lock_seeds: false,
     });
     let store = Arc::new(MemStore::new());

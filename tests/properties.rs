@@ -127,7 +127,6 @@ fn generated_programs_compile_equally_everywhere() {
             stmts_per_proc: stmts,
             nested_ratio: nested as f64 / 100.0,
             lint_seeds: false,
-            fault_seeds: false,
             lock_seeds: false,
         };
         // The seed picks one of the contract's paths.
@@ -297,7 +296,6 @@ fn lint_findings_deterministic_and_strategy_independent() {
             stmts_per_proc: 8,
             nested_ratio: 0.2,
             lint_seeds: true,
-            fault_seeds: false,
             lock_seeds: false,
         });
         let program = Program::from(m).analyzed();
@@ -356,7 +354,6 @@ fn warm_cache_compiles_are_invisible() {
             stmts_per_proc: 10,
             nested_ratio: 0.2,
             lint_seeds: true,
-            fault_seeds: false,
             lock_seeds: false,
         });
         let edited =
@@ -408,7 +405,6 @@ fn lock_predictions_byte_identical_across_strategies_and_executors() {
             stmts_per_proc: stmts,
             nested_ratio: 0.2,
             lint_seeds: false,
-            fault_seeds: false,
             lock_seeds: true,
         }))
         .analyzed();

@@ -57,7 +57,6 @@ fn single_worker_handles_deep_nesting_chains() {
         stmts_per_proc: 10,
         nested_ratio: 0.2,
         lint_seeds: false,
-        fault_seeds: false,
         lock_seeds: false,
     });
     let out = compile_concurrent(
