@@ -820,7 +820,7 @@ impl<'a> Emitter<'a> {
             } => match *self.sema.types.get(self.sema.types.strip_subrange(v.ty)) {
                 Type::Proc { ref params, ret } => {
                     self.check_ret_position(ret, span, as_stmt);
-                    self.push_args(params, args, span);
+                    self.push_args(params, |&param| param, args, span);
                     // The procedure value, above the args.
                     let _ = self.emit_head(&head, callee.span, true);
                     self.emit(Instr::CallIndirect {
@@ -845,7 +845,15 @@ impl<'a> Emitter<'a> {
         }
     }
 
-    fn push_args(&mut self, params: &[(bool, TypeId)], args: &[ExprId], span: Span) {
+    /// Emits `args` against `params`, whose entries `mode` reads as
+    /// (is VAR, type).
+    fn push_args<P>(
+        &mut self,
+        params: &[P],
+        mode: fn(&P) -> (bool, TypeId),
+        args: &[ExprId],
+        span: Span,
+    ) {
         if params.len() != args.len() {
             self.error(
                 span,
@@ -854,17 +862,17 @@ impl<'a> Emitter<'a> {
         }
         for (ix, &arg) in args.iter().enumerate() {
             let arg = &self.ast[arg];
-            match params.get(ix) {
+            match params.get(ix).map(mode) {
                 Some((true, pty)) => {
                     // VAR parameter: pass the address.
                     let at = self.designator_addr(arg);
-                    if !self.sema.types.same_type(at, *pty) {
+                    if !self.sema.types.same_type(at, pty) {
                         self.error(arg.span, "VAR argument type mismatch");
                     }
                 }
                 Some((false, pty)) => {
                     let at = self.expr(arg);
-                    if !self.sema.types.assignable(*pty, at) {
+                    if !self.sema.types.assignable(pty, at) {
                         self.error(arg.span, "argument type mismatch");
                     }
                 }
@@ -877,8 +885,7 @@ impl<'a> Emitter<'a> {
 
     fn direct_call(&mut self, p: &ProcInfo, args: &[ExprId], span: Span, as_stmt: bool) -> TypeId {
         self.check_ret_position(p.sig.ret, span, as_stmt);
-        let params: Vec<(bool, TypeId)> = p.sig.params.iter().map(|p| (p.is_var, p.ty)).collect();
-        self.push_args(&params, args, span);
+        self.push_args(&p.sig.params, |p| (p.is_var, p.ty), args, span);
         // Static link: hops from the caller's frame to the callee's
         // lexical parent frame. Top-level procedures need none.
         let link_up = if p.level <= 1 {
