@@ -1059,11 +1059,10 @@ impl Driver {
 
     /// Once `parent`'s declarations are done, fires the §2.4 heading
     /// event of every procedure stream carved directly inside it whose
-    /// heading they never declared (it failed to parse, the parse
+    /// heading they never declared (it failed to parse, or the parse
     /// stopped short of it; a stream carved later is released as it is
-    /// carved). That stream's
-    /// ProcParse then takes its no-heading branch instead of waiting
-    /// forever.
+    /// carved). That stream's ProcParse then takes its no-heading branch
+    /// instead of waiting forever.
     fn release_undeclared_headings(&self, parent: ScopeId) {
         let undeclared: Vec<EventId> = {
             let mut st = self.st.lock();
