@@ -8,135 +8,48 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== the incremental cache stays behind crates/core/src/incremental.rs =="
-# The driver asks that module whether a stream splices; it never calls
-# the store itself nor names a cache codec or key. A store call, a codec,
-# the entry decoder, the fingerprinting or the import walk in the driver
-# fails here: it belongs in the seam.
-seam='\.(load|store|quarantine)\(|\b(encode|decode)_[a-z_]+|\bEntryDecoder\b|\bfingerprint_streams\b|\bImportGraph\b|\bInterfaceKey\b|\bFORMAT_VERSION\b'
-if grep -nE "$seam" crates/core/src/driver.rs; then
-  echo "the driver reaches past the incremental seam (lines above)" >&2
-  exit 1
-fi
-# The hit/miss decisions are made in that module too, between the main
-# module's scan and its naming: the lexer stays a lexer (scan, then name)
-# and the Splitter a router over the depth rule, and neither names the
-# store, the seam or anything of ccm2-incr.
-fence='ccm2_incr|\bIncremental\b|\bArtifactStore\b|\.(load|store|quarantine)\('
-if grep -nE "$fence" crates/syntax/src/lexer.rs crates/core/src/splitter.rs; then
-  echo "the lexer or the Splitter reaches into the incremental cache (lines above)" >&2
-  exit 1
-fi
-
-echo "== no fault plane =="
-# As in the paper's Supervisors, a task panic ends its compile: the run
-# unwinds with the task's own payload, and the service answers "compile
-# panicked". The fault plan, the catch-and-degrade mode it armed, the
-# executors' entry points that took one, the per-stream fault error, the
-# drop guard that released a dead parse's headings and the generator's
-# fault-seed procedures fail here if they come back. The ccm2-faults
-# package stays empty: the benchmark's lock file lists it.
-fence='FaultPlan|Robustness|run_threaded_with|run_sim_with|CompileError|ParseGuard|fault_seeds'
-if git grep -nwE "$fence" -- crates tests src; then
-  echo "the fault plane is back (lines above)" >&2
-  exit 1
-fi
+echo "== fences: what a simplification removed stays removed =="
+# One row per fence: name; git grep flags; pattern; pathspecs; why a
+# match fails the build (the rest of the line). A match prints its lines
+# and fails; a fence that cannot run fails too.
+fences=$(cat <<'EOF'
+incremental seam;-nE;\.(load|store|quarantine)\(|\b(encode|decode)_[a-z_]+|\bEntryDecoder\b|\bfingerprint_streams\b|\bImportGraph\b|\bInterfaceKey\b|\bFORMAT_VERSION\b;crates/core/src/driver.rs;the driver asks crates/core/src/incremental.rs whether a stream splices and never calls the store or names a cache codec or key
+lexer and Splitter;-nE;ccm2_incr|\bIncremental\b|\bArtifactStore\b|\.(load|store|quarantine)\(;crates/syntax/src/lexer.rs crates/core/src/splitter.rs;the lexer scans then names and the Splitter routes by the depth rule: neither names the store, the seam or ccm2-incr
+no fault plane;-nwE;FaultPlan|Robustness|run_threaded_with|run_sim_with|CompileError|ParseGuard|fault_seeds;crates tests src;a task panic ends its compile: the fault plan, degraded mode and their entry points stay gone
+one harness;-nE;\bfn (comparable|normalize|normalize_diags|differs_from_seq|assert_equivalent|check_matrix)\b;tests/*.rs :(exclude)tests/contract;a differential test compares through tests/contract/, never with a comparer or diagnostic normalizer of its own
+plain properties;-nE;proptest;*.toml *.rs Cargo.lock;a property is a #[test] looping over seeded cases, never a proptest! block that rustfmt and clippy cannot see into
+a replica is a store;-nE;ReplicaLogStore|RLOG_FORMAT|REPLICA_LOG_CAP;*.rs;a peer keeps each origin's store as a budgeted MemStore persisted as a CCM2SNAP image, not as an op log
+a replica is a cache;-nwE;resume_delta_seq|deltas_since|truncate_deltas|gapped_reconciliations|gapped_discards|replica_gaps;*.rs;a Sync drains the origin's queue and a replica applies every batch that reaches it: no delta is numbered
+no executor timer;-nwE;task_deadline|check_deadline|park_watched|stall_unit|FaultKind::Stall;crates tests src;a worker parks until a task signals, as in the paper's Supervisors: no per-task deadline, stall fault or timed park
+no watchdog;-nE;LoseSignal|release_wedge|loses_signal|with_probe_recording|Stalled \{;crates tests src;a wedge ends the run with the wait-for report: no lost-signal fault, wedge release, probe recording or stall error
+one transport;-nE;LoopbackTransport|Net::Loopback|start_on\(|transport_name|fn frame_overhead;crates tests src;every fleet runs on TcpTransport: a test that needs more of the wire wraps it or puts a FrameHandler in front of a ShardNode
+EOF
+)
+while IFS=';' read -r name flags pattern paths reason; do
+  read -r -a pathspecs <<< "$paths"
+  status=0
+  git grep "$flags" -e "$pattern" -- "${pathspecs[@]}" || status=$?
+  case $status in
+    0) echo "fence '$name' failed: $reason (lines above)" >&2; exit 1 ;;
+    1) ;;
+    *) echo "fence '$name' could not run" >&2; exit 1 ;;
+  esac
+done <<< "$fences"
+# Three fences are not a plain grep. The ccm2-faults package stays empty
+# (the benchmark's lock file lists it); ccm2_incr::MemStore is the one
+# ArtifactStore under crates/*/src (tests and perf/ wrap it through the
+# trait); and a stream's tree is one arena, so Box<Expr> and Vec<Stmt>
+# stay out of the node types, everything in ast.rs above `pub struct Ast`.
 if grep -nvE '^[[:space:]]*(//.*)?$' crates/faults/src/lib.rs; then
   echo "crates/faults/src/lib.rs holds an item (lines above)" >&2
   exit 1
 fi
-
-echo "== one artifact store =="
-# ccm2_incr::MemStore is the product's store, budgeted or not; the
-# ArtifactStore trait stays as the seam a test or a benchmark wraps it
-# through. A second implementation under crates/*/src fails here: what
-# it adds belongs in MemStore.
 impls=$(grep -rn 'impl ArtifactStore for' crates/*/src || true)
 if [ "$(printf '%s' "$impls" | grep -c .)" -gt 1 ]; then
   printf '%s\n' "$impls" >&2
   echo "more than one ArtifactStore implementation under crates/*/src (lines above)" >&2
   exit 1
 fi
-
-echo "== differential tests compare through one harness =="
-# The contract (sequential ≡ concurrent × strategies × executors ≡ warm ≡
-# service ≡ fabric) is checked against one oracle, in one encoding, by
-# tests/contract/: a test is a corpus × paths × budget there. A test file
-# that writes its own comparer or diagnostic normalizer fails here: it
-# belongs in the harness, or a row of it.
-fence='\bfn (comparable|normalize|normalize_diags|differs_from_seq|assert_equivalent|check_matrix)\b'
-if grep -rnE --include='*.rs' --exclude-dir=contract "$fence" tests; then
-  echo "a test outside tests/contract/ defines its own comparer (lines above)" >&2
-  exit 1
-fi
-
-echo "== properties are plain tests =="
-# Test bodies inside a macro are invisible to rustfmt and clippy, so a
-# property is a #[test] looping over seeded cases, never a proptest! block.
-if git grep -n proptest -- '*.toml' '*.rs' Cargo.lock; then
-  echo "a manifest or source file names proptest (lines above)" >&2
-  exit 1
-fi
-
-echo "== a replica is a store =="
-# A shard keeps each peer's store as a budgeted MemStore and persists it
-# as a CCM2SNAP image. The op log it replaced, its cap and its own image
-# format fail here if they come back.
-if git grep -nE 'ReplicaLogStore|RLOG_FORMAT|REPLICA_LOG_CAP' -- '*.rs'; then
-  echo "the replica op log is back (lines above)" >&2
-  exit 1
-fi
-
-echo "== a replica is a cache =="
-# A Sync drains the origin's queue of ops and a replica applies every
-# batch that reaches it: no delta is numbered. The sequence numbers, the
-# cursor API over them and the gap bookkeeping they fed fail here if
-# they come back.
-if git grep -nwE 'resume_delta_seq|deltas_since|truncate_deltas|gapped_reconciliations|gapped_discards|replica_gaps' -- '*.rs'; then
-  echo "delta sequence numbering is back (lines above)" >&2
-  exit 1
-fi
-
-echo "== no executor has a timer =="
-# As in the paper's Supervisors, a worker parks until a task signals and
-# a run whose workers all park is a wedge, which ends the run with the
-# wait-for report.
-# The per-task deadline that only wrote an overrun down, the stall fault
-# injected to trip it and the timed park that scanned for it fail here
-# if they come back.
-if git grep -nwE 'task_deadline|check_deadline|park_watched|stall_unit|FaultKind::Stall' -- crates tests src; then
-  echo "the per-task deadline is back (lines above)" >&2
-  exit 1
-fi
-
-echo "== no watchdog =="
-# A wedge ends the run with the wait-for report. The lost-signal
-# fault, the wedge release that existed only to clean up after it, the
-# site listing's probe recording and the stall error fail here if they
-# come back.
-if git grep -nE 'LoseSignal|release_wedge|loses_signal|with_probe_recording|Stalled \{' -- crates tests src; then
-  echo "the watchdog is back (lines above)" >&2
-  exit 1
-fi
-
-echo "== one transport =="
-# Every fleet, in the product, the drills and the tests, runs on TCP
-# sockets on 127.0.0.1, the one transport the benchmark measures. A test
-# that needs more of the wire wraps the transport or puts a handler in
-# front of a shard. The in-process loopback, its selector, the drill's
-# transport column and the unused frame-overhead helper fail here if
-# they come back.
-if git grep -nE 'LoopbackTransport|Net::Loopback|start_on\(|transport_name|fn frame_overhead' -- crates tests src; then
-  echo "a second fleet transport is back (lines above)" >&2
-  exit 1
-fi
-
-echo "== one arena per stream's tree =="
-# A stream's expressions and statements live in its `Ast`: a child is an
-# `ExprId`, a statement sequence a `List<Stmt>`, and the tree drops with
-# the arena in a few frees. A boxed expression or an owned statement
-# vector fails here if it comes back into the node types, which are
-# everything in ast.rs above the arena's own pools (`pub struct Ast`).
 if sed -n '1,/^pub struct Ast {/p' crates/syntax/src/ast.rs | grep -nE 'Box<Expr>|Vec<Stmt>'; then
   echo "a per-node allocation is back in the syntax tree (lines above)" >&2
   exit 1

@@ -15,8 +15,8 @@
 //! ```
 //!
 //! Stdout carries no clock reading: on one commit it repeats byte for
-//! byte (`dky` excepted, see EXPERIMENTS.md), and `reproduce_output.txt`
-//! at the repository root is the recording `ci.sh` diffs against.
+//! byte, and `reproduce_output.txt` at the repository root is the
+//! recording `ci.sh` diffs against (EXPERIMENTS.md quotes it).
 
 use ccm2_bench::{Report, SECTIONS};
 

@@ -301,28 +301,55 @@ fn subranges_enforce_array_bounds_at_runtime() {
 
 #[test]
 fn qualified_constants_and_procs_via_def_modules() {
-    let mut lib = DefLibrary::new();
-    lib.insert(
+    let mut consts = DefLibrary::new();
+    consts.insert(
         "Consts",
         "DEFINITION MODULE Consts; CONST Answer = 42; Mask = {1, 3}; END Consts.",
     );
-    let source = "MODULE Q; \
-        IMPORT Consts; FROM Consts IMPORT Mask; \
-        VAR n : INTEGER; \
-        BEGIN \
-          n := Consts.Answer; \
-          IF 3 IN Mask THEN INC(n, 100) END; \
-          WriteInt(n, 0) \
-        END Q.";
-    let out = compile_concurrent(
-        source,
-        Arc::new(lib),
-        Arc::new(Interner::new()),
-        Options::threads(2),
-    );
-    assert!(out.is_ok(), "{:#?}", out.diagnostics);
-    let text = Vm::new(out.interner)
-        .run(&out.image.expect("image"))
-        .expect("runs");
-    assert_eq!(text, "142");
+    let mut lists = DefLibrary::new();
+    lists.insert("MathLib", "DEFINITION MODULE MathLib; CONST Pi = 3.14159; PROCEDURE Square(x : INTEGER) : INTEGER; END MathLib.");
+    lists.insert("Lists", "DEFINITION MODULE Lists; FROM MathLib IMPORT Pi; TYPE List; CONST MaxLen = 100; PROCEDURE Length(l : List) : INTEGER; END Lists.");
+    let programs = [
+        (
+            consts,
+            "MODULE Q; \
+            IMPORT Consts; FROM Consts IMPORT Mask; \
+            VAR n : INTEGER; \
+            BEGIN \
+              n := Consts.Answer; \
+              IF 3 IN Mask THEN INC(n, 100) END; \
+              WriteInt(n, 0) \
+            END Q.",
+            "142",
+        ),
+        // Sum(10) = 55 through a nested procedure, plus Fib(10) = 55.
+        (
+            lists,
+            "MODULE Big; \
+            IMPORT Lists; FROM MathLib IMPORT Square; \
+            CONST N = Lists.MaxLen DIV 10; \
+            VAR total : INTEGER; i : INTEGER; \
+            PROCEDURE Sum(n : INTEGER) : INTEGER; \
+              VAR acc, k : INTEGER; \
+              PROCEDURE Add(v : INTEGER); BEGIN acc := acc + v END Add; \
+            BEGIN acc := 0; FOR k := 1 TO n DO Add(k) END; RETURN acc END Sum; \
+            PROCEDURE Fib(n : INTEGER) : INTEGER; \
+            BEGIN IF n <= 1 THEN RETURN n ELSE RETURN Fib(n-1) + Fib(n-2) END END Fib; \
+            BEGIN total := Sum(N) + Fib(10); WriteInt(total, 0); WriteLn END Big.",
+            "110\n",
+        ),
+    ];
+    for (lib, source, expected) in programs {
+        let out = compile_concurrent(
+            source,
+            Arc::new(lib),
+            Arc::new(Interner::new()),
+            Options::threads(2),
+        );
+        assert!(out.is_ok(), "{:#?}", out.diagnostics);
+        let text = Vm::new(out.interner)
+            .run(&out.image.expect("image"))
+            .expect("runs");
+        assert_eq!(text, expected);
+    }
 }

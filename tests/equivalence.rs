@@ -29,7 +29,30 @@ fn modules_under_test() -> Vec<Program> {
         lock_seeds: false,
     });
     out.push(big.into());
+    out.push(imports_and_nesting());
     out
+}
+
+/// A hand-written module over two definition modules: a constant of the
+/// main module computed from an imported one, an opaque type, a nested
+/// procedure writing its parent's local, and a recursive function.
+/// `end_to_end.rs` runs the same text on the VM.
+fn imports_and_nesting() -> Program {
+    let mut lib = DefLibrary::new();
+    lib.insert("MathLib", "DEFINITION MODULE MathLib; CONST Pi = 3.14159; PROCEDURE Square(x : INTEGER) : INTEGER; END MathLib.");
+    lib.insert("Lists", "DEFINITION MODULE Lists; FROM MathLib IMPORT Pi; TYPE List; CONST MaxLen = 100; PROCEDURE Length(l : List) : INTEGER; END Lists.");
+    let source = "MODULE Big; \
+        IMPORT Lists; FROM MathLib IMPORT Square; \
+        CONST N = Lists.MaxLen DIV 10; \
+        VAR total : INTEGER; i : INTEGER; \
+        PROCEDURE Sum(n : INTEGER) : INTEGER; \
+          VAR acc, k : INTEGER; \
+          PROCEDURE Add(v : INTEGER); BEGIN acc := acc + v END Add; \
+        BEGIN acc := 0; FOR k := 1 TO n DO Add(k) END; RETURN acc END Sum; \
+        PROCEDURE Fib(n : INTEGER) : INTEGER; \
+        BEGIN IF n <= 1 THEN RETURN n ELSE RETURN Fib(n-1) + Fib(n-2) END END Fib; \
+        BEGIN total := Sum(N) + Fib(10); WriteInt(total, 0); WriteLn END Big.";
+    Program::new(source, lib)
 }
 
 #[test]
