@@ -23,6 +23,7 @@ a replica is a cache;-nwE;resume_delta_seq|deltas_since|truncate_deltas|gapped_r
 no executor timer;-nwE;task_deadline|check_deadline|park_watched|stall_unit|FaultKind::Stall;crates tests src;a worker parks until a task signals, as in the paper's Supervisors: no per-task deadline, stall fault or timed park
 no watchdog;-nE;LoseSignal|release_wedge|loses_signal|with_probe_recording|Stalled \{;crates tests src;a wedge ends the run with the wait-for report: no lost-signal fault, wedge release, probe recording or stall error
 one transport;-nE;LoopbackTransport|Net::Loopback|start_on\(|transport_name|fn frame_overhead;crates tests src;every fleet runs on TcpTransport: a test that needs more of the wire wraps it or puts a FrameHandler in front of a ShardNode
+one single-flight;-nE;\binflight\b|type Flight;crates/fabric/src;routing sends every copy of a request to the shard that owns it, whose flights table is the fleet's one single-flight: the router joins nothing
 EOF
 )
 while IFS=';' read -r name flags pattern paths reason; do

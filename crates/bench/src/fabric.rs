@@ -3,9 +3,12 @@
 //! count are `perf/`'s (`fabric_tcp` and its `fabric.*` layers); the
 //! width sweep here is a byte-identity check.
 
+use std::collections::BTreeSet;
+
 use ccm2_fabric::{Fabric, HashRing, DEFAULT_VNODES};
 use ccm2_serve::{CompileRequest, ExecChoice, ServeConfig};
-use ccm2_workload::{serve_load, shard_kill_schedule, ServeLoadParams};
+use ccm2_support::defs::DefProvider as _;
+use ccm2_workload::{serve_load, shard_kill_schedule, ServeEvent, ServeLoadParams};
 
 use crate::kit::{drive, requests, Oracle};
 
@@ -55,17 +58,15 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
 
     // Part 1 — shard-count sweep.
     out.push_str("shard sweep: every width byte-identical to standalone\n");
-    out.push_str("  shards | waves | router joins | fleet compiles\n");
-    out.push_str("  -------+-------+--------------+---------------\n");
+    out.push_str("  shards | waves | shard joins | fleet compiles\n");
+    out.push_str("  -------+-------+-------------+---------------\n");
     for &n in sweep {
         let fabric = Fabric::start(n, config);
         let (waves, _) = drive(fabric.router(), &reqs, &oracle);
+        let services = fabric.nodes().iter().map(|node| node.service().stats());
+        let (joins, compiles) = services.fold((0, 0), |(j, c), s| (j + s.joined, c + s.compiled));
         out.push_str(&format!(
-            "  {:>6} | {:>5} | {:>12} | {:>14}\n",
-            n,
-            waves,
-            fabric.router().stats().joined,
-            fabric.total_compiles(),
+            "  {n:>6} | {waves:>5} | {joins:>11} | {compiles:>14}\n"
         ));
     }
 
@@ -94,17 +95,27 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
     owned.sort_by_key(CompileRequest::fingerprint);
     owned.dedup_by_key(|req| req.fingerprint());
     let survivors = || fabric.nodes().iter().filter(|node| node.id() != victim);
-    let lookups = || {
-        let stores = survivors().map(|node| node.service().store().stats());
-        stores.fold((0, 0), |(hits, misses), s| {
-            (hits + s.hits, misses + s.misses)
-        })
+    // Sends `reqs` one at a time; returns what the survivors compiled,
+    // and their store hits and misses meanwhile.
+    let one_by_one = |reqs: &[CompileRequest], oracle: &Oracle| {
+        let counts = || {
+            survivors().fold([0; 3], |c, node| {
+                let (svc, store) = (node.service().stats(), node.service().store().stats());
+                [c[0] + svc.compiled, c[1] + store.hits, c[2] + store.misses]
+            })
+        };
+        let before = counts();
+        for req in reqs.chunks(1) {
+            drive(fabric.router(), req, oracle);
+        }
+        let after = counts();
+        [0, 1, 2].map(|i| after[i] - before[i])
     };
-    let before = lookups();
-    for req in owned.chunks(1) {
-        drive(fabric.router(), req, &oracle);
-    }
-    let after = lookups();
+    let [_, hits, misses] = one_by_one(&owned, &oracle);
+    // What failover re-routes: compiles of keys the victim owned that
+    // the fleet has never seen.
+    let edits = rerouted_edits(load, kill_at, &ring, victim);
+    let [rerouted, edit_hits, edit_misses] = one_by_one(&edits, &Oracle::of(&edits));
     let absorbed: u64 = survivors().map(|node| node.stats().absorbed_entries).sum();
     out.push_str(&format!(
         "\nkill drill ({} shards): shard {} killed before event {} (seeded schedule)\n",
@@ -118,8 +129,15 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
     out.push_str(&format!(
         "  the victim's {} answered requests asked again: {} store hits, {} misses on survivors\n",
         owned.len(),
-        after.0 - before.0,
-        after.1 - before.1
+        hits,
+        misses
+    ));
+    out.push_str(&format!(
+        "  {} fresh body edits of the victim's keys: {} re-routed compiles, {} store hits, {} misses on survivors, byte-identical to standalone\n",
+        edits.len(),
+        rerouted,
+        edit_hits,
+        edit_misses
     ));
     out.push_str(&format!(
         "  served {}+{} events across the kill: 0 lost, 0 mismatched vs standalone\n",
@@ -128,6 +146,44 @@ fn fabric_with(load: &ServeLoadParams, sweep: &[usize]) -> String {
     ));
 
     out
+}
+
+/// Procedure-body edits that failover re-routes, this many per drill.
+const REROUTED_EDITS: usize = 3;
+
+/// The first [`REROUTED_EDITS`] procedure-body edits in `load`'s seeded
+/// stream, read on for seven more loads' worth of events past its last,
+/// that belong to `victim`: of a project one of the first `kill_at`
+/// events sent to it, and routed to it by `ring`. A body edit is a new
+/// revision whose interfaces are those of the project's previous event.
+fn rerouted_edits(
+    load: &ServeLoadParams,
+    kill_at: usize,
+    ring: &HashRing,
+    victim: u32,
+) -> Vec<CompileRequest> {
+    let stream = serve_load(&ServeLoadParams {
+        events: load.events * 8,
+        ..load.clone()
+    });
+    let reqs = requests(&stream, ExecChoice::Sim(4));
+    let owned = |&i: &usize| ring.route(reqs[i].fingerprint()) == Some(victim);
+    let projects: BTreeSet<usize> = (0..kill_at)
+        .filter(owned)
+        .map(|i| stream[i].project)
+        .collect();
+    let body_edit = |&i: &usize| {
+        let (event, defs) = (&stream[i], |e: &ServeEvent| e.module.defs.all_definitions());
+        let previous = stream[..i].iter().rfind(|e| e.project == event.project);
+        previous.is_some_and(|p| p.revision != event.revision && defs(p) == defs(event))
+    };
+    (load.events..stream.len())
+        .filter(|&i| projects.contains(&stream[i].project))
+        .filter(body_edit)
+        .filter(owned)
+        .take(REROUTED_EDITS)
+        .map(|i| reqs[i].clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -151,6 +207,7 @@ mod tests {
             &[1, 3],
         );
         assert!(report.contains("byte-identical to standalone"));
+        assert!(report.contains("fresh body edits of the victim's keys"));
         assert!(report.contains("0 lost, 0 mismatched"));
         assert!(!report.contains("wrote "), "the drill writes no file");
     }

@@ -101,25 +101,33 @@ impl Serves for CompileService {
     }
 }
 
-fn fleet_answers(responses: Vec<FabricResponse>) -> Vec<Option<Observed>> {
-    responses
-        .into_iter()
-        .map(|resp| match resp {
-            FabricResponse::Done(o) => Some((o.ok, o.object, o.diagnostics)),
-            FabricResponse::Retry { .. } => None,
-        })
-        .collect()
+/// A fleet's wave: each request served on a thread of its own, as by
+/// that many clients at once.
+fn fleet_wave(
+    batch: &[CompileRequest],
+    serve: impl Fn(&CompileRequest) -> FabricResponse + Sync,
+) -> Vec<Option<Observed>> {
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = batch.iter().map(|req| scope.spawn(|| serve(req))).collect();
+        let answers = threads.into_iter().map(|t| t.join().expect("serve thread"));
+        answers
+            .map(|resp| match resp {
+                FabricResponse::Done(o) => Some((o.ok, o.object, o.diagnostics)),
+                FabricResponse::Retry { .. } => None,
+            })
+            .collect()
+    })
 }
 
 impl Serves for FabricRouter {
     fn serve_wave(&self, batch: &[CompileRequest]) -> Vec<Option<Observed>> {
-        fleet_answers(self.serve_batch(batch))
+        fleet_wave(batch, |req| self.serve(req))
     }
 }
 
 impl Serves for FabricClient {
     fn serve_wave(&self, batch: &[CompileRequest]) -> Vec<Option<Observed>> {
-        fleet_answers(self.serve_batch(batch))
+        fleet_wave(batch, |req| self.serve(req))
     }
 }
 

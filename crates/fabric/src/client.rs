@@ -35,8 +35,6 @@ pub const CLIENT_MAX_SLEEP_MS: u64 = 16;
 /// Client-side retry counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClientRetryStats {
-    /// `serve` calls.
-    pub serves: u64,
     /// Calls that ended in a [`FabricResponse::Done`].
     pub served: u64,
     /// `Retry` answers absorbed by the loop (each costs one attempt).
@@ -44,8 +42,6 @@ pub struct ClientRetryStats {
     /// Times the loop moved to a different router (shutdown skip or
     /// post-`Retry` rotation).
     pub router_rotations: u64,
-    /// Milliseconds of back-off hints honored (after the per-hint cap).
-    pub hint_ms_honored: u64,
     /// Calls that exhausted the attempt budget.
     pub exhausted: u64,
 }
@@ -109,7 +105,6 @@ impl FabricClient {
     /// routers and honoring back-off hints, until served or the
     /// attempt budget is gone.
     pub fn serve(&self, req: &CompileRequest) -> FabricResponse {
-        self.stats.lock().serves += 1;
         let mut last = FabricResponse::Retry {
             after_ms: crate::router::DEFAULT_RETRY_AFTER_MS,
         };
@@ -126,7 +121,6 @@ impl FabricClient {
                     self.rotate_from(i);
                     if attempt + 1 < CLIENT_MAX_ATTEMPTS {
                         let sleep = after_ms.min(CLIENT_MAX_SLEEP_MS);
-                        self.stats.lock().hint_ms_honored += sleep;
                         if sleep > 0 {
                             std::thread::sleep(std::time::Duration::from_millis(sleep));
                         }
@@ -136,20 +130,5 @@ impl FabricClient {
         }
         self.stats.lock().exhausted += 1;
         last
-    }
-
-    /// Serves a whole batch concurrently (one thread per request, the
-    /// drill path) and returns responses in order.
-    pub fn serve_batch(&self, requests: &[CompileRequest]) -> Vec<FabricResponse> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = requests
-                .iter()
-                .map(|req| scope.spawn(move || self.serve(req)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client serve thread panicked"))
-                .collect()
-        })
     }
 }

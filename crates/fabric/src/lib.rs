@@ -26,7 +26,9 @@
 //!   replica of each peer's store that it rebuilds from the peer's
 //!   `CCM2DELT` stream: a budgeted `MemStore`, persisted (when asked)
 //!   as `CCM2SNAP` images.
-//! * [`router`] — routing, router-level single-flight, failover
+//! * [`router`] — routing (every copy of a request goes to the shard
+//!   that owns it, whose flights table is the fleet's one
+//!   single-flight), failover
 //!   (ring removal + replica absorption), the one shipper thread that
 //!   pulls those deltas and fans them out off the request path, and the
 //!   control plane's I/O: ticks, grant rounds, renewals, warm joins.
@@ -180,12 +182,6 @@ impl Fabric {
     pub fn nodes(&self) -> &[Arc<ShardNode>] {
         &self.nodes
     }
-
-    /// Compile frames answered with an outcome across all shards — each
-    /// by a compile, by joining one in flight, or by a landed answer.
-    pub fn total_compiles(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats().compiles).sum()
-    }
 }
 
 /// Starts `node`'s server on an ephemeral `127.0.0.1` port.
@@ -232,23 +228,18 @@ mod tests {
         for resp in &responses {
             assert!(resp.outcome().expect("served").ok);
         }
-        // 12 requests, 3 distinct modules: single-flight at the router
-        // and on the shards keeps actual compiles at the distinct
-        // count (identical fingerprints route to one shard, so no
-        // duplicate can slip through on a second shard; a straggler
-        // arriving after completion finds the flight landed there and
-        // is answered by lookup).
+        // 12 requests, 3 distinct modules: the shards' single-flight
+        // keeps actual compiles at the distinct count (identical
+        // fingerprints route to one shard, so no duplicate can slip
+        // through on a second shard; a straggler arriving after
+        // completion finds the flight landed there and is answered by
+        // lookup).
         let stats = fabric.router().stats();
         assert_eq!(stats.dispatched, 12);
         assert_eq!(stats.failovers, 0);
-        assert!(
-            fabric.total_compiles() >= 3,
-            "all three modules must compile somewhere"
-        );
-        assert!(
-            stats.joined + stats.routed_calls >= 12,
-            "every request either joined or crossed the wire"
-        );
+        let compiled = fabric.nodes().iter().map(|n| n.service().stats().compiled);
+        assert_eq!(compiled.sum::<u64>(), 3, "each module compiles once");
+        assert_eq!(stats.routed_calls, 12, "every request crossed the wire");
         // Replication ran: fresh stores definitely had insertions to
         // ship, and their shards said so.
         fabric.router().flush();
@@ -645,7 +636,11 @@ mod tests {
             .find(|r| ring.route(r.fingerprint()) == Some(7))
             .expect("some module routes to the joiner");
         assert!(fabric.router().serve(&for_joiner).outcome().is_some());
-        assert_eq!(joiner.stats().compiles, 1, "the joiner compiled it");
+        assert_eq!(
+            joiner.service().stats().compiled,
+            1,
+            "the joiner compiled it"
+        );
 
         // Cutting transport A leaves transport B answering.
         let b = fabric.open_transport();

@@ -1,6 +1,5 @@
-//! The fleet's front door: consistent-hash routing, router-level
-//! single-flight, failover, and the I/O of the control plane — whose
-//! rules are [`crate::lease`]'s.
+//! The fleet's front door: consistent-hash routing, failover, and the
+//! I/O of the control plane — whose rules are [`crate::lease`]'s.
 //!
 //! [`FabricRouter::serve`] takes an ordinary [`CompileRequest`] and
 //! returns a [`FabricResponse`]:
@@ -8,16 +7,15 @@
 //! 1. **Route** — the request fingerprint (the same single-flight key
 //!    the standalone service uses) lands on a shard via the
 //!    [`HashRing`]. Identical requests therefore always hit the same
-//!    shard, so the shard-level single-flight keeps deduplicating
-//!    across clients even in a fleet.
-//! 2. **Single-flight at the router** — concurrent identical requests
-//!    don't even cross the wire twice: later arrivals park on the
-//!    in-flight entry and share the leader's response.
-//! 3. **Dispatch** — one `CCM2WIRE` compile frame. A response that
+//!    shard, whose flights table is the fleet's one single-flight: it
+//!    joins a copy while the compile runs and answers it by lookup once
+//!    the compile has landed. The router joins nothing, so every
+//!    request crosses the wire once.
+//! 2. **Dispatch** — one `CCM2WIRE` compile frame. A response that
 //!    fails frame validation is retried against the *same* shard (the
 //!    checksum plane caught damage in transit; the shard is fine). A
 //!    transport error is shard death.
-//! 4. **Failover** — the dead shard leaves the ring (its key range
+//! 3. **Failover** — the dead shard leaves the ring (its key range
 //!    spreads over the survivors — see the ring's minimal-disruption
 //!    guarantee), every survivor is told to [`absorb`](crate::wire::Message::Absorb)
 //!    the replica it holds of the dead shard's store, and the dispatch
@@ -26,7 +24,7 @@
 //!    dead / shed at admission) surfaces as [`FabricResponse::Retry`]
 //!    with a back-off hint, the same contract as
 //!    [`ccm2_serve::Response::Retry`].
-//! 5. **Replicate, off the request's path** — the answer says how many
+//! 4. **Replicate, off the request's path** — the answer says how many
 //!    store deltas its shard has queued. Zero, and the request
 //!    sends no replication frame at all; otherwise the shard is marked
 //!    dirty and the answer goes back at once. See *The shipper* below.
@@ -96,7 +94,7 @@
 //! the leader stands down and resyncs on the spot, and the operation
 //! that sent the frame stops before its next membership effect.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -130,8 +128,9 @@ pub const DEFAULT_RETRY_AFTER_MS: u64 = 2;
 /// [`ccm2_serve::Response`], carrying the wire outcome.
 #[derive(Clone, Debug)]
 pub enum FabricResponse {
-    /// Served (possibly by a survivor after failover, possibly joined
-    /// onto an identical in-flight request).
+    /// Served by the shard that owns the request (a survivor, after a
+    /// failover): compiled, joined onto an identical compile in flight
+    /// there, or answered by lookup once that compile has landed.
     Done(WireOutcome),
     /// Shed — queue full, no live shards, or a conduit too
     /// damaged to trust. Back off for roughly `after_ms` and resubmit;
@@ -159,8 +158,9 @@ impl FabricResponse {
 pub struct FabricStats {
     /// `serve` calls.
     pub dispatched: u64,
-    /// Requests that joined an identical in-flight one at the router
-    /// (never crossed the wire).
+    /// Always 0 (the router joins nothing: repeats are the owning
+    /// shard's, see [`ccm2_serve::ServiceStats::joined`]); kept because
+    /// the benchmark package reads it.
     pub joined: u64,
     /// Compile frames actually sent.
     pub routed_calls: u64,
@@ -206,8 +206,6 @@ pub struct FabricStats {
     pub membership_resyncs: u64,
 }
 
-type Flight = Arc<(Mutex<Option<FabricResponse>>, Condvar)>;
-
 /// What the shipper has been asked to pull.
 #[derive(Default)]
 struct Dirty {
@@ -241,7 +239,6 @@ struct Core {
 /// See the module docs.
 pub struct FabricRouter {
     core: Arc<Core>,
-    inflight: Mutex<HashMap<Fp128, Flight>>,
     down: AtomicBool,
     shipper: Mutex<Option<JoinHandle<()>>>,
 }
@@ -270,7 +267,6 @@ impl FabricRouter {
         };
         FabricRouter {
             core,
-            inflight: Mutex::new(HashMap::new()),
             down: AtomicBool::new(false),
             shipper: Mutex::new(Some(shipper)),
         }
@@ -648,8 +644,9 @@ impl FabricRouter {
         let _ = self.fail_over(shard);
     }
 
-    /// Serves one request through the fleet. Blocks until served, shed,
-    /// or joined onto an identical in-flight request.
+    /// Serves one request through the fleet: a compile frame to the
+    /// shard that owns it, sent again on damage and re-routed on the
+    /// shard's death. Blocks until served or shed.
     pub fn serve(&self, req: &CompileRequest) -> FabricResponse {
         self.core.stats.lock().dispatched += 1;
         if self.is_shutdown() {
@@ -657,32 +654,7 @@ impl FabricRouter {
                 after_ms: DEFAULT_RETRY_AFTER_MS,
             };
         }
-        let fp = req.fingerprint();
-        let flight: Flight = {
-            let mut map = self.inflight.lock();
-            if let Some(existing) = map.get(&fp) {
-                let flight = Arc::clone(existing);
-                drop(map);
-                self.core.stats.lock().joined += 1;
-                let mut slot = flight.0.lock();
-                while slot.is_none() {
-                    flight.1.wait(&mut slot);
-                }
-                return slot.clone().expect("flight published");
-            }
-            let flight: Flight = Arc::new((Mutex::new(None), Condvar::new()));
-            map.insert(fp, Arc::clone(&flight));
-            flight
-        };
-
-        let resp = self.dispatch(req, fp);
-        // A `Retry` fans out to the joiners too: they are copies of the
-        // same request, so whatever made the leader back off (shed,
-        // fleet-wide death) applies to every one of them.
-        *flight.0.lock() = Some(resp.clone());
-        flight.1.notify_all();
-        self.inflight.lock().remove(&fp);
-        resp
+        self.dispatch(req)
     }
 
     /// Serves a whole batch concurrently (one thread per request, the
@@ -700,7 +672,8 @@ impl FabricRouter {
         })
     }
 
-    fn dispatch(&self, req: &CompileRequest, fp: Fp128) -> FabricResponse {
+    fn dispatch(&self, req: &CompileRequest) -> FabricResponse {
+        let fp = req.fingerprint();
         let frame = encode_frame(&Message::Compile(WireRequest::from_request(req)));
         let mut checksum_retries = 0u32;
         loop {

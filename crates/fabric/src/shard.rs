@@ -69,22 +69,16 @@ use crate::wire::{decode_frame, encode_frame, Message, WireOutcome, NO_ROUTER};
 /// Counters for one shard's frame traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Compile frames answered with an outcome.
-    pub compiles: u64,
     /// Compile frames rejected at admission (queue full).
     pub rejects: u64,
     /// Frames (or delta batches) that failed checksum/format validation.
     pub bad_frames: u64,
     /// Sync frames answered with a non-empty delta batch.
     pub ships: u64,
-    /// Entries currently held across all replicas.
-    pub replica_entries: u64,
     /// Replica entries imported into the local store by `Absorb` frames.
     pub absorbed_entries: u64,
     /// Heartbeat probes answered.
     pub pings: u64,
-    /// `FetchImage` frames answered with a full store image.
-    pub images_served: u64,
     /// Entries imported from pushed `Image` frames (a joiner's warm-up).
     pub imported_entries: u64,
     /// Replica images written to the attached durable directory.
@@ -217,12 +211,7 @@ impl ShardNode {
 
     /// Frame-traffic counters.
     pub fn stats(&self) -> ShardStats {
-        let state = self.state.lock();
-        let mut stats = state.stats;
-        for replica in state.replicas.values() {
-            stats.replica_entries += replica.stats().entries as u64;
-        }
-        stats
+        self.state.lock().stats
     }
 
     /// The fingerprints this shard holds for peer `origin`, sorted
@@ -362,7 +351,6 @@ impl ShardNode {
             };
         };
         let out = ticket.wait();
-        self.state.lock().stats.compiles += 1;
         // Read after the compile's inserts: a delta this answer does not
         // count was drained by a sync, or a later answer counts it.
         Message::Outcome {
@@ -417,14 +405,11 @@ impl ShardNode {
     }
 
     fn serve_image(&self) -> Message {
-        let store = self.svc.store();
         // Export under the store's own lock: a consistent cut of the
-        // entries, coldest first.
-        let entries = store.export();
-        self.state.lock().stats.images_served += 1;
-        // An image *answer* is data, not authority (cf. sync answers).
+        // entries, coldest first. An image *answer* is data, not
+        // authority (cf. sync answers).
         Message::Image {
-            entries,
+            entries: self.svc.store().export(),
             router: NO_ROUTER,
             epoch: 0,
         }

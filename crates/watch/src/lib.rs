@@ -171,7 +171,6 @@ pub struct Session {
     store: Arc<MemStore>,
     options: Options,
     inbox: Vec<EditOp>,
-    rejected_edits: u64,
     revision: u64,
     last_fp: Option<Fp128>,
     /// The last compiled revision's image, kept as the compile returned
@@ -210,7 +209,6 @@ impl Session {
             store,
             options,
             inbox: Vec::new(),
-            rejected_edits: 0,
             revision: 0,
             last_fp: None,
             image: None,
@@ -255,14 +253,8 @@ impl Session {
             .as_deref()
     }
 
-    /// Edits rejected because the inbox was full.
-    pub fn rejected_edits(&self) -> u64 {
-        self.rejected_edits
-    }
-
     fn submit(&mut self, op: EditOp) -> Result<(), WatchError> {
         if self.inbox.len() >= INBOX_CAPACITY {
-            self.rejected_edits += 1;
             return Err(WatchError::InboxFull {
                 capacity: INBOX_CAPACITY,
             });
@@ -724,7 +716,6 @@ mod tests {
                 capacity: INBOX_CAPACITY
             }
         );
-        assert_eq!(svc.session("p").unwrap().rejected_edits(), 1);
         // Draining reopens the inbox.
         svc.check("p").unwrap();
         svc.submit("p", EditOp::ProcBody { index: 2, seed: 1 })

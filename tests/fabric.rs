@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -400,10 +400,9 @@ fn a_refused_claim_only_teaches_the_epoch() {
 }
 
 /// A request the fleet has already answered costs the fleet a lookup:
-/// the shard that owns it finds the flight landed. The router's own
-/// single-flight plays no part — nothing was in flight — no shard
-/// compiles, and since nothing new lies past the shard's ship cursor,
-/// no replication frame moves either.
+/// the shard that owns it finds the flight landed, no shard compiles,
+/// and since nothing new lies past the shard's ship cursor, no
+/// replication frame moves either.
 #[test]
 fn the_owning_shard_answers_a_repeat_without_compiling() {
     let fleet = Fabric::start(3, config());
@@ -422,9 +421,43 @@ fn the_owning_shard_answers_a_repeat_without_compiling() {
     let shards = fleet.nodes().iter().map(|node| node.service().stats());
     let counted: Vec<(u64, u64)> = shards.map(|s| (s.compiled, s.replayed)).collect();
     assert_eq!(counted, [(0, 0), (1, 1), (0, 0)]);
-    assert_eq!(router.stats().joined, 0);
     // The compile: one pull, one ship to each peer. The repeat: none.
     assert_eq!(frames, [(1, 2), (1, 2)]);
+}
+
+/// Copies of one request in flight together each cross the wire once
+/// and meet in the owning shard's flights table: one compile, and every
+/// other copy joined there. The router joins nothing of its own.
+#[test]
+fn concurrent_copies_meet_in_the_owning_shards_flights() {
+    const COPIES: u64 = 8;
+    let fleet = Fabric::start(3, config());
+    let req = module_for(1);
+    let want = Oracle::reference(&req);
+    let owner = fleet.nodes()[1].service();
+    // The compile waits until every copy has reached the owner (or, if
+    // some never do, until the wait gives up and the counts below say so).
+    owner.pause();
+    std::thread::scope(|scope| {
+        let copies: Vec<_> = (0..COPIES)
+            .map(|_| scope.spawn(|| fleet.router().serve(&req)))
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while owner.stats().submitted < COPIES && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        owner.resume();
+        for copy in copies {
+            let answer = copy.join().expect("serve thread");
+            let out = answer.outcome().expect("served");
+            assert_eq!((out.object.clone(), out.diagnostics.clone()), want);
+        }
+    });
+    let shards = fleet.nodes().iter().map(|node| node.service().stats());
+    let counted: Vec<(u64, u64)> = shards.map(|s| (s.compiled, s.joined)).collect();
+    assert_eq!(counted, [(0, 0), (1, COPIES - 1), (0, 0)]);
+    let stats = fleet.router().stats();
+    assert_eq!((stats.dispatched, stats.routed_calls), (COPIES, COPIES));
 }
 
 /// A transport on which `DeltaShip` frames wait at a gate, so that what
